@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-smoke bench-check bench-record clean
+.PHONY: all build test race vet fmt-check one-journal loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -26,11 +26,29 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The checkpoint write stage (internal/ckpt/write.go) is the only code that
+# may journal a ref record: a second call site is a second copy of the
+# journal -> publish -> seal protocol, free to drift from the first.
+one-journal:
+	@n=$$(grep -rn --include='*.go' --exclude='*_test.go' 'appendRefRecord(' internal cmd *.go \
+		| grep -vc 'func appendRefRecord('); \
+	if [ "$$n" -ne 1 ]; then \
+		echo "appendRefRecord( has $$n non-test call sites, want exactly 1 (the write stage):"; \
+		grep -rn --include='*.go' --exclude='*_test.go' 'appendRefRecord(' internal cmd *.go \
+			| grep -v 'func appendRefRecord('; exit 1; fi
+
+# Non-test Go lines per package, bench/ excluded — the number ROADMAP's
+# simplicity gate is stated in.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); s[d] += $$1; t += $$1 } \
+		END { for (d in s) printf "%7d %s\n", s[d], d; printf "%7d total\n", t }' | sort -k2
+
 # CI is split into two lanes so the workflow can run them as parallel
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet build test objstore
+ci-fast: fmt-check vet one-journal build test objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-check cover
 

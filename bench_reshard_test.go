@@ -48,7 +48,7 @@ func BenchmarkReshardRawVsDecode(b *testing.B) {
 	run := func(b *testing.B, out string, noRaw bool) (*llmtailor.ReshardStats, float64) {
 		var last *llmtailor.ReshardStats
 		for i := 0; i < b.N; i++ {
-			stats, err := llmtailor.ReshardCheckpoint(back, ckpt.DirName(100), out,
+			stats, err := llmtailor.NewStore(back).Reshard(ckpt.DirName(100), out,
 				reshardBenchWorldTo, llmtailor.ReshardOptions{
 					Workers: 4, MaxInFlight: 8 << 20, NoRawCopy: noRaw, NoLatest: true,
 				})

@@ -668,7 +668,7 @@ func runReshard(args []string, out io.Writer) error {
 	if *src == "" || *dst == "" {
 		return fmt.Errorf("missing -src or -out")
 	}
-	stats, err := llmtailor.ReshardCheckpoint(b, *src, *dst, *world, llmtailor.ReshardOptions{
+	stats, err := llmtailor.NewStore(b).Reshard(*src, *dst, *world, llmtailor.ReshardOptions{
 		Workers:     *workers,
 		MaxInFlight: *maxInFlight,
 		ChunkBytes:  *chunkBytes,

@@ -154,7 +154,7 @@ func run(root, runRoot, modelName string, sim bool, taskName string,
 		}
 	} else {
 		if resume != "" {
-			tr, err = llmtailor.ResumeTrainer(tc, b, resume)
+			tr, err = resumeFrom(tc, b, resume)
 			if err != nil {
 				return err
 			}
@@ -230,6 +230,17 @@ func geom(sim bool) string {
 	return "true"
 }
 
+// resumeFrom continues training from a checkpoint directory given as a
+// path under the storage root (its parent is the run handle's root).
+func resumeFrom(tc train.Config, b llmtailor.Backend, dir string) (*train.Trainer, error) {
+	dir = strings.TrimSuffix(dir, "/")
+	root, name := "", dir
+	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
+		root, name = dir[:i], dir[i+1:]
+	}
+	return llmtailor.NewStore(b).Run(root).ResumeFrom(tc, name)
+}
+
 // runElastic drives the elastic-resume scenario: train in segments of
 // `every` steps, and between segments repartition the latest committed
 // checkpoint to the next world size from the schedule (via the same
@@ -288,7 +299,7 @@ func runElastic(tc train.Config, b llmtailor.Backend, trueCfg *modelcfg.Config,
 		}
 		next := worlds[seg%len(worlds)]
 		out := fmt.Sprintf("%s-w%d", latest, next)
-		stats, err := llmtailor.ReshardCheckpoint(b, latest, out, next, llmtailor.ReshardOptions{
+		stats, err := llmtailor.NewStore(b).Reshard(latest, out, next, llmtailor.ReshardOptions{
 			Workers: 2, Dedup: tc.DedupCkpt,
 		})
 		if err != nil {
@@ -302,7 +313,7 @@ func runElastic(tc train.Config, b llmtailor.Backend, trueCfg *modelcfg.Config,
 		if tc.FailAt >= total {
 			tc.FailAt = 0
 		}
-		tr, err = llmtailor.ResumeTrainer(tc, b, out)
+		tr, err = resumeFrom(tc, b, out)
 		if err != nil {
 			return nil, nil, fmt.Errorf("elastic: resume from %s: %w", out, err)
 		}

@@ -69,7 +69,7 @@ func main() {
 	}
 	tc.FailAt = 0
 	tc.Strategy = nil
-	tr2, err := llmtailor.ResumeTrainer(tc, back, "run/merged")
+	tr2, err := llmtailor.NewStore(back).Run("run").ResumeFrom(tc, "merged")
 	if err != nil {
 		log.Fatal(err)
 	}

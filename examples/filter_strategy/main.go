@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("\nmerged from %d source checkpoints (%d shard loads)\n",
 		stats.CheckpointsUsed, stats.ShardFileLoads)
 
-	trC, err := llmtailor.ResumeTrainer(base, bB, "run/merged")
+	trC, err := llmtailor.NewStore(bB).Run("run").ResumeFrom(base, "merged")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -89,7 +89,7 @@ output: soups/slerp
 		TotalSteps: 50, WarmupSteps: 3, BaseLR: 2e-3,
 		CkptInterval: 10, WorldSize: 1, RunRoot: "resume",
 	}
-	if _, err := llmtailor.ResumeTrainer(tc, back, "soups/linear"); err != nil {
+	if _, err := llmtailor.NewStore(back).Run("soups").ResumeFrom(tc, "linear"); err != nil {
 		fmt.Printf("resuming the soup fails as expected: %v\n", err)
 	} else {
 		log.Fatal("weights-only soup unexpectedly resumed")

@@ -101,7 +101,7 @@ output: run/merged
 	}
 
 	cfgC := base
-	trC, err := llmtailor.ResumeTrainer(cfgC, bB, "run/merged")
+	trC, err := llmtailor.NewStore(bB).Run("run").ResumeFrom(cfgC, "merged")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func main() {
 	// 5. Resume and finish.
 	tc.FailAt = 0
 	tc.Strategy = nil // full checkpoints from here on
-	tr2, err := llmtailor.ResumeTrainer(tc, back, "run/merged")
+	tr2, err := llmtailor.NewStore(back).Run("run").ResumeFrom(tc, "merged")
 	if err != nil {
 		log.Fatal(err)
 	}

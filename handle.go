@@ -10,9 +10,8 @@ import (
 
 // Store is the handle-based entry point to everything that lives on one
 // storage backend: runs (checkpoint roots) and hubs (shared blob stores).
-// It replaces the free-function surface — each former top-level maintenance
-// function is now a method on the Run or Hub handle it operates on, with
-// uniform Options structs instead of positional flags.
+// Run-scoped maintenance is a method on the Run or Hub handle it operates
+// on, with uniform Options structs instead of positional flags.
 //
 //	st, _ := llmtailor.Open("/data")
 //	run := st.Run("sft-run")
@@ -48,8 +47,7 @@ func (s *Store) Run(root string) *Run { return &Run{b: s.b, root: root} }
 // content-addressed store any number of runs attach to.
 func (s *Store) Hub(root string) *Hub { return &Hub{b: s.b, root: root} }
 
-// Run is the handle for one run root. All maintenance that used to be a
-// free function taking (Backend, runRoot) lives here.
+// Run is the handle for one run root; all run-scoped maintenance lives here.
 type Run struct {
 	b    Backend
 	root string
@@ -81,8 +79,7 @@ type GCOptions struct {
 
 // GC collects dead blobs from the run's store (the shared hub store when
 // the run is attached — peer runs' references pin; see DESIGN.md
-// "Checkpoint hub"). It consolidates the former GCCheckpointBlobs,
-// GCCheckpointBlobsDryRun and GCRetiredGenerations entry points.
+// "Checkpoint hub").
 func (r *Run) GC(opts GCOptions) (*BlobGCReport, error) {
 	switch {
 	case opts.Full && opts.DryRun:
@@ -112,9 +109,7 @@ type ScanReport struct {
 }
 
 // Scan classifies the run root: checkpoint directories always, and on
-// request the blob store, ref index and codec health. It consolidates the
-// former ScanCheckpoints / ScanCheckpointBlobs / ScanCheckpointRefs /
-// ScanCheckpointCodecs family.
+// request the blob store, ref index and codec health.
 func (r *Run) Scan(opts ScanOptions) (*ScanReport, error) {
 	rep := &ScanReport{}
 	var err error
@@ -173,9 +168,8 @@ func (r *Run) List() ([]string, error) { return ckpt.List(r.b, r.root) }
 
 // Shards reports the digest-prefix fan-out of the run's content-addressed
 // store (the hub's when attached): the shard count under the sharded
-// layout, 0 for the flat layout. Unlike the deprecated BlobShards free
-// function it surfaces store-open errors — a corrupt shards.json is a
-// configuration problem, not a flat layout.
+// layout, 0 for the flat layout. Store-open errors are surfaced — a corrupt
+// shards.json is a configuration problem, not a flat layout.
 func (r *Run) Shards() (int, error) {
 	cas, err := storage.OpenCAS(r.b, r.objects())
 	if err != nil {

@@ -1,11 +1,18 @@
 package llmtailor_test
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"llmtailor"
+	"llmtailor/internal/ckpt"
+	"llmtailor/internal/model"
+	"llmtailor/internal/modelcfg"
+	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
+	"llmtailor/internal/tensor"
 	"llmtailor/internal/train"
 )
 
@@ -43,8 +50,8 @@ func trainAndSave(t *testing.T, b llmtailor.Backend, root string, steps int) []s
 	return dirs
 }
 
-// TestRunHandleDelegation: the handle methods and their deprecated free-
-// function counterparts see the same state.
+// TestRunHandleDelegation: the run handle's views and maintenance entry
+// points over one short dedup run.
 func TestRunHandleDelegation(t *testing.T) {
 	b := llmtailor.NewMemBackend()
 	trainAndSave(t, b, "run", 6)
@@ -54,9 +61,8 @@ func TestRunHandleDelegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldLatest, err := llmtailor.LatestCheckpoint(b, "run")
-	if err != nil || oldLatest != latest {
-		t.Fatalf("latest: handle %q, free %q (%v)", latest, oldLatest, err)
+	if dirs, err := run.List(); err != nil || len(dirs) == 0 || dirs[len(dirs)-1] != latest {
+		t.Fatalf("latest %q is not the newest of %v (%v)", latest, dirs, err)
 	}
 
 	scan, err := run.Scan(llmtailor.ScanOptions{Blobs: true, Refs: true, Codecs: true})
@@ -66,10 +72,6 @@ func TestRunHandleDelegation(t *testing.T) {
 	if len(scan.Dirs) == 0 || len(scan.Blobs) == 0 || len(scan.Refs) == 0 || len(scan.Codecs) == 0 {
 		t.Fatalf("scan views empty: %d dirs %d blobs %d refs %d codecs",
 			len(scan.Dirs), len(scan.Blobs), len(scan.Refs), len(scan.Codecs))
-	}
-	oldBlobs, err := llmtailor.ScanCheckpointBlobs(b, "run")
-	if err != nil || len(oldBlobs) != len(scan.Blobs) {
-		t.Fatalf("blob scan: handle %d, free %d (%v)", len(scan.Blobs), len(oldBlobs), err)
 	}
 
 	// The scan defaults leave unrequested views nil.
@@ -109,9 +111,249 @@ func TestRunHandleDelegation(t *testing.T) {
 	}
 }
 
+// TestFullGCDryRunMatchesRealRun: the full GC's dry run and real run share
+// one mark phase, so on a root holding every kind of finding — a superseded
+// record, a divergent one, a missing one, garbage blobs, staging residue and
+// trash from an interrupted sweep — the dry-run report must equal, field for
+// field, what the real run then does; the dry run itself must change
+// nothing, and the real run must leave nothing for a second pass.
+func TestFullGCDryRunMatchesRealRun(t *testing.T) {
+	b := llmtailor.NewMemBackend()
+	dirs := trainAndSave(t, b, "run", 6)
+	if len(dirs) < 3 {
+		t.Fatalf("want >= 3 checkpoints, got %v", dirs)
+	}
+	run := llmtailor.NewStore(b).Run("run")
+
+	// Superseded: replace the oldest checkpoint in place with new content.
+	cfg := modelcfg.Tiny()
+	m, err := model.NewInitialized(cfg, tensor.BF16, 4242)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := optim.NewAdamW(m, optim.NewLayerwiseLayout(cfg), optim.DefaultHyper())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.Save(b, ckpt.SaveSpec{Dir: dirs[0], Model: m, Optim: o, WorldSize: 2,
+		Strategy: "full", Dedup: true, State: ckpt.TrainerState{Step: 2, Seed: 4242}}); err != nil {
+		t.Fatal(err)
+	}
+	// Divergent and missing: mutilate the journal under the two newer ones.
+	ix, err := storage.OpenRefIndex(b, "run/objects")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _, _, err := ix.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		switch e.Key {
+		case ckpt.RefKey(dirs[1]):
+			rec, err := ix.Read(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Digests = rec.Digests[:1]
+			if err := ix.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		case ckpt.RefKey(dirs[2]):
+			if err := ix.Remove(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Garbage, staging residue, and trash of both fates: an unreferenced
+	// blob a crashed sweep would have purged, a referenced one it restores.
+	store := storage.NewBlobStore(b, "run/objects")
+	if _, _, err := store.PutBytes([]byte("plain garbage")); err != nil {
+		t.Fatal(err)
+	}
+	junk, _, err := store.PutBytes([]byte("trashed garbage"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Trash(junk); err != nil {
+		t.Fatal(err)
+	}
+	wm, err := ckpt.ReadWeightManifest(b, dirs[2]+"/"+ckpt.WeightManifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := wm.Tensors[0].Digest
+	if err := store.Trash(live); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WriteFile("run/objects/.stage/put-7", []byte("residue")); err != nil {
+		t.Fatal(err)
+	}
+
+	normalize := func(rep *llmtailor.BlobGCReport) llmtailor.BlobGCReport {
+		out := *rep
+		out.DryRun = false
+		for _, l := range []*[]string{&out.RemovedBlobs, &out.RemovedStaging, &out.IndexRetired, &out.IndexRepaired} {
+			*l = append([]string(nil), *l...)
+			sort.Strings(*l)
+		}
+		return out
+	}
+	dry, err := run.GC(llmtailor.GCOptions{Full: true, DryRun: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dry.DryRun || len(dry.IndexRetired) == 0 || len(dry.IndexRepaired) < 2 ||
+		len(dry.RemovedBlobs) < 2 || len(dry.RemovedStaging) != 1 || dry.BytesFreed == 0 {
+		t.Fatalf("dry run misses a planted finding: %+v", dry)
+	}
+	again, err := run.GC(llmtailor.GCOptions{Full: true, DryRun: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(normalize(dry), normalize(again)) {
+		t.Fatalf("dry run mutated the root:\nfirst  %+v\nsecond %+v", dry, again)
+	}
+	real, err := run.GC(llmtailor.GCOptions{Full: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if real.DryRun || !reflect.DeepEqual(normalize(dry), normalize(real)) {
+		t.Fatalf("dry run disagrees with the real run:\ndry  %+v\nreal %+v", normalize(dry), normalize(real))
+	}
+
+	// Converged: nothing left to do, the trashed live blob is back, and
+	// every doctor view is clean.
+	after, err := run.GC(llmtailor.GCOptions{Full: true, DryRun: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after.RemovedBlobs)+len(after.RemovedStaging)+len(after.IndexRetired)+len(after.IndexRepaired) != 0 {
+		t.Fatalf("second pass still finds work: %+v", after)
+	}
+	if !store.Has(live) {
+		t.Fatal("referenced blob left in trash")
+	}
+	scan, err := run.Scan(llmtailor.ScanOptions{Blobs: true, Refs: true, Codecs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bs := range scan.Blobs {
+		if bs.State != llmtailor.BlobReferenced {
+			t.Fatalf("blob %s is %v after gc", bs.Path, bs.State)
+		}
+	}
+	for _, rs := range scan.Refs {
+		if rs.State != llmtailor.RefOK {
+			t.Fatalf("record %s is %v after gc", rs.Path, rs.State)
+		}
+	}
+}
+
+// TestReshardDedupInsideXorRunSurvivesRetention drives the Dedupify-on-xor
+// scenario through the product path: a resharded output converted inside an
+// xor-coded run root dedup-hits the run's delta-coded weight blobs, so its
+// journal record and manifests must carry their ancestor chains — after
+// retention drops every native generation the output still restores bit for
+// bit and every doctor view is clean.
+func TestReshardDedupInsideXorRunSurvivesRetention(t *testing.T) {
+	b := llmtailor.NewMemBackend()
+	cfg := modelcfg.Tiny()
+	m, err := model.NewInitialized(cfg, tensor.BF16, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := optim.NewAdamW(m, optim.NewLayerwiseLayout(cfg), optim.DefaultHyper())
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func(step int) {
+		t.Helper()
+		if err := ckpt.Save(b, ckpt.SaveSpec{Dir: "run/" + ckpt.DirName(step), Model: m, Optim: o,
+			WorldSize: 3, Strategy: "full", Dedup: true, Codec: "xor",
+			State: ckpt.TrainerState{Step: step, Seed: 77}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save(100)
+	// A small training step on one layer: its payloads land as xor deltas
+	// against the step-100 blobs.
+	for gi, g := range o.Layout.Groups {
+		if g.HasLayer && g.Layer == modelcfg.Block(1) {
+			for k := 0; k < len(o.States[gi].Master); k += 97 {
+				o.States[gi].Master[k] += 1e-2
+			}
+		}
+	}
+	if err := o.SyncModelFromMaster(); err != nil {
+		t.Fatal(err)
+	}
+	save(200)
+
+	run := llmtailor.NewStore(b).Run("run")
+	stats, err := run.Reshard(ckpt.DirName(200), ckpt.DirName(300), 2, llmtailor.ReshardOptions{Dedup: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BlobsReused == 0 {
+		t.Fatalf("resharded output deduplicated nothing: %+v", stats)
+	}
+	cs, err := ckpt.ReadCodecStats(b, "run/"+ckpt.DirName(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Entries["xor-parent"] == 0 {
+		t.Fatalf("output manifests do not record the xor blobs they reference: %+v", cs)
+	}
+	ret, err := run.Retain(llmtailor.RetainOptions{KeepLast: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ret.Removed) != 2 {
+		t.Fatalf("retain removed %v, want both native generations", ret.Removed)
+	}
+	rm, ro, c, err := ckpt.Restore(b, "run/"+ckpt.DirName(300), tensor.BF16)
+	if err != nil {
+		t.Fatalf("restore of the kept output: %v", err)
+	}
+	if c.State.WorldSize != 2 || !model.Equal(rm, m) {
+		t.Fatal("kept output does not restore to the source weights")
+	}
+	for gi := range o.States {
+		if !reflect.DeepEqual(ro.States[gi].Master, o.States[gi].Master) ||
+			!reflect.DeepEqual(ro.States[gi].ExpAvg, o.States[gi].ExpAvg) ||
+			!reflect.DeepEqual(ro.States[gi].ExpAvgSq, o.States[gi].ExpAvgSq) {
+			t.Fatalf("kept output's optimizer group %d differs from the source state", gi)
+		}
+	}
+	scan, err := run.Scan(llmtailor.ScanOptions{Blobs: true, Refs: true, Codecs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range scan.Dirs {
+		if ds.State != llmtailor.StateCommitted {
+			t.Fatalf("%s is %v", ds.Path, ds.State)
+		}
+	}
+	for _, bs := range scan.Blobs {
+		if bs.State != llmtailor.BlobReferenced {
+			t.Fatalf("blob %s is %v after retention", bs.Path, bs.State)
+		}
+	}
+	for _, rs := range scan.Refs {
+		if rs.State != llmtailor.RefOK {
+			t.Fatalf("record %s is %v after retention", rs.Path, rs.State)
+		}
+	}
+	for _, h := range scan.Codecs {
+		if len(h.MissingParents) != 0 {
+			t.Fatalf("%s reports missing parents: %v", h.Dir, h.MissingParents)
+		}
+	}
+}
+
 // TestRunShardsErrorSurfaced: the Shards method distinguishes a flat
-// layout (0, nil) from a store that cannot open; the deprecated BlobShards
-// still flattens both to 0.
+// layout (0, nil) from a store that cannot open.
 func TestRunShardsErrorSurfaced(t *testing.T) {
 	b := llmtailor.NewMemBackend()
 	run := llmtailor.NewStore(b).Run("run")
@@ -124,13 +366,9 @@ func TestRunShardsErrorSurfaced(t *testing.T) {
 	if n, err := run.Shards(); n != 8 || err != nil {
 		t.Fatalf("sharded layout: %d, %v", n, err)
 	}
-	// Corrupt shards.json: the old signature reports a flat layout, the
-	// new one the actual problem.
+	// Corrupt shards.json is a configuration problem, not a flat layout.
 	if err := b.WriteFile("run/objects/"+storage.ShardConfigName, []byte("not json")); err != nil {
 		t.Fatal(err)
-	}
-	if n := llmtailor.BlobShards(b, "run"); n != 0 {
-		t.Fatalf("BlobShards on corrupt config = %d", n)
 	}
 	if _, err := run.Shards(); err == nil {
 		t.Fatal("Shards swallowed the corrupt shards.json")
@@ -201,8 +439,8 @@ func TestHubHandleEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDedupifyOptionsDelegation: the options-struct form matches the
-// deprecated zero-arg free function.
+// TestDedupifyOptionsDelegation: conversion and materialization through the
+// run handle round-trip the plain containers bit for bit.
 func TestDedupifyOptionsDelegation(t *testing.T) {
 	b := llmtailor.NewMemBackend()
 	cfg := trainerCfg(t, "run", 2)
@@ -220,6 +458,8 @@ func TestDedupifyOptionsDelegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := dirs[len(dirs)-1][len("run/"):]
+	origWeights, _ := b.ReadFile("run/" + name + "/model.ltsf")
+	origShard0, _ := b.ReadFile("run/" + name + "/zero/rank_00_optim_states.ltos")
 	rep, err := run.Dedupify(name, llmtailor.DedupifyOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -231,22 +471,13 @@ func TestDedupifyOptionsDelegation(t *testing.T) {
 	if err := run.MaterializeWeights(name, "out/model.ltsf", llmtailor.MaterializeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if !b.Exists("out/model.ltsf") {
-		t.Fatal("no materialized container")
+	if got, _ := b.ReadFile("out/model.ltsf"); len(got) == 0 || string(got) != string(origWeights) {
+		t.Fatal("materialized weights differ from the original container")
 	}
 	if err := run.MaterializeOptimShard(name, 0, "out/shard0.ltos", llmtailor.MaterializeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if !b.Exists("out/shard0.ltos") {
-		t.Fatal("no materialized shard container")
-	}
-	// The deprecated dir-path forms still work.
-	if err := llmtailor.MaterializeWeights(b, "run/"+name, "out/model2.ltsf"); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := b.ReadFile("out/model.ltsf")
-	c, _ := b.ReadFile("out/model2.ltsf")
-	if string(a) != string(c) {
-		t.Fatal("handle and free materialization differ")
+	if got, _ := b.ReadFile("out/shard0.ltos"); len(got) == 0 || string(got) != string(origShard0) {
+		t.Fatal("materialized shard differs from the original container")
 	}
 }

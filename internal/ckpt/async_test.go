@@ -11,42 +11,6 @@ import (
 	"llmtailor/internal/tensor"
 )
 
-func TestAsyncSaveMatchesSyncByteForByte(t *testing.T) {
-	m, o := buildOptim(t, modelcfg.Tiny(), 50)
-	spec := func(dir string) SaveSpec {
-		return SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: 2,
-			Strategy: "full", State: TrainerState{Step: 3, Seed: 50}}
-	}
-
-	bSync := storage.NewMem()
-	if err := Save(bSync, spec("c")); err != nil {
-		t.Fatal(err)
-	}
-	bAsync := storage.NewMem()
-	s := NewAsyncSaver(bAsync, 1)
-	if err := s.Save(spec("c")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, f := range []string{"c/model.ltsf", "c/config.json", "c/manifest.json",
-		"c/" + ShardFileName(0), "c/" + ShardFileName(1)} {
-		a, err := bSync.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := bAsync.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Fatalf("%s differs between sync and async save", f)
-		}
-	}
-}
-
 // The decisive async property: mutations after Save must not leak into the
 // written checkpoint (snapshot isolation).
 func TestAsyncSaveSnapshotIsolation(t *testing.T) {

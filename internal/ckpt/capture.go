@@ -19,10 +19,10 @@
 //     When the optimizer's per-layer mutation counters (SaveSpec.LayerGens)
 //     prove a layer untouched since the previous capture, even the hash is
 //     skipped and the cached digests are reused.
-//   - The ordered save pipeline assembles each checkpoint from its captured
-//     payloads once every unit lands, under the exact same journal →
-//     publish → seal → rename commit protocol as the synchronous path, so
-//     the output is byte-identical and crash exploration carries over.
+//   - The ordered save pipeline hands each ticket's payload set to the
+//     write stage (write.go) once every unit lands — the same stage the
+//     synchronous Save runs, so the output is byte-identical and crash
+//     exploration carries over.
 //
 // The trainer calls WaitCaptured before the next optimizer step; from that
 // point the live tensors are free to mutate while manifests and blobs are
@@ -32,6 +32,7 @@ package ckpt
 
 import (
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"strconv"
@@ -96,37 +97,17 @@ type CaptureStats struct {
 	Pool storage.BufferPoolStats
 }
 
-// capturedPayload is one payload's landed identity: its digest/CRC/size
-// plus, when the content had to move, the spool holding its exact bytes.
-// A nil spool means the payload resolved to an existing blob (dedup hit or
-// gen-proof reuse).
-type capturedPayload struct {
-	digest string
-	crc    uint32
-	size   int64
-	spool  storage.CaptureSpool
-	// gated is the spool's byte cost held in the engine's gate until the
-	// payload is released (0 for file-backed spools).
-	gated int64
-	// entryCodec/entryStored/entryParents record how the blob actually
-	// landed in the store; writeDedup fills them at publish time and the
-	// manifest entries copy them.
-	entryCodec   string
-	entryStored  int64
-	entryParents []string
-}
-
-// captureTicket tracks one save through capture: the plan, a result slot
-// per payload, and a latch that closes when every unit has landed (or
-// failed). The write stage waits on the latch; WaitCaptured waits on every
-// outstanding ticket's latch.
+// captureTicket tracks one save through capture: the plan, the payload set
+// whose slots the units fill, and a latch that closes when every unit has
+// landed (or failed). The write stage waits on the latch; WaitCaptured waits
+// on every outstanding ticket's latch. A slot whose payload lands with a
+// nil write resolved to an existing blob (dedup hit or gen-proof reuse).
 type captureTicket struct {
 	spec SaveSpec
 	plan *savePlan
-	// weightRes is parallel to plan.weights; groupRes[gi][rank] is parallel
-	// to plan.metas × worldSize.
-	weightRes []capturedPayload
-	groupRes  [][]capturedPayload
+	// set.weights is parallel to plan.weights; set.ranks[rank].groups is
+	// parallel to plan.metas.
+	set *payloadSet
 
 	mu        sync.Mutex
 	remaining int
@@ -172,23 +153,32 @@ type captureUnit struct {
 	groupIdx  []int
 }
 
-// payloadID is a payload's cached identity from a previous capture.
-type payloadID struct {
-	digest string
-	crc    uint32
-	size   int64
+// layerCacheEntry remembers one layer's payload identities (digest, CRC,
+// size; keyed by codec-plan slot) as of a mutation-counter generation: if
+// the counter has not moved, the layer's bytes are provably identical and
+// the digests can be reused without hashing.
+type layerCacheEntry struct {
+	gen int64
+	ids map[string]payload
 }
 
-type groupSlot struct{ index, rank int }
-
-// layerCacheEntry remembers one layer's payload identities as of a
-// mutation-counter generation: if the counter has not moved, the layer's
-// bytes are provably identical and the digests can be reused without
-// hashing.
-type layerCacheEntry struct {
-	gen     int64
-	weights map[string]payloadID
-	groups  map[groupSlot]payloadID
+// slots visits the unit's payload slots in plan order — its weights, then
+// each of its groups rank by rank — until fn returns false.
+func (u *captureUnit) slots(fn func(p *payload, key string) bool) bool {
+	set := u.t.set
+	for _, i := range u.weightIdx {
+		if w := &set.weights[i]; !fn(&w.payload, weightSlot(w.name)) {
+			return false
+		}
+	}
+	for _, gi := range u.groupIdx {
+		for r := range set.ranks {
+			if g := &set.ranks[r].groups[gi]; !fn(&g.payload, groupSlotKey(r, g.meta.Index)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // captureEngine owns the capture pipeline, the spool pool and budget gate,
@@ -252,14 +242,7 @@ func (e *captureEngine) schedule(spec SaveSpec) (*captureTicket, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &captureTicket{
-		spec: spec, plan: plan, done: make(chan struct{}),
-		weightRes: make([]capturedPayload, len(plan.weights)),
-		groupRes:  make([][]capturedPayload, len(plan.metas)),
-	}
-	for i := range t.groupRes {
-		t.groupRes[i] = make([]capturedPayload, plan.worldSize)
-	}
+	t := &captureTicket{spec: spec, plan: plan, set: plan.newPayloadSet(), done: make(chan struct{})}
 	units := unitsFor(t)
 	t.remaining = len(units)
 	if len(units) == 0 {
@@ -357,14 +340,12 @@ func (e *captureEngine) captureUnit(u *captureUnit) error {
 	buf := make([]byte, storage.ChunkOrDefault(0))
 	for _, i := range u.weightIdx {
 		tns := plan.weights[i]
-		size := int64(tns.Bytes())
-		p, err := e.capturePayload(dedup, store, size, func(w io.Writer) (int64, error) {
+		err := e.capturePayload(dedup, store, &t.set.weights[i].payload, func(w io.Writer) (int64, error) {
 			return tns.EncodeTo(w, buf)
 		})
 		if err != nil {
 			return fmt.Errorf("ckpt: capture tensor %q: %w", tns.Name, err)
 		}
-		t.weightRes[i] = p
 	}
 	for _, gi := range u.groupIdx {
 		m := plan.metas[gi]
@@ -373,15 +354,12 @@ func (e *captureEngine) captureUnit(u *captureUnit) error {
 			return fmt.Errorf("ckpt: capture group %d: %w", m.Index, err)
 		}
 		for r, s := range shards {
-			size := s.Numel() * 12
-			shard := s
-			p, err := e.capturePayload(dedup, store, size, func(w io.Writer) (int64, error) {
-				return encodeGroupPayload(w, buf, shard)
+			err := e.capturePayload(dedup, store, &t.set.ranks[r].groups[gi].payload, func(w io.Writer) (int64, error) {
+				return encodeGroupPayload(w, buf, s)
 			})
 			if err != nil {
 				return fmt.Errorf("ckpt: capture rank %d group %d: %w", r, m.Index, err)
 			}
-			t.groupRes[gi][r] = p
 		}
 	}
 
@@ -396,54 +374,34 @@ func (e *captureEngine) captureUnit(u *captureUnit) error {
 // blob (retention swept it) falls back to the hash path, which re-creates
 // the content from live state.
 func (e *captureEngine) tryReuse(u *captureUnit, gen int64, store storage.CAS) bool {
-	t := u.t
-	plan := t.plan
-	key := cacheKey(&t.spec, u.layer)
 	e.mu.Lock()
-	entry := e.cache[key]
+	entry := e.cache[cacheKey(&u.t.spec, u.layer)]
 	e.mu.Unlock()
 	if entry == nil || entry.gen != gen {
 		return false
 	}
-	var fills []func()
-	var reusedBytes int64
-	take := func(id payloadID, ok bool, size int64, slot *capturedPayload) bool {
-		if !ok || id.size != size || !store.Has(id.digest) {
+	var hits []payload
+	if !u.slots(func(p *payload, key string) bool {
+		id, ok := entry.ids[key]
+		if !ok || id.size != p.size || !store.Has(id.digest) {
 			return false
 		}
-		fills = append(fills, func() { *slot = capturedPayload{digest: id.digest, crc: id.crc, size: id.size} })
-		reusedBytes += id.size
+		hits = append(hits, id)
 		return true
-	}
-	for _, i := range u.weightIdx {
-		tns := plan.weights[i]
-		id, ok := entry.weights[tns.Name]
-		if !take(id, ok, int64(tns.Bytes()), &t.weightRes[i]) {
-			return false
-		}
-	}
-	for _, gi := range u.groupIdx {
-		part, err := zero.NewPartition(plan.states[gi].Numel(), plan.worldSize)
-		if err != nil {
-			return false
-		}
-		size := part.ShardLen() * 12
-		for r := 0; r < plan.worldSize; r++ {
-			id, ok := entry.groups[groupSlot{plan.metas[gi].Index, r}]
-			if !take(id, ok, size, &t.groupRes[gi][r]) {
-				return false
-			}
-		}
+	}) {
+		return false
 	}
 	// Commit the reuse only once every slot checked out.
-	n := int64(len(fills))
-	for _, fill := range fills {
-		fill()
-	}
 	e.mu.Lock()
-	e.stats.PayloadsReferenced += n
-	e.stats.BytesReferenced += reusedBytes
+	e.stats.PayloadsReferenced += int64(len(hits))
+	for _, id := range hits {
+		e.stats.BytesReferenced += id.size
+	}
 	e.mu.Unlock()
+	u.slots(func(p *payload, _ string) bool {
+		*p, hits = hits[0], hits[1:]
+		return true
+	})
 	return true
 }
 
@@ -451,24 +409,12 @@ func (e *captureEngine) tryReuse(u *captureUnit, gen int64, store storage.CAS) b
 // generation. Out-of-order lands from back-to-back saves only ever move
 // the entry forward (generations are monotonic).
 func (e *captureEngine) updateCache(u *captureUnit, gen int64) {
-	t := u.t
-	plan := t.plan
-	entry := &layerCacheEntry{
-		gen:     gen,
-		weights: map[string]payloadID{},
-		groups:  map[groupSlot]payloadID{},
-	}
-	for _, i := range u.weightIdx {
-		p := t.weightRes[i]
-		entry.weights[plan.weights[i].Name] = payloadID{p.digest, p.crc, p.size}
-	}
-	for _, gi := range u.groupIdx {
-		for r := 0; r < plan.worldSize; r++ {
-			p := t.groupRes[gi][r]
-			entry.groups[groupSlot{plan.metas[gi].Index, r}] = payloadID{p.digest, p.crc, p.size}
-		}
-	}
-	key := cacheKey(&t.spec, u.layer)
+	entry := &layerCacheEntry{gen: gen, ids: map[string]payload{}}
+	u.slots(func(p *payload, key string) bool {
+		entry.ids[key] = payload{size: p.size, digest: p.digest, crc: p.crc, hasCRC: true}
+		return true
+	})
+	key := cacheKey(&u.t.spec, u.layer)
 	e.mu.Lock()
 	if old := e.cache[key]; old == nil || old.gen <= gen {
 		e.cache[key] = entry
@@ -476,67 +422,62 @@ func (e *captureEngine) updateCache(u *captureUnit, gen int64) {
 	e.mu.Unlock()
 }
 
-// capturePayload lands one payload. Dedup saves hash first (no storage
-// I/O), short-circuit on an existing blob, and spool only content misses —
-// paying a second encode pass for the bytes that actually move. Plain saves
-// spool everything in a single pass with the CRC computed inline.
-func (e *captureEngine) capturePayload(dedup bool, store storage.CAS,
-	size int64, encode func(io.Writer) (int64, error)) (capturedPayload, error) {
+// capturePayload lands one payload in its slot (whose size the plan preset).
+// Dedup saves hash first (no storage I/O), short-circuit on an existing blob,
+// and spool only content misses — paying a second encode pass for the bytes
+// that actually move. Plain saves spool everything in a single pass with the
+// CRC computed inline.
+func (e *captureEngine) capturePayload(dedup bool, store storage.CAS, p *payload,
+	encode func(io.Writer) (int64, error)) error {
 
+	p.hasCRC = true
 	if dedup {
-		digest, crc, err := hashStream(size, encode)
-		if err != nil {
-			return capturedPayload{}, err
+		var err error
+		if p.digest, p.crc, err = hashStream(p.size, encode); err != nil {
+			return err
 		}
+		hit := store.Has(p.digest)
 		e.mu.Lock()
-		e.stats.BytesHashed += size
-		e.mu.Unlock()
-		if store.Has(digest) {
-			e.mu.Lock()
+		e.stats.BytesHashed += p.size
+		if hit {
 			e.stats.PayloadsReferenced++
-			e.stats.BytesReferenced += size
-			e.mu.Unlock()
-			return capturedPayload{digest: digest, crc: crc, size: size}, nil
+			e.stats.BytesReferenced += p.size
 		}
-		sp, gated, err := e.newSpool(size)
-		if err != nil {
-			return capturedPayload{}, err
-		}
-		n, err := encode(sp)
-		if err == nil && n != size {
-			err = fmt.Errorf("ckpt: payload encoded %d bytes, expected %d", n, size)
-		}
-		if err != nil {
-			sp.Release()
-			e.gate.Release(gated)
-			return capturedPayload{}, err
-		}
-		e.mu.Lock()
-		e.stats.PayloadsSpooled++
-		e.stats.BytesSpooled += size
 		e.mu.Unlock()
-		return capturedPayload{digest: digest, crc: crc, size: size, spool: sp, gated: gated}, nil
+		if hit {
+			return nil
+		}
 	}
-
-	sp, gated, err := e.newSpool(size)
+	sp, gated, err := e.newSpool(p.size)
 	if err != nil {
-		return capturedPayload{}, err
+		return err
 	}
-	crc := crc32.NewIEEE()
-	n, err := encode(io.MultiWriter(sp, crc))
-	if err == nil && n != size {
-		err = fmt.Errorf("ckpt: payload encoded %d bytes, expected %d", n, size)
-	}
-	if err != nil {
+	p.write = replay(sp.Open)
+	p.release = func() {
 		sp.Release()
 		e.gate.Release(gated)
-		return capturedPayload{}, err
+	}
+	var sink io.Writer = sp
+	var crc hash.Hash32
+	if !dedup {
+		crc = crc32.NewIEEE()
+		sink = io.MultiWriter(sp, crc)
+	}
+	n, err := encode(sink)
+	if err == nil && n != p.size {
+		err = fmt.Errorf("ckpt: payload encoded %d bytes, expected %d", n, p.size)
+	}
+	if err != nil {
+		return err // the ticket's release frees the spool
+	}
+	if crc != nil {
+		p.crc = crc.Sum32()
 	}
 	e.mu.Lock()
 	e.stats.PayloadsSpooled++
-	e.stats.BytesSpooled += size
+	e.stats.BytesSpooled += p.size
 	e.mu.Unlock()
-	return capturedPayload{crc: crc.Sum32(), size: size, spool: sp, gated: gated}, nil
+	return nil
 }
 
 // newSpool admits a payload under the memory budget without ever blocking:
@@ -554,35 +495,10 @@ func (e *captureEngine) newSpool(size int64) (storage.CaptureSpool, int64, error
 	return sp, 0, nil
 }
 
-// releasePayload frees a payload's spool and gate bytes, once.
-func (e *captureEngine) releasePayload(p *capturedPayload) {
-	if p.spool != nil {
-		p.spool.Release()
-		p.spool = nil
-	}
-	if p.gated > 0 {
-		e.gate.Release(p.gated)
-		p.gated = 0
-	}
-}
-
-// releaseTicket frees every payload still holding resources. Safe after
-// the write stage released some inline (release is idempotent per slot).
-func (e *captureEngine) releaseTicket(t *captureTicket) {
-	for i := range t.weightRes {
-		e.releasePayload(&t.weightRes[i])
-	}
-	for gi := range t.groupRes {
-		for r := range t.groupRes[gi] {
-			e.releasePayload(&t.groupRes[gi][r])
-		}
-	}
-}
-
 // abandon waits out a ticket whose save was never enqueued and frees it.
 func (e *captureEngine) abandon(t *captureTicket) {
 	<-t.done
-	e.releaseTicket(t)
+	t.set.releaseAll()
 }
 
 // waitCaptured blocks until every outstanding ticket's live-state reads
@@ -608,255 +524,16 @@ func (e *captureEngine) waitCaptured() error {
 // schedules fail their tickets.
 func (e *captureEngine) close() error { return e.pipe.Close() }
 
-// write assembles and commits one captured save — the ordered (depth-1)
-// stage of the saver. The protocol is the synchronous path's, step for
-// step: journal the full digest set, publish moved payloads, stage
-// manifests and trailer, seal with the COMMITTED marker, atomic rename,
-// then move the latest pointer.
+// write commits one captured save — the ordered (depth-1) stage of the
+// saver: wait for the ticket's units to land, then run the write stage over
+// its payload set.
 func (e *captureEngine) write(t *captureTicket) error {
 	<-t.done
-	defer e.releaseTicket(t)
+	// Safe after the write stage released some payloads inline (release is
+	// idempotent per slot).
+	defer t.set.releaseAll()
 	if err := t.failure(); err != nil {
 		return err
 	}
-	if t.spec.Dedup {
-		return e.writeDedup(t)
-	}
-	return e.writePlain(t)
-}
-
-func (e *captureEngine) writeDedup(t *captureTicket) error {
-	plan := t.plan
-	// Codec plan for this save. The gate is deliberately nil: spooled
-	// payloads already hold their bytes in the engine's gate, and letting
-	// the encoder block on the same gate could deadlock the write stage.
-	cplan, err := newCodecPlan(e.base, t.spec.Dir, t.spec.Codec, t.spec.CodecRebase, nil)
-	if err != nil {
-		return err
-	}
-	store, err := storeFor(e.base, t.spec.Dir)
-	if err != nil {
-		return err
-	}
-
-	// Digest set in the synchronous path's journal order: weights, then
-	// rank-major groups — extended with every xor ancestor the planned
-	// puts would depend on, and with the actual lineage of any blob that
-	// already exists (a dedup hit may carry a chain this save did not plan).
-	type putPlan struct {
-		opts    storage.BlobPutOptions
-		planned []string
-	}
-	wPuts := make([]putPlan, len(plan.weights))
-	gPuts := make([][]putPlan, len(plan.metas))
-	for gi := range gPuts {
-		gPuts[gi] = make([]putPlan, plan.worldSize)
-	}
-	digests := make([]string, 0, len(plan.weights)+len(plan.metas)*plan.worldSize)
-	addPayload := func(slot, digest string, width int, pp *putPlan) {
-		digests = append(digests, digest)
-		if cplan != nil {
-			pp.opts, pp.planned = cplan.optsFor(slot, digest, width)
-			digests = append(digests, pp.planned...)
-		}
-		if ch, err := blobChain(store, digest); err == nil {
-			digests = append(digests, ch...)
-		}
-	}
-	for i := range plan.weights {
-		tns := plan.weights[i]
-		addPayload(weightSlot(tns.Name), t.weightRes[i].digest, tns.DType.Size(), &wPuts[i])
-	}
-	for r := 0; r < plan.worldSize; r++ {
-		for gi := range plan.metas {
-			addPayload(groupSlotKey(r, plan.metas[gi].Index), t.groupRes[gi][r].digest, 4, &gPuts[gi][r])
-		}
-	}
-
-	txn, err := Begin(e.base, t.spec.Dir)
-	if err != nil {
-		return err
-	}
-	defer txn.Abort()
-	sb, dir := txn.Backend(), txn.Dir()
-
-	// Journal before any blob is published (record-precedes-blobs), then
-	// publish the moved payloads in the same weights-then-rank-major order.
-	gen, err := appendRefRecord(e.base, t.spec.Dir, plan.stepCount, digests)
-	if err != nil {
-		return err
-	}
-	publish := func(p *capturedPayload, pp putPlan, what string) error {
-		var res storage.PutResult
-		if p.spool != nil {
-			res, err = store.PutStreamOpts(p.digest, pp.opts, func(w io.Writer) (int64, error) {
-				rc, err := p.spool.Open()
-				if err != nil {
-					return 0, err
-				}
-				n, err := io.Copy(w, rc)
-				if cerr := rc.Close(); err == nil {
-					err = cerr
-				}
-				return n, err
-			})
-			if err != nil {
-				return fmt.Errorf("ckpt: capture blob %s (%s): %w", p.digest, what, err)
-			}
-			e.releasePayload(p)
-		} else {
-			// A referenced payload moved nothing; its blob must still exist
-			// (the journal record just appended pins it against any sweep's
-			// recheck). If it is gone anyway, fail honestly — the live bytes
-			// are no longer available to re-create it. The manifest entry
-			// records how the existing blob actually landed.
-			meta, err := store.Meta(p.digest)
-			if err != nil {
-				return fmt.Errorf("ckpt: capture reused blob %s (%s) missing from store: %w", p.digest, what, err)
-			}
-			res = storage.PutResult{
-				Codec: meta.Codec, Parent: meta.Parent,
-				RawBytes: meta.RawSize, StoredBytes: meta.StoredSize,
-			}
-		}
-		codec, stored, parents, err := codecEntryMeta(store, res, pp.planned)
-		if err != nil {
-			return fmt.Errorf("ckpt: capture blob %s (%s): %w", p.digest, what, err)
-		}
-		p.entryCodec, p.entryStored, p.entryParents = codec, stored, parents
-		return nil
-	}
-	for i := range plan.weights {
-		if err := publish(&t.weightRes[i], wPuts[i], "tensor "+plan.weights[i].Name); err != nil {
-			return err
-		}
-	}
-	for r := 0; r < plan.worldSize; r++ {
-		for gi := range plan.metas {
-			if err := publish(&t.groupRes[gi][r], gPuts[gi][r], fmt.Sprintf("rank %d group %d", r, plan.metas[gi].Index)); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Manifests, in payload order, exactly as writeDedupPayloads builds.
-	wm := &WeightManifest{Version: FormatVersion, Model: plan.cfg.Name}
-	for i, tns := range plan.weights {
-		p := t.weightRes[i]
-		wm.Tensors = append(wm.Tensors, WeightEntry{
-			Name: tns.Name, DType: tns.DType.String(),
-			Shape: append([]int(nil), tns.Shape...),
-			Size:  p.size, CRC32: p.crc, Digest: p.digest,
-			Codec: p.entryCodec, Stored: p.entryStored, Parents: p.entryParents,
-		})
-	}
-	if err := WriteWeightManifest(sb, dir+"/"+WeightManifestName, wm); err != nil {
-		return err
-	}
-	for r := 0; r < plan.worldSize; r++ {
-		sm := &ShardManifest{
-			Version: FormatVersion, Rank: r, WorldSize: plan.worldSize,
-			Step: plan.stepCount, Layout: plan.layoutKind.String(),
-		}
-		for gi, m := range plan.metas {
-			p := t.groupRes[gi][r]
-			sm.Groups = append(sm.Groups, ShardGroupEntry{
-				Index: m.Index, Numel: m.Numel, ShardLen: p.size / 12,
-				NoDecay: m.NoDecay, Layer: m.Layer,
-				Size: p.size, CRC32: p.crc, Digest: p.digest,
-				Codec: p.entryCodec, Stored: p.entryStored, Parents: p.entryParents,
-			})
-		}
-		if err := WriteShardManifest(sb, dir+"/"+ShardManifestName(r), sm); err != nil {
-			return err
-		}
-	}
-
-	if err := writeTrailer(sb, dir, &t.spec, plan, gen); err != nil {
-		return err
-	}
-	if err := txn.Commit(t.spec.State.Step); err != nil {
-		return err
-	}
-	return WriteLatestPointer(e.base, t.spec.Dir)
-}
-
-func (e *captureEngine) writePlain(t *captureTicket) error {
-	plan := t.plan
-	txn, err := Begin(e.base, t.spec.Dir)
-	if err != nil {
-		return err
-	}
-	defer txn.Abort()
-	sb, dir := txn.Backend(), txn.Dir()
-
-	// Splice the spooled payloads into the containers with their inline
-	// CRCs carried forward — byte-identical to WriteLTSF/WriteShardFile
-	// over the same tensors and shards in the same order.
-	w, err := NewLTSFWriter(sb, dir+"/model.ltsf", plan.cfg.Name, 0)
-	if err != nil {
-		return err
-	}
-	defer w.Abort()
-	for i, tns := range plan.weights {
-		p := &t.weightRes[i]
-		rc, err := p.spool.Open()
-		if err != nil {
-			return fmt.Errorf("ckpt: capture tensor %q: %w", tns.Name, err)
-		}
-		err = w.AppendRaw(RawTensor{
-			Name: tns.Name, DType: tns.DType.String(),
-			Shape: append([]int(nil), tns.Shape...),
-			Size:  p.size, CRC32: p.crc,
-		}, rc)
-		if cerr := rc.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		e.releasePayload(p)
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	for r := 0; r < plan.worldSize; r++ {
-		sw, err := NewShardFileWriter(sb, dir+"/"+ShardFileName(r), r, plan.worldSize,
-			plan.stepCount, plan.layoutKind, 0)
-		if err != nil {
-			return err
-		}
-		for gi, m := range plan.metas {
-			p := &t.groupRes[gi][r]
-			m.ShardLen = p.size / 12
-			m.CRC32 = p.crc
-			rc, err := p.spool.Open()
-			if err != nil {
-				sw.Abort()
-				return fmt.Errorf("ckpt: capture rank %d group %d: %w", r, m.Index, err)
-			}
-			err = sw.AppendRawGroup(m, p.size, rc)
-			if cerr := rc.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				sw.Abort()
-				return err
-			}
-			// Other ranks still need this group's sibling slots; only this
-			// rank's payload is consumed.
-			e.releasePayload(p)
-		}
-		if err := sw.Close(); err != nil {
-			return err
-		}
-	}
-
-	if err := writeTrailer(sb, dir, &t.spec, plan, 0); err != nil {
-		return err
-	}
-	if err := txn.Commit(t.spec.State.Step); err != nil {
-		return err
-	}
-	return WriteLatestPointer(e.base, t.spec.Dir)
+	return commitSave(e.base, &t.spec, t.plan, t.set)
 }

@@ -128,6 +128,8 @@ type savePlan struct {
 	// (offsets unset) and their live state, in layout order.
 	metas  []ShardGroupMeta
 	states []*optim.GroupState
+	// shardBytes is parallel to metas: each group's per-rank payload size.
+	shardBytes []int64
 	// groupLayers is parallel to metas; hasLayer[i] is false for two-group
 	// layouts.
 	groupLayers []modelcfg.LayerRef
@@ -173,6 +175,11 @@ func buildSavePlan(spec *SaveSpec) (*savePlan, error) {
 			return nil, fmt.Errorf("ckpt: partial save requires a layerwise optimizer layout (got %s)", o.Layout.Kind)
 		}
 		if include {
+			part, err := zero.NewPartition(o.States[gi].Numel(), spec.WorldSize)
+			if err != nil {
+				return nil, err
+			}
+			p.shardBytes = append(p.shardBytes, part.ShardLen()*12)
 			p.metas = append(p.metas, metaForGroup(g))
 			p.states = append(p.states, o.States[gi])
 			p.groupLayers = append(p.groupLayers, g.Layer)
@@ -195,67 +202,41 @@ func buildSavePlan(spec *SaveSpec) (*savePlan, error) {
 // rename before the run-root "latest" pointer moves. A crash at any point
 // leaves the previous checkpoint intact and resolvable.
 func Save(b storage.Backend, spec SaveSpec) error {
-	// Validate the spec before opening the transaction, so spec errors
+	// Validate the spec before anything touches the backend, so spec errors
 	// never leave a staging directory behind.
 	plan, err := buildSavePlan(&spec)
 	if err != nil {
 		return err
 	}
-
-	txn, err := Begin(b, spec.Dir)
-	if err != nil {
-		return err
-	}
-	defer txn.Abort()
-	sb, dir := txn.Backend(), txn.Dir()
-
-	// 1+2. Weights and optimizer shards (only saved layers' tensors and
-	// groups). The dedup path stores payloads as content-addressed blobs —
-	// published on the base backend before the commit seals the manifests —
-	// while the plain path writes full LTSF/LTOS containers into staging.
 	byRank, err := zero.ShardAll(plan.states, plan.worldSize)
 	if err != nil {
 		return err
 	}
-	var refGen int64
+	// The synchronous feeder: every payload is an encoder over the live
+	// tensors and shards (only saved layers' tensors and groups). A plain
+	// save encodes each once, into the container writer; a dedup save hashes
+	// them all first, then the write stage re-encodes only the blobs the
+	// store lacks.
+	set := plan.newPayloadSet()
+	buf := make([]byte, storage.ChunkOrDefault(0))
+	for i, t := range plan.weights {
+		set.weights[i].write = func(w io.Writer) (int64, error) { return t.EncodeTo(w, buf) }
+	}
+	for r, shards := range byRank {
+		for gi, s := range shards {
+			set.ranks[r].groups[gi].write = func(w io.Writer) (int64, error) { return encodeGroupPayload(w, buf, s) }
+		}
+	}
 	if spec.Dedup {
-		cplan, err := newCodecPlan(b, spec.Dir, spec.Codec, spec.CodecRebase, nil)
-		if err != nil {
+		if err := set.hashAll(); err != nil {
 			return err
 		}
-		gen, err := writeDedupPayloads(b, sb, dir, spec.Dir, plan.cfg.Name, plan.weights,
-			plan.metas, byRank, plan.worldSize, plan.stepCount, plan.layoutKind, cplan)
-		if err != nil {
-			return err
-		}
-		refGen = gen
-	} else {
-		if err := WriteLTSF(sb, dir+"/model.ltsf", plan.cfg.Name, plan.weights); err != nil {
-			return err
-		}
-		for r := 0; r < plan.worldSize; r++ {
-			name := dir + "/" + ShardFileName(r)
-			if err := WriteShardFile(sb, name, r, plan.worldSize, plan.stepCount, plan.layoutKind, plan.metas, byRank[r]); err != nil {
-				return err
-			}
-		}
 	}
-
-	// 3. Config, trainer state, manifest.
-	if err := writeTrailer(sb, dir, &spec, plan, refGen); err != nil {
-		return err
-	}
-
-	// 4. Seal and publish, then move the run-root "latest" pointer.
-	if err := txn.Commit(spec.State.Step); err != nil {
-		return err
-	}
-	return WriteLatestPointer(b, spec.Dir)
+	return commitSave(b, &spec, plan, set)
 }
 
-// writeTrailer stages the small JSON files every checkpoint ends with:
-// config, trainer state and manifest. Shared between the synchronous Save
-// and the lazy capture writer, so the two paths stay byte-identical.
+// writeTrailer stages the small JSON files every saved checkpoint ends
+// with: config, trainer state and manifest.
 func writeTrailer(sb storage.Backend, dir string, spec *SaveSpec, plan *savePlan, refGen int64) error {
 	if err := writeJSON(sb, dir+"/config.json", plan.cfg); err != nil {
 		return err

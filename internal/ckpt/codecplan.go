@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"strings"
 
-	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 )
 
@@ -31,7 +30,6 @@ const DefaultCodecRebase = 8
 type codecPlan struct {
 	mode   storage.BlobCodec // CodecPlane or CodecXORParent
 	rebase int
-	gate   *parallel.ByteGate
 	prev   map[string]prevSlot
 }
 
@@ -41,14 +39,22 @@ type prevSlot struct {
 	parents []string
 }
 
-func weightSlot(name string) string       { return "w\x00" + name }
-func groupSlotKey(rank, index int) string { return fmt.Sprintf("g\x00%d\x00%d", rank, index) }
+// Slot keys name a payload's position in a checkpoint — a weight tensor by
+// name, an optimizer group by rank and index. They key the codec plan and
+// the capture cache, and read well enough to label the payload in errors
+// and reports.
+func weightSlot(name string) string       { return "tensor " + name }
+func groupSlotKey(rank, index int) string { return fmt.Sprintf("rank %d group %d", rank, index) }
 
 // newCodecPlan builds the planner for a save publishing into finalDir.
 // codec is the SaveSpec spelling: "" or "raw" disables planning (nil plan),
 // "plane" encodes every payload standalone, "xor" / "xor-parent" deltas
 // changed slots against the previous committed checkpoint in the run root.
-func newCodecPlan(b storage.Backend, finalDir, codec string, rebase int, gate *parallel.ByteGate) (*codecPlan, error) {
+//
+// Planned puts carry no in-flight byte gate: the lazy saver's spooled
+// payloads already hold their bytes in the capture engine's gate, and an
+// encoder blocking on a second reservation could deadlock the write stage.
+func newCodecPlan(b storage.Backend, finalDir, codec string, rebase int) (*codecPlan, error) {
 	mode, err := storage.ParseBlobCodec(codec)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: save codec: %w", err)
@@ -66,7 +72,7 @@ func newCodecPlan(b storage.Backend, finalDir, codec string, rebase int, gate *p
 	if rebase > storage.MaxParentDepth {
 		rebase = storage.MaxParentDepth
 	}
-	p := &codecPlan{mode: mode, rebase: rebase, gate: gate, prev: map[string]prevSlot{}}
+	p := &codecPlan{mode: mode, rebase: rebase, prev: map[string]prevSlot{}}
 	if mode == storage.CodecXORParent {
 		if prevDir := previousForSave(b, finalDir); prevDir != "" {
 			p.loadPrev(b, prevDir)
@@ -98,20 +104,12 @@ func previousForSave(b storage.Backend, finalDir string) string {
 
 // loadPrev indexes the previous checkpoint's manifests by slot. Best
 // effort: a plain (non-dedup) or unreadable previous checkpoint simply
-// yields no parents, demoting this save to plane blobs.
+// yields fewer parents, demoting those slots to plane blobs.
 func (p *codecPlan) loadPrev(b storage.Backend, dir string) {
-	if wm, err := ReadWeightManifest(b, dir+"/"+WeightManifestName); err == nil {
-		for _, e := range wm.Tensors {
-			p.prev[weightSlot(e.Name)] = prevSlot{digest: e.Digest, parents: e.Parents}
-		}
-	}
-	for _, r := range shardManifestRanks(b, dir) {
-		if sm, err := ReadShardManifest(b, dir+"/"+ShardManifestName(r)); err == nil {
-			for _, g := range sm.Groups {
-				p.prev[groupSlotKey(sm.Rank, g.Index)] = prevSlot{digest: g.Digest, parents: g.Parents}
-			}
-		}
-	}
+	_ = walkBlobRefs(b, dir, func(slot string, r blobRef) error {
+		p.prev[slot] = prevSlot{digest: r.Digest, parents: r.Parents}
+		return nil
+	})
 }
 
 // optsFor plans one payload's put: the options to request and the full
@@ -119,7 +117,7 @@ func (p *codecPlan) loadPrev(b storage.Backend, dir string) {
 // depend on. A slot with no previous generation, an unchanged digest, or a
 // chain at the re-base bound plans as plane.
 func (p *codecPlan) optsFor(slot, digest string, width int) (storage.BlobPutOptions, []string) {
-	opts := storage.BlobPutOptions{Codec: storage.CodecPlane, Width: width, Gate: p.gate}
+	opts := storage.BlobPutOptions{Codec: storage.CodecPlane, Width: width}
 	if p.mode != storage.CodecXORParent {
 		return opts, nil
 	}
@@ -173,18 +171,25 @@ type CodecStats struct {
 	DeepestSlot  string
 }
 
-// walkCodecEntries visits every manifest entry of a dedup checkpoint with
-// its codec fields ("" codec = raw).
-func walkCodecEntries(b storage.Backend, dir string, note func(slot, codec string, size, stored int64, parents []string)) error {
-	if !IsDedup(b, dir) {
-		return fmt.Errorf("ckpt: %s is not content-addressed (no %s)", dir, WeightManifestName)
-	}
+// blobRef is one manifest entry's blob reference — the fields weight and
+// group entries share ("" codec = raw).
+type blobRef struct {
+	Digest, Codec string
+	Size, Stored  int64
+	Parents       []string
+}
+
+// walkBlobRefs visits every manifest entry of a dedup checkpoint — weights,
+// then each rank's groups — keyed by slot, stopping at the first error.
+func walkBlobRefs(b storage.Backend, dir string, fn func(slot string, r blobRef) error) error {
 	wm, err := ReadWeightManifest(b, dir+"/"+WeightManifestName)
 	if err != nil {
 		return err
 	}
 	for _, e := range wm.Tensors {
-		note("tensor "+e.Name, e.Codec, e.Size, e.Stored, e.Parents)
+		if err := fn(weightSlot(e.Name), blobRef{e.Digest, e.Codec, e.Size, e.Stored, e.Parents}); err != nil {
+			return err
+		}
 	}
 	for _, r := range shardManifestRanks(b, dir) {
 		sm, err := ReadShardManifest(b, dir+"/"+ShardManifestName(r))
@@ -192,7 +197,9 @@ func walkCodecEntries(b storage.Backend, dir string, note func(slot, codec strin
 			return err
 		}
 		for _, g := range sm.Groups {
-			note(fmt.Sprintf("rank %d group %d", sm.Rank, g.Index), g.Codec, g.Size, g.Stored, g.Parents)
+			if err := fn(groupSlotKey(sm.Rank, g.Index), blobRef{g.Digest, g.Codec, g.Size, g.Stored, g.Parents}); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -200,18 +207,22 @@ func walkCodecEntries(b storage.Backend, dir string, note func(slot, codec strin
 
 // ReadCodecStats computes CodecStats from a dedup checkpoint's manifests.
 func ReadCodecStats(b storage.Backend, dir string) (*CodecStats, error) {
+	if !IsDedup(b, dir) {
+		return nil, fmt.Errorf("ckpt: %s is not content-addressed (no %s)", dir, WeightManifestName)
+	}
 	cs := &CodecStats{Entries: map[string]int{}}
-	err := walkCodecEntries(b, dir, func(slot, codec string, size, stored int64, parents []string) {
-		if codec == "" {
-			codec, stored = "raw", size
+	err := walkBlobRefs(b, dir, func(slot string, r blobRef) error {
+		if r.Codec == "" {
+			r.Codec, r.Stored = "raw", r.Size
 		}
-		cs.Entries[codec]++
-		cs.RawBytes += size
-		cs.StoredBytes += stored
-		if len(parents) > cs.DeepestChain {
-			cs.DeepestChain = len(parents)
+		cs.Entries[r.Codec]++
+		cs.RawBytes += r.Size
+		cs.StoredBytes += r.Stored
+		if len(r.Parents) > cs.DeepestChain {
+			cs.DeepestChain = len(r.Parents)
 			cs.DeepestSlot = slot
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -254,8 +265,8 @@ func ScanCodecs(b storage.Backend, runRoot string) ([]CodecHealth, error) {
 		}
 		h := CodecHealth{Dir: dir, Stats: cs}
 		checked := map[string]bool{}
-		_ = walkCodecEntries(b, dir, func(slot, codec string, size, stored int64, parents []string) {
-			for _, pd := range parents {
+		_ = walkBlobRefs(b, dir, func(slot string, r blobRef) error {
+			for _, pd := range r.Parents {
 				if checked[pd] {
 					continue
 				}
@@ -264,6 +275,7 @@ func ScanCodecs(b storage.Backend, runRoot string) ([]CodecHealth, error) {
 					h.MissingParents = append(h.MissingParents, slot+" -> "+pd)
 				}
 			}
+			return nil
 		})
 		out = append(out, h)
 	}

@@ -93,6 +93,21 @@ func (s *sumBackend) record(name string, size int64, crc uint32) {
 	s.sums[name] = FileSum{Size: size, CRC32: crc}
 }
 
+// sumsUnder returns the recorded sums of the files written under dir, keyed
+// by dir-relative path — a commit marker's file listing.
+func (s *sumBackend) sumsUnder(dir string) map[string]FileSum {
+	prefix := dir + "/"
+	out := map[string]FileSum{}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for name, sum := range s.sums {
+		if strings.HasPrefix(name, prefix) {
+			out[name[len(prefix):]] = sum
+		}
+	}
+	return out
+}
+
 // WriteFile implements Backend, recording the file's sum.
 func (s *sumBackend) WriteFile(name string, data []byte) error {
 	if err := s.Backend.WriteFile(name, data); err != nil {
@@ -208,15 +223,7 @@ func (t *Txn) Commit(step int) error {
 	if t.aborted {
 		return fmt.Errorf("ckpt: commit %s after abort", t.final)
 	}
-	marker := CommitMarker{Version: FormatVersion, Step: step, Files: map[string]FileSum{}}
-	prefix := t.staging + "/"
-	t.rec.mu.Lock()
-	for name, sum := range t.rec.sums {
-		if strings.HasPrefix(name, prefix) {
-			marker.Files[name[len(prefix):]] = sum
-		}
-	}
-	t.rec.mu.Unlock()
+	marker := CommitMarker{Version: FormatVersion, Step: step, Files: t.rec.sumsUnder(t.staging)}
 	if len(marker.Files) == 0 {
 		return fmt.Errorf("ckpt: commit %s: no staged files", t.final)
 	}

@@ -70,9 +70,7 @@ func IsDedup(b storage.Backend, dir string) bool {
 }
 
 // hashStream computes one payload's content digest and CRC by streaming
-// encode() through the hashes only — no storage I/O. Saves run this over
-// every payload first, so the full digest set can be journaled in the ref
-// index before a single blob is published.
+// encode() through the hashes only — no storage I/O.
 func hashStream(size int64, encode func(io.Writer) (int64, error)) (digest string, crc uint32, err error) {
 	c := crc32.NewIEEE()
 	sum := sha256.New()
@@ -99,160 +97,6 @@ func encodeGroupPayload(w io.Writer, buf []byte, s *zero.GroupShard) (int64, err
 		}
 	}
 	return n, nil
-}
-
-// dedupPayload is one payload of a dedup save: its hashed identity plus
-// the encoder that can replay its exact bytes into the store, and — when a
-// codec plan is active — the planned put options and the manifest-entry
-// patch that records how the blob actually landed.
-type dedupPayload struct {
-	digest string
-	crc    uint32
-	size   int64
-	encode func(io.Writer) (int64, error)
-
-	opts    storage.BlobPutOptions
-	planned []string
-	apply   func(codec string, stored int64, parents []string)
-}
-
-// writeDedupPayloads is the dedup half of Save: weight and group payloads
-// go to the blob store on the base backend (published before the commit),
-// and the manifests are staged through the transaction's recording backend
-// like every other checkpoint file. finalDir names the checkpoint's
-// eventual (published) path — the blob store location derives from it, not
-// from the staging directory.
-//
-// Ordering is load-bearing: every payload is hashed first (metadata-only
-// storage I/O), the full digest set — including every xor-parent ancestor a
-// planned or existing delta blob depends on — is journaled in the ref
-// index, and only then are missing blobs published — so a concurrent or
-// later sweep always finds a record pinning a blob (and its decode
-// ancestry) before the blob exists. The returned
-// generation is recorded in the checkpoint's manifest.json (ref_gen),
-// binding the published directory to its journal record.
-func writeDedupPayloads(base, sb storage.Backend, stagingDir, finalDir string,
-	modelName string, weights []*tensor.Tensor,
-	metas []ShardGroupMeta, byRank [][]*zero.GroupShard, worldSize, step int,
-	layout optim.LayoutKind, cplan *codecPlan) (int64, error) {
-
-	store, err := storeFor(base, finalDir)
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]byte, storage.ChunkOrDefault(0))
-
-	// Phase 1: hash everything; build manifests and the digest set. With a
-	// codec plan active, each payload also gets its planned put options, and
-	// the journal set is extended with every planned ancestor — the record
-	// must pin a parent before a delta depending on it can exist.
-	var payloads []dedupPayload
-	var digests []string
-	hash := func(slot string, width int, size int64, encode func(io.Writer) (int64, error)) (string, uint32, error) {
-		digest, crc, err := hashStream(size, encode)
-		if err != nil {
-			return "", 0, err
-		}
-		p := dedupPayload{digest: digest, crc: crc, size: size, encode: encode}
-		if cplan != nil {
-			p.opts, p.planned = cplan.optsFor(slot, digest, width)
-			digests = append(digests, p.planned...)
-		}
-		// A blob that already exists may carry an xor lineage this save did
-		// not plan (written by an earlier save from another parent, or by a
-		// codec-enabled save when this one runs raw); the record must pin
-		// those actual ancestors too, or retiring the blob's original
-		// record could orphan them under our feet.
-		if ch, err := blobChain(store, digest); err == nil {
-			digests = append(digests, ch...)
-		}
-		payloads = append(payloads, p)
-		digests = append(digests, digest)
-		return digest, crc, nil
-	}
-	wm := &WeightManifest{Version: FormatVersion, Model: modelName}
-	for _, t := range weights {
-		t := t
-		size := int64(t.Bytes())
-		digest, crc, err := hash(weightSlot(t.Name), t.DType.Size(), size, func(w io.Writer) (int64, error) {
-			return t.EncodeTo(w, buf)
-		})
-		if err != nil {
-			return 0, fmt.Errorf("ckpt: dedup tensor %q: %w", t.Name, err)
-		}
-		wm.Tensors = append(wm.Tensors, WeightEntry{
-			Name: t.Name, DType: t.DType.String(),
-			Shape: append([]int(nil), t.Shape...),
-			Size:  size, CRC32: crc, Digest: digest,
-		})
-		idx := len(wm.Tensors) - 1
-		payloads[len(payloads)-1].apply = func(codec string, stored int64, parents []string) {
-			e := &wm.Tensors[idx]
-			e.Codec, e.Stored, e.Parents = codec, stored, parents
-		}
-	}
-	sms := make([]*ShardManifest, worldSize)
-	for r := 0; r < worldSize; r++ {
-		sm := &ShardManifest{
-			Version: FormatVersion, Rank: r, WorldSize: worldSize,
-			Step: step, Layout: layout.String(),
-		}
-		for i, s := range byRank[r] {
-			m := metas[i]
-			size := s.Numel() * 12
-			shard := s
-			// Group payloads are FP32 triples, so the plane width is 4.
-			digest, crc, err := hash(groupSlotKey(r, m.Index), 4, size, func(w io.Writer) (int64, error) {
-				return encodeGroupPayload(w, buf, shard)
-			})
-			if err != nil {
-				return 0, fmt.Errorf("ckpt: dedup rank %d group %d: %w", r, m.Index, err)
-			}
-			sm.Groups = append(sm.Groups, ShardGroupEntry{
-				Index: m.Index, Numel: m.Numel, ShardLen: s.Numel(),
-				NoDecay: m.NoDecay, Layer: m.Layer,
-				Size: size, CRC32: crc, Digest: digest,
-			})
-			idx := len(sm.Groups) - 1
-			payloads[len(payloads)-1].apply = func(codec string, stored int64, parents []string) {
-				g := &sm.Groups[idx]
-				g.Codec, g.Stored, g.Parents = codec, stored, parents
-			}
-		}
-		sms[r] = sm
-	}
-
-	// Phase 2: journal the reference record, then publish missing blobs.
-	gen, err := appendRefRecord(base, finalDir, step, digests)
-	if err != nil {
-		return 0, err
-	}
-	for i := range payloads {
-		// A zero-valued opts (no plan) is a plain raw put; either way the
-		// manifest entry records how the blob actually landed — a dedup hit
-		// may resolve to a container another save stored.
-		p := &payloads[i]
-		res, err := store.PutStreamOpts(p.digest, p.opts, p.encode)
-		if err != nil {
-			return 0, fmt.Errorf("ckpt: dedup blob %s: %w", p.digest, err)
-		}
-		codec, stored, parents, err := codecEntryMeta(store, res, p.planned)
-		if err != nil {
-			return 0, fmt.Errorf("ckpt: dedup blob %s: %w", p.digest, err)
-		}
-		p.apply(codec, stored, parents)
-	}
-
-	// Phase 3: stage the manifests through the recording backend.
-	if err := WriteWeightManifest(sb, stagingDir+"/"+WeightManifestName, wm); err != nil {
-		return 0, err
-	}
-	for r, sm := range sms {
-		if err := WriteShardManifest(sb, stagingDir+"/"+ShardManifestName(r), sm); err != nil {
-			return 0, err
-		}
-	}
-	return gen, nil
 }
 
 // DedupWeights provides the same lazy per-tensor access over a dedup
@@ -470,12 +314,12 @@ func readDedupShardFile(b storage.Backend, dir string, rank int) (*ShardFile, er
 }
 
 // MaterializeWeights writes a full LTSF weight container at dst from a
-// dedup checkpoint's manifest, splicing blob payloads in manifest (=
-// payload) order with carried-forward CRCs. The output is byte-identical
-// to what a plain Save of the same state would have written; every spliced
-// payload is re-hashed on the way through and checked against the
-// manifest's digest, so a corrupt blob fails the materialization instead
-// of poisoning the container.
+// dedup checkpoint's manifest: the stored blobs feed the write stage's
+// container writer in manifest (= payload) order with carried-forward CRCs.
+// The output is byte-identical to what a plain Save of the same state would
+// have written; every payload is re-hashed on the way through and checked
+// against the manifest's digest, so a corrupt blob fails the
+// materialization instead of poisoning the container.
 func MaterializeWeights(b storage.Backend, dir, dst string, chunkBytes int) error {
 	man, err := ReadWeightManifest(b, dir+"/"+WeightManifestName)
 	if err != nil {
@@ -485,31 +329,17 @@ func MaterializeWeights(b storage.Backend, dir, dst string, chunkBytes int) erro
 	if err != nil {
 		return err
 	}
-	w, err := NewLTSFWriter(b, dst, man.Model, chunkBytes)
-	if err != nil {
-		return err
-	}
-	defer w.Abort()
-	w.RecordDigests()
+	set := &payloadSet{model: man.Model}
 	for _, e := range man.Tensors {
-		rc, err := store.OpenRange(e.Digest, 0, e.Size)
-		if err != nil {
-			return fmt.Errorf("ckpt: materialize %s: tensor %q: %w", dir, e.Name, err)
-		}
-		err = w.AppendRaw(RawTensor{
-			Name: e.Name, DType: e.DType, Shape: e.Shape,
-			Size: e.Size, CRC32: e.CRC32,
-		}, rc)
-		rc.Close()
-		if err != nil {
-			return fmt.Errorf("ckpt: materialize %s: %w", dir, err)
-		}
-		if got, _ := w.Digest(e.Name); got != e.Digest {
-			return fmt.Errorf("ckpt: materialize %s: tensor %q blob content hashes to %s, manifest says %s",
-				dir, e.Name, got, e.Digest)
-		}
+		set.weights = append(set.weights, weightPayload{
+			payload: blobPayload(store, e.Digest, e.Size, e.CRC32),
+			name:    e.Name, dtype: e.DType, shape: e.Shape,
+		})
 	}
-	return w.Close()
+	if err := set.stageWeights(b, dst, chunkBytes); err != nil {
+		return fmt.Errorf("ckpt: materialize %s: %w", dir, err)
+	}
+	return nil
 }
 
 // MaterializeShardFile writes one rank's full LTOS container at dst from a
@@ -528,28 +358,31 @@ func MaterializeShardFile(b storage.Backend, dir string, rank int, dst string, c
 	if err != nil {
 		return err
 	}
-	w, err := NewShardFileWriter(b, dst, man.Rank, man.WorldSize, man.Step, layout, chunkBytes)
-	if err != nil {
-		return err
-	}
-	defer w.Abort()
+	rs := rankPayloads{rank: man.Rank, worldSize: man.WorldSize, step: man.Step, layout: layout}
 	for _, g := range man.Groups {
-		rc, err := store.OpenRange(g.Digest, 0, g.Size)
-		if err != nil {
-			return fmt.Errorf("ckpt: materialize %s rank %d: group %d: %w", dir, rank, g.Index, err)
-		}
-		sum := sha256.New()
-		err = w.AppendRawGroup(g.Meta(), g.Size, io.TeeReader(rc, sum))
-		rc.Close()
-		if err != nil {
-			return fmt.Errorf("ckpt: materialize %s rank %d: %w", dir, rank, err)
-		}
-		if got := hex.EncodeToString(sum.Sum(nil)); got != g.Digest {
-			return fmt.Errorf("ckpt: materialize %s rank %d: group %d blob content hashes to %s, manifest says %s",
-				dir, rank, g.Index, got, g.Digest)
-		}
+		rs.groups = append(rs.groups, groupPayload{
+			payload: blobPayload(store, g.Digest, g.Size, g.CRC32), meta: g.Meta(),
+		})
 	}
-	return w.Close()
+	if err := rs.stageShardFile(b, dst, chunkBytes); err != nil {
+		return fmt.Errorf("ckpt: materialize %s rank %d: %w", dir, rank, err)
+	}
+	return nil
+}
+
+// blobPayload describes a stored blob as a payload whose write replays the
+// decoded bytes, re-hashing them against the digest on the way through.
+func blobPayload(store storage.CAS, digest string, size int64, crc uint32) payload {
+	open := func() (io.ReadCloser, error) { return store.OpenRange(digest, 0, size) }
+	return payload{size: size, digest: digest, crc: crc, hasCRC: true,
+		write: func(w io.Writer) (int64, error) {
+			sum := sha256.New()
+			n, err := replay(open)(io.MultiWriter(w, sum))
+			if got := hex.EncodeToString(sum.Sum(nil)); err == nil && got != digest {
+				err = fmt.Errorf("blob content hashes to %s, manifest says %s", got, digest)
+			}
+			return n, err
+		}}
 }
 
 // shardManifestRanks lists the ranks that have shard manifests in a
@@ -585,42 +418,21 @@ func verifyDedupRefs(b storage.Backend, dir string) error {
 	if err != nil {
 		return err
 	}
-	check := func(what, digest string, size int64, parents []string) error {
-		meta, err := store.Meta(digest)
+	return walkBlobRefs(b, dir, func(slot string, r blobRef) error {
+		meta, err := store.Meta(r.Digest)
 		if err != nil {
-			return fmt.Errorf("ckpt: %s: %s references missing blob %s: %w", dir, what, digest, err)
+			return fmt.Errorf("ckpt: %s: %s references missing blob %s: %w", dir, slot, r.Digest, err)
 		}
-		if meta.RawSize != size {
-			return fmt.Errorf("ckpt: %s: %s blob %s holds %d payload bytes, manifest says %d", dir, what, digest, meta.RawSize, size)
+		if meta.RawSize != r.Size {
+			return fmt.Errorf("ckpt: %s: %s blob %s holds %d payload bytes, manifest says %d", dir, slot, r.Digest, meta.RawSize, r.Size)
 		}
-		for _, pd := range parents {
+		for _, pd := range r.Parents {
 			if !store.Has(pd) {
-				return fmt.Errorf("ckpt: %s: %s blob %s: xor parent %s missing", dir, what, digest, pd)
+				return fmt.Errorf("ckpt: %s: %s blob %s: xor parent %s missing", dir, slot, r.Digest, pd)
 			}
 		}
 		return nil
-	}
-	wm, err := ReadWeightManifest(b, dir+"/"+WeightManifestName)
-	if err != nil {
-		return err
-	}
-	for _, e := range wm.Tensors {
-		if err := check("tensor "+e.Name, e.Digest, e.Size, e.Parents); err != nil {
-			return err
-		}
-	}
-	for _, r := range shardManifestRanks(b, dir) {
-		sm, err := ReadShardManifest(b, dir+"/"+ShardManifestName(r))
-		if err != nil {
-			return err
-		}
-		for _, g := range sm.Groups {
-			if err := check(fmt.Sprintf("rank %d group %d", r, g.Index), g.Digest, g.Size, g.Parents); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	})
 }
 
 // GCReport records what a blob garbage collection did.
@@ -658,237 +470,215 @@ type GCReport struct {
 	IndexStale int
 }
 
-// GC is the full mark-and-sweep — now the verification and repair path.
-// Refcounts are re-derived from every manifest under the run root (the
-// ground truth), unioned with the journal's pins (an in-flight save's
-// record precedes its blobs and manifests, and must protect them), and the
-// whole store is swept against the union. Superseded journal records are
-// retired with their exclusive blobs, divergent or missing records of
-// sealed directories are rewritten from the manifests, and orphaned
-// records are counted stale but left pinned — an in-flight save looks
-// exactly like one, so only quiescent Repair removes them. The safety
-// invariant — a referenced blob is never collected — holds through any
-// interruption: references are gathered before the first removal, removals
-// are per-blob, and a crashed sweep only leaves extra garbage for the next
-// run.
-func GC(b storage.Backend, runRoot string) (*GCReport, error) {
+// refFix is one index correction the full GC's mark phase decided on:
+// retire a record (dir == nil), or (re)write one from a sealed directory's
+// manifests.
+type refFix struct {
+	// label is what the report lists: the record's file name, or the key of
+	// a directory that had no record.
+	label string
+	// entry is the record to retire, or the (Key, Generation) to write under
+	// (Generation 0 = allocate the next one).
+	entry storage.RefEntry
+	dir   *dirRefs
+}
+
+// fullMark is the result of the full GC's mark phase.
+type fullMark struct {
+	store storage.CAS
+	// pins is the sweep's keep set: every manifest reference, every peer
+	// run's pins, and every journal record not being retired.
+	pins map[string]int
+	// retired names the record files the sweep's recheck must ignore.
+	retired map[string]bool
+	// fixes lists the index corrections in application order.
+	fixes []refFix
+}
+
+// markFull is the full GC's mark phase, shared by the real sweep and the
+// dry run; it mutates nothing. Refcounts are re-derived from every manifest
+// under the run root (the ground truth) and unioned with the journal's pins
+// (an in-flight save's record precedes its blobs and manifests, and must
+// protect them). Superseded and unreadable records pin nothing and are
+// marked for retirement — their exclusive digests are exactly the garbage
+// the sweep reclaims; divergent or missing records of sealed directories
+// are marked for rewriting from the manifests; orphaned records are counted
+// stale but stay pinned — an in-flight save looks exactly like one, so only
+// quiescent Repair removes them. A nil store means the run root has no
+// objects directory: there is nothing to sweep.
+func markFull(b storage.Backend, runRoot string, rep *GCReport) (*fullMark, error) {
 	dirs, err := collectDirRefs(b, runRoot)
 	if err != nil {
 		return nil, err
 	}
-	refs := map[string]int{}
+	m := &fullMark{pins: map[string]int{}, retired: map[string]bool{}}
 	for _, d := range dirs {
 		for _, dg := range d.Digests {
-			refs[dg]++
+			m.pins[dg]++
 		}
 	}
-	rep := &GCReport{Mode: "full", Referenced: len(refs)}
+	rep.Referenced = len(m.pins)
 	store, err := storage.OpenCAS(b, objectsPath(runRoot))
 	if err != nil {
 		return nil, err
 	}
 	if !b.Exists(store.Root()) {
-		return rep, nil
+		return m, nil
 	}
+	m.store = store
 	audit, err := auditRefs(b, runRoot, dirs)
 	if err != nil {
 		return nil, err
 	}
 	rep.IndexRecords = len(audit.records)
-	sweepRefs := map[string]int{}
-	for d, n := range refs {
-		sweepRefs[d] = n
-	}
 	// Union-pin rule: a hub-attached run sweeps the shared store, so every
 	// peer run's references (journal + manifest fallbacks) pin. With the
-	// union in place this full sweep reclaims exactly the digests dead
-	// across ALL attached runs — the hub GC invariant.
+	// union in place a full sweep reclaims exactly the digests dead across
+	// ALL attached runs — the hub GC invariant.
 	hp, err := peerPins(b, runRoot)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
-	mergePins(sweepRefs, hp)
-	retiredName := map[string]bool{}
+	mergePins(m.pins, hp)
 	for _, ar := range audit.records {
 		switch ar.state {
-		case RefSuperseded:
-			// Provably replaced: pins nothing, its exclusive digests are
-			// exactly the garbage this sweep reclaims.
-			retiredName[ar.entry.Name] = true
-		case RefCorrupt:
-			// Unreadable: pins nothing it can name; its directory (if any)
-			// pins through refs already.
-			retiredName[ar.entry.Name] = true
-		default:
-			if ar.rec != nil {
-				for _, dg := range ar.rec.Digests {
-					sweepRefs[dg]++
-				}
-			}
-			if ar.state == RefOrphaned {
-				rep.IndexStale++
+		case RefSuperseded, RefCorrupt:
+			m.retired[ar.entry.Name] = true
+			m.fixes = append(m.fixes, refFix{label: ar.entry.Name, entry: ar.entry})
+			continue
+		case RefOrphaned:
+			rep.IndexStale++
+		case RefDivergent:
+			if d, ok := findBound(dirs, ar.entry); ok {
+				m.fixes = append(m.fixes, refFix{label: ar.entry.Name, entry: ar.entry, dir: &d})
 			}
 		}
+		if ar.rec != nil {
+			for _, dg := range ar.rec.Digests {
+				m.pins[dg]++
+			}
+		}
+	}
+	for i := range audit.missing {
+		d := &audit.missing[i]
+		m.fixes = append(m.fixes, refFix{
+			label: d.Key, entry: storage.RefEntry{Key: d.Key, Generation: d.RefGen}, dir: d,
+		})
+	}
+	return m, nil
+}
+
+// GC is the full mark-and-sweep — the verification and repair path: the
+// whole store is swept against markFull's pins, then the index is brought
+// into agreement with the manifests just read (superseded records retired,
+// divergent and missing ones rewritten), so the index a generational sweep
+// will trust next time agrees with ground truth. The safety invariant — a
+// referenced blob is never collected — holds through any interruption:
+// references are gathered before the first removal, removals are per-blob,
+// and a crashed sweep only leaves extra garbage for the next run.
+func GC(b storage.Backend, runRoot string) (*GCReport, error) {
+	rep := &GCReport{Mode: "full"}
+	m, err := markFull(b, runRoot, rep)
+	if err != nil || m.store == nil {
+		return rep, err
 	}
 	// Trash left by a sweep that crashed between trash and purge: restore
 	// whatever is referenced, drop the rest, before the main sweep.
-	if trash, _ := store.ListTrash(); len(trash) > 0 {
-		if _, purged, err := handleTrash(store, sweepRefs); err != nil {
+	if trash, _ := m.store.ListTrash(); len(trash) > 0 {
+		_, purged, err := handleTrash(m.store, m.pins)
+		if err != nil {
 			return rep, err
-		} else {
-			rep.RemovedBlobs = append(rep.RemovedBlobs, purged...)
+		}
+		rep.RemovedBlobs = append(rep.RemovedBlobs, purged...)
+		for _, t := range trash {
+			if m.pins[t.Digest] == 0 && t.Size > 0 {
+				rep.BytesFreed += t.Size
+			}
 		}
 	}
-	sw, err := store.SweepRecheck(sweepRefs, indexRecheck(b, runRoot, retiredName))
+	sw, err := m.store.SweepRecheck(m.pins, indexRecheck(b, runRoot, m.retired))
 	if sw != nil {
 		rep.Kept = sw.Kept
 		rep.Examined = sw.Examined
 		rep.RemovedBlobs = append(rep.RemovedBlobs, sw.RemovedBlobs...)
 		rep.RemovedStaging = sw.RemovedStaging
-		rep.BytesFreed = sw.BytesFreed
+		rep.BytesFreed += sw.BytesFreed
 	}
 	if err != nil {
 		return rep, err
 	}
-	// Index validation: retire superseded records, rewrite divergent ones,
-	// add missing ones — all derived from the manifests just read, so the
-	// index a generational sweep will trust next time agrees with ground
-	// truth. Orphaned records are reported, never removed here.
 	ix, err := refIndexFor(b, runRoot)
 	if err != nil {
 		return rep, err
 	}
-	for _, ar := range audit.records {
-		switch ar.state {
-		case RefSuperseded, RefCorrupt:
-			if err := ix.Remove(ar.entry); err != nil {
+	for _, f := range m.fixes {
+		if f.dir == nil {
+			if err := ix.Remove(f.entry); err != nil {
 				return rep, err
 			}
-			rep.IndexRetired = append(rep.IndexRetired, ar.entry.Name)
-		case RefDivergent:
-			d, ok := findBound(dirs, ar.entry)
-			if !ok {
-				continue
-			}
-			if err := ix.Append(&storage.RefRecord{
-				Version: FormatVersion, Key: ar.entry.Key, Step: stepOf(b, d.Path),
-				Generation: ar.entry.Generation, Digests: storage.NormalizeDigests(append([]string(nil), d.Digests...)),
-			}); err != nil {
-				return rep, err
-			}
-			rep.IndexRepaired = append(rep.IndexRepaired, ar.entry.Name)
+			rep.IndexRetired = append(rep.IndexRetired, f.label)
+			continue
 		}
-	}
-	for _, d := range audit.missing {
-		gen := d.RefGen
-		if gen <= 0 {
-			if gen, err = ix.NextGeneration(); err != nil {
-				return rep, err
-			}
-		}
-		if err := ix.Append(&storage.RefRecord{
-			Version: FormatVersion, Key: d.Key, Step: stepOf(b, d.Path),
-			Generation: gen, Digests: storage.NormalizeDigests(append([]string(nil), d.Digests...)),
-		}); err != nil {
+		if err := writeRecordFrom(b, ix, f.entry.Key, f.entry.Generation, *f.dir); err != nil {
 			return rep, err
 		}
-		rep.IndexRepaired = append(rep.IndexRepaired, d.Key)
+		rep.IndexRepaired = append(rep.IndexRepaired, f.label)
 	}
 	return rep, nil
 }
 
-// GCDryRun runs the full mark-and-sweep's mark phase without mutating
-// anything: references are re-derived from every manifest, unioned with
-// the journal's pins, and the whole store is classified against them. The
-// report mirrors GC's accounting — Examined/Kept count every stored blob,
+// GCDryRun reports what GC would do without mutating anything. The report
+// mirrors GC's accounting — Examined/Kept count every stored blob,
 // RemovedBlobs/RemovedStaging/BytesFreed list what a real sweep would
-// reclaim, and IndexRetired/IndexRepaired name the records it would
-// retire or rebuild.
+// reclaim, and IndexRetired/IndexRepaired name the records it would retire
+// or rebuild.
 func GCDryRun(b storage.Backend, runRoot string) (*GCReport, error) {
-	dirs, err := collectDirRefs(b, runRoot)
-	if err != nil {
-		return nil, err
+	rep := &GCReport{Mode: "full", DryRun: true}
+	m, err := markFull(b, runRoot, rep)
+	if err != nil || m.store == nil {
+		return rep, err
 	}
-	refs := map[string]int{}
-	for _, d := range dirs {
-		for _, dg := range d.Digests {
-			refs[dg]++
+	for _, f := range m.fixes {
+		if f.dir == nil {
+			rep.IndexRetired = append(rep.IndexRetired, f.label)
+		} else {
+			rep.IndexRepaired = append(rep.IndexRepaired, f.label)
 		}
 	}
-	rep := &GCReport{Mode: "full", DryRun: true, Referenced: len(refs)}
-	store, err := storage.OpenCAS(b, objectsPath(runRoot))
-	if err != nil {
-		return nil, err
+	reclaim := func(blob storage.BlobInfo) {
+		rep.RemovedBlobs = append(rep.RemovedBlobs, blob.Digest)
+		if blob.Size > 0 {
+			rep.BytesFreed += blob.Size
+		}
 	}
-	if !b.Exists(store.Root()) {
-		return rep, nil
-	}
-	audit, err := auditRefs(b, runRoot, dirs)
-	if err != nil {
-		return nil, err
-	}
-	rep.IndexRecords = len(audit.records)
-	sweepRefs := map[string]int{}
-	for d, n := range refs {
-		sweepRefs[d] = n
-	}
-	// Union-pin rule, as in GC: peer runs of a hub-attached store pin.
-	hp, err := peerPins(b, runRoot)
+	// Trash from an interrupted two-phase sweep: a real run purges what is
+	// no longer referenced and restores the rest — which its sweep then
+	// examines and keeps — before it sweeps.
+	trash, err := m.store.ListTrash()
 	if err != nil {
 		return rep, err
 	}
-	mergePins(sweepRefs, hp)
-	for _, ar := range audit.records {
-		switch ar.state {
-		case RefSuperseded, RefCorrupt:
-			rep.IndexRetired = append(rep.IndexRetired, ar.entry.Name)
-		default:
-			if ar.rec != nil {
-				for _, dg := range ar.rec.Digests {
-					sweepRefs[dg]++
-				}
-			}
-			if ar.state == RefOrphaned {
-				rep.IndexStale++
-			}
-			if ar.state == RefDivergent {
-				rep.IndexRepaired = append(rep.IndexRepaired, ar.entry.Name)
-			}
+	for _, t := range trash {
+		if m.pins[t.Digest] == 0 {
+			reclaim(t)
+		} else if !m.store.Has(t.Digest) {
+			rep.Examined++
+			rep.Kept++
 		}
 	}
-	for _, d := range audit.missing {
-		rep.IndexRepaired = append(rep.IndexRepaired, d.Key)
-	}
-	blobs, staging, _, err := store.List()
+	blobs, staging, _, err := m.store.List()
 	if err != nil {
 		return rep, err
 	}
 	for _, blob := range blobs {
 		rep.Examined++
-		if sweepRefs[blob.Digest] > 0 {
+		if m.pins[blob.Digest] > 0 {
 			rep.Kept++
 		} else {
-			rep.RemovedBlobs = append(rep.RemovedBlobs, blob.Digest)
-			if blob.Size > 0 {
-				rep.BytesFreed += blob.Size
-			}
+			reclaim(blob)
 		}
 	}
 	rep.RemovedStaging = staging
-	// Trash from an interrupted two-phase sweep: a real run purges what is
-	// no longer referenced (and restores the rest).
-	trash, err := store.ListTrash()
-	if err != nil {
-		return rep, err
-	}
-	for _, t := range trash {
-		if sweepRefs[t.Digest] == 0 {
-			rep.RemovedBlobs = append(rep.RemovedBlobs, t.Digest)
-			if t.Size > 0 {
-				rep.BytesFreed += t.Size
-			}
-		}
-	}
 	return rep, nil
 }
 
@@ -1051,165 +841,110 @@ func Dedupify(b storage.Backend, dir string, chunkBytes int) (*DedupifyReport, e
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: dedupify %s: only committed checkpoints convert: %w", dir, err)
 	}
-	store, err := storeFor(b, dir)
-	if err != nil {
-		return nil, err
+	// The conversion is one more feeder of the write stage: it lists the raw
+	// extents of the committed containers, hashes them, and lets the stage
+	// journal and publish. No codec plan: new blobs stay raw, while dedup
+	// hits on coded blobs are journaled and recorded with their lineage like
+	// any save's.
+	set, err := containerPayloads(b, dir)
+	if err == nil {
+		err = set.hashAll()
 	}
-	// Phase 1 hashes every extent without touching the store, so the full
-	// digest set can be journaled before the first blob is published —
-	// the same record-precedes-blobs ordering the dedup save path uses.
-	type pendingBlob struct {
-		digest string
-		size   int64
-		open   func() (io.ReadCloser, error)
-	}
-	var pendings []pendingBlob
-	var digests []string
-	encodeOf := func(open func() (io.ReadCloser, error)) func(io.Writer) (int64, error) {
-		return func(w io.Writer) (int64, error) {
-			rc, err := open()
-			if err != nil {
-				return 0, err
-			}
-			n, err := io.Copy(w, rc)
-			if cerr := rc.Close(); err == nil {
-				err = cerr
-			}
-			return n, err
-		}
-	}
-	put := func(extentOpen func() (io.ReadCloser, error), size int64) (string, uint32, error) {
-		digest, crc, err := hashStream(size, encodeOf(extentOpen))
-		if err != nil {
-			return "", 0, err
-		}
-		pendings = append(pendings, pendingBlob{digest: digest, size: size, open: extentOpen})
-		digests = append(digests, digest)
-		return digest, crc, nil
-	}
-
-	// Weights: blob every tensor extent in payload order, so the manifest
-	// order (and any later materialization) matches the original container
-	// byte for byte.
-	lr, err := OpenLTSF(b, dir+"/model.ltsf")
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
 	}
-	type ordered struct {
-		name string
-		meta ltsfTensorMeta
+	if storage.RenameSupported(b) {
+		// Re-stage the directory: manifests in place of payload containers,
+		// every other committed file copied verbatim.
+		err = writeStage{
+			b: b, dir: dir, dedup: true, journalStep: marker.Step, markerStep: marker.Step,
+			trailer: func(sb storage.Backend, staging string, refGen int64) error {
+				return copyCommittedExtras(b, sb, dir, staging, marker, len(set.ranks), refGen)
+			},
+		}.run(set)
+	} else {
+		var refGen int64
+		if refGen, err = set.publishBlobs(b, dir, marker.Step, nil); err == nil {
+			err = dedupifyInPlace(b, dir, marker, refGen, set)
+		}
 	}
-	var tensors []ordered
-	for name, meta := range lr.hdr.Tensors {
-		tensors = append(tensors, ordered{name, meta})
-	}
-	sort.Slice(tensors, func(i, j int) bool {
-		if tensors[i].meta.Offsets[0] != tensors[j].meta.Offsets[0] {
-			return tensors[i].meta.Offsets[0] < tensors[j].meta.Offsets[0]
-		}
-		return tensors[i].name < tensors[j].name
-	})
-	wm := &WeightManifest{Version: FormatVersion, Model: lr.Model()}
-	for _, t := range tensors {
-		rt, err := lr.RawTensor(t.name)
-		if err != nil {
-			return nil, err
-		}
-		digest, crc, err := put(func() (io.ReadCloser, error) {
-			_, rc, err := lr.OpenRaw(t.name)
-			return rc, err
-		}, rt.Size)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: dedupify %s: tensor %q: %w", dir, t.name, err)
-		}
-		if crc != rt.CRC32 {
-			return nil, fmt.Errorf("ckpt: dedupify %s: tensor %q payload CRC %08x, header says %08x", dir, t.name, crc, rt.CRC32)
-		}
-		wm.Tensors = append(wm.Tensors, WeightEntry{
-			Name: t.name, DType: rt.DType, Shape: rt.Shape,
-			Size: rt.Size, CRC32: rt.CRC32, Digest: digest,
-		})
-	}
-
-	// Optimizer shards: blob every group extent of every rank file found.
-	var shardMans []rankManifest
-	for rank := 0; ; rank++ {
-		name := dir + "/" + ShardFileName(rank)
-		if !b.Exists(name) {
-			break
-		}
-		h, err := ReadShardHeader(b, name)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
-		}
-		payloadOff := h.FileBytes - h.PayloadBytes
-		sm := &ShardManifest{
-			Version: FormatVersion, Rank: h.Rank, WorldSize: h.WorldSize,
-			Step: h.Step, Layout: h.Layout.String(),
-		}
-		for _, g := range h.Groups {
-			size := g.Offsets[1] - g.Offsets[0]
-			off := payloadOff + g.Offsets[0]
-			digest, crc, err := put(func() (io.ReadCloser, error) {
-				return b.OpenRange(name, off, size)
-			}, size)
-			if err != nil {
-				return nil, fmt.Errorf("ckpt: dedupify %s: rank %d group %d: %w", dir, rank, g.Index, err)
-			}
-			if crc != g.CRC32 {
-				return nil, fmt.Errorf("ckpt: dedupify %s: rank %d group %d CRC %08x, header says %08x", dir, rank, g.Index, crc, g.CRC32)
-			}
-			sm.Groups = append(sm.Groups, ShardGroupEntry{
-				Index: g.Index, Numel: g.Numel, ShardLen: g.ShardLen,
-				NoDecay: g.NoDecay, Layer: g.Layer,
-				Size: size, CRC32: g.CRC32, Digest: digest,
-			})
-		}
-		shardMans = append(shardMans, rankManifest{rank, sm})
-	}
-
-	// Journal the reference record, then publish the blobs it pins.
-	gen, err := appendRefRecord(b, dir, marker.Step, digests)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range pendings {
-		wrote, err := store.PutStream(p.digest, encodeOf(p.open))
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: dedupify %s: blob %s: %w", dir, p.digest, err)
-		}
-		if wrote {
+	set.each(func(p *payload, _ string, _ int) error {
+		if p.written {
 			rep.BlobsPut++
 			rep.BlobBytesWritten += p.size
 		} else {
 			rep.BlobsReused++
 			rep.BytesDeduped += p.size
 		}
-	}
+		return nil
+	})
+	return rep, nil
+}
 
-	if !storage.RenameSupported(b) {
-		return rep, dedupifyInPlace(b, dir, marker, gen, wm, shardMans)
-	}
-
-	// Re-stage the directory: manifests in place of payload containers,
-	// every other committed file copied verbatim.
-	txn, err := Begin(b, dir)
+// containerPayloads lists a committed plain checkpoint's payloads as raw
+// extents of its LTSF/LTOS containers (no decode), with the headers' CRCs
+// carried along for hashAll to verify.
+func containerPayloads(b storage.Backend, dir string) (*payloadSet, error) {
+	lr, err := OpenLTSF(b, dir+"/model.ltsf")
 	if err != nil {
 		return nil, err
 	}
-	defer txn.Abort()
-	sb, staging := txn.Backend(), txn.Dir()
-	if err := WriteWeightManifest(sb, staging+"/"+WeightManifestName, wm); err != nil {
-		return nil, err
-	}
-	for _, rm := range shardMans {
-		if err := WriteShardManifest(sb, staging+"/"+ShardManifestName(rm.rank), rm.man); err != nil {
+	// Tensors in payload order, so the manifest order (and any later
+	// materialization) matches the original container byte for byte.
+	names := lr.Names()
+	sort.SliceStable(names, func(i, j int) bool {
+		return lr.hdr.Tensors[names[i]].Offsets[0] < lr.hdr.Tensors[names[j]].Offsets[0]
+	})
+	set := &payloadSet{model: lr.Model()}
+	for _, name := range names {
+		rt, err := lr.RawTensor(name)
+		if err != nil {
 			return nil, err
 		}
+		set.weights = append(set.weights, weightPayload{
+			payload: payload{size: rt.Size, crc: rt.CRC32, hasCRC: true,
+				write: replay(func() (io.ReadCloser, error) {
+					_, rc, err := lr.OpenRaw(name)
+					return rc, err
+				})},
+			name: name, dtype: rt.DType, shape: rt.Shape,
+		})
 	}
+	// Every rank file found, each group extent one payload.
+	for rank := 0; ; rank++ {
+		name := dir + "/" + ShardFileName(rank)
+		if !b.Exists(name) {
+			return set, nil
+		}
+		h, err := ReadShardHeader(b, name)
+		if err != nil {
+			return nil, err
+		}
+		payloadOff := h.FileBytes - h.PayloadBytes
+		rs := rankPayloads{rank: h.Rank, worldSize: h.WorldSize, step: h.Step, layout: h.Layout}
+		for _, g := range h.Groups {
+			size := g.Offsets[1] - g.Offsets[0]
+			off := payloadOff + g.Offsets[0]
+			rs.groups = append(rs.groups, groupPayload{
+				payload: payload{size: size, crc: g.CRC32, hasCRC: true,
+					write: replay(func() (io.ReadCloser, error) { return b.OpenRange(name, off, size) })},
+				meta: g,
+			})
+		}
+		set.ranks = append(set.ranks, rs)
+	}
+}
+
+// copyCommittedExtras is Dedupify's trailer on rename backends: every
+// committed file except the payload containers is copied into staging
+// verbatim, manifest.json gaining the dedup flag and the ref generation.
+func copyCommittedExtras(b, sb storage.Backend, dir, staging string, marker CommitMarker, ranks int, refGen int64) error {
 	skip := map[string]bool{"model.ltsf": true}
-	for _, rm := range shardMans {
-		skip[ShardFileName(rm.rank)] = true
+	for r := 0; r < ranks; r++ {
+		skip[ShardFileName(r)] = true
 	}
 	names := make([]string, 0, len(marker.Files))
 	for name := range marker.Files {
@@ -1222,34 +957,33 @@ func Dedupify(b storage.Backend, dir string, chunkBytes int) (*DedupifyReport, e
 		}
 		data, err := b.ReadFile(dir + "/" + name)
 		if err != nil {
-			return nil, fmt.Errorf("ckpt: dedupify %s: copy %s: %w", dir, name, err)
+			return fmt.Errorf("ckpt: dedupify %s: copy %s: %w", dir, name, err)
 		}
 		if name == "manifest.json" {
-			var man Manifest
-			if err := json.Unmarshal(data, &man); err != nil {
-				return nil, fmt.Errorf("ckpt: dedupify %s: decode manifest.json: %w", dir, err)
+			if data, err = dedupManifestJSON(data, refGen); err != nil {
+				return fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
 			}
-			man.Dedup = true
-			man.RefGen = gen
-			if err := writeJSON(sb, staging+"/manifest.json", &man); err != nil {
-				return nil, err
-			}
-			continue
 		}
 		if err := sb.WriteFile(staging+"/"+name, data); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := txn.Commit(marker.Step); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return nil
 }
 
-// rankManifest pairs one rank's shard manifest with its rank for staging.
-type rankManifest struct {
-	rank int
-	man  *ShardManifest
+// dedupManifestJSON re-encodes a converted checkpoint's manifest.json with
+// the dedup flag set and its journal generation bound.
+func dedupManifestJSON(data []byte, refGen int64) ([]byte, error) {
+	var man Manifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		return nil, fmt.Errorf("decode manifest.json: %w", err)
+	}
+	man.Dedup, man.RefGen = true, refGen
+	out, err := json.MarshalIndent(&man, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("marshal manifest.json: %w", err)
+	}
+	return append(out, '\n'), nil
 }
 
 // dedupifyInPlace is Dedupify's no-rename publication tail (steps 1–5 of
@@ -1257,35 +991,13 @@ type rankManifest struct {
 // already durable when it runs; every individual write here is an atomic
 // whole-object PUT, and the directory verifies as committed between any
 // two of them.
-func dedupifyInPlace(b storage.Backend, dir string, marker CommitMarker, gen int64,
-	wm *WeightManifest, shardMans []rankManifest) error {
-
+func dedupifyInPlace(b storage.Backend, dir string, marker CommitMarker, gen int64, set *payloadSet) error {
 	// Step 1: PUT the manifests under their final keys. They are not listed
 	// in the current marker, so the directory's commit contract is
 	// untouched; record their sums for the marker swap.
-	sums := map[string]FileSum{}
-	putSummed := func(name string, data []byte) error {
-		if err := b.WriteFile(dir+"/"+name, data); err != nil {
-			return err
-		}
-		sums[name] = FileSum{Size: int64(len(data)), CRC32: crc32.ChecksumIEEE(data)}
-		return nil
-	}
-	wdata, err := encodeManifest(ltmfMagic, wm)
-	if err != nil {
-		return err
-	}
-	if err := putSummed(WeightManifestName, wdata); err != nil {
+	rec := newSumBackend(b)
+	if err := set.stageManifests(rec, dir); err != nil {
 		return fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
-	}
-	for _, rm := range shardMans {
-		sdata, err := encodeManifest(ltomMagic, rm.man)
-		if err != nil {
-			return err
-		}
-		if err := putSummed(ShardManifestName(rm.rank), sdata); err != nil {
-			return fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
-		}
 	}
 
 	// Step 2: one marker PUT swaps the listing — manifests in, payload
@@ -1293,17 +1005,14 @@ func dedupifyInPlace(b storage.Backend, dir string, marker CommitMarker, gen int
 	// (Dedup, RefGen) and a listed file can never change content without a
 	// window in which the marker's CRC is wrong.
 	drop := map[string]bool{"model.ltsf": true, "manifest.json": true}
-	for _, rm := range shardMans {
-		drop[ShardFileName(rm.rank)] = true
+	for rank := range set.ranks {
+		drop[ShardFileName(rank)] = true
 	}
-	m2 := CommitMarker{Version: FormatVersion, Step: marker.Step, Files: map[string]FileSum{}}
+	m2 := CommitMarker{Version: FormatVersion, Step: marker.Step, Files: rec.sumsUnder(dir)}
 	for name, sum := range marker.Files {
 		if !drop[name] {
 			m2.Files[name] = sum
 		}
-	}
-	for name, sum := range sums {
-		m2.Files[name] = sum
 	}
 	if err := writeJSON(b, dir+"/"+CommitMarkerName, &m2); err != nil {
 		return fmt.Errorf("ckpt: dedupify %s: swap marker: %w", dir, err)
@@ -1314,17 +1023,10 @@ func dedupifyInPlace(b storage.Backend, dir string, marker CommitMarker, gen int
 	if err != nil {
 		return fmt.Errorf("ckpt: dedupify %s: read manifest.json: %w", dir, err)
 	}
-	var man Manifest
-	if err := json.Unmarshal(mdata, &man); err != nil {
-		return fmt.Errorf("ckpt: dedupify %s: decode manifest.json: %w", dir, err)
-	}
-	man.Dedup = true
-	man.RefGen = gen
-	newMan, err := json.MarshalIndent(&man, "", "  ")
+	newMan, err := dedupManifestJSON(mdata, gen)
 	if err != nil {
-		return fmt.Errorf("ckpt: dedupify %s: marshal manifest.json: %w", dir, err)
+		return fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
 	}
-	newMan = append(newMan, '\n')
 	if err := b.WriteFile(dir+"/manifest.json", newMan); err != nil {
 		return fmt.Errorf("ckpt: dedupify %s: rewrite manifest.json: %w", dir, err)
 	}
@@ -1340,9 +1042,9 @@ func dedupifyInPlace(b storage.Backend, dir string, marker CommitMarker, gen int
 	if err := b.Remove(dir + "/model.ltsf"); err != nil && !storage.IsNotExist(err) {
 		return fmt.Errorf("ckpt: dedupify %s: remove model.ltsf: %w", dir, err)
 	}
-	for _, rm := range shardMans {
-		if err := b.Remove(dir + "/" + ShardFileName(rm.rank)); err != nil && !storage.IsNotExist(err) {
-			return fmt.Errorf("ckpt: dedupify %s: remove %s: %w", dir, ShardFileName(rm.rank), err)
+	for rank := range set.ranks {
+		if err := b.Remove(dir + "/" + ShardFileName(rank)); err != nil && !storage.IsNotExist(err) {
+			return fmt.Errorf("ckpt: dedupify %s: remove %s: %w", dir, ShardFileName(rank), err)
 		}
 	}
 	return nil

@@ -398,6 +398,96 @@ func TestDedupifyConvertsInPlace(t *testing.T) {
 	}
 }
 
+// TestDedupifyPinsXorLineage: a conversion whose payloads dedup-hit
+// xor-coded blobs depends on those blobs' ancestors exactly like the save
+// that stored them. The conversion goes through the same write stage as
+// every save, so its journal record pins the chains and its manifests
+// record Codec/Stored/Parents — retiring every older generation must leave
+// the converted checkpoint restorable bit for bit.
+func TestDedupifyPinsXorLineage(t *testing.T) {
+	backends := []struct {
+		name string
+		mk   func() storage.Backend
+	}{
+		{"mem", func() storage.Backend { return storage.NewMem() }},
+		{"objstore", func() storage.Backend { return storage.NewObjStore() }},
+	}
+	for _, bk := range backends {
+		t.Run(bk.name, func(t *testing.T) {
+			b := bk.mk()
+			cfg := modelcfg.Tiny()
+			m, o := buildOptim(t, cfg, 180)
+			if err := Save(b, codecSpec("run/checkpoint-100", 100, m, o, "xor", 0)); err != nil {
+				t.Fatal(err)
+			}
+			perturbLayer(t, m, o, cfg, 2, 1)
+			if err := Save(b, codecSpec("run/checkpoint-200", 200, m, o, "xor", 0)); err != nil {
+				t.Fatal(err)
+			}
+			// A plain save of the same state, converted in place: every
+			// payload already exists as a blob, some of them xor deltas.
+			const dir = "run/checkpoint-300"
+			if err := Save(b, SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: 2,
+				Strategy: "full", State: TrainerState{Step: 300, Seed: 170}}); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Dedupify(b, dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.BlobsPut != 0 || rep.BlobsReused == 0 {
+				t.Fatalf("conversion of an already-stored state: %+v", rep)
+			}
+			cs, err := ReadCodecStats(b, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cs.Entries["xor-parent"] == 0 || cs.DeepestChain == 0 {
+				t.Fatalf("manifests do not record the xor blobs they reference: %+v", cs)
+			}
+
+			ret, err := Retain(b, "run", 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ret.Removed) != 2 {
+				t.Fatalf("retain removed %v, want both xor generations", ret.Removed)
+			}
+			rm, ro, _, err := Restore(b, dir, tensor.BF16)
+			if err != nil {
+				t.Fatalf("restore of the kept checkpoint: %v", err)
+			}
+			if !model.Equal(rm, m) || !sameOptim(ro, o) {
+				t.Fatal("restore differs after retention")
+			}
+			if err := verifyDedupRefs(b, dir); err != nil {
+				t.Fatal(err)
+			}
+			if problems := refProblems(t, b, "run"); len(problems) != 0 {
+				t.Fatalf("ref-index problems: %+v", problems)
+			}
+			blobs, err := ScanBlobs(b, "run")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bs := range blobs {
+				if bs.State != BlobReferenced {
+					t.Fatalf("blob %s is %v after retention", bs.Path, bs.State)
+				}
+			}
+			health, err := ScanCodecs(b, "run")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range health {
+				if len(h.MissingParents) != 0 {
+					t.Fatalf("%s reports missing parents: %v", h.Dir, h.MissingParents)
+				}
+			}
+		})
+	}
+}
+
 // TestDedupCorruptBlobFailsReads: bit-flip a blob and every consumer must
 // error (CRC catches reads; digest verification catches materialization).
 func TestDedupCorruptBlobFailsReads(t *testing.T) {

@@ -41,24 +41,12 @@ const Unlayered = "(unlayered)"
 
 // dirDigests collects every blob digest a dedup checkpoint references.
 func dirDigests(b storage.Backend, dir string) (map[string]bool, error) {
-	wm, err := ReadWeightManifest(b, dir+"/"+WeightManifestName)
-	if err != nil {
-		return nil, err
-	}
 	set := map[string]bool{}
-	for _, e := range wm.Tensors {
-		set[e.Digest] = true
-	}
-	for _, r := range shardManifestRanks(b, dir) {
-		sm, err := ReadShardManifest(b, dir+"/"+ShardManifestName(r))
-		if err != nil {
-			return nil, err
-		}
-		for _, g := range sm.Groups {
-			set[g.Digest] = true
-		}
-	}
-	return set, nil
+	err := walkBlobRefs(b, dir, func(_ string, r blobRef) error {
+		set[r.Digest] = true
+		return nil
+	})
+	return set, err
 }
 
 // LayerDelta breaks a dedup checkpoint down per layer: how many payload

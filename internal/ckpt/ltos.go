@@ -127,60 +127,47 @@ func NewShardFileWriter(b storage.Backend, name string, rank, worldSize, step in
 // WriteGroup appends one group's shard (master + exp_avg + exp_avg_sq) and
 // records its metadata. The shard may be released once WriteGroup returns.
 func (w *ShardFileWriter) WriteGroup(m ShardGroupMeta, s *zero.GroupShard) error {
-	if err := w.writable(); err != nil {
-		return err
-	}
 	if s.Rank != w.rank {
 		return fmt.Errorf("ckpt: shard for rank %d written into rank %d file", s.Rank, w.rank)
 	}
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w.spool, crc)
-	var n int64
-	for _, sec := range [][]float32{s.Master, s.ExpAvg, s.ExpAvgSq} {
-		k, err := writeF32s(mw, w.buf, sec)
-		n += k
-		if err != nil {
-			w.err = fmt.Errorf("ckpt: %s: spool group %d: %w", w.name, m.Index, err)
-			return w.err
-		}
-	}
 	m.ShardLen = s.Numel()
-	m.Offsets = [2]int64{w.off, w.off + n}
-	m.CRC32 = crc.Sum32()
-	w.hdr.Groups = append(w.hdr.Groups, m)
-	w.off += n
-	return nil
+	return w.appendPayload(m, s.Numel()*12, false, func(sink io.Writer) (int64, error) {
+		return encodeGroupPayload(sink, w.buf, s)
+	})
 }
 
 // AppendRawGroup splices a pre-encoded group payload (master + exp_avg +
 // exp_avg_sq, FP32 little-endian) into the shard file and records its
 // metadata with the source CRC carried forward — the LTOS counterpart of
 // LTSFWriter.AppendRaw, used when materializing dedup checkpoints from
-// blob extents. m must carry the group's geometry and CRC; offsets are
-// assigned here (a full save's payload is gap-free). The size is
-// validated against the geometry before any byte is spooled, and a short
-// or long source errors out (never panics).
+// blob extents. m must carry the group's geometry and CRC.
 func (w *ShardFileWriter) AppendRawGroup(m ShardGroupMeta, size int64, src io.Reader) error {
+	return w.appendPayload(m, size, true, func(sink io.Writer) (int64, error) {
+		return spliceTo(sink, src, size, w.buf)
+	})
+}
+
+// appendPayload spools one group payload produced by write and records its
+// metadata — the single section writer under WriteGroup, AppendRawGroup and
+// the checkpoint write stage. With hasCRC set, m.CRC32 is carried forward;
+// otherwise it is computed inline. Offsets are assigned here (a full save's
+// payload is gap-free). The size is validated against the geometry before
+// any byte is spooled, and a short or long source errors out (never panics).
+func (w *ShardFileWriter) appendPayload(m ShardGroupMeta, size int64, hasCRC bool, write func(io.Writer) (int64, error)) error {
 	if err := w.writable(); err != nil {
 		return err
 	}
 	// Division-checked geometry: size is a caller claim, so 12×ShardLen
 	// must never be formed directly (int64 wrap).
 	if m.ShardLen < 0 || size < 0 || size%12 != 0 || m.ShardLen != size/12 {
-		return fmt.Errorf("ckpt: %s: raw group %d payload %d bytes, want 12×%d", w.name, m.Index, size, m.ShardLen)
-	}
-	n, err := spliceTo(w.spool, src, size, w.buf)
-	if err != nil {
-		w.err = fmt.Errorf("ckpt: %s: splice raw group %d: %w", w.name, m.Index, err)
-		return w.err
-	}
-	if n != size {
-		w.err = fmt.Errorf("ckpt: %s: raw group %d: extent delivered %d of %d bytes", w.name, m.Index, n, size)
-		return w.err
+		return fmt.Errorf("ckpt: %s: group %d payload %d bytes, want 12×%d", w.name, m.Index, size, m.ShardLen)
 	}
 	m.Offsets = [2]int64{w.off, w.off + size}
+	var err error
+	if m.CRC32, err = w.spoolSection(size, m.CRC32, hasCRC, write); err != nil {
+		return w.fail(fmt.Errorf("ckpt: %s: spool group %d: %w", w.name, m.Index, err))
+	}
 	w.hdr.Groups = append(w.hdr.Groups, m)
-	w.off += size
 	return nil
 }
 

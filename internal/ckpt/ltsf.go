@@ -18,9 +18,7 @@
 package ckpt
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash"
@@ -115,6 +113,38 @@ func (w *containerWriter) writable() error {
 	return nil
 }
 
+// spoolSection streams one payload section produced by write into the
+// spool and advances the payload offset. The section's CRC is crc carried
+// forward when hasCRC is set, computed inline otherwise. write must deliver
+// exactly size bytes.
+func (w *containerWriter) spoolSection(size int64, crc uint32, hasCRC bool,
+	write func(io.Writer) (int64, error)) (uint32, error) {
+	var sink io.Writer = w.spool
+	var inline hash.Hash32
+	if !hasCRC {
+		inline = crc32.NewIEEE()
+		sink = io.MultiWriter(sink, inline)
+	}
+	n, err := write(sink)
+	if err == nil && n != size {
+		err = fmt.Errorf("source delivered %d of %d bytes", n, size)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if inline != nil {
+		crc = inline.Sum32()
+	}
+	w.off += size
+	return crc, nil
+}
+
+// fail makes err sticky: the writer refuses further sections.
+func (w *containerWriter) fail(err error) error {
+	w.err = err
+	return err
+}
+
 // finish writes the final container with the given header and releases the
 // scratch space. Idempotent; returns the sticky error if the writer failed.
 func (w *containerWriter) finish(hdr any) error {
@@ -160,26 +190,6 @@ func (w *containerWriter) BytesWritten() int64 { return w.wrote }
 type LTSFWriter struct {
 	containerWriter
 	hdr ltsfHeader
-	// digests, when non-nil (see RecordDigests), collects the SHA-256 of
-	// every tensor payload as it streams through — the content identity
-	// the dedup layer stores blobs under.
-	digests map[string]string
-}
-
-// RecordDigests turns on per-tensor payload digest computation: every
-// subsequent WriteTensor and AppendRaw also hashes the payload bytes it
-// moves, retrievable via Digest. Off by default — plain saves don't pay
-// the hash pass.
-func (w *LTSFWriter) RecordDigests() {
-	if w.digests == nil {
-		w.digests = map[string]string{}
-	}
-}
-
-// Digest returns the recorded payload digest of a written tensor.
-func (w *LTSFWriter) Digest(name string) (string, bool) {
-	d, ok := w.digests[name]
-	return d, ok
 }
 
 // NewLTSFWriter opens a streaming writer targeting name. chunkBytes <= 0
@@ -198,34 +208,45 @@ func NewLTSFWriter(b storage.Backend, name, modelName string, chunkBytes int) (*
 // WriteTensor appends one tensor's payload and records its metadata. The
 // tensor may be released by the caller as soon as WriteTensor returns.
 func (w *LTSFWriter) WriteTensor(t *tensor.Tensor) error {
+	rt := RawTensor{Name: t.Name, DType: t.DType.String(), Shape: append([]int(nil), t.Shape...), Size: int64(t.Bytes())}
+	return w.appendPayload(rt, false, func(sink io.Writer) (int64, error) {
+		return t.EncodeTo(sink, w.buf)
+	})
+}
+
+// appendPayload spools one tensor payload produced by write and records its
+// header entry — the single section writer under WriteTensor, AppendRaw and
+// the checkpoint write stage. With hasCRC set, rt.CRC32 is carried forward
+// untouched; otherwise the checksum is computed inline as the bytes stream
+// through. The metadata is validated the same way OpenLTSF validates headers
+// — an inconsistent dtype/shape/size errors out (never panics) before any
+// byte is spooled — and write must deliver exactly rt.Size bytes. rt.Shape
+// is retained, not copied.
+func (w *LTSFWriter) appendPayload(rt RawTensor, hasCRC bool, write func(io.Writer) (int64, error)) error {
 	if err := w.writable(); err != nil {
 		return err
 	}
-	if _, dup := w.hdr.Tensors[t.Name]; dup {
-		return fmt.Errorf("ckpt: duplicate tensor %q in LTSF write", t.Name)
+	if _, dup := w.hdr.Tensors[rt.Name]; dup {
+		return fmt.Errorf("ckpt: duplicate tensor %q in LTSF write", rt.Name)
 	}
-	crc := crc32.NewIEEE()
-	sink := io.MultiWriter(w.spool, crc)
-	var sum hash.Hash
-	if w.digests != nil {
-		sum = sha256.New()
-		sink = io.MultiWriter(sink, sum)
+	meta := ltsfTensorMeta{
+		DType:   rt.DType,
+		Shape:   rt.Shape,
+		Offsets: [2]int64{w.off, w.off + rt.Size},
+		CRC32:   rt.CRC32,
 	}
-	n, err := t.EncodeTo(sink, w.buf)
-	if err != nil {
-		w.err = fmt.Errorf("ckpt: %s: spool tensor %q: %w", w.name, t.Name, err)
-		return w.err
+	if rt.Size < 0 {
+		return fmt.Errorf("ckpt: %s: tensor %q: negative size %d", w.name, rt.Name, rt.Size)
 	}
-	if sum != nil {
-		w.digests[t.Name] = hex.EncodeToString(sum.Sum(nil))
+	// Validate against an unbounded virtual payload ending at the extent.
+	if err := validateTensorMeta(rt.Name, meta, meta.Offsets[1]); err != nil {
+		return fmt.Errorf("ckpt: %s: %w", w.name, err)
 	}
-	w.hdr.Tensors[t.Name] = ltsfTensorMeta{
-		DType:   t.DType.String(),
-		Shape:   append([]int(nil), t.Shape...),
-		Offsets: [2]int64{w.off, w.off + n},
-		CRC32:   crc.Sum32(),
+	var err error
+	if meta.CRC32, err = w.spoolSection(rt.Size, rt.CRC32, hasCRC, write); err != nil {
+		return w.fail(fmt.Errorf("ckpt: %s: spool tensor %q: %w", w.name, rt.Name, err))
 	}
-	w.off += n
+	w.hdr.Tensors[rt.Name] = meta
 	return nil
 }
 

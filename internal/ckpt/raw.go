@@ -12,10 +12,7 @@
 package ckpt
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 
 	"llmtailor/internal/tensor"
@@ -78,52 +75,14 @@ func (r *LTSFReader) OpenRaw(name string) (RawTensor, io.ReadCloser, error) {
 // AppendRaw splices a pre-encoded tensor payload into the container and
 // records its metadata with the source CRC carried forward, skipping the
 // encode and checksum passes WriteTensor performs. Exactly rt.Size bytes
-// are consumed from src. The metadata is validated the same way OpenLTSF
-// validates headers — an inconsistent dtype/shape/size errors out (never
-// panics) before any byte is spooled, so a corrupt source extent cannot
-// poison the output container silently.
+// are consumed from src, and the metadata is validated before any byte is
+// spooled, so a corrupt source extent cannot poison the output container
+// silently.
 func (w *LTSFWriter) AppendRaw(rt RawTensor, src io.Reader) error {
-	if err := w.writable(); err != nil {
-		return err
-	}
-	if _, dup := w.hdr.Tensors[rt.Name]; dup {
-		return fmt.Errorf("ckpt: duplicate tensor %q in LTSF write", rt.Name)
-	}
-	meta := ltsfTensorMeta{
-		DType:   rt.DType,
-		Shape:   append([]int(nil), rt.Shape...),
-		Offsets: [2]int64{w.off, w.off + rt.Size},
-		CRC32:   rt.CRC32,
-	}
-	if rt.Size < 0 {
-		return fmt.Errorf("ckpt: %s: raw tensor %q: negative size %d", w.name, rt.Name, rt.Size)
-	}
-	// Validate against an unbounded virtual payload ending at the extent:
-	// the same dtype/shape/extent consistency checks OpenLTSF applies.
-	if err := validateTensorMeta(rt.Name, meta, meta.Offsets[1]); err != nil {
-		return fmt.Errorf("ckpt: %s: %w", w.name, err)
-	}
-	var sink io.Writer = w.spool
-	var sum hash.Hash
-	if w.digests != nil {
-		sum = sha256.New()
-		sink = io.MultiWriter(sink, sum)
-	}
-	n, err := spliceTo(sink, src, rt.Size, w.buf)
-	if err != nil {
-		w.err = fmt.Errorf("ckpt: %s: splice raw tensor %q: %w", w.name, rt.Name, err)
-		return w.err
-	}
-	if n != rt.Size {
-		w.err = fmt.Errorf("ckpt: %s: raw tensor %q: extent delivered %d of %d bytes", w.name, rt.Name, n, rt.Size)
-		return w.err
-	}
-	if sum != nil {
-		w.digests[rt.Name] = hex.EncodeToString(sum.Sum(nil))
-	}
-	w.hdr.Tensors[rt.Name] = meta
-	w.off += rt.Size
-	return nil
+	rt.Shape = append([]int(nil), rt.Shape...)
+	return w.appendPayload(rt, true, func(sink io.Writer) (int64, error) {
+		return spliceTo(sink, src, rt.Size, w.buf)
+	})
 }
 
 // memExtent matches in-memory sources whose exact remaining length is

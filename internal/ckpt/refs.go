@@ -588,10 +588,7 @@ func ReconcileRefIndex(b storage.Backend, runRoot string) (*RefReconcileReport, 
 			if !ok {
 				continue
 			}
-			if err := ix.Append(&storage.RefRecord{
-				Version: FormatVersion, Key: ar.entry.Key, Step: stepOf(b, d.Path),
-				Generation: ar.entry.Generation, Digests: d.Digests,
-			}); err != nil {
+			if err := writeRecordFrom(b, ix, ar.entry.Key, ar.entry.Generation, d); err != nil {
 				return rep, err
 			}
 			rep.WrittenRecords = append(rep.WrittenRecords, ar.entry.Name)
@@ -608,21 +605,28 @@ func ReconcileRefIndex(b storage.Backend, runRoot string) (*RefReconcileReport, 
 	// fresh generation — their manifests cannot be rewritten under a sealed
 	// marker, so they stay unbound and conservatively pinned.
 	for _, d := range audit.missing {
-		gen := d.RefGen
-		if gen <= 0 {
-			if gen, err = ix.NextGeneration(); err != nil {
-				return rep, err
-			}
-		}
-		if err := ix.Append(&storage.RefRecord{
-			Version: FormatVersion, Key: d.Key, Step: stepOf(b, d.Path),
-			Generation: gen, Digests: storage.NormalizeDigests(append([]string(nil), d.Digests...)),
-		}); err != nil {
+		if err := writeRecordFrom(b, ix, d.Key, d.RefGen, d); err != nil {
 			return rep, err
 		}
 		rep.WrittenRecords = append(rep.WrittenRecords, d.Key)
 	}
 	return rep, nil
+}
+
+// writeRecordFrom (re)writes a sealed directory's journal record from its
+// manifests — the manifests always win. gen <= 0 allocates the next
+// generation (an unbound, pre-ref-index directory).
+func writeRecordFrom(b storage.Backend, ix *storage.RefIndex, key string, gen int64, d dirRefs) error {
+	if gen <= 0 {
+		var err error
+		if gen, err = ix.NextGeneration(); err != nil {
+			return err
+		}
+	}
+	return ix.Append(&storage.RefRecord{
+		Version: FormatVersion, Key: key, Step: stepOf(b, d.Path),
+		Generation: gen, Digests: d.Digests,
+	})
 }
 
 // findBound returns the directory view a record's generation binds to.

@@ -21,30 +21,24 @@
 // checkpoints with the same anatomy as DeepSpeed ZeRO-3 runs; see the
 // examples/ directory and DESIGN.md for the full reproduction map.
 //
-// # Migration: handles over free functions
+// # Handles
 //
-// Run-scoped maintenance has moved from free functions to methods on
-// handle types: Open/NewStore give a *Store, Store.Run a *Run and
-// Store.Hub a *Hub (the shared-CAS checkpoint hub; see DESIGN.md
-// "Checkpoint hub"). The former (Backend, runRoot) free functions remain
-// as thin deprecated delegates and will keep compiling, but new code
-// should use the handles — they consolidate the GC and Scan families
-// behind uniform Options structs and surface errors the old signatures
-// swallowed:
+// Run-scoped maintenance lives on handle types: Open/NewStore give a
+// *Store, Store.Run a *Run and Store.Hub a *Hub (the shared-CAS checkpoint
+// hub; see DESIGN.md "Checkpoint hub"). The handles consolidate the GC and
+// Scan families behind uniform Options structs:
 //
 //	st := llmtailor.NewStore(b)          // or llmtailor.Open(root)
 //	run := st.Run("sft-run")
-//	rep, _ := run.GC(llmtailor.GCOptions{Full: true})   // was GCCheckpointBlobs
-//	sc, _ := run.Scan(llmtailor.ScanOptions{Refs: true}) // was ScanCheckpoint*
-//	n, err := run.Shards()               // was BlobShards (error now surfaced)
+//	rep, _ := run.GC(llmtailor.GCOptions{Full: true})
+//	sc, _ := run.Scan(llmtailor.ScanOptions{Refs: true})
+//	tr, _ := run.ResumeFrom(cfg, "merged")
 //	hub := st.Hub("shared-hub")
 //	_ = hub.Init(llmtailor.HubOptions{Shards: 16})
 //	_ = hub.Attach("sft-run", "")
 package llmtailor
 
 import (
-	"strings"
-
 	"llmtailor/internal/ckpt"
 	"llmtailor/internal/modelcfg"
 	"llmtailor/internal/recipe"
@@ -98,7 +92,7 @@ type (
 	// CheckpointStatus is one scanned directory's recovery classification
 	// (committed / torn / orphaned staging).
 	CheckpointStatus = ckpt.DirStatus
-	// RepairReport records what RepairCheckpoints removed and fixed.
+	// RepairReport records what Run.Repair removed and fixed.
 	RepairReport = ckpt.RepairReport
 	// FaultBackend injects storage failures at the Nth write/chunk/rename/
 	// close for crash-consistency testing.
@@ -123,7 +117,7 @@ type (
 	CodecHealth = ckpt.CodecHealth
 )
 
-// Checkpoint directory recovery states (see ScanCheckpoints).
+// Checkpoint directory recovery states (see ScanReport.Dirs).
 const (
 	StateCommitted   = ckpt.StateCommitted
 	StateTorn        = ckpt.StateTorn
@@ -132,7 +126,7 @@ const (
 	StateQuarantined = ckpt.StateQuarantined
 )
 
-// Blob store entry states (see ScanCheckpointBlobs).
+// Blob store entry states (see ScanReport.Blobs).
 const (
 	BlobReferenced   = ckpt.BlobReferenced
 	BlobUnreferenced = ckpt.BlobUnreferenced
@@ -141,7 +135,7 @@ const (
 	BlobTrashed      = ckpt.BlobTrashed
 )
 
-// Ref-index audit states (see ScanCheckpointRefs).
+// Ref-index audit states (see ScanReport.Refs).
 const (
 	RefOK         = ckpt.RefOK
 	RefSuperseded = ckpt.RefSuperseded
@@ -204,20 +198,6 @@ func VerifyCheckpoint(b Backend, dir string) (*tailor.VerifyReport, error) {
 	return tailor.Verify(b, dir)
 }
 
-// LatestCheckpoint resolves a run root's "latest" pointer.
-//
-// Deprecated: use Store.Run(runRoot).Latest().
-func LatestCheckpoint(b Backend, runRoot string) (string, error) {
-	return NewStore(b).Run(runRoot).Latest()
-}
-
-// ListCheckpoints returns a run root's checkpoint directories sorted by step.
-//
-// Deprecated: use Store.Run(runRoot).List().
-func ListCheckpoints(b Backend, runRoot string) ([]string, error) {
-	return NewStore(b).Run(runRoot).List()
-}
-
 // ModelByName returns a preset geometry: "llama3.2-1b", "llama3.1-8b",
 // "qwen2.5-7b", or the tiny test models.
 func ModelByName(name string) (*ModelConfig, error) { return modelcfg.ByName(name) }
@@ -229,199 +209,9 @@ func StrategyByName(name string) (Strategy, error) { return strategy.ByName(name
 // NewTrainer builds a fresh simulated training run.
 func NewTrainer(cfg TrainerConfig, b Backend) (*Trainer, error) { return train.New(cfg, b) }
 
-// ResumeTrainer continues a run from a complete (possibly merged)
-// checkpoint.
-//
-// Deprecated: use Store.Run(runRoot).ResumeFrom(cfg, name).
-func ResumeTrainer(cfg TrainerConfig, b Backend, dir string) (*Trainer, error) {
-	runRoot, name := splitDir(dir)
-	return NewStore(b).Run(runRoot).ResumeFrom(cfg, name)
-}
-
-// ResumeLatestTrainer continues a run from the newest committed checkpoint
-// under runRoot, falling back to older committed checkpoints when the
-// newest cannot restore. Torn checkpoints from crashed saves are skipped.
-//
-// Deprecated: use Store.Run(runRoot).Resume(cfg).
-func ResumeLatestTrainer(cfg TrainerConfig, b Backend, runRoot string) (*Trainer, error) {
-	return NewStore(b).Run(runRoot).Resume(cfg)
-}
-
-// ScanCheckpoints classifies every checkpoint directory under a run root
-// as committed, torn, or an orphaned staging directory — the recovery view
-// `llmtailor doctor` prints.
-//
-// Deprecated: use Store.Run(runRoot).Scan(ScanOptions{}) and read .Dirs.
-func ScanCheckpoints(b Backend, runRoot string) ([]CheckpointStatus, error) {
-	rep, err := NewStore(b).Run(runRoot).Scan(ScanOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Dirs, nil
-}
-
-// RepairCheckpoints removes torn checkpoints and orphaned staging
-// directories under a run root and re-aims the latest pointer at the
-// newest committed checkpoint.
-//
-// Deprecated: use Store.Run(runRoot).Repair().
-func RepairCheckpoints(b Backend, runRoot string) (*RepairReport, error) {
-	return NewStore(b).Run(runRoot).Repair()
-}
-
 // VerifyCommitted checks a checkpoint directory's commit marker end to end
 // (presence, per-file sizes and CRCs).
 func VerifyCommitted(b Backend, dir string) error { return ckpt.VerifyCommit(b, dir) }
-
-// ScanCheckpointBlobs classifies every entry of a run root's content-
-// addressed objects/ store against the committed manifests' references.
-//
-// Deprecated: use Store.Run(runRoot).Scan(ScanOptions{Blobs: true}) and
-// read .Blobs.
-func ScanCheckpointBlobs(b Backend, runRoot string) ([]BlobStatus, error) {
-	rep, err := NewStore(b).Run(runRoot).Scan(ScanOptions{Blobs: true})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Blobs, nil
-}
-
-// BlobShards reports the digest-prefix fan-out of a run root's content-
-// addressed objects/ store: the shard count when the sharded layout is in
-// use (shards.json present), 0 for the flat single-directory layout.
-//
-// Deprecated: use Store.Run(runRoot).Shards(), which distinguishes a flat
-// layout from a store that failed to open (corrupt shards.json, broken hub
-// attachment) instead of reporting both as 0.
-func BlobShards(b Backend, runRoot string) int {
-	n, err := NewStore(b).Run(runRoot).Shards()
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// GCCheckpointBlobs is the full mark-and-sweep verification pass: blob
-// refcounts are re-derived from every manifest under the run root, the
-// whole store is swept against them, and the journaled ref index is
-// validated (superseded records retired, divergent or missing ones rebuilt
-// from the manifests). Referenced blobs are never collected, whatever else
-// fails.
-//
-// Deprecated: use Store.Run(runRoot).GC(GCOptions{Full: true}).
-func GCCheckpointBlobs(b Backend, runRoot string) (*BlobGCReport, error) {
-	return NewStore(b).Run(runRoot).GC(GCOptions{Full: true})
-}
-
-// GCCheckpointBlobsDryRun reports what GCCheckpointBlobs would sweep and
-// which index records it would retire or rebuild, without mutating the
-// store or the journal.
-//
-// Deprecated: use Store.Run(runRoot).GC(GCOptions{Full: true, DryRun: true}).
-func GCCheckpointBlobsDryRun(b Backend, runRoot string) (*BlobGCReport, error) {
-	return NewStore(b).Run(runRoot).GC(GCOptions{Full: true, DryRun: true})
-}
-
-// GCRetiredGenerations is the incremental sweep: journal records provably
-// superseded by a newer save of the same checkpoint directory are retired,
-// and only those generations' blobs are examined — O(retired generations +
-// live index), independent of run length. With dryRun set nothing is
-// removed.
-//
-// Deprecated: use Store.Run(runRoot).GC(GCOptions{DryRun: dryRun}).
-func GCRetiredGenerations(b Backend, runRoot string, dryRun bool) (*BlobGCReport, error) {
-	return NewStore(b).Run(runRoot).GC(GCOptions{DryRun: dryRun})
-}
-
-// RetainCheckpoints keeps the newest keepLast committed checkpoints under
-// the run root, retires the rest (directories plus their ref-index
-// generations) and generationally sweeps the blobs whose youngest
-// reference died with them. The latest pointer's target is never removed.
-//
-// Deprecated: use Store.Run(runRoot).Retain(RetainOptions{...}).
-func RetainCheckpoints(b Backend, runRoot string, keepLast int, dryRun bool) (*RetainReport, error) {
-	return NewStore(b).Run(runRoot).Retain(RetainOptions{KeepLast: keepLast, DryRun: dryRun})
-}
-
-// ScanCheckpointRefs audits the run root's journaled blob ref index
-// (objects/refs/) against the checkpoint manifests — stale, divergent,
-// corrupt or missing records are the findings `doctor` reports and
-// `doctor -fix` reconciles.
-//
-// Deprecated: use Store.Run(runRoot).Scan(ScanOptions{Refs: true}) and
-// read .Refs.
-func ScanCheckpointRefs(b Backend, runRoot string) ([]RefStatus, error) {
-	rep, err := NewStore(b).Run(runRoot).Scan(ScanOptions{Refs: true})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Refs, nil
-}
-
-// ReconcileCheckpointRefs rebuilds the ref index from the manifests
-// (quiescent: an in-flight save's record is indistinguishable from a
-// crashed one's). Repair runs this automatically.
-//
-// Deprecated: use Store.Run(runRoot).ReconcileRefs().
-func ReconcileCheckpointRefs(b Backend, runRoot string) (*RefReconcileReport, error) {
-	return NewStore(b).Run(runRoot).ReconcileRefs()
-}
-
-// ScanCheckpointCodecs audits blob-codec health across the run root's
-// committed dedup checkpoints: entry counts per codec, payload versus
-// stored bytes, the deepest xor-parent chain, and any pinned parent the
-// blob store no longer holds.
-//
-// Deprecated: use Store.Run(runRoot).Scan(ScanOptions{Codecs: true}) and
-// read .Codecs.
-func ScanCheckpointCodecs(b Backend, runRoot string) ([]CodecHealth, error) {
-	rep, err := NewStore(b).Run(runRoot).Scan(ScanOptions{Codecs: true})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Codecs, nil
-}
-
-// AdoptCheckpoints runs the adopt-or-quarantine migration over a run root:
-// intact pre-commit-protocol checkpoints (readable end to end) get a
-// COMMITTED marker sealed in place; unreadable candidates are renamed
-// aside under .quarantined instead of deleted.
-//
-// Deprecated: use Store.Run(runRoot).Adopt().
-func AdoptCheckpoints(b Backend, runRoot string) (*AdoptReport, error) {
-	return NewStore(b).Run(runRoot).Adopt()
-}
-
-// MaterializeWeights writes a full model.ltsf container at dst from a
-// dedup checkpoint's manifest, byte-identical to a plain save of the same
-// state; every payload's content digest is re-verified on the way through.
-//
-// Deprecated: use Store.Run(...).MaterializeWeights(name, dst,
-// MaterializeOptions{...}), which also exposes the chunk-size knob.
-func MaterializeWeights(b Backend, dir, dst string) error {
-	runRoot, name := splitDir(dir)
-	return NewStore(b).Run(runRoot).MaterializeWeights(name, dst, MaterializeOptions{})
-}
-
-// MaterializeOptimShard writes one rank's full .ltos container at dst from
-// a dedup checkpoint's shard manifest, byte-identical to the plain save's.
-//
-// Deprecated: use Store.Run(...).MaterializeOptimShard(name, rank, dst,
-// MaterializeOptions{...}), which also exposes the chunk-size knob.
-func MaterializeOptimShard(b Backend, dir string, rank int, dst string) error {
-	runRoot, name := splitDir(dir)
-	return NewStore(b).Run(runRoot).MaterializeOptimShard(name, rank, dst, MaterializeOptions{})
-}
-
-// DedupifyCheckpoint converts a committed plain checkpoint to content-
-// addressed form in place (see MergeOptions.DedupOutput for merges).
-//
-// Deprecated: use Store.Run(...).Dedupify(name, DedupifyOptions{...}),
-// which also exposes the chunk-size knob.
-func DedupifyCheckpoint(b Backend, dir string) (*DedupifyReport, error) {
-	runRoot, name := splitDir(dir)
-	return NewStore(b).Run(runRoot).Dedupify(name, DedupifyOptions{})
-}
 
 // RestoreModelDType is the dtype used when restoring checkpoints.
 var RestoreModelDType = tensor.BF16
@@ -439,27 +229,3 @@ type ReshardOptions = reshard.Options
 // counts, carried/spliced/zero-filled shard counters, byte volumes and
 // the dedup blob accounting.
 type ReshardStats = reshard.Stats
-
-// ReshardCheckpoint repartitions a committed checkpoint saved at one world
-// size into a new committed checkpoint at another, byte-identical to what
-// a native save at the target world size would have written. The output
-// commits under the standard stage→journal→marker protocol, so scan, GC,
-// doctor and refs all treat it as a first-class checkpoint.
-//
-// Deprecated: use Store.Run(runRoot).Reshard(srcName, dstName, worldSize,
-// opts) when both directories share a run root, or Store.Reshard for the
-// general two-path form.
-func ReshardCheckpoint(b Backend, srcDir, dstDir string, worldSize int, opts ReshardOptions) (*ReshardStats, error) {
-	return NewStore(b).Reshard(srcDir, dstDir, worldSize, opts)
-}
-
-// splitDir splits a checkpoint directory path into its run root and name,
-// mirroring how the objects store is resolved (the store lives next to the
-// checkpoint directory, under its parent).
-func splitDir(dir string) (runRoot, name string) {
-	dir = strings.TrimSuffix(dir, "/")
-	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-		return dir[:i], dir[i+1:]
-	}
-	return "", dir
-}

@@ -12,8 +12,8 @@ import (
 
 // Crash-recovery end to end through the public facade on a real OS-backed
 // directory: a save crashes via the fault injector, the doctor surface
-// (ScanCheckpoints / RepairCheckpoints) cleans the root, and
-// ResumeLatestTrainer continues from the last committed checkpoint.
+// (Run.Scan / Run.Repair) cleans the root, and Run.Resume continues from
+// the last committed checkpoint.
 func TestFacadeCrashRecoveryOnDisk(t *testing.T) {
 	root := t.TempDir()
 	back, err := llmtailor.OpenDir(root)
@@ -47,7 +47,7 @@ func TestFacadeCrashRecoveryOnDisk(t *testing.T) {
 	}
 	faulty := llmtailor.NewFaultBackend(back)
 	faulty.SetTorn(true)
-	cont, err := llmtailor.ResumeLatestTrainer(base, faulty, "run")
+	cont, err := llmtailor.NewStore(faulty).Run("run").Resume(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +57,11 @@ func TestFacadeCrashRecoveryOnDisk(t *testing.T) {
 	}
 
 	// The crash left residue the scan sees and repair removes.
-	statuses, err := llmtailor.ScanCheckpoints(back, "run")
+	scan, err := llmtailor.NewStore(back).Run("run").Scan(llmtailor.ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	statuses := scan.Dirs
 	committed, other := 0, 0
 	for _, st := range statuses {
 		if st.State == llmtailor.StateCommitted {
@@ -72,12 +73,12 @@ func TestFacadeCrashRecoveryOnDisk(t *testing.T) {
 	if committed != 1 || other == 0 {
 		t.Fatalf("scan after crash: %d committed, %d residue (%+v)", committed, other, statuses)
 	}
-	if _, err := llmtailor.RepairCheckpoints(back, "run"); err != nil {
+	if _, err := llmtailor.NewStore(back).Run("run").Repair(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Recovery resumes from the committed step-10 checkpoint and finishes.
-	rec, err := llmtailor.ResumeLatestTrainer(base, back, "run")
+	rec, err := llmtailor.NewStore(back).Run("run").Resume(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +153,11 @@ func TestFacadeEndToEndOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dirs, err := llmtailor.ListCheckpoints(back, "run")
+	dirs, err := llmtailor.NewStore(back).Run("run").List()
 	if err != nil || len(dirs) != 6 {
 		t.Fatalf("checkpoints = %v, %v", dirs, err)
 	}
-	latest, err := llmtailor.LatestCheckpoint(back, "run")
+	latest, err := llmtailor.NewStore(back).Run("run").Latest()
 	if err != nil || latest != "run/checkpoint-54" {
 		t.Fatalf("latest = %q, %v", latest, err)
 	}
@@ -184,7 +185,7 @@ func TestFacadeEndToEndOnDisk(t *testing.T) {
 		t.Fatal("merged checkpoint not complete")
 	}
 
-	trC, err := llmtailor.ResumeTrainer(base, back, "run/merged")
+	trC, err := llmtailor.NewStore(back).Run("run").ResumeFrom(base, "merged")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestStreamedMergeOutputResumesTraining(t *testing.T) {
 		t.Fatal("bounded and unbounded merges produced different weight files")
 	}
 
-	trC, err := llmtailor.ResumeTrainer(base, back, "run/merged")
+	trC, err := llmtailor.NewStore(back).Run("run").ResumeFrom(base, "merged")
 	if err != nil {
 		t.Fatal(err)
 	}
