@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check one-journal loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-smoke bench-check bench-record clean
+.PHONY: all build test race vet fmt-check one-journal one-pins loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -13,11 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The experiments package replays whole paper use-cases; under the race
-# detector it alone needs ~25 minutes, past go test's default 10m
-# per-binary timeout.
+# -short only changes internal/experiments (nothing else reads it): the
+# package replays whole paper use-cases and alone needs ~25 minutes under
+# the race detector, so here it runs one use case at a quarter of the steps.
+# The full replay stays in `make test`.
 race:
-	$(GO) test -race -timeout 45m ./...
+	$(GO) test -race -short ./...
 
 vet:
 	$(GO) vet ./...
@@ -37,6 +38,18 @@ one-journal:
 		grep -rn --include='*.go' --exclude='*_test.go' 'appendRefRecord(' internal cmd *.go \
 			| grep -v 'func appendRefRecord('; exit 1; fi
 
+# The pin query (internal/ckpt/pins.go) is the only code that may turn
+# journal records or manifests into a keep set: a loop over a record's or a
+# directory's digest list, or a PinDigests() call, anywhere else is a private
+# pin assembly, free to forget a fallback the query has (xor ancestors, peer
+# runs, uncovered directories). storage/refindex.go only validates and
+# serialises the list it stores.
+one-pins:
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' '\.PinDigests\(\)|range [A-Za-z_.]*\.Digests \{' internal cmd *.go \
+		| grep -v -e '^internal/ckpt/pins.go:' -e '^internal/storage/refindex.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "pin assembly outside internal/ckpt/pins.go:"; echo "$$bad"; exit 1; fi
+
 # Non-test Go lines per package, bench/ excluded — the number ROADMAP's
 # simplicity gate is stated in.
 loc:
@@ -48,7 +61,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal build test objstore
+ci-fast: fmt-check vet one-journal one-pins build test objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-check cover
 

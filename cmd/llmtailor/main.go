@@ -486,80 +486,42 @@ func runGC(args []string, out io.Writer) error {
 	if *full && *generations {
 		return fmt.Errorf("gc: -full and -generations are mutually exclusive")
 	}
-	rh := llmtailor.NewStore(b).Run(*run)
-	if !*full {
-		rep, err := rh.GC(llmtailor.GCOptions{DryRun: *dryRun})
-		if err != nil {
-			return err
-		}
-		verb := "removed"
-		if *dryRun {
-			verb = "would remove"
-		}
-		for _, d := range rep.RemovedBlobs {
-			fmt.Fprintf(out, "  %s blob %s\n", verb, d)
-		}
-		for _, p := range rep.RemovedStaging {
-			fmt.Fprintf(out, "  %s staging %s\n", verb, p)
-		}
-		for _, r := range rep.IndexRetired {
-			fmt.Fprintf(out, "  retired record %s\n", r)
-		}
-		if *dryRun {
-			fmt.Fprintf(out, "dry run: %d generations retirable, %d candidate blobs examined, %d removable (%d bytes reclaimable)\n",
-				len(rep.IndexRetired), rep.Examined, len(rep.RemovedBlobs), rep.BytesFreed)
-			return nil
-		}
-		fmt.Fprintf(out, "gc (generational): %d records, %d retired, %d blobs examined, %d removed (%d bytes freed), %d staging entries cleaned\n",
-			rep.IndexRecords, len(rep.IndexRetired), rep.Examined, len(rep.RemovedBlobs), rep.BytesFreed, len(rep.RemovedStaging))
-		if rep.IndexStale > 0 {
-			fmt.Fprintf(out, "%d stale/unmatched record(s) left pinned; run doctor -fix (quiescent) to reconcile\n", rep.IndexStale)
-		}
-		return nil
-	}
-	if *dryRun {
-		rep, err := rh.GC(llmtailor.GCOptions{Full: true, DryRun: true})
-		if err != nil {
-			return err
-		}
-		for _, d := range rep.RemovedBlobs {
-			fmt.Fprintf(out, "  would remove blob %s\n", d)
-		}
-		for _, p := range rep.RemovedStaging {
-			fmt.Fprintf(out, "  would remove %s (staging residue)\n", p)
-		}
-		for _, r := range rep.IndexRetired {
-			fmt.Fprintf(out, "  would retire record %s\n", r)
-		}
-		for _, r := range rep.IndexRepaired {
-			fmt.Fprintf(out, "  would repair record %s\n", r)
-		}
-		fmt.Fprintf(out, "dry run (full): %d records, %d retirable, %d blobs examined, %d kept, %d removable (%d bytes reclaimable), %d staging entries\n",
-			rep.IndexRecords, len(rep.IndexRetired), rep.Examined, rep.Kept,
-			len(rep.RemovedBlobs), rep.BytesFreed, len(rep.RemovedStaging))
-		if rep.IndexStale > 0 {
-			fmt.Fprintf(out, "%d stale/unmatched record(s) left pinned; run doctor -fix (quiescent) to reconcile\n", rep.IndexStale)
-		}
-		return nil
-	}
-	rep, err := rh.GC(llmtailor.GCOptions{Full: true})
+	rep, err := llmtailor.NewStore(b).Run(*run).GC(llmtailor.GCOptions{Full: *full, DryRun: *dryRun})
 	if err != nil {
 		return err
 	}
+	remove, retire, repair := "removed", "retired", "repaired"
+	if *dryRun {
+		remove, retire, repair = "would remove", "would retire", "would repair"
+	}
 	for _, d := range rep.RemovedBlobs {
-		fmt.Fprintf(out, "  removed blob %s\n", d)
+		fmt.Fprintf(out, "  %s blob %s\n", remove, d)
 	}
 	for _, p := range rep.RemovedStaging {
-		fmt.Fprintf(out, "  removed staging %s\n", p)
+		fmt.Fprintf(out, "  %s staging %s\n", remove, p)
 	}
 	for _, r := range rep.IndexRetired {
-		fmt.Fprintf(out, "  retired record %s\n", r)
+		fmt.Fprintf(out, "  %s record %s\n", retire, r)
 	}
 	for _, r := range rep.IndexRepaired {
-		fmt.Fprintf(out, "  repaired record %s\n", r)
+		fmt.Fprintf(out, "  %s record %s\n", repair, r)
 	}
-	fmt.Fprintf(out, "gc: %d referenced digests, %d blobs kept, %d removed (%d bytes freed), %d staging entries cleaned\n",
-		rep.Referenced, rep.Kept, len(rep.RemovedBlobs), rep.BytesFreed, len(rep.RemovedStaging))
+	switch {
+	case *full && *dryRun:
+		fmt.Fprintf(out, "dry run (full): %d records, %d retirable, %d blobs examined, %d kept, %d removable (%d bytes reclaimable), %d staging entries\n",
+			rep.IndexRecords, len(rep.IndexRetired), rep.Examined, rep.Kept,
+			len(rep.RemovedBlobs), rep.BytesFreed, len(rep.RemovedStaging))
+	case *full:
+		fmt.Fprintf(out, "gc: %d referenced digests, %d blobs kept, %d removed (%d bytes freed), %d staging entries cleaned\n",
+			rep.Referenced, rep.Kept, len(rep.RemovedBlobs), rep.BytesFreed, len(rep.RemovedStaging))
+	case *dryRun:
+		fmt.Fprintf(out, "dry run: %d generations retirable, %d candidate blobs examined, %d removable (%d bytes reclaimable)\n",
+			len(rep.IndexRetired), rep.Examined, len(rep.RemovedBlobs), rep.BytesFreed)
+		return nil
+	default:
+		fmt.Fprintf(out, "gc (generational): %d records, %d retired, %d blobs examined, %d removed (%d bytes freed), %d staging entries cleaned\n",
+			rep.IndexRecords, len(rep.IndexRetired), rep.Examined, len(rep.RemovedBlobs), rep.BytesFreed, len(rep.RemovedStaging))
+	}
 	if rep.IndexStale > 0 {
 		fmt.Fprintf(out, "%d stale/unmatched record(s) left pinned; run doctor -fix (quiescent) to reconcile\n", rep.IndexStale)
 	}

@@ -111,21 +111,10 @@ func TestRunHandleDelegation(t *testing.T) {
 	}
 }
 
-// TestFullGCDryRunMatchesRealRun: the full GC's dry run and real run share
-// one mark phase, so on a root holding every kind of finding — a superseded
-// record, a divergent one, a missing one, garbage blobs, staging residue and
-// trash from an interrupted sweep — the dry-run report must equal, field for
-// field, what the real run then does; the dry run itself must change
-// nothing, and the real run must leave nothing for a second pass.
-func TestFullGCDryRunMatchesRealRun(t *testing.T) {
-	b := llmtailor.NewMemBackend()
-	dirs := trainAndSave(t, b, "run", 6)
-	if len(dirs) < 3 {
-		t.Fatalf("want >= 3 checkpoints, got %v", dirs)
-	}
-	run := llmtailor.NewStore(b).Run("run")
-
-	// Superseded: replace the oldest checkpoint in place with new content.
+// supersedeOldest replaces a run's oldest checkpoint in place with new
+// content, leaving its first journal record superseded.
+func supersedeOldest(t *testing.T, b llmtailor.Backend, dir string) {
+	t.Helper()
 	cfg := modelcfg.Tiny()
 	m, err := model.NewInitialized(cfg, tensor.BF16, 4242)
 	if err != nil {
@@ -135,39 +124,22 @@ func TestFullGCDryRunMatchesRealRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.Save(b, ckpt.SaveSpec{Dir: dirs[0], Model: m, Optim: o, WorldSize: 2,
+	if err := ckpt.Save(b, ckpt.SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: 2,
 		Strategy: "full", Dedup: true, State: ckpt.TrainerState{Step: 2, Seed: 4242}}); err != nil {
 		t.Fatal(err)
 	}
-	// Divergent and missing: mutilate the journal under the two newer ones.
-	ix, err := storage.OpenRefIndex(b, "run/objects")
+}
+
+// plantStoreFindings leaves, in the store serving objects, what interrupted
+// operations leave behind: a garbage blob, blob-put staging residue (at
+// stage), and trash of both fates — an unreferenced blob a crashed sweep
+// would have purged, and the referenced blob live, which it must restore.
+func plantStoreFindings(t *testing.T, b llmtailor.Backend, objects, stage, live string) storage.CAS {
+	t.Helper()
+	store, err := storage.OpenCAS(b, objects)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, _, _, err := ix.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		switch e.Key {
-		case ckpt.RefKey(dirs[1]):
-			rec, err := ix.Read(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec.Digests = rec.Digests[:1]
-			if err := ix.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		case ckpt.RefKey(dirs[2]):
-			if err := ix.Remove(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Garbage, staging residue, and trash of both fates: an unreferenced
-	// blob a crashed sweep would have purged, a referenced one it restores.
-	store := storage.NewBlobStore(b, "run/objects")
 	if _, _, err := store.PutBytes([]byte("plain garbage")); err != nil {
 		t.Fatal(err)
 	}
@@ -175,78 +147,201 @@ func TestFullGCDryRunMatchesRealRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Trash(junk); err != nil {
+	for _, d := range []string{junk, live} {
+		if err := store.Trash(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.WriteFile(stage+"/.stage/put-7", []byte("residue")); err != nil {
 		t.Fatal(err)
 	}
-	wm, err := ckpt.ReadWeightManifest(b, dirs[2]+"/"+ckpt.WeightManifestName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := wm.Tensors[0].Digest
-	if err := store.Trash(live); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteFile("run/objects/.stage/put-7", []byte("residue")); err != nil {
-		t.Fatal(err)
-	}
+	return store
+}
 
-	normalize := func(rep *llmtailor.BlobGCReport) llmtailor.BlobGCReport {
-		out := *rep
-		out.DryRun = false
-		for _, l := range []*[]string{&out.RemovedBlobs, &out.RemovedStaging, &out.IndexRetired, &out.IndexRepaired} {
-			*l = append([]string(nil), *l...)
-			sort.Strings(*l)
-		}
-		return out
-	}
-	dry, err := run.GC(llmtailor.GCOptions{Full: true, DryRun: true})
+// firstWeightDigest returns a blob a checkpoint's weight manifest references.
+func firstWeightDigest(t *testing.T, b llmtailor.Backend, dir string) string {
+	t.Helper()
+	wm, err := ckpt.ReadWeightManifest(b, dir+"/"+ckpt.WeightManifestName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dry.DryRun || len(dry.IndexRetired) == 0 || len(dry.IndexRepaired) < 2 ||
-		len(dry.RemovedBlobs) < 2 || len(dry.RemovedStaging) != 1 || dry.BytesFreed == 0 {
-		t.Fatalf("dry run misses a planted finding: %+v", dry)
-	}
-	again, err := run.GC(llmtailor.GCOptions{Full: true, DryRun: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalize(dry), normalize(again)) {
-		t.Fatalf("dry run mutated the root:\nfirst  %+v\nsecond %+v", dry, again)
-	}
-	real, err := run.GC(llmtailor.GCOptions{Full: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if real.DryRun || !reflect.DeepEqual(normalize(dry), normalize(real)) {
-		t.Fatalf("dry run disagrees with the real run:\ndry  %+v\nreal %+v", normalize(dry), normalize(real))
-	}
+	return wm.Tensors[0].Digest
+}
 
-	// Converged: nothing left to do, the trashed live blob is back, and
-	// every doctor view is clean.
-	after, err := run.GC(llmtailor.GCOptions{Full: true, DryRun: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.RemovedBlobs)+len(after.RemovedStaging)+len(after.IndexRetired)+len(after.IndexRepaired) != 0 {
-		t.Fatalf("second pass still finds work: %+v", after)
-	}
-	if !store.Has(live) {
-		t.Fatal("referenced blob left in trash")
-	}
-	scan, err := run.Scan(llmtailor.ScanOptions{Blobs: true, Refs: true, Codecs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bs := range scan.Blobs {
-		if bs.State != llmtailor.BlobReferenced {
-			t.Fatalf("blob %s is %v after gc", bs.Path, bs.State)
+// normalizeReport copies a *GCReport / *RetainReport / *HubGCReport with
+// DryRun cleared and every string list sorted, so a dry run and a real run
+// compare field for field; work counts the removals and index fixes listed.
+func normalizeReport(rep any) (norm any, work int) {
+	out := reflect.New(reflect.TypeOf(rep).Elem()).Elem()
+	out.Set(reflect.ValueOf(rep).Elem())
+	for i := 0; i < out.NumField(); i++ {
+		f, name := out.Field(i), out.Type().Field(i).Name
+		switch l, ok := f.Interface().([]string); {
+		case name == "DryRun":
+			f.SetBool(false)
+		case ok:
+			l = append([]string(nil), l...)
+			sort.Strings(l)
+			f.Set(reflect.ValueOf(l))
+			if name != "Kept" && name != "Runs" {
+				work += len(l)
+			}
 		}
 	}
-	for _, rs := range scan.Refs {
-		if rs.State != llmtailor.RefOK {
-			t.Fatalf("record %s is %v after gc", rs.Path, rs.State)
+	return out.Interface(), work
+}
+
+// TestDryRunMatchesRealRun: every collecting policy computes its dry run
+// and its real run through the same pin query and the same sweep driver,
+// so on a root holding garbage, staging residue and trash of both fates
+// the report a dry run returns must equal, field for field, what the real
+// run then does; the dry run itself must change nothing, the real run must
+// leave nothing for a second pass, and a policy that disposes of trash must
+// have put the trashed referenced blob back.
+func TestDryRunMatchesRealRun(t *testing.T) {
+	type scenario struct {
+		store    storage.CAS
+		live     string
+		collect  func(dryRun bool) (any, error)
+		trash    bool // the policy disposes of crashed-sweep trash
+		spotless bool // afterwards every blob is referenced and every record OK
+	}
+	runRoot := func(t *testing.T, b llmtailor.Backend) (*llmtailor.Run, []string, *scenario) {
+		dirs := trainAndSave(t, b, "run", 6)
+		if len(dirs) < 3 {
+			t.Fatalf("want >= 3 checkpoints, got %v", dirs)
 		}
+		supersedeOldest(t, b, dirs[0])
+		live := firstWeightDigest(t, b, dirs[2])
+		sc := &scenario{live: live, store: plantStoreFindings(t, b, "run/objects", "run/objects", live)}
+		return llmtailor.NewStore(b).Run("run"), dirs, sc
+	}
+	rows := map[string]func(t *testing.T, b llmtailor.Backend) *scenario{
+		// The full GC additionally finds a divergent and a missing record.
+		"full gc": func(t *testing.T, b llmtailor.Backend) *scenario {
+			run, dirs, sc := runRoot(t, b)
+			ix, err := storage.OpenRefIndex(b, "run/objects")
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, _, _, err := ix.Entries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				switch e.Key {
+				case ckpt.RefKey(dirs[1]):
+					rec, err := ix.Read(e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rec.Digests = rec.Digests[:1]
+					if err := ix.Append(rec); err != nil {
+						t.Fatal(err)
+					}
+				case ckpt.RefKey(dirs[2]):
+					if err := ix.Remove(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			sc.trash, sc.spotless = true, true
+			sc.collect = func(dryRun bool) (any, error) {
+				return run.GC(llmtailor.GCOptions{Full: true, DryRun: dryRun})
+			}
+			return sc
+		},
+		// The generational GC retires the superseded record; a crashed
+		// record append left residue in the journal too.
+		"generational gc": func(t *testing.T, b llmtailor.Backend) *scenario {
+			run, _, sc := runRoot(t, b)
+			if err := b.WriteFile("run/objects/refs/gen-000000000099-checkpoint-9.ref.tmp", []byte("torn")); err != nil {
+				t.Fatal(err)
+			}
+			sc.trash = true
+			sc.collect = func(dryRun bool) (any, error) { return run.GC(llmtailor.GCOptions{DryRun: dryRun}) }
+			return sc
+		},
+		// Retention sweeps its victims' blobs only: garbage, residue and
+		// trash are not its to touch, in either mode.
+		"retain": func(t *testing.T, b llmtailor.Backend) *scenario {
+			run, _, sc := runRoot(t, b)
+			sc.collect = func(dryRun bool) (any, error) {
+				return run.Retain(llmtailor.RetainOptions{KeepLast: 1, DryRun: dryRun})
+			}
+			return sc
+		},
+		"hub gc": func(t *testing.T, b llmtailor.Backend) *scenario {
+			hub := llmtailor.NewStore(b).Hub("hub")
+			if err := hub.Init(llmtailor.HubOptions{Shards: 2}); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []string{"runs/a", "runs/b"} {
+				if err := hub.Attach(r, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			trainAndSave(t, b, "runs/a", 4)
+			dirs := trainAndSave(t, b, "runs/b", 6)
+			live := firstWeightDigest(t, b, dirs[len(dirs)-1])
+			return &scenario{live: live, trash: true,
+				store:   plantStoreFindings(t, b, "hub/objects", "hub/objects/shard-0", live),
+				collect: func(dryRun bool) (any, error) { return hub.GC(dryRun) }}
+		},
+	}
+	for name, build := range rows {
+		t.Run(name, func(t *testing.T) {
+			b := llmtailor.NewMemBackend()
+			sc := build(t, b)
+			collect := func(dryRun bool) (any, int) {
+				t.Helper()
+				rep, err := sc.collect(dryRun)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return normalizeReport(rep)
+			}
+			dry, work := collect(true)
+			if work == 0 {
+				t.Fatalf("dry run finds nothing to do: %+v", dry)
+			}
+			if again, _ := collect(true); !reflect.DeepEqual(dry, again) {
+				t.Fatalf("dry run mutated the root:\nfirst  %+v\nsecond %+v", dry, again)
+			}
+			if real, _ := collect(false); !reflect.DeepEqual(dry, real) {
+				t.Fatalf("dry run disagrees with the real run:\ndry  %+v\nreal %+v", dry, real)
+			}
+			if after, work := collect(true); work != 0 {
+				t.Fatalf("second pass still finds work: %+v", after)
+			}
+			trash, err := sc.store.ListTrash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.trash && (len(trash) != 0 || !sc.store.Has(sc.live)) {
+				t.Fatalf("trash not settled: %v left, referenced blob restored: %v", trash, sc.store.Has(sc.live))
+			}
+			if !sc.trash && len(trash) != 2 {
+				t.Fatalf("policy touched trash that is not its to settle: %v", trash)
+			}
+			if !sc.spotless {
+				return
+			}
+			scan, err := llmtailor.NewStore(b).Run("run").Scan(llmtailor.ScanOptions{Blobs: true, Refs: true, Codecs: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bs := range scan.Blobs {
+				if bs.State != llmtailor.BlobReferenced {
+					t.Fatalf("blob %s is %v after gc", bs.Path, bs.State)
+				}
+			}
+			for _, rs := range scan.Refs {
+				if rs.State != llmtailor.RefOK {
+					t.Fatalf("record %s is %v after gc", rs.Path, rs.State)
+				}
+			}
+		})
 	}
 }
 

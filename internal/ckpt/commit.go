@@ -543,27 +543,20 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 	// First, dispose of trash a crashed sweep left behind: a referenced
 	// blob stranded there would make its (perfectly good) checkpoint scan
 	// as torn — and be deleted below — so restoration must precede Scan.
-	trashStore, err := storage.OpenCAS(b, objectsPath(runRoot))
+	scope, err := openRunScope(b, runRoot)
 	if err != nil {
 		return nil, err
 	}
-	if trash, _ := trashStore.ListTrash(); len(trash) > 0 {
-		refs, err := BlobRefs(b, runRoot)
-		if err != nil {
-			return nil, err
-		}
-		// Union-pin rule: a hub-attached run's trash may hold blobs that
-		// peer runs still reference — restore those too.
-		hp, err := peerPins(b, runRoot)
-		if err != nil {
-			return nil, err
-		}
-		mergePins(refs, hp)
-		restored, purged, err := handleTrash(trashStore, refs)
-		rep.TrashRestored, rep.TrashPurged = restored, purged
-		if err != nil {
-			return rep, err
-		}
+	// Repair is quiescent, so the manifests alone are the truth here — plus,
+	// on a hub-attached run, whatever peer runs still reference.
+	w, err := scope.sweeper(pinQuery{manifests: manifestsAll, peers: true}, false)
+	if err != nil {
+		return nil, err
+	}
+	err = w.disposeTrash(nil)
+	rep.TrashRestored, rep.TrashPurged = w.Restored, w.RemovedBlobs
+	if err != nil {
+		return rep, err
 	}
 	statuses, err := Scan(b, runRoot)
 	if err != nil {
@@ -612,20 +605,10 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 	// orphaned .tmp dir (a blob only exists once its publishing rename
 	// ran), so Repair cleans it; sweeping published blobs stays a
 	// deliberate GC action.
-	store, err := storage.OpenCAS(b, objectsPath(runRoot))
-	if err != nil {
-		return nil, err
+	if err := w.cleanResidue(nil); err != nil {
+		return nil, fmt.Errorf("ckpt: repair: %w", err)
 	}
-	if b.Exists(store.Root()) {
-		if _, staging, _, err := store.List(); err == nil {
-			for _, p := range staging {
-				if err := b.Remove(p); err != nil {
-					return nil, fmt.Errorf("ckpt: repair: remove blob staging %s: %w", p, err)
-				}
-				rep.BlobStagingRemoved = append(rep.BlobStagingRemoved, p)
-			}
-		}
-	}
+	rep.BlobStagingRemoved = w.RemovedStaging
 	// Reconcile the ref index against the manifests now that every
 	// directory is in its final state: stale records die, missing ones are
 	// rebuilt, so the next generational sweep trusts an index that agrees

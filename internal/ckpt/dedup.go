@@ -470,216 +470,76 @@ type GCReport struct {
 	IndexStale int
 }
 
-// refFix is one index correction the full GC's mark phase decided on:
-// retire a record (dir == nil), or (re)write one from a sealed directory's
-// manifests.
-type refFix struct {
-	// label is what the report lists: the record's file name, or the key of
-	// a directory that had no record.
-	label string
-	// entry is the record to retire, or the (Key, Generation) to write under
-	// (Generation 0 = allocate the next one).
-	entry storage.RefEntry
-	dir   *dirRefs
-}
+// GC is the full mark-and-sweep policy — the verification and repair path.
+// The whole store is the candidate set. The mark re-derives refcounts from
+// every manifest under the run root (the ground truth) and unions them with
+// the journal's pins (an in-flight save's record precedes its blobs and
+// manifests, and must protect them) and every peer run's. Superseded and
+// unreadable records pin nothing and are retired — their exclusive digests
+// are exactly the garbage the sweep reclaims; orphaned records are counted
+// stale but stay pinned. After the sweep the index is fixed from the
+// manifests (fixIndex), so the index a generational sweep will trust next
+// time agrees with ground truth. A crashed run only leaves extra garbage
+// for the next one: references are gathered before the first removal.
+func GC(b storage.Backend, runRoot string) (*GCReport, error) { return gcFull(b, runRoot, false) }
 
-// fullMark is the result of the full GC's mark phase.
-type fullMark struct {
-	store storage.CAS
-	// pins is the sweep's keep set: every manifest reference, every peer
-	// run's pins, and every journal record not being retired.
-	pins map[string]int
-	// retired names the record files the sweep's recheck must ignore.
-	retired map[string]bool
-	// fixes lists the index corrections in application order.
-	fixes []refFix
-}
+// GCDryRun reports what GC would do without mutating anything: the same
+// mark, the same sweep accounting, and the records it would retire or
+// rebuild.
+func GCDryRun(b storage.Backend, runRoot string) (*GCReport, error) { return gcFull(b, runRoot, true) }
 
-// markFull is the full GC's mark phase, shared by the real sweep and the
-// dry run; it mutates nothing. Refcounts are re-derived from every manifest
-// under the run root (the ground truth) and unioned with the journal's pins
-// (an in-flight save's record precedes its blobs and manifests, and must
-// protect them). Superseded and unreadable records pin nothing and are
-// marked for retirement — their exclusive digests are exactly the garbage
-// the sweep reclaims; divergent or missing records of sealed directories
-// are marked for rewriting from the manifests; orphaned records are counted
-// stale but stay pinned — an in-flight save looks exactly like one, so only
-// quiescent Repair removes them. A nil store means the run root has no
-// objects directory: there is nothing to sweep.
-func markFull(b storage.Backend, runRoot string, rep *GCReport) (*fullMark, error) {
+func gcFull(b storage.Backend, runRoot string, dryRun bool) (*GCReport, error) {
+	rep := &GCReport{Mode: "full", DryRun: dryRun}
+	scope, err := openRunScope(b, runRoot)
+	if err != nil {
+		return nil, err
+	}
 	dirs, err := collectDirRefs(b, runRoot)
 	if err != nil {
 		return nil, err
 	}
-	m := &fullMark{pins: map[string]int{}, retired: map[string]bool{}}
-	for _, d := range dirs {
-		for _, dg := range d.Digests {
-			m.pins[dg]++
-		}
-	}
-	rep.Referenced = len(m.pins)
-	store, err := storage.OpenCAS(b, objectsPath(runRoot))
+	own := runRefs{dirs: dirs}
+	manifestPins, _ := scope.pinsWith(own, pinQuery{})
+	rep.Referenced = len(manifestPins)
+	query := pinQuery{journal: true, manifests: manifestsAll, peers: true, retiredRecords: map[string]bool{}}
+	w, err := scope.sweeper(query, dryRun)
 	if err != nil {
 		return nil, err
 	}
-	if !b.Exists(store.Root()) {
-		return m, nil
+	if !b.Exists(w.store.Root()) {
+		return rep, nil // no objects directory: nothing to sweep
 	}
-	m.store = store
-	audit, err := auditRefs(b, runRoot, dirs)
+
+	// The audit has read every record; the ones not being retired pin.
+	ix := scope.self.ix
+	audit, err := auditRefs(ix, dirs)
 	if err != nil {
 		return nil, err
 	}
 	rep.IndexRecords = len(audit.records)
-	// Union-pin rule: a hub-attached run sweeps the shared store, so every
-	// peer run's references (journal + manifest fallbacks) pin. With the
-	// union in place a full sweep reclaims exactly the digests dead across
-	// ALL attached runs — the hub GC invariant.
-	hp, err := peerPins(b, runRoot)
+	for _, ar := range audit.records {
+		if retiredState(ar.state, false) {
+			query.retiredRecords[ar.entry.Name] = true
+			continue
+		}
+		if ar.state == RefOrphaned {
+			rep.IndexStale++
+		}
+		if ar.rec != nil {
+			own.records = append(own.records, ar.rec)
+		}
+	}
+	pins, err := scope.pinsWith(own, query)
 	if err != nil {
 		return nil, err
 	}
-	mergePins(m.pins, hp)
-	for _, ar := range audit.records {
-		switch ar.state {
-		case RefSuperseded, RefCorrupt:
-			m.retired[ar.entry.Name] = true
-			m.fixes = append(m.fixes, refFix{label: ar.entry.Name, entry: ar.entry})
-			continue
-		case RefOrphaned:
-			rep.IndexStale++
-		case RefDivergent:
-			if d, ok := findBound(dirs, ar.entry); ok {
-				m.fixes = append(m.fixes, refFix{label: ar.entry.Name, entry: ar.entry, dir: &d})
-			}
-		}
-		if ar.rec != nil {
-			for _, dg := range ar.rec.Digests {
-				m.pins[dg]++
-			}
-		}
-	}
-	for i := range audit.missing {
-		d := &audit.missing[i]
-		m.fixes = append(m.fixes, refFix{
-			label: d.Key, entry: storage.RefEntry{Key: d.Key, Generation: d.RefGen}, dir: d,
-		})
-	}
-	return m, nil
-}
 
-// GC is the full mark-and-sweep — the verification and repair path: the
-// whole store is swept against markFull's pins, then the index is brought
-// into agreement with the manifests just read (superseded records retired,
-// divergent and missing ones rewritten), so the index a generational sweep
-// will trust next time agrees with ground truth. The safety invariant — a
-// referenced blob is never collected — holds through any interruption:
-// references are gathered before the first removal, removals are per-blob,
-// and a crashed sweep only leaves extra garbage for the next run.
-func GC(b storage.Backend, runRoot string) (*GCReport, error) {
-	rep := &GCReport{Mode: "full"}
-	m, err := markFull(b, runRoot, rep)
-	if err != nil || m.store == nil {
+	defer w.fillGC(rep)
+	if err := w.sweep(nil, pins); err != nil {
 		return rep, err
 	}
-	// Trash left by a sweep that crashed between trash and purge: restore
-	// whatever is referenced, drop the rest, before the main sweep.
-	if trash, _ := m.store.ListTrash(); len(trash) > 0 {
-		_, purged, err := handleTrash(m.store, m.pins)
-		if err != nil {
-			return rep, err
-		}
-		rep.RemovedBlobs = append(rep.RemovedBlobs, purged...)
-		for _, t := range trash {
-			if m.pins[t.Digest] == 0 && t.Size > 0 {
-				rep.BytesFreed += t.Size
-			}
-		}
-	}
-	sw, err := m.store.SweepRecheck(m.pins, indexRecheck(b, runRoot, m.retired))
-	if sw != nil {
-		rep.Kept = sw.Kept
-		rep.Examined = sw.Examined
-		rep.RemovedBlobs = append(rep.RemovedBlobs, sw.RemovedBlobs...)
-		rep.RemovedStaging = sw.RemovedStaging
-		rep.BytesFreed += sw.BytesFreed
-	}
-	if err != nil {
-		return rep, err
-	}
-	ix, err := refIndexFor(b, runRoot)
-	if err != nil {
-		return rep, err
-	}
-	for _, f := range m.fixes {
-		if f.dir == nil {
-			if err := ix.Remove(f.entry); err != nil {
-				return rep, err
-			}
-			rep.IndexRetired = append(rep.IndexRetired, f.label)
-			continue
-		}
-		if err := writeRecordFrom(b, ix, f.entry.Key, f.entry.Generation, *f.dir); err != nil {
-			return rep, err
-		}
-		rep.IndexRepaired = append(rep.IndexRepaired, f.label)
-	}
-	return rep, nil
-}
-
-// GCDryRun reports what GC would do without mutating anything. The report
-// mirrors GC's accounting — Examined/Kept count every stored blob,
-// RemovedBlobs/RemovedStaging/BytesFreed list what a real sweep would
-// reclaim, and IndexRetired/IndexRepaired name the records it would retire
-// or rebuild.
-func GCDryRun(b storage.Backend, runRoot string) (*GCReport, error) {
-	rep := &GCReport{Mode: "full", DryRun: true}
-	m, err := markFull(b, runRoot, rep)
-	if err != nil || m.store == nil {
-		return rep, err
-	}
-	for _, f := range m.fixes {
-		if f.dir == nil {
-			rep.IndexRetired = append(rep.IndexRetired, f.label)
-		} else {
-			rep.IndexRepaired = append(rep.IndexRepaired, f.label)
-		}
-	}
-	reclaim := func(blob storage.BlobInfo) {
-		rep.RemovedBlobs = append(rep.RemovedBlobs, blob.Digest)
-		if blob.Size > 0 {
-			rep.BytesFreed += blob.Size
-		}
-	}
-	// Trash from an interrupted two-phase sweep: a real run purges what is
-	// no longer referenced and restores the rest — which its sweep then
-	// examines and keeps — before it sweeps.
-	trash, err := m.store.ListTrash()
-	if err != nil {
-		return rep, err
-	}
-	for _, t := range trash {
-		if m.pins[t.Digest] == 0 {
-			reclaim(t)
-		} else if !m.store.Has(t.Digest) {
-			rep.Examined++
-			rep.Kept++
-		}
-	}
-	blobs, staging, _, err := m.store.List()
-	if err != nil {
-		return rep, err
-	}
-	for _, blob := range blobs {
-		rep.Examined++
-		if m.pins[blob.Digest] > 0 {
-			rep.Kept++
-		} else {
-			reclaim(blob)
-		}
-	}
-	rep.RemovedStaging = staging
-	return rep, nil
+	rep.IndexRetired, rep.IndexRepaired, err = fixIndex(b, ix, dirs, audit, false, dryRun)
+	return rep, err
 }
 
 // BlobState classifies one entry of the run root's blob store.
@@ -737,24 +597,23 @@ type BlobStatus struct {
 // the committed manifests' references — the blob half of the doctor view.
 // A run root without an objects directory yields an empty scan.
 func ScanBlobs(b storage.Backend, runRoot string) ([]BlobStatus, error) {
-	store, err := storage.OpenCAS(b, objectsPath(runRoot))
+	scope, err := openRunScope(b, runRoot)
+	if err != nil {
+		return nil, err
+	}
+	store, err := scope.openStore()
 	if err != nil {
 		return nil, err
 	}
 	if !b.Exists(store.Root()) {
 		return nil, nil
 	}
-	refs, err := BlobRefs(b, runRoot)
+	// On a hub-attached run the store is shared, so blobs referenced only by
+	// peer runs still classify as referenced, not orphan.
+	refs, err := scope.pins(pinQuery{manifests: manifestsAll, peers: true}, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Union-pin rule: on a hub-attached run the store is shared, so blobs
-	// referenced only by peer runs still classify as referenced, not orphan.
-	hp, err := peerPins(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
-	mergePins(refs, hp)
 	blobs, staging, stray, err := store.List()
 	if err != nil {
 		return nil, err

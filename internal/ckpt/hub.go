@@ -1,20 +1,6 @@
-// Hub-aware reference maintenance: union pins across attached runs.
-//
-// When a run root is attached to a checkpoint hub, its blobs live in a
-// store shared with every other attached run, so any sweep triggered from
-// one run's perspective (retention, generational GC, full GC, trash
-// disposal) must treat the other runs' references as pins. The rule is the
-// union-pin rule: a digest is reclaimable only when it is dead across ALL
-// attached runs' journals and manifests. Every sweeping path in this
-// package folds peerPins into its pin set before touching the store, and
-// the two-phase sweep's recheck re-reads every attached run's journal, so
-// a save racing in run B journals its record before its reuse check and is
-// seen by run A's recheck — the same record-precedes-blobs proof as the
-// single-run case (see storage.BlobStore.SweepRecheck), extended across
-// runs.
-//
-// HubGC is the hub-level entry point: one sweep of the shared store
-// against the union of every attached run's pins.
+// Hub-level garbage collection. The union-pin rule itself — every sweep of
+// a shared store honours every attached run's references — lives in
+// pins.go; this file is the one policy that is not started from a run.
 package ckpt
 
 import (
@@ -22,98 +8,6 @@ import (
 
 	"llmtailor/internal/storage"
 )
-
-// hubPeers returns the registry entries of every OTHER run attached to the
-// same hub as runRoot (nil when the run is unattached). The registry is
-// read fresh on every call — a run attached since the last read must pin.
-func hubPeers(b storage.Backend, runRoot string) ([]storage.HubRun, error) {
-	ref, err := storage.ReadHubRef(b, objectsPath(runRoot))
-	if err != nil || ref == nil {
-		return nil, err
-	}
-	runs, err := storage.ListHubRuns(b, ref.Hub)
-	if err != nil {
-		return nil, err
-	}
-	peers := runs[:0]
-	for _, r := range runs {
-		if r.ID != ref.Run {
-			peers = append(peers, r)
-		}
-	}
-	return peers, nil
-}
-
-// RunPins derives one run's full pin set: every journal record it holds
-// plus manifest fallbacks for directories no record covers (livePins over
-// the whole journal). This is the per-run contribution to the union-pin
-// rule.
-func RunPins(b storage.Backend, runRoot string) (map[string]int, error) {
-	ix, err := refIndexFor(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
-	entries, _, _, err := ix.Entries()
-	if err != nil {
-		return nil, err
-	}
-	return livePins(b, runRoot, entries)
-}
-
-// peerPins returns the union pin set of every other run attached to the
-// same hub — the references a sweep triggered from runRoot must honour on
-// top of its own. An unattached run contributes an empty map.
-func peerPins(b storage.Backend, runRoot string) (map[string]int, error) {
-	peers, err := hubPeers(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
-	pins := map[string]int{}
-	for _, p := range peers {
-		pp, err := RunPins(b, p.Root)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: hub peer %s: %w", p.ID, err)
-		}
-		mergePins(pins, pp)
-	}
-	return pins, nil
-}
-
-// mergePins adds src's counts into dst.
-func mergePins(dst, src map[string]int) {
-	for d, n := range src {
-		dst[d] += n
-	}
-}
-
-// journalPins reads every record of one run's journal (no manifest
-// fallback — this is the fresh recheck read, where only records count:
-// appends are atomic, and a concurrent save journals before it relies on
-// a blob), skipping excluded record file names.
-func journalPins(b storage.Backend, runRoot string, exclude map[string]bool) (map[string]int, error) {
-	ix, err := refIndexFor(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
-	entries, _, _, err := ix.Entries()
-	if err != nil {
-		return nil, err
-	}
-	pins := map[string]int{}
-	for _, e := range entries {
-		if exclude[e.Name] {
-			continue
-		}
-		rec, err := ix.Read(e)
-		if err != nil {
-			continue // appends are atomic; a corrupt record is not a fresh save's
-		}
-		for _, d := range rec.Digests {
-			pins[d]++
-		}
-	}
-	return pins, nil
-}
 
 // HubGCReport records what a hub-level garbage collection did.
 type HubGCReport struct {
@@ -132,94 +26,38 @@ type HubGCReport struct {
 	DryRun bool
 }
 
-// HubGC is the hub-level full mark-and-sweep: the shared store is swept
-// against the union of every attached run's pins (journal records plus
-// manifest fallbacks). A digest referenced by ANY attached run survives;
-// trash from a crashed earlier sweep is restored-or-purged first under the
-// same union, and the two-phase recheck re-reads every run's journal so a
-// save concurrent with the sweep keeps its blobs.
+// HubGC is the hub-level policy: the whole shared store is the candidate
+// set, nothing is retired, and the pins are the union of every attached
+// run's own pins (RunPins) — a digest referenced by ANY attached run
+// survives.
 func HubGC(b storage.Backend, hubRoot string, dryRun bool) (*HubGCReport, error) {
 	if _, err := storage.ReadHubConfig(b, hubRoot); err != nil {
 		return nil, fmt.Errorf("ckpt: hub gc: %w", err)
 	}
-	runs, err := storage.ListHubRuns(b, hubRoot)
+	scope := &pinScope{b: b, hub: hubRoot, objects: storage.HubObjectsRoot(hubRoot)}
+	runs, err := scope.peers()
 	if err != nil {
 		return nil, err
 	}
 	rep := &HubGCReport{DryRun: dryRun}
-	refs := map[string]int{}
 	for _, r := range runs {
-		rep.Runs = append(rep.Runs, r.Root)
-		pins, err := RunPins(b, r.Root)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: hub gc: run %s: %w", r.ID, err)
-		}
-		mergePins(refs, pins)
+		rep.Runs = append(rep.Runs, r.root)
 	}
-	rep.Referenced = len(refs)
-	store, err := storage.OpenCAS(b, storage.HubObjectsRoot(hubRoot))
+	query := pinQuery{journal: true, manifests: manifestsUncovered, peers: true}
+	pins, err := scope.pins(query, nil)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: hub gc: %w", err)
+	}
+	rep.Referenced = len(pins)
+	w, err := scope.sweeper(query, dryRun)
 	if err != nil {
 		return nil, err
 	}
-	if !b.Exists(store.Root()) {
+	if !b.Exists(w.store.Root()) {
 		return rep, nil
 	}
-	if dryRun {
-		blobs, staging, _, err := store.List()
-		if err != nil {
-			return rep, err
-		}
-		for _, blob := range blobs {
-			rep.Examined++
-			if refs[blob.Digest] > 0 {
-				rep.Kept++
-			} else {
-				rep.RemovedBlobs = append(rep.RemovedBlobs, blob.Digest)
-				if blob.Size > 0 {
-					rep.BytesFreed += blob.Size
-				}
-			}
-		}
-		rep.RemovedStaging = staging
-		trash, err := store.ListTrash()
-		if err != nil {
-			return rep, err
-		}
-		for _, t := range trash {
-			if refs[t.Digest] == 0 {
-				rep.RemovedBlobs = append(rep.RemovedBlobs, t.Digest)
-				if t.Size > 0 {
-					rep.BytesFreed += t.Size
-				}
-			}
-		}
-		return rep, nil
-	}
-	recheck := func([]string) (map[string]int, error) {
-		pins := map[string]int{}
-		for _, r := range runs {
-			jp, err := journalPins(b, r.Root, nil)
-			if err != nil {
-				return nil, err
-			}
-			mergePins(pins, jp)
-		}
-		return pins, nil
-	}
-	if trash, _ := store.ListTrash(); len(trash) > 0 {
-		if _, purged, err := handleTrash(store, refs); err != nil {
-			return rep, err
-		} else {
-			rep.RemovedBlobs = append(rep.RemovedBlobs, purged...)
-		}
-	}
-	sw, err := store.SweepRecheck(refs, recheck)
-	if sw != nil {
-		rep.Kept = sw.Kept
-		rep.Examined = sw.Examined
-		rep.RemovedBlobs = append(rep.RemovedBlobs, sw.RemovedBlobs...)
-		rep.RemovedStaging = sw.RemovedStaging
-		rep.BytesFreed = sw.BytesFreed
-	}
+	err = w.sweep(nil, pins)
+	rep.Kept, rep.Examined = w.Kept, w.Examined
+	rep.RemovedBlobs, rep.RemovedStaging, rep.BytesFreed = w.RemovedBlobs, w.RemovedStaging, w.BytesFreed
 	return rep, err
 }

@@ -283,6 +283,11 @@ func TestHubGCRacingConcurrentSave(t *testing.T) {
 // where run B's only checkpoint shares every blob with the victim. At no
 // crash point may run B lose a blob: its checkpoint must verify and
 // restore bit-exact from the durable state, before and after repair.
+//
+// The retain-xor scenario composes codec × hub × retention: run B's kept
+// checkpoint is delta-coded against blobs whose only remaining direct
+// reference is run A's retention victim, so run A's Retain(1) must be held
+// off by nothing but the ancestor chains in run B's journal record.
 func TestHubCrashPointExplorationRetainVsPeer(t *testing.T) {
 	build := func() (*storage.Fault, storage.Backend) {
 		mem := storage.NewMem()
@@ -309,19 +314,61 @@ func TestHubCrashPointExplorationRetainVsPeer(t *testing.T) {
 		}
 		return f, mem
 	}
+	mB, oB := buildOptim(t, modelcfg.Tiny(), 810)
 
+	// Run B's state after one small step on one layer, saved xor-coded on
+	// top of a generation identical to run A's checkpoint-10.
+	mX, oX := buildOptim(t, modelcfg.Tiny(), 810)
+	perturbLayer(t, mX, oX, modelcfg.Tiny(), 1, 1)
+	buildXor := func() (*storage.Fault, storage.Backend) {
+		mem := storage.NewMem()
+		f := storage.NewFault(mem)
+		attachHub(t, f, "hub", "runa", "runa")
+		attachHub(t, f, "hub", "runb", "runb")
+		m, o := buildOptim(t, modelcfg.Tiny(), 810)
+		for _, dir := range []string{"runa/checkpoint-10", "runb/checkpoint-10"} {
+			if err := Save(f, codecSpec(dir, 10, m, o, "xor", 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := Save(f, codecSpec("runb/checkpoint-20", 20, mX, oX, "xor", 0)); err != nil {
+			t.Fatal(err)
+		}
+		// Run B drops its own copy of the parent generation, run A moves
+		// on: the parents of run B's deltas are now referenced directly by
+		// runa/checkpoint-10 alone. runa/checkpoint-15 is exclusive content,
+		// so the retention also trashes and purges for real.
+		if _, err := Retain(f, "runb", 1, false); err != nil {
+			t.Fatal(err)
+		}
+		saveDedup(t, f, "runa/checkpoint-15", 899, 2)
+		saveDedup(t, f, "runa/checkpoint-20", 811, 2)
+		cs, err := ReadCodecStats(mem, "runb/checkpoint-20")
+		if err != nil || cs.Entries["xor-parent"] == 0 {
+			t.Fatalf("run B's checkpoint holds no xor deltas: %+v, %v", cs, err)
+		}
+		return f, mem
+	}
+
+	retainA := func(b storage.Backend) error { _, err := Retain(b, "runa", 1, false); return err }
 	scenarios := []struct {
 		name  string
+		build func() (*storage.Fault, storage.Backend)
 		sweep func(b storage.Backend) error
+		dir   string // run B's checkpoint that must survive
+		model *model.Model
+		optim *optim.AdamW
+		torn  []bool
 	}{
-		{"retain", func(b storage.Backend) error { _, err := Retain(b, "runa", 1, false); return err }},
-		{"hubgc", func(b storage.Backend) error { _, err := HubGC(b, "hub", false); return err }},
+		{"retain", build, retainA, "runb/checkpoint-10", mB, oB, []bool{false}},
+		{"hubgc", build, func(b storage.Backend) error { _, err := HubGC(b, "hub", false); return err },
+			"runb/checkpoint-10", mB, oB, []bool{false}},
+		{"retain-xor", buildXor, retainA, "runb/checkpoint-20", mX, oX, []bool{false, true}},
 	}
-	mB, oB := buildOptim(t, modelcfg.Tiny(), 810)
 
 	for _, sc := range scenarios {
 		// Count the sweep's fault points on a disarmed run.
-		f, _ := build()
+		f, _ := sc.build()
 		f.FailAt(0)
 		if err := sc.sweep(f); err != nil {
 			t.Fatalf("%s: fault-free sweep: %v", sc.name, err)
@@ -332,33 +379,36 @@ func TestHubCrashPointExplorationRetainVsPeer(t *testing.T) {
 		}
 		t.Logf("%s: exploring %d crash points", sc.name, n)
 
-		for k := 1; k <= n; k++ {
-			f, mem := build()
-			f.FailAt(k)
-			if err := sc.sweep(f); !storage.IsInjected(err) {
-				t.Fatalf("%s k=%d: err = %v, want injected", sc.name, k, err)
-			}
-			// Run B's checkpoint survives the crash as-is: trash is
-			// two-phase, and the union pin restores anything mid-flight.
-			if _, err := Repair(mem, "runb"); err != nil {
-				t.Fatalf("%s k=%d: repair runb: %v", sc.name, k, err)
-			}
-			if err := VerifyCommit(mem, "runb/checkpoint-10"); err != nil {
-				t.Fatalf("%s k=%d: run B checkpoint damaged: %v", sc.name, k, err)
-			}
-			rm, ro, _, err := Restore(mem, "runb/checkpoint-10", tensor.BF16)
-			if err != nil {
-				t.Fatalf("%s k=%d: restore: %v", sc.name, k, err)
-			}
-			if !model.Equal(rm, mB) || !sameOptim(ro, oB) {
-				t.Fatalf("%s k=%d: run B bytes diverged", sc.name, k)
-			}
-			// Rerunning the sweep converges without damage.
-			if err := sc.sweep(mem); err != nil {
-				t.Fatalf("%s k=%d: resumed sweep: %v", sc.name, k, err)
-			}
-			if err := VerifyCommit(mem, "runb/checkpoint-10"); err != nil {
-				t.Fatalf("%s k=%d: run B damaged by resumed sweep: %v", sc.name, k, err)
+		for _, torn := range sc.torn {
+			for k := 1; k <= n; k++ {
+				f, mem := sc.build()
+				f.SetTorn(torn)
+				f.FailAt(k)
+				if err := sc.sweep(f); !storage.IsInjected(err) {
+					t.Fatalf("%s k=%d: err = %v, want injected", sc.name, k, err)
+				}
+				// Run B's checkpoint survives the crash as-is: trash is
+				// two-phase, and the union pin restores anything mid-flight.
+				if _, err := Repair(mem, "runb"); err != nil {
+					t.Fatalf("%s k=%d: repair runb: %v", sc.name, k, err)
+				}
+				if err := VerifyCommit(mem, sc.dir); err != nil {
+					t.Fatalf("%s k=%d: run B checkpoint damaged: %v", sc.name, k, err)
+				}
+				rm, ro, _, err := Restore(mem, sc.dir, tensor.BF16)
+				if err != nil {
+					t.Fatalf("%s k=%d: restore: %v", sc.name, k, err)
+				}
+				if !model.Equal(rm, sc.model) || !sameOptim(ro, sc.optim) {
+					t.Fatalf("%s k=%d: run B bytes diverged", sc.name, k)
+				}
+				// Rerunning the sweep converges without damage.
+				if err := sc.sweep(mem); err != nil {
+					t.Fatalf("%s k=%d: resumed sweep: %v", sc.name, k, err)
+				}
+				if err := VerifyCommit(mem, sc.dir); err != nil {
+					t.Fatalf("%s k=%d: run B damaged by resumed sweep: %v", sc.name, k, err)
+				}
 			}
 		}
 	}

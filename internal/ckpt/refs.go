@@ -17,20 +17,10 @@
 // provably superseded, and its exclusive digests are exactly the blobs
 // whose youngest reference died with it.
 //
-// Sweeping comes in two modes:
-//
-//   - GCGenerational examines only blobs whose youngest reference falls in
-//     the generations being retired (superseded records, or checkpoints a
-//     retention policy just dropped): candidate digests come from the
-//     retired records, survivors are whatever any remaining record (or
-//     recordless directory manifest) still pins. Cost is O(retired
-//     generations + live index), independent of run length, and it never
-//     lists the blob store.
-//   - GC (full) keeps the old whole-history mark-and-sweep as the
-//     verification and repair path: refcounts are re-derived from every
-//     manifest, the whole store is swept against them, and the ref index
-//     is validated against the manifests (divergent or missing records are
-//     rewritten, superseded ones retired, stale ones reported).
+// GCGenerational and Retain (below) collect from the index alone; GC (full,
+// dedup.go) re-derives everything from the manifests and repairs the index.
+// What the policies share is in pins.go; DESIGN.md "Garbage collection
+// policies" has the table.
 //
 // The index is bookkeeping, never ground truth: if it is missing, stale or
 // corrupt, ReconcileRefIndex (run by Repair, and by `doctor -fix`) rebuilds
@@ -52,13 +42,6 @@ func RefKey(dir string) string {
 		return dir[i+1:]
 	}
 	return dir
-}
-
-// refIndexFor opens the run root's ref index, following a hub attachment:
-// an attached run journals under the hub store's `refs/<run-id>/`
-// namespace, an unattached one under its own `objects/refs/`.
-func refIndexFor(b storage.Backend, runRoot string) (*storage.RefIndex, error) {
-	return storage.OpenRefIndex(b, objectsPath(runRoot))
 }
 
 // appendRefRecord journals the digest set of a save that is about to
@@ -131,130 +114,70 @@ type dirRefs struct {
 	Digests []string
 }
 
-// readDirManifestDigests reads every blob digest a directory's manifests
-// keep alive — referenced blobs plus their xor-parent ancestor chains
-// (PinDigests): sweeping an ancestor would corrupt every delta blob below
-// it, so pinning is always transitive. With bestEffort set, unreadable
-// manifests contribute nothing instead of failing — the right treatment for
-// quarantined, torn and mid-write staging trees, which may be arbitrarily
-// damaged.
-func readDirManifestDigests(b storage.Backend, path string, bestEffort bool) ([]string, error) {
-	if !b.Exists(path + "/" + WeightManifestName) {
-		return nil, nil
-	}
-	var out []string
-	wm, err := ReadWeightManifest(b, path+"/"+WeightManifestName)
-	if err != nil {
-		if bestEffort {
-			return nil, nil
-		}
-		return nil, err
-	}
-	out = append(out, wm.PinDigests()...)
-	for _, r := range shardManifestRanks(b, path) {
-		sm, err := ReadShardManifest(b, path+"/"+ShardManifestName(r))
-		if err != nil {
-			if bestEffort {
-				continue
-			}
-			return nil, err
-		}
-		out = append(out, sm.PinDigests()...)
-	}
-	return out, nil
-}
-
-// listRunRoot lists a run root, treating an absent root as empty — a GC
-// or audit racing the very first save of a run must see "nothing yet",
-// not an error.
-func listRunRoot(b storage.Backend, runRoot string) ([]string, error) {
+// runDirs lists a run root's directories (the objects store excluded) as
+// reference views carrying only what their names say: Path, Key, Staging
+// and Quarantined. An absent root is empty — a GC or audit racing the very
+// first save of a run must see "nothing yet", not an error.
+func runDirs(b storage.Backend, runRoot string) ([]dirRefs, error) {
 	if runRoot != "" && !b.Exists(runRoot) {
 		return nil, nil
 	}
 	entries, err := b.List(runRoot)
-	if err != nil {
-		if runRoot == "" {
-			return nil, nil // an empty backend root lists as missing on OS
-		}
-		return nil, err
-	}
-	return entries, nil
-}
-
-// collectDirRefs walks the run root once and returns every directory's
-// reference view. Committed directories with unreadable manifests are an
-// error (external mutilation should be loud); staging, torn and
-// quarantined directories are read best-effort — over-approximating their
-// references is safe for GC, under-reading them is not, so whatever is
-// readable pins.
-func collectDirRefs(b storage.Backend, runRoot string) ([]dirRefs, error) {
-	entries, err := listRunRoot(b, runRoot)
-	if err != nil {
+	if err != nil && runRoot != "" { // an empty backend root lists as missing on OS
 		return nil, fmt.Errorf("ckpt: blob refs: %w", err)
 	}
 	var out []dirRefs
 	for _, e := range entries {
-		if !strings.HasSuffix(e, "/") {
-			continue
-		}
 		name := strings.TrimSuffix(e, "/")
-		if name == ObjectsDirName {
+		if name == e || name == ObjectsDirName {
 			continue
 		}
 		path := name
 		if runRoot != "" {
 			path = runRoot + "/" + name
 		}
-		d := dirRefs{Path: path, Key: name}
-		switch {
-		case IsQuarantinePath(name):
-			d.Quarantined = true
-		case IsStagingPath(name):
-			d.Staging = true
-			d.Key = strings.TrimSuffix(name, stagingSuffix)
-			d.Sealed = VerifyCommit(b, path) == nil
-		default:
-			d.Sealed = CheckCommit(b, path) == nil
+		d := dirRefs{Path: path, Key: name, Quarantined: IsQuarantinePath(name)}
+		if !d.Quarantined && IsStagingPath(name) {
+			d.Staging, d.Key = true, strings.TrimSuffix(name, stagingSuffix)
 		}
-		// Sealed, non-staging directories must account exactly; everything
-		// else (torn, quarantined, mid-write staging) pins best-effort.
-		bestEffort := !d.Sealed || d.Staging || d.Quarantined
-		d.Dedup = b.Exists(path + "/" + WeightManifestName)
-		if man, err := ReadManifest(b, path); err == nil {
-			d.RefGen = man.RefGen
-		}
-		digests, err := readDirManifestDigests(b, path, bestEffort)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: blob refs: %w", err)
-		}
-		d.Digests = digests
 		out = append(out, d)
 	}
 	return out, nil
 }
 
-// BlobRefs derives the blob refcount map of a run root from its checkpoint
-// manifests: committed directories, staging trees (sealed or not — a
-// concurrent save's staged manifests must pin its blobs until the commit
-// decides their fate), torn directories awaiting Repair, and quarantined
-// directories (preserved evidence stays readable). Over-approximation is
-// always safe for GC; the collection stays O(manifest bytes).
-//
-// This is the whole-history ground-truth read that the ref index exists to
-// avoid on the hot path; GC (full) uses it for verification, the
-// generational paths read the journal instead.
-func BlobRefs(b storage.Backend, runRoot string) (map[string]int, error) {
-	dirs, err := collectDirRefs(b, runRoot)
+// collectDirRefs walks the run root once and returns every directory's
+// full reference view — the whole-history ground-truth read that the ref
+// index exists to avoid on the hot path. Committed directories with
+// unreadable manifests are an error (external mutilation should be loud);
+// staging, torn and quarantined directories are read best-effort —
+// over-approximating their references is safe for GC, under-reading them is
+// not, so whatever is readable pins.
+func collectDirRefs(b storage.Backend, runRoot string) ([]dirRefs, error) {
+	dirs, err := runDirs(b, runRoot)
 	if err != nil {
 		return nil, err
 	}
-	refs := map[string]int{}
-	for _, d := range dirs {
-		for _, dg := range d.Digests {
-			refs[dg]++
+	for i := range dirs {
+		d := &dirs[i]
+		switch {
+		case d.Quarantined:
+		case d.Staging:
+			d.Sealed = VerifyCommit(b, d.Path) == nil
+		default:
+			d.Sealed = CheckCommit(b, d.Path) == nil
+		}
+		d.Dedup = b.Exists(d.Path + "/" + WeightManifestName)
+		if man, err := ReadManifest(b, d.Path); err == nil {
+			d.RefGen = man.RefGen
+		}
+		// Sealed, non-staging directories must account exactly; everything
+		// else (torn, quarantined, mid-write staging) pins best-effort.
+		bestEffort := !d.Sealed || d.Staging || d.Quarantined
+		if d.Digests, err = readDirManifestDigests(b, d.Path, bestEffort); err != nil {
+			return nil, fmt.Errorf("ckpt: blob refs: %w", err)
 		}
 	}
-	return refs, nil
+	return dirs, nil
 }
 
 // --- index audit -----------------------------------------------------------
@@ -380,11 +303,7 @@ func digestsEqual(a, b []string) bool {
 
 // auditRefs classifies every journal record against the directories'
 // manifest ground truth (as collected by collectDirRefs).
-func auditRefs(b storage.Backend, runRoot string, dirs []dirRefs) (*refAudit, error) {
-	ix, err := refIndexFor(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
+func auditRefs(ix *storage.RefIndex, dirs []dirRefs) (*refAudit, error) {
 	entries, staging, _, err := ix.Entries()
 	if err != nil {
 		return nil, err
@@ -487,20 +406,27 @@ func dirRefsetOf(ds []dirRefs) []string {
 	return out
 }
 
+// auditRun reads a run root's directories and audits its journal against
+// them.
+func auditRun(b storage.Backend, runRoot string) (*storage.RefIndex, []dirRefs, *refAudit, error) {
+	ix, err := storage.OpenRefIndex(b, objectsPath(runRoot))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	dirs, err := collectDirRefs(b, runRoot)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	audit, err := auditRefs(ix, dirs)
+	return ix, dirs, audit, err
+}
+
 // ScanRefs audits the run root's ref index against its manifests — the
 // index half of the doctor view. A run root without an index (or without
 // an objects store at all) yields findings only for unrecorded dedup
 // directories.
 func ScanRefs(b storage.Backend, runRoot string) ([]RefStatus, error) {
-	dirs, err := collectDirRefs(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
-	audit, err := auditRefs(b, runRoot, dirs)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := refIndexFor(b, runRoot)
+	ix, _, audit, err := auditRun(b, runRoot)
 	if err != nil {
 		return nil, err
 	}
@@ -554,15 +480,7 @@ func (r *RefReconcileReport) Changed() bool {
 // rule is a committed checkpoint whose record must be rebuilt again — the
 // manifests always win, no blob is lost).
 func ReconcileRefIndex(b storage.Backend, runRoot string) (*RefReconcileReport, error) {
-	dirs, err := collectDirRefs(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
-	audit, err := auditRefs(b, runRoot, dirs)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := refIndexFor(b, runRoot)
+	ix, dirs, audit, err := auditRun(b, runRoot)
 	if err != nil {
 		return nil, err
 	}
@@ -573,44 +491,59 @@ func ReconcileRefIndex(b storage.Backend, runRoot string) (*RefReconcileReport, 
 		}
 		rep.StagingRemoved = append(rep.StagingRemoved, name)
 	}
-	byPath := map[string]dirRefs{}
-	for _, d := range dirs {
-		byPath[d.Path] = d
+	rep.RemovedRecords, rep.WrittenRecords, err = fixIndex(b, ix, dirs, audit, true, false)
+	return rep, err
+}
+
+// retiredState reports whether a record in state s pins nothing and is
+// removed by an index fix: superseded and unreadable records always, and
+// orphaned ones when the caller is quiescent — online, an in-flight save's
+// record looks exactly like an orphan.
+func retiredState(s RefState, quiescent bool) bool {
+	return s == RefSuperseded || s == RefCorrupt || quiescent && s == RefOrphaned
+}
+
+// fixIndex brings the index into agreement with the manifests it was
+// audited against — the manifests always win: retired records are removed,
+// divergent ones rewritten in place (same generation and key, corrected
+// digest set), and sealed dedup directories without a usable record get
+// one. Bound directories keep their manifest generation; unbound
+// (pre-ref-index) ones get a fresh one — their manifests cannot be
+// rewritten under a sealed marker, so they stay unbound and conservatively
+// pinned. With dryRun set the lists are what a real pass would do.
+func fixIndex(b storage.Backend, ix *storage.RefIndex, dirs []dirRefs, audit *refAudit, quiescent, dryRun bool) (removed, written []string, err error) {
+	write := func(label, key string, gen int64, d dirRefs) error {
+		if !dryRun {
+			if err := writeRecordFrom(b, ix, key, gen, d); err != nil {
+				return err
+			}
+		}
+		written = append(written, label)
+		return nil
 	}
 	for _, ar := range audit.records {
-		switch ar.state {
-		case RefOK:
-			continue
-		case RefDivergent:
-			// The manifests win: rewrite the record in place (same
-			// generation and key, corrected digest set).
-			d, ok := findBound(dirs, ar.entry)
-			if !ok {
-				continue
+		switch {
+		case retiredState(ar.state, quiescent):
+			if !dryRun {
+				if err := ix.Remove(ar.entry); err != nil {
+					return removed, written, err
+				}
 			}
-			if err := writeRecordFrom(b, ix, ar.entry.Key, ar.entry.Generation, d); err != nil {
-				return rep, err
+			removed = append(removed, ar.entry.Name)
+		case ar.state == RefDivergent:
+			if d, ok := findBound(dirs, ar.entry); ok {
+				if err := write(ar.entry.Name, ar.entry.Key, ar.entry.Generation, d); err != nil {
+					return removed, written, err
+				}
 			}
-			rep.WrittenRecords = append(rep.WrittenRecords, ar.entry.Name)
-		default:
-			if err := ix.Remove(ar.entry); err != nil {
-				return rep, err
-			}
-			rep.RemovedRecords = append(rep.RemovedRecords, ar.entry.Name)
 		}
 	}
-	// Recompute coverage after removals, then write records for sealed
-	// dedup directories that lost (or never had) one. Bound directories
-	// keep their manifest generation; unbound (pre-ref-index) ones get a
-	// fresh generation — their manifests cannot be rewritten under a sealed
-	// marker, so they stay unbound and conservatively pinned.
 	for _, d := range audit.missing {
-		if err := writeRecordFrom(b, ix, d.Key, d.RefGen, d); err != nil {
-			return rep, err
+		if err := write(d.Key, d.Key, d.RefGen, d); err != nil {
+			return removed, written, err
 		}
-		rep.WrittenRecords = append(rep.WrittenRecords, d.Key)
 	}
-	return rep, nil
+	return removed, written, nil
 }
 
 // writeRecordFrom (re)writes a sealed directory's journal record from its
@@ -649,133 +582,33 @@ func stepOf(b storage.Backend, path string) int {
 
 // --- generational sweep ----------------------------------------------------
 
-// livePins reads the given journal entries and returns the digest counts
-// they pin, falling back to manifests for safety: any run-root directory
-// whose key is not covered by a successfully read entry — a recordless
-// dedup checkpoint, a corrupt record's directory, a quarantined tree, a
-// pre-ref-index staging tree — contributes its readable manifest digests
-// instead. Under-pinning is the one unforgivable failure here, so every
-// fallback over-approximates.
-func livePins(b storage.Backend, runRoot string, pinEnts []storage.RefEntry) (map[string]int, error) {
-	ix, err := refIndexFor(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
-	pins := map[string]int{}
-	covered := map[string]bool{}
-	for _, e := range pinEnts {
-		rec, err := ix.Read(e)
-		if err != nil {
-			continue // corrupt: its directory (if any) is pinned below
-		}
-		covered[e.Key] = true
-		for _, d := range rec.Digests {
-			pins[d]++
-		}
-	}
-	entries, err := listRunRoot(b, runRoot)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: live pins: %w", err)
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e, "/") {
-			continue
-		}
-		name := strings.TrimSuffix(e, "/")
-		if name == ObjectsDirName {
-			continue
-		}
-		key := strings.TrimSuffix(name, stagingSuffix)
-		if covered[key] && !IsQuarantinePath(name) {
-			continue
-		}
-		path := name
-		if runRoot != "" {
-			path = runRoot + "/" + name
-		}
-		digests, err := readDirManifestDigests(b, path, true)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range digests {
-			pins[d]++
-		}
-	}
-	return pins, nil
+// fillGC copies the blob accounting into a GC report.
+func (w *sweeper) fillGC(rep *GCReport) {
+	rep.Examined, rep.Kept = w.Examined, w.Kept
+	rep.RemovedBlobs, rep.RemovedStaging = w.RemovedBlobs, w.RemovedStaging
+	rep.BytesFreed = w.BytesFreed
 }
 
-// indexRecheck returns the RecheckFunc the two-phase sweeps use: it
-// re-reads the journal *after* candidates were trashed and returns the
-// fresh pin set, skipping the entries (by file name) the sweep itself
-// retired. Any record appended since the original pin snapshot — a
-// concurrent save that reused a candidate blob — is seen here, because
-// savers journal before their reuse check (see SweepRecheck's proof).
-// On a hub-attached run every peer run's journal is re-read too: a save
-// racing in another attached run journals against the same shared store
-// and must be able to rescue a trashed candidate exactly like a local one.
-func indexRecheck(b storage.Backend, runRoot string, exclude map[string]bool) storage.RecheckFunc {
-	return func([]string) (map[string]int, error) {
-		pins, err := journalPins(b, runRoot, exclude)
-		if err != nil {
-			return nil, err
-		}
-		peers, err := hubPeers(b, runRoot)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range peers {
-			pp, err := journalPins(b, p.Root, nil)
-			if err != nil {
-				return nil, err
-			}
-			mergePins(pins, pp)
-		}
-		return pins, nil
-	}
-}
-
-// handleTrash disposes of trash left by a sweep that crashed between
-// trash and purge: referenced blobs (per the given pins) are restored,
-// the rest purged. Returns (restored, purged).
-func handleTrash(store storage.CAS, pins map[string]int) (restored, purged []string, err error) {
-	trash, err := store.ListTrash()
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, t := range trash {
-		if pins[t.Digest] > 0 {
-			if err := store.Restore(t.Digest); err != nil {
-				return restored, purged, fmt.Errorf("ckpt: restore trashed blob %s: %w", t.Digest, err)
-			}
-			restored = append(restored, t.Digest)
-		} else {
-			if err := store.PurgeTrash(t.Digest); err != nil {
-				return restored, purged, fmt.Errorf("ckpt: purge trashed blob %s: %w", t.Digest, err)
-			}
-			purged = append(purged, t.Digest)
-		}
-	}
-	return restored, purged, nil
-}
-
-// GCGenerational is the incremental sweep: it retires provably superseded
+// GCGenerational is the incremental policy: it retires provably superseded
 // journal records (a checkpoint replaced in place binds its directory to a
-// newer generation via manifest ref_gen) and removes exactly the retired
-// records' digests that nothing live still pins. It reads the journal and
-// one run-root listing — never the store fan-out, never the full manifest
-// history — so its cost is O(retired generations + live index), not O(run
-// length). Orphaned records (no matching directory) are pinned, not
-// retired: an in-flight save looks exactly like that, and only quiescent
-// repair may judge it.
+// newer generation via manifest ref_gen), and its candidates are exactly
+// the retired records' digests. It reads the journal and one run-root
+// listing — never the store fan-out, never the full manifest history — so
+// its cost is O(retired generations + live index), not O(run length).
+// Orphaned records (no matching directory) are pinned, not retired: an
+// in-flight save looks exactly like that, and only quiescent repair may
+// judge it. After the sweep it settles crashed-sweep trash and removes the
+// crash residue that needs no store listing.
 //
-// With dryRun set the sweep is computed and candidates are examined, but
-// no blob or record is removed.
+// With dryRun set nothing is removed; the report is what a real run would
+// then do.
 func GCGenerational(b storage.Backend, runRoot string, dryRun bool) (*GCReport, error) {
 	rep := &GCReport{Mode: "generational", DryRun: dryRun}
-	ix, err := refIndexFor(b, runRoot)
+	scope, err := openRunScope(b, runRoot)
 	if err != nil {
 		return nil, err
 	}
+	ix := scope.self.ix
 	entries, staging, _, err := ix.Entries()
 	if err != nil {
 		return nil, err
@@ -785,189 +618,91 @@ func GCGenerational(b storage.Backend, runRoot string, dryRun bool) (*GCReport, 
 	// One run-root listing decides key liveness; manifest.json is read only
 	// for keys with churn (more than one record), keeping the scan cost
 	// O(index), not O(run length).
-	rootEntries, err := listRunRoot(b, runRoot)
+	dirs, err := runDirs(b, runRoot)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: gc: %w", err)
+		return nil, err
 	}
 	liveDir := map[string]string{} // key -> published (non-staging) path
-	liveKey := map[string]bool{}
-	for _, e := range rootEntries {
-		if !strings.HasSuffix(e, "/") {
-			continue
-		}
-		name := strings.TrimSuffix(e, "/")
-		if name == ObjectsDirName {
-			continue
-		}
-		path := name
-		if runRoot != "" {
-			path = runRoot + "/" + name
-		}
-		key := strings.TrimSuffix(name, stagingSuffix)
-		liveKey[key] = true
-		liveKey[name] = true
-		if key == name {
-			liveDir[key] = path
+	for _, d := range dirs {
+		if !d.Staging {
+			liveDir[d.Key] = d.Path
 		}
 	}
-
 	byKey := map[string][]storage.RefEntry{}
 	for _, e := range entries {
 		byKey[e.Key] = append(byKey[e.Key], e)
 	}
 	var pinned, retired []storage.RefEntry
 	for key, ents := range byKey {
-		if !liveKey[key] {
-			// No directory: in-flight save or crash residue — pinned.
-			pinned = append(pinned, ents...)
-			continue
-		}
+		// No directory (an in-flight save or crash residue), no published
+		// directory, or no churn: every record pins. A pinned record other
+		// than a published key's newest is stale.
 		path, published := liveDir[key]
-		if !published || len(ents) == 1 {
-			pinned = append(pinned, ents...)
-			continue
-		}
 		var bound int64
-		if man, err := ReadManifest(b, path); err == nil {
-			bound = man.RefGen
-		}
-		if bound <= 0 {
-			pinned = append(pinned, ents...)
-			continue
-		}
-		for _, e := range ents {
-			if e.Generation < bound {
-				retired = append(retired, e)
-			} else {
-				pinned = append(pinned, e)
+		if published && len(ents) > 1 {
+			if man, err := ReadManifest(b, path); err == nil {
+				bound = man.RefGen
 			}
 		}
-	}
-
-	// Candidate digests: whatever the retired generations referenced.
-	var candidates []string
-	var retiredReadable []storage.RefEntry
-	for _, e := range retired {
-		rec, err := ix.Read(e)
-		if err != nil {
-			// Unreadable superseded record: it pins nothing and names
-			// nothing reclaimable; drop the file, full GC owns its blobs.
-			retiredReadable = append(retiredReadable, e)
-			continue
+		for _, e := range ents {
+			switch {
+			case e.Generation < bound:
+				retired = append(retired, e)
+				continue
+			case !published || e.Generation != ents[len(ents)-1].Generation:
+				rep.IndexStale++
+			}
+			pinned = append(pinned, e)
 		}
-		candidates = append(candidates, rec.Digests...)
-		retiredReadable = append(retiredReadable, e)
 	}
-	candidates = storage.NormalizeDigests(candidates)
 
-	// The dry run reports what a real sweep would retire; only the real
-	// run actually removes the record files (below, after the blob sweep).
+	// Candidates: whatever the retired generations referenced. An unreadable
+	// superseded record names nothing reclaimable; its file is dropped all
+	// the same and full GC owns its blobs.
+	var candidates []string
 	retiredName := map[string]bool{}
-	for _, e := range retiredReadable {
+	for _, e := range retired {
+		if rec, err := ix.Read(e); err == nil {
+			candidates = append(candidates, rec.Digests...)
+		}
 		rep.IndexRetired = append(rep.IndexRetired, e.Name)
 		retiredName[e.Name] = true
 	}
+	candidates = storage.NormalizeDigests(candidates)
 
-	store, err := storage.OpenCAS(b, objectsPath(runRoot))
+	query := pinQuery{journal: true, manifests: manifestsUncovered, peers: true, retiredRecords: retiredName}
+	w, err := scope.sweeper(query, dryRun)
 	if err != nil {
 		return nil, err
 	}
+	defer w.fillGC(rep)
 	if len(candidates) > 0 {
-		pins, err := livePins(b, runRoot, pinned)
+		pins, err := scope.pins(query, pinned)
 		if err != nil {
 			return rep, err
 		}
-		// Union-pin rule: on a hub-attached run the candidates live in a
-		// shared store, so every peer run's references pin too.
-		hp, err := peerPins(b, runRoot)
-		if err != nil {
-			return rep, err
-		}
-		mergePins(pins, hp)
 		rep.Referenced = len(pins)
-		sw, err := store.SweepDigests(candidates, pins, dryRun, indexRecheck(b, runRoot, retiredName))
-		if sw != nil {
-			rep.Examined = sw.Examined
-			rep.Kept = sw.Kept
-			rep.RemovedBlobs = sw.RemovedBlobs
-			rep.BytesFreed = sw.BytesFreed
-		}
-		if err != nil {
+		if err := w.sweep(candidates, pins); err != nil {
 			return rep, err
 		}
 	}
 	if !dryRun {
-		for _, e := range retiredReadable {
+		for _, e := range retired {
 			if err := ix.Remove(e); err != nil {
 				return rep, err
 			}
 		}
-		// Trash left by a crashed earlier sweep: restore what the index
-		// still pins, purge the rest.
-		if trash, _ := store.ListTrash(); len(trash) > 0 {
-			pins, err := indexRecheck(b, runRoot, retiredName)(nil)
-			if err != nil {
-				return rep, err
-			}
-			// Manifest fallbacks pin too (recordless dirs), as do all peer
-			// runs of a hub-attached store.
-			fallback, err := livePins(b, runRoot, nil)
-			if err != nil {
-				return rep, err
-			}
-			mergePins(pins, fallback)
-			hp, err := peerPins(b, runRoot)
-			if err != nil {
-				return rep, err
-			}
-			mergePins(pins, hp)
-			if _, purged, err := handleTrash(store, pins); err != nil {
-				return rep, err
-			} else {
-				rep.RemovedBlobs = append(rep.RemovedBlobs, purged...)
-			}
-		}
-		// Crash residue cleanup that needs no store listing: blob staging
-		// files and record-append staging files.
-		residue, err := store.StagingResidue()
-		if err != nil {
-			return rep, err
-		}
-		for _, p := range residue {
-			if err := b.Remove(p); err != nil {
-				return rep, fmt.Errorf("ckpt: gc: remove blob staging %s: %w", p, err)
-			}
-			rep.RemovedStaging = append(rep.RemovedStaging, p)
-		}
-		for _, name := range staging {
-			if err := ix.RemoveStaging(name); err != nil {
-				return rep, err
-			}
-			rep.RemovedStaging = append(rep.RemovedStaging, ix.Dir()+"/"+name)
-		}
 	}
-	rep.IndexStale = len(pinned) - countLiveBound(pinned, byKey, liveDir)
+	if err := w.disposeTrash(nil); err != nil {
+		return rep, err
+	}
+	for i, name := range staging {
+		staging[i] = ix.Dir() + "/" + name
+	}
+	if err := w.cleanResidue(staging); err != nil {
+		return rep, fmt.Errorf("ckpt: gc: %w", err)
+	}
 	return rep, nil
-}
-
-// countLiveBound counts pinned entries that are the (single or newest)
-// record of a published key — i.e. ordinary live records, not stale ones.
-func countLiveBound(pinned []storage.RefEntry, byKey map[string][]storage.RefEntry, liveDir map[string]string) int {
-	newest := map[string]int64{}
-	for key, ents := range byKey {
-		for _, e := range ents {
-			if e.Generation > newest[key] {
-				newest[key] = e.Generation
-			}
-		}
-	}
-	n := 0
-	for _, e := range pinned {
-		if _, ok := liveDir[e.Key]; ok && e.Generation == newest[e.Key] {
-			n++
-		}
-	}
-	return n
 }
 
 // --- retention -------------------------------------------------------------
@@ -990,13 +725,12 @@ type RetainReport struct {
 	DryRun bool
 }
 
-// Retain drops all but the newest keepLast committed checkpoints under the
-// run root and generationally sweeps the blobs whose youngest reference
-// died with them: candidates come from the victims' journal records (or
-// their manifests when no record exists), survivors are whatever the
-// remaining records and recordless directories still pin. The latest
-// pointer's target is never removed, whatever its age. Removal order is
-// crash-safe: directories first, then their records, then the per-blob
+// Retain is the retention policy: it drops all but the newest keepLast
+// committed checkpoints under the run root, retires their journal records,
+// and its candidates are the blobs whose youngest reference died with them
+// — the victims' records, or their manifests when no record exists. The
+// latest pointer's target is never removed, whatever its age. Removal order
+// is crash-safe: directories first, then their records, then the per-blob
 // sweep — an interruption at any point leaves only over-pinned garbage
 // (reclaimable by GC) and never an under-pinned referenced blob.
 func Retain(b storage.Backend, runRoot string, keepLast int, dryRun bool) (*RetainReport, error) {
@@ -1025,25 +759,21 @@ func Retain(b storage.Backend, runRoot string, keepLast int, dryRun bool) (*Reta
 		return rep, nil
 	}
 
-	ix, err := refIndexFor(b, runRoot)
+	scope, err := openRunScope(b, runRoot)
 	if err != nil {
 		return nil, err
 	}
+	ix := scope.self.ix
 	entries, _, _, err := ix.Entries()
 	if err != nil {
 		return nil, err
 	}
+	query := pinQuery{journal: true, manifests: manifestsUncovered, peers: true,
+		retiredRecords: map[string]bool{}, retiredDirs: map[string]bool{}}
 	victimKey := map[string]bool{}
 	for _, v := range victims {
 		victimKey[RefKey(v)] = true
-	}
-	var retired, remaining []storage.RefEntry
-	for _, e := range entries {
-		if victimKey[e.Key] {
-			retired = append(retired, e)
-		} else {
-			remaining = append(remaining, e)
-		}
+		query.retiredDirs[v] = true
 	}
 
 	// Candidate digests: the victims' records where available, their
@@ -1051,8 +781,15 @@ func Retain(b storage.Backend, runRoot string, keepLast int, dryRun bool) (*Reta
 	// cannot be determined is still removed — its blobs stay pinned-in-
 	// place until a full GC accounts for them.
 	var candidates []string
+	var retired, remaining []storage.RefEntry
 	recorded := map[string]bool{}
-	for _, e := range retired {
+	for _, e := range entries {
+		if !victimKey[e.Key] {
+			remaining = append(remaining, e)
+			continue
+		}
+		retired = append(retired, e)
+		query.retiredRecords[e.Name] = true
 		if rec, err := ix.Read(e); err == nil {
 			candidates = append(candidates, rec.Digests...)
 			recorded[e.Key] = true
@@ -1070,72 +807,37 @@ func Retain(b storage.Backend, runRoot string, keepLast int, dryRun bool) (*Reta
 	}
 	candidates = storage.NormalizeDigests(candidates)
 
-	if !dryRun {
-		for _, v := range victims {
+	for _, v := range victims {
+		if !dryRun {
 			if err := b.Remove(v); err != nil {
 				return rep, fmt.Errorf("ckpt: retain: remove %s: %w", v, err)
 			}
-			rep.Removed = append(rep.Removed, v)
 		}
-		for _, e := range retired {
+		rep.Removed = append(rep.Removed, v)
+	}
+	for _, e := range retired {
+		if !dryRun {
 			if err := ix.Remove(e); err != nil {
 				return rep, err
 			}
-			rep.RecordsRetired = append(rep.RecordsRetired, e.Name)
 		}
-	} else {
-		rep.Removed = append(rep.Removed, victims...)
-		for _, e := range retired {
-			rep.RecordsRetired = append(rep.RecordsRetired, e.Name)
-		}
+		rep.RecordsRetired = append(rep.RecordsRetired, e.Name)
+	}
+	if len(candidates) == 0 {
+		return rep, nil
 	}
 
-	if len(candidates) > 0 {
-		pins, err := livePins(b, runRoot, remaining)
-		if err != nil {
-			return rep, err
-		}
-		// Union-pin rule: peer runs attached to the same hub keep their
-		// claim on any candidate this run's retention would drop.
-		hp, err := peerPins(b, runRoot)
-		if err != nil {
-			return rep, err
-		}
-		mergePins(pins, hp)
-		// In a dry run the victims still exist on disk; their manifest
-		// digests must not count as pins or the sweep preview would be
-		// empty. livePins only falls back to manifests for uncovered keys,
-		// and victims' keys are uncovered once their records are excluded —
-		// so subtract their manifest contribution explicitly.
-		if dryRun {
-			for _, v := range victims {
-				digests, err := readDirManifestDigests(b, v, true)
-				if err == nil {
-					for _, d := range digests {
-						if pins[d] > 0 {
-							pins[d]--
-						}
-					}
-				}
-			}
-		}
-		exclude := map[string]bool{}
-		for _, e := range retired {
-			exclude[e.Name] = true
-		}
-		store, err := storage.OpenCAS(b, objectsPath(runRoot))
-		if err != nil {
-			return nil, err
-		}
-		sw, err := store.SweepDigests(candidates, pins, dryRun, indexRecheck(b, runRoot, exclude))
-		if sw != nil {
-			rep.Examined = sw.Examined
-			rep.RemovedBlobs = sw.RemovedBlobs
-			rep.BytesFreed = sw.BytesFreed
-		}
-		if err != nil {
-			return rep, err
-		}
+	// The victims' records and directories are named in the query, so a dry
+	// run — where both still exist — pins exactly what the real run does.
+	w, err := scope.sweeper(query, dryRun)
+	if err != nil {
+		return nil, err
 	}
-	return rep, nil
+	pins, err := scope.pins(query, remaining)
+	if err != nil {
+		return rep, err
+	}
+	err = w.sweep(candidates, pins)
+	rep.Examined, rep.RemovedBlobs, rep.BytesFreed = w.Examined, w.RemovedBlobs, w.BytesFreed
+	return rep, err
 }

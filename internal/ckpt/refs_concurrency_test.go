@@ -78,7 +78,7 @@ func TestSweepPinsStagedUnpublishedManifests(t *testing.T) {
 	}
 	// ...through a direct BlobStore.Sweep over those refcounts...
 	store := storage.NewBlobStore(b, "run/objects")
-	if _, err := store.Sweep(refs); err != nil {
+	if _, err := store.Sweep(storage.SweepSpec{Pins: refs}); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range staged {

@@ -18,7 +18,7 @@ import (
 // mustRefIndex opens the run's (possibly hub-resolved) ref index.
 func mustRefIndex(t *testing.T, b storage.Backend, runRoot string) *storage.RefIndex {
 	t.Helper()
-	ix, err := refIndexFor(b, runRoot)
+	ix, err := storage.OpenRefIndex(b, objectsPath(runRoot))
 	if err != nil {
 		t.Fatal(err)
 	}

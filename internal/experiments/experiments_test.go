@@ -20,9 +20,29 @@ var (
 	uc2Err  error
 )
 
+// testScale is Quick — or, under -short (how the race lane runs this
+// package), Quick with a quarter of the steps: the pipelines still train,
+// crash, merge and resume, at a cost the race detector's ~20× slowdown
+// leaves affordable. The use-case-2 and dynamic replays are full-mode only.
+func testScale() Scale {
+	s := Quick()
+	if testing.Short() {
+		s.SFT = RunShape{Total: 24, Interval: 6, MergeAt: 12, FailAt: 14}
+		s.CPT = RunShape{Total: 32, Interval: 8, MergeAt: 16, FailAt: 18}
+	}
+	return s
+}
+
+func skipInShort(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full replay runs in `make test`; -short keeps one use case per table")
+	}
+}
+
 func useCase1(t *testing.T) *UseCase {
 	t.Helper()
-	uc1Once.Do(func() { uc1, uc1Err = RunUseCase1(Quick()) })
+	uc1Once.Do(func() { uc1, uc1Err = RunUseCase1(testScale()) })
 	if uc1Err != nil {
 		t.Fatal(uc1Err)
 	}
@@ -43,11 +63,17 @@ func useCase2(t *testing.T) *UseCase {
 // deltas tightly.
 func TestUseCase1LossesMatch(t *testing.T) {
 	u := useCase1(t)
+	// The merged run re-converges over the steps after the merge; the short
+	// scale has a quarter of them, so its bound only catches divergence.
+	tol := 0.02
+	if testing.Short() {
+		tol = 0.15
+	}
 	for _, arm := range []*UseCaseResult{u.Qwen, u.Llama} {
-		if d := math.Abs(arm.OrigLoss - arm.MergedLoss); d > 0.02 {
+		if d := math.Abs(arm.OrigLoss - arm.MergedLoss); d > tol {
 			t.Errorf("%s: parity loss delta %.4f (orig %.4f merged %.4f)", arm.ModelName, d, arm.OrigLoss, arm.MergedLoss)
 		}
-		if d := math.Abs(arm.OrigEval - arm.MergedEval); d > 0.02 {
+		if d := math.Abs(arm.OrigEval - arm.MergedEval); d > tol {
 			t.Errorf("%s: parity eval delta %.4f", arm.ModelName, d)
 		}
 		// Parity halves the stored bytes.
@@ -61,6 +87,7 @@ func TestUseCase1LossesMatch(t *testing.T) {
 // Use case 2: filter merges stay close but may be slightly worse (paper:
 // +0.01..0.02 loss), and storage drops ~4.3×.
 func TestUseCase2FilterBehaviour(t *testing.T) {
+	skipInShort(t)
 	u := useCase2(t)
 	for _, arm := range []*UseCaseResult{u.Qwen, u.Llama} {
 		if arm.MergedLoss < arm.OrigLoss-0.02 {
@@ -91,6 +118,7 @@ func TestUseCaseBenchmarksStayClose(t *testing.T) {
 }
 
 func TestDynamicUseCaseRuns(t *testing.T) {
+	skipInShort(t)
 	u, err := RunDynamicUseCase(Quick())
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +169,7 @@ func TestFigure3Render(t *testing.T) {
 }
 
 func TestLayerDriftTable(t *testing.T) {
-	tb, err := LayerDrift(Quick())
+	tb, err := LayerDrift(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}

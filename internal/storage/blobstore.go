@@ -48,7 +48,7 @@ const blobStageDir = ".stage"
 // blobTrashDir holds blobs a sweep has provisionally removed: the
 // two-phase sweep renames a victim here, re-checks for references that
 // appeared after its pin snapshot (a concurrent save reusing the blob),
-// and only then purges — or restores. See SweepDigests.
+// and only then purges — or restores. See Sweep.
 const blobTrashDir = ".trash"
 
 // blobSeq makes concurrent staging names unique within the process (two
@@ -819,9 +819,9 @@ type SweepReport struct {
 	// restored from trash by the recheck).
 	Kept int
 	// Examined is the number of candidates the sweep considered: every
-	// blob in the store for a full Sweep, only the candidate digests for a
-	// generational SweepDigests — the cost difference the ref index buys.
-	// Pinned candidates count too, so the two modes report comparably.
+	// blob in the store for a whole-store sweep, only the candidate digests
+	// otherwise — the cost difference the ref index buys. Pinned candidates
+	// count too, so the two modes report comparably.
 	Examined int
 	// RemovedBlobs lists swept (unreferenced) blob digests.
 	RemovedBlobs []string
@@ -833,6 +833,16 @@ type SweepReport struct {
 	RemovedStaging []string
 	// BytesFreed totals the removed blobs' sizes.
 	BytesFreed int64
+}
+
+// Add accumulates another sweep's accounting into r.
+func (r *SweepReport) Add(o *SweepReport) {
+	r.Kept += o.Kept
+	r.Examined += o.Examined
+	r.RemovedBlobs = append(r.RemovedBlobs, o.RemovedBlobs...)
+	r.Restored = append(r.Restored, o.Restored...)
+	r.RemovedStaging = append(r.RemovedStaging, o.RemovedStaging...)
+	r.BytesFreed += o.BytesFreed
 }
 
 // trashPath returns a digest's location inside the trash area.
@@ -915,97 +925,109 @@ func (s *BlobStore) ListTrash() ([]BlobInfo, error) {
 	return out, nil
 }
 
-// RecheckFunc re-derives the pin set after candidates were trashed. The
-// two-phase sweep calls it between trash and purge; any trashed digest
-// the fresh pins cover is restored instead of purged.
-type RecheckFunc func(trashed []string) (map[string]int, error)
-
-// finalizeTrashed applies a recheck to provisionally removed digests:
-// re-pinned ones are restored, the rest purged. With a nil recheck the
-// purge is unconditional (quiescent callers).
-func (s *BlobStore) finalizeTrashed(trashed []string, sizes map[string]int64, recheck RecheckFunc, rep *SweepReport) error {
-	pins := map[string]int{}
-	if recheck != nil && len(trashed) > 0 {
-		p, err := recheck(trashed)
-		if err != nil {
-			return err
-		}
-		pins = p
-	}
-	for _, d := range trashed {
-		if pins[d] > 0 {
-			if err := s.Restore(d); err != nil {
-				return fmt.Errorf("storage: restore blob %s: %w", d, err)
-			}
-			rep.Restored = append(rep.Restored, d)
-			rep.Kept++
-			continue
-		}
-		if err := s.PurgeTrash(d); err != nil {
-			return fmt.Errorf("storage: purge blob %s: %w", d, err)
-		}
-		rep.RemovedBlobs = append(rep.RemovedBlobs, d)
-		if size := sizes[d]; size > 0 {
-			rep.BytesFreed += size
-		}
-	}
-	return nil
+// SweepSpec is one sweep of the store.
+type SweepSpec struct {
+	// Candidates are the digests to examine. nil means the whole store:
+	// every published blob is listed and examined, and staging residue is
+	// removed too. A candidate sweep never lists the store, so its cost is
+	// O(candidates) however many live blobs have accumulated.
+	Candidates []string
+	// Pins is the keep set: a digest with Pins[digest] > 0 is never touched.
+	Pins map[string]int
+	// Recheck, when set, re-derives the pins after the victims were trashed;
+	// any victim it covers is restored instead of purged. Sweeps that may run
+	// beside live savers must supply one.
+	Recheck func() (map[string]int, error)
+	// DryRun examines and reports what a real sweep would remove, mutating
+	// nothing.
+	DryRun bool
 }
 
-// Sweep removes every blob whose refcount in refs is zero or absent, plus
-// all staging residue. The invariant callers rely on: a blob with
-// refs[digest] > 0 is never removed, whatever else fails — removals happen
-// one file at a time, so an interrupted sweep only leaves extra garbage
-// for the next run. Equivalent to SweepRecheck with a nil recheck; callers
-// that may run beside live savers must supply one (see SweepRecheck).
-func (s *BlobStore) Sweep(refs map[string]int) (*SweepReport, error) {
-	return s.SweepRecheck(refs, nil)
-}
-
-// SweepRecheck is Sweep with the two-phase removal that makes sweeping
-// safe beside concurrent savers. A saver that *reuses* an existing blob
-// never rewrites it, so a refcount snapshot taken before the saver's
-// journal append could sweep a blob a just-committed checkpoint
-// references. Instead, victims are renamed into trash, recheck re-derives
-// the pins, and only then are they purged — or restored.
+// Sweep examines the spec's candidates and removes those that exist and are
+// not pinned. A pinned blob is never touched, whatever else fails: removals
+// are per blob, so an interrupted sweep only leaves garbage (or trash) for
+// the next run. Stray entries are left alone — the sweeper only deletes
+// what it fully understands.
 //
-// Why this closes the race: a saver appends its journal record BEFORE its
-// reuse check (`Has`). If the reuse check saw the blob, it ran before the
-// trash rename, so the record append ran before it too — and therefore
-// before the recheck read, which then restores the blob. If the reuse
-// check ran after the trash rename, it saw the blob missing and the saver
+// Removal is two-phase, which is what makes sweeping safe beside concurrent
+// savers. A saver that reuses an existing blob never rewrites it, so a pin
+// snapshot taken before the saver journaled could condemn a blob a
+// just-committed checkpoint references. Victims are therefore renamed into
+// trash, Recheck re-derives the pins, and only then are they purged — or
+// restored. A saver appends its journal record BEFORE its reuse check
+// (Has): if that check saw the blob, it ran before the trash rename, so the
+// record was appended before the recheck read it and the blob is restored;
+// if it ran after the rename, it saw the blob missing and the saver
 // re-published it. Either way no referenced blob is lost.
-func (s *BlobStore) SweepRecheck(refs map[string]int, recheck RecheckFunc) (*SweepReport, error) {
-	blobs, staging, stray, err := s.List()
-	if err != nil {
-		return nil, err
-	}
+func (s *BlobStore) Sweep(spec SweepSpec) (*SweepReport, error) {
 	rep := &SweepReport{}
-	for _, p := range staging {
-		if err := s.b.Remove(p); err != nil {
-			return rep, fmt.Errorf("storage: sweep staging %s: %w", p, err)
+	var blobs []BlobInfo
+	if spec.Candidates == nil {
+		var staging []string
+		var err error
+		if blobs, staging, _, err = s.List(); err != nil {
+			return nil, err
 		}
-		rep.RemovedStaging = append(rep.RemovedStaging, p)
+		for _, p := range staging {
+			if !spec.DryRun {
+				if err := s.b.Remove(p); err != nil {
+					return rep, fmt.Errorf("storage: sweep staging %s: %w", p, err)
+				}
+			}
+			rep.RemovedStaging = append(rep.RemovedStaging, p)
+		}
 	}
-	// Stray entries (not blobs, not staging) are left alone: the sweeper
-	// only ever deletes what it fully understands.
-	_ = stray
-	var trashed []string
-	sizes := map[string]int64{}
+	for _, d := range spec.Candidates {
+		if !ValidDigest(d) {
+			return rep, fmt.Errorf("storage: sweep candidate: invalid digest %q", d)
+		}
+		blobs = append(blobs, BlobInfo{Digest: d, Size: -1})
+	}
+	var trashed []BlobInfo
 	for _, blob := range blobs {
 		rep.Examined++
-		if refs[blob.Digest] > 0 {
+		if spec.Pins[blob.Digest] > 0 {
 			rep.Kept++
 			continue
 		}
-		if err := s.Trash(blob.Digest); err != nil {
-			return rep, fmt.Errorf("storage: sweep blob %s: %w", blob.Digest, err)
+		if spec.Candidates != nil {
+			var err error
+			if blob.Size, err = s.Stat(blob.Digest); err != nil {
+				continue // already gone (a previous sweep, or never stored)
+			}
 		}
-		trashed = append(trashed, blob.Digest)
-		sizes[blob.Digest] = blob.Size
+		if !spec.DryRun {
+			if err := s.Trash(blob.Digest); err != nil {
+				return rep, fmt.Errorf("storage: sweep blob %s: %w", blob.Digest, err)
+			}
+		}
+		trashed = append(trashed, blob)
 	}
-	if err := s.finalizeTrashed(trashed, sizes, recheck, rep); err != nil {
-		return rep, err
+	var pins map[string]int // stays empty in a dry run: nothing was trashed
+	if spec.Recheck != nil && !spec.DryRun && len(trashed) > 0 {
+		var err error
+		if pins, err = spec.Recheck(); err != nil {
+			return rep, err
+		}
+	}
+	for _, blob := range trashed {
+		if pins[blob.Digest] > 0 {
+			if err := s.Restore(blob.Digest); err != nil {
+				return rep, fmt.Errorf("storage: restore blob %s: %w", blob.Digest, err)
+			}
+			rep.Restored = append(rep.Restored, blob.Digest)
+			rep.Kept++
+			continue
+		}
+		if !spec.DryRun {
+			if err := s.PurgeTrash(blob.Digest); err != nil {
+				return rep, fmt.Errorf("storage: purge blob %s: %w", blob.Digest, err)
+			}
+		}
+		rep.RemovedBlobs = append(rep.RemovedBlobs, blob.Digest)
+		if blob.Size > 0 {
+			rep.BytesFreed += blob.Size
+		}
 	}
 	return rep, nil
 }
@@ -1031,52 +1053,4 @@ func (s *BlobStore) StagingResidue() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// SweepDigests is the generational sweep: it examines exactly the candidate
-// digests — blobs whose youngest reference fell inside retired generations
-// — and removes those that exist and are not pinned by refs. Unlike Sweep
-// it never lists the store, so its cost is O(candidates), independent of
-// how many live blobs the run has accumulated. When dryRun is set the
-// candidates are examined (existence + size) but nothing is removed.
-//
-// The safety invariant matches Sweep's — a digest with refs[digest] > 0
-// is never touched, removals are per-blob, an interrupted sweep only
-// leaves reclaim work — and the same two-phase trash/recheck protocol as
-// SweepRecheck protects blobs a concurrent saver reuses after the pin
-// snapshot was taken.
-func (s *BlobStore) SweepDigests(candidates []string, refs map[string]int, dryRun bool, recheck RecheckFunc) (*SweepReport, error) {
-	rep := &SweepReport{}
-	var trashed []string
-	sizes := map[string]int64{}
-	for _, d := range candidates {
-		if !ValidDigest(d) {
-			return rep, fmt.Errorf("storage: sweep candidate: invalid digest %q", d)
-		}
-		rep.Examined++
-		if refs[d] > 0 {
-			rep.Kept++
-			continue
-		}
-		size, err := s.Stat(d)
-		if err != nil {
-			continue // already gone (a previous sweep, or never stored)
-		}
-		if dryRun {
-			rep.RemovedBlobs = append(rep.RemovedBlobs, d)
-			if size > 0 {
-				rep.BytesFreed += size
-			}
-			continue
-		}
-		if err := s.Trash(d); err != nil {
-			return rep, fmt.Errorf("storage: sweep blob %s: %w", d, err)
-		}
-		trashed = append(trashed, d)
-		sizes[d] = size
-	}
-	if err := s.finalizeTrashed(trashed, sizes, recheck, rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
 }

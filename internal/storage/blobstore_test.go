@@ -114,7 +114,7 @@ func TestBlobStoreListAndSweep(t *testing.T) {
 		t.Fatalf("list = %d blobs, %v staging, %v stray", len(blobs), staging, stray)
 	}
 
-	rep, err := s.Sweep(map[string]int{d1: 2})
+	rep, err := s.Sweep(SweepSpec{Pins: map[string]int{d1: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestBlobStoreListAndSweep(t *testing.T) {
 	}
 	// Sweeping an empty/absent store is a no-op.
 	empty := NewBlobStore(b, "nowhere/objects")
-	if rep, err := empty.Sweep(nil); err != nil || rep.Kept != 0 {
+	if rep, err := empty.Sweep(SweepSpec{}); err != nil || rep.Kept != 0 {
 		t.Fatalf("empty sweep = %+v, %v", rep, err)
 	}
 }

@@ -114,9 +114,7 @@ func OpenRefIndex(b Backend, objectsRoot string) (*RefIndex, error) {
 	if ref == nil {
 		return NewRefIndex(b, root), nil
 	}
-	ix := NewRefIndex(b, HubObjectsRoot(ref.Hub))
-	ix.ns = ref.Run
-	return ix, nil
+	return NewRefIndexNS(b, HubObjectsRoot(ref.Hub), ref.Run), nil
 }
 
 // Namespace returns the index's hub namespace ("" for a run-local index).

@@ -201,7 +201,7 @@ func TestSweepDigestsExaminesOnlyCandidates(t *testing.T) {
 	}
 	pins := map[string]int{digests[0]: 1}
 	candidates := []string{digests[0], digests[1], digests[2], testDigest(3)}
-	rep, err := store.SweepDigests(candidates, pins, false, nil)
+	rep, err := store.Sweep(SweepSpec{Candidates: candidates, Pins: pins})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestSweepDigestsExaminesOnlyCandidates(t *testing.T) {
 		}
 	}
 	// Dry run examines without removing.
-	rep, err = store.SweepDigests([]string{digests[3]}, nil, true, nil)
+	rep, err = store.Sweep(SweepSpec{Candidates: []string{digests[3]}, DryRun: true})
 	if err != nil || len(rep.RemovedBlobs) != 1 || !store.Has(digests[3]) {
 		t.Fatalf("dry run = %+v, %v (blob present: %v)", rep, err, store.Has(digests[3]))
 	}
-	if _, err := store.SweepDigests([]string{"bogus"}, nil, false, nil); err == nil {
+	if _, err := store.Sweep(SweepSpec{Candidates: []string{"bogus"}}); err == nil {
 		t.Fatal("invalid candidate digest accepted")
 	}
 }
@@ -274,10 +274,10 @@ func TestTrashRestorePurge(t *testing.T) {
 	if trash, _ := store.ListTrash(); len(trash) != 0 {
 		t.Fatalf("trash residue: %v", trash)
 	}
-	// SweepRecheck with a recheck that re-pins d2 restores it.
-	rep, err := store.SweepRecheck(map[string]int{d1: 1}, func(trashed []string) (map[string]int, error) {
+	// A recheck that re-pins d2 restores it.
+	rep, err := store.Sweep(SweepSpec{Pins: map[string]int{d1: 1}, Recheck: func() (map[string]int, error) {
 		return map[string]int{d2: 1}, nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

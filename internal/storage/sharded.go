@@ -47,9 +47,7 @@ type CAS interface {
 	Restore(digest string) error
 	PurgeTrash(digest string) error
 	ListTrash() ([]BlobInfo, error)
-	Sweep(refs map[string]int) (*SweepReport, error)
-	SweepRecheck(refs map[string]int, recheck RecheckFunc) (*SweepReport, error)
-	SweepDigests(candidates []string, refs map[string]int, dryRun bool, recheck RecheckFunc) (*SweepReport, error)
+	Sweep(spec SweepSpec) (*SweepReport, error)
 	StagingResidue() ([]string, error)
 	SetMultipart(opts MultipartOptions)
 }
@@ -92,29 +90,43 @@ func InitShards(b Backend, root string, count int) error {
 	return b.WriteFile(p, data)
 }
 
-// OpenCAS opens the content-addressed store rooted at root, honouring a
-// shard declaration when one exists and falling back to a plain BlobStore
-// otherwise. When root carries a hub attachment (hubref.json), the hub's
-// shared store is opened instead — one level of indirection only, so a hub
-// whose own objects root claims an attachment is rejected as a chain. This
-// is the only constructor the checkpoint layer should use.
-func OpenCAS(b Backend, root string) (CAS, error) {
+// ResolveHub follows an objects root's hub attachment (hubref.json): it
+// returns the root the store actually lives at — the hub's shared store for
+// an attached run, root itself otherwise — and the attachment followed (nil
+// when local). Indirection is one level only, so a hub whose own objects
+// root claims an attachment is rejected as a chain.
+func ResolveHub(b Backend, root string) (string, *HubRef, error) {
 	root = strings.TrimSuffix(root, "/")
 	ref, err := ReadHubRef(b, root)
+	if err != nil || ref == nil {
+		return root, nil, err
+	}
+	hubObjects := HubObjectsRoot(ref.Hub)
+	nested, err := ReadHubRef(b, hubObjects)
+	if err != nil {
+		return "", nil, err
+	}
+	if nested != nil {
+		return "", nil, fmt.Errorf("storage: %s attaches to hub %s, whose store is itself attached elsewhere (chained hubs unsupported)", root, ref.Hub)
+	}
+	return hubObjects, ref, nil
+}
+
+// OpenCAS opens the content-addressed store serving root, following a hub
+// attachment (ResolveHub) first. This is the constructor the checkpoint
+// layer should use unless it has already resolved the attachment itself.
+func OpenCAS(b Backend, root string) (CAS, error) {
+	root, _, err := ResolveHub(b, root)
 	if err != nil {
 		return nil, err
 	}
-	if ref != nil {
-		hubObjects := HubObjectsRoot(ref.Hub)
-		nested, err := ReadHubRef(b, hubObjects)
-		if err != nil {
-			return nil, err
-		}
-		if nested != nil {
-			return nil, fmt.Errorf("storage: %s attaches to hub %s, whose store is itself attached elsewhere (chained hubs unsupported)", root, ref.Hub)
-		}
-		root = hubObjects
-	}
+	return OpenCASAt(b, root)
+}
+
+// OpenCASAt opens the store rooted exactly at root, with no hub resolution:
+// a ShardedStore when root declares a shard layout, a plain BlobStore
+// otherwise.
+func OpenCASAt(b Backend, root string) (CAS, error) {
 	data, err := b.ReadFile(root + "/" + ShardConfigName)
 	if err != nil {
 		if IsNotExist(err) {
@@ -286,45 +298,14 @@ func (s *ShardedStore) StagingResidue() ([]string, error) {
 	return out, nil
 }
 
-func mergeReports(dst, src *SweepReport) {
-	dst.Kept += src.Kept
-	dst.Examined += src.Examined
-	dst.RemovedBlobs = append(dst.RemovedBlobs, src.RemovedBlobs...)
-	dst.Restored = append(dst.Restored, src.Restored...)
-	dst.RemovedStaging = append(dst.RemovedStaging, src.RemovedStaging...)
-	dst.BytesFreed += src.BytesFreed
-}
-
-// Sweep implements CAS, sweeping shard by shard. The per-blob safety
-// invariant is the per-shard one; an interrupted sweep leaves later shards
-// untouched for the next run.
-func (s *ShardedStore) Sweep(refs map[string]int) (*SweepReport, error) {
-	return s.SweepRecheck(refs, nil)
-}
-
-// SweepRecheck implements CAS. Each shard runs its own two-phase
-// trash/recheck pass; the recheck sees only that shard's trashed digests,
-// which is sound — restores depend on the fresh pin set, not on what other
-// shards trashed.
-func (s *ShardedStore) SweepRecheck(refs map[string]int, recheck RecheckFunc) (*SweepReport, error) {
-	rep := &SweepReport{}
-	for _, sh := range s.shards {
-		r, err := sh.SweepRecheck(refs, recheck)
-		if r != nil {
-			mergeReports(rep, r)
-		}
-		if err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
-}
-
-// SweepDigests implements CAS: candidates partition by owning shard and
-// each partition sweeps independently.
-func (s *ShardedStore) SweepDigests(candidates []string, refs map[string]int, dryRun bool, recheck RecheckFunc) (*SweepReport, error) {
+// Sweep implements CAS shard by shard: a whole-store sweep visits every
+// shard, a candidate sweep only the shards owning a candidate. Each shard
+// runs its own two-phase trash/recheck pass, which is sound — restores
+// depend on the fresh pin set, not on what other shards trashed — and an
+// interrupted sweep leaves later shards untouched for the next run.
+func (s *ShardedStore) Sweep(spec SweepSpec) (*SweepReport, error) {
 	byShard := make(map[*BlobStore][]string)
-	for _, d := range candidates {
+	for _, d := range spec.Candidates {
 		if !ValidDigest(d) {
 			return &SweepReport{}, fmt.Errorf("storage: sweep candidate: invalid digest %q", d)
 		}
@@ -333,13 +314,15 @@ func (s *ShardedStore) SweepDigests(candidates []string, refs map[string]int, dr
 	}
 	rep := &SweepReport{}
 	for _, sh := range s.shards {
-		part := byShard[sh]
-		if len(part) == 0 {
-			continue
+		part := spec
+		if spec.Candidates != nil {
+			if part.Candidates = byShard[sh]; part.Candidates == nil {
+				continue
+			}
 		}
-		r, err := sh.SweepDigests(part, refs, dryRun, recheck)
+		r, err := sh.Sweep(part)
 		if r != nil {
-			mergeReports(rep, r)
+			rep.Add(r)
 		}
 		if err != nil {
 			return rep, err

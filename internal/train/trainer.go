@@ -440,7 +440,7 @@ func (t *Trainer) checkpoint(strat strategy.Strategy, loss float64) (CkptEvent, 
 		// Retention only ever touches committed checkpoints; an async save
 		// still in flight is invisible to List, its journal record pins the
 		// blobs it publishes, and the sweep's two-phase trash/recheck
-		// protocol (storage.SweepRecheck) protects even blobs the save
+		// protocol (storage.BlobStore.Sweep) protects even blobs the save
 		// merely reuses — so running right after the save enqueue is safe.
 		rep, err := ckpt.Retain(t.backend, t.Cfg.RunRoot, t.Cfg.KeepLast, false)
 		if err != nil {
