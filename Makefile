@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check one-journal one-pins loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-smoke bench-check bench-record clean
+.PHONY: all build test race vet fmt-check one-journal one-pins request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -50,6 +50,13 @@ one-pins:
 	if [ -n "$$bad" ]; then \
 		echo "pin assembly outside internal/ckpt/pins.go:"; echo "$$bad"; exit 1; fi
 
+# A dedup save's backend requests are a function of the payloads that
+# changed, not of the payloads that exist: the counting-backend test that
+# holds config reads, parent-manifest reads, blob probes and blob GETs to
+# the table in DESIGN.md "The write stage".
+request-budget:
+	$(GO) test ./internal/ckpt -run '^TestDedupSaveRequestBudget$$'
+
 # Non-test Go lines per package, bench/ excluded — the number ROADMAP's
 # simplicity gate is stated in.
 loc:
@@ -61,9 +68,9 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins build test objstore
+ci-fast: fmt-check vet one-journal one-pins request-budget build test objstore
 
-ci-slow: race fuzz-smoke doctor-smoke bench-check cover
+ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 
 ci: ci-fast ci-slow
 
@@ -168,6 +175,12 @@ objstore:
 # Quick benchmark sweep of the streaming merge hot path.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMerge' -benchmem .
+
+# bench/ is a nested module the root `go build ./...` and `go test ./...`
+# never see, yet every PR must keep it compiling against the signatures it
+# imports (BENCHMARK.json runs it from source).
+bench-vet:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every benchmark in the repo: benchmarks compile and run
 # on each CI pass instead of bit-rotting between perf PRs. Perf-record

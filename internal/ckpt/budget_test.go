@@ -1,0 +1,325 @@
+package ckpt
+
+// The request budget of a dedup save, and what keeps its shortcut honest.
+//
+// A save that follows a committed parent reads the parent's manifests once
+// (the lineage view) and asks the store only what the view cannot answer, so
+// its backend requests are a function of the payloads that changed. The view
+// is a cache of what the manifests said, though, and the store may have moved
+// on: these tests also prove a stale view is caught, never written down.
+
+import (
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+
+	"llmtailor/internal/model"
+	"llmtailor/internal/modelcfg"
+	"llmtailor/internal/optim"
+	"llmtailor/internal/storage"
+	"llmtailor/internal/tensor"
+)
+
+// twoStates builds a state and a successor that differs from it in one
+// layer, advanced the way a training step advances it (generation counters
+// included).
+func twoStates(t *testing.T, seed uint64) (m1 *model.Model, o1 *optim.AdamW, m2 *model.Model, o2 *optim.AdamW) {
+	t.Helper()
+	m1, o1 = buildOptim(t, modelcfg.Tiny(), seed)
+	m2 = m1.Clone()
+	o2 = o1.Clone(m2)
+	mutateLayer(t, m2, o2, modelcfg.Block(1), 1)
+	return m1, o1, m2, o2
+}
+
+func budgetSpec(step int, m *model.Model, o *optim.AdamW, codec string) SaveSpec {
+	return SaveSpec{Dir: fmt.Sprintf("run/checkpoint-%d", step), Model: m, Optim: o,
+		WorldSize: 2, Strategy: "full", Dedup: true, Codec: codec,
+		LayerGens: o.LayerGens(), State: TrainerState{Step: step, Seed: 7}}
+}
+
+// slotRefs reads a committed dedup checkpoint's entries by slot.
+func slotRefs(t *testing.T, b storage.Backend, dir string) map[string]blobRef {
+	t.Helper()
+	out := map[string]blobRef{}
+	if err := walkBlobRefs(b, dir, func(slot string, r blobRef) error {
+		out[slot] = r
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestDedupSaveRequestBudget(t *testing.T) {
+	m1, o1, m2, o2 := twoStates(t, 310)
+	const ranks = 2
+	for _, bk := range pathBackends {
+		for _, codec := range []string{"", "xor"} {
+			for _, sv := range pathSavers {
+				if sv.name == "snapshot" {
+					continue // the sync feeder behind a queue
+				}
+				t.Run(fmt.Sprintf("%s/%s/codec=%q", bk.name, sv.name, codec), func(t *testing.T) {
+					base := bk.mk()
+					log := &opLog{Fault: storage.NewFault(base)}
+					if err := sv.run(log, budgetSpec(100, m1, o1, codec), budgetSpec(200, m2, o2, codec), log.reset); err != nil {
+						t.Fatal(err)
+					}
+					log.mu.Lock()
+					reads, ops := log.reads, log.ops
+					log.mu.Unlock()
+
+					// P payloads, c of them carrying bytes the store had not seen.
+					prev, next := slotRefs(t, base, "run/checkpoint-100"), slotRefs(t, base, "run/checkpoint-200")
+					known := map[string]bool{}
+					for _, r := range prev {
+						known[r.Digest] = true
+					}
+					P, c, chain := len(next), 0, 0
+					for _, r := range next {
+						if !known[r.Digest] {
+							c++
+							chain += len(r.Parents)
+						}
+					}
+					if c == 0 || c*4 > P {
+						t.Fatalf("fixture: %d of %d payloads changed, want a sparse non-empty change", c, P)
+					}
+					if codec == "xor" && chain == 0 {
+						t.Fatal("fixture: no changed payload landed as an xor delta")
+					}
+
+					budget := []struct {
+						what      string
+						got, most int
+					}{
+						// A fresh put is described by its writer, a reused blob by
+						// the parent's manifest; only an xor put reads blobs — the
+						// ancestors it deltas against.
+						{"blob GETs", reads["get blob"], c + chain},
+						{"config-document reads", reads["get config"], 2},
+						{"parent-manifest reads", reads["get manifest"], 1 + ranks},
+						// Two probes per reused payload (capture-time Has, post-
+						// journal Stat); a changed one adds the pre-journal lineage
+						// probe and the publish-race check of its put.
+						{"blob probes", reads["probe blob"], 2*P + 2*c},
+					}
+					for _, b := range budget {
+						if b.got > b.most {
+							t.Errorf("%s: %d, budget %d (P=%d c=%d)", b.what, b.got, b.most, P, c)
+						}
+					}
+
+					// Under objects/ the save mutates exactly: one journal record,
+					// then one publish per changed payload.
+					perPut := 1
+					if storage.RenameSupported(log) {
+						perPut = 2 // stage, then rename into place
+					}
+					var journal, blob int
+					for _, op := range ops {
+						switch {
+						case blobOp(op):
+							blob++
+						case strings.Contains(op, " run/objects/"):
+							journal++
+						}
+					}
+					if journal != perPut || blob != c*perPut {
+						t.Errorf("objects/ mutations: %d journal + %d blob ops, want %d + %d", journal, blob, perPut, c*perPut)
+					}
+				})
+			}
+		}
+	}
+}
+
+// restoreEquals fails unless dir restores bit-exactly to the given state.
+func restoreEquals(t *testing.T, b storage.Backend, dir string, m *model.Model, o *optim.AdamW) {
+	t.Helper()
+	rm, ro, _, err := Restore(b, dir, tensor.BF16)
+	if err != nil {
+		t.Fatalf("restore %s: %v", dir, err)
+	}
+	if !model.Equal(rm, m) || !sameOptim(ro, o) {
+		t.Fatalf("%s does not restore to the state that was saved", dir)
+	}
+}
+
+// reusedSlot picks a slot of an unchanged layer whose raw blob is big enough
+// to be worth a container.
+func reusedSlot(t *testing.T, refs map[string]blobRef) (string, blobRef) {
+	t.Helper()
+	slot := weightSlot("model.layers.0.mlp.down_proj.weight")
+	r, ok := refs[slot]
+	if !ok || r.Codec != "" || r.Size < 256 {
+		t.Fatalf("fixture: %s is %+v", slot, r)
+	}
+	return slot, r
+}
+
+// TestStaleViewBlobRestoredInAnotherForm: a blob the parent's manifest calls
+// raw is removed and re-stored under the same digest as an xor delta. The
+// next save's view still says raw; the size cross-check must send it to the
+// store, and the new manifest must record what is actually there.
+func TestStaleViewBlobRestoredInAnotherForm(t *testing.T) {
+	m1, o1, m2, o2 := twoStates(t, 320)
+	for _, sv := range pathSavers {
+		for _, bk := range pathBackends {
+			b := bk.mk()
+			t.Run(sv.name+"/"+bk.name, func(t *testing.T) {
+				var slot, base string
+				var stored int64
+				restash := func() {
+					store := storage.NewBlobStore(b, "run/objects")
+					var ref blobRef
+					slot, ref = reusedSlot(t, slotRefs(t, b, "run/checkpoint-100"))
+					rc, err := store.Open(ref.Digest)
+					if err != nil {
+						t.Fatal(err)
+					}
+					raw, err := io.ReadAll(rc)
+					rc.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The delta's parent differs from the payload in one byte, so
+					// the delta is nearly all zeros and the container is small.
+					near := append([]byte(nil), raw...)
+					near[0] ^= 0xff
+					if base, _, err = store.PutBytes(near); err != nil {
+						t.Fatal(err)
+					}
+					delta := make([]byte, len(raw))
+					tensor.XORBytes(delta, raw, near)
+					container, ok := storage.EncodeContainer(delta, storage.CodecXORParent, 2, base, nil)
+					if !ok {
+						t.Fatal("fixture: delta container does not pay")
+					}
+					if err := store.Remove(ref.Digest); err != nil {
+						t.Fatal(err)
+					}
+					if err := b.WriteFile(store.Path(ref.Digest), container); err != nil {
+						t.Fatal(err)
+					}
+					stored = int64(len(container))
+				}
+				if err := sv.run(b, budgetSpec(100, m1, o1, ""), budgetSpec(200, m2, o2, ""), restash); err != nil {
+					t.Fatal(err)
+				}
+				got := slotRefs(t, b, "run/checkpoint-200")[slot]
+				if got.Codec != storage.CodecXORParent.String() || got.Stored != stored ||
+					len(got.Parents) != 1 || got.Parents[0] != base {
+					t.Fatalf("manifest entry %+v, want xor-parent of %s in %d bytes", got, base, stored)
+				}
+				restoreEquals(t, b, "run/checkpoint-200", m2, o2)
+			})
+		}
+	}
+}
+
+// TestStaleViewBlobTrashedBeforePublish: a reused blob disappears between
+// capture and the post-journal probe. A feeder that still holds the bytes
+// re-publishes and commits; one that does not fails honestly and commits
+// nothing.
+func TestStaleViewBlobTrashedBeforePublish(t *testing.T) {
+	m1, o1, m2, o2 := twoStates(t, 330)
+	for _, sv := range pathSavers {
+		for _, bk := range pathBackends {
+			base := bk.mk()
+			t.Run(sv.name+"/"+bk.name, func(t *testing.T) {
+				log := &opLog{Fault: storage.NewFault(base)}
+				var victim blobRef
+				trashed := false
+				arm := func() {
+					_, victim = reusedSlot(t, slotRefs(t, base, "run/checkpoint-100"))
+					// The journal append is the last thing before the probes.
+					log.mu.Lock()
+					log.hook = func(_, key string) {
+						if trashed || !strings.Contains(key, "/objects/refs/") {
+							return
+						}
+						trashed = true
+						if err := storage.NewBlobStore(base, "run/objects").Trash(victim.Digest); err != nil {
+							t.Errorf("trash: %v", err)
+						}
+					}
+					log.mu.Unlock()
+				}
+				err := sv.run(log, budgetSpec(100, m1, o1, ""), budgetSpec(200, m2, o2, ""), arm)
+				if !trashed {
+					t.Fatal("the second save never journaled — scenario broken")
+				}
+				if sv.name == "lazy" {
+					if err == nil || !strings.Contains(err.Error(), "reused blob missing from store") {
+						t.Fatalf("lazy save of a vanished blob: err = %v, want reused-blob-missing", err)
+					}
+					if latest, lerr := Latest(base, "run"); lerr != nil || latest != "run/checkpoint-100" {
+						t.Fatalf("latest = %q, %v after the failed save, want the parent", latest, lerr)
+					}
+					if CheckCommit(base, "run/checkpoint-200") == nil {
+						t.Fatal("the failed save committed")
+					}
+					// The parent is intact once the "sweep" that trashed the blob
+					// settles: Repair restores what a committed checkpoint pins.
+					if _, err := Repair(base, "run"); err != nil {
+						t.Fatal(err)
+					}
+					restoreEquals(t, base, "run/checkpoint-100", m1, o1)
+					return
+				}
+				if err != nil {
+					t.Fatalf("a feeder holding the bytes must re-publish: %v", err)
+				}
+				if !storage.NewBlobStore(base, "run/objects").Has(victim.Digest) {
+					t.Fatal("vanished blob was not re-published")
+				}
+				restoreEquals(t, base, "run/checkpoint-200", m2, o2)
+			})
+		}
+	}
+}
+
+// TestPublishLandsRepeatedDigestOnce: payloads sharing a digest (here every
+// norm weight, filled with ones) must not race each other through the publish
+// loop — one blob, one publish, and the repeats recorded as hits.
+func TestPublishLandsRepeatedDigestOnce(t *testing.T) {
+	m, o := buildOptim(t, modelcfg.Tiny(), 340)
+	for _, mt := range m.Tensors() {
+		if strings.HasSuffix(mt.Name, "layernorm.weight") {
+			mt.Fill(1)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		base := storage.NewMem()
+		log := &opLog{Fault: storage.NewFault(base)}
+		if err := Save(log, budgetSpec(100, m, o, "")); err != nil {
+			t.Fatal(err)
+		}
+		refs := slotRefs(t, base, "run/checkpoint-100")
+		distinct := map[string]bool{}
+		for _, r := range refs {
+			distinct[r.Digest] = true
+		}
+		if len(distinct) == len(refs) {
+			t.Fatal("fixture: no two payloads share a digest")
+		}
+		blob := 0
+		for _, op := range log.ops {
+			if blobOp(op) {
+				blob++
+			}
+		}
+		if blob != 2*len(distinct) {
+			t.Fatalf("%d blob ops for %d distinct digests, want one stage + one rename each", blob, len(distinct))
+		}
+		if err := VerifyCommit(base, "run/checkpoint-100"); err != nil {
+			t.Fatal(err)
+		}
+		if err := verifyDedupRefs(base, "run/checkpoint-100"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -109,10 +109,22 @@ type captureTicket struct {
 	// parallel to plan.metas.
 	set *payloadSet
 
+	// store is the dedup save's store handle, opened by the first capture
+	// unit that needs it and shared with the write stage.
+	storeOnce sync.Once
+	store     *saveStore
+	storeErr  error
+
 	mu        sync.Mutex
 	remaining int
 	err       error
 	done      chan struct{}
+}
+
+// openStore resolves the ticket's store once for all its units.
+func (t *captureTicket) openStore(b storage.Backend) (*saveStore, error) {
+	t.storeOnce.Do(func() { t.store, t.storeErr = openSaveStore(b, t.spec.Dir) })
+	return t.store, t.storeErr
 }
 
 // fail records the ticket's first error.
@@ -317,7 +329,7 @@ func (e *captureEngine) captureUnit(u *captureUnit) error {
 	var store storage.CAS
 	if dedup {
 		var err error
-		if store, err = storeFor(e.base, t.spec.Dir); err != nil {
+		if store, err = t.openStore(e.base); err != nil {
 			return err
 		}
 	}
@@ -535,5 +547,5 @@ func (e *captureEngine) write(t *captureTicket) error {
 	if err := t.failure(); err != nil {
 		return err
 	}
-	return commitSave(e.base, &t.spec, t.plan, t.set)
+	return commitSave(e.base, &t.spec, t.plan, t.set, t.store)
 }

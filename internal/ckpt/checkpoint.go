@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"llmtailor/internal/model"
 	"llmtailor/internal/modelcfg"
@@ -218,13 +219,14 @@ func Save(b storage.Backend, spec SaveSpec) error {
 	// them all first, then the write stage re-encodes only the blobs the
 	// store lacks.
 	set := plan.newPayloadSet()
-	buf := make([]byte, storage.ChunkOrDefault(0))
 	for i, t := range plan.weights {
-		set.weights[i].write = func(w io.Writer) (int64, error) { return t.EncodeTo(w, buf) }
+		set.weights[i].write = withChunkBuf(t.EncodeTo)
 	}
 	for r, shards := range byRank {
 		for gi, s := range shards {
-			set.ranks[r].groups[gi].write = func(w io.Writer) (int64, error) { return encodeGroupPayload(w, buf, s) }
+			set.ranks[r].groups[gi].write = withChunkBuf(func(w io.Writer, buf []byte) (int64, error) {
+				return encodeGroupPayload(w, buf, s)
+			})
 		}
 	}
 	if spec.Dedup {
@@ -232,7 +234,24 @@ func Save(b storage.Backend, spec SaveSpec) error {
 			return err
 		}
 	}
-	return commitSave(b, &spec, plan, set)
+	return commitSave(b, &spec, plan, set, nil)
+}
+
+// chunkBufs recycles the encoders' scratch chunks: the publish loop replays
+// several payloads of one save at once, and each replay needs its own.
+var chunkBufs = sync.Pool{New: func() any {
+	buf := make([]byte, storage.ChunkOrDefault(0))
+	return &buf
+}}
+
+// withChunkBuf turns an encoder that needs a scratch chunk into a payload
+// write function holding a pooled one for the duration of each replay.
+func withChunkBuf(encode func(w io.Writer, buf []byte) (int64, error)) func(io.Writer) (int64, error) {
+	return func(w io.Writer) (int64, error) {
+		buf := chunkBufs.Get().(*[]byte)
+		defer chunkBufs.Put(buf)
+		return encode(w, *buf)
+	}
 }
 
 // writeTrailer stages the small JSON files every saved checkpoint ends
@@ -451,6 +470,22 @@ func Latest(b storage.Backend, runRoot string) (string, error) {
 // abandoned `.tmp` staging trees — are skipped, so every returned path is
 // safe to Open.
 func List(b storage.Backend, runRoot string) ([]string, error) {
+	dirs, err := checkpointDirs(b, runRoot)
+	if err != nil {
+		return nil, err
+	}
+	out := dirs[:0]
+	for _, p := range dirs {
+		if CheckCommit(b, p) == nil {
+			out = append(out, p)
+		}
+	}
+	return out, nil
+}
+
+// checkpointDirs lists the `checkpoint-<step>` directory paths under a run
+// root by step number, committed or not (staging trees excluded).
+func checkpointDirs(b storage.Backend, runRoot string) ([]string, error) {
 	entries, err := b.List(runRoot)
 	if err != nil {
 		return nil, err
@@ -472,9 +507,6 @@ func List(b storage.Backend, runRoot string) ([]string, error) {
 		p := name
 		if runRoot != "" {
 			p = runRoot + "/" + name
-		}
-		if err := CheckCommit(b, p); err != nil {
-			continue
 		}
 		items = append(items, item{p, step})
 	}

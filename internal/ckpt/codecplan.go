@@ -16,8 +16,8 @@ package ckpt
 
 import (
 	"fmt"
-	"strings"
 
+	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 )
 
@@ -30,13 +30,52 @@ const DefaultCodecRebase = 8
 type codecPlan struct {
 	mode   storage.BlobCodec // CodecPlane or CodecXORParent
 	rebase int
-	prev   map[string]prevSlot
+	prev   map[string]blobRef // the parent generation's blob per slot (xor mode)
 }
 
-// prevSlot is the previous generation's blob for a payload slot.
-type prevSlot struct {
-	digest  string
-	parents []string
+// lineage is one save's view of its parent checkpoint, read off the parent's
+// manifests once: which blob held each slot (the codec plan's xor parents)
+// and how every blob the parent references is stored (what a dedup hit's
+// manifest entry must say). It is a cache of what the manifests claimed when
+// the parent was written, not of the store: publishBlobs cross-checks each
+// answer against the blob's size before trusting it.
+type lineage struct {
+	slots map[string]blobRef
+	blobs map[string]blobRef
+}
+
+// loadLineage reads the view for a save publishing into finalDir. Best
+// effort: no parent, a plain (non-dedup) or unreadable one simply yields a
+// smaller view, and whatever it cannot answer is asked of the store.
+func loadLineage(b storage.Backend, finalDir string) *lineage {
+	v := &lineage{slots: map[string]blobRef{}, blobs: map[string]blobRef{}}
+	if prevDir := previousForSave(b, finalDir); prevDir != "" {
+		_ = walkBlobRefs(b, prevDir, func(slot string, r blobRef) error {
+			v.slots[slot] = r
+			v.blobs[r.Digest] = r
+			return nil
+		})
+	}
+	return v
+}
+
+// blob answers how the parent's manifests say a digest is stored. A nil view
+// knows nothing.
+func (v *lineage) blob(digest string) (blobRef, bool) {
+	if v == nil {
+		return blobRef{}, false
+	}
+	r, ok := v.blobs[digest]
+	return r, ok
+}
+
+// storedSize is the size the blob has on the backend if it is still stored
+// the way the entry says.
+func (r blobRef) storedSize() int64 {
+	if r.Codec == "" {
+		return r.Size
+	}
+	return r.Stored
 }
 
 // Slot keys name a payload's position in a checkpoint — a weight tensor by
@@ -46,15 +85,15 @@ type prevSlot struct {
 func weightSlot(name string) string       { return "tensor " + name }
 func groupSlotKey(rank, index int) string { return fmt.Sprintf("rank %d group %d", rank, index) }
 
-// newCodecPlan builds the planner for a save publishing into finalDir.
-// codec is the SaveSpec spelling: "" or "raw" disables planning (nil plan),
-// "plane" encodes every payload standalone, "xor" / "xor-parent" deltas
-// changed slots against the previous committed checkpoint in the run root.
+// newCodecPlan builds the planner for a save whose parent generation is
+// view. codec is the SaveSpec spelling: "" or "raw" disables planning (nil
+// plan), "plane" encodes every payload standalone, "xor" / "xor-parent"
+// deltas changed slots against the parent checkpoint's blobs.
 //
 // Planned puts carry no in-flight byte gate: the lazy saver's spooled
 // payloads already hold their bytes in the capture engine's gate, and an
 // encoder blocking on a second reservation could deadlock the write stage.
-func newCodecPlan(b storage.Backend, finalDir, codec string, rebase int) (*codecPlan, error) {
+func newCodecPlan(codec string, rebase int, view *lineage) (*codecPlan, error) {
 	mode, err := storage.ParseBlobCodec(codec)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: save codec: %w", err)
@@ -72,11 +111,9 @@ func newCodecPlan(b storage.Backend, finalDir, codec string, rebase int) (*codec
 	if rebase > storage.MaxParentDepth {
 		rebase = storage.MaxParentDepth
 	}
-	p := &codecPlan{mode: mode, rebase: rebase, prev: map[string]prevSlot{}}
+	p := &codecPlan{mode: mode, rebase: rebase}
 	if mode == storage.CodecXORParent {
-		if prevDir := previousForSave(b, finalDir); prevDir != "" {
-			p.loadPrev(b, prevDir)
-		}
+		p.prev = view.slots
 	}
 	return p, nil
 }
@@ -88,28 +125,25 @@ func newCodecPlan(b storage.Backend, finalDir, codec string, rebase int) (*codec
 // checkpoint preceding it — never finalDir itself, whose manifests the
 // save is about to replace.
 func previousForSave(b storage.Backend, finalDir string) string {
-	if prev, err := PreviousCheckpoint(b, finalDir); err == nil {
-		return prev
-	}
-	runRoot := ""
-	if i := strings.LastIndexByte(finalDir, '/'); i >= 0 {
-		runRoot = finalDir[:i]
-	}
-	dirs, err := List(b, runRoot)
-	if err != nil || len(dirs) == 0 {
+	dirs, err := checkpointDirs(b, runRootOf(finalDir))
+	if err != nil {
 		return ""
 	}
-	return dirs[len(dirs)-1]
-}
-
-// loadPrev indexes the previous checkpoint's manifests by slot. Best
-// effort: a plain (non-dedup) or unreadable previous checkpoint simply
-// yields fewer parents, demoting those slots to plane blobs.
-func (p *codecPlan) loadPrev(b storage.Backend, dir string) {
-	_ = walkBlobRefs(b, dir, func(slot string, r blobRef) error {
-		p.prev[slot] = prevSlot{digest: r.Digest, parents: r.Parents}
-		return nil
-	})
+	// A listed finalDir may be a committed checkpoint being re-saved; one
+	// that is not listed cannot be, and costs no marker read to rule out.
+	for i, d := range dirs {
+		if d == finalDir && CheckCommit(b, finalDir) == nil {
+			dirs = dirs[:i]
+			break
+		}
+	}
+	// Newest first, so a normal save verifies one marker, not the history's.
+	for i := len(dirs) - 1; i >= 0; i-- {
+		if dirs[i] != finalDir && CheckCommit(b, dirs[i]) == nil {
+			return dirs[i]
+		}
+	}
+	return ""
 }
 
 // optsFor plans one payload's put: the options to request and the full
@@ -122,15 +156,15 @@ func (p *codecPlan) optsFor(slot, digest string, width int) (storage.BlobPutOpti
 		return opts, nil
 	}
 	ps, ok := p.prev[slot]
-	if !ok || !storage.ValidDigest(ps.digest) || ps.digest == digest {
+	if !ok || !storage.ValidDigest(ps.Digest) || ps.Digest == digest {
 		return opts, nil
 	}
-	chain := append([]string{ps.digest}, ps.parents...)
+	chain := append([]string{ps.Digest}, ps.Parents...)
 	if len(chain) > p.rebase {
 		return opts, nil // re-base: chain depth stays O(K)
 	}
 	opts.Codec = storage.CodecXORParent
-	opts.Parent = ps.digest
+	opts.Parent = ps.Digest
 	return opts, chain
 }
 
@@ -180,21 +214,33 @@ type blobRef struct {
 }
 
 // walkBlobRefs visits every manifest entry of a dedup checkpoint — weights,
-// then each rank's groups — keyed by slot, stopping at the first error.
+// then each rank's groups — keyed by slot, stopping at the first error. The
+// manifests are independent objects, so they are fetched side by side (one
+// round trip's wait on a remote store, not one per rank) and visited in order.
 func walkBlobRefs(b storage.Backend, dir string, fn func(slot string, r blobRef) error) error {
-	wm, err := ReadWeightManifest(b, dir+"/"+WeightManifestName)
-	if err != nil {
-		return err
+	ranks := shardManifestRanks(b, dir)
+	var wm *WeightManifest
+	sms := make([]*ShardManifest, len(ranks))
+	errs := make([]error, 1+len(ranks))
+	_ = parallel.ForEach(requestWidth, len(errs), func(i int) error {
+		if i == 0 {
+			wm, errs[0] = ReadWeightManifest(b, dir+"/"+WeightManifestName)
+		} else {
+			sms[i-1], errs[i] = ReadShardManifest(b, dir+"/"+ShardManifestName(ranks[i-1]))
+		}
+		return nil
+	})
+	if errs[0] != nil {
+		return errs[0]
 	}
 	for _, e := range wm.Tensors {
 		if err := fn(weightSlot(e.Name), blobRef{e.Digest, e.Codec, e.Size, e.Stored, e.Parents}); err != nil {
 			return err
 		}
 	}
-	for _, r := range shardManifestRanks(b, dir) {
-		sm, err := ReadShardManifest(b, dir+"/"+ShardManifestName(r))
-		if err != nil {
-			return err
+	for i, sm := range sms {
+		if errs[i+1] != nil {
+			return errs[i+1]
 		}
 		for _, g := range sm.Groups {
 			if err := fn(groupSlotKey(sm.Rank, g.Index), blobRef{g.Digest, g.Codec, g.Size, g.Stored, g.Parents}); err != nil {

@@ -49,11 +49,15 @@ func objectsPath(runRoot string) string {
 // ObjectsRoot returns the blob store root serving a checkpoint directory:
 // the `objects/` sibling in its run root. A single-segment dir ("merged")
 // has the backend root as its run root, mirroring LatestPointerPath.
-func ObjectsRoot(dir string) string {
+func ObjectsRoot(dir string) string { return objectsPath(runRootOf(dir)) }
+
+// runRootOf returns a checkpoint directory's run root: its parent directory,
+// "" (the backend root) for a single-segment dir.
+func runRootOf(dir string) string {
 	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-		return dir[:i] + "/" + ObjectsDirName
+		return dir[:i]
 	}
-	return ObjectsDirName
+	return ""
 }
 
 // storeFor opens the content-addressed store serving a checkpoint
@@ -723,7 +727,11 @@ func Dedupify(b storage.Backend, dir string, chunkBytes int) (*DedupifyReport, e
 		}.run(set)
 	} else {
 		var refGen int64
-		if refGen, err = set.publishBlobs(b, dir, marker.Step, nil); err == nil {
+		var store *saveStore
+		if store, err = openSaveStore(b, dir); err == nil {
+			refGen, err = set.publishBlobs(store, nil, dir, marker.Step, nil)
+		}
+		if err == nil {
 			err = dedupifyInPlace(b, dir, marker, refGen, set)
 		}
 	}

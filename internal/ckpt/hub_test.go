@@ -233,7 +233,8 @@ func TestHubGCRacingConcurrentSave(t *testing.T) {
 			if err := Save(b, SaveSpec{Dir: fmt.Sprintf("runa/checkpoint-%d", 20+i*10),
 				Model: m, Optim: o, WorldSize: 2, Strategy: "full", Dedup: true,
 				State: TrainerState{Step: 20 + i*10, Seed: uint64(900 + i)}}); err != nil {
-				continue // racing layout churn may fail a save; retention below still runs
+				t.Errorf("run A save %d: %v", i, err)
+				return
 			}
 			if _, err := Retain(b, "runa", 1, false); err != nil {
 				t.Errorf("retain: %v", err)

@@ -54,11 +54,7 @@ func RefKey(dir string) string {
 // after a crash, or a replay of an identical state), its generation is
 // reused and nothing is written — so a retried save produces a checkpoint
 // byte-identical to the fault-free one, manifest ref_gen included.
-func appendRefRecord(b storage.Backend, finalDir string, step int, digests []string) (int64, error) {
-	ix, err := storage.OpenRefIndex(b, ObjectsRoot(finalDir))
-	if err != nil {
-		return 0, err
-	}
+func appendRefRecord(ix *storage.RefIndex, finalDir string, step int, digests []string) (int64, error) {
 	key := RefKey(finalDir)
 	entries, _, _, err := ix.Entries()
 	if err != nil {

@@ -194,7 +194,7 @@ func TestSweepRestoresBlobReusedMidSweep(t *testing.T) {
 			return
 		}
 		fired = true
-		if _, err := appendRefRecord(mem, "run/checkpoint-999", 999, []string{reused}); err != nil {
+		if _, err := appendRefRecord(storage.NewRefIndex(mem, "run/objects"), "run/checkpoint-999", 999, []string{reused}); err != nil {
 			t.Errorf("mid-sweep append: %v", err)
 		}
 	}

@@ -182,7 +182,7 @@ func TestGCGenerationalPinsOrphanedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := appendRefRecord(b, "run/checkpoint-999", 999, []string{d}); err != nil {
+	if _, err := appendRefRecord(storage.NewRefIndex(b, "run/objects"), "run/checkpoint-999", 999, []string{d}); err != nil {
 		t.Fatal(err)
 	}
 	// Force a retirement so the sweep actually runs: replace ckpt-100.

@@ -6,11 +6,16 @@ package ckpt
 // byte-identical run roots, and the sync and lazy feeders must drive the
 // backend through the identical sequence of mutating operations: the
 // property that lets each crash exploration stand for all three savers.
+// The publish loop overlaps its blob puts, so that one phase is compared as
+// a multiset; everything before it (the journal append) and after it
+// (manifests, trailer, marker, pointer) is compared in exact order.
 
 import (
 	"fmt"
 	"io"
 	"regexp"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,10 +28,15 @@ import (
 // opLog records every mutating backend operation as "kind key". (Stream
 // chunk writes are not operations of their own: a feeder replaying a spool
 // hands a payload over in fewer, wider writes than one encoding live state.)
+// It also counts read requests per "kind class" — which storage.Fault does
+// not see — for the request-budget test, and calls hook, when set, before a
+// mutating operation reaches the backend.
 type opLog struct {
 	*storage.Fault
-	mu  sync.Mutex
-	ops []string
+	mu    sync.Mutex
+	ops   []string
+	reads map[string]int
+	hook  func(kind, key string)
 }
 
 // blobStageName matches the process-global sequence in blob staging names,
@@ -36,7 +46,71 @@ var blobStageName = regexp.MustCompile(`/put-\d+-\d+$`)
 func (l *opLog) note(kind, key string) {
 	l.mu.Lock()
 	l.ops = append(l.ops, kind+" "+blobStageName.ReplaceAllString(key, "/put-*"))
+	hook := l.hook
 	l.mu.Unlock()
+	if hook != nil {
+		hook(kind, key)
+	}
+}
+
+// reset forgets everything recorded so far.
+func (l *opLog) reset() {
+	l.mu.Lock()
+	l.ops, l.reads = nil, nil
+	l.mu.Unlock()
+}
+
+// keyClass sorts a key into what the request budget is stated over: the two
+// store-configuration documents, blob objects, checkpoint manifests, the rest.
+func keyClass(key string) string {
+	switch {
+	case strings.HasSuffix(key, "/"+storage.HubRefName), strings.HasSuffix(key, "/"+storage.ShardConfigName):
+		return "config"
+	case strings.Contains(key, "/objects/") && !strings.Contains(key, "/objects/refs"):
+		return "blob"
+	case strings.HasSuffix(key, ".ltmf"), strings.HasSuffix(key, ".ltom"):
+		return "manifest"
+	}
+	return "other"
+}
+
+func (l *opLog) read(kind, key string) {
+	l.mu.Lock()
+	if l.reads == nil {
+		l.reads = map[string]int{}
+	}
+	l.reads[kind+" "+keyClass(key)]++
+	l.mu.Unlock()
+}
+
+func (l *opLog) ReadFile(name string) ([]byte, error) {
+	l.read("get", name)
+	return l.Fault.ReadFile(name)
+}
+
+func (l *opLog) Open(name string) (io.ReadCloser, error) {
+	l.read("get", name)
+	return l.Fault.Open(name)
+}
+
+func (l *opLog) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
+	l.read("get", name)
+	return l.Fault.OpenRange(name, off, n)
+}
+
+func (l *opLog) ReadAt(name string, off int64, p []byte) error {
+	l.read("get", name)
+	return l.Fault.ReadAt(name, off, p)
+}
+
+func (l *opLog) Stat(name string) (int64, error) {
+	l.read("probe", name)
+	return l.Fault.Stat(name)
+}
+
+func (l *opLog) Exists(name string) bool {
+	l.read("probe", name)
+	return l.Fault.Exists(name)
 }
 
 func (l *opLog) WriteFile(name string, data []byte) error {
@@ -64,6 +138,103 @@ func (l *opLog) Compose(dst string, parts ...string) error {
 	return l.Fault.Compose(dst, parts...)
 }
 
+// blobOp reports whether a recorded op touches the blob store proper (staging
+// included) rather than the ref journal under it or a checkpoint directory.
+func blobOp(op string) bool {
+	return strings.Contains(op, " run/objects/") && !strings.Contains(op, " run/objects/refs/")
+}
+
+// canonicalOps sorts the one contiguous blob-put phase of a save's op log,
+// leaving the rest in recorded order. Blob ops anywhere else — before the
+// journal append above all — are a protocol violation.
+func canonicalOps(t *testing.T, who string, ops []string) []string {
+	t.Helper()
+	first, last := -1, -1
+	for i, op := range ops {
+		if blobOp(op) {
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
+	}
+	if first < 0 {
+		return ops
+	}
+	for i := first; i <= last; i++ {
+		if !blobOp(ops[i]) {
+			t.Fatalf("%s: %q interrupts the blob-put phase (ops %d..%d)", who, ops[i], first, last)
+		}
+	}
+	if first == 0 || !strings.Contains(ops[first-1], " run/objects/refs/") {
+		t.Fatalf("%s: blob-put phase starts at op %d without the journal append right before it", who, first)
+	}
+	out := append([]string(nil), ops...)
+	sort.Strings(out[first : last+1])
+	return out
+}
+
+// pathBackends are the two backend kinds the save paths are proven on: one
+// with rename, one without.
+var pathBackends = []struct {
+	name string
+	mk   func() storage.Backend
+}{
+	{"mem", func() storage.Backend { return storage.NewMem() }},
+	{"objstore", func() storage.Backend { return storage.NewObjStore() }},
+}
+
+// A saver runs the two saves to completion; between is called once the
+// first is fully committed.
+type pathSaver func(b storage.Backend, first, second SaveSpec, between func()) error
+
+var pathSavers = []struct {
+	name string
+	run  pathSaver
+}{
+	{"sync", func(b storage.Backend, first, second SaveSpec, between func()) error {
+		if err := Save(b, first); err != nil {
+			return err
+		}
+		between()
+		return Save(b, second)
+	}},
+	{"snapshot", func(b storage.Backend, first, second SaveSpec, between func()) error {
+		s := NewAsyncSaver(b, 1)
+		if err := s.Save(first); err != nil {
+			return err
+		}
+		if err := s.Flush(); err != nil {
+			return err
+		}
+		between()
+		if err := s.Save(second); err != nil {
+			return err
+		}
+		return s.Wait()
+	}},
+	{"lazy", func(b storage.Backend, first, second SaveSpec, between func()) error {
+		// One engine across both saves, so the second exercises the
+		// generation cache as a training loop would.
+		s := NewLazyAsyncSaver(b, 1, CaptureOptions{})
+		for i, spec := range []SaveSpec{first, second} {
+			if err := s.Save(spec); err != nil {
+				return err
+			}
+			if err := s.WaitCaptured(); err != nil {
+				return err
+			}
+			if err := s.Flush(); err != nil {
+				return err
+			}
+			if i == 0 {
+				between()
+			}
+		}
+		return s.Wait()
+	}},
+}
+
 func TestSavePathIdentityMatrix(t *testing.T) {
 	cfg := modelcfg.Tiny()
 	m1, o1 := buildOptim(t, cfg, 190)
@@ -83,65 +254,8 @@ func TestSavePathIdentityMatrix(t *testing.T) {
 		{"dedup-raw", true, ""},
 		{"dedup-xor", true, "xor"},
 	}
-	backends := []struct {
-		name string
-		mk   func() storage.Backend
-	}{
-		{"mem", func() storage.Backend { return storage.NewMem() }},
-		{"objstore", func() storage.Backend { return storage.NewObjStore() }},
-	}
-	// A saver runs the two saves to completion; between is called once the
-	// first is fully committed.
-	type saver func(b storage.Backend, first, second SaveSpec, between func()) error
-	savers := []struct {
-		name string
-		run  saver
-	}{
-		{"sync", func(b storage.Backend, first, second SaveSpec, between func()) error {
-			if err := Save(b, first); err != nil {
-				return err
-			}
-			between()
-			return Save(b, second)
-		}},
-		{"snapshot", func(b storage.Backend, first, second SaveSpec, between func()) error {
-			s := NewAsyncSaver(b, 1)
-			if err := s.Save(first); err != nil {
-				return err
-			}
-			if err := s.Flush(); err != nil {
-				return err
-			}
-			between()
-			if err := s.Save(second); err != nil {
-				return err
-			}
-			return s.Wait()
-		}},
-		{"lazy", func(b storage.Backend, first, second SaveSpec, between func()) error {
-			// One engine across both saves, so the second exercises the
-			// generation cache as a training loop would.
-			s := NewLazyAsyncSaver(b, 1, CaptureOptions{})
-			for i, spec := range []SaveSpec{first, second} {
-				if err := s.Save(spec); err != nil {
-					return err
-				}
-				if err := s.WaitCaptured(); err != nil {
-					return err
-				}
-				if err := s.Flush(); err != nil {
-					return err
-				}
-				if i == 0 {
-					between()
-				}
-			}
-			return s.Wait()
-		}},
-	}
-
 	for _, mode := range modes {
-		for _, bk := range backends {
+		for _, bk := range pathBackends {
 			t.Run(mode.name+"/"+bk.name, func(t *testing.T) {
 				spec := func(step int, m *model.Model, o *optim.AdamW) SaveSpec {
 					return SaveSpec{Dir: fmt.Sprintf("run/checkpoint-%d", step), Model: m, Optim: o,
@@ -153,23 +267,19 @@ func TestSavePathIdentityMatrix(t *testing.T) {
 					ops    []string
 				}
 				got := map[string]outcome{}
-				for _, sv := range savers {
+				for _, sv := range pathSavers {
 					log := &opLog{Fault: storage.NewFault(bk.mk())}
-					err := sv.run(log, spec(100, m1, o1), spec(200, m2, o2), func() {
-						log.mu.Lock()
-						log.ops = nil
-						log.mu.Unlock()
-					})
+					err := sv.run(log, spec(100, m1, o1), spec(200, m2, o2), log.reset)
 					if err != nil {
 						t.Fatalf("%s: %v", sv.name, err)
 					}
-					got[sv.name] = outcome{digest: treeDigest(t, log, "run"), ops: log.ops}
+					got[sv.name] = outcome{digest: treeDigest(t, log, "run"), ops: canonicalOps(t, sv.name, log.ops)}
 				}
 				want := got["sync"]
 				if len(want.ops) == 0 {
 					t.Fatal("recorded no mutating operation for the second sync save")
 				}
-				for _, sv := range savers[1:] {
+				for _, sv := range pathSavers[1:] {
 					o := got[sv.name]
 					if o.digest != want.digest {
 						t.Errorf("%s: run root differs from the sync saver's", sv.name)

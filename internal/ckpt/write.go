@@ -22,6 +22,7 @@ import (
 	"io"
 
 	"llmtailor/internal/optim"
+	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
 )
@@ -167,19 +168,48 @@ func replay(open func() (io.ReadCloser, error)) func(io.Writer) (int64, error) {
 	}
 }
 
-// publishBlobs journals the set's reference record under finalDir's run
-// root, then publishes every blob the store lacks — the only place a
-// checkpoint's ref record is appended and its payload blobs are put. Each
-// payload must carry its digest. The returned generation is what the
+// saveStore is the store side of one dedup save: the content-addressed store
+// and the run's ref journal, resolved from the hub redirect and the shard map
+// once. Per save, not per saver: attach and detach may legitimately move the
+// redirect between saves.
+type saveStore struct {
+	storage.CAS
+	refs *storage.RefIndex
+}
+
+func openSaveStore(b storage.Backend, finalDir string) (*saveStore, error) {
+	scope, err := openRunScope(b, runRootOf(finalDir))
+	if err != nil {
+		return nil, err
+	}
+	cas, err := scope.openStore()
+	if err != nil {
+		return nil, err
+	}
+	return &saveStore{CAS: cas, refs: scope.self.ix}, nil
+}
+
+// requestWidth is how many backend requests one save keeps in flight — the
+// publish loop's probes and puts, the parent-manifest reads (MultipartPut's
+// default of 8 is the precedent for concurrent mutating requests). Payloads
+// that may move bytes are admitted to the loop under publishBytes.
+const (
+	requestWidth = 8
+	publishBytes = 256 << 20
+)
+
+// publishBlobs journals the set's reference record, then publishes every blob
+// the store lacks — the only place a checkpoint's ref record is appended and
+// its payload blobs are put. Each payload must carry its digest. view is the
+// save's parent lineage (nil when the writer has none): what it answers is
+// not asked of the store again. The returned generation is what the
 // checkpoint's manifest.json records as ref_gen, binding the published
 // directory to its journal record.
-func (s *payloadSet) publishBlobs(b storage.Backend, finalDir string, step int, cplan *codecPlan) (int64, error) {
-	store, err := storeFor(b, finalDir)
-	if err != nil {
-		return 0, err
-	}
+func (s *payloadSet) publishBlobs(store *saveStore, view *lineage, finalDir string, step int, cplan *codecPlan) (int64, error) {
 	var digests []string
+	payloads := 0
 	s.each(func(p *payload, slot string, width int) error {
+		payloads++
 		digests = append(digests, p.digest)
 		if cplan != nil {
 			// The record must pin a planned parent before a delta
@@ -191,52 +221,119 @@ func (s *payloadSet) publishBlobs(b storage.Backend, finalDir string, step int, 
 		// did not plan (stored by an earlier save from another parent, or by
 		// a codec-enabled save when this one runs raw); the record must pin
 		// those actual ancestors too, or retiring the blob's original
-		// record could orphan them under our feet.
-		if chain, err := blobChain(store, p.digest); err == nil {
+		// record could orphan them under our feet. The parent's manifests
+		// name them; container headers are read only for a blob they do not.
+		if ref, ok := view.blob(p.digest); ok {
+			digests = append(digests, ref.Parents...)
+		} else if chain, err := blobChain(store, p.digest); err == nil {
 			digests = append(digests, chain...)
 		}
 		return nil
 	})
-	gen, err := appendRefRecord(b, finalDir, step, digests)
+	gen, err := appendRefRecord(store.refs, finalDir, step, digests)
 	if err != nil {
 		return 0, err
 	}
-	return gen, s.each(func(p *payload, slot string, _ int) error {
-		res, err := p.land(store)
-		if err == nil {
-			p.written = res.Written
-			p.codec, p.stored, p.parents, err = codecEntryMeta(store, res, p.planned)
+	// Results land in their payload slots, so the manifests keep payload
+	// order whatever order the puts finish in, and the pipeline's in-order
+	// window is sized to the whole set: a slow put never holds back the
+	// dispatch of the probes and puts queued behind it. The gate is what
+	// bounds the bytes in flight; it is acquired here and released by the
+	// pipeline as each put leaves it, so it only ever waits on publish
+	// completions, never on a feeder's own budget.
+	gate := parallel.NewByteGate(publishBytes)
+	type job struct {
+		p    *payload
+		slot string
+	}
+	pipe := parallel.NewPipeline(requestWidth, payloads, func(j job) (struct{}, error) {
+		if err := j.p.land(store, view); err != nil {
+			return struct{}{}, fmt.Errorf("ckpt: blob %s (%s): %w", j.p.digest, j.slot, err)
 		}
-		if err != nil {
-			return fmt.Errorf("ckpt: blob %s (%s): %w", p.digest, slot, err)
+		return struct{}{}, nil
+	}, nil)
+	// A digest is landed once: payloads repeating one (identical tensors,
+	// all-zero shards) take the first one's outcome as the dedup hits they
+	// are, instead of racing it to publish the same blob.
+	first := map[string]*payload{}
+	var repeats []*payload
+	err = s.each(func(p *payload, slot string, _ int) error {
+		if _, dup := first[p.digest]; dup {
+			repeats = append(repeats, p)
+			return nil
+		}
+		first[p.digest] = p
+		var cost int64
+		if _, known := view.blob(p.digest); p.write != nil && !known {
+			cost = p.size
+		}
+		gate.Acquire(cost)
+		if err := pipe.PushWithCleanup(job{p, slot}, func() { gate.Release(cost) }); err != nil {
+			gate.Release(cost)
+			return err
 		}
 		return nil
 	})
+	if cerr := pipe.Close(); cerr != nil {
+		err = cerr // the first failure; a refused push only echoes it
+	}
+	if err != nil {
+		return 0, err
+	}
+	for _, p := range repeats {
+		f := first[p.digest]
+		p.consumed()
+		p.codec, p.stored, p.parents = f.codec, f.stored, f.parents
+	}
+	return gen, nil
 }
 
 // land moves one payload's bytes into the store — or, with nothing to move,
-// finds the blob already there — and reports how the blob is stored: a dedup
-// hit may resolve to a container another save stored.
-func (p *payload) land(store storage.CAS) (storage.PutResult, error) {
+// finds the blob already there — and records how the blob is stored: a dedup
+// hit may resolve to a container another save stored. It runs after the
+// journal append, and its first request is the reuse check the sweep proof
+// rests on (storage.BlobStore.Sweep).
+func (p *payload) land(store storage.CAS, view *lineage) error {
+	if ref, ok := view.blob(p.digest); ok {
+		// The parent's manifest already says how this blob is stored; one
+		// Stat proves it is still there, and still in that form.
+		size, err := store.Stat(p.digest)
+		switch {
+		case err == nil && size == ref.storedSize():
+			p.consumed()
+			p.codec, p.stored, p.parents = ref.Codec, ref.Stored, ref.Parents
+			return nil
+		case err != nil && p.write == nil:
+			return fmt.Errorf("reused blob missing from store: %w", err)
+		}
+		// Gone with the bytes in hand: re-publish. There at another size: it
+		// was collected and re-stored in another form since the parent was
+		// written, so the store describes it.
+	}
+	var res storage.PutResult
+	var err error
 	if p.write == nil {
 		// The blob must still exist (the record just appended pins it
 		// against any sweep's recheck). If it is gone anyway, fail honestly
 		// — the bytes are no longer available to re-create it.
 		meta, err := store.Meta(p.digest)
 		if err != nil {
-			return storage.PutResult{}, fmt.Errorf("reused blob missing from store: %w", err)
+			return fmt.Errorf("reused blob missing from store: %w", err)
 		}
-		return storage.PutResult{
+		res = storage.PutResult{
 			Codec: meta.Codec, Parent: meta.Parent,
 			RawBytes: meta.RawSize, StoredBytes: meta.StoredSize,
-		}, nil
-	}
-	// Zero-valued opts (no codec plan) is a plain raw put.
-	res, err := store.PutStreamOpts(p.digest, p.opts, p.write)
-	if err == nil {
+		}
+	} else {
+		// Zero-valued opts (no codec plan) is a plain raw put.
+		if res, err = store.PutStreamOpts(p.digest, p.opts, p.write); err != nil {
+			return err
+		}
 		p.consumed()
 	}
-	return res, err
+	p.written = res.Written
+	p.codec, p.stored, p.parents, err = codecEntryMeta(store, res, p.planned)
+	return err
 }
 
 // stageManifests writes the LTMF and per-rank LTOM manifests referencing the
@@ -329,9 +426,12 @@ type writeStage struct {
 	b   storage.Backend
 	dir string
 	// dedup selects content-addressed output (blobs + manifests) over plain
-	// containers; cplan is its codec plan (nil = raw blobs).
+	// containers; cplan is its codec plan (nil = raw blobs), view the parent
+	// lineage and store the handle a feeder already resolved (both optional).
 	dedup bool
 	cplan *codecPlan
+	view  *lineage
+	store *saveStore
 	// journalStep is recorded in the ref record, markerStep in COMMITTED.
 	journalStep, markerStep int
 	// trailer stages the checkpoint's remaining small files (config, trainer
@@ -350,7 +450,13 @@ func (ws writeStage) run(set *payloadSet) error {
 	if ws.dedup {
 		// Blobs go to the store on the base backend, addressed from the
 		// checkpoint's final path; only the manifests are staged.
-		if refGen, err = set.publishBlobs(ws.b, ws.dir, ws.journalStep, ws.cplan); err != nil {
+		store := ws.store
+		if store == nil {
+			if store, err = openSaveStore(ws.b, ws.dir); err != nil {
+				return err
+			}
+		}
+		if refGen, err = set.publishBlobs(store, ws.view, ws.dir, ws.journalStep, ws.cplan); err != nil {
 			return err
 		}
 		err = set.stageManifests(sb, staging)
@@ -396,18 +502,21 @@ func (p *savePlan) newPayloadSet() *payloadSet {
 
 // commitSave is the tail both save feeders share: run the write stage over
 // the filled set with the save's trailer, then move the run root's latest
-// pointer.
-func commitSave(b storage.Backend, spec *SaveSpec, plan *savePlan, set *payloadSet) error {
+// pointer. store is the handle the feeder captured against, if it has one.
+func commitSave(b storage.Backend, spec *SaveSpec, plan *savePlan, set *payloadSet, store *saveStore) error {
 	ws := writeStage{
-		b: b, dir: spec.Dir, dedup: spec.Dedup,
+		b: b, dir: spec.Dir, dedup: spec.Dedup, store: store,
 		journalStep: plan.stepCount, markerStep: spec.State.Step,
 		trailer: func(sb storage.Backend, staging string, refGen int64) error {
 			return writeTrailer(sb, staging, spec, plan, refGen)
 		},
 	}
 	if spec.Dedup {
+		// One read of the parent's manifests serves the codec plan and the
+		// publish loop alike.
 		var err error
-		if ws.cplan, err = newCodecPlan(b, spec.Dir, spec.Codec, spec.CodecRebase); err != nil {
+		ws.view = loadLineage(b, spec.Dir)
+		if ws.cplan, err = newCodecPlan(spec.Codec, spec.CodecRebase, ws.view); err != nil {
 			return err
 		}
 	}

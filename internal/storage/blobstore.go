@@ -414,65 +414,92 @@ type PutResult struct {
 	StoredBytes int64
 }
 
-// resultFor describes the stored blob as a PutResult.
-func (s *BlobStore) resultFor(digest string, written bool) (PutResult, error) {
-	meta, err := s.Meta(digest)
-	if err != nil {
-		return PutResult{Written: written}, err
-	}
-	return PutResult{
-		Written:     written,
-		Codec:       meta.Codec,
-		Parent:      meta.Parent,
-		RawBytes:    meta.RawSize,
-		StoredBytes: meta.StoredSize,
-	}, nil
-}
-
 // PutStreamOpts is PutStream with codec negotiation: the payload is encoded
 // per opts when that pays, with a size-gated fallback chain xor-parent →
 // plane → raw. The digest is ALWAYS verified over the uncompressed payload
 // bytes before anything is published, whatever form ends up stored. An
 // unreachable or size-mismatched parent demotes to plane rather than
 // failing — compression is an optimization, never a correctness dependency.
+//
+// One probe (Meta) decides between a dedup hit and a publish, and it is the
+// probe that describes the hit: there is no second look at a blob a sweep
+// may have trashed in between. A blob this call wrote is described from what
+// the writer holds, without reading it back.
 func (s *BlobStore) PutStreamOpts(digest string, opts BlobPutOptions, encode func(io.Writer) (int64, error)) (PutResult, error) {
 	if !ValidDigest(digest) {
 		return PutResult{}, fmt.Errorf("storage: invalid blob digest %q", digest)
 	}
-	if opts.Codec != CodecPlane && opts.Codec != CodecXORParent {
-		written, err := s.PutStream(digest, encode)
+	coded := opts.Codec == CodecPlane || opts.Codec == CodecXORParent
+	var raw, container []byte
+	codec, encoded := CodecRaw, false
+	const maxAttempts = 8
+	for attempt := 1; ; attempt++ {
+		meta, err := s.Meta(digest)
+		if err == nil {
+			return PutResult{
+				Codec: meta.Codec, Parent: meta.Parent,
+				RawBytes: meta.RawSize, StoredBytes: meta.StoredSize,
+			}, nil
+		}
+		if !IsNotExist(err) {
+			return PutResult{}, err
+		}
+		if coded && !encoded {
+			var buf bytes.Buffer
+			sum := sha256.New()
+			if _, err := encode(io.MultiWriter(&buf, sum)); err != nil {
+				return PutResult{}, err
+			}
+			if got := hex.EncodeToString(sum.Sum(nil)); got != digest {
+				return PutResult{}, fmt.Errorf("storage: blob content hashes to %s, want %s", got, digest)
+			}
+			raw, encoded = buf.Bytes(), true
+			container, codec = s.encodeBlob(digest, raw, opts)
+		}
+		w, err := s.Writer()
 		if err != nil {
 			return PutResult{}, err
 		}
-		return s.resultFor(digest, written)
+		switch {
+		case codec != CodecRaw:
+			// The container's own bytes deliberately do not hash to the
+			// digest — the payload they decode to does, verified above — so
+			// the writer's escape decision and content-hash check are skipped.
+			w.container, w.started = true, true
+			_, err = w.Write(container)
+		case coded:
+			_, err = w.Write(raw)
+		default:
+			_, err = encode(w)
+		}
+		if err != nil {
+			w.Abort()
+			return PutResult{}, err
+		}
+		written, err := w.Commit(digest)
+		if written {
+			res := PutResult{Written: true, Codec: codec, RawBytes: w.n, StoredBytes: w.stored}
+			switch {
+			case codec != CodecRaw:
+				res.RawBytes = int64(len(raw)) // the writer counted container bytes
+				if codec == CodecXORParent {
+					res.Parent = opts.Parent
+				}
+			case w.escaped:
+				res.Codec = CodecStored
+			}
+			return res, nil
+		}
+		// err == nil here means another writer published the digest first:
+		// go round again and describe the blob that won. A staging file
+		// stolen by a concurrent sweep is re-streamed, as in PutStream.
+		if attempt >= maxAttempts || (err != nil && !errors.Is(err, ErrStagingLost)) {
+			if err == nil {
+				err = fmt.Errorf("storage: blob %s: lost the publish race %d times without finding the winner", digest, attempt)
+			}
+			return PutResult{}, err
+		}
 	}
-	if s.Has(digest) {
-		return s.resultFor(digest, false)
-	}
-	var buf bytes.Buffer
-	sum := sha256.New()
-	if _, err := encode(io.MultiWriter(&buf, sum)); err != nil {
-		return PutResult{}, err
-	}
-	if got := hex.EncodeToString(sum.Sum(nil)); got != digest {
-		return PutResult{}, fmt.Errorf("storage: blob content hashes to %s, want %s", got, digest)
-	}
-	raw := buf.Bytes()
-	container, codec := s.encodeBlob(digest, raw, opts)
-	var written bool
-	var err error
-	if codec == CodecRaw {
-		written, err = s.PutStream(digest, func(w io.Writer) (int64, error) {
-			n, werr := w.Write(raw)
-			return int64(n), werr
-		})
-	} else {
-		written, err = s.putContainer(digest, container)
-	}
-	if err != nil {
-		return PutResult{}, err
-	}
-	return s.resultFor(digest, written)
 }
 
 // encodeBlob picks the effective codec for raw under opts, returning the
@@ -498,37 +525,6 @@ func (s *BlobStore) encodeBlob(digest string, raw []byte, opts BlobPutOptions) (
 		}
 	}
 	return nil, CodecRaw
-}
-
-// putContainer publishes container bytes under digest. The container's own
-// bytes deliberately do not hash to the digest — the payload they decode to
-// does, verified by the caller — so the writer's content-hash check is
-// skipped, with the same publish-race and staging-loss handling as
-// PutStream.
-func (s *BlobStore) putContainer(digest string, container []byte) (bool, error) {
-	const maxAttempts = 8
-	for attempt := 1; ; attempt++ {
-		if s.Has(digest) {
-			return false, nil
-		}
-		w, err := s.Writer()
-		if err != nil {
-			return false, err
-		}
-		w.container = true
-		w.started = true
-		if _, err := w.Write(container); err != nil {
-			w.Abort()
-			return false, err
-		}
-		written, err := w.Commit(digest)
-		if err == nil {
-			return written, nil
-		}
-		if attempt >= maxAttempts || !errors.Is(err, ErrStagingLost) {
-			return false, err
-		}
-	}
 }
 
 // Writer opens a streaming blob writer. The caller streams the payload,
@@ -576,6 +572,7 @@ type BlobWriter struct {
 	head      []byte
 	started   bool
 	container bool
+	escaped   bool  // the stored-codec escape header was emitted
 	stored    int64 // bytes written to the staging stream / spool
 }
 
@@ -606,6 +603,7 @@ func (w *BlobWriter) Write(p []byte) (int, error) {
 func (w *BlobWriter) flushHead() error {
 	w.started = true
 	if IsContainer(w.head) {
+		w.escaped = true
 		if _, err := w.writeOut(storedHeader()); err != nil {
 			return err
 		}
@@ -954,11 +952,16 @@ type SweepSpec struct {
 // snapshot taken before the saver journaled could condemn a blob a
 // just-committed checkpoint references. Victims are therefore renamed into
 // trash, Recheck re-derives the pins, and only then are they purged — or
-// restored. A saver appends its journal record BEFORE its reuse check
-// (Has): if that check saw the blob, it ran before the trash rename, so the
-// record was appended before the recheck read it and the blob is restored;
-// if it ran after the rename, it saw the blob missing and the saver
-// re-published it. Either way no referenced blob is lost.
+// restored. A saver appends its journal record BEFORE its reuse probe, and
+// probes each blob exactly once after the append (ckpt's payload.land: a Stat
+// when the parent's manifest already describes the blob, the Meta that opens
+// PutStreamOpts otherwise); a hit is described by that probe or that
+// manifest and a fresh put by its writer, so nothing looks at the blob a
+// second time. If the probe saw the blob, it ran before the trash rename, so
+// the record was appended before the recheck read it and the blob is
+// restored; if it ran after the rename, it saw the blob missing and the
+// saver re-published it — or, no longer holding the bytes, failed before
+// committing anything. Either way no referenced blob is lost.
 func (s *BlobStore) Sweep(spec SweepSpec) (*SweepReport, error) {
 	rep := &SweepReport{}
 	var blobs []BlobInfo

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -155,5 +156,68 @@ func TestDecodeContainerRejectsMalformed(t *testing.T) {
 	}
 	if _, _, err := DecodeContainer(good, DecodeOpts{}); err != nil {
 		t.Fatalf("pristine container rejected: %v", err)
+	}
+}
+
+// TestPutResultDescribesWhatWasWritten: a put that wrote the blob reports it
+// from what the writer holds; that description must be exactly what Meta
+// reads back, for every form a payload can land in and both publication
+// modes — and a second put of the same digest must report the same thing as
+// a hit.
+func TestPutResultDescribesWhatWasWritten(t *testing.T) {
+	parent, child := deltaPayload(300_000, 97, 11)
+	noise := make([]byte, 50_000)
+	rand.New(rand.NewSource(12)).Read(noise)
+	plane := make([]byte, 40_000)
+	for i := range plane {
+		plane[i] = byte(i%2) * 0x3f
+	}
+	escaped := append([]byte(blobMagic), noise[:500]...)
+	for name, b := range map[string]Backend{"rename": NewMem(), "no-rename": NewObjStore()} {
+		s := NewBlobStore(b, "objects")
+		parentDigest, _, err := s.PutBytes(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			what string
+			raw  []byte
+			opts BlobPutOptions
+			want BlobCodec
+		}{
+			{"raw", noise, BlobPutOptions{}, CodecRaw},
+			{"tiny raw", []byte("ab"), BlobPutOptions{}, CodecRaw},
+			{"escaped raw", escaped, BlobPutOptions{}, CodecStored},
+			{"plane", plane, BlobPutOptions{Codec: CodecPlane, Width: 2}, CodecPlane},
+			{"plane demoted to raw", noise[:30_000], BlobPutOptions{Codec: CodecPlane, Width: 2}, CodecRaw},
+			{"xor", child, BlobPutOptions{Codec: CodecXORParent, Width: 2, Parent: parentDigest}, CodecXORParent},
+		}
+		for _, c := range cases {
+			digest := DigestBytes(c.raw)
+			put := func() PutResult {
+				res, err := s.PutStreamOpts(digest, c.opts, func(w io.Writer) (int64, error) {
+					n, err := w.Write(c.raw)
+					return int64(n), err
+				})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, c.what, err)
+				}
+				return res
+			}
+			first := put()
+			meta, err := s.Meta(digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := PutResult{Written: true, Codec: meta.Codec, Parent: meta.Parent,
+				RawBytes: meta.RawSize, StoredBytes: meta.StoredSize}
+			if first != want || first.Codec != c.want || first.RawBytes != int64(len(c.raw)) {
+				t.Errorf("%s/%s: put reports %+v, the store holds %+v (want codec %v)", name, c.what, first, want, c.want)
+			}
+			want.Written = false
+			if again := put(); again != want {
+				t.Errorf("%s/%s: hit reports %+v, want %+v", name, c.what, again, want)
+			}
+		}
 	}
 }
