@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check one-journal one-pins request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
+.PHONY: all build test race vet fmt-check one-journal one-pins one-store request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -50,6 +50,21 @@ one-pins:
 	if [ -n "$$bad" ]; then \
 		echo "pin assembly outside internal/ckpt/pins.go:"; echo "$$bad"; exit 1; fi
 
+# BlobStore (internal/storage/blobstore.go) is the only content-addressed
+# store and PutStreamOpts its only put: a second store type, an interface
+# that lets one stand in for another, or a second put entry point is a
+# surface mirrored across variants, free to drift. Sharding is a routing
+# decision inside the one store (BlobStore.subRoot).
+one-store:
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'ShardedStore|CachedCAS|storage\.CAS([^A-Za-z0-9_]|$$)|^[[:space:]]+PutStreamOpts\(' internal cmd *.go); \
+	if [ -n "$$bad" ]; then \
+		echo "a second store type, a store interface, or a PutStreamOpts interface method:"; echo "$$bad"; exit 1; fi; \
+	n=$$(grep -hE --exclude='*_test.go' '^func \([a-z]+ \*BlobStore\) Put[A-Za-z]*\(' internal/storage/*.go | wc -l); \
+	if [ "$$n" -ne 1 ]; then \
+		echo "BlobStore has $$n Put methods, want exactly 1 (PutStreamOpts):"; \
+		grep -nE --exclude='*_test.go' '^func \([a-z]+ \*BlobStore\) Put[A-Za-z]*\(' internal/storage/*.go; exit 1; fi
+
 # A dedup save's backend requests are a function of the payloads that
 # changed, not of the payloads that exist: the counting-backend test that
 # holds config reads, parent-manifest reads, blob probes and blob GETs to
@@ -68,7 +83,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins request-budget build test objstore
+ci-fast: fmt-check vet one-journal one-pins one-store request-budget build test objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 

@@ -163,9 +163,6 @@ func TestCLIGCGenerational(t *testing.T) {
 	if !strings.Contains(out.String(), "0 removed (0 bytes freed)") {
 		t.Fatalf("full gc output: %s", out.String())
 	}
-	if err := runGC([]string{"-root", root, "-full", "-generations"}, &out); err == nil {
-		t.Fatal("mutually exclusive flags accepted")
-	}
 }
 
 // TestCLIGCFullDryRun: -full -dry-run prints the mark phase's full

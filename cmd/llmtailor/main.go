@@ -93,10 +93,10 @@ commands:
               pre-commit-protocol checkpoints in place (quarantining
               unreadable ones) instead of leaving them for -fix to delete;
               exits 0 when healthy, 2 when problems were left in place
-  gc          sweep the run root's objects/ blob store. The default
-              (-generations) mode is incremental: it retires journal
-              records provably superseded by a newer save of the same
-              checkpoint and examines only those generations' blobs —
+  gc          sweep the run root's objects/ blob store. The default mode
+              is incremental: it retires journal records provably
+              superseded by a newer save of the same checkpoint and
+              examines only those generations' blobs —
               O(retired), not O(run length). -full keeps the whole-history
               mark-and-sweep as a verification/repair pass that re-derives
               references from every manifest and validates the ref index
@@ -469,22 +469,18 @@ func runDoctor(args []string, out io.Writer) (int, error) {
 }
 
 // runGC sweeps (or with -dry-run reports) the run root's blob store, in
-// incremental -generations mode (the default) or -full verification mode.
+// the incremental generational mode (the default) or -full verification mode.
 func runGC(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gc", flag.ExitOnError)
 	root := fs.String("root", "", "storage root directory")
 	run := fs.String("run", "", "run root under the storage root (default: the root itself)")
 	dryRun := fs.Bool("dry-run", false, "report what a sweep would remove without removing anything")
 	full := fs.Bool("full", false, "whole-history mark-and-sweep: re-derive references from every manifest, sweep the whole store, validate and repair the ref index")
-	generations := fs.Bool("generations", false, "incremental sweep of retired generations only (the default)")
 	fs.Parse(args)
 
 	b, err := openRoot(*root)
 	if err != nil {
 		return err
-	}
-	if *full && *generations {
-		return fmt.Errorf("gc: -full and -generations are mutually exclusive")
 	}
 	rep, err := llmtailor.NewStore(b).Run(*run).GC(llmtailor.GCOptions{Full: *full, DryRun: *dryRun})
 	if err != nil {

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"llmtailor/internal/storage"
 )
 
 func TestRunEndToEnd(t *testing.T) {
@@ -179,6 +182,31 @@ func TestRunHub(t *testing.T) {
 	if err := run(root, "runs/c", "tiny", false, "sft",
 		10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "hub", "", 0, 0, ""); err == nil {
 		t.Error("-hub without -dedup accepted")
+	}
+}
+
+// TestRunShardsRefusesPopulatedStore: a flat dedup run rerun with -shards N
+// -resume used to re-route every digest away from its blob and lose all
+// committed payloads in silence. The rerun is refused before it touches
+// anything, and the flat run still resumes.
+func TestRunShardsRefusesPopulatedStore(t *testing.T) {
+	root := t.TempDir()
+	if err := run(root, "demo", "tiny", false, "sft",
+		20, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 0, false, false, 0, 0, "", "", 0, 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	err := run(root, "demo", "tiny", false, "sft",
+		30, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-20", true, 0, false, false, 0, 4, "", "", 0, 0, "")
+	var populated *storage.PopulatedStoreError
+	if !errors.As(err, &populated) || populated.Root != "demo/objects" || populated.Blobs == 0 {
+		t.Fatalf("-shards over a populated flat store: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "demo", "objects", storage.ShardConfigName)); err == nil {
+		t.Fatal("refused -shards still declared a shard map")
+	}
+	if err := run(root, "demo", "tiny", false, "sft",
+		30, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-20", true, 0, false, false, 0, 0, "", "", 0, 0, ""); err != nil {
+		t.Fatalf("flat run no longer resumes: %v", err)
 	}
 }
 

@@ -175,10 +175,7 @@ func (r *Run) Shards() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if ss, ok := cas.(*storage.ShardedStore); ok {
-		return ss.Shards(), nil
-	}
-	return 0, nil
+	return cas.Shards(), nil
 }
 
 // HubAttachment reports the hub this run is attached to ("" when the run

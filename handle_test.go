@@ -1,6 +1,7 @@
 package llmtailor_test
 
 import (
+	"io"
 	"reflect"
 	"sort"
 	"strings"
@@ -130,20 +131,31 @@ func supersedeOldest(t *testing.T, b llmtailor.Backend, dir string) {
 	}
 }
 
+// putBytes stores a byte slice raw under its own digest, over the store's one
+// put (the convenience BlobStore.PutBytes used to be).
+func putBytes(s *storage.BlobStore, data []byte) (digest string, written bool, err error) {
+	digest = storage.DigestBytes(data)
+	res, err := s.PutStreamOpts(digest, storage.BlobPutOptions{}, func(w io.Writer) (int64, error) {
+		n, err := w.Write(data)
+		return int64(n), err
+	})
+	return digest, res.Written, err
+}
+
 // plantStoreFindings leaves, in the store serving objects, what interrupted
 // operations leave behind: a garbage blob, blob-put staging residue (at
 // stage), and trash of both fates — an unreferenced blob a crashed sweep
 // would have purged, and the referenced blob live, which it must restore.
-func plantStoreFindings(t *testing.T, b llmtailor.Backend, objects, stage, live string) storage.CAS {
+func plantStoreFindings(t *testing.T, b llmtailor.Backend, objects, stage, live string) *storage.BlobStore {
 	t.Helper()
 	store, err := storage.OpenCAS(b, objects)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := store.PutBytes([]byte("plain garbage")); err != nil {
+	if _, _, err := putBytes(store, []byte("plain garbage")); err != nil {
 		t.Fatal(err)
 	}
-	junk, _, err := store.PutBytes([]byte("trashed garbage"))
+	junk, _, err := putBytes(store, []byte("trashed garbage"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +212,7 @@ func normalizeReport(rep any) (norm any, work int) {
 // have put the trashed referenced blob back.
 func TestDryRunMatchesRealRun(t *testing.T) {
 	type scenario struct {
-		store    storage.CAS
+		store    *storage.BlobStore
 		live     string
 		collect  func(dryRun bool) (any, error)
 		trash    bool // the policy disposes of crashed-sweep trash

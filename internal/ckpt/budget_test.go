@@ -189,7 +189,7 @@ func TestStaleViewBlobRestoredInAnotherForm(t *testing.T) {
 					// the delta is nearly all zeros and the container is small.
 					near := append([]byte(nil), raw...)
 					near[0] ^= 0xff
-					if base, _, err = store.PutBytes(near); err != nil {
+					if base, _, err = putBytes(store, near); err != nil {
 						t.Fatal(err)
 					}
 					delta := make([]byte, len(raw))

@@ -326,12 +326,13 @@ func (e *captureEngine) captureUnit(u *captureUnit) error {
 	t := u.t
 	plan := t.plan
 	dedup := t.spec.Dedup
-	var store storage.CAS
+	var store *storage.BlobStore
 	if dedup {
-		var err error
-		if store, err = t.openStore(e.base); err != nil {
+		ss, err := t.openStore(e.base)
+		if err != nil {
 			return err
 		}
+		store = ss.BlobStore
 	}
 
 	// Mutation-counter short-circuit: if the layer's counter matches the
@@ -385,7 +386,7 @@ func (e *captureEngine) captureUnit(u *captureUnit) error {
 // generation matches and every cached blob is still present. A missing
 // blob (retention swept it) falls back to the hash path, which re-creates
 // the content from live state.
-func (e *captureEngine) tryReuse(u *captureUnit, gen int64, store storage.CAS) bool {
+func (e *captureEngine) tryReuse(u *captureUnit, gen int64, store *storage.BlobStore) bool {
 	e.mu.Lock()
 	entry := e.cache[cacheKey(&u.t.spec, u.layer)]
 	e.mu.Unlock()
@@ -439,7 +440,7 @@ func (e *captureEngine) updateCache(u *captureUnit, gen int64) {
 // and spool only content misses — paying a second encode pass for the bytes
 // that actually move. Plain saves spool everything in a single pass with the
 // CRC computed inline.
-func (e *captureEngine) capturePayload(dedup bool, store storage.CAS, p *payload,
+func (e *captureEngine) capturePayload(dedup bool, store *storage.BlobStore, p *payload,
 	encode func(io.Writer) (int64, error)) error {
 
 	p.hasCRC = true

@@ -171,7 +171,7 @@ func (p *codecPlan) optsFor(slot, digest string, width int) (storage.BlobPutOpti
 // blobChain returns the xor-parent ancestor chain of a stored blob (direct
 // parent first) by walking container headers. Raw and plane blobs have an
 // empty chain.
-func blobChain(store storage.CAS, digest string) ([]string, error) {
+func blobChain(store *storage.BlobStore, digest string) ([]string, error) {
 	var chain []string
 	cur := digest
 	for i := 0; i <= storage.MaxParentDepth; i++ {
@@ -332,7 +332,7 @@ func ScanCodecs(b storage.Backend, runRoot string) ([]CodecHealth, error) {
 // fields. planned is the chain optsFor computed; it is reused when the put
 // landed on the planned parent, and re-derived from container headers when
 // the slot dedup-hit an existing blob with a different lineage.
-func codecEntryMeta(store storage.CAS, res storage.PutResult, planned []string) (codec string, stored int64, parents []string, err error) {
+func codecEntryMeta(store *storage.BlobStore, res storage.PutResult, planned []string) (codec string, stored int64, parents []string, err error) {
 	switch res.Codec {
 	case storage.CodecRaw:
 		return "", 0, nil, nil

@@ -60,10 +60,9 @@ func runRootOf(dir string) string {
 	return ""
 }
 
-// storeFor opens the content-addressed store serving a checkpoint
-// directory — a plain blob store, or the digest-sharded layout when the
-// objects root declares one (storage.OpenCAS).
-func storeFor(b storage.Backend, dir string) (storage.CAS, error) {
+// storeFor opens the content-addressed store serving a checkpoint directory
+// (storage.OpenCAS: the hub attachment followed, the shard map honoured).
+func storeFor(b storage.Backend, dir string) (*storage.BlobStore, error) {
 	return storage.OpenCAS(b, ObjectsRoot(dir))
 }
 
@@ -108,7 +107,7 @@ func encodeGroupPayload(w io.Writer, buf []byte, s *zero.GroupShard) (int64, err
 // (and CRC-verified) blob by blob, raw extents open directly on the blob
 // files, so resume and merge work transparently against either layout.
 type DedupWeights struct {
-	store storage.CAS
+	store *storage.BlobStore
 	man   *WeightManifest
 	// index maps tensor name to its manifest entry position, so per-tensor
 	// lookups cost what the LTSF header map costs, not a slice scan.
@@ -376,7 +375,7 @@ func MaterializeShardFile(b storage.Backend, dir string, rank int, dst string, c
 
 // blobPayload describes a stored blob as a payload whose write replays the
 // decoded bytes, re-hashing them against the digest on the way through.
-func blobPayload(store storage.CAS, digest string, size int64, crc uint32) payload {
+func blobPayload(store *storage.BlobStore, digest string, size int64, crc uint32) payload {
 	open := func() (io.ReadCloser, error) { return store.OpenRange(digest, 0, size) }
 	return payload{size: size, digest: digest, crc: crc, hasCRC: true,
 		write: func(w io.Writer) (int64, error) {

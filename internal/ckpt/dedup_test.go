@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -11,6 +12,17 @@ import (
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
 )
+
+// putBytes stores a byte slice raw under its own digest, over the store's one
+// put (the convenience BlobStore.PutBytes used to be).
+func putBytes(s *storage.BlobStore, data []byte) (digest string, written bool, err error) {
+	digest = storage.DigestBytes(data)
+	res, err := s.PutStreamOpts(digest, storage.BlobPutOptions{}, func(w io.Writer) (int64, error) {
+		n, err := w.Write(data)
+		return int64(n), err
+	})
+	return digest, res.Written, err
+}
 
 // saveDedup mirrors saveFull with the content-addressed path enabled.
 func saveDedup(t testing.TB, b storage.Backend, dir string, seed uint64, ws int) (*model.Model, *optim.AdamW) {
@@ -183,7 +195,7 @@ func TestDedupScanStates(t *testing.T) {
 		}
 	}
 	store := storage.NewBlobStore(b, "run/objects")
-	garbage, _, err := store.PutBytes([]byte("orphan payload"))
+	garbage, _, err := putBytes(store, []byte("orphan payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +297,7 @@ func TestRepairRemovesBlobStagingOnly(t *testing.T) {
 	b := storage.NewMem()
 	saveDedup(t, b, "run/checkpoint-10", 150, 1)
 	store := storage.NewBlobStore(b, "run/objects")
-	garbage, _, err := store.PutBytes([]byte("unreferenced but published"))
+	garbage, _, err := putBytes(store, []byte("unreferenced but published"))
 	if err != nil {
 		t.Fatal(err)
 	}

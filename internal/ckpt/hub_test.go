@@ -309,7 +309,7 @@ func TestHubCrashPointExplorationRetainVsPeer(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			if _, _, err := store.PutBytes([]byte(fmt.Sprintf("orphan-%d", i))); err != nil {
+			if _, _, err := putBytes(store, []byte(fmt.Sprintf("orphan-%d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}

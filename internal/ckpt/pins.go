@@ -8,7 +8,7 @@
 // resolved once per operation (the run, its hub attachment, its peers), so
 // the union-pin rule — a digest is reclaimable only when it is dead across
 // ALL runs attached to its store — holds for every policy by construction.
-// Removal is storage.CAS.Sweep's two-phase trash → recheck → purge-or-
+// Removal is storage.BlobStore.Sweep's two-phase trash → recheck → purge-or-
 // restore, and the recheck is always the same query: the journals of the
 // run and every peer, re-read after the victims were trashed, minus the
 // records the sweep itself retired. A saver in any attached run journals
@@ -282,14 +282,14 @@ func BlobRefs(b storage.Backend, runRoot string) (map[string]int, error) {
 // query and the running blob accounting every policy reports from.
 type sweeper struct {
 	scope  *pinScope
-	store  storage.CAS
+	store  *storage.BlobStore
 	query  pinQuery
 	dryRun bool
 	storage.SweepReport
 }
 
 // openStore opens the scope's store (the attachment is already resolved).
-func (s *pinScope) openStore() (storage.CAS, error) { return storage.OpenCASAt(s.b, s.objects) }
+func (s *pinScope) openStore() (*storage.BlobStore, error) { return storage.OpenCASAt(s.b, s.objects) }
 
 // sweeper opens the scope's store for sweeping under a policy's query.
 func (s *pinScope) sweeper(query pinQuery, dryRun bool) (*sweeper, error) {

@@ -102,7 +102,7 @@ func TestPinCoverage(t *testing.T) {
 		saveDedup(t, b, "runa/checkpoint-11", 906, 2)
 		saveDedup(t, b, "runa/checkpoint-50", 905, 2)
 	}
-	check := func(t *testing.T, b storage.Backend, store storage.CAS) {
+	check := func(t *testing.T, b storage.Backend, store *storage.BlobStore) {
 		t.Helper()
 		for _, run := range []string{"runa", "runb"} {
 			journal, err := RunPins(b, run)

@@ -178,7 +178,7 @@ func TestGCGenerationalPinsOrphanedRecords(t *testing.T) {
 	// Simulate an in-flight save: record journaled, blob published, no
 	// directory yet.
 	blobStore := storage.NewBlobStore(b, "run/objects")
-	d, _, err := blobStore.PutBytes([]byte("mid-save payload"))
+	d, _, err := putBytes(blobStore, []byte("mid-save payload"))
 	if err != nil {
 		t.Fatal(err)
 	}

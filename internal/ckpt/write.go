@@ -173,7 +173,7 @@ func replay(open func() (io.ReadCloser, error)) func(io.Writer) (int64, error) {
 // once. Per save, not per saver: attach and detach may legitimately move the
 // redirect between saves.
 type saveStore struct {
-	storage.CAS
+	*storage.BlobStore
 	refs *storage.RefIndex
 }
 
@@ -186,7 +186,7 @@ func openSaveStore(b storage.Backend, finalDir string) (*saveStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &saveStore{CAS: cas, refs: scope.self.ix}, nil
+	return &saveStore{BlobStore: cas, refs: scope.self.ix}, nil
 }
 
 // requestWidth is how many backend requests one save keeps in flight — the
@@ -225,7 +225,7 @@ func (s *payloadSet) publishBlobs(store *saveStore, view *lineage, finalDir stri
 		// name them; container headers are read only for a blob they do not.
 		if ref, ok := view.blob(p.digest); ok {
 			digests = append(digests, ref.Parents...)
-		} else if chain, err := blobChain(store, p.digest); err == nil {
+		} else if chain, err := blobChain(store.BlobStore, p.digest); err == nil {
 			digests = append(digests, chain...)
 		}
 		return nil
@@ -247,7 +247,7 @@ func (s *payloadSet) publishBlobs(store *saveStore, view *lineage, finalDir stri
 		slot string
 	}
 	pipe := parallel.NewPipeline(requestWidth, payloads, func(j job) (struct{}, error) {
-		if err := j.p.land(store, view); err != nil {
+		if err := j.p.land(store.BlobStore, view); err != nil {
 			return struct{}{}, fmt.Errorf("ckpt: blob %s (%s): %w", j.p.digest, j.slot, err)
 		}
 		return struct{}{}, nil
@@ -293,7 +293,7 @@ func (s *payloadSet) publishBlobs(store *saveStore, view *lineage, finalDir stri
 // hit may resolve to a container another save stored. It runs after the
 // journal append, and its first request is the reuse check the sweep proof
 // rests on (storage.BlobStore.Sweep).
-func (p *payload) land(store storage.CAS, view *lineage) error {
+func (p *payload) land(store *storage.BlobStore, view *lineage) error {
 	if ref, ok := view.blob(p.digest); ok {
 		// The parent's manifest already says how this blob is stored; one
 		// Stat proves it is still there, and still in that form.

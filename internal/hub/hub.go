@@ -215,9 +215,7 @@ func Stat(b storage.Backend, hubRoot string) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ss, ok := store.(*storage.ShardedStore); ok {
-		info.Shards = ss.Shards()
-	}
+	info.Shards = store.Shards()
 	if b.Exists(store.Root()) {
 		blobs, _, _, err := store.List()
 		if err != nil {

@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -104,6 +105,33 @@ func TestAttachRefusesLocalBlobs(t *testing.T) {
 	}
 }
 
+// TestInitRefusesShardingPopulatedHub: re-initialising a flat hub that
+// already serves blobs with a shard count would orphan every one of them;
+// Init surfaces storage.InitShards' refusal and the attached run still
+// restores.
+func TestInitRefusesShardingPopulatedHub(t *testing.T) {
+	b := storage.NewMem()
+	if err := Init(b, "hub", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Attach(b, "hub", "runs/a", ""); err != nil {
+		t.Fatal(err)
+	}
+	saveDedup(t, b, "runs/a/checkpoint-10", 3)
+	err := Init(b, "hub", Options{Shards: 4})
+	var populated *storage.PopulatedStoreError
+	if !errors.As(err, &populated) || populated.Root != "hub/objects" {
+		t.Fatalf("sharding a populated hub: %v", err)
+	}
+	if _, _, _, err := ckpt.Restore(b, "runs/a/checkpoint-10", tensor.BF16); err != nil {
+		t.Fatalf("run unusable after the refused re-init: %v", err)
+	}
+	info, err := Stat(b, "hub")
+	if err != nil || info.Shards != 0 || info.Blobs == 0 {
+		t.Fatalf("hub after the refused re-init: %+v, %v", info, err)
+	}
+}
+
 func TestStatAndHubGC(t *testing.T) {
 	b := storage.NewMem()
 	if err := Init(b, "hub", Options{Shards: 2}); err != nil {
@@ -169,7 +197,7 @@ func TestStatAndHubGC(t *testing.T) {
 }
 
 // mustStore opens the hub's shared store.
-func mustStore(t *testing.T, b storage.Backend, hubRoot string) storage.CAS {
+func mustStore(t *testing.T, b storage.Backend, hubRoot string) *storage.BlobStore {
 	t.Helper()
 	s, err := storage.OpenCAS(b, storage.HubObjectsRoot(hubRoot))
 	if err != nil {

@@ -228,7 +228,7 @@ func layoutFor(c *ckpt.Checkpoint) (*optim.Layout, error) {
 func openGroupSources(b storage.Backend, c *ckpt.Checkpoint, layout *optim.Layout) ([]ckpt.ShardGroupMeta, [][]srcGroup, int, error) {
 	worldFrom := c.State.WorldSize
 	dedup := c.Manifest.Dedup
-	var store storage.CAS
+	var store *storage.BlobStore
 	if dedup {
 		var err error
 		store, err = storage.OpenCAS(b, ckpt.ObjectsRoot(c.Dir))

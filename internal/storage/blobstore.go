@@ -9,6 +9,11 @@
 // exists is never rewritten, which is the dedup win incremental
 // checkpointing is built on.
 //
+// BlobStore is the only store there is. A root that declares a shard map
+// (sharded.go) is the same store with one more path segment: subRoot routes
+// a digest to `<root>/shard-<i>`, and the blob, staging and trash paths are
+// all built from that sub-root, so every operation below is written once.
+//
 // The store itself holds no reference counts on disk (stored counters
 // cannot survive crashes coherently); instead Sweep takes a refcount map
 // derived by the caller from its committed manifests and removes exactly
@@ -26,6 +31,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -36,7 +42,7 @@ import (
 // ErrStagingLost reports that a writer's staging file vanished before its
 // publishing rename: a sweep running concurrently mistook the in-flight
 // put for crash residue and removed it. The put is retryable — re-stream
-// the payload into a fresh staging name (PutStream does this) — and the
+// the payload into a fresh staging name (PutStreamOpts does this) — and the
 // bounded retry is what makes sweeping staging residue safe to run beside
 // live writers.
 var ErrStagingLost = errors.New("storage: staging file lost to a concurrent sweep")
@@ -68,31 +74,43 @@ type BlobStore struct {
 	b      Backend
 	root   string
 	rename bool
-	mp     MultipartOptions
-	// resolveFn, when set, resolves a parent digest to its raw payload
-	// across stores (ShardedStore routes a parent that hashes to another
-	// shard). Nil means parents resolve locally.
-	resolveFn parentResolver
+	// shards is the declared shard count, 0 for the flat layout; subs are the
+	// directories blobs, staging and trash live under — the root itself when
+	// flat, `<root>/shard-<i>` otherwise.
+	shards int
+	subs   []string
 }
 
-// parentResolver resolves a digest to its fully decoded payload while
-// walking an xor-parent chain. seen and depth thread the cycle/depth guard
-// across store boundaries.
-type parentResolver func(digest string, seen map[string]bool, depth int) ([]byte, error)
-
-// NewBlobStore returns a store over root (e.g. "run/objects"). The root is
-// created lazily by the first put.
+// NewBlobStore returns a flat store over root (e.g. "run/objects"). The root
+// is created lazily by the first put. OpenCAS is the constructor that honours
+// a declared shard map.
 func NewBlobStore(b Backend, root string) *BlobStore {
-	return &BlobStore{b: b, root: strings.TrimSuffix(root, "/"), rename: RenameSupported(b)}
+	root = strings.TrimSuffix(root, "/")
+	return &BlobStore{b: b, root: root, rename: RenameSupported(b), subs: []string{root}}
 }
 
-// SetMultipart tunes how no-rename publication streams large blobs (part
-// size, upload parallelism, in-flight byte budget). Rename-mode stores
-// ignore it.
-func (s *BlobStore) SetMultipart(opts MultipartOptions) { s.mp = opts }
-
-// Root returns the store's root directory.
+// Root returns the store's root directory (the one holding shards.json when
+// sharded).
 func (s *BlobStore) Root() string { return s.root }
+
+// Shards returns the declared shard count, 0 for the flat layout.
+func (s *BlobStore) Shards() int { return s.shards }
+
+// subRoot is the one routing decision: the directory a digest's blob, its
+// staging file and its trash entry live under. A sharded store routes by the
+// digest's leading hex byte — the two characters the fan-out already uses —
+// so each digest lives in exactly one shard. Malformed digests route to the
+// first sub-root; every caller validates before touching the backend.
+func (s *BlobStore) subRoot(digest string) string {
+	if s.shards == 0 || len(digest) < 2 {
+		return s.subs[0]
+	}
+	v, err := strconv.ParseUint(digest[:2], 16, 16)
+	if err != nil {
+		return s.subs[0]
+	}
+	return s.subs[int(v)%s.shards]
+}
 
 // ValidDigest reports whether d is a well-formed blob digest: 64 lowercase
 // hex characters (SHA-256).
@@ -117,7 +135,7 @@ func DigestBytes(data []byte) string {
 
 // Path returns the blob's path relative to the backend root.
 func (s *BlobStore) Path(digest string) string {
-	return s.root + "/" + digest[:2] + "/" + digest
+	return s.subRoot(digest) + "/" + digest[:2] + "/" + digest
 }
 
 // Has reports whether the blob exists.
@@ -273,17 +291,8 @@ func (s *BlobStore) readDecoded(digest string) ([]byte, error) {
 	return s.resolveLocal(digest, map[string]bool{}, 0)
 }
 
-// resolveAny resolves a digest through the configured cross-store resolver,
-// falling back to this store.
-func (s *BlobStore) resolveAny(digest string, seen map[string]bool, depth int) ([]byte, error) {
-	if s.resolveFn != nil {
-		return s.resolveFn(digest, seen, depth)
-	}
-	return s.resolveLocal(digest, seen, depth)
-}
-
-// resolveLocal reads one blob from this store and decodes it, recursing
-// through resolveAny for xor parents. seen and depth bound the walk so a
+// resolveLocal reads one blob and decodes it, recursing for xor parents
+// (which route like any other digest). seen and depth bound the walk so a
 // corrupt chain (cycle, self-parent, unbounded depth) errors instead of
 // recursing forever.
 func (s *BlobStore) resolveLocal(digest string, seen map[string]bool, depth int) ([]byte, error) {
@@ -319,7 +328,7 @@ func (s *BlobStore) decodeContainerBlob(digest string, data []byte, seen map[str
 	if meta.Codec != CodecXORParent {
 		return payload, nil
 	}
-	parentRaw, err := s.resolveAny(meta.Parent, seen, depth+1)
+	parentRaw, err := s.resolveLocal(meta.Parent, seen, depth+1)
 	if err != nil {
 		return nil, fmt.Errorf("storage: blob %s: resolve parent: %w", digest, err)
 	}
@@ -330,68 +339,6 @@ func (s *BlobStore) decodeContainerBlob(digest string, data []byte, seen map[str
 	raw := make([]byte, len(payload))
 	tensor.XORBytes(raw, payload, parentRaw)
 	return raw, nil
-}
-
-// Put streams r into the store under the given digest, unless the blob
-// already exists. It returns (written, bytes, err); written is false on a
-// dedup hit, in which case not a single payload byte moves.
-func (s *BlobStore) Put(digest string, r io.Reader) (bool, int64, error) {
-	if !ValidDigest(digest) {
-		return false, 0, fmt.Errorf("storage: invalid blob digest %q", digest)
-	}
-	if s.Has(digest) {
-		return false, 0, nil
-	}
-	w, err := s.Writer()
-	if err != nil {
-		return false, 0, err
-	}
-	n, err := io.Copy(w, r)
-	if err != nil {
-		w.Abort()
-		return false, n, fmt.Errorf("storage: put blob %s: %w", digest, err)
-	}
-	written, err := w.Commit(digest)
-	return written, n, err
-}
-
-// PutBytes stores a byte slice (convenience over Put).
-func (s *BlobStore) PutBytes(data []byte) (digest string, written bool, err error) {
-	digest = DigestBytes(data)
-	written, _, err = s.Put(digest, bytes.NewReader(data))
-	return digest, written, err
-}
-
-// PutStream stores a payload under its digest by replaying encode() into
-// staging space, unless the blob already exists. Unlike Put it owns the
-// byte source, so a staging file stolen by a concurrent sweep
-// (ErrStagingLost) is survived by re-streaming into a fresh staging name —
-// bounded, then surfaced honestly.
-func (s *BlobStore) PutStream(digest string, encode func(io.Writer) (int64, error)) (bool, error) {
-	if !ValidDigest(digest) {
-		return false, fmt.Errorf("storage: invalid blob digest %q", digest)
-	}
-	const maxAttempts = 8
-	for attempt := 1; ; attempt++ {
-		if s.Has(digest) {
-			return false, nil
-		}
-		w, err := s.Writer()
-		if err != nil {
-			return false, err
-		}
-		if _, err := encode(w); err != nil {
-			w.Abort()
-			return false, err
-		}
-		written, err := w.Commit(digest)
-		if err == nil {
-			return written, nil
-		}
-		if attempt >= maxAttempts || !errors.Is(err, ErrStagingLost) {
-			return false, err
-		}
-	}
 }
 
 // BlobPutOptions requests an encoded put: the codec to try, the payload's
@@ -414,12 +361,18 @@ type PutResult struct {
 	StoredBytes int64
 }
 
-// PutStreamOpts is PutStream with codec negotiation: the payload is encoded
-// per opts when that pays, with a size-gated fallback chain xor-parent →
-// plane → raw. The digest is ALWAYS verified over the uncompressed payload
-// bytes before anything is published, whatever form ends up stored. An
-// unreachable or size-mismatched parent demotes to plane rather than
-// failing — compression is an optimization, never a correctness dependency.
+// PutStreamOpts is the store's one put: it stores a payload under its digest
+// by replaying encode() into staging space, unless the blob already exists (a
+// dedup hit moves not a single payload byte). It owns the byte source, so a
+// staging file stolen by a concurrent sweep (ErrStagingLost) is survived by
+// re-streaming into a fresh staging name — bounded, then surfaced honestly.
+//
+// Zero options stream the payload raw. A codec in opts encodes it when that
+// pays, with a size-gated fallback chain xor-parent → plane → raw. The digest
+// is ALWAYS verified over the uncompressed payload bytes before anything is
+// published, whatever form ends up stored. An unreachable or size-mismatched
+// parent demotes to plane rather than failing — compression is an
+// optimization, never a correctness dependency.
 //
 // One probe (Meta) decides between a dedup hit and a publish, and it is the
 // probe that describes the hit: there is no second look at a blob a sweep
@@ -456,7 +409,7 @@ func (s *BlobStore) PutStreamOpts(digest string, opts BlobPutOptions, encode fun
 			raw, encoded = buf.Bytes(), true
 			container, codec = s.encodeBlob(digest, raw, opts)
 		}
-		w, err := s.Writer()
+		w, err := s.writer(digest)
 		if err != nil {
 			return PutResult{}, err
 		}
@@ -473,10 +426,10 @@ func (s *BlobStore) PutStreamOpts(digest string, opts BlobPutOptions, encode fun
 			_, err = encode(w)
 		}
 		if err != nil {
-			w.Abort()
+			w.abort()
 			return PutResult{}, err
 		}
-		written, err := w.Commit(digest)
+		written, err := w.commit()
 		if written {
 			res := PutResult{Written: true, Codec: codec, RawBytes: w.n, StoredBytes: w.stored}
 			switch {
@@ -491,8 +444,8 @@ func (s *BlobStore) PutStreamOpts(digest string, opts BlobPutOptions, encode fun
 			return res, nil
 		}
 		// err == nil here means another writer published the digest first:
-		// go round again and describe the blob that won. A staging file
-		// stolen by a concurrent sweep is re-streamed, as in PutStream.
+		// go round again and describe the blob that won; a staging file
+		// stolen by a concurrent sweep is re-streamed the same way.
 		if attempt >= maxAttempts || (err != nil && !errors.Is(err, ErrStagingLost)) {
 			if err == nil {
 				err = fmt.Errorf("storage: blob %s: lost the publish race %d times without finding the winner", digest, attempt)
@@ -508,7 +461,7 @@ func (s *BlobStore) encodeBlob(digest string, raw []byte, opts BlobPutOptions) (
 	codec := opts.Codec
 	if codec == CodecXORParent {
 		if ValidDigest(opts.Parent) && opts.Parent != digest {
-			parentRaw, err := s.resolveAny(opts.Parent, map[string]bool{digest: true}, 1)
+			parentRaw, err := s.resolveLocal(opts.Parent, map[string]bool{digest: true}, 1)
 			if err == nil && len(parentRaw) == len(raw) {
 				delta := make([]byte, len(raw))
 				tensor.XORBytes(delta, raw, parentRaw)
@@ -527,42 +480,40 @@ func (s *BlobStore) encodeBlob(digest string, raw []byte, opts BlobPutOptions) (
 	return nil, CodecRaw
 }
 
-// Writer opens a streaming blob writer. The caller streams the payload,
-// then calls Commit with the expected digest (verified against the bytes
-// actually written) to publish, or Abort to drop the staging file.
-func (s *BlobStore) Writer() (*BlobWriter, error) {
+// writer opens a streaming writer for one blob. The caller streams the
+// payload, then calls commit — which verifies the bytes actually written
+// against the digest — to publish, or abort to drop the staging file.
+func (s *BlobStore) writer(digest string) (*blobWriter, error) {
 	// The PID keeps staging names unique across processes sharing a run
 	// root (a dedup-saving trainer and a -dedup merge, say): OS Create
 	// truncates rather than excluding, so a name collision would
 	// interleave two writers' bytes in one staging file.
-	stage := fmt.Sprintf("%s/%s/put-%d-%d", s.root, blobStageDir, os.Getpid(), blobSeq.Add(1))
+	stage := fmt.Sprintf("%s/%s/put-%d-%d", s.subRoot(digest), blobStageDir, os.Getpid(), blobSeq.Add(1))
+	w := &blobWriter{s: s, digest: digest, stage: stage, sum: sha256.New()}
+	var err error
 	if !s.rename {
 		// No rename to publish with: spool the payload locally, verify the
 		// digest against the spooled bytes, then publish with one atomic
-		// PUT at Commit. Nothing touches the backend until the content is
+		// PUT at commit. Nothing touches the backend until the content is
 		// proven, so ErrStagingLost cannot occur in this mode.
-		sp, err := NewSpool(s.b)
-		if err != nil {
+		if w.spool, err = NewSpool(s.b); err != nil {
 			return nil, fmt.Errorf("storage: spool blob: %w", err)
 		}
-		return &BlobWriter{s: s, stage: stage, spool: sp, sum: sha256.New()}, nil
-	}
-	w, err := s.b.Create(stage)
-	if err != nil {
+	} else if w.w, err = s.b.Create(stage); err != nil {
 		return nil, fmt.Errorf("storage: stage blob: %w", err)
 	}
-	return &BlobWriter{s: s, stage: stage, w: w, sum: sha256.New()}, nil
+	return w, nil
 }
 
-// BlobWriter streams one blob into staging space; see BlobStore.Writer.
-type BlobWriter struct {
-	s     *BlobStore
-	stage string
-	w     io.WriteCloser // rename mode: staging stream
-	spool Spool          // no-rename mode: local spool until Commit
-	sum   hash.Hash
-	n     int64 // payload bytes streamed by the caller
-	done  bool
+// blobWriter streams one blob into staging space; see BlobStore.writer.
+type blobWriter struct {
+	s      *BlobStore
+	digest string
+	stage  string
+	w      io.WriteCloser // rename mode: staging stream
+	spool  Spool          // no-rename mode: local spool until commit
+	sum    hash.Hash
+	n      int64 // payload bytes streamed by the caller
 	// The first magic-length payload bytes are held back until the escape
 	// decision: a raw payload that begins with the container magic is
 	// prefixed with a stored-codec header so file bytes starting with "LTBC"
@@ -578,7 +529,7 @@ type BlobWriter struct {
 
 // Write implements io.Writer. The payload hash always covers the caller's
 // bytes; the escape header, when emitted, is storage framing outside it.
-func (w *BlobWriter) Write(p []byte) (int, error) {
+func (w *blobWriter) Write(p []byte) (int, error) {
 	if !w.started {
 		w.sum.Write(p)
 		w.n += int64(len(p))
@@ -600,7 +551,7 @@ func (w *BlobWriter) Write(p []byte) (int, error) {
 }
 
 // flushHead makes the escape decision and starts the underlying stream.
-func (w *BlobWriter) flushHead() error {
+func (w *blobWriter) flushHead() error {
 	w.started = true
 	if IsContainer(w.head) {
 		w.escaped = true
@@ -614,7 +565,7 @@ func (w *BlobWriter) flushHead() error {
 }
 
 // writeOut sends bytes to the staging stream (rename mode) or spool.
-func (w *BlobWriter) writeOut(p []byte) (int, error) {
+func (w *blobWriter) writeOut(p []byte) (int, error) {
 	var n int
 	var err error
 	if w.spool != nil {
@@ -626,34 +577,27 @@ func (w *BlobWriter) writeOut(p []byte) (int, error) {
 	return n, err
 }
 
-// Commit closes the staging stream, verifies the streamed bytes hash to
-// digest, and publishes the blob with one atomic rename. It returns false
-// (without error) when another writer published the same digest first —
+// commit closes the staging stream, verifies the streamed bytes hash to the
+// writer's digest, and publishes the blob with one atomic rename. It returns
+// false (without error) when another writer published the same digest first —
 // content-addressing makes the copies identical, so losing the race is a
 // dedup hit, not a failure.
-func (w *BlobWriter) Commit(digest string) (bool, error) {
-	if w.done {
-		return false, fmt.Errorf("storage: blob commit after close")
-	}
-	w.done = true
+func (w *blobWriter) commit() (bool, error) {
+	digest := w.digest
 	if !w.started {
 		// Payload shorter than the magic: the escape decision is trivially
 		// "raw"; flush what was held back.
 		if err := w.flushHead(); err != nil {
-			w.abortStage()
+			w.abort()
 			return false, fmt.Errorf("storage: stage blob %s: %w", digest, err)
 		}
 	}
 	if w.spool != nil {
-		return w.commitPut(digest)
+		return w.commitPut()
 	}
 	if err := w.w.Close(); err != nil {
 		w.s.b.Remove(w.stage)
 		return false, fmt.Errorf("storage: stage blob %s: %w", digest, err)
-	}
-	if !ValidDigest(digest) {
-		w.s.b.Remove(w.stage)
-		return false, fmt.Errorf("storage: invalid blob digest %q", digest)
 	}
 	if got := hex.EncodeToString(w.sum.Sum(nil)); !w.container && got != digest {
 		w.s.b.Remove(w.stage)
@@ -680,16 +624,14 @@ func (w *BlobWriter) Commit(digest string) (bool, error) {
 	return true, nil
 }
 
-// commitPut is Commit for no-rename backends: verify the spooled content,
+// commitPut is commit for no-rename backends: verify the spooled content,
 // then publish with one whole-object PUT — multipart when the payload
 // spans several parts and the backend can Compose, serial otherwise. Part
 // objects are named into the staging directory so residue from a crash
 // mid-multipart is swept exactly like rename-mode staging residue.
-func (w *BlobWriter) commitPut(digest string) (bool, error) {
+func (w *blobWriter) commitPut() (bool, error) {
+	digest := w.digest
 	defer w.spool.Discard()
-	if !ValidDigest(digest) {
-		return false, fmt.Errorf("storage: invalid blob digest %q", digest)
-	}
 	if got := hex.EncodeToString(w.sum.Sum(nil)); !w.container && got != digest {
 		return false, fmt.Errorf("storage: blob content hashes to %s, want %s", got, digest)
 	}
@@ -701,12 +643,9 @@ func (w *BlobWriter) commitPut(digest string) (bool, error) {
 		return false, fmt.Errorf("storage: publish blob %s: %w", digest, err)
 	}
 	defer r.Close()
-	opts := w.s.mp
-	if opts.PartPrefix == "" {
-		opts.PartPrefix = w.stage + ".part-"
-	}
 	// w.stored, not w.n: an escape header makes the object longer than the
 	// payload the caller streamed.
+	opts := MultipartOptions{PartPrefix: w.stage + ".part-"}
 	if err := MultipartPut(w.s.b, w.s.Path(digest), r, w.stored, opts); err != nil {
 		if w.s.Has(digest) {
 			// Lost the publish race to another writer of the same digest;
@@ -718,17 +657,8 @@ func (w *BlobWriter) commitPut(digest string) (bool, error) {
 	return true, nil
 }
 
-// Abort drops the staging state (best effort; safe after Commit).
-func (w *BlobWriter) Abort() {
-	if w.done {
-		return
-	}
-	w.done = true
-	w.abortStage()
-}
-
-// abortStage drops staging state once done is set.
-func (w *BlobWriter) abortStage() {
+// abort drops the staging state of a writer that will not commit.
+func (w *blobWriter) abort() {
 	if w.spool != nil {
 		w.spool.Discard()
 		return
@@ -744,62 +674,73 @@ type BlobInfo struct {
 }
 
 // List enumerates the store: published blobs (sorted by digest) and any
-// staging residue paths left by crashed puts. Entries under the root that
+// staging residue paths left by crashed puts. Entries under a sub-root that
 // are neither are reported as stray so scans can surface them.
 func (s *BlobStore) List() (blobs []BlobInfo, staging, stray []string, err error) {
-	if !s.b.Exists(s.root) {
-		return nil, nil, nil, nil
-	}
-	entries, err := s.b.List(s.root)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("storage: list blob store %s: %w", s.root, err)
-	}
-	for _, e := range entries {
-		name := strings.TrimSuffix(e, "/")
-		dir := s.root + "/" + name
-		switch {
-		case name == RefsDirName && strings.HasSuffix(e, "/"):
-			// The journaled ref index lives under the store root but is
-			// managed by RefIndex, not the blob sweeper.
+	for _, sub := range s.subs {
+		if !s.b.Exists(sub) {
 			continue
-		case name == blobTrashDir && strings.HasSuffix(e, "/"):
-			// Trash is enumerated separately (ListTrash); a sweep in
-			// progress or a crash mid-sweep leaves entries here.
-			continue
-		case name == blobStageDir && strings.HasSuffix(e, "/"):
-			files, err := s.b.List(dir)
-			if err != nil {
-				continue // raced with a concurrent cleanup
-			}
-			for _, f := range files {
-				staging = append(staging, dir+"/"+strings.TrimSuffix(f, "/"))
-			}
-		case len(name) == 2 && strings.HasSuffix(e, "/"):
-			files, err := s.b.List(dir)
-			if err != nil {
+		}
+		entries, err := s.b.List(sub)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("storage: list blob store %s: %w", sub, err)
+		}
+		for _, e := range entries {
+			name := strings.TrimSuffix(e, "/")
+			dir := sub + "/" + name
+			switch {
+			case name == RefsDirName && strings.HasSuffix(e, "/"):
+				// The journaled ref index lives under the store root but is
+				// managed by RefIndex, not the blob sweeper.
 				continue
-			}
-			for _, f := range files {
-				fname := strings.TrimSuffix(f, "/")
-				p := dir + "/" + fname
-				if !ValidDigest(fname) || !strings.HasPrefix(fname, name) {
-					stray = append(stray, p)
-					continue
+			case name == blobTrashDir && strings.HasSuffix(e, "/"):
+				// Trash is enumerated separately (ListTrash); a sweep in
+				// progress or a crash mid-sweep leaves entries here.
+				continue
+			case name == blobStageDir && strings.HasSuffix(e, "/"):
+				staging = append(staging, s.listDir(dir)...)
+			case len(name) == 2 && strings.HasSuffix(e, "/"):
+				for _, p := range s.listDir(dir) {
+					fname := p[len(dir)+1:]
+					if !ValidDigest(fname) || !strings.HasPrefix(fname, name) {
+						stray = append(stray, p)
+						continue
+					}
+					blobs = append(blobs, BlobInfo{Digest: fname, Size: s.sizeOf(p)})
 				}
-				size, err := s.b.Stat(p)
-				if err != nil {
-					size = -1
-				}
-				blobs = append(blobs, BlobInfo{Digest: fname, Size: size})
+			default:
+				stray = append(stray, dir)
 			}
-		default:
-			stray = append(stray, dir)
 		}
 	}
 	sort.Slice(blobs, func(i, j int) bool { return blobs[i].Digest < blobs[j].Digest })
 	sort.Strings(staging)
 	sort.Strings(stray)
 	return blobs, staging, stray, nil
+}
+
+// listDir returns the paths directly under dir, or nothing when the listing
+// fails: a concurrent publish or purge can drain a directory between its
+// parent's listing and its own (implied directories vanish with their last
+// file), and whatever is missed here is caught by the next pass.
+func (s *BlobStore) listDir(dir string) []string {
+	files, err := s.b.List(dir)
+	if err != nil {
+		return nil
+	}
+	for i, f := range files {
+		files[i] = dir + "/" + strings.TrimSuffix(f, "/")
+	}
+	return files
+}
+
+// sizeOf stats one enumerated object, -1 when it vanished meanwhile.
+func (s *BlobStore) sizeOf(path string) int64 {
+	size, err := s.b.Stat(path)
+	if err != nil {
+		return -1
+	}
+	return size
 }
 
 // Remove deletes one blob. Callers must hold the refcount invariant: only
@@ -845,7 +786,7 @@ func (r *SweepReport) Add(o *SweepReport) {
 
 // trashPath returns a digest's location inside the trash area.
 func (s *BlobStore) trashPath(digest string) string {
-	return s.root + "/" + blobTrashDir + "/" + digest
+	return s.subRoot(digest) + "/" + blobTrashDir + "/" + digest
 }
 
 // moveObject relocates one object: a single atomic rename when the backend
@@ -899,25 +840,14 @@ func (s *BlobStore) PurgeTrash(digest string) error {
 // ListTrash enumerates trashed blobs (a sweep in progress, or residue of
 // one that crashed between trash and purge).
 func (s *BlobStore) ListTrash() ([]BlobInfo, error) {
-	dir := s.root + "/" + blobTrashDir
-	if !s.b.Exists(dir) {
-		return nil, nil
-	}
-	files, err := s.b.List(dir)
-	if err != nil {
-		return nil, nil // raced with a concurrent purge draining the dir
-	}
 	var out []BlobInfo
-	for _, f := range files {
-		name := strings.TrimSuffix(f, "/")
-		if !ValidDigest(name) {
-			continue
+	for _, sub := range s.subs {
+		dir := sub + "/" + blobTrashDir
+		for _, p := range s.listDir(dir) {
+			if name := p[len(dir)+1:]; ValidDigest(name) {
+				out = append(out, BlobInfo{Digest: name, Size: s.sizeOf(p)})
+			}
 		}
-		size, err := s.b.Stat(dir + "/" + name)
-		if err != nil {
-			size = -1
-		}
-		out = append(out, BlobInfo{Digest: name, Size: size})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Digest < out[j].Digest })
 	return out, nil
@@ -1039,20 +969,9 @@ func (s *BlobStore) Sweep(spec SweepSpec) (*SweepReport, error) {
 // the blob fan-out — the cheap cleanup enumeration the generational sweep
 // uses (a full List touches every stored blob).
 func (s *BlobStore) StagingResidue() ([]string, error) {
-	dir := s.root + "/" + blobStageDir
-	if !s.b.Exists(dir) {
-		return nil, nil
-	}
-	files, err := s.b.List(dir)
-	if err != nil {
-		// Best effort: a concurrent publish can drain the directory between
-		// the Exists check and the listing (implied directories vanish with
-		// their last file). Residue missed here is caught next pass.
-		return nil, nil
-	}
-	out := make([]string, 0, len(files))
-	for _, f := range files {
-		out = append(out, dir+"/"+strings.TrimSuffix(f, "/"))
+	var out []string
+	for _, sub := range s.subs {
+		out = append(out, s.listDir(sub+"/"+blobStageDir)...)
 	}
 	sort.Strings(out)
 	return out, nil

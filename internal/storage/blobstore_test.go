@@ -2,16 +2,28 @@ package storage
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
+
+// putBytes stores a byte slice raw under its own digest — the convenience the
+// store's tests used to get from BlobStore.PutBytes, over the one put.
+func putBytes(s *BlobStore, data []byte) (digest string, written bool, err error) {
+	digest = DigestBytes(data)
+	res, err := s.PutStreamOpts(digest, BlobPutOptions{}, func(w io.Writer) (int64, error) {
+		n, err := w.Write(data)
+		return int64(n), err
+	})
+	return digest, res.Written, err
+}
 
 func TestBlobStorePutGetRoundtrip(t *testing.T) {
 	for name, b := range map[string]Backend{"mem": NewMem()} {
 		t.Run(name, func(t *testing.T) {
 			s := NewBlobStore(b, "run/objects")
 			data := []byte("layer payload bytes")
-			digest, written, err := s.PutBytes(data)
+			digest, written, err := putBytes(s, data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +57,7 @@ func TestBlobStorePutGetRoundtrip(t *testing.T) {
 			}
 
 			// Idempotent: the second put moves zero bytes.
-			_, written, err = s.PutBytes(data)
+			_, written, err = putBytes(s, data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,13 +70,13 @@ func TestBlobStorePutGetRoundtrip(t *testing.T) {
 
 func TestBlobWriterRejectsDigestMismatch(t *testing.T) {
 	s := NewBlobStore(NewMem(), "objects")
-	w, err := s.Writer()
+	wrong := DigestBytes([]byte("other"))
+	w, err := s.writer(wrong)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Write([]byte("content"))
-	wrong := DigestBytes([]byte("other"))
-	if _, err := w.Commit(wrong); err == nil {
+	if _, err := w.commit(); err == nil {
 		t.Fatal("mismatched digest accepted")
 	}
 	if s.Has(wrong) {
@@ -82,8 +94,8 @@ func TestBlobStoreRejectsMalformedDigests(t *testing.T) {
 		if s.Has(d) {
 			t.Errorf("Has(%q) = true", d)
 		}
-		if _, _, err := s.Put(d, bytes.NewReader(nil)); err == nil {
-			t.Errorf("Put(%q) accepted", d)
+		if _, err := s.PutStreamOpts(d, BlobPutOptions{}, func(io.Writer) (int64, error) { return 0, nil }); err == nil {
+			t.Errorf("PutStreamOpts(%q) accepted", d)
 		}
 		if _, err := s.Open(d); err == nil {
 			t.Errorf("Open(%q) accepted", d)
@@ -94,11 +106,11 @@ func TestBlobStoreRejectsMalformedDigests(t *testing.T) {
 func TestBlobStoreListAndSweep(t *testing.T) {
 	b := NewMem()
 	s := NewBlobStore(b, "run/objects")
-	d1, _, err := s.PutBytes([]byte("referenced"))
+	d1, _, err := putBytes(s, []byte("referenced"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _, err := s.PutBytes([]byte("garbage"))
+	d2, _, err := putBytes(s, []byte("garbage"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,21 +163,21 @@ func TestBlobStoreConcurrentSameDigestPut(t *testing.T) {
 	// Two writers stream the same content concurrently; both commits
 	// succeed (one wins the rename, one detects the existing blob) and the
 	// stored bytes are intact.
-	w1, err := s.Writer()
+	w1, err := s.writer(digest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := s.Writer()
+	w2, err := s.writer(digest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w1.Write(data)
 	w2.Write(data)
-	won1, err := w1.Commit(digest)
+	won1, err := w1.commit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	won2, err := w2.Commit(digest)
+	won2, err := w2.commit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +205,7 @@ func TestBlobStoreOnOSBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewBlobStore(b, "objects")
-	digest, written, err := s.PutBytes([]byte("os-backed blob"))
+	digest, written, err := putBytes(s, []byte("os-backed blob"))
 	if err != nil || !written {
 		t.Fatalf("put = %v, %v", written, err)
 	}

@@ -175,7 +175,7 @@ func TestPutResultDescribesWhatWasWritten(t *testing.T) {
 	escaped := append([]byte(blobMagic), noise[:500]...)
 	for name, b := range map[string]Backend{"rename": NewMem(), "no-rename": NewObjStore()} {
 		s := NewBlobStore(b, "objects")
-		parentDigest, _, err := s.PutBytes(parent)
+		parentDigest, _, err := putBytes(s, parent)
 		if err != nil {
 			t.Fatal(err)
 		}

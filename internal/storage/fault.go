@@ -38,7 +38,7 @@ func IsInjected(err error) bool { return errors.Is(err, ErrInjected) }
 // points: run the workload once unarmed, read Ops, then replay with
 // FailAt(k) for k = 1..Ops to explore every crash point systematically.
 type Fault struct {
-	Backend Backend
+	Backend // ReadFile, ReadAt, Stat, List and Exists pass through: reads are never fault points
 
 	mu      sync.Mutex
 	ops     int64 // fault points observed since the last Reset
@@ -261,23 +261,6 @@ func (f *Fault) Compose(dst string, parts ...string) error {
 	}
 	return Compose(f.Backend, dst, parts...)
 }
-
-// ReadFile implements Backend (never a fault point).
-func (f *Fault) ReadFile(name string) ([]byte, error) { return f.Backend.ReadFile(name) }
-
-// ReadAt implements Backend (never a fault point).
-func (f *Fault) ReadAt(name string, off int64, p []byte) error {
-	return f.Backend.ReadAt(name, off, p)
-}
-
-// Stat implements Backend.
-func (f *Fault) Stat(name string) (int64, error) { return f.Backend.Stat(name) }
-
-// List implements Backend.
-func (f *Fault) List(dir string) ([]string, error) { return f.Backend.List(dir) }
-
-// Exists implements Backend.
-func (f *Fault) Exists(name string) bool { return f.Backend.Exists(name) }
 
 // NewSpool delegates to the wrapped backend. Spool traffic is staging
 // scratch, not durable I/O: a crash while spooling is indistinguishable

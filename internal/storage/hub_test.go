@@ -111,11 +111,10 @@ func TestOpenCASFollowsHubRef(t *testing.T) {
 	if store.Root() != HubObjectsRoot("hub") {
 		t.Fatalf("store root = %s", store.Root())
 	}
-	ss, ok := store.(*ShardedStore)
-	if !ok || ss.Shards() != 4 {
-		t.Fatalf("hub shard layout not honoured: %T", store)
+	if store.Shards() != 4 {
+		t.Fatalf("hub shard layout not honoured: %d shards", store.Shards())
 	}
-	digest, _, err := store.PutBytes([]byte("shared payload"))
+	digest, _, err := putBytes(store, []byte("shared payload"))
 	if err != nil {
 		t.Fatal(err)
 	}

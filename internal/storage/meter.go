@@ -93,7 +93,7 @@ func (s Stats) Add(o Stats) Stats {
 // tensors, while SimTime should reflect the true model's bytes. Setting
 // ByteScale to the true-to-sim parameter ratio accomplishes that.
 type Meter struct {
-	Backend Backend
+	Backend // Stat, List, Exists, Remove and Rename pass through uncharged (metadata only)
 	Profile Profile
 	// ByteScale multiplies observed byte counts when charging SimTime
 	// (default 1).
@@ -268,21 +268,6 @@ func (r *meteredReader) Read(p []byte) (int, error) {
 }
 
 func (r *meteredReader) Close() error { return r.r.Close() }
-
-// Stat implements Backend (uncharged: metadata only).
-func (m *Meter) Stat(name string) (int64, error) { return m.Backend.Stat(name) }
-
-// List implements Backend (uncharged).
-func (m *Meter) List(dir string) ([]string, error) { return m.Backend.List(dir) }
-
-// Exists implements Backend (uncharged).
-func (m *Meter) Exists(name string) bool { return m.Backend.Exists(name) }
-
-// Remove implements Backend (uncharged).
-func (m *Meter) Remove(name string) error { return m.Backend.Remove(name) }
-
-// Rename implements Backend (uncharged: metadata only).
-func (m *Meter) Rename(oldName, newName string) error { return m.Backend.Rename(oldName, newName) }
 
 // RenameSupported forwards the capability of the wrapped backend.
 func (m *Meter) RenameSupported() bool { return RenameSupported(m.Backend) }

@@ -193,7 +193,7 @@ func TestSweepDigestsExaminesOnlyCandidates(t *testing.T) {
 	store := NewBlobStore(b, "objects")
 	var digests []string
 	for i := 0; i < 8; i++ {
-		d, _, err := store.PutBytes([]byte{byte(i), byte(i >> 1), byte(i >> 2)})
+		d, _, err := putBytes(store, []byte{byte(i), byte(i >> 1), byte(i >> 2)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,11 +235,11 @@ func TestSweepDigestsExaminesOnlyCandidates(t *testing.T) {
 func TestTrashRestorePurge(t *testing.T) {
 	b := NewMem()
 	store := NewBlobStore(b, "objects")
-	d1, _, err := store.PutBytes([]byte("payload one"))
+	d1, _, err := putBytes(store, []byte("payload one"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _, err := store.PutBytes([]byte("payload two"))
+	d2, _, err := putBytes(store, []byte("payload two"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestTrashRestorePurge(t *testing.T) {
 	if err := store.Trash(d1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := store.PutBytes([]byte("payload one")); err != nil {
+	if _, _, err := putBytes(store, []byte("payload one")); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Restore(d1); err != nil {
@@ -294,7 +294,7 @@ func TestTrashRestorePurge(t *testing.T) {
 func TestBlobStoreListSkipsRefsDir(t *testing.T) {
 	b := NewMem()
 	store := NewBlobStore(b, "objects")
-	if _, _, err := store.PutBytes([]byte("payload")); err != nil {
+	if _, _, err := putBytes(store, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	ix := NewRefIndex(b, "objects")

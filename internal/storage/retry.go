@@ -32,7 +32,10 @@ const DefaultRetryAttempts = 4
 
 // Retry wraps a Backend with bounded-attempt retries of transient errors.
 type Retry struct {
-	Backend Backend
+	// Exists (no error channel, nothing to retry) and Rename pass through. A
+	// rename that failed mid-flight is not safely replayable — the source may
+	// already have moved.
+	Backend
 	// Attempts is the total tries per operation (default
 	// DefaultRetryAttempts). 1 disables retrying.
 	Attempts int
@@ -171,18 +174,9 @@ func (r *Retry) List(dir string) ([]string, error) {
 	return names, err
 }
 
-// Exists implements Backend (no error channel, nothing to retry).
-func (r *Retry) Exists(name string) bool { return r.Backend.Exists(name) }
-
 // Remove implements Backend; object DELETE is idempotent.
 func (r *Retry) Remove(name string) error {
 	return r.do(func() error { return r.Backend.Remove(name) })
-}
-
-// Rename implements Backend; forwarded without retry (a rename that failed
-// mid-flight is not safely replayable — the source may already have moved).
-func (r *Retry) Rename(oldName, newName string) error {
-	return r.Backend.Rename(oldName, newName)
 }
 
 // RenameSupported forwards the capability of the wrapped backend.
