@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check one-journal one-pins one-store request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
+.PHONY: all build test race vet fmt-check one-journal one-pins one-store one-reader request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -65,6 +65,32 @@ one-store:
 		echo "BlobStore has $$n Put methods, want exactly 1 (PutStreamOpts):"; \
 		grep -nE --exclude='*_test.go' '^func \([a-z]+ \*BlobStore\) Put[A-Za-z]*\(' internal/storage/*.go; exit 1; fi
 
+# The checkpoint read stage (internal/ckpt/read.go) is the only code that
+# decides whether a committed checkpoint's payloads sit in containers or in
+# blobs: a manifest or container header read anywhere else but there and the
+# codec files is a private reader, free to drift from the stage's (a missed
+# CRC, a forgotten bounds check). Besides the stage, ReadShardHeader serves
+# only merge's whole-file shard copy, which needs the header and nothing
+# else; one Weights type has the one ReadTensor.
+one-reader:
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'(ReadWeightManifest|ReadShardManifest|readContainerHeader)\(' internal cmd *.go \
+		| grep -v -e '^internal/ckpt/read.go:' -e '^internal/ckpt/manifest.go:' \
+			-e '^internal/ckpt/ltsf.go:' -e '^internal/ckpt/ltos.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "manifest or container header read outside the read stage and the codec files:"; echo "$$bad"; exit 1; fi; \
+	bad=$$(grep -rn --include='*.go' --exclude='*_test.go' 'ReadShardHeader(' internal cmd *.go \
+		| grep -v -e 'func ReadShardHeader(' -e '^internal/ckpt/read.go:' -e '^internal/tailor/merge.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "ReadShardHeader( outside the read stage and merge's whole-file copy check:"; echo "$$bad"; exit 1; fi; \
+	bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'WeightsReader|DedupWeights' internal cmd *.go); \
+	if [ -n "$$bad" ]; then \
+		echo "a second weights reader type or an interface over it:"; echo "$$bad"; exit 1; fi; \
+	n=$$(grep -rhE --include='*.go' --exclude='*_test.go' '^func \([a-z]+ \*?[A-Za-z]+\) ReadTensor\(' internal cmd *.go | wc -l); \
+	if [ "$$n" -ne 1 ]; then \
+		echo "$$n ReadTensor methods, want exactly 1 (ckpt.Weights):"; \
+		grep -rnE --include='*.go' --exclude='*_test.go' '^func \([a-z]+ \*?[A-Za-z]+\) ReadTensor\(' internal cmd *.go; exit 1; fi
+
 # A dedup save's backend requests are a function of the payloads that
 # changed, not of the payloads that exist: the counting-backend test that
 # holds config reads, parent-manifest reads, blob probes and blob GETs to
@@ -83,7 +109,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins one-store request-budget build test objstore
+ci-fast: fmt-check vet one-journal one-pins one-store one-reader request-budget build test objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 

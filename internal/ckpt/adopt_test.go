@@ -174,7 +174,7 @@ func TestAdoptDedupDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := storage.NewBlobStore(b, "run2/objects")
-	if err := store.Remove(wm.Tensors[0].Digest); err != nil {
+	if err := b.Remove(store.Path(wm.Tensors[0].Digest)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := AdoptAll(b, "run2")

@@ -198,7 +198,7 @@ func TestStaleViewBlobRestoredInAnotherForm(t *testing.T) {
 					if !ok {
 						t.Fatal("fixture: delta container does not pay")
 					}
-					if err := store.Remove(ref.Digest); err != nil {
+					if err := b.Remove(store.Path(ref.Digest)); err != nil {
 						t.Fatal(err)
 					}
 					if err := b.WriteFile(store.Path(ref.Digest), container); err != nil {

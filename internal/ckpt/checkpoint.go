@@ -344,33 +344,6 @@ func ReadManifest(b storage.Backend, dir string) (Manifest, error) {
 	return man, nil
 }
 
-// WeightsReader is the lazy per-tensor access surface a checkpoint's
-// weights expose, satisfied by both container layouts: LTSFReader over a
-// plain model.ltsf and DedupWeights over a content-addressed manifest.
-// Merge, verify and resume code works against this interface so dedup
-// checkpoints are transparent sources.
-type WeightsReader interface {
-	// Model returns the model name recorded at write time.
-	Model() string
-	// Names returns the sorted tensor names present.
-	Names() []string
-	// Has reports whether the named tensor is present.
-	Has(name string) bool
-	// PayloadSize returns the stored payload byte size (no payload I/O).
-	PayloadSize(name string) (int64, bool)
-	// ReadTensor reads, CRC-verifies and decodes one tensor.
-	ReadTensor(name string) (*tensor.Tensor, error)
-	// ReadAll reads every tensor in name order.
-	ReadAll() ([]*tensor.Tensor, error)
-	// RawTensor returns the stored payload extent and checksum.
-	RawTensor(name string) (RawTensor, error)
-	// OpenRaw opens a streaming reader over the stored payload extent.
-	OpenRaw(name string) (RawTensor, io.ReadCloser, error)
-	// RawEligible reports whether the tensor can be raw-copied into an
-	// output of the given dtype.
-	RawEligible(name string, out tensor.DType) bool
-}
-
 // Checkpoint is an open handle to a checkpoint directory. Opening reads only
 // the small JSON files and the weight header (or manifest); tensor and shard
 // payloads are fetched on demand.
@@ -382,13 +355,13 @@ type Checkpoint struct {
 	State    TrainerState
 	Manifest Manifest
 
-	weights WeightsReader
+	src     *source
+	weights *Weights
 }
 
 // Open validates and indexes a checkpoint directory, plain or dedup.
 func Open(b storage.Backend, dir string) (*Checkpoint, error) {
-	c := &Checkpoint{Backend: b, Dir: dir}
-	c.Config = &modelcfg.Config{}
+	c := &Checkpoint{Backend: b, Dir: dir, Config: &modelcfg.Config{}}
 	if err := readJSON(b, dir+"/config.json", c.Config); err != nil {
 		return nil, fmt.Errorf("ckpt: open %s: %w", dir, err)
 	}
@@ -401,38 +374,34 @@ func Open(b storage.Backend, dir string) (*Checkpoint, error) {
 	if err := readJSON(b, dir+"/manifest.json", &c.Manifest); err != nil {
 		return nil, fmt.Errorf("ckpt: open %s: %w", dir, err)
 	}
-	if IsDedup(b, dir) {
-		w, err := OpenDedupWeights(b, dir)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: open %s: %w", dir, err)
-		}
-		c.weights = w
-		return c, nil
+	var err error
+	if c.src, err = openSource(b, dir); err == nil {
+		c.weights, err = c.src.weights()
 	}
-	w, err := OpenLTSF(b, dir+"/model.ltsf")
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: open %s: %w", dir, err)
 	}
-	c.weights = w
 	return c, nil
 }
 
-// Weights exposes the lazy weight reader (plain LTSF or dedup-backed).
-func (c *Checkpoint) Weights() WeightsReader { return c.weights }
-
-// ReadOptimShard fully reads one rank's optimizer state: the LTOS shard
-// file of a plain checkpoint, or the rank's shard manifest plus group
-// blobs of a dedup one.
-func (c *Checkpoint) ReadOptimShard(rank int) (*ShardFile, error) {
-	name := c.Dir + "/" + ShardFileName(rank)
-	if !c.Backend.Exists(name) && c.Backend.Exists(c.Dir+"/"+ShardManifestName(rank)) {
-		return readDedupShardFile(c.Backend, c.Dir, rank)
-	}
-	return ReadShardFile(c.Backend, name)
-}
+// Weights exposes the lazy weight reader.
+func (c *Checkpoint) Weights() *Weights { return c.weights }
 
 // WorldSize returns the rank count recorded at save time.
 func (c *Checkpoint) WorldSize() int { return c.State.WorldSize }
+
+// Layout rebuilds the optimizer layout the trainer state records from the
+// checkpoint's config.
+func (c *Checkpoint) Layout() (*optim.Layout, error) {
+	kind, err := optim.ParseLayoutKind(c.State.Layout)
+	if err != nil {
+		return nil, err
+	}
+	if kind == optim.Layerwise {
+		return optim.NewLayerwiseLayout(c.Config), nil
+	}
+	return optim.NewTwoGroupLayout(c.Config), nil
+}
 
 // Latest resolves the run root's "latest" pointer to a checkpoint dir
 // path. Only committed checkpoints are ever returned: when the pointer
@@ -543,15 +512,9 @@ func Restore(b storage.Backend, dir string, dtype tensor.DType) (*model.Model, *
 		}
 	}
 
-	kind, err := optim.ParseLayoutKind(c.State.Layout)
+	layout, err := c.Layout()
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	var layout *optim.Layout
-	if kind == optim.Layerwise {
-		layout = optim.NewLayerwiseLayout(c.Config)
-	} else {
-		layout = optim.NewTwoGroupLayout(c.Config)
 	}
 
 	ws := c.State.WorldSize

@@ -17,7 +17,6 @@ package ckpt
 import (
 	"fmt"
 
-	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 )
 
@@ -214,33 +213,21 @@ type blobRef struct {
 }
 
 // walkBlobRefs visits every manifest entry of a dedup checkpoint — weights,
-// then each rank's groups — keyed by slot, stopping at the first error. The
-// manifests are independent objects, so they are fetched side by side (one
-// round trip's wait on a remote store, not one per rank) and visited in order.
+// then each rank's groups — keyed by slot, stopping at the first error or
+// unreadable manifest.
 func walkBlobRefs(b storage.Backend, dir string, fn func(slot string, r blobRef) error) error {
-	ranks := shardManifestRanks(b, dir)
-	var wm *WeightManifest
-	sms := make([]*ShardManifest, len(ranks))
-	errs := make([]error, 1+len(ranks))
-	_ = parallel.ForEach(requestWidth, len(errs), func(i int) error {
-		if i == 0 {
-			wm, errs[0] = ReadWeightManifest(b, dir+"/"+WeightManifestName)
-		} else {
-			sms[i-1], errs[i] = ReadShardManifest(b, dir+"/"+ShardManifestName(ranks[i-1]))
-		}
-		return nil
-	})
-	if errs[0] != nil {
-		return errs[0]
+	wm, sms, rerr := readManifests(b, dir)
+	if wm == nil {
+		return rerr
 	}
 	for _, e := range wm.Tensors {
 		if err := fn(weightSlot(e.Name), blobRef{e.Digest, e.Codec, e.Size, e.Stored, e.Parents}); err != nil {
 			return err
 		}
 	}
-	for i, sm := range sms {
-		if errs[i+1] != nil {
-			return errs[i+1]
+	for _, sm := range sms {
+		if sm == nil {
+			return rerr
 		}
 		for _, g := range sm.Groups {
 			if err := fn(groupSlotKey(sm.Rank, g.Index), blobRef{g.Digest, g.Codec, g.Size, g.Stored, g.Parents}); err != nil {
@@ -298,12 +285,9 @@ func ScanCodecs(b storage.Backend, runRoot string) ([]CodecHealth, error) {
 	}
 	var out []CodecHealth
 	for _, dir := range dirs {
-		if !IsDedup(b, dir) {
-			continue
-		}
 		cs, err := ReadCodecStats(b, dir)
 		if err != nil {
-			continue
+			continue // plain, or manifests other scans already flag
 		}
 		store, err := storeFor(b, dir)
 		if err != nil {

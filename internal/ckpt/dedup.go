@@ -16,6 +16,9 @@
 // remove, never a committed checkpoint with dangling references. GC
 // derives refcounts from every committed (and sealed-but-unpublished)
 // manifest and sweeps only blobs with zero references.
+//
+// Reading a dedup checkpoint is the read stage's job (read.go), like a plain
+// one; this file keeps the layout's own store, GC, scan and conversion.
 
 package ckpt
 
@@ -29,9 +32,7 @@ import (
 	"sort"
 	"strings"
 
-	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
-	"llmtailor/internal/tensor"
 	"llmtailor/internal/zero"
 )
 
@@ -66,12 +67,6 @@ func storeFor(b storage.Backend, dir string) (*storage.BlobStore, error) {
 	return storage.OpenCAS(b, ObjectsRoot(dir))
 }
 
-// IsDedup reports whether a checkpoint directory is stored content-
-// addressed (weight manifest present, no weight container).
-func IsDedup(b storage.Backend, dir string) bool {
-	return b.Exists(dir+"/"+WeightManifestName) && !b.Exists(dir+"/model.ltsf")
-}
-
 // hashStream computes one payload's content digest and CRC by streaming
 // encode() through the hashes only — no storage I/O.
 func hashStream(size int64, encode func(io.Writer) (int64, error)) (digest string, crc uint32, err error) {
@@ -100,310 +95,6 @@ func encodeGroupPayload(w io.Writer, buf []byte, s *zero.GroupShard) (int64, err
 		}
 	}
 	return n, nil
-}
-
-// DedupWeights provides the same lazy per-tensor access over a dedup
-// checkpoint that LTSFReader provides over a plain one: tensors are read
-// (and CRC-verified) blob by blob, raw extents open directly on the blob
-// files, so resume and merge work transparently against either layout.
-type DedupWeights struct {
-	store *storage.BlobStore
-	man   *WeightManifest
-	// index maps tensor name to its manifest entry position, so per-tensor
-	// lookups cost what the LTSF header map costs, not a slice scan.
-	index map[string]int
-}
-
-// OpenDedupWeights opens the weight manifest of a dedup checkpoint.
-func OpenDedupWeights(b storage.Backend, dir string) (*DedupWeights, error) {
-	man, err := ReadWeightManifest(b, dir+"/"+WeightManifestName)
-	if err != nil {
-		return nil, err
-	}
-	index := make(map[string]int, len(man.Tensors))
-	for i, e := range man.Tensors {
-		index[e.Name] = i
-	}
-	store, err := storeFor(b, dir)
-	if err != nil {
-		return nil, err
-	}
-	return &DedupWeights{store: store, man: man, index: index}, nil
-}
-
-// entry returns the named tensor's manifest entry via the index.
-func (r *DedupWeights) entry(name string) (WeightEntry, bool) {
-	i, ok := r.index[name]
-	if !ok {
-		return WeightEntry{}, false
-	}
-	return r.man.Tensors[i], true
-}
-
-// Model returns the model name recorded at save time.
-func (r *DedupWeights) Model() string { return r.man.Model }
-
-// Names returns the sorted tensor names present in the manifest.
-func (r *DedupWeights) Names() []string {
-	out := make([]string, 0, len(r.man.Tensors))
-	for _, e := range r.man.Tensors {
-		out = append(out, e.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Has reports whether the manifest references the named tensor.
-func (r *DedupWeights) Has(name string) bool {
-	_, ok := r.entry(name)
-	return ok
-}
-
-// PayloadSize returns the stored byte size of the named tensor's payload.
-func (r *DedupWeights) PayloadSize(name string) (int64, bool) {
-	e, ok := r.entry(name)
-	if !ok {
-		return 0, false
-	}
-	return e.Size, true
-}
-
-// ReadTensor reads the named tensor's blob, verifies its CRC and returns
-// the decoded tensor.
-func (r *DedupWeights) ReadTensor(name string) (*tensor.Tensor, error) {
-	e, ok := r.entry(name)
-	if !ok {
-		return nil, fmt.Errorf("ckpt: dedup weights: no tensor %q", name)
-	}
-	dt, err := tensor.ParseDType(e.DType)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: dedup weights: tensor %q: %w", name, err)
-	}
-	rc, err := r.store.OpenRange(e.Digest, 0, e.Size)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: dedup weights: tensor %q: %w", name, err)
-	}
-	buf := make([]byte, e.Size)
-	_, err = io.ReadFull(rc, buf)
-	if cerr := rc.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: dedup weights: tensor %q blob %s: %w", name, e.Digest, err)
-	}
-	if got := crc32.ChecksumIEEE(buf); got != e.CRC32 {
-		return nil, fmt.Errorf("ckpt: dedup weights: tensor %q: CRC mismatch (%08x != %08x)", name, got, e.CRC32)
-	}
-	t := tensor.New(name, dt, e.Shape...)
-	if err := t.Decode(buf); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ReadAll reads every tensor in name order.
-func (r *DedupWeights) ReadAll() ([]*tensor.Tensor, error) {
-	names := r.Names()
-	out := make([]*tensor.Tensor, 0, len(names))
-	for _, n := range names {
-		t, err := r.ReadTensor(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// RawTensor returns the named tensor's blob extent and recorded CRC.
-func (r *DedupWeights) RawTensor(name string) (RawTensor, error) {
-	e, ok := r.entry(name)
-	if !ok {
-		return RawTensor{}, fmt.Errorf("ckpt: dedup weights: no tensor %q", name)
-	}
-	return RawTensor{
-		Name:  name,
-		DType: e.DType,
-		Shape: append([]int(nil), e.Shape...),
-		Size:  e.Size,
-		CRC32: e.CRC32,
-		// A blob holds exactly the payload, so the extent starts at 0.
-		Offset: 0,
-	}, nil
-}
-
-// OpenRaw opens a streaming reader over the named tensor's blob.
-func (r *DedupWeights) OpenRaw(name string) (RawTensor, io.ReadCloser, error) {
-	rt, err := r.RawTensor(name)
-	if err != nil {
-		return RawTensor{}, nil, err
-	}
-	e, _ := r.entry(name)
-	rc, err := r.store.OpenRange(e.Digest, 0, e.Size)
-	if err != nil {
-		return RawTensor{}, nil, fmt.Errorf("ckpt: dedup weights: open blob for %q: %w", name, err)
-	}
-	return rt, rc, nil
-}
-
-// RawEligible reports whether the named tensor can be raw-copied into an
-// output of the given dtype.
-func (r *DedupWeights) RawEligible(name string, out tensor.DType) bool {
-	e, ok := r.entry(name)
-	if !ok {
-		return false
-	}
-	dt, err := tensor.ParseDType(e.DType)
-	return err == nil && dt == out
-}
-
-// readDedupShardFile rebuilds one rank's decoded ShardFile from its shard
-// manifest and group blobs — the dedup counterpart of ReadShardFile, with
-// the same whole-groups-only access (no lazy optimizer loading, §5.4).
-func readDedupShardFile(b storage.Backend, dir string, rank int) (*ShardFile, error) {
-	name := dir + "/" + ShardManifestName(rank)
-	man, err := ReadShardManifest(b, name)
-	if err != nil {
-		return nil, err
-	}
-	if man.Rank != rank {
-		return nil, fmt.Errorf("ckpt: %s: manifest is for rank %d", name, man.Rank)
-	}
-	layout, err := optim.ParseLayoutKind(man.Layout)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %s: %w", name, err)
-	}
-	store, err := storeFor(b, dir)
-	if err != nil {
-		return nil, err
-	}
-	f := &ShardFile{
-		Rank: man.Rank, WorldSize: man.WorldSize, Step: man.Step,
-		Layout: layout,
-		Shards: make([]*zero.GroupShard, len(man.Groups)),
-	}
-	if size, err := b.Stat(name); err == nil {
-		f.FileBytes = size
-	}
-	for i, g := range man.Groups {
-		rc, err := store.OpenRange(g.Digest, 0, g.Size)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: %s: group %d blob: %w", name, g.Index, err)
-		}
-		seg := make([]byte, g.Size)
-		_, err = io.ReadFull(rc, seg)
-		if cerr := rc.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: %s: group %d blob %s: %w", name, g.Index, g.Digest, err)
-		}
-		if got := crc32.ChecksumIEEE(seg); got != g.CRC32 {
-			return nil, fmt.Errorf("ckpt: %s: group %d CRC mismatch", name, g.Index)
-		}
-		meta := g.Meta()
-		meta.Offsets = [2]int64{0, g.Size}
-		f.Meta = append(f.Meta, meta)
-		f.FileBytes += g.Size
-		f.Shards[i] = &zero.GroupShard{
-			GroupIndex: g.Index,
-			Rank:       man.Rank,
-			Master:     decodeF32(seg, g.ShardLen),
-			ExpAvg:     decodeF32(seg[g.ShardLen*4:], g.ShardLen),
-			ExpAvgSq:   decodeF32(seg[g.ShardLen*8:], g.ShardLen),
-		}
-	}
-	return f, nil
-}
-
-// MaterializeWeights writes a full LTSF weight container at dst from a
-// dedup checkpoint's manifest: the stored blobs feed the write stage's
-// container writer in manifest (= payload) order with carried-forward CRCs.
-// The output is byte-identical to what a plain Save of the same state would
-// have written; every payload is re-hashed on the way through and checked
-// against the manifest's digest, so a corrupt blob fails the
-// materialization instead of poisoning the container.
-func MaterializeWeights(b storage.Backend, dir, dst string, chunkBytes int) error {
-	man, err := ReadWeightManifest(b, dir+"/"+WeightManifestName)
-	if err != nil {
-		return err
-	}
-	store, err := storeFor(b, dir)
-	if err != nil {
-		return err
-	}
-	set := &payloadSet{model: man.Model}
-	for _, e := range man.Tensors {
-		set.weights = append(set.weights, weightPayload{
-			payload: blobPayload(store, e.Digest, e.Size, e.CRC32),
-			name:    e.Name, dtype: e.DType, shape: e.Shape,
-		})
-	}
-	if err := set.stageWeights(b, dst, chunkBytes); err != nil {
-		return fmt.Errorf("ckpt: materialize %s: %w", dir, err)
-	}
-	return nil
-}
-
-// MaterializeShardFile writes one rank's full LTOS container at dst from a
-// dedup checkpoint's shard manifest, byte-identical to the plain save's,
-// verifying each group blob's digest as it streams through.
-func MaterializeShardFile(b storage.Backend, dir string, rank int, dst string, chunkBytes int) error {
-	man, err := ReadShardManifest(b, dir+"/"+ShardManifestName(rank))
-	if err != nil {
-		return err
-	}
-	layout, err := optim.ParseLayoutKind(man.Layout)
-	if err != nil {
-		return err
-	}
-	store, err := storeFor(b, dir)
-	if err != nil {
-		return err
-	}
-	rs := rankPayloads{rank: man.Rank, worldSize: man.WorldSize, step: man.Step, layout: layout}
-	for _, g := range man.Groups {
-		rs.groups = append(rs.groups, groupPayload{
-			payload: blobPayload(store, g.Digest, g.Size, g.CRC32), meta: g.Meta(),
-		})
-	}
-	if err := rs.stageShardFile(b, dst, chunkBytes); err != nil {
-		return fmt.Errorf("ckpt: materialize %s rank %d: %w", dir, rank, err)
-	}
-	return nil
-}
-
-// blobPayload describes a stored blob as a payload whose write replays the
-// decoded bytes, re-hashing them against the digest on the way through.
-func blobPayload(store *storage.BlobStore, digest string, size int64, crc uint32) payload {
-	open := func() (io.ReadCloser, error) { return store.OpenRange(digest, 0, size) }
-	return payload{size: size, digest: digest, crc: crc, hasCRC: true,
-		write: func(w io.Writer) (int64, error) {
-			sum := sha256.New()
-			n, err := replay(open)(io.MultiWriter(w, sum))
-			if got := hex.EncodeToString(sum.Sum(nil)); err == nil && got != digest {
-				err = fmt.Errorf("blob content hashes to %s, manifest says %s", got, digest)
-			}
-			return n, err
-		}}
-}
-
-// shardManifestRanks lists the ranks that have shard manifests in a
-// checkpoint directory.
-func shardManifestRanks(b storage.Backend, dir string) []int {
-	entries, err := b.List(dir + "/zero")
-	if err != nil {
-		return nil
-	}
-	var ranks []int
-	for _, e := range entries {
-		var r int
-		if _, err := fmt.Sscanf(e, "rank_%d_optim_states.ltom", &r); err == nil && strings.HasSuffix(e, ".ltom") {
-			ranks = append(ranks, r)
-		}
-	}
-	sort.Ints(ranks)
-	return ranks
 }
 
 // verifyDedupRefs checks that every blob a dedup checkpoint references
@@ -643,7 +334,7 @@ func ScanBlobs(b storage.Backend, runRoot string) ([]BlobStatus, error) {
 	}
 	for _, t := range trash {
 		out = append(out, BlobStatus{
-			Path: store.Root() + "/.trash/" + t.Digest, Digest: t.Digest,
+			Path: store.TrashPath(t.Digest), Digest: t.Digest,
 			State: BlobTrashed, Size: t.Size, Refs: refs[t.Digest],
 		})
 	}
@@ -703,12 +394,17 @@ func Dedupify(b storage.Backend, dir string, chunkBytes int) (*DedupifyReport, e
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: dedupify %s: only committed checkpoints convert: %w", dir, err)
 	}
-	// The conversion is one more feeder of the write stage: it lists the raw
-	// extents of the committed containers, hashes them, and lets the stage
-	// journal and publish. No codec plan: new blobs stay raw, while dedup
-	// hits on coded blobs are journaled and recorded with their lineage like
-	// any save's.
-	set, err := containerPayloads(b, dir)
+	// The conversion is one more feeder of the write stage: the read stage
+	// lists the committed containers' payloads as raw extents (no decode),
+	// hashAll digests them — verifying each header CRC against the bytes in
+	// the same pass — and the stage journals and publishes. No codec plan:
+	// new blobs stay raw, while dedup hits on coded blobs are journaled and
+	// recorded with their lineage like any save's.
+	var set *payloadSet
+	src, err := openSource(b, dir)
+	if err == nil {
+		set, err = src.set()
+	}
 	if err == nil {
 		err = set.hashAll()
 	}
@@ -748,60 +444,6 @@ func Dedupify(b storage.Backend, dir string, chunkBytes int) (*DedupifyReport, e
 		return nil
 	})
 	return rep, nil
-}
-
-// containerPayloads lists a committed plain checkpoint's payloads as raw
-// extents of its LTSF/LTOS containers (no decode), with the headers' CRCs
-// carried along for hashAll to verify.
-func containerPayloads(b storage.Backend, dir string) (*payloadSet, error) {
-	lr, err := OpenLTSF(b, dir+"/model.ltsf")
-	if err != nil {
-		return nil, err
-	}
-	// Tensors in payload order, so the manifest order (and any later
-	// materialization) matches the original container byte for byte.
-	names := lr.Names()
-	sort.SliceStable(names, func(i, j int) bool {
-		return lr.hdr.Tensors[names[i]].Offsets[0] < lr.hdr.Tensors[names[j]].Offsets[0]
-	})
-	set := &payloadSet{model: lr.Model()}
-	for _, name := range names {
-		rt, err := lr.RawTensor(name)
-		if err != nil {
-			return nil, err
-		}
-		set.weights = append(set.weights, weightPayload{
-			payload: payload{size: rt.Size, crc: rt.CRC32, hasCRC: true,
-				write: replay(func() (io.ReadCloser, error) {
-					_, rc, err := lr.OpenRaw(name)
-					return rc, err
-				})},
-			name: name, dtype: rt.DType, shape: rt.Shape,
-		})
-	}
-	// Every rank file found, each group extent one payload.
-	for rank := 0; ; rank++ {
-		name := dir + "/" + ShardFileName(rank)
-		if !b.Exists(name) {
-			return set, nil
-		}
-		h, err := ReadShardHeader(b, name)
-		if err != nil {
-			return nil, err
-		}
-		payloadOff := h.FileBytes - h.PayloadBytes
-		rs := rankPayloads{rank: h.Rank, worldSize: h.WorldSize, step: h.Step, layout: h.Layout}
-		for _, g := range h.Groups {
-			size := g.Offsets[1] - g.Offsets[0]
-			off := payloadOff + g.Offsets[0]
-			rs.groups = append(rs.groups, groupPayload{
-				payload: payload{size: size, crc: g.CRC32, hasCRC: true,
-					write: replay(func() (io.ReadCloser, error) { return b.OpenRange(name, off, size) })},
-				meta: g,
-			})
-		}
-		set.ranks = append(set.ranks, rs)
-	}
 }
 
 // copyCommittedExtras is Dedupify's trailer on rename backends: every

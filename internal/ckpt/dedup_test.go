@@ -227,7 +227,7 @@ func TestDedupScanStates(t *testing.T) {
 		victim = d
 		break
 	}
-	if err := store.Remove(victim); err != nil {
+	if err := b.Remove(store.Path(victim)); err != nil {
 		t.Fatal(err)
 	}
 	statuses, _ = Scan(b, "run")
@@ -516,11 +516,11 @@ func TestDedupCorruptBlobFailsReads(t *testing.T) {
 		return d
 	})
 
-	w, err := OpenDedupWeights(b, "run/checkpoint-9")
+	c, err := Open(b, "run/checkpoint-9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.ReadTensor(victim.Name); err == nil {
+	if _, err := c.Weights().ReadTensor(victim.Name); err == nil {
 		t.Fatal("corrupt blob read succeeded")
 	}
 	if err := MaterializeWeights(b, "run/checkpoint-9", "mat.ltsf", 0); err == nil {

@@ -39,16 +39,6 @@ type LayerDeltaRow struct {
 // Unlayered names the delta row of payloads with no layer binding.
 const Unlayered = "(unlayered)"
 
-// dirDigests collects every blob digest a dedup checkpoint references.
-func dirDigests(b storage.Backend, dir string) (map[string]bool, error) {
-	set := map[string]bool{}
-	err := walkBlobRefs(b, dir, func(_ string, r blobRef) error {
-		set[r.Digest] = true
-		return nil
-	})
-	return set, err
-}
-
 // LayerDelta breaks a dedup checkpoint down per layer: how many payload
 // bytes each layer moved versus reused against prevDir (the previous
 // checkpoint of the same run; "" treats every payload as moved). Rows
@@ -65,8 +55,11 @@ func LayerDelta(b storage.Backend, dir, prevDir string) ([]LayerDeltaRow, error)
 		if !IsDedup(b, prevDir) {
 			return nil, fmt.Errorf("ckpt: %s is not content-addressed (no %s)", prevDir, WeightManifestName)
 		}
-		var err error
-		if prev, err = dirDigests(b, prevDir); err != nil {
+		err := walkBlobRefs(b, prevDir, func(_ string, r blobRef) error {
+			prev[r.Digest] = true
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -104,18 +97,14 @@ func LayerDelta(b storage.Backend, dir, prevDir string) ([]LayerDeltaRow, error)
 		}
 	}
 
-	wm, err := ReadWeightManifest(b, dir+"/"+WeightManifestName)
+	wm, sms, err := readManifests(b, dir)
 	if err != nil {
 		return nil, err
 	}
 	for _, e := range wm.Tensors {
 		add(weightLayer[e.Name], e.Size, e.Stored, e.Digest)
 	}
-	for _, r := range shardManifestRanks(b, dir) {
-		sm, err := ReadShardManifest(b, dir+"/"+ShardManifestName(r))
-		if err != nil {
-			return nil, err
-		}
+	for _, sm := range sms {
 		for _, g := range sm.Groups {
 			add(g.Layer, g.Size, g.Stored, g.Digest)
 		}
@@ -148,15 +137,7 @@ func LayerDelta(b storage.Backend, dir, prevDir string) ([]LayerDeltaRow, error)
 // preceding dir under its run root ("" when dir is the oldest). The run
 // root is dir's parent directory.
 func PreviousCheckpoint(b storage.Backend, dir string) (string, error) {
-	runRoot := ""
-	if i := len(dir) - 1; i >= 0 {
-		for j := i; j >= 0; j-- {
-			if dir[j] == '/' {
-				runRoot = dir[:j]
-				break
-			}
-		}
-	}
+	runRoot := runRootOf(dir)
 	dirs, err := List(b, runRoot)
 	if err != nil {
 		return "", err

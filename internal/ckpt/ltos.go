@@ -2,9 +2,7 @@ package ckpt
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
@@ -139,8 +137,7 @@ func (w *ShardFileWriter) WriteGroup(m ShardGroupMeta, s *zero.GroupShard) error
 // AppendRawGroup splices a pre-encoded group payload (master + exp_avg +
 // exp_avg_sq, FP32 little-endian) into the shard file and records its
 // metadata with the source CRC carried forward — the LTOS counterpart of
-// LTSFWriter.AppendRaw, used when materializing dedup checkpoints from
-// blob extents. m must carry the group's geometry and CRC.
+// LTSFWriter.AppendRaw. m must carry the group's geometry and CRC.
 func (w *ShardFileWriter) AppendRawGroup(m ShardGroupMeta, size int64, src io.Reader) error {
 	return w.appendPayload(m, size, true, func(sink io.Writer) (int64, error) {
 		return spliceTo(sink, src, size, w.buf)
@@ -210,10 +207,11 @@ func decodeF32(src []byte, n int64) []float32 {
 
 // ReadShardFile reads and decodes an entire rank optimizer file. There is
 // deliberately no lazy variant: like DeepSpeed's pickled optimizer states,
-// a shard file must be fully loaded before any group can be used (§5.4) —
-// but the read streams group by group, so peak transient memory is one
-// group's payload rather than the whole encoded file alongside its decoded
-// form.
+// a shard file must be fully loaded before any group can be used (§5.4), so
+// the load is ONE stream — the header parsed off the same Open the payload
+// drains from, which is what the paper's Table 7 charges per shard file.
+// It still reads group by group: peak transient memory is one group's
+// payload, not the whole encoded file alongside its decoded form.
 func ReadShardFile(b storage.Backend, name string) (*ShardFile, error) {
 	size, err := b.Stat(name)
 	if err != nil {
@@ -224,82 +222,30 @@ func ReadShardFile(b storage.Backend, name string) (*ShardFile, error) {
 		return nil, err
 	}
 	defer r.Close()
-	if size < 12 {
-		return nil, fmt.Errorf("ckpt: %s: truncated (%d bytes)", name, size)
-	}
-	head := make([]byte, 12)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("ckpt: %s: read header: %w", name, err)
-	}
-	for i := range ltosMagic {
-		if head[i] != ltosMagic[i] {
-			return nil, fmt.Errorf("ckpt: %s: bad magic %q", name, head[:4])
-		}
-	}
-	// Compare without adding (overflow-safe against adversarial lengths).
-	hlen := int64(binary.LittleEndian.Uint64(head[4:12]))
-	if hlen <= 0 || hlen > size-12 {
-		return nil, fmt.Errorf("ckpt: %s: corrupt header length %d", name, hlen)
-	}
-	hj := make([]byte, hlen)
-	if _, err := io.ReadFull(r, hj); err != nil {
-		return nil, fmt.Errorf("ckpt: %s: read header body: %w", name, err)
-	}
 	var hdr ltosHeader
-	if err := json.Unmarshal(hj, &hdr); err != nil {
-		return nil, fmt.Errorf("ckpt: %s: decode header: %w", name, err)
-	}
-	if hdr.Version != FormatVersion {
-		return nil, fmt.Errorf("ckpt: %s: version %d, want %d", name, hdr.Version, FormatVersion)
-	}
-	layout, err := optim.ParseLayoutKind(hdr.Layout)
+	hlen, err := parseContainerHeader(name, size, ltosMagic, &hdr, func(p []byte) error {
+		_, err := io.ReadFull(r, p)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: %s: %w", name, err)
+		return nil, err
 	}
-	payloadLen := size - 12 - hlen
-
-	f := &ShardFile{
-		Rank: hdr.Rank, WorldSize: hdr.WorldSize, Step: hdr.Step,
-		Layout:    layout,
-		Meta:      hdr.Groups,
-		Shards:    make([]*zero.GroupShard, len(hdr.Groups)),
-		FileBytes: size,
+	h, err := hdr.check(name, size, size-12-hlen)
+	if err != nil {
+		return nil, err
 	}
 	var pos int64 // current offset within the payload section
-	for i, m := range hdr.Groups {
-		if m.Offsets[0] < 0 || m.Offsets[1] > payloadLen || m.Offsets[0] > m.Offsets[1] {
-			return nil, fmt.Errorf("ckpt: %s: group %d offsets %v out of range", name, m.Index, m.Offsets)
-		}
-		if m.Offsets[0] < pos {
-			return nil, fmt.Errorf("ckpt: %s: group %d offsets %v overlap previous group", name, m.Index, m.Offsets)
-		}
-		if skip := m.Offsets[0] - pos; skip > 0 {
+	return decodeRank(name, h.payloads(b, name), func(g *groupPayload) ([]byte, error) {
+		if skip := g.meta.Offsets[0] - pos; skip > 0 {
 			if _, err := io.CopyN(io.Discard, r, skip); err != nil {
-				return nil, fmt.Errorf("ckpt: %s: group %d: %w", name, m.Index, err)
+				return nil, err
 			}
 		}
-		seg := make([]byte, m.Offsets[1]-m.Offsets[0])
-		if _, err := io.ReadFull(r, seg); err != nil {
-			return nil, fmt.Errorf("ckpt: %s: group %d: %w", name, m.Index, err)
-		}
-		pos = m.Offsets[1]
-		if got := crc32.ChecksumIEEE(seg); got != m.CRC32 {
-			return nil, fmt.Errorf("ckpt: %s: group %d CRC mismatch", name, m.Index)
-		}
-		// Range-check ShardLen before multiplying: a near-MaxInt64 value
-		// could wrap ShardLen*12 around to len(seg) and pass the equality.
-		if m.ShardLen < 0 || m.ShardLen > int64(len(seg)) || int64(len(seg)) != m.ShardLen*12 {
-			return nil, fmt.Errorf("ckpt: %s: group %d payload %d bytes, want 12×%d", name, m.Index, len(seg), m.ShardLen)
-		}
-		f.Shards[i] = &zero.GroupShard{
-			GroupIndex: m.Index,
-			Rank:       hdr.Rank,
-			Master:     decodeF32(seg, m.ShardLen),
-			ExpAvg:     decodeF32(seg[m.ShardLen*4:], m.ShardLen),
-			ExpAvgSq:   decodeF32(seg[m.ShardLen*8:], m.ShardLen),
-		}
-	}
-	return f, nil
+		seg := make([]byte, g.size)
+		_, err := io.ReadFull(r, seg)
+		pos = g.meta.Offsets[1]
+		return seg, err
+	})
 }
 
 // ShardHeader is the decoded header of an LTOS file — everything needed to
@@ -324,10 +270,17 @@ type ShardHeader struct {
 // verbatim. Payload bytes are never read.
 func ReadShardHeader(b storage.Backend, name string) (*ShardHeader, error) {
 	var hdr ltosHeader
-	off, err := readContainerHeader(b, name, ltosMagic, &hdr)
+	off, payloadLen, err := readContainerHeader(b, name, ltosMagic, &hdr)
 	if err != nil {
 		return nil, err
 	}
+	return hdr.check(name, off+payloadLen, payloadLen)
+}
+
+// check validates a decoded LTOS header against the container's real sizes:
+// version, layout, every group's extent in range, in file order and exactly
+// 12×ShardLen long. Both the header-only and the whole-file reader use it.
+func (hdr *ltosHeader) check(name string, fileBytes, payloadLen int64) (*ShardHeader, error) {
 	if hdr.Version != FormatVersion {
 		return nil, fmt.Errorf("ckpt: %s: version %d, want %d", name, hdr.Version, FormatVersion)
 	}
@@ -335,11 +288,6 @@ func ReadShardHeader(b storage.Backend, name string) (*ShardHeader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", name, err)
 	}
-	size, err := b.Stat(name)
-	if err != nil {
-		return nil, err
-	}
-	payloadLen := size - off
 	var pos int64
 	for _, m := range hdr.Groups {
 		if m.Offsets[0] < 0 || m.Offsets[1] > payloadLen || m.Offsets[0] > m.Offsets[1] {
@@ -349,12 +297,29 @@ func ReadShardHeader(b storage.Backend, name string) (*ShardHeader, error) {
 			return nil, fmt.Errorf("ckpt: %s: group %d offsets %v overlap previous group", name, m.Index, m.Offsets)
 		}
 		pos = m.Offsets[1]
+		// By division: a near-MaxInt64 ShardLen could wrap 12×ShardLen
+		// around onto the extent's length and pass an equality.
+		if size := m.Offsets[1] - m.Offsets[0]; m.ShardLen < 0 || size%12 != 0 || m.ShardLen != size/12 {
+			return nil, fmt.Errorf("ckpt: %s: group %d payload %d bytes, want 12×%d", name, m.Index, size, m.ShardLen)
+		}
 	}
 	return &ShardHeader{
 		Rank: hdr.Rank, WorldSize: hdr.WorldSize, Step: hdr.Step,
 		Layout: layout, Groups: hdr.Groups,
-		FileBytes: size, PayloadBytes: payloadLen,
+		FileBytes: fileBytes, PayloadBytes: payloadLen,
 	}, nil
+}
+
+// payloads lists the file's groups, in file order, as extents of name.
+func (h *ShardHeader) payloads(b storage.Backend, name string) *rankPayloads {
+	rs := &rankPayloads{rank: h.Rank, worldSize: h.WorldSize, step: h.Step, layout: h.Layout,
+		fileBytes: h.FileBytes, groups: make([]groupPayload, len(h.Groups))}
+	for i, m := range h.Groups {
+		base := h.FileBytes - h.PayloadBytes + m.Offsets[0]
+		rs.groups[i] = groupPayload{meta: m, payload: storedPayload(m.Offsets[1]-m.Offsets[0], m.CRC32, "",
+			func(o, n int64) (io.ReadCloser, error) { return b.OpenRange(name, base+o, n) })}
+	}
+	return rs
 }
 
 // metaForGroup builds a group's shard metadata from the layout.

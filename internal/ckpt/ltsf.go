@@ -15,6 +15,9 @@
 // offset. LTOS shard files hold each parameter group's flat FP32 master +
 // exp_avg + exp_avg_sq shard; they can only be read whole — the property
 // that drives the paper's Table 7 loading costs.
+//
+// This file and ltos.go are the codecs (writers, framing, header validation);
+// what a committed checkpoint holds is read through the read stage (read.go).
 package ckpt
 
 import (
@@ -295,11 +298,34 @@ func writeContainerStream(b storage.Backend, name string, magic [4]byte, hdr any
 	return total, nil
 }
 
-// readContainerHeader reads the magic, validates it, decodes the JSON header
-// into hdr and returns the payload start offset within the file.
-func readContainerHeader(b storage.Backend, name string, magic [4]byte, hdr any) (int64, error) {
+// readContainerHeader is parseContainerHeader for a lazy reader: one Stat and
+// two ReadAts, no payload byte touched. It returns the payload section's
+// start offset within the file and its length.
+func readContainerHeader(b storage.Backend, name string, magic [4]byte, hdr any) (off, payloadLen int64, err error) {
+	size, err := b.Stat(name)
+	if err != nil {
+		return 0, 0, err
+	}
+	var pos int64
+	hlen, err := parseContainerHeader(name, size, magic, hdr, func(p []byte) error {
+		err := b.ReadAt(name, pos, p)
+		pos += int64(len(p))
+		return err
+	})
+	return 12 + hlen, size - 12 - hlen, err
+}
+
+// parseContainerHeader reads the framing every container shares — magic,
+// little-endian uint64 header length, JSON header — through next, which
+// delivers the file's leading bytes in order (ReadAts for a lazy reader, the
+// one open stream for a whole-file load). The header length is bounded by
+// size, the file's real size, before anything is allocated.
+func parseContainerHeader(name string, size int64, magic [4]byte, hdr any, next func(p []byte) error) (hlen int64, err error) {
+	if size < 12 {
+		return 0, fmt.Errorf("ckpt: %s: truncated (%d bytes)", name, size)
+	}
 	head := make([]byte, 12)
-	if err := b.ReadAt(name, 0, head); err != nil {
+	if err := next(head); err != nil {
 		return 0, fmt.Errorf("ckpt: %s: read header: %w", name, err)
 	}
 	for i := range magic {
@@ -307,60 +333,60 @@ func readContainerHeader(b storage.Backend, name string, magic [4]byte, hdr any)
 			return 0, fmt.Errorf("ckpt: %s: bad magic %q, want %q", name, head[:4], magic[:])
 		}
 	}
-	hlen := int64(binary.LittleEndian.Uint64(head[4:]))
-	size, err := b.Stat(name)
-	if err != nil {
-		return 0, err
-	}
 	// Compare without adding: a near-MaxInt64 header length would overflow
 	// 12+hlen and sail past the bound into a giant allocation.
+	hlen = int64(binary.LittleEndian.Uint64(head[4:]))
 	if hlen <= 0 || hlen > size-12 {
 		return 0, fmt.Errorf("ckpt: %s: corrupt header length %d (file %d bytes)", name, hlen, size)
 	}
 	hj := make([]byte, hlen)
-	if err := b.ReadAt(name, 12, hj); err != nil {
+	if err := next(hj); err != nil {
 		return 0, fmt.Errorf("ckpt: %s: read header body: %w", name, err)
 	}
 	if err := json.Unmarshal(hj, hdr); err != nil {
 		return 0, fmt.Errorf("ckpt: %s: decode header: %w", name, err)
 	}
-	return 12 + hlen, nil
+	return hlen, nil
 }
 
-// LTSFReader provides lazy per-tensor access to an LTSF file — analogous to
-// memory-mapping a safetensors file. Opening reads only the header.
-type LTSFReader struct {
-	backend    storage.Backend
-	name       string
-	hdr        ltsfHeader
-	payloadOff int64
-}
-
-// OpenLTSF reads and validates the header of an LTSF file. Every tensor
-// entry is bounds-checked against the payload here, so later ReadTensor
-// allocations are capped by the real file size no matter what a corrupt or
-// adversarial header claims.
-func OpenLTSF(b storage.Backend, name string) (*LTSFReader, error) {
-	r := &LTSFReader{backend: b, name: name}
-	off, err := readContainerHeader(b, name, ltsfMagic, &r.hdr)
+// OpenLTSF reads and validates the header of an LTSF file and lists its
+// tensors as Weights — analogous to memory-mapping a safetensors file: no
+// payload byte is read. Every tensor entry is bounds-checked against the
+// payload here, so later ReadTensor allocations are capped by the real file
+// size no matter what a corrupt or adversarial header claims.
+func OpenLTSF(b storage.Backend, name string) (*Weights, error) {
+	var hdr ltsfHeader
+	off, payloadLen, err := readContainerHeader(b, name, ltsfMagic, &hdr)
 	if err != nil {
 		return nil, err
 	}
-	if r.hdr.Version != FormatVersion {
-		return nil, fmt.Errorf("ckpt: %s: version %d, want %d", name, r.hdr.Version, FormatVersion)
+	if hdr.Version != FormatVersion {
+		return nil, fmt.Errorf("ckpt: %s: version %d, want %d", name, hdr.Version, FormatVersion)
 	}
-	size, err := b.Stat(name)
-	if err != nil {
-		return nil, err
-	}
-	payloadLen := size - off
-	for tn, meta := range r.hdr.Tensors {
+	names := make([]string, 0, len(hdr.Tensors))
+	for tn, meta := range hdr.Tensors {
 		if err := validateTensorMeta(tn, meta, payloadLen); err != nil {
 			return nil, fmt.Errorf("ckpt: %s: %w", name, err)
 		}
+		names = append(names, tn)
 	}
-	r.payloadOff = off
-	return r, nil
+	// Stored order; names break ties (overlapping extents of a hand-made
+	// header) so the listing stays deterministic.
+	sort.Slice(names, func(i, j int) bool {
+		oi, oj := hdr.Tensors[names[i]].Offsets[0], hdr.Tensors[names[j]].Offsets[0]
+		return oi < oj || oi == oj && names[i] < names[j]
+	})
+	list := make([]weightPayload, len(names))
+	for i, tn := range names {
+		meta := hdr.Tensors[tn]
+		base := off + meta.Offsets[0]
+		list[i] = weightPayload{
+			payload: storedPayload(meta.Offsets[1]-meta.Offsets[0], meta.CRC32, "",
+				func(o, n int64) (io.ReadCloser, error) { return b.OpenRange(name, base+o, n) }),
+			name: tn, dtype: meta.DType, shape: meta.Shape,
+		}
+	}
+	return newWeights(name, hdr.Model, list), nil
 }
 
 // validateTensorMeta rejects header entries whose dtype, shape or offsets
@@ -395,75 +421,4 @@ func validateTensorMeta(name string, meta ltsfTensorMeta, payloadLen int64) erro
 			name, meta.Shape, meta.DType, want, meta.Offsets[1]-meta.Offsets[0])
 	}
 	return nil
-}
-
-// Model returns the model name recorded at write time.
-func (r *LTSFReader) Model() string { return r.hdr.Model }
-
-// Names returns the sorted tensor names present in the file.
-func (r *LTSFReader) Names() []string {
-	out := make([]string, 0, len(r.hdr.Tensors))
-	for n := range r.hdr.Tensors {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Has reports whether the file contains the named tensor.
-func (r *LTSFReader) Has(name string) bool {
-	_, ok := r.hdr.Tensors[name]
-	return ok
-}
-
-// PayloadSize returns the stored byte size of the named tensor's payload
-// (header-only metadata — no payload I/O). The merge pipeline uses it to
-// reserve in-flight memory before reading.
-func (r *LTSFReader) PayloadSize(name string) (int64, bool) {
-	meta, ok := r.hdr.Tensors[name]
-	if !ok {
-		return 0, false
-	}
-	return meta.Offsets[1] - meta.Offsets[0], true
-}
-
-// ReadTensor lazily reads one tensor's payload, verifies its CRC and
-// returns the decoded tensor. Only the tensor's bytes are read — the lazy
-// property the paper notes model weights enjoy but optimizer states do not.
-func (r *LTSFReader) ReadTensor(name string) (*tensor.Tensor, error) {
-	meta, ok := r.hdr.Tensors[name]
-	if !ok {
-		return nil, fmt.Errorf("ckpt: %s: no tensor %q", r.name, name)
-	}
-	dt, err := tensor.ParseDType(meta.DType)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %s: tensor %q: %w", r.name, name, err)
-	}
-	n := meta.Offsets[1] - meta.Offsets[0]
-	buf := make([]byte, n)
-	if err := r.backend.ReadAt(r.name, r.payloadOff+meta.Offsets[0], buf); err != nil {
-		return nil, err
-	}
-	if got := crc32.ChecksumIEEE(buf); got != meta.CRC32 {
-		return nil, fmt.Errorf("ckpt: %s: tensor %q: CRC mismatch (%08x != %08x)", r.name, name, got, meta.CRC32)
-	}
-	t := tensor.New(name, dt, meta.Shape...)
-	if err := t.Decode(buf); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ReadAll reads every tensor in name order.
-func (r *LTSFReader) ReadAll() ([]*tensor.Tensor, error) {
-	names := r.Names()
-	out := make([]*tensor.Tensor, 0, len(names))
-	for _, n := range names {
-		t, err := r.ReadTensor(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

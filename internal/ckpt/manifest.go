@@ -128,9 +128,8 @@ type ShardGroupEntry struct {
 
 // Meta converts the entry back to the LTOS group metadata (offsets unset).
 func (e ShardGroupEntry) Meta() ShardGroupMeta {
-	m := ShardGroupMeta{Index: e.Index, Numel: e.Numel, ShardLen: e.ShardLen,
+	return ShardGroupMeta{Index: e.Index, Numel: e.Numel, ShardLen: e.ShardLen,
 		NoDecay: e.NoDecay, Layer: e.Layer, CRC32: e.CRC32}
-	return m
 }
 
 // ShardManifest is the decoded per-rank .ltom: the LTOS header fields plus
@@ -176,27 +175,18 @@ func encodeManifest(magic [4]byte, hdr any) ([]byte, error) {
 }
 
 // decodeManifestHeader validates the container framing shared by LTMF and
-// LTOM — magic, exact length-prefixed JSON header, no payload section —
-// and unmarshals the header.
+// LTOM — the framing every container has (parseContainerHeader), with an
+// empty payload section — and unmarshals the header.
 func decodeManifestHeader(data []byte, magic [4]byte, hdr any) error {
-	if len(data) < 12 {
-		return fmt.Errorf("ckpt: manifest truncated (%d bytes)", len(data))
+	rest := data
+	hlen, err := parseContainerHeader("manifest", int64(len(data)), magic, hdr, func(p []byte) error {
+		rest = rest[copy(p, rest):] // the parser never asks past len(data)
+		return nil
+	})
+	if err == nil && hlen != int64(len(data))-12 {
+		err = fmt.Errorf("ckpt: manifest header length %d, file holds %d", hlen, len(data)-12)
 	}
-	for i := range magic {
-		if data[i] != magic[i] {
-			return fmt.Errorf("ckpt: manifest bad magic %q, want %q", data[:4], magic[:])
-		}
-	}
-	hlen := binary.LittleEndian.Uint64(data[4:12])
-	// Compare as uint64 against the real remainder: adversarial lengths
-	// near MaxInt64 must not wrap any signed arithmetic.
-	if hlen == 0 || hlen != uint64(len(data)-12) {
-		return fmt.Errorf("ckpt: manifest header length %d, file holds %d", hlen, len(data)-12)
-	}
-	if err := json.Unmarshal(data[12:], hdr); err != nil {
-		return fmt.Errorf("ckpt: decode manifest header: %w", err)
-	}
-	return nil
+	return err
 }
 
 // validateBlobRef rejects inconsistent size/digest pairs.

@@ -120,32 +120,26 @@ type runRefs struct {
 // readDirManifestDigests reads every blob digest a directory's manifests
 // keep alive — referenced blobs plus their xor-parent ancestor chains
 // (PinDigests): sweeping an ancestor would corrupt every delta blob below
-// it, so pinning is always transitive. With bestEffort set, unreadable
-// manifests contribute nothing instead of failing — the right treatment for
-// quarantined, torn and mid-write staging trees, which may be arbitrarily
-// damaged.
+// it, so pinning is always transitive. With bestEffort set, an unreadable
+// manifest contributes nothing instead of failing while every readable one
+// still pins — the right treatment for quarantined, torn and mid-write
+// staging trees, which may be arbitrarily damaged.
 func readDirManifestDigests(b storage.Backend, path string, bestEffort bool) ([]string, error) {
 	if !b.Exists(path + "/" + WeightManifestName) {
 		return nil, nil
 	}
-	var out []string
-	wm, err := ReadWeightManifest(b, path+"/"+WeightManifestName)
-	if err != nil {
-		if bestEffort {
-			return nil, nil
-		}
+	wm, sms, err := readManifests(b, path)
+	if err != nil && !bestEffort {
 		return nil, err
 	}
-	out = append(out, wm.PinDigests()...)
-	for _, r := range shardManifestRanks(b, path) {
-		sm, err := ReadShardManifest(b, path+"/"+ShardManifestName(r))
-		if err != nil {
-			if bestEffort {
-				continue
-			}
-			return nil, err
+	var out []string
+	if wm != nil {
+		out = wm.PinDigests()
+	}
+	for _, sm := range sms {
+		if sm != nil {
+			out = append(out, sm.PinDigests()...)
 		}
-		out = append(out, sm.PinDigests()...)
 	}
 	return out, nil
 }

@@ -4,19 +4,15 @@
 // that takes a tensor verbatim from one source does not need to decode,
 // dtype-check, re-encode and re-CRC it: the payload bytes can be spliced
 // from the source extent into the output container and the source checksum
-// carried forward untouched. RawTensor/OpenRaw expose the read side;
-// LTSFWriter.AppendRaw is the write side. The bytes produced are identical
-// to the decode path's (WriteTensor of the decoded tensor), which the
-// merge golden tests pin.
+// carried forward untouched. Weights.RawTensor/OpenRaw (read.go) expose the
+// read side, over either checkpoint layout — a blob holds exactly the payload
+// a container extent does; LTSFWriter.AppendRaw is the write side. The bytes
+// produced are identical to the decode path's (WriteTensor of the decoded
+// tensor), which the merge golden tests pin.
 
 package ckpt
 
-import (
-	"fmt"
-	"io"
-
-	"llmtailor/internal/tensor"
-)
+import "io"
 
 // RawTensor describes one tensor's stored payload: everything AppendRaw
 // needs to splice it into another container without decoding a byte.
@@ -32,44 +28,6 @@ type RawTensor struct {
 	// CRC32 is the source header's checksum over the payload, carried
 	// forward verbatim by AppendRaw.
 	CRC32 uint32
-	// Offset is the payload extent's absolute offset within the source
-	// file (header prefix included).
-	Offset int64
-}
-
-// RawTensor returns the named tensor's payload extent and header CRC. The
-// metadata was bounds-checked against the real file size at OpenLTSF, so a
-// corrupt header surfaces there (or here as a missing tensor), never as a
-// panic downstream.
-func (r *LTSFReader) RawTensor(name string) (RawTensor, error) {
-	meta, ok := r.hdr.Tensors[name]
-	if !ok {
-		return RawTensor{}, fmt.Errorf("ckpt: %s: no tensor %q", r.name, name)
-	}
-	return RawTensor{
-		Name:   name,
-		DType:  meta.DType,
-		Shape:  append([]int(nil), meta.Shape...),
-		Size:   meta.Offsets[1] - meta.Offsets[0],
-		CRC32:  meta.CRC32,
-		Offset: r.payloadOff + meta.Offsets[0],
-	}, nil
-}
-
-// OpenRaw opens a streaming reader over the named tensor's payload extent.
-// The bytes are delivered exactly as stored — no CRC verification, no
-// decode; integrity travels with the carried-forward checksum, which the
-// eventual consumer (ReadTensor on the spliced container) still verifies.
-func (r *LTSFReader) OpenRaw(name string) (RawTensor, io.ReadCloser, error) {
-	rt, err := r.RawTensor(name)
-	if err != nil {
-		return RawTensor{}, nil, err
-	}
-	rc, err := r.backend.OpenRange(r.name, rt.Offset, rt.Size)
-	if err != nil {
-		return RawTensor{}, nil, fmt.Errorf("ckpt: %s: open raw tensor %q: %w", r.name, name, err)
-	}
-	return rt, rc, nil
 }
 
 // AppendRaw splices a pre-encoded tensor payload into the container and
@@ -100,16 +58,4 @@ func spliceTo(sink io.Writer, src io.Reader, size int64, buf []byte) (int64, err
 		return me.WriteTo(sink)
 	}
 	return io.CopyBuffer(sink, io.LimitReader(src, size), buf)
-}
-
-// RawEligible reports whether the named tensor can be raw-copied into an
-// output of the given dtype: present, and stored in exactly that dtype (a
-// conversion forces the decode path).
-func (r *LTSFReader) RawEligible(name string, out tensor.DType) bool {
-	meta, ok := r.hdr.Tensors[name]
-	if !ok {
-		return false
-	}
-	dt, err := tensor.ParseDType(meta.DType)
-	return err == nil && dt == out
 }

@@ -340,3 +340,53 @@ func TestSaveReplacesExistingCheckpoint(t *testing.T) {
 		t.Fatal("replacement save kept old weights")
 	}
 }
+
+// TestScanBlobsTrashedPathExists: the path doctor prints for a trashed blob
+// is where the object really is — under the owning shard's trash area on a
+// sharded store, not a root-level .trash that does not exist.
+func TestScanBlobsTrashedPathExists(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		b := storage.NewMem()
+		if shards > 0 {
+			if err := storage.InitShards(b, objectsPath("run"), shards); err != nil {
+				t.Fatal(err)
+			}
+		}
+		saveDedup(t, b, "run/checkpoint-10", 77, 2)
+		store, err := storeFor(b, "run/checkpoint-10")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if store.Shards() != shards {
+			t.Fatalf("fixture: store has %d shards, want %d", store.Shards(), shards)
+		}
+		// A sweep that died between trash and purge, on every blob so each
+		// shard holds some.
+		blobs, _, _, err := store.List()
+		if err != nil || len(blobs) == 0 {
+			t.Fatalf("fixture: list blobs: %v (%d)", err, len(blobs))
+		}
+		for _, blob := range blobs {
+			if err := store.Trash(blob.Digest); err != nil {
+				t.Fatal(err)
+			}
+		}
+		statuses, err := ScanBlobs(b, "run")
+		if err != nil {
+			t.Fatal(err)
+		}
+		trashed := 0
+		for _, st := range statuses {
+			if st.State != BlobTrashed {
+				continue
+			}
+			trashed++
+			if !b.Exists(st.Path) {
+				t.Errorf("%d shards: trashed blob %s reported at %s, which does not exist", shards, st.Digest, st.Path)
+			}
+		}
+		if trashed != len(blobs) {
+			t.Fatalf("%d shards: %d blobs reported trashed, want %d", shards, trashed, len(blobs))
+		}
+	}
+}

@@ -43,6 +43,8 @@ type payload struct {
 	// release, when set, frees whatever backs write once the bytes have
 	// been consumed.
 	release func()
+	// open ranges over the stored, uncompressed bytes (read stage only).
+	open func(off, n int64) (io.ReadCloser, error)
 
 	// opts and planned are the codec plan's put request; written, codec,
 	// stored and parents record how the blob actually landed. publishBlobs
@@ -71,8 +73,8 @@ type weightPayload struct {
 }
 
 // groupPayload is one rank's shard of an optimizer group. meta carries the
-// group's identity (Index, Numel, NoDecay, Layer); ShardLen, CRC and offsets
-// derive from the payload at write time.
+// group's identity (Index, Numel, NoDecay, Layer); a writer derives ShardLen,
+// CRC and offsets from the payload, the read stage fills them in as recorded.
 type groupPayload struct {
 	payload
 	meta ShardGroupMeta
@@ -84,6 +86,8 @@ type rankPayloads struct {
 	rank, worldSize, step int
 	layout                optim.LayoutKind
 	groups                []groupPayload
+	// fileBytes is what a whole load moves off the backend (read stage only).
+	fileBytes int64
 }
 
 // payloadSet lists a checkpoint's payloads in write order — weights, then
@@ -153,19 +157,19 @@ func (s *payloadSet) hashAll() error {
 }
 
 // replay adapts a reopenable byte source (a capture spool, a committed
-// container extent) to a payload's write function.
+// payload's extent) to a payload's write function.
 func replay(open func() (io.ReadCloser, error)) func(io.Writer) (int64, error) {
-	return func(w io.Writer) (int64, error) {
+	return withChunkBuf(func(w io.Writer, buf []byte) (int64, error) {
 		rc, err := open()
 		if err != nil {
 			return 0, err
 		}
-		n, err := io.Copy(w, rc)
+		n, err := io.CopyBuffer(w, rc, buf)
 		if cerr := rc.Close(); err == nil {
 			err = cerr
 		}
 		return n, err
-	}
+	})
 }
 
 // saveStore is the store side of one dedup save: the content-addressed store

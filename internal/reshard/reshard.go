@@ -23,6 +23,10 @@
 // source payload bit for bit and its CRC is carried forward without
 // recomputation, per the raw-splice surfaces (ShardFileWriter.AppendRawGroup).
 //
+// The source is read through ckpt's read stage (Weights.SpliceLTSF,
+// Checkpoint.OptimExtents), so plain containers and content-addressed blobs
+// under any codec are the same input here.
+//
 // The output commits through the standard stage → seal → publish protocol
 // (ckpt.Begin/Commit), so Scan, Repair, doctor, GC and the ref journal all
 // treat resharded checkpoints like any other, on rename and no-rename
@@ -113,16 +117,6 @@ type Stats struct {
 	BytesDeduped     int64
 }
 
-// srcGroup is one rank's stored payload of one group: its recorded
-// metadata plus an opener over byte ranges of the payload extent. Plain
-// sources range-read the LTOS file; dedup sources range-read the group
-// blob (the CAS decodes codec blobs transparently, so extents always
-// address uncompressed payload bytes).
-type srcGroup struct {
-	meta ckpt.ShardGroupMeta
-	open func(off, n int64) (io.ReadCloser, error)
-}
-
 // Reshard transforms the committed checkpoint at srcDir into a committed
 // checkpoint at dstDir with the given world size. The source is never
 // modified; dstDir must differ from srcDir (an in-place reshard would
@@ -151,15 +145,15 @@ func Reshard(b storage.Backend, srcDir, dstDir string, world int, opts Options) 
 	// Layout re-validation: rebuild the optimizer layout from the source's
 	// config and check every recorded group against it before trusting any
 	// recorded geometry.
-	layout, err := layoutFor(c)
+	layout, err := c.Layout()
+	if err != nil {
+		return nil, fmt.Errorf("reshard: %w", err)
+	}
+	srcs, optimStep, err := openGroupSources(c, layout)
 	if err != nil {
 		return nil, err
 	}
-	groups, srcs, optimStep, err := openGroupSources(b, c, layout)
-	if err != nil {
-		return nil, err
-	}
-	stats.Groups = len(groups)
+	stats.Groups = len(srcs)
 
 	txn, err := ckpt.Begin(b, dstDir)
 	if err != nil {
@@ -168,10 +162,13 @@ func Reshard(b storage.Backend, srcDir, dstDir string, world int, opts Options) 
 	defer txn.Abort()
 	sb, staging := txn.Backend(), txn.Dir()
 
-	if err := copyWeights(b, c, sb, staging, opts, stats); err != nil {
-		return nil, err
+	// Weights are world-size independent: the staged model.ltsf is the
+	// source's payloads verbatim, in stored order (byte-identical to the
+	// source's, and to what a native save at the target world size writes).
+	if stats.WeightBytes, err = c.Weights().SpliceLTSF(sb, staging+"/model.ltsf", opts.ChunkBytes); err != nil {
+		return nil, fmt.Errorf("reshard: copy weights: %w", err)
 	}
-	if err := repartition(layout, groups, srcs, optimStep, sb, staging, world, opts, stats); err != nil {
+	if err := repartition(layout, srcs, optimStep, sb, staging, world, opts, stats); err != nil {
 		return nil, err
 	}
 	if err := writeTrailer(b, c, sb, staging, world); err != nil {
@@ -204,219 +201,84 @@ func Reshard(b storage.Backend, srcDir, dstDir string, world int, opts Options) 
 	return stats, nil
 }
 
-// layoutFor rebuilds the optimizer layout recorded in the source's trainer
-// state from its config.
-func layoutFor(c *ckpt.Checkpoint) (*optim.Layout, error) {
-	kind, err := optim.ParseLayoutKind(c.State.Layout)
-	if err != nil {
-		return nil, fmt.Errorf("reshard: %w", err)
-	}
-	if kind == optim.Layerwise {
-		return optim.NewLayerwiseLayout(c.Config), nil
-	}
-	return optim.NewTwoGroupLayout(c.Config), nil
-}
-
-// openGroupSources indexes every rank's stored groups and validates them
-// against each other and the layout: same step, same group sequence, shard
-// lengths exactly what zero.Partition dictates, and per-group geometry
-// matching the layout rebuilt from config. It returns the canonical group
-// metadata (rank 0's order), srcs[group][rank] extent openers, and the
-// recorded optimizer step count (the LTOS header step, distinct from the
-// trainer step — it feeds AdamW's bias correction on restore, so it must
-// survive the reshard verbatim).
-func openGroupSources(b storage.Backend, c *ckpt.Checkpoint, layout *optim.Layout) ([]ckpt.ShardGroupMeta, [][]srcGroup, int, error) {
+// openGroupSources lists every rank's stored groups (ckpt.OptimExtents: an
+// extent of the rank's LTOS file or a group blob, the same to this package)
+// and validates them against each other and the layout: same step, same
+// group sequence, shard lengths exactly what zero.Partition dictates, and
+// per-group geometry matching the layout rebuilt from config. It returns
+// srcs[group][rank] in rank 0's (canonical) group order, and the recorded
+// optimizer step count (the LTOS header step, distinct from the trainer step
+// — it feeds AdamW's bias correction on restore, so it must survive the
+// reshard verbatim).
+func openGroupSources(c *ckpt.Checkpoint, layout *optim.Layout) ([][]ckpt.GroupExtent, int, error) {
 	worldFrom := c.State.WorldSize
-	dedup := c.Manifest.Dedup
-	var store *storage.BlobStore
-	if dedup {
-		var err error
-		store, err = storage.OpenCAS(b, ckpt.ObjectsRoot(c.Dir))
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("reshard: open blob store: %w", err)
-		}
-	}
-
-	perRank := make([][]ckpt.ShardGroupMeta, worldFrom)
-	openers := make([][]func(off, n int64) (io.ReadCloser, error), worldFrom)
+	perRank := make([][]ckpt.GroupExtent, worldFrom)
 	step := -1
 	for r := 0; r < worldFrom; r++ {
-		if dedup {
-			sm, err := ckpt.ReadShardManifest(b, c.Dir+"/"+ckpt.ShardManifestName(r))
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("reshard: rank %d: %w", r, err)
-			}
-			if sm.Rank != r || sm.WorldSize != worldFrom {
-				return nil, nil, 0, fmt.Errorf("reshard: rank %d manifest claims rank %d of %d", r, sm.Rank, sm.WorldSize)
-			}
-			if step < 0 {
-				step = sm.Step
-			} else if sm.Step != step {
-				return nil, nil, 0, fmt.Errorf("reshard: rank %d at step %d, rank 0 at %d", r, sm.Step, step)
-			}
-			for _, e := range sm.Groups {
-				if e.Size != e.ShardLen*12 {
-					return nil, nil, 0, fmt.Errorf("reshard: rank %d group %d blob is %d bytes, want 12×%d", r, e.Index, e.Size, e.ShardLen)
-				}
-				m := e.Meta()
-				digest := e.Digest
-				perRank[r] = append(perRank[r], m)
-				openers[r] = append(openers[r], func(off, n int64) (io.ReadCloser, error) {
-					return store.OpenRange(digest, off, n)
-				})
-			}
-			continue
-		}
-		name := c.Dir + "/" + ckpt.ShardFileName(r)
-		h, err := ckpt.ReadShardHeader(b, name)
+		groups, rstep, err := c.OptimExtents(r)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("reshard: rank %d: %w", r, err)
-		}
-		if h.Rank != r || h.WorldSize != worldFrom {
-			return nil, nil, 0, fmt.Errorf("reshard: rank %d file claims rank %d of %d", r, h.Rank, h.WorldSize)
+			return nil, 0, fmt.Errorf("reshard: rank %d: %w", r, err)
 		}
 		if step < 0 {
-			step = h.Step
-		} else if h.Step != step {
-			return nil, nil, 0, fmt.Errorf("reshard: rank %d at step %d, rank 0 at %d", r, h.Step, step)
+			step = rstep
+		} else if rstep != step {
+			return nil, 0, fmt.Errorf("reshard: rank %d at step %d, rank 0 at %d", r, rstep, step)
 		}
-		base := h.FileBytes - h.PayloadBytes
-		for _, m := range h.Groups {
-			if m.Offsets[1]-m.Offsets[0] != m.ShardLen*12 {
-				return nil, nil, 0, fmt.Errorf("reshard: rank %d group %d extent %d bytes, want 12×%d", r, m.Index, m.Offsets[1]-m.Offsets[0], m.ShardLen)
-			}
-			fileOff := base + m.Offsets[0]
-			perRank[r] = append(perRank[r], m)
-			openers[r] = append(openers[r], func(off, n int64) (io.ReadCloser, error) {
-				return b.OpenRange(name, fileOff+off, n)
-			})
-		}
+		perRank[r] = groups
 	}
 
 	// Cross-rank and layout validation against rank 0's canonical order. A
 	// complete checkpoint stores exactly the layout's groups in index order.
 	canon := perRank[0]
 	if len(canon) != layout.NumGroups() {
-		return nil, nil, 0, fmt.Errorf("reshard: source has %d groups, layout %d — partial shard files cannot reshard", len(canon), layout.NumGroups())
+		return nil, 0, fmt.Errorf("reshard: source has %d groups, layout %d — partial shard files cannot reshard", len(canon), layout.NumGroups())
 	}
-	pShard := int64(0)
 	for gi, m := range canon {
 		if m.Index != gi {
-			return nil, nil, 0, fmt.Errorf("reshard: group %d stored at position %d; complete checkpoints store groups in index order", m.Index, gi)
+			return nil, 0, fmt.Errorf("reshard: group %d stored at position %d; complete checkpoints store groups in index order", m.Index, gi)
 		}
 		lg, err := layout.GroupByIndex(m.Index)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("reshard: %w", err)
+			return nil, 0, fmt.Errorf("reshard: %w", err)
 		}
 		wantLayer := ""
 		if lg.HasLayer {
 			wantLayer = lg.Layer.String()
 		}
 		if m.Numel != lg.Numel || m.NoDecay != lg.NoDecay || m.Layer != wantLayer {
-			return nil, nil, 0, fmt.Errorf("reshard: group %d metadata (numel %d, no_decay %v, layer %q) disagrees with layout (numel %d, no_decay %v, layer %q)",
+			return nil, 0, fmt.Errorf("reshard: group %d metadata (numel %d, no_decay %v, layer %q) disagrees with layout (numel %d, no_decay %v, layer %q)",
 				gi, m.Numel, m.NoDecay, m.Layer, lg.Numel, lg.NoDecay, wantLayer)
 		}
 		p, err := zero.NewPartition(m.Numel, worldFrom)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("reshard: group %d: %w", gi, err)
+			return nil, 0, fmt.Errorf("reshard: group %d: %w", gi, err)
 		}
-		pShard = p.ShardLen()
+		pShard := p.ShardLen()
 		for r := 0; r < worldFrom; r++ {
 			if gi >= len(perRank[r]) {
-				return nil, nil, 0, fmt.Errorf("reshard: rank %d is missing group %d", r, gi)
+				return nil, 0, fmt.Errorf("reshard: rank %d is missing group %d", r, gi)
 			}
 			rm := perRank[r][gi]
 			if rm.Index != m.Index || rm.Numel != m.Numel || rm.ShardLen != pShard {
-				return nil, nil, 0, fmt.Errorf("reshard: rank %d group %d geometry (numel %d, shard %d) disagrees with rank 0 (numel %d, shard %d)",
+				return nil, 0, fmt.Errorf("reshard: rank %d group %d geometry (numel %d, shard %d) disagrees with rank 0 (numel %d, shard %d)",
 					r, gi, rm.Numel, rm.ShardLen, m.Numel, pShard)
 			}
 		}
 	}
 	for r := 1; r < worldFrom; r++ {
 		if len(perRank[r]) != len(canon) {
-			return nil, nil, 0, fmt.Errorf("reshard: rank %d stores %d groups, rank 0 stores %d", r, len(perRank[r]), len(canon))
+			return nil, 0, fmt.Errorf("reshard: rank %d stores %d groups, rank 0 stores %d", r, len(perRank[r]), len(canon))
 		}
 	}
 
-	srcs := make([][]srcGroup, len(canon))
+	srcs := make([][]ckpt.GroupExtent, len(canon))
 	for gi := range canon {
-		srcs[gi] = make([]srcGroup, worldFrom)
+		srcs[gi] = make([]ckpt.GroupExtent, worldFrom)
 		for r := 0; r < worldFrom; r++ {
-			srcs[gi][r] = srcGroup{meta: perRank[r][gi], open: openers[r][gi]}
+			srcs[gi][r] = perRank[r][gi]
 		}
 	}
-	return canon, srcs, step, nil
-}
-
-// copyWeights splices the consolidated weights into the staging directory
-// verbatim, in the source's payload order — weights are world-size
-// independent, so a resharded checkpoint's model.ltsf is byte-identical to
-// the source's (and to what a native save at the target world size writes).
-func copyWeights(b storage.Backend, c *ckpt.Checkpoint, sb storage.Backend, staging string, opts Options, stats *Stats) error {
-	src := c.Weights()
-	names, err := payloadOrder(b, c, src)
-	if err != nil {
-		return err
-	}
-	w, err := ckpt.NewLTSFWriter(sb, staging+"/model.ltsf", src.Model(), opts.ChunkBytes)
-	if err != nil {
-		return err
-	}
-	defer w.Abort()
-	var total int64
-	for _, name := range names {
-		if n, ok := src.PayloadSize(name); ok {
-			total += n
-		}
-	}
-	w.Preallocate(total)
-	for _, name := range names {
-		rt, rc, err := src.OpenRaw(name)
-		if err != nil {
-			return fmt.Errorf("reshard: open weight %s: %w", name, err)
-		}
-		err = w.AppendRaw(rt, rc)
-		if cerr := rc.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("reshard: copy weight %s: %w", name, err)
-		}
-		stats.WeightBytes += rt.Size
-	}
-	return w.Close()
-}
-
-// payloadOrder returns tensor names in stored payload order: manifest entry
-// order for dedup sources, ascending payload offset for plain containers.
-func payloadOrder(b storage.Backend, c *ckpt.Checkpoint, src ckpt.WeightsReader) ([]string, error) {
-	if c.Manifest.Dedup {
-		wm, err := ckpt.ReadWeightManifest(b, c.Dir+"/"+ckpt.WeightManifestName)
-		if err != nil {
-			return nil, fmt.Errorf("reshard: %w", err)
-		}
-		names := make([]string, len(wm.Tensors))
-		for i, e := range wm.Tensors {
-			names[i] = e.Name
-		}
-		return names, nil
-	}
-	names := src.Names()
-	offs := make(map[string]int64, len(names))
-	for _, name := range names {
-		rt, err := src.RawTensor(name)
-		if err != nil {
-			return nil, fmt.Errorf("reshard: index weight %s: %w", name, err)
-		}
-		offs[name] = rt.Offset
-	}
-	ordered := append([]string(nil), names...)
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && offs[ordered[j]] < offs[ordered[j-1]]; j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
-		}
-	}
-	return ordered, nil
+	return srcs, step, nil
 }
 
 // groupOut is one repartitioned group: every target rank's assembled
@@ -438,15 +300,15 @@ type groupOut struct {
 // all M target shards of one group (extent splice or decode fallback), the
 // ordered sink appends them to the M open shard-file writers. The byte gate
 // bounds assembled-but-unwritten payload.
-func repartition(layout *optim.Layout, groups []ckpt.ShardGroupMeta,
-	srcs [][]srcGroup, optimStep int, sb storage.Backend, staging string, world int, opts Options, stats *Stats) error {
+func repartition(layout *optim.Layout, srcs [][]ckpt.GroupExtent, optimStep int,
+	sb storage.Backend, staging string, world int, opts Options, stats *Stats) error {
 
 	// Every rank's payload size is known from the layout alone: reserve it
 	// upfront so in-memory spools allocate once instead of growing move by
 	// move under 12×ShardLen-sized appends.
 	var rankPayload int64
-	for _, m := range groups {
-		pM, err := zero.NewPartition(m.Numel, world)
+	for _, src := range srcs {
+		pM, err := zero.NewPartition(src[0].Numel, world)
 		if err != nil {
 			return err
 		}
@@ -472,7 +334,7 @@ func repartition(layout *optim.Layout, groups []ckpt.ShardGroupMeta,
 	gate := parallel.NewByteGate(opts.MaxInFlight)
 	pipe := parallel.NewPipeline(workers, workers,
 		func(gi int) (groupOut, error) {
-			return assembleGroup(groups[gi], srcs[gi], world, opts)
+			return assembleGroup(srcs[gi][0].ShardGroupMeta, srcs[gi], world, opts)
 		},
 		func(out groupOut) error {
 			for rm := 0; rm < world; rm++ {
@@ -495,8 +357,8 @@ func repartition(layout *optim.Layout, groups []ckpt.ShardGroupMeta,
 			return nil
 		})
 
-	for gi, m := range groups {
-		pM, err := zero.NewPartition(m.Numel, world)
+	for gi, src := range srcs {
+		pM, err := zero.NewPartition(src[0].Numel, world)
 		if err != nil {
 			pipe.Close()
 			return fmt.Errorf("reshard: group %d: %w", gi, err)
@@ -529,7 +391,7 @@ func repartition(layout *optim.Layout, groups []ckpt.ShardGroupMeta,
 }
 
 // assembleGroup builds every target rank's payload for one group.
-func assembleGroup(m ckpt.ShardGroupMeta, srcs []srcGroup, world int, opts Options) (groupOut, error) {
+func assembleGroup(m ckpt.ShardGroupMeta, srcs []ckpt.GroupExtent, world int, opts Options) (groupOut, error) {
 	if opts.NoRawCopy {
 		return decodeGroup(m, srcs, world)
 	}
@@ -544,7 +406,7 @@ func assembleGroup(m ckpt.ShardGroupMeta, srcs []srcGroup, world int, opts Optio
 // the partition, so the target's padding is always freshly zeroed. When
 // s_N == s_M the whole shard streams through verbatim and the source CRC
 // is carried forward.
-func spliceGroup(m ckpt.ShardGroupMeta, srcs []srcGroup, world int) (groupOut, error) {
+func spliceGroup(m ckpt.ShardGroupMeta, srcs []ckpt.GroupExtent, world int) (groupOut, error) {
 	numel := m.Numel
 	worldFrom := len(srcs)
 	pN, err := zero.NewPartition(numel, worldFrom)
@@ -559,7 +421,7 @@ func spliceGroup(m ckpt.ShardGroupMeta, srcs []srcGroup, world int) (groupOut, e
 	out := groupOut{raw: true, metas: make([]ckpt.ShardGroupMeta, world), data: make([][]byte, world)}
 
 	readExtent := func(rn int, off int64, dst []byte) error {
-		rc, err := srcs[rn].open(off, int64(len(dst)))
+		rc, err := srcs[rn].OpenRange(off, int64(len(dst)))
 		if err != nil {
 			return err
 		}
@@ -581,7 +443,7 @@ func spliceGroup(m ckpt.ShardGroupMeta, srcs []srcGroup, world int) (groupOut, e
 			if err := readExtent(rm, 0, buf); err != nil {
 				return groupOut{}, fmt.Errorf("reshard: group %d rank %d: read source shard: %w", m.Index, rm, err)
 			}
-			meta.CRC32 = srcs[rm].meta.CRC32
+			meta.CRC32 = srcs[rm].CRC32
 			out.carried++
 			out.rawIn += int64(len(buf))
 		} else if lo >= numel {
@@ -624,13 +486,13 @@ func spliceGroup(m ckpt.ShardGroupMeta, srcs []srcGroup, world int) (groupOut, e
 // shard, gather the full group (which validates the source's padding is
 // zero), repartition with zero.ShardGroup, and re-encode. Bit-identical to
 // spliceGroup by construction; the property tests pin it.
-func decodeGroup(m ckpt.ShardGroupMeta, srcs []srcGroup, world int) (groupOut, error) {
+func decodeGroup(m ckpt.ShardGroupMeta, srcs []ckpt.GroupExtent, world int) (groupOut, error) {
 	worldFrom := len(srcs)
 	shards := make([]*zero.GroupShard, worldFrom)
 	for rn := 0; rn < worldFrom; rn++ {
-		sLen := srcs[rn].meta.ShardLen
+		sLen := srcs[rn].ShardLen
 		raw := make([]byte, sLen*12)
-		rc, err := srcs[rn].open(0, int64(len(raw)))
+		rc, err := srcs[rn].OpenRange(0, int64(len(raw)))
 		if err != nil {
 			return groupOut{}, fmt.Errorf("reshard: group %d: open source rank %d: %w", m.Index, rn, err)
 		}
@@ -641,8 +503,8 @@ func decodeGroup(m ckpt.ShardGroupMeta, srcs []srcGroup, world int) (groupOut, e
 		if err != nil {
 			return groupOut{}, fmt.Errorf("reshard: group %d: read source rank %d: %w", m.Index, rn, err)
 		}
-		if got := crc32.ChecksumIEEE(raw); got != srcs[rn].meta.CRC32 {
-			return groupOut{}, fmt.Errorf("reshard: group %d: source rank %d payload CRC %08x, recorded %08x", m.Index, rn, got, srcs[rn].meta.CRC32)
+		if got := crc32.ChecksumIEEE(raw); got != srcs[rn].CRC32 {
+			return groupOut{}, fmt.Errorf("reshard: group %d: source rank %d payload CRC %08x, recorded %08x", m.Index, rn, got, srcs[rn].CRC32)
 		}
 		shards[rn] = &zero.GroupShard{
 			GroupIndex: m.Index, Rank: rn,
@@ -671,7 +533,7 @@ func decodeGroup(m ckpt.ShardGroupMeta, srcs []srcGroup, world int) (groupOut, e
 		out.decIn += int64(len(buf))
 	}
 	for rn := 0; rn < worldFrom; rn++ {
-		out.decIn += srcs[rn].meta.ShardLen * 12
+		out.decIn += srcs[rn].ShardLen * 12
 	}
 	return out, nil
 }

@@ -743,15 +743,6 @@ func (s *BlobStore) sizeOf(path string) int64 {
 	return size
 }
 
-// Remove deletes one blob. Callers must hold the refcount invariant: only
-// Sweep (or a caller that proved zero references) may remove.
-func (s *BlobStore) Remove(digest string) error {
-	if !ValidDigest(digest) {
-		return fmt.Errorf("storage: invalid blob digest %q", digest)
-	}
-	return s.b.Remove(s.Path(digest))
-}
-
 // SweepReport records what a sweep removed and kept.
 type SweepReport struct {
 	// Kept is the number of blobs with a non-zero refcount (including any
@@ -784,8 +775,8 @@ func (r *SweepReport) Add(o *SweepReport) {
 	r.BytesFreed += o.BytesFreed
 }
 
-// trashPath returns a digest's location inside the trash area.
-func (s *BlobStore) trashPath(digest string) string {
+// TrashPath returns a digest's location inside the trash area.
+func (s *BlobStore) TrashPath(digest string) string {
 	return s.subRoot(digest) + "/" + blobTrashDir + "/" + digest
 }
 
@@ -812,7 +803,7 @@ func (s *BlobStore) Trash(digest string) error {
 	if !ValidDigest(digest) {
 		return fmt.Errorf("storage: invalid blob digest %q", digest)
 	}
-	return s.moveObject(s.Path(digest), s.trashPath(digest))
+	return s.moveObject(s.Path(digest), s.TrashPath(digest))
 }
 
 // Restore undoes a provisional removal. If the blob was re-published
@@ -824,9 +815,9 @@ func (s *BlobStore) Restore(digest string) error {
 		return fmt.Errorf("storage: invalid blob digest %q", digest)
 	}
 	if s.Has(digest) {
-		return s.b.Remove(s.trashPath(digest))
+		return s.b.Remove(s.TrashPath(digest))
 	}
-	return s.moveObject(s.trashPath(digest), s.Path(digest))
+	return s.moveObject(s.TrashPath(digest), s.Path(digest))
 }
 
 // PurgeTrash deletes a trashed blob permanently.
@@ -834,7 +825,7 @@ func (s *BlobStore) PurgeTrash(digest string) error {
 	if !ValidDigest(digest) {
 		return fmt.Errorf("storage: invalid blob digest %q", digest)
 	}
-	return s.b.Remove(s.trashPath(digest))
+	return s.b.Remove(s.TrashPath(digest))
 }
 
 // ListTrash enumerates trashed blobs (a sweep in progress, or residue of

@@ -302,7 +302,7 @@ func mergeWeights(out storage.Backend, outDir string, plan *Plan, opts Options, 
 
 // weightCost estimates the in-flight bytes of one tensor job: the stored
 // source payload, plus the converted copy when the output dtype differs.
-func weightCost(src ckpt.WeightsReader, spec modelcfg.TensorSpec, outDType tensor.DType) int64 {
+func weightCost(src *ckpt.Weights, spec modelcfg.TensorSpec, outDType tensor.DType) int64 {
 	outBytes := spec.NumElems() * int64(outDType.Size())
 	srcBytes, ok := src.PayloadSize(spec.Name)
 	if !ok {
@@ -318,7 +318,7 @@ func weightCost(src ckpt.WeightsReader, spec modelcfg.TensorSpec, outDType tenso
 // readRawPayload fetches one tensor's stored payload bytes verbatim through
 // the backend's sectioned-read stream. The bytes are held (under the byte
 // gate) until the ordered sink splices them; no decode happens anywhere.
-func readRawPayload(src ckpt.WeightsReader, name string) (*ckpt.RawTensor, []byte, error) {
+func readRawPayload(src *ckpt.Weights, name string) (*ckpt.RawTensor, []byte, error) {
 	rt, rc, err := src.OpenRaw(name)
 	if err != nil {
 		return nil, nil, err

@@ -94,16 +94,10 @@ func Verify(b storage.Backend, dir string) (*VerifyReport, error) {
 	}
 
 	// 2. Optimizer shards.
-	layoutKind, err := optim.ParseLayoutKind(c.State.Layout)
+	layout, err := c.Layout()
 	if err != nil {
 		problem("trainer state: %v", err)
 		return rep, nil
-	}
-	var layout *optim.Layout
-	if layoutKind == optim.Layerwise {
-		layout = optim.NewLayerwiseLayout(cfg)
-	} else {
-		layout = optim.NewTwoGroupLayout(cfg)
 	}
 	wantGroups := map[int]optim.Group{}
 	for _, g := range layout.Groups {

@@ -91,6 +91,12 @@ func stripComment(s string) string {
 			if !inS {
 				inD = !inD
 			}
+		case '\\':
+			// Marshal writes double-quoted scalars with strconv.Quote: an
+			// escaped character, a quote above all, never ends the string.
+			if inD {
+				i++
+			}
 		case '#':
 			if !inS && !inD && (i == 0 || s[i-1] == ' ') {
 				return s[:i]
@@ -234,6 +240,12 @@ func splitKey(s string) (key, rest string, isMap bool) {
 			if !inS {
 				inD = !inD
 			}
+		case '\\':
+			// Marshal writes double-quoted scalars with strconv.Quote: an
+			// escaped character, a quote above all, never ends the string.
+			if inD {
+				i++
+			}
 		case '[', '{':
 			if !inS && !inD {
 				depth++
@@ -348,6 +360,12 @@ func splitFlow(s string, num int) ([]string, error) {
 		case '"':
 			if !inS {
 				inD = !inD
+			}
+		case '\\':
+			// Marshal writes double-quoted scalars with strconv.Quote: an
+			// escaped character, a quote above all, never ends the string.
+			if inD {
+				i++
 			}
 		case '[':
 			if !inS && !inD {

@@ -1,6 +1,7 @@
 package yamlite
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -106,14 +107,15 @@ slices:
 
 func TestFlowSequences(t *testing.T) {
 	cases := map[string]any{
-		"k: [1, 2, 3]":      []any{int64(1), int64(2), int64(3)},
-		"k: []":             []any{},
-		"k: [a, b]":         []any{"a", "b"},
-		"k: [[1, 2], [3]]":  []any{[]any{int64(1), int64(2)}, []any{int64(3)}},
-		`k: ["a, b", c]`:    []any{"a, b", "c"},
-		"k: [1, 2,]":        []any{int64(1), int64(2)},
-		"k: [true, null]":   []any{true, nil},
-		"k: [0.5, -1, 1e2]": []any{0.5, int64(-1), 100.0},
+		"k: [1, 2, 3]":         []any{int64(1), int64(2), int64(3)},
+		"k: []":                []any{},
+		"k: [a, b]":            []any{"a", "b"},
+		"k: [[1, 2], [3]]":     []any{[]any{int64(1), int64(2)}, []any{int64(3)}},
+		`k: ["a, b", c]`:       []any{"a, b", "c"},
+		`k: [1, "a\"b", true]`: []any{int64(1), `a"b`, true},
+		"k: [1, 2,]":           []any{int64(1), int64(2)},
+		"k: [true, null]":      []any{true, nil},
+		"k: [0.5, -1, 1e2]":    []any{0.5, int64(-1), 100.0},
 	}
 	for src, want := range cases {
 		got := parse(t, src).(map[string]any)["k"]
@@ -234,6 +236,12 @@ func TestMarshalQuotesAmbiguousStrings(t *testing.T) {
 		"d": "has: colon",
 		"e": "",
 		"f": "3.14",
+		// strconv.Quote escapes: a quote inside a quoted key, flow item or
+		// value must not end the scalar for the splitters or the comment
+		// stripper.
+		`a"b`:   int64(1),
+		"g":     []any{int64(1), `a"b`, true},
+		`h" #x`: `v" #w`,
 	}
 	out, err := Marshal(v)
 	if err != nil {
@@ -304,8 +312,10 @@ func TestMarshalParseRoundtripQuick(t *testing.T) {
 		}
 		return reflect.DeepEqual(back, doc)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	// A fixed, printed seed: a counter-example found once reproduces.
+	const seed = 20
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 
