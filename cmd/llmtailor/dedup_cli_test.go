@@ -11,6 +11,7 @@ import (
 	"llmtailor/internal/model"
 	"llmtailor/internal/modelcfg"
 	"llmtailor/internal/optim"
+	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
 )
 
@@ -306,6 +307,55 @@ func TestCLIDoctorRefIndex(t *testing.T) {
 	out.Reset()
 	if problems, err := runDoctor([]string{"-root", root, "-run", "run"}, &out); err != nil || problems != 0 {
 		t.Fatalf("post-fix: %d problems, %v\n%s", problems, err, out.String())
+	}
+}
+
+// TestCLIDoctorFinishesConversion: a crash inside an in-place conversion
+// leaves a committed, readable directory that doctor must not call healthy
+// (it used to: the manifests audit clean, so -fix never ran and the
+// conversion's leftovers stayed for good). It reports the directory as
+// converting, and -fix rolls the conversion forward.
+func TestCLIDoctorFinishesConversion(t *testing.T) {
+	const dir = "run/checkpoint-10"
+	convert := func(failAt int) (root string, b llmtailor.Backend, ops int, err error) {
+		root = t.TempDir()
+		writeRun(t, root)
+		if b, err = llmtailor.OpenDir(root); err != nil {
+			t.Fatal(err)
+		}
+		f := storage.NewFault(b)
+		f.FailAt(failAt)
+		_, err = ckpt.Dedupify(f, dir)
+		return root, b, int(f.Ops()), err
+	}
+	_, _, n, err := convert(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One point from the end every container but the last rank's is gone;
+	// eight from the end the manifests are staged and the marker not swapped.
+	for _, back := range []int{1, 8} {
+		root, b, _, err := convert(n - back)
+		if !storage.IsInjected(err) {
+			t.Fatalf("-%d: err = %v, want injected", back, err)
+		}
+		var out strings.Builder
+		problems, err := runDoctor([]string{"-root", root, "-run", "run"}, &out)
+		if err != nil || problems == 0 || !strings.Contains(out.String(), "converting   "+dir) {
+			t.Fatalf("-%d: %d problems, %v\n%s", back, problems, err, out.String())
+		}
+		out.Reset()
+		if problems, err := runDoctor([]string{"-root", root, "-run", "run", "-fix"}, &out); err != nil || problems != 0 ||
+			!strings.Contains(out.String(), "converted "+dir) {
+			t.Fatalf("-%d: fix: %d problems, %v\n%s", back, problems, err, out.String())
+		}
+		out.Reset()
+		if problems, err := runDoctor([]string{"-root", root, "-run", "run"}, &out); err != nil || problems != 0 {
+			t.Fatalf("-%d: post-fix: %d problems, %v\n%s", back, problems, err, out.String())
+		}
+		if !ckpt.IsDedup(b, dir) || b.Exists(dir+"/"+ckpt.ShardFileName(1)) {
+			t.Fatalf("-%d: conversion not finished", back)
+		}
 	}
 }
 

@@ -435,6 +435,9 @@ func runDoctor(args []string, out io.Writer) (int, error) {
 	for _, p := range rep.Published {
 		fmt.Fprintf(out, "published %s (completed a crashed rename)\n", p)
 	}
+	for _, c := range rep.Converted {
+		fmt.Fprintf(out, "converted %s (finished an interrupted conversion)\n", c)
+	}
 	for _, r := range rep.Removed {
 		fmt.Fprintf(out, "removed %s\n", r)
 	}

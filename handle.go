@@ -199,17 +199,10 @@ func (r *Run) ResumeFrom(cfg TrainerConfig, name string) (*Trainer, error) {
 	return train.Resume(cfg, r.b, r.dir(name))
 }
 
-// DedupifyOptions tunes a plain-to-dedup conversion. ChunkBytes sets the
-// streaming I/O chunk size (0 = default), matching the MergeOptions /
-// ReshardOptions knob of the same name.
-type DedupifyOptions struct {
-	ChunkBytes int
-}
-
 // Dedupify converts the named committed plain checkpoint to
 // content-addressed form in place.
-func (r *Run) Dedupify(name string, opts DedupifyOptions) (*DedupifyReport, error) {
-	return ckpt.Dedupify(r.b, r.dir(name), opts.ChunkBytes)
+func (r *Run) Dedupify(name string) (*DedupifyReport, error) {
+	return ckpt.Dedupify(r.b, r.dir(name))
 }
 
 // MaterializeOptions tunes a dedup-to-container materialisation.

@@ -567,7 +567,7 @@ func TestDedupifyOptionsDelegation(t *testing.T) {
 	name := dirs[len(dirs)-1][len("run/"):]
 	origWeights, _ := b.ReadFile("run/" + name + "/model.ltsf")
 	origShard0, _ := b.ReadFile("run/" + name + "/zero/rank_00_optim_states.ltos")
-	rep, err := run.Dedupify(name, llmtailor.DedupifyOptions{})
+	rep, err := run.Dedupify(name)
 	if err != nil {
 		t.Fatal(err)
 	}

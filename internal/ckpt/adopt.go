@@ -23,11 +23,6 @@ import (
 	"llmtailor/internal/storage"
 )
 
-// adoptMarkerStaging is the in-directory staging name the sealed marker is
-// renamed from, so a crash mid-adopt never leaves a half-written marker
-// (the .tmp suffix also excludes it from the file walk of a retry).
-const adoptMarkerStaging = CommitMarkerName + stagingSuffix
-
 // Adopt verifies a marker-less checkpoint directory end to end and seals a
 // COMMITTED marker in place. It is idempotent: a directory whose marker
 // already verifies returns nil untouched. A directory with a marker that
@@ -46,16 +41,12 @@ func Adopt(b storage.Backend, dir string) error {
 	return sealMarker(b, dir)
 }
 
-// sealMarker computes every file's integrity record and writes the
-// COMMITTED marker atomically (stage + rename). The readability pass must
-// already have succeeded.
+// sealMarker computes every file's integrity record and publishes the
+// COMMITTED marker atomically (storage.PublishFile): a crash leaves no marker
+// (rerun adopt) or a complete one, and the COMMITTED.tmp staging name keeps its
+// residue out of a retry's file walk. The readability pass has succeeded.
 func sealMarker(b storage.Backend, dir string) error {
-	marker := CommitMarker{Version: FormatVersion, Files: map[string]FileSum{}}
-	name := dir
-	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-		name = dir[i+1:]
-	}
-	marker.Step = dirStep(b, dir, name)
+	marker := CommitMarker{Version: FormatVersion, Step: dirStep(b, dir, RefKey(dir)), Files: map[string]FileSum{}}
 	files, err := walkFiles(b, dir, "")
 	if err != nil {
 		return fmt.Errorf("ckpt: adopt %s: %w", dir, err)
@@ -73,12 +64,8 @@ func sealMarker(b storage.Backend, dir string) error {
 	if len(marker.Files) == 0 {
 		return fmt.Errorf("ckpt: adopt %s: empty directory", dir)
 	}
-	// Seal atomically: stage the marker, then rename it into place. A
-	// crash leaves either no marker (rerun adopt) or a complete one.
-	if err := writeJSON(b, dir+"/"+adoptMarkerStaging, &marker); err != nil {
-		return err
-	}
-	return b.Rename(dir+"/"+adoptMarkerStaging, dir+"/"+CommitMarkerName)
+	_, err = publishJSON(b, dir+"/"+CommitMarkerName, &marker)
+	return err
 }
 
 // verifyReadable runs the full read pass adoption requires: the checkpoint

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -232,12 +233,55 @@ func TestAdoptCrashMidSeal(t *testing.T) {
 			t.Fatalf("k=%d: err = %v, want injected", k, err)
 		}
 		// Whatever landed, a rerun on the durable state converges.
-		base.Remove("run/checkpoint-70/" + adoptMarkerStaging)
+		base.Remove("run/checkpoint-70/" + CommitMarkerName + stagingSuffix)
 		if err := Adopt(base, "run/checkpoint-70"); err != nil {
 			t.Fatalf("k=%d: adopt rerun: %v", k, err)
 		}
 		if err := VerifyCommit(base, "run/checkpoint-70"); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
+	}
+}
+
+// TestAdoptNoRename: sealing a marker is one atomic small-file publish, so a
+// readable marker-less checkpoint adopts on a backend without rename — the
+// seal used to be stage + rename by hand and failed there, stranding its
+// COMMITTED.tmp. Quarantining an unreadable directory still needs a
+// directory rename, which such a backend cannot do: the error says so and
+// names the directory, which is left in place.
+func TestAdoptNoRename(t *testing.T) {
+	b := storage.NewObjStore()
+	preProtocol(t, b, "run/checkpoint-10", 137, 2)
+	preProtocol(t, b, "solo/checkpoint-20", 138, 1)
+	rep, err := AdoptAll(b, "run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Adopted) != 1 || rep.Adopted[0] != "run/checkpoint-10" {
+		t.Fatalf("adopted = %v", rep.Adopted)
+	}
+	if err := Adopt(b, "solo/checkpoint-20"); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"run/checkpoint-10", "solo/checkpoint-20"} {
+		if err := VerifyCommit(b, dir); err != nil {
+			t.Fatal(err)
+		}
+		if b.Exists(dir + "/" + CommitMarkerName + stagingSuffix) {
+			t.Fatalf("%s: staged marker left behind", dir)
+		}
+	}
+
+	preProtocol(t, b, "run/checkpoint-30", 139, 1)
+	corrupt(t, b, "run/checkpoint-30/model.ltsf", func(d []byte) []byte {
+		d[len(d)-3] ^= 0xff
+		return d
+	})
+	_, err = AdoptAll(b, "run")
+	if !errors.Is(err, storage.ErrNotSupported) || !strings.Contains(err.Error(), "run/checkpoint-30") {
+		t.Fatalf("quarantine on a no-rename backend: err = %v", err)
+	}
+	if !b.Exists("run/checkpoint-30/model.ltsf") {
+		t.Fatal("unreadable directory did not stay in place")
 	}
 }

@@ -294,33 +294,39 @@ func LatestPointerPath(dir string) string {
 }
 
 // WriteLatestPointer refreshes the run root's "latest" pointer to name the
-// given checkpoint directory, so resume tooling finds it. The update is
-// atomic: write-staging + rename on filesystems, a single whole-object PUT
-// on no-rename backends (an object PUT replaces atomically by itself) — a
-// crash mid-update leaves the previous pointer intact, never a truncated
-// one.
+// given checkpoint directory, so resume tooling finds it. The update is one
+// storage.PublishFile: a crash mid-update leaves the previous pointer
+// intact, never a truncated one.
 func WriteLatestPointer(b storage.Backend, dir string) error {
-	name := dir
-	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-		name = dir[i+1:]
-	}
 	p := LatestPointerPath(dir)
-	if !storage.RenameSupported(b) {
-		return b.WriteFile(p, []byte(name))
+	return storage.PublishFile(b, p+stagingSuffix, p, []byte(RefKey(dir)))
+}
+
+// publishJSON is writeJSON through storage.PublishFile (staged as name.tmp),
+// returning the bytes written.
+func publishJSON(b storage.Backend, name string, v any) ([]byte, error) {
+	data, err := marshalJSON(name, v)
+	if err != nil {
+		return nil, err
 	}
-	tmp := p + stagingSuffix
-	if err := b.WriteFile(tmp, []byte(name)); err != nil {
-		return err
-	}
-	return b.Rename(tmp, p)
+	return data, storage.PublishFile(b, name+stagingSuffix, name, data)
 }
 
 func writeJSON(b storage.Backend, name string, v any) error {
+	data, err := marshalJSON(name, v)
+	if err != nil {
+		return err
+	}
+	return b.WriteFile(name, data)
+}
+
+// marshalJSON is the encoding of every JSON file a checkpoint holds.
+func marshalJSON(name string, v any) ([]byte, error) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("ckpt: marshal %s: %w", name, err)
+		return nil, fmt.Errorf("ckpt: marshal %s: %w", name, err)
 	}
-	return b.WriteFile(name, append(data, '\n'))
+	return append(data, '\n'), nil
 }
 
 func readJSON(b storage.Backend, name string, v any) error {

@@ -199,7 +199,7 @@ func TestDedupifyObjStore(t *testing.T) {
 	m, o := saveFull(t, b, "run/checkpoint-5", 172, 2)
 	origLTSF, _ := b.ReadFile("run/checkpoint-5/model.ltsf")
 
-	rep, err := Dedupify(b, "run/checkpoint-5", 0)
+	rep, err := Dedupify(b, "run/checkpoint-5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,46 +236,112 @@ func TestDedupifyObjStore(t *testing.T) {
 		t.Fatalf("ref-index problems: %+v", problems)
 	}
 
-	rep2, err := Dedupify(b, "run/checkpoint-5", 0)
+	rep2, err := Dedupify(b, "run/checkpoint-5")
 	if err != nil || rep2.BlobsPut != 0 || rep2.BlobsReused != 0 {
 		t.Fatalf("second dedupify = %+v, %v", rep2, err)
 	}
 }
 
-// TestCrashPointExplorationObjStoreDedupify fails every storage operation
-// of an in-place conversion in turn. The invariant is stronger than the
-// save path's previous-or-new: the directory being converted is the ONLY
-// copy, so it must remain committed and readable at every crash point
-// (plain until the marker swap, content-addressed after), and a re-run on
-// the durable state must converge to the fault-free result. Torn writes
-// are excluded: object-store PUTs are atomic, which the marker-swap
-// protocol relies on — the torn mode models local-FS partial writes.
-func TestCrashPointExplorationObjStoreDedupify(t *testing.T) {
-	build := func() (*storage.ObjStore, *model.Model, *optim.AdamW, []byte) {
-		b := storage.NewObjStore()
+// TestCrashPointExplorationDedupify fails every storage operation of an
+// in-place conversion in turn, on a no-rename and a rename backend (there is
+// one protocol; the backends differ only inside storage.PublishFile). The
+// invariant is stronger than the save path's previous-or-new: the directory
+// being converted is the ONLY copy, so it must remain committed and readable
+// at every crash point (plain until model.ltsf goes, content-addressed
+// after), and both a re-run and a bare Repair on the durable state must
+// converge. Object-store PUTs are atomic, so only the rename backend has a
+// torn row. Each row has a second level: from every distinct state a first
+// crash leaves inside the directory, the recovery itself (Repair, which
+// re-runs the conversion) is failed at each of its operations in turn, and the
+// only copy must come through that too — a recovery that rewrites a listed
+// file in place tears it, and the next Repair discards the directory as torn.
+func TestCrashPointExplorationDedupify(t *testing.T) {
+	rows := []struct {
+		name string
+		mk   func() storage.Backend
+		torn bool
+	}{
+		{"objstore", func() storage.Backend { return storage.NewObjStore() }, false},
+		{"mem", func() storage.Backend { return storage.NewMem() }, false},
+		{"mem-torn", func() storage.Backend { return storage.NewMem() }, true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) { exploreDedupifyCrashes(t, row.mk, row.torn) })
+	}
+}
+
+func exploreDedupifyCrashes(t *testing.T, mk func() storage.Backend, torn bool) {
+	build := func() (storage.Backend, *model.Model, *optim.AdamW, []byte) {
+		b := mk()
 		m, o := saveFull(t, b, "run/checkpoint-5", 173, 2)
 		ltsf, _ := b.ReadFile("run/checkpoint-5/model.ltsf")
 		return b, m, o, ltsf
 	}
 
 	base, _, _, _ := build()
+	plainDigest := treeDigest(t, base, "run/checkpoint-5")
 	f := storage.NewFault(base)
-	if _, err := Dedupify(f, "run/checkpoint-5", 0); err != nil {
+	if _, err := Dedupify(f, "run/checkpoint-5"); err != nil {
 		t.Fatal(err)
 	}
 	n := int(f.Ops())
 	if n < 8 {
-		t.Fatalf("suspiciously few fault points in an objstore dedupify: %d", n)
+		t.Fatalf("suspiciously few fault points in a dedupify: %d", n)
 	}
 	t.Logf("exploring %d dedupify crash points", n)
 
-	for k := 1; k <= n; k++ {
+	// crash builds a fresh checkpoint and kills its conversion at point k.
+	crash := func(k int) (storage.Backend, *model.Model, *optim.AdamW, []byte) {
 		base, m, o, ltsf := build()
 		f := storage.NewFault(base)
+		f.SetTorn(torn)
 		f.FailAt(k)
-		if _, err := Dedupify(f, "run/checkpoint-5", 0); !storage.IsInjected(err) {
+		if _, err := Dedupify(f, "run/checkpoint-5"); !storage.IsInjected(err) {
 			t.Fatalf("k=%d: err = %v, want injected", k, err)
 		}
+		return base, m, o, ltsf
+	}
+
+	// secondFaults is the second level, run once per distinct crashed state:
+	// Repair — which re-runs the conversion — fails at each of its operations.
+	seen := map[string]bool{}
+	secondFaults := func(k int) {
+		base, _, _, _ := crash(k)
+		f := storage.NewFault(base)
+		if _, err := Repair(f, "run"); err != nil {
+			t.Fatalf("k=%d: fault-free repair: %v", k, err)
+		}
+		for j, n2 := 1, int(f.Ops()); j <= n2; j++ {
+			base, m, o, _ := crash(k)
+			f := storage.NewFault(base)
+			f.SetTorn(torn)
+			f.FailAt(j)
+			if _, err := Repair(f, "run"); err != nil && !storage.IsInjected(err) {
+				t.Fatalf("k=%d j=%d: repair: %v", k, j, err)
+			}
+			for _, stage := range []string{"a second fault in the repair", "the repair after it"} {
+				if err := VerifyCommit(base, "run/checkpoint-5"); err != nil {
+					t.Fatalf("k=%d j=%d: unverifiable after %s: %v", k, j, stage, err)
+				}
+				rm, ro, _, err := Restore(base, "run/checkpoint-5", tensor.BF16)
+				if err != nil {
+					t.Fatalf("k=%d j=%d: unrestorable after %s: %v", k, j, stage, err)
+				}
+				if !model.Equal(rm, m) || !sameOptim(ro, o) {
+					t.Fatalf("k=%d j=%d: restore differs after %s", k, j, stage)
+				}
+				if _, err := Repair(base, "run"); err != nil {
+					t.Fatalf("k=%d j=%d: repair after %s: %v", k, j, stage, err)
+				}
+			}
+			if dirs, _ := Scan(base, "run"); len(dirs) != 1 || dirs[0].State != StateCommitted || !IsDedup(base, "run/checkpoint-5") {
+				t.Fatalf("k=%d j=%d: not converged after a second fault in the repair: %+v", k, j, dirs)
+			}
+		}
+	}
+
+	for k := 1; k <= n; k++ {
+		base, m, o, ltsf := crash(k)
 
 		// Invariant 1: the checkpoint never stops being committed-readable.
 		if err := VerifyCommit(base, "run/checkpoint-5"); err != nil {
@@ -290,7 +356,7 @@ func TestCrashPointExplorationObjStoreDedupify(t *testing.T) {
 		}
 
 		// Invariant 2: a re-run converges to the converted form.
-		if _, err := Dedupify(base, "run/checkpoint-5", 0); err != nil {
+		if _, err := Dedupify(base, "run/checkpoint-5"); err != nil {
 			t.Fatalf("k=%d: dedupify re-run: %v", k, err)
 		}
 		if !IsDedup(base, "run/checkpoint-5") {
@@ -315,21 +381,91 @@ func TestCrashPointExplorationObjStoreDedupify(t *testing.T) {
 
 		// Invariant 3: no unlisted shard-file residue survives convergence,
 		// and the marker's listing matches the files on the backend.
-		marker, err := ReadCommitMarker(base, "run/checkpoint-5")
+		noContainers := func(base storage.Backend, how string) {
+			marker, err := ReadCommitMarker(base, "run/checkpoint-5")
+			if err != nil {
+				t.Fatalf("k=%d: marker unreadable after %s: %v", k, how, err)
+			}
+			for rank := 0; rank < 2; rank++ {
+				name := ShardFileName(rank)
+				if _, listed := marker.Files[name]; listed {
+					t.Fatalf("k=%d: %s still listed after %s", k, name, how)
+				}
+				if base.Exists("run/checkpoint-5/" + name) {
+					t.Fatalf("k=%d: unlisted %s left on the backend after %s", k, name, how)
+				}
+			}
+			if base.Exists("run/checkpoint-5/model.ltsf") {
+				t.Fatalf("k=%d: model.ltsf survived %s", k, how)
+			}
+		}
+		noContainers(base, "re-run")
+
+		// Invariant 4: Repair alone converges too — the conversion is rolled
+		// forward once it has reached the directory, and leaves the plain
+		// tree untouched when it has not — and a following full GC leaves no
+		// blob the doctor view calls unreferenced.
+		base, m, o, _ = crash(k)
+		reached := base.Exists("run/checkpoint-5/" + WeightManifestName)
+		if _, err := ScanBlobs(base, "run"); err != nil {
+			t.Fatalf("k=%d: the doctor's blob view fails on the crashed state: %v", k, err)
+		}
+		if _, err := ScanRefs(base, "run"); err != nil {
+			t.Fatalf("k=%d: the doctor's ref view fails on the crashed state: %v", k, err)
+		}
+		dirs, err := Scan(base, "run")
+		if err != nil || len(dirs) != 1 {
+			t.Fatalf("k=%d: scan of the crashed state: %+v, %v", k, dirs, err)
+		}
+		want := StateCommitted
+		if reached {
+			want = StateConverting
+		}
+		if dirs[0].State != want {
+			t.Fatalf("k=%d: crashed state scans as %v, want %v", k, dirs[0].State, want)
+		}
+		if d := treeDigest(t, base, "run/checkpoint-5"); reached && !seen[d] {
+			seen[d] = true
+			secondFaults(k)
+		}
+		if _, err := Repair(base, "run"); err != nil {
+			t.Fatalf("k=%d: repair: %v", k, err)
+		}
+		if err := VerifyCommit(base, "run/checkpoint-5"); err != nil {
+			t.Fatalf("k=%d: unverifiable after repair: %v", k, err)
+		}
+		if reached {
+			if !IsDedup(base, "run/checkpoint-5") {
+				t.Fatalf("k=%d: repair left the conversion unfinished", k)
+			}
+			noContainers(base, "repair")
+			if dirs, _ := Scan(base, "run"); len(dirs) != 1 || dirs[0].State != StateCommitted {
+				t.Fatalf("k=%d: scan after repair: %+v", k, dirs)
+			}
+		} else if d := treeDigest(t, base, "run/checkpoint-5"); d != plainDigest {
+			t.Fatalf("k=%d: repair changed a directory the conversion never reached", k)
+		}
+		rm, ro, _, err = Restore(base, "run/checkpoint-5", tensor.BF16)
 		if err != nil {
-			t.Fatalf("k=%d: marker unreadable after re-run: %v", k, err)
+			t.Fatalf("k=%d: unrestorable after repair: %v", k, err)
 		}
-		for rank := 0; rank < 2; rank++ {
-			name := ShardFileName(rank)
-			if _, listed := marker.Files[name]; listed {
-				t.Fatalf("k=%d: %s still listed after conversion", k, name)
-			}
-			if base.Exists("run/checkpoint-5/" + name) {
-				t.Fatalf("k=%d: unlisted %s left on the backend", k, name)
+		if !model.Equal(rm, m) || !sameOptim(ro, o) {
+			t.Fatalf("k=%d: restore differs after repair", k)
+		}
+		if _, err := GC(base, "run"); err != nil {
+			t.Fatalf("k=%d: gc after repair: %v", k, err)
+		}
+		blobs, err := ScanBlobs(base, "run")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range blobs {
+			if s.State != BlobReferenced {
+				t.Fatalf("k=%d: blob %s still %v after repair + gc", k, s.Path, s.State)
 			}
 		}
-		if base.Exists("run/checkpoint-5/model.ltsf") {
-			t.Fatalf("k=%d: model.ltsf survived conversion", k)
+		if problems := refProblems(t, base, "run"); len(problems) != 0 {
+			t.Fatalf("k=%d: ref-index problems after repair + gc: %+v", k, problems)
 		}
 	}
 }

@@ -19,6 +19,12 @@
 // one — readers can never observe a hybrid. Scan classifies every
 // directory under a run root (committed / torn / orphaned staging) and
 // Repair restores the root to a healthy state.
+//
+// The one-file rule: a small file a reader may be looking at — the pointer, a
+// journal record, a marker being replaced (Adopt's seal, Dedupify's swaps) —
+// is only ever overwritten through storage.PublishFile, where the rename /
+// no-rename difference lives for single files; only Begin (a whole directory)
+// and the blob store (a streamed payload) fork on it themselves.
 package ckpt
 
 import (
@@ -126,8 +132,10 @@ func (s *sumBackend) Create(name string) (io.WriteCloser, error) {
 	return &sumWriter{s: s, name: name, w: w, crc: crc32.NewIEEE()}, nil
 }
 
-// NewSpool keeps OS-rooted backends on file-backed scratch space.
-func (s *sumBackend) NewSpool() (storage.Spool, error) { return storage.NewSpool(s.Backend) }
+// Unwrap exposes the wrapped backend to storage's capability walk: what is
+// staged through a transaction gets the base's rename, compose and spool.
+// A storage.Compose through it is NOT recorded; nothing staged is multipart.
+func (s *sumBackend) Unwrap() storage.Backend { return s.Backend }
 
 type sumWriter struct {
 	s    *sumBackend
@@ -248,6 +256,31 @@ func (t *Txn) Commit(step int) error {
 	return nil
 }
 
+// Publish is the tail merge, blend and reshard share, in the one crash-safe
+// order: Commit, then move the run root's latest pointer to the output (latest:
+// false for a weights-only blend, which training cannot resume, and reshard's
+// NoLatest), then convert the published directory to content-addressed form
+// (dedup) — after publication, so a crash mid-conversion leaves the output
+// committed and readable. It returns the conversion's counters.
+func (t *Txn) Publish(step int, latest, dedup bool) (rep DedupifyReport, err error) {
+	if err = t.Commit(step); err != nil {
+		return rep, err
+	}
+	if latest {
+		if err = WriteLatestPointer(t.base, t.final); err != nil {
+			return rep, err
+		}
+	}
+	if !dedup {
+		return rep, nil
+	}
+	r, err := Dedupify(t.base, t.final)
+	if err != nil {
+		return rep, fmt.Errorf("ckpt: dedup output: %w", err)
+	}
+	return *r, nil
+}
+
 // Abort drops the staging directory (best effort). No-op after Commit.
 func (t *Txn) Abort() {
 	if t.committed || t.aborted {
@@ -352,6 +385,9 @@ const (
 	// readability pass and was set aside under the .quarantined suffix.
 	// Repair leaves it alone; removal is a deliberate operator action.
 	StateQuarantined
+	// StateConverting: committed and readable, but manifests sit beside payload
+	// containers: a crash interrupted Dedupify's conversion. Repair finishes it.
+	StateConverting
 )
 
 // String names the state for reports.
@@ -367,6 +403,8 @@ func (s DirState) String() string {
 		return "unpublished"
 	case StateQuarantined:
 		return "quarantined"
+	case StateConverting:
+		return "converting"
 	}
 	return fmt.Sprintf("state(%d)", int(s))
 }
@@ -462,6 +500,9 @@ func Scan(b storage.Backend, runRoot string) ([]DirStatus, error) {
 				// objects store; GC never removes referenced blobs.
 				st.State = StateTorn
 				st.Detail = err.Error()
+			} else if b.Exists(path+"/"+WeightManifestName) && len(plainContainers(b, path)) > 0 {
+				st.State = StateConverting
+				st.Detail = "interrupted conversion to content-addressed form (still readable)"
 			} else {
 				st.State = StateCommitted
 			}
@@ -501,6 +542,9 @@ func isEmptyDir(b storage.Backend, path string) (bool, error) {
 type RepairReport struct {
 	// Removed lists deleted directories (orphaned staging and torn).
 	Removed []string
+	// Converted lists committed directories whose interrupted in-place
+	// conversion to content-addressed form Repair finished.
+	Converted []string
 	// Published lists sealed-but-unpublished staging directories whose
 	// publication Repair completed (roll-forward of a crash that hit
 	// between the COMMITTED marker and the rename).
@@ -533,9 +577,9 @@ type RepairReport struct {
 }
 
 // Repair restores a run root to a healthy state: sealed-but-unpublished
-// staging directories are rolled forward (their rename is completed),
-// orphaned staging directories and torn checkpoints are removed, stray
-// pointer staging files are cleaned, and the latest pointer is re-aimed
+// staging directories and interrupted in-place conversions are rolled
+// forward, orphaned staging directories and torn checkpoints are removed,
+// stray pointer staging files are cleaned, and the latest pointer is re-aimed
 // at the newest committed checkpoint (or removed when none remain). It is
 // idempotent: rerunning after a crash mid-repair converges.
 func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
@@ -566,14 +610,14 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 	for i := range statuses {
 		st := &statuses[i]
 		switch st.State {
-		case StateQuarantined:
-			// Preserved evidence: quarantined directories are only ever
-			// removed by a deliberate operator action.
-			continue
 		case StateCommitted:
-			if newest == nil || st.Step >= newest.Step {
-				newest = st
+		case StateConverting:
+			// Roll the interrupted conversion forward (see Dedupify), before
+			// the ref reconcile below reads every manifest as ground truth.
+			if _, err := Dedupify(b, st.Path); err != nil {
+				return nil, fmt.Errorf("ckpt: repair: finish conversion: %w", err)
 			}
+			rep.Converted = append(rep.Converted, st.Path)
 		case StateUnpublished:
 			// Roll the publication forward. A staged tree can only
 			// coexist with its final directory when the crash hit before
@@ -590,15 +634,19 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 			}
 			rep.Published = append(rep.Published, final)
 			st.Path = final
-			st.State = StateCommitted
-			if newest == nil || st.Step >= newest.Step {
-				newest = st
-			}
+		case StateQuarantined:
+			// Preserved evidence: quarantined directories are only ever
+			// removed by a deliberate operator action.
+			continue
 		default:
 			if err := b.Remove(st.Path); err != nil {
 				return nil, fmt.Errorf("ckpt: repair: remove %s: %w", st.Path, err)
 			}
 			rep.Removed = append(rep.Removed, st.Path)
+			continue
+		}
+		if newest == nil || st.Step >= newest.Step {
+			newest = st
 		}
 	}
 	// Blob-store staging residue is crash garbage of the same kind as an
@@ -642,11 +690,7 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 		}
 	default:
 		rep.Latest = newest.Path
-		name := newest.Path
-		if i := strings.LastIndexByte(name, '/'); i >= 0 {
-			name = name[i+1:]
-		}
-		if current != name {
+		if current != RefKey(newest.Path) {
 			if err := WriteLatestPointer(b, newest.Path); err != nil {
 				return nil, err
 			}

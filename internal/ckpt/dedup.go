@@ -18,18 +18,17 @@
 // manifest and sweeps only blobs with zero references.
 //
 // Reading a dedup checkpoint is the read stage's job (read.go), like a plain
-// one; this file keeps the layout's own store, GC, scan and conversion.
+// one; this file keeps the layout's own store, GC, scan and the in-place
+// conversion (Dedupify: one protocol on every backend, finished by Repair).
 
 package ckpt
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 	"strings"
 
 	"llmtailor/internal/storage"
@@ -105,8 +104,10 @@ func encodeGroupPayload(w io.Writer, buf []byte, s *zero.GroupShard) (int64, err
 // the same as raw blobs; xor entries additionally require every listed
 // ancestor to be present, because decoding depends on the whole chain.
 func verifyDedupRefs(b storage.Backend, dir string) error {
-	if !b.Exists(dir + "/" + WeightManifestName) {
-		return nil // plain checkpoint: nothing content-addressed to check
+	if !IsDedup(b, dir) {
+		// Plain, or manifests beside a weight container: an unfinished
+		// conversion's extras, which no reader consults.
+		return nil
 	}
 	store, err := storeFor(b, dir)
 	if err != nil {
@@ -355,51 +356,45 @@ type DedupifyReport struct {
 
 // Dedupify converts a committed plain checkpoint to content-addressed form
 // in place: every weight-tensor and optimizer-group payload is stored as a
-// blob (via the raw extent surface — no decode), the LTSF/LTOS containers
-// are replaced by manifests, and the directory is republished under the
-// commit protocol, so a crash mid-conversion leaves a committed, readable
-// checkpoint at every instant. Already-dedup directories are a no-op.
+// blob (via the raw extent surface — no decode) and the LTSF/LTOS containers
+// are replaced by manifests. The directory being converted is the ONLY copy,
+// so no commit transaction applies (Begin clears or shadows its target);
+// instead the directory moves from one committed state to the next, each
+// step one atomic small-file publish (storage.PublishFile), on every backend:
 //
-// On a rename-capable backend the directory is re-staged and atomically
-// renamed over itself. On a no-rename backend (object stores) the commit
-// transaction cannot be reused — Begin clears the final directory, which
-// here IS the input — so the conversion publishes in place instead:
-//
-//  1. manifests are PUT under their final keys as unlisted extras (the
+//  1. manifests are written under their final keys as unlisted extras (the
 //     commit contract checks only listed files, so the directory stays
 //     committed under the old marker);
-//  2. one marker PUT atomically swaps the file listing — manifests in,
+//  2. one marker publish atomically swaps the file listing — manifests in,
 //     payload containers and manifest.json out (manifest.json must go
-//     unlisted so step 3 can rewrite it without a torn window);
-//  3. manifest.json is rewritten (Dedup, RefGen) while unlisted;
-//  4. a second marker PUT re-lists manifest.json under its new sum;
+//     unlisted so step 3 can replace it without a torn window);
+//  3. manifest.json is replaced (Dedup, RefGen) while unlisted;
+//  4. a second marker publish re-lists manifest.json under its new sum;
 //  5. the now-unlisted LTSF/LTOS containers are deleted.
 //
 // A crash between any two steps leaves the directory committed — readers
 // see the plain form until step 5 removes model.ltsf, the dedup form after
-// — and a re-run converges: before step 5 the plain containers still
-// exist, so the whole conversion replays idempotently; after it, the
-// IsDedup no-op path sweeps any leftover unlisted shard containers.
-func Dedupify(b storage.Backend, dir string, chunkBytes int) (*DedupifyReport, error) {
+// — and a re-run converges: while model.ltsf exists it resumes at the step
+// the marker records, never rewriting a file the marker lists (VerifyCommit
+// checks those, and a rewrite torn by a second fault would have Repair
+// discard the only copy; the journal record is reused, so what the first run
+// listed is what this one would write); after, the already-dedup path drops
+// leftover unlisted shard containers. Scan calls a directory caught in
+// between converting and Repair re-runs this on it: rolling back could not
+// tell a crashed conversion's extras from a finished one's files.
+func Dedupify(b storage.Backend, dir string) (*DedupifyReport, error) {
 	rep := &DedupifyReport{}
 	if IsDedup(b, dir) {
-		if !storage.RenameSupported(b) {
-			if err := sweepUnlistedShardFiles(b, dir); err != nil {
-				return nil, err
-			}
-		}
-		return rep, nil
+		return rep, sweepUnlistedShardFiles(b, dir)
 	}
 	marker, err := ReadCommitMarker(b, dir)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: dedupify %s: only committed checkpoints convert: %w", dir, err)
 	}
-	// The conversion is one more feeder of the write stage: the read stage
-	// lists the committed containers' payloads as raw extents (no decode),
-	// hashAll digests them — verifying each header CRC against the bytes in
-	// the same pass — and the stage journals and publishes. No codec plan:
-	// new blobs stay raw, while dedup hits on coded blobs are journaled and
-	// recorded with their lineage like any save's.
+	// One more feeder of the write stage's blob half: the read stage lists the
+	// containers' payloads as raw extents (no decode) and hashAll digests them,
+	// verifying each header CRC against the bytes in the same pass. No codec
+	// plan: new blobs stay raw; dedup hits on coded blobs keep their lineage.
 	var set *payloadSet
 	src, err := openSource(b, dir)
 	if err == nil {
@@ -411,26 +406,7 @@ func Dedupify(b storage.Backend, dir string, chunkBytes int) (*DedupifyReport, e
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
 	}
-	if storage.RenameSupported(b) {
-		// Re-stage the directory: manifests in place of payload containers,
-		// every other committed file copied verbatim.
-		err = writeStage{
-			b: b, dir: dir, dedup: true, journalStep: marker.Step, markerStep: marker.Step,
-			trailer: func(sb storage.Backend, staging string, refGen int64) error {
-				return copyCommittedExtras(b, sb, dir, staging, marker, len(set.ranks), refGen)
-			},
-		}.run(set)
-	} else {
-		var refGen int64
-		var store *saveStore
-		if store, err = openSaveStore(b, dir); err == nil {
-			refGen, err = set.publishBlobs(store, nil, dir, marker.Step, nil)
-		}
-		if err == nil {
-			err = dedupifyInPlace(b, dir, marker, refGen, set)
-		}
-	}
-	if err != nil {
+	if err := dedupifyInPlace(b, dir, marker, set); err != nil {
 		return nil, err
 	}
 	set.each(func(p *payload, _ string, _ int) error {
@@ -446,136 +422,97 @@ func Dedupify(b storage.Backend, dir string, chunkBytes int) (*DedupifyReport, e
 	return rep, nil
 }
 
-// copyCommittedExtras is Dedupify's trailer on rename backends: every
-// committed file except the payload containers is copied into staging
-// verbatim, manifest.json gaining the dedup flag and the ref generation.
-func copyCommittedExtras(b, sb storage.Backend, dir, staging string, marker CommitMarker, ranks int, refGen int64) error {
-	skip := map[string]bool{"model.ltsf": true}
-	for r := 0; r < ranks; r++ {
-		skip[ShardFileName(r)] = true
+// dedupifyInPlace is Dedupify's publication: the ref record, the blobs, then
+// steps 1–5, between any two of whose writes the directory verifies committed.
+func dedupifyInPlace(b storage.Backend, dir string, marker CommitMarker, set *payloadSet) error {
+	store, err := openSaveStore(b, dir)
+	if err != nil {
+		return err
 	}
-	names := make([]string, 0, len(marker.Files))
-	for name := range marker.Files {
-		names = append(names, name)
+	gen, err := set.publishBlobs(store, nil, dir, marker.Step, nil)
+	if err != nil {
+		return err
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if skip[name] {
-			continue
+	m2 := marker // a replay resumes where the marker says the last run got to
+	if _, swapped := marker.Files[WeightManifestName]; !swapped {
+		// Step 1: the manifests, unlisted; their sums are recorded for the swap.
+		rec := newSumBackend(b)
+		if err := set.stageManifests(rec, dir); err != nil {
+			return fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
 		}
-		data, err := b.ReadFile(dir + "/" + name)
-		if err != nil {
-			return fmt.Errorf("ckpt: dedupify %s: copy %s: %w", dir, name, err)
+		// Step 2: the swap; manifest.json goes unlisted too (a listed file cannot
+		// change content without a window in which the marker's CRC is wrong).
+		drop := map[string]bool{"model.ltsf": true, "manifest.json": true}
+		for rank := range set.ranks {
+			drop[ShardFileName(rank)] = true
 		}
-		if name == "manifest.json" {
-			if data, err = dedupManifestJSON(data, refGen); err != nil {
-				return fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
+		m2.Files = rec.sumsUnder(dir)
+		for name, sum := range marker.Files {
+			if !drop[name] {
+				m2.Files[name] = sum
 			}
 		}
-		if err := sb.WriteFile(staging+"/"+name, data); err != nil {
-			return err
+		if _, err := publishJSON(b, dir+"/"+CommitMarkerName, &m2); err != nil {
+			return fmt.Errorf("ckpt: dedupify %s: swap marker: %w", dir, err)
 		}
 	}
-	return nil
-}
-
-// dedupManifestJSON re-encodes a converted checkpoint's manifest.json with
-// the dedup flag set and its journal generation bound.
-func dedupManifestJSON(data []byte, refGen int64) ([]byte, error) {
-	var man Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("decode manifest.json: %w", err)
-	}
-	man.Dedup, man.RefGen = true, refGen
-	out, err := json.MarshalIndent(&man, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("marshal manifest.json: %w", err)
-	}
-	return append(out, '\n'), nil
-}
-
-// dedupifyInPlace is Dedupify's no-rename publication tail (steps 1–5 of
-// the protocol described on Dedupify). The blobs and the ref record are
-// already durable when it runs; every individual write here is an atomic
-// whole-object PUT, and the directory verifies as committed between any
-// two of them.
-func dedupifyInPlace(b storage.Backend, dir string, marker CommitMarker, gen int64, set *payloadSet) error {
-	// Step 1: PUT the manifests under their final keys. They are not listed
-	// in the current marker, so the directory's commit contract is
-	// untouched; record their sums for the marker swap.
-	rec := newSumBackend(b)
-	if err := set.stageManifests(rec, dir); err != nil {
-		return fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
-	}
-
-	// Step 2: one marker PUT swaps the listing — manifests in, payload
-	// containers out. manifest.json goes unlisted too: it must be rewritten
-	// (Dedup, RefGen) and a listed file can never change content without a
-	// window in which the marker's CRC is wrong.
-	drop := map[string]bool{"model.ltsf": true, "manifest.json": true}
-	for rank := range set.ranks {
-		drop[ShardFileName(rank)] = true
-	}
-	m2 := CommitMarker{Version: FormatVersion, Step: marker.Step, Files: rec.sumsUnder(dir)}
-	for name, sum := range marker.Files {
-		if !drop[name] {
-			m2.Files[name] = sum
+	if _, resealed := m2.Files["manifest.json"]; !resealed {
+		// Step 3: replace manifest.json while unlisted.
+		man, err := ReadManifest(b, dir)
+		if err != nil {
+			return fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
+		}
+		man.Dedup, man.RefGen = true, gen
+		newMan, err := publishJSON(b, dir+"/manifest.json", &man)
+		if err != nil {
+			return fmt.Errorf("ckpt: dedupify %s: rewrite manifest.json: %w", dir, err)
+		}
+		// Step 4: re-list manifest.json under its new sum.
+		m2.Files["manifest.json"] = FileSum{Size: int64(len(newMan)), CRC32: crc32.ChecksumIEEE(newMan)}
+		if _, err := publishJSON(b, dir+"/"+CommitMarkerName, &m2); err != nil {
+			return fmt.Errorf("ckpt: dedupify %s: reseal marker: %w", dir, err)
 		}
 	}
-	if err := writeJSON(b, dir+"/"+CommitMarkerName, &m2); err != nil {
-		return fmt.Errorf("ckpt: dedupify %s: swap marker: %w", dir, err)
-	}
 
-	// Step 3: rewrite manifest.json while unlisted.
-	mdata, err := b.ReadFile(dir + "/manifest.json")
-	if err != nil {
-		return fmt.Errorf("ckpt: dedupify %s: read manifest.json: %w", dir, err)
-	}
-	newMan, err := dedupManifestJSON(mdata, gen)
-	if err != nil {
-		return fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
-	}
-	if err := b.WriteFile(dir+"/manifest.json", newMan); err != nil {
-		return fmt.Errorf("ckpt: dedupify %s: rewrite manifest.json: %w", dir, err)
-	}
-
-	// Step 4: re-list manifest.json under its new sum.
-	m2.Files["manifest.json"] = FileSum{Size: int64(len(newMan)), CRC32: crc32.ChecksumIEEE(newMan)}
-	if err := writeJSON(b, dir+"/"+CommitMarkerName, &m2); err != nil {
-		return fmt.Errorf("ckpt: dedupify %s: reseal marker: %w", dir, err)
-	}
-
-	// Step 5: drop the now-unlisted payload containers. model.ltsf first —
-	// its disappearance is what flips readers to the dedup form.
+	// Step 5: model.ltsf first — its disappearance flips readers to the dedup
+	// form — then the shard files, through the sweep a crash here relies on.
 	if err := b.Remove(dir + "/model.ltsf"); err != nil && !storage.IsNotExist(err) {
 		return fmt.Errorf("ckpt: dedupify %s: remove model.ltsf: %w", dir, err)
 	}
-	for rank := range set.ranks {
-		if err := b.Remove(dir + "/" + ShardFileName(rank)); err != nil && !storage.IsNotExist(err) {
-			return fmt.Errorf("ckpt: dedupify %s: remove %s: %w", dir, ShardFileName(rank), err)
-		}
-	}
-	return nil
+	return sweepUnlistedShardFiles(b, dir)
 }
 
-// sweepUnlistedShardFiles removes LTOS containers a crashed no-rename
-// conversion left behind after its marker swap (they are unlisted extras —
-// harmless to readers, but dead weight). Listed shard files are never
-// touched.
+// plainContainers lists the payload containers a directory holds, as
+// dir-relative names, model.ltsf first. The listing, not a rank count, says
+// which shard files are there: a crashed conversion may have removed some
+// ranks' already. No zero/ directory: a weights-only checkpoint.
+func plainContainers(b storage.Backend, dir string) []string {
+	var out []string
+	if b.Exists(dir + "/model.ltsf") {
+		out = append(out, "model.ltsf")
+	}
+	entries, _ := b.List(dir + "/zero")
+	for _, e := range entries {
+		if strings.HasSuffix(e, ".ltos") {
+			out = append(out, "zero/"+e)
+		}
+	}
+	return out
+}
+
+// sweepUnlistedShardFiles removes LTOS containers a crashed conversion left
+// behind after its marker swap (they are unlisted extras — harmless to
+// readers, but dead weight). Listed shard files are never touched.
 func sweepUnlistedShardFiles(b storage.Backend, dir string) error {
+	left := plainContainers(b, dir)
+	if len(left) == 0 {
+		return nil
+	}
 	marker, err := ReadCommitMarker(b, dir)
 	if err != nil {
 		return nil // not committed: nothing to judge against
 	}
-	// The crashed conversion may have removed some ranks' containers
-	// already, so missing files cannot end the scan — walk every rank the
-	// dedup form manifests, which is exactly the set the conversion was
-	// deleting when it died.
-	for _, rank := range shardManifestRanks(b, dir) {
-		name := ShardFileName(rank)
-		if !b.Exists(dir + "/" + name) {
-			continue
-		}
+	for _, name := range left {
 		if _, listed := marker.Files[name]; listed {
 			continue
 		}

@@ -349,12 +349,22 @@ func TestBlobRefsProtectQuarantinedDirs(t *testing.T) {
 // content-addressed form and still restores exactly; materialization
 // reproduces the original containers bit for bit.
 func TestDedupifyConvertsInPlace(t *testing.T) {
-	b := storage.NewMem()
+	t.Run("mem", func(t *testing.T) { testDedupifyConvertsInPlace(t, storage.NewMem()) })
+	t.Run("os", func(t *testing.T) {
+		b, err := storage.NewOS(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		testDedupifyConvertsInPlace(t, b)
+	})
+}
+
+func testDedupifyConvertsInPlace(t *testing.T, b storage.Backend) {
 	m, o := saveFull(t, b, "run/checkpoint-5", 126, 2)
 	origLTSF, _ := b.ReadFile("run/checkpoint-5/model.ltsf")
 	origShard0, _ := b.ReadFile("run/checkpoint-5/" + ShardFileName(0))
 
-	rep, err := Dedupify(b, "run/checkpoint-5", 0)
+	rep, err := Dedupify(b, "run/checkpoint-5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +402,7 @@ func TestDedupifyConvertsInPlace(t *testing.T) {
 	}
 
 	// Converting again is a no-op.
-	rep2, err := Dedupify(b, "run/checkpoint-5", 0)
+	rep2, err := Dedupify(b, "run/checkpoint-5")
 	if err != nil || rep2.BlobsPut != 0 || rep2.BlobsReused != 0 {
 		t.Fatalf("second dedupify = %+v, %v", rep2, err)
 	}
@@ -443,7 +453,7 @@ func TestDedupifyPinsXorLineage(t *testing.T) {
 				Strategy: "full", State: TrainerState{Step: 300, Seed: 170}}); err != nil {
 				t.Fatal(err)
 			}
-			rep, err := Dedupify(b, dir, 0)
+			rep, err := Dedupify(b, dir)
 			if err != nil {
 				t.Fatal(err)
 			}

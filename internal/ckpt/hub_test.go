@@ -74,7 +74,7 @@ func TestHubCrossRunDedup(t *testing.T) {
 		State: TrainerState{Step: 20, Seed: 501}}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Dedupify(b, "runb/checkpoint-20", 0)
+	rep, err := Dedupify(b, "runb/checkpoint-20")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -360,7 +360,7 @@ func TestReadStageCorruptionTable(t *testing.T) {
 				named("MaterializeShardFile", MaterializeShardFile(b, dir, 1, "mat.ltos", 0))
 			}
 			if tc.layout == "plain" {
-				_, err := Dedupify(b, dir, 0)
+				_, err := Dedupify(b, dir)
 				named("Dedupify", err)
 				if IsDedup(b, dir) {
 					t.Fatal("Dedupify converted a checkpoint it could not verify")

@@ -167,8 +167,9 @@ func collectDirRefs(b storage.Backend, runRoot string) ([]dirRefs, error) {
 			d.RefGen = man.RefGen
 		}
 		// Sealed, non-staging directories must account exactly; everything
-		// else (torn, quarantined, mid-write staging) pins best-effort.
-		bestEffort := !d.Sealed || d.Staging || d.Quarantined
+		// else (torn, quarantined, mid-write staging) pins best-effort, as do an
+		// unfinished conversion's possibly torn extras (its record pins them).
+		bestEffort := !d.Sealed || d.Staging || d.Quarantined || (d.Dedup && b.Exists(d.Path+"/model.ltsf"))
 		if d.Digests, err = readDirManifestDigests(b, d.Path, bestEffort); err != nil {
 			return nil, fmt.Errorf("ckpt: blob refs: %w", err)
 		}

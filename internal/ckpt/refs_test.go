@@ -427,7 +427,7 @@ func TestSupersededScanState(t *testing.T) {
 func TestDedupifyJournalsRecord(t *testing.T) {
 	b := storage.NewMem()
 	saveFull(t, b, "run/checkpoint-10", 260, 2)
-	if _, err := Dedupify(b, "run/checkpoint-10", 0); err != nil {
+	if _, err := Dedupify(b, "run/checkpoint-10"); err != nil {
 		t.Fatal(err)
 	}
 	entries := refEntries(t, b, "run")

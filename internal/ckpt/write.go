@@ -9,6 +9,9 @@
 //	dedup:  Begin → journal the digest set → publish missing blobs →
 //	        LTMF/LTOM manifests → trailer → Commit
 //
+// Dedupify converts a directory's only copy, so has no transaction to Begin:
+// hashAll → publishBlobs → stageManifests, then an in-place marker swap.
+//
 // The dedup order is load-bearing: the full digest set, xor-parent ancestors
 // included, is journaled before the first blob is published, so a sweep
 // always finds a record pinning a blob (and its decode ancestry) before the
@@ -423,44 +426,39 @@ func (rs *rankPayloads) stageShardFile(sb storage.Backend, name string, chunkByt
 	return w.Close()
 }
 
-// writeStage is the one publish-and-commit stage: it turns a payloadSet into
-// a committed checkpoint directory under the commit protocol. Feeders only
-// build the set; everything that touches the backend happens in run.
+// writeStage is the one publish-and-commit stage: it turns a save's filled
+// payloadSet into a committed checkpoint directory under the commit protocol.
+// Feeders only build the set; all that touches the backend happens in run.
 type writeStage struct {
-	b   storage.Backend
-	dir string
-	// dedup selects content-addressed output (blobs + manifests) over plain
-	// containers; cplan is its codec plan (nil = raw blobs), view the parent
+	b    storage.Backend
+	spec *SaveSpec
+	plan *savePlan
+	// cplan is a dedup save's codec plan (nil = raw blobs), view its parent
 	// lineage and store the handle a feeder already resolved (both optional).
-	dedup bool
 	cplan *codecPlan
 	view  *lineage
 	store *saveStore
-	// journalStep is recorded in the ref record, markerStep in COMMITTED.
-	journalStep, markerStep int
-	// trailer stages the checkpoint's remaining small files (config, trainer
-	// state, manifest.json carrying refGen) through the recording backend.
-	trailer func(sb storage.Backend, staging string, refGen int64) error
 }
 
 func (ws writeStage) run(set *payloadSet) error {
-	txn, err := Begin(ws.b, ws.dir)
+	dir := ws.spec.Dir
+	txn, err := Begin(ws.b, dir)
 	if err != nil {
 		return err
 	}
 	defer txn.Abort()
 	sb, staging := txn.Backend(), txn.Dir()
 	var refGen int64
-	if ws.dedup {
+	if ws.spec.Dedup {
 		// Blobs go to the store on the base backend, addressed from the
 		// checkpoint's final path; only the manifests are staged.
 		store := ws.store
 		if store == nil {
-			if store, err = openSaveStore(ws.b, ws.dir); err != nil {
+			if store, err = openSaveStore(ws.b, dir); err != nil {
 				return err
 			}
 		}
-		if refGen, err = set.publishBlobs(store, ws.view, ws.dir, ws.journalStep, ws.cplan); err != nil {
+		if refGen, err = set.publishBlobs(store, ws.view, dir, ws.plan.stepCount, ws.cplan); err != nil {
 			return err
 		}
 		err = set.stageManifests(sb, staging)
@@ -470,10 +468,12 @@ func (ws writeStage) run(set *payloadSet) error {
 	if err != nil {
 		return err
 	}
-	if err := ws.trailer(sb, staging, refGen); err != nil {
+	// The trailer: config, trainer state, manifest.json carrying refGen. The
+	// record journals the optimizer's step count, the marker the trainer's.
+	if err := writeTrailer(sb, staging, ws.spec, ws.plan, refGen); err != nil {
 		return err
 	}
-	return txn.Commit(ws.markerStep)
+	return txn.Commit(ws.spec.State.Step)
 }
 
 // newPayloadSet lays out a save's payloads in write order with their
@@ -508,13 +508,7 @@ func (p *savePlan) newPayloadSet() *payloadSet {
 // the filled set with the save's trailer, then move the run root's latest
 // pointer. store is the handle the feeder captured against, if it has one.
 func commitSave(b storage.Backend, spec *SaveSpec, plan *savePlan, set *payloadSet, store *saveStore) error {
-	ws := writeStage{
-		b: b, dir: spec.Dir, dedup: spec.Dedup, store: store,
-		journalStep: plan.stepCount, markerStep: spec.State.Step,
-		trailer: func(sb storage.Backend, staging string, refGen int64) error {
-			return writeTrailer(sb, staging, spec, plan, refGen)
-		},
-	}
+	ws := writeStage{b: b, spec: spec, plan: plan, store: store}
 	if spec.Dedup {
 		// One read of the parent's manifests serves the codec plan and the
 		// publish loop alike.

@@ -126,16 +126,27 @@ func TestCrashPointExplorationReshardObjStore(t *testing.T) {
 
 // TestCrashPointExplorationReshardDedup explores crashes of a dedup →
 // dedup reshard: the source is content-addressed and the output converts
-// to content-addressed form after publication. The conversion runs under
-// its own replace-in-place transaction, so a crash may strand the output
-// in its committed plain form — that is a legal final state, never a
-// hybrid — and the blobs the source pins must survive Repair + GC at
-// every crash point.
+// to content-addressed form after publication. The conversion moves the
+// output through committed states in place, and Repair rolls it forward
+// once it has reached the directory, so after Repair the output is in its
+// committed plain form or its content-addressed form — never a hybrid —
+// and the blobs the source pins must survive Repair + GC at every crash
+// point.
 func TestCrashPointExplorationReshardDedup(t *testing.T) {
+	exploreReshardDedupCrash(t, func() storage.Backend { return storage.NewMem() }, false, true)
+}
+
+// The no-rename twin: object-store PUTs are atomic, and the in-place
+// conversion relies on it, so there is no torn mode.
+func TestCrashPointExplorationReshardDedupObjStore(t *testing.T) {
+	exploreReshardDedupCrash(t, func() storage.Backend { return storage.NewObjStore() }, false)
+}
+
+func exploreReshardDedupCrash(t *testing.T, newBackend func() storage.Backend, torns ...bool) {
 	m, o := buildOptim(t, 71)
 	const src, dst = "run/checkpoint-40", "run/resharded"
 
-	clean := storage.NewMem()
+	clean := newBackend()
 	saveAt(t, clean, src, m, o, 3, 40, true)
 	srcDigest := treeDigest(t, clean, src)
 	if _, err := Reshard(clean, src, dst, 2, Options{Dedup: true}); err != nil {
@@ -145,14 +156,14 @@ func TestCrashPointExplorationReshardDedup(t *testing.T) {
 
 	// The plain form the output passes through before conversion — the
 	// other legal post-crash state for the destination.
-	plain := storage.NewMem()
+	plain := newBackend()
 	saveAt(t, plain, src, m, o, 3, 40, true)
 	if _, err := Reshard(plain, src, dst, 2, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	plainDigest := treeDigest(t, plain, dst)
 
-	f := storage.NewFault(storage.NewMem())
+	f := storage.NewFault(newBackend())
 	saveAt(t, f, src, m, o, 3, 40, true)
 	f.FailAt(0)
 	if _, err := Reshard(f, src, dst, 2, Options{Dedup: true}); err != nil {
@@ -162,11 +173,11 @@ func TestCrashPointExplorationReshardDedup(t *testing.T) {
 	if n < 5 {
 		t.Fatalf("suspiciously few fault points in a dedup reshard: %d", n)
 	}
-	t.Logf("exploring %d crash points × {clean, torn}", n)
+	t.Logf("exploring %d crash points × torn %v", n, torns)
 
-	for _, torn := range []bool{false, true} {
+	for _, torn := range torns {
 		for k := 1; k <= n; k++ {
-			base := storage.NewMem()
+			base := newBackend()
 			f := storage.NewFault(base)
 			f.SetTorn(torn)
 			saveAt(t, f, src, m, o, 3, 40, true)

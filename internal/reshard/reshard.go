@@ -110,11 +110,9 @@ type Stats struct {
 	PeakInFlightBytes int64
 	// WallTime is the measured duration.
 	WallTime time.Duration
-	// Dedup-output counters (Options.Dedup), from the conversion report.
-	BlobsPut         int
-	BlobsReused      int
-	BlobBytesWritten int64
-	BytesDeduped     int64
+	// DedupifyReport holds the dedup-output conversion's counters
+	// (Options.Dedup).
+	ckpt.DedupifyReport
 }
 
 // Reshard transforms the committed checkpoint at srcDir into a committed
@@ -174,28 +172,11 @@ func Reshard(b storage.Backend, srcDir, dstDir string, world int, opts Options) 
 	if err := writeTrailer(b, c, sb, staging, world); err != nil {
 		return nil, err
 	}
-	if err := txn.Commit(c.State.Step); err != nil {
+	// Content addressing is what implements the dedup composition: every
+	// weight blob and every aligned group shard of the converted output
+	// hashes to an existing digest and is reused, not rewritten.
+	if stats.DedupifyReport, err = txn.Publish(c.State.Step, !opts.NoLatest, opts.Dedup); err != nil {
 		return nil, err
-	}
-	if !opts.NoLatest {
-		if err := ckpt.WriteLatestPointer(b, dstDir); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Dedup {
-		// Conversion runs after publication under its own replace-in-place
-		// transaction: a crash here leaves the plain resharded checkpoint
-		// committed and intact. Content addressing is what implements the
-		// dedup composition — every weight blob and every aligned group
-		// shard hashes to an existing digest and is reused, not rewritten.
-		rep, err := ckpt.Dedupify(b, dstDir, opts.ChunkBytes)
-		if err != nil {
-			return nil, fmt.Errorf("reshard: dedup output: %w", err)
-		}
-		stats.BlobsPut = rep.BlobsPut
-		stats.BlobsReused = rep.BlobsReused
-		stats.BlobBytesWritten = rep.BlobBytesWritten
-		stats.BytesDeduped = rep.BytesDeduped
 	}
 	stats.WallTime = time.Since(start)
 	return stats, nil

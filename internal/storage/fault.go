@@ -243,13 +243,9 @@ func (f *Fault) Remove(name string) error {
 	return f.Backend.Remove(name)
 }
 
-// RenameSupported forwards the capability of the wrapped backend, so the
-// commit protocol picks the same publication mode with or without fault
-// injection.
-func (f *Fault) RenameSupported() bool { return RenameSupported(f.Backend) }
-
-// ComposeSupported forwards the capability of the wrapped backend.
-func (f *Fault) ComposeSupported() bool { return ComposeSupported(f.Backend) }
+// Unwrap exposes the wrapped backend to the capability walk (publish.go):
+// protocols pick the same platform fork with or without fault injection.
+func (f *Fault) Unwrap() Backend { return f.Backend }
 
 // Compose implements Composer; one fault point. A fired fault fails before
 // the backend mutates anything — Compose is atomic on the backend, so the
@@ -261,9 +257,3 @@ func (f *Fault) Compose(dst string, parts ...string) error {
 	}
 	return Compose(f.Backend, dst, parts...)
 }
-
-// NewSpool delegates to the wrapped backend. Spool traffic is staging
-// scratch, not durable I/O: a crash while spooling is indistinguishable
-// from a crash at the first durable write of the spooled payload, so
-// spools carry no fault points of their own.
-func (f *Fault) NewSpool() (Spool, error) { return NewSpool(f.Backend) }

@@ -228,11 +228,6 @@ func (m *Meter) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
 	return &meteredReader{m: m, r: r}, nil
 }
 
-// NewSpool delegates to the wrapped backend so OS-rooted meters still get
-// file-backed scratch space. Spool traffic is deliberately uncharged: it is
-// node-local staging, not parallel-filesystem I/O.
-func (m *Meter) NewSpool() (Spool, error) { return NewSpool(m.Backend) }
-
 type meteredWriter struct {
 	m *Meter
 	w io.WriteCloser
@@ -269,11 +264,9 @@ func (r *meteredReader) Read(p []byte) (int, error) {
 
 func (r *meteredReader) Close() error { return r.r.Close() }
 
-// RenameSupported forwards the capability of the wrapped backend.
-func (m *Meter) RenameSupported() bool { return RenameSupported(m.Backend) }
-
-// ComposeSupported forwards the capability of the wrapped backend.
-func (m *Meter) ComposeSupported() bool { return ComposeSupported(m.Backend) }
+// Unwrap exposes the wrapped backend to the capability walk (publish.go);
+// spool traffic stays uncharged, it is node-local staging.
+func (m *Meter) Unwrap() Backend { return m.Backend }
 
 // Compose forwards multipart completion, charged as a single metadata-ish
 // operation: one file written plus one open latency. The payload bytes were

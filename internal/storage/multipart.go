@@ -25,21 +25,27 @@ type Composer interface {
 	Compose(dst string, parts ...string) error
 }
 
-// ComposeSupported reports whether a backend can complete multipart
-// uploads. Wrappers forward the question to what they wrap.
+// ComposeSupported reports whether a backend can complete multipart uploads:
+// a probe on the wrapper chain answers first, otherwise whether the backend
+// at the bottom of it is a Composer (a wrapper's Compose only forwards).
 func ComposeSupported(b Backend) bool {
-	if cs, ok := b.(interface{ ComposeSupported() bool }); ok {
-		return cs.ComposeSupported()
+	for inner := b; inner != nil; inner = unwrap(inner) {
+		if p, ok := inner.(interface{ ComposeSupported() bool }); ok {
+			return p.ComposeSupported()
+		}
+		b = inner
 	}
 	_, ok := b.(Composer)
 	return ok
 }
 
-// Compose invokes the backend's Composer capability, or reports
-// ErrNotSupported when it has none.
+// Compose invokes the Composer capability of the first backend on the
+// wrapper chain that has one, or reports ErrNotSupported when none does.
 func Compose(b Backend, dst string, parts ...string) error {
-	if c, ok := b.(Composer); ok {
-		return c.Compose(dst, parts...)
+	for ; b != nil; b = unwrap(b) {
+		if c, ok := b.(Composer); ok {
+			return c.Compose(dst, parts...)
+		}
 	}
 	return fmt.Errorf("storage: compose %s: %w", dst, ErrNotSupported)
 }

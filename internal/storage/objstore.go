@@ -53,19 +53,6 @@ var ErrTransient = errors.New("storage: transient backend error")
 // IsTransient reports whether an error chain contains a transient failure.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
-// RenameSupported reports whether a backend implements atomic Rename.
-// Wrappers forward the question to what they wrap; backends without the
-// probe are rename-capable (every pre-object-store Backend was). The
-// checkpoint commit protocol branches on this: with rename it publishes
-// staged trees atomically, without it the COMMITTED marker object's
-// appearance is the visibility point.
-func RenameSupported(b Backend) bool {
-	if rc, ok := b.(interface{ RenameSupported() bool }); ok {
-		return rc.RenameSupported()
-	}
-	return true
-}
-
 // ObjStore is the in-process object-store Backend. Safe for concurrent use.
 type ObjStore struct {
 	mu      sync.RWMutex

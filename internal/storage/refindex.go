@@ -13,9 +13,9 @@
 //
 //	<objects>/refs/gen-000000000007-checkpoint-700.ref
 //
-// Each is written crash-consistently with the same stage+rename protocol as
-// every other published file (a `.tmp` sibling renamed into place), so a
-// crash mid-append leaves staging residue, never a torn record. The index
+// Each is published through PublishFile like every other small file a reader
+// may be looking at (a `.ref.tmp` sibling renamed into place, or one PUT), so
+// a crash mid-append leaves staging residue, never a torn record. The index
 // is pure bookkeeping derived from the checkpoint manifests: if it is ever
 // missing, stale or corrupt, it can be rebuilt from the manifests (see
 // ckpt.ReconcileRefIndex) — losing it can cost reclaim work, never data.
@@ -251,10 +251,10 @@ func NormalizeDigests(digests []string) []string {
 	return out
 }
 
-// Append publishes one record crash-consistently: the JSON is staged into a
-// `.ref.tmp` sibling and renamed into place, so a crash leaves either no
-// record or the whole record — never a torn one. Appending an existing
-// (generation, key) pair replaces it (idempotent retry).
+// Append publishes one record crash-consistently through PublishFile (a
+// `.ref.tmp` staging sibling where the backend renames), so a crash leaves
+// either no record or the whole record — never a torn one. Appending an
+// existing (generation, key) pair replaces it (idempotent retry).
 func (ix *RefIndex) Append(r *RefRecord) error {
 	if err := r.validate(); err != nil {
 		return err
@@ -266,36 +266,27 @@ func (ix *RefIndex) Append(r *RefRecord) error {
 	if err != nil {
 		return fmt.Errorf("storage: marshal ref record %s: %w", rec.Key, err)
 	}
-	data := make([]byte, 0, len(hdr)+1+len(rec.Digests)*65)
+	data := make([]byte, 0, len(hdr)+2+len(rec.Digests)*65)
 	data = append(data, hdr...)
 	for _, d := range rec.Digests {
 		data = append(data, '\n')
 		data = append(data, d...)
 	}
+	data = append(data, '\n')
 	final := ix.Dir() + "/" + recordName(rec.Generation, rec.Key)
-	if !RenameSupported(ix.b) {
-		// Object-store mode: a whole-object PUT is already atomic (no torn
-		// record possible) and idempotent, so the record publishes directly
-		// — no staging sibling, no rename, nothing for a sweep to steal.
-		if err := ix.b.WriteFile(final, append(data, '\n')); err != nil {
-			return fmt.Errorf("storage: publish ref record %s: %w", rec.Key, err)
-		}
-		return nil
-	}
 	stage := strings.TrimSuffix(final, refSuffix) + refStageSuffix
 	const maxAttempts = 8
 	for attempt := 1; ; attempt++ {
-		if err := ix.b.WriteFile(stage, append(data, '\n')); err != nil {
-			return fmt.Errorf("storage: stage ref record %s: %w", rec.Key, err)
-		}
-		err := ix.b.Rename(stage, final)
+		err := PublishFile(ix.b, stage, final, data)
 		if err == nil {
 			return nil
 		}
 		// A concurrent sweep may mistake the in-flight staging file for
-		// crash residue and remove it; the whole-file write replays
-		// losslessly, so retry (bounded) before surfacing the error.
-		if attempt >= maxAttempts || ix.b.Exists(stage) || ix.b.Exists(final) {
+		// crash residue and remove it, so the rename finds nothing to move;
+		// the whole-file write replays losslessly, so retry (bounded). Any
+		// other failure — the stage write, the PUT, the rename itself — is
+		// reported, not retried.
+		if attempt >= maxAttempts || !IsNotExist(err) || ix.b.Exists(final) {
 			return fmt.Errorf("storage: publish ref record %s: %w", rec.Key, err)
 		}
 	}

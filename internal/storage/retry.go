@@ -179,11 +179,8 @@ func (r *Retry) Remove(name string) error {
 	return r.do(func() error { return r.Backend.Remove(name) })
 }
 
-// RenameSupported forwards the capability of the wrapped backend.
-func (r *Retry) RenameSupported() bool { return RenameSupported(r.Backend) }
-
-// ComposeSupported forwards the capability of the wrapped backend.
-func (r *Retry) ComposeSupported() bool { return ComposeSupported(r.Backend) }
+// Unwrap exposes the wrapped backend to the capability walk (publish.go).
+func (r *Retry) Unwrap() Backend { return r.Backend }
 
 // Compose implements Composer with retries: a failed compose leaves dst and
 // the parts untouched (the Composer contract), so replaying is safe.

@@ -68,13 +68,6 @@ type Spool interface {
 	Discard() error
 }
 
-// spooler is implemented by backends that can provide out-of-memory scratch
-// space (the OS backend spools to a temp file so assembling a container never
-// holds the payload in memory).
-type spooler interface {
-	NewSpool() (Spool, error)
-}
-
 // spoolGrower is optionally implemented by spools that can reserve
 // capacity ahead of the writes that fill it.
 type spoolGrower interface {
@@ -92,12 +85,17 @@ func GrowSpool(s Spool, n int64) {
 	}
 }
 
-// NewSpool returns scratch space appropriate for the backend: file-backed for
-// OS-rooted backends (and meters over them), in-memory otherwise. Spools are
-// implementation scratch — they are never charged to a Meter.
+// NewSpool returns scratch space appropriate for the backend: file-backed
+// where a backend on the wrapper chain provides it (OS spools to a temp file,
+// so assembling a container never holds the payload in memory), in-memory
+// otherwise. Spools are implementation scratch — never charged to a Meter,
+// never a fault point (a crash while spooling is indistinguishable from a
+// crash at the first durable write of the spooled payload).
 func NewSpool(b Backend) (Spool, error) {
-	if s, ok := b.(spooler); ok {
-		return s.NewSpool()
+	for ; b != nil; b = unwrap(b) {
+		if s, ok := b.(interface{ NewSpool() (Spool, error) }); ok {
+			return s.NewSpool()
+		}
 	}
 	return &memSpool{}, nil
 }

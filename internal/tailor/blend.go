@@ -6,7 +6,6 @@ import (
 
 	"llmtailor/internal/ckpt"
 	"llmtailor/internal/modelcfg"
-	"llmtailor/internal/parallel"
 	"llmtailor/internal/recipe"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
@@ -16,7 +15,7 @@ import (
 // reproduce MergeKit's model-soup style merging: weights only — the output
 // carries no optimizer shards and therefore cannot resume training, the
 // exact limitation the paper's §3 identifies and passthrough+tailor removes.
-// Like the passthrough weights path, blending runs as a bounded pipeline:
+// Like the passthrough weights path, blending runs through streamWeights:
 // per-tensor blend jobs fan out over Options.Workers and a single ordered
 // consumer streams the results into the output container.
 func mergeBlend(b storage.Backend, r *recipe.Recipe, opts Options, stats *Stats) error {
@@ -57,19 +56,13 @@ func mergeBlend(b storage.Backend, r *recipe.Recipe, opts Options, stats *Stats)
 	defer txn.Abort()
 	out, outDir := txn.Backend(), txn.Dir()
 
-	w, err := ckpt.NewLTSFWriter(out, outDir+"/model.ltsf", cfg.Name, opts.ChunkBytes)
-	if err != nil {
-		return err
-	}
-	defer w.Abort()
-
 	type done struct {
 		t        *tensor.Tensor
 		srcBytes int64
 	}
 	weights := r.NormalizedWeights()
-	gate := parallel.NewByteGate(opts.MaxInFlight)
-	pipe := parallel.NewPipeline(opts.Workers, pipelineDepth(opts.Workers),
+	err = streamWeights(out, outDir, cfg, opts, stats,
+		func(spec modelcfg.TensorSpec) int64 { return blendCost(sources, spec, outDType) },
 		func(spec modelcfg.TensorSpec) (done, error) {
 			inputs := make([][]float32, len(sources))
 			var srcBytes int64
@@ -91,7 +84,7 @@ func mergeBlend(b storage.Backend, r *recipe.Recipe, opts Options, stats *Stats)
 			out.CopyFromF32(blended)
 			return done{out, srcBytes}, nil
 		},
-		func(d done) error {
+		func(w *ckpt.LTSFWriter, d done) error {
 			if err := w.WriteTensor(d.t); err != nil {
 				return err
 			}
@@ -99,23 +92,8 @@ func mergeBlend(b storage.Backend, r *recipe.Recipe, opts Options, stats *Stats)
 			stats.BytesRead += d.srcBytes
 			return nil
 		})
-	for _, spec := range cfg.Tensors() {
-		cost := blendCost(sources, spec, outDType)
-		gate.Acquire(cost)
-		if err := pipe.PushWithCleanup(spec, func() { gate.Release(cost) }); err != nil {
-			gate.Release(cost)
-			break
-		}
-	}
-	if err := pipe.Close(); err != nil {
+	if err != nil {
 		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	stats.BytesWritten += w.BytesWritten()
-	if p := gate.Peak(); p > stats.PeakInFlightBytes {
-		stats.PeakInFlightBytes = p
 	}
 
 	// Configs from the first model (or configs_from); weights-only manifest.
@@ -143,7 +121,9 @@ func mergeBlend(b storage.Backend, r *recipe.Recipe, opts Options, stats *Stats)
 	if err := writeManifest(out, outDir+"/manifest.json", &man); err != nil {
 		return err
 	}
-	return txn.Commit(man.Step)
+	// A weights-only output cannot resume training, so latest stays put.
+	stats.DedupifyReport, err = txn.Publish(man.Step, false, opts.DedupOutput)
+	return err
 }
 
 // blendCost estimates a blend job's in-flight bytes: every source tensor is

@@ -25,7 +25,7 @@ func TestMergeFromDedupSources(t *testing.T) {
 	dedup := storage.NewMem()
 	newRun(t, dedup, cfg, 2, []int{5, 10}, nil)
 	for _, dir := range []string{"run/checkpoint-5", "run/checkpoint-10"} {
-		if _, err := ckpt.Dedupify(dedup, dir, 0); err != nil {
+		if _, err := ckpt.Dedupify(dedup, dir); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -100,16 +100,10 @@ type Stats struct {
 	ShardsRawCopied int
 	// BytesRawCopied totals the payload bytes moved by both raw paths.
 	BytesRawCopied int64
-	// BlobsPut counts content-addressed blobs written by a dedup-output
-	// conversion (Options.DedupOutput).
-	BlobsPut int
-	// BlobsReused counts payloads that deduplicated against existing
-	// blobs — zero new payload bytes.
-	BlobsReused int
-	// BlobBytesWritten / BytesDeduped split the converted payload volume
-	// into newly stored and deduplicated bytes.
-	BlobBytesWritten int64
-	BytesDeduped     int64
+	// DedupifyReport holds the dedup-output conversion's counters
+	// (Options.DedupOutput): BlobsPut, BlobsReused, BlobBytesWritten and
+	// BytesDeduped.
+	ckpt.DedupifyReport
 }
 
 // Merge executes a recipe end to end and returns merge statistics. Blend
@@ -124,16 +118,6 @@ func Merge(b storage.Backend, r *recipe.Recipe, opts Options) (*Stats, error) {
 		stats := &Stats{}
 		if err := mergeBlend(b, r, opts, stats); err != nil {
 			return nil, err
-		}
-		if opts.DedupOutput {
-			rep, err := ckpt.Dedupify(b, r.Output, opts.ChunkBytes)
-			if err != nil {
-				return nil, fmt.Errorf("tailor: dedup output: %w", err)
-			}
-			stats.BlobsPut += rep.BlobsPut
-			stats.BlobsReused += rep.BlobsReused
-			stats.BlobBytesWritten += rep.BlobBytesWritten
-			stats.BytesDeduped += rep.BytesDeduped
 		}
 		stats.WallTime = time.Since(start)
 		return stats, nil
@@ -172,118 +156,44 @@ func Execute(b storage.Backend, plan *Plan, opts Options) (*Stats, error) {
 	if err := copyConfigs(b, out, outDir, plan, stats); err != nil {
 		return nil, err
 	}
-	if err := txn.Commit(plan.Sources[plan.Recipe.ConfigsSource()].State.Step); err != nil {
+	// The latest pointer moves so resume tooling finds the merged checkpoint.
+	// For a single-segment Output ("merged") the run root is the backend root
+	// itself, so the pointer lands at the root-level "latest" — see
+	// ckpt.LatestPointerPath.
+	step := plan.Sources[plan.Recipe.ConfigsSource()].State.Step
+	if stats.DedupifyReport, err = txn.Publish(step, true, opts.DedupOutput); err != nil {
 		return nil, err
-	}
-	// Refresh the run root's latest pointer so resume tooling finds the
-	// merged checkpoint. For a single-segment Output ("merged") the run
-	// root is the backend root itself, so the pointer lands at the
-	// root-level "latest" — see ckpt.LatestPointerPath.
-	if err := ckpt.WriteLatestPointer(b, plan.Recipe.Output); err != nil {
-		return nil, err
-	}
-	if opts.DedupOutput {
-		// Conversion runs after publication under its own replace-in-place
-		// transaction: a crash here leaves the plain merged checkpoint
-		// committed and intact.
-		rep, err := ckpt.Dedupify(b, plan.Recipe.Output, opts.ChunkBytes)
-		if err != nil {
-			return nil, fmt.Errorf("tailor: dedup output: %w", err)
-		}
-		stats.BlobsPut += rep.BlobsPut
-		stats.BlobsReused += rep.BlobsReused
-		stats.BlobBytesWritten += rep.BlobBytesWritten
-		stats.BytesDeduped += rep.BytesDeduped
 	}
 	stats.WallTime = time.Since(start)
 	return stats, nil
 }
 
-// mergeWeights assembles the consolidated output weights file as a bounded-
-// memory pipeline: per-tensor read jobs are admitted under the MaxInFlight
-// byte gate (in model order, which makes the gate deadlock-free), fanned out
-// over Options.Workers readers, and drained by a single in-order consumer
-// streaming into the output container. Peak memory is bounded by the gate
-// instead of the full model size, and reads overlap both each other and the
-// output write.
-//
-// Each spec is classified on admission: a pure passthrough whose stored
-// dtype already matches the output dtype takes the zero-decode fast path
-// (raw extent read + AppendRaw splice, source CRC carried forward); a spec
-// needing dtype conversion — or any spec when Options.NoRawCopy is set —
-// keeps the decode path. Both run inside the same ordered pipeline under
-// the same byte gate, and produce identical output bytes.
-func mergeWeights(out storage.Backend, outDir string, plan *Plan, opts Options, stats *Stats) error {
-	outDType := tensor.BF16
-	if plan.Recipe.DType != "" {
-		d, err := tensor.ParseDType(plan.Recipe.DType)
-		if err != nil {
-			return err
-		}
-		outDType = d
-	}
-	w, err := ckpt.NewLTSFWriter(out, outDir+"/model.ltsf", plan.Config.Name, opts.ChunkBytes)
+// streamWeights writes an output model.ltsf as a bounded-memory pipeline,
+// the shape both merge paths share: per-tensor jobs are admitted under the
+// MaxInFlight byte gate (in model order, which makes the gate deadlock-free
+// — admission happens in push order and release in sink order, so it can
+// never strand the head-of-line job behind later ones), fanned out over
+// Options.Workers calls of work, and drained by a single in-order sink
+// streaming into the container. Peak memory is bounded by the gate instead
+// of the full model size, and reads overlap both each other and the output
+// write.
+func streamWeights[D any](out storage.Backend, outDir string, cfg *modelcfg.Config, opts Options, stats *Stats,
+	cost func(modelcfg.TensorSpec) int64,
+	work func(modelcfg.TensorSpec) (D, error),
+	sink func(*ckpt.LTSFWriter, D) error) error {
+	w, err := ckpt.NewLTSFWriter(out, outDir+"/model.ltsf", cfg.Name, opts.ChunkBytes)
 	if err != nil {
 		return err
 	}
 	defer w.Abort()
-
-	type job struct {
-		spec modelcfg.TensorSpec
-		src  string
-		raw  bool
-	}
-	type done struct {
-		t        *tensor.Tensor
-		raw      *ckpt.RawTensor // non-nil: d.data splices via AppendRaw
-		data     []byte
-		srcBytes int64
-	}
 	gate := parallel.NewByteGate(opts.MaxInFlight)
-	pipe := parallel.NewPipeline(opts.Workers, pipelineDepth(opts.Workers),
-		func(j job) (done, error) {
-			if j.raw {
-				rt, data, err := readRawPayload(plan.Sources[j.src].Weights(), j.spec.Name)
-				if err != nil {
-					return done{}, fmt.Errorf("tailor: raw read %s from %s: %w", j.spec.Name, j.src, err)
-				}
-				return done{raw: rt, data: data, srcBytes: rt.Size}, nil
-			}
-			t, err := plan.Sources[j.src].Weights().ReadTensor(j.spec.Name)
-			if err != nil {
-				return done{}, fmt.Errorf("tailor: read %s from %s: %w", j.spec.Name, j.src, err)
-			}
-			srcBytes := t.Bytes()
-			if t.DType != outDType {
-				t = t.Convert(outDType)
-			}
-			return done{t: t, srcBytes: srcBytes}, nil
-		},
-		func(d done) error {
-			if d.raw != nil {
-				if err := w.AppendRaw(*d.raw, bytes.NewReader(d.data)); err != nil {
-					return err
-				}
-				stats.TensorsRawCopied++
-				stats.BytesRawCopied += d.raw.Size
-			} else if err := w.WriteTensor(d.t); err != nil {
-				return err
-			}
-			stats.TensorsRead++
-			stats.BytesRead += d.srcBytes
-			return nil
-		})
-
-	for _, spec := range plan.Config.Tensors() {
-		srcPath := plan.Assign[spec.Layer]
-		src := plan.Sources[srcPath].Weights()
-		raw := !opts.NoRawCopy && src.RawEligible(spec.Name, outDType)
-		cost := weightCost(src, spec, outDType)
-		// Admission happens in push order and release in sink order, so the
-		// gate can never strand the head-of-line job behind later ones.
-		gate.Acquire(cost)
-		if err := pipe.PushWithCleanup(job{spec, srcPath, raw}, func() { gate.Release(cost) }); err != nil {
-			gate.Release(cost)
+	pipe := parallel.NewPipeline(opts.Workers, pipelineDepth(opts.Workers), work,
+		func(d D) error { return sink(w, d) })
+	for _, spec := range cfg.Tensors() {
+		c := cost(spec)
+		gate.Acquire(c)
+		if err := pipe.PushWithCleanup(spec, func() { gate.Release(c) }); err != nil {
+			gate.Release(c)
 			break
 		}
 	}
@@ -298,6 +208,69 @@ func mergeWeights(out storage.Backend, outDir string, plan *Plan, opts Options, 
 		stats.PeakInFlightBytes = p
 	}
 	return nil
+}
+
+// mergeWeights assembles the consolidated output weights file through
+// streamWeights. Each spec is classified by its reader: a pure passthrough
+// whose stored dtype already matches the output dtype takes the zero-decode
+// fast path (raw extent read + AppendRaw splice, source CRC carried
+// forward); a spec needing dtype conversion — or any spec when
+// Options.NoRawCopy is set — keeps the decode path. Both run inside the same
+// ordered pipeline under the same byte gate, and produce identical output
+// bytes.
+func mergeWeights(out storage.Backend, outDir string, plan *Plan, opts Options, stats *Stats) error {
+	outDType := tensor.BF16
+	if plan.Recipe.DType != "" {
+		d, err := tensor.ParseDType(plan.Recipe.DType)
+		if err != nil {
+			return err
+		}
+		outDType = d
+	}
+	type done struct {
+		t        *tensor.Tensor
+		raw      *ckpt.RawTensor // non-nil: d.data splices via AppendRaw
+		data     []byte
+		srcBytes int64
+	}
+	return streamWeights(out, outDir, plan.Config, opts, stats,
+		func(spec modelcfg.TensorSpec) int64 {
+			return weightCost(plan.Sources[plan.Assign[spec.Layer]].Weights(), spec, outDType)
+		},
+		func(spec modelcfg.TensorSpec) (done, error) {
+			srcPath := plan.Assign[spec.Layer]
+			src := plan.Sources[srcPath].Weights()
+			if !opts.NoRawCopy && src.RawEligible(spec.Name, outDType) {
+				rt, data, err := readRawPayload(src, spec.Name)
+				if err != nil {
+					return done{}, fmt.Errorf("tailor: raw read %s from %s: %w", spec.Name, srcPath, err)
+				}
+				return done{raw: rt, data: data, srcBytes: rt.Size}, nil
+			}
+			t, err := src.ReadTensor(spec.Name)
+			if err != nil {
+				return done{}, fmt.Errorf("tailor: read %s from %s: %w", spec.Name, srcPath, err)
+			}
+			srcBytes := t.Bytes()
+			if t.DType != outDType {
+				t = t.Convert(outDType)
+			}
+			return done{t: t, srcBytes: srcBytes}, nil
+		},
+		func(w *ckpt.LTSFWriter, d done) error {
+			if d.raw != nil {
+				if err := w.AppendRaw(*d.raw, bytes.NewReader(d.data)); err != nil {
+					return err
+				}
+				stats.TensorsRawCopied++
+				stats.BytesRawCopied += d.raw.Size
+			} else if err := w.WriteTensor(d.t); err != nil {
+				return err
+			}
+			stats.TensorsRead++
+			stats.BytesRead += d.srcBytes
+			return nil
+		})
 }
 
 // weightCost estimates the in-flight bytes of one tensor job: the stored

@@ -124,6 +124,7 @@ const (
 	StateOrphanTmp   = ckpt.StateOrphanTmp
 	StateUnpublished = ckpt.StateUnpublished
 	StateQuarantined = ckpt.StateQuarantined
+	StateConverting  = ckpt.StateConverting
 )
 
 // Blob store entry states (see ScanReport.Blobs).
