@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check one-journal one-pins one-store one-reader one-publish request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
+.PHONY: all build test race vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -119,6 +119,27 @@ one-publish:
 	if [ -n "$$bad" ]; then \
 		echo "the rename-mode Dedupify arm is back:"; echo "$$bad"; exit 1; fi
 
+# The run catalog (internal/ckpt/catalog.go) is the only code that lists a run
+# root to enumerate its checkpoint directories, parses the `checkpoint-<step>`
+# name or sorts a directory into final / staging / quarantined, and read.go's
+# decideLayout the only code that tells plain from converting from dedup: a
+# second walker or a second layout test is a second definition of "which
+# directories are usable", free to disagree with the first (PR 21's blob leak
+# was two of them disagreeing about an interrupted conversion). Txn.Begin
+# refuses a staging name as its target; Dedupify and the write stage create
+# and remove model.ltsf, which is a file operation, not a layout test.
+one-catalog:
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'Sscanf\([^)]*"checkpoint-%d|IsStagingPath\(|IsQuarantinePath\(|(runDirs|checkpointDirs|dirStep|stepOf|collectDirRefs)\(|\.List\((runRoot|r\.root|c\.root)\)' internal cmd *.go \
+		| grep -v -e '^internal/ckpt/catalog.go:' -e '^internal/ckpt/commit.go:.*if IsStagingPath(dir) {'); \
+	if [ -n "$$bad" ]; then \
+		echo "a run-root walker, a checkpoint-<step> parse or a directory-kind test outside internal/ckpt/catalog.go:"; echo "$$bad"; exit 1; fi; \
+	bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'Exists\(.*(WeightManifestName|/model\.ltsf")' internal cmd *.go \
+		| grep -v -e '^internal/ckpt/read.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "a plain/converting/dedup layout test outside read.go decideLayout:"; echo "$$bad"; exit 1; fi
+
 # A dedup save's backend requests are a function of the payloads that
 # changed, not of the payloads that exist: the counting-backend test that
 # holds config reads, parent-manifest reads, blob probes and blob GETs to
@@ -137,7 +158,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish request-budget build test objstore
+ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog request-budget build test objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 

@@ -93,46 +93,16 @@ func (r *Run) GC(opts GCOptions) (*BlobGCReport, error) {
 
 // ScanOptions selects which doctor views Scan collects beyond the always-on
 // directory classification.
-type ScanOptions struct {
-	Blobs  bool
-	Refs   bool
-	Codecs bool
-}
+type ScanOptions = ckpt.ScanViews
 
 // ScanReport aggregates the doctor views of one run root. Dirs is always
 // populated; the other slices only when requested via ScanOptions.
-type ScanReport struct {
-	Dirs   []CheckpointStatus
-	Blobs  []BlobStatus
-	Refs   []RefStatus
-	Codecs []CodecHealth
-}
+type ScanReport = ckpt.RunScan
 
 // Scan classifies the run root: checkpoint directories always, and on
-// request the blob store, ref index and codec health.
-func (r *Run) Scan(opts ScanOptions) (*ScanReport, error) {
-	rep := &ScanReport{}
-	var err error
-	if rep.Dirs, err = ckpt.Scan(r.b, r.root); err != nil {
-		return nil, err
-	}
-	if opts.Blobs {
-		if rep.Blobs, err = ckpt.ScanBlobs(r.b, r.root); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Refs {
-		if rep.Refs, err = ckpt.ScanRefs(r.b, r.root); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Codecs {
-		if rep.Codecs, err = ckpt.ScanCodecs(r.b, r.root); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
-}
+// request the blob store, ref index and codec health — every view over one
+// catalog of the run root (one listing, each marker and manifest read once).
+func (r *Run) Scan(opts ScanOptions) (*ScanReport, error) { return ckpt.ScanRun(r.b, r.root, opts) }
 
 // RetainOptions parameterises a keep-last retention pass.
 type RetainOptions struct {

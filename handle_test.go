@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"llmtailor"
@@ -586,5 +587,102 @@ func TestDedupifyOptionsDelegation(t *testing.T) {
 	}
 	if got, _ := b.ReadFile("out/shard0.ltos"); len(got) == 0 || string(got) != string(origShard0) {
 		t.Fatal("materialized shard differs from the original container")
+	}
+}
+
+// requestCounter counts the three requests the run catalog exists to share:
+// listings of one run root, commit-marker reads and manifest reads.
+type requestCounter struct {
+	llmtailor.Backend
+	root                      string
+	lists, markers, manifests atomic.Int64 // manifests are fetched side by side
+}
+
+func (c *requestCounter) get(name string) {
+	switch {
+	case strings.HasSuffix(name, "/"+ckpt.CommitMarkerName):
+		c.markers.Add(1)
+	case strings.HasSuffix(name, ".ltmf"), strings.HasSuffix(name, ".ltom"):
+		c.manifests.Add(1)
+	}
+}
+
+func (c *requestCounter) List(dir string) ([]string, error) {
+	if dir == c.root {
+		c.lists.Add(1)
+	}
+	return c.Backend.List(dir)
+}
+
+func (c *requestCounter) ReadFile(name string) ([]byte, error) {
+	c.get(name)
+	return c.Backend.ReadFile(name)
+}
+
+func (c *requestCounter) Open(name string) (io.ReadCloser, error) {
+	c.get(name)
+	return c.Backend.Open(name)
+}
+
+func (c *requestCounter) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
+	c.get(name)
+	return c.Backend.OpenRange(name, off, n)
+}
+
+func (c *requestCounter) ReadAt(name string, off int64, p []byte) error {
+	c.get(name)
+	return c.Backend.ReadAt(name, off, p)
+}
+
+// TestCatalogRequestFloor: over a healthy 6-checkpoint, 2-rank dedup run (18
+// manifest files) every maintenance view reads the run root through one
+// catalog — one listing, each marker and each manifest once.
+func TestCatalogRequestFloor(t *testing.T) {
+	b := llmtailor.NewMemBackend()
+	if dirs := trainAndSave(t, b, "run", 12); len(dirs) != 6 {
+		t.Fatalf("fixture: %d checkpoints, want 6", len(dirs))
+	}
+	count := func(op func(run *llmtailor.Run) error) [3]int {
+		t.Helper()
+		c := &requestCounter{Backend: b, root: "run"}
+		if err := op(llmtailor.NewStore(c).Run("run")); err != nil {
+			t.Fatal(err)
+		}
+		return [3]int{int(c.lists.Load()), int(c.markers.Load()), int(c.manifests.Load())}
+	}
+
+	// The four-view doctor sits on the floor exactly (parent: 4 / 31 / 108).
+	doctor := count(func(run *llmtailor.Run) error {
+		_, err := run.Scan(llmtailor.ScanOptions{Blobs: true, Refs: true, Codecs: true})
+		return err
+	})
+	if doctor != [3]int{1, 6, 18} {
+		t.Errorf("doctor: %v run-root lists / marker reads / manifest reads, want [1 6 18]", doctor)
+	}
+	// Upper bounds for the rest: lists, marker reads, manifest reads.
+	for _, tc := range []struct {
+		name string
+		most [3]int
+		op   func(run *llmtailor.Run) error
+	}{
+		{"repair of a healthy root", [3]int{1, 6, 18}, // parent: 2 / 19 / 54
+			func(run *llmtailor.Run) error { _, err := run.Repair(); return err }},
+		{"dry retain keep-last 3", [3]int{1, 6, 0}, // parent: 2 / 7 / 0
+			func(run *llmtailor.Run) error {
+				rep, err := run.Retain(llmtailor.RetainOptions{KeepLast: 3, DryRun: true})
+				if err == nil && len(rep.Removed) != 3 {
+					t.Errorf("dry retain would remove %v, want 3 victims", rep.Removed)
+				}
+				return err
+			}},
+		{"latest through a good pointer", [3]int{0, 1, 0},
+			func(run *llmtailor.Run) error { _, err := run.Latest(); return err }},
+	} {
+		got := count(tc.op)
+		for i, what := range []string{"run-root lists", "marker reads", "manifest reads"} {
+			if got[i] > tc.most[i] {
+				t.Errorf("%s: %d %s, at most %d", tc.name, got[i], what, tc.most[i])
+			}
+		}
 	}
 }

@@ -29,8 +29,9 @@ import (
 // fails verification is rejected (that is crash damage, not a migration
 // artifact — Repair owns it), as is one that fails the readability pass.
 func Adopt(b storage.Backend, dir string) error {
-	if b.Exists(dir + "/" + CommitMarkerName) {
-		if err := VerifyCommit(b, dir); err != nil {
+	e := entryAt(b, dir)
+	if _, err := e.marker(); !storage.IsNotExist(err) {
+		if err := e.verified(); err != nil {
 			return fmt.Errorf("ckpt: adopt %s: existing marker fails verification (torn, not pre-protocol): %w", dir, err)
 		}
 		return nil
@@ -38,15 +39,16 @@ func Adopt(b storage.Backend, dir string) error {
 	if err := verifyReadable(b, dir); err != nil {
 		return fmt.Errorf("ckpt: adopt %s: %w", dir, err)
 	}
-	return sealMarker(b, dir)
+	return sealMarker(e)
 }
 
 // sealMarker computes every file's integrity record and publishes the
 // COMMITTED marker atomically (storage.PublishFile): a crash leaves no marker
 // (rerun adopt) or a complete one, and the COMMITTED.tmp staging name keeps its
 // residue out of a retry's file walk. The readability pass has succeeded.
-func sealMarker(b storage.Backend, dir string) error {
-	marker := CommitMarker{Version: FormatVersion, Step: dirStep(b, dir, RefKey(dir)), Files: map[string]FileSum{}}
+func sealMarker(e *entry) error {
+	b, dir := e.c.b, e.Path
+	marker := CommitMarker{Version: FormatVersion, Step: e.step(), Files: map[string]FileSum{}}
 	files, err := walkFiles(b, dir, "")
 	if err != nil {
 		return fmt.Errorf("ckpt: adopt %s: %w", dir, err)
@@ -155,20 +157,24 @@ type AdoptReport struct {
 // directories are reported untouched; orphaned staging directories are
 // ignored entirely (Repair owns them).
 func AdoptAll(b storage.Backend, runRoot string) (*AdoptReport, error) {
-	statuses, err := Scan(b, runRoot)
+	c, err := openPresentCatalog(b, runRoot)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: scan %q: %w", runRoot, err)
+	}
+	statuses, err := c.scan()
 	if err != nil {
 		return nil, err
 	}
 	rep := &AdoptReport{}
 	for _, st := range statuses {
+		// Each torn entry is judged by what the scan read of it and then
+		// sealed or set aside; no entry is read again after a directory
+		// changed, so the one catalog serves the whole pass.
 		if st.State != StateTorn {
 			continue
 		}
-		if b.Exists(st.Path + "/" + CommitMarkerName) {
-			rep.StillTorn = append(rep.StillTorn, st.Path)
-			continue
-		}
-		if empty, _ := isEmptyDir(b, st.Path); empty {
+		e := c.byPath(st.Path)
+		if _, err := e.marker(); !storage.IsNotExist(err) || e.empty() {
 			rep.StillTorn = append(rep.StillTorn, st.Path)
 			continue
 		}
@@ -188,7 +194,7 @@ func AdoptAll(b storage.Backend, runRoot string) (*AdoptReport, error) {
 			rep.Reasons = append(rep.Reasons, rerr.Error())
 			continue
 		}
-		if err := sealMarker(b, st.Path); err != nil {
+		if err := sealMarker(e); err != nil {
 			return rep, fmt.Errorf("ckpt: adopt %s: %w", st.Path, err)
 		}
 		rep.Adopted = append(rep.Adopted, st.Path)

@@ -318,7 +318,7 @@ func TestPublishLandsRepeatedDigestOnce(t *testing.T) {
 		if err := VerifyCommit(base, "run/checkpoint-100"); err != nil {
 			t.Fatal(err)
 		}
-		if err := verifyDedupRefs(base, "run/checkpoint-100"); err != nil {
+		if err := verifyDedupRefs(entryAt(base, "run/checkpoint-100")); err != nil {
 			t.Fatal(err)
 		}
 	}

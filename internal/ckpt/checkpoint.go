@@ -1,9 +1,15 @@
+// Checkpoint directories: what a save writes (SaveSpec, the save plan, the
+// trailer files), what Open and Restore read back, and the run root's
+// resolution surface — the latest pointer, List, Latest and ResumeOrder. The
+// last three are views over the run catalog (catalog.go); only a good
+// pointer is resolved without a listing.
 package ckpt
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -281,16 +287,31 @@ func writeTrailer(sb storage.Backend, dir string, spec *SaveSpec, plan *savePlan
 	return writeJSON(sb, dir+"/manifest.json", &man)
 }
 
-// LatestPointerPath returns where the "latest" pointer for a checkpoint
-// directory lives: next to the directory, i.e. in its parent. A
-// single-segment dir ("merged") has the backend root as its run root, so
-// its pointer is the root-level "latest" file — a deliberate, documented
-// edge case: Latest(b, "") resolves it.
-func LatestPointerPath(dir string) string {
-	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-		return dir[:i] + "/latest"
+// latestPointer returns where a run root's "latest" pointer lives: beside its
+// checkpoint directories. The backend root is the run root of a
+// single-segment dir ("merged"), so its pointer is the root-level "latest"
+// file — a deliberate, documented edge case: Latest(b, "") resolves it.
+func latestPointer(runRoot string) string {
+	if runRoot == "" {
+		return "latest"
 	}
-	return "latest"
+	return runRoot + "/latest"
+}
+
+// readLatestPointer reads the pointer and returns the directory it names.
+func readLatestPointer(b storage.Backend, runRoot string) (string, error) {
+	data, err := b.ReadFile(latestPointer(runRoot))
+	if err != nil {
+		return "", err
+	}
+	name := strings.TrimSpace(string(data))
+	switch {
+	case name == "":
+		return "", fmt.Errorf("ckpt: empty latest pointer under %q", runRoot)
+	case runRoot == "":
+		return name, nil
+	}
+	return runRoot + "/" + name, nil
 }
 
 // WriteLatestPointer refreshes the run root's "latest" pointer to name the
@@ -298,7 +319,7 @@ func LatestPointerPath(dir string) string {
 // storage.PublishFile: a crash mid-update leaves the previous pointer
 // intact, never a truncated one.
 func WriteLatestPointer(b storage.Backend, dir string) error {
-	p := LatestPointerPath(dir)
+	p := latestPointer(runRootOf(dir))
 	return storage.PublishFile(b, p+stagingSuffix, p, []byte(RefKey(dir)))
 }
 
@@ -413,84 +434,51 @@ func (c *Checkpoint) Layout() (*optim.Layout, error) {
 // path. Only committed checkpoints are ever returned: when the pointer
 // dangles, or its target fails the commit check (a crash window, external
 // mutilation), Latest falls back to the newest committed checkpoint under
-// the run root instead of handing resume tooling a torn directory.
+// the run root instead of handing resume tooling a torn directory. A good
+// pointer costs one marker read and no listing.
 func Latest(b storage.Backend, runRoot string) (string, error) {
-	p := "latest"
-	if runRoot != "" {
-		p = runRoot + "/latest"
-	}
-	var pointerErr error
-	if data, err := b.ReadFile(p); err != nil {
-		pointerErr = fmt.Errorf("ckpt: no latest pointer under %q: %w", runRoot, err)
+	dir, err := readLatestPointer(b, runRoot)
+	if err != nil {
+		err = fmt.Errorf("ckpt: no latest pointer under %q: %w", runRoot, err)
+	} else if err = CheckCommit(b, dir); err == nil {
+		return dir, nil
 	} else {
-		dir := strings.TrimSpace(string(data))
-		if runRoot != "" {
-			dir = runRoot + "/" + dir
-		}
-		if err := CheckCommit(b, dir); err == nil {
-			return dir, nil
-		} else {
-			pointerErr = fmt.Errorf("ckpt: latest pointer target unusable: %w", err)
-		}
+		err = fmt.Errorf("ckpt: latest pointer target unusable: %w", err)
 	}
 	// Fall back to the newest committed checkpoint.
-	if dirs, err := List(b, runRoot); err == nil && len(dirs) > 0 {
+	if dirs, lerr := List(b, runRoot); lerr == nil && len(dirs) > 0 {
 		return dirs[len(dirs)-1], nil
 	}
-	return "", fmt.Errorf("ckpt: no committed checkpoint under %q: %w", runRoot, pointerErr)
+	return "", fmt.Errorf("ckpt: no committed checkpoint under %q: %w", runRoot, err)
 }
 
-// List returns the committed checkpoint directory paths under a run root,
-// sorted by step number. Uncommitted directories — torn checkpoints,
-// abandoned `.tmp` staging trees — are skipped, so every returned path is
-// safe to Open.
+// List returns the committed `checkpoint-<step>` directory paths under a run
+// root, sorted by step number. Uncommitted directories — torn checkpoints,
+// abandoned `.tmp` staging trees, quarantined ones — are skipped, so every
+// returned path is safe to Open.
 func List(b storage.Backend, runRoot string) ([]string, error) {
-	dirs, err := checkpointDirs(b, runRoot)
+	c, err := openPresentCatalog(b, runRoot)
 	if err != nil {
 		return nil, err
 	}
-	out := dirs[:0]
-	for _, p := range dirs {
-		if CheckCommit(b, p) == nil {
-			out = append(out, p)
-		}
-	}
-	return out, nil
+	return c.committed(), nil
 }
 
-// checkpointDirs lists the `checkpoint-<step>` directory paths under a run
-// root by step number, committed or not (staging trees excluded).
-func checkpointDirs(b storage.Backend, runRoot string) ([]string, error) {
-	entries, err := b.List(runRoot)
+// ResumeOrder lists what a resume under the run root may start from, in the
+// order to try: the committed checkpoints newest first, preceded by the
+// latest pointer's target when that is a committed directory List does not
+// cover (a single-segment output such as a root-level "merged").
+func ResumeOrder(b storage.Backend, runRoot string) ([]string, error) {
+	c, err := openPresentCatalog(b, runRoot)
 	if err != nil {
 		return nil, err
 	}
-	type item struct {
-		path string
-		step int
+	dirs := c.committed()
+	if latest := c.latest(); latest != "" && !slices.Contains(dirs, latest) {
+		dirs = append(dirs, latest)
 	}
-	var items []item
-	for _, e := range entries {
-		if !strings.HasPrefix(e, "checkpoint-") || !strings.HasSuffix(e, "/") {
-			continue
-		}
-		name := strings.TrimSuffix(e, "/")
-		var step int
-		if _, err := fmt.Sscanf(name, "checkpoint-%d", &step); err != nil || IsStagingPath(name) {
-			continue
-		}
-		p := name
-		if runRoot != "" {
-			p = runRoot + "/" + name
-		}
-		items = append(items, item{p, step})
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].step < items[j].step })
-	out := make([]string, len(items))
-	for i, it := range items {
-		out[i] = it.path
-	}
-	return out, nil
+	slices.Reverse(dirs)
+	return dirs, nil
 }
 
 // Restore rebuilds a model and optimizer from a *complete* checkpoint. The

@@ -124,22 +124,23 @@ func newCodecPlan(codec string, rebase int, view *lineage) (*codecPlan, error) {
 // checkpoint preceding it — never finalDir itself, whose manifests the
 // save is about to replace.
 func previousForSave(b storage.Backend, finalDir string) string {
-	dirs, err := checkpointDirs(b, runRootOf(finalDir))
+	c, err := openCatalog(b, runRootOf(finalDir))
 	if err != nil {
 		return ""
 	}
+	dirs := c.checkpoints()
 	// A listed finalDir may be a committed checkpoint being re-saved; one
 	// that is not listed cannot be, and costs no marker read to rule out.
-	for i, d := range dirs {
-		if d == finalDir && CheckCommit(b, finalDir) == nil {
+	for i, e := range dirs {
+		if e.Path == finalDir && e.checked() == nil {
 			dirs = dirs[:i]
 			break
 		}
 	}
-	// Newest first, so a normal save verifies one marker, not the history's.
+	// Newest first, so a normal save checks one marker, not the history's.
 	for i := len(dirs) - 1; i >= 0; i-- {
-		if dirs[i] != finalDir && CheckCommit(b, dirs[i]) == nil {
-			return dirs[i]
+		if dirs[i].Path != finalDir && dirs[i].checked() == nil {
+			return dirs[i].Path
 		}
 	}
 	return ""
@@ -216,7 +217,11 @@ type blobRef struct {
 // then each rank's groups — keyed by slot, stopping at the first error or
 // unreadable manifest.
 func walkBlobRefs(b storage.Backend, dir string, fn func(slot string, r blobRef) error) error {
-	wm, sms, rerr := readManifests(b, dir)
+	return fetchManifests(b, dir).walk(fn)
+}
+
+func (f *manifestFiles) walk(fn func(slot string, r blobRef) error) error {
+	wm, sms, rerr := f.decode()
 	if wm == nil {
 		return rerr
 	}
@@ -240,11 +245,15 @@ func walkBlobRefs(b storage.Backend, dir string, fn func(slot string, r blobRef)
 
 // ReadCodecStats computes CodecStats from a dedup checkpoint's manifests.
 func ReadCodecStats(b storage.Backend, dir string) (*CodecStats, error) {
-	if !IsDedup(b, dir) {
-		return nil, fmt.Errorf("ckpt: %s is not content-addressed (no %s)", dir, WeightManifestName)
+	return codecStats(entryAt(b, dir))
+}
+
+func codecStats(e *entry) (*CodecStats, error) {
+	if !e.layout().blobs {
+		return nil, fmt.Errorf("ckpt: %s is not content-addressed (no %s)", e.Path, WeightManifestName)
 	}
 	cs := &CodecStats{Entries: map[string]int{}}
-	err := walkBlobRefs(b, dir, func(slot string, r blobRef) error {
+	err := e.manifestFiles().walk(func(slot string, r blobRef) error {
 		if r.Codec == "" {
 			r.Codec, r.Stored = "raw", r.Size
 		}
@@ -279,23 +288,30 @@ type CodecHealth struct {
 // already flag as unreadable are skipped — this scan owns only the codec
 // layer.
 func ScanCodecs(b storage.Backend, runRoot string) ([]CodecHealth, error) {
-	dirs, err := List(b, runRoot)
-	if err != nil {
-		return nil, err
+	return withCatalog(b, runRoot, scanCodecs)
+}
+
+// scanCodecs is the codec view of the doctor.
+func scanCodecs(c *catalog) ([]CodecHealth, error) {
+	if c.absent != nil {
+		return nil, c.absent
 	}
 	var out []CodecHealth
-	for _, dir := range dirs {
-		cs, err := ReadCodecStats(b, dir)
+	for _, e := range c.checkpoints() {
+		if e.checked() != nil {
+			continue
+		}
+		cs, err := codecStats(e)
 		if err != nil {
 			continue // plain, or manifests other scans already flag
 		}
-		store, err := storeFor(b, dir)
+		store, err := c.store()
 		if err != nil {
 			return nil, err
 		}
-		h := CodecHealth{Dir: dir, Stats: cs}
+		h := CodecHealth{Dir: e.Path, Stats: cs}
 		checked := map[string]bool{}
-		_ = walkBlobRefs(b, dir, func(slot string, r blobRef) error {
+		_ = e.manifestFiles().walk(func(slot string, r blobRef) error {
 			for _, pd := range r.Parents {
 				if checked[pd] {
 					continue

@@ -16,9 +16,12 @@
 //
 // Either way the run root's `latest` pointer only moves after publication,
 // so a crash at any point leaves either the previous checkpoint or the new
-// one — readers can never observe a hybrid. Scan classifies every
-// directory under a run root (committed / torn / orphaned staging) and
-// Repair restores the root to a healthy state.
+// one — readers can never observe a hybrid. Scan classifies every directory
+// under a run root and Repair restores the root to a healthy state; both are
+// views over the run catalog (catalog.go), which owns the listing, the
+// classifier and the lazily read marker. This file keeps the commit contract
+// itself: the marker, its two checks (CommitMarker.check — "checked" —
+// and crcPass, which "verified" adds), the transaction, and Repair's actions.
 //
 // The one-file rule: a small file a reader may be looking at — the pointer, a
 // journal record, a marker being replaced (Adopt's seal, Dedupify's swaps) —
@@ -49,18 +52,8 @@ const stagingSuffix = ".tmp"
 // resume resolution, never removed automatically (see Adopt).
 const quarantineSuffix = ".quarantined"
 
-// IsQuarantinePath reports whether a path names a quarantined directory.
-func IsQuarantinePath(name string) bool {
-	return strings.HasSuffix(strings.TrimSuffix(name, "/"), quarantineSuffix)
-}
-
 // StagingDir returns the staging directory a checkpoint is built in.
 func StagingDir(dir string) string { return dir + stagingSuffix }
-
-// IsStagingPath reports whether a path names a staging directory.
-func IsStagingPath(name string) bool {
-	return strings.HasSuffix(strings.TrimSuffix(name, "/"), stagingSuffix)
-}
 
 // FileSum is one staged file's integrity record in the commit marker.
 type FileSum struct {
@@ -312,52 +305,68 @@ func CheckCommit(b storage.Backend, dir string) error {
 	if err != nil {
 		return err
 	}
-	for name, sum := range m.Files {
-		size, err := b.Stat(dir + "/" + name)
-		if err != nil {
-			return fmt.Errorf("ckpt: %s: committed file %s missing: %w", dir, name, err)
-		}
-		if size != sum.Size {
-			return fmt.Errorf("ckpt: %s: file %s is %d bytes, marker says %d", dir, name, size, sum.Size)
-		}
-	}
-	return nil
+	return m.check(b, dir)
 }
 
 // VerifyCommit verifies the full commit contract: CheckCommit plus a
 // streaming CRC32 pass over every committed file.
 func VerifyCommit(b storage.Backend, dir string) error {
 	m, err := ReadCommitMarker(b, dir)
+	if err == nil {
+		err = m.check(b, dir)
+	}
 	if err != nil {
 		return err
 	}
+	return m.crcPass(b, dir, nil)
+}
+
+// sortedFiles returns the marker's file names in order, so a failing check
+// names the same file every time.
+func (m *CommitMarker) sortedFiles() []string {
 	names := make([]string, 0, len(m.Files))
 	for name := range m.Files {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		sum := m.Files[name]
-		path := dir + "/" + name
-		size, err := b.Stat(path)
+	return names
+}
+
+// check is the one definition of "checked" (CheckCommit, entry.checked):
+// every listed file is present at its recorded size.
+func (m *CommitMarker) check(b storage.Backend, dir string) error {
+	for _, name := range m.sortedFiles() {
+		size, err := b.Stat(dir + "/" + name)
 		if err != nil {
 			return fmt.Errorf("ckpt: %s: committed file %s missing: %w", dir, name, err)
 		}
-		if size != sum.Size {
-			return fmt.Errorf("ckpt: %s: file %s is %d bytes, marker says %d", dir, name, size, sum.Size)
+		if want := m.Files[name].Size; size != want {
+			return fmt.Errorf("ckpt: %s: file %s is %d bytes, marker says %d", dir, name, size, want)
 		}
-		r, err := b.Open(path)
-		if err != nil {
-			return err
+	}
+	return nil
+}
+
+// crcPass is what "verified" adds to "checked" (VerifyCommit,
+// entry.verified): every listed file's bytes match the recorded CRC32. held,
+// when non-nil, supplies files the caller already has in memory (nil for the
+// rest), which are then not read again.
+func (m *CommitMarker) crcPass(b storage.Backend, dir string, held func(rel string) []byte) error {
+	for _, name := range m.sortedFiles() {
+		var data []byte
+		if held != nil {
+			data = held(name)
 		}
-		crc := crc32.NewIEEE()
-		_, err = io.Copy(crc, r)
-		r.Close()
-		if err != nil {
-			return fmt.Errorf("ckpt: %s: read %s: %w", dir, name, err)
+		got := crc32.ChecksumIEEE(data)
+		if data == nil {
+			sum, err := fileSum(b, dir+"/"+name)
+			if err != nil {
+				return fmt.Errorf("ckpt: %s: %w", dir, err)
+			}
+			got = sum.CRC32
 		}
-		if got := crc.Sum32(); got != sum.CRC32 {
-			return fmt.Errorf("ckpt: %s: file %s CRC %08x, marker says %08x", dir, name, got, sum.CRC32)
+		if want := m.Files[name].CRC32; got != want {
+			return fmt.Errorf("ckpt: %s: file %s CRC %08x, marker says %08x", dir, name, got, want)
 		}
 	}
 	return nil
@@ -422,120 +431,62 @@ type DirStatus struct {
 	Detail string
 }
 
-// checkpointish reports whether a marker-less directory should be treated
-// as a (torn) checkpoint rather than an unrelated directory.
-func checkpointish(b storage.Backend, path, name string) bool {
-	var step int
-	if _, err := fmt.Sscanf(name, "checkpoint-%d", &step); err == nil {
-		return true
-	}
-	for _, f := range []string{"manifest.json", "config.json", "model.ltsf", WeightManifestName} {
-		if b.Exists(path + "/" + f) {
-			return true
-		}
-	}
-	return false
-}
-
-// dirStep recovers a step for ordering: marker first, then manifest, then
-// the directory name; -1 when unknown.
-func dirStep(b storage.Backend, path, name string) int {
-	if m, err := ReadCommitMarker(b, path); err == nil {
-		return m.Step
-	}
-	if man, err := ReadManifest(b, path); err == nil {
-		return man.Step
-	}
-	var step int
-	if _, err := fmt.Sscanf(strings.TrimSuffix(name, stagingSuffix), "checkpoint-%d", &step); err == nil {
-		return step
-	}
-	return -1
-}
-
 // Scan classifies every checkpoint directory directly under a run root.
 // runRoot "" scans the backend root — the single-segment output edge case
 // (e.g. a root-level "merged" directory) is covered because any directory
 // carrying a commit marker or checkpoint files is a candidate, whatever
 // its name. Results are sorted by step, then path; directories that look
-// nothing like checkpoints are skipped.
+// nothing like checkpoints are skipped. It is the catalog's classifier
+// (catalog.scan) over one listing.
 func Scan(b storage.Backend, runRoot string) ([]DirStatus, error) {
-	entries, err := b.List(runRoot)
+	rep, err := ScanRun(b, runRoot, ScanViews{})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Dirs, nil
+}
+
+// ScanViews selects which doctor views ScanRun collects beyond the always-on
+// directory classification.
+type ScanViews struct {
+	Blobs  bool
+	Refs   bool
+	Codecs bool
+}
+
+// RunScan aggregates the doctor views of one run root. Dirs is always
+// populated; the other slices only when requested.
+type RunScan struct {
+	Dirs   []DirStatus
+	Blobs  []BlobStatus
+	Refs   []RefStatus
+	Codecs []CodecHealth
+}
+
+// ScanRun is the doctor: every requested view over ONE catalog, so the
+// views read each marker and manifest once between them and cannot disagree
+// about a directory. A missing run root is an error.
+func ScanRun(b storage.Backend, runRoot string, views ScanViews) (*RunScan, error) {
+	rep, err := withCatalog(b, runRoot, func(c *catalog) (rep *RunScan, err error) {
+		if c.absent != nil {
+			return nil, c.absent
+		}
+		rep = &RunScan{}
+		if rep.Dirs, err = c.scan(); err == nil && views.Blobs {
+			rep.Blobs, err = scanBlobs(c)
+		}
+		if err == nil && views.Refs {
+			rep.Refs, err = scanRefs(c)
+		}
+		if err == nil && views.Codecs {
+			rep.Codecs, err = scanCodecs(c)
+		}
+		return rep, err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: scan %q: %w", runRoot, err)
 	}
-	var out []DirStatus
-	for _, e := range entries {
-		if !strings.HasSuffix(e, "/") {
-			continue
-		}
-		name := strings.TrimSuffix(e, "/")
-		path := name
-		if runRoot != "" {
-			path = runRoot + "/" + name
-		}
-		st := DirStatus{Path: path, Step: dirStep(b, path, name)}
-		switch {
-		case name == ObjectsDirName:
-			// The blob store is scanned separately (ScanBlobs).
-			continue
-		case IsQuarantinePath(name):
-			st.State = StateQuarantined
-			st.Detail = "set aside by adopt (failed the readability pass)"
-		case IsStagingPath(name):
-			if VerifyCommit(b, path) == nil {
-				st.State = StateUnpublished
-				st.Detail = "sealed but not yet published (crashed before the rename)"
-			} else {
-				st.State = StateOrphanTmp
-				st.Detail = "abandoned staging directory (crashed mid-write)"
-			}
-		case b.Exists(path + "/" + CommitMarkerName):
-			if err := VerifyCommit(b, path); err != nil {
-				st.State = StateTorn
-				st.Detail = err.Error()
-			} else if err := verifyDedupRefs(b, path); err != nil {
-				// A committed dedup checkpoint whose referenced blobs are
-				// gone or resized is unusable — external mutilation of the
-				// objects store; GC never removes referenced blobs.
-				st.State = StateTorn
-				st.Detail = err.Error()
-			} else if b.Exists(path+"/"+WeightManifestName) && len(plainContainers(b, path)) > 0 {
-				st.State = StateConverting
-				st.Detail = "interrupted conversion to content-addressed form (still readable)"
-			} else {
-				st.State = StateCommitted
-			}
-		case checkpointish(b, path, name):
-			st.State = StateTorn
-			if empty, _ := isEmptyDir(b, path); empty {
-				st.Detail = "empty checkpoint directory"
-			} else {
-				st.Detail = "missing COMMITTED marker"
-			}
-		default:
-			continue
-		}
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Step != out[j].Step {
-			return out[i].Step < out[j].Step
-		}
-		return out[i].Path < out[j].Path
-	})
-	return out, nil
-}
-
-// isEmptyDir reports whether a directory has no entries. An empty
-// checkpoint-N dir cannot exist on a Mem backend (directories are implied
-// by files) but does on OS backends after an interrupted mkdir.
-func isEmptyDir(b storage.Backend, path string) (bool, error) {
-	entries, err := b.List(path)
-	if err != nil {
-		return true, nil // listing a vanished dir: treat as empty
-	}
-	return len(entries) == 0, nil
+	return rep, nil
 }
 
 // RepairReport records what Repair did.
@@ -584,13 +535,19 @@ type RepairReport struct {
 // idempotent: rerunning after a crash mid-repair converges.
 func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 	rep := &RepairReport{}
-	// First, dispose of trash a crashed sweep left behind: a referenced
-	// blob stranded there would make its (perfectly good) checkpoint scan
-	// as torn — and be deleted below — so restoration must precede Scan.
-	scope, err := openRunScope(b, runRoot)
+	// One catalog serves the trash disposal's pins and the classification:
+	// restoring or purging trash changes no directory.
+	c, err := openPresentCatalog(b, runRoot)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: scan %q: %w", runRoot, err)
+	}
+	scope, err := c.scope()
 	if err != nil {
 		return nil, err
 	}
+	// First, dispose of trash a crashed sweep left behind: a referenced
+	// blob stranded there would make its (perfectly good) checkpoint scan
+	// as torn — and be deleted below — so restoration must precede the scan.
 	// Repair is quiescent, so the manifests alone are the truth here — plus,
 	// on a hub-attached run, whatever peer runs still reference.
 	w, err := scope.sweeper(pinQuery{manifests: manifestsAll, peers: true}, false)
@@ -602,7 +559,7 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	statuses, err := Scan(b, runRoot)
+	statuses, err := c.scan()
 	if err != nil {
 		return nil, err
 	}
@@ -660,8 +617,14 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 	// Reconcile the ref index against the manifests now that every
 	// directory is in its final state: stale records die, missing ones are
 	// rebuilt, so the next generational sweep trusts an index that agrees
-	// with ground truth.
-	recRep, err := ReconcileRefIndex(b, runRoot)
+	// with ground truth. Directories changed above: the catalog is a
+	// snapshot, so the reconcile reads a fresh one.
+	if len(rep.Converted)+len(rep.Published)+len(rep.Removed) > 0 {
+		if c, err = openCatalog(b, runRoot); err != nil {
+			return nil, err
+		}
+	}
+	recRep, err := reconcileRefIndex(scope.self.ix, c)
 	if err != nil {
 		return nil, err
 	}
@@ -669,17 +632,11 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 	rep.RefRecordsWritten = recRep.WrittenRecords
 	rep.RefStagingRemoved = recRep.StagingRemoved
 	// A crashed pointer update leaves latest.tmp behind.
-	pointer := "latest"
-	if runRoot != "" {
-		pointer = runRoot + "/latest"
-	}
+	pointer := latestPointer(runRoot)
 	if b.Exists(pointer + stagingSuffix) {
 		b.Remove(pointer + stagingSuffix)
 	}
-	current := ""
-	if data, err := b.ReadFile(pointer); err == nil {
-		current = strings.TrimSpace(string(data))
-	}
+	current, _ := readLatestPointer(b, runRoot)
 	switch {
 	case newest == nil:
 		if current != "" {
@@ -688,14 +645,14 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 			}
 			rep.LatestFixed = true
 		}
-	default:
-		rep.Latest = newest.Path
-		if current != RefKey(newest.Path) {
-			if err := WriteLatestPointer(b, newest.Path); err != nil {
-				return nil, err
-			}
-			rep.LatestFixed = true
+	case current != newest.Path:
+		if err := WriteLatestPointer(b, newest.Path); err != nil {
+			return nil, err
 		}
+		rep.LatestFixed = true
+	}
+	if newest != nil {
+		rep.Latest = newest.Path
 	}
 	return rep, nil
 }

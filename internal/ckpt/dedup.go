@@ -103,17 +103,18 @@ func encodeGroupPayload(w io.Writer, buf []byte, s *zero.GroupShard) (int64, err
 // against the blob's decoded (raw) size, so compressed containers verify
 // the same as raw blobs; xor entries additionally require every listed
 // ancestor to be present, because decoding depends on the whole chain.
-func verifyDedupRefs(b storage.Backend, dir string) error {
-	if !IsDedup(b, dir) {
+func verifyDedupRefs(e *entry) error {
+	if !e.layout().blobs {
 		// Plain, or manifests beside a weight container: an unfinished
 		// conversion's extras, which no reader consults.
 		return nil
 	}
-	store, err := storeFor(b, dir)
+	store, err := e.c.store()
 	if err != nil {
 		return err
 	}
-	return walkBlobRefs(b, dir, func(slot string, r blobRef) error {
+	dir := e.Path
+	return e.manifestFiles().walk(func(slot string, r blobRef) error {
 		meta, err := store.Meta(r.Digest)
 		if err != nil {
 			return fmt.Errorf("ckpt: %s: %s references missing blob %s: %w", dir, slot, r.Digest, err)
@@ -176,24 +177,27 @@ type GCReport struct {
 // manifests (fixIndex), so the index a generational sweep will trust next
 // time agrees with ground truth. A crashed run only leaves extra garbage
 // for the next one: references are gathered before the first removal.
-func GC(b storage.Backend, runRoot string) (*GCReport, error) { return gcFull(b, runRoot, false) }
+func GC(b storage.Backend, runRoot string) (*GCReport, error) {
+	return withCatalog(b, runRoot, func(c *catalog) (*GCReport, error) { return gcFull(c, false) })
+}
 
 // GCDryRun reports what GC would do without mutating anything: the same
 // mark, the same sweep accounting, and the records it would retire or
 // rebuild.
-func GCDryRun(b storage.Backend, runRoot string) (*GCReport, error) { return gcFull(b, runRoot, true) }
+func GCDryRun(b storage.Backend, runRoot string) (*GCReport, error) {
+	return withCatalog(b, runRoot, func(c *catalog) (*GCReport, error) { return gcFull(c, true) })
+}
 
-func gcFull(b storage.Backend, runRoot string, dryRun bool) (*GCReport, error) {
+func gcFull(c *catalog, dryRun bool) (*GCReport, error) {
 	rep := &GCReport{Mode: "full", DryRun: dryRun}
-	scope, err := openRunScope(b, runRoot)
+	scope, err := c.scope()
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := collectDirRefs(b, runRoot)
+	own, err := scope.self.load(c.b, pinQuery{manifests: manifestsAll}, nil)
 	if err != nil {
 		return nil, err
 	}
-	own := runRefs{dirs: dirs}
 	manifestPins, _ := scope.pinsWith(own, pinQuery{})
 	rep.Referenced = len(manifestPins)
 	query := pinQuery{journal: true, manifests: manifestsAll, peers: true, retiredRecords: map[string]bool{}}
@@ -201,13 +205,13 @@ func gcFull(b storage.Backend, runRoot string, dryRun bool) (*GCReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !b.Exists(w.store.Root()) {
+	if !c.b.Exists(w.store.Root()) {
 		return rep, nil // no objects directory: nothing to sweep
 	}
 
 	// The audit has read every record; the ones not being retired pin.
 	ix := scope.self.ix
-	audit, err := auditRefs(ix, dirs)
+	audit, err := auditRefs(ix, c)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +237,7 @@ func gcFull(b storage.Backend, runRoot string, dryRun bool) (*GCReport, error) {
 	if err := w.sweep(nil, pins); err != nil {
 		return rep, err
 	}
-	rep.IndexRetired, rep.IndexRepaired, err = fixIndex(b, ix, dirs, audit, false, dryRun)
+	rep.IndexRetired, rep.IndexRepaired, err = fixIndex(ix, audit, false, dryRun)
 	return rep, err
 }
 
@@ -292,7 +296,13 @@ type BlobStatus struct {
 // the committed manifests' references — the blob half of the doctor view.
 // A run root without an objects directory yields an empty scan.
 func ScanBlobs(b storage.Backend, runRoot string) ([]BlobStatus, error) {
-	scope, err := openRunScope(b, runRoot)
+	return withCatalog(b, runRoot, scanBlobs)
+}
+
+// scanBlobs is the blob view of the doctor.
+func scanBlobs(c *catalog) ([]BlobStatus, error) {
+	b := c.b
+	scope, err := c.scope()
 	if err != nil {
 		return nil, err
 	}
@@ -482,29 +492,11 @@ func dedupifyInPlace(b storage.Backend, dir string, marker CommitMarker, set *pa
 	return sweepUnlistedShardFiles(b, dir)
 }
 
-// plainContainers lists the payload containers a directory holds, as
-// dir-relative names, model.ltsf first. The listing, not a rank count, says
-// which shard files are there: a crashed conversion may have removed some
-// ranks' already. No zero/ directory: a weights-only checkpoint.
-func plainContainers(b storage.Backend, dir string) []string {
-	var out []string
-	if b.Exists(dir + "/model.ltsf") {
-		out = append(out, "model.ltsf")
-	}
-	entries, _ := b.List(dir + "/zero")
-	for _, e := range entries {
-		if strings.HasSuffix(e, ".ltos") {
-			out = append(out, "zero/"+e)
-		}
-	}
-	return out
-}
-
 // sweepUnlistedShardFiles removes LTOS containers a crashed conversion left
 // behind after its marker swap (they are unlisted extras — harmless to
 // readers, but dead weight). Listed shard files are never touched.
 func sweepUnlistedShardFiles(b storage.Backend, dir string) error {
-	left := plainContainers(b, dir)
+	left := shardContainers(b, dir)
 	if len(left) == 0 {
 		return nil
 	}

@@ -482,7 +482,7 @@ func TestDedupifyPinsXorLineage(t *testing.T) {
 			if !model.Equal(rm, m) || !sameOptim(ro, o) {
 				t.Fatal("restore differs after retention")
 			}
-			if err := verifyDedupRefs(b, dir); err != nil {
+			if err := verifyDedupRefs(entryAt(b, dir)); err != nil {
 				t.Fatal(err)
 			}
 			if problems := refProblems(t, b, "run"); len(problems) != 0 {

@@ -18,16 +18,21 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 
 	"llmtailor/internal/storage"
 )
 
 // pinRun is one run whose references bear on a store: the root holding its
-// checkpoint directories, and its journal.
+// checkpoint directories, and its journal. cat is the catalog the operation
+// holds of its own run's root; a peer has none, and neither has a run whose
+// directories the operation just changed: a query that reads manifests then
+// opens a fresh one.
 type pinRun struct {
 	root string
 	ix   *storage.RefIndex
+	cat  *catalog
 }
 
 // pinScope is what an operation over one store consults, resolved once:
@@ -56,6 +61,16 @@ func openRunScope(b storage.Backend, runRoot string) (*pinScope, error) {
 		s.self.ix = storage.NewRefIndexNS(b, objects, ref.Run)
 	}
 	return s, nil
+}
+
+// scope resolves the scope of the run root c catalogs, with c as what its pin
+// queries read of the run's own directories.
+func (c *catalog) scope() (*pinScope, error) {
+	s, err := openRunScope(c.b, c.root)
+	if err == nil {
+		s.self.cat = c
+	}
+	return s, err
 }
 
 // peers returns every other run attached to the scope's hub (every run, for
@@ -92,7 +107,7 @@ const (
 	// over-approximates.
 	manifestsUncovered
 	// manifestsAll: every directory, the whole-history ground truth the ref
-	// index exists to avoid on the hot path (collectDirRefs).
+	// index exists to avoid on the hot path (catalog.readRefs).
 	manifestsAll
 )
 
@@ -111,24 +126,38 @@ type pinQuery struct {
 	retiredDirs    map[string]bool
 }
 
-// runRefs is one run's pinning material as read from the backend.
+// runRefs is one run's pinning material as read from the backend: journal
+// records, and per directory the digest list its manifests hold.
 type runRefs struct {
 	records []*storage.RefRecord
-	dirs    []dirRefs
+	dirs    [][]string
 }
 
-// readDirManifestDigests reads every blob digest a directory's manifests
-// keep alive — referenced blobs plus their xor-parent ancestor chains
-// (PinDigests): sweeping an ancestor would corrupt every delta blob below
-// it, so pinning is always transitive. With bestEffort set, an unreadable
-// manifest contributes nothing instead of failing while every readable one
-// still pins — the right treatment for quarantined, torn and mid-write
-// staging trees, which may be arbitrarily damaged.
-func readDirManifestDigests(b storage.Backend, path string, bestEffort bool) ([]string, error) {
-	if !b.Exists(path + "/" + WeightManifestName) {
+// pinDigests reads every blob digest the directory's manifests keep alive —
+// referenced blobs plus their xor-parent ancestor chains (PinDigests):
+// sweeping an ancestor would corrupt every delta blob below it, so pinning is
+// always transitive. With bestEffort set, an unreadable manifest contributes
+// nothing instead of failing while every readable one still pins — the right
+// treatment for quarantined, torn and mid-write staging trees, which may be
+// arbitrarily damaged. Either way a manifest that is missing because the
+// directory went away under the reader is errRetired, never a silent nothing.
+func (e *entry) pinDigests(bestEffort bool) ([]string, error) {
+	if !e.dedup() {
+		// No weight manifest: a plain directory — or one removed since it was
+		// listed, which a marker already asked for gives away: it is missing
+		// with the whole directory, or it lists the weight manifest.
+		if e.mark.done {
+			m, err := e.marker()
+			if _, listed := m.Files[WeightManifestName]; e.retired(err) || listed && !e.c.b.Exists(e.Path) {
+				return nil, errRetired
+			}
+		}
 		return nil, nil
 	}
-	wm, sms, err := readManifests(b, path)
+	wm, sms, err := e.manifestFiles().decode()
+	if err != nil && e.retired(err) {
+		return nil, errRetired
+	}
 	if err != nil && !bestEffort {
 		return nil, err
 	}
@@ -169,32 +198,44 @@ func (r pinRun) load(b storage.Backend, q pinQuery, listed []storage.RefEntry) (
 			}
 		}
 	}
-	var dirs []dirRefs
-	var err error
-	switch q.manifests {
-	case manifestsUncovered:
-		dirs, err = runDirs(b, r.root)
-	case manifestsAll:
-		dirs, err = collectDirRefs(b, r.root)
+	if q.manifests == manifestsNone {
+		return refs, nil
 	}
-	if err != nil {
-		return refs, err
-	}
-	for _, d := range dirs {
-		if q.retiredDirs[d.Path] {
-			continue
+	read := func(c *catalog) error {
+		refs.dirs = nil
+		if q.manifests == manifestsAll {
+			if err := c.readRefs(); err != nil {
+				return err
+			}
 		}
-		if q.manifests == manifestsUncovered {
-			if covered[d.Key] && !d.Quarantined {
+		for _, d := range c.entries {
+			if q.retiredDirs[d.Path] {
 				continue
 			}
-			if d.Digests, err = readDirManifestDigests(b, d.Path, true); err != nil {
-				return refs, err
+			digests := d.Digests
+			if q.manifests == manifestsUncovered {
+				if covered[d.Key] && !d.Quarantined {
+					continue
+				}
+				var err error
+				if digests, err = d.pinDigests(true); err != nil {
+					return err
+				}
 			}
+			refs.dirs = append(refs.dirs, digests)
 		}
-		refs.dirs = append(refs.dirs, d)
+		return nil
 	}
-	return refs, nil
+	if r.cat != nil {
+		return refs, read(r.cat)
+	}
+	_, err := withCatalog(b, r.root, func(c *catalog) (struct{}, error) { return struct{}{}, read(c) })
+	if errors.Is(err, errRetired) {
+		// Out of attempts. The caller may be past its first removal: its own
+		// restart must not follow from this one.
+		err = fmt.Errorf("ckpt: pins of %q: %v", r.root, err)
+	}
+	return refs, err
 }
 
 // pins answers q over the scope; listed is passed on to the own run's load.
@@ -238,8 +279,8 @@ func (s *pinScope) pinsWith(own runRefs, q pinQuery) (map[string]int, error) {
 				pins[d]++
 			}
 		}
-		for _, dir := range refs.dirs {
-			for _, d := range dir.Digests {
+		for _, digests := range refs.dirs {
+			for _, d := range digests {
 				pins[d]++
 			}
 		}
@@ -249,11 +290,13 @@ func (s *pinScope) pinsWith(own runRefs, q pinQuery) (map[string]int, error) {
 
 // runPins answers q for one run root.
 func runPins(b storage.Backend, runRoot string, q pinQuery) (map[string]int, error) {
-	s, err := openRunScope(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
-	return s.pins(q, nil)
+	return withCatalog(b, runRoot, func(c *catalog) (map[string]int, error) {
+		s, err := c.scope()
+		if err != nil {
+			return nil, err
+		}
+		return s.pins(q, nil)
+	})
 }
 
 // RunPins derives one run's own pin set — every journal record plus the

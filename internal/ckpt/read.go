@@ -32,10 +32,63 @@ import (
 	"llmtailor/internal/zero"
 )
 
-// IsDedup reports whether a checkpoint directory is stored content-
-// addressed (weight manifest present, no weight container).
-func IsDedup(b storage.Backend, dir string) bool {
-	return b.Exists(dir+"/"+WeightManifestName) && !b.Exists(dir+"/model.ltsf")
+// layoutKind says where a directory's payloads sit.
+type layoutKind int
+
+const (
+	// layoutPlain: LTSF/LTOS containers only.
+	layoutPlain layoutKind = iota
+	// layoutConverting: manifests beside containers — a crash interrupted
+	// Dedupify, and Repair finishes it. Until the marker swap the manifests are
+	// unlisted extras, possibly torn.
+	layoutConverting
+	// layoutDedup: manifests only; payloads are blobs.
+	layoutDedup
+)
+
+// layout is the one layout decision. Within converting, blobs says which
+// form readers see: Dedupify's last step removes model.ltsf first, and from
+// then on the manifests are what is read (and must be intact, and pin
+// exactly), whatever shard containers are still waiting to be swept.
+type layout struct {
+	kind  layoutKind
+	blobs bool
+}
+
+// decideLayout is the only code that tells a plain directory from a
+// content-addressed one and from one caught between the two: IsDedup and
+// openSource (what readers open), Scan's StateConverting, verifyDedupRefs and
+// the pin walk's best-effort rule all ask it. DESIGN.md "The run catalog"
+// has the table against the conversion's steps.
+func decideLayout(b storage.Backend, dir string) layout {
+	switch {
+	case !b.Exists(dir + "/" + WeightManifestName):
+		return layout{kind: layoutPlain}
+	case b.Exists(dir + "/model.ltsf"):
+		return layout{kind: layoutConverting}
+	case len(shardContainers(b, dir)) > 0:
+		return layout{kind: layoutConverting, blobs: true}
+	}
+	return layout{kind: layoutDedup, blobs: true}
+}
+
+// IsDedup reports whether a checkpoint directory reads as content-addressed
+// (weight manifest present, no weight container).
+func IsDedup(b storage.Backend, dir string) bool { return decideLayout(b, dir).blobs }
+
+// shardContainers lists the LTOS containers a directory holds, as dir-relative
+// names. The listing, not a rank count, says which are there: a crashed
+// conversion may have removed some ranks' already. No zero/ directory: a
+// weights-only checkpoint.
+func shardContainers(b storage.Backend, dir string) []string {
+	var out []string
+	entries, _ := b.List(dir + "/zero")
+	for _, e := range entries {
+		if strings.HasSuffix(e, ".ltos") {
+			out = append(out, "zero/"+e)
+		}
+	}
+	return out
 }
 
 // source is a checkpoint directory with its layout decided: store is the
@@ -199,30 +252,70 @@ func shardManifestRanks(b storage.Backend, dir string) []int {
 	return ranks
 }
 
-// readManifests fetches a content-addressed directory's weight manifest and
-// every rank's shard manifest, side by side (independent objects: one round
-// trip's wait on a remote store, not one per rank). An unreadable manifest
-// comes back nil and err is the first such failure in manifest order: callers
-// that must account exactly return it, best-effort ones (quarantined, torn
-// and mid-write trees) use whatever is readable.
-func readManifests(b storage.Backend, dir string) (wm *WeightManifest, sms []*ShardManifest, err error) {
-	ranks := shardManifestRanks(b, dir)
-	sms = make([]*ShardManifest, len(ranks))
-	errs := make([]error, 1+len(ranks))
-	_ = parallel.ForEach(requestWidth, len(errs), func(i int) error {
-		if i == 0 {
-			wm, errs[0] = ReadWeightManifest(b, dir+"/"+WeightManifestName)
-		} else {
-			sms[i-1], errs[i] = ReadShardManifest(b, dir+"/"+ShardManifestName(ranks[i-1]))
-		}
+// manifestFiles is a content-addressed directory's weight manifest and every
+// rank's shard manifest as fetched: raw bytes (what a commit marker's CRC is
+// over) or the fetch error, by dir-relative name, weight manifest first.
+type manifestFiles struct {
+	dir   string
+	names []string
+	data  [][]byte
+	errs  []error
+}
+
+// fetchManifests reads the manifests side by side (independent objects: one
+// round trip's wait on a remote store, not one per rank).
+func fetchManifests(b storage.Backend, dir string) *manifestFiles {
+	f := &manifestFiles{dir: dir, names: []string{WeightManifestName}}
+	for _, r := range shardManifestRanks(b, dir) {
+		f.names = append(f.names, ShardManifestName(r))
+	}
+	f.data, f.errs = make([][]byte, len(f.names)), make([]error, len(f.names))
+	_ = parallel.ForEach(requestWidth, len(f.names), func(i int) error {
+		f.data[i], f.errs[i] = b.ReadFile(dir + "/" + f.names[i])
 		return nil
 	})
-	for _, e := range errs {
-		if e != nil {
-			return wm, sms, e
+	return f
+}
+
+// held returns the fetched bytes of a dir-relative name, nil when it is not a
+// manifest or could not be read.
+func (f *manifestFiles) held(rel string) []byte {
+	for i, name := range f.names {
+		if name == rel {
+			return f.data[i]
 		}
 	}
-	return wm, sms, nil
+	return nil
+}
+
+// decode parses what was fetched. An unreadable manifest comes back nil and
+// err is the first such failure in manifest order: callers that must account
+// exactly return it, best-effort ones (quarantined, torn and mid-write trees)
+// use whatever is readable.
+func (f *manifestFiles) decode() (wm *WeightManifest, sms []*ShardManifest, err error) {
+	sms = make([]*ShardManifest, len(f.names)-1)
+	for i, name := range f.names {
+		e := f.errs[i]
+		if e == nil {
+			if i == 0 {
+				wm, e = DecodeWeightManifest(f.data[0])
+			} else {
+				sms[i-1], e = DecodeShardManifest(f.data[i])
+			}
+			if e != nil {
+				e = fmt.Errorf("ckpt: %s/%s: %w", f.dir, name, e)
+			}
+		}
+		if err == nil {
+			err = e
+		}
+	}
+	return wm, sms, err
+}
+
+// readManifests fetches and parses a content-addressed directory's manifests.
+func readManifests(b storage.Backend, dir string) (*WeightManifest, []*ShardManifest, error) {
+	return fetchManifests(b, dir).decode()
 }
 
 // Weights is the lazy per-tensor view of a checkpoint's weights — over a

@@ -406,7 +406,7 @@ func TestReadManifestsBestEffort(t *testing.T) {
 		if _, _, err := readManifests(b, q); err == nil {
 			t.Fatalf("torn %s: readManifests reported no failure", torn)
 		}
-		if _, err := readDirManifestDigests(b, q, false); err == nil {
+		if _, err := entryAt(b, q).pinDigests(false); err == nil {
 			t.Fatalf("torn %s: exact pin read succeeded", torn)
 		}
 		refs, err := BlobRefs(b, "run")

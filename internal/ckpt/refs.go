@@ -20,7 +20,10 @@
 // GCGenerational and Retain (below) collect from the index alone; GC (full,
 // dedup.go) re-derives everything from the manifests and repairs the index.
 // What the policies share is in pins.go; DESIGN.md "Garbage collection
-// policies" has the table.
+// policies" has the table. Which directories a run root holds, which are
+// sealed and what their manifests reference is asked of the run catalog
+// (catalog.go): its entry IS the per-directory reference view audited here,
+// and each policy reads one catalog before its first removal.
 //
 // The index is bookkeeping, never ground truth: if it is missing, stale or
 // corrupt, ReconcileRefIndex (run by Repair, and by `doctor -fix`) rebuilds
@@ -29,6 +32,7 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -90,91 +94,48 @@ func appendRefRecord(ix *storage.RefIndex, finalDir string, step int, digests []
 
 // --- manifest-side reference collection (ground truth) ---------------------
 
-// dirRefs describes one run-root directory's dedup references, collected
-// from its manifests — the ground truth the ref index is bookkeeping for.
-type dirRefs struct {
-	Path string
-	// Key is the journal key: the base name with the staging suffix
-	// stripped (an in-flight `K.tmp` tree journals under K).
-	Key         string
-	Sealed      bool // commit marker verifies (committed or unpublished)
-	Staging     bool
-	Quarantined bool
-	// Dedup is true when the directory carries a weight manifest.
-	Dedup bool
-	// RefGen is the generation manifest.json binds the directory to
-	// (0 = unbound: pre-ref-index checkpoint, or manifest unreadable).
-	RefGen int64
-	// Digests are the blob references read from the manifests (sorted,
-	// with repeats for multiply-referenced digests).
-	Digests []string
+// The reference view of a catalog entry: what the directory's manifests keep
+// alive — the ground truth the ref index is bookkeeping for. Beside the
+// entry's name facts (Path, Key, Staging, Quarantined) it is sealed() (the
+// commit answer), dedup() (it carries a weight manifest), refGen() and
+// Digests (readRefs).
+
+// dedup reports whether the directory carries a weight manifest.
+func (e *entry) dedup() bool { return e.layout().kind != layoutPlain }
+
+// refGen is the generation manifest.json binds the directory to (0 =
+// unbound: pre-ref-index checkpoint, or manifest unreadable).
+func (e *entry) refGen() int64 {
+	man, _ := e.manifest()
+	return man.RefGen
 }
 
-// runDirs lists a run root's directories (the objects store excluded) as
-// reference views carrying only what their names say: Path, Key, Staging
-// and Quarantined. An absent root is empty — a GC or audit racing the very
-// first save of a run must see "nothing yet", not an error.
-func runDirs(b storage.Backend, runRoot string) ([]dirRefs, error) {
-	if runRoot != "" && !b.Exists(runRoot) {
-		return nil, nil
-	}
-	entries, err := b.List(runRoot)
-	if err != nil && runRoot != "" { // an empty backend root lists as missing on OS
-		return nil, fmt.Errorf("ckpt: blob refs: %w", err)
-	}
-	var out []dirRefs
-	for _, e := range entries {
-		name := strings.TrimSuffix(e, "/")
-		if name == e || name == ObjectsDirName {
+// readRefs fills every entry's Digests: the blob references its manifests
+// hold (sorted, with repeats for multiply-referenced digests) — the
+// whole-history ground-truth read that the ref index exists to avoid on the
+// hot path. A sealed directory in its final place whose manifests are what
+// readers read accounts exactly: unreadable manifests there are external
+// mutilation, and loud. Everything else — torn, quarantined, mid-write
+// staging, and an unfinished conversion's possibly torn extras (its record
+// pins them) — is read best-effort: over-approximating references is safe for
+// GC, under-reading them is not, so whatever is readable pins.
+func (c *catalog) readRefs() error {
+	for _, e := range c.entries {
+		if e.refsRead {
 			continue
 		}
-		path := name
-		if runRoot != "" {
-			path = runRoot + "/" + name
+		lay := e.layout()
+		bestEffort := !e.sealed() || e.Staging || (lay.kind == layoutConverting && !lay.blobs)
+		digests, err := e.pinDigests(bestEffort)
+		if errors.Is(err, errRetired) {
+			return err
 		}
-		d := dirRefs{Path: path, Key: name, Quarantined: IsQuarantinePath(name)}
-		if !d.Quarantined && IsStagingPath(name) {
-			d.Staging, d.Key = true, strings.TrimSuffix(name, stagingSuffix)
+		if err != nil {
+			return fmt.Errorf("ckpt: blob refs: %w", err)
 		}
-		out = append(out, d)
+		e.Digests, e.refsRead = digests, true
 	}
-	return out, nil
-}
-
-// collectDirRefs walks the run root once and returns every directory's
-// full reference view — the whole-history ground-truth read that the ref
-// index exists to avoid on the hot path. Committed directories with
-// unreadable manifests are an error (external mutilation should be loud);
-// staging, torn and quarantined directories are read best-effort —
-// over-approximating their references is safe for GC, under-reading them is
-// not, so whatever is readable pins.
-func collectDirRefs(b storage.Backend, runRoot string) ([]dirRefs, error) {
-	dirs, err := runDirs(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
-	for i := range dirs {
-		d := &dirs[i]
-		switch {
-		case d.Quarantined:
-		case d.Staging:
-			d.Sealed = VerifyCommit(b, d.Path) == nil
-		default:
-			d.Sealed = CheckCommit(b, d.Path) == nil
-		}
-		d.Dedup = b.Exists(d.Path + "/" + WeightManifestName)
-		if man, err := ReadManifest(b, d.Path); err == nil {
-			d.RefGen = man.RefGen
-		}
-		// Sealed, non-staging directories must account exactly; everything
-		// else (torn, quarantined, mid-write staging) pins best-effort, as do an
-		// unfinished conversion's possibly torn extras (its record pins them).
-		bestEffort := !d.Sealed || d.Staging || d.Quarantined || (d.Dedup && b.Exists(d.Path+"/model.ltsf"))
-		if d.Digests, err = readDirManifestDigests(b, d.Path, bestEffort); err != nil {
-			return nil, fmt.Errorf("ckpt: blob refs: %w", err)
-		}
-	}
-	return dirs, nil
+	return nil
 }
 
 // --- index audit -----------------------------------------------------------
@@ -263,7 +224,9 @@ type refAudit struct {
 	records []auditedRecord
 	staging []string // residue file names inside the refs dir
 	// missing lists sealed dedup directories with no usable record.
-	missing []dirRefs
+	missing []*entry
+	// dirs are the catalog entries the audit was taken against.
+	dirs []*entry
 }
 
 // digestsCover reports whether set a pins every digest of set b (a ⊇ b).
@@ -299,17 +262,20 @@ func digestsEqual(a, b []string) bool {
 }
 
 // auditRefs classifies every journal record against the directories'
-// manifest ground truth (as collected by collectDirRefs).
-func auditRefs(ix *storage.RefIndex, dirs []dirRefs) (*refAudit, error) {
+// manifest ground truth (the catalog's reference view).
+func auditRefs(ix *storage.RefIndex, c *catalog) (*refAudit, error) {
+	if err := c.readRefs(); err != nil {
+		return nil, err
+	}
 	entries, staging, _, err := ix.Entries()
 	if err != nil {
 		return nil, err
 	}
-	byKey := map[string][]dirRefs{}
-	for _, d := range dirs {
+	byKey := map[string][]*entry{}
+	for _, d := range c.entries {
 		byKey[d.Key] = append(byKey[d.Key], d)
 	}
-	audit := &refAudit{staging: staging}
+	audit := &refAudit{staging: staging, dirs: c.entries}
 	covered := map[string]bool{} // keys with a usable (OK) record
 	for _, e := range entries {
 		ar := auditedRecord{entry: e}
@@ -326,18 +292,18 @@ func auditRefs(ix *storage.RefIndex, dirs []dirRefs) (*refAudit, error) {
 				break
 			}
 			var bound int64
-			var boundDir *dirRefs
-			for i := range ds {
-				if ds[i].RefGen == e.Generation {
-					boundDir = &ds[i]
+			var boundDir *entry
+			for _, d := range ds {
+				if d.refGen() == e.Generation {
+					boundDir = d
 				}
-				if ds[i].RefGen > bound {
-					bound = ds[i].RefGen
+				if d.refGen() > bound {
+					bound = d.refGen()
 				}
 			}
 			switch {
 			case boundDir != nil:
-				if boundDir.Sealed && !boundDir.Staging && !digestsCover(rec.Digests, boundDir.Digests) {
+				if boundDir.sealed() && !boundDir.Staging && !digestsCover(rec.Digests, boundDir.Digests) {
 					ar.state = RefDivergent
 					ar.detail = fmt.Sprintf("record fails to cover the manifests of %s", boundDir.Path)
 				} else {
@@ -374,8 +340,8 @@ func auditRefs(ix *storage.RefIndex, dirs []dirRefs) (*refAudit, error) {
 		}
 		audit.records = append(audit.records, ar)
 	}
-	for _, d := range dirs {
-		if d.Dedup && d.Sealed && !d.Staging && !d.Quarantined && !covered[d.Key] {
+	for _, d := range c.entries {
+		if d.dedup() && d.sealed() && !d.Staging && !covered[d.Key] {
 			audit.missing = append(audit.missing, d)
 		}
 	}
@@ -385,9 +351,9 @@ func auditRefs(ix *storage.RefIndex, dirs []dirRefs) (*refAudit, error) {
 // allSealedPlain reports whether every directory view of one key is a
 // sealed, non-dedup checkpoint in its final location — a tree that by
 // construction references no blob.
-func allSealedPlain(ds []dirRefs) bool {
-	for i := range ds {
-		if ds[i].Dedup || ds[i].Staging || ds[i].Quarantined || !ds[i].Sealed {
+func allSealedPlain(ds []*entry) bool {
+	for _, d := range ds {
+		if d.dedup() || d.Staging || !d.sealed() {
 			return false
 		}
 	}
@@ -395,7 +361,7 @@ func allSealedPlain(ds []dirRefs) bool {
 }
 
 // dirRefsetOf returns the union digest list over directory views of one key.
-func dirRefsetOf(ds []dirRefs) []string {
+func dirRefsetOf(ds []*entry) []string {
 	var out []string
 	for _, d := range ds {
 		out = append(out, d.Digests...)
@@ -403,27 +369,21 @@ func dirRefsetOf(ds []dirRefs) []string {
 	return out
 }
 
-// auditRun reads a run root's directories and audits its journal against
-// them.
-func auditRun(b storage.Backend, runRoot string) (*storage.RefIndex, []dirRefs, *refAudit, error) {
-	ix, err := storage.OpenRefIndex(b, objectsPath(runRoot))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	dirs, err := collectDirRefs(b, runRoot)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	audit, err := auditRefs(ix, dirs)
-	return ix, dirs, audit, err
-}
-
 // ScanRefs audits the run root's ref index against its manifests — the
 // index half of the doctor view. A run root without an index (or without
 // an objects store at all) yields findings only for unrecorded dedup
 // directories.
 func ScanRefs(b storage.Backend, runRoot string) ([]RefStatus, error) {
-	ix, _, audit, err := auditRun(b, runRoot)
+	return withCatalog(b, runRoot, scanRefs)
+}
+
+// scanRefs is the index view of the doctor.
+func scanRefs(c *catalog) ([]RefStatus, error) {
+	ix, err := storage.OpenRefIndex(c.b, objectsPath(c.root))
+	if err != nil {
+		return nil, err
+	}
+	audit, err := auditRefs(ix, c)
 	if err != nil {
 		return nil, err
 	}
@@ -477,7 +437,21 @@ func (r *RefReconcileReport) Changed() bool {
 // rule is a committed checkpoint whose record must be rebuilt again — the
 // manifests always win, no blob is lost).
 func ReconcileRefIndex(b storage.Backend, runRoot string) (*RefReconcileReport, error) {
-	ix, dirs, audit, err := auditRun(b, runRoot)
+	ix, err := storage.OpenRefIndex(b, objectsPath(runRoot))
+	if err != nil {
+		return nil, err
+	}
+	c, err := openCatalog(b, runRoot)
+	if err != nil {
+		return nil, err
+	}
+	return reconcileRefIndex(ix, c)
+}
+
+// reconcileRefIndex is ReconcileRefIndex against a catalog the caller (Repair)
+// already holds.
+func reconcileRefIndex(ix *storage.RefIndex, c *catalog) (*RefReconcileReport, error) {
+	audit, err := auditRefs(ix, c)
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +462,7 @@ func ReconcileRefIndex(b storage.Backend, runRoot string) (*RefReconcileReport, 
 		}
 		rep.StagingRemoved = append(rep.StagingRemoved, name)
 	}
-	rep.RemovedRecords, rep.WrittenRecords, err = fixIndex(b, ix, dirs, audit, true, false)
+	rep.RemovedRecords, rep.WrittenRecords, err = fixIndex(ix, audit, true, false)
 	return rep, err
 }
 
@@ -508,10 +482,10 @@ func retiredState(s RefState, quiescent bool) bool {
 // (pre-ref-index) ones get a fresh one — their manifests cannot be
 // rewritten under a sealed marker, so they stay unbound and conservatively
 // pinned. With dryRun set the lists are what a real pass would do.
-func fixIndex(b storage.Backend, ix *storage.RefIndex, dirs []dirRefs, audit *refAudit, quiescent, dryRun bool) (removed, written []string, err error) {
-	write := func(label, key string, gen int64, d dirRefs) error {
+func fixIndex(ix *storage.RefIndex, audit *refAudit, quiescent, dryRun bool) (removed, written []string, err error) {
+	write := func(label, key string, gen int64, d *entry) error {
 		if !dryRun {
-			if err := writeRecordFrom(b, ix, key, gen, d); err != nil {
+			if err := writeRecordFrom(ix, key, gen, d); err != nil {
 				return err
 			}
 		}
@@ -528,15 +502,19 @@ func fixIndex(b storage.Backend, ix *storage.RefIndex, dirs []dirRefs, audit *re
 			}
 			removed = append(removed, ar.entry.Name)
 		case ar.state == RefDivergent:
-			if d, ok := findBound(dirs, ar.entry); ok {
-				if err := write(ar.entry.Name, ar.entry.Key, ar.entry.Generation, d); err != nil {
-					return removed, written, err
+			for _, d := range audit.dirs {
+				// The directory the record's generation binds to.
+				if d.Key == ar.entry.Key && d.refGen() == ar.entry.Generation {
+					if err := write(ar.entry.Name, ar.entry.Key, ar.entry.Generation, d); err != nil {
+						return removed, written, err
+					}
+					break
 				}
 			}
 		}
 	}
 	for _, d := range audit.missing {
-		if err := write(d.Key, d.Key, d.RefGen, d); err != nil {
+		if err := write(d.Key, d.Key, d.refGen(), d); err != nil {
 			return removed, written, err
 		}
 	}
@@ -546,35 +524,18 @@ func fixIndex(b storage.Backend, ix *storage.RefIndex, dirs []dirRefs, audit *re
 // writeRecordFrom (re)writes a sealed directory's journal record from its
 // manifests — the manifests always win. gen <= 0 allocates the next
 // generation (an unbound, pre-ref-index directory).
-func writeRecordFrom(b storage.Backend, ix *storage.RefIndex, key string, gen int64, d dirRefs) error {
+func writeRecordFrom(ix *storage.RefIndex, key string, gen int64, d *entry) error {
 	if gen <= 0 {
 		var err error
 		if gen, err = ix.NextGeneration(); err != nil {
 			return err
 		}
 	}
+	man, _ := d.manifest() // the step is bookkeeping: 0 when unreadable
 	return ix.Append(&storage.RefRecord{
-		Version: FormatVersion, Key: key, Step: stepOf(b, d.Path),
+		Version: FormatVersion, Key: key, Step: man.Step,
 		Generation: gen, Digests: d.Digests,
 	})
-}
-
-// findBound returns the directory view a record's generation binds to.
-func findBound(dirs []dirRefs, e storage.RefEntry) (dirRefs, bool) {
-	for _, d := range dirs {
-		if d.Key == e.Key && d.RefGen == e.Generation {
-			return d, true
-		}
-	}
-	return dirRefs{}, false
-}
-
-// stepOf recovers a directory's step for record bookkeeping (best effort).
-func stepOf(b storage.Backend, path string) int {
-	if man, err := ReadManifest(b, path); err == nil {
-		return man.Step
-	}
-	return 0
 }
 
 // --- generational sweep ----------------------------------------------------
@@ -600,8 +561,12 @@ func (w *sweeper) fillGC(rep *GCReport) {
 // With dryRun set nothing is removed; the report is what a real run would
 // then do.
 func GCGenerational(b storage.Backend, runRoot string, dryRun bool) (*GCReport, error) {
+	return withCatalog(b, runRoot, func(c *catalog) (*GCReport, error) { return gcGenerational(c, dryRun) })
+}
+
+func gcGenerational(c *catalog, dryRun bool) (*GCReport, error) {
 	rep := &GCReport{Mode: "generational", DryRun: dryRun}
-	scope, err := openRunScope(b, runRoot)
+	scope, err := c.scope()
 	if err != nil {
 		return nil, err
 	}
@@ -612,17 +577,13 @@ func GCGenerational(b storage.Backend, runRoot string, dryRun bool) (*GCReport, 
 	}
 	rep.IndexRecords = len(entries)
 
-	// One run-root listing decides key liveness; manifest.json is read only
-	// for keys with churn (more than one record), keeping the scan cost
+	// The catalog's one listing decides key liveness; manifest.json is read
+	// only for keys with churn (more than one record), keeping the scan cost
 	// O(index), not O(run length).
-	dirs, err := runDirs(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
-	liveDir := map[string]string{} // key -> published (non-staging) path
-	for _, d := range dirs {
+	live := map[string]*entry{} // key -> published (non-staging) directory
+	for _, d := range c.entries {
 		if !d.Staging {
-			liveDir[d.Key] = d.Path
+			live[d.Key] = d
 		}
 	}
 	byKey := map[string][]storage.RefEntry{}
@@ -634,12 +595,10 @@ func GCGenerational(b storage.Backend, runRoot string, dryRun bool) (*GCReport, 
 		// No directory (an in-flight save or crash residue), no published
 		// directory, or no churn: every record pins. A pinned record other
 		// than a published key's newest is stale.
-		path, published := liveDir[key]
+		d, published := live[key]
 		var bound int64
 		if published && len(ents) > 1 {
-			if man, err := ReadManifest(b, path); err == nil {
-				bound = man.RefGen
-			}
+			bound = d.refGen()
 		}
 		for _, e := range ents {
 			switch {
@@ -683,6 +642,9 @@ func GCGenerational(b storage.Backend, runRoot string, dryRun bool) (*GCReport, 
 			return rep, err
 		}
 	}
+	// The read phase is over: what asks for pins from here on (settling
+	// trash) lists the run root afresh and restarts nothing.
+	scope.self.cat = nil
 	if !dryRun {
 		for _, e := range retired {
 			if err := ix.Remove(e); err != nil {
@@ -734,16 +696,15 @@ func Retain(b storage.Backend, runRoot string, keepLast int, dryRun bool) (*Reta
 	if keepLast < 1 {
 		return nil, fmt.Errorf("ckpt: retain: keep-last %d (want >= 1)", keepLast)
 	}
+	return withCatalog(b, runRoot, func(c *catalog) (*RetainReport, error) { return retain(c, keepLast, dryRun) })
+}
+
+func retain(c *catalog, keepLast int, dryRun bool) (*RetainReport, error) {
+	b := c.b
 	rep := &RetainReport{DryRun: dryRun}
-	if runRoot != "" && !b.Exists(runRoot) {
-		// Nothing saved yet (e.g. retention racing the first async save).
-		return rep, nil
-	}
-	committed, err := List(b, runRoot)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: retain: %w", err)
-	}
-	latest, _ := Latest(b, runRoot)
+	// An absent run root holds nothing yet (retention racing the first async
+	// save): no checkpoints, no victims.
+	committed, latest := c.committed(), c.latest()
 	var victims []string
 	for i, dir := range committed {
 		if i < len(committed)-keepLast && dir != latest {
@@ -756,7 +717,7 @@ func Retain(b storage.Backend, runRoot string, keepLast int, dryRun bool) (*Reta
 		return rep, nil
 	}
 
-	scope, err := openRunScope(b, runRoot)
+	scope, err := c.scope()
 	if err != nil {
 		return nil, err
 	}
@@ -796,7 +757,7 @@ func Retain(b storage.Backend, runRoot string, keepLast int, dryRun bool) (*Reta
 		if recorded[RefKey(v)] {
 			continue
 		}
-		digests, err := readDirManifestDigests(b, v, false)
+		digests, err := c.byPath(v).pinDigests(false)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: retain %s: %w", v, err)
 		}
@@ -809,6 +770,9 @@ func Retain(b storage.Backend, runRoot string, keepLast int, dryRun bool) (*Reta
 			if err := b.Remove(v); err != nil {
 				return rep, fmt.Errorf("ckpt: retain: remove %s: %w", v, err)
 			}
+			// Directories change from here on: the catalog was a snapshot, so
+			// the pin query below lists the run root afresh.
+			scope.self.cat = nil
 		}
 		rep.Removed = append(rep.Removed, v)
 	}

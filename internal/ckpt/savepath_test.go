@@ -30,13 +30,14 @@ import (
 // hands a payload over in fewer, wider writes than one encoding live state.)
 // It also counts read requests per "kind class" — which storage.Fault does
 // not see — for the request-budget test, and calls hook, when set, before a
-// mutating operation reaches the backend.
+// mutating operation reaches the backend (readHook: before a read request).
 type opLog struct {
 	*storage.Fault
-	mu    sync.Mutex
-	ops   []string
-	reads map[string]int
-	hook  func(kind, key string)
+	mu       sync.Mutex
+	ops      []string
+	reads    map[string]int
+	hook     func(kind, key string)
+	readHook func(kind, key string)
 }
 
 // blobStageName matches the process-global sequence in blob staging names,
@@ -80,7 +81,11 @@ func (l *opLog) read(kind, key string) {
 		l.reads = map[string]int{}
 	}
 	l.reads[kind+" "+keyClass(key)]++
+	hook := l.readHook
 	l.mu.Unlock()
+	if hook != nil {
+		hook(kind, key)
+	}
 }
 
 func (l *opLog) ReadFile(name string) ([]byte, error) {

@@ -201,9 +201,13 @@ func Stat(b storage.Backend, hubRoot string) (*Info, error) {
 	}
 	for _, r := range runs {
 		ri := RunInfo{ID: r.ID, Root: r.Root}
-		if dirs, err := ckpt.List(b, r.Root); err == nil {
-			ri.Checkpoints = len(dirs)
+		// An attached run that has saved nothing yet has no root: zero
+		// checkpoints. Any other failure to list it is an error.
+		dirs, err := ckpt.List(b, r.Root)
+		if err != nil && !storage.IsNotExist(err) {
+			return nil, fmt.Errorf("hub: stat run %s: %w", r.ID, err)
 		}
+		ri.Checkpoints = len(dirs)
 		pins, err := ckpt.RunPins(b, r.Root)
 		if err != nil {
 			return nil, fmt.Errorf("hub: stat run %s: %w", r.ID, err)

@@ -205,3 +205,47 @@ func mustStore(t *testing.T, b storage.Backend, hubRoot string) *storage.BlobSto
 	}
 	return s
 }
+
+// failList fails the first List of one directory — a transient backend
+// error — and passes everything else through.
+type failList struct {
+	storage.Backend
+	dir    string
+	failed *bool
+}
+
+func (f failList) List(dir string) ([]string, error) {
+	if dir == f.dir && !*f.failed {
+		*f.failed = true
+		return nil, storage.ErrInjected
+	}
+	return f.Backend.List(dir)
+}
+
+// TestStatRunRootAbsentIsZeroOtherErrorsAreLoud: an attached run that has
+// saved nothing yet has no root and counts zero checkpoints; a run root that
+// cannot be listed is an error, not "zero checkpoints".
+func TestStatRunRootAbsentIsZeroOtherErrorsAreLoud(t *testing.T) {
+	b := storage.NewFault(storage.NewMem())
+	if err := Init(b, "hub", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []string{"runs/a", "runs/fresh"} {
+		if err := Attach(b, "hub", r, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	saveDedup(t, b, "runs/a/checkpoint-10", 11)
+	info, err := Stat(b, "hub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range info.Runs {
+		if want := map[string]int{"runs/a": 1, "runs/fresh": 0}[r.Root]; r.Checkpoints != want {
+			t.Fatalf("run %s: %d checkpoints, want %d", r.Root, r.Checkpoints, want)
+		}
+	}
+	if _, err := Stat(failList{b, "runs/a", new(bool)}, "hub"); !storage.IsInjected(err) {
+		t.Fatalf("stat over a run root whose listing failed: err = %v, want the listing's error", err)
+	}
+}

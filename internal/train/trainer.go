@@ -230,38 +230,24 @@ func Resume(cfg Config, b storage.Backend, dir string) (*Trainer, error) {
 // ResumeLatest resumes from the newest committed checkpoint under the run
 // root, walking backwards through older committed checkpoints when the
 // newest is unusable (e.g. a partial checkpoint that needs a merge). Torn
-// and in-flight checkpoint directories are never considered — ckpt.List
-// only surfaces directories whose commit marker verifies — so a run that
-// crashed mid-save resumes from the last durable state.
+// and in-flight checkpoint directories are never considered —
+// ckpt.ResumeOrder only surfaces directories whose commit marker checks —
+// so a run that crashed mid-save resumes from the last durable state.
 func ResumeLatest(cfg Config, b storage.Backend, runRoot string) (*Trainer, error) {
-	dirs, err := ckpt.List(b, runRoot)
+	dirs, err := ckpt.ResumeOrder(b, runRoot)
 	if err != nil {
 		return nil, fmt.Errorf("train: resume latest under %q: %w", runRoot, err)
-	}
-	if latest, err := ckpt.Latest(b, runRoot); err == nil {
-		// Prefer the pointer's (committed) target; List may not cover
-		// single-segment outputs like a root-level "merged".
-		found := false
-		for _, d := range dirs {
-			if d == latest {
-				found = true
-				break
-			}
-		}
-		if !found {
-			dirs = append(dirs, latest)
-		}
 	}
 	if len(dirs) == 0 {
 		return nil, fmt.Errorf("train: no committed checkpoint under %q", runRoot)
 	}
 	var lastErr error
-	for i := len(dirs) - 1; i >= 0; i-- {
-		t, err := Resume(cfg, b, dirs[i])
+	for _, dir := range dirs {
+		t, err := Resume(cfg, b, dir)
 		if err == nil {
 			return t, nil
 		}
-		lastErr = fmt.Errorf("train: resume %s: %w", dirs[i], err)
+		lastErr = fmt.Errorf("train: resume %s: %w", dir, err)
 	}
 	return nil, lastErr
 }
