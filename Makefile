@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
+.PHONY: all build test race race-read vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -72,7 +72,10 @@ one-store:
 # codec files is a private reader, free to drift from the stage's (a missed
 # CRC, a forgotten bounds check). Besides the stage, ReadShardHeader serves
 # only merge's whole-file shard copy, which needs the header and nothing
-# else; one Weights type has the one ReadTensor.
+# else; one Weights type has the one ReadTensor. The whole-checkpoint walk
+# lives in the stage's load driver (payloadSet.load): ReadOptimShard is called
+# by the stage and by merge's per-source-rank load only, and nothing loops
+# over Names() calling ReadTensor.
 one-reader:
 	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
 		'(ReadWeightManifest|ReadShardManifest|readContainerHeader)\(' internal cmd *.go \
@@ -90,7 +93,15 @@ one-reader:
 	n=$$(grep -rhE --include='*.go' --exclude='*_test.go' '^func \([a-z]+ \*?[A-Za-z]+\) ReadTensor\(' internal cmd *.go | wc -l); \
 	if [ "$$n" -ne 1 ]; then \
 		echo "$$n ReadTensor methods, want exactly 1 (ckpt.Weights):"; \
-		grep -rnE --include='*.go' --exclude='*_test.go' '^func \([a-z]+ \*?[A-Za-z]+\) ReadTensor\(' internal cmd *.go; exit 1; fi
+		grep -rnE --include='*.go' --exclude='*_test.go' '^func \([a-z]+ \*?[A-Za-z]+\) ReadTensor\(' internal cmd *.go; exit 1; fi; \
+	bad=$$(grep -rn --include='*.go' --exclude='*_test.go' 'ReadOptimShard(' internal cmd *.go \
+		| grep -v -e 'func (c \*Checkpoint) ReadOptimShard(' -e '^internal/ckpt/read.go:' -e '^internal/tailor/merge.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "ReadOptimShard( outside the read stage and merge's per-source-rank load (whole checkpoints go through ReadState):"; echo "$$bad"; exit 1; fi; \
+	bad=$$(grep -rlE --include='*.go' --exclude='*_test.go' 'range [A-Za-z_.()]*Names\(\)' internal cmd *.go \
+		| xargs -r grep -ln 'ReadTensor('); \
+	if [ -n "$$bad" ]; then \
+		echo "a loop over Names() beside ReadTensor( calls — a serial whole-checkpoint walk outside the load driver:"; echo "$$bad"; exit 1; fi
 
 # storage.PublishFile (internal/storage/publish.go) is the only code that
 # replaces a small file by staging it and renaming it over the final name,
@@ -143,9 +154,17 @@ one-catalog:
 # A dedup save's backend requests are a function of the payloads that
 # changed, not of the payloads that exist: the counting-backend test that
 # holds config reads, parent-manifest reads, blob probes and blob GETs to
-# the table in DESIGN.md "The write stage".
+# the table in DESIGN.md "The write stage". The read side: a restore's GETs
+# are its payloads plus a constant, several in flight and never more than the
+# load driver's width, a plain rank one stream, and the bytes the driver
+# admits at once stay under its gate.
 request-budget:
-	$(GO) test ./internal/ckpt -run '^TestDedupSaveRequestBudget$$'
+	$(GO) test ./internal/ckpt -run '^(TestDedupSaveRequestBudget|TestRestoreRequestBudget|TestLoadGateBoundsBytesInFlight)$$'
+
+# The read stage is concurrent: its tests, and the resume paths above it, run
+# under the race detector on every push.
+race-read:
+	$(GO) test -race -run 'Restore|Resume|ReadStage|RequestBudget|LoadGate' ./internal/ckpt ./internal/train
 
 # Non-test Go lines per package, bench/ excluded — the number ROADMAP's
 # simplicity gate is stated in.
@@ -158,7 +177,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog request-budget build test objstore
+ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog request-budget build test race-read objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 

@@ -71,25 +71,16 @@ func sealMarker(e *entry) error {
 }
 
 // verifyReadable runs the full read pass adoption requires: the checkpoint
-// opens (config, state, manifest parse and validate), every weight tensor
-// reads and passes its CRC, and every rank's optimizer shard decodes —
-// blob-backed payloads included for dedup directories.
+// opens (config, state, manifest parse and validate), every weight payload
+// passes its CRC, and every rank's optimizer shard decodes — blob-backed
+// payloads included for dedup directories.
 func verifyReadable(b storage.Backend, dir string) error {
 	c, err := Open(b, dir)
 	if err != nil {
 		return err
 	}
-	if _, err := c.weights.ReadAll(); err != nil {
-		return fmt.Errorf("weights unreadable: %w", err)
-	}
-	ws := c.State.WorldSize
-	if ws <= 0 {
-		return fmt.Errorf("invalid world size %d", ws)
-	}
-	for r := 0; r < ws; r++ {
-		if _, err := c.ReadOptimShard(r); err != nil {
-			return fmt.Errorf("rank %d shard unreadable: %w", r, err)
-		}
+	if _, err := c.ReadState(nil, nil); err != nil {
+		return fmt.Errorf("payloads unreadable: %w", err)
 	}
 	return nil
 }

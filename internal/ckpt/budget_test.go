@@ -11,12 +11,16 @@ package ckpt
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"llmtailor/internal/model"
 	"llmtailor/internal/modelcfg"
 	"llmtailor/internal/optim"
+	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
 )
@@ -320,6 +324,158 @@ func TestPublishLandsRepeatedDigestOnce(t *testing.T) {
 		}
 		if err := verifyDedupRefs(entryAt(base, "run/checkpoint-100")); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestRestoreRequestBudget: the requests of a whole-checkpoint restore. A
+// content-addressed one issues a GET per payload and a constant more, keeps
+// several of them waiting on the store at once — never more than the load
+// driver's width — and writes nothing; a plain one opens each rank's shard
+// file exactly once (§5.4).
+func TestRestoreRequestBudget(t *testing.T) {
+	const ranks = 4
+	m, o := buildOptim(t, modelcfg.Tiny(), 350)
+	spec := func(dir string, dedup bool) SaveSpec {
+		return SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: ranks, Strategy: "full",
+			Dedup: dedup, State: TrainerState{Step: 100, Seed: 7}}
+	}
+	store := storage.NewObjStore()
+	if err := Save(store, spec("run/checkpoint-100", true)); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(store, spec("plain/checkpoint-100", false)); err != nil {
+		t.Fatal(err)
+	}
+	// Requests that take a while, so the ones in flight together show.
+	store.SetLatency(500*time.Microsecond, 0)
+	log := &opLog{Fault: storage.NewFault(store)}
+
+	t.Run("content-addressed", func(t *testing.T) {
+		log.reset()
+		restoreEquals(t, log, "run/checkpoint-100", m, o)
+		log.mu.Lock()
+		gets, peak, ops := 0, log.peak, log.ops
+		for kind, n := range log.reads {
+			if strings.HasPrefix(kind, "get ") {
+				gets += n
+			}
+		}
+		log.mu.Unlock()
+		P := len(slotRefs(t, store, "run/checkpoint-100"))
+		// Beyond the payloads: config.json, trainer_state.json, manifest.json,
+		// the two store-configuration documents, the weight manifest and one
+		// shard manifest per rank.
+		c := 3 + 2 + 1 + ranks
+		if gets > P+c {
+			t.Errorf("%d GETs for %d payloads, budget P + %d", gets, P, c)
+		}
+		if peak < 4 || peak > requestWidth {
+			t.Errorf("peak of %d GETs in flight, want between 4 and %d", peak, requestWidth)
+		}
+		if len(ops) != 0 {
+			t.Errorf("a restore mutated the backend: %v", ops)
+		}
+	})
+
+	t.Run("plain", func(t *testing.T) {
+		log.reset()
+		opens := map[string]int{}
+		log.mu.Lock()
+		log.readHook = func(kind, key string) {
+			if kind == "get" && strings.HasSuffix(key, ".ltos") {
+				log.mu.Lock()
+				opens[key]++
+				log.mu.Unlock()
+			}
+		}
+		log.mu.Unlock()
+		restoreEquals(t, log, "plain/checkpoint-100", m, o)
+		if len(opens) != ranks {
+			t.Fatalf("shard files read: %v, want %d of them", opens, ranks)
+		}
+		for name, n := range opens {
+			if n != 1 {
+				t.Errorf("%s read by %d requests, want one stream", name, n)
+			}
+		}
+		if len(log.ops) != 0 {
+			t.Errorf("a restore mutated the backend: %v", log.ops)
+		}
+	})
+}
+
+// TestLoadGateBoundsBytesInFlight: under a gate far smaller than the state,
+// the load driver never admits more than the gate plus its largest single
+// charge, and what it decodes is bit-identical to an unconstrained load — for
+// every layout, xor chains (charged once per ancestor) included.
+func TestLoadGateBoundsBytesInFlight(t *testing.T) {
+	b := storage.NewMem()
+	saveLayouts(t, b)
+	load := func(dir string, gate *parallel.ByteGate) (map[string][]byte, []*ShardFile) {
+		t.Helper()
+		c, err := Open(b, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		tensors := map[string]*tensor.Tensor{}
+		shards, err := c.readState(gate, func(name string) (*tensor.Tensor, error) {
+			w, err := c.weights.lookup(name)
+			if err != nil {
+				return nil, err
+			}
+			ts, err := w.newTensor()
+			mu.Lock()
+			tensors[name] = ts
+			mu.Unlock()
+			return ts, err
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := map[string][]byte{}
+		for name, ts := range tensors {
+			enc[name] = ts.Encode(nil)
+		}
+		for _, sf := range shards {
+			sf.FileBytes = 0 // what a load moves legitimately differs by layout
+		}
+		return enc, shards
+	}
+	wantTensors, wantShards := load("plain/checkpoint-300", newLoadGate())
+	if len(wantTensors) == 0 || len(wantShards) != 4 {
+		t.Fatalf("fixture: %d tensors, %d ranks", len(wantTensors), len(wantShards))
+	}
+	for _, layout := range parityLayouts {
+		dir := layout + "/checkpoint-300"
+		c, err := Open(b, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := c.loadSet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var largest, total int64
+		set.each(func(p *payload, _ string, _ int) error {
+			largest, total = max(largest, p.charge()), total+p.charge()
+			return nil
+		})
+		for _, rs := range set.ranks {
+			largest, total = max(largest, rs.fileBytes), total+rs.fileBytes
+		}
+		limit := total / 16
+		gate := parallel.NewByteGate(limit)
+		tensors, shards := load(dir, gate)
+		if !reflect.DeepEqual(tensors, wantTensors) || !reflect.DeepEqual(shards, wantShards) {
+			t.Errorf("%s: a load under a %d-byte gate decodes differently", layout, limit)
+		}
+		if peak := gate.Peak(); peak == 0 || peak > limit+largest {
+			t.Errorf("%s: peak of %d bytes admitted, gate %d + largest charge %d", layout, peak, limit, largest)
+		}
+		if gate.InFlight() != 0 {
+			t.Errorf("%s: %d bytes never released", layout, gate.InFlight())
 		}
 	}
 }

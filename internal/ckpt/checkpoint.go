@@ -17,6 +17,7 @@ import (
 	"llmtailor/internal/model"
 	"llmtailor/internal/modelcfg"
 	"llmtailor/internal/optim"
+	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
 	"llmtailor/internal/zero"
@@ -355,6 +356,10 @@ func readJSON(b storage.Backend, name string, v any) error {
 	if err != nil {
 		return err
 	}
+	return decodeJSON(name, data, v)
+}
+
+func decodeJSON(name string, data []byte, v any) error {
 	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("ckpt: decode %s: %w", name, err)
 	}
@@ -386,20 +391,31 @@ type Checkpoint struct {
 	weights *Weights
 }
 
-// Open validates and indexes a checkpoint directory, plain or dedup.
+// Open validates and indexes a checkpoint directory, plain or dedup. The
+// three JSON documents are fetched side by side — one round trip's wait on a
+// remote store — and judged in their fixed order.
 func Open(b storage.Backend, dir string) (*Checkpoint, error) {
 	c := &Checkpoint{Backend: b, Dir: dir, Config: &modelcfg.Config{}}
-	if err := readJSON(b, dir+"/config.json", c.Config); err != nil {
-		return nil, fmt.Errorf("ckpt: open %s: %w", dir, err)
-	}
-	if err := c.Config.Validate(); err != nil {
-		return nil, fmt.Errorf("ckpt: open %s: %w", dir, err)
-	}
-	if err := readJSON(b, dir+"/trainer_state.json", &c.State); err != nil {
-		return nil, fmt.Errorf("ckpt: open %s: %w", dir, err)
-	}
-	if err := readJSON(b, dir+"/manifest.json", &c.Manifest); err != nil {
-		return nil, fmt.Errorf("ckpt: open %s: %w", dir, err)
+	docs := []struct {
+		name string
+		into any
+	}{{"config.json", c.Config}, {"trainer_state.json", &c.State}, {"manifest.json", &c.Manifest}}
+	data, errs := make([][]byte, len(docs)), make([]error, len(docs))
+	_ = parallel.ForEach(requestWidth, len(docs), func(i int) error {
+		data[i], errs[i] = b.ReadFile(dir + "/" + docs[i].name)
+		return nil
+	})
+	for i, d := range docs {
+		err := errs[i]
+		if err == nil {
+			err = decodeJSON(dir+"/"+d.name, data[i], d.into)
+		}
+		if err == nil && i == 0 {
+			err = c.Config.Validate()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: open %s: %w", dir, err)
+		}
 	}
 	var err error
 	if c.src, err = openSource(b, dir); err == nil {
@@ -496,32 +512,20 @@ func Restore(b storage.Backend, dir string, dtype tensor.DType) (*model.Model, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	for _, name := range c.weights.Names() {
-		t, err := c.weights.ReadTensor(name)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := m.SetTensor(name, t); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-
 	layout, err := c.Layout()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-
-	ws := c.State.WorldSize
-	if ws <= 0 {
-		return nil, nil, nil, fmt.Errorf("ckpt: %s: invalid world size %d", dir, ws)
+	// Every weight decodes straight into the model's own tensor, every rank
+	// into its shard file, all through the one load driver.
+	shards, err := c.ReadState(m.Tensor, nil)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	ws := len(shards)
 	byRank := make([][]*zero.GroupShard, ws)
 	var step int
-	for r := 0; r < ws; r++ {
-		sf, err := c.ReadOptimShard(r)
-		if err != nil {
-			return nil, nil, nil, err
-		}
+	for r, sf := range shards {
 		if sf.WorldSize != ws {
 			return nil, nil, nil, fmt.Errorf("ckpt: %s: rank %d world size %d != %d", dir, r, sf.WorldSize, ws)
 		}

@@ -210,16 +210,28 @@ func decodeF32(src []byte, n int64) []float32 {
 // a shard file must be fully loaded before any group can be used (§5.4), so
 // the load is ONE stream — the header parsed off the same Open the payload
 // drains from, which is what the paper's Table 7 charges per shard file.
-// It still reads group by group: peak transient memory is one group's
-// payload, not the whole encoded file alongside its decoded form.
 func ReadShardFile(b storage.Backend, name string) (*ShardFile, error) {
-	size, err := b.Stat(name)
-	if err != nil {
-		return nil, err
-	}
+	rs := streamedRank(b, name)
+	return rs.loadAlone()
+}
+
+// streamedRank is a plain shard file as the load driver first sees it: sized,
+// not listed — loadStream lists it off the stream it loads it from.
+func streamedRank(b storage.Backend, name string) rankPayloads {
+	rs := rankPayloads{name: name, stream: b}
+	rs.fileBytes, rs.err = b.Stat(name)
+	return rs
+}
+
+// loadStream is the load driver's job for a plain rank: one Open, the header
+// parsed off it, then group by group in file order — read, CRC, decode — so
+// the transient memory is one group's payload, not the encoded file beside
+// its decoded form. It fills in rs as it lists it.
+func (rs *rankPayloads) loadStream(f *ShardFile) error {
+	b, name, size := rs.stream, rs.name, rs.fileBytes
 	r, err := b.Open(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer r.Close()
 	var hdr ltosHeader
@@ -228,24 +240,35 @@ func ReadShardFile(b storage.Backend, name string) (*ShardFile, error) {
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	h, err := hdr.check(name, size, size-12-hlen)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	*rs = *h.payloads(b, name)
+	f.init(rs)
 	var pos int64 // current offset within the payload section
-	return decodeRank(name, h.payloads(b, name), func(g *groupPayload) ([]byte, error) {
-		if skip := g.meta.Offsets[0] - pos; skip > 0 {
-			if _, err := io.CopyN(io.Discard, r, skip); err != nil {
-				return nil, err
+	for i := range rs.groups {
+		g := &rs.groups[i]
+		err := g.check(name, fmt.Sprintf("group %d", g.meta.Index), func(buf []byte) error {
+			if skip := g.meta.Offsets[0] - pos; skip > 0 {
+				if _, err := io.CopyN(io.Discard, r, skip); err != nil {
+					return err
+				}
 			}
+			pos = g.meta.Offsets[1]
+			_, err := io.ReadFull(r, buf)
+			return err
+		}, func(buf []byte) error {
+			f.Shards[i] = g.decode(rs.rank, buf)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		seg := make([]byte, g.size)
-		_, err := io.ReadFull(r, seg)
-		pos = g.meta.Offsets[1]
-		return seg, err
-	})
+	}
+	return nil
 }
 
 // ShardHeader is the decoded header of an LTOS file — everything needed to
@@ -312,7 +335,7 @@ func (hdr *ltosHeader) check(name string, fileBytes, payloadLen int64) (*ShardHe
 
 // payloads lists the file's groups, in file order, as extents of name.
 func (h *ShardHeader) payloads(b storage.Backend, name string) *rankPayloads {
-	rs := &rankPayloads{rank: h.Rank, worldSize: h.WorldSize, step: h.Step, layout: h.Layout,
+	rs := &rankPayloads{name: name, rank: h.Rank, worldSize: h.WorldSize, step: h.Step, layout: h.Layout,
 		fileBytes: h.FileBytes, groups: make([]groupPayload, len(h.Groups))}
 	for i, m := range h.Groups {
 		base := h.FileBytes - h.PayloadBytes + m.Offsets[0]

@@ -9,9 +9,14 @@
 //
 // An opener ranges over the UNCOMPRESSED payload bytes (the blob store decodes
 // codec containers) and verifies nothing. Whoever decodes a payload checks its
-// CRC (Weights.ReadTensor, decodeRank); whoever re-stages one checks its
-// digest, or its CRC when it has none (payloadSet.checked) — unless, like
-// Dedupify, it hashes every byte anyway.
+// CRC (payload.read, under Weights.ReadTensor and the load driver); whoever
+// re-stages one checks its digest, or its CRC when it has none
+// (payloadSet.checked) — unless, like Dedupify, it hashes every byte anyway.
+//
+// A whole checkpoint — or a whole rank, or all the weights — is read by the
+// one load driver, payloadSet.load: every payload through one pipeline of
+// requestWidth workers under a byte gate, each fetched, checked and decoded
+// straight into its destination.
 
 package ckpt
 
@@ -24,6 +29,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"llmtailor/internal/optim"
 	"llmtailor/internal/parallel"
@@ -117,33 +123,101 @@ func storedPayload(size int64, crc uint32, digest string, open func(off, n int64
 		write: replay(func() (io.ReadCloser, error) { return open(0, size) })}
 }
 
-func (s *source) blobPayload(digest string, size int64, crc uint32) payload {
-	return storedPayload(size, crc, digest, func(off, n int64) (io.ReadCloser, error) {
-		return s.store.OpenRange(digest, off, n)
-	})
+// blobPayload describes a blob as its manifest entry records it. The recorded
+// codec only orders the store's two ways of opening it (a stale record costs
+// a request, never a wrong byte); the recorded xor chain is what the load
+// driver charges at its gate.
+func (s *source) blobPayload(digest string, size int64, crc uint32, codec string, parents []string) payload {
+	open := s.store.OpenRange
+	if codec != "" && codec != storage.CodecRaw.String() {
+		open = s.store.OpenRangeCoded
+	}
+	p := storedPayload(size, crc, digest, func(off, n int64) (io.ReadCloser, error) { return open(digest, off, n) })
+	p.codec, p.parents = codec, parents
+	return p
 }
 
-// bytes reads the payload whole. Ranges are validated at open, so a size a
-// manifest merely claims fails there, before the buffer is allocated.
-func (p *payload) bytes() ([]byte, error) {
+// CorruptError reports stored bytes that do not match the integrity record
+// kept for them: the payload, held by the blob Digest or in an extent of the
+// container File (a manifest, for a blob it lists), hashes to Got where Want
+// is recorded — CRC32s as eight hex digits, or SHA-256 content digests.
+type CorruptError struct {
+	File, Digest string
+	Payload      string
+	Want, Got    string
+}
+
+func (e *CorruptError) Error() string {
+	where, kind := "", "CRC"
+	if e.File != "" {
+		where = e.File + ": "
+	}
+	if e.Digest != "" {
+		where += "blob " + e.Digest + ": "
+	}
+	if len(e.Want) == sha256.Size*2 {
+		kind = "digest"
+	}
+	return fmt.Sprintf("ckpt: %s%s: %s mismatch (%s != %s)", where, e.Payload, kind, e.Got, e.Want)
+}
+
+// loadBufs recycles the buffers payloads are fetched into: a read holds one
+// from its open to the end of its decode.
+var loadBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// read is the one whole-payload read: the payload's bytes, fetched through
+// its opener and checked, are handed to place. Ranges are validated at open,
+// so a size a manifest merely claims fails there, before a buffer is sized to
+// it. file and what name the payload in errors.
+func (p *payload) read(file, what string, place func(buf []byte) error) error {
 	rc, err := p.open(0, p.size)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("ckpt: %s: %s: %w", file, what, err)
 	}
-	buf := make([]byte, p.size)
-	_, err = io.ReadFull(rc, buf)
-	if cerr := rc.Close(); err == nil {
-		err = cerr
-	}
-	return buf, err
+	return p.check(file, what, func(buf []byte) error {
+		_, err := io.ReadFull(rc, buf)
+		if cerr := rc.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, place)
 }
+
+// check has fill produce the payload's bytes in a pooled buffer, holds them
+// to the recorded CRC and hands them to place, which must not keep buf.
+func (p *payload) check(file, what string, fill, place func(buf []byte) error) error {
+	bp := loadBufs.Get().(*[]byte)
+	defer loadBufs.Put(bp)
+	if int64(cap(*bp)) < p.size {
+		*bp = make([]byte, p.size)
+	}
+	buf := (*bp)[:p.size]
+	if err := fill(buf); err != nil {
+		return fmt.Errorf("ckpt: %s: %s: %w", file, what, err)
+	}
+	if got := crc32.ChecksumIEEE(buf); got != p.crc {
+		return p.crcMismatch(file, what, got)
+	}
+	return place(buf)
+}
+
+// crcMismatch is the error of payload bytes whose CRC32 came out as got.
+func (p *payload) crcMismatch(file, what string, got uint32) error {
+	return &CorruptError{File: file, Digest: p.digest, Payload: what,
+		Want: fmt.Sprintf("%08x", p.crc), Got: fmt.Sprintf("%08x", got)}
+}
+
+// charge is what a whole read of the payload may hold live beyond its
+// destination: its bytes, once more per xor ancestor the store resolves to
+// produce them.
+func (p *payload) charge() int64 { return p.size * int64(1+len(p.parents)) }
 
 // checked makes every replay of the set's payloads fail unless the bytes
 // match what was recorded for them — the digest, or the CRC when there is
 // none — so a re-stager that carries CRCs forward cannot copy a corrupt
 // payload into a clean-looking container.
 func (s *payloadSet) checked() *payloadSet {
-	s.each(func(p *payload, _ string, _ int) error {
+	s.each(func(p *payload, slot string, _ int) error {
 		write := p.write
 		p.write = func(w io.Writer) (int64, error) {
 			h, want := hash.Hash(crc32.NewIEEE()), fmt.Sprintf("%08x", p.crc)
@@ -152,7 +226,7 @@ func (s *payloadSet) checked() *payloadSet {
 			}
 			n, err := write(io.MultiWriter(w, h))
 			if got := hex.EncodeToString(h.Sum(nil)); err == nil && got != want {
-				err = fmt.Errorf("stored bytes hash to %s, recorded %s", got, want)
+				err = &CorruptError{Digest: p.digest, Payload: slot, Want: want, Got: got}
 			}
 			return n, err
 		}
@@ -173,7 +247,7 @@ func (s *source) weights() (*Weights, error) {
 	}
 	list := make([]weightPayload, len(man.Tensors))
 	for i, e := range man.Tensors {
-		list[i] = weightPayload{payload: s.blobPayload(e.Digest, e.Size, e.CRC32),
+		list[i] = weightPayload{payload: s.blobPayload(e.Digest, e.Size, e.CRC32, e.Codec, e.Parents),
 			name: e.Name, dtype: e.DType, shape: e.Shape}
 	}
 	return newWeights(name, man.Model, list), nil
@@ -198,7 +272,7 @@ func (s *source) rank(rank int) (*rankPayloads, error) {
 		return nil, fmt.Errorf("ckpt: %s: manifest is for rank %d", name, man.Rank)
 	}
 	layout, _ := optim.ParseLayoutKind(man.Layout) // the decode validated it
-	rs := &rankPayloads{rank: man.Rank, worldSize: man.WorldSize, step: man.Step, layout: layout,
+	rs := &rankPayloads{name: name, rank: man.Rank, worldSize: man.WorldSize, step: man.Step, layout: layout,
 		groups: make([]groupPayload, len(man.Groups))}
 	if size, err := s.b.Stat(name); err == nil { // a whole load moves the manifest too
 		rs.fileBytes = size
@@ -209,7 +283,7 @@ func (s *source) rank(rank int) (*rankPayloads, error) {
 		meta := g.Meta()
 		meta.Offsets = [2]int64{off, off + g.Size}
 		off += g.Size
-		rs.groups[i] = groupPayload{payload: s.blobPayload(g.Digest, g.Size, g.CRC32), meta: meta}
+		rs.groups[i] = groupPayload{payload: s.blobPayload(g.Digest, g.Size, g.CRC32, g.Codec, g.Parents), meta: meta}
 		rs.fileBytes += g.Size
 	}
 	return rs, nil
@@ -373,6 +447,31 @@ func (w *Weights) PayloadSize(name string) (int64, bool) {
 	return p.size, true
 }
 
+// newTensor allocates the tensor the payload decodes to.
+func (w *weightPayload) newTensor() (*tensor.Tensor, error) {
+	dt, err := tensor.ParseDType(w.dtype)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.New(w.name, dt, w.shape...), nil
+}
+
+// decode reads the payload straight into the tensor dst names for it (a nil
+// dst, or a nil tensor: the bytes are only checked). dst runs once the bytes
+// have passed their CRC, so no destination is ever sized from a claim.
+func (w *weightPayload) decode(file string, dst func() (*tensor.Tensor, error)) error {
+	return w.read(file, fmt.Sprintf("tensor %q", w.name), func(buf []byte) error {
+		if dst == nil {
+			return nil
+		}
+		t, err := dst()
+		if err != nil || t == nil {
+			return err
+		}
+		return t.Decode(buf)
+	})
+}
+
 // ReadTensor lazily reads one tensor's payload, verifies its CRC and returns
 // the decoded tensor. Only the tensor's bytes are read — the lazy property
 // the paper notes model weights enjoy but optimizer states do not.
@@ -381,35 +480,30 @@ func (w *Weights) ReadTensor(name string) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	dt, err := tensor.ParseDType(p.dtype)
+	var t *tensor.Tensor
+	err = p.decode(w.label, func() (*tensor.Tensor, error) {
+		var err error
+		t, err = p.newTensor()
+		return t, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: %s: tensor %q: %w", w.label, name, err)
-	}
-	buf, err := p.bytes()
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %s: tensor %q: %w", w.label, name, err)
-	}
-	if got := crc32.ChecksumIEEE(buf); got != p.crc {
-		return nil, fmt.Errorf("ckpt: %s: tensor %q: CRC mismatch (%08x != %08x)", w.label, name, got, p.crc)
-	}
-	t := tensor.New(name, dt, p.shape...)
-	if err := t.Decode(buf); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// ReadAll reads every tensor in name order.
+// ReadAll reads every tensor, through the load driver, in name order.
 func (w *Weights) ReadAll() ([]*tensor.Tensor, error) {
-	names := w.Names()
-	out := make([]*tensor.Tensor, 0, len(names))
-	for _, n := range names {
-		t, err := w.ReadTensor(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
+	out := make([]*tensor.Tensor, len(w.list))
+	_, err := w.set().load(newLoadGate(), func(wp *weightPayload) (t *tensor.Tensor, err error) {
+		t, err = wp.newTensor()
+		out[w.index[wp.name]] = t
+		return t, err
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
@@ -456,7 +550,7 @@ func (w *Weights) RawEligible(name string, out tensor.DType) bool {
 // set lists the weights as a payload set of their own (entries copied: a
 // Weights serves concurrent readers, a set is consumed by one stage).
 func (w *Weights) set() *payloadSet {
-	return &payloadSet{model: w.model, weights: append([]weightPayload(nil), w.list...)}
+	return &payloadSet{label: w.label, model: w.model, weights: append([]weightPayload(nil), w.list...)}
 }
 
 // SpliceLTSF writes the weights as a full LTSF container at name — stored
@@ -508,43 +602,200 @@ func MaterializeShardFile(b storage.Backend, dir string, rank int, dst string, c
 	return nil
 }
 
-// decodeRank is the whole-rank decode loop: every group fetched, CRC-checked
-// and decoded into its three FP32 sections — optimizer state loads whole or
-// not at all (§5.4). fetch returns one group's bytes: the next extent of the
-// one open stream for a plain shard file, the group's blob otherwise.
-func decodeRank(name string, rs *rankPayloads, fetch func(g *groupPayload) ([]byte, error)) (*ShardFile, error) {
-	f := &ShardFile{
+// newLoadGate bounds the payload bytes one load holds in flight.
+func newLoadGate() *parallel.ByteGate { return parallel.NewByteGate(loadBytes) }
+
+// load is the whole-checkpoint load driver: every payload of the set —
+// weights, then rank-major groups, the order each defines — goes through one
+// pipeline of requestWidth workers, and a worker fetches its payload, checks
+// the CRC and decodes the bytes straight into their destination: the tensor
+// dst names for a weight (a nil dst, or a nil tensor, only checks the bytes),
+// the three FP32 sections of a zero.GroupShard for a group. The decoded shard files come back by position
+// in s.ranks. Request wait and decode overlap across payloads; the window is
+// the whole set, so a slow fetch never holds back the dispatch behind it.
+//
+// A content-addressed rank is a job per group. A plain rank is ONE job — one
+// Open of its shard file, header parsed off the stream, groups in file order
+// (§5.4) — so plain ranks run side by side and nothing more.
+//
+// Memory: a payload is admitted under gate at its charge (its size, times one
+// more per recorded xor ancestor the store resolves alongside it; a plain rank
+// at its file size), released as it leaves the pipeline.
+//
+// Errors: results are consumed in payload order, so the failure reported is
+// the first failing payload in that order, whatever order the workers finish
+// in. With bad set, each failure is handed to it instead (rank is the position
+// in s.ranks, -1 for a weight), the load goes on while it returns nil, and a
+// rank that failed comes back nil.
+func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*tensor.Tensor, error),
+	bad func(rank int, err error) error) ([]*ShardFile, error) {
+	type job struct {
+		rank int
+		run  func() error
+	}
+	type outcome struct {
+		rank int
+		err  error
+	}
+	jobs := len(s.weights)
+	for i := range s.ranks {
+		jobs += max(1, len(s.ranks[i].groups))
+	}
+	shards := make([]*ShardFile, len(s.ranks))
+	pipe := parallel.NewPipeline(requestWidth, jobs,
+		func(j job) (outcome, error) { return outcome{j.rank, j.run()}, nil },
+		func(o outcome) error {
+			if o.err == nil || bad == nil {
+				return o.err
+			}
+			if o.rank >= 0 {
+				shards[o.rank] = nil // set before the rank's first push, read after Close
+			}
+			return bad(o.rank, o.err)
+		})
+	push := func(rank int, cost int64, run func() error) error {
+		gate.Acquire(cost)
+		if err := pipe.PushWithCleanup(job{rank, run}, func() { gate.Release(cost) }); err != nil {
+			gate.Release(cost)
+			return err
+		}
+		return nil
+	}
+	err := func() error {
+		for i := range s.weights {
+			w := &s.weights[i]
+			var into func() (*tensor.Tensor, error)
+			if dst != nil {
+				into = func() (*tensor.Tensor, error) { return dst(w) }
+			}
+			if err := push(-1, w.charge(), func() error { return w.decode(s.label, into) }); err != nil {
+				return err
+			}
+		}
+		for i := range s.ranks {
+			rs, f := &s.ranks[i], &ShardFile{}
+			shards[i] = f
+			var err error
+			switch {
+			case rs.err != nil:
+				err = push(i, 0, func() error { return rs.err })
+			case rs.stream != nil:
+				err = push(i, rs.fileBytes, func() error { return rs.loadStream(f) })
+			default:
+				f.init(rs)
+				for j := 0; j < len(rs.groups) && err == nil; j++ {
+					g := &rs.groups[j]
+					err = push(i, g.charge(), func() error {
+						return g.read(rs.name, fmt.Sprintf("group %d", g.meta.Index), func(buf []byte) error {
+							f.Shards[j] = g.decode(rs.rank, buf)
+							return nil
+						})
+					})
+				}
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}()
+	if cerr := pipe.Close(); cerr != nil {
+		err = cerr // the first failure; a refused push only echoes it
+	}
+	if err != nil {
+		return nil, err
+	}
+	return shards, nil
+}
+
+// init sizes the decoded form of a listed rank.
+func (f *ShardFile) init(rs *rankPayloads) {
+	*f = ShardFile{
 		Rank: rs.rank, WorldSize: rs.worldSize, Step: rs.step, Layout: rs.layout,
 		Meta:      make([]ShardGroupMeta, len(rs.groups)),
 		Shards:    make([]*zero.GroupShard, len(rs.groups)),
 		FileBytes: rs.fileBytes,
 	}
 	for i := range rs.groups {
-		g := &rs.groups[i]
-		seg, err := fetch(g)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: %s: group %d: %w", name, g.meta.Index, err)
+		f.Meta[i] = rs.groups[i].meta
+	}
+}
+
+// decode turns a group payload's checked bytes into its three FP32 sections.
+// len(seg) is exactly 12×ShardLen: both codecs checked it by division.
+func (g *groupPayload) decode(rank int, seg []byte) *zero.GroupShard {
+	n := g.meta.ShardLen
+	return &zero.GroupShard{
+		GroupIndex: g.meta.Index,
+		Rank:       rank,
+		Master:     decodeF32(seg, n),
+		ExpAvg:     decodeF32(seg[n*4:], n),
+		ExpAvgSq:   decodeF32(seg[n*8:], n),
+	}
+}
+
+// loadSet lists the checkpoint for the load driver: the weights Open listed,
+// then ranks 0..R-1 of the trainer state's world size. Content-addressed
+// ranks are listed from their manifests side by side; a plain rank is not
+// listed at all — its header comes off the one stream its load opens. A rank
+// that cannot be listed fails in its place in payload order.
+func (c *Checkpoint) loadSet() (*payloadSet, error) {
+	ws := c.State.WorldSize
+	if ws <= 0 {
+		return nil, fmt.Errorf("ckpt: %s: invalid world size %d", c.Dir, ws)
+	}
+	set := c.weights.set()
+	set.ranks = make([]rankPayloads, ws)
+	_ = parallel.ForEach(requestWidth, ws, func(r int) error {
+		if c.src.store == nil {
+			set.ranks[r] = streamedRank(c.Backend, c.Dir+"/"+ShardFileName(r))
+		} else if rs, err := c.src.rank(r); err != nil {
+			set.ranks[r] = rankPayloads{err: err}
+		} else {
+			set.ranks[r] = *rs
 		}
-		if got := crc32.ChecksumIEEE(seg); got != g.crc {
-			return nil, fmt.Errorf("ckpt: %s: group %d CRC mismatch", name, g.meta.Index)
-		}
-		// len(seg) is exactly 12×ShardLen: both codecs checked it by division.
-		n := g.meta.ShardLen
-		f.Meta[i] = g.meta
-		f.Shards[i] = &zero.GroupShard{
-			GroupIndex: g.meta.Index,
-			Rank:       rs.rank,
-			Master:     decodeF32(seg, n),
-			ExpAvg:     decodeF32(seg[n*4:], n),
-			ExpAvgSq:   decodeF32(seg[n*8:], n),
+		return nil
+	})
+	return set, nil
+}
+
+// ReadState reads everything the checkpoint stores through the load driver:
+// every weight payload checked against its CRC and decoded into the tensor
+// dst names for it (nil: only checked), every rank's optimizer shard decoded,
+// returned by rank. With bad nil the first failure in payload order is the
+// error; otherwise each failing payload or rank is handed to bad (rank -1: a
+// weight), the read goes on while bad returns nil, and a failed rank comes
+// back nil.
+func (c *Checkpoint) ReadState(dst func(name string) (*tensor.Tensor, error), bad func(rank int, err error) error) ([]*ShardFile, error) {
+	return c.readState(newLoadGate(), dst, bad)
+}
+
+func (c *Checkpoint) readState(gate *parallel.ByteGate, dst func(name string) (*tensor.Tensor, error),
+	bad func(rank int, err error) error) ([]*ShardFile, error) {
+	set, err := c.loadSet()
+	if err != nil {
+		return nil, err
+	}
+	var into func(*weightPayload) (*tensor.Tensor, error)
+	if dst != nil {
+		into = func(w *weightPayload) (*tensor.Tensor, error) {
+			t, err := dst(w.name)
+			if err != nil || t == nil {
+				return nil, err
+			}
+			if dt, err := tensor.ParseDType(w.dtype); err != nil || dt != t.DType || !tensor.ShapeEqual(t.Shape, w.shape) {
+				return nil, fmt.Errorf("ckpt: %s: tensor %q is stored as %s %v, want %s %v",
+					c.weights.label, w.name, w.dtype, w.shape, t.DType, t.Shape)
+			}
+			return t, nil
 		}
 	}
-	return f, nil
+	return set.load(gate, into, bad)
 }
 
 // ReadOptimShard fully reads one rank's optimizer state: the LTOS shard
 // file of a plain checkpoint as one stream, or the rank's shard manifest
-// plus group blobs of a content-addressed one.
+// plus group blobs of a content-addressed one, fetched side by side.
 func (c *Checkpoint) ReadOptimShard(rank int) (*ShardFile, error) {
 	if c.src.store == nil {
 		return ReadShardFile(c.Backend, c.Dir+"/"+ShardFileName(rank))
@@ -553,7 +804,16 @@ func (c *Checkpoint) ReadOptimShard(rank int) (*ShardFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeRank(c.Dir+"/"+ShardManifestName(rank), rs, (*groupPayload).bytes)
+	return rs.loadAlone()
+}
+
+// loadAlone runs the load driver over this one rank.
+func (rs *rankPayloads) loadAlone() (*ShardFile, error) {
+	shards, err := (&payloadSet{ranks: []rankPayloads{*rs}}).load(newLoadGate(), nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return shards[0], nil
 }
 
 // GroupExtent is one rank's stored payload of one optimizer group: recorded

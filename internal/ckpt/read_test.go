@@ -8,6 +8,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -291,11 +292,12 @@ func flipByte(t *testing.T, b storage.Backend, name string, pos func(n int) int)
 
 // TestReadStageCorruptionTable: a flipped byte in an LTSF tensor, an LTOS
 // group, a raw blob or a codec-coded blob fails every consumer of that
-// payload with an error that names it — never wrong bytes. (Reshard's
-// column of the table is internal/reshard's TestReshardCorruptSource.)
+// payload with a *CorruptError that names it — never wrong bytes. (Reshard's
+// column of the table is internal/reshard's TestReshardCorruptSource.) With a
+// second, later payload corrupt as well, the whole-checkpoint load reports
+// the first in payload order, the same error on every run, however its eight
+// workers interleave.
 func TestReadStageCorruptionTable(t *testing.T) {
-	last := func(n int) int { return n - 3 }
-	mid := func(n int) int { return n / 2 }
 	cases := []struct {
 		name, layout string
 		weight       bool
@@ -305,68 +307,108 @@ func TestReadStageCorruptionTable(t *testing.T) {
 		{"raw blob", "raw", true},
 		{"coded blob", "plane", false},
 	}
+	backends := map[string]func() storage.Backend{
+		"mem":      func() storage.Backend { return storage.NewMem() },
+		"objstore": func() storage.Backend { return storage.NewObjStore() },
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := storage.NewMem()
-			saveLayouts(t, b)
-			dir := tc.layout + "/checkpoint-300"
-			c, err := Open(b, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The victims: the weight stored last and rank 1's last group,
-			// so a flip near the end of a plain container lands inside them.
-			tensorName := c.Weights().list[len(c.Weights().list)-1].name
-			rs, err := c.src.rank(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			group := rs.groups[len(rs.groups)-1]
-			payload := fmt.Sprintf("group %d", group.meta.Index)
-			if tc.weight {
-				payload = tensorName
-			}
-			store := storage.NewBlobStore(b, tc.layout+"/objects")
-			switch {
-			case tc.layout != "plain" && tc.weight:
-				flipByte(t, b, store.Path(c.Weights().list[len(c.Weights().list)-1].digest), mid)
-			case tc.layout != "plain":
-				if meta, err := store.Meta(group.digest); err != nil || meta.Codec != storage.CodecPlane {
-					t.Fatalf("fixture: group blob stored as %v (%v), want plane", meta.Codec, err)
-				}
-				flipByte(t, b, store.Path(group.digest), mid)
-			case tc.weight:
-				flipByte(t, b, dir+"/model.ltsf", last)
-			default:
-				flipByte(t, b, dir+"/"+ShardFileName(1), last)
-			}
-
-			named := func(what string, err error) {
-				t.Helper()
-				if err == nil {
-					t.Fatalf("%s accepted the corrupt payload", what)
-				}
-				if !strings.Contains(err.Error(), payload) {
-					t.Fatalf("%s error does not name %s: %v", what, payload, err)
-				}
-			}
-			if tc.weight {
-				_, err = c.Weights().ReadTensor(tensorName)
-				named("ReadTensor", err)
-				named("MaterializeWeights", MaterializeWeights(b, dir, "mat.ltsf", 0))
-			} else {
-				_, err = c.ReadOptimShard(1)
-				named("ReadOptimShard", err)
-				named("MaterializeShardFile", MaterializeShardFile(b, dir, 1, "mat.ltos", 0))
-			}
-			if tc.layout == "plain" {
-				_, err := Dedupify(b, dir)
-				named("Dedupify", err)
-				if IsDedup(b, dir) {
-					t.Fatal("Dedupify converted a checkpoint it could not verify")
-				}
+			for bname, mk := range backends {
+				t.Run(bname, func(t *testing.T) { corruptionCase(t, mk(), tc.layout, tc.weight) })
 			}
 		})
+	}
+}
+
+// corruptionCase is one row of TestReadStageCorruptionTable on one backend.
+func corruptionCase(t *testing.T, b storage.Backend, layout string, weight bool) {
+	t.Helper()
+	last := func(n int) int { return n - 3 }
+	mid := func(n int) int { return n / 2 }
+	saveLayouts(t, b)
+	dir := layout + "/checkpoint-300"
+	c, err := Open(b, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The victims: the weight stored last and rank 1's last group,
+	// so a flip near the end of a plain container lands inside them.
+	tensorName := c.Weights().list[len(c.Weights().list)-1].name
+	lastGroup := func(rank int) groupPayload {
+		rs, err := c.src.rank(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.groups[len(rs.groups)-1]
+	}
+	group := lastGroup(1)
+	payload := fmt.Sprintf("group %d", group.meta.Index)
+	if weight {
+		payload = tensorName
+	}
+	store := storage.NewBlobStore(b, layout+"/objects")
+	// flipGroup corrupts a rank's last group where the layout keeps it.
+	flipGroup := func(rank int) {
+		if layout == "plain" {
+			flipByte(t, b, dir+"/"+ShardFileName(rank), last)
+		} else {
+			flipByte(t, b, store.Path(lastGroup(rank).digest), mid)
+		}
+	}
+	switch {
+	case !weight:
+		if meta, err := store.Meta(group.digest); layout != "plain" && (err != nil || meta.Codec != storage.CodecPlane) {
+			t.Fatalf("fixture: group blob stored as %v (%v), want plane", meta.Codec, err)
+		}
+		flipGroup(1)
+	case layout != "plain":
+		flipByte(t, b, store.Path(c.Weights().list[len(c.Weights().list)-1].digest), mid)
+	default:
+		flipByte(t, b, dir+"/model.ltsf", last)
+	}
+
+	named := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted the corrupt payload", what)
+		}
+		var ce *CorruptError
+		if !errors.As(err, &ce) || !strings.Contains(ce.Payload, payload) || ce.Want == ce.Got {
+			t.Fatalf("%s: no *CorruptError naming %s: %v", what, payload, err)
+		}
+		if !strings.Contains(err.Error(), payload) {
+			t.Fatalf("%s error does not name %s: %v", what, payload, err)
+		}
+	}
+	if weight {
+		_, err = c.Weights().ReadTensor(tensorName)
+		named("ReadTensor", err)
+		named("MaterializeWeights", MaterializeWeights(b, dir, "mat.ltsf", 0))
+	} else {
+		_, err = c.ReadOptimShard(1)
+		named("ReadOptimShard", err)
+		named("MaterializeShardFile", MaterializeShardFile(b, dir, 1, "mat.ltos", 0))
+	}
+	if layout == "plain" {
+		_, err := Dedupify(b, dir)
+		named("Dedupify", err)
+		if IsDedup(b, dir) {
+			t.Fatal("Dedupify converted a checkpoint it could not verify")
+		}
+	}
+
+	// A later payload goes bad too: the whole-checkpoint load must
+	// keep naming the first.
+	flipGroup(3)
+	var first string
+	for i := 0; i < 50; i++ {
+		_, _, _, err := Restore(b, dir, tensor.BF16)
+		named("Restore", err)
+		if first == "" {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("Restore run %d failed with\n%v\nrun 0 with\n%s", i, err, first)
+		}
 	}
 }
 

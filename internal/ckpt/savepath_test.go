@@ -38,6 +38,9 @@ type opLog struct {
 	reads    map[string]int
 	hook     func(kind, key string)
 	readHook func(kind, key string)
+	// getting is how many GETs are waiting on the backend right now, peak its
+	// high-water mark since the last reset.
+	getting, peak int
 }
 
 // blobStageName matches the process-global sequence in blob staging names,
@@ -57,7 +60,7 @@ func (l *opLog) note(kind, key string) {
 // reset forgets everything recorded so far.
 func (l *opLog) reset() {
 	l.mu.Lock()
-	l.ops, l.reads = nil, nil
+	l.ops, l.reads, l.peak = nil, nil, 0
 	l.mu.Unlock()
 }
 
@@ -81,6 +84,11 @@ func (l *opLog) read(kind, key string) {
 		l.reads = map[string]int{}
 	}
 	l.reads[kind+" "+keyClass(key)]++
+	if kind == "get" {
+		if l.getting++; l.getting > l.peak {
+			l.peak = l.getting
+		}
+	}
 	hook := l.readHook
 	l.mu.Unlock()
 	if hook != nil {
@@ -88,23 +96,34 @@ func (l *opLog) read(kind, key string) {
 	}
 }
 
+// got ends the wait of one GET.
+func (l *opLog) got() {
+	l.mu.Lock()
+	l.getting--
+	l.mu.Unlock()
+}
+
 func (l *opLog) ReadFile(name string) ([]byte, error) {
 	l.read("get", name)
+	defer l.got()
 	return l.Fault.ReadFile(name)
 }
 
 func (l *opLog) Open(name string) (io.ReadCloser, error) {
 	l.read("get", name)
+	defer l.got()
 	return l.Fault.Open(name)
 }
 
 func (l *opLog) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
 	l.read("get", name)
+	defer l.got()
 	return l.Fault.OpenRange(name, off, n)
 }
 
 func (l *opLog) ReadAt(name string, off int64, p []byte) error {
 	l.read("get", name)
+	defer l.got()
 	return l.Fault.ReadAt(name, off, p)
 }
 

@@ -89,14 +89,23 @@ type rankPayloads struct {
 	rank, worldSize, step int
 	layout                optim.LayoutKind
 	groups                []groupPayload
-	// fileBytes is what a whole load moves off the backend (read stage only).
+	// Read stage only. name is the shard file or manifest the rank is listed
+	// in, fileBytes what a whole load moves off the backend. stream, when set,
+	// is the backend of a plain shard file not listed yet (streamedRank); err
+	// a listing failure, which the load driver reports in the rank's place.
+	name      string
 	fileBytes int64
+	stream    storage.Backend
+	err       error
 }
 
 // payloadSet lists a checkpoint's payloads in write order — weights, then
 // rank-major groups — the order of the journal, the blob puts, the manifest
 // entries and the container payload sections alike.
 type payloadSet struct {
+	// label is the container or manifest the weights are listed in, for
+	// errors (read stage only).
+	label   string
 	model   string
 	weights []weightPayload
 	ranks   []rankPayloads
@@ -152,7 +161,7 @@ func (s *payloadSet) hashAll() error {
 			return fmt.Errorf("ckpt: hash %s: %w", slot, err)
 		}
 		if p.hasCRC && crc != p.crc {
-			return fmt.Errorf("ckpt: %s payload CRC %08x, header says %08x", slot, crc, p.crc)
+			return p.crcMismatch("", slot, crc)
 		}
 		p.digest, p.crc, p.hasCRC = digest, crc, true
 		return nil
@@ -199,10 +208,13 @@ func openSaveStore(b storage.Backend, finalDir string) (*saveStore, error) {
 // requestWidth is how many backend requests one save keeps in flight — the
 // publish loop's probes and puts, the parent-manifest reads (MultipartPut's
 // default of 8 is the precedent for concurrent mutating requests). Payloads
-// that may move bytes are admitted to the loop under publishBytes.
+// that may move bytes are admitted to the loop under publishBytes. The read
+// stage's load driver runs at the same width, its payloads admitted under
+// loadBytes.
 const (
 	requestWidth = 8
 	publishBytes = 256 << 20
+	loadBytes    = 256 << 20
 )
 
 // publishBlobs journals the set's reference record, then publishes every blob

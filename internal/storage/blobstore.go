@@ -202,14 +202,32 @@ func (p *prefixedReader) Close() error               { return p.c.Close() }
 // blobs serve the range straight off the backend; containers are decoded in
 // full first (range reads address the *payload*, which has no fixed layout
 // inside a container).
+//
+// A range from the payload's first byte — a whole raw payload, the common
+// read — is ONE request: the backend is asked for the range itself (it
+// checks the range against the stored size before anything is allocated) and
+// the magic is sniffed off the head of the stream received, as Open does. A
+// range that does not fit (a container is shorter than its payload, or a
+// manifest claims more bytes than are stored) or a head that is the container
+// magic falls back to sniffing first.
 func (s *BlobStore) OpenRange(digest string, off, n int64) (io.ReadCloser, error) {
-	if !ValidDigest(digest) {
-		return nil, fmt.Errorf("storage: invalid blob digest %q", digest)
-	}
-	if off < 0 || n < 0 {
-		return nil, fmt.Errorf("storage: invalid range [%d,+%d) for blob %s", off, n, digest)
+	if err := checkBlobRange(digest, off, n); err != nil {
+		return nil, err
 	}
 	path := s.Path(digest)
+	if off == 0 && n >= int64(len(blobMagic)) {
+		rc, err := s.b.OpenRange(path, 0, n)
+		if IsNotExist(err) {
+			return nil, err
+		}
+		if err == nil {
+			var magic [len(blobMagic)]byte
+			if _, err := io.ReadFull(rc, magic[:]); err == nil && !IsContainer(magic[:]) {
+				return &prefixedReader{r: io.MultiReader(bytes.NewReader(magic[:]), rc), c: rc}, nil
+			}
+			rc.Close()
+		}
+	}
 	hdr, err := s.sniff(path)
 	if err != nil {
 		return nil, err
@@ -217,14 +235,36 @@ func (s *BlobStore) OpenRange(digest string, off, n int64) (io.ReadCloser, error
 	if !IsContainer(hdr) {
 		return s.b.OpenRange(path, off, n)
 	}
+	return s.OpenRangeCoded(digest, off, n)
+}
+
+// OpenRangeCoded is OpenRange for a blob a manifest records as stored in a
+// container: the whole object is read and decoded first, which is one request
+// where OpenRange's ranged attempt would not fit the shorter container. The
+// record is a hint, never trusted — a blob that turns out raw is served from
+// the bytes read.
+func (s *BlobStore) OpenRangeCoded(digest string, off, n int64) (io.ReadCloser, error) {
+	if err := checkBlobRange(digest, off, n); err != nil {
+		return nil, err
+	}
 	raw, err := s.readDecoded(digest)
 	if err != nil {
 		return nil, err
 	}
-	if off > int64(len(raw)) || off+n > int64(len(raw)) {
+	if off > int64(len(raw)) || n > int64(len(raw))-off {
 		return nil, fmt.Errorf("storage: range [%d,+%d) beyond blob %s payload (%d bytes)", off, n, digest, len(raw))
 	}
 	return io.NopCloser(bytes.NewReader(raw[off : off+n])), nil
+}
+
+func checkBlobRange(digest string, off, n int64) error {
+	if !ValidDigest(digest) {
+		return fmt.Errorf("storage: invalid blob digest %q", digest)
+	}
+	if off < 0 || n < 0 {
+		return fmt.Errorf("storage: invalid range [%d,+%d) for blob %s", off, n, digest)
+	}
+	return nil
 }
 
 // sniff reads up to the magic length from the head of an object.

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -204,5 +205,140 @@ func TestCopyFileStreamsVerbatim(t *testing.T) {
 	}
 	if _, err := CopyFile(dst, "b/out2", src, "a/missing", 0); err == nil {
 		t.Fatal("copying a missing file succeeded")
+	}
+}
+
+// getLog counts the read requests that reach the backend, and those that
+// failed.
+type getLog struct {
+	Backend
+	gets, failed int
+}
+
+func (l *getLog) Unwrap() Backend { return l.Backend }
+
+func (l *getLog) note(err error) {
+	l.gets++
+	if err != nil {
+		l.failed++
+	}
+}
+
+func (l *getLog) Open(name string) (io.ReadCloser, error) {
+	rc, err := l.Backend.Open(name)
+	l.note(err)
+	return rc, err
+}
+
+func (l *getLog) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
+	rc, err := l.Backend.OpenRange(name, off, n)
+	l.note(err)
+	return rc, err
+}
+
+// TestBlobOpenRangeRequests: a whole-payload read of a blob costs one request
+// per stored object it needs — the blob, plus its xor ancestors — whichever
+// way the blob is stored, when the caller's record of the codec is right; a
+// stale record costs requests, never bytes; and a range the stored object
+// cannot hold fails at open, before anything is sized to it.
+func TestBlobOpenRangeRequests(t *testing.T) {
+	grand, parent := deltaPayload(200_000, 97, 21)
+	_, child := deltaPayload(200_000, 89, 21)
+	plane := make([]byte, 40_000)
+	for i := range plane {
+		plane[i] = byte(i%2) * 0x3f
+	}
+	noise := make([]byte, 50_000)
+	rand.New(rand.NewSource(22)).Read(noise)
+	escaped := append([]byte(blobMagic), noise[:500]...)
+
+	for bname, base := range map[string]Backend{"mem": NewMem(), "objstore": NewObjStore()} {
+		log := &getLog{Backend: base}
+		s := NewBlobStore(log, "objects")
+		put := func(raw []byte, opts BlobPutOptions) string {
+			t.Helper()
+			digest := DigestBytes(raw)
+			if _, err := s.PutStreamOpts(digest, opts, func(w io.Writer) (int64, error) {
+				n, err := w.Write(raw)
+				return int64(n), err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return digest
+		}
+		g := put(grand, BlobPutOptions{})
+		p := put(parent, BlobPutOptions{Codec: CodecXORParent, Width: 2, Parent: g})
+		cases := []struct {
+			what  string
+			raw   []byte
+			opts  BlobPutOptions
+			codec BlobCodec
+			// objects is how many stored objects a whole read touches.
+			objects int
+		}{
+			{"raw", noise, BlobPutOptions{}, CodecRaw, 1},
+			{"short raw", []byte("ab"), BlobPutOptions{}, CodecRaw, 1},
+			{"plane", plane, BlobPutOptions{Codec: CodecPlane, Width: 2}, CodecPlane, 1},
+			{"xor depth 2", child, BlobPutOptions{Codec: CodecXORParent, Width: 2, Parent: p}, CodecXORParent, 3},
+			{"stored escape", escaped, BlobPutOptions{}, CodecStored, 1},
+		}
+		for _, c := range cases {
+			digest := put(c.raw, c.opts)
+			if meta, err := s.Meta(digest); err != nil || meta.Codec != c.codec {
+				t.Fatalf("%s/%s: fixture stored as %v (%v), want %v", bname, c.what, meta.Codec, err, c.codec)
+			}
+			size := int64(len(c.raw))
+			read := func(open func(string, int64, int64) (io.ReadCloser, error), off, n int64) (gets, failed int) {
+				t.Helper()
+				log.gets, log.failed = 0, 0
+				rc, err := open(digest, off, n)
+				if err != nil {
+					t.Fatalf("%s/%s: open [%d,+%d): %v", bname, c.what, off, n, err)
+				}
+				got, err := io.ReadAll(rc)
+				rc.Close()
+				if err != nil || !bytes.Equal(got, c.raw[off:off+n]) {
+					t.Fatalf("%s/%s: range [%d,+%d) delivered wrong bytes (%v)", bname, c.what, off, n, err)
+				}
+				return log.gets, log.failed
+			}
+			right, stale := s.OpenRange, s.OpenRangeCoded
+			if c.codec != CodecRaw {
+				right, stale = stale, right
+			}
+			// (A payload shorter than the magic cannot be told from a
+			// container's head by a ranged read: it is sniffed first.)
+			if gets, failed := read(right, 0, size); size >= int64(len(blobMagic)) && (gets != c.objects || failed != 0) {
+				t.Errorf("%s/%s: whole read with the right hint: %d requests (%d failed), want %d and none",
+					bname, c.what, gets, failed, c.objects)
+			}
+			// A stale hint: a raw blob recorded coded is read whole and served;
+			// a coded blob recorded raw costs the ranged attempt and the sniff
+			// on top of the decode.
+			wantStale := c.objects
+			if c.codec != CodecRaw {
+				wantStale += 2
+			}
+			if gets, _ := read(stale, 0, size); size >= int64(len(blobMagic)) && gets != wantStale {
+				t.Errorf("%s/%s: whole read with a stale hint: %d requests, want %d", bname, c.what, gets, wantStale)
+			}
+			if size > 8 {
+				read(right, 3, size-5)
+				read(stale, 3, size-5)
+				read(right, 0, 4)
+			}
+			// A size a manifest merely claims fails at open, either way in.
+			for _, open := range []func(string, int64, int64) (io.ReadCloser, error){s.OpenRange, s.OpenRangeCoded} {
+				for _, ext := range [][2]int64{{0, size + 1}, {1, size}, {0, 1 << 50}, {size + 1, 0}} {
+					if rc, err := open(digest, ext[0], ext[1]); err == nil {
+						rc.Close()
+						t.Errorf("%s/%s: range [%d,+%d) of a %d-byte payload accepted", bname, c.what, ext[0], ext[1], size)
+					}
+				}
+			}
+		}
+		if _, err := s.OpenRange(DigestBytes([]byte("absent")), 0, 16); !IsNotExist(err) {
+			t.Errorf("%s: missing blob: %v, want not-exist", bname, err)
+		}
 	}
 }

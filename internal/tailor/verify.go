@@ -74,7 +74,9 @@ func Verify(b storage.Backend, dir string) (*VerifyReport, error) {
 		rep.Problems = append(rep.Problems, fmt.Sprintf(format, args...))
 	}
 
-	// 1. Weights: presence, shape, CRC (via ReadTensor).
+	// 1. Weights: presence and shape, from the header or manifest. The
+	// payloads' CRCs are checked by the one read below.
+	stored := 0
 	for _, spec := range cfg.Tensors() {
 		if !wanted[spec.Layer.String()] {
 			if c.Weights().Has(spec.Name) {
@@ -82,18 +84,22 @@ func Verify(b storage.Backend, dir string) (*VerifyReport, error) {
 			}
 			continue
 		}
-		t, err := c.Weights().ReadTensor(spec.Name)
+		rt, err := c.Weights().RawTensor(spec.Name)
 		if err != nil {
 			problem("weight %s: %v", spec.Name, err)
 			continue
 		}
-		if int64(t.Len()) != spec.NumElems() {
-			problem("weight %s: %d elements, want %d", spec.Name, t.Len(), spec.NumElems())
+		numel := int64(1)
+		for _, d := range rt.Shape {
+			numel *= int64(d)
 		}
-		rep.WeightTensors++
+		if numel != spec.NumElems() {
+			problem("weight %s: %d elements, want %d", spec.Name, numel, spec.NumElems())
+		}
+		stored++
 	}
 
-	// 2. Optimizer shards.
+	// 2. Optimizer shards: what they must cover.
 	layout, err := c.Layout()
 	if err != nil {
 		problem("trainer state: %v", err)
@@ -105,17 +111,30 @@ func Verify(b storage.Backend, dir string) (*VerifyReport, error) {
 			wantGroups[g.Index] = g
 		}
 	}
-
 	ws := c.WorldSize()
 	if ws <= 0 {
 		problem("invalid world size %d", ws)
 		return rep, nil
 	}
+
+	// 3. One read of every payload — weights CRC-checked, ranks decoded —
+	// that reports each failure and goes on.
+	rep.WeightTensors = stored
+	shards, err := c.ReadState(nil, func(rank int, err error) error {
+		if rank >= 0 {
+			problem("rank %d: %v", rank, err)
+		} else {
+			problem("weight payload: %v", err)
+			rep.WeightTensors--
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	step := -1
-	for r := 0; r < ws; r++ {
-		sf, err := c.ReadOptimShard(r)
-		if err != nil {
-			problem("rank %d: %v", r, err)
+	for r, sf := range shards {
+		if sf == nil {
 			continue
 		}
 		rep.ShardFiles++
