@@ -17,7 +17,7 @@ test:
 # package replays whole paper use-cases and alone needs ~25 minutes under
 # the race detector, so here it runs one use case at a quarter of the steps.
 # The full replay stays in `make test`. internal/ckpt's crash explorations
-# need ~9.5 minutes under the detector, so go test's 10-minute default is raised.
+# need ~7.5 minutes under the detector, so go test's 10-minute default is raised.
 race:
 	$(GO) test -race -short -timeout 20m ./...
 
@@ -112,7 +112,9 @@ one-reader:
 # directories stay where they are (commit.go's publish and roll-forward,
 # Adopt's quarantine) and blob moves in blobstore.go. Capabilities are
 # answered by the backend at the bottom of a wrapper stack: a wrapper
-# declares Unwrap, never a probe of its own.
+# declares Unwrap, never a probe of its own. A published checkpoint directory
+# never changes: nothing converts one (no Dedupify), and the COMMITTED marker
+# is written by Txn.Commit and Adopt's seal only.
 one-publish:
 	@bad=$$(grep -rn --include='*.go' --exclude='*_test.go' 'RenameSupported(' internal cmd *.go \
 		| grep -v -e '^internal/storage/' -e '^internal/ckpt/commit.go:'); \
@@ -126,19 +128,23 @@ one-publish:
 		| grep -v -E 'func \([a-z]+ \*(ObjStore|OS)\) '); \
 	if [ -n "$$bad" ]; then \
 		echo "a capability method on something other than ObjStore/OS (wrappers declare Unwrap):"; echo "$$bad"; exit 1; fi; \
-	bad=$$(grep -rn --include='*.go' --exclude='*_test.go' 'copyCommittedExtras' internal cmd *.go); \
+	bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'Dedupify\(|dedupifyInPlace|sweepUnlistedShardFiles' internal cmd *.go); \
 	if [ -n "$$bad" ]; then \
-		echo "the rename-mode Dedupify arm is back:"; echo "$$bad"; exit 1; fi
+		echo "a conversion of a published directory is back (a dedup output takes its form before Commit, Txn.Publish):"; echo "$$bad"; exit 1; fi; \
+	bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' '(writeJSON|publishJSON|PublishFile)\(.*CommitMarkerName' internal cmd *.go \
+		| grep -v -e '^internal/ckpt/adopt.go:' -e '^internal/ckpt/commit.go:.*writeJSON(t\.base, t\.staging+"/"+CommitMarkerName'); \
+	if [ -n "$$bad" ]; then \
+		echo "the COMMITTED marker is written outside Txn.Commit and Adopt's seal:"; echo "$$bad"; exit 1; fi
 
 # The run catalog (internal/ckpt/catalog.go) is the only code that lists a run
 # root to enumerate its checkpoint directories, parses the `checkpoint-<step>`
 # name or sorts a directory into final / staging / quarantined, and read.go's
-# decideLayout the only code that tells plain from converting from dedup: a
+# decideLayout the only code that tells plain from content-addressed: a
 # second walker or a second layout test is a second definition of "which
 # directories are usable", free to disagree with the first (PR 21's blob leak
 # was two of them disagreeing about an interrupted conversion). Txn.Begin
-# refuses a staging name as its target; Dedupify and the write stage create
-# and remove model.ltsf, which is a file operation, not a layout test.
+# refuses a staging name as its target; the write stage creates and removes
+# model.ltsf in staging, which is a file operation, not a layout test.
 one-catalog:
 	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
 		'Sscanf\([^)]*"checkpoint-%d|IsStagingPath\(|IsQuarantinePath\(|(runDirs|checkpointDirs|dirStep|stepOf|collectDirRefs)\(|\.List\((runRoot|r\.root|c\.root)\)' internal cmd *.go \
@@ -149,7 +155,7 @@ one-catalog:
 		'Exists\(.*(WeightManifestName|/model\.ltsf")' internal cmd *.go \
 		| grep -v -e '^internal/ckpt/read.go:'); \
 	if [ -n "$$bad" ]; then \
-		echo "a plain/converting/dedup layout test outside read.go decideLayout:"; echo "$$bad"; exit 1; fi
+		echo "a plain/dedup layout test outside read.go decideLayout:"; echo "$$bad"; exit 1; fi
 
 # A dedup save's backend requests are a function of the payloads that
 # changed, not of the payloads that exist: the counting-backend test that

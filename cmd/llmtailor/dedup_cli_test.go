@@ -11,7 +11,6 @@ import (
 	"llmtailor/internal/model"
 	"llmtailor/internal/modelcfg"
 	"llmtailor/internal/optim"
-	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
 )
 
@@ -310,51 +309,105 @@ func TestCLIDoctorRefIndex(t *testing.T) {
 	}
 }
 
-// TestCLIDoctorFinishesConversion: a crash inside an in-place conversion
-// leaves a committed, readable directory that doctor must not call healthy
-// (it used to: the manifests audit clean, so -fix never ran and the
-// conversion's leftovers stayed for good). It reports the directory as
-// converting, and -fix rolls the conversion forward.
-func TestCLIDoctorFinishesConversion(t *testing.T) {
-	const dir = "run/checkpoint-10"
-	convert := func(failAt int) (root string, b llmtailor.Backend, ops int, err error) {
-		root = t.TempDir()
-		writeRun(t, root)
-		if b, err = llmtailor.OpenDir(root); err != nil {
-			t.Fatal(err)
-		}
-		f := storage.NewFault(b)
-		f.FailAt(failAt)
-		_, err = ckpt.Dedupify(f, dir)
-		return root, b, int(f.Ops()), err
-	}
-	_, _, n, err := convert(0)
+// publishDedup replaces the committed plain checkpoint at dir with its
+// content-addressed form the way merge and reshard make a dedup output: a copy
+// staged in a transaction on dir, published with dedup on.
+func publishDedup(t *testing.T, b llmtailor.Backend, dir string) {
+	t.Helper()
+	m, err := ckpt.ReadCommitMarker(b, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One point from the end every container but the last rank's is gone;
-	// eight from the end the manifests are staged and the marker not swapped.
-	for _, back := range []int{1, 8} {
-		root, b, _, err := convert(n - back)
-		if !storage.IsInjected(err) {
-			t.Fatalf("-%d: err = %v, want injected", back, err)
+	files := map[string][]byte{}
+	for name := range m.Files {
+		if files[name], err = b.ReadFile(dir + "/" + name); err != nil {
+			t.Fatal(err)
 		}
+	}
+	txn, err := ckpt.Begin(b, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer txn.Abort()
+	for name, data := range files {
+		if err := txn.Backend().WriteFile(txn.Dir()+"/"+name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := txn.Publish(m.Step, false, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCLIDoctorFinishesConversion: older binaries converted a published
+// directory in place, and a crash in there left a committed, readable
+// directory holding files of both forms, which doctor must not call healthy
+// (the manifests audit clean, so without the state -fix never ran and the
+// leftovers stayed for good). Two of those states, built by hand: it reports
+// the directory as converting, and -fix leaves the one form the marker lists.
+func TestCLIDoctorFinishesConversion(t *testing.T) {
+	const dir = "run/checkpoint-10"
+	containers := []string{"model.ltsf", ckpt.ShardFileName(0), ckpt.ShardFileName(1)}
+	manifests := []string{ckpt.WeightManifestName, ckpt.ShardManifestName(0), ckpt.ShardManifestName(1)}
+	cases := []struct {
+		name    string
+		putBack []string // of the plain form, over the content-addressed one
+		dedup   bool     // the form the marker lists
+	}{
+		// The manifests staged as unlisted extras, the marker not yet swapped.
+		{"manifests staged", append([]string{"manifest.json", ckpt.CommitMarkerName}, containers...), false},
+		// Every container but the last rank's removed.
+		{"one shard file left", containers[2:], true},
+	}
+	for _, tc := range cases {
+		root := t.TempDir()
+		writeRun(t, root)
+		b, err := llmtailor.OpenDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := map[string][]byte{}
+		for _, name := range tc.putBack {
+			if plain[name], err = b.ReadFile(dir + "/" + name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		publishDedup(t, b, dir)
+		for name, data := range plain {
+			if err := b.WriteFile(dir+"/"+name, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+
 		var out strings.Builder
 		problems, err := runDoctor([]string{"-root", root, "-run", "run"}, &out)
 		if err != nil || problems == 0 || !strings.Contains(out.String(), "converting   "+dir) {
-			t.Fatalf("-%d: %d problems, %v\n%s", back, problems, err, out.String())
+			t.Fatalf("%s: %d problems, %v\n%s", tc.name, problems, err, out.String())
 		}
 		out.Reset()
 		if problems, err := runDoctor([]string{"-root", root, "-run", "run", "-fix"}, &out); err != nil || problems != 0 ||
 			!strings.Contains(out.String(), "converted "+dir) {
-			t.Fatalf("-%d: fix: %d problems, %v\n%s", back, problems, err, out.String())
+			t.Fatalf("%s: fix: %d problems, %v\n%s", tc.name, problems, err, out.String())
 		}
 		out.Reset()
 		if problems, err := runDoctor([]string{"-root", root, "-run", "run"}, &out); err != nil || problems != 0 {
-			t.Fatalf("-%d: post-fix: %d problems, %v\n%s", back, problems, err, out.String())
+			t.Fatalf("%s: post-fix: %d problems, %v\n%s", tc.name, problems, err, out.String())
 		}
-		if !ckpt.IsDedup(b, dir) || b.Exists(dir+"/"+ckpt.ShardFileName(1)) {
-			t.Fatalf("-%d: conversion not finished", back)
+		if ckpt.IsDedup(b, dir) != tc.dedup {
+			t.Fatalf("%s: -fix left the form the marker does not list", tc.name)
+		}
+		for _, name := range containers {
+			if b.Exists(dir+"/"+name) == tc.dedup {
+				t.Fatalf("%s: %s after -fix: two forms, or the wrong one", tc.name, name)
+			}
+		}
+		for _, name := range manifests {
+			if b.Exists(dir+"/"+name) != tc.dedup {
+				t.Fatalf("%s: %s after -fix: two forms, or the wrong one", tc.name, name)
+			}
+		}
+		if err := runVerify([]string{"-root", root, "-ckpt", dir}); err != nil {
+			t.Fatalf("%s: verify after -fix: %v", tc.name, err)
 		}
 	}
 }

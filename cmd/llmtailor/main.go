@@ -436,7 +436,7 @@ func runDoctor(args []string, out io.Writer) (int, error) {
 		fmt.Fprintf(out, "published %s (completed a crashed rename)\n", p)
 	}
 	for _, c := range rep.Converted {
-		fmt.Fprintf(out, "converted %s (finished an interrupted conversion)\n", c)
+		fmt.Fprintf(out, "converted %s (removed the payload files its marker does not list)\n", c)
 	}
 	for _, r := range rep.Removed {
 		fmt.Fprintf(out, "removed %s\n", r)

@@ -169,12 +169,6 @@ func (r *Run) ResumeFrom(cfg TrainerConfig, name string) (*Trainer, error) {
 	return train.Resume(cfg, r.b, r.dir(name))
 }
 
-// Dedupify converts the named committed plain checkpoint to
-// content-addressed form in place.
-func (r *Run) Dedupify(name string) (*DedupifyReport, error) {
-	return ckpt.Dedupify(r.b, r.dir(name))
-}
-
 // MaterializeOptions tunes a dedup-to-container materialisation.
 // ChunkBytes sets the streaming I/O chunk size (0 = default).
 type MaterializeOptions struct {
@@ -252,7 +246,7 @@ type (
 	HubRunInfo = hub.RunInfo
 	// HubGCReport records what a hub-level garbage collection did.
 	HubGCReport = ckpt.HubGCReport
-	// DedupifyReport accounts a plain-to-dedup conversion (blobs written
-	// versus reused, payload bytes deduplicated).
+	// DedupifyReport accounts a content-addressed merge or reshard output
+	// (blobs written versus reused, payload bytes deduplicated).
 	DedupifyReport = ckpt.DedupifyReport
 )

@@ -547,9 +547,11 @@ func TestHubHandleEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDedupifyOptionsDelegation: conversion and materialization through the
-// run handle round-trip the plain containers bit for bit.
-func TestDedupifyOptionsDelegation(t *testing.T) {
+// TestMaterializeOptionsDelegation: content-addressing an existing plain
+// checkpoint (a same-world reshard with Dedup, the sanctioned route) and
+// materialization through the run handle round-trip the plain containers bit
+// for bit.
+func TestMaterializeOptionsDelegation(t *testing.T) {
 	b := llmtailor.NewMemBackend()
 	cfg := trainerCfg(t, "run", 2)
 	cfg.DedupCkpt = false
@@ -568,13 +570,14 @@ func TestDedupifyOptionsDelegation(t *testing.T) {
 	name := dirs[len(dirs)-1][len("run/"):]
 	origWeights, _ := b.ReadFile("run/" + name + "/model.ltsf")
 	origShard0, _ := b.ReadFile("run/" + name + "/zero/rank_00_optim_states.ltos")
-	rep, err := run.Dedupify(name)
+	rep, err := run.Reshard(name, name+"-cas", cfg.WorldSize, llmtailor.ReshardOptions{Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.BlobsPut == 0 {
-		t.Fatalf("dedupify wrote nothing: %+v", rep)
+	if rep.BlobsPut == 0 || b.Exists("run/"+name+"-cas/model.ltsf") {
+		t.Fatalf("the reshard output is not content-addressed: %+v", rep)
 	}
+	name += "-cas"
 	// Materialize through the handle round-trips the container.
 	if err := run.MaterializeWeights(name, "out/model.ltsf", llmtailor.MaterializeOptions{}); err != nil {
 		t.Fatal(err)

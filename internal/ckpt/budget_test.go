@@ -355,10 +355,13 @@ func TestRestoreRequestBudget(t *testing.T) {
 		log.reset()
 		restoreEquals(t, log, "run/checkpoint-100", m, o)
 		log.mu.Lock()
-		gets, peak, ops := 0, log.peak, log.ops
+		gets, lists, probes, peak, ops := 0, 0, log.reads["probe other"], log.peak, log.ops
 		for kind, n := range log.reads {
-			if strings.HasPrefix(kind, "get ") {
+			switch {
+			case strings.HasPrefix(kind, "get "):
 				gets += n
+			case strings.HasPrefix(kind, "list "):
+				lists += n
 			}
 		}
 		log.mu.Unlock()
@@ -372,6 +375,15 @@ func TestRestoreRequestBudget(t *testing.T) {
 		}
 		if peak < 4 || peak > requestWidth {
 			t.Errorf("peak of %d GETs in flight, want between 4 and %d", peak, requestWidth)
+		}
+		// The layout decision is two existence probes (weight manifest there,
+		// weight container not) and never a listing; each rank's manifest is
+		// sized by one more probe.
+		if lists != 0 {
+			t.Errorf("a content-addressed restore listed %d directories, want none", lists)
+		}
+		if probes > 2+ranks {
+			t.Errorf("%d probes outside the store, budget 2 + %d ranks", probes, ranks)
 		}
 		if len(ops) != 0 {
 			t.Errorf("a restore mutated the backend: %v", ops)

@@ -21,6 +21,7 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -199,7 +200,7 @@ func (e *entry) verified() error {
 		if err == nil {
 			m, _ := e.marker()
 			var held func(string) []byte
-			if e.layout().kind != layoutPlain {
+			if e.layout().manifests {
 				held = e.manifestFiles().held
 			}
 			err = m.crcPass(e.c.b, e.Path, held)
@@ -231,6 +232,22 @@ func (e *entry) manifest() (Manifest, error) {
 func (e *entry) layout() layout {
 	l, _ := e.lay.get(func() (layout, error) { return decideLayout(e.c.b, e.Path), nil })
 	return l
+}
+
+// twoForms reports whether the directory holds manifests beside payload
+// containers: left by an older binary's in-place conversion that crashed, or
+// by containers dropped into a content-addressed directory. Scan's question,
+// never a reader's, so it may list zero/: a rank count would not say which
+// containers a crashed conversion had already removed.
+func (e *entry) twoForms() bool {
+	switch lay := e.layout(); {
+	case !lay.manifests:
+		return false
+	case !lay.blobs:
+		return true
+	}
+	shards, _ := e.c.b.List(e.Path + "/zero")
+	return slices.ContainsFunc(shards, func(name string) bool { return strings.HasSuffix(name, ".ltos") })
 }
 
 // manifestFiles fetches the weight and shard manifests (read.go).
@@ -338,9 +355,9 @@ func (c *catalog) scan() ([]DirStatus, error) {
 			switch {
 			case err != nil:
 				st.State, st.Detail = StateTorn, err.Error()
-			case e.layout().kind == layoutConverting:
+			case e.twoForms():
 				st.State = StateConverting
-				st.Detail = "interrupted conversion to content-addressed form (still readable)"
+				st.Detail = "holds files of both the plain and the content-addressed form (still readable)"
 			default:
 				st.State = StateCommitted
 			}

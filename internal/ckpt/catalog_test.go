@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"llmtailor/internal/modelcfg"
 	"llmtailor/internal/storage"
 )
 
@@ -95,6 +96,9 @@ func TestCatalogRestartsWhenDirectoryGoesAway(t *testing.T) {
 type viewRow struct {
 	name  string // under the run root
 	build func(t *testing.T, b storage.Backend, dir string)
+	// holds, when set, is the seed of the state the directory must restore to,
+	// bit-identically, in whichever form readers pick (0: not readable).
+	holds uint64
 
 	state   DirState
 	listed  bool // List returns it
@@ -126,17 +130,32 @@ func putFiles(t *testing.T, b storage.Backend, dir string, files map[string][]by
 	}
 }
 
-// conversionState builds a directory an interrupted Dedupify left behind: a
-// plain save, converted, with the plain form's files put back as far as the
-// crash point had not yet replaced or removed them.
+// conversionState builds, by hand, a directory the in-place conversion older
+// binaries ran after publication left behind when it crashed: a plain save,
+// the same state published content-addressed over it, and the plain form's
+// files put back as far as the crash point had not yet replaced or removed
+// them. Nothing in the tree makes these states any more; readers, Scan and
+// Repair must still do right by them.
 func conversionState(seed uint64, restore func(t *testing.T, b storage.Backend, dir string, plain map[string][]byte)) func(*testing.T, storage.Backend, string) {
 	return func(t *testing.T, b storage.Backend, dir string) {
 		saveFull(t, b, dir, seed, 2)
 		plain := snapshotFiles(t, b, dir, "model.ltsf", ShardFileName(0), ShardFileName(1), "manifest.json", CommitMarkerName)
-		if _, err := Dedupify(b, dir); err != nil {
-			t.Fatal(err)
-		}
+		publishDedup(t, b, dir)
 		restore(t, b, dir, plain)
+	}
+}
+
+// unlistManifestJSON rewrites dir's marker without manifest.json: the old
+// protocol's first marker swap.
+func unlistManifestJSON(t *testing.T, b storage.Backend, dir string) {
+	t.Helper()
+	m, err := ReadCommitMarker(b, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(m.Files, "manifest.json")
+	if err := writeJSON(b, dir+"/"+CommitMarkerName, &m); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -144,7 +163,7 @@ var plainPayloadFiles = []string{"model.ltsf", ShardFileName(0), ShardFileName(1
 
 func viewRows() []viewRow {
 	return []viewRow{
-		{name: "checkpoint-10", state: StateCommitted, listed: true, sealed: true, exact: true,
+		{name: "checkpoint-10", state: StateCommitted, listed: true, sealed: true, exact: true, holds: 71,
 			build: func(t *testing.T, b storage.Backend, dir string) { saveFull(t, b, dir, 71, 2) }},
 		{name: "checkpoint-20", state: StateTorn, // missing marker
 			build: func(t *testing.T, b storage.Backend, dir string) {
@@ -173,32 +192,37 @@ func viewRows() []viewRow {
 					t.Fatal(err)
 				}
 			}},
-		// Dedupify's intermediate states (dedup.go, steps 1–5).
-		{name: "checkpoint-70", state: StateConverting, listed: true, sealed: true, // step 1: extras staged
+		// The five states of the old in-place conversion, by hand.
+		{name: "checkpoint-70", state: StateConverting, listed: true, sealed: true, exact: true, holds: 75, // 1: manifests staged as unlisted extras
 			build: conversionState(75, func(t *testing.T, b storage.Backend, dir string, plain map[string][]byte) {
 				putFiles(t, b, dir, plain, append(plainPayloadFiles, "manifest.json", CommitMarkerName)...)
 			})},
-		{name: "checkpoint-80", state: StateConverting, listed: true, sealed: true, // step 2: marker swapped
+		{name: "checkpoint-80", state: StateConverting, listed: true, sealed: true, exact: true, holds: 76, // 2: marker swapped, manifest.json unlisted
 			build: conversionState(76, func(t *testing.T, b storage.Backend, dir string, plain map[string][]byte) {
-				m, err := ReadCommitMarker(b, dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				delete(m.Files, "manifest.json")
-				if err := writeJSON(b, dir+"/"+CommitMarkerName, &m); err != nil {
-					t.Fatal(err)
-				}
+				unlistManifestJSON(t, b, dir)
 				putFiles(t, b, dir, plain, append(plainPayloadFiles, "manifest.json")...)
 			})},
-		{name: "checkpoint-90", state: StateConverting, listed: true, sealed: true, // step 4: resealed
+		{name: "checkpoint-85", state: StateConverting, listed: true, sealed: true, exact: true, holds: 83, // 3: manifest.json rewritten, still unlisted
+			build: conversionState(83, func(t *testing.T, b storage.Backend, dir string, plain map[string][]byte) {
+				unlistManifestJSON(t, b, dir)
+				putFiles(t, b, dir, plain, plainPayloadFiles...)
+			})},
+		{name: "checkpoint-90", state: StateConverting, listed: true, sealed: true, exact: true, holds: 77, // 4: resealed, containers not yet removed
 			build: conversionState(77, func(t *testing.T, b storage.Backend, dir string, plain map[string][]byte) {
 				putFiles(t, b, dir, plain, plainPayloadFiles...)
 			})},
-		{name: "checkpoint-100", state: StateConverting, listed: true, sealed: true, isDedup: true, exact: true, // step 5: model.ltsf gone
+		{name: "checkpoint-100", state: StateConverting, listed: true, sealed: true, isDedup: true, exact: true, holds: 78, // 5: model.ltsf gone, shard files left
 			build: conversionState(78, func(t *testing.T, b storage.Backend, dir string, plain map[string][]byte) {
 				putFiles(t, b, dir, plain, ShardFileName(0), ShardFileName(1))
 			})},
-		{name: "checkpoint-110", state: StateCommitted, listed: true, sealed: true, isDedup: true, exact: true, // replaced in place: an older record superseded
+		{name: "checkpoint-105", state: StateConverting, listed: true, sealed: true, exact: true, holds: 84, // stray: containers dropped into a native dedup save
+			build: func(t *testing.T, b storage.Backend, dir string) {
+				saveFull(t, b, "aside/"+RefKey(dir), 84, 2)
+				plain := snapshotFiles(t, b, "aside/"+RefKey(dir), plainPayloadFiles...)
+				saveDedup(t, b, dir, 84, 2)
+				putFiles(t, b, dir, plain, plainPayloadFiles...)
+			}},
+		{name: "checkpoint-110", state: StateCommitted, listed: true, sealed: true, isDedup: true, exact: true, holds: 80, // replaced in place: an older record superseded
 			build: func(t *testing.T, b storage.Backend, dir string) {
 				saveDedup(t, b, dir, 79, 2)
 				saveDedup(t, b, dir, 80, 2)
@@ -212,7 +236,7 @@ func viewRows() []viewRow {
 					t.Fatal(err)
 				}
 			}},
-		{name: "merged", state: StateCommitted, sealed: true, exact: true, // not checkpoint-<step>: never listed, so never a retention victim
+		{name: "merged", state: StateCommitted, sealed: true, exact: true, holds: 82, // not checkpoint-<step>: never listed, so never a retention victim
 			build: func(t *testing.T, b storage.Backend, dir string) { saveFull(t, b, dir, 82, 1) }},
 	}
 }
@@ -249,8 +273,16 @@ func TestCatalogViewsAgree(t *testing.T) {
 					}
 					return root + "/" + r.name
 				}
+				holds := map[string]uint64{}
 				for _, r := range rows {
 					r.build(t, b, path(r))
+					holds[path(r)] = r.holds
+				}
+				restores := func(dir string) {
+					if seed := holds[dir]; seed != 0 {
+						m, o := buildOptim(t, modelcfg.Tiny(), seed)
+						restoreEquals(t, b, dir, m, o)
+					}
 				}
 				b.WriteFile(path(viewRow{name: "logs"})+"/out.txt", []byte("x")) // unrelated: no view reports it
 
@@ -303,6 +335,9 @@ func TestCatalogViewsAgree(t *testing.T) {
 					if err := verifyDedupRefs(e); err != nil {
 						t.Errorf("%s: verifyDedupRefs: %v (every blob of the fixture is there)", dir, err)
 					}
+					// Whichever form readers pick restores the state the directory
+					// was saved with, as it did while the conversion existed.
+					restores(dir)
 
 					// The table, against the one layout and commit answer.
 					lay := decideLayout(b, dir)
@@ -316,18 +351,18 @@ func TestCatalogViewsAgree(t *testing.T) {
 						wantState = StateUnpublished
 					case e.Staging:
 						wantState = StateOrphanTmp
-					case verified && lay.kind == layoutConverting:
+					case verified && e.twoForms():
 						wantState = StateConverting
 					case verified:
 						wantState = StateCommitted
 					}
-					wantExact := wantSealed && !e.Staging && (lay.kind != layoutConverting || lay.blobs)
+					wantExact := wantSealed && !e.Staging
 					if r.state != wantState || r.sealed != wantSealed || r.isDedup != lay.blobs || r.exact != wantExact ||
 						r.listed != (e.numbered && !e.Staging && !e.Quarantined && checked) {
 						t.Errorf("%s: the table is not a function of layout %+v, checked %v, verified %v", dir, lay, checked, verified)
 					}
 					// Best effort or exact, whatever manifests there are pin.
-					if lay.kind != layoutPlain && len(e.Digests) == 0 {
+					if lay.manifests && len(e.Digests) == 0 {
 						t.Errorf("%s: carries manifests but pins nothing", dir)
 					}
 				}
@@ -350,6 +385,11 @@ func TestCatalogViewsAgree(t *testing.T) {
 					if st.State != StateCommitted && st.State != StateQuarantined {
 						t.Errorf("after repair: %s is %v", st.Path, st.State)
 					}
+					// One form, the one the marker lists, and still the same state.
+					if b.Exists(st.Path+"/model.ltsf") == b.Exists(st.Path+"/"+WeightManifestName) {
+						t.Errorf("after repair: %s holds both payload forms, or neither", st.Path)
+					}
+					restores(st.Path)
 				}
 				for _, bl := range rep.Blobs {
 					if bl.State != BlobReferenced {

@@ -4,9 +4,9 @@ package ckpt
 // against a slightly-perturbed previous checkpoint must actually delta
 // (manifest entries carry the codec and parent chain, stored bytes shrink),
 // restore bit-exact and materialize byte-identical to a plain save; the
-// re-base bound must cap chain depth; and Dedupify must convert committed
-// checkpoints in place on no-rename (object store) backends, converging
-// under crash-point exploration.
+// re-base bound must cap chain depth; and a content-addressed publication
+// (Txn.Publish with dedup on) must work on no-rename (object store) backends
+// and hold the publication invariant under crash-point exploration.
 
 import (
 	"bytes"
@@ -191,70 +191,21 @@ func TestCodecRebaseBoundsChain(t *testing.T) {
 	}
 }
 
-// TestDedupifyObjStore: in-place conversion on a no-rename backend via the
-// write-objects-then-marker protocol — committed before, committed after,
-// materialization bit-identical, second run a no-op.
-func TestDedupifyObjStore(t *testing.T) {
-	b := storage.NewObjStore()
-	m, o := saveFull(t, b, "run/checkpoint-5", 172, 2)
-	origLTSF, _ := b.ReadFile("run/checkpoint-5/model.ltsf")
+// TestDedupifyObjStore: TestPublishDedupOutput on a no-rename backend, where
+// the transaction builds under the final keys and the marker PUT publishes:
+// the containers are gone before it, so no reader ever lists them.
+func TestDedupifyObjStore(t *testing.T) { testPublishDedupOutput(t, storage.NewObjStore()) }
 
-	rep, err := Dedupify(b, "run/checkpoint-5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BlobsPut == 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if b.Exists("run/checkpoint-5/model.ltsf") {
-		t.Fatal("payload container survived conversion")
-	}
-	if !IsDedup(b, "run/checkpoint-5") {
-		t.Fatal("not content-addressed after dedupify")
-	}
-	if err := VerifyCommit(b, "run/checkpoint-5"); err != nil {
-		t.Fatal(err)
-	}
-	man, err := ReadManifest(b, "run/checkpoint-5")
-	if err != nil || !man.Dedup || man.RefGen == 0 {
-		t.Fatalf("manifest = %+v, %v", man, err)
-	}
-	rm, ro, _, err := Restore(b, "run/checkpoint-5", tensor.BF16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !model.Equal(rm, m) || !sameOptim(ro, o) {
-		t.Fatal("restore differs after objstore dedupify")
-	}
-	if err := MaterializeWeights(b, "run/checkpoint-5", "mat.ltsf", 0); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := b.ReadFile("mat.ltsf"); !bytes.Equal(got, origLTSF) {
-		t.Fatal("materialized weights differ from the original container")
-	}
-	if problems := refProblems(t, b, "run"); len(problems) != 0 {
-		t.Fatalf("ref-index problems: %+v", problems)
-	}
-
-	rep2, err := Dedupify(b, "run/checkpoint-5")
-	if err != nil || rep2.BlobsPut != 0 || rep2.BlobsReused != 0 {
-		t.Fatalf("second dedupify = %+v, %v", rep2, err)
-	}
-}
-
-// TestCrashPointExplorationDedupify fails every storage operation of an
-// in-place conversion in turn, on a no-rename and a rename backend (there is
-// one protocol; the backends differ only inside storage.PublishFile). The
-// invariant is stronger than the save path's previous-or-new: the directory
-// being converted is the ONLY copy, so it must remain committed and readable
-// at every crash point (plain until model.ltsf goes, content-addressed
-// after), and both a re-run and a bare Repair on the durable state must
-// converge. Object-store PUTs are atomic, so only the rename backend has a
-// torn row. Each row has a second level: from every distinct state a first
-// crash leaves inside the directory, the recovery itself (Repair, which
-// re-runs the conversion) is failed at each of its operations in turn, and the
-// only copy must come through that too — a recovery that rewrites a listed
-// file in place tears it, and the next Repair discards the directory as torn.
+// TestCrashPointExplorationDedupify fails every storage operation of a
+// content-addressed publication in turn — staging the plain containers over a
+// previous plain incarnation of the same name, then Txn.Publish with dedup on
+// — on a no-rename and a rename backend. Object-store PUTs are atomic, so only
+// the rename backend has a torn row. The invariant is the save path's: a
+// directory that is published is whole and in ONE form at every crash point
+// (what carries a marker scans committed, never converting), after Repair the
+// name holds nothing, the previous incarnation byte for byte, or the complete
+// content-addressed output, a retry is byte-exact with the fault-free run, and
+// Repair plus a full GC leave no blob unreferenced and no record stale.
 func TestCrashPointExplorationDedupify(t *testing.T) {
 	rows := []struct {
 		name string
@@ -271,142 +222,49 @@ func TestCrashPointExplorationDedupify(t *testing.T) {
 }
 
 func exploreDedupifyCrashes(t *testing.T, mk func() storage.Backend, torn bool) {
-	build := func() (storage.Backend, *model.Model, *optim.AdamW, []byte) {
+	const dir = "run/checkpoint-5"
+	build := func() (storage.Backend, *model.Model, *optim.AdamW, stagedFiles) {
 		b := mk()
-		m, o := saveFull(t, b, "run/checkpoint-5", 173, 2)
-		ltsf, _ := b.ReadFile("run/checkpoint-5/model.ltsf")
-		return b, m, o, ltsf
+		m, o := saveFull(t, b, dir, 173, 2)
+		files, err := readCommitted(b, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, m, o, files
 	}
 
-	base, _, _, _ := build()
-	plainDigest := treeDigest(t, base, "run/checkpoint-5")
+	base, _, _, files := build()
+	plainDigest := treeDigest(t, base, dir)
 	f := storage.NewFault(base)
-	if _, err := Dedupify(f, "run/checkpoint-5"); err != nil {
+	if _, err := files.publishDedup(f, dir); err != nil {
 		t.Fatal(err)
 	}
+	wantDigest := treeDigest(t, base, dir)
 	n := int(f.Ops())
 	if n < 8 {
-		t.Fatalf("suspiciously few fault points in a dedupify: %d", n)
+		t.Fatalf("suspiciously few fault points in a dedup publication: %d", n)
 	}
-	t.Logf("exploring %d dedupify crash points", n)
+	t.Logf("exploring %d dedup publication crash points", n)
 
-	// crash builds a fresh checkpoint and kills its conversion at point k.
-	crash := func(k int) (storage.Backend, *model.Model, *optim.AdamW, []byte) {
-		base, m, o, ltsf := build()
+	for k := 1; k <= n; k++ {
+		base, m, o, files := build()
 		f := storage.NewFault(base)
 		f.SetTorn(torn)
 		f.FailAt(k)
-		if _, err := Dedupify(f, "run/checkpoint-5"); !storage.IsInjected(err) {
+		if _, err := files.publishDedup(f, dir); !storage.IsInjected(err) {
 			t.Fatalf("k=%d: err = %v, want injected", k, err)
 		}
-		return base, m, o, ltsf
-	}
 
-	// secondFaults is the second level, run once per distinct crashed state:
-	// Repair — which re-runs the conversion — fails at each of its operations.
-	seen := map[string]bool{}
-	secondFaults := func(k int) {
-		base, _, _, _ := crash(k)
-		f := storage.NewFault(base)
-		if _, err := Repair(f, "run"); err != nil {
-			t.Fatalf("k=%d: fault-free repair: %v", k, err)
-		}
-		for j, n2 := 1, int(f.Ops()); j <= n2; j++ {
-			base, m, o, _ := crash(k)
-			f := storage.NewFault(base)
-			f.SetTorn(torn)
-			f.FailAt(j)
-			if _, err := Repair(f, "run"); err != nil && !storage.IsInjected(err) {
-				t.Fatalf("k=%d j=%d: repair: %v", k, j, err)
-			}
-			for _, stage := range []string{"a second fault in the repair", "the repair after it"} {
-				if err := VerifyCommit(base, "run/checkpoint-5"); err != nil {
-					t.Fatalf("k=%d j=%d: unverifiable after %s: %v", k, j, stage, err)
-				}
-				rm, ro, _, err := Restore(base, "run/checkpoint-5", tensor.BF16)
-				if err != nil {
-					t.Fatalf("k=%d j=%d: unrestorable after %s: %v", k, j, stage, err)
-				}
-				if !model.Equal(rm, m) || !sameOptim(ro, o) {
-					t.Fatalf("k=%d j=%d: restore differs after %s", k, j, stage)
-				}
-				if _, err := Repair(base, "run"); err != nil {
-					t.Fatalf("k=%d j=%d: repair after %s: %v", k, j, stage, err)
-				}
-			}
-			if dirs, _ := Scan(base, "run"); len(dirs) != 1 || dirs[0].State != StateCommitted || !IsDedup(base, "run/checkpoint-5") {
-				t.Fatalf("k=%d j=%d: not converged after a second fault in the repair: %+v", k, j, dirs)
-			}
-		}
-	}
-
-	for k := 1; k <= n; k++ {
-		base, m, o, ltsf := crash(k)
-
-		// Invariant 1: the checkpoint never stops being committed-readable.
-		if err := VerifyCommit(base, "run/checkpoint-5"); err != nil {
-			t.Fatalf("k=%d: checkpoint unverifiable mid-conversion: %v", k, err)
-		}
-		rm, ro, _, err := Restore(base, "run/checkpoint-5", tensor.BF16)
-		if err != nil {
-			t.Fatalf("k=%d: checkpoint unrestorable mid-conversion: %v", k, err)
-		}
-		if !model.Equal(rm, m) || !sameOptim(ro, o) {
-			t.Fatalf("k=%d: mid-conversion restore differs", k)
-		}
-
-		// Invariant 2: a re-run converges to the converted form.
-		if _, err := Dedupify(base, "run/checkpoint-5"); err != nil {
-			t.Fatalf("k=%d: dedupify re-run: %v", k, err)
-		}
-		if !IsDedup(base, "run/checkpoint-5") {
-			t.Fatalf("k=%d: not content-addressed after re-run", k)
-		}
-		if err := VerifyCommit(base, "run/checkpoint-5"); err != nil {
-			t.Fatalf("k=%d: unverifiable after re-run: %v", k, err)
-		}
-		rm, ro, _, err = Restore(base, "run/checkpoint-5", tensor.BF16)
-		if err != nil {
-			t.Fatalf("k=%d: unrestorable after re-run: %v", k, err)
-		}
-		if !model.Equal(rm, m) || !sameOptim(ro, o) {
-			t.Fatalf("k=%d: restore differs after re-run", k)
-		}
-		if err := MaterializeWeights(base, "run/checkpoint-5", "mat.ltsf", 0); err != nil {
-			t.Fatalf("k=%d: materialize after re-run: %v", k, err)
-		}
-		if got, _ := base.ReadFile("mat.ltsf"); !bytes.Equal(got, ltsf) {
-			t.Fatalf("k=%d: materialized weights differ from the original container", k)
-		}
-
-		// Invariant 3: no unlisted shard-file residue survives convergence,
-		// and the marker's listing matches the files on the backend.
-		noContainers := func(base storage.Backend, how string) {
-			marker, err := ReadCommitMarker(base, "run/checkpoint-5")
+		// A published directory is whole and in one form, before any repair.
+		restores := func(how string) {
+			rm, ro, _, err := Restore(base, dir, tensor.BF16)
 			if err != nil {
-				t.Fatalf("k=%d: marker unreadable after %s: %v", k, how, err)
+				t.Fatalf("k=%d: unrestorable %s: %v", k, how, err)
 			}
-			for rank := 0; rank < 2; rank++ {
-				name := ShardFileName(rank)
-				if _, listed := marker.Files[name]; listed {
-					t.Fatalf("k=%d: %s still listed after %s", k, name, how)
-				}
-				if base.Exists("run/checkpoint-5/" + name) {
-					t.Fatalf("k=%d: unlisted %s left on the backend after %s", k, name, how)
-				}
-			}
-			if base.Exists("run/checkpoint-5/model.ltsf") {
-				t.Fatalf("k=%d: model.ltsf survived %s", k, how)
+			if !model.Equal(rm, m) || !sameOptim(ro, o) {
+				t.Fatalf("k=%d: restore differs %s", k, how)
 			}
 		}
-		noContainers(base, "re-run")
-
-		// Invariant 4: Repair alone converges too — the conversion is rolled
-		// forward once it has reached the directory, and leaves the plain
-		// tree untouched when it has not — and a following full GC leaves no
-		// blob the doctor view calls unreferenced.
-		base, m, o, _ = crash(k)
-		reached := base.Exists("run/checkpoint-5/" + WeightManifestName)
 		if _, err := ScanBlobs(base, "run"); err != nil {
 			t.Fatalf("k=%d: the doctor's blob view fails on the crashed state: %v", k, err)
 		}
@@ -414,43 +272,45 @@ func exploreDedupifyCrashes(t *testing.T, mk func() storage.Backend, torn bool) 
 			t.Fatalf("k=%d: the doctor's ref view fails on the crashed state: %v", k, err)
 		}
 		dirs, err := Scan(base, "run")
-		if err != nil || len(dirs) != 1 {
-			t.Fatalf("k=%d: scan of the crashed state: %+v, %v", k, dirs, err)
+		if err != nil {
+			t.Fatalf("k=%d: scan of the crashed state: %v", k, err)
 		}
-		want := StateCommitted
-		if reached {
-			want = StateConverting
+		for _, st := range dirs {
+			if st.State == StateConverting {
+				t.Fatalf("k=%d: %s published in two forms", k, st.Path)
+			}
 		}
-		if dirs[0].State != want {
-			t.Fatalf("k=%d: crashed state scans as %v, want %v", k, dirs[0].State, want)
+		if CheckCommit(base, dir) == nil {
+			restores("from the crashed state")
 		}
-		if d := treeDigest(t, base, "run/checkpoint-5"); reached && !seen[d] {
-			seen[d] = true
-			secondFaults(k)
-		}
+
+		// After Repair: nothing, the previous incarnation, or the output.
 		if _, err := Repair(base, "run"); err != nil {
 			t.Fatalf("k=%d: repair: %v", k, err)
 		}
-		if err := VerifyCommit(base, "run/checkpoint-5"); err != nil {
-			t.Fatalf("k=%d: unverifiable after repair: %v", k, err)
+		dirs, err = Scan(base, "run")
+		if storage.IsNotExist(err) {
+			dirs, err = nil, nil // the run root held the one directory, and it is gone
 		}
-		if reached {
-			if !IsDedup(base, "run/checkpoint-5") {
-				t.Fatalf("k=%d: repair left the conversion unfinished", k)
+		if err != nil || len(dirs) > 1 {
+			t.Fatalf("k=%d: scan after repair: %+v, %v", k, dirs, err)
+		}
+		switch {
+		case len(dirs) == 0:
+			if base.Exists(dir) || base.Exists(StagingDir(dir)) {
+				t.Fatalf("k=%d: repair reports nothing but left files under the name", k)
 			}
-			noContainers(base, "repair")
-			if dirs, _ := Scan(base, "run"); len(dirs) != 1 || dirs[0].State != StateCommitted {
-				t.Fatalf("k=%d: scan after repair: %+v", k, dirs)
+		case dirs[0].Path != dir || dirs[0].State != StateCommitted:
+			t.Fatalf("k=%d: after repair: %+v", k, dirs[0])
+		case IsDedup(base, dir):
+			if d := treeDigest(t, base, dir); d != wantDigest {
+				t.Fatalf("k=%d: the content-addressed output differs from the fault-free one", k)
 			}
-		} else if d := treeDigest(t, base, "run/checkpoint-5"); d != plainDigest {
-			t.Fatalf("k=%d: repair changed a directory the conversion never reached", k)
-		}
-		rm, ro, _, err = Restore(base, "run/checkpoint-5", tensor.BF16)
-		if err != nil {
-			t.Fatalf("k=%d: unrestorable after repair: %v", k, err)
-		}
-		if !model.Equal(rm, m) || !sameOptim(ro, o) {
-			t.Fatalf("k=%d: restore differs after repair", k)
+			restores("after repair")
+		default:
+			if d := treeDigest(t, base, dir); d != plainDigest {
+				t.Fatalf("k=%d: a plain directory that is not the previous incarnation", k)
+			}
 		}
 		if _, err := GC(base, "run"); err != nil {
 			t.Fatalf("k=%d: gc after repair: %v", k, err)
@@ -466,6 +326,18 @@ func exploreDedupifyCrashes(t *testing.T, mk func() storage.Backend, torn bool) 
 		}
 		if problems := refProblems(t, base, "run"); len(problems) != 0 {
 			t.Fatalf("k=%d: ref-index problems after repair + gc: %+v", k, problems)
+		}
+
+		// A retry is byte-exact with the fault-free run.
+		if _, err := files.publishDedup(base, dir); err != nil {
+			t.Fatalf("k=%d: retry: %v", k, err)
+		}
+		if d := treeDigest(t, base, dir); d != wantDigest {
+			t.Fatalf("k=%d: the retried output differs from the fault-free one", k)
+		}
+		restores("after the retry")
+		if problems := refProblems(t, base, "run"); len(problems) != 0 {
+			t.Fatalf("k=%d: ref-index problems after the retry: %+v", k, problems)
 		}
 	}
 }

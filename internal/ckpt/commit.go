@@ -24,10 +24,17 @@
 // and crcPass, which "verified" adds), the transaction, and Repair's actions.
 //
 // The one-file rule: a small file a reader may be looking at — the pointer, a
-// journal record, a marker being replaced (Adopt's seal, Dedupify's swaps) —
-// is only ever overwritten through storage.PublishFile, where the rename /
-// no-rename difference lives for single files; only Begin (a whole directory)
-// and the blob store (a streamed payload) fork on it themselves.
+// journal record, a marker being replaced (Adopt's seal) — is only ever
+// overwritten through storage.PublishFile, where the rename / no-rename
+// difference lives for single files; only Begin (a whole directory) and the
+// blob store (a streamed payload) fork on it themselves.
+//
+// The immutability rule: once a directory is published its file set never
+// changes. Whatever form an output takes — content-addressed included — it
+// takes in staging, before the marker (Txn.Publish); the marker has two
+// writers, Txn.Commit and Adopt's seal. The one exception is Repair removing
+// checkpoint-format files a verified marker does not list (what an older
+// binary's in-place conversion left when it crashed).
 package ckpt
 
 import (
@@ -123,6 +130,22 @@ func (s *sumBackend) Create(name string) (io.WriteCloser, error) {
 		return nil, err
 	}
 	return &sumWriter{s: s, name: name, w: w, crc: crc32.NewIEEE()}, nil
+}
+
+// Remove implements Backend, forgetting the sums of what it removes: a file
+// staged and then taken back is not part of the commit.
+func (s *sumBackend) Remove(name string) error {
+	if err := s.Backend.Remove(name); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for staged := range s.sums {
+		if staged == name || strings.HasPrefix(staged, name+"/") {
+			delete(s.sums, staged)
+		}
+	}
+	return nil
 }
 
 // Unwrap exposes the wrapped backend to storage's capability walk: what is
@@ -250,28 +273,22 @@ func (t *Txn) Commit(step int) error {
 }
 
 // Publish is the tail merge, blend and reshard share, in the one crash-safe
-// order: Commit, then move the run root's latest pointer to the output (latest:
-// false for a weights-only blend, which training cannot resume, and reshard's
-// NoLatest), then convert the published directory to content-addressed form
-// (dedup) — after publication, so a crash mid-conversion leaves the output
-// committed and readable. It returns the conversion's counters.
+// order: give the staged output its final form (dedup: content-addressed, see
+// contentAddress), Commit, then move the run root's latest pointer to the
+// output (latest: false for a weights-only blend, which training cannot
+// resume, and reshard's NoLatest). Everything that shapes the directory
+// precedes the marker, so what a reader finds under the published name never
+// changes. It returns the content-addressing counters.
 func (t *Txn) Publish(step int, latest, dedup bool) (rep DedupifyReport, err error) {
-	if err = t.Commit(step); err != nil {
-		return rep, err
-	}
-	if latest {
-		if err = WriteLatestPointer(t.base, t.final); err != nil {
-			return rep, err
+	if dedup {
+		if rep, err = t.contentAddress(step); err != nil {
+			return rep, fmt.Errorf("ckpt: dedup output: %w", err)
 		}
 	}
-	if !dedup {
-		return rep, nil
+	if err = t.Commit(step); err != nil || !latest {
+		return rep, err
 	}
-	r, err := Dedupify(t.base, t.final)
-	if err != nil {
-		return rep, fmt.Errorf("ckpt: dedup output: %w", err)
-	}
-	return *r, nil
+	return rep, WriteLatestPointer(t.base, t.final)
 }
 
 // Abort drops the staging directory (best effort). No-op after Commit.
@@ -395,7 +412,9 @@ const (
 	// Repair leaves it alone; removal is a deliberate operator action.
 	StateQuarantined
 	// StateConverting: committed and readable, but manifests sit beside payload
-	// containers: a crash interrupted Dedupify's conversion. Repair finishes it.
+	// containers — an older binary's in-place conversion crashed here, or
+	// containers were dropped into a content-addressed directory. No current
+	// writer leaves one. Repair removes what the marker does not list.
 	StateConverting
 )
 
@@ -489,12 +508,41 @@ func ScanRun(b storage.Backend, runRoot string, views ScanViews) (*RunScan, erro
 	return rep, nil
 }
 
+// removeUnlistedForm settles a directory Scan found holding both payload forms
+// (its marker verified): the checkpoint-format files the marker does not list
+// are removed, nothing is hashed, written or re-sealed. The order keeps a crash
+// in between convergent: model.ltsf goes first — its going flips readers to the
+// manifests, which need no container — and model.ltmf last, so until the last
+// stray file is gone Scan still sees two forms.
+func removeUnlistedForm(b storage.Backend, dir string) error {
+	m, err := ReadCommitMarker(b, dir)
+	if err != nil {
+		return err
+	}
+	names := []string{"model.ltsf"}
+	shards, _ := b.List(dir + "/zero")
+	for _, name := range shards {
+		if strings.HasSuffix(name, ".ltos") || strings.HasSuffix(name, ".ltom") {
+			names = append(names, "zero/"+name)
+		}
+	}
+	for _, name := range append(names, WeightManifestName) {
+		if _, listed := m.Files[name]; listed {
+			continue
+		}
+		if err := b.Remove(dir + "/" + name); err != nil && !storage.IsNotExist(err) {
+			return fmt.Errorf("ckpt: %s: remove unlisted %s: %w", dir, name, err)
+		}
+	}
+	return nil
+}
+
 // RepairReport records what Repair did.
 type RepairReport struct {
 	// Removed lists deleted directories (orphaned staging and torn).
 	Removed []string
-	// Converted lists committed directories whose interrupted in-place
-	// conversion to content-addressed form Repair finished.
+	// Converted lists committed directories that held both payload forms
+	// (StateConverting) and were settled to the one their marker lists.
 	Converted []string
 	// Published lists sealed-but-unpublished staging directories whose
 	// publication Repair completed (roll-forward of a crash that hit
@@ -528,11 +576,12 @@ type RepairReport struct {
 }
 
 // Repair restores a run root to a healthy state: sealed-but-unpublished
-// staging directories and interrupted in-place conversions are rolled
-// forward, orphaned staging directories and torn checkpoints are removed,
-// stray pointer staging files are cleaned, and the latest pointer is re-aimed
-// at the newest committed checkpoint (or removed when none remain). It is
-// idempotent: rerunning after a crash mid-repair converges.
+// staging directories are rolled forward, directories holding both payload
+// forms lose the files their marker does not list, orphaned staging
+// directories and torn checkpoints are removed, stray pointer staging files
+// are cleaned, and the latest pointer is re-aimed at the newest committed
+// checkpoint (or removed when none remain). It is idempotent: rerunning after
+// a crash mid-repair converges.
 func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 	rep := &RepairReport{}
 	// One catalog serves the trash disposal's pins and the classification:
@@ -569,10 +618,10 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 		switch st.State {
 		case StateCommitted:
 		case StateConverting:
-			// Roll the interrupted conversion forward (see Dedupify), before
-			// the ref reconcile below reads every manifest as ground truth.
-			if _, err := Dedupify(b, st.Path); err != nil {
-				return nil, fmt.Errorf("ckpt: repair: finish conversion: %w", err)
+			// Before the ref reconcile below reads every manifest as ground
+			// truth.
+			if err := removeUnlistedForm(b, st.Path); err != nil {
+				return nil, fmt.Errorf("ckpt: repair: %w", err)
 			}
 			rep.Converted = append(rep.Converted, st.Path)
 		case StateUnpublished:

@@ -17,9 +17,9 @@
 // derives refcounts from every committed (and sealed-but-unpublished)
 // manifest and sweeps only blobs with zero references.
 //
-// Reading a dedup checkpoint is the read stage's job (read.go), like a plain
-// one; this file keeps the layout's own store, GC, scan and the in-place
-// conversion (Dedupify: one protocol on every backend, finished by Repair).
+// Reading a dedup checkpoint is the read stage's job (read.go) and writing
+// one the write stage's (write.go), like a plain one; this file keeps the
+// layout's own store, GC and scan.
 
 package ckpt
 
@@ -105,8 +105,8 @@ func encodeGroupPayload(w io.Writer, buf []byte, s *zero.GroupShard) (int64, err
 // ancestor to be present, because decoding depends on the whole chain.
 func verifyDedupRefs(e *entry) error {
 	if !e.layout().blobs {
-		// Plain, or manifests beside a weight container: an unfinished
-		// conversion's extras, which no reader consults.
+		// Plain, or manifests beside a weight container, which no reader
+		// consults.
 		return nil
 	}
 	store, err := e.c.store()
@@ -352,7 +352,8 @@ func scanBlobs(c *catalog) ([]BlobStatus, error) {
 	return out, nil
 }
 
-// DedupifyReport records what a checkpoint conversion stored and reused.
+// DedupifyReport records what content-addressing a merge, blend or reshard
+// output (Txn.Publish) stored and reused.
 type DedupifyReport struct {
 	// BlobsPut counts blobs written (new content).
 	BlobsPut int
@@ -362,155 +363,4 @@ type DedupifyReport struct {
 	BlobBytesWritten int64
 	// BytesDeduped totals payload bytes that cost nothing (reused blobs).
 	BytesDeduped int64
-}
-
-// Dedupify converts a committed plain checkpoint to content-addressed form
-// in place: every weight-tensor and optimizer-group payload is stored as a
-// blob (via the raw extent surface — no decode) and the LTSF/LTOS containers
-// are replaced by manifests. The directory being converted is the ONLY copy,
-// so no commit transaction applies (Begin clears or shadows its target);
-// instead the directory moves from one committed state to the next, each
-// step one atomic small-file publish (storage.PublishFile), on every backend:
-//
-//  1. manifests are written under their final keys as unlisted extras (the
-//     commit contract checks only listed files, so the directory stays
-//     committed under the old marker);
-//  2. one marker publish atomically swaps the file listing — manifests in,
-//     payload containers and manifest.json out (manifest.json must go
-//     unlisted so step 3 can replace it without a torn window);
-//  3. manifest.json is replaced (Dedup, RefGen) while unlisted;
-//  4. a second marker publish re-lists manifest.json under its new sum;
-//  5. the now-unlisted LTSF/LTOS containers are deleted.
-//
-// A crash between any two steps leaves the directory committed — readers
-// see the plain form until step 5 removes model.ltsf, the dedup form after
-// — and a re-run converges: while model.ltsf exists it resumes at the step
-// the marker records, never rewriting a file the marker lists (VerifyCommit
-// checks those, and a rewrite torn by a second fault would have Repair
-// discard the only copy; the journal record is reused, so what the first run
-// listed is what this one would write); after, the already-dedup path drops
-// leftover unlisted shard containers. Scan calls a directory caught in
-// between converting and Repair re-runs this on it: rolling back could not
-// tell a crashed conversion's extras from a finished one's files.
-func Dedupify(b storage.Backend, dir string) (*DedupifyReport, error) {
-	rep := &DedupifyReport{}
-	if IsDedup(b, dir) {
-		return rep, sweepUnlistedShardFiles(b, dir)
-	}
-	marker, err := ReadCommitMarker(b, dir)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: dedupify %s: only committed checkpoints convert: %w", dir, err)
-	}
-	// One more feeder of the write stage's blob half: the read stage lists the
-	// containers' payloads as raw extents (no decode) and hashAll digests them,
-	// verifying each header CRC against the bytes in the same pass. No codec
-	// plan: new blobs stay raw; dedup hits on coded blobs keep their lineage.
-	var set *payloadSet
-	src, err := openSource(b, dir)
-	if err == nil {
-		set, err = src.set()
-	}
-	if err == nil {
-		err = set.hashAll()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
-	}
-	if err := dedupifyInPlace(b, dir, marker, set); err != nil {
-		return nil, err
-	}
-	set.each(func(p *payload, _ string, _ int) error {
-		if p.written {
-			rep.BlobsPut++
-			rep.BlobBytesWritten += p.size
-		} else {
-			rep.BlobsReused++
-			rep.BytesDeduped += p.size
-		}
-		return nil
-	})
-	return rep, nil
-}
-
-// dedupifyInPlace is Dedupify's publication: the ref record, the blobs, then
-// steps 1–5, between any two of whose writes the directory verifies committed.
-func dedupifyInPlace(b storage.Backend, dir string, marker CommitMarker, set *payloadSet) error {
-	store, err := openSaveStore(b, dir)
-	if err != nil {
-		return err
-	}
-	gen, err := set.publishBlobs(store, nil, dir, marker.Step, nil)
-	if err != nil {
-		return err
-	}
-	m2 := marker // a replay resumes where the marker says the last run got to
-	if _, swapped := marker.Files[WeightManifestName]; !swapped {
-		// Step 1: the manifests, unlisted; their sums are recorded for the swap.
-		rec := newSumBackend(b)
-		if err := set.stageManifests(rec, dir); err != nil {
-			return fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
-		}
-		// Step 2: the swap; manifest.json goes unlisted too (a listed file cannot
-		// change content without a window in which the marker's CRC is wrong).
-		drop := map[string]bool{"model.ltsf": true, "manifest.json": true}
-		for rank := range set.ranks {
-			drop[ShardFileName(rank)] = true
-		}
-		m2.Files = rec.sumsUnder(dir)
-		for name, sum := range marker.Files {
-			if !drop[name] {
-				m2.Files[name] = sum
-			}
-		}
-		if _, err := publishJSON(b, dir+"/"+CommitMarkerName, &m2); err != nil {
-			return fmt.Errorf("ckpt: dedupify %s: swap marker: %w", dir, err)
-		}
-	}
-	if _, resealed := m2.Files["manifest.json"]; !resealed {
-		// Step 3: replace manifest.json while unlisted.
-		man, err := ReadManifest(b, dir)
-		if err != nil {
-			return fmt.Errorf("ckpt: dedupify %s: %w", dir, err)
-		}
-		man.Dedup, man.RefGen = true, gen
-		newMan, err := publishJSON(b, dir+"/manifest.json", &man)
-		if err != nil {
-			return fmt.Errorf("ckpt: dedupify %s: rewrite manifest.json: %w", dir, err)
-		}
-		// Step 4: re-list manifest.json under its new sum.
-		m2.Files["manifest.json"] = FileSum{Size: int64(len(newMan)), CRC32: crc32.ChecksumIEEE(newMan)}
-		if _, err := publishJSON(b, dir+"/"+CommitMarkerName, &m2); err != nil {
-			return fmt.Errorf("ckpt: dedupify %s: reseal marker: %w", dir, err)
-		}
-	}
-
-	// Step 5: model.ltsf first — its disappearance flips readers to the dedup
-	// form — then the shard files, through the sweep a crash here relies on.
-	if err := b.Remove(dir + "/model.ltsf"); err != nil && !storage.IsNotExist(err) {
-		return fmt.Errorf("ckpt: dedupify %s: remove model.ltsf: %w", dir, err)
-	}
-	return sweepUnlistedShardFiles(b, dir)
-}
-
-// sweepUnlistedShardFiles removes LTOS containers a crashed conversion left
-// behind after its marker swap (they are unlisted extras — harmless to
-// readers, but dead weight). Listed shard files are never touched.
-func sweepUnlistedShardFiles(b storage.Backend, dir string) error {
-	left := shardContainers(b, dir)
-	if len(left) == 0 {
-		return nil
-	}
-	marker, err := ReadCommitMarker(b, dir)
-	if err != nil {
-		return nil // not committed: nothing to judge against
-	}
-	for _, name := range left {
-		if _, listed := marker.Files[name]; listed {
-			continue
-		}
-		if err := b.Remove(dir + "/" + name); err != nil {
-			return fmt.Errorf("ckpt: dedupify %s: sweep %s: %w", dir, name, err)
-		}
-	}
-	return nil
 }

@@ -345,40 +345,43 @@ func TestBlobRefsProtectQuarantinedDirs(t *testing.T) {
 	}
 }
 
-// TestDedupifyConvertsInPlace: a plain committed checkpoint converts to
-// content-addressed form and still restores exactly; materialization
-// reproduces the original containers bit for bit.
-func TestDedupifyConvertsInPlace(t *testing.T) {
-	t.Run("mem", func(t *testing.T) { testDedupifyConvertsInPlace(t, storage.NewMem()) })
+// TestPublishDedupOutput: an output staged as plain containers and published
+// with dedup on is content-addressed from the moment it is visible, restores
+// exactly, and materializes back to the staged containers bit for bit.
+func TestPublishDedupOutput(t *testing.T) {
+	t.Run("mem", func(t *testing.T) { testPublishDedupOutput(t, storage.NewMem()) })
 	t.Run("os", func(t *testing.T) {
 		b, err := storage.NewOS(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		testDedupifyConvertsInPlace(t, b)
+		testPublishDedupOutput(t, b)
 	})
 }
 
-func testDedupifyConvertsInPlace(t *testing.T, b storage.Backend) {
+func testPublishDedupOutput(t *testing.T, b storage.Backend) {
 	m, o := saveFull(t, b, "run/checkpoint-5", 126, 2)
 	origLTSF, _ := b.ReadFile("run/checkpoint-5/model.ltsf")
 	origShard0, _ := b.ReadFile("run/checkpoint-5/" + ShardFileName(0))
 
-	rep, err := Dedupify(b, "run/checkpoint-5")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := publishDedup(t, b, "run/checkpoint-5")
 	if rep.BlobsPut == 0 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if b.Exists("run/checkpoint-5/model.ltsf") {
-		t.Fatal("payload container survived conversion")
+	if b.Exists("run/checkpoint-5/model.ltsf") || b.Exists("run/checkpoint-5/"+ShardFileName(0)) {
+		t.Fatal("a payload container was published")
+	}
+	if b.Exists(StagingDir("run/checkpoint-5")) {
+		t.Fatal("staging residue after publication")
+	}
+	if !IsDedup(b, "run/checkpoint-5") {
+		t.Fatal("not content-addressed")
 	}
 	if err := VerifyCommit(b, "run/checkpoint-5"); err != nil {
 		t.Fatal(err)
 	}
 	man, err := ReadManifest(b, "run/checkpoint-5")
-	if err != nil || !man.Dedup {
+	if err != nil || !man.Dedup || man.RefGen == 0 {
 		t.Fatalf("manifest = %+v, %v", man, err)
 	}
 	rm, ro, _, err := Restore(b, "run/checkpoint-5", tensor.BF16)
@@ -386,28 +389,25 @@ func testDedupifyConvertsInPlace(t *testing.T, b storage.Backend) {
 		t.Fatal(err)
 	}
 	if !model.Equal(rm, m) || !sameOptim(ro, o) {
-		t.Fatal("restore differs after dedupify")
+		t.Fatal("restore differs")
 	}
 	if err := MaterializeWeights(b, "run/checkpoint-5", "mat.ltsf", 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := b.ReadFile("mat.ltsf"); !bytes.Equal(got, origLTSF) {
-		t.Fatal("materialized weights differ from the original container")
+		t.Fatal("materialized weights differ from the staged container")
 	}
 	if err := MaterializeShardFile(b, "run/checkpoint-5", 0, "mat.ltos", 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := b.ReadFile("mat.ltos"); !bytes.Equal(got, origShard0) {
-		t.Fatal("materialized shard differs from the original container")
+		t.Fatal("materialized shard differs from the staged container")
+	}
+	if problems := refProblems(t, b, "run"); len(problems) != 0 {
+		t.Fatalf("ref-index problems: %+v", problems)
 	}
 
-	// Converting again is a no-op.
-	rep2, err := Dedupify(b, "run/checkpoint-5")
-	if err != nil || rep2.BlobsPut != 0 || rep2.BlobsReused != 0 {
-		t.Fatalf("second dedupify = %+v, %v", rep2, err)
-	}
-	// A dedup save of the same state against the converted store reuses
-	// every blob.
+	// A dedup save of the same state against the store reuses every blob.
 	store := storage.NewBlobStore(b, "run/objects")
 	blobsBefore, _, _, _ := store.List()
 	if err := Save(b, SaveSpec{Dir: "run/checkpoint-6", Model: m, Optim: o, WorldSize: 2,
@@ -416,16 +416,16 @@ func testDedupifyConvertsInPlace(t *testing.T, b storage.Backend) {
 	}
 	blobsAfter, _, _, _ := store.List()
 	if len(blobsAfter) != len(blobsBefore) {
-		t.Fatalf("dedup save after dedupify stored new blobs: %d -> %d", len(blobsBefore), len(blobsAfter))
+		t.Fatalf("dedup save of the published state stored new blobs: %d -> %d", len(blobsBefore), len(blobsAfter))
 	}
 }
 
-// TestDedupifyPinsXorLineage: a conversion whose payloads dedup-hit
+// TestDedupifyPinsXorLineage: a dedup output whose payloads dedup-hit
 // xor-coded blobs depends on those blobs' ancestors exactly like the save
-// that stored them. The conversion goes through the same write stage as
-// every save, so its journal record pins the chains and its manifests
-// record Codec/Stored/Parents — retiring every older generation must leave
-// the converted checkpoint restorable bit for bit.
+// that stored them. Publish goes through the same write stage as every save,
+// so its journal record pins the chains and its manifests record
+// Codec/Stored/Parents — retiring every older generation must leave the
+// output restorable bit for bit.
 func TestDedupifyPinsXorLineage(t *testing.T) {
 	backends := []struct {
 		name string
@@ -446,19 +446,16 @@ func TestDedupifyPinsXorLineage(t *testing.T) {
 			if err := Save(b, codecSpec("run/checkpoint-200", 200, m, o, "xor", 0)); err != nil {
 				t.Fatal(err)
 			}
-			// A plain save of the same state, converted in place: every
-			// payload already exists as a blob, some of them xor deltas.
+			// A plain save of the same state, published content-addressed:
+			// every payload already exists as a blob, some of them xor deltas.
 			const dir = "run/checkpoint-300"
 			if err := Save(b, SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: 2,
 				Strategy: "full", State: TrainerState{Step: 300, Seed: 170}}); err != nil {
 				t.Fatal(err)
 			}
-			rep, err := Dedupify(b, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep := publishDedup(t, b, dir)
 			if rep.BlobsPut != 0 || rep.BlobsReused == 0 {
-				t.Fatalf("conversion of an already-stored state: %+v", rep)
+				t.Fatalf("dedup output of an already-stored state: %+v", rep)
 			}
 			cs, err := ReadCodecStats(b, dir)
 			if err != nil {

@@ -64,8 +64,8 @@ func TestHubCrossRunDedup(t *testing.T) {
 		t.Fatalf("identical cross-run save grew the store: %d -> %d blobs", base, n)
 	}
 
-	// The measured form: a plain run-B checkpoint dedupified against the
-	// hub reuses everything. BlobBytesWritten == 0 is the "second run's
+	// The measured form: a plain run-B checkpoint published content-addressed
+	// against the hub reuses everything. BlobBytesWritten == 0 is the "second run's
 	// unchanged base layers write zero payload bytes" guarantee;
 	// BytesDeduped accounts for the whole payload.
 	mB2, oB2 := buildOptim(t, modelcfg.Tiny(), 501)
@@ -74,10 +74,7 @@ func TestHubCrossRunDedup(t *testing.T) {
 		State: TrainerState{Step: 20, Seed: 501}}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Dedupify(b, "runb/checkpoint-20")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := publishDedup(t, b, "runb/checkpoint-20")
 	if rep.BlobsPut != 0 || rep.BlobBytesWritten != 0 {
 		t.Fatalf("cross-run dedup wrote payload: %+v", rep)
 	}

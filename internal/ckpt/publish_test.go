@@ -7,6 +7,61 @@ import (
 	"llmtailor/internal/storage"
 )
 
+// stagedFiles is a committed checkpoint's files as read back: what a fixture
+// stages again to publish the same state another way.
+type stagedFiles struct {
+	step  int
+	names []string
+	data  map[string][]byte
+}
+
+func readCommitted(b storage.Backend, dir string) (stagedFiles, error) {
+	m, err := ReadCommitMarker(b, dir)
+	if err != nil {
+		return stagedFiles{}, err
+	}
+	files := stagedFiles{step: m.Step, names: m.sortedFiles(), data: map[string][]byte{}}
+	for _, name := range files.names {
+		if files.data[name], err = b.ReadFile(dir + "/" + name); err != nil {
+			return stagedFiles{}, err
+		}
+	}
+	return files, nil
+}
+
+// publishDedup publishes the files at dir content-addressed the way merge,
+// blend and reshard make a dedup output: staged plain in a transaction on dir,
+// then Publish with dedup on (latest stays put).
+func (files stagedFiles) publishDedup(b storage.Backend, dir string) (DedupifyReport, error) {
+	txn, err := Begin(b, dir)
+	if err != nil {
+		return DedupifyReport{}, err
+	}
+	defer txn.Abort()
+	for _, name := range files.names {
+		if err := txn.Backend().WriteFile(txn.Dir()+"/"+name, files.data[name]); err != nil {
+			return DedupifyReport{}, err
+		}
+	}
+	return txn.Publish(files.step, false, true)
+}
+
+// publishDedup replaces the committed plain checkpoint at dir with its
+// content-addressed form, for fixtures. The copy is read before Begin, which
+// clears its target where the backend does not rename.
+func publishDedup(t testing.TB, b storage.Backend, dir string) DedupifyReport {
+	t.Helper()
+	files, err := readCommitted(b, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := files.publishDedup(b, dir)
+	if err != nil {
+		t.Fatalf("publish %s content-addressed: %v", dir, err)
+	}
+	return rep
+}
+
 // TestCapabilitiesThroughWrappers: a capability belongs to the storage at the
 // bottom of a wrapper stack. For every base backend and every stack of
 // Meter, Fault, Retry and a commit transaction's recording backend over it —

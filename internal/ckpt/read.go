@@ -1,7 +1,8 @@
 // The checkpoint read stage (DESIGN.md "The read stage").
 //
-// Every reader of a committed checkpoint — Open/Restore, merge, verify,
-// reshard, Dedupify, Materialize* — sees it as the write stage's payloadSet:
+// Every reader of a checkpoint — Open/Restore, merge, verify, reshard,
+// Materialize*, and Txn.contentAddress over its staged containers — sees it as
+// the write stage's payloadSet:
 // weights and each rank's groups in stored order, every payload with its
 // size, CRC, digest (content-addressed checkpoints) and a ranged opener.
 // Whether the bytes sit in an LTSF/LTOS container extent or in a blob is
@@ -11,7 +12,8 @@
 // codec containers) and verifies nothing. Whoever decodes a payload checks its
 // CRC (payload.read, under Weights.ReadTensor and the load driver); whoever
 // re-stages one checks its digest, or its CRC when it has none
-// (payloadSet.checked) — unless, like Dedupify, it hashes every byte anyway.
+// (payloadSet.checked) — unless, like contentAddress, it hashes every byte
+// anyway.
 //
 // A whole checkpoint — or a whole rank, or all the weights — is read by the
 // one load driver, payloadSet.load: every payload through one pipeline of
@@ -38,64 +40,31 @@ import (
 	"llmtailor/internal/zero"
 )
 
-// layoutKind says where a directory's payloads sit.
-type layoutKind int
-
-const (
-	// layoutPlain: LTSF/LTOS containers only.
-	layoutPlain layoutKind = iota
-	// layoutConverting: manifests beside containers — a crash interrupted
-	// Dedupify, and Repair finishes it. Until the marker swap the manifests are
-	// unlisted extras, possibly torn.
-	layoutConverting
-	// layoutDedup: manifests only; payloads are blobs.
-	layoutDedup
-)
-
-// layout is the one layout decision. Within converting, blobs says which
-// form readers see: Dedupify's last step removes model.ltsf first, and from
-// then on the manifests are what is read (and must be intact, and pin
-// exactly), whatever shard containers are still waiting to be swept.
+// layout is the one layout decision: manifests says the directory carries a
+// weight manifest (the pin walk reads whatever manifests there are), blobs
+// that readers read them — they do unless a weight container is there too.
+// A published directory holds one form and keeps it (DESIGN.md "Invariants to
+// preserve"); one holding both was left by an older binary's in-place
+// conversion, or had containers dropped into it, reads plain and is Scan's to
+// report (entry.twoForms) and Repair's to settle.
 type layout struct {
-	kind  layoutKind
-	blobs bool
+	manifests, blobs bool
 }
 
 // decideLayout is the only code that tells a plain directory from a
-// content-addressed one and from one caught between the two: IsDedup and
-// openSource (what readers open), Scan's StateConverting, verifyDedupRefs and
-// the pin walk's best-effort rule all ask it. DESIGN.md "The run catalog"
-// has the table against the conversion's steps.
+// content-addressed one: at most two existence probes, never a listing. IsDedup
+// and openSource (what readers open), verifyDedupRefs and the pin walk all ask
+// it.
 func decideLayout(b storage.Backend, dir string) layout {
-	switch {
-	case !b.Exists(dir + "/" + WeightManifestName):
-		return layout{kind: layoutPlain}
-	case b.Exists(dir + "/model.ltsf"):
-		return layout{kind: layoutConverting}
-	case len(shardContainers(b, dir)) > 0:
-		return layout{kind: layoutConverting, blobs: true}
+	if !b.Exists(dir + "/" + WeightManifestName) {
+		return layout{}
 	}
-	return layout{kind: layoutDedup, blobs: true}
+	return layout{manifests: true, blobs: !b.Exists(dir + "/model.ltsf")}
 }
 
 // IsDedup reports whether a checkpoint directory reads as content-addressed
 // (weight manifest present, no weight container).
 func IsDedup(b storage.Backend, dir string) bool { return decideLayout(b, dir).blobs }
-
-// shardContainers lists the LTOS containers a directory holds, as dir-relative
-// names. The listing, not a rank count, says which are there: a crashed
-// conversion may have removed some ranks' already. No zero/ directory: a
-// weights-only checkpoint.
-func shardContainers(b storage.Backend, dir string) []string {
-	var out []string
-	entries, _ := b.List(dir + "/zero")
-	for _, e := range entries {
-		if strings.HasSuffix(e, ".ltos") {
-			out = append(out, "zero/"+e)
-		}
-	}
-	return out
-}
 
 // source is a checkpoint directory with its layout decided: store is the
 // blob store its manifests reference, nil for plain containers.

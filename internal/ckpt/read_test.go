@@ -142,7 +142,7 @@ func readEverything(t *testing.T, b storage.Backend, dir string) readAnswers {
 		t.Fatal(err)
 	}
 	a.Weights, _ = b.ReadFile("mat/" + dir + "/model.ltsf")
-	// The whole-checkpoint listing Dedupify consumes, for either layout.
+	// The whole-checkpoint listing a dedup publication consumes, for either layout.
 	src, err := openSource(b, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -390,10 +390,16 @@ func corruptionCase(t *testing.T, b storage.Backend, layout string, weight bool)
 		named("MaterializeShardFile", MaterializeShardFile(b, dir, 1, "mat.ltos", 0))
 	}
 	if layout == "plain" {
-		_, err := Dedupify(b, dir)
-		named("Dedupify", err)
-		if IsDedup(b, dir) {
-			t.Fatal("Dedupify converted a checkpoint it could not verify")
+		// Staged as they are and published content-addressed under another
+		// name: the hash pass holds every byte to its header CRC.
+		files, err := readCommitted(b, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = files.publishDedup(b, layout+"/converted")
+		named("Publish with dedup", err)
+		if b.Exists(layout + "/converted") {
+			t.Fatal("Publish content-addressed containers it could not verify")
 		}
 	}
 

@@ -101,7 +101,7 @@ func appendRefRecord(ix *storage.RefIndex, finalDir string, step int, digests []
 // Digests (readRefs).
 
 // dedup reports whether the directory carries a weight manifest.
-func (e *entry) dedup() bool { return e.layout().kind != layoutPlain }
+func (e *entry) dedup() bool { return e.layout().manifests }
 
 // refGen is the generation manifest.json binds the directory to (0 =
 // unbound: pre-ref-index checkpoint, or manifest unreadable).
@@ -113,20 +113,17 @@ func (e *entry) refGen() int64 {
 // readRefs fills every entry's Digests: the blob references its manifests
 // hold (sorted, with repeats for multiply-referenced digests) — the
 // whole-history ground-truth read that the ref index exists to avoid on the
-// hot path. A sealed directory in its final place whose manifests are what
-// readers read accounts exactly: unreadable manifests there are external
-// mutilation, and loud. Everything else — torn, quarantined, mid-write
-// staging, and an unfinished conversion's possibly torn extras (its record
-// pins them) — is read best-effort: over-approximating references is safe for
-// GC, under-reading them is not, so whatever is readable pins.
+// hot path. A sealed directory in its final place accounts exactly:
+// unreadable manifests there are external mutilation, and loud. Everything
+// else — torn, quarantined, mid-write staging — is read best-effort:
+// over-approximating references is safe for GC, under-reading them is not, so
+// whatever is readable pins.
 func (c *catalog) readRefs() error {
 	for _, e := range c.entries {
 		if e.refsRead {
 			continue
 		}
-		lay := e.layout()
-		bestEffort := !e.sealed() || e.Staging || (lay.kind == layoutConverting && !lay.blobs)
-		digests, err := e.pinDigests(bestEffort)
+		digests, err := e.pinDigests(!e.sealed() || e.Staging)
 		if errors.Is(err, errRetired) {
 			return err
 		}
@@ -323,12 +320,12 @@ func auditRefs(ix *storage.RefIndex, c *catalog) (*refAudit, error) {
 				// when the digest sets agree. Exception: when every
 				// directory under the key is a sealed plain checkpoint,
 				// nothing it stores can reference a blob, so the record is
-				// an in-flight dedup conversion's advance pin or residue of
-				// a crashed one — sweeps still honor it, quiescent repair
-				// retires it.
+				// the advance pin of an in-flight dedup output about to
+				// replace it, or residue of a crashed one — sweeps still
+				// honor it, quiescent repair retires it.
 				if allSealedPlain(ds) {
 					ar.state = RefOrphaned
-					ar.detail = "record over a sealed plain directory (in-flight dedup conversion, or stale after a crashed one)"
+					ar.detail = "record over a sealed plain directory (in-flight dedup output replacing it, or stale after a crashed one)"
 				} else if digestsCover(rec.Digests, dirRefsetOf(ds)) {
 					ar.state = RefOK
 					covered[e.Key] = true

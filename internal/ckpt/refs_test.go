@@ -422,14 +422,12 @@ func TestSupersededScanState(t *testing.T) {
 	}
 }
 
-// TestDedupifyJournalsRecord: in-place conversion journals a record and
-// binds it through the rewritten manifest.
+// TestDedupifyJournalsRecord: a content-addressed publication journals a
+// record and binds it through the manifest.json it restages.
 func TestDedupifyJournalsRecord(t *testing.T) {
 	b := storage.NewMem()
 	saveFull(t, b, "run/checkpoint-10", 260, 2)
-	if _, err := Dedupify(b, "run/checkpoint-10"); err != nil {
-		t.Fatal(err)
-	}
+	publishDedup(t, b, "run/checkpoint-10")
 	entries := refEntries(t, b, "run")
 	if len(entries) != 1 {
 		t.Fatalf("entries = %+v", entries)

@@ -137,6 +137,11 @@ func (l *opLog) Exists(name string) bool {
 	return l.Fault.Exists(name)
 }
 
+func (l *opLog) List(dir string) ([]string, error) {
+	l.read("list", dir)
+	return l.Fault.List(dir)
+}
+
 func (l *opLog) WriteFile(name string, data []byte) error {
 	l.note("write", name)
 	return l.Fault.WriteFile(name, data)

@@ -1,16 +1,19 @@
 // The checkpoint write stage (DESIGN.md "The write stage").
 //
-// Every checkpoint writer — the synchronous Save, the lazy capture engine,
-// Dedupify — describes what it writes as an ordered payloadSet and hands it
-// to the one stage in this file; writers differ only in where the bytes come
-// from. The protocol that makes them durable exists once:
+// Every checkpoint writer — the synchronous Save, the lazy capture engine, a
+// merge, blend or reshard making a content-addressed output — describes what
+// it writes as an ordered payloadSet and hands it to the one stage in this
+// file; writers differ only in where the bytes come from. The protocol that
+// makes them durable exists once:
 //
 //	plain:  Begin → LTSF/LTOS containers → trailer → Commit
 //	dedup:  Begin → journal the digest set → publish missing blobs →
 //	        LTMF/LTOM manifests → trailer → Commit
 //
-// Dedupify converts a directory's only copy, so has no transaction to Begin:
-// hashAll → publishBlobs → stageManifests, then an in-place marker swap.
+// A dedup output of merge, blend or reshard is staged plain first and takes
+// the dedup row inside its transaction, before Commit (Txn.contentAddress):
+// hashAll → publishBlobs → stageManifests over the staged containers, which
+// then leave the staging tree. Nothing converts a published directory.
 //
 // The dedup order is load-bearing: the full digest set, xor-parent ancestors
 // included, is journaled before the first blob is published, so a sweep
@@ -486,6 +489,71 @@ func (ws writeStage) run(set *payloadSet) error {
 		return err
 	}
 	return txn.Commit(ws.spec.State.Step)
+}
+
+// contentAddress gives a transaction's staged plain output content-addressed
+// form, before it commits: how merge, blend and reshard make a dedup output.
+// It is one more feeder of the stage's blob half. The read stage lists the
+// staged containers' payloads as raw extents (no decode) and hashAll digests
+// them, verifying each header CRC against the bytes in the same pass; the
+// journal record and the missing blobs go to the store addressed from the
+// final path; the manifests are staged; the containers leave the staging tree
+// (and the transaction's record with them); manifest.json is restaged carrying
+// dedup and ref_gen. No codec plan: new blobs stay raw, dedup hits on coded
+// blobs keep their lineage. A crash anywhere leaves what a crashed dedup Save
+// leaves — an unsealed tree, a record no directory is bound to, blobs nothing
+// references — and never a published directory in an intermediate form.
+func (t *Txn) contentAddress(step int) (rep DedupifyReport, err error) {
+	src, err := openSource(t.base, t.staging)
+	if err != nil {
+		return rep, err
+	}
+	set, err := src.set()
+	if err == nil {
+		err = set.hashAll()
+	}
+	if err != nil {
+		return rep, err
+	}
+	store, err := openSaveStore(t.base, t.final)
+	if err != nil {
+		return rep, err
+	}
+	gen, err := set.publishBlobs(store, nil, t.final, step, nil)
+	if err != nil {
+		return rep, err
+	}
+	if err := set.stageManifests(t.rec, t.staging); err != nil {
+		return rep, err
+	}
+	containers := []string{"model.ltsf"}
+	for rank := range set.ranks {
+		containers = append(containers, ShardFileName(rank))
+	}
+	for _, name := range containers {
+		if err := t.rec.Remove(t.staging + "/" + name); err != nil {
+			return rep, err
+		}
+	}
+	man, err := ReadManifest(t.base, t.staging)
+	if err != nil {
+		return rep, err
+	}
+	man.Dedup, man.RefGen = true, gen
+	if err := writeJSON(t.rec, t.staging+"/manifest.json", &man); err != nil {
+		return rep, err
+	}
+	set.each(func(p *payload, _ string, _ int) error {
+		if p.written {
+			rep.BlobsPut++
+			rep.BlobBytesWritten += p.size
+		} else {
+			rep.BlobsReused++
+			rep.BytesDeduped += p.size
+		}
+		return nil
+	})
+	return rep, nil
 }
 
 // newPayloadSet lays out a save's payloads in write order with their

@@ -125,21 +125,27 @@ func TestCrashPointExplorationReshardObjStore(t *testing.T) {
 }
 
 // TestCrashPointExplorationReshardDedup explores crashes of a dedup →
-// dedup reshard: the source is content-addressed and the output converts
-// to content-addressed form after publication. The conversion moves the
-// output through committed states in place, and Repair rolls it forward
-// once it has reached the directory, so after Repair the output is in its
-// committed plain form or its content-addressed form — never a hybrid —
-// and the blobs the source pins must survive Repair + GC at every crash
-// point.
+// dedup reshard: the source is content-addressed and the output takes its
+// content-addressed form inside the transaction, before it is published. So
+// at every crash point, before and after Repair, the output name holds
+// nothing or the complete content-addressed checkpoint — never a plain one,
+// never both forms — and the blobs the source pins must survive Repair + GC.
 func TestCrashPointExplorationReshardDedup(t *testing.T) {
 	exploreReshardDedupCrash(t, func() storage.Backend { return storage.NewMem() }, false, true)
 }
 
-// The no-rename twin: object-store PUTs are atomic, and the in-place
-// conversion relies on it, so there is no torn mode.
+// The no-rename twin: object-store PUTs are atomic, so there is no torn mode.
 func TestCrashPointExplorationReshardDedupObjStore(t *testing.T) {
 	exploreReshardDedupCrash(t, func() storage.Backend { return storage.NewObjStore() }, false)
+}
+
+func refStatuses(t *testing.T, b storage.Backend) []ckpt.RefStatus {
+	t.Helper()
+	refs, err := ckpt.ScanRefs(b, "run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refs
 }
 
 func exploreReshardDedupCrash(t *testing.T, newBackend func() storage.Backend, torns ...bool) {
@@ -153,15 +159,6 @@ func exploreReshardDedupCrash(t *testing.T, newBackend func() storage.Backend, t
 		t.Fatal(err)
 	}
 	dedupDigest := treeDigest(t, clean, dst)
-
-	// The plain form the output passes through before conversion — the
-	// other legal post-crash state for the destination.
-	plain := newBackend()
-	saveAt(t, plain, src, m, o, 3, 40, true)
-	if _, err := Reshard(plain, src, dst, 2, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	plainDigest := treeDigest(t, plain, dst)
 
 	f := storage.NewFault(newBackend())
 	saveAt(t, f, src, m, o, 3, 40, true)
@@ -190,6 +187,16 @@ func exploreReshardDedupCrash(t *testing.T, newBackend func() storage.Backend, t
 			if d := treeDigest(t, base, src); d != srcDigest {
 				t.Fatalf("k=%d torn=%v: source bytes changed", k, torn)
 			}
+			// What is published is the finished output, before any repair.
+			published := func(when string) {
+				if ckpt.CheckCommit(base, dst) != nil {
+					return
+				}
+				if d := treeDigest(t, base, dst); d != dedupDigest {
+					t.Fatalf("k=%d torn=%v: %s the published output is plain, or holds both forms", k, torn, when)
+				}
+			}
+			published("at the crash")
 
 			// Repair + GC converge with every surviving blob referenced,
 			// and the source still restores — the crashed conversion must
@@ -217,14 +224,14 @@ func exploreReshardDedupCrash(t *testing.T, newBackend func() storage.Backend, t
 				t.Fatalf("k=%d torn=%v: source restore is a hybrid", k, torn)
 			}
 
-			// If the destination survived it is exactly one of the two
-			// legal forms — committed plain (conversion never finished) or
-			// committed content-addressed — never a mix.
-			if err := ckpt.VerifyCommit(base, dst); err == nil {
-				switch d := treeDigest(t, base, dst); d {
-				case plainDigest, dedupDigest:
-				default:
-					t.Fatalf("k=%d torn=%v: surviving output is a hybrid", k, torn)
+			// The name holds nothing, or the finished output.
+			published("after repair")
+			if base.Exists(dst) && ckpt.CheckCommit(base, dst) != nil || base.Exists(ckpt.StagingDir(dst)) {
+				t.Fatalf("k=%d torn=%v: repair left an unpublished tree under the output name", k, torn)
+			}
+			for _, rs := range refStatuses(t, base) {
+				if rs.State != ckpt.RefOK {
+					t.Fatalf("k=%d torn=%v: record %s is %v after repair + gc", k, torn, rs.Path, rs.State)
 				}
 			}
 

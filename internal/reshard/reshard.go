@@ -30,8 +30,8 @@
 // The output commits through the standard stage → seal → publish protocol
 // (ckpt.Begin/Commit), so Scan, Repair, doctor, GC and the ref journal all
 // treat resharded checkpoints like any other, on rename and no-rename
-// backends alike. With Options.Dedup the published output is converted to
-// content-addressed form; unchanged payloads (all weight tensors, and any
+// backends alike. With Options.Dedup the staged output is made
+// content-addressed before it commits; unchanged payloads (all weight tensors, and any
 // group shard whose extent aligns) dedup against existing blobs by content
 // address.
 package reshard
@@ -69,8 +69,8 @@ type Options struct {
 	// identical either way (the golden tests pin this); the knob exists for
 	// A/B benchmarking.
 	NoRawCopy bool
-	// Dedup converts the published output to content-addressed form, so
-	// payloads dedup against the run root's objects/ store.
+	// Dedup publishes the output content-addressed, so payloads dedup
+	// against the run root's objects/ store.
 	Dedup bool
 	// NoLatest leaves the run root's "latest" pointer untouched instead of
 	// moving it to the resharded output.
@@ -110,8 +110,7 @@ type Stats struct {
 	PeakInFlightBytes int64
 	// WallTime is the measured duration.
 	WallTime time.Duration
-	// DedupifyReport holds the dedup-output conversion's counters
-	// (Options.Dedup).
+	// DedupifyReport holds the dedup output's counters (Options.Dedup).
 	ckpt.DedupifyReport
 }
 
@@ -173,7 +172,7 @@ func Reshard(b storage.Backend, srcDir, dstDir string, world int, opts Options) 
 		return nil, err
 	}
 	// Content addressing is what implements the dedup composition: every
-	// weight blob and every aligned group shard of the converted output
+	// weight blob and every aligned group shard of the staged output
 	// hashes to an existing digest and is reused, not rewritten.
 	if stats.DedupifyReport, err = txn.Publish(c.State.Step, !opts.NoLatest, opts.Dedup); err != nil {
 		return nil, err
@@ -531,8 +530,8 @@ func decodeSection(raw []byte, section, shardLen int64) []float32 {
 // writeTrailer stages the config, trainer state and manifest. Config is
 // copied verbatim; the trainer state is rewritten with the target world
 // size (every other field survives untouched); the manifest drops the
-// dedup markers — the output stages as a plain checkpoint, and an optional
-// dedup conversion re-marks it after publication.
+// dedup markers — the output stages as a plain checkpoint, and a dedup
+// publication (Options.Dedup) re-marks it before the commit.
 func writeTrailer(b storage.Backend, c *ckpt.Checkpoint, sb storage.Backend, staging string, world int) error {
 	cfgData, err := b.ReadFile(c.Dir + "/config.json")
 	if err != nil {

@@ -51,7 +51,30 @@ func mergeTreeDigest(t *testing.T, b storage.Backend, dir string) string {
 func TestCrashPointExplorationFullMerge(t *testing.T) {
 	cfg := modelcfg.Tiny()
 	exploreMergeCrashPoints(t, cfg,
-		recipe.Parity("run/checkpoint-5", "run/checkpoint-10", cfg, "merged-b"))
+		recipe.Parity("run/checkpoint-5", "run/checkpoint-10", cfg, "merged-b"), false)
+}
+
+// A content-addressed output takes its form inside the transaction, so the
+// same exploration holds with the tighter reading of "new": at every fault
+// point the output name holds nothing, or the complete content-addressed
+// checkpoint — never a plain one, never both forms.
+func TestCrashPointExplorationDedupMerge(t *testing.T) {
+	cfg := modelcfg.Tiny()
+	exploreMergeCrashPoints(t, cfg,
+		recipe.Parity("run/checkpoint-5", "run/checkpoint-10", cfg, "merged-b"), true)
+}
+
+// A weights-only blend publishes under the same transaction and moves no
+// pointer: latest stays on the previous output throughout.
+func TestCrashPointExplorationDedupBlend(t *testing.T) {
+	exploreMergeCrashPoints(t, modelcfg.Tiny(), &recipe.Recipe{
+		MergeMethod: "linear",
+		Models: []recipe.WeightedSource{
+			{Checkpoint: "run/checkpoint-5"},
+			{Checkpoint: "run/checkpoint-10"},
+		},
+		Output: "merged-b",
+	}, true)
 }
 
 // The raw-copy fast path (tensor extents plus whole shard files, armed by a
@@ -72,20 +95,24 @@ func TestCrashPointExplorationRawPassthroughMerge(t *testing.T) {
 		t.Fatalf("recipe does not arm the raw paths: %+v", stats)
 	}
 
-	exploreMergeCrashPoints(t, cfg, rec)
+	exploreMergeCrashPoints(t, cfg, rec, false)
 }
 
 // exploreMergeCrashPoints fails a merge of recB at every mutating storage
 // operation (clean and torn) on top of a previously-committed merge output
 // merged-a, asserting sources and the previous output survive untouched,
 // the new output is all-or-nothing, resolution lands on a committed
-// checkpoint, and repair-then-replay converges to the fault-free bytes.
-func exploreMergeCrashPoints(t *testing.T, cfg *modelcfg.Config, recB *recipe.Recipe) {
+// checkpoint, and repair-then-replay converges to the fault-free bytes. With
+// dedup the new output is content-addressed (the store is the backend root's
+// objects/; the previous output stays plain, so every blob is a put), and
+// Repair plus a full GC must leave no blob unreferenced and no journal record
+// stale.
+func exploreMergeCrashPoints(t *testing.T, cfg *modelcfg.Config, recB *recipe.Recipe, dedup bool) {
 	t.Helper()
 	// Tiny chunks force multi-chunk container assembly, so torn-final-
 	// chunk crash points exist inside every output file. Workers=1 keeps
 	// the storage op sequence identical across replays.
-	opts := Options{Workers: 1, ChunkBytes: 512}
+	opts := Options{Workers: 1, ChunkBytes: 512, DedupOutput: dedup}
 	recA := recipe.Parity("run/checkpoint-5", "run/checkpoint-10", cfg, "merged-a")
 
 	// setup builds sources plus the previously-committed merge output
@@ -94,7 +121,7 @@ func exploreMergeCrashPoints(t *testing.T, cfg *modelcfg.Config, recB *recipe.Re
 	setup := func() *storage.Mem {
 		b := storage.NewMem()
 		newRun(t, b, cfg, 2, []int{5, 10}, nil)
-		if _, err := Merge(b, recA, opts); err != nil {
+		if _, err := Merge(b, recA, Options{Workers: 1, ChunkBytes: 512}); err != nil {
 			t.Fatal(err)
 		}
 		return b
@@ -179,6 +206,28 @@ func exploreMergeCrashPoints(t *testing.T, cfg *modelcfg.Config, recB *recipe.Re
 			for _, st := range statuses {
 				if st.State != ckpt.StateCommitted {
 					t.Fatalf("k=%d torn=%v: %s still %v after repair", k, torn, st.Path, st.State)
+				}
+				if dedup && st.Path == recB.Output && (!ckpt.IsDedup(base, st.Path) || base.Exists(st.Path+"/model.ltsf")) {
+					t.Fatalf("k=%d torn=%v: %s is published plain, or in both forms", k, torn, st.Path)
+				}
+			}
+			if dedup {
+				if _, err := ckpt.GC(base, ""); err != nil {
+					t.Fatalf("k=%d torn=%v: gc after repair: %v", k, torn, err)
+				}
+				rep, err := ckpt.ScanRun(base, "", ckpt.ScanViews{Blobs: true, Refs: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, bl := range rep.Blobs {
+					if bl.State != ckpt.BlobReferenced {
+						t.Fatalf("k=%d torn=%v: blob %s is %v after repair + gc", k, torn, bl.Path, bl.State)
+					}
+				}
+				for _, rs := range rep.Refs {
+					if rs.State != ckpt.RefOK {
+						t.Fatalf("k=%d torn=%v: record %s is %v after repair + gc", k, torn, rs.Path, rs.State)
+					}
 				}
 			}
 			if _, err := Merge(base, recB, opts); err != nil {

@@ -15,6 +15,36 @@ import (
 	"llmtailor/internal/tensor"
 )
 
+// publishDedup replaces the committed plain checkpoint at dir with its
+// content-addressed form the way a merge makes a dedup output: a copy staged in
+// a transaction on dir, published with dedup on.
+func publishDedup(t *testing.T, b storage.Backend, dir string) {
+	t.Helper()
+	m, err := ckpt.ReadCommitMarker(b, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for name := range m.Files {
+		if files[name], err = b.ReadFile(dir + "/" + name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	txn, err := ckpt.Begin(b, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer txn.Abort()
+	for name, data := range files {
+		if err := txn.Backend().WriteFile(txn.Dir()+"/"+name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := txn.Publish(m.Step, false, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMergeFromDedupSources pins byte identity: the same parity recipe
 // executed over plain sources and over dedup-converted sources produces
 // identical output containers.
@@ -25,9 +55,7 @@ func TestMergeFromDedupSources(t *testing.T) {
 	dedup := storage.NewMem()
 	newRun(t, dedup, cfg, 2, []int{5, 10}, nil)
 	for _, dir := range []string{"run/checkpoint-5", "run/checkpoint-10"} {
-		if _, err := ckpt.Dedupify(dedup, dir); err != nil {
-			t.Fatal(err)
-		}
+		publishDedup(t, dedup, dir)
 	}
 
 	mk := func() *recipe.Recipe {

@@ -62,8 +62,8 @@ type Options struct {
 	// group decode. The output bytes are identical either way (the golden
 	// tests pin this); the knob exists for A/B benchmarking and diffing.
 	NoRawCopy bool
-	// DedupOutput converts the merged checkpoint to content-addressed
-	// form after publication: payloads move into the run root's objects/
+	// DedupOutput publishes the merged checkpoint content-addressed: before
+	// the commit, the staged payloads move into the run root's objects/
 	// store (deduplicated against existing blobs) and the directory keeps
 	// manifests. Stats gains the blob counters.
 	DedupOutput bool
@@ -100,7 +100,7 @@ type Stats struct {
 	ShardsRawCopied int
 	// BytesRawCopied totals the payload bytes moved by both raw paths.
 	BytesRawCopied int64
-	// DedupifyReport holds the dedup-output conversion's counters
+	// DedupifyReport holds the dedup output's counters
 	// (Options.DedupOutput): BlobsPut, BlobsReused, BlobBytesWritten and
 	// BytesDeduped.
 	ckpt.DedupifyReport
@@ -131,9 +131,10 @@ func Merge(b storage.Backend, r *recipe.Recipe, opts Options) (*Stats, error) {
 
 // Execute runs a previously validated plan. The output directory is built
 // under the same commit protocol as ckpt.Save: every file stages into
-// `<output>.tmp`, a COMMITTED marker seals the tree, and one atomic rename
-// publishes it before the latest pointer moves — a merge that crashes
-// mid-flight leaves sources and any previous output untouched.
+// `<output>.tmp` (where a dedup output also takes its content-addressed
+// form), a COMMITTED marker seals the tree, and one atomic rename publishes
+// it before the latest pointer moves — a merge that crashes mid-flight leaves
+// sources and any previous output untouched.
 func Execute(b storage.Backend, plan *Plan, opts Options) (*Stats, error) {
 	start := time.Now()
 	stats := &Stats{CheckpointsUsed: len(plan.Sources)}

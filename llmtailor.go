@@ -221,9 +221,8 @@ var RestoreModelDType = tensor.BF16
 // parallelism, MaxInFlight bounds in-flight payload bytes, NoRawCopy
 // forces the gather→repartition decode path where the extent-splice fast
 // path would otherwise move aligned bytes without decoding (identical
-// output either way), Dedup converts the output to content-addressed form
-// after publication, and NoLatest leaves the run root's latest pointer
-// untouched.
+// output either way), Dedup publishes the output content-addressed, and
+// NoLatest leaves the run root's latest pointer untouched.
 type ReshardOptions = reshard.Options
 
 // ReshardStats reports what a reshard did: raw-copy vs decode group
