@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-read vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
+.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -172,6 +172,12 @@ request-budget:
 race-read:
 	$(GO) test -race -run 'Restore|Resume|ReadStage|RequestBudget|LoadGate' ./internal/ckpt ./internal/train
 
+# The maintenance phases are concurrent too: the sweep driver's tests,
+# retention, the policies racing live savers and the dry-run equality (in the
+# root package) run under the race detector on every push.
+race-maint:
+	$(GO) test -race -run 'Sweep|RetainKeepLast|HubGCRacing|ShardedGCRacing|DryRunMatchesRealRun|ForEach' . ./internal/ckpt ./internal/storage ./internal/parallel
+
 # Non-test Go lines per package, bench/ excluded — the number ROADMAP's
 # simplicity gate is stated in.
 loc:
@@ -183,7 +189,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog request-budget build test race-read objstore
+ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog request-budget build test race-read race-maint objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 

@@ -373,8 +373,8 @@ func TestRestoreRequestBudget(t *testing.T) {
 		if gets > P+c {
 			t.Errorf("%d GETs for %d payloads, budget P + %d", gets, P, c)
 		}
-		if peak < 4 || peak > requestWidth {
-			t.Errorf("peak of %d GETs in flight, want between 4 and %d", peak, requestWidth)
+		if peak < 4 || peak > storage.RequestWidth {
+			t.Errorf("peak of %d GETs in flight, want between 4 and %d", peak, storage.RequestWidth)
 		}
 		// The layout decision is two existence probes (weight manifest there,
 		// weight container not) and never a listing; each rank's manifest is

@@ -15,7 +15,9 @@
 //
 // A catalog is a snapshot for one read phase, never a cache across
 // mutations: an operation that changes directories opens a fresh one before
-// it reads again. It is used by one goroutine.
+// it reads again. It is used by one goroutine, except that committed and
+// readRefs ask their entries side by side, one worker per entry: an entry's
+// memos are its own, and nothing they ask opens the catalog's store.
 package ckpt
 
 import (
@@ -25,6 +27,7 @@ import (
 	"sort"
 	"strings"
 
+	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 )
 
@@ -400,9 +403,15 @@ func (c *catalog) checkpoints() []*entry {
 
 // committed is the List view: the checkpoints whose commit check holds.
 func (c *catalog) committed() []string {
+	cps := c.checkpoints()
+	ok := make([]bool, len(cps))
+	_ = parallel.ForEach(storage.RequestWidth, len(cps), func(i int) error {
+		ok[i] = cps[i].checked() == nil
+		return nil
+	})
 	var out []string
-	for _, e := range c.checkpoints() {
-		if e.checked() == nil {
+	for i, e := range cps {
+		if ok[i] {
 			out = append(out, e.Path)
 		}
 	}

@@ -401,7 +401,7 @@ func Open(b storage.Backend, dir string) (*Checkpoint, error) {
 		into any
 	}{{"config.json", c.Config}, {"trainer_state.json", &c.State}, {"manifest.json", &c.Manifest}}
 	data, errs := make([][]byte, len(docs)), make([]error, len(docs))
-	_ = parallel.ForEach(requestWidth, len(docs), func(i int) error {
+	_ = parallel.ForEach(storage.RequestWidth, len(docs), func(i int) error {
 		data[i], errs[i] = b.ReadFile(dir + "/" + docs[i].name)
 		return nil
 	})

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 
+	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 )
 
@@ -186,15 +187,18 @@ func (r pinRun) load(b storage.Backend, q pinQuery, listed []storage.RefEntry) (
 				return refs, err
 			}
 		}
+		var kept []storage.RefEntry
 		for _, e := range listed {
-			if q.retiredRecords[e.Name] {
-				continue
+			if !q.retiredRecords[e.Name] {
+				kept = append(kept, e)
 			}
+		}
+		for i, rec := range readRecords(r.ix, kept) {
 			// An unreadable record pins nothing itself; its directory, if
 			// any, stays uncovered and pins through its manifests.
-			if rec, err := r.ix.Read(e); err == nil {
+			if rec != nil {
 				refs.records = append(refs.records, rec)
-				covered[e.Key] = true
+				covered[kept[i].Key] = true
 			}
 		}
 	}
@@ -264,13 +268,17 @@ func (s *pinScope) pinsWith(own runRefs, q pinQuery) (map[string]int, error) {
 		if q.manifests != manifestsNone {
 			pq.manifests = manifestsUncovered
 		}
-		for _, p := range peers {
-			refs, err := p.load(s.b, pq, nil)
-			if err != nil {
-				return nil, fmt.Errorf("ckpt: pins of hub run %s: %w", p.root, err)
+		loaded := make([]runRefs, len(peers))
+		if err := parallel.ForEachFirst(storage.RequestWidth, len(peers), func(i int) error {
+			var err error
+			if loaded[i], err = peers[i].load(s.b, pq, nil); err != nil {
+				return fmt.Errorf("ckpt: pins of hub run %s: %w", peers[i].root, err)
 			}
-			all = append(all, refs)
+			return nil
+		}); err != nil {
+			return nil, err
 		}
+		all = append(all, loaded...)
 	}
 	pins := map[string]int{}
 	for _, refs := range all {
@@ -380,31 +388,45 @@ func (w *sweeper) disposeTrash(pins map[string]int) error {
 			return err
 		}
 	}
-	for _, t := range trash {
-		if pins[t.Digest] == 0 {
+	// Settled side by side, like a sweep's last phase; accounted in trash
+	// order.
+	settled, counted := make([]bool, len(trash)), make([]bool, len(trash))
+	err = parallel.ForEachFirst(storage.RequestWidth, len(trash), func(i int) error {
+		d := trash[i].Digest
+		if pins[d] == 0 {
 			if !w.dryRun {
-				if err := w.store.PurgeTrash(t.Digest); err != nil {
-					return fmt.Errorf("ckpt: purge trashed blob %s: %w", t.Digest, err)
+				if err := w.store.PurgeTrash(d); err != nil {
+					return fmt.Errorf("ckpt: purge trashed blob %s: %w", d, err)
 				}
 			}
+		} else {
+			counted[i] = !listed && !w.store.Has(d)
+			if !w.dryRun {
+				if err := w.store.Restore(d); err != nil {
+					return fmt.Errorf("ckpt: restore trashed blob %s: %w", d, err)
+				}
+			}
+		}
+		settled[i] = true
+		return nil
+	})
+	for i, t := range trash {
+		switch {
+		case !settled[i]:
+		case pins[t.Digest] == 0:
 			w.RemovedBlobs = append(w.RemovedBlobs, t.Digest)
 			if t.Size > 0 {
 				w.BytesFreed += t.Size
 			}
-			continue
-		}
-		if !listed && !w.store.Has(t.Digest) {
-			w.Examined++
-			w.Kept++
-		}
-		if !w.dryRun {
-			if err := w.store.Restore(t.Digest); err != nil {
-				return fmt.Errorf("ckpt: restore trashed blob %s: %w", t.Digest, err)
+		default:
+			if counted[i] {
+				w.Examined++
+				w.Kept++
 			}
+			w.Restored = append(w.Restored, t.Digest)
 		}
-		w.Restored = append(w.Restored, t.Digest)
 	}
-	return nil
+	return err
 }
 
 // cleanResidue removes crash residue that needs no store listing: the

@@ -17,7 +17,7 @@
 //
 // A whole checkpoint — or a whole rank, or all the weights — is read by the
 // one load driver, payloadSet.load: every payload through one pipeline of
-// requestWidth workers under a byte gate, each fetched, checked and decoded
+// storage.RequestWidth workers under a byte gate, each fetched, checked and decoded
 // straight into its destination.
 
 package ckpt
@@ -313,7 +313,7 @@ func fetchManifests(b storage.Backend, dir string) *manifestFiles {
 		f.names = append(f.names, ShardManifestName(r))
 	}
 	f.data, f.errs = make([][]byte, len(f.names)), make([]error, len(f.names))
-	_ = parallel.ForEach(requestWidth, len(f.names), func(i int) error {
+	_ = parallel.ForEach(storage.RequestWidth, len(f.names), func(i int) error {
 		f.data[i], f.errs[i] = b.ReadFile(dir + "/" + f.names[i])
 		return nil
 	})
@@ -576,7 +576,7 @@ func newLoadGate() *parallel.ByteGate { return parallel.NewByteGate(loadBytes) }
 
 // load is the whole-checkpoint load driver: every payload of the set —
 // weights, then rank-major groups, the order each defines — goes through one
-// pipeline of requestWidth workers, and a worker fetches its payload, checks
+// pipeline of storage.RequestWidth workers, and a worker fetches its payload, checks
 // the CRC and decodes the bytes straight into their destination: the tensor
 // dst names for a weight (a nil dst, or a nil tensor, only checks the bytes),
 // the three FP32 sections of a zero.GroupShard for a group. The decoded shard files come back by position
@@ -611,7 +611,7 @@ func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*
 		jobs += max(1, len(s.ranks[i].groups))
 	}
 	shards := make([]*ShardFile, len(s.ranks))
-	pipe := parallel.NewPipeline(requestWidth, jobs,
+	pipe := parallel.NewPipeline(storage.RequestWidth, jobs,
 		func(j job) (outcome, error) { return outcome{j.rank, j.run()}, nil },
 		func(o outcome) error {
 			if o.err == nil || bad == nil {
@@ -715,7 +715,7 @@ func (c *Checkpoint) loadSet() (*payloadSet, error) {
 	}
 	set := c.weights.set()
 	set.ranks = make([]rankPayloads, ws)
-	_ = parallel.ForEach(requestWidth, ws, func(r int) error {
+	_ = parallel.ForEach(storage.RequestWidth, ws, func(r int) error {
 		if c.src.store == nil {
 			set.ranks[r] = streamedRank(c.Backend, c.Dir+"/"+ShardFileName(r))
 		} else if rs, err := c.src.rank(r); err != nil {

@@ -37,6 +37,7 @@ import (
 	"sort"
 	"strings"
 
+	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 )
 
@@ -117,22 +118,35 @@ func (e *entry) refGen() int64 {
 // unreadable manifests there are external mutilation, and loud. Everything
 // else — torn, quarantined, mid-write staging — is read best-effort:
 // over-approximating references is safe for GC, under-reading them is not, so
-// whatever is readable pins.
+// whatever is readable pins. Entries are read side by side; the error
+// returned is the first in entry order, errRetired included.
 func (c *catalog) readRefs() error {
-	for _, e := range c.entries {
+	return parallel.ForEachFirst(storage.RequestWidth, len(c.entries), func(i int) error {
+		e := c.entries[i]
 		if e.refsRead {
-			continue
+			return nil
 		}
 		digests, err := e.pinDigests(!e.sealed() || e.Staging)
-		if errors.Is(err, errRetired) {
+		switch {
+		case errors.Is(err, errRetired):
 			return err
-		}
-		if err != nil {
+		case err != nil:
 			return fmt.Errorf("ckpt: blob refs: %w", err)
 		}
 		e.Digests, e.refsRead = digests, true
-	}
-	return nil
+		return nil
+	})
+}
+
+// readRecords reads journal records side by side, in entries' order; a record
+// that cannot be read comes back nil.
+func readRecords(ix *storage.RefIndex, entries []storage.RefEntry) []*storage.RefRecord {
+	recs := make([]*storage.RefRecord, len(entries))
+	_ = parallel.ForEach(storage.RequestWidth, len(entries), func(i int) error {
+		recs[i], _ = ix.Read(entries[i])
+		return nil
+	})
+	return recs
 }
 
 // --- index audit -----------------------------------------------------------
@@ -614,12 +628,12 @@ func gcGenerational(c *catalog, dryRun bool) (*GCReport, error) {
 	// the same and full GC owns its blobs.
 	var candidates []string
 	retiredName := map[string]bool{}
-	for _, e := range retired {
-		if rec, err := ix.Read(e); err == nil {
+	for i, rec := range readRecords(ix, retired) {
+		if rec != nil {
 			candidates = append(candidates, rec.Digests...)
 		}
-		rep.IndexRetired = append(rep.IndexRetired, e.Name)
-		retiredName[e.Name] = true
+		rep.IndexRetired = append(rep.IndexRetired, retired[i].Name)
+		retiredName[retired[i].Name] = true
 	}
 	candidates = storage.NormalizeDigests(candidates)
 
@@ -643,10 +657,10 @@ func gcGenerational(c *catalog, dryRun bool) (*GCReport, error) {
 	// trash) lists the run root afresh and restarts nothing.
 	scope.self.cat = nil
 	if !dryRun {
-		for _, e := range retired {
-			if err := ix.Remove(e); err != nil {
-				return rep, err
-			}
+		if err := parallel.ForEachFirst(storage.RequestWidth, len(retired), func(i int) error {
+			return ix.Remove(retired[i])
+		}); err != nil {
+			return rep, err
 		}
 	}
 	if err := w.disposeTrash(nil); err != nil {
@@ -737,7 +751,6 @@ func retain(c *catalog, keepLast int, dryRun bool) (*RetainReport, error) {
 	// place until a full GC accounts for them.
 	var candidates []string
 	var retired, remaining []storage.RefEntry
-	recorded := map[string]bool{}
 	for _, e := range entries {
 		if !victimKey[e.Key] {
 			remaining = append(remaining, e)
@@ -745,9 +758,12 @@ func retain(c *catalog, keepLast int, dryRun bool) (*RetainReport, error) {
 		}
 		retired = append(retired, e)
 		query.retiredRecords[e.Name] = true
-		if rec, err := ix.Read(e); err == nil {
+	}
+	recorded := map[string]bool{}
+	for i, rec := range readRecords(ix, retired) {
+		if rec != nil {
 			candidates = append(candidates, rec.Digests...)
-			recorded[e.Key] = true
+			recorded[retired[i].Key] = true
 		}
 	}
 	for _, v := range victims {
@@ -762,23 +778,30 @@ func retain(c *catalog, keepLast int, dryRun bool) (*RetainReport, error) {
 	}
 	candidates = storage.NormalizeDigests(candidates)
 
-	for _, v := range victims {
-		if !dryRun {
-			if err := b.Remove(v); err != nil {
-				return rep, fmt.Errorf("ckpt: retain: remove %s: %w", v, err)
+	// Directories, then records: each phase side by side, the next started
+	// when the last request of the one before it has returned.
+	if !dryRun {
+		// Directories change from here on: the catalog was a snapshot, so the
+		// pin query below lists the run root afresh.
+		scope.self.cat = nil
+		if err := parallel.ForEachFirst(storage.RequestWidth, len(victims), func(i int) error {
+			if err := b.Remove(victims[i]); err != nil {
+				return fmt.Errorf("ckpt: retain: remove %s: %w", victims[i], err)
 			}
-			// Directories change from here on: the catalog was a snapshot, so
-			// the pin query below lists the run root afresh.
-			scope.self.cat = nil
+			return nil
+		}); err != nil {
+			return rep, err
 		}
-		rep.Removed = append(rep.Removed, v)
+	}
+	rep.Removed = victims
+	if !dryRun {
+		if err := parallel.ForEachFirst(storage.RequestWidth, len(retired), func(i int) error {
+			return ix.Remove(retired[i])
+		}); err != nil {
+			return rep, err
+		}
 	}
 	for _, e := range retired {
-		if !dryRun {
-			if err := ix.Remove(e); err != nil {
-				return rep, err
-			}
-		}
 		rep.RecordsRetired = append(rep.RecordsRetired, e.Name)
 	}
 	if len(candidates) == 0 {

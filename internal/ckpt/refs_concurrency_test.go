@@ -6,6 +6,7 @@ package ckpt
 // has reached the journal, the staging manifests, or neither.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -108,27 +109,64 @@ func TestSweepPinsStagedUnpublishedManifests(t *testing.T) {
 	}
 }
 
-// renameHookBackend triggers a callback before delegating a Rename —
-// test plumbing to interleave operations at an exact sweep step.
+// renameHookBackend calls hook before delegating a Rename and fails the
+// rename with the error hook returns — test plumbing to interleave
+// operations at an exact sweep step, or to refuse one.
 type renameHookBackend struct {
 	storage.Backend
-	hook func(oldName, newName string)
+	hook func(oldName, newName string) error
 }
 
 func (b *renameHookBackend) Rename(oldName, newName string) error {
 	if b.hook != nil {
-		b.hook(oldName, newName)
+		if err := b.hook(oldName, newName); err != nil {
+			return err
+		}
 	}
 	return b.Backend.Rename(oldName, newName)
 }
 
-// TestSweepRestoresBlobReusedMidSweep pins the exact TOCTOU the two-phase
-// sweep exists for: a retention sweep takes its pin snapshot, then a
-// concurrent save journals a record REUSING one of the victim's blobs
-// (its dedup-hit check passed while the blob was still live, so it never
-// rewrites it). The sweep's post-trash recheck must see the new record
-// and restore the blob instead of purging it.
-func TestSweepRestoresBlobReusedMidSweep(t *testing.T) {
+// TestSweepTrashFailureRestoresReused: a failed trash move must not strand
+// the moves beside it. A concurrent save journals a reuse of one victim blob
+// at the first trash move, and the move of another victim, sorting after it,
+// fails: the sweep must still recheck and restore the reused blob before it
+// reports the failure.
+func TestSweepTrashFailureRestoresReused(t *testing.T) {
+	mem, exclusive := reuseFixture(t)
+	if len(exclusive) < 2 {
+		t.Fatalf("fixture: victim holds %d exclusive digests, want two", len(exclusive))
+	}
+	reused, failing := exclusive[0], exclusive[len(exclusive)-1]
+	refused := errors.New("trash move refused")
+	hb := &renameHookBackend{Backend: mem}
+	var once sync.Once
+	hb.hook = func(_, newName string) error {
+		if !strings.Contains(newName, "/.trash/") {
+			return nil
+		}
+		once.Do(func() {
+			if _, err := appendRefRecord(storage.NewRefIndex(mem, "run/objects"), "run/checkpoint-999", 999, []string{reused}); err != nil {
+				t.Errorf("mid-sweep append: %v", err)
+			}
+		})
+		if strings.HasSuffix(newName, "/"+failing) {
+			return refused
+		}
+		return nil
+	}
+	if _, err := Retain(hb, "run", 2, false); !errors.Is(err, refused) {
+		t.Fatalf("retain: err = %v, want the refused trash move", err)
+	}
+	if !storage.NewBlobStore(mem, "run/objects").Has(reused) {
+		t.Fatal("a failed trash move left a blob a concurrent save reused in trash")
+	}
+}
+
+// reuseFixture saves three dedup checkpoints, two dirtied tensors apart, and
+// returns the digests the oldest (checkpoint-10) references alone, sorted:
+// what a Retain(2) trashes.
+func reuseFixture(t *testing.T) (*storage.Mem, []string) {
+	t.Helper()
 	mem := storage.NewMem()
 	cfg := modelcfg.Tiny()
 	m, err := model.NewInitialized(cfg, tensor.BF16, 340)
@@ -152,7 +190,7 @@ func TestSweepRestoresBlobReusedMidSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Pick a digest exclusive to the victim (checkpoint-10).
+	// Pick the digests exclusive to the victim (checkpoint-10).
 	ix := mustRefIndex(t, mem, "run")
 	entries, _, _, err := ix.Entries()
 	if err != nil {
@@ -173,30 +211,45 @@ func TestSweepRestoresBlobReusedMidSweep(t *testing.T) {
 			keeperPins[d] = true
 		}
 	}
-	var reused string
+	var exclusive []string
 	for _, d := range victim.Digests {
 		if !keeperPins[d] {
-			reused = d
-			break
+			exclusive = append(exclusive, d)
 		}
 	}
-	if reused == "" {
+	if len(exclusive) == 0 {
 		t.Fatal("victim has no exclusive digest")
 	}
+	return mem, exclusive
+}
+
+// TestSweepRestoresBlobReusedMidSweep pins the exact TOCTOU the two-phase
+// sweep exists for: a retention sweep takes its pin snapshot, then a
+// concurrent save journals a record REUSING one of the victim's blobs
+// (its dedup-hit check passed while the blob was still live, so it never
+// rewrites it). The sweep's post-trash recheck must see the new record
+// and restore the blob instead of purging it.
+func TestSweepRestoresBlobReusedMidSweep(t *testing.T) {
+	mem, exclusive := reuseFixture(t)
+	reused := exclusive[0]
 
 	// At the first trash rename — after the sweep's pin snapshot — a
 	// "concurrent save" journals a record reusing the victim-exclusive
-	// blob, exactly as a dedup-hit save would before its commit.
+	// blob, exactly as a dedup-hit save would before its commit. The trash
+	// moves run side by side, so the hook fires once for all of them.
 	hb := &renameHookBackend{Backend: mem}
+	var once sync.Once
 	fired := false
-	hb.hook = func(_, newName string) {
-		if fired || !strings.Contains(newName, "/.trash/") {
-			return
+	hb.hook = func(_, newName string) error {
+		if strings.Contains(newName, "/.trash/") {
+			once.Do(func() {
+				fired = true
+				if _, err := appendRefRecord(storage.NewRefIndex(mem, "run/objects"), "run/checkpoint-999", 999, []string{reused}); err != nil {
+					t.Errorf("mid-sweep append: %v", err)
+				}
+			})
 		}
-		fired = true
-		if _, err := appendRefRecord(storage.NewRefIndex(mem, "run/objects"), "run/checkpoint-999", 999, []string{reused}); err != nil {
-			t.Errorf("mid-sweep append: %v", err)
-		}
+		return nil
 	}
 	rep, err := Retain(hb, "run", 2, false)
 	if err != nil {

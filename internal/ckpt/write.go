@@ -208,14 +208,11 @@ func openSaveStore(b storage.Backend, finalDir string) (*saveStore, error) {
 	return &saveStore{BlobStore: cas, refs: scope.self.ix}, nil
 }
 
-// requestWidth is how many backend requests one save keeps in flight — the
-// publish loop's probes and puts, the parent-manifest reads (MultipartPut's
-// default of 8 is the precedent for concurrent mutating requests). Payloads
-// that may move bytes are admitted to the loop under publishBytes. The read
-// stage's load driver runs at the same width, its payloads admitted under
-// loadBytes.
+// A save keeps storage.RequestWidth requests in flight — the publish loop's
+// probes and puts, the parent-manifest reads — and admits payloads that may
+// move bytes to the loop under publishBytes. The read stage's load driver runs
+// at the same width, its payloads admitted under loadBytes.
 const (
-	requestWidth = 8
 	publishBytes = 256 << 20
 	loadBytes    = 256 << 20
 )
@@ -268,7 +265,7 @@ func (s *payloadSet) publishBlobs(store *saveStore, view *lineage, finalDir stri
 		p    *payload
 		slot string
 	}
-	pipe := parallel.NewPipeline(requestWidth, payloads, func(j job) (struct{}, error) {
+	pipe := parallel.NewPipeline(storage.RequestWidth, payloads, func(j job) (struct{}, error) {
 		if err := j.p.land(store.BlobStore, view); err != nil {
 			return struct{}{}, fmt.Errorf("ckpt: blob %s (%s): %w", j.p.digest, j.slot, err)
 		}

@@ -7,7 +7,32 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
+
+// run calls fn(i) for every i in [0, n) on at most workers goroutines, the
+// calling one included. Indices are handed out by an atomic counter, so a
+// fan-out over a handful of cheap tasks costs a few atomic adds and
+// workers-1 goroutine starts, not a channel handoff per task.
+func run(workers, n int, fn func(i int)) {
+	workers = max(1, min(workers, n))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
 
 // ForEach runs fn(i) for i in [0, n) using at most workers goroutines.
 // It waits for all tasks and returns the combined error (errors.Join) of
@@ -16,54 +41,31 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		var errs []error
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				errs = append(errs, fmt.Errorf("task %d: %w", i, err))
-			}
+	errs := make([]error, n)
+	run(workers, n, func(i int) {
+		if err := fn(i); err != nil {
+			errs[i] = fmt.Errorf("task %d: %w", i, err)
 		}
-		return errors.Join(errs...)
-	}
+	})
+	return errors.Join(errs...)
+}
 
-	var (
-		wg   sync.WaitGroup
-		next = make(chan int)
-		mu   sync.Mutex
-		errs = make([]error, n)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					errs[i] = fmt.Errorf("task %d: %w", i, err)
-					mu.Unlock()
-				}
-			}
-		}()
+// ForEachFirst runs fn(i) for i in [0, n) like ForEach and returns the error
+// of the lowest failing index exactly as fn returned it: what a serial loop
+// stopping at its first failure would have returned, whichever task failed
+// first in time. Every task runs all the same.
+func ForEachFirst(workers, n int, fn func(i int) error) error {
+	if n <= 0 {
+		return nil
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	var nonNil []error
-	for _, e := range errs {
-		if e != nil {
-			nonNil = append(nonNil, e)
+	errs := make([]error, n)
+	run(workers, n, func(i int) { errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return errors.Join(nonNil...)
+	return nil
 }
 
 // Map runs fn(i) for i in [0, n) with bounded parallelism and collects the

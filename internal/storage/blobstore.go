@@ -23,6 +23,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -56,6 +57,12 @@ const blobStageDir = ".stage"
 // appeared after its pin snapshot (a concurrent save reusing the blob),
 // and only then purges — or restores. See Sweep.
 const blobTrashDir = ".trash"
+
+// RequestWidth is how many independent backend requests one operation keeps
+// in flight: a save's probes and puts, a restore's payload GETs, each phase of
+// a sweep and the reads of a pin query. On a remote store a request costs its
+// wait, so independent requests overlap at this width wherever they occur.
+const RequestWidth = 8
 
 // blobSeq makes concurrent staging names unique within the process (two
 // async savers putting the same digest must not interleave writes into one
@@ -923,6 +930,17 @@ type SweepSpec struct {
 // restored; if it ran after the rename, it saw the blob missing and the
 // saver re-published it — or, no longer holding the bytes, failed before
 // committing anything. Either way no referenced blob is lost.
+//
+// The argument needs only the order BETWEEN phases: every move into trash has
+// returned (phase 1) before the one recheck reads (phase 2), and the recheck
+// has answered before anything is restored or purged (phase 3). Within a
+// phase the requests are independent, so each phase keeps RequestWidth of
+// them in flight, and the report is assembled afterwards in candidate order.
+// A failed move does not skip the recheck — the moves beside it may have
+// landed, one of them on a blob a saver reused meanwhile — so after any
+// phase-1 error the sweep still rechecks, restores what the recheck pins,
+// leaves the rest in trash for a later sweep to settle, and returns the first
+// error in candidate order.
 func (s *BlobStore) Sweep(spec SweepSpec) (*SweepReport, error) {
 	rep := &SweepReport{}
 	var blobs []BlobInfo
@@ -947,53 +965,79 @@ func (s *BlobStore) Sweep(spec SweepSpec) (*SweepReport, error) {
 		}
 		blobs = append(blobs, BlobInfo{Digest: d, Size: -1})
 	}
-	var trashed []BlobInfo
-	for _, blob := range blobs {
-		rep.Examined++
+	// Phase 1: every unpinned candidate that exists is moved into trash.
+	moved := make([]bool, len(blobs))
+	trashErr := parallel.ForEachFirst(RequestWidth, len(blobs), func(i int) error {
+		blob := &blobs[i]
 		if spec.Pins[blob.Digest] > 0 {
-			rep.Kept++
-			continue
+			return nil
 		}
 		if spec.Candidates != nil {
 			var err error
 			if blob.Size, err = s.Stat(blob.Digest); err != nil {
-				continue // already gone (a previous sweep, or never stored)
+				return nil // already gone (a previous sweep, or never stored)
 			}
 		}
 		if !spec.DryRun {
 			if err := s.Trash(blob.Digest); err != nil {
-				return rep, fmt.Errorf("storage: sweep blob %s: %w", blob.Digest, err)
+				return fmt.Errorf("storage: sweep blob %s: %w", blob.Digest, err)
 			}
 		}
-		trashed = append(trashed, blob)
+		moved[i] = true
+		return nil
+	})
+	var trashed []BlobInfo
+	for i, blob := range blobs {
+		rep.Examined++
+		switch {
+		case spec.Pins[blob.Digest] > 0:
+			rep.Kept++
+		case moved[i]:
+			trashed = append(trashed, blob)
+		}
 	}
+	// Phase 2: the one recheck.
 	var pins map[string]int // stays empty in a dry run: nothing was trashed
 	if spec.Recheck != nil && !spec.DryRun && len(trashed) > 0 {
 		var err error
 		if pins, err = spec.Recheck(); err != nil {
-			return rep, err
+			return rep, cmp.Or(trashErr, err)
 		}
 	}
-	for _, blob := range trashed {
-		if pins[blob.Digest] > 0 {
-			if err := s.Restore(blob.Digest); err != nil {
-				return rep, fmt.Errorf("storage: restore blob %s: %w", blob.Digest, err)
+	// Phase 3: restore what the recheck pins and purge the rest — unless
+	// phase 1 failed, when the rest stays in trash.
+	restored, purged := make([]bool, len(trashed)), make([]bool, len(trashed))
+	err := parallel.ForEachFirst(RequestWidth, len(trashed), func(i int) error {
+		d := trashed[i].Digest
+		switch {
+		case pins[d] > 0:
+			if err := s.Restore(d); err != nil {
+				return fmt.Errorf("storage: restore blob %s: %w", d, err)
 			}
+			restored[i] = true
+		case trashErr == nil:
+			if !spec.DryRun {
+				if err := s.PurgeTrash(d); err != nil {
+					return fmt.Errorf("storage: purge blob %s: %w", d, err)
+				}
+			}
+			purged[i] = true
+		}
+		return nil
+	})
+	for i, blob := range trashed {
+		switch {
+		case restored[i]:
 			rep.Restored = append(rep.Restored, blob.Digest)
 			rep.Kept++
-			continue
-		}
-		if !spec.DryRun {
-			if err := s.PurgeTrash(blob.Digest); err != nil {
-				return rep, fmt.Errorf("storage: purge blob %s: %w", blob.Digest, err)
+		case purged[i]:
+			rep.RemovedBlobs = append(rep.RemovedBlobs, blob.Digest)
+			if blob.Size > 0 {
+				rep.BytesFreed += blob.Size
 			}
 		}
-		rep.RemovedBlobs = append(rep.RemovedBlobs, blob.Digest)
-		if blob.Size > 0 {
-			rep.BytesFreed += blob.Size
-		}
 	}
-	return rep, nil
+	return rep, cmp.Or(trashErr, err)
 }
 
 // StagingResidue lists the store's staging-residue paths without walking

@@ -59,7 +59,7 @@ const DefaultPartBytes = 4 * 1024 * 1024
 type MultipartOptions struct {
 	// PartBytes is the part size (default DefaultPartBytes).
 	PartBytes int
-	// Workers bounds concurrent part uploads (default 8).
+	// Workers bounds concurrent part uploads (default RequestWidth).
 	Workers int
 	// MaxInflightBytes caps the payload bytes buffered across in-flight
 	// parts (default Workers×PartBytes); the reader stalls when uploads
@@ -81,7 +81,7 @@ func (o MultipartOptions) partBytes() int {
 
 func (o MultipartOptions) workers() int {
 	if o.Workers <= 0 {
-		return 8
+		return RequestWidth
 	}
 	return o.Workers
 }
