@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
+.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog one-report request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -157,26 +157,45 @@ one-catalog:
 	if [ -n "$$bad" ]; then \
 		echo "a plain/dedup layout test outside read.go decideLayout:"; echo "$$bad"; exit 1; fi
 
+# Every collecting operation (full and generational GC, Retain, hub GC) is a
+# policy run by the one collection driver, collect in internal/ckpt/pins.go,
+# and reports in the one GCReport, which embeds storage.SweepReport once: a
+# struct field named RemovedBlobs, BytesFreed or Examined outside
+# internal/storage/blobstore.go is a second copy of the sweep's accounting,
+# and a sweeper.sweep call outside collect is a second phase order, each free
+# to drift from the first.
+one-report:
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'^[[:space:]]+([A-Za-z_]+, *)*(RemovedBlobs|BytesFreed|Examined)(, *[A-Za-z_]+)* +(\[\])?[A-Za-z0-9_.]+[[:space:]]*(//.*)?$$' internal cmd *.go \
+		| grep -v '^internal/storage/blobstore.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "sweep accounting declared outside storage.SweepReport:"; echo "$$bad"; exit 1; fi; \
+	calls=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs awk '/^func /{f=FILENAME": "$$0} /\.sweep\(/{print f}'); \
+	if [ "$$(echo "$$calls" | grep -c .)" -ne 1 ] || ! echo "$$calls" | grep -q '^internal/ckpt/pins.go: func (s \*pinScope) collect('; then \
+		echo "sweeper.sweep called outside the collection driver (pins.go collect):"; echo "$$calls"; exit 1; fi
+
 # A dedup save's backend requests are a function of the payloads that
 # changed, not of the payloads that exist: the counting-backend test that
 # holds config reads, parent-manifest reads, blob probes and blob GETs to
 # the table in DESIGN.md "The write stage". The read side: a restore's GETs
 # are its payloads plus a constant, several in flight and never more than the
 # load driver's width, a plain rank one stream, and the bytes the driver
-# admits at once stay under its gate.
+# admits at once stay under its gate. Maintenance: one retention pass on a
+# latency-shaped object store issues a fixed count of requests per kind.
 request-budget:
-	$(GO) test ./internal/ckpt -run '^(TestDedupSaveRequestBudget|TestRestoreRequestBudget|TestLoadGateBoundsBytesInFlight)$$'
+	$(GO) test ./internal/ckpt -run '^(TestDedupSaveRequestBudget|TestRestoreRequestBudget|TestLoadGateBoundsBytesInFlight|TestRetainRequestBudget)$$'
 
 # The read stage is concurrent: its tests, and the resume paths above it, run
 # under the race detector on every push.
 race-read:
 	$(GO) test -race -run 'Restore|Resume|ReadStage|RequestBudget|LoadGate' ./internal/ckpt ./internal/train
 
-# The maintenance phases are concurrent too: the sweep driver's tests,
-# retention, the policies racing live savers and the dry-run equality (in the
-# root package) run under the race detector on every push.
+# The maintenance phases are concurrent too: the sweep driver's tests (the
+# same root swept twice reporting the same, TestSweepReportDeterministic,
+# among them), retention, the policies racing live savers and the dry-run
+# equality (in the root package) run under the race detector on every push.
 race-maint:
-	$(GO) test -race -run 'Sweep|RetainKeepLast|HubGCRacing|ShardedGCRacing|DryRunMatchesRealRun|ForEach' . ./internal/ckpt ./internal/storage ./internal/parallel
+	$(GO) test -race -run 'Sweep|RetainKeepLast|RetainPinsInFlight|HubGCRacing|ShardedGCRacing|DryRunMatchesRealRun|ForEach' . ./internal/ckpt ./internal/storage ./internal/parallel
 
 # Non-test Go lines per package, bench/ excluded — the number ROADMAP's
 # simplicity gate is stated in.
@@ -189,7 +208,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog request-budget build test race-read race-maint objstore
+ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog one-report request-budget build test race-read race-maint objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 

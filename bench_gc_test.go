@@ -189,7 +189,7 @@ func BenchmarkGCIncremental(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if len(agree.RemovedBlobs) != 0 || len(agree.IndexRetired) != 0 || len(agree.IndexRepaired) != 0 {
+	if len(agree.RemovedBlobs) != 0 || len(agree.RecordsRetired) != 0 || len(agree.IndexRepaired) != 0 {
 		b.Fatalf("full gc disagrees with the generational sweep: %+v", agree)
 	}
 	for _, step := range []int{10, 50, gcBenchCheckpoints * 10} {

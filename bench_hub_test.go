@@ -83,11 +83,11 @@ func BenchmarkHubCrossRunDedup(b *testing.B) {
 		hubBenchSave(b, meter, cfg, "runs/b/checkpoint-100")
 		record.AttachedBytes = meter.Stats().BytesWritten
 
-		blobs, err := ckpt.ScanBlobs(mem, "runs/b")
+		scan, err := ckpt.ScanRun(mem, "runs/b", ckpt.ScanViews{Blobs: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		record.HubBlobs = len(blobs)
+		record.HubBlobs = len(scan.Blobs)
 	}
 
 	record.SharedRatio = float64(record.StandaloneBytes) / float64(record.AttachedBytes)

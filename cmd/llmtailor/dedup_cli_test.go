@@ -449,7 +449,7 @@ func TestCLIDoctorAdopt(t *testing.T) {
 	}
 	// Adopted checkpoint is committed; quarantined dir preserved on disk.
 	b, _ := llmtailor.OpenDir(root)
-	if err := llmtailor.VerifyCommitted(b, "run/checkpoint-10"); err != nil {
+	if err := ckpt.VerifyCommit(b, "run/checkpoint-10"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(root, "run", "checkpoint-20.quarantined")); err != nil {

@@ -499,7 +499,7 @@ func runGC(args []string, out io.Writer) error {
 	for _, p := range rep.RemovedStaging {
 		fmt.Fprintf(out, "  %s staging %s\n", remove, p)
 	}
-	for _, r := range rep.IndexRetired {
+	for _, r := range rep.RecordsRetired {
 		fmt.Fprintf(out, "  %s record %s\n", retire, r)
 	}
 	for _, r := range rep.IndexRepaired {
@@ -508,18 +508,18 @@ func runGC(args []string, out io.Writer) error {
 	switch {
 	case *full && *dryRun:
 		fmt.Fprintf(out, "dry run (full): %d records, %d retirable, %d blobs examined, %d kept, %d removable (%d bytes reclaimable), %d staging entries\n",
-			rep.IndexRecords, len(rep.IndexRetired), rep.Examined, rep.Kept,
+			rep.IndexRecords, len(rep.RecordsRetired), rep.Examined, rep.Kept,
 			len(rep.RemovedBlobs), rep.BytesFreed, len(rep.RemovedStaging))
 	case *full:
 		fmt.Fprintf(out, "gc: %d referenced digests, %d blobs kept, %d removed (%d bytes freed), %d staging entries cleaned\n",
 			rep.Referenced, rep.Kept, len(rep.RemovedBlobs), rep.BytesFreed, len(rep.RemovedStaging))
 	case *dryRun:
 		fmt.Fprintf(out, "dry run: %d generations retirable, %d candidate blobs examined, %d removable (%d bytes reclaimable)\n",
-			len(rep.IndexRetired), rep.Examined, len(rep.RemovedBlobs), rep.BytesFreed)
+			len(rep.RecordsRetired), rep.Examined, len(rep.RemovedBlobs), rep.BytesFreed)
 		return nil
 	default:
 		fmt.Fprintf(out, "gc (generational): %d records, %d retired, %d blobs examined, %d removed (%d bytes freed), %d staging entries cleaned\n",
-			rep.IndexRecords, len(rep.IndexRetired), rep.Examined, len(rep.RemovedBlobs), rep.BytesFreed, len(rep.RemovedStaging))
+			rep.IndexRecords, len(rep.RecordsRetired), rep.Examined, len(rep.RemovedBlobs), rep.BytesFreed, len(rep.RemovedStaging))
 	}
 	if rep.IndexStale > 0 {
 		fmt.Fprintf(out, "%d stale/unmatched record(s) left pinned; run doctor -fix (quiescent) to reconcile\n", rep.IndexStale)
@@ -564,7 +564,7 @@ func runRetain(args []string, out io.Writer) error {
 		mode = "retain (dry run)"
 	}
 	fmt.Fprintf(out, "%s: %d kept, %d checkpoints retired (%d records), %d blobs examined, %d swept (%d bytes freed)\n",
-		mode, len(rep.Kept), len(rep.Removed), len(rep.RecordsRetired), rep.Examined, len(rep.RemovedBlobs), rep.BytesFreed)
+		mode, len(rep.Retained), len(rep.Removed), len(rep.RecordsRetired), rep.Examined, len(rep.RemovedBlobs), rep.BytesFreed)
 	return nil
 }
 

@@ -125,11 +125,6 @@ func (r *Run) Repair() (*RepairReport, error) { return ckpt.Repair(r.b, r.root) 
 // checkpoints.
 func (r *Run) Adopt() (*AdoptReport, error) { return ckpt.AdoptAll(r.b, r.root) }
 
-// ReconcileRefs rebuilds the journaled ref index from the manifests.
-func (r *Run) ReconcileRefs() (*RefReconcileReport, error) {
-	return ckpt.ReconcileRefIndex(r.b, r.root)
-}
-
 // Latest resolves the run's "latest" pointer.
 func (r *Run) Latest() (string, error) { return ckpt.Latest(r.b, r.root) }
 
@@ -236,7 +231,7 @@ func (h *Hub) Stat() (*HubInfo, error) { return hub.Stat(h.b, h.root) }
 
 // GC is the hub-level union-pin collection: one sweep of the shared store
 // keeping every digest referenced by ANY attached run.
-func (h *Hub) GC(dryRun bool) (*HubGCReport, error) { return hub.GC(h.b, h.root, dryRun) }
+func (h *Hub) GC(dryRun bool) (*BlobGCReport, error) { return hub.GC(h.b, h.root, dryRun) }
 
 // Hub-related re-exports.
 type (
@@ -244,8 +239,6 @@ type (
 	HubInfo = hub.Info
 	// HubRunInfo summarises one attached run inside a HubInfo.
 	HubRunInfo = hub.RunInfo
-	// HubGCReport records what a hub-level garbage collection did.
-	HubGCReport = ckpt.HubGCReport
 	// DedupifyReport accounts a content-addressed merge or reshard output
 	// (blobs written versus reused, payload bytes deduplicated).
 	DedupifyReport = ckpt.DedupifyReport

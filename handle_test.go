@@ -181,27 +181,35 @@ func firstWeightDigest(t *testing.T, b llmtailor.Backend, dir string) string {
 	return wm.Tensors[0].Digest
 }
 
-// normalizeReport copies a *GCReport / *RetainReport / *HubGCReport with
-// DryRun cleared and every string list sorted, so a dry run and a real run
-// compare field for field; work counts the removals and index fixes listed.
+// normalizeReport copies a *GCReport with DryRun cleared and every string
+// list sorted, the embedded sweep report's included, so a dry run and a real
+// run compare field for field; work counts the removals and index fixes
+// listed.
 func normalizeReport(rep any) (norm any, work int) {
 	out := reflect.New(reflect.TypeOf(rep).Elem()).Elem()
 	out.Set(reflect.ValueOf(rep).Elem())
-	for i := 0; i < out.NumField(); i++ {
-		f, name := out.Field(i), out.Type().Field(i).Name
+	work = normalizeFields(out)
+	return out.Interface(), work
+}
+
+func normalizeFields(v reflect.Value) (work int) {
+	for i := 0; i < v.NumField(); i++ {
+		f, field := v.Field(i), v.Type().Field(i)
 		switch l, ok := f.Interface().([]string); {
-		case name == "DryRun":
+		case field.Anonymous:
+			work += normalizeFields(f)
+		case field.Name == "DryRun":
 			f.SetBool(false)
 		case ok:
 			l = append([]string(nil), l...)
 			sort.Strings(l)
 			f.Set(reflect.ValueOf(l))
-			if name != "Kept" && name != "Runs" {
+			if field.Name != "Retained" && field.Name != "Runs" {
 				work += len(l)
 			}
 		}
 	}
-	return out.Interface(), work
+	return work
 }
 
 // TestDryRunMatchesRealRun: every collecting policy computes its dry run

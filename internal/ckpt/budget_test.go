@@ -491,3 +491,56 @@ func TestLoadGateBoundsBytesInFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestRetainRequestBudget: the requests of one retention pass on an object
+// store whose requests take a while, per kind. Retention reads the journal
+// and the catalog's commit markers, never a checkpoint manifest when every
+// victim has a record, probes each candidate once, and moves each victim blob
+// through trash (a copy and a delete on a store without renames) before the
+// purge; only the record reads, the marker checks and the sweep's phases fan
+// out, never past the request width.
+func TestRetainRequestBudget(t *testing.T) {
+	store := storage.NewObjStore()
+	buildRetainScenario(t, store)
+	store.SetLatency(500*time.Microsecond, 0)
+	log := &opLog{Fault: storage.NewFault(store)}
+	rep, err := Retain(log, "run", 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Removed) != 3 || len(rep.RemovedBlobs) == 0 {
+		t.Fatalf("fixture retires nothing: %+v", rep)
+	}
+	got := map[string]int{}
+	for kind, n := range log.reads {
+		got[kind] = n
+	}
+	for _, op := range log.ops {
+		verb, key, _ := strings.Cut(op, " ")
+		got[verb+" "+keyClass(key)]++
+	}
+	want := map[string]int{
+		// The two store-configuration documents; the pointer, five commit
+		// markers, the five records and the two keepers' again in the recheck.
+		"get config": 2, "get other": 13,
+		// The run root twice (the catalog, then the pin snapshot once the
+		// directories are gone) and the journal twice (classification,
+		// recheck). A candidate sweep lists nothing in the store.
+		"list other": 4,
+		// The five layout decisions; the commit checks' file probes, the
+		// journal directory twice and each removed record.
+		"probe manifest": 15, "probe other": 20,
+		// Three victim blobs: a Stat before each trash move and the move's own
+		// existence check, a GET and a PUT to copy it into trash, a DELETE of
+		// the original and one of the trashed copy.
+		"probe blob": 6, "get blob": 3, "create blob": 3, "remove blob": 6,
+		// Three directories and three records.
+		"remove other": 6,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("requests by kind:\n got  %v\n want %v", got, want)
+	}
+	if log.peak < 2 || log.peak > storage.RequestWidth {
+		t.Errorf("peak of %d GETs in flight, want between 2 and %d", log.peak, storage.RequestWidth)
+	}
+}

@@ -184,11 +184,9 @@ func TestCrashPointExplorationLazyCapture(t *testing.T) {
 					t.Fatalf("k=%d torn=%v: %s still %v after repair+gc", k, torn, st.Path, st.State)
 				}
 			}
-			if bs, _ := ScanBlobs(base, "run"); true {
-				for _, s := range bs {
-					if s.State != BlobReferenced {
-						t.Fatalf("k=%d torn=%v: blob %s still %v after gc", k, torn, s.Path, s.State)
-					}
+			for _, s := range doctorScan(t, base, "run", ScanViews{Blobs: true}).Blobs {
+				if s.State != BlobReferenced {
+					t.Fatalf("k=%d torn=%v: blob %s still %v after gc", k, torn, s.Path, s.State)
 				}
 			}
 			if problems := refProblems(t, base, "run"); len(problems) != 0 {

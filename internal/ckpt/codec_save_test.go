@@ -135,11 +135,7 @@ func TestCodecXorSaveRoundTrip(t *testing.T) {
 	}
 
 	// Doctor's codec view agrees and finds no missing parents.
-	health, err := ScanCodecs(b, "run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range health {
+	for _, h := range doctorScan(t, b, "run", ScanViews{Codecs: true}).Codecs {
 		if len(h.MissingParents) != 0 {
 			t.Fatalf("%s reports missing parents: %v", h.Dir, h.MissingParents)
 		}
@@ -265,11 +261,8 @@ func exploreDedupifyCrashes(t *testing.T, mk func() storage.Backend, torn bool) 
 				t.Fatalf("k=%d: restore differs %s", k, how)
 			}
 		}
-		if _, err := ScanBlobs(base, "run"); err != nil {
-			t.Fatalf("k=%d: the doctor's blob view fails on the crashed state: %v", k, err)
-		}
-		if _, err := ScanRefs(base, "run"); err != nil {
-			t.Fatalf("k=%d: the doctor's ref view fails on the crashed state: %v", k, err)
+		if _, err := ScanRun(base, "run", ScanViews{Blobs: true, Refs: true}); err != nil {
+			t.Fatalf("k=%d: the doctor's blob and ref views fail on the crashed state: %v", k, err)
 		}
 		dirs, err := Scan(base, "run")
 		if err != nil {
@@ -315,11 +308,7 @@ func exploreDedupifyCrashes(t *testing.T, mk func() storage.Backend, torn bool) 
 		if _, err := GC(base, "run"); err != nil {
 			t.Fatalf("k=%d: gc after repair: %v", k, err)
 		}
-		blobs, err := ScanBlobs(base, "run")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range blobs {
+		for _, s := range doctorScan(t, base, "run", ScanViews{Blobs: true}).Blobs {
 			if s.State != BlobReferenced {
 				t.Fatalf("k=%d: blob %s still %v after repair + gc", k, s.Path, s.State)
 			}

@@ -283,15 +283,10 @@ type CodecHealth struct {
 	MissingParents []string
 }
 
-// ScanCodecs audits blob-codec health across every committed dedup
-// checkpoint under a run root. Checkpoints whose manifests other scans
-// already flag as unreadable are skipped — this scan owns only the codec
-// layer.
-func ScanCodecs(b storage.Backend, runRoot string) ([]CodecHealth, error) {
-	return withCatalog(b, runRoot, scanCodecs)
-}
-
-// scanCodecs is the codec view of the doctor.
+// scanCodecs is the codec view of the doctor: blob-codec health across every
+// committed dedup checkpoint under the run root. Checkpoints whose manifests
+// other views already flag as unreadable are skipped — this view owns only
+// the codec layer.
 func scanCodecs(c *catalog) ([]CodecHealth, error) {
 	if c.absent != nil {
 		return nil, c.absent

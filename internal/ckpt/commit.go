@@ -673,13 +673,9 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 			return nil, err
 		}
 	}
-	recRep, err := reconcileRefIndex(scope.self.ix, c)
-	if err != nil {
+	if err := reconcileRefIndex(scope.self.ix, c, rep); err != nil {
 		return nil, err
 	}
-	rep.RefRecordsRemoved = recRep.RemovedRecords
-	rep.RefRecordsWritten = recRep.WrittenRecords
-	rep.RefStagingRemoved = recRep.StagingRemoved
 	// A crashed pointer update leaves latest.tmp behind.
 	pointer := latestPointer(runRoot)
 	if b.Exists(pointer + stagingSuffix) {

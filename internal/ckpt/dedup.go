@@ -131,39 +131,35 @@ func verifyDedupRefs(e *entry) error {
 	})
 }
 
-// GCReport records what a blob garbage collection did.
+// GCReport is the one report of every collecting operation — full and
+// generational GC, retention and hub GC: the sweep's blob accounting
+// (storage.SweepReport: examined, kept, removed, restored, staging residue,
+// bytes freed), and what the policy retired.
 type GCReport struct {
-	// Mode is "full" (manifest mark-and-sweep plus index validation) or
-	// "generational" (journal-driven incremental sweep).
+	// Mode names the policy: "full", "generational", "retain" or "hub".
 	Mode string
 	// DryRun is set when nothing was actually removed.
 	DryRun bool
-	// Referenced is the number of distinct digests pinned by manifests
-	// (full mode) or by the live index and manifest fallbacks
-	// (generational mode).
+	// Referenced is the number of distinct digests the sweep's pin snapshot
+	// held; for full GC, the number the manifests alone reference.
 	Referenced int
-	// Kept is the number of examined blobs retained.
-	Kept int
-	// Examined is the number of stored blobs the sweep looked at — every
-	// blob for a full sweep, only the retired generations' candidates for
-	// a generational one.
-	Examined int
-	// RemovedBlobs lists swept unreferenced blob digests.
-	RemovedBlobs []string
-	// RemovedStaging lists deleted blob-staging residue paths.
-	RemovedStaging []string
-	// BytesFreed totals the removed blobs' sizes.
-	BytesFreed int64
+	storage.SweepReport
 	// IndexRecords is the number of journal records considered.
 	IndexRecords int
-	// IndexRetired lists superseded record files removed.
-	IndexRetired []string
-	// IndexRepaired lists records rewritten or added from manifests
-	// (full mode's index validation).
+	// RecordsRetired lists the journal record files retired: superseded and
+	// unreadable ones, and a retention victim's own.
+	RecordsRetired []string
+	// IndexRepaired lists records rewritten or added from manifests (full
+	// GC's index fix).
 	IndexRepaired []string
 	// IndexStale counts records left pinned that match no published
 	// checkpoint (in-flight saves or crash residue; Repair judges them).
 	IndexStale int
+	// Retained lists the committed checkpoint paths a retention pass kept
+	// (newest last), Removed the directories it retired.
+	Retained, Removed []string
+	// Runs lists the attached run roots whose pins a hub GC honoured.
+	Runs []string
 }
 
 // GC is the full mark-and-sweep policy — the verification and repair path.
@@ -174,7 +170,7 @@ type GCReport struct {
 // unreadable records pin nothing and are retired — their exclusive digests
 // are exactly the garbage the sweep reclaims; orphaned records are counted
 // stale but stay pinned. After the sweep the index is fixed from the
-// manifests (fixIndex), so the index a generational sweep will trust next
+// manifests (repairIndex), so the index a generational sweep will trust next
 // time agrees with ground truth. A crashed run only leaves extra garbage
 // for the next one: references are gathered before the first removal.
 func GC(b storage.Backend, runRoot string) (*GCReport, error) {
@@ -189,7 +185,6 @@ func GCDryRun(b storage.Backend, runRoot string) (*GCReport, error) {
 }
 
 func gcFull(c *catalog, dryRun bool) (*GCReport, error) {
-	rep := &GCReport{Mode: "full", DryRun: dryRun}
 	scope, err := c.scope()
 	if err != nil {
 		return nil, err
@@ -199,45 +194,14 @@ func gcFull(c *catalog, dryRun bool) (*GCReport, error) {
 		return nil, err
 	}
 	manifestPins, _ := scope.pinsWith(own, pinQuery{})
-	rep.Referenced = len(manifestPins)
-	query := pinQuery{journal: true, manifests: manifestsAll, peers: true, retiredRecords: map[string]bool{}}
-	w, err := scope.sweeper(query, dryRun)
+	audit, err := auditRefs(scope.self.ix, c)
 	if err != nil {
 		return nil, err
 	}
-	if !c.b.Exists(w.store.Root()) {
-		return rep, nil // no objects directory: nothing to sweep
-	}
-
-	// The audit has read every record; the ones not being retired pin.
-	ix := scope.self.ix
-	audit, err := auditRefs(ix, c)
-	if err != nil {
-		return nil, err
-	}
-	rep.IndexRecords = len(audit.records)
-	for _, ar := range audit.records {
-		if retiredState(ar.state, false) {
-			query.retiredRecords[ar.entry.Name] = true
-			continue
-		}
-		if ar.state == RefOrphaned {
-			rep.IndexStale++
-		}
-		if ar.rec != nil {
-			own.records = append(own.records, ar.rec)
-		}
-	}
-	pins, err := scope.pinsWith(own, query)
-	if err != nil {
-		return nil, err
-	}
-
-	defer w.fillGC(rep)
-	if err := w.sweep(nil, pins); err != nil {
-		return rep, err
-	}
-	rep.IndexRetired, rep.IndexRepaired, err = fixIndex(ix, audit, false, dryRun)
+	p := policy{rep: &GCReport{Mode: "full", IndexRecords: len(audit.records)}, manifests: manifestsAll, fix: audit}
+	p.records, p.pinned = retire(p.rep, audit.records, func(a auditedRecord) bool { return retiredState(a.state, false) })
+	rep, err := scope.collect(p, dryRun)
+	rep.Referenced = len(manifestPins) // what the manifests alone reference
 	return rep, err
 }
 
@@ -292,14 +256,9 @@ type BlobStatus struct {
 	Refs int
 }
 
-// ScanBlobs classifies every entry of the run root's blob store against
-// the committed manifests' references — the blob half of the doctor view.
-// A run root without an objects directory yields an empty scan.
-func ScanBlobs(b storage.Backend, runRoot string) ([]BlobStatus, error) {
-	return withCatalog(b, runRoot, scanBlobs)
-}
-
-// scanBlobs is the blob view of the doctor.
+// scanBlobs is the blob view of the doctor: every entry of the run root's
+// blob store classified against the committed manifests' references. A run
+// root without an objects directory yields an empty scan.
 func scanBlobs(c *catalog) ([]BlobStatus, error) {
 	b := c.b
 	scope, err := c.scope()

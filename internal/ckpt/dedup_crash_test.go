@@ -134,11 +134,9 @@ func exploreDedupSaveCrashes(t *testing.T, codec string) {
 					t.Fatalf("k=%d torn=%v: %s still %v after repair+gc", k, torn, st.Path, st.State)
 				}
 			}
-			if bs, _ := ScanBlobs(base, "run"); true {
-				for _, s := range bs {
-					if s.State != BlobReferenced {
-						t.Fatalf("k=%d torn=%v: blob %s still %v after gc", k, torn, s.Path, s.State)
-					}
+			for _, s := range doctorScan(t, base, "run", ScanViews{Blobs: true}).Blobs {
+				if s.State != BlobReferenced {
+					t.Fatalf("k=%d torn=%v: blob %s still %v after gc", k, torn, s.Path, s.State)
 				}
 			}
 			// The journaled index agrees with the manifests on every
@@ -224,10 +222,7 @@ func TestCrashPointExplorationGC(t *testing.T) {
 		if _, err := GC(base, "run"); err != nil {
 			t.Fatalf("k=%d: gc rerun: %v", k, err)
 		}
-		bs, err := ScanBlobs(base, "run")
-		if err != nil {
-			t.Fatal(err)
-		}
+		bs := doctorScan(t, base, "run", ScanViews{Blobs: true}).Blobs
 		for _, s := range bs {
 			if s.State != BlobReferenced {
 				t.Fatalf("k=%d: %s still %v after gc rerun", k, s.Path, s.State)

@@ -182,10 +182,7 @@ func TestDedupScanStates(t *testing.T) {
 	}
 
 	// Blob scan: everything referenced; plant garbage + staging residue.
-	bs, err := ScanBlobs(b, "run")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := doctorScan(t, b, "run", ScanViews{Blobs: true}).Blobs
 	if len(bs) == 0 {
 		t.Fatal("no blobs scanned")
 	}
@@ -200,7 +197,7 @@ func TestDedupScanStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.WriteFile("run/objects/.stage/put-777", []byte("torn"))
-	bs, _ = ScanBlobs(b, "run")
+	bs = doctorScan(t, b, "run", ScanViews{Blobs: true}).Blobs
 	var unref, staging int
 	for _, s := range bs {
 		switch s.State {
@@ -485,20 +482,13 @@ func TestDedupifyPinsXorLineage(t *testing.T) {
 			if problems := refProblems(t, b, "run"); len(problems) != 0 {
 				t.Fatalf("ref-index problems: %+v", problems)
 			}
-			blobs, err := ScanBlobs(b, "run")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, bs := range blobs {
+			scan := doctorScan(t, b, "run", ScanViews{Blobs: true, Codecs: true})
+			for _, bs := range scan.Blobs {
 				if bs.State != BlobReferenced {
 					t.Fatalf("blob %s is %v after retention", bs.Path, bs.State)
 				}
 			}
-			health, err := ScanCodecs(b, "run")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, h := range health {
+			for _, h := range scan.Codecs {
 				if len(h.MissingParents) != 0 {
 					t.Fatalf("%s reports missing parents: %v", h.Dir, h.MissingParents)
 				}

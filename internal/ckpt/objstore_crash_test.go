@@ -140,11 +140,9 @@ func TestCrashPointExplorationObjStoreSave(t *testing.T) {
 					t.Fatalf("k=%d torn=%v: %s still %v after repair+gc", k, torn, st.Path, st.State)
 				}
 			}
-			if bs, _ := ScanBlobs(base, "run"); true {
-				for _, s := range bs {
-					if s.State != BlobReferenced {
-						t.Fatalf("k=%d torn=%v: blob %s still %v after gc", k, torn, s.Path, s.State)
-					}
+			for _, s := range doctorScan(t, base, "run", ScanViews{Blobs: true}).Blobs {
+				if s.State != BlobReferenced {
+					t.Fatalf("k=%d torn=%v: blob %s still %v after gc", k, torn, s.Path, s.State)
 				}
 			}
 			if problems := refProblems(t, base, "run"); len(problems) != 0 {
@@ -196,10 +194,7 @@ func TestShardedObjStoreRoundTrip(t *testing.T) {
 	if !obj.Exists(objectsPath("run") + "/" + storage.ShardConfigName) {
 		t.Fatalf("shard config missing after save")
 	}
-	bs, err := ScanBlobs(obj, "run")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := doctorScan(t, obj, "run", ScanViews{Blobs: true}).Blobs
 	if len(bs) == 0 {
 		t.Fatalf("sharded save published no blobs")
 	}
@@ -230,10 +225,7 @@ func TestShardedObjStoreRoundTrip(t *testing.T) {
 	if err := Save(obj, spec(200)); err != nil {
 		t.Fatal(err)
 	}
-	bs2, err := ScanBlobs(obj, "run")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs2 := doctorScan(t, obj, "run", ScanViews{Blobs: true}).Blobs
 	if len(bs2) != len(bs) {
 		t.Fatalf("identical payload grew the sharded store: %d -> %d blobs", len(bs), len(bs2))
 	}

@@ -1,20 +1,22 @@
-// Pins and sweeps: the one place references become a keep set, and the one
-// way a blob leaves a store.
+// Pins, sweeps and the one collection driver: the one place references
+// become a keep set, the one way a blob leaves a store, and the one order in
+// which a collecting operation removes anything.
 //
-// Every collecting operation — full GC, generational GC, retention, hub GC,
-// Repair's trash disposal — is a policy: a choice of candidate blobs and of
-// journal records and directories to retire. What is pinned and how a blob
-// is removed are not policy. Pins are one query (pinQuery) over a scope
-// resolved once per operation (the run, its hub attachment, its peers), so
-// the union-pin rule — a digest is reclaimable only when it is dead across
-// ALL runs attached to its store — holds for every policy by construction.
-// Removal is storage.BlobStore.Sweep's two-phase trash → recheck → purge-or-
-// restore, and the recheck is always the same query: the journals of the
-// run and every peer, re-read after the victims were trashed, minus the
-// records the sweep itself retired. A saver in any attached run journals
-// before its reuse check, so the record-precedes-blobs proof (see
-// storage.BlobStore.Sweep) covers sweeps and savers in different runs as
-// it covers one run. DESIGN.md "Garbage collection policies" has the table.
+// Every collecting operation — full GC, generational GC, retention, hub GC —
+// is a policy: a row of candidate blobs, directories and journal records to
+// retire, and a pin query (DESIGN.md "Garbage collection policies" has the
+// table). collect runs every row the same way and returns the one report.
+// What is pinned and how a blob is removed are not policy. Pins are one query
+// (pinQuery) over a scope resolved once per operation (the run, its hub
+// attachment, its peers), so the union-pin rule — a digest is reclaimable
+// only when it is dead across ALL runs attached to its store — holds for
+// every policy by construction. Removal is storage.BlobStore.Sweep's
+// two-phase trash → recheck → purge-or-restore, and the recheck is always the
+// same query: the journals of the run and every peer, re-read after the
+// victims were trashed, minus the records the sweep itself retired. A saver
+// in any attached run journals before its reuse check, so the
+// record-precedes-blobs proof (see storage.BlobStore.Sweep) covers sweeps and
+// savers in different runs as it covers one run.
 package ckpt
 
 import (
@@ -175,30 +177,32 @@ func (e *entry) pinDigests(bestEffort bool) ([]string, error) {
 }
 
 // load reads what q selects of one run. listed, when non-nil, is the journal
-// listing the policy already took, so classifying records and pinning them
-// cost one listing, not two.
-func (r pinRun) load(b storage.Backend, q pinQuery, listed []storage.RefEntry) (runRefs, error) {
+// as the policy classified it (contents read or not), so classifying records
+// and pinning them cost one listing and one read of each record, not two.
+func (r pinRun) load(b storage.Backend, q pinQuery, listed []auditedRecord) (runRefs, error) {
 	var refs runRefs
 	covered := map[string]bool{}
 	if q.journal {
 		if listed == nil {
-			var err error
-			if listed, _, _, err = r.ix.Entries(); err != nil {
+			entries, _, _, err := r.ix.Entries()
+			if err != nil {
 				return refs, err
 			}
+			listed = unread(entries)
 		}
-		var kept []storage.RefEntry
-		for _, e := range listed {
-			if !q.retiredRecords[e.Name] {
-				kept = append(kept, e)
+		var kept []auditedRecord
+		for _, a := range listed {
+			if !q.retiredRecords[a.entry.Name] {
+				kept = append(kept, a)
 			}
 		}
-		for i, rec := range readRecords(r.ix, kept) {
+		readRecords(r.ix, kept)
+		for _, a := range kept {
 			// An unreadable record pins nothing itself; its directory, if
 			// any, stays uncovered and pins through its manifests.
-			if rec != nil {
-				refs.records = append(refs.records, rec)
-				covered[kept[i].Key] = true
+			if a.rec != nil {
+				refs.records = append(refs.records, a.rec)
+				covered[a.entry.Key] = true
 			}
 		}
 	}
@@ -243,7 +247,7 @@ func (r pinRun) load(b storage.Backend, q pinQuery, listed []storage.RefEntry) (
 }
 
 // pins answers q over the scope; listed is passed on to the own run's load.
-func (s *pinScope) pins(q pinQuery, listed []storage.RefEntry) (map[string]int, error) {
+func (s *pinScope) pins(q pinQuery, listed []auditedRecord) (map[string]int, error) {
 	var own runRefs
 	if s.self != nil {
 		var err error
@@ -346,10 +350,10 @@ func (s *pinScope) sweeper(query pinQuery, dryRun bool) (*sweeper, error) {
 }
 
 // sweep examines candidates against pins. nil candidates is the whole
-// store: crashed-sweep trash is settled first, and staging residue goes
-// too. The recheck is the policy's query narrowed to fresh journal reads,
-// and re-lists the hub registry too: a run attached since the snapshot
-// journals against this store like any peer.
+// store, its trash area included: crashed-sweep trash is settled first, and
+// staging residue goes too. The recheck is the policy's query narrowed to
+// fresh journal reads, and re-lists the hub registry too: a run attached
+// since the snapshot journals against this store like any peer.
 func (w *sweeper) sweep(candidates []string, pins map[string]int) error {
 	if candidates == nil {
 		if err := w.disposeTrash(pins); err != nil {
@@ -367,6 +371,137 @@ func (w *sweeper) sweep(candidates []string, pins map[string]int) error {
 		w.Add(rep)
 	}
 	return err
+}
+
+// policy is one collecting operation, one row of DESIGN.md's table, built by
+// a constructor that has classified the records and filled the report's own
+// fields.
+type policy struct {
+	rep *GCReport
+	// candidates are the blobs the sweep examines: nil is the whole store,
+	// empty is no sweep at all.
+	candidates []string
+	// dirs and records are what it retires of its own run; pinned are the
+	// own run's records that pin, contents read or not.
+	dirs    []string
+	records []auditedRecord
+	pinned  []auditedRecord
+	// manifests says which manifests pin beside the journals of the run and
+	// its peers.
+	manifests manifestPins
+	// upkeep, after a candidate sweep, settles crashed-sweep trash and removes
+	// blob-put residue and the record-append residue named in staging.
+	upkeep  bool
+	staging []string
+	// fix, when set, rewrites divergent records and adds missing ones from
+	// the manifests it was audited against.
+	fix *refAudit
+}
+
+// collect is the one collection driver. Every policy runs in one phase order,
+// each phase started when the last request of the one before it returned:
+// retired directories, the pin snapshot, the sweep, retired records, then
+// upkeep (trash and residue) and the index fix. The snapshot is taken after the
+// directories go, and the records go only after the sweep, so an interruption
+// anywhere leaves only over-pinned garbage; the pin query names what the
+// policy retires, so it pins nothing of it and a dry run — where all of it
+// still exists — computes the same report.
+func (s *pinScope) collect(p policy, dryRun bool) (*GCReport, error) {
+	rep := p.rep
+	rep.DryRun = dryRun
+	query := pinQuery{journal: true, manifests: p.manifests, peers: true,
+		retiredRecords: map[string]bool{}, retiredDirs: map[string]bool{}}
+	for _, a := range p.records {
+		query.retiredRecords[a.entry.Name] = true
+		rep.RecordsRetired = append(rep.RecordsRetired, a.entry.Name)
+	}
+	for _, d := range p.dirs {
+		query.retiredDirs[d] = true
+	}
+	rep.Removed = p.dirs
+	w := &sweeper{scope: s, query: query, dryRun: dryRun}
+	defer func() { rep.SweepReport = w.SweepReport }()
+	if len(p.dirs) > 0 && !dryRun {
+		// Directories change from here on: the catalog was a snapshot, so the
+		// pin query lists the run root afresh.
+		s.self.cat = nil
+		if err := parallel.ForEachFirst(storage.RequestWidth, len(p.dirs), func(i int) error {
+			if err := s.b.Remove(p.dirs[i]); err != nil {
+				return fmt.Errorf("ckpt: %s: remove %s: %w", rep.Mode, p.dirs[i], err)
+			}
+			return nil
+		}); err != nil {
+			return rep, err
+		}
+	}
+	sweep := p.candidates == nil || len(p.candidates) > 0
+	if sweep || p.upkeep {
+		var err error
+		if w, err = s.sweeper(query, dryRun); err != nil {
+			return rep, err
+		}
+	}
+	if sweep {
+		pins, err := s.pins(query, p.pinned)
+		if err != nil {
+			return rep, err
+		}
+		rep.Referenced = len(pins)
+		if p.candidates == nil && !s.b.Exists(w.store.Root()) {
+			return rep, nil // no store yet: nothing to sweep
+		}
+		if err := w.sweep(p.candidates, pins); err != nil {
+			return rep, err
+		}
+	}
+	// The read phase is over: what asks for pins from here on (settling
+	// trash) lists the run root afresh and restarts nothing.
+	if s.self != nil {
+		s.self.cat = nil
+	}
+	if !dryRun {
+		if err := parallel.ForEachFirst(storage.RequestWidth, len(p.records), func(i int) error {
+			return s.self.ix.Remove(p.records[i].entry)
+		}); err != nil {
+			return rep, err
+		}
+	}
+	if p.upkeep {
+		if err := w.disposeTrash(nil); err != nil {
+			return rep, err
+		}
+		for i, name := range p.staging {
+			p.staging[i] = s.self.ix.Dir() + "/" + name
+		}
+		if err := w.cleanResidue(p.staging); err != nil {
+			return rep, fmt.Errorf("ckpt: gc: %w", err)
+		}
+	}
+	var err error
+	if p.fix != nil {
+		rep.IndexRepaired, err = repairIndex(s.self.ix, p.fix, dryRun)
+	}
+	return rep, err
+}
+
+// HubGC is the hub-level policy: the whole shared store is the candidate
+// set, nothing is retired, and the pins are the union of every attached
+// run's own pins (RunPins) — a digest referenced by ANY attached run
+// survives.
+func HubGC(b storage.Backend, hubRoot string, dryRun bool) (*GCReport, error) {
+	if _, err := storage.ReadHubConfig(b, hubRoot); err != nil {
+		return nil, fmt.Errorf("ckpt: hub gc: %w", err)
+	}
+	scope := &pinScope{b: b, hub: hubRoot, objects: storage.HubObjectsRoot(hubRoot)}
+	runs, err := scope.peers()
+	if err != nil {
+		return nil, err
+	}
+	rep := &GCReport{Mode: "hub"}
+	for _, r := range runs {
+		rep.Runs = append(rep.Runs, r.root)
+	}
+	return scope.collect(policy{rep: rep, manifests: manifestsUncovered}, dryRun)
 }
 
 // disposeTrash settles what a sweep that crashed between trash and purge

@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -142,5 +144,48 @@ func TestPinCoverage(t *testing.T) {
 				check(t, b, store)
 			})
 		}
+	}
+}
+
+// TestSweepReportDeterministic: every phase runs its requests side by side,
+// but reports are assembled in candidate order after each phase, never in
+// completion order — so the same root swept twice reports the same, list for
+// list, for every policy.
+func TestSweepReportDeterministic(t *testing.T) {
+	build := func() storage.Backend {
+		b, _, _ := buildGenerationalScenario(t)
+		store := storage.NewBlobStore(b, "run/objects")
+		for i := 0; i < 3*storage.RequestWidth; i++ {
+			d, _, err := putBytes(store, []byte(fmt.Sprintf("garbage-%d", i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				if err := store.Trash(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return b
+	}
+	policies := map[string]func(b storage.Backend) (any, error){
+		"full":         func(b storage.Backend) (any, error) { return GC(b, "run") },
+		"generational": func(b storage.Backend) (any, error) { return GCGenerational(b, "run", false) },
+		"retain":       func(b storage.Backend) (any, error) { return Retain(b, "run", 1, false) },
+	}
+	for name, collect := range policies {
+		t.Run(name, func(t *testing.T) {
+			first, err := collect(build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := collect(build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("one root, two reports:\nfirst  %+v\nsecond %+v", first, second)
+			}
+		})
 	}
 }

@@ -19,21 +19,22 @@
 //
 // GCGenerational and Retain (below) collect from the index alone; GC (full,
 // dedup.go) re-derives everything from the manifests and repairs the index.
-// What the policies share is in pins.go; DESIGN.md "Garbage collection
-// policies" has the table. Which directories a run root holds, which are
+// All three judge records with the one classifier here (classify) and run
+// through the one driver in pins.go; DESIGN.md "Garbage collection policies"
+// has the table. Which directories a run root holds, which are
 // sealed and what their manifests reference is asked of the run catalog
 // (catalog.go): its entry IS the per-directory reference view audited here,
 // and each policy reads one catalog before its first removal.
 //
 // The index is bookkeeping, never ground truth: if it is missing, stale or
-// corrupt, ReconcileRefIndex (run by Repair, and by `doctor -fix`) rebuilds
-// it from the manifests. Losing the index can cost reclaim work — a pinned
-// blob kept too long — never a referenced blob.
+// corrupt, Repair (and `doctor -fix`) rebuilds it from the manifests. Losing
+// the index can cost reclaim work — a pinned blob kept too long — never data.
 package ckpt
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -75,7 +76,8 @@ func appendRefRecord(ix *storage.RefIndex, finalDir string, step int, digests []
 		if e.Key != key {
 			continue
 		}
-		if rec, err := ix.Read(e); err == nil && digestsEqual(rec.Digests, want) && e.Generation > reuse {
+		if rec, err := ix.Read(e); err == nil && e.Generation > reuse &&
+			slices.Equal(storage.NormalizeDigests(append([]string(nil), rec.Digests...)), want) {
 			reuse = e.Generation
 		}
 	}
@@ -138,18 +140,27 @@ func (c *catalog) readRefs() error {
 	})
 }
 
-// readRecords reads journal records side by side, in entries' order; a record
-// that cannot be read comes back nil.
-func readRecords(ix *storage.RefIndex, entries []storage.RefEntry) []*storage.RefRecord {
-	recs := make([]*storage.RefRecord, len(entries))
-	_ = parallel.ForEach(storage.RequestWidth, len(entries), func(i int) error {
-		recs[i], _ = ix.Read(entries[i])
+// readRecords reads the records whose contents are not read yet, side by
+// side; one that cannot be read keeps a nil rec and its error.
+func readRecords(ix *storage.RefIndex, recs []auditedRecord) {
+	_ = parallel.ForEach(storage.RequestWidth, len(recs), func(i int) error {
+		if a := &recs[i]; a.rec == nil && a.err == nil {
+			a.rec, a.err = ix.Read(a.entry)
+		}
 		return nil
 	})
-	return recs
 }
 
-// --- index audit -----------------------------------------------------------
+// unread wraps journal entries whose contents nobody has read yet.
+func unread(entries []storage.RefEntry) []auditedRecord {
+	out := make([]auditedRecord, len(entries))
+	for i, e := range entries {
+		out[i].entry = e
+	}
+	return out
+}
+
+// --- the record classifier -------------------------------------------------
 
 // RefState classifies one ref-index record (or index-related problem).
 type RefState int
@@ -161,10 +172,11 @@ const (
 	// replaced in place; the record's exclusive digests are reclaimable by
 	// a generational sweep.
 	RefSuperseded
-	// RefOrphaned: no matching directory, or a generation newer than the
+	// RefOrphaned: no published directory, or a generation newer than the
 	// published one. Either an in-flight save (its directory does not exist
-	// *yet*) or residue of a crashed one — indistinguishable online, so
-	// sweeps pin these and only quiescent repair removes them.
+	// *yet*, or is about to be replaced) or residue of a crashed one —
+	// indistinguishable online, so sweeps pin these and only quiescent repair
+	// removes them.
 	RefOrphaned
 	// RefDivergent: the bound record's digest set fails to cover the
 	// directory's manifests (external mutilation or a lost update); the
@@ -221,23 +233,24 @@ type RefStatus struct {
 	Detail string
 }
 
-// auditedRecord pairs a journal entry with its classification.
+// auditedRecord is one journal record as the classifier judged it.
 type auditedRecord struct {
-	entry  storage.RefEntry
-	rec    *storage.RefRecord // nil when unreadable
-	state  RefState
+	entry storage.RefEntry
+	rec   *storage.RefRecord // nil until read, or when unreadable (err)
+	err   error
+	state RefState
+	// dir is the published directory of the record's key, nil when none.
+	dir    *entry
 	detail string
 }
 
-// refAudit is the full classification of a run root's ref index against
-// its directories' manifests.
+// refAudit is the deep classification of a run root's ref index against
+// its directories' manifests: what the doctor shows and Repair fixes.
 type refAudit struct {
 	records []auditedRecord
 	staging []string // residue file names inside the refs dir
 	// missing lists sealed dedup directories with no usable record.
 	missing []*entry
-	// dirs are the catalog entries the audit was taken against.
-	dirs []*entry
 }
 
 // digestsCover reports whether set a pins every digest of set b (a ⊇ b).
@@ -257,99 +270,98 @@ func digestsCover(a, b []string) bool {
 	return true
 }
 
-// digestsEqual compares two reference lists as sets.
-func digestsEqual(a, b []string) bool {
-	as := storage.NormalizeDigests(append([]string(nil), a...))
-	bs := storage.NormalizeDigests(append([]string(nil), b...))
-	if len(as) != len(bs) {
-		return false
+// classify is the one record classifier. It judges each record against the
+// published directory of its key — a staging tree binds nothing until it is
+// published — through the catalog's memos:
+//
+//   - no published directory: orphaned (an in-flight save, or a crashed one's
+//     residue);
+//   - otherwise manifest.json's ref_gen is the bound generation: the record
+//     it names is OK, an older one superseded, a newer one orphaned (an
+//     in-flight replace);
+//   - an unbound directory (no ref_gen: a pre-ref-index checkpoint, or an
+//     unreadable manifest.json) proves nothing, so its records are orphaned.
+//
+// A shallow pass (generational GC, retention) reads manifest.json only for
+// keys with more than one record, taking a key's only record as its
+// directory's own: O(index), not O(run length). A deep pass (full GC, the
+// doctor, Repair) also asks whether a record is divergent or corrupt, reading
+// every manifest.json, record and manifest; it takes an unbound directory's
+// record as OK when it covers the manifests — unless the directory is sealed
+// plain, which references no blob: then the record is an in-flight dedup
+// output's advance pin, or residue of a crashed one.
+func (c *catalog) classify(ix *storage.RefIndex, entries []storage.RefEntry, deep bool) ([]auditedRecord, error) {
+	out := unread(entries)
+	if deep {
+		if err := c.readRefs(); err != nil {
+			return nil, err
+		}
+		readRecords(ix, out)
 	}
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
+	published, records := map[string]*entry{}, map[string]int{}
+	for _, d := range c.entries {
+		if !d.Staging && !d.Quarantined {
+			published[d.Key] = d
 		}
 	}
-	return true
+	for _, e := range entries {
+		records[e.Key]++
+	}
+	for i := range out {
+		a := &out[i]
+		gen, d := a.entry.Generation, published[a.entry.Key]
+		a.dir = d
+		if a.err != nil {
+			a.state, a.detail = RefCorrupt, a.err.Error()
+			continue
+		}
+		if d == nil {
+			a.state, a.detail = RefOrphaned, "no matching checkpoint directory (in-flight save, or stale after a crash)"
+			continue
+		}
+		if !deep && records[a.entry.Key] == 1 {
+			a.state = RefOK
+			continue
+		}
+		bound := d.refGen()
+		switch {
+		case bound > 0 && gen == bound:
+			a.state = RefOK
+			if deep && d.sealed() && !digestsCover(a.rec.Digests, d.Digests) {
+				a.state, a.detail = RefDivergent, fmt.Sprintf("record fails to cover the manifests of %s", d.Path)
+			}
+		case bound > 0 && gen < bound:
+			a.state, a.detail = RefSuperseded, fmt.Sprintf("generation %d replaced by %d", gen, bound)
+		case bound > 0:
+			a.state, a.detail = RefOrphaned, fmt.Sprintf("generation %d newer than the published %d (in-flight replace, or crashed before commit)", gen, bound)
+		case deep && !d.dedup() && d.sealed():
+			a.state, a.detail = RefOrphaned, "record over a sealed plain directory (in-flight dedup output replacing it, or stale after a crashed one)"
+		case deep && digestsCover(a.rec.Digests, d.Digests):
+			a.state = RefOK
+		default:
+			a.state, a.detail = RefOrphaned, "directory carries no generation binding (pre-ref-index checkpoint)"
+		}
+	}
+	return out, nil
 }
 
-// auditRefs classifies every journal record against the directories'
-// manifest ground truth (the catalog's reference view).
+// auditRefs is the deep classification of the run root's whole index,
+// append residue and unrecorded dedup directories included.
 func auditRefs(ix *storage.RefIndex, c *catalog) (*refAudit, error) {
-	if err := c.readRefs(); err != nil {
-		return nil, err
-	}
 	entries, staging, _, err := ix.Entries()
 	if err != nil {
 		return nil, err
 	}
-	byKey := map[string][]*entry{}
-	for _, d := range c.entries {
-		byKey[d.Key] = append(byKey[d.Key], d)
+	records, err := c.classify(ix, entries, true)
+	if err != nil {
+		return nil, err
 	}
-	audit := &refAudit{staging: staging, dirs: c.entries}
+	audit := &refAudit{records: records, staging: staging}
 	covered := map[string]bool{} // keys with a usable (OK) record
-	for _, e := range entries {
-		ar := auditedRecord{entry: e}
-		rec, err := ix.Read(e)
-		switch {
-		case err != nil:
-			ar.state, ar.detail = RefCorrupt, err.Error()
-		default:
-			ar.rec = rec
-			ds, live := byKey[e.Key]
-			if !live {
-				ar.state = RefOrphaned
-				ar.detail = "no matching checkpoint directory (in-flight save, or stale after a crash)"
-				break
-			}
-			var bound int64
-			var boundDir *entry
-			for _, d := range ds {
-				if d.refGen() == e.Generation {
-					boundDir = d
-				}
-				if d.refGen() > bound {
-					bound = d.refGen()
-				}
-			}
-			switch {
-			case boundDir != nil:
-				if boundDir.sealed() && !boundDir.Staging && !digestsCover(rec.Digests, boundDir.Digests) {
-					ar.state = RefDivergent
-					ar.detail = fmt.Sprintf("record fails to cover the manifests of %s", boundDir.Path)
-				} else {
-					ar.state = RefOK
-					covered[e.Key] = true
-				}
-			case bound > 0 && e.Generation < bound:
-				ar.state = RefSuperseded
-				ar.detail = fmt.Sprintf("generation %d replaced by %d", e.Generation, bound)
-			case bound > 0 && e.Generation > bound:
-				ar.state = RefOrphaned
-				ar.detail = fmt.Sprintf("generation %d newer than the published %d (in-flight replace, or crashed before commit)", e.Generation, bound)
-			default:
-				// The directory is unbound (pre-ref-index checkpoint, or a
-				// mid-write tree without a manifest yet): no proof either
-				// way, so the record pins and the key counts as covered
-				// when the digest sets agree. Exception: when every
-				// directory under the key is a sealed plain checkpoint,
-				// nothing it stores can reference a blob, so the record is
-				// the advance pin of an in-flight dedup output about to
-				// replace it, or residue of a crashed one — sweeps still
-				// honor it, quiescent repair retires it.
-				if allSealedPlain(ds) {
-					ar.state = RefOrphaned
-					ar.detail = "record over a sealed plain directory (in-flight dedup output replacing it, or stale after a crashed one)"
-				} else if digestsCover(rec.Digests, dirRefsetOf(ds)) {
-					ar.state = RefOK
-					covered[e.Key] = true
-				} else {
-					ar.state = RefOrphaned
-					ar.detail = "directory carries no generation binding (pre-ref-index checkpoint)"
-				}
-			}
+	for _, a := range records {
+		if a.state == RefOK {
+			covered[a.entry.Key] = true
 		}
-		audit.records = append(audit.records, ar)
 	}
 	for _, d := range c.entries {
 		if d.dedup() && d.sealed() && !d.Staging && !covered[d.Key] {
@@ -359,36 +371,9 @@ func auditRefs(ix *storage.RefIndex, c *catalog) (*refAudit, error) {
 	return audit, nil
 }
 
-// allSealedPlain reports whether every directory view of one key is a
-// sealed, non-dedup checkpoint in its final location — a tree that by
-// construction references no blob.
-func allSealedPlain(ds []*entry) bool {
-	for _, d := range ds {
-		if d.dedup() || d.Staging || !d.sealed() {
-			return false
-		}
-	}
-	return len(ds) > 0
-}
-
-// dirRefsetOf returns the union digest list over directory views of one key.
-func dirRefsetOf(ds []*entry) []string {
-	var out []string
-	for _, d := range ds {
-		out = append(out, d.Digests...)
-	}
-	return out
-}
-
-// ScanRefs audits the run root's ref index against its manifests — the
-// index half of the doctor view. A run root without an index (or without
-// an objects store at all) yields findings only for unrecorded dedup
-// directories.
-func ScanRefs(b storage.Backend, runRoot string) ([]RefStatus, error) {
-	return withCatalog(b, runRoot, scanRefs)
-}
-
-// scanRefs is the index view of the doctor.
+// scanRefs is the index view of the doctor: the run root's ref index audited
+// against its manifests. A run root without an index (or without an objects
+// store at all) yields findings only for unrecorded dedup directories.
 func scanRefs(c *catalog) ([]RefStatus, error) {
 	ix, err := storage.OpenRefIndex(c.b, objectsPath(c.root))
 	if err != nil {
@@ -423,77 +408,53 @@ func scanRefs(c *catalog) ([]RefStatus, error) {
 
 // --- reconcile (rebuild-from-manifests) ------------------------------------
 
-// RefReconcileReport records what a reconcile pass changed.
-type RefReconcileReport struct {
-	// RemovedRecords lists retired record files (orphaned, superseded,
-	// corrupt, divergent-before-rewrite).
-	RemovedRecords []string
-	// WrittenRecords lists records appended or rewritten from manifests.
-	WrittenRecords []string
-	// StagingRemoved lists deleted append-staging residue.
-	StagingRemoved []string
-}
-
-// Changed reports whether the pass modified anything.
-func (r *RefReconcileReport) Changed() bool {
-	return len(r.RemovedRecords)+len(r.WrittenRecords)+len(r.StagingRemoved) > 0
-}
-
-// ReconcileRefIndex rebuilds the ref index from the manifests: missing and
-// divergent records of sealed dedup directories are (re)written, orphaned,
-// superseded and corrupt records are removed, and append residue is
-// cleaned. Like Repair — which runs it — reconcile assumes quiescence: an
-// in-flight save's record is indistinguishable from a crashed one's, so
-// only run this when no saver is active (the worst outcome of breaking the
-// rule is a committed checkpoint whose record must be rebuilt again — the
-// manifests always win, no blob is lost).
-func ReconcileRefIndex(b storage.Backend, runRoot string) (*RefReconcileReport, error) {
-	ix, err := storage.OpenRefIndex(b, objectsPath(runRoot))
-	if err != nil {
-		return nil, err
-	}
-	c, err := openCatalog(b, runRoot)
-	if err != nil {
-		return nil, err
-	}
-	return reconcileRefIndex(ix, c)
-}
-
-// reconcileRefIndex is ReconcileRefIndex against a catalog the caller (Repair)
-// already holds.
-func reconcileRefIndex(ix *storage.RefIndex, c *catalog) (*RefReconcileReport, error) {
+// reconcileRefIndex rebuilds the ref index from the manifests, for Repair:
+// append residue is cleaned, orphaned, superseded and corrupt records are
+// removed, and missing and divergent records of sealed dedup directories are
+// (re)written. It assumes quiescence, as Repair does: an in-flight save's
+// record is indistinguishable from a crashed one's (the worst outcome of
+// breaking the rule is a committed checkpoint whose record must be rebuilt
+// again — the manifests always win, no blob is lost).
+func reconcileRefIndex(ix *storage.RefIndex, c *catalog, rep *RepairReport) error {
 	audit, err := auditRefs(ix, c)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rep := &RefReconcileReport{}
 	for _, name := range audit.staging {
 		if err := ix.RemoveStaging(name); err != nil {
-			return rep, err
+			return err
 		}
-		rep.StagingRemoved = append(rep.StagingRemoved, name)
+		rep.RefStagingRemoved = append(rep.RefStagingRemoved, name)
 	}
-	rep.RemovedRecords, rep.WrittenRecords, err = fixIndex(ix, audit, true, false)
-	return rep, err
+	for _, a := range audit.records {
+		if retiredState(a.state, true) {
+			if err := ix.Remove(a.entry); err != nil {
+				return err
+			}
+			rep.RefRecordsRemoved = append(rep.RefRecordsRemoved, a.entry.Name)
+		}
+	}
+	rep.RefRecordsWritten, err = repairIndex(ix, audit, false)
+	return err
 }
 
 // retiredState reports whether a record in state s pins nothing and is
-// removed by an index fix: superseded and unreadable records always, and
-// orphaned ones when the caller is quiescent — online, an in-flight save's
-// record looks exactly like an orphan.
+// removed: superseded and unreadable records always, and orphaned ones when
+// the caller is quiescent — online, an in-flight save's record looks exactly
+// like an orphan.
 func retiredState(s RefState, quiescent bool) bool {
 	return s == RefSuperseded || s == RefCorrupt || quiescent && s == RefOrphaned
 }
 
-// fixIndex brings the index into agreement with the manifests it was
-// audited against — the manifests always win: retired records are removed,
-// divergent ones rewritten in place (same generation and key, corrected
-// digest set), and sealed dedup directories without a usable record get
-// one. Bound directories keep their manifest generation; unbound
-// (pre-ref-index) ones get a fresh one — their manifests cannot be
-// rewritten under a sealed marker, so they stay unbound and conservatively
-// pinned. With dryRun set the lists are what a real pass would do.
-func fixIndex(ix *storage.RefIndex, audit *refAudit, quiescent, dryRun bool) (removed, written []string, err error) {
+// repairIndex writes what the manifests say the audited index lacks — the
+// manifests always win: divergent records are rewritten in place (same
+// generation and key, corrected digest set), and sealed dedup directories
+// without a usable record get one. Bound directories keep their manifest
+// generation; unbound (pre-ref-index) ones get a fresh one — their manifests
+// cannot be rewritten under a sealed marker, so they stay unbound and
+// conservatively pinned. With dryRun set the list is what a real pass would
+// write.
+func repairIndex(ix *storage.RefIndex, audit *refAudit, dryRun bool) (written []string, err error) {
 	write := func(label, key string, gen int64, d *entry) error {
 		if !dryRun {
 			if err := writeRecordFrom(ix, key, gen, d); err != nil {
@@ -503,33 +464,19 @@ func fixIndex(ix *storage.RefIndex, audit *refAudit, quiescent, dryRun bool) (re
 		written = append(written, label)
 		return nil
 	}
-	for _, ar := range audit.records {
-		switch {
-		case retiredState(ar.state, quiescent):
-			if !dryRun {
-				if err := ix.Remove(ar.entry); err != nil {
-					return removed, written, err
-				}
-			}
-			removed = append(removed, ar.entry.Name)
-		case ar.state == RefDivergent:
-			for _, d := range audit.dirs {
-				// The directory the record's generation binds to.
-				if d.Key == ar.entry.Key && d.refGen() == ar.entry.Generation {
-					if err := write(ar.entry.Name, ar.entry.Key, ar.entry.Generation, d); err != nil {
-						return removed, written, err
-					}
-					break
-				}
+	for _, a := range audit.records {
+		if a.state == RefDivergent {
+			if err := write(a.entry.Name, a.entry.Key, a.entry.Generation, a.dir); err != nil {
+				return written, err
 			}
 		}
 	}
 	for _, d := range audit.missing {
 		if err := write(d.Key, d.Key, d.refGen(), d); err != nil {
-			return removed, written, err
+			return written, err
 		}
 	}
-	return removed, written, nil
+	return written, nil
 }
 
 // writeRecordFrom (re)writes a sealed directory's journal record from its
@@ -549,13 +496,39 @@ func writeRecordFrom(ix *storage.RefIndex, key string, gen int64, d *entry) erro
 	})
 }
 
-// --- generational sweep ----------------------------------------------------
+// --- the index-driven policies ----------------------------------------------
 
-// fillGC copies the blob accounting into a GC report.
-func (w *sweeper) fillGC(rep *GCReport) {
-	rep.Examined, rep.Kept = w.Examined, w.Kept
-	rep.RemovedBlobs, rep.RemovedStaging = w.RemovedBlobs, w.RemovedStaging
-	rep.BytesFreed = w.BytesFreed
+// retire splits classified records into those a policy retires and those
+// that pin, counting in the report the records considered and the stale ones
+// left pinned; retired says which the policy retires.
+func retire(rep *GCReport, records []auditedRecord, retired func(auditedRecord) bool) (gone, pinned []auditedRecord) {
+	for _, a := range records {
+		switch {
+		case retired(a):
+			gone = append(gone, a)
+		case a.state == RefOrphaned:
+			rep.IndexStale++
+			fallthrough
+		default:
+			pinned = append(pinned, a)
+		}
+	}
+	return gone, pinned
+}
+
+// retiredDigests reads the retired records and returns the digests they
+// named — never nil: no candidates is no sweep, not the whole store — and
+// which keys had a readable one.
+func retiredDigests(ix *storage.RefIndex, gone []auditedRecord) (candidates []string, recorded map[string]bool) {
+	readRecords(ix, gone)
+	candidates, recorded = []string{}, map[string]bool{}
+	for _, a := range gone {
+		if a.rec != nil {
+			candidates = append(candidates, a.rec.Digests...)
+			recorded[a.entry.Key] = true
+		}
+	}
+	return candidates, recorded
 }
 
 // GCGenerational is the incremental policy: it retires provably superseded
@@ -564,170 +537,77 @@ func (w *sweeper) fillGC(rep *GCReport) {
 // the retired records' digests. It reads the journal and one run-root
 // listing — never the store fan-out, never the full manifest history — so
 // its cost is O(retired generations + live index), not O(run length).
-// Orphaned records (no matching directory) are pinned, not retired: an
-// in-flight save looks exactly like that, and only quiescent repair may
-// judge it. After the sweep it settles crashed-sweep trash and removes the
-// crash residue that needs no store listing.
+// Orphaned records are pinned, not retired: an in-flight save looks exactly
+// like one, and only quiescent repair may judge it. After the sweep it
+// settles crashed-sweep trash and removes the crash residue that needs no
+// store listing.
 //
 // With dryRun set nothing is removed; the report is what a real run would
 // then do.
 func GCGenerational(b storage.Backend, runRoot string, dryRun bool) (*GCReport, error) {
-	return withCatalog(b, runRoot, func(c *catalog) (*GCReport, error) { return gcGenerational(c, dryRun) })
-}
-
-func gcGenerational(c *catalog, dryRun bool) (*GCReport, error) {
-	rep := &GCReport{Mode: "generational", DryRun: dryRun}
-	scope, err := c.scope()
-	if err != nil {
-		return nil, err
-	}
-	ix := scope.self.ix
-	entries, staging, _, err := ix.Entries()
-	if err != nil {
-		return nil, err
-	}
-	rep.IndexRecords = len(entries)
-
-	// The catalog's one listing decides key liveness; manifest.json is read
-	// only for keys with churn (more than one record), keeping the scan cost
-	// O(index), not O(run length).
-	live := map[string]*entry{} // key -> published (non-staging) directory
-	for _, d := range c.entries {
-		if !d.Staging {
-			live[d.Key] = d
-		}
-	}
-	byKey := map[string][]storage.RefEntry{}
-	for _, e := range entries {
-		byKey[e.Key] = append(byKey[e.Key], e)
-	}
-	var pinned, retired []storage.RefEntry
-	for key, ents := range byKey {
-		// No directory (an in-flight save or crash residue), no published
-		// directory, or no churn: every record pins. A pinned record other
-		// than a published key's newest is stale.
-		d, published := live[key]
-		var bound int64
-		if published && len(ents) > 1 {
-			bound = d.refGen()
-		}
-		for _, e := range ents {
-			switch {
-			case e.Generation < bound:
-				retired = append(retired, e)
-				continue
-			case !published || e.Generation != ents[len(ents)-1].Generation:
-				rep.IndexStale++
-			}
-			pinned = append(pinned, e)
-		}
-	}
-
-	// Candidates: whatever the retired generations referenced. An unreadable
-	// superseded record names nothing reclaimable; its file is dropped all
-	// the same and full GC owns its blobs.
-	var candidates []string
-	retiredName := map[string]bool{}
-	for i, rec := range readRecords(ix, retired) {
-		if rec != nil {
-			candidates = append(candidates, rec.Digests...)
-		}
-		rep.IndexRetired = append(rep.IndexRetired, retired[i].Name)
-		retiredName[retired[i].Name] = true
-	}
-	candidates = storage.NormalizeDigests(candidates)
-
-	query := pinQuery{journal: true, manifests: manifestsUncovered, peers: true, retiredRecords: retiredName}
-	w, err := scope.sweeper(query, dryRun)
-	if err != nil {
-		return nil, err
-	}
-	defer w.fillGC(rep)
-	if len(candidates) > 0 {
-		pins, err := scope.pins(query, pinned)
+	return withCatalog(b, runRoot, func(c *catalog) (*GCReport, error) {
+		scope, err := c.scope()
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
-		rep.Referenced = len(pins)
-		if err := w.sweep(candidates, pins); err != nil {
-			return rep, err
+		ix := scope.self.ix
+		entries, staging, _, err := ix.Entries()
+		if err != nil {
+			return nil, err
 		}
-	}
-	// The read phase is over: what asks for pins from here on (settling
-	// trash) lists the run root afresh and restarts nothing.
-	scope.self.cat = nil
-	if !dryRun {
-		if err := parallel.ForEachFirst(storage.RequestWidth, len(retired), func(i int) error {
-			return ix.Remove(retired[i])
-		}); err != nil {
-			return rep, err
+		records, err := c.classify(ix, entries, false)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := w.disposeTrash(nil); err != nil {
-		return rep, err
-	}
-	for i, name := range staging {
-		staging[i] = ix.Dir() + "/" + name
-	}
-	if err := w.cleanResidue(staging); err != nil {
-		return rep, fmt.Errorf("ckpt: gc: %w", err)
-	}
-	return rep, nil
+		p := policy{rep: &GCReport{Mode: "generational", IndexRecords: len(entries)}, manifests: manifestsUncovered,
+			upkeep: true, staging: staging}
+		p.records, p.pinned = retire(p.rep, records, func(a auditedRecord) bool { return retiredState(a.state, false) })
+		// An unreadable superseded record names nothing reclaimable; its file
+		// is dropped all the same and full GC owns its blobs.
+		candidates, _ := retiredDigests(ix, p.records)
+		p.candidates = storage.NormalizeDigests(candidates)
+		return scope.collect(p, dryRun)
+	})
 }
 
-// --- retention -------------------------------------------------------------
-
-// RetainReport records what a retention pass removed and swept.
-type RetainReport struct {
-	// Kept lists the retained committed checkpoint paths (newest last).
-	Kept []string
-	// Removed lists the retired checkpoint directory paths.
-	Removed []string
-	// RecordsRetired lists the journal record files retired with them.
-	RecordsRetired []string
-	// Examined is the number of candidate blobs the sweep looked at.
-	Examined int
-	// RemovedBlobs lists swept blob digests.
-	RemovedBlobs []string
-	// BytesFreed totals the swept blobs' sizes.
-	BytesFreed int64
-	// DryRun is set when nothing was actually removed.
-	DryRun bool
-}
+// RetainReport is what a retention pass reports: the one collection report.
+type RetainReport = GCReport
 
 // Retain is the retention policy: it drops all but the newest keepLast
-// committed checkpoints under the run root, retires their journal records,
-// and its candidates are the blobs whose youngest reference died with them
-// — the victims' records, or their manifests when no record exists. The
-// latest pointer's target is never removed, whatever its age. Removal order
-// is crash-safe: directories first, then their records, then the per-blob
-// sweep — an interruption at any point leaves only over-pinned garbage
+// committed checkpoints under the run root, retires the victims' own journal
+// records — those at or below the generation the victim's manifest.json
+// binds; a newer one is an in-flight replace's and pins — and its candidates
+// are the blobs whose youngest reference died with them: the retired
+// records' digests, or the victims' manifests when no record exists. The
+// latest pointer's target is never removed, whatever its age. Removal runs
+// in the driver's order — directories, the pin snapshot, the sweep, then the
+// records — so an interruption at any point leaves only over-pinned garbage
 // (reclaimable by GC) and never an under-pinned referenced blob.
-func Retain(b storage.Backend, runRoot string, keepLast int, dryRun bool) (*RetainReport, error) {
+func Retain(b storage.Backend, runRoot string, keepLast int, dryRun bool) (*GCReport, error) {
 	if keepLast < 1 {
 		return nil, fmt.Errorf("ckpt: retain: keep-last %d (want >= 1)", keepLast)
 	}
-	return withCatalog(b, runRoot, func(c *catalog) (*RetainReport, error) { return retain(c, keepLast, dryRun) })
+	return withCatalog(b, runRoot, func(c *catalog) (*GCReport, error) { return retain(c, keepLast, dryRun) })
 }
 
-func retain(c *catalog, keepLast int, dryRun bool) (*RetainReport, error) {
-	b := c.b
-	rep := &RetainReport{DryRun: dryRun}
+func retain(c *catalog, keepLast int, dryRun bool) (*GCReport, error) {
+	rep := &GCReport{Mode: "retain", DryRun: dryRun}
 	// An absent run root holds nothing yet (retention racing the first async
 	// save): no checkpoints, no victims.
 	committed, latest := c.committed(), c.latest()
 	var victims []string
+	victimKey := map[string]bool{}
 	for i, dir := range committed {
 		if i < len(committed)-keepLast && dir != latest {
 			victims = append(victims, dir)
+			victimKey[RefKey(dir)] = true
 		} else {
-			rep.Kept = append(rep.Kept, dir)
+			rep.Retained = append(rep.Retained, dir)
 		}
 	}
 	if len(victims) == 0 {
 		return rep, nil
 	}
-
 	scope, err := c.scope()
 	if err != nil {
 		return nil, err
@@ -737,35 +617,26 @@ func retain(c *catalog, keepLast int, dryRun bool) (*RetainReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	query := pinQuery{journal: true, manifests: manifestsUncovered, peers: true,
-		retiredRecords: map[string]bool{}, retiredDirs: map[string]bool{}}
-	victimKey := map[string]bool{}
-	for _, v := range victims {
-		victimKey[RefKey(v)] = true
-		query.retiredDirs[v] = true
-	}
-
-	// Candidate digests: the victims' records where available, their
-	// manifests otherwise (pre-ref-index runs). A victim whose references
-	// cannot be determined is still removed — its blobs stay pinned-in-
-	// place until a full GC accounts for them.
-	var candidates []string
-	var retired, remaining []storage.RefEntry
+	rep.IndexRecords = len(entries)
+	// Only the victims' records are judged; every other record pins.
+	var theirs, others []storage.RefEntry
 	for _, e := range entries {
-		if !victimKey[e.Key] {
-			remaining = append(remaining, e)
-			continue
-		}
-		retired = append(retired, e)
-		query.retiredRecords[e.Name] = true
-	}
-	recorded := map[string]bool{}
-	for i, rec := range readRecords(ix, retired) {
-		if rec != nil {
-			candidates = append(candidates, rec.Digests...)
-			recorded[retired[i].Key] = true
+		if victimKey[e.Key] {
+			theirs = append(theirs, e)
+		} else {
+			others = append(others, e)
 		}
 	}
+	records, err := c.classify(ix, theirs, false)
+	if err != nil {
+		return nil, err
+	}
+	p := policy{rep: rep, dirs: victims, manifests: manifestsUncovered}
+	p.records, p.pinned = retire(rep, records, func(a auditedRecord) bool { return a.state != RefOrphaned })
+	p.pinned = append(p.pinned, unread(others)...)
+	// A victim whose references cannot be determined is still removed — its
+	// blobs stay pinned-in-place until a full GC accounts for them.
+	candidates, recorded := retiredDigests(ix, p.records)
 	for _, v := range victims {
 		if recorded[RefKey(v)] {
 			continue
@@ -776,49 +647,6 @@ func retain(c *catalog, keepLast int, dryRun bool) (*RetainReport, error) {
 		}
 		candidates = append(candidates, digests...)
 	}
-	candidates = storage.NormalizeDigests(candidates)
-
-	// Directories, then records: each phase side by side, the next started
-	// when the last request of the one before it has returned.
-	if !dryRun {
-		// Directories change from here on: the catalog was a snapshot, so the
-		// pin query below lists the run root afresh.
-		scope.self.cat = nil
-		if err := parallel.ForEachFirst(storage.RequestWidth, len(victims), func(i int) error {
-			if err := b.Remove(victims[i]); err != nil {
-				return fmt.Errorf("ckpt: retain: remove %s: %w", victims[i], err)
-			}
-			return nil
-		}); err != nil {
-			return rep, err
-		}
-	}
-	rep.Removed = victims
-	if !dryRun {
-		if err := parallel.ForEachFirst(storage.RequestWidth, len(retired), func(i int) error {
-			return ix.Remove(retired[i])
-		}); err != nil {
-			return rep, err
-		}
-	}
-	for _, e := range retired {
-		rep.RecordsRetired = append(rep.RecordsRetired, e.Name)
-	}
-	if len(candidates) == 0 {
-		return rep, nil
-	}
-
-	// The victims' records and directories are named in the query, so a dry
-	// run — where both still exist — pins exactly what the real run does.
-	w, err := scope.sweeper(query, dryRun)
-	if err != nil {
-		return nil, err
-	}
-	pins, err := scope.pins(query, remaining)
-	if err != nil {
-		return rep, err
-	}
-	err = w.sweep(candidates, pins)
-	rep.Examined, rep.RemovedBlobs, rep.BytesFreed = w.Examined, w.RemovedBlobs, w.BytesFreed
-	return rep, err
+	p.candidates = storage.NormalizeDigests(candidates)
+	return scope.collect(p, dryRun)
 }

@@ -373,3 +373,52 @@ func TestSweepRacingConcurrentDedupSave(t *testing.T) {
 		t.Fatalf("index problems after quiesce: %+v", problems)
 	}
 }
+
+// TestRetainPinsInFlightReplaceOfVictim: a save replacing a retention victim
+// in place has journaled its newer-generation record under the victim's key
+// but has not staged its manifests yet, so that record is the only thing
+// pinning the blobs it reuses. Retention retires the victim's own record — the
+// one its manifest.json binds — and must leave the newer one pinning.
+func TestRetainPinsInFlightReplaceOfVictim(t *testing.T) {
+	mem, _ := reuseFixture(t)
+	ix := mustRefIndex(t, mem, "run")
+	_, victim := recordOf(t, mem, "run", "checkpoint-10")
+	own, err := ix.Read(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := ix.NextGeneration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight := &storage.RefRecord{Version: FormatVersion, Key: "checkpoint-10", Step: 10,
+		Generation: gen, Digests: own.Digests}
+	if err := ix.Append(inflight); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Retain(mem, "run", 1, false); err != nil {
+		t.Fatal(err)
+	}
+	store := storage.NewBlobStore(mem, "run/objects")
+	lost := 0
+	for _, d := range inflight.Digests {
+		if !store.Has(d) {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("retention collected %d of the %d blobs an in-flight replace of its victim reuses", lost, len(inflight.Digests))
+	}
+	var kept bool
+	for _, e := range refEntries(t, mem, "run") {
+		if e.Key == "checkpoint-10" {
+			if e.Generation != gen {
+				t.Fatalf("victim's own record (generation %d) survived retention", e.Generation)
+			}
+			kept = true
+		}
+	}
+	if !kept {
+		t.Fatal("retention retired the in-flight replace's record")
+	}
+}

@@ -116,10 +116,7 @@ func TestCrashPointExplorationRetain(t *testing.T) {
 		if problems := refProblems(t, base, "run"); len(problems) != 0 {
 			t.Fatalf("k=%d: index problems after repair+retain+gc: %+v", k, problems)
 		}
-		bs, err := ScanBlobs(base, "run")
-		if err != nil {
-			t.Fatal(err)
-		}
+		bs := doctorScan(t, base, "run", ScanViews{Blobs: true}).Blobs
 		for _, s := range bs {
 			if s.State != BlobReferenced {
 				t.Fatalf("k=%d: blob %s still %v after convergence", k, s.Path, s.State)
@@ -169,7 +166,7 @@ func TestCrashPointExplorationGCGenerational(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.RemovedBlobs) == 0 || len(rep.IndexRetired) != 1 || len(rep.RemovedStaging) != 2 {
+	if len(rep.RemovedBlobs) == 0 || len(rep.RecordsRetired) != 1 || len(rep.RemovedStaging) != 2 {
 		t.Fatalf("scenario has nothing to sweep: %+v", rep)
 	}
 	n := int(pf.Ops())
@@ -204,16 +201,13 @@ func TestCrashPointExplorationGCGenerational(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: full gc: %v", k, err)
 		}
-		if len(full.RemovedBlobs) != 0 || len(full.IndexRetired) != 0 || len(full.IndexRepaired) != 0 {
+		if len(full.RemovedBlobs) != 0 || len(full.RecordsRetired) != 0 || len(full.IndexRepaired) != 0 {
 			t.Fatalf("k=%d: full gc found work the generational rerun missed: %+v", k, full)
 		}
 		if problems := refProblems(t, base, "run"); len(problems) != 0 {
 			t.Fatalf("k=%d: index problems after convergence: %+v", k, problems)
 		}
-		bs, err := ScanBlobs(base, "run")
-		if err != nil {
-			t.Fatal(err)
-		}
+		bs := doctorScan(t, base, "run", ScanViews{Blobs: true}).Blobs
 		for _, s := range bs {
 			if s.State != BlobReferenced {
 				t.Fatalf("k=%d: blob %s still %v after convergence", k, s.Path, s.State)

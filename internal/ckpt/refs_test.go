@@ -35,15 +35,25 @@ func refEntries(t *testing.T, b storage.Backend, runRoot string) []storage.RefEn
 	return entries
 }
 
-// refProblems counts audit findings that doctor treats as problems.
-func refProblems(t *testing.T, b storage.Backend, runRoot string) []RefStatus {
+// doctorScan runs the doctor over a run root with the given views; a run
+// root that does not exist (everything under it is gone) has nothing to show.
+func doctorScan(t testing.TB, b storage.Backend, runRoot string, views ScanViews) *RunScan {
 	t.Helper()
-	statuses, err := ScanRefs(b, runRoot)
+	scan, err := ScanRun(b, runRoot, views)
+	if storage.IsNotExist(err) {
+		return &RunScan{}
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	return scan
+}
+
+// refProblems counts audit findings that doctor treats as problems.
+func refProblems(t *testing.T, b storage.Backend, runRoot string) []RefStatus {
+	t.Helper()
 	var out []RefStatus
-	for _, s := range statuses {
+	for _, s := range doctorScan(t, b, runRoot, ScanViews{Refs: true}).Refs {
 		if s.State != RefOK && s.State != RefSuperseded {
 			out = append(out, s)
 		}
@@ -126,7 +136,7 @@ func TestGCGenerationalRetiresSuperseded(t *testing.T) {
 	if len(dry.RemovedBlobs) == 0 || dry.Examined == 0 {
 		t.Fatalf("dry run found nothing: %+v", dry)
 	}
-	if got, _ := ScanBlobs(b, "run"); len(got) == 0 {
+	if got := doctorScan(t, b, "run", ScanViews{Blobs: true}).Blobs; len(got) == 0 {
 		t.Fatal("dry run mutated the store")
 	}
 	for _, d := range dry.RemovedBlobs {
@@ -139,7 +149,7 @@ func TestGCGenerationalRetiresSuperseded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.RemovedBlobs) != len(dry.RemovedBlobs) || len(rep.IndexRetired) != 1 {
+	if len(rep.RemovedBlobs) != len(dry.RemovedBlobs) || len(rep.RecordsRetired) != 1 {
 		t.Fatalf("gc = %+v", rep)
 	}
 	if len(rep.RemovedStaging) != 1 {
@@ -159,12 +169,12 @@ func TestGCGenerationalRetiresSuperseded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.RemovedBlobs) != 0 || len(full.IndexRetired) != 0 || len(full.IndexRepaired) != 0 {
+	if len(full.RemovedBlobs) != 0 || len(full.RecordsRetired) != 0 || len(full.IndexRepaired) != 0 {
 		t.Fatalf("full gc disagrees with the generational sweep: %+v", full)
 	}
 	// Idempotent.
 	again, err := GCGenerational(b, "run", false)
-	if err != nil || len(again.RemovedBlobs) != 0 || len(again.IndexRetired) != 0 {
+	if err != nil || len(again.RemovedBlobs) != 0 || len(again.RecordsRetired) != 0 {
 		t.Fatalf("second generational gc not a no-op: %+v, %v", again, err)
 	}
 }
@@ -255,7 +265,7 @@ func TestRetainKeepLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Removed) != 3 || len(rep.Kept) != 2 || len(rep.RecordsRetired) != 3 {
+	if len(rep.Removed) != 3 || len(rep.Retained) != 2 || len(rep.RecordsRetired) != 3 {
 		t.Fatalf("retain = %+v", rep)
 	}
 	if len(rep.RemovedBlobs) != len(dry.RemovedBlobs) {
@@ -325,14 +335,14 @@ func TestScanRefsStates(t *testing.T) {
 	if err := ix.Remove(entries[0]); err != nil {
 		t.Fatal(err)
 	}
-	statuses, _ := ScanRefs(b, "run")
+	statuses := doctorScan(t, b, "run", ScanViews{Refs: true}).Refs
 	if len(statuses) != 1 || statuses[0].State != RefMissing {
 		t.Fatalf("missing: %+v", statuses)
 	}
 
-	// Rebuild restores it with the manifest generation.
-	rep, err := ReconcileRefIndex(b, "run")
-	if err != nil || len(rep.WrittenRecords) != 1 {
+	// Repair's rebuild restores it with the manifest generation.
+	rep, err := Repair(b, "run")
+	if err != nil || len(rep.RefRecordsWritten) != 1 {
 		t.Fatalf("reconcile = %+v, %v", rep, err)
 	}
 	man, _ := ReadManifest(b, "run/checkpoint-100")
@@ -358,10 +368,7 @@ func TestScanRefsStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := map[RefState]int{}
-	statuses, err = ScanRefs(b, "run")
-	if err != nil {
-		t.Fatal(err)
-	}
+	statuses = doctorScan(t, b, "run", ScanViews{Refs: true}).Refs
 	for _, s := range statuses {
 		found[s.State]++
 	}
@@ -371,8 +378,8 @@ func TestScanRefsStates(t *testing.T) {
 		}
 	}
 
-	// Reconcile fixes all of it.
-	if _, err := ReconcileRefIndex(b, "run"); err != nil {
+	// Repair's reconcile fixes all of it.
+	if _, err := Repair(b, "run"); err != nil {
 		t.Fatal(err)
 	}
 	if problems := refProblems(t, b, "run"); len(problems) != 0 {
@@ -402,10 +409,7 @@ func TestSupersededScanState(t *testing.T) {
 		Strategy: "full", Dedup: true, State: TrainerState{Step: 100, Seed: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	statuses, err := ScanRefs(b, "run")
-	if err != nil {
-		t.Fatal(err)
-	}
+	statuses := doctorScan(t, b, "run", ScanViews{Refs: true}).Refs
 	var superseded, ok int
 	for _, s := range statuses {
 		switch s.State {

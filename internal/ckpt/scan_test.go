@@ -371,10 +371,7 @@ func TestScanBlobsTrashedPathExists(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		statuses, err := ScanBlobs(b, "run")
-		if err != nil {
-			t.Fatal(err)
-		}
+		statuses := doctorScan(t, b, "run", ScanViews{Blobs: true}).Blobs
 		trashed := 0
 		for _, st := range statuses {
 			if st.State != BlobTrashed {

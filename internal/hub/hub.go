@@ -238,7 +238,7 @@ func Stat(b storage.Backend, hubRoot string) (*Info, error) {
 // GC runs the hub-level union-pin collection: one sweep of the shared
 // store keeping every digest referenced by ANY attached run. See
 // ckpt.HubGC for the crash-safety argument.
-func GC(b storage.Backend, hubRoot string, dryRun bool) (*ckpt.HubGCReport, error) {
+func GC(b storage.Backend, hubRoot string, dryRun bool) (*ckpt.GCReport, error) {
 	return ckpt.HubGC(b, hubRoot, dryRun)
 }
 

@@ -141,11 +141,11 @@ func TestCrashPointExplorationReshardDedupObjStore(t *testing.T) {
 
 func refStatuses(t *testing.T, b storage.Backend) []ckpt.RefStatus {
 	t.Helper()
-	refs, err := ckpt.ScanRefs(b, "run")
+	scan, err := ckpt.ScanRun(b, "run", ckpt.ScanViews{Refs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return refs
+	return scan.Refs
 }
 
 func exploreReshardDedupCrash(t *testing.T, newBackend func() storage.Backend, torns ...bool) {
@@ -207,11 +207,11 @@ func exploreReshardDedupCrash(t *testing.T, newBackend func() storage.Backend, t
 			if _, err := ckpt.GC(base, "run"); err != nil {
 				t.Fatalf("k=%d torn=%v: gc: %v", k, torn, err)
 			}
-			blobs, err := ckpt.ScanBlobs(base, "run")
+			scan, err := ckpt.ScanRun(base, "run", ckpt.ScanViews{Blobs: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range blobs {
+			for _, s := range scan.Blobs {
 				if s.State != ckpt.BlobReferenced {
 					t.Fatalf("k=%d torn=%v: blob %s still %v after gc", k, torn, s.Path, s.State)
 				}

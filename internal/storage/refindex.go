@@ -18,7 +18,7 @@
 // a crash mid-append leaves staging residue, never a torn record. The index
 // is pure bookkeeping derived from the checkpoint manifests: if it is ever
 // missing, stale or corrupt, it can be rebuilt from the manifests (see
-// ckpt.ReconcileRefIndex) — losing it can cost reclaim work, never data.
+// ckpt.Repair) — losing it can cost reclaim work, never data.
 package storage
 
 import (

@@ -146,11 +146,11 @@ func TestDedupAsyncTrainingRun(t *testing.T) {
 	if _, err := ckpt.GC(b, "run"); err != nil {
 		t.Fatal(err)
 	}
-	statuses, err := ckpt.ScanBlobs(b, "run")
+	scan, err := ckpt.ScanRun(b, "run", ckpt.ScanViews{Blobs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range statuses {
+	for _, s := range scan.Blobs {
 		if s.State != ckpt.BlobReferenced {
 			t.Fatalf("blob %s is %v after gc", s.Path, s.State)
 		}

@@ -57,11 +57,11 @@ func TestKeepLastRetiresOldCheckpoints(t *testing.T) {
 	if len(rep.RemovedBlobs) != 0 || len(rep.IndexRepaired) != 0 {
 		t.Fatalf("retention left work for full gc: %+v", rep)
 	}
-	statuses, err := ckpt.ScanBlobs(b, "run")
+	scan, err := ckpt.ScanRun(b, "run", ckpt.ScanViews{Blobs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range statuses {
+	for _, s := range scan.Blobs {
 		if s.State != ckpt.BlobReferenced {
 			t.Fatalf("blob %s is %v after retention", s.Path, s.State)
 		}
@@ -123,10 +123,11 @@ func TestKeepLastBoundsStorageOverLongRun(t *testing.T) {
 	}
 	// The journal stays O(KeepLast), not O(saves): 12 saves happened but
 	// only the live generations keep records.
-	statuses, err := ckpt.ScanRefs(b, "run")
+	scan, err := ckpt.ScanRun(b, "run", ckpt.ScanViews{Blobs: true, Refs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	statuses, blobs := scan.Refs, scan.Blobs
 	if len(statuses) != 3 {
 		t.Fatalf("index holds %d entries after retention: %+v", len(statuses), statuses)
 	}
@@ -137,10 +138,6 @@ func TestKeepLastBoundsStorageOverLongRun(t *testing.T) {
 	}
 	// Blob count is bounded by the live set too: every stored blob is
 	// referenced by one of the three survivors.
-	blobs, err := ckpt.ScanBlobs(b, "run")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, s := range blobs {
 		if s.State != ckpt.BlobReferenced {
 			t.Fatalf("long run leaked blob %s (%v)", s.Path, s.State)

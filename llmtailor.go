@@ -100,7 +100,8 @@ type (
 	// BlobStatus is one scanned entry of a run root's content-addressed
 	// objects/ store (referenced / unreferenced / staging residue).
 	BlobStatus = ckpt.BlobStatus
-	// BlobGCReport records what a blob garbage collection removed and kept.
+	// BlobGCReport is the one report of every collecting operation (Run.GC,
+	// Run.Retain, Hub.GC): the sweep's blob accounting and what was retired.
 	BlobGCReport = ckpt.GCReport
 	// RetainReport records what a keep-last retention pass removed and
 	// generationally swept.
@@ -108,8 +109,6 @@ type (
 	// RefStatus is one audited entry of a run root's journaled blob ref
 	// index (objects/refs/) — the doctor's index view.
 	RefStatus = ckpt.RefStatus
-	// RefReconcileReport records a rebuild of the ref index from manifests.
-	RefReconcileReport = ckpt.RefReconcileReport
 	// AdoptReport records what the adopt-or-quarantine migration did.
 	AdoptReport = ckpt.AdoptReport
 	// CodecHealth is one dedup checkpoint's blob-codec breakdown and
@@ -209,10 +208,6 @@ func StrategyByName(name string) (Strategy, error) { return strategy.ByName(name
 
 // NewTrainer builds a fresh simulated training run.
 func NewTrainer(cfg TrainerConfig, b Backend) (*Trainer, error) { return train.New(cfg, b) }
-
-// VerifyCommitted checks a checkpoint directory's commit marker end to end
-// (presence, per-file sizes and CRCs).
-func VerifyCommitted(b Backend, dir string) error { return ckpt.VerifyCommit(b, dir) }
 
 // RestoreModelDType is the dtype used when restoring checkpoints.
 var RestoreModelDType = tensor.BF16

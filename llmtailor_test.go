@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"llmtailor"
+	"llmtailor/internal/ckpt"
 	"llmtailor/internal/train"
 )
 
@@ -92,7 +93,7 @@ func TestFacadeCrashRecoveryOnDisk(t *testing.T) {
 	if res.FinalStep != base.TotalSteps {
 		t.Fatalf("recovered run stopped at %d", res.FinalStep)
 	}
-	if err := llmtailor.VerifyCommitted(back, "run/checkpoint-30"); err != nil {
+	if err := ckpt.VerifyCommit(back, "run/checkpoint-30"); err != nil {
 		t.Fatal(err)
 	}
 }
