@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog one-report request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
+.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -174,6 +174,23 @@ one-report:
 	if [ "$$(echo "$$calls" | grep -c .)" -ne 1 ] || ! echo "$$calls" | grep -q '^internal/ckpt/pins.go: func (s \*pinScope) collect('; then \
 		echo "sweeper.sweep called outside the collection driver (pins.go collect):"; echo "$$calls"; exit 1; fi
 
+# Lazy capture is the only asynchronous save: NewLazyAsyncSaver is the one
+# saver constructor, and AsyncSaver owns its capture workers, spools and
+# ordered writes directly. A second constructor is a second async mode,
+# free to drift from the first (the deleted snapshot mode was exercised by
+# tests only, and the lazy mode's Save/Wait race hid beside it); a .Clone(
+# call in internal/ckpt is a deep copy of the live state — a snapshot stall
+# of O(model size) where capture costs O(changed layers).
+one-saver:
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'^func (\([^)]*\) )?New[A-Za-z]*Saver\(|^func [^{]*\) \*(ckpt\.)?AsyncSaver \{' internal cmd *.go \
+		| grep -v 'func NewLazyAsyncSaver('); \
+	if [ -n "$$bad" ]; then \
+		echo "a saver constructor other than NewLazyAsyncSaver:"; echo "$$bad"; exit 1; fi; \
+	bad=$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Clone(' internal/ckpt); \
+	if [ -n "$$bad" ]; then \
+		echo "a deep copy of live state in internal/ckpt:"; echo "$$bad"; exit 1; fi
+
 # A dedup save's backend requests are a function of the payloads that
 # changed, not of the payloads that exist: the counting-backend test that
 # holds config reads, parent-manifest reads, blob probes and blob GETs to
@@ -208,7 +225,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog one-report request-budget build test race-read race-maint objstore
+ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver request-budget build test race-read race-maint objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 

@@ -49,7 +49,7 @@ func main() {
 	resume := flag.String("resume", "", "resume from this complete checkpoint directory")
 	dedup := flag.Bool("dedup", false, "save checkpoints content-addressed: payloads dedup against the run root's objects/ store, so unchanged layers cost zero bytes")
 	keepLast := flag.Int("keep-last", 0, "retain only the newest N committed checkpoints, retiring older generations (and their blobs) after each save (0 = keep all)")
-	lazy := flag.Bool("lazy-capture", false, "capture checkpoints lazily layer by layer, overlapped with the next step; with -dedup, unchanged layers are recognized before any byte moves (implies async saving)")
+	lazy := flag.Bool("lazy-capture", false, "capture checkpoints lazily layer by layer, overlapped with the next step; with -dedup, unchanged layers are recognized before any byte moves (saves asynchronously)")
 	objstore := flag.Bool("objstore", false, "run against an ephemeral in-process object store (flat namespace, no-rename commit protocol, retrying PUTs) instead of -root")
 	objLatency := flag.Duration("objstore-latency", 0, "with -objstore: per-operation request latency injected into the object store")
 	shards := flag.Int("shards", 0, "with -dedup: digest-shard the run's blob store across N prefix shards (0 = flat layout)")

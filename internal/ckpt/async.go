@@ -11,79 +11,66 @@ import (
 
 // AsyncSaver overlaps checkpoint writes with continued training, in the
 // spirit of CheckFreq/DataStates-LLM (§6.1 of the paper — optimizations the
-// paper notes are composable with partial checkpointing). It runs in one of
-// two modes:
+// paper notes are composable with partial checkpointing), by lazy layer-wise
+// capture (capture.go): Save only enumerates the checkpoint and enqueues
+// per-layer capture units; workers drain each layer out of the live state
+// into pooled spools (or straight to a manifest reference when the content
+// already exists as a blob), and the caller blocks in WaitCaptured —
+// typically after computing the next gradients — only until the changed
+// layers are landed. The stall is O(changed layers); a capture in which
+// every layer changed is a snapshot.
 //
-// Snapshot mode (NewAsyncSaver): Save deep-copies the model and optimizer
-// synchronously — the stall is O(model size) — and a background goroutine
-// serialises and writes the copy through the same ordered pipeline
-// primitive the merge engine uses.
-//
-// Lazy capture mode (NewLazyAsyncSaver): Save only enumerates the
-// checkpoint and enqueues per-layer capture units; workers drain each layer
-// out of the live state into pooled spools (or straight to a manifest
-// reference when the content already exists as a blob), and the caller
-// blocks in WaitCaptured — typically after computing the next gradients —
-// only until the changed layers are landed. The stall is O(changed layers).
-//
-// At most `depth` writes may be in flight; further Saves block, bounding
-// memory at depth+1 state copies (snapshot mode) or the capture engine's
-// spool budget (lazy mode).
+// Captured saves are written in Save order by a one-worker pipeline. At most
+// `depth` writes may be in flight; further Saves block, bounding pooled
+// memory at the spool budget.
 type AsyncSaver struct {
-	pipe *parallel.Pipeline[asyncJob, error]
-	eng  *captureEngine
+	base    storage.Backend
+	pool    *storage.BufferPool
+	gate    *parallel.ByteGate
+	capture *parallel.Pipeline[*captureUnit, struct{}]
+	// writes runs a save's commit or a Flush marker, in push order. Save
+	// errors travel as values into errs: checkpoint saves must attempt
+	// every write and report the combined outcome, where the pipeline's own
+	// error channel would abort on the first failure.
+	writes *parallel.Pipeline[func() error, error]
 
-	mu   sync.Mutex
-	errs []error
-	done bool
+	// admit serialises Save's enqueue against Wait's close: a Save either
+	// enqueues its capture units and its write, or is refused whole.
+	admit  sync.Mutex
+	closed bool
+
+	mu      sync.Mutex
+	cache   map[string]*layerCacheEntry
+	pending []*captureTicket
+	stats   CaptureStats
+	errs    []error
 }
 
-// asyncJob is one enqueued save: a snapshot-mode spec (ticket nil), a
-// lazy-mode capture ticket, or a flush sentinel.
-type asyncJob struct {
-	spec   SaveSpec
-	ticket *captureTicket
-	flush  chan struct{}
-}
-
-// NewAsyncSaver starts a snapshot-mode saver over the backend with the
-// given in-flight depth (minimum 1).
-func NewAsyncSaver(b storage.Backend, depth int) *AsyncSaver {
-	return newSaver(b, depth, nil)
-}
-
-// NewLazyAsyncSaver starts a lazy-capture saver: saves stream per-layer
-// out of the live state instead of snapshotting it. Callers must not
-// mutate the model or optimizer between Save and the next WaitCaptured.
+// NewLazyAsyncSaver starts a saver over the backend with the given in-flight
+// write depth (minimum 1). Callers must not mutate the model or optimizer
+// between Save and the next WaitCaptured.
 func NewLazyAsyncSaver(b storage.Backend, depth int, opts CaptureOptions) *AsyncSaver {
-	return newSaver(b, depth, newCaptureEngine(b, opts))
-}
-
-func newSaver(b storage.Backend, depth int, eng *captureEngine) *AsyncSaver {
+	opts = opts.withDefaults()
 	if depth < 1 {
 		depth = 1
 	}
-	s := &AsyncSaver{eng: eng}
-	// The pipeline's own error channel would abort on the first failure;
-	// checkpoint saves must instead attempt every write and report the
-	// combined outcome, so failures travel as values into the sink.
-	s.pipe = parallel.NewPipeline(1, depth-1,
-		func(j asyncJob) (error, error) {
-			if j.flush != nil {
-				close(j.flush)
-				return nil, nil
-			}
-			var err error
-			if j.ticket != nil {
-				err = s.eng.write(j.ticket)
-			} else {
-				err = Save(b, j.spec)
-			}
-			if err != nil {
-				return fmt.Errorf("ckpt: async save %s: %w", j.spec.Dir, err), nil
-			}
-			return nil, nil
+	s := &AsyncSaver{
+		base:  b,
+		pool:  storage.NewBufferPool(),
+		gate:  parallel.NewByteGate(opts.spoolBytes),
+		cache: map[string]*layerCacheEntry{},
+	}
+	// Units fan in unordered (each lands in its ticket slot), so the
+	// capture pipeline's ordered sink is a no-op; errors travel through
+	// tickets.
+	s.capture = parallel.NewPipeline(opts.Workers, opts.Workers*4,
+		func(u *captureUnit) (struct{}, error) {
+			s.runUnit(u)
+			return struct{}{}, nil
 		},
+		func(struct{}) error { return nil })
+	s.writes = parallel.NewPipeline(1, depth-1,
+		func(job func() error) (error, error) { return job(), nil },
 		func(saveErr error) error {
 			if saveErr != nil {
 				s.mu.Lock()
@@ -95,37 +82,33 @@ func newSaver(b storage.Backend, depth int, eng *captureEngine) *AsyncSaver {
 	return s
 }
 
-// Save enqueues one checkpoint write. In snapshot mode it deep-copies the
-// spec's live state first; the caller may mutate model and optimizer as
-// soon as Save returns. In lazy mode it only schedules per-layer capture:
-// the caller must call WaitCaptured before the next mutation. Save is safe
-// to race with Wait: a Save that loses the race reports an error instead
-// of panicking on a closed queue.
+// Save validates the spec, carves it into per-layer capture units and
+// enqueues them with the save's write. It reads no payload bytes; the caller
+// must call WaitCaptured before the next mutation of the live state. A Save
+// racing Wait is either enqueued whole — captured and written before Wait
+// returns — or refused with an error.
 func (s *AsyncSaver) Save(spec SaveSpec) error {
-	if s.eng != nil {
-		return s.saveLazy(spec)
-	}
-	// Snapshot: deep-copy model and optimizer so training can continue.
-	modelCopy := spec.Model.Clone()
-	spec.Optim = spec.Optim.Clone(modelCopy)
-	spec.Model = modelCopy
-	if err := s.pipe.Push(asyncJob{spec: spec}); err != nil {
+	start := time.Now()
+	s.admit.Lock()
+	defer s.admit.Unlock()
+	if s.closed {
 		return fmt.Errorf("ckpt: async save after Wait")
 	}
-	return nil
-}
-
-func (s *AsyncSaver) saveLazy(spec SaveSpec) error {
-	start := time.Now()
-	t, err := s.eng.schedule(spec)
+	t, units, err := newTicket(spec)
 	if err != nil {
 		return err
 	}
-	if err := s.pipe.Push(asyncJob{spec: spec, ticket: t}); err != nil {
-		s.eng.abandon(t)
-		return fmt.Errorf("ckpt: async save after Wait")
+	// Neither push is refused: only Wait closes the pipelines, after taking
+	// admit, and neither pipeline's work or sink ever fails.
+	for _, u := range units {
+		s.capture.Push(u)
 	}
-	s.eng.addStall(int64(time.Since(start)))
+	s.writes.Push(func() error { return s.write(t) })
+	s.mu.Lock()
+	s.pending = append(s.pending, t)
+	s.stats.Saves++
+	s.stats.StallNs += int64(time.Since(start))
+	s.mu.Unlock()
 	return nil
 }
 
@@ -136,72 +119,67 @@ func (s *AsyncSaver) saveLazy(spec SaveSpec) error {
 // disk before the sweep scans.
 func (s *AsyncSaver) Flush() error {
 	ch := make(chan struct{})
-	if err := s.pipe.Push(asyncJob{flush: ch}); err != nil {
+	if err := s.writes.Push(func() error { close(ch); return nil }); err != nil {
 		return fmt.Errorf("ckpt: flush after Wait")
 	}
 	<-ch
 	return nil
 }
 
-// WaitCaptured blocks until every in-flight save has finished reading the
+// WaitCaptured blocks until every enqueued save has finished reading the
 // live model and optimizer state — the point after which the caller may
-// mutate them again. Snapshot mode copies eagerly, so it returns
-// immediately. The first capture failure is returned early (the combined
-// Wait error reports it too).
+// mutate them again. The first capture failure is returned early (the
+// combined Wait error reports it too).
 func (s *AsyncSaver) WaitCaptured() error {
-	if s.eng == nil {
-		return nil
-	}
 	start := time.Now()
-	err := s.eng.waitCaptured()
-	s.eng.addStall(int64(time.Since(start)))
-	return err
-}
-
-// CaptureStats reports the lazy engine's accounting (zero value in
-// snapshot mode).
-func (s *AsyncSaver) CaptureStats() CaptureStats {
-	if s.eng == nil {
-		return CaptureStats{}
-	}
-	return s.eng.snapshot()
-}
-
-// Wait drains all pending writes and returns the combined error of every
-// failed save. The saver cannot be reused afterwards; Wait is idempotent.
-func (s *AsyncSaver) Wait() error {
 	s.mu.Lock()
-	if s.done {
-		s.mu.Unlock()
-		return s.combinedErr()
-	}
-	s.done = true
+	tickets := s.pending
+	s.pending = nil
 	s.mu.Unlock()
-
-	// Drain capture before the write stage: every scheduled unit lands (or
-	// fails its ticket), then the ordered writes consume the tickets.
-	if s.eng != nil {
-		if err := s.eng.close(); err != nil {
-			s.mu.Lock()
-			s.errs = append(s.errs, err)
-			s.mu.Unlock()
+	var first error
+	for _, t := range tickets {
+		<-t.done
+		if err := t.failure(); err != nil && first == nil {
+			first = err
 		}
 	}
-	if err := s.pipe.Close(); err != nil {
-		s.mu.Lock()
-		s.errs = append(s.errs, err)
-		s.mu.Unlock()
-	}
-	return s.combinedErr()
+	s.mu.Lock()
+	s.stats.StallNs += int64(time.Since(start))
+	s.mu.Unlock()
+	return first
 }
 
-func (s *AsyncSaver) combinedErr() error {
+// CaptureStats reports the saver's capture accounting.
+func (s *AsyncSaver) CaptureStats() CaptureStats {
+	s.mu.Lock()
+	st := s.stats
+	s.mu.Unlock()
+	st.SpoolPeakBytes = s.gate.Peak()
+	st.Pool = s.pool.Stats()
+	return st
+}
+
+// Wait drains all pending captures and writes and returns the combined error
+// of every failed save. The saver cannot be reused afterwards; Wait is
+// idempotent.
+func (s *AsyncSaver) Wait() error {
+	s.admit.Lock()
+	first := !s.closed
+	s.closed = true
+	s.admit.Unlock()
+	if first {
+		// Close only drains (nothing fails inside either pipeline). Capture
+		// first: every enqueued unit lands, then the ordered writes consume
+		// the tickets.
+		s.capture.Close()
+		s.writes.Close()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.errs) == 0 {
+	switch len(s.errs) {
+	case 0:
 		return nil
-	}
-	if len(s.errs) == 1 {
+	case 1:
 		return s.errs[0]
 	}
 	return fmt.Errorf("ckpt: %d async saves failed, first: %w", len(s.errs), s.errs[0])

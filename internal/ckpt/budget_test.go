@@ -62,9 +62,6 @@ func TestDedupSaveRequestBudget(t *testing.T) {
 	for _, bk := range pathBackends {
 		for _, codec := range []string{"", "xor"} {
 			for _, sv := range pathSavers {
-				if sv.name == "snapshot" {
-					continue // the sync feeder behind a queue
-				}
 				t.Run(fmt.Sprintf("%s/%s/codec=%q", bk.name, sv.name, codec), func(t *testing.T) {
 					base := bk.mk()
 					log := &opLog{Fault: storage.NewFault(base)}

@@ -1,11 +1,10 @@
-// Lazy layer-wise checkpoint capture.
+// Lazy layer-wise capture: what AsyncSaver does with a save.
 //
-// The snapshot-mode AsyncSaver stalls training for a full deep copy of the
-// model and optimizer before any background work begins — O(model size)
-// per save no matter how little changed. The capture engine here bounds
-// that stall by the *changed-layer set* instead, the lazy asynchronous
-// capture idea of DataStates-LLM combined with ByteCheckpoint's
-// decomposition of save into pipelined stages:
+// A deep copy of the model and optimizer would stall training for
+// O(model size) per save no matter how little changed. Capture bounds that
+// stall by the *changed-layer set* instead, the lazy asynchronous capture
+// idea of DataStates-LLM combined with ByteCheckpoint's decomposition of
+// save into pipelined stages:
 //
 //   - Save enumerates the checkpoint (buildSavePlan — metadata only) and
 //     enqueues one capture unit per layer on a worker pipeline, returning
@@ -19,7 +18,7 @@
 //     When the optimizer's per-layer mutation counters (SaveSpec.LayerGens)
 //     prove a layer untouched since the previous capture, even the hash is
 //     skipped and the cached digests are reused.
-//   - The ordered save pipeline hands each ticket's payload set to the
+//   - The ordered write pipeline hands each ticket's payload set to the
 //     write stage (write.go) once every unit lands — the same stage the
 //     synchronous Save runs, so the output is byte-identical and crash
 //     exploration carries over.
@@ -39,40 +38,40 @@ import (
 	"sync"
 
 	"llmtailor/internal/modelcfg"
-	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/zero"
 )
 
-// CaptureOptions tunes the lazy capture scheduler.
+// CaptureOptions tunes the capture workers.
 type CaptureOptions struct {
 	// Workers is the number of concurrent capture workers (hash + spool).
 	// Defaults to 4.
 	Workers int
-	// SpoolBytes bounds the pooled spool memory held by in-flight captures.
+	// spoolBytes bounds the pooled spool memory held by in-flight captures.
 	// Payloads that do not fit fall back to unmetered temp files rather
-	// than blocking a worker. Defaults to 256 MiB.
-	SpoolBytes int64
+	// than blocking a worker. Defaults to 256 MiB; tests shrink it to force
+	// the fallback.
+	spoolBytes int64
 }
 
 func (o CaptureOptions) withDefaults() CaptureOptions {
 	if o.Workers <= 0 {
 		o.Workers = 4
 	}
-	if o.SpoolBytes <= 0 {
-		o.SpoolBytes = 256 << 20
+	if o.spoolBytes <= 0 {
+		o.spoolBytes = 256 << 20
 	}
 	return o
 }
 
-// CaptureStats is a snapshot of the engine's accounting. The stall-bound
-// claim is measured in bytes: BytesHashed + BytesSpooled is the data the
-// engine actually touched for a save, while BytesReferenced (digest hits)
-// and gen-reused layers cost nothing — so on a workload where one of L
-// layers changes per step, the touched bytes shrink by ~L× versus a
+// CaptureStats is a snapshot of the saver's capture accounting. The
+// stall-bound claim is measured in bytes: BytesHashed + BytesSpooled is the
+// data capture actually touched for a save, while BytesReferenced (digest
+// hits) and gen-reused layers cost nothing — so on a workload where one of
+// L layers changes per step, the touched bytes shrink by ~L× versus a
 // snapshot of everything.
 type CaptureStats struct {
-	// Saves is the number of scheduled captures.
+	// Saves is the number of accepted saves.
 	Saves int64
 	// LayersReused counts layer units short-circuited by the mutation-
 	// counter proof (no hash, no copy).
@@ -193,66 +192,18 @@ func (u *captureUnit) slots(fn func(p *payload, key string) bool) bool {
 	return true
 }
 
-// captureEngine owns the capture pipeline, the spool pool and budget gate,
-// the per-layer generation cache, and the outstanding-ticket set.
-type captureEngine struct {
-	base storage.Backend
-	pool *storage.BufferPool
-	gate *parallel.ByteGate
-	pipe *parallel.Pipeline[*captureUnit, struct{}]
-
-	mu      sync.Mutex
-	cache   map[string]*layerCacheEntry
-	pending []*captureTicket
-	stats   CaptureStats
-}
-
-func newCaptureEngine(b storage.Backend, opts CaptureOptions) *captureEngine {
-	opts = opts.withDefaults()
-	e := &captureEngine{
-		base:  b,
-		pool:  storage.NewBufferPool(),
-		gate:  parallel.NewByteGate(opts.SpoolBytes),
-		cache: map[string]*layerCacheEntry{},
-	}
-	// Units fan in unordered (each lands in its ticket slot), so the
-	// pipeline's ordered sink is a no-op; errors travel through tickets.
-	e.pipe = parallel.NewPipeline(opts.Workers, opts.Workers*4,
-		func(u *captureUnit) (struct{}, error) {
-			e.runUnit(u)
-			return struct{}{}, nil
-		},
-		func(struct{}) error { return nil })
-	return e
-}
-
-func (e *captureEngine) addStall(ns int64) {
-	e.mu.Lock()
-	e.stats.StallNs += ns
-	e.mu.Unlock()
-}
-
-func (e *captureEngine) snapshot() CaptureStats {
-	e.mu.Lock()
-	s := e.stats
-	e.mu.Unlock()
-	s.SpoolPeakBytes = e.gate.Peak()
-	s.Pool = e.pool.Stats()
-	return s
-}
-
 // cacheKey scopes gen-proof reuse to one blob store, world size and layer:
 // a different run root or resharding must never hit another run's entries.
 func cacheKey(spec *SaveSpec, layer modelcfg.LayerRef) string {
 	return ObjectsRoot(spec.Dir) + "|" + strconv.Itoa(spec.WorldSize) + "|" + layer.String()
 }
 
-// schedule validates a spec, carves it into per-layer units and enqueues
-// them. It reads no payload bytes — the foreground cost of a lazy save.
-func (e *captureEngine) schedule(spec SaveSpec) (*captureTicket, error) {
+// newTicket validates a spec and carves it into per-layer capture units. It
+// reads no payload bytes — the foreground cost of a save.
+func newTicket(spec SaveSpec) (*captureTicket, []*captureUnit, error) {
 	plan, err := buildSavePlan(&spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	t := &captureTicket{spec: spec, plan: plan, set: plan.newPayloadSet(), done: make(chan struct{})}
 	units := unitsFor(t)
@@ -260,20 +211,7 @@ func (e *captureEngine) schedule(spec SaveSpec) (*captureTicket, error) {
 	if len(units) == 0 {
 		close(t.done)
 	}
-	e.mu.Lock()
-	e.pending = append(e.pending, t)
-	e.stats.Saves++
-	e.mu.Unlock()
-	for i, u := range units {
-		if err := e.pipe.Push(u); err != nil {
-			t.fail(fmt.Errorf("ckpt: capture scheduler closed"))
-			for j := i; j < len(units); j++ {
-				t.unitDone()
-			}
-			break
-		}
-	}
-	return t, nil
+	return t, units, nil
 }
 
 // unitsFor groups a plan's payloads by owning layer, preserving plan order
@@ -309,12 +247,12 @@ func unitsFor(t *captureTicket) []*captureUnit {
 // runUnit is the pipeline work function: capture one unit, routing any
 // failure into the ticket instead of the pipeline's abort channel (every
 // unit must land so the latch closes).
-func (e *captureEngine) runUnit(u *captureUnit) {
+func (s *AsyncSaver) runUnit(u *captureUnit) {
 	defer u.t.unitDone()
 	if u.t.failure() != nil {
 		return
 	}
-	if err := e.captureUnit(u); err != nil {
+	if err := s.captureUnit(u); err != nil {
 		u.t.fail(err)
 	}
 }
@@ -322,13 +260,13 @@ func (e *captureEngine) runUnit(u *captureUnit) {
 // captureUnit drains one layer out of the live state. On return, every
 // slot of the unit is either filled or being cleaned up by the ticket's
 // eventual release.
-func (e *captureEngine) captureUnit(u *captureUnit) error {
+func (s *AsyncSaver) captureUnit(u *captureUnit) error {
 	t := u.t
 	plan := t.plan
 	dedup := t.spec.Dedup
 	var store *storage.BlobStore
 	if dedup {
-		ss, err := t.openStore(e.base)
+		ss, err := t.openStore(s.base)
 		if err != nil {
 			return err
 		}
@@ -342,10 +280,10 @@ func (e *captureEngine) captureUnit(u *captureUnit) error {
 	var haveGen bool
 	if dedup && u.hasLayer && t.spec.LayerGens != nil {
 		gen, haveGen = t.spec.LayerGens[u.layer]
-		if haveGen && e.tryReuse(u, gen, store) {
-			e.mu.Lock()
-			e.stats.LayersReused++
-			e.mu.Unlock()
+		if haveGen && s.tryReuse(u, gen, store) {
+			s.mu.Lock()
+			s.stats.LayersReused++
+			s.mu.Unlock()
 			return nil
 		}
 	}
@@ -353,7 +291,7 @@ func (e *captureEngine) captureUnit(u *captureUnit) error {
 	buf := make([]byte, storage.ChunkOrDefault(0))
 	for _, i := range u.weightIdx {
 		tns := plan.weights[i]
-		err := e.capturePayload(dedup, store, &t.set.weights[i].payload, func(w io.Writer) (int64, error) {
+		err := s.capturePayload(dedup, store, &t.set.weights[i].payload, func(w io.Writer) (int64, error) {
 			return tns.EncodeTo(w, buf)
 		})
 		if err != nil {
@@ -366,9 +304,9 @@ func (e *captureEngine) captureUnit(u *captureUnit) error {
 		if err != nil {
 			return fmt.Errorf("ckpt: capture group %d: %w", m.Index, err)
 		}
-		for r, s := range shards {
-			err := e.capturePayload(dedup, store, &t.set.ranks[r].groups[gi].payload, func(w io.Writer) (int64, error) {
-				return encodeGroupPayload(w, buf, s)
+		for r, sh := range shards {
+			err := s.capturePayload(dedup, store, &t.set.ranks[r].groups[gi].payload, func(w io.Writer) (int64, error) {
+				return encodeGroupPayload(w, buf, sh)
 			})
 			if err != nil {
 				return fmt.Errorf("ckpt: capture rank %d group %d: %w", r, m.Index, err)
@@ -377,7 +315,7 @@ func (e *captureEngine) captureUnit(u *captureUnit) error {
 	}
 
 	if haveGen {
-		e.updateCache(u, gen)
+		s.updateCache(u, gen)
 	}
 	return nil
 }
@@ -386,10 +324,10 @@ func (e *captureEngine) captureUnit(u *captureUnit) error {
 // generation matches and every cached blob is still present. A missing
 // blob (retention swept it) falls back to the hash path, which re-creates
 // the content from live state.
-func (e *captureEngine) tryReuse(u *captureUnit, gen int64, store *storage.BlobStore) bool {
-	e.mu.Lock()
-	entry := e.cache[cacheKey(&u.t.spec, u.layer)]
-	e.mu.Unlock()
+func (s *AsyncSaver) tryReuse(u *captureUnit, gen int64, store *storage.BlobStore) bool {
+	s.mu.Lock()
+	entry := s.cache[cacheKey(&u.t.spec, u.layer)]
+	s.mu.Unlock()
 	if entry == nil || entry.gen != gen {
 		return false
 	}
@@ -405,12 +343,12 @@ func (e *captureEngine) tryReuse(u *captureUnit, gen int64, store *storage.BlobS
 		return false
 	}
 	// Commit the reuse only once every slot checked out.
-	e.mu.Lock()
-	e.stats.PayloadsReferenced += int64(len(hits))
+	s.mu.Lock()
+	s.stats.PayloadsReferenced += int64(len(hits))
 	for _, id := range hits {
-		e.stats.BytesReferenced += id.size
+		s.stats.BytesReferenced += id.size
 	}
-	e.mu.Unlock()
+	s.mu.Unlock()
 	u.slots(func(p *payload, _ string) bool {
 		*p, hits = hits[0], hits[1:]
 		return true
@@ -421,18 +359,18 @@ func (e *captureEngine) tryReuse(u *captureUnit, gen int64, store *storage.BlobS
 // updateCache records the unit's landed identities under the layer's
 // generation. Out-of-order lands from back-to-back saves only ever move
 // the entry forward (generations are monotonic).
-func (e *captureEngine) updateCache(u *captureUnit, gen int64) {
+func (s *AsyncSaver) updateCache(u *captureUnit, gen int64) {
 	entry := &layerCacheEntry{gen: gen, ids: map[string]payload{}}
 	u.slots(func(p *payload, key string) bool {
 		entry.ids[key] = payload{size: p.size, digest: p.digest, crc: p.crc, hasCRC: true}
 		return true
 	})
 	key := cacheKey(&u.t.spec, u.layer)
-	e.mu.Lock()
-	if old := e.cache[key]; old == nil || old.gen <= gen {
-		e.cache[key] = entry
+	s.mu.Lock()
+	if old := s.cache[key]; old == nil || old.gen <= gen {
+		s.cache[key] = entry
 	}
-	e.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // capturePayload lands one payload in its slot (whose size the plan preset).
@@ -440,7 +378,7 @@ func (e *captureEngine) updateCache(u *captureUnit, gen int64) {
 // and spool only content misses — paying a second encode pass for the bytes
 // that actually move. Plain saves spool everything in a single pass with the
 // CRC computed inline.
-func (e *captureEngine) capturePayload(dedup bool, store *storage.BlobStore, p *payload,
+func (s *AsyncSaver) capturePayload(dedup bool, store *storage.BlobStore, p *payload,
 	encode func(io.Writer) (int64, error)) error {
 
 	p.hasCRC = true
@@ -450,25 +388,25 @@ func (e *captureEngine) capturePayload(dedup bool, store *storage.BlobStore, p *
 			return err
 		}
 		hit := store.Has(p.digest)
-		e.mu.Lock()
-		e.stats.BytesHashed += p.size
+		s.mu.Lock()
+		s.stats.BytesHashed += p.size
 		if hit {
-			e.stats.PayloadsReferenced++
-			e.stats.BytesReferenced += p.size
+			s.stats.PayloadsReferenced++
+			s.stats.BytesReferenced += p.size
 		}
-		e.mu.Unlock()
+		s.mu.Unlock()
 		if hit {
 			return nil
 		}
 	}
-	sp, gated, err := e.newSpool(p.size)
+	sp, gated, err := s.newSpool(p.size)
 	if err != nil {
 		return err
 	}
 	p.write = replay(sp.Open)
 	p.release = func() {
 		sp.Release()
-		e.gate.Release(gated)
+		s.gate.Release(gated)
 	}
 	var sink io.Writer = sp
 	var crc hash.Hash32
@@ -486,10 +424,10 @@ func (e *captureEngine) capturePayload(dedup bool, store *storage.BlobStore, p *
 	if crc != nil {
 		p.crc = crc.Sum32()
 	}
-	e.mu.Lock()
-	e.stats.PayloadsSpooled++
-	e.stats.BytesSpooled += p.size
-	e.mu.Unlock()
+	s.mu.Lock()
+	s.stats.PayloadsSpooled++
+	s.stats.BytesSpooled += p.size
+	s.mu.Unlock()
 	return nil
 }
 
@@ -497,56 +435,31 @@ func (e *captureEngine) capturePayload(dedup bool, store *storage.BlobStore, p *
 // a full gate routes the payload to an unmetered temp file instead (a
 // blocked capture worker would hold up the very layer release the trainer
 // is waiting on).
-func (e *captureEngine) newSpool(size int64) (storage.CaptureSpool, int64, error) {
-	if e.gate.TryAcquire(size) {
-		return e.pool.PooledSpool(size), size, nil
+func (s *AsyncSaver) newSpool(size int64) (storage.CaptureSpool, int64, error) {
+	if s.gate.TryAcquire(size) {
+		return s.pool.PooledSpool(size), size, nil
 	}
-	sp, err := e.pool.FileSpool()
+	sp, err := s.pool.FileSpool()
 	if err != nil {
 		return nil, 0, err
 	}
 	return sp, 0, nil
 }
 
-// abandon waits out a ticket whose save was never enqueued and frees it.
-func (e *captureEngine) abandon(t *captureTicket) {
-	<-t.done
-	t.set.releaseAll()
-}
-
-// waitCaptured blocks until every outstanding ticket's live-state reads
-// are finished — the point after which the caller may mutate the model and
-// optimizer again. It returns the first capture failure (the write stage
-// reports it too; the caller gets to abort early).
-func (e *captureEngine) waitCaptured() error {
-	e.mu.Lock()
-	tickets := e.pending
-	e.pending = nil
-	e.mu.Unlock()
-	var first error
-	for _, t := range tickets {
-		<-t.done
-		if err := t.failure(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// close drains the capture pipeline. Scheduled units finish; later
-// schedules fail their tickets.
-func (e *captureEngine) close() error { return e.pipe.Close() }
-
-// write commits one captured save — the ordered (depth-1) stage of the
-// saver: wait for the ticket's units to land, then run the write stage over
-// its payload set.
-func (e *captureEngine) write(t *captureTicket) error {
+// write commits one captured save — a job of the ordered write pipeline:
+// wait for the ticket's units to land, then run the write stage over its
+// payload set.
+func (s *AsyncSaver) write(t *captureTicket) error {
 	<-t.done
 	// Safe after the write stage released some payloads inline (release is
 	// idempotent per slot).
 	defer t.set.releaseAll()
-	if err := t.failure(); err != nil {
-		return err
+	err := t.failure()
+	if err == nil {
+		err = commitSave(s.base, &t.spec, t.plan, t.set, t.store)
 	}
-	return commitSave(e.base, &t.spec, t.plan, t.set, t.store)
+	if err != nil {
+		return fmt.Errorf("ckpt: async save %s: %w", t.spec.Dir, err)
+	}
+	return nil
 }

@@ -208,14 +208,14 @@ func TestCrashPointExplorationLazyCapture(t *testing.T) {
 // across saves, and the tiny spool budget forces the file-backed
 // fallback. Every published checkpoint must restore exactly the state
 // captured at its Save call: no hybrids, no torn spool reuse. Run under
-// -race this doubles as the data-race proof for the capture engine.
+// -race this doubles as the data-race proof for capture.
 func TestLazyCaptureStress(t *testing.T) {
 	for _, dedup := range []bool{true, false} {
 		t.Run(fmt.Sprintf("dedup=%v", dedup), func(t *testing.T) {
 			b := storage.NewMem()
 			// 64 KiB spool budget: most payloads overflow to file spools,
 			// and the pool recycles the rest across saves.
-			s := NewLazyAsyncSaver(b, 2, CaptureOptions{Workers: 4, SpoolBytes: 64 << 10})
+			s := NewLazyAsyncSaver(b, 2, CaptureOptions{Workers: 4, spoolBytes: 64 << 10})
 			cfg := modelcfg.Tiny()
 			m, o := buildOptim(t, cfg, 170)
 			refs := cfg.AllLayers()

@@ -5,7 +5,7 @@ package ckpt
 // let capture claim a layer "provably unchanged" against blobs sharded at
 // a different world size. cacheKey scopes entries by (objects root, world
 // size, layer); these tests pin that a save at M after saves at N through
-// the SAME engine re-captures everything at the new geometry, while a
+// the SAME saver re-captures everything at the new geometry, while a
 // same-world save still reuses.
 
 import (
@@ -42,7 +42,7 @@ func TestCaptureCacheNotReusedAcrossWorldSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One shared lazy saver — one capture engine, one digest cache — saves
+	// One shared lazy saver — one digest cache — saves
 	// at world 3, then (same unchanged LayerGens, as an elastic resume
 	// carries them) at world 2, then at world 3 again.
 	b := storage.NewMem()

@@ -90,7 +90,7 @@ func groupSlotKey(rank, index int) string { return fmt.Sprintf("rank %d group %d
 // deltas changed slots against the parent checkpoint's blobs.
 //
 // Planned puts carry no in-flight byte gate: the lazy saver's spooled
-// payloads already hold their bytes in the capture engine's gate, and an
+// payloads already hold their bytes in the saver's spool gate, and an
 // encoder blocking on a second reservation could deadlock the write stage.
 func newCodecPlan(codec string, rebase int, view *lineage) (*codecPlan, error) {
 	mode, err := storage.ParseBlobCodec(codec)

@@ -261,10 +261,10 @@ func TestCrashPointExplorationReplaceInPlace(t *testing.T) {
 	}
 }
 
-// Satellite: kill the async background writer mid-checkpoint. Wait must
-// surface the injected error and the run root must still resolve to the
-// last committed checkpoint. Run with -race: the fault fires on the
-// saver's goroutine while the trainer thread keeps mutating state.
+// Kill the async background writer mid-checkpoint. Wait must surface the
+// injected error and the run root must still resolve to the last committed
+// checkpoint. Run with -race: the fault fires on the saver's goroutine while
+// the trainer thread, released by WaitCaptured, keeps mutating state.
 func TestAsyncSaverCrashMidCheckpoint(t *testing.T) {
 	mPrev, oPrev := buildOptim(t, modelcfg.Tiny(), 93)
 	mNext, oNext := buildOptim(t, modelcfg.Tiny(), 94)
@@ -272,7 +272,7 @@ func TestAsyncSaverCrashMidCheckpoint(t *testing.T) {
 	// Count fault points of one async save so the crash can be planted at
 	// several depths, including inside the container writes.
 	count := storage.NewFault(storage.NewMem())
-	s := NewAsyncSaver(count, 2)
+	s := NewLazyAsyncSaver(count, 2, CaptureOptions{})
 	if err := s.Save(SaveSpec{Dir: "run/checkpoint-200", Model: mNext, Optim: oNext,
 		WorldSize: 2, Strategy: "full", State: TrainerState{Step: 200, Seed: 94}}); err != nil {
 		t.Fatal(err)
@@ -295,9 +295,12 @@ func TestAsyncSaverCrashMidCheckpoint(t *testing.T) {
 		f := storage.NewFault(base)
 		f.SetTorn(true)
 		f.FailAt(k)
-		saver := NewAsyncSaver(f, 2)
+		saver := NewLazyAsyncSaver(f, 2, CaptureOptions{})
 		if err := saver.Save(SaveSpec{Dir: "run/checkpoint-200", Model: mk, Optim: ok,
 			WorldSize: 2, Strategy: "full", State: TrainerState{Step: 200, Seed: 94}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := saver.WaitCaptured(); err != nil {
 			t.Fatal(err)
 		}
 		// Race the trainer thread against the crashing background writer.

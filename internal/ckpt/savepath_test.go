@@ -1,11 +1,10 @@
 package ckpt
 
-// The save-path identity matrix. Every saver — the synchronous Save, the
-// snapshot AsyncSaver and the lazy capture saver — feeds the one write
-// stage, so for every output mode and backend kind they must publish
-// byte-identical run roots, and the sync and lazy feeders must drive the
-// backend through the identical sequence of mutating operations: the
-// property that lets each crash exploration stand for all three savers.
+// The save-path identity matrix. Both savers — the synchronous Save and the
+// lazy capture AsyncSaver — feed the one write stage, so for every output
+// mode and backend kind they must publish byte-identical run roots and
+// drive the backend through the identical sequence of mutating operations:
+// the property that lets each crash exploration stand for both savers.
 // The publish loop overlaps its blob puts, so that one phase is compared as
 // a multiset; everything before it (the journal append) and after it
 // (manifests, trailer, marker, pointer) is compared in exact order.
@@ -228,22 +227,8 @@ var pathSavers = []struct {
 		between()
 		return Save(b, second)
 	}},
-	{"snapshot", func(b storage.Backend, first, second SaveSpec, between func()) error {
-		s := NewAsyncSaver(b, 1)
-		if err := s.Save(first); err != nil {
-			return err
-		}
-		if err := s.Flush(); err != nil {
-			return err
-		}
-		between()
-		if err := s.Save(second); err != nil {
-			return err
-		}
-		return s.Wait()
-	}},
 	{"lazy", func(b storage.Backend, first, second SaveSpec, between func()) error {
-		// One engine across both saves, so the second exercises the
+		// One saver across both saves, so the second exercises the
 		// generation cache as a training loop would.
 		s := NewLazyAsyncSaver(b, 1, CaptureOptions{})
 		for i, spec := range []SaveSpec{first, second} {

@@ -1,6 +1,6 @@
 // The checkpoint write stage (DESIGN.md "The write stage").
 //
-// Every checkpoint writer — the synchronous Save, the lazy capture engine, a
+// Every checkpoint writer — the synchronous Save, the lazy AsyncSaver, a
 // merge, blend or reshard making a content-addressed output — describes what
 // it writes as an ordered payloadSet and hands it to the one stage in this
 // file; writers differ only in where the bytes come from. The protocol that

@@ -8,8 +8,9 @@ import (
 )
 
 // Async checkpointing must produce byte-identical checkpoints to the
-// synchronous path: the snapshot happens at the same step boundary, only the
-// write is deferred.
+// synchronous path: capture reads the state of the same step boundary (the
+// trainer reclaims it in WaitCaptured before the next optimizer step), only
+// the write is deferred.
 func TestAsyncCheckpointingMatchesSync(t *testing.T) {
 	bSync := storage.NewMem()
 	cfgSync := tinyConfig("run")
@@ -24,7 +25,7 @@ func TestAsyncCheckpointingMatchesSync(t *testing.T) {
 
 	bAsync := storage.NewMem()
 	cfgAsync := tinyConfig("run")
-	cfgAsync.AsyncCkpt = true
+	cfgAsync.LazyCapture = true
 	trAsync, err := New(cfgAsync, bAsync)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +64,7 @@ func TestAsyncPartialCheckpointing(t *testing.T) {
 	b := storage.NewMem()
 	cfg := tinyConfig("run")
 	cfg.Strategy = strategy.Parity{}
-	cfg.AsyncCkpt = true
+	cfg.LazyCapture = true
 	tr, err := New(cfg, b)
 	if err != nil {
 		t.Fatal(err)

@@ -117,11 +117,11 @@ func TestDedupResumeBitIdenticalToPlain(t *testing.T) {
 }
 
 // TestDedupAsyncTrainingRun: the async saver composes with dedup saves
-// (snapshot synchronously, blob-put and commit in the background).
+// (layers captured, blobs put and the commit written in the background).
 func TestDedupAsyncTrainingRun(t *testing.T) {
 	b := storage.NewMem()
 	cfg := tinyConfig("run")
-	cfg.AsyncCkpt = true
+	cfg.LazyCapture = true
 	cfg.DedupCkpt = true
 	tr, err := New(cfg, b)
 	if err != nil {

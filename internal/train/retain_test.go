@@ -17,7 +17,7 @@ func retainConfig(keepLast int, async bool) Config {
 		Model: modelcfg.Tiny(), Seed: 51, Task: SFT(),
 		TotalSteps: 50, WarmupSteps: 2, BaseLR: 2e-3,
 		CkptInterval: 10, WorldSize: 2, RunRoot: "run",
-		DedupCkpt: true, KeepLast: keepLast, AsyncCkpt: async,
+		DedupCkpt: true, KeepLast: keepLast, LazyCapture: async,
 	}
 }
 

@@ -40,19 +40,15 @@ type Config struct {
 	// EvalEvery computes eval loss each N steps (0 = only at checkpoints
 	// and the final step).
 	EvalEvery int
-	// AsyncCkpt overlaps checkpoint writes with training via an
-	// AsyncSaver (snapshot synchronously, write in the background) —
-	// composing partial checkpointing with CheckFreq/DataStates-style I/O
-	// overlap, as the paper's related-work section anticipates.
-	AsyncCkpt bool
-	// LazyCapture upgrades async checkpointing to DataStates-LLM-style
-	// lazy layer-wise capture: instead of deep-copying the whole state
-	// synchronously, each layer is streamed out of the live optimizer by
-	// background workers, overlapped with the next step's gradient
-	// computation, and — combined with DedupCkpt — unchanged layers are
-	// recognized by digest (or by the optimizer's mutation counters)
-	// before a single byte is copied. The checkpoint stall becomes
-	// O(changed layers) rather than O(model size). Implies AsyncCkpt.
+	// LazyCapture overlaps checkpoint writes with training (an
+	// AsyncSaver), composing partial checkpointing with CheckFreq/
+	// DataStates-style I/O overlap as the paper's related-work section
+	// anticipates. Capture is DataStates-LLM-style and layer-wise: each
+	// layer is streamed out of the live optimizer by background workers,
+	// overlapped with the next step's gradient computation, and — combined
+	// with DedupCkpt — unchanged layers are recognized by digest (or by the
+	// optimizer's mutation counters) before a single byte is copied. The
+	// checkpoint stall is O(changed layers) rather than O(model size).
 	LazyCapture bool
 	// DedupCkpt stores checkpoints content-addressed: payloads land once
 	// per content digest in the run root's objects/ store and unchanged
@@ -133,7 +129,7 @@ type Result struct {
 	FinalEvalLoss float64
 	History       []StepStat
 	Ckpts         []CkptEvent
-	// Capture reports the lazy capture engine's accounting (zero value
+	// Capture reports the async saver's capture accounting (zero value
 	// unless Config.LazyCapture was set).
 	Capture ckpt.CaptureStats
 	// Failed is true when the run stopped at FailAt.
@@ -157,7 +153,7 @@ type Trainer struct {
 	// prevSnapshot holds per-tensor weights at the previous checkpoint
 	// event for update-norm telemetry.
 	prevSnapshot map[string][]float32
-	// saver is the background writer when Cfg.AsyncCkpt is set.
+	// saver is the background writer when Cfg.LazyCapture is set.
 	saver *ckpt.AsyncSaver
 }
 
@@ -400,19 +396,13 @@ func (t *Trainer) checkpoint(strat strategy.Strategy, loss float64) (CkptEvent, 
 		Codec: t.Cfg.CkptCodec, CodecRebase: t.Cfg.CkptCodecRebase,
 	}
 	var err error
-	if t.Cfg.AsyncCkpt || t.Cfg.LazyCapture {
+	if t.Cfg.LazyCapture {
 		if t.saver == nil {
-			if t.Cfg.LazyCapture {
-				t.saver = ckpt.NewLazyAsyncSaver(t.backend, 2, ckpt.CaptureOptions{})
-			} else {
-				t.saver = ckpt.NewAsyncSaver(t.backend, 2)
-			}
+			t.saver = ckpt.NewLazyAsyncSaver(t.backend, 2, ckpt.CaptureOptions{})
 		}
-		if t.Cfg.LazyCapture {
-			// The optimizer's mutation counters let capture prove a layer
-			// untouched since the previous save without hashing it.
-			spec.LayerGens = t.Optim.LayerGens()
-		}
+		// The optimizer's mutation counters let capture prove a layer
+		// untouched since the previous save without hashing it.
+		spec.LayerGens = t.Optim.LayerGens()
 		err = t.saver.Save(spec)
 	} else {
 		err = ckpt.Save(t.backend, spec)
