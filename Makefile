@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
+.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -70,9 +70,8 @@ one-store:
 # decides whether a committed checkpoint's payloads sit in containers or in
 # blobs: a manifest or container header read anywhere else but there and the
 # codec files is a private reader, free to drift from the stage's (a missed
-# CRC, a forgotten bounds check). Besides the stage, ReadShardHeader serves
-# only merge's whole-file shard copy, which needs the header and nothing
-# else; one Weights type has the one ReadTensor. The whole-checkpoint walk
+# CRC, a forgotten bounds check). ReadShardHeader is the stage's own (and
+# the whole-file loader's); one Weights type has the one ReadTensor. The whole-checkpoint walk
 # lives in the stage's load driver (payloadSet.load): ReadOptimShard is called
 # by the stage and by merge's per-source-rank load only, and nothing loops
 # over Names() calling ReadTensor.
@@ -84,9 +83,9 @@ one-reader:
 	if [ -n "$$bad" ]; then \
 		echo "manifest or container header read outside the read stage and the codec files:"; echo "$$bad"; exit 1; fi; \
 	bad=$$(grep -rn --include='*.go' --exclude='*_test.go' 'ReadShardHeader(' internal cmd *.go \
-		| grep -v -e 'func ReadShardHeader(' -e '^internal/ckpt/read.go:' -e '^internal/tailor/merge.go:'); \
+		| grep -v -e 'func ReadShardHeader(' -e '^internal/ckpt/read.go:'); \
 	if [ -n "$$bad" ]; then \
-		echo "ReadShardHeader( outside the read stage and merge's whole-file copy check:"; echo "$$bad"; exit 1; fi; \
+		echo "ReadShardHeader( outside the read stage:"; echo "$$bad"; exit 1; fi; \
 	bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'WeightsReader|DedupWeights' internal cmd *.go); \
 	if [ -n "$$bad" ]; then \
 		echo "a second weights reader type or an interface over it:"; echo "$$bad"; exit 1; fi; \
@@ -130,7 +129,7 @@ one-publish:
 		echo "a capability method on something other than ObjStore/OS (wrappers declare Unwrap):"; echo "$$bad"; exit 1; fi; \
 	bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'Dedupify\(|dedupifyInPlace|sweepUnlistedShardFiles' internal cmd *.go); \
 	if [ -n "$$bad" ]; then \
-		echo "a conversion of a published directory is back (a dedup output takes its form before Commit, Txn.Publish):"; echo "$$bad"; exit 1; fi; \
+		echo "a conversion of a published directory is back (a dedup output takes its form before Commit, in the write stage):"; echo "$$bad"; exit 1; fi; \
 	bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' '(writeJSON|publishJSON|PublishFile)\(.*CommitMarkerName' internal cmd *.go \
 		| grep -v -e '^internal/ckpt/adopt.go:' -e '^internal/ckpt/commit.go:.*writeJSON(t\.base, t\.staging+"/"+CommitMarkerName'); \
 	if [ -n "$$bad" ]; then \
@@ -191,6 +190,19 @@ one-saver:
 	if [ -n "$$bad" ]; then \
 		echo "a deep copy of live state in internal/ckpt:"; echo "$$bad"; exit 1; fi
 
+# Merge, blend and reshard are feeders of the write stage: they fill a
+# ckpt.Output — payloads by reference or computed — and commit it there. A
+# commit transaction, a container writer, a Publish or a content-addressing
+# pass of their own outside internal/ckpt is a second checkpoint writer, free
+# to drift from the stage (a CRC carried forward unchecked, a blob the store
+# already holds re-read and re-hashed).
+one-output:
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'ckpt\.Begin\(|NewLTSFWriter\(|NewShardFileWriter\(|\.Publish\(|contentAddress' internal cmd *.go \
+		| grep -v '^internal/ckpt/'); \
+	if [ -n "$$bad" ]; then \
+		echo "a checkpoint writer outside the write stage (internal/ckpt):"; echo "$$bad"; exit 1; fi
+
 # A dedup save's backend requests are a function of the payloads that
 # changed, not of the payloads that exist: the counting-backend test that
 # holds config reads, parent-manifest reads, blob probes and blob GETs to
@@ -201,6 +213,7 @@ one-saver:
 # latency-shaped object store issues a fixed count of requests per kind.
 request-budget:
 	$(GO) test ./internal/ckpt -run '^(TestDedupSaveRequestBudget|TestRestoreRequestBudget|TestLoadGateBoundsBytesInFlight|TestRetainRequestBudget)$$'
+	$(GO) test ./internal/tailor -run '^TestTailorByReferenceRequestBudget$$'
 
 # The read stage is concurrent: its tests, and the resume paths above it, run
 # under the race detector on every push.
@@ -225,7 +238,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver request-budget build test race-read race-maint objstore
+ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output request-budget build test race-read race-maint objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 

@@ -347,7 +347,7 @@ func BenchmarkMergeRawVsDecode(b *testing.B) {
 	record.Workers = 4
 	b.Run("raw", func(b *testing.B) {
 		stats, ns := run(b, false)
-		if stats.TensorsRawCopied == 0 || stats.ShardsRawCopied == 0 {
+		if stats.TensorsRawCopied == 0 || stats.ShardFileLoads != 0 {
 			b.Fatalf("raw paths did not arm: %+v", stats)
 		}
 		b.ReportMetric(float64(stats.BytesRawCopied), "bytes-raw-copied/op")
@@ -355,7 +355,7 @@ func BenchmarkMergeRawVsDecode(b *testing.B) {
 	})
 	b.Run("decode", func(b *testing.B) {
 		stats, ns := run(b, true)
-		if stats.TensorsRawCopied != 0 || stats.ShardsRawCopied != 0 {
+		if stats.TensorsRawCopied != 0 || stats.ShardFileLoads == 0 {
 			b.Fatalf("NoRawCopy run raw-copied: %+v", stats)
 		}
 		record.Decode = mergeBenchRecord{NsPerOp: ns, Stats: statsFields(stats)}
@@ -372,7 +372,6 @@ func statsFields(s *tailor.Stats) mergeStatsRecord {
 		TensorsRead:       s.TensorsRead,
 		TensorsRawCopied:  s.TensorsRawCopied,
 		ShardFileLoads:    s.ShardFileLoads,
-		ShardsRawCopied:   s.ShardsRawCopied,
 		BytesRead:         s.BytesRead,
 		BytesWritten:      s.BytesWritten,
 		BytesRawCopied:    s.BytesRawCopied,
@@ -385,7 +384,6 @@ type mergeStatsRecord struct {
 	TensorsRead       int   `json:"tensors_read"`
 	TensorsRawCopied  int   `json:"tensors_raw_copied"`
 	ShardFileLoads    int64 `json:"shard_file_loads"`
-	ShardsRawCopied   int   `json:"shards_raw_copied"`
 	BytesRead         int64 `json:"bytes_read"`
 	BytesWritten      int64 `json:"bytes_written"`
 	BytesRawCopied    int64 `json:"bytes_raw_copied"`

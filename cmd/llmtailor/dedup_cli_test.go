@@ -309,32 +309,17 @@ func TestCLIDoctorRefIndex(t *testing.T) {
 	}
 }
 
-// publishDedup replaces the committed plain checkpoint at dir with its
-// content-addressed form the way merge and reshard make a dedup output: a copy
-// staged in a transaction on dir, published with dedup on.
-func publishDedup(t *testing.T, b llmtailor.Backend, dir string) {
+// saveDedup saves writeRun's state at dir again, content-addressed, over the
+// plain checkpoint there.
+func saveDedup(t *testing.T, b llmtailor.Backend, dir string, step int) {
 	t.Helper()
-	m, err := ckpt.ReadCommitMarker(b, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := map[string][]byte{}
-	for name := range m.Files {
-		if files[name], err = b.ReadFile(dir + "/" + name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	txn, err := ckpt.Begin(b, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer txn.Abort()
-	for name, data := range files {
-		if err := txn.Backend().WriteFile(txn.Dir()+"/"+name, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := txn.Publish(m.Step, false, true); err != nil {
+	cfg := modelcfg.Tiny()
+	m, _ := model.NewInitialized(cfg, tensor.BF16, 3)
+	o, _ := optim.NewAdamW(m, optim.NewLayerwiseLayout(cfg), optim.DefaultHyper())
+	if err := ckpt.Save(b, ckpt.SaveSpec{
+		Dir: dir, Model: m, Optim: o, WorldSize: 2, Dedup: true,
+		Strategy: "full", State: ckpt.TrainerState{Step: step, Seed: 3},
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -372,7 +357,7 @@ func TestCLIDoctorFinishesConversion(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		publishDedup(t, b, dir)
+		saveDedup(t, b, dir, 10)
 		for name, data := range plain {
 			if err := b.WriteFile(dir+"/"+name, data); err != nil {
 				t.Fatal(err)

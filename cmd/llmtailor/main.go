@@ -194,7 +194,7 @@ func runMerge(args []string) error {
 	}
 	fmt.Printf("merged %d checkpoints -> %s\n", stats.CheckpointsUsed, rec.Output)
 	fmt.Printf("  weight tensors read: %d (raw-copied without decode: %d)\n", stats.TensorsRead, stats.TensorsRawCopied)
-	fmt.Printf("  optimizer shard file loads: %d  raw-copied shard files: %d\n", stats.ShardFileLoads, stats.ShardsRawCopied)
+	fmt.Printf("  optimizer shard file loads: %d\n", stats.ShardFileLoads)
 	fmt.Printf("  bytes read: %d  written: %d  raw-copied: %d\n", stats.BytesRead, stats.BytesWritten, stats.BytesRawCopied)
 	fmt.Printf("  peak in-flight tensor bytes: %d\n", stats.PeakInFlightBytes)
 	if *dedup {

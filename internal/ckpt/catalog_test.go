@@ -132,7 +132,7 @@ func putFiles(t *testing.T, b storage.Backend, dir string, files map[string][]by
 
 // conversionState builds, by hand, a directory the in-place conversion older
 // binaries ran after publication left behind when it crashed: a plain save,
-// the same state published content-addressed over it, and the plain form's
+// the same state saved content-addressed over it, and the plain form's
 // files put back as far as the crash point had not yet replaced or removed
 // them. Nothing in the tree makes these states any more; readers, Scan and
 // Repair must still do right by them.
@@ -140,7 +140,7 @@ func conversionState(seed uint64, restore func(t *testing.T, b storage.Backend, 
 	return func(t *testing.T, b storage.Backend, dir string) {
 		saveFull(t, b, dir, seed, 2)
 		plain := snapshotFiles(t, b, dir, "model.ltsf", ShardFileName(0), ShardFileName(1), "manifest.json", CommitMarkerName)
-		publishDedup(t, b, dir)
+		saveDedup(t, b, dir, seed, 2)
 		restore(t, b, dir, plain)
 	}
 }

@@ -236,11 +236,6 @@ func Save(b storage.Backend, spec SaveSpec) error {
 			})
 		}
 	}
-	if spec.Dedup {
-		if err := set.hashAll(); err != nil {
-			return err
-		}
-	}
 	return commitSave(b, &spec, plan, set, nil)
 }
 
@@ -261,31 +256,27 @@ func withChunkBuf(encode func(w io.Writer, buf []byte) (int64, error)) func(io.W
 	}
 }
 
-// writeTrailer stages the small JSON files every saved checkpoint ends
-// with: config, trainer state and manifest.
-func writeTrailer(sb storage.Backend, dir string, spec *SaveSpec, plan *savePlan, refGen int64) error {
-	if err := writeJSON(sb, dir+"/config.json", plan.cfg); err != nil {
-		return err
+// saveTrailer is the trailer every saved checkpoint ends with: config,
+// trainer state and manifest.
+func saveTrailer(spec *SaveSpec, plan *savePlan) (*Trailer, error) {
+	cfg, err := marshalJSON("config.json", plan.cfg)
+	if err != nil {
+		return nil, err
 	}
 	st := spec.State
 	st.WorldSize = plan.worldSize
 	st.Layout = plan.layoutKind.String()
 	st.Hyper = plan.hyper
-	if err := writeJSON(sb, dir+"/trainer_state.json", &st); err != nil {
-		return err
+	state, err := marshalJSON("trainer_state.json", &st)
+	if err != nil {
+		return nil, err
 	}
-	man := Manifest{
-		Step:     st.Step,
-		Strategy: spec.Strategy,
-		Complete: plan.complete,
-		Dedup:    spec.Dedup,
-		RefGen:   refGen,
-	}
+	man := Manifest{Step: st.Step, Strategy: spec.Strategy, Complete: plan.complete}
 	for _, ref := range plan.layers {
 		man.Layers = append(man.Layers, ref.String())
 	}
 	sort.Strings(man.Layers)
-	return writeJSON(sb, dir+"/manifest.json", &man)
+	return &Trailer{Config: cfg, State: state, Manifest: man, Step: st.Step}, nil
 }
 
 // latestPointer returns where a run root's "latest" pointer lives: beside its
@@ -342,13 +333,22 @@ func writeJSON(b storage.Backend, name string, v any) error {
 	return b.WriteFile(name, data)
 }
 
-// marshalJSON is the encoding of every JSON file a checkpoint holds.
-func marshalJSON(name string, v any) ([]byte, error) {
+// EncodeJSON is the encoding of every JSON file a checkpoint holds: what a
+// feeder rewriting a trailer file encodes it with.
+func EncodeJSON(v any) ([]byte, error) {
 	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
+func marshalJSON(name string, v any) ([]byte, error) {
+	data, err := EncodeJSON(v)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: marshal %s: %w", name, err)
 	}
-	return append(data, '\n'), nil
+	return data, nil
 }
 
 func readJSON(b storage.Backend, name string, v any) error {
@@ -429,6 +429,10 @@ func Open(b storage.Backend, dir string) (*Checkpoint, error) {
 
 // Weights exposes the lazy weight reader.
 func (c *Checkpoint) Weights() *Weights { return c.weights }
+
+// ContentAddressed reports whether the checkpoint's payloads are blobs
+// (read.go decideLayout), not container extents.
+func (c *Checkpoint) ContentAddressed() bool { return c.src.store != nil }
 
 // WorldSize returns the rank count recorded at save time.
 func (c *Checkpoint) WorldSize() int { return c.State.WorldSize }

@@ -4,9 +4,10 @@ package ckpt
 // against a slightly-perturbed previous checkpoint must actually delta
 // (manifest entries carry the codec and parent chain, stored bytes shrink),
 // restore bit-exact and materialize byte-identical to a plain save; the
-// re-base bound must cap chain depth; and a content-addressed publication
-// (Txn.Publish with dedup on) must work on no-rename (object store) backends
-// and hold the publication invariant under crash-point exploration.
+// re-base bound must cap chain depth; and a content-addressed output of a
+// plain checkpoint (an Output taking its payloads by reference) must work on
+// no-rename (object store) backends and hold the publication invariant under
+// crash-point exploration.
 
 import (
 	"bytes"
@@ -193,9 +194,10 @@ func TestCodecRebaseBoundsChain(t *testing.T) {
 func TestDedupifyObjStore(t *testing.T) { testPublishDedupOutput(t, storage.NewObjStore()) }
 
 // TestCrashPointExplorationDedupify fails every storage operation of a
-// content-addressed publication in turn — staging the plain containers over a
-// previous plain incarnation of the same name, then Txn.Publish with dedup on
-// — on a no-rename and a rename backend. Object-store PUTs are atomic, so only
+// content-addressed publication in turn — a by-reference dedup output of a
+// plain source in another run root (outputByReference), written over a
+// previous plain incarnation of the same name — on a no-rename and a rename
+// backend. Object-store PUTs are atomic, so only
 // the rename backend has a torn row. The invariant is the save path's: a
 // directory that is published is whole and in ONE form at every crash point
 // (what carries a marker scans committed, never converting), after Repair the
@@ -218,21 +220,18 @@ func TestCrashPointExplorationDedupify(t *testing.T) {
 }
 
 func exploreDedupifyCrashes(t *testing.T, mk func() storage.Backend, torn bool) {
-	const dir = "run/checkpoint-5"
-	build := func() (storage.Backend, *model.Model, *optim.AdamW, stagedFiles) {
+	const dir, src = "run/checkpoint-5", "src/checkpoint-5"
+	build := func() (storage.Backend, *model.Model, *optim.AdamW) {
 		b := mk()
 		m, o := saveFull(t, b, dir, 173, 2)
-		files, err := readCommitted(b, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b, m, o, files
+		saveFull(t, b, src, 173, 2)
+		return b, m, o
 	}
 
-	base, _, _, files := build()
+	base, _, _ := build()
 	plainDigest := treeDigest(t, base, dir)
 	f := storage.NewFault(base)
-	if _, err := files.publishDedup(f, dir); err != nil {
+	if _, err := outputByReference(f, src, dir, true); err != nil {
 		t.Fatal(err)
 	}
 	wantDigest := treeDigest(t, base, dir)
@@ -243,11 +242,11 @@ func exploreDedupifyCrashes(t *testing.T, mk func() storage.Backend, torn bool) 
 	t.Logf("exploring %d dedup publication crash points", n)
 
 	for k := 1; k <= n; k++ {
-		base, m, o, files := build()
+		base, m, o := build()
 		f := storage.NewFault(base)
 		f.SetTorn(torn)
 		f.FailAt(k)
-		if _, err := files.publishDedup(f, dir); !storage.IsInjected(err) {
+		if _, err := outputByReference(f, src, dir, true); !storage.IsInjected(err) {
 			t.Fatalf("k=%d: err = %v, want injected", k, err)
 		}
 
@@ -318,7 +317,7 @@ func exploreDedupifyCrashes(t *testing.T, mk func() storage.Backend, torn bool) 
 		}
 
 		// A retry is byte-exact with the fault-free run.
-		if _, err := files.publishDedup(base, dir); err != nil {
+		if _, err := outputByReference(base, src, dir, true); err != nil {
 			t.Fatalf("k=%d: retry: %v", k, err)
 		}
 		if d := treeDigest(t, base, dir); d != wantDigest {

@@ -31,8 +31,8 @@
 //
 // The immutability rule: once a directory is published its file set never
 // changes. Whatever form an output takes — content-addressed included — it
-// takes in staging, before the marker (Txn.Publish); the marker has two
-// writers, Txn.Commit and Adopt's seal. The one exception is Repair removing
+// takes in staging, before the marker (the write stage, write.go); the marker
+// has two writers, Txn.Commit and Adopt's seal. The one exception is Repair removing
 // checkpoint-format files a verified marker does not list (what an older
 // binary's in-place conversion left when it crashed).
 package ckpt
@@ -132,22 +132,6 @@ func (s *sumBackend) Create(name string) (io.WriteCloser, error) {
 	return &sumWriter{s: s, name: name, w: w, crc: crc32.NewIEEE()}, nil
 }
 
-// Remove implements Backend, forgetting the sums of what it removes: a file
-// staged and then taken back is not part of the commit.
-func (s *sumBackend) Remove(name string) error {
-	if err := s.Backend.Remove(name); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for staged := range s.sums {
-		if staged == name || strings.HasPrefix(staged, name+"/") {
-			delete(s.sums, staged)
-		}
-	}
-	return nil
-}
-
 // Unwrap exposes the wrapped backend to storage's capability walk: what is
 // staged through a transaction gets the base's rename, compose and spool.
 // A storage.Compose through it is NOT recorded; nothing staged is multipart.
@@ -172,6 +156,9 @@ func (w *sumWriter) Write(p []byte) (int, error) {
 	}
 	return n, err
 }
+
+// Grow forwards a capacity reservation to the stream (storage.Reserve).
+func (w *sumWriter) Grow(n int64) { storage.Reserve(w.w, n) }
 
 func (w *sumWriter) Close() error {
 	if err := w.w.Close(); err != nil {
@@ -270,25 +257,6 @@ func (t *Txn) Commit(step int) error {
 	}
 	t.committed = true
 	return nil
-}
-
-// Publish is the tail merge, blend and reshard share, in the one crash-safe
-// order: give the staged output its final form (dedup: content-addressed, see
-// contentAddress), Commit, then move the run root's latest pointer to the
-// output (latest: false for a weights-only blend, which training cannot
-// resume, and reshard's NoLatest). Everything that shapes the directory
-// precedes the marker, so what a reader finds under the published name never
-// changes. It returns the content-addressing counters.
-func (t *Txn) Publish(step int, latest, dedup bool) (rep DedupifyReport, err error) {
-	if dedup {
-		if rep, err = t.contentAddress(step); err != nil {
-			return rep, fmt.Errorf("ckpt: dedup output: %w", err)
-		}
-	}
-	if err = t.Commit(step); err != nil || !latest {
-		return rep, err
-	}
-	return rep, WriteLatestPointer(t.base, t.final)
 }
 
 // Abort drops the staging directory (best effort). No-op after Commit.

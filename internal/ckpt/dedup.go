@@ -82,7 +82,7 @@ func hashStream(size int64, encode func(io.Writer) (int64, error)) (digest strin
 }
 
 // encodeGroupPayload streams one group shard's payload (master + exp_avg +
-// exp_avg_sq, FP32 LE) — exactly the bytes ShardFileWriter.WriteGroup
+// exp_avg_sq, FP32 LE) — exactly the bytes shardFileWriter.writeGroup
 // spools.
 func encodeGroupPayload(w io.Writer, buf []byte, s *zero.GroupShard) (int64, error) {
 	var n int64
@@ -311,8 +311,8 @@ func scanBlobs(c *catalog) ([]BlobStatus, error) {
 	return out, nil
 }
 
-// DedupifyReport records what content-addressing a merge, blend or reshard
-// output (Txn.Publish) stored and reused.
+// DedupifyReport records what a content-addressed merge, blend or reshard
+// output (Output.Commit with Dedup) stored and reused.
 type DedupifyReport struct {
 	// BlobsPut counts blobs written (new content).
 	BlobsPut int

@@ -357,11 +357,11 @@ func TestPublishDedupOutput(t *testing.T) {
 }
 
 func testPublishDedupOutput(t *testing.T, b storage.Backend) {
-	m, o := saveFull(t, b, "run/checkpoint-5", 126, 2)
-	origLTSF, _ := b.ReadFile("run/checkpoint-5/model.ltsf")
-	origShard0, _ := b.ReadFile("run/checkpoint-5/" + ShardFileName(0))
+	m, o := saveFull(t, b, "plain/checkpoint-5", 126, 2)
+	origLTSF, _ := b.ReadFile("plain/checkpoint-5/model.ltsf")
+	origShard0, _ := b.ReadFile("plain/checkpoint-5/" + ShardFileName(0))
 
-	rep := publishDedup(t, b, "run/checkpoint-5")
+	rep := publishDedup(t, b, "plain/checkpoint-5", "run/checkpoint-5")
 	if rep.BlobsPut == 0 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -446,13 +446,17 @@ func TestDedupifyPinsXorLineage(t *testing.T) {
 			// A plain save of the same state, published content-addressed:
 			// every payload already exists as a blob, some of them xor deltas.
 			const dir = "run/checkpoint-300"
-			if err := Save(b, SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: 2,
+			if err := Save(b, SaveSpec{Dir: "plain/checkpoint-300", Model: m, Optim: o, WorldSize: 2,
 				Strategy: "full", State: TrainerState{Step: 300, Seed: 170}}); err != nil {
 				t.Fatal(err)
 			}
-			rep := publishDedup(t, b, dir)
+			rep := publishDedup(t, b, "plain/checkpoint-300", dir)
 			if rep.BlobsPut != 0 || rep.BlobsReused == 0 {
 				t.Fatalf("dedup output of an already-stored state: %+v", rep)
+			}
+			// The output is the run's newest: latest names it, as a save's would.
+			if err := WriteLatestPointer(b, dir); err != nil {
+				t.Fatal(err)
 			}
 			cs, err := ReadCodecStats(b, dir)
 			if err != nil {

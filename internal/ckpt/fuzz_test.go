@@ -132,7 +132,7 @@ func FuzzLTSFReader(f *testing.F) {
 	f.Add(container([]byte("LTSF"),
 		`{"version":1,"model":"m","tensors":{"t":{"dtype":"f32","shape":[4611686018427387904],"data_offsets":[0,0],"crc32":0}}}`, nil))
 	// Raw-path seeds: extents brushing the payload boundary, a reversed
-	// extent, and a CRC that cannot match — RawTensor/OpenRaw/AppendRaw
+	// extent, and a CRC that cannot match — RawTensor/openRaw/appendRaw
 	// must error (or succeed consistently), never panic.
 	f.Add(container([]byte("LTSF"),
 		`{"version":1,"model":"m","tensors":{"t":{"dtype":"f32","shape":[2],"data_offsets":[1,9],"crc32":7}}}`, []byte("123456789")))
@@ -149,7 +149,7 @@ func FuzzLTSFReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		w, err := NewLTSFWriter(storage.NewMem(), "spliced", "m", 0)
+		w, err := newLTSFWriter(storage.NewMem(), "spliced", "m", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,14 +165,14 @@ func FuzzLTSFReader(f *testing.F) {
 			// whatever header survived OpenLTSF: the extent opens and
 			// delivers exactly its advertised size, and splicing it into a
 			// fresh container round-trips the metadata.
-			rt, rc, err := r.OpenRaw(name)
+			rt, rc, err := r.openRaw(name)
 			if err != nil {
 				continue
 			}
 			// A splice rejection (e.g. short or inconsistent extent) fails
 			// the writer and later sections error out — the documented
 			// sticky-error contract; only panics are bugs here.
-			w.AppendRaw(rt, rc)
+			w.appendRaw(rt, rc)
 			rc.Close()
 		}
 	})

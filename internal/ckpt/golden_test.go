@@ -109,7 +109,7 @@ func TestStreamedLTSFMatchesSeedBytes(t *testing.T) {
 	// Via the streaming writer, one tensor at a time, with a tiny chunk so
 	// every code path that splits payloads is exercised.
 	got2B := storage.NewMem()
-	w, err := NewLTSFWriter(got2B, "m", "tiny", 7)
+	w, err := newLTSFWriter(got2B, "m", "tiny", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestStreamedLTSFMatchesSeedBytes(t *testing.T) {
 	}
 	got2, _ := got2B.ReadFile("m")
 	if string(got2) != string(want) {
-		t.Fatal("LTSFWriter output differs from seed writer")
+		t.Fatal("ltsfWriter output differs from seed writer")
 	}
 	if w.BytesWritten() != int64(len(want)) {
 		t.Fatalf("BytesWritten = %d, file = %d", w.BytesWritten(), len(want))
@@ -193,12 +193,12 @@ func TestStreamedLTOSMatchesSeedBytes(t *testing.T) {
 	}
 
 	got2B := storage.NewMem()
-	w, err := NewShardFileWriter(got2B, "s", 0, 2, 9, layout.Kind, 16)
+	w, err := newShardFileWriter(got2B, "s", 0, 2, 9, layout.Kind, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, m := range metas {
-		if err := w.WriteGroup(m, shards[i]); err != nil {
+		if err := w.writeGroup(m, shards[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func TestStreamedLTOSMatchesSeedBytes(t *testing.T) {
 	}
 	got2, _ := got2B.ReadFile("s")
 	if string(got2) != string(want) {
-		t.Fatal("ShardFileWriter output differs from seed writer")
+		t.Fatal("shardFileWriter output differs from seed writer")
 	}
 }
 

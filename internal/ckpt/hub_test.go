@@ -69,12 +69,12 @@ func TestHubCrossRunDedup(t *testing.T) {
 	// unchanged base layers write zero payload bytes" guarantee;
 	// BytesDeduped accounts for the whole payload.
 	mB2, oB2 := buildOptim(t, modelcfg.Tiny(), 501)
-	if err := Save(b, SaveSpec{Dir: "runb/checkpoint-20", Model: mB2, Optim: oB2,
+	if err := Save(b, SaveSpec{Dir: "plainb/checkpoint-20", Model: mB2, Optim: oB2,
 		WorldSize: 2, Strategy: "full",
 		State: TrainerState{Step: 20, Seed: 501}}); err != nil {
 		t.Fatal(err)
 	}
-	rep := publishDedup(t, b, "runb/checkpoint-20")
+	rep := publishDedup(t, b, "plainb/checkpoint-20", "runb/checkpoint-20")
 	if rep.BlobsPut != 0 || rep.BlobBytesWritten != 0 {
 		t.Fatalf("cross-run dedup wrote payload: %+v", rep)
 	}

@@ -75,44 +75,44 @@ func ShardFileName(rank int) string {
 
 // WriteShardFile serialises one rank's shards of the given groups. meta and
 // shards must be parallel slices. It is a convenience loop over
-// ShardFileWriter; streaming producers should feed groups one at a time.
+// shardFileWriter; streaming producers should feed groups one at a time.
 func WriteShardFile(b storage.Backend, name string, rank, worldSize, step int,
 	layout optim.LayoutKind, meta []ShardGroupMeta, shards []*zero.GroupShard) error {
 	if len(meta) != len(shards) {
 		return fmt.Errorf("ckpt: %d metas vs %d shards", len(meta), len(shards))
 	}
-	w, err := NewShardFileWriter(b, name, rank, worldSize, step, layout, 0)
+	w, err := newShardFileWriter(b, name, rank, worldSize, step, layout, 0)
 	if err != nil {
 		return err
 	}
 	defer w.Abort()
 	for i, m := range meta {
-		if err := w.WriteGroup(m, shards[i]); err != nil {
+		if err := w.writeGroup(m, shards[i]); err != nil {
 			return err
 		}
 	}
 	return w.Close()
 }
 
-// ShardFileWriter streams an LTOS shard file group by group, mirroring
-// LTSFWriter: groups are accepted one at a time through the shared
+// shardFileWriter streams an LTOS shard file group by group, mirroring
+// ltsfWriter: groups are accepted one at a time through the shared
 // containerWriter lifecycle. Byte-identical to WriteShardFile given the
 // same groups in the same order.
-type ShardFileWriter struct {
+type shardFileWriter struct {
 	containerWriter
 	rank int
 	hdr  ltosHeader
 }
 
-// NewShardFileWriter opens a streaming writer for one rank's optimizer
+// newShardFileWriter opens a streaming writer for one rank's optimizer
 // shard file. chunkBytes <= 0 selects the default chunk size.
-func NewShardFileWriter(b storage.Backend, name string, rank, worldSize, step int,
-	layout optim.LayoutKind, chunkBytes int) (*ShardFileWriter, error) {
+func newShardFileWriter(b storage.Backend, name string, rank, worldSize, step int,
+	layout optim.LayoutKind, chunkBytes int) (*shardFileWriter, error) {
 	cw, err := newContainerWriter(b, name, ltosMagic, chunkBytes)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardFileWriter{
+	return &shardFileWriter{
 		containerWriter: cw,
 		rank:            rank,
 		hdr: ltosHeader{
@@ -122,9 +122,9 @@ func NewShardFileWriter(b storage.Backend, name string, rank, worldSize, step in
 	}, nil
 }
 
-// WriteGroup appends one group's shard (master + exp_avg + exp_avg_sq) and
-// records its metadata. The shard may be released once WriteGroup returns.
-func (w *ShardFileWriter) WriteGroup(m ShardGroupMeta, s *zero.GroupShard) error {
+// writeGroup appends one group's shard (master + exp_avg + exp_avg_sq) and
+// records its metadata. The shard may be released once writeGroup returns.
+func (w *shardFileWriter) writeGroup(m ShardGroupMeta, s *zero.GroupShard) error {
 	if s.Rank != w.rank {
 		return fmt.Errorf("ckpt: shard for rank %d written into rank %d file", s.Rank, w.rank)
 	}
@@ -134,30 +134,18 @@ func (w *ShardFileWriter) WriteGroup(m ShardGroupMeta, s *zero.GroupShard) error
 	})
 }
 
-// AppendRawGroup splices a pre-encoded group payload (master + exp_avg +
-// exp_avg_sq, FP32 little-endian) into the shard file and records its
-// metadata with the source CRC carried forward — the LTOS counterpart of
-// LTSFWriter.AppendRaw. m must carry the group's geometry and CRC.
-func (w *ShardFileWriter) AppendRawGroup(m ShardGroupMeta, size int64, src io.Reader) error {
-	return w.appendPayload(m, size, true, func(sink io.Writer) (int64, error) {
-		return spliceTo(sink, src, size, w.buf)
-	})
-}
-
 // appendPayload spools one group payload produced by write and records its
-// metadata — the single section writer under WriteGroup, AppendRawGroup and
-// the checkpoint write stage. With hasCRC set, m.CRC32 is carried forward;
+// metadata — the single section writer under writeGroup and the checkpoint
+// write stage. With hasCRC set, m.CRC32 is carried forward;
 // otherwise it is computed inline. Offsets are assigned here (a full save's
 // payload is gap-free). The size is validated against the geometry before
 // any byte is spooled, and a short or long source errors out (never panics).
-func (w *ShardFileWriter) appendPayload(m ShardGroupMeta, size int64, hasCRC bool, write func(io.Writer) (int64, error)) error {
+func (w *shardFileWriter) appendPayload(m ShardGroupMeta, size int64, hasCRC bool, write func(io.Writer) (int64, error)) error {
 	if err := w.writable(); err != nil {
 		return err
 	}
-	// Division-checked geometry: size is a caller claim, so 12×ShardLen
-	// must never be formed directly (int64 wrap).
-	if m.ShardLen < 0 || size < 0 || size%12 != 0 || m.ShardLen != size/12 {
-		return fmt.Errorf("ckpt: %s: group %d payload %d bytes, want 12×%d", w.name, m.Index, size, m.ShardLen)
+	if err := w.checkSize(m, size); err != nil {
+		return err
 	}
 	m.Offsets = [2]int64{w.off, w.off + size}
 	var err error
@@ -168,8 +156,54 @@ func (w *ShardFileWriter) appendPayload(m ShardGroupMeta, size int64, hasCRC boo
 	return nil
 }
 
+// checkSize holds a group's payload size to its geometry. Division-checked:
+// size is a caller claim, so 12×ShardLen must never be formed directly
+// (int64 wrap).
+func (w *shardFileWriter) checkSize(m ShardGroupMeta, size int64) error {
+	if m.ShardLen < 0 || size < 0 || size%12 != 0 || m.ShardLen != size/12 {
+		return fmt.Errorf("ckpt: %s: group %d payload %d bytes, want 12×%d", w.name, m.Index, size, m.ShardLen)
+	}
+	return nil
+}
+
 // Close writes the final container and releases the scratch space.
-func (w *ShardFileWriter) Close() error { return w.finish(w.hdr) }
+func (w *shardFileWriter) Close() error { return w.finish(w.hdr, nil) }
+
+// writeKnown writes the whole file from groups that all carry their CRC
+// (payloads taken by reference): the header is known before the first
+// payload byte, so each payload streams straight into the file — replayed
+// through its check — with no spool. The bytes are the spooled path's.
+func (w *shardFileWriter) writeKnown(groups []groupPayload) error {
+	if err := w.writable(); err != nil {
+		return err
+	}
+	for i := range groups {
+		g := &groups[i]
+		m := g.meta
+		m.ShardLen, m.CRC32 = g.size/12, g.crc
+		if err := w.checkSize(m, g.size); err != nil {
+			return err
+		}
+		m.Offsets = [2]int64{w.off, w.off + g.size}
+		w.off += g.size
+		w.hdr.Groups = append(w.hdr.Groups, m)
+	}
+	return w.finish(w.hdr, func(out io.Writer) (int64, error) {
+		var total int64
+		for i := range groups {
+			g := &groups[i]
+			n, err := g.write(out)
+			if total += n; err == nil && n != g.size {
+				err = fmt.Errorf("source delivered %d of %d bytes", n, g.size)
+			}
+			if err != nil {
+				return total, fmt.Errorf("group %d: %w", g.meta.Index, err)
+			}
+			g.consumed()
+		}
+		return total, nil
+	})
+}
 
 // writeF32s streams a float32 slice little-endian through buf-sized chunks.
 func writeF32s(w io.Writer, buf []byte, src []float32) (int64, error) {

@@ -56,11 +56,11 @@ type ltsfHeader struct {
 
 // WriteLTSF serialises the given tensors into an LTSF container at name.
 // Tensor payload order follows the given slice order; the header indexes
-// them by name for lazy retrieval. It is a convenience loop over LTSFWriter
+// them by name for lazy retrieval. It is a convenience loop over ltsfWriter
 // for callers that already hold every tensor; streaming producers should use
-// LTSFWriter directly and feed tensors one at a time.
+// ltsfWriter directly and feed tensors one at a time.
 func WriteLTSF(b storage.Backend, name, modelName string, tensors []*tensor.Tensor) error {
-	w, err := NewLTSFWriter(b, name, modelName, 0)
+	w, err := newLTSFWriter(b, name, modelName, 0)
 	if err != nil {
 		return err
 	}
@@ -149,8 +149,11 @@ func (w *containerWriter) fail(err error) error {
 }
 
 // finish writes the final container with the given header and releases the
-// scratch space. Idempotent; returns the sticky error if the writer failed.
-func (w *containerWriter) finish(hdr any) error {
+// scratch space. payload, when set, writes the payload section in place of
+// the spool: a header known before the first payload byte lets the payloads
+// stream straight into the file. Idempotent; returns the sticky error if the
+// writer failed.
+func (w *containerWriter) finish(hdr any, payload func(io.Writer) (int64, error)) error {
 	if w.err != nil {
 		w.Abort()
 		return w.err
@@ -159,18 +162,29 @@ func (w *containerWriter) finish(hdr any) error {
 		return nil
 	}
 	w.done = true
-	n, err := writeContainerStream(w.b, w.name, w.magic, hdr, w.spool, w.buf)
-	w.wrote = n
+	spool := w.spool
 	w.spool = nil
+	if payload != nil {
+		spool.Discard()
+	} else {
+		pr, err := spool.Reader()
+		if err != nil {
+			spool.Discard()
+			return fmt.Errorf("ckpt: %s: read spool: %w", w.name, err)
+		}
+		defer pr.Close()
+		payload = func(out io.Writer) (int64, error) { return io.CopyBuffer(out, pr, w.buf) }
+	}
+	n, err := writeContainer(w.b, w.name, w.magic, hdr, w.off, payload)
+	w.wrote = n
 	return err
 }
 
-// Preallocate reserves scratch capacity for a payload whose total size the
-// caller knows upfront. Advisory: file-backed spools ignore it, and the
-// payload may still exceed (or undershoot) the reservation.
-func (w *containerWriter) Preallocate(n int64) {
+// reserve sizes the scratch space for a payload of n bytes the caller knows
+// upfront. Advisory: file-backed spools ignore it.
+func (w *containerWriter) reserve(n int64) {
 	if w.spool != nil {
-		storage.GrowSpool(w.spool, n)
+		storage.Reserve(w.spool, n)
 	}
 }
 
@@ -186,23 +200,23 @@ func (w *containerWriter) Abort() {
 // BytesWritten returns the total container size once Close has succeeded.
 func (w *containerWriter) BytesWritten() int64 { return w.wrote }
 
-// LTSFWriter streams an LTSF container section by section: tensors are
+// ltsfWriter streams an LTSF container section by section: tensors are
 // accepted one at a time through the shared containerWriter lifecycle. The
 // bytes produced are identical to WriteLTSF given the same tensors in the
 // same order.
-type LTSFWriter struct {
+type ltsfWriter struct {
 	containerWriter
 	hdr ltsfHeader
 }
 
-// NewLTSFWriter opens a streaming writer targeting name. chunkBytes <= 0
+// newLTSFWriter opens a streaming writer targeting name. chunkBytes <= 0
 // selects the default chunk size.
-func NewLTSFWriter(b storage.Backend, name, modelName string, chunkBytes int) (*LTSFWriter, error) {
+func newLTSFWriter(b storage.Backend, name, modelName string, chunkBytes int) (*ltsfWriter, error) {
 	cw, err := newContainerWriter(b, name, ltsfMagic, chunkBytes)
 	if err != nil {
 		return nil, err
 	}
-	return &LTSFWriter{
+	return &ltsfWriter{
 		containerWriter: cw,
 		hdr:             ltsfHeader{Version: FormatVersion, Model: modelName, Tensors: map[string]ltsfTensorMeta{}},
 	}, nil
@@ -210,7 +224,7 @@ func NewLTSFWriter(b storage.Backend, name, modelName string, chunkBytes int) (*
 
 // WriteTensor appends one tensor's payload and records its metadata. The
 // tensor may be released by the caller as soon as WriteTensor returns.
-func (w *LTSFWriter) WriteTensor(t *tensor.Tensor) error {
+func (w *ltsfWriter) WriteTensor(t *tensor.Tensor) error {
 	rt := RawTensor{Name: t.Name, DType: t.DType.String(), Shape: append([]int(nil), t.Shape...), Size: int64(t.Bytes())}
 	return w.appendPayload(rt, false, func(sink io.Writer) (int64, error) {
 		return t.EncodeTo(sink, w.buf)
@@ -218,14 +232,14 @@ func (w *LTSFWriter) WriteTensor(t *tensor.Tensor) error {
 }
 
 // appendPayload spools one tensor payload produced by write and records its
-// header entry — the single section writer under WriteTensor, AppendRaw and
-// the checkpoint write stage. With hasCRC set, rt.CRC32 is carried forward
+// header entry — the single section writer under WriteTensor and the
+// checkpoint write stage. With hasCRC set, rt.CRC32 is carried forward
 // untouched; otherwise the checksum is computed inline as the bytes stream
 // through. The metadata is validated the same way OpenLTSF validates headers
 // — an inconsistent dtype/shape/size errors out (never panics) before any
 // byte is spooled — and write must deliver exactly rt.Size bytes. rt.Shape
 // is retained, not copied.
-func (w *LTSFWriter) appendPayload(rt RawTensor, hasCRC bool, write func(io.Writer) (int64, error)) error {
+func (w *ltsfWriter) appendPayload(rt RawTensor, hasCRC bool, write func(io.Writer) (int64, error)) error {
 	if err := w.writable(); err != nil {
 		return err
 	}
@@ -254,26 +268,21 @@ func (w *LTSFWriter) appendPayload(rt RawTensor, hasCRC bool, write func(io.Writ
 }
 
 // Close writes the final container and releases the scratch space.
-func (w *LTSFWriter) Close() error { return w.finish(w.hdr) }
+func (w *ltsfWriter) Close() error { return w.finish(w.hdr, nil) }
 
-// writeContainerStream streams magic + header length + JSON header + the
-// spooled payload to the backend, returning the container's total size.
-func writeContainerStream(b storage.Backend, name string, magic [4]byte, hdr any, spool storage.Spool, buf []byte) (int64, error) {
+// writeContainer streams magic + header length + JSON header + the payload
+// section of size bytes to the backend, returning the container's total
+// size.
+func writeContainer(b storage.Backend, name string, magic [4]byte, hdr any, size int64, payload func(io.Writer) (int64, error)) (int64, error) {
 	hj, err := json.Marshal(hdr)
 	if err != nil {
-		spool.Discard()
 		return 0, fmt.Errorf("ckpt: marshal header: %w", err)
 	}
-	pr, err := spool.Reader()
-	if err != nil {
-		spool.Discard()
-		return 0, fmt.Errorf("ckpt: %s: read spool: %w", name, err)
-	}
-	defer pr.Close()
 	out, err := b.Create(name)
 	if err != nil {
 		return 0, err
 	}
+	storage.Reserve(out, 12+int64(len(hj))+size)
 	prefix := make([]byte, 0, 12)
 	prefix = append(prefix, magic[:]...)
 	prefix = binary.LittleEndian.AppendUint64(prefix, uint64(len(hj)))
@@ -286,7 +295,7 @@ func writeContainerStream(b storage.Backend, name string, magic [4]byte, hdr any
 			return total, fmt.Errorf("ckpt: write %s: %w", name, err)
 		}
 	}
-	n, err := io.CopyBuffer(out, pr, buf)
+	n, err := payload(out)
 	total += n
 	if err != nil {
 		out.Close()

@@ -12,7 +12,7 @@
 // uint64 header length, JSON header — with an empty payload section, so
 // the existing commit-marker CRC machinery covers them unchanged. Entry
 // order is the exact payload order a plain save would write, which is what
-// makes materialization (AppendRaw splices in manifest order) byte-
+// makes materialization (a checked replay in manifest order) byte-
 // identical to a non-dedup save.
 //
 // Readers hold the same contract as every other container reader in this
@@ -48,7 +48,7 @@ func ShardManifestName(rank int) string {
 
 // WeightEntry references one tensor's stored payload blob. The fields
 // mirror ltsfTensorMeta plus the content digest; Size and CRC32 describe
-// the exact bytes AppendRaw splices back during materialization — always
+// the exact bytes replayed back during materialization — always
 // the UNCOMPRESSED payload, whatever codec the blob is stored under.
 //
 // Codec records how the blob landed in the CAS ("" for raw — which is also
@@ -109,7 +109,7 @@ func (m *WeightManifest) PinDigests() []string {
 }
 
 // ShardGroupEntry references one optimizer group's payload blob. The
-// embedded meta is what ShardFileWriter needs to rebuild the group's LTOS
+// embedded meta is what shardFileWriter needs to rebuild the group's LTOS
 // header entry; offsets are recomputed on materialization (a full save's
 // payload is gap-free, so order determines them).
 type ShardGroupEntry struct {

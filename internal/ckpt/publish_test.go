@@ -4,60 +4,66 @@ import (
 	"fmt"
 	"testing"
 
+	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
+	"llmtailor/internal/tensor"
 )
 
-// stagedFiles is a committed checkpoint's files as read back: what a fixture
-// stages again to publish the same state another way.
-type stagedFiles struct {
-	step  int
-	names []string
-	data  map[string][]byte
-}
-
-func readCommitted(b storage.Backend, dir string) (stagedFiles, error) {
-	m, err := ReadCommitMarker(b, dir)
-	if err != nil {
-		return stagedFiles{}, err
-	}
-	files := stagedFiles{step: m.Step, names: m.sortedFiles(), data: map[string][]byte{}}
-	for _, name := range files.names {
-		if files.data[name], err = b.ReadFile(dir + "/" + name); err != nil {
-			return stagedFiles{}, err
-		}
-	}
-	return files, nil
-}
-
-// publishDedup publishes the files at dir content-addressed the way merge,
-// blend and reshard make a dedup output: staged plain in a transaction on dir,
-// then Publish with dedup on (latest stays put).
-func (files stagedFiles) publishDedup(b storage.Backend, dir string) (DedupifyReport, error) {
-	txn, err := Begin(b, dir)
+// outputByReference writes the committed checkpoint src again at dst through
+// an Output — every payload by reference, the trailer files as src holds
+// them — the way merge, blend and reshard build their outputs.
+func outputByReference(b storage.Backend, src, dst string, dedup bool) (DedupifyReport, error) {
+	c, err := Open(b, src)
 	if err != nil {
 		return DedupifyReport{}, err
 	}
-	defer txn.Abort()
-	for _, name := range files.names {
-		if err := txn.Backend().WriteFile(txn.Dir()+"/"+name, files.data[name]); err != nil {
+	out := NewOutput(c.Weights().Model())
+	for _, wp := range c.Weights().list {
+		dt, err := tensor.ParseDType(wp.dtype)
+		if err == nil {
+			_, err = out.Tensor(c.Weights(), wp.name, dt)
+		}
+		if err != nil {
 			return DedupifyReport{}, err
 		}
 	}
-	return txn.Publish(files.step, false, true)
+	layout, err := optim.ParseLayoutKind(c.State.Layout)
+	if err != nil {
+		return DedupifyReport{}, err
+	}
+	for r := 0; r < c.WorldSize(); r++ {
+		groups, step, err := c.OptimExtents(r)
+		if err != nil {
+			return DedupifyReport{}, err
+		}
+		rank := out.Rank(r, c.WorldSize(), step, layout)
+		for _, g := range groups {
+			if err := rank.Group(g); err != nil {
+				return DedupifyReport{}, err
+			}
+		}
+	}
+	tr := &Trailer{Manifest: c.Manifest, Step: c.State.Step}
+	if tr.Config, err = b.ReadFile(src + "/config.json"); err == nil {
+		tr.State, err = b.ReadFile(src + "/trainer_state.json")
+	}
+	if err != nil {
+		return DedupifyReport{}, err
+	}
+	rep, err := out.Commit(b, dst, tr, OutputOptions{Dedup: dedup})
+	if err != nil {
+		return DedupifyReport{}, err
+	}
+	return rep.DedupifyReport, nil
 }
 
-// publishDedup replaces the committed plain checkpoint at dir with its
-// content-addressed form, for fixtures. The copy is read before Begin, which
-// clears its target where the backend does not rename.
-func publishDedup(t testing.TB, b storage.Backend, dir string) DedupifyReport {
+// publishDedup publishes the committed plain checkpoint src content-addressed
+// at dst, for fixtures: a by-reference dedup output (latest stays put).
+func publishDedup(t testing.TB, b storage.Backend, src, dst string) DedupifyReport {
 	t.Helper()
-	files, err := readCommitted(b, dir)
+	rep, err := outputByReference(b, src, dst, true)
 	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := files.publishDedup(b, dir)
-	if err != nil {
-		t.Fatalf("publish %s content-addressed: %v", dir, err)
+		t.Fatalf("publish %s content-addressed at %s: %v", src, dst, err)
 	}
 	return rep
 }

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -11,6 +12,30 @@ import (
 	"llmtailor/internal/tensor"
 	"llmtailor/internal/zero"
 )
+
+// openRaw opens a streaming reader over the named tensor's payload, exactly
+// as stored — no CRC verification, no decode.
+func (w *Weights) openRaw(name string) (RawTensor, io.ReadCloser, error) {
+	rt, err := w.RawTensor(name)
+	if err != nil {
+		return RawTensor{}, nil, err
+	}
+	rc, err := w.list[w.index[name]].open(0, rt.Size)
+	if err != nil {
+		return RawTensor{}, nil, fmt.Errorf("ckpt: %s: open raw tensor %q: %w", w.label, name, err)
+	}
+	return rt, rc, nil
+}
+
+// appendRaw splices a pre-encoded tensor payload into the container with
+// the source CRC carried forward — appendPayload with a carried CRC, reading
+// exactly rt.Size bytes of src.
+func (w *ltsfWriter) appendRaw(rt RawTensor, src io.Reader) error {
+	rt.Shape = append([]int(nil), rt.Shape...)
+	return w.appendPayload(rt, true, func(sink io.Writer) (int64, error) {
+		return io.CopyBuffer(sink, io.LimitReader(src, rt.Size), w.buf)
+	})
+}
 
 // rawTestTensors builds a deterministic mixed-dtype tensor set.
 func rawTestTensors(tb testing.TB) []*tensor.Tensor {
@@ -28,7 +53,7 @@ func rawTestTensors(tb testing.TB) []*tensor.Tensor {
 }
 
 // The byte-identity contract of the fast path: splicing every tensor of a
-// container raw (AppendRaw with carried-forward CRCs) produces exactly the
+// container raw (appendRaw with carried-forward CRCs) produces exactly the
 // bytes the decode path (ReadTensor + WriteTensor) produces.
 func TestAppendRawByteIdenticalToDecodePath(t *testing.T) {
 	b := storage.NewMem()
@@ -42,7 +67,7 @@ func TestAppendRawByteIdenticalToDecodePath(t *testing.T) {
 	}
 
 	// Decode path.
-	wd, err := NewLTSFWriter(b, "via-decode", "m", 0)
+	wd, err := newLTSFWriter(b, "via-decode", "m", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,16 +85,16 @@ func TestAppendRawByteIdenticalToDecodePath(t *testing.T) {
 	}
 
 	// Raw path, same order.
-	wr, err := NewLTSFWriter(b, "via-raw", "m", 0)
+	wr, err := newLTSFWriter(b, "via-raw", "m", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ts := range tensors {
-		rt, rc, err := r.OpenRaw(ts.Name)
+		rt, rc, err := r.openRaw(ts.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wr.AppendRaw(rt, rc); err != nil {
+		if err := wr.appendRaw(rt, rc); err != nil {
 			t.Fatal(err)
 		}
 		rc.Close()
@@ -129,19 +154,19 @@ func TestRawTensorMetadata(t *testing.T) {
 	if _, err := r.RawTensor("nope"); err == nil {
 		t.Fatal("missing tensor accepted")
 	}
-	if !r.RawEligible("w.a", tensor.BF16) || r.RawEligible("w.a", tensor.F32) {
+	if !r.rawEligible("w.a", tensor.BF16) || r.rawEligible("w.a", tensor.F32) {
 		t.Fatal("RawEligible dtype check wrong")
 	}
-	if !r.RawEligible("w.b", tensor.F32) || r.RawEligible("nope", tensor.BF16) {
+	if !r.rawEligible("w.b", tensor.F32) || r.rawEligible("nope", tensor.BF16) {
 		t.Fatal("RawEligible presence check wrong")
 	}
 }
 
-// AppendRaw must reject inconsistent metadata and short extents with errors
+// appendRaw must reject inconsistent metadata and short extents with errors
 // (never panics), leaving the writer failed rather than half-spliced.
 func TestAppendRawRejectsCorruptExtents(t *testing.T) {
-	mk := func() *LTSFWriter {
-		w, err := NewLTSFWriter(storage.NewMem(), "out", "m", 0)
+	mk := func() *ltsfWriter {
+		w, err := newLTSFWriter(storage.NewMem(), "out", "m", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +197,7 @@ func TestAppendRawRejectsCorruptExtents(t *testing.T) {
 	}
 	for _, tc := range cases {
 		w := mk()
-		err := w.AppendRaw(tc.rt, tc.src)
+		err := w.appendRaw(tc.rt, tc.src)
 		if err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
@@ -185,21 +210,21 @@ func TestAppendRawRejectsCorruptExtents(t *testing.T) {
 	// Valid meta, duplicate name.
 	w := mk()
 	rt := RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64}
-	if err := w.AppendRaw(rt, bytes.NewReader(payload)); err != nil {
+	if err := w.appendRaw(rt, bytes.NewReader(payload)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendRaw(rt, bytes.NewReader(payload)); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if err := w.appendRaw(rt, bytes.NewReader(payload)); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate accepted: %v", err)
 	}
 	w.Abort()
 
 	// A failed splice is sticky: the writer refuses further sections.
 	w = mk()
-	if err := w.AppendRaw(RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64},
+	if err := w.appendRaw(RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64},
 		bytes.NewReader(payload[:1])); err == nil {
 		t.Fatal("short extent accepted")
 	}
-	if err := w.AppendRaw(RawTensor{Name: "u", DType: "f32", Shape: []int{16}, Size: 64},
+	if err := w.appendRaw(RawTensor{Name: "u", DType: "f32", Shape: []int{16}, Size: 64},
 		bytes.NewReader(payload)); err == nil {
 		t.Fatal("writer accepted a section after a failed splice")
 	}
@@ -207,16 +232,16 @@ func TestAppendRawRejectsCorruptExtents(t *testing.T) {
 }
 
 // An extent longer than advertised must not drag trailing bytes into the
-// container: AppendRaw consumes exactly rt.Size bytes.
+// container: appendRaw consumes exactly rt.Size bytes.
 func TestAppendRawConsumesExactExtent(t *testing.T) {
 	b := storage.NewMem()
-	w, err := NewLTSFWriter(b, "out", "m", 0)
+	w, err := newLTSFWriter(b, "out", "m", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 64+17) // 17 trailing bytes must stay unread
 	src := bytes.NewReader(payload)
-	if err := w.AppendRaw(RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64}, src); err != nil {
+	if err := w.appendRaw(RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64}, src); err != nil {
 		t.Fatal(err)
 	}
 	if src.Len() != 17 {

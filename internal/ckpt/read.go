@@ -1,8 +1,7 @@
 // The checkpoint read stage (DESIGN.md "The read stage").
 //
 // Every reader of a checkpoint — Open/Restore, merge, verify, reshard,
-// Materialize*, and Txn.contentAddress over its staged containers — sees it as
-// the write stage's payloadSet:
+// Materialize* — sees it as the write stage's payloadSet:
 // weights and each rank's groups in stored order, every payload with its
 // size, CRC, digest (content-addressed checkpoints) and a ranged opener.
 // Whether the bytes sit in an LTSF/LTOS container extent or in a blob is
@@ -11,9 +10,8 @@
 // An opener ranges over the UNCOMPRESSED payload bytes (the blob store decodes
 // codec containers) and verifies nothing. Whoever decodes a payload checks its
 // CRC (payload.read, under Weights.ReadTensor and the load driver); whoever
-// re-stages one checks its digest, or its CRC when it has none
-// (payloadSet.checked) — unless, like contentAddress, it hashes every byte
-// anyway.
+// re-stages one — an Output taking it by reference, Materialize* — checks its
+// digest, or its CRC when it has none (payload.checked).
 //
 // A whole checkpoint — or a whole rank, or all the weights — is read by the
 // one load driver, payloadSet.load: every payload through one pipeline of
@@ -96,13 +94,13 @@ func storedPayload(size int64, crc uint32, digest string, open func(off, n int64
 // codec only orders the store's two ways of opening it (a stale record costs
 // a request, never a wrong byte); the recorded xor chain is what the load
 // driver charges at its gate.
-func (s *source) blobPayload(digest string, size int64, crc uint32, codec string, parents []string) payload {
+func (s *source) blobPayload(digest string, size int64, crc uint32, codec string, stored int64, parents []string) payload {
 	open := s.store.OpenRange
 	if codec != "" && codec != storage.CodecRaw.String() {
 		open = s.store.OpenRangeCoded
 	}
 	p := storedPayload(size, crc, digest, func(off, n int64) (io.ReadCloser, error) { return open(digest, off, n) })
-	p.codec, p.parents = codec, parents
+	p.codec, p.stored, p.parents, p.store = codec, stored, parents, s.store
 	return p
 }
 
@@ -181,27 +179,26 @@ func (p *payload) crcMismatch(file, what string, got uint32) error {
 // produce them.
 func (p *payload) charge() int64 { return p.size * int64(1+len(p.parents)) }
 
-// checked makes every replay of the set's payloads fail unless the bytes
-// match what was recorded for them — the digest, or the CRC when there is
-// none — so a re-stager that carries CRCs forward cannot copy a corrupt
-// payload into a clean-looking container.
-func (s *payloadSet) checked() *payloadSet {
-	s.each(func(p *payload, slot string, _ int) error {
-		write := p.write
-		p.write = func(w io.Writer) (int64, error) {
-			h, want := hash.Hash(crc32.NewIEEE()), fmt.Sprintf("%08x", p.crc)
-			if p.digest != "" {
-				h, want = sha256.New(), p.digest
-			}
-			n, err := write(io.MultiWriter(w, h))
-			if got := hex.EncodeToString(h.Sum(nil)); err == nil && got != want {
-				err = &CorruptError{Digest: p.digest, Payload: slot, Want: want, Got: got}
-			}
-			return n, err
+// checked makes every replay of the payload fail unless the bytes match what
+// was recorded for them — the digest, or the CRC when there is none — so a
+// re-stager that carries CRCs forward cannot copy a corrupt payload into a
+// clean-looking container. slot names the payload in the error.
+func (p *payload) checked(slot string) {
+	write, digest, want := p.write, p.digest, fmt.Sprintf("%08x", p.crc)
+	if digest != "" {
+		want = digest
+	}
+	p.write = func(w io.Writer) (int64, error) {
+		h := hash.Hash(crc32.NewIEEE())
+		if digest != "" {
+			h = sha256.New()
 		}
-		return nil
-	})
-	return s
+		n, err := write(io.MultiWriter(w, h))
+		if got := hex.EncodeToString(h.Sum(nil)); err == nil && got != want {
+			err = &CorruptError{Digest: digest, Payload: slot, Want: want, Got: got}
+		}
+		return n, err
+	}
 }
 
 // weights lists the checkpoint's tensors.
@@ -216,7 +213,7 @@ func (s *source) weights() (*Weights, error) {
 	}
 	list := make([]weightPayload, len(man.Tensors))
 	for i, e := range man.Tensors {
-		list[i] = weightPayload{payload: s.blobPayload(e.Digest, e.Size, e.CRC32, e.Codec, e.Parents),
+		list[i] = weightPayload{payload: s.blobPayload(e.Digest, e.Size, e.CRC32, e.Codec, e.Stored, e.Parents),
 			name: e.Name, dtype: e.DType, shape: e.Shape}
 	}
 	return newWeights(name, man.Model, list), nil
@@ -252,7 +249,7 @@ func (s *source) rank(rank int) (*rankPayloads, error) {
 		meta := g.Meta()
 		meta.Offsets = [2]int64{off, off + g.Size}
 		off += g.Size
-		rs.groups[i] = groupPayload{payload: s.blobPayload(g.Digest, g.Size, g.CRC32, g.Codec, g.Parents), meta: meta}
+		rs.groups[i] = groupPayload{payload: s.blobPayload(g.Digest, g.Size, g.CRC32, g.Codec, g.Stored, g.Parents), meta: meta}
 		rs.fileBytes += g.Size
 	}
 	return rs, nil
@@ -488,26 +485,10 @@ func (w *Weights) RawTensor(name string) (RawTensor, error) {
 		Size: p.size, CRC32: p.crc}, nil
 }
 
-// OpenRaw opens a streaming reader over the named tensor's payload. The
-// bytes are delivered exactly as stored — no CRC verification, no decode;
-// integrity travels with the carried-forward checksum, which the eventual
-// consumer (ReadTensor on the spliced container) still verifies.
-func (w *Weights) OpenRaw(name string) (RawTensor, io.ReadCloser, error) {
-	rt, err := w.RawTensor(name)
-	if err != nil {
-		return RawTensor{}, nil, err
-	}
-	rc, err := w.list[w.index[name]].open(0, rt.Size)
-	if err != nil {
-		return RawTensor{}, nil, fmt.Errorf("ckpt: %s: open raw tensor %q: %w", w.label, name, err)
-	}
-	return rt, rc, nil
-}
-
-// RawEligible reports whether the named tensor can be raw-copied into an
-// output of the given dtype: present, and stored in exactly that dtype (a
+// rawEligible reports whether the named tensor can be taken by reference into
+// an output of the given dtype: present, and stored in exactly that dtype (a
 // conversion forces the decode path).
-func (w *Weights) RawEligible(name string, out tensor.DType) bool {
+func (w *Weights) rawEligible(name string, out tensor.DType) bool {
 	p, err := w.lookup(name)
 	if err != nil {
 		return false
@@ -522,21 +503,11 @@ func (w *Weights) set() *payloadSet {
 	return &payloadSet{label: w.label, model: w.model, weights: append([]weightPayload(nil), w.list...)}
 }
 
-// SpliceLTSF writes the weights as a full LTSF container at name — stored
-// order, CRCs carried forward, every payload checked on the way through —
-// byte-identical to a plain Save's. It returns the payload bytes copied.
-func (w *Weights) SpliceLTSF(b storage.Backend, name string, chunkBytes int) (int64, error) {
-	var total int64
-	for i := range w.list {
-		total += w.list[i].size
-	}
-	return total, w.set().checked().stageWeights(b, name, chunkBytes)
-}
-
 // MaterializeWeights writes a checkpoint's weights as a full LTSF container
-// at dst, whichever layout dir is stored in. Blobs are re-hashed against the
-// manifest's digests on the way through, so a corrupt one fails the
-// materialization instead of poisoning the container.
+// at dst, whichever layout dir is stored in, byte-identical to a plain
+// Save's. Every payload is checked on the way through — blobs against the
+// manifest's digests — so a corrupt one fails the materialization instead of
+// poisoning the container.
 func MaterializeWeights(b storage.Backend, dir, dst string, chunkBytes int) error {
 	src, err := openSource(b, dir)
 	if err != nil {
@@ -546,7 +517,12 @@ func MaterializeWeights(b storage.Backend, dir, dst string, chunkBytes int) erro
 	if err != nil {
 		return err
 	}
-	if _, err := w.SpliceLTSF(b, dst, chunkBytes); err != nil {
+	lw, err := newLTSFWriter(b, dst, w.model, chunkBytes)
+	if err == nil {
+		defer lw.Abort()
+		_, _, err = w.set().checked().writeContainers(lw, nil, readAhead{})
+	}
+	if err != nil {
 		return fmt.Errorf("ckpt: materialize %s: %w", dir, err)
 	}
 	return nil
@@ -564,11 +540,25 @@ func MaterializeShardFile(b storage.Backend, dir string, rank int, dst string, c
 	if err != nil {
 		return err
 	}
-	set := (&payloadSet{ranks: []rankPayloads{*rs}}).checked()
-	if err := set.ranks[0].stageShardFile(b, dst, chunkBytes); err != nil {
+	w, err := newShardFileWriter(b, dst, rs.rank, rs.worldSize, rs.step, rs.layout, chunkBytes)
+	if err == nil {
+		defer w.Abort()
+		set := &payloadSet{ranks: []rankPayloads{*rs}}
+		_, _, err = set.checked().writeContainers(nil, []*shardFileWriter{w}, readAhead{})
+	}
+	if err != nil {
 		return fmt.Errorf("ckpt: materialize %s rank %d: %w", dir, rank, err)
 	}
 	return nil
+}
+
+// checked makes every replay of the set's payloads checked (payload.checked).
+func (s *payloadSet) checked() *payloadSet {
+	s.each(func(p *payload, slot string, _ int) error {
+		p.checked(slot)
+		return nil
+	})
+	return s
 }
 
 // newLoadGate bounds the payload bytes one load holds in flight.
@@ -786,18 +776,29 @@ func (rs *rankPayloads) loadAlone() (*ShardFile, error) {
 }
 
 // GroupExtent is one rank's stored payload of one optimizer group: recorded
-// metadata plus ranged access to the (always uncompressed) payload bytes.
+// metadata plus ranged access to the (always uncompressed) payload bytes —
+// and what an Output takes by reference (OutputRank.Group).
 type GroupExtent struct {
 	ShardGroupMeta
 	// OpenRange opens the n payload bytes starting at off. Nothing is
-	// verified; a reader of the whole payload checks CRC32 itself.
+	// verified; Replay checks the whole payload.
 	OpenRange func(off, n int64) (io.ReadCloser, error)
+	p         *payload
+}
+
+// Replay writes the whole payload to w, checked against its digest, or its
+// CRC when it has none.
+func (e GroupExtent) Replay(w io.Writer) error {
+	p := *e.p
+	p.checked(fmt.Sprintf("group %d", e.Index))
+	_, err := p.write(w)
+	return err
 }
 
 // OptimExtents lists one rank's optimizer groups in stored order — each
 // exactly 12×ShardLen bytes — and its recorded optimizer step, reading no
-// payload byte: what a transform that moves byte ranges (elastic resharding)
-// needs in place of a decoded ShardFile. A shard recorded for another rank or
+// payload byte: what a feeder taking groups by reference, or moving byte
+// ranges of them (elastic resharding), needs in place of a decoded ShardFile. A shard recorded for another rank or
 // world size than the trainer state's is an error.
 func (c *Checkpoint) OptimExtents(rank int) (groups []GroupExtent, step int, err error) {
 	rs, err := c.src.rank(rank)
@@ -809,7 +810,7 @@ func (c *Checkpoint) OptimExtents(rank int) (groups []GroupExtent, step int, err
 	}
 	groups = make([]GroupExtent, len(rs.groups))
 	for i, g := range rs.groups {
-		groups[i] = GroupExtent{g.meta, g.open}
+		groups[i] = GroupExtent{g.meta, g.open, &rs.groups[i].payload}
 	}
 	return groups, rs.step, nil
 }

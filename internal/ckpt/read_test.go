@@ -105,8 +105,8 @@ func readEverything(t *testing.T, b storage.Backend, dir string) readAnswers {
 		if a.Raw[name], err = w.RawTensor(name); err != nil {
 			t.Fatal(err)
 		}
-		a.Eligible[name] = [2]bool{w.RawEligible(name, tensor.BF16), w.RawEligible(name, tensor.F32)}
-		rt, rc, err := w.OpenRaw(name)
+		a.Eligible[name] = [2]bool{w.rawEligible(name, tensor.BF16), w.rawEligible(name, tensor.F32)}
+		rt, rc, err := w.openRaw(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,16 +390,12 @@ func corruptionCase(t *testing.T, b storage.Backend, layout string, weight bool)
 		named("MaterializeShardFile", MaterializeShardFile(b, dir, 1, "mat.ltos", 0))
 	}
 	if layout == "plain" {
-		// Staged as they are and published content-addressed under another
+		// Taken by reference into a content-addressed output under another
 		// name: the hash pass holds every byte to its header CRC.
-		files, err := readCommitted(b, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = files.publishDedup(b, layout+"/converted")
-		named("Publish with dedup", err)
+		_, err = outputByReference(b, dir, layout+"/converted", true)
+		named("a dedup output", err)
 		if b.Exists(layout + "/converted") {
-			t.Fatal("Publish content-addressed containers it could not verify")
+			t.Fatal("a dedup output published payloads it could not verify")
 		}
 	}
 

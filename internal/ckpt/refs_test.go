@@ -430,8 +430,8 @@ func TestSupersededScanState(t *testing.T) {
 // record and binds it through the manifest.json it restages.
 func TestDedupifyJournalsRecord(t *testing.T) {
 	b := storage.NewMem()
-	saveFull(t, b, "run/checkpoint-10", 260, 2)
-	publishDedup(t, b, "run/checkpoint-10")
+	saveFull(t, b, "plain/checkpoint-10", 260, 2)
+	publishDedup(t, b, "plain/checkpoint-10", "run/checkpoint-10")
 	entries := refEntries(t, b, "run")
 	if len(entries) != 1 {
 		t.Fatalf("entries = %+v", entries)

@@ -1,19 +1,21 @@
 // The checkpoint write stage (DESIGN.md "The write stage").
 //
-// Every checkpoint writer — the synchronous Save, the lazy AsyncSaver, a
-// merge, blend or reshard making a content-addressed output — describes what
-// it writes as an ordered payloadSet and hands it to the one stage in this
-// file; writers differ only in where the bytes come from. The protocol that
-// makes them durable exists once:
+// Every checkpoint writer — the synchronous Save, the lazy AsyncSaver, and
+// merge, blend and reshard through Output — describes what it writes as an
+// ordered payloadSet and hands it to the one stage in this file; writers
+// differ only in where the bytes come from. The protocol that makes them
+// durable exists once:
 //
 //	plain:  Begin → LTSF/LTOS containers → trailer → Commit
 //	dedup:  Begin → journal the digest set → publish missing blobs →
 //	        LTMF/LTOM manifests → trailer → Commit
 //
-// A dedup output of merge, blend or reshard is staged plain first and takes
-// the dedup row inside its transaction, before Commit (Txn.contentAddress):
-// hashAll → publishBlobs → stageManifests over the staged containers, which
-// then leave the staging tree. Nothing converts a published directory.
+// An Output's payloads come by reference — a source checkpoint's payload,
+// replayed through its check, with the digest, codec and lineage a
+// content-addressed source recorded — or computed by the feeder (a converted
+// or blended tensor, a repartitioned group). The dedup row hashes only what
+// has no digest, so a referenced blob already in the output's store moves no
+// bytes. Nothing converts a published directory.
 //
 // The dedup order is load-bearing: the full digest set, xor-parent ancestors
 // included, is journaled before the first blob is published, so a sweep
@@ -24,13 +26,16 @@
 package ckpt
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"llmtailor/internal/optim"
 	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
+	"llmtailor/internal/zero"
 )
 
 // payload describes one checkpoint payload — a weight tensor, or one rank's
@@ -51,6 +56,13 @@ type payload struct {
 	release func()
 	// open ranges over the stored, uncompressed bytes (read stage only).
 	open func(off, n int64) (io.ReadCloser, error)
+	// store is the blob store a content-addressed source's payload is in
+	// (read stage only): an output publishing into the same store takes the
+	// blob's recorded codec, size and lineage as the store's answer.
+	store *storage.BlobStore
+	// cost is what producing a weight payload holds in flight in an
+	// output's read-ahead (0: its size).
+	cost int64
 
 	// opts and planned are the codec plan's put request; written, codec,
 	// stored and parents record how the blob actually landed. publishBlobs
@@ -153,12 +165,16 @@ func (s *payloadSet) releaseAll() {
 	}
 }
 
-// hashAll gives every payload its content digest and CRC by streaming write
-// through the hashes — no storage I/O — so the full digest set is known
-// before anything is published. A CRC the feeder already holds (a container
-// header's) is verified against the bytes instead of replaced.
+// hashAll gives every payload without a digest its content digest and CRC
+// by streaming write through the hashes — no storage I/O beyond what write
+// reads — so the full digest set is known before anything is published. A
+// CRC the feeder already holds (a container header's) is verified against
+// the bytes instead of replaced.
 func (s *payloadSet) hashAll() error {
 	return s.each(func(p *payload, slot string, _ int) error {
+		if p.digest != "" {
+			return nil
+		}
 		digest, crc, err := hashStream(p.size, p.write)
 		if err != nil {
 			return fmt.Errorf("ckpt: hash %s: %w", slot, err)
@@ -390,167 +406,247 @@ func (s *payloadSet) stageManifests(sb storage.Backend, dir string) error {
 }
 
 // stageContainers writes the set as plain LTSF/LTOS containers into a
-// staging directory, payload sections in set order.
-func (s *payloadSet) stageContainers(sb storage.Backend, dir string) error {
-	if err := s.stageWeights(sb, dir+"/model.ltsf", 0); err != nil {
-		return err
+// staging directory, returning the read-ahead's peak bytes in flight and the
+// container bytes written.
+func (s *payloadSet) stageContainers(sb storage.Backend, dir string, ra readAhead) (peak, written int64, err error) {
+	lw, err := newLTSFWriter(sb, dir+"/model.ltsf", s.model, ra.chunk)
+	if err != nil {
+		return 0, 0, err
 	}
+	defer lw.Abort()
+	rws := make([]*shardFileWriter, len(s.ranks))
 	for i := range s.ranks {
-		if err := s.ranks[i].stageShardFile(sb, dir+"/"+ShardFileName(i), 0); err != nil {
-			return err
+		rs := &s.ranks[i]
+		w, err := newShardFileWriter(sb, dir+"/"+ShardFileName(i), rs.rank, rs.worldSize, rs.step, rs.layout, ra.chunk)
+		if err != nil {
+			return 0, 0, err
 		}
+		defer w.Abort()
+		rws[i] = w
 	}
-	return nil
+	return s.writeContainers(lw, rws, ra)
 }
 
-func (s *payloadSet) stageWeights(sb storage.Backend, name string, chunkBytes int) error {
-	w, err := NewLTSFWriter(sb, name, s.model, chunkBytes)
-	if err != nil {
-		return err
+// readAhead is how an output's containers are filled: workers weight
+// payloads are produced side by side — each replayed or computed into a
+// pooled buffer — and appended in order, admitted under a gate of inFlight
+// bytes (0: unbounded), and workers ranks' shard files are written side by
+// side, each streaming its groups in order. Zero workers is a save's: every
+// payload streams from its encoder straight into its container, one
+// container at a time.
+type readAhead struct {
+	workers  int
+	inFlight int64
+	chunk    int
+}
+
+// writeContainers fills the given containers — lw takes the weights (nil:
+// the set has none), rws[i] the groups of s.ranks[i] — each in set order,
+// and closes them.
+func (s *payloadSet) writeContainers(lw *ltsfWriter, rws []*shardFileWriter, ra readAhead) (peak, written int64, err error) {
+	// Every payload's size is known upfront: in-memory spools allocate once
+	// instead of growing payload by payload.
+	if lw != nil {
+		var total int64
+		for i := range s.weights {
+			total += s.weights[i].size
+		}
+		lw.reserve(total)
+		if peak, err = ra.weights(lw, s.weights); err == nil {
+			err = lw.Close()
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+		written = lw.BytesWritten()
 	}
-	defer w.Abort()
-	for i := range s.weights {
-		wp := &s.weights[i]
+	var failed atomic.Bool
+	err = parallel.ForEachFirst(max(1, ra.workers), len(rws), func(i int) error {
+		if failed.Load() {
+			return nil
+		}
+		rs, w := &s.ranks[i], rws[i]
+		err := func() error {
+			var total int64
+			known := true
+			for j := range rs.groups {
+				total += rs.groups[j].size
+				known = known && rs.groups[j].hasCRC
+			}
+			if known {
+				w.hdr.Step = rs.step
+				return w.writeKnown(rs.groups)
+			}
+			w.reserve(total)
+			for j := range rs.groups {
+				g := &rs.groups[j]
+				m := g.meta
+				m.ShardLen, m.CRC32 = g.size/12, g.crc
+				if err := w.appendPayload(m, g.size, g.hasCRC, g.write); err != nil {
+					return err
+				}
+				g.consumed()
+			}
+			// A feeder may learn a rank's step from the payloads it produced.
+			w.hdr.Step = rs.step
+			return w.Close()
+		}()
+		failed.Store(err != nil)
+		return err
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, w := range rws {
+		written += w.BytesWritten()
+	}
+	return peak, written, nil
+}
+
+// weights appends the weight payloads to lw in order through the one
+// ordered fan-out of the write stage, returning its peak bytes in flight.
+func (ra readAhead) weights(lw *ltsfWriter, list []weightPayload) (int64, error) {
+	put := func(wp *weightPayload, write func(io.Writer) (int64, error)) error {
 		rt := RawTensor{Name: wp.name, DType: wp.dtype, Shape: wp.shape, Size: wp.size, CRC32: wp.crc}
-		if err := w.appendPayload(rt, wp.hasCRC, wp.write); err != nil {
+		if err := lw.appendPayload(rt, wp.hasCRC, write); err != nil {
 			return err
 		}
 		wp.consumed()
+		return nil
 	}
-	return w.Close()
+	if ra.workers < 1 {
+		for i := range list {
+			if err := put(&list[i], list[i].write); err != nil {
+				return 0, err
+			}
+		}
+		return 0, nil
+	}
+	type filled struct {
+		wp  *weightPayload
+		buf *[]byte
+	}
+	gate := parallel.NewByteGate(ra.inFlight)
+	pipe := parallel.NewPipeline(ra.workers, ra.workers, func(wp *weightPayload) (filled, error) {
+		bp := loadBufs.Get().(*[]byte)
+		if int64(cap(*bp)) < wp.size {
+			*bp = make([]byte, 0, wp.size)
+		}
+		bb := bytes.NewBuffer((*bp)[:0])
+		_, err := wp.write(bb)
+		*bp = bb.Bytes()
+		return filled{wp, bp}, err
+	}, func(f filled) error {
+		defer loadBufs.Put(f.buf)
+		return put(f.wp, func(w io.Writer) (int64, error) {
+			n, err := w.Write(*f.buf)
+			return int64(n), err
+		})
+	})
+	for i := range list {
+		wp := &list[i]
+		cost := wp.cost
+		if cost == 0 {
+			cost = wp.size
+		}
+		gate.Acquire(cost)
+		if err := pipe.PushWithCleanup(wp, func() { gate.Release(cost) }); err != nil {
+			gate.Release(cost)
+			break
+		}
+	}
+	err := pipe.Close()
+	return gate.Peak(), err
 }
 
-func (rs *rankPayloads) stageShardFile(sb storage.Backend, name string, chunkBytes int) error {
-	w, err := NewShardFileWriter(sb, name, rs.rank, rs.worldSize, rs.step, rs.layout, chunkBytes)
-	if err != nil {
+// knownBlobs is what the set's content-addressed sources recorded about the
+// blobs they hold in store: the lineage an output publishing there reuses, so
+// a referenced blob costs one Stat, not a header read and a put.
+func (s *payloadSet) knownBlobs(store *storage.BlobStore) *lineage {
+	v := &lineage{blobs: map[string]blobRef{}}
+	s.each(func(p *payload, _ string, _ int) error {
+		if p.store != nil && p.store.Root() == store.Root() {
+			v.blobs[p.digest] = blobRef{Digest: p.digest, Codec: p.codec, Size: p.size, Stored: p.stored, Parents: p.parents}
+		}
+		return nil
+	})
+	return v
+}
+
+// Trailer is the small files a checkpoint ends with — config.json and
+// trainer_state.json as given, manifest.json — and the step its commit
+// marker records. The write stage sets the manifest's Dedup and RefGen.
+type Trailer struct {
+	Config, State []byte
+	Manifest      Manifest
+	Step          int
+}
+
+func (tr *Trailer) stage(sb storage.Backend, dir string) error {
+	if err := sb.WriteFile(dir+"/config.json", tr.Config); err != nil {
 		return err
 	}
-	defer w.Abort()
-	for i := range rs.groups {
-		g := &rs.groups[i]
-		m := g.meta
-		m.ShardLen, m.CRC32 = g.size/12, g.crc
-		if err := w.appendPayload(m, g.size, g.hasCRC, g.write); err != nil {
-			return err
-		}
-		g.consumed()
+	if err := sb.WriteFile(dir+"/trainer_state.json", tr.State); err != nil {
+		return err
 	}
-	return w.Close()
+	return writeJSON(sb, dir+"/manifest.json", &tr.Manifest)
 }
 
-// writeStage is the one publish-and-commit stage: it turns a save's filled
+// writeStage is the one publish-and-commit stage: it turns a filled
 // payloadSet into a committed checkpoint directory under the commit protocol.
 // Feeders only build the set; all that touches the backend happens in run.
 type writeStage struct {
-	b    storage.Backend
-	spec *SaveSpec
-	plan *savePlan
+	b     storage.Backend
+	dir   string
+	dedup bool
+	// step is what the journal record carries (a save's optimizer step
+	// count, an output's trailer step).
+	step int
+	ra   readAhead
 	// cplan is a dedup save's codec plan (nil = raw blobs), view its parent
-	// lineage and store the handle a feeder already resolved (both optional).
+	// lineage and store the handle a feeder already resolved (all optional).
 	cplan *codecPlan
 	view  *lineage
 	store *saveStore
 }
 
-func (ws writeStage) run(set *payloadSet) error {
-	dir := ws.spec.Dir
-	txn, err := Begin(ws.b, dir)
+func (ws writeStage) run(set *payloadSet, tr *Trailer) (peak, written int64, err error) {
+	txn, err := Begin(ws.b, ws.dir)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	defer txn.Abort()
 	sb, staging := txn.Backend(), txn.Dir()
-	var refGen int64
-	if ws.spec.Dedup {
+	tr.Manifest.Dedup, tr.Manifest.RefGen = ws.dedup, 0
+	if ws.dedup {
 		// Blobs go to the store on the base backend, addressed from the
 		// checkpoint's final path; only the manifests are staged.
 		store := ws.store
 		if store == nil {
-			if store, err = openSaveStore(ws.b, dir); err != nil {
-				return err
+			if store, err = openSaveStore(ws.b, ws.dir); err != nil {
+				return 0, 0, err
 			}
 		}
-		if refGen, err = set.publishBlobs(store, ws.view, dir, ws.plan.stepCount, ws.cplan); err != nil {
-			return err
+		view := ws.view
+		if view == nil {
+			view = set.knownBlobs(store.BlobStore)
 		}
-		err = set.stageManifests(sb, staging)
+		if err = set.hashAll(); err == nil {
+			tr.Manifest.RefGen, err = set.publishBlobs(store, view, ws.dir, ws.step, ws.cplan)
+		}
+		if err == nil {
+			err = set.stageManifests(sb, staging)
+		}
 	} else {
-		err = set.stageContainers(sb, staging)
+		peak, written, err = set.stageContainers(sb, staging, ws.ra)
 	}
-	if err != nil {
-		return err
-	}
-	// The trailer: config, trainer state, manifest.json carrying refGen. The
-	// record journals the optimizer's step count, the marker the trainer's.
-	if err := writeTrailer(sb, staging, ws.spec, ws.plan, refGen); err != nil {
-		return err
-	}
-	return txn.Commit(ws.spec.State.Step)
-}
-
-// contentAddress gives a transaction's staged plain output content-addressed
-// form, before it commits: how merge, blend and reshard make a dedup output.
-// It is one more feeder of the stage's blob half. The read stage lists the
-// staged containers' payloads as raw extents (no decode) and hashAll digests
-// them, verifying each header CRC against the bytes in the same pass; the
-// journal record and the missing blobs go to the store addressed from the
-// final path; the manifests are staged; the containers leave the staging tree
-// (and the transaction's record with them); manifest.json is restaged carrying
-// dedup and ref_gen. No codec plan: new blobs stay raw, dedup hits on coded
-// blobs keep their lineage. A crash anywhere leaves what a crashed dedup Save
-// leaves — an unsealed tree, a record no directory is bound to, blobs nothing
-// references — and never a published directory in an intermediate form.
-func (t *Txn) contentAddress(step int) (rep DedupifyReport, err error) {
-	src, err := openSource(t.base, t.staging)
-	if err != nil {
-		return rep, err
-	}
-	set, err := src.set()
 	if err == nil {
-		err = set.hashAll()
+		err = tr.stage(sb, staging)
 	}
 	if err != nil {
-		return rep, err
+		return 0, 0, err
 	}
-	store, err := openSaveStore(t.base, t.final)
-	if err != nil {
-		return rep, err
-	}
-	gen, err := set.publishBlobs(store, nil, t.final, step, nil)
-	if err != nil {
-		return rep, err
-	}
-	if err := set.stageManifests(t.rec, t.staging); err != nil {
-		return rep, err
-	}
-	containers := []string{"model.ltsf"}
-	for rank := range set.ranks {
-		containers = append(containers, ShardFileName(rank))
-	}
-	for _, name := range containers {
-		if err := t.rec.Remove(t.staging + "/" + name); err != nil {
-			return rep, err
-		}
-	}
-	man, err := ReadManifest(t.base, t.staging)
-	if err != nil {
-		return rep, err
-	}
-	man.Dedup, man.RefGen = true, gen
-	if err := writeJSON(t.rec, t.staging+"/manifest.json", &man); err != nil {
-		return rep, err
-	}
-	set.each(func(p *payload, _ string, _ int) error {
-		if p.written {
-			rep.BlobsPut++
-			rep.BlobBytesWritten += p.size
-		} else {
-			rep.BlobsReused++
-			rep.BytesDeduped += p.size
-		}
-		return nil
-	})
-	return rep, nil
+	return peak, written, txn.Commit(tr.Step)
 }
 
 // newPayloadSet lays out a save's payloads in write order with their
@@ -585,18 +681,183 @@ func (p *savePlan) newPayloadSet() *payloadSet {
 // the filled set with the save's trailer, then move the run root's latest
 // pointer. store is the handle the feeder captured against, if it has one.
 func commitSave(b storage.Backend, spec *SaveSpec, plan *savePlan, set *payloadSet, store *saveStore) error {
-	ws := writeStage{b: b, spec: spec, plan: plan, store: store}
+	tr, err := saveTrailer(spec, plan)
+	if err != nil {
+		return err
+	}
+	ws := writeStage{b: b, dir: spec.Dir, dedup: spec.Dedup, step: plan.stepCount, store: store}
 	if spec.Dedup {
 		// One read of the parent's manifests serves the codec plan and the
 		// publish loop alike.
-		var err error
 		ws.view = loadLineage(b, spec.Dir)
 		if ws.cplan, err = newCodecPlan(spec.Codec, spec.CodecRebase, ws.view); err != nil {
 			return err
 		}
 	}
-	if err := ws.run(set); err != nil {
+	if _, _, err := ws.run(set, tr); err != nil {
 		return err
 	}
 	return WriteLatestPointer(b, spec.Dir)
+}
+
+// Output is a checkpoint built out of other checkpoints' payloads: how
+// merge, blend and reshard write. A feeder adds the weights and each rank's
+// groups in output order — by reference or computed — and commits the
+// output with its trailer through the write stage.
+type Output struct {
+	set payloadSet
+}
+
+// NewOutput starts an output checkpoint of the named model.
+func NewOutput(model string) *Output { return &Output{set: payloadSet{model: model}} }
+
+// Tensor adds the named tensor of w by reference when it is stored as dt,
+// and reports false (adding nothing) when it is not. Its bytes are replayed
+// through the source's check — the digest, or the CRC when there is none —
+// and not moved at all when its blob is already in the output's store.
+func (o *Output) Tensor(w *Weights, name string, dt tensor.DType) (bool, error) {
+	p, err := w.lookup(name)
+	if err != nil || !w.rawEligible(name, dt) {
+		return false, err
+	}
+	wp := *p
+	wp.checked(weightSlot(name))
+	o.set.weights = append(o.set.weights, wp)
+	return true, nil
+}
+
+// Weights adds every tensor of w by reference, in stored order, and returns
+// their payload bytes.
+func (o *Output) Weights(w *Weights) int64 {
+	var total int64
+	for i := range w.list {
+		wp := w.list[i]
+		wp.checked(weightSlot(wp.name))
+		o.set.weights = append(o.set.weights, wp)
+		total += wp.size
+	}
+	return total
+}
+
+// ComputeTensor adds a tensor the feeder computes: compute runs when the
+// output is written (more than once for a content-addressed output, which
+// hashes before it publishes) and must return a tensor of dt and shape.
+// cost is what computing it holds in flight.
+func (o *Output) ComputeTensor(name string, dt tensor.DType, shape []int, cost int64, compute func() (*tensor.Tensor, error)) {
+	numel := int64(1)
+	for _, d := range shape {
+		numel *= int64(d)
+	}
+	write := withChunkBuf(func(w io.Writer, buf []byte) (int64, error) {
+		t, err := compute()
+		if err != nil {
+			return 0, err
+		}
+		return t.EncodeTo(w, buf)
+	})
+	o.set.weights = append(o.set.weights, weightPayload{
+		payload: payload{size: numel * int64(dt.Size()), write: write, cost: cost},
+		name:    name, dtype: dt.String(), shape: append([]int(nil), shape...),
+	})
+}
+
+// OutputRank is one rank's shard of an Output under construction.
+type OutputRank struct {
+	o *Output
+	i int
+}
+
+// Rank adds the output's next rank. step is its recorded optimizer step;
+// SetStep may raise it while the output is written.
+func (o *Output) Rank(rank, world, step int, layout optim.LayoutKind) OutputRank {
+	o.set.ranks = append(o.set.ranks, rankPayloads{rank: rank, worldSize: world, step: step, layout: layout})
+	return OutputRank{o, len(o.set.ranks) - 1}
+}
+
+func (r OutputRank) rs() *rankPayloads { return &r.o.set.ranks[r.i] }
+
+// SetStep records the rank's optimizer step. A computed group may call it
+// once it has read the step off its sources.
+func (r OutputRank) SetStep(step int) { r.rs().step = step }
+
+// Group adds a source rank's stored group (Checkpoint.OptimExtents) by
+// reference, checked and moved like Tensor's.
+func (r OutputRank) Group(e GroupExtent) error {
+	if e.p == nil {
+		return fmt.Errorf("ckpt: group %d: not a stored extent", e.Index)
+	}
+	g := groupPayload{payload: *e.p, meta: e.ShardGroupMeta}
+	g.checked(groupSlotKey(r.rs().rank, e.Index))
+	r.rs().groups = append(r.rs().groups, g)
+	return nil
+}
+
+// ComputeGroup adds a group shard the feeder computes: meta names it (Index,
+// Numel, NoDecay, Layer) and sizes it (ShardLen), and write delivers its
+// 12×ShardLen payload bytes, when the output is written (more than once for
+// a content-addressed output).
+func (r OutputRank) ComputeGroup(meta ShardGroupMeta, write func(io.Writer) (int64, error)) {
+	r.rs().groups = append(r.rs().groups, groupPayload{payload: payload{size: meta.ShardLen * 12, write: write}, meta: meta})
+}
+
+// EncodeGroup writes one group shard's payload — master, exp_avg and
+// exp_avg_sq, FP32 little-endian — as a computed group delivers it.
+func EncodeGroup(w io.Writer, s *zero.GroupShard) (int64, error) {
+	return withChunkBuf(func(w io.Writer, buf []byte) (int64, error) { return encodeGroupPayload(w, buf, s) })(w)
+}
+
+// OutputOptions shapes an Output's commit.
+type OutputOptions struct {
+	// Dedup publishes the output content-addressed, into the store of its
+	// run root (or of the hub the run is attached to).
+	Dedup bool
+	// Latest moves the run root's latest pointer to the output.
+	Latest bool
+	// A plain output reads Workers tensors ahead (at least 1), at most
+	// MaxInFlight bytes of them at once (0: unbounded), writes Workers
+	// ranks' shard files side by side, and streams in ChunkBytes chunks (0:
+	// default).
+	Workers     int
+	MaxInFlight int64
+	ChunkBytes  int
+}
+
+// OutputReport is what committing an Output did: the blob counters of a
+// content-addressed output, and a plain output's read-ahead high-water mark
+// and container bytes written.
+type OutputReport struct {
+	DedupifyReport
+	PeakInFlightBytes, BytesWritten int64
+}
+
+// Commit writes the output at dir with its trailer — Begin, containers or
+// journal, blobs and manifests, trailer, Commit — and then, with
+// opts.Latest, moves the latest pointer. tr.Step is what the commit marker
+// and the journal record carry.
+func (o *Output) Commit(b storage.Backend, dir string, tr *Trailer, opts OutputOptions) (*OutputReport, error) {
+	set := &o.set
+	defer set.releaseAll()
+	ws := writeStage{b: b, dir: dir, dedup: opts.Dedup, step: tr.Step,
+		ra: readAhead{workers: max(1, opts.Workers), inFlight: opts.MaxInFlight, chunk: opts.ChunkBytes}}
+	rep := &OutputReport{}
+	var err error
+	if rep.PeakInFlightBytes, rep.BytesWritten, err = ws.run(set, tr); err != nil {
+		return nil, err
+	}
+	set.each(func(p *payload, _ string, _ int) error {
+		switch {
+		case !opts.Dedup:
+		case p.written:
+			rep.BlobsPut++
+			rep.BlobBytesWritten += p.size
+		default:
+			rep.BlobsReused++
+			rep.BytesDeduped += p.size
+		}
+		return nil
+	})
+	if opts.Latest {
+		err = WriteLatestPointer(b, dir)
+	}
+	return rep, err
 }

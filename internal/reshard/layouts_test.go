@@ -86,11 +86,11 @@ func TestReshardLayoutParity(t *testing.T) {
 }
 
 // TestReshardCorruptSource: a flipped byte in an LTSF tensor, an LTOS group,
-// a raw blob or a coded blob fails the reshard with an error naming the
-// payload, and publishes nothing. Weights are re-staged checked under any
-// options. Group rows run the decode path: it is the one that reads source
-// payloads whole and checks their CRCs — the extent splice reads partial
-// ranges, so it cannot (ROADMAP item 6 keeps that gap open).
+// a raw blob or a coded blob fails the reshard under default options with an
+// error naming the payload, and publishes nothing. Every source payload is
+// checked once: weights and carried shards as they are replayed by
+// reference, a spliced group's sources in one streaming pass before its
+// first target shard is stitched from their extents.
 func TestReshardCorruptSource(t *testing.T) {
 	cases := []struct {
 		name, layout string
@@ -138,7 +138,7 @@ func TestReshardCorruptSource(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			_, err = Reshard(b, dir, tc.layout+"/resharded", 3, Options{NoRawCopy: !tc.weight})
+			_, err = Reshard(b, dir, tc.layout+"/resharded", 3, Options{})
 			if err == nil {
 				t.Fatal("reshard accepted a corrupt source payload")
 			}

@@ -13,37 +13,33 @@
 // FP32 element grid, every intersection is element-aligned, and each target
 // section (master, exp_avg, exp_avg_sq are stored concatenated per shard)
 // is a concatenation of byte ranges from source payloads plus synthesized
-// zeros for the target's own pad tail — no float ever needs decoding. The
-// transform streams group by group through parallel.Pipeline under a
-// ByteGate, so peak memory is a few groups' target shards, never the full
-// flat state.
+// zeros for the target's own pad tail — no float ever needs decoding.
 //
-// When the two partitions coincide on a shard (s_N == s_M, which happens
-// whenever ceil(numel/N) == ceil(numel/M)), the target payload is the
-// source payload bit for bit and its CRC is carried forward without
-// recomputation, per the raw-splice surfaces (ShardFileWriter.AppendRawGroup).
-//
-// The source is read through ckpt's read stage (Weights.SpliceLTSF,
-// Checkpoint.OptimExtents), so plain containers and content-addressed blobs
-// under any codec are the same input here.
-//
-// The output commits through the standard stage → seal → publish protocol
-// (ckpt.Begin/Commit), so Scan, Repair, doctor, GC and the ref journal all
-// treat resharded checkpoints like any other, on rename and no-rename
-// backends alike. With Options.Dedup the staged output is made
-// content-addressed before it commits; unchanged payloads (all weight tensors, and any
-// group shard whose extent aligns) dedup against existing blobs by content
-// address.
+// Reshard is a feeder of ckpt's write stage (ckpt.Output): the weights and
+// every target shard whose partition coincides with its source's (s_N ==
+// s_M) go in by reference — the source payload, replayed through its check,
+// and not moved at all when a content-addressed output's store already holds
+// it — and the rest are computed: stitched from source extents (each source
+// group's payload checked once, in one streaming pass, before its first
+// target is stitched), or all padding. The write stage reads the weights
+// ahead under the Options.MaxInFlight byte gate and writes Options.Workers
+// target ranks' shard files side by side, each streaming its shards
+// straight into its container, so no target shard is ever held whole. The
+// source is read through ckpt's read stage (Checkpoint.OptimExtents), so
+// plain containers and content-addressed blobs under any codec are the same
+// input here, and the output commits like any checkpoint — Scan, Repair,
+// doctor, GC and the ref journal treat resharded checkpoints like any
+// other, on rename and no-rename backends, plain or content-addressed
+// (Options.Dedup).
 package reshard
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"llmtailor/internal/ckpt"
@@ -55,17 +51,20 @@ import (
 
 // Options tunes a reshard run.
 type Options struct {
-	// Workers bounds the group-assembly parallelism (default 1).
+	// Workers bounds how many weight payloads are read ahead, and how many
+	// target ranks' shard files are written side by side (default 1).
 	Workers int
 	// ChunkBytes is the streaming I/O chunk size for container writes
 	// (default storage.DefaultChunkBytes).
 	ChunkBytes int
-	// MaxInFlight bounds the payload bytes of groups admitted into the
-	// pipeline and not yet written. 0 means unbounded;
-	// Stats.PeakInFlightBytes reports the high-water mark either way.
+	// MaxInFlight bounds the weight payload bytes read ahead and not yet
+	// written (target shards stream straight into their containers). 0
+	// means unbounded; Stats.PeakInFlightBytes reports the high-water mark
+	// either way.
 	MaxInFlight int64
 	// NoRawCopy disables the zero-decode extent-splice path, forcing every
-	// group through gather → repartition in decoded FP32. Output bytes are
+	// group through gather → repartition in decoded FP32 (a group decoded
+	// once is held until its last target shard is written). Output bytes are
 	// identical either way (the golden tests pin this); the knob exists for
 	// A/B benchmarking.
 	NoRawCopy bool
@@ -89,8 +88,8 @@ type Stats struct {
 	GroupsRawCopied int
 	GroupsDecoded   int
 	// ShardsCarried counts target shards bit-identical to a source shard
-	// (s_N == s_M): their payloads stream through verbatim and the source
-	// CRC is carried forward without recomputation.
+	// (s_N == s_M): the source payload taken by reference — replayed through
+	// its check, its CRC (and digest) carried forward.
 	ShardsCarried int
 	// ShardsSpliced counts target shards stitched from two or more source
 	// extents (or one partial extent) with the CRC computed during the
@@ -152,31 +151,32 @@ func Reshard(b storage.Backend, srcDir, dstDir string, world int, opts Options) 
 	}
 	stats.Groups = len(srcs)
 
-	txn, err := ckpt.Begin(b, dstDir)
+	// Weights are world-size independent: the source's payloads verbatim,
+	// in stored order (byte-identical to the source's, and to what a native
+	// save at the target world size writes).
+	out := ckpt.NewOutput(c.Weights().Model())
+	stats.WeightBytes = out.Weights(c.Weights())
+	if err := repartition(out, layout, srcs, optimStep, world, opts, stats); err != nil {
+		return nil, err
+	}
+	// The trailer: config verbatim, the trainer state at the target world
+	// size (every other field untouched), the source's manifest.
+	tr := &ckpt.Trailer{Manifest: c.Manifest, Step: c.State.Step}
+	if tr.Config, err = b.ReadFile(c.Dir + "/config.json"); err != nil {
+		return nil, fmt.Errorf("reshard: copy config: %w", err)
+	}
+	st := c.State
+	st.WorldSize = world
+	if tr.State, err = ckpt.EncodeJSON(&st); err != nil {
+		return nil, err
+	}
+	rep, err := out.Commit(b, dstDir, tr, ckpt.OutputOptions{Dedup: opts.Dedup, Latest: !opts.NoLatest,
+		Workers: opts.Workers, MaxInFlight: opts.MaxInFlight, ChunkBytes: opts.ChunkBytes})
 	if err != nil {
 		return nil, err
 	}
-	defer txn.Abort()
-	sb, staging := txn.Backend(), txn.Dir()
-
-	// Weights are world-size independent: the staged model.ltsf is the
-	// source's payloads verbatim, in stored order (byte-identical to the
-	// source's, and to what a native save at the target world size writes).
-	if stats.WeightBytes, err = c.Weights().SpliceLTSF(sb, staging+"/model.ltsf", opts.ChunkBytes); err != nil {
-		return nil, fmt.Errorf("reshard: copy weights: %w", err)
-	}
-	if err := repartition(layout, srcs, optimStep, sb, staging, world, opts, stats); err != nil {
-		return nil, err
-	}
-	if err := writeTrailer(b, c, sb, staging, world); err != nil {
-		return nil, err
-	}
-	// Content addressing is what implements the dedup composition: every
-	// weight blob and every aligned group shard of the staged output
-	// hashes to an existing digest and is reused, not rewritten.
-	if stats.DedupifyReport, err = txn.Publish(c.State.Step, !opts.NoLatest, opts.Dedup); err != nil {
-		return nil, err
-	}
+	stats.DedupifyReport = rep.DedupifyReport
+	stats.PeakInFlightBytes = rep.PeakInFlightBytes
 	stats.WallTime = time.Since(start)
 	return stats, nil
 }
@@ -261,259 +261,164 @@ func openGroupSources(c *ckpt.Checkpoint, layout *optim.Layout) ([][]ckpt.GroupE
 	return srcs, step, nil
 }
 
-// groupOut is one repartitioned group: every target rank's assembled
-// payload and finished metadata (CRC computed during the splice, or carried
-// forward when the shard streamed through whole).
-type groupOut struct {
-	metas   []ckpt.ShardGroupMeta
-	data    [][]byte
-	raw     bool
-	carried int
-	spliced int
-	zeroed  int
-	rawIn   int64
-	decIn   int64
-	zeros   int64
-}
-
-// repartition streams every group through the pipeline: workers assemble
-// all M target shards of one group (extent splice or decode fallback), the
-// ordered sink appends them to the M open shard-file writers. The byte gate
-// bounds assembled-but-unwritten payload.
-func repartition(layout *optim.Layout, srcs [][]ckpt.GroupExtent, optimStep int,
-	sb storage.Backend, staging string, world int, opts Options, stats *Stats) error {
-
-	// Every rank's payload size is known from the layout alone: reserve it
-	// upfront so in-memory spools allocate once instead of growing move by
-	// move under 12×ShardLen-sized appends.
-	var rankPayload int64
-	for _, src := range srcs {
-		pM, err := zero.NewPartition(src[0].Numel, world)
-		if err != nil {
-			return err
-		}
-		rankPayload += 12 * pM.ShardLen()
+// repartition adds every target rank's shard of every group, rank by rank.
+// A shard whose partition coincides with its source's is the source payload,
+// by reference; one past the data is all padding; the rest are stitched
+// from source extents, each group's sources checked once, whole, before the
+// first is stitched. Under NoRawCopy every shard is computed by the decode
+// fallback instead, each group decoded once for its targets (held until the
+// last of them is written).
+func repartition(out *ckpt.Output, layout *optim.Layout, srcs [][]ckpt.GroupExtent, optimStep, world int, opts Options, stats *Stats) error {
+	type plan struct {
+		pN, pM  zero.Partition
+		check   func() error
+		decoded *parallel.Lease[[]*zero.GroupShard]
 	}
-
-	writers := make([]*ckpt.ShardFileWriter, world)
-	for rm := 0; rm < world; rm++ {
-		w, err := ckpt.NewShardFileWriter(sb, staging+"/"+ckpt.ShardFileName(rm),
-			rm, world, optimStep, layout.Kind, opts.ChunkBytes)
-		if err != nil {
-			return err
-		}
-		defer w.Abort()
-		w.Preallocate(rankPayload)
-		writers[rm] = w
-	}
-
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	gate := parallel.NewByteGate(opts.MaxInFlight)
-	pipe := parallel.NewPipeline(workers, workers,
-		func(gi int) (groupOut, error) {
-			return assembleGroup(srcs[gi][0].ShardGroupMeta, srcs[gi], world, opts)
-		},
-		func(out groupOut) error {
-			for rm := 0; rm < world; rm++ {
-				m := out.metas[rm]
-				if err := writers[rm].AppendRawGroup(m, int64(len(out.data[rm])), bytes.NewReader(out.data[rm])); err != nil {
-					return err
-				}
-			}
-			if out.raw {
-				stats.GroupsRawCopied++
-			} else {
-				stats.GroupsDecoded++
-			}
-			stats.ShardsCarried += out.carried
-			stats.ShardsSpliced += out.spliced
-			stats.ShardsZeroed += out.zeroed
-			stats.BytesRawCopied += out.rawIn
-			stats.BytesDecoded += out.decIn
-			stats.BytesZeroFilled += out.zeros
-			return nil
-		})
-
+	plans := make([]plan, len(srcs))
 	for gi, src := range srcs {
-		pM, err := zero.NewPartition(src[0].Numel, world)
+		numel, worldFrom := src[0].Numel, len(src)
+		pN, err := zero.NewPartition(numel, worldFrom)
+		if err == nil {
+			plans[gi].pM, err = zero.NewPartition(numel, world)
+		}
 		if err != nil {
-			pipe.Close()
 			return fmt.Errorf("reshard: group %d: %w", gi, err)
 		}
-		// In-flight cost: the M assembled target shards, plus the decoded
-		// full group the fallback path holds transiently.
-		cost := pM.Padded * 12
+		plans[gi].pN = pN
 		if opts.NoRawCopy {
-			cost *= 2
+			stats.GroupsDecoded++
+			stats.BytesDecoded += (int64(world)*plans[gi].pM.ShardLen() + int64(worldFrom)*pN.ShardLen()) * 12
+			plans[gi].decoded = &parallel.Lease[[]*zero.GroupShard]{Uses: world,
+				Load: func() ([]*zero.GroupShard, error) { return decodeGroup(src, world) }}
+		} else {
+			stats.GroupsRawCopied++
+			plans[gi].check = sync.OnceValue(func() error {
+				for _, e := range src {
+					if err := e.Replay(io.Discard); err != nil {
+						return fmt.Errorf("reshard: group %d: %w", e.Index, err)
+					}
+				}
+				return nil
+			})
 		}
-		gate.Acquire(cost)
-		released := cost
-		if err := pipe.PushWithCleanup(gi, func() { gate.Release(released) }); err != nil {
-			gate.Release(cost)
-			break
-		}
-	}
-	if err := pipe.Close(); err != nil {
-		return err
 	}
 	for rm := 0; rm < world; rm++ {
-		if err := writers[rm].Close(); err != nil {
-			return err
+		r := out.Rank(rm, world, optimStep, layout.Kind)
+		for gi, src := range srcs {
+			pl := plans[gi]
+			m := src[0].ShardGroupMeta
+			sN, sM := pl.pN.ShardLen(), pl.pM.ShardLen()
+			meta := ckpt.ShardGroupMeta{Index: m.Index, Numel: m.Numel, ShardLen: sM, NoDecay: m.NoDecay, Layer: m.Layer}
+			lo, hi := pl.pM.Range(rm)
+			dataHi := min(hi, m.Numel)
+			switch {
+			case opts.NoRawCopy:
+				r.ComputeGroup(meta, func(w io.Writer) (int64, error) {
+					shards, err := pl.decoded.Get()
+					if err != nil {
+						return 0, err
+					}
+					defer pl.decoded.Done()
+					return ckpt.EncodeGroup(w, shards[rm])
+				})
+			case sM == sN && rm < len(src):
+				// Identical extent: the shard is the source payload bit for bit.
+				if err := r.Group(src[rm]); err != nil {
+					return err
+				}
+				stats.ShardsCarried++
+				stats.BytesRawCopied += sM * 12
+			case lo >= m.Numel:
+				// Entirely past the data: an all-padding shard, synthesized.
+				r.ComputeGroup(meta, func(w io.Writer) (int64, error) { return writeZeros(w, sM*12) })
+				stats.ShardsZeroed++
+				stats.BytesZeroFilled += sM * 12
+			default:
+				r.ComputeGroup(meta, func(w io.Writer) (int64, error) {
+					if err := pl.check(); err != nil {
+						return 0, err
+					}
+					return spliceShard(w, src, sN, lo, hi, dataHi)
+				})
+				stats.ShardsSpliced++
+				stats.BytesRawCopied += (dataHi - lo) * 12
+				stats.BytesZeroFilled += (hi - dataHi) * 12
+			}
 		}
-	}
-	if p := gate.Peak(); p > stats.PeakInFlightBytes {
-		stats.PeakInFlightBytes = p
 	}
 	return nil
 }
 
-// assembleGroup builds every target rank's payload for one group.
-func assembleGroup(m ckpt.ShardGroupMeta, srcs []ckpt.GroupExtent, world int, opts Options) (groupOut, error) {
-	if opts.NoRawCopy {
-		return decodeGroup(m, srcs, world)
+// spliceShard is the zero-decode path: one target shard's three sections —
+// elements [lo, hi) of the group, data up to dataHi — stitched from byte
+// extents of the source payloads (intersection of old and new
+// Partition.Range, always element-aligned because both partitions address
+// the same FP32 grid), with zeros for the target's pad tail. Source pad
+// bytes are never read — padding moves with the partition.
+func spliceShard(w io.Writer, srcs []ckpt.GroupExtent, sN, lo, hi, dataHi int64) (int64, error) {
+	var n int64
+	for k := int64(0); k < 3; k++ {
+		for cur := lo; cur < dataHi; {
+			rn := cur / sN
+			segHi := min((rn+1)*sN, dataHi)
+			rc, err := srcs[rn].OpenRange(k*sN*4+(cur-rn*sN)*4, (segHi-cur)*4)
+			if err != nil {
+				return n, fmt.Errorf("reshard: group %d: read extent from source rank %d: %w", srcs[rn].Index, rn, err)
+			}
+			c, err := io.Copy(w, rc)
+			if cerr := rc.Close(); err == nil {
+				err = cerr
+			}
+			if n += c; err != nil {
+				return n, fmt.Errorf("reshard: group %d: read extent from source rank %d: %w", srcs[rn].Index, rn, err)
+			}
+			cur = segHi
+		}
+		c, err := writeZeros(w, (hi-dataHi)*4)
+		if n += c; err != nil {
+			return n, err
+		}
 	}
-	return spliceGroup(m, srcs, world)
+	return n, nil
 }
 
-// spliceGroup is the zero-decode path: each target shard's three sections
-// are stitched from byte extents of the source payloads (intersection of
-// old and new Partition.Range, always element-aligned because both
-// partitions address the same FP32 grid), with zeros synthesized for the
-// target's pad tail. Source pad bytes are never read — padding moves with
-// the partition, so the target's padding is always freshly zeroed. When
-// s_N == s_M the whole shard streams through verbatim and the source CRC
-// is carried forward.
-func spliceGroup(m ckpt.ShardGroupMeta, srcs []ckpt.GroupExtent, world int) (groupOut, error) {
-	numel := m.Numel
-	worldFrom := len(srcs)
-	pN, err := zero.NewPartition(numel, worldFrom)
-	if err != nil {
-		return groupOut{}, err
-	}
-	pM, err := zero.NewPartition(numel, world)
-	if err != nil {
-		return groupOut{}, err
-	}
-	sN, sM := pN.ShardLen(), pM.ShardLen()
-	out := groupOut{raw: true, metas: make([]ckpt.ShardGroupMeta, world), data: make([][]byte, world)}
+var zeros [4096]byte
 
-	readExtent := func(rn int, off int64, dst []byte) error {
-		rc, err := srcs[rn].OpenRange(off, int64(len(dst)))
-		if err != nil {
-			return err
+func writeZeros(w io.Writer, n int64) (int64, error) {
+	var total int64
+	for total < n {
+		k, err := w.Write(zeros[:min(n-total, int64(len(zeros)))])
+		if total += int64(k); err != nil {
+			return total, err
 		}
-		_, err = io.ReadFull(rc, dst)
-		if cerr := rc.Close(); err == nil {
-			err = cerr
-		}
-		return err
 	}
-
-	for rm := 0; rm < world; rm++ {
-		lo, hi := pM.Range(rm)
-		meta := ckpt.ShardGroupMeta{Index: m.Index, Numel: numel, ShardLen: sM,
-			NoDecay: m.NoDecay, Layer: m.Layer}
-		buf := make([]byte, sM*12)
-
-		if sM == sN && rm < worldFrom {
-			// Identical extent: the shard is the source payload bit for bit.
-			if err := readExtent(rm, 0, buf); err != nil {
-				return groupOut{}, fmt.Errorf("reshard: group %d rank %d: read source shard: %w", m.Index, rm, err)
-			}
-			meta.CRC32 = srcs[rm].CRC32
-			out.carried++
-			out.rawIn += int64(len(buf))
-		} else if lo >= numel {
-			// Entirely past the data: an all-padding shard, synthesized.
-			meta.CRC32 = crc32.ChecksumIEEE(buf)
-			out.zeroed++
-			out.zeros += int64(len(buf))
-		} else {
-			dataHi := hi
-			if dataHi > numel {
-				dataHi = numel
-			}
-			for k := int64(0); k < 3; k++ {
-				secBase := k * sM * 4
-				for cur := lo; cur < dataHi; {
-					rn := cur / sN
-					segHi := (rn + 1) * sN
-					if segHi > dataHi {
-						segHi = dataHi
-					}
-					dst := buf[secBase+(cur-lo)*4 : secBase+(segHi-lo)*4]
-					if err := readExtent(int(rn), k*sN*4+(cur-rn*sN)*4, dst); err != nil {
-						return groupOut{}, fmt.Errorf("reshard: group %d rank %d: read extent from source rank %d: %w", m.Index, rm, rn, err)
-					}
-					out.rawIn += int64(len(dst))
-					cur = segHi
-				}
-				out.zeros += (hi - dataHi) * 4
-			}
-			meta.CRC32 = crc32.ChecksumIEEE(buf)
-			out.spliced++
-		}
-		out.metas[rm] = meta
-		out.data[rm] = buf
-	}
-	return out, nil
+	return total, nil
 }
 
-// decodeGroup is the reference fallback: read and decode every source
-// shard, gather the full group (which validates the source's padding is
-// zero), repartition with zero.ShardGroup, and re-encode. Bit-identical to
-// spliceGroup by construction; the property tests pin it.
-func decodeGroup(m ckpt.ShardGroupMeta, srcs []ckpt.GroupExtent, world int) (groupOut, error) {
-	worldFrom := len(srcs)
-	shards := make([]*zero.GroupShard, worldFrom)
-	for rn := 0; rn < worldFrom; rn++ {
-		sLen := srcs[rn].ShardLen
-		raw := make([]byte, sLen*12)
-		rc, err := srcs[rn].OpenRange(0, int64(len(raw)))
-		if err != nil {
-			return groupOut{}, fmt.Errorf("reshard: group %d: open source rank %d: %w", m.Index, rn, err)
-		}
-		_, err = io.ReadFull(rc, raw)
-		if cerr := rc.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return groupOut{}, fmt.Errorf("reshard: group %d: read source rank %d: %w", m.Index, rn, err)
-		}
-		if got := crc32.ChecksumIEEE(raw); got != srcs[rn].CRC32 {
-			return groupOut{}, fmt.Errorf("reshard: group %d: source rank %d payload CRC %08x, recorded %08x", m.Index, rn, got, srcs[rn].CRC32)
+// decodeGroup is the reference fallback: read every source shard whole
+// (checked against its digest or CRC) and decode it, gather the full group
+// (which validates the source's padding is zero) and repartition it with
+// zero.Reshard. Bit-identical to the splice by construction; the property
+// tests pin it.
+func decodeGroup(srcs []ckpt.GroupExtent, world int) ([]*zero.GroupShard, error) {
+	m := srcs[0].ShardGroupMeta
+	shards := make([]*zero.GroupShard, len(srcs))
+	for rn, e := range srcs {
+		var raw bytes.Buffer
+		raw.Grow(int(e.ShardLen * 12))
+		if err := e.Replay(&raw); err != nil {
+			return nil, fmt.Errorf("reshard: group %d: source rank %d: %w", m.Index, rn, err)
 		}
 		shards[rn] = &zero.GroupShard{
 			GroupIndex: m.Index, Rank: rn,
-			Master:   decodeSection(raw, 0, sLen),
-			ExpAvg:   decodeSection(raw, 1, sLen),
-			ExpAvgSq: decodeSection(raw, 2, sLen),
+			Master:   decodeSection(raw.Bytes(), 0, e.ShardLen),
+			ExpAvg:   decodeSection(raw.Bytes(), 1, e.ShardLen),
+			ExpAvgSq: decodeSection(raw.Bytes(), 2, e.ShardLen),
 		}
 	}
-	resharded, err := zero.Reshard(shards, m.Numel, world)
+	out, err := zero.Reshard(shards, m.Numel, world)
 	if err != nil {
-		return groupOut{}, fmt.Errorf("reshard: group %d: %w", m.Index, err)
-	}
-	out := groupOut{metas: make([]ckpt.ShardGroupMeta, world), data: make([][]byte, world)}
-	for rm, s := range resharded {
-		buf := make([]byte, s.Numel()*12)
-		pos := 0
-		for _, sec := range [][]float32{s.Master, s.ExpAvg, s.ExpAvgSq} {
-			for _, v := range sec {
-				binary.LittleEndian.PutUint32(buf[pos:], math.Float32bits(v))
-				pos += 4
-			}
-		}
-		out.metas[rm] = ckpt.ShardGroupMeta{Index: m.Index, Numel: m.Numel, ShardLen: s.Numel(),
-			NoDecay: m.NoDecay, Layer: m.Layer, CRC32: crc32.ChecksumIEEE(buf)}
-		out.data[rm] = buf
-		out.decIn += int64(len(buf))
-	}
-	for rn := 0; rn < worldFrom; rn++ {
-		out.decIn += srcs[rn].ShardLen * 12
+		return nil, fmt.Errorf("reshard: group %d: %w", m.Index, err)
 	}
 	return out, nil
 }
@@ -525,39 +430,4 @@ func decodeSection(raw []byte, section, shardLen int64) []float32 {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[base+int64(i)*4:]))
 	}
 	return out
-}
-
-// writeTrailer stages the config, trainer state and manifest. Config is
-// copied verbatim; the trainer state is rewritten with the target world
-// size (every other field survives untouched); the manifest drops the
-// dedup markers — the output stages as a plain checkpoint, and a dedup
-// publication (Options.Dedup) re-marks it before the commit.
-func writeTrailer(b storage.Backend, c *ckpt.Checkpoint, sb storage.Backend, staging string, world int) error {
-	cfgData, err := b.ReadFile(c.Dir + "/config.json")
-	if err != nil {
-		return fmt.Errorf("reshard: copy config: %w", err)
-	}
-	if err := sb.WriteFile(staging+"/config.json", cfgData); err != nil {
-		return err
-	}
-	st := c.State
-	st.WorldSize = world
-	if err := writeJSON(sb, staging+"/trainer_state.json", &st); err != nil {
-		return err
-	}
-	man := c.Manifest
-	man.Dedup = false
-	man.RefGen = 0
-	return writeJSON(sb, staging+"/manifest.json", &man)
-}
-
-// writeJSON matches ckpt's trailer encoding byte for byte (two-space
-// indent, trailing newline), which is what keeps a resharded checkpoint
-// identical to a native save at the target world size.
-func writeJSON(b storage.Backend, name string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("reshard: marshal %s: %w", name, err)
-	}
-	return b.WriteFile(name, append(data, '\n'))
 }

@@ -89,6 +89,9 @@ func (w *memWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// Grow reserves capacity for n further bytes (see Reserve).
+func (w *memWriter) Grow(n int64) { w.data = grow(w.data, n) }
+
 func (w *memWriter) Close() error {
 	if w.closed {
 		return nil
@@ -129,9 +132,9 @@ func (b *Mem) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
 	return memRange{bytes.NewReader(data[off : off+n])}, nil
 }
 
-// memRange is an OpenRange reader that keeps bytes.Reader's Len and
-// WriteTo visible (io.NopCloser would hide Len), letting splice sinks
-// take the payload in one wide write instead of chunked double-buffering.
+// memRange is an OpenRange reader that keeps bytes.Reader's WriteTo
+// visible (io.NopCloser would hide it), letting io.Copy hand a replayed
+// payload over in one wide write instead of chunked double-buffering.
 type memRange struct{ *bytes.Reader }
 
 func (memRange) Close() error { return nil }

@@ -68,19 +68,14 @@ type Spool interface {
 	Discard() error
 }
 
-// spoolGrower is optionally implemented by spools that can reserve
-// capacity ahead of the writes that fill it.
-type spoolGrower interface {
-	Grow(n int64)
-}
-
-// GrowSpool reserves capacity for n further bytes when the spool supports
-// it. Advisory: file-backed spools ignore it, and writes beyond the
-// reservation still succeed. Writers that know a payload's total size
-// upfront use this to replace repeated grow-and-move reallocation with a
-// single exact allocation.
-func GrowSpool(s Spool, n int64) {
-	if g, ok := s.(spoolGrower); ok && n > 0 {
+// Reserve reserves capacity for n further bytes when the writer — a spool,
+// or a stream from Create — holds what it is given in memory. Advisory:
+// file-backed writers ignore it, and writes beyond the reservation still
+// succeed. Writers that know a payload's total size upfront use this to
+// replace repeated grow-and-move reallocation with a single exact
+// allocation.
+func Reserve(w io.Writer, n int64) {
+	if g, ok := w.(interface{ Grow(n int64) }); ok && n > 0 {
 		g.Grow(n)
 	}
 }
@@ -113,13 +108,17 @@ func (s *memSpool) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Grow reserves capacity for n further bytes (see GrowSpool).
-func (s *memSpool) Grow(n int64) {
-	if need := int64(len(s.data)) + n; need > int64(cap(s.data)) {
-		nd := make([]byte, len(s.data), need)
-		copy(nd, s.data)
-		s.data = nd
+// Grow reserves capacity for n further bytes (see Reserve).
+func (s *memSpool) Grow(n int64) { s.data = grow(s.data, n) }
+
+// grow returns data with room for n further bytes.
+func grow(data []byte, n int64) []byte {
+	if need := int64(len(data)) + n; need > int64(cap(data)) {
+		nd := make([]byte, len(data), need)
+		copy(nd, data)
+		return nd
 	}
+	return data
 }
 
 func (s *memSpool) Len() int64     { return int64(len(s.data)) }

@@ -3,6 +3,7 @@ package tailor
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"llmtailor/internal/ckpt"
 	"llmtailor/internal/modelcfg"
@@ -15,63 +16,48 @@ import (
 // reproduce MergeKit's model-soup style merging: weights only — the output
 // carries no optimizer shards and therefore cannot resume training, the
 // exact limitation the paper's §3 identifies and passthrough+tailor removes.
-// Like the passthrough weights path, blending runs through streamWeights:
-// per-tensor blend jobs fan out over Options.Workers and a single ordered
-// consumer streams the results into the output container.
-func mergeBlend(b storage.Backend, r *recipe.Recipe, opts Options, stats *Stats) error {
+// Every output tensor is computed: the write stage blends Options.Workers
+// tensors side by side and streams them into the output in order.
+func mergeBlend(b storage.Backend, r *recipe.Recipe, opts Options) (*Stats, error) {
+	start := time.Now()
 	sources := make([]*ckpt.Checkpoint, len(r.Models))
 	for i, m := range r.Models {
 		c, err := ckpt.Open(b, m.Checkpoint)
 		if err != nil {
-			return fmt.Errorf("tailor: open blend source %s: %w", m.Checkpoint, err)
+			return nil, fmt.Errorf("tailor: open blend source %s: %w", m.Checkpoint, err)
 		}
 		if !c.Manifest.Complete {
-			return fmt.Errorf("tailor: blend source %s is a partial checkpoint", m.Checkpoint)
+			return nil, fmt.Errorf("tailor: blend source %s is a partial checkpoint", m.Checkpoint)
 		}
 		sources[i] = c
 	}
-	stats.CheckpointsUsed = len(sources)
+	stats := &Stats{CheckpointsUsed: len(sources)}
 	cfg := sources[0].Config
 	for i := 1; i < len(sources); i++ {
 		if err := sameArch(cfg, sources[i].Config); err != nil {
-			return fmt.Errorf("tailor: blend source %s: %w", r.Models[i].Checkpoint, err)
+			return nil, fmt.Errorf("tailor: blend source %s: %w", r.Models[i].Checkpoint, err)
 		}
 	}
-
-	outDType := tensor.BF16
-	if r.DType != "" {
-		d, err := tensor.ParseDType(r.DType)
-		if err != nil {
-			return err
-		}
-		outDType = d
-	}
-
-	// Blend outputs publish under the same commit protocol as passthrough
-	// merges: stage, seal with a COMMITTED marker, rename atomically.
-	txn, err := ckpt.Begin(b, r.Output)
+	outDType, err := outputDType(r.DType)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer txn.Abort()
-	out, outDir := txn.Backend(), txn.Dir()
 
-	type done struct {
-		t        *tensor.Tensor
-		srcBytes int64
-	}
+	out := ckpt.NewOutput(cfg.Name)
 	weights := r.NormalizedWeights()
-	err = streamWeights(out, outDir, cfg, opts, stats,
-		func(spec modelcfg.TensorSpec) int64 { return blendCost(sources, spec, outDType) },
-		func(spec modelcfg.TensorSpec) (done, error) {
+	for _, spec := range cfg.Tensors() {
+		for _, src := range sources {
+			n, _ := src.Weights().PayloadSize(spec.Name)
+			stats.BytesRead += n
+		}
+		stats.TensorsRead += len(sources)
+		out.ComputeTensor(spec.Name, outDType, spec.Shape, blendCost(sources, spec, outDType), func() (*tensor.Tensor, error) {
 			inputs := make([][]float32, len(sources))
-			var srcBytes int64
 			for i, src := range sources {
 				t, err := src.Weights().ReadTensor(spec.Name)
 				if err != nil {
-					return done{}, fmt.Errorf("tailor: blend read %s from %s: %w", spec.Name, r.Models[i].Checkpoint, err)
+					return nil, fmt.Errorf("tailor: blend read %s from %s: %w", spec.Name, r.Models[i].Checkpoint, err)
 				}
-				srcBytes += t.Bytes()
 				inputs[i] = t.Float32s()
 			}
 			var blended []float32
@@ -80,20 +66,10 @@ func mergeBlend(b storage.Backend, r *recipe.Recipe, opts Options, stats *Stats)
 			} else {
 				blended = slerpBlend(inputs[0], inputs[1], r.T)
 			}
-			out := tensor.New(spec.Name, outDType, spec.Shape...)
-			out.CopyFromF32(blended)
-			return done{out, srcBytes}, nil
-		},
-		func(w *ckpt.LTSFWriter, d done) error {
-			if err := w.WriteTensor(d.t); err != nil {
-				return err
-			}
-			stats.TensorsRead += len(sources)
-			stats.BytesRead += d.srcBytes
-			return nil
+			t := tensor.New(spec.Name, outDType, spec.Shape...)
+			t.CopyFromF32(blended)
+			return t, nil
 		})
-	if err != nil {
-		return err
 	}
 
 	// Configs from the first model (or configs_from); weights-only manifest.
@@ -101,29 +77,17 @@ func mergeBlend(b storage.Backend, r *recipe.Recipe, opts Options, stats *Stats)
 	if cfgSrc == "" {
 		cfgSrc = r.Models[0].Checkpoint
 	}
-	for _, f := range []string{"config.json", "trainer_state.json"} {
-		data, err := b.ReadFile(cfgSrc + "/" + f)
-		if err != nil {
-			return fmt.Errorf("tailor: blend copy %s: %w", f, err)
-		}
-		if err := out.WriteFile(outDir+"/"+f, data); err != nil {
-			return err
-		}
-	}
 	man := ckpt.Manifest{
 		Step:     maxStep(sources),
 		Strategy: r.MergeMethod + "-merge-weights-only",
 		Complete: true,
 	}
-	for _, ref := range cfg.AllLayers() {
-		man.Layers = append(man.Layers, ref.String())
-	}
-	if err := writeManifest(out, outDir+"/manifest.json", &man); err != nil {
-		return err
-	}
 	// A weights-only output cannot resume training, so latest stays put.
-	stats.DedupifyReport, err = txn.Publish(man.Step, false, opts.DedupOutput)
-	return err
+	if err := commit(b, out, cfg, r.Output, cfgSrc, man, false, opts, stats); err != nil {
+		return nil, err
+	}
+	stats.WallTime = time.Since(start)
+	return stats, nil
 }
 
 // blendCost estimates a blend job's in-flight bytes: every source tensor is

@@ -77,8 +77,8 @@ func TestCrashPointExplorationDedupBlend(t *testing.T) {
 	}, true)
 }
 
-// The raw-copy fast path (tensor extents plus whole shard files, armed by a
-// single-source recipe) runs the same crash exploration: every fault point
+// The by-reference path (tensor extents plus every optimizer group, armed by
+// a single-source recipe) runs the same crash exploration: every fault point
 // of the zero-decode merge must still land on previous-or-new-never-hybrid.
 func TestCrashPointExplorationRawPassthroughMerge(t *testing.T) {
 	cfg := modelcfg.Tiny()
@@ -91,7 +91,7 @@ func TestCrashPointExplorationRawPassthroughMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TensorsRawCopied == 0 || stats.ShardsRawCopied == 0 {
+	if stats.TensorsRawCopied == 0 || stats.ShardFileLoads != 0 {
 		t.Fatalf("recipe does not arm the raw paths: %+v", stats)
 	}
 

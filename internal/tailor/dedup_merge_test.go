@@ -15,36 +15,6 @@ import (
 	"llmtailor/internal/tensor"
 )
 
-// publishDedup replaces the committed plain checkpoint at dir with its
-// content-addressed form the way a merge makes a dedup output: a copy staged in
-// a transaction on dir, published with dedup on.
-func publishDedup(t *testing.T, b storage.Backend, dir string) {
-	t.Helper()
-	m, err := ckpt.ReadCommitMarker(b, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := map[string][]byte{}
-	for name := range m.Files {
-		if files[name], err = b.ReadFile(dir + "/" + name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	txn, err := ckpt.Begin(b, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer txn.Abort()
-	for name, data := range files {
-		if err := txn.Backend().WriteFile(txn.Dir()+"/"+name, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := txn.Publish(m.Step, false, true); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMergeFromDedupSources pins byte identity: the same parity recipe
 // executed over plain sources and over dedup-converted sources produces
 // identical output containers.
@@ -53,10 +23,7 @@ func TestMergeFromDedupSources(t *testing.T) {
 	plain := storage.NewMem()
 	newRun(t, plain, cfg, 2, []int{5, 10}, nil)
 	dedup := storage.NewMem()
-	newRun(t, dedup, cfg, 2, []int{5, 10}, nil)
-	for _, dir := range []string{"run/checkpoint-5", "run/checkpoint-10"} {
-		publishDedup(t, dedup, dir)
-	}
+	newDedupRun(t, dedup, cfg, 2, []int{5, 10})
 
 	mk := func() *recipe.Recipe {
 		return recipe.Parity("run/checkpoint-5", "run/checkpoint-10", cfg, "run/merged")

@@ -1,6 +1,8 @@
 package tailor
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"testing"
 
 	"llmtailor/internal/ckpt"
@@ -10,9 +12,8 @@ import (
 	"llmtailor/internal/tensor"
 )
 
-// singleSourceRecipe routes every layer to one checkpoint — the whole-rank
-// passthrough shape that arms both raw fast paths (tensor extents and
-// shard-file copies).
+// singleSourceRecipe routes every layer to one checkpoint — the whole
+// passthrough shape that takes tensors and optimizer groups by reference.
 func singleSourceRecipe(src, out string) *recipe.Recipe {
 	return &recipe.Recipe{
 		MergeMethod: "passthrough",
@@ -24,8 +25,8 @@ func singleSourceRecipe(src, out string) *recipe.Recipe {
 
 // The acceptance property of the zero-decode fast path: raw-copy and decode
 // merges produce byte-identical output containers, for every worker count,
-// on both a single-source (shard raw copy armed) and a two-source parity
-// (tensor raw copy only) recipe.
+// on both a single-source (groups by reference too) and a two-source parity
+// (tensors by reference only) recipe.
 func TestRawCopyByteIdenticalToDecodeAcrossWorkers(t *testing.T) {
 	b := storage.NewMem()
 	cfg := modelcfg.Tiny()
@@ -48,7 +49,7 @@ func TestRawCopyByteIdenticalToDecodeAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if refStats.TensorsRawCopied != 0 || refStats.ShardsRawCopied != 0 || refStats.BytesRawCopied != 0 {
+			if refStats.TensorsRawCopied != 0 || refStats.BytesRawCopied != 0 {
 				t.Fatalf("NoRawCopy merge still raw-copied: %+v", refStats)
 			}
 
@@ -61,14 +62,11 @@ func TestRawCopyByteIdenticalToDecodeAcrossWorkers(t *testing.T) {
 				if stats.TensorsRawCopied != len(cfg.Tensors()) {
 					t.Fatalf("workers=%d: %d of %d tensors raw-copied", workers, stats.TensorsRawCopied, len(cfg.Tensors()))
 				}
-				if name == "single-source" && stats.ShardsRawCopied != 2 {
-					t.Fatalf("workers=%d: %d shard files raw-copied, want 2", workers, stats.ShardsRawCopied)
-				}
-				if name == "parity" && stats.ShardsRawCopied != 0 {
-					t.Fatalf("workers=%d: parity merge raw-copied whole shards from two sources", workers)
+				if name == "parity" && stats.ShardFileLoads == 0 {
+					t.Fatalf("workers=%d: parity merge took groups from two plain sources by reference", workers)
 				}
 				if name == "single-source" && stats.ShardFileLoads != 0 {
-					t.Fatalf("workers=%d: raw shard copy still decoded %d shard files", workers, stats.ShardFileLoads)
+					t.Fatalf("workers=%d: groups by reference still decoded %d shard files", workers, stats.ShardFileLoads)
 				}
 				if stats.BytesRawCopied <= 0 {
 					t.Fatalf("workers=%d: BytesRawCopied not tracked", workers)
@@ -115,8 +113,9 @@ func TestRawCopyFallsBackOnDTypeConversion(t *testing.T) {
 	}
 }
 
-// A multi-source merge must not whole-file-copy optimizer shards, and a
-// partial source must not arm the fast path even when it is the only one.
+// A multi-source merge of plain sources must not take groups by reference
+// (Table 7 loads shard files), the one source of a whole passthrough does,
+// and NoRawCopy disarms it.
 func TestRawShardCopyDetection(t *testing.T) {
 	cfg := modelcfg.Tiny()
 
@@ -126,67 +125,102 @@ func TestRawShardCopyDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src, ok := rawShardSource(plan, Options{}); ok {
-		t.Fatalf("two-source parity plan armed raw shard copy from %q", src)
+	for src := range plan.Sources {
+		if byReference(plan, Options{}, src) {
+			t.Fatalf("two-source parity plan takes %q's groups by reference", src)
+		}
 	}
 
 	plan, err = NewPlan(b, singleSourceRecipe("run/checkpoint-10", "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src, ok := rawShardSource(plan, Options{}); !ok || src != "run/checkpoint-10" {
-		t.Fatalf("single-source plan did not arm raw shard copy (src=%q ok=%v)", src, ok)
+	if !byReference(plan, Options{}, "run/checkpoint-10") {
+		t.Fatal("single-source plan does not take groups by reference")
 	}
-	if _, ok := rawShardSource(plan, Options{NoRawCopy: true}); ok {
-		t.Fatal("NoRawCopy did not disarm raw shard copy")
+	if byReference(plan, Options{NoRawCopy: true}, "run/checkpoint-10") {
+		t.Fatal("NoRawCopy did not disarm groups by reference")
 	}
 }
 
-// Every header inconsistency the decode path would reject must disarm the
-// whole-file copy — a shard the group decode refuses to load can never be
-// published verbatim by the fast path.
+// A corrupt shard header never reaches an output by reference: every
+// inconsistency the decode path rejects fails the by-reference path too, one
+// the by-reference path accepts yields exactly the decode path's bytes, and a
+// failed merge publishes nothing.
 func TestShardCopyableRejectsInconsistentHeaders(t *testing.T) {
-	b := storage.NewMem()
 	cfg := modelcfg.Tiny()
-	newRun(t, b, cfg, 2, []int{5, 10}, nil)
-	plan, err := NewPlan(b, singleSourceRecipe("run/checkpoint-10", "out"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := func() *ckpt.ShardHeader {
-		h, err := ckpt.ReadShardHeader(b, "run/checkpoint-10/"+ckpt.ShardFileName(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	if !shardCopyable(read(), plan, 0) {
-		t.Fatal("pristine source shard not copyable")
-	}
-
-	corruptions := map[string]func(h *ckpt.ShardHeader){
-		"wrong rank":        func(h *ckpt.ShardHeader) { h.Rank = 1 },
-		"wrong world size":  func(h *ckpt.ShardHeader) { h.WorldSize = 4 },
-		"missing group":     func(h *ckpt.ShardHeader) { h.Groups = h.Groups[:len(h.Groups)-1] },
-		"reordered groups":  func(h *ckpt.ShardHeader) { h.Groups[0].Index, h.Groups[1].Index = 1, 0 },
-		"wrong numel":       func(h *ckpt.ShardHeader) { h.Groups[2].Numel++ },
-		"payload gap":       func(h *ckpt.ShardHeader) { h.Groups[1].Offsets[0]++ },
-		"short payload":     func(h *ckpt.ShardHeader) { h.PayloadBytes++ },
-		"corrupt shard len": func(h *ckpt.ShardHeader) { h.Groups[0].ShardLen++ },
-		"negative shard len": func(h *ckpt.ShardHeader) {
+	corruptions := map[string]func(h *shardHeader){
+		"wrong rank":        func(h *shardHeader) { h.Rank = 1 },
+		"wrong world size":  func(h *shardHeader) { h.WorldSize = 4 },
+		"missing group":     func(h *shardHeader) { h.Groups = h.Groups[:len(h.Groups)-1] },
+		"reordered groups":  func(h *shardHeader) { h.Groups[0].Index, h.Groups[1].Index = 1, 0 },
+		"wrong numel":       func(h *shardHeader) { h.Groups[2].Numel++ },
+		"corrupt shard len": func(h *shardHeader) { h.Groups[0].ShardLen++ },
+		"negative shard len": func(h *shardHeader) {
 			h.Groups[0].ShardLen = -h.Groups[0].ShardLen
 		},
-		"wrapping shard len": func(h *ckpt.ShardHeader) {
+		"wrapping shard len": func(h *shardHeader) {
 			// Chosen so ShardLen*12 wraps int64 back to a small value.
 			h.Groups[0].ShardLen = (1<<63)/6 + h.Groups[0].ShardLen
 		},
 	}
 	for name, corrupt := range corruptions {
-		h := read()
-		corrupt(h)
-		if shardCopyable(h, plan, 0) {
-			t.Errorf("%s: still copyable", name)
+		b := storage.NewMem()
+		newRun(t, b, cfg, 2, []int{5, 10}, nil)
+		rewriteShardHeader(t, b, "run/checkpoint-10/"+ckpt.ShardFileName(0), corrupt)
+		_, decodeErr := Merge(b, singleSourceRecipe("run/checkpoint-10", "decoded"), Options{NoRawCopy: true})
+		_, refErr := Merge(b, singleSourceRecipe("run/checkpoint-10", "out"), Options{})
+		switch {
+		case decodeErr != nil && refErr == nil:
+			t.Errorf("%s: taken by reference where the decode path refuses it (%v)", name, decodeErr)
+		case refErr == nil:
+			for _, f := range []string{"model.ltsf", ckpt.ShardFileName(0), ckpt.ShardFileName(1)} {
+				want, _ := b.ReadFile("decoded/" + f)
+				got, _ := b.ReadFile("out/" + f)
+				if string(want) != string(got) {
+					t.Errorf("%s: %s differs from the decode path's", name, f)
+				}
+			}
 		}
+		for dir, err := range map[string]error{"decoded": decodeErr, "out": refErr} {
+			if err != nil && b.Exists(dir) {
+				t.Errorf("%s: a failed merge published %s", name, dir)
+			}
+		}
+	}
+}
+
+// shardHeader is an LTOS file's JSON header, as its codec writes it.
+type shardHeader struct {
+	Version   int                   `json:"version"`
+	Rank      int                   `json:"rank"`
+	WorldSize int                   `json:"world_size"`
+	Step      int                   `json:"step"`
+	Layout    string                `json:"layout"`
+	Groups    []ckpt.ShardGroupMeta `json:"groups"`
+}
+
+// rewriteShardHeader rewrites the JSON header of the LTOS file at name in
+// place (magic, little-endian header length, header, payload).
+func rewriteShardHeader(t *testing.T, b storage.Backend, name string, edit func(h *shardHeader)) {
+	t.Helper()
+	data, err := b.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hlen := binary.LittleEndian.Uint64(data[4:12])
+	var h shardHeader
+	if err := json.Unmarshal(data[12:12+hlen], &h); err != nil {
+		t.Fatal(err)
+	}
+	edit(&h)
+	hj, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append(binary.LittleEndian.AppendUint64(append([]byte(nil), data[:4]...), uint64(len(hj))), hj...)
+	if err := b.WriteFile(name, append(out, data[12+hlen:]...)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -242,7 +276,7 @@ func TestRawMergeUnderShortReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TensorsRawCopied == 0 || stats.ShardsRawCopied == 0 {
+	if stats.TensorsRawCopied == 0 || stats.ShardFileLoads != 0 {
 		t.Fatalf("short-read merge left the raw path: %+v", stats)
 	}
 	if got := mergeTreeDigest(t, b, "merged"); got != want {

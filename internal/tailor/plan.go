@@ -3,18 +3,21 @@
 // — weights *and* optimizer state — from multiple source checkpoints
 // according to a YAML recipe (§4).
 //
-// The merge proceeds in four phases mirroring §4.1–§4.4:
+// The merge proceeds in four phases mirroring §4.1–§4.4, the last three
+// as feeders of ckpt's write stage (ckpt.Output), which writes the output:
 //
 //  1. Plan: open every source checkpoint, verify architectural
 //     compatibility, world sizes, layerwise optimizer layouts and layer
 //     availability (via partial manifests).
-//  2. Weights: lazily read each tensor from its assigned source (LTSF
-//     offset reads) and write one consolidated output weights file.
-//  3. Optimizer: for every rank, load source shard files (whole-file reads
-//     — optimizer state cannot be lazily loaded), copy each layer's groups
-//     by their fixed layout indices, and write the rank's output shard.
-//     Ranks are processed by a bounded worker pool (the Go analogue of the
-//     paper's ProcessPoolExecutor).
+//  2. Weights: each tensor from its assigned source — by reference (LTSF
+//     extent or blob, replayed through its check), or read lazily and
+//     converted — into one consolidated output weights file.
+//  3. Optimizer: for every rank, each layer's groups by their fixed layout
+//     indices — by reference from a content-addressed source or a whole
+//     passthrough's one source, otherwise from source shard files loaded
+//     whole (optimizer state cannot be lazily loaded). Ranks are written by
+//     a bounded worker pool (the Go analogue of the paper's
+//     ProcessPoolExecutor).
 //  4. Configs: copy config.json/trainer_state.json from the designated
 //     source and emit a complete manifest.
 package tailor

@@ -58,20 +58,22 @@ type (
 	// Recipe is a parsed YAML merge recipe.
 	Recipe = recipe.Recipe
 	// MergeOptions tunes a merge run. Workers sets both the tensor-read
-	// fan-out of the streaming weights pipeline and the rank-level
-	// parallelism of optimizer merging; LoadOrder selects shard-file
-	// loading behaviour; MaxInFlight bounds the payload bytes admitted
-	// into the weights pipeline but not yet written (0 = unbounded), so a
+	// fan-out of the output's weights read-ahead and how many output ranks
+	// are written (and their shard files loaded) side by side; LoadOrder
+	// selects shard-file loading behaviour; MaxInFlight bounds the weight
+	// payload bytes read ahead but not yet written (0 = unbounded), so a
 	// merge of an arbitrarily large model runs in bounded memory;
-	// ChunkBytes sets the streaming I/O chunk size; and NoRawCopy forces
-	// the decode path where the zero-decode raw-copy fast path would
-	// otherwise splice passthrough payloads verbatim (identical output
-	// bytes either way).
+	// ChunkBytes sets the streaming I/O chunk size; NoRawCopy forces the
+	// decode path where payloads would otherwise be taken by reference —
+	// replayed verbatim through their check (identical output bytes either
+	// way); and DedupOutput writes the output content-addressed, a payload
+	// taken from a content-addressed source in the same store moving no
+	// bytes at all.
 	MergeOptions = tailor.Options
 	// MergeStats reports a merge's I/O behaviour, including BytesRead /
 	// BytesWritten volumes, PeakInFlightBytes (the high-water mark the
-	// MergeOptions.MaxInFlight knob bounds) and the raw fast-path counters
-	// TensorsRawCopied / ShardsRawCopied / BytesRawCopied.
+	// MergeOptions.MaxInFlight knob bounds), the by-reference counters
+	// TensorsRawCopied / BytesRawCopied, and a dedup output's blob counters.
 	MergeStats = tailor.Stats
 	// Plan is a validated merge plan (dry-run inspectable).
 	Plan = tailor.Plan
@@ -212,8 +214,9 @@ func NewTrainer(cfg TrainerConfig, b Backend) (*Trainer, error) { return train.N
 // RestoreModelDType is the dtype used when restoring checkpoints.
 var RestoreModelDType = tensor.BF16
 
-// ReshardOptions tunes a checkpoint reshard: Workers sets group-level
-// parallelism, MaxInFlight bounds in-flight payload bytes, NoRawCopy
+// ReshardOptions tunes a checkpoint reshard: Workers sets how many target
+// ranks are written side by side, MaxInFlight bounds the weight payload
+// bytes read ahead, NoRawCopy
 // forces the gather→repartition decode path where the extent-splice fast
 // path would otherwise move aligned bytes without decoding (identical
 // output either way), Dedup publishes the output content-addressed, and
