@@ -144,8 +144,10 @@ func (w *shardFileWriter) appendPayload(m ShardGroupMeta, size int64, hasCRC boo
 	if err := w.writable(); err != nil {
 		return err
 	}
-	if err := w.checkSize(m, size); err != nil {
-		return err
+	// Division-checked geometry: size is a caller claim, so 12×ShardLen
+	// must never be formed directly (int64 wrap).
+	if m.ShardLen < 0 || size < 0 || size%12 != 0 || m.ShardLen != size/12 {
+		return fmt.Errorf("ckpt: %s: group %d payload %d bytes, want 12×%d", w.name, m.Index, size, m.ShardLen)
 	}
 	m.Offsets = [2]int64{w.off, w.off + size}
 	var err error
@@ -156,54 +158,8 @@ func (w *shardFileWriter) appendPayload(m ShardGroupMeta, size int64, hasCRC boo
 	return nil
 }
 
-// checkSize holds a group's payload size to its geometry. Division-checked:
-// size is a caller claim, so 12×ShardLen must never be formed directly
-// (int64 wrap).
-func (w *shardFileWriter) checkSize(m ShardGroupMeta, size int64) error {
-	if m.ShardLen < 0 || size < 0 || size%12 != 0 || m.ShardLen != size/12 {
-		return fmt.Errorf("ckpt: %s: group %d payload %d bytes, want 12×%d", w.name, m.Index, size, m.ShardLen)
-	}
-	return nil
-}
-
 // Close writes the final container and releases the scratch space.
-func (w *shardFileWriter) Close() error { return w.finish(w.hdr, nil) }
-
-// writeKnown writes the whole file from groups that all carry their CRC
-// (payloads taken by reference): the header is known before the first
-// payload byte, so each payload streams straight into the file — replayed
-// through its check — with no spool. The bytes are the spooled path's.
-func (w *shardFileWriter) writeKnown(groups []groupPayload) error {
-	if err := w.writable(); err != nil {
-		return err
-	}
-	for i := range groups {
-		g := &groups[i]
-		m := g.meta
-		m.ShardLen, m.CRC32 = g.size/12, g.crc
-		if err := w.checkSize(m, g.size); err != nil {
-			return err
-		}
-		m.Offsets = [2]int64{w.off, w.off + g.size}
-		w.off += g.size
-		w.hdr.Groups = append(w.hdr.Groups, m)
-	}
-	return w.finish(w.hdr, func(out io.Writer) (int64, error) {
-		var total int64
-		for i := range groups {
-			g := &groups[i]
-			n, err := g.write(out)
-			if total += n; err == nil && n != g.size {
-				err = fmt.Errorf("source delivered %d of %d bytes", n, g.size)
-			}
-			if err != nil {
-				return total, fmt.Errorf("group %d: %w", g.meta.Index, err)
-			}
-			g.consumed()
-		}
-		return total, nil
-	})
-}
+func (w *shardFileWriter) Close() error { return w.finish(w.hdr) }
 
 // writeF32s streams a float32 slice little-endian through buf-sized chunks.
 func writeF32s(w io.Writer, buf []byte, src []float32) (int64, error) {

@@ -149,11 +149,8 @@ func (w *containerWriter) fail(err error) error {
 }
 
 // finish writes the final container with the given header and releases the
-// scratch space. payload, when set, writes the payload section in place of
-// the spool: a header known before the first payload byte lets the payloads
-// stream straight into the file. Idempotent; returns the sticky error if the
-// writer failed.
-func (w *containerWriter) finish(hdr any, payload func(io.Writer) (int64, error)) error {
+// scratch space. Idempotent; returns the sticky error if the writer failed.
+func (w *containerWriter) finish(hdr any) error {
 	if w.err != nil {
 		w.Abort()
 		return w.err
@@ -162,21 +159,9 @@ func (w *containerWriter) finish(hdr any, payload func(io.Writer) (int64, error)
 		return nil
 	}
 	w.done = true
-	spool := w.spool
-	w.spool = nil
-	if payload != nil {
-		spool.Discard()
-	} else {
-		pr, err := spool.Reader()
-		if err != nil {
-			spool.Discard()
-			return fmt.Errorf("ckpt: %s: read spool: %w", w.name, err)
-		}
-		defer pr.Close()
-		payload = func(out io.Writer) (int64, error) { return io.CopyBuffer(out, pr, w.buf) }
-	}
-	n, err := writeContainer(w.b, w.name, w.magic, hdr, w.off, payload)
+	n, err := writeContainerStream(w.b, w.name, w.magic, hdr, w.spool, w.buf)
 	w.wrote = n
+	w.spool = nil
 	return err
 }
 
@@ -268,21 +253,27 @@ func (w *ltsfWriter) appendPayload(rt RawTensor, hasCRC bool, write func(io.Writ
 }
 
 // Close writes the final container and releases the scratch space.
-func (w *ltsfWriter) Close() error { return w.finish(w.hdr, nil) }
+func (w *ltsfWriter) Close() error { return w.finish(w.hdr) }
 
-// writeContainer streams magic + header length + JSON header + the payload
-// section of size bytes to the backend, returning the container's total
-// size.
-func writeContainer(b storage.Backend, name string, magic [4]byte, hdr any, size int64, payload func(io.Writer) (int64, error)) (int64, error) {
+// writeContainerStream streams magic + header length + JSON header + the
+// spooled payload to the backend, returning the container's total size.
+func writeContainerStream(b storage.Backend, name string, magic [4]byte, hdr any, spool storage.Spool, buf []byte) (int64, error) {
 	hj, err := json.Marshal(hdr)
 	if err != nil {
+		spool.Discard()
 		return 0, fmt.Errorf("ckpt: marshal header: %w", err)
 	}
+	pr, err := spool.Reader()
+	if err != nil {
+		spool.Discard()
+		return 0, fmt.Errorf("ckpt: %s: read spool: %w", name, err)
+	}
+	defer pr.Close()
 	out, err := b.Create(name)
 	if err != nil {
 		return 0, err
 	}
-	storage.Reserve(out, 12+int64(len(hj))+size)
+	storage.Reserve(out, 12+int64(len(hj))+spool.Len())
 	prefix := make([]byte, 0, 12)
 	prefix = append(prefix, magic[:]...)
 	prefix = binary.LittleEndian.AppendUint64(prefix, uint64(len(hj)))
@@ -295,7 +286,7 @@ func writeContainer(b storage.Backend, name string, magic [4]byte, hdr any, size
 			return total, fmt.Errorf("ckpt: write %s: %w", name, err)
 		}
 	}
-	n, err := payload(out)
+	n, err := io.CopyBuffer(out, pr, buf)
 	total += n
 	if err != nil {
 		out.Close()

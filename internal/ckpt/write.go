@@ -169,22 +169,83 @@ func (s *payloadSet) releaseAll() {
 // by streaming write through the hashes — no storage I/O beyond what write
 // reads — so the full digest set is known before anything is published. A
 // CRC the feeder already holds (a container header's) is verified against
-// the bytes instead of replaced.
-func (s *payloadSet) hashAll() error {
-	return s.each(func(p *payload, slot string, _ int) error {
-		if p.digest != "" {
-			return nil
+// the bytes instead of replaced. A save (zero workers) hashes in order and
+// encodes again to put. An output hashes ra.workers payloads side by side
+// and spools each one as it is hashed, so the put replays the spool: every
+// computed payload is computed once and every referenced one read once.
+// Spools are pooled memory up to hashSpoolBytes, temp files past it.
+func (s *payloadSet) hashAll(ra readAhead) error {
+	type job struct {
+		p    *payload
+		slot string
+	}
+	var jobs []job
+	s.each(func(p *payload, slot string, _ int) error {
+		if p.digest == "" {
+			jobs = append(jobs, job{p, slot})
 		}
-		digest, crc, err := hashStream(p.size, p.write)
-		if err != nil {
-			return fmt.Errorf("ckpt: hash %s: %w", slot, err)
-		}
-		if p.hasCRC && crc != p.crc {
-			return p.crcMismatch("", slot, crc)
-		}
-		p.digest, p.crc, p.hasCRC = digest, crc, true
 		return nil
 	})
+	var spool func(size int64) (storage.CaptureSpool, func(), error)
+	if ra.workers > 0 {
+		pool, gate := storage.NewBufferPool(), parallel.NewByteGate(hashSpoolBytes)
+		spool = func(size int64) (storage.CaptureSpool, func(), error) {
+			if gate.TryAcquire(size) {
+				sp := pool.PooledSpool(size)
+				return sp, func() { sp.Release(); gate.Release(size) }, nil
+			}
+			sp, err := pool.FileSpool()
+			if err != nil {
+				return nil, nil, err
+			}
+			return sp, func() { sp.Release() }, nil
+		}
+	}
+	var failed atomic.Bool
+	return parallel.ForEachFirst(max(1, ra.workers), len(jobs), func(i int) error {
+		if failed.Load() {
+			return nil
+		}
+		err := jobs[i].p.hash(jobs[i].slot, spool)
+		if err != nil {
+			failed.Store(true)
+		}
+		return err
+	})
+}
+
+// hash gives p its digest and CRC. With a spool, it spools the bytes as
+// they are hashed and replays the spool from then on.
+func (p *payload) hash(slot string, spool func(size int64) (storage.CaptureSpool, func(), error)) error {
+	write := p.write
+	var sp storage.CaptureSpool
+	var release func()
+	if spool != nil {
+		var err error
+		if sp, release, err = spool(p.size); err != nil {
+			return fmt.Errorf("ckpt: hash %s: %w", slot, err)
+		}
+		write = func(w io.Writer) (int64, error) { return p.write(io.MultiWriter(w, sp)) }
+	}
+	digest, crc, err := hashStream(p.size, write)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("ckpt: hash %s: %w", slot, err)
+	case p.hasCRC && crc != p.crc:
+		err = p.crcMismatch("", slot, crc)
+	}
+	if err != nil {
+		if release != nil {
+			release()
+		}
+		return err
+	}
+	if sp != nil {
+		p.consumed()
+		p.write, p.release = replay(sp.Open), release
+	}
+	p.digest, p.crc, p.hasCRC = digest, crc, true
+	return nil
 }
 
 // replay adapts a reopenable byte source (a capture spool, a committed
@@ -231,6 +292,9 @@ func openSaveStore(b storage.Backend, finalDir string) (*saveStore, error) {
 const (
 	publishBytes = 256 << 20
 	loadBytes    = 256 << 20
+	// hashSpoolBytes bounds the pooled memory an output's hash pass spools
+	// into; payloads past it spool to temp files.
+	hashSpoolBytes = 256 << 20
 )
 
 // publishBlobs journals the set's reference record, then publishes every blob
@@ -468,14 +532,8 @@ func (s *payloadSet) writeContainers(lw *ltsfWriter, rws []*shardFileWriter, ra 
 		rs, w := &s.ranks[i], rws[i]
 		err := func() error {
 			var total int64
-			known := true
 			for j := range rs.groups {
 				total += rs.groups[j].size
-				known = known && rs.groups[j].hasCRC
-			}
-			if known {
-				w.hdr.Step = rs.step
-				return w.writeKnown(rs.groups)
 			}
 			w.reserve(total)
 			for j := range rs.groups {
@@ -491,7 +549,9 @@ func (s *payloadSet) writeContainers(lw *ltsfWriter, rws []*shardFileWriter, ra 
 			w.hdr.Step = rs.step
 			return w.Close()
 		}()
-		failed.Store(err != nil)
+		if err != nil {
+			failed.Store(true)
+		}
 		return err
 	})
 	if err != nil {
@@ -631,7 +691,7 @@ func (ws writeStage) run(set *payloadSet, tr *Trailer) (peak, written int64, err
 		if view == nil {
 			view = set.knownBlobs(store.BlobStore)
 		}
-		if err = set.hashAll(); err == nil {
+		if err = set.hashAll(ws.ra); err == nil {
 			tr.Manifest.RefGen, err = set.publishBlobs(store, view, ws.dir, ws.step, ws.cplan)
 		}
 		if err == nil {
@@ -739,10 +799,10 @@ func (o *Output) Weights(w *Weights) int64 {
 	return total
 }
 
-// ComputeTensor adds a tensor the feeder computes: compute runs when the
-// output is written (more than once for a content-addressed output, which
-// hashes before it publishes) and must return a tensor of dt and shape.
-// cost is what computing it holds in flight.
+// ComputeTensor adds a tensor the feeder computes: compute runs once, when
+// the output is written (a content-addressed output spools it as it hashes
+// it), and must return a tensor of dt and shape. cost is what computing it
+// holds in flight.
 func (o *Output) ComputeTensor(name string, dt tensor.DType, shape []int, cost int64, compute func() (*tensor.Tensor, error)) {
 	numel := int64(1)
 	for _, d := range shape {
@@ -794,8 +854,7 @@ func (r OutputRank) Group(e GroupExtent) error {
 
 // ComputeGroup adds a group shard the feeder computes: meta names it (Index,
 // Numel, NoDecay, Layer) and sizes it (ShardLen), and write delivers its
-// 12×ShardLen payload bytes, when the output is written (more than once for
-// a content-addressed output).
+// 12×ShardLen payload bytes, once, when the output is written.
 func (r OutputRank) ComputeGroup(meta ShardGroupMeta, write func(io.Writer) (int64, error)) {
 	r.rs().groups = append(r.rs().groups, groupPayload{payload: payload{size: meta.ShardLen * 12, write: write}, meta: meta})
 }

@@ -24,7 +24,9 @@
 // target is stitched), or all padding. The write stage reads the weights
 // ahead under the Options.MaxInFlight byte gate and writes Options.Workers
 // target ranks' shard files side by side, each streaming its shards
-// straight into its container, so no target shard is ever held whole. The
+// straight into its container, so the bytes in flight are a few weight
+// payloads, never the full flat state; the NoRawCopy fallback holds one
+// decoded target shard per writing rank, under the same byte cap. The
 // source is read through ckpt's read stage (Checkpoint.OptimExtents), so
 // plain containers and content-addressed blobs under any codec are the same
 // input here, and the output commits like any checkpoint — Scan, Repair,
@@ -34,11 +36,9 @@
 package reshard
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -58,13 +58,13 @@ type Options struct {
 	// (default storage.DefaultChunkBytes).
 	ChunkBytes int
 	// MaxInFlight bounds the weight payload bytes read ahead and not yet
-	// written (target shards stream straight into their containers). 0
-	// means unbounded; Stats.PeakInFlightBytes reports the high-water mark
-	// either way.
+	// written, and the target shards held decoded under NoRawCopy (spliced
+	// shards stream straight into their containers). 0 means unbounded;
+	// Stats.PeakInFlightBytes reports the high-water mark either way.
 	MaxInFlight int64
-	// NoRawCopy disables the zero-decode extent-splice path, forcing every
-	// group through gather → repartition in decoded FP32 (a group decoded
-	// once is held until its last target shard is written). Output bytes are
+	// NoRawCopy disables the zero-decode extent-splice path: every target
+	// shard is gathered from the source extents in decoded FP32 and encoded
+	// again, one shard per writing rank held at a time. Output bytes are
 	// identical either way (the golden tests pin this); the knob exists for
 	// A/B benchmarking.
 	NoRawCopy bool
@@ -84,7 +84,7 @@ type Stats struct {
 	Groups int
 	// GroupsRawCopied counts groups whose every target shard was assembled
 	// by extent splicing — no FP32 decode anywhere. GroupsDecoded counts
-	// the gather → repartition fallback (NoRawCopy).
+	// the decode fallback (NoRawCopy).
 	GroupsRawCopied int
 	GroupsDecoded   int
 	// ShardsCarried counts target shards bit-identical to a source shard
@@ -105,7 +105,7 @@ type Stats struct {
 	BytesZeroFilled int64
 	// WeightBytes is the consolidated weights payload copied verbatim.
 	WeightBytes int64
-	// PeakInFlightBytes is the byte gate's high-water mark.
+	// PeakInFlightBytes is the MaxInFlight gates' high-water mark.
 	PeakInFlightBytes int64
 	// WallTime is the measured duration.
 	WallTime time.Duration
@@ -156,7 +156,8 @@ func Reshard(b storage.Backend, srcDir, dstDir string, world int, opts Options) 
 	// save at the target world size writes).
 	out := ckpt.NewOutput(c.Weights().Model())
 	stats.WeightBytes = out.Weights(c.Weights())
-	if err := repartition(out, layout, srcs, optimStep, world, opts, stats); err != nil {
+	gate := parallel.NewByteGate(opts.MaxInFlight)
+	if err := repartition(out, layout, srcs, optimStep, world, opts, gate, stats); err != nil {
 		return nil, err
 	}
 	// The trailer: config verbatim, the trainer state at the target world
@@ -176,7 +177,9 @@ func Reshard(b storage.Backend, srcDir, dstDir string, world int, opts Options) 
 		return nil, err
 	}
 	stats.DedupifyReport = rep.DedupifyReport
-	stats.PeakInFlightBytes = rep.PeakInFlightBytes
+	// A plain output writes the weights before its first shard is decoded,
+	// so the two gates never hold bytes at once.
+	stats.PeakInFlightBytes = max(rep.PeakInFlightBytes, gate.Peak())
 	stats.WallTime = time.Since(start)
 	return stats, nil
 }
@@ -264,15 +267,13 @@ func openGroupSources(c *ckpt.Checkpoint, layout *optim.Layout) ([][]ckpt.GroupE
 // repartition adds every target rank's shard of every group, rank by rank.
 // A shard whose partition coincides with its source's is the source payload,
 // by reference; one past the data is all padding; the rest are stitched
-// from source extents, each group's sources checked once, whole, before the
-// first is stitched. Under NoRawCopy every shard is computed by the decode
-// fallback instead, each group decoded once for its targets (held until the
-// last of them is written).
-func repartition(out *ckpt.Output, layout *optim.Layout, srcs [][]ckpt.GroupExtent, optimStep, world int, opts Options, stats *Stats) error {
+// from source extents — or, under NoRawCopy, every shard is decoded from
+// them to FP32 and encoded again, admitted under gate while it is held —
+// each group's sources checked once, whole, before the first is computed.
+func repartition(out *ckpt.Output, layout *optim.Layout, srcs [][]ckpt.GroupExtent, optimStep, world int, opts Options, gate *parallel.ByteGate, stats *Stats) error {
 	type plan struct {
-		pN, pM  zero.Partition
-		check   func() error
-		decoded *parallel.Lease[[]*zero.GroupShard]
+		pN, pM zero.Partition
+		check  func() error
 	}
 	plans := make([]plan, len(srcs))
 	for gi, src := range srcs {
@@ -285,21 +286,18 @@ func repartition(out *ckpt.Output, layout *optim.Layout, srcs [][]ckpt.GroupExte
 			return fmt.Errorf("reshard: group %d: %w", gi, err)
 		}
 		plans[gi].pN = pN
+		plans[gi].check = sync.OnceValue(func() error {
+			for _, e := range src {
+				if err := e.Replay(io.Discard); err != nil {
+					return fmt.Errorf("reshard: group %d: %w", e.Index, err)
+				}
+			}
+			return nil
+		})
 		if opts.NoRawCopy {
 			stats.GroupsDecoded++
-			stats.BytesDecoded += (int64(world)*plans[gi].pM.ShardLen() + int64(worldFrom)*pN.ShardLen()) * 12
-			plans[gi].decoded = &parallel.Lease[[]*zero.GroupShard]{Uses: world,
-				Load: func() ([]*zero.GroupShard, error) { return decodeGroup(src, world) }}
 		} else {
 			stats.GroupsRawCopied++
-			plans[gi].check = sync.OnceValue(func() error {
-				for _, e := range src {
-					if err := e.Replay(io.Discard); err != nil {
-						return fmt.Errorf("reshard: group %d: %w", e.Index, err)
-					}
-				}
-				return nil
-			})
 		}
 	}
 	for rm := 0; rm < world; rm++ {
@@ -313,14 +311,21 @@ func repartition(out *ckpt.Output, layout *optim.Layout, srcs [][]ckpt.GroupExte
 			dataHi := min(hi, m.Numel)
 			switch {
 			case opts.NoRawCopy:
+				// The decoded shard, plus one section's read buffer.
+				cost := sM * 16
 				r.ComputeGroup(meta, func(w io.Writer) (int64, error) {
-					shards, err := pl.decoded.Get()
+					if err := pl.check(); err != nil {
+						return 0, err
+					}
+					gate.Acquire(cost)
+					defer gate.Release(cost)
+					s, err := decodeShard(src, sN, lo, hi, dataHi, rm)
 					if err != nil {
 						return 0, err
 					}
-					defer pl.decoded.Done()
-					return ckpt.EncodeGroup(w, shards[rm])
+					return ckpt.EncodeGroup(w, s)
 				})
+				stats.BytesDecoded += (dataHi - lo + sM) * 12
 			case sM == sN && rm < len(src):
 				// Identical extent: the shard is the source payload bit for bit.
 				if err := r.Group(src[rm]); err != nil {
@@ -349,30 +354,44 @@ func repartition(out *ckpt.Output, layout *optim.Layout, srcs [][]ckpt.GroupExte
 	return nil
 }
 
-// spliceShard is the zero-decode path: one target shard's three sections —
-// elements [lo, hi) of the group, data up to dataHi — stitched from byte
-// extents of the source payloads (intersection of old and new
-// Partition.Range, always element-aligned because both partitions address
-// the same FP32 grid), with zeros for the target's pad tail. Source pad
-// bytes are never read — padding moves with the partition.
-func spliceShard(w io.Writer, srcs []ckpt.GroupExtent, sN, lo, hi, dataHi int64) (int64, error) {
-	var n int64
-	for k := int64(0); k < 3; k++ {
-		for cur := lo; cur < dataHi; {
-			rn := cur / sN
-			segHi := min((rn+1)*sN, dataHi)
-			rc, err := srcs[rn].OpenRange(k*sN*4+(cur-rn*sN)*4, (segHi-cur)*4)
-			if err != nil {
-				return n, fmt.Errorf("reshard: group %d: read extent from source rank %d: %w", srcs[rn].Index, rn, err)
-			}
-			c, err := io.Copy(w, rc)
+// readExtents walks the source byte ranges holding elements [lo, dataHi) of
+// one section (0 master, 1 exp_avg, 2 exp_avg_sq), in element order: the
+// intersections of the target range with the source extents, always
+// element-aligned because both partitions address the same FP32 grid. fn
+// gets each range's reader, first element and element count.
+func readExtents(srcs []ckpt.GroupExtent, sN, lo, dataHi, section int64, fn func(r io.Reader, at, n int64) error) error {
+	for cur := lo; cur < dataHi; {
+		rn := cur / sN
+		segHi := min((rn+1)*sN, dataHi)
+		rc, err := srcs[rn].OpenRange(section*sN*4+(cur-rn*sN)*4, (segHi-cur)*4)
+		if err == nil {
+			err = fn(rc, cur, segHi-cur)
 			if cerr := rc.Close(); err == nil {
 				err = cerr
 			}
-			if n += c; err != nil {
-				return n, fmt.Errorf("reshard: group %d: read extent from source rank %d: %w", srcs[rn].Index, rn, err)
-			}
-			cur = segHi
+		}
+		if err != nil {
+			return fmt.Errorf("reshard: group %d: read extent from source rank %d: %w", srcs[rn].Index, rn, err)
+		}
+		cur = segHi
+	}
+	return nil
+}
+
+// spliceShard is the zero-decode path: one target shard's three sections —
+// elements [lo, hi) of the group, data up to dataHi — stitched from byte
+// extents of the source payloads, with zeros for the target's pad tail.
+// Source pad bytes are never read — padding moves with the partition.
+func spliceShard(w io.Writer, srcs []ckpt.GroupExtent, sN, lo, hi, dataHi int64) (int64, error) {
+	var n int64
+	for k := int64(0); k < 3; k++ {
+		err := readExtents(srcs, sN, lo, dataHi, k, func(r io.Reader, _, _ int64) error {
+			c, err := io.Copy(w, r)
+			n += c
+			return err
+		})
+		if err != nil {
+			return n, err
 		}
 		c, err := writeZeros(w, (hi-dataHi)*4)
 		if n += c; err != nil {
@@ -395,39 +414,20 @@ func writeZeros(w io.Writer, n int64) (int64, error) {
 	return total, nil
 }
 
-// decodeGroup is the reference fallback: read every source shard whole
-// (checked against its digest or CRC) and decode it, gather the full group
-// (which validates the source's padding is zero) and repartition it with
-// zero.Reshard. Bit-identical to the splice by construction; the property
-// tests pin it.
-func decodeGroup(srcs []ckpt.GroupExtent, world int) ([]*zero.GroupShard, error) {
-	m := srcs[0].ShardGroupMeta
-	shards := make([]*zero.GroupShard, len(srcs))
-	for rn, e := range srcs {
-		var raw bytes.Buffer
-		raw.Grow(int(e.ShardLen * 12))
-		if err := e.Replay(&raw); err != nil {
-			return nil, fmt.Errorf("reshard: group %d: source rank %d: %w", m.Index, rn, err)
-		}
-		shards[rn] = &zero.GroupShard{
-			GroupIndex: m.Index, Rank: rn,
-			Master:   decodeSection(raw.Bytes(), 0, e.ShardLen),
-			ExpAvg:   decodeSection(raw.Bytes(), 1, e.ShardLen),
-			ExpAvgSq: decodeSection(raw.Bytes(), 2, e.ShardLen),
+// decodeShard is the decode fallback for target rank rm: the same extents
+// the splice stitches, decoded to FP32 and gathered into the target's
+// sections, its pad tail left zero. Bit-identical to the splice by
+// construction; TestReshardDecodeMatchesSplice pins it.
+func decodeShard(srcs []ckpt.GroupExtent, sN, lo, hi, dataHi int64, rm int) (*zero.GroupShard, error) {
+	s := &zero.GroupShard{GroupIndex: srcs[0].Index, Rank: rm}
+	for k, sec := range []*[]float32{&s.Master, &s.ExpAvg, &s.ExpAvgSq} {
+		*sec = make([]float32, hi-lo)
+		err := readExtents(srcs, sN, lo, dataHi, int64(k), func(r io.Reader, at, n int64) error {
+			return binary.Read(r, binary.LittleEndian, (*sec)[at-lo:at-lo+n])
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	out, err := zero.Reshard(shards, m.Numel, world)
-	if err != nil {
-		return nil, fmt.Errorf("reshard: group %d: %w", m.Index, err)
-	}
-	return out, nil
-}
-
-func decodeSection(raw []byte, section, shardLen int64) []float32 {
-	out := make([]float32, shardLen)
-	base := section * shardLen * 4
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[base+int64(i)*4:]))
-	}
-	return out
+	return s, nil
 }

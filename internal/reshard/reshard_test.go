@@ -14,6 +14,7 @@ import (
 	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
+	"llmtailor/internal/zero"
 )
 
 // buildOptim builds a tiny model and an optimizer with a few real steps of
@@ -162,6 +163,50 @@ func TestReshardDecodeMatchesSplice(t *testing.T) {
 		if treeDigest(t, b, "run/raw") != treeDigest(t, b, "run/decoded") {
 			t.Fatalf("%d→%d: splice and decode paths disagree", tc.from, tc.to)
 		}
+	}
+}
+
+// TestReshardDecodeInFlightCap holds the decode fallback to the byte cap:
+// each decoded target shard is admitted under Options.MaxInFlight and
+// counted in Stats.PeakInFlightBytes, so a 2→4 reshard, serial or four
+// ranks side by side, never holds more than the cap — nor every group's
+// decoded targets until the last rank is written.
+func TestReshardDecodeInFlightCap(t *testing.T) {
+	m, o := buildOptim(t, 45)
+	b := storage.NewMem()
+	saveAt(t, b, "run/checkpoint-10", m, o, 2, 10, false)
+	var maxWeight, maxShard int64
+	for _, ts := range m.Tensors() {
+		maxWeight = max(maxWeight, int64(ts.Bytes()))
+	}
+	for _, st := range o.States {
+		p, err := zero.NewPartition(st.Numel(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxShard = max(maxShard, p.ShardLen()*12)
+	}
+	// Room for any one payload (a decoded shard plus its read buffer), far
+	// less than the optimizer state.
+	limit := max(maxWeight, 2*maxShard)
+	for _, workers := range []int{1, 4} {
+		out := fmt.Sprintf("run/decoded-%d", workers)
+		stats, err := Reshard(b, "run/checkpoint-10", out, 4, Options{NoRawCopy: true, Workers: workers, MaxInFlight: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.PeakInFlightBytes > limit {
+			t.Errorf("workers %d: peak in flight %d B over the %d B cap", workers, stats.PeakInFlightBytes, limit)
+		}
+		if stats.PeakInFlightBytes < maxShard {
+			t.Errorf("workers %d: peak in flight %d B below the largest decoded shard (%d B): the decode is not counted", workers, stats.PeakInFlightBytes, maxShard)
+		}
+	}
+	if _, err := Reshard(b, "run/checkpoint-10", "run/raw", 4, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if treeDigest(t, b, "run/raw") != treeDigest(t, b, "run/decoded-1") || treeDigest(t, b, "run/raw") != treeDigest(t, b, "run/decoded-4") {
+		t.Fatal("capped decode output differs from the splice's")
 	}
 }
 

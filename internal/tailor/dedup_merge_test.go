@@ -129,3 +129,36 @@ func TestBlendDedupOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMergeDedupOutputReadsOnce pins what a content-addressed output reads:
+// every payload is produced once — hashed and spooled in one pass, put from
+// the spool — so a parity merge over plain sources loads each rank's shard
+// files as often as the plain output does, and reads no more source bytes.
+func TestMergeDedupOutputReadsOnce(t *testing.T) {
+	cfg := modelcfg.Tiny()
+	for _, noRaw := range []bool{false, true} {
+		// A fresh store each time: blobs an earlier merge put would turn the
+		// puts into hits, which read blob headers instead.
+		mem := storage.NewMem()
+		newRun(t, mem, cfg, 2, []int{5, 10}, nil)
+		b := storage.NewMeter(mem, storage.Profile{})
+		merge := func(out string, dedup bool) (*Stats, storage.Stats) {
+			b.Reset()
+			rec := recipe.Parity("run/checkpoint-5", "run/checkpoint-10", cfg, out)
+			stats, err := Merge(b, rec, Options{Workers: 2, NoRawCopy: noRaw, DedupOutput: dedup})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stats, b.Stats()
+		}
+		plain, plainIO := merge("run/plain", false)
+		ca, caIO := merge("run/ca", true)
+		if ca.ShardFileLoads != plain.ShardFileLoads || ca.BytesRead != plain.BytesRead {
+			t.Errorf("noRaw=%v: dedup output loaded %d shard files (%d B), plain %d (%d B)",
+				noRaw, ca.ShardFileLoads, ca.BytesRead, plain.ShardFileLoads, plain.BytesRead)
+		}
+		if caIO.BytesRead > plainIO.BytesRead {
+			t.Errorf("noRaw=%v: dedup output read %d B off the backend, plain %d B", noRaw, caIO.BytesRead, plainIO.BytesRead)
+		}
+	}
+}

@@ -301,8 +301,7 @@ func mergeOptimizer(out *ckpt.Output, plan *Plan, opts Options, stats *Stats, lo
 		}
 		r.SetStep(refStep)
 		// The rank's decoded groups from the sources it loads whole, held
-		// from its first computed group to its last (a content-addressed
-		// output writes its groups twice, hashing before it publishes).
+		// from its first computed group to its last.
 		load := &parallel.Lease[[]*zero.GroupShard]{Load: func() ([]*zero.GroupShard, error) {
 			shards, step, n, readBytes, err := buildRankShards(plan, opts.LoadOrder, rank,
 				func(path string) bool { return refs[path] == nil })

@@ -216,11 +216,12 @@ var RestoreModelDType = tensor.BF16
 
 // ReshardOptions tunes a checkpoint reshard: Workers sets how many target
 // ranks are written side by side, MaxInFlight bounds the weight payload
-// bytes read ahead, NoRawCopy
-// forces the gather→repartition decode path where the extent-splice fast
-// path would otherwise move aligned bytes without decoding (identical
-// output either way), Dedup publishes the output content-addressed, and
-// NoLatest leaves the run root's latest pointer untouched.
+// bytes read ahead and the target shards held decoded, NoRawCopy forces
+// the decode path (each target shard gathered in FP32 and encoded again)
+// where the extent-splice fast path would otherwise move aligned bytes
+// without decoding (identical output either way), Dedup publishes the
+// output content-addressed, and NoLatest leaves the run root's latest
+// pointer untouched.
 type ReshardOptions = reshard.Options
 
 // ReshardStats reports what a reshard did: raw-copy vs decode group
