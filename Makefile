@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
+.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output one-decoder request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -203,6 +203,23 @@ one-output:
 	if [ -n "$$bad" ]; then \
 		echo "a checkpoint writer outside the write stage (internal/ckpt):"; echo "$$bad"; exit 1; fi
 
+# A coded blob is read through the one chunk-streaming decoder (codec.go:
+# openLevel → openChain → chainReader), a chunk at a time, every xor ancestor
+# folded into the caller's buffer. An io.ReadAll in the blob store or the
+# codec is a whole-blob read back in, the deleted whole-chain resolvers are
+# that read under their old names, and a second caller of decodeChunk is a
+# second decoder, free to skip the first's size, depth and EOF checks.
+one-decoder:
+	@bad=$$(grep -n 'io\.ReadAll(' internal/storage/blobstore.go internal/storage/codec.go); \
+	if [ -n "$$bad" ]; then \
+		echo "a whole-blob io.ReadAll in the blob store or the codec:"; echo "$$bad"; exit 1; fi; \
+	bad=$$(grep -rnwE --include='*.go' 'resolveLocal|decodeContainerBlob|readDecoded' internal cmd *.go); \
+	if [ -n "$$bad" ]; then \
+		echo "a whole-chain blob resolver:"; echo "$$bad"; exit 1; fi; \
+	calls=$$(grep -rn --include='*.go' --exclude='*_test.go' 'decodeChunk(' internal cmd *.go | grep -v 'func decodeChunk('); \
+	if [ "$$(echo "$$calls" | grep -c .)" -gt 1 ]; then \
+		echo "decodeChunk called from more than one place:"; echo "$$calls"; exit 1; fi
+
 # A dedup save's backend requests are a function of the payloads that
 # changed, not of the payloads that exist: the counting-backend test that
 # holds config reads, parent-manifest reads, blob probes and blob GETs to
@@ -238,7 +255,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output request-budget build test race-read race-maint objstore
+ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output one-decoder request-budget build test race-read race-maint objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 

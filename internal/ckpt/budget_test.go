@@ -417,7 +417,7 @@ func TestRestoreRequestBudget(t *testing.T) {
 // TestLoadGateBoundsBytesInFlight: under a gate far smaller than the state,
 // the load driver never admits more than the gate plus its largest single
 // charge, and what it decodes is bit-identical to an unconstrained load — for
-// every layout, xor chains (charged once per ancestor) included.
+// every layout, xor chains included.
 func TestLoadGateBoundsBytesInFlight(t *testing.T) {
 	b := storage.NewMem()
 	saveLayouts(t, b)
@@ -486,6 +486,44 @@ func TestLoadGateBoundsBytesInFlight(t *testing.T) {
 		if gate.InFlight() != 0 {
 			t.Errorf("%s: %d bytes never released", layout, gate.InFlight())
 		}
+	}
+}
+
+// TestLoadGateChargesDecoderScratch: a payload whose blob is recorded coded
+// is charged its size plus the chunk decoder's scratch, however deep its xor
+// chain — the store folds every ancestor into the destination, holding no
+// ancestor whole. A gate too small for any payload admits them one at a time,
+// so its peak is exactly the largest charge.
+func TestLoadGateChargesDecoderScratch(t *testing.T) {
+	b := storage.NewMem()
+	saveLayouts(t, b)
+	c, err := Open(b, "xor/checkpoint-300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := c.loadSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	deepest := 0
+	set.each(func(p *payload, _ string, _ int) error {
+		charge := p.size
+		if p.codec != "" && p.codec != storage.CodecRaw.String() {
+			charge += storage.DecodeScratch
+		}
+		want, deepest = max(want, charge), max(deepest, len(p.parents))
+		return nil
+	})
+	if deepest < 2 {
+		t.Fatalf("fixture: deepest recorded xor chain %d, want >= 2", deepest)
+	}
+	gate := parallel.NewByteGate(1)
+	if _, err := c.readState(gate, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if peak := gate.Peak(); peak != want {
+		t.Errorf("peak of %d bytes admitted one payload at a time, want the largest charge %d", peak, want)
 	}
 }
 

@@ -23,6 +23,7 @@ package ckpt
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -92,8 +93,8 @@ func storedPayload(size int64, crc uint32, digest string, open func(off, n int64
 
 // blobPayload describes a blob as its manifest entry records it. The recorded
 // codec only orders the store's two ways of opening it (a stale record costs
-// a request, never a wrong byte); the recorded xor chain is what the load
-// driver charges at its gate.
+// a request, never a wrong byte) and adds the decoder's scratch to what the
+// load driver charges at its gate.
 func (s *source) blobPayload(digest string, size int64, crc uint32, codec string, stored int64, parents []string) payload {
 	open := s.store.OpenRange
 	if codec != "" && codec != storage.CodecRaw.String() {
@@ -107,11 +108,14 @@ func (s *source) blobPayload(digest string, size int64, crc uint32, codec string
 // CorruptError reports stored bytes that do not match the integrity record
 // kept for them: the payload, held by the blob Digest or in an extent of the
 // container File (a manifest, for a blob it lists), hashes to Got where Want
-// is recorded — CRC32s as eight hex digits, or SHA-256 content digests.
+// is recorded — CRC32s as eight hex digits, or SHA-256 content digests. A
+// blob that cannot even be decoded (storage.ErrCorruptBlob: a malformed
+// container, a broken xor chain) carries that failure in Err, and no Got.
 type CorruptError struct {
 	File, Digest string
 	Payload      string
 	Want, Got    string
+	Err          error
 }
 
 func (e *CorruptError) Error() string {
@@ -122,11 +126,16 @@ func (e *CorruptError) Error() string {
 	if e.Digest != "" {
 		where += "blob " + e.Digest + ": "
 	}
+	if e.Err != nil {
+		return fmt.Sprintf("ckpt: %s%s: %v", where, e.Payload, e.Err)
+	}
 	if len(e.Want) == sha256.Size*2 {
 		kind = "digest"
 	}
 	return fmt.Sprintf("ckpt: %s%s: %s mismatch (%s != %s)", where, e.Payload, kind, e.Got, e.Want)
 }
+
+func (e *CorruptError) Unwrap() error { return e.Err }
 
 // loadBufs recycles the buffers payloads are fetched into: a read holds one
 // from its open to the end of its decode.
@@ -139,7 +148,7 @@ var loadBufs = sync.Pool{New: func() any { return new([]byte) }}
 func (p *payload) read(file, what string, place func(buf []byte) error) error {
 	rc, err := p.open(0, p.size)
 	if err != nil {
-		return fmt.Errorf("ckpt: %s: %s: %w", file, what, err)
+		return p.failed(file, what, err)
 	}
 	return p.check(file, what, func(buf []byte) error {
 		_, err := io.ReadFull(rc, buf)
@@ -160,12 +169,21 @@ func (p *payload) check(file, what string, fill, place func(buf []byte) error) e
 	}
 	buf := (*bp)[:p.size]
 	if err := fill(buf); err != nil {
-		return fmt.Errorf("ckpt: %s: %s: %w", file, what, err)
+		return p.failed(file, what, err)
 	}
 	if got := crc32.ChecksumIEEE(buf); got != p.crc {
 		return p.crcMismatch(file, what, got)
 	}
 	return place(buf)
+}
+
+// failed names the payload in the error of a read that produced no bytes to
+// check: a blob whose structure is corrupt is a *CorruptError too.
+func (p *payload) failed(file, what string, err error) error {
+	if errors.Is(err, storage.ErrCorruptBlob) {
+		return &CorruptError{File: file, Digest: p.digest, Payload: what, Want: fmt.Sprintf("%08x", p.crc), Err: err}
+	}
+	return fmt.Errorf("ckpt: %s: %s: %w", file, what, err)
 }
 
 // crcMismatch is the error of payload bytes whose CRC32 came out as got.
@@ -174,10 +192,15 @@ func (p *payload) crcMismatch(file, what string, got uint32) error {
 		Want: fmt.Sprintf("%08x", p.crc), Got: fmt.Sprintf("%08x", got)}
 }
 
-// charge is what a whole read of the payload may hold live beyond its
-// destination: its bytes, once more per xor ancestor the store resolves to
-// produce them.
-func (p *payload) charge() int64 { return p.size * int64(1+len(p.parents)) }
+// charge is what a whole read of the payload may hold live: its bytes, plus
+// the chunk decoder's scratch when its blob is recorded coded — however deep
+// its xor chain, the store folds every ancestor into the destination.
+func (p *payload) charge() int64 {
+	if p.codec != "" && p.codec != storage.CodecRaw.String() {
+		return p.size + storage.DecodeScratch
+	}
+	return p.size
+}
 
 // checked makes every replay of the payload fail unless the bytes match what
 // was recorded for them — the digest, or the CRC when there is none — so a
@@ -196,6 +219,8 @@ func (p *payload) checked(slot string) {
 		n, err := write(io.MultiWriter(w, h))
 		if got := hex.EncodeToString(h.Sum(nil)); err == nil && got != want {
 			err = &CorruptError{Digest: digest, Payload: slot, Want: want, Got: got}
+		} else if errors.Is(err, storage.ErrCorruptBlob) {
+			err = &CorruptError{Digest: digest, Payload: slot, Want: want, Err: err}
 		}
 		return n, err
 	}
@@ -577,9 +602,9 @@ func newLoadGate() *parallel.ByteGate { return parallel.NewByteGate(loadBytes) }
 // Open of its shard file, header parsed off the stream, groups in file order
 // (§5.4) — so plain ranks run side by side and nothing more.
 //
-// Memory: a payload is admitted under gate at its charge (its size, times one
-// more per recorded xor ancestor the store resolves alongside it; a plain rank
-// at its file size), released as it leaves the pipeline.
+// Memory: a payload is admitted under gate at its charge (its size, plus the
+// chunk decoder's scratch for a coded blob; a plain rank at its file size),
+// released as it leaves the pipeline.
 //
 // Errors: results are consumed in payload order, so the failure reported is
 // the first failing payload in that order, whatever order the workers finish

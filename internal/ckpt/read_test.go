@@ -292,7 +292,10 @@ func flipByte(t *testing.T, b storage.Backend, name string, pos func(n int) int)
 
 // TestReadStageCorruptionTable: a flipped byte in an LTSF tensor, an LTOS
 // group, a raw blob or a codec-coded blob fails every consumer of that
-// payload with a *CorruptError that names it — never wrong bytes. (Reshard's
+// payload with a *CorruptError that names it — never wrong bytes. A coded
+// blob's flip may land in its payload (a CRC mismatch) or in its structure —
+// a header field, the chunk table, a plane record, an xor parent's digest —
+// which the chunk decoder reports as storage.ErrCorruptBlob. (Reshard's
 // column of the table is internal/reshard's TestReshardCorruptSource.) With a
 // second, later payload corrupt as well, the whole-checkpoint load reports
 // the first in payload order, the same error on every run, however its eight
@@ -301,11 +304,18 @@ func TestReadStageCorruptionTable(t *testing.T) {
 	cases := []struct {
 		name, layout string
 		weight       bool
+		codec        storage.BlobCodec // the victim group blob's codec
+		at           int               // the byte of the victim blob flipped; 0: mid-payload
 	}{
-		{"ltsf tensor", "plain", true},
-		{"ltos group", "plain", false},
-		{"raw blob", "raw", true},
-		{"coded blob", "plane", false},
+		{"ltsf tensor", "plain", true, 0, 0},
+		{"ltos group", "plain", false, 0, 0},
+		{"raw blob", "raw", true, 0, 0},
+		{"coded blob", "plane", false, storage.CodecPlane, 0},
+		{"coded blob width", "plane", false, storage.CodecPlane, 6},
+		{"coded blob raw size", "plane", false, storage.CodecPlane, 9},
+		{"coded blob chunk table", "plane", false, storage.CodecPlane, 89},
+		{"coded blob plane tag", "plane", false, storage.CodecPlane, 92},
+		{"xor blob parent digest", "xor", false, storage.CodecXORParent, 21},
 	}
 	backends := map[string]func() storage.Backend{
 		"mem":      func() storage.Backend { return storage.NewMem() },
@@ -314,30 +324,39 @@ func TestReadStageCorruptionTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for bname, mk := range backends {
-				t.Run(bname, func(t *testing.T) { corruptionCase(t, mk(), tc.layout, tc.weight) })
+				t.Run(bname, func(t *testing.T) { corruptionCase(t, mk(), tc.layout, tc.weight, tc.codec, tc.at) })
 			}
 		})
 	}
 }
 
 // corruptionCase is one row of TestReadStageCorruptionTable on one backend.
-func corruptionCase(t *testing.T, b storage.Backend, layout string, weight bool) {
+func corruptionCase(t *testing.T, b storage.Backend, layout string, weight bool, codec storage.BlobCodec, at int) {
 	t.Helper()
 	last := func(n int) int { return n - 3 }
 	mid := func(n int) int { return n / 2 }
+	if at > 0 {
+		mid = func(int) int { return at }
+	}
 	saveLayouts(t, b)
 	dir := layout + "/checkpoint-300"
 	c, err := Open(b, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The victims: the weight stored last and rank 1's last group,
-	// so a flip near the end of a plain container lands inside them.
+	// The victims: the weight stored last and rank 1's last group — of the
+	// wanted codec, in a content-addressed layout — so a flip near the end of
+	// a plain container lands inside them.
 	tensorName := c.Weights().list[len(c.Weights().list)-1].name
 	lastGroup := func(rank int) groupPayload {
 		rs, err := c.src.rank(rank)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i := len(rs.groups) - 1; i > 0 && layout != "plain"; i-- {
+			if rs.groups[i].codec == codec.String() {
+				return rs.groups[i]
+			}
 		}
 		return rs.groups[len(rs.groups)-1]
 	}
@@ -357,8 +376,8 @@ func corruptionCase(t *testing.T, b storage.Backend, layout string, weight bool)
 	}
 	switch {
 	case !weight:
-		if meta, err := store.Meta(group.digest); layout != "plain" && (err != nil || meta.Codec != storage.CodecPlane) {
-			t.Fatalf("fixture: group blob stored as %v (%v), want plane", meta.Codec, err)
+		if meta, err := store.Meta(group.digest); layout != "plain" && (err != nil || meta.Codec != codec) {
+			t.Fatalf("fixture: group blob stored as %v (%v), want %v", meta.Codec, err, codec)
 		}
 		flipGroup(1)
 	case layout != "plain":

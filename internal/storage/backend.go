@@ -212,7 +212,7 @@ func checkRange(name string, off, n, size int64) error {
 	return nil
 }
 
-// rangeReader pairs a limited reader with the underlying file's Close.
+// rangeReader pairs a reader over part of a stream with the stream's Close.
 type rangeReader struct {
 	r io.Reader
 	c io.Closer

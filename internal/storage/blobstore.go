@@ -159,56 +159,20 @@ func (s *BlobStore) Stat(digest string) (int64, error) {
 }
 
 // Open opens a sequential reader over the blob's payload bytes. A blob
-// stored as an LTBC container is decoded transparently (xor-parent chains
-// resolved against the store), so readers always see the bytes the digest
-// names.
+// stored as an LTBC container is decoded chunk by chunk as it is read
+// (xor-parent chains folded in, one stream per ancestor), so readers always
+// see the bytes the digest names.
 func (s *BlobStore) Open(digest string) (io.ReadCloser, error) {
 	if !ValidDigest(digest) {
 		return nil, fmt.Errorf("storage: invalid blob digest %q", digest)
 	}
-	rc, err := s.b.Open(s.Path(digest))
-	if err != nil {
-		return nil, err
-	}
-	var magic [4]byte
-	n, err := io.ReadFull(rc, magic[:])
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		// Shorter than the magic: raw by definition, fully read already.
-		rc.Close()
-		return io.NopCloser(bytes.NewReader(magic[:n])), nil
-	}
-	if err != nil {
-		rc.Close()
-		return nil, err
-	}
-	if !IsContainer(magic[:]) {
-		return &prefixedReader{r: io.MultiReader(bytes.NewReader(magic[:]), rc), c: rc}, nil
-	}
-	rest, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil {
-		return nil, err
-	}
-	raw, err := s.decodeContainerBlob(digest, append(magic[:], rest...), map[string]bool{digest: true}, 0)
-	if err != nil {
-		return nil, err
-	}
-	return io.NopCloser(bytes.NewReader(raw)), nil
+	return s.openPayload(digest, 0, -1)
 }
-
-// prefixedReader re-attaches sniffed leading bytes to the backend stream.
-type prefixedReader struct {
-	r io.Reader
-	c io.Closer
-}
-
-func (p *prefixedReader) Read(b []byte) (int, error) { return p.r.Read(b) }
-func (p *prefixedReader) Close() error               { return p.c.Close() }
 
 // OpenRange opens a sectioned reader over the blob's payload bytes. Raw
-// blobs serve the range straight off the backend; containers are decoded in
-// full first (range reads address the *payload*, which has no fixed layout
-// inside a container).
+// blobs serve the range straight off the backend; containers are decoded
+// chunk by chunk, only the chunks covering the range (range reads address
+// the *payload*, which has no fixed layout inside a container).
 //
 // A range from the payload's first byte — a whole raw payload, the common
 // read — is ONE request: the backend is asked for the range itself (it
@@ -230,7 +194,7 @@ func (s *BlobStore) OpenRange(digest string, off, n int64) (io.ReadCloser, error
 		if err == nil {
 			var magic [len(blobMagic)]byte
 			if _, err := io.ReadFull(rc, magic[:]); err == nil && !IsContainer(magic[:]) {
-				return &prefixedReader{r: io.MultiReader(bytes.NewReader(magic[:]), rc), c: rc}, nil
+				return &rangeReader{r: io.MultiReader(bytes.NewReader(magic[:]), rc), c: rc}, nil
 			}
 			rc.Close()
 		}
@@ -246,22 +210,48 @@ func (s *BlobStore) OpenRange(digest string, off, n int64) (io.ReadCloser, error
 }
 
 // OpenRangeCoded is OpenRange for a blob a manifest records as stored in a
-// container: the whole object is read and decoded first, which is one request
-// where OpenRange's ranged attempt would not fit the shorter container. The
-// record is a hint, never trusted — a blob that turns out raw is served from
-// the bytes read.
+// container: one request per stored object of its chain — the blob's own
+// stream, read from its head, where OpenRange's ranged attempt would not fit
+// the shorter container. The record is a hint, never trusted — a blob that
+// turns out raw is served from the stream opened.
 func (s *BlobStore) OpenRangeCoded(digest string, off, n int64) (io.ReadCloser, error) {
 	if err := checkBlobRange(digest, off, n); err != nil {
 		return nil, err
 	}
-	raw, err := s.readDecoded(digest)
+	return s.openPayload(digest, off, n)
+}
+
+// openPayload serves the payload range [off, off+n) of digest (n < 0: to
+// its end) off one stream of its stored object. A raw or stored object is the
+// payload itself, a range checked against its size first; a coded one opens
+// the chunk decoder over it and its xor ancestors, one stream each.
+func (s *BlobStore) openPayload(digest string, off, n int64) (io.ReadCloser, error) {
+	rc, err := s.b.Open(s.Path(digest))
 	if err != nil {
 		return nil, err
 	}
-	if off > int64(len(raw)) || n > int64(len(raw))-off {
-		return nil, fmt.Errorf("storage: range [%d,+%d) beyond blob %s payload (%d bytes)", off, n, digest, len(raw))
+	top, err := openLevel(digest, rc)
+	if err != nil {
+		return nil, fmt.Errorf("storage: blob %s: %w", digest, err)
 	}
-	return io.NopCloser(bytes.NewReader(raw[off : off+n])), nil
+	if top.offs != nil {
+		return openChain(top, func(d string) (io.ReadCloser, error) { return s.b.Open(s.Path(d)) }, off, n)
+	}
+	if n >= 0 {
+		size, err := s.b.Stat(s.Path(digest))
+		if top.meta.Codec == CodecStored {
+			size -= blobHeaderSize
+		}
+		if err = cmp.Or(err, checkRange(digest, off, n, size)); err == nil {
+			err = top.read(off, nil)
+		}
+		if err != nil {
+			rc.Close()
+			return nil, err
+		}
+		top.r = io.LimitReader(top.r, n)
+	}
+	return &rangeReader{r: top.r, c: rc}, nil
 }
 
 func checkBlobRange(digest string, off, n int64) error {
@@ -280,8 +270,7 @@ func (s *BlobStore) sniff(path string) ([]byte, error) {
 	if err != nil {
 		// A file shorter than the magic cannot be a container; fall back to
 		// a whole-object open so short raw blobs still sniff cleanly.
-		rc, err = s.b.Open(path)
-		if err != nil {
+		if rc, err = s.b.Open(path); err != nil {
 			return nil, err
 		}
 	}
@@ -289,12 +278,9 @@ func (s *BlobStore) sniff(path string) ([]byte, error) {
 	hdr := make([]byte, len(blobMagic))
 	n, err := io.ReadFull(rc, hdr)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return hdr[:n], nil
+		err = nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	return hdr, nil
+	return hdr[:n], err
 }
 
 // Meta describes how the blob is stored: its codec, uncompressed payload
@@ -330,62 +316,6 @@ func (s *BlobStore) Meta(digest string) (BlobMeta, error) {
 		return BlobMeta{}, fmt.Errorf("storage: blob %s: %w", digest, err)
 	}
 	return meta, nil
-}
-
-// readDecoded returns the blob's full payload bytes with any container
-// decoded and xor-parent chains resolved.
-func (s *BlobStore) readDecoded(digest string) ([]byte, error) {
-	return s.resolveLocal(digest, map[string]bool{}, 0)
-}
-
-// resolveLocal reads one blob and decodes it, recursing for xor parents
-// (which route like any other digest). seen and depth bound the walk so a
-// corrupt chain (cycle, self-parent, unbounded depth) errors instead of
-// recursing forever.
-func (s *BlobStore) resolveLocal(digest string, seen map[string]bool, depth int) ([]byte, error) {
-	if depth > MaxParentDepth {
-		return nil, fmt.Errorf("storage: blob %s: xor-parent chain deeper than %d", digest, MaxParentDepth)
-	}
-	if seen[digest] {
-		return nil, fmt.Errorf("storage: blob %s: xor-parent chain cycles", digest)
-	}
-	seen[digest] = true
-	rc, err := s.b.Open(s.Path(digest))
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil {
-		return nil, err
-	}
-	if !IsContainer(data) {
-		return data, nil
-	}
-	return s.decodeContainerBlob(digest, data, seen, depth)
-}
-
-// decodeContainerBlob decodes container bytes read for digest, resolving the
-// parent chain when the codec is xor-parent.
-func (s *BlobStore) decodeContainerBlob(digest string, data []byte, seen map[string]bool, depth int) ([]byte, error) {
-	payload, meta, err := DecodeContainer(data, DecodeOpts{})
-	if err != nil {
-		return nil, fmt.Errorf("storage: blob %s: %w", digest, err)
-	}
-	if meta.Codec != CodecXORParent {
-		return payload, nil
-	}
-	parentRaw, err := s.resolveLocal(meta.Parent, seen, depth+1)
-	if err != nil {
-		return nil, fmt.Errorf("storage: blob %s: resolve parent: %w", digest, err)
-	}
-	if len(parentRaw) != len(payload) {
-		return nil, fmt.Errorf("storage: blob %s: parent %s payload is %d bytes, delta is %d",
-			digest, meta.Parent, len(parentRaw), len(payload))
-	}
-	raw := make([]byte, len(payload))
-	tensor.XORBytes(raw, payload, parentRaw)
-	return raw, nil
 }
 
 // BlobPutOptions requests an encoded put: the codec to try, the payload's
@@ -507,11 +437,14 @@ func (s *BlobStore) PutStreamOpts(digest string, opts BlobPutOptions, encode fun
 func (s *BlobStore) encodeBlob(digest string, raw []byte, opts BlobPutOptions) ([]byte, BlobCodec) {
 	codec := opts.Codec
 	if codec == CodecXORParent {
-		if ValidDigest(opts.Parent) && opts.Parent != digest {
-			parentRaw, err := s.resolveLocal(opts.Parent, map[string]bool{digest: true}, 1)
-			if err == nil && len(parentRaw) == len(raw) {
-				delta := make([]byte, len(raw))
-				tensor.XORBytes(delta, raw, parentRaw)
+		if r, err := s.Open(opts.Parent); err == nil {
+			// The parent's payload, read through the chunk decoder straight
+			// into the delta's buffer, must be exactly len(raw) bytes.
+			delta := make([]byte, len(raw)+1)
+			n, _ := io.ReadFull(r, delta)
+			r.Close()
+			if delta = delta[:len(raw)]; n == len(raw) && opts.Parent != digest {
+				tensor.XORBytes(delta, delta, raw)
 				if c, ok := EncodeContainer(delta, CodecXORParent, opts.Width, opts.Parent, opts.Gate); ok {
 					return c, CodecXORParent
 				}

@@ -9,8 +9,11 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
+
+	"llmtailor/internal/tensor"
 )
 
 // fuzzMaxRaw caps the payload size a fuzzed container may declare, the
@@ -81,6 +84,8 @@ func FuzzBlobCodec(f *testing.F) {
 // blob, so corrupt containers exercise the full parent-chain resolution:
 // missing parents, wrong-length parents, self-referential and mutually
 // cyclic chains must all error out of Open, never panic or recurse forever.
+// What Open does deliver must be what resolving the chain a level at a time,
+// each level decoded whole, gives.
 func FuzzXORResolver(f *testing.F) {
 	parentRaw := make([]byte, 2048)
 	for i := range parentRaw {
@@ -95,6 +100,16 @@ func FuzzXORResolver(f *testing.F) {
 	cyclePartner, ok := EncodeContainer(make([]byte, 2048), CodecXORParent, 1, fuzzDigest, nil)
 	if !ok {
 		f.Fatal("cycle partner did not encode")
+	}
+	// A plane parent coded at a chunk size of its own.
+	planeRaw := make([]byte, 2048)
+	for i := range planeRaw {
+		planeRaw[i] = byte(i / 64)
+	}
+	planeDigest := DigestBytes(planeRaw)
+	planeParent, ok := encodeContainer(planeRaw, CodecPlane, 2, "", 512, nil)
+	if !ok {
+		f.Fatal("plane parent did not encode")
 	}
 
 	delta := make([]byte, 2048)
@@ -114,6 +129,9 @@ func FuzzXORResolver(f *testing.F) {
 	if c, ok := EncodeContainer(delta[:100], CodecXORParent, 2, parentDigest, nil); ok {
 		f.Add(c) // parent length mismatch
 	}
+	if c, ok := encodeContainer(delta, CodecXORParent, 2, planeDigest, 768, nil); ok {
+		f.Add(c) // chain levels at different chunk sizes
+	}
 	f.Add(parentRaw[:128]) // plain raw blob bytes
 	f.Add([]byte("LTBC"))
 
@@ -122,13 +140,44 @@ func FuzzXORResolver(f *testing.F) {
 		s := NewBlobStore(b, "objects")
 		b.WriteFile(s.Path(parentDigest), parentRaw)
 		b.WriteFile(s.Path(cycleDigest), cyclePartner)
+		b.WriteFile(s.Path(planeDigest), planeParent)
 		b.WriteFile(s.Path(fuzzDigest), data)
 		if rc, err := s.Open(fuzzDigest); err == nil {
-			io.Copy(io.Discard, rc)
+			got, err := io.ReadAll(io.LimitReader(rc, fuzzMaxRaw+1))
 			rc.Close()
+			if want, werr := resolveWhole(s, fuzzDigest, 0); err == nil && len(got) <= fuzzMaxRaw &&
+				(werr != nil || !bytes.Equal(got, want)) {
+				t.Fatalf("Open delivered %d bytes a whole-level resolution does not (%v)", len(got), werr)
+			}
 		}
 		if _, err := s.Meta(fuzzDigest); err != nil && !IsNotExist(err) {
 			_ = err // corrupt headers may error; they must only not panic
 		}
 	})
+}
+
+// resolveWhole is the reference resolution the chunk decoder must agree
+// with: each level of the chain read and decoded whole, the ancestors'
+// payloads XORed in.
+func resolveWhole(s *BlobStore, digest string, depth int) ([]byte, error) {
+	if depth > MaxParentDepth {
+		return nil, errors.New("xor-parent chain too deep")
+	}
+	data, err := s.b.ReadFile(s.Path(digest))
+	if err != nil || !IsContainer(data) {
+		return data, err
+	}
+	payload, meta, err := DecodeContainer(data, DecodeOpts{MaxRawSize: fuzzMaxRaw})
+	if err != nil || meta.Codec != CodecXORParent {
+		return payload, err
+	}
+	parent, err := resolveWhole(s, meta.Parent, depth+1)
+	if err == nil && len(parent) != len(payload) {
+		err = errors.New("parent size differs")
+	}
+	if err != nil {
+		return nil, err
+	}
+	tensor.XORBytes(payload, payload, parent)
+	return payload, nil
 }

@@ -3,8 +3,10 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -217,6 +219,184 @@ func TestPutResultDescribesWhatWasWritten(t *testing.T) {
 			want.Written = false
 			if again := put(); again != want {
 				t.Errorf("%s/%s: hit reports %+v, want %+v", name, c.what, again, want)
+			}
+		}
+	}
+}
+
+// putCoded stores raw under its digest with the given options and checks it
+// landed with the wanted codec.
+func putCoded(t *testing.T, s *BlobStore, raw []byte, opts BlobPutOptions, want BlobCodec) string {
+	t.Helper()
+	digest := DigestBytes(raw)
+	res, err := s.PutStreamOpts(digest, opts, func(w io.Writer) (int64, error) {
+		n, err := w.Write(raw)
+		return int64(n), err
+	})
+	if err != nil || res.Codec != want {
+		t.Fatalf("fixture: stored as %v (%v), want %v", res.Codec, err, want)
+	}
+	return digest
+}
+
+// TestCodedReadAllocBound: reading a coded blob whole into the caller's
+// buffer allocates O(chunk) beside that buffer — for a plane blob and for the
+// end of a depth-8 xor chain alike, through Open and OpenRangeCoded — where a
+// whole-blob decode allocates the payload once per chain level.
+func TestCodedReadAllocBound(t *testing.T) {
+	const size = 4 << 20
+	const width = 4
+	s := NewBlobStore(NewMem(), "objects")
+	gen := make([]byte, size)
+	for i := 0; i < size; i += width {
+		binary.LittleEndian.PutUint32(gen[i:], 0x3f800000|uint32(i/width%251)<<8)
+	}
+	plane := putCoded(t, s, gen, BlobPutOptions{Codec: CodecPlane, Width: width}, CodecPlane)
+	blobs := map[string][]byte{"plane": gen}
+	top := plane
+	for depth := 1; depth <= 8; depth++ {
+		gen = append([]byte(nil), gen...)
+		for i := depth * 4; i < size; i += 4093 * width {
+			gen[i] ^= byte(depth)
+		}
+		top = putCoded(t, s, gen, BlobPutOptions{Codec: CodecXORParent, Width: width, Parent: top}, CodecXORParent)
+	}
+	blobs["xor depth 8"] = gen
+	digests := map[string]string{"plane": plane, "xor depth 8": top}
+
+	buf := make([]byte, size)
+	for what, want := range blobs {
+		digest := digests[what]
+		for how, open := range map[string]func() (io.ReadCloser, error){
+			"Open":           func() (io.ReadCloser, error) { return s.Open(digest) },
+			"OpenRangeCoded": func() (io.ReadCloser, error) { return s.OpenRangeCoded(digest, 0, size) },
+		} {
+			clear(buf)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rc, err := open()
+			if err == nil {
+				_, err = io.ReadFull(rc, buf)
+				rc.Close()
+			}
+			runtime.ReadMemStats(&after)
+			if err != nil || !bytes.Equal(buf, want) {
+				t.Fatalf("%s via %s: wrong bytes (%v)", what, how, err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*defaultChunkSize {
+				t.Errorf("%s via %s: %d bytes allocated beside the caller's buffer, want <= %d",
+					what, how, alloc, 4*defaultChunkSize)
+			}
+		}
+	}
+}
+
+// TestChainReadChunkSizes: an xor chain coded at a chunk size of its own
+// reads back exactly — whole, in ranges that start and end mid-chunk, and
+// through a caller buffer of a few bytes — while a chain whose levels mix
+// chunk sizes is refused as corrupt, never read as wrong bytes.
+func TestChainReadChunkSizes(t *testing.T) {
+	grand, parent := deltaPayload(50_000, 13, 41)
+	_, child := deltaPayload(50_000, 7, 41)
+	for _, sizes := range [][2]int{{3000, 3000}, {4096, 3000}} {
+		b := NewMem()
+		s := NewBlobStore(b, "objects")
+		store := func(raw, base []byte, parent string, chunk int) string {
+			digest, container := DigestBytes(raw), raw
+			if base != nil {
+				delta := make([]byte, len(raw))
+				tensor.XORBytes(delta, raw, base)
+				var ok bool
+				if container, ok = encodeContainer(delta, CodecXORParent, 2, parent, chunk, nil); !ok {
+					t.Fatalf("fixture: chunk size %d did not encode", chunk)
+				}
+			}
+			if err := b.WriteFile(s.Path(digest), container); err != nil {
+				t.Fatal(err)
+			}
+			return digest
+		}
+		g := store(grand, nil, "", 0) // random bytes: a raw bottom level
+		p := store(parent, grand, g, sizes[0])
+		c := store(child, parent, p, sizes[1])
+		if sizes[0] != sizes[1] {
+			if _, err := s.Open(c); !errors.Is(err, ErrCorruptBlob) {
+				t.Fatalf("chunk sizes %v: open: %v, want ErrCorruptBlob", sizes, err)
+			}
+			continue
+		}
+		for _, ext := range [][2]int64{{0, 50_000}, {1, 49_998}, {2999, 3002}, {12_000, 100}, {49_999, 1}, {0, 0}} {
+			rc, err := s.OpenRangeCoded(c, ext[0], ext[1])
+			if err != nil {
+				t.Fatalf("range %v: %v", ext, err)
+			}
+			got, err := io.ReadAll(rc)
+			rc.Close()
+			if err != nil || !bytes.Equal(got, child[ext[0]:ext[0]+ext[1]]) {
+				t.Fatalf("range %v: wrong bytes (%v)", ext, err)
+			}
+		}
+		rc, err := s.Open(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		small := make([]byte, 7)
+		for err == nil {
+			var n int
+			n, err = rc.Read(small)
+			got = append(got, small[:n]...)
+		}
+		rc.Close()
+		if err != io.EOF || !bytes.Equal(got, child) {
+			t.Fatalf("7-byte reads delivered wrong bytes (%v)", err)
+		}
+	}
+}
+
+// TestChainReadStructuralCorruption: every structural failure of a coded
+// blob or its chain — a bad header field, chunk table or plane record, a
+// stream too long or too short, a parent that is missing or of another size —
+// errors as ErrCorruptBlob, at open or at read, never as wrong bytes.
+func TestChainReadStructuralCorruption(t *testing.T) {
+	parent, child := deltaPayload(40_000, 11, 5)
+	for name, mutate := range map[string]func(d []byte) []byte{
+		"width":          func(d []byte) []byte { d[6] ^= 0x20; return d },
+		"raw size":       func(d []byte) []byte { d[9] ^= 0x20; return d },
+		"parent digest":  func(d []byte) []byte { d[21] ^= 0x20; return d },
+		"absent parent":  func(d []byte) []byte { copy(d[20:84], DigestBytes([]byte("absent"))); return d },
+		"chunk table":    func(d []byte) []byte { d[89] ^= 0x20; return d },
+		"plane tag":      func(d []byte) []byte { d[blobHeaderSize+4] ^= 0x20; return d },
+		"truncated":      func(d []byte) []byte { return d[:len(d)-1] },
+		"trailing bytes": func(d []byte) []byte { return append(d, 0) },
+		"other size":     nil,
+	} {
+		b := NewMem()
+		s := NewBlobStore(b, "objects")
+		p := putCoded(t, s, parent, BlobPutOptions{}, CodecRaw)
+		c := putCoded(t, s, child, BlobPutOptions{Codec: CodecXORParent, Width: 2, Parent: p}, CodecXORParent)
+		data, _ := b.ReadFile(s.Path(c))
+		if mutate == nil {
+			b.WriteFile(s.Path(p), parent[1:])
+		} else {
+			b.WriteFile(s.Path(c), mutate(data))
+		}
+		for how, open := range map[string]func() (io.ReadCloser, error){
+			"Open":           func() (io.ReadCloser, error) { return s.Open(c) },
+			"OpenRangeCoded": func() (io.ReadCloser, error) { return s.OpenRangeCoded(c, 0, int64(len(child))) },
+		} {
+			rc, err := open()
+			if err == nil {
+				var got []byte
+				got, err = io.ReadAll(rc)
+				rc.Close()
+				if err == nil && !bytes.Equal(got, child) {
+					t.Errorf("%s via %s: wrong bytes delivered", name, how)
+					continue
+				}
+			}
+			if !errors.Is(err, ErrCorruptBlob) {
+				t.Errorf("%s via %s: %v, want ErrCorruptBlob", name, how, err)
 			}
 		}
 	}

@@ -109,11 +109,13 @@ func (w *memWriter) Close() error {
 
 // Open implements Backend.
 func (b *Mem) Open(name string) (io.ReadCloser, error) {
-	data, err := b.ReadFile(name)
-	if err != nil {
-		return nil, err
+	b.mu.RLock()
+	data, ok := b.files[memClean(name)]
+	b.mu.RUnlock()
+	if !ok {
+		return nil, memNotExist("open", name)
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return memRange{bytes.NewReader(data)}, nil
 }
 
 // OpenRange implements Backend.
@@ -127,12 +129,12 @@ func (b *Mem) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
 	if err := checkRange(name, off, n, int64(len(data))); err != nil {
 		return nil, err
 	}
-	// Stored slices are never mutated in place (writes always install a
-	// fresh slice), so the reader can serve the range without copying.
 	return memRange{bytes.NewReader(data[off : off+n])}, nil
 }
 
-// memRange is an OpenRange reader that keeps bytes.Reader's WriteTo
+// memRange is an Open or OpenRange reader over a stored slice. Stored slices
+// are never mutated in place (writes always install a fresh slice), so it
+// serves them without copying, and it keeps bytes.Reader's WriteTo
 // visible (io.NopCloser would hide it), letting io.Copy hand a replayed
 // payload over in one wide write instead of chunked double-buffering.
 type memRange struct{ *bytes.Reader }

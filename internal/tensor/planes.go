@@ -139,41 +139,77 @@ func AppendRLE(dst, src []byte) []byte {
 // output, truncated literals or repeats, short streams — returns an error;
 // the decoder never panics and never writes outside dst.
 func DecodeRLE(dst, src []byte) error {
+	clear(dst)
+	return XORPlaneRLE(dst, src, 0, 1)
+}
+
+// XORPlane XORs src, the bytes of plane p, into the element-interleaved dst:
+// src[k] lands on dst[p+k*width]. len(src) must be PlaneLen(len(dst), width, p).
+// It is JoinPlanes for one plane, folded into what dst already holds.
+func XORPlane(dst, src []byte, p, width int) {
+	if len(src) != PlaneLen(len(dst), width, p) {
+		panic("tensor: XORPlane length mismatch")
+	}
+	if len(src) > 0 {
+		xorStrided(dst[p:], src, max(width, 1))
+	}
+}
+
+// XORPlaneRLE decodes the RLE stream src as plane p of the element-interleaved
+// dst and XORs it in: decode, plane-join and XOR in one pass. A zero repeat
+// run — the bulk of an xor delta — costs nothing. Malformed input errors
+// exactly as DecodeRLE's does, never writing outside plane p of dst.
+func XORPlaneRLE(dst, src []byte, p, width int) error {
+	width = max(width, 1)
+	n := PlaneLen(len(dst), width, p)
 	di, si := 0, 0
 	for si < len(src) {
-		v, n := binary.Uvarint(src[si:])
-		if n <= 0 {
+		v, k := binary.Uvarint(src[si:])
+		if k <= 0 {
 			return errRLEVarint
 		}
-		si += n
+		si += k
 		cnt64 := v >> 1
 		if cnt64 == 0 {
 			return errRLEZeroRun
 		}
-		if cnt64 > uint64(len(dst)-di) {
+		if cnt64 > uint64(n-di) {
 			return errRLEOverflow
 		}
 		cnt := int(cnt64)
+		out := dst[p+di*width:]
 		if v&1 == 1 {
 			if si >= len(src) {
 				return errRLETruncated
 			}
-			b := src[si]
-			si++
-			for k := 0; k < cnt; k++ {
-				dst[di+k] = b
+			if b := src[si]; b != 0 {
+				for i := 0; i < cnt*width; i += width {
+					out[i] ^= b
+				}
 			}
+			si++
 		} else {
 			if cnt > len(src)-si {
 				return errRLETruncated
 			}
-			copy(dst[di:di+cnt], src[si:])
+			xorStrided(out, src[si:si+cnt], width)
 			si += cnt
 		}
 		di += cnt
 	}
-	if di != len(dst) {
+	if di != n {
 		return errRLEShort
 	}
 	return nil
+}
+
+// xorStrided XORs src[k] into dst[k*stride].
+func xorStrided(dst, src []byte, stride int) {
+	if stride == 1 {
+		XORBytes(dst[:len(src)], dst[:len(src)], src)
+		return
+	}
+	for k, b := range src {
+		dst[k*stride] ^= b
+	}
 }

@@ -118,3 +118,42 @@ func TestRLEDecodeRejectsMalformed(t *testing.T) {
 		t.Fatalf("valid repeat rejected: %v", err)
 	}
 }
+
+// TestXORPlaneKernels: folding each plane of a split buffer into another
+// buffer — stored through XORPlane, RLE-coded through XORPlaneRLE — XORs the
+// joined bytes into it, and an RLE stream that overruns its plane errors.
+func TestXORPlaneKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, width := range []int{1, 2, 4, 12} {
+		for _, n := range []int{0, 1, 7, 64, 4097} {
+			src, base := make([]byte, n), make([]byte, n)
+			for i := range src {
+				if rng.Intn(3) == 0 {
+					src[i] = byte(rng.Intn(256))
+				}
+			}
+			rng.Read(base)
+			split := make([]byte, n)
+			SplitPlanes(split, src, width)
+			viaPlane, viaRLE := append([]byte(nil), base...), append([]byte(nil), base...)
+			off := 0
+			for p := 0; p < width; p++ {
+				plane := split[off : off+PlaneLen(n, width, p)]
+				XORPlane(viaPlane, plane, p, width)
+				if err := XORPlaneRLE(viaRLE, AppendRLE(nil, plane), p, width); err != nil {
+					t.Fatalf("width=%d n=%d plane %d: %v", width, n, p, err)
+				}
+				off += len(plane)
+			}
+			want := make([]byte, n)
+			XORBytes(want, src, base)
+			if !bytes.Equal(viaPlane, want) || !bytes.Equal(viaRLE, want) {
+				t.Fatalf("width=%d n=%d: folded planes differ from src XOR base", width, n)
+			}
+		}
+	}
+	// Plane 1 of 8 two-byte-wide bytes holds 4: a 5-byte repeat overruns it.
+	if err := XORPlaneRLE(make([]byte, 8), []byte{0x0b, 0xaa}, 1, 2); err == nil {
+		t.Fatal("a run past the plane was accepted")
+	}
+}
