@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output one-decoder request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
+.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output one-decoder one-spool request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -220,6 +220,27 @@ one-decoder:
 	if [ "$$(echo "$$calls" | grep -c .)" -gt 1 ]; then \
 		echo "decodeChunk called from more than one place:"; echo "$$calls"; exit 1; fi
 
+# One spool: storage.Spool (stream.go) is the only spool interface, with two
+# implementations, and BufferPool.Spool (bufpool.go) the only code that picks
+# pooled memory or a temp file under a budget. An os.CreateTemp outside the
+# file spool's constructor is a second file spool, free to forget the first's
+# removal on Release; a deleted spool type is a second spool family back; a
+# TryAcquire in internal/ckpt is a private copy of the admission rule.
+one-spool:
+	@fail=0; \
+	bad=$$({ find internal cmd examples -name '*.go' ! -name '*_test.go'; ls *.go | grep -v '_test\.go$$'; } \
+		| xargs awk '/^func /{f=$$0} /os\.CreateTemp\(/{print FILENAME":"FNR": in "f}' \
+		| grep -v '^internal/storage/stream.go:[0-9]*: in func newFileSpool('); \
+	if [ -n "$$bad" ]; then fail=1; \
+		echo "os.CreateTemp( outside the file spool's constructor (storage.newFileSpool):"; echo "$$bad"; fi; \
+	bad=$$(grep -rnE --include='*.go' 'CaptureSpool|PooledSpool|\bFileSpool\(|pooledSpool|fileCaptureSpool' internal cmd *.go); \
+	if [ -n "$$bad" ]; then fail=1; \
+		echo "a second spool family (storage.Spool is the only spool):"; echo "$$bad"; fi; \
+	bad=$$(grep -rn --include='*.go' 'TryAcquire(' internal/ckpt); \
+	if [ -n "$$bad" ]; then fail=1; \
+		echo "spool admission in internal/ckpt (BufferPool.Spool is the one memory-or-file rule):"; echo "$$bad"; fi; \
+	exit $$fail
+
 # A dedup save's backend requests are a function of the payloads that
 # changed, not of the payloads that exist: the counting-backend test that
 # holds config reads, parent-manifest reads, blob probes and blob GETs to
@@ -229,7 +250,7 @@ one-decoder:
 # admits at once stay under its gate. Maintenance: one retention pass on a
 # latency-shaped object store issues a fixed count of requests per kind.
 request-budget:
-	$(GO) test ./internal/ckpt -run '^(TestDedupSaveRequestBudget|TestRestoreRequestBudget|TestLoadGateBoundsBytesInFlight|TestRetainRequestBudget)$$'
+	$(GO) test ./internal/ckpt -run '^(TestDedupSaveRequestBudget|TestRestoreRequestBudget|TestLoadGateBoundsBytesInFlight|TestRetainRequestBudget|TestMaintenanceConfigReadBudget)$$'
 	$(GO) test ./internal/tailor -run '^TestTailorByReferenceRequestBudget$$'
 
 # The read stage is concurrent: its tests, and the resume paths above it, run
@@ -255,7 +276,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output one-decoder request-budget build test race-read race-maint objstore
+ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output one-decoder one-spool request-budget build test race-read race-maint objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 

@@ -241,10 +241,7 @@ func TestDryRunMatchesRealRun(t *testing.T) {
 		// The full GC additionally finds a divergent and a missing record.
 		"full gc": func(t *testing.T, b llmtailor.Backend) *scenario {
 			run, dirs, sc := runRoot(t, b)
-			ix, err := storage.OpenRefIndex(b, "run/objects")
-			if err != nil {
-				t.Fatal(err)
-			}
+			ix := storage.NewRefIndex(b, "run/objects")
 			entries, _, _, err := ix.Entries()
 			if err != nil {
 				t.Fatal(err)

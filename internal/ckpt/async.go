@@ -26,7 +26,6 @@ import (
 type AsyncSaver struct {
 	base    storage.Backend
 	pool    *storage.BufferPool
-	gate    *parallel.ByteGate
 	capture *parallel.Pipeline[*captureUnit, struct{}]
 	// writes runs a save's commit or a Flush marker, in push order. Save
 	// errors travel as values into errs: checkpoint saves must attempt
@@ -56,8 +55,7 @@ func NewLazyAsyncSaver(b storage.Backend, depth int, opts CaptureOptions) *Async
 	}
 	s := &AsyncSaver{
 		base:  b,
-		pool:  storage.NewBufferPool(),
-		gate:  parallel.NewByteGate(opts.spoolBytes),
+		pool:  storage.NewBufferPool(opts.spoolBytes),
 		cache: map[string]*layerCacheEntry{},
 	}
 	// Units fan in unordered (each lands in its ticket slot), so the
@@ -154,7 +152,7 @@ func (s *AsyncSaver) CaptureStats() CaptureStats {
 	s.mu.Lock()
 	st := s.stats
 	s.mu.Unlock()
-	st.SpoolPeakBytes = s.gate.Peak()
+	st.SpoolPeakBytes = s.pool.Peak()
 	st.Pool = s.pool.Stats()
 	return st
 }

@@ -78,6 +78,36 @@ func TestAsyncSaveMultipleQueued(t *testing.T) {
 	}
 }
 
+// A training run captures the same payload sizes every save, so once the
+// first save's spools are back in the pool a second save of the same shapes
+// is served from the free list: no new pooled buffer.
+func TestLazySaverReusesPooledBuffers(t *testing.T) {
+	m, o := buildOptim(t, modelcfg.Tiny(), 54)
+	s := NewLazyAsyncSaver(storage.NewMem(), 1, CaptureOptions{})
+	defer s.Wait()
+	var first storage.BufferPoolStats
+	for i := 1; i <= 2; i++ {
+		if err := s.Save(SaveSpec{Dir: fmt.Sprintf("run/checkpoint-%d", i),
+			Model: m, Optim: o, WorldSize: 2,
+			State: TrainerState{Step: i, Seed: 54}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			first = s.CaptureStats().Pool
+		}
+	}
+	st := s.CaptureStats().Pool
+	if first.Allocated == 0 || first.FileSpools != 0 {
+		t.Fatalf("first save: %+v, want pooled spools only", first)
+	}
+	if st.Allocated != first.Allocated || st.Reused != first.Spools {
+		t.Fatalf("second save allocated: pool %+v after the first save, %+v after the second", first, st)
+	}
+}
+
 // pendingTickets reads the saver's outstanding-capture list.
 func pendingTickets(s *AsyncSaver) int {
 	s.mu.Lock()

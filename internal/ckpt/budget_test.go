@@ -579,3 +579,44 @@ func TestRetainRequestBudget(t *testing.T) {
 		t.Errorf("peak of %d GETs in flight, want between 2 and %d", log.peak, storage.RequestWidth)
 	}
 }
+
+// TestMaintenanceConfigReadBudget: a maintenance operation resolves the run's
+// hub attachment and opens its store once, however many views or phases it
+// runs: one hubref.json read (two when attached: the run's, then the hub
+// store's chain check) and one shards.json read.
+func TestMaintenanceConfigReadBudget(t *testing.T) {
+	ops := []struct {
+		name string
+		run  func(b storage.Backend) error
+	}{
+		{"scan-all-views", func(b storage.Backend) error {
+			_, err := ScanRun(b, "run", ScanViews{Blobs: true, Refs: true, Codecs: true})
+			return err
+		}},
+		{"repair", func(b storage.Backend) error { _, err := Repair(b, "run"); return err }},
+		{"gc", func(b storage.Backend) error { _, err := GC(b, "run"); return err }},
+	}
+	for _, attached := range []bool{false, true} {
+		for _, op := range ops {
+			t.Run(fmt.Sprintf("%s/attached=%v", op.name, attached), func(t *testing.T) {
+				b := storage.NewMem()
+				if attached {
+					attachHub(t, b, "hub", "run", "run")
+				}
+				saveDedup(t, b, "run/checkpoint-10", 320, 2)
+				saveDedup(t, b, "run/checkpoint-20", 321, 2)
+				log := &opLog{Fault: storage.NewFault(b)}
+				if err := op.run(log); err != nil {
+					t.Fatal(err)
+				}
+				want := 2
+				if attached {
+					want = 3
+				}
+				if got := log.reads["get config"]; got > want {
+					t.Errorf("%d store-configuration reads, want at most %d", got, want)
+				}
+			})
+		}
+	}
+}

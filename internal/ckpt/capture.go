@@ -12,9 +12,10 @@
 //   - Capture workers drain each layer out of the live state: a dedup save
 //     streams the layer through SHA-256 first and consults the blob store —
 //     a digest hit short-circuits to a manifest reference with zero payload
-//     bytes moved — and only content misses are copied into a spool (a
-//     pooled buffer under a ByteGate budget, or an unmetered temp file when
-//     the budget is exhausted, so a worker never blocks holding a layer).
+//     bytes moved — and only content misses are copied into a spool
+//     (BufferPool.Spool: pooled memory under the saver's budget, or an
+//     unmetered temp file when the budget is exhausted, so a worker never
+//     blocks holding a layer).
 //     When the optimizer's per-layer mutation counters (SaveSpec.LayerGens)
 //     prove a layer untouched since the previous capture, even the hash is
 //     skipped and the cached digests are reused.
@@ -399,15 +400,11 @@ func (s *AsyncSaver) capturePayload(dedup bool, store *storage.BlobStore, p *pay
 			return nil
 		}
 	}
-	sp, gated, err := s.newSpool(p.size)
+	sp, err := s.pool.Spool(p.size)
 	if err != nil {
 		return err
 	}
-	p.write = replay(sp.Open)
-	p.release = func() {
-		sp.Release()
-		s.gate.Release(gated)
-	}
+	p.write, p.release = replay(sp.Open), func() { sp.Release() }
 	var sink io.Writer = sp
 	var crc hash.Hash32
 	if !dedup {
@@ -429,21 +426,6 @@ func (s *AsyncSaver) capturePayload(dedup bool, store *storage.BlobStore, p *pay
 	s.stats.BytesSpooled += p.size
 	s.mu.Unlock()
 	return nil
-}
-
-// newSpool admits a payload under the memory budget without ever blocking:
-// a full gate routes the payload to an unmetered temp file instead (a
-// blocked capture worker would hold up the very layer release the trainer
-// is waiting on).
-func (s *AsyncSaver) newSpool(size int64) (storage.CaptureSpool, int64, error) {
-	if s.gate.TryAcquire(size) {
-		return s.pool.PooledSpool(size), size, nil
-	}
-	sp, err := s.pool.FileSpool()
-	if err != nil {
-		return nil, 0, err
-	}
-	return sp, 0, nil
 }
 
 // write commits one captured save — a job of the ordered write pipeline:

@@ -78,7 +78,7 @@ type catalog struct {
 	// pin query, Retain and generational GC see nothing saved yet).
 	absent  error
 	entries []*entry
-	cas     memo[*storage.BlobStore]
+	sc      memo[*pinScope]
 }
 
 // openCatalog lists runRoot ("" is the backend root) once. The blob store's
@@ -132,9 +132,14 @@ func entryAt(b storage.Backend, dir string) *entry {
 	return (&catalog{b: b, root: runRootOf(dir)}).entryOf(RefKey(dir))
 }
 
-// store is the content-addressed store serving the run root, opened once.
+// store is the content-addressed store serving the run root: the scope's,
+// opened once.
 func (c *catalog) store() (*storage.BlobStore, error) {
-	return c.cas.get(func() (*storage.BlobStore, error) { return storage.OpenCAS(c.b, objectsPath(c.root)) })
+	s, err := c.scope()
+	if err != nil {
+		return nil, err
+	}
+	return s.store()
 }
 
 // entry is one directory of a run root.

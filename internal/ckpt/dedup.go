@@ -265,7 +265,7 @@ func scanBlobs(c *catalog) ([]BlobStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := scope.openStore()
+	store, err := scope.store()
 	if err != nil {
 		return nil, err
 	}

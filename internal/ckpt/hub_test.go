@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -409,5 +410,75 @@ func TestHubCrashPointExplorationRetainVsPeer(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScanRefsRefusesChainedHub: a run attached to a hub whose store is
+// itself attached elsewhere is refused by every view of the doctor, the ref
+// index view included, as it is by every other operation.
+func TestScanRefsRefusesChainedHub(t *testing.T) {
+	b := storage.NewMem()
+	attachHub(t, b, "hub", "run", "run")
+	saveDedup(t, b, "run/checkpoint-10", 330, 2)
+	if err := storage.WriteHubRef(b, storage.HubObjectsRoot("hub"), &storage.HubRef{Version: 1, Hub: "other", Run: "hub"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, views := range []ScanViews{{Refs: true}, {Blobs: true}} {
+		if _, err := ScanRun(b, "run", views); err == nil || !strings.Contains(err.Error(), "chained") {
+			t.Errorf("ScanRun(%+v) on a chained hub: %v, want refusal", views, err)
+		}
+	}
+	if _, err := GC(b, "run"); err == nil || !strings.Contains(err.Error(), "chained") {
+		t.Errorf("GC on a chained hub: %v, want refusal", err)
+	}
+}
+
+// TestRunScopeJournalNamespace: an attached run journals under the hub's
+// refs/<run-id>/ namespace, resolved from its hubref by the run's scope; an
+// unattached run keeps the flat refs dir.
+func TestRunScopeJournalNamespace(t *testing.T) {
+	b := storage.NewMem()
+	runIndex := func(runRoot string) *storage.RefIndex {
+		t.Helper()
+		scope, err := openRunScope(b, runRoot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scope.self.ix
+	}
+	if ix := runIndex("solo"); ix.Dir() != "solo/objects/refs" {
+		t.Fatalf("unattached: dir=%s", ix.Dir())
+	}
+
+	attachHub(t, b, "hub", "runs/a", "runa")
+	ix := runIndex("runs/a")
+	want := storage.HubObjectsRoot("hub") + "/refs/runa"
+	if ix.Dir() != want {
+		t.Fatalf("dir = %s, want %s", ix.Dir(), want)
+	}
+	gen, err := ix.NextGeneration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Append(&storage.RefRecord{Generation: gen, Key: "checkpoint-10",
+		Digests: []string{strings.Repeat("ab", 32)}}); err != nil {
+		t.Fatal(err)
+	}
+	entries, _, _, err := ix.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Key != "checkpoint-10" {
+		t.Fatalf("entries = %+v", entries)
+	}
+
+	// A second run's namespace is disjoint: it sees none of runa's records.
+	attachHub(t, b, "hub", "runs/b", "runb")
+	entries, _, _, err = runIndex("runs/b").Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("runb sees runa's records: %+v", entries)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 
-	"llmtailor/internal/modelcfg"
 	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/zero"
@@ -342,16 +341,4 @@ func metaForGroup(g optim.Group) ShardGroupMeta {
 		m.Layer = g.Layer.String()
 	}
 	return m
-}
-
-// LayerRefOf parses the meta's layer field.
-func (m ShardGroupMeta) LayerRefOf() (modelcfg.LayerRef, bool) {
-	if m.Layer == "" {
-		return modelcfg.LayerRef{}, false
-	}
-	ref, err := modelcfg.ParseLayerRef(m.Layer)
-	if err != nil {
-		return modelcfg.LayerRef{}, false
-	}
-	return ref, true
 }

@@ -164,19 +164,3 @@ func TestShardFileNameFormat(t *testing.T) {
 		t.Fatalf("name = %q", got)
 	}
 }
-
-func TestShardMetaLayerRef(t *testing.T) {
-	m := ShardGroupMeta{Layer: "layer.7"}
-	ref, ok := m.LayerRefOf()
-	if !ok || ref != modelcfg.Block(7) {
-		t.Fatalf("LayerRefOf = %v %v", ref, ok)
-	}
-	m2 := ShardGroupMeta{}
-	if _, ok := m2.LayerRefOf(); ok {
-		t.Fatal("empty layer parsed")
-	}
-	m3 := ShardGroupMeta{Layer: "bogus"}
-	if _, ok := m3.LayerRefOf(); ok {
-		t.Fatal("bogus layer parsed")
-	}
-}

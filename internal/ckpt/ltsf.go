@@ -177,7 +177,7 @@ func (w *containerWriter) reserve(n int64) {
 func (w *containerWriter) Abort() {
 	w.done = true
 	if w.spool != nil {
-		w.spool.Discard()
+		w.spool.Release()
 		w.spool = nil
 	}
 }
@@ -258,14 +258,13 @@ func (w *ltsfWriter) Close() error { return w.finish(w.hdr) }
 // writeContainerStream streams magic + header length + JSON header + the
 // spooled payload to the backend, returning the container's total size.
 func writeContainerStream(b storage.Backend, name string, magic [4]byte, hdr any, spool storage.Spool, buf []byte) (int64, error) {
+	defer spool.Release()
 	hj, err := json.Marshal(hdr)
 	if err != nil {
-		spool.Discard()
 		return 0, fmt.Errorf("ckpt: marshal header: %w", err)
 	}
-	pr, err := spool.Reader()
+	pr, err := spool.Open()
 	if err != nil {
-		spool.Discard()
 		return 0, fmt.Errorf("ckpt: %s: read spool: %w", name, err)
 	}
 	defer pr.Close()

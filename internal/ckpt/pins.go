@@ -48,6 +48,7 @@ type pinScope struct {
 	id      string // the asking run's registry id under the hub
 	self    *pinRun
 	others  []pinRun // peers() cache
+	cas     memo[*storage.BlobStore]
 }
 
 // openRunScope resolves a run root's scope. An attached run's journal lives
@@ -66,14 +67,17 @@ func openRunScope(b storage.Backend, runRoot string) (*pinScope, error) {
 	return s, nil
 }
 
-// scope resolves the scope of the run root c catalogs, with c as what its pin
-// queries read of the run's own directories.
+// scope resolves the scope of the run root c catalogs once, with c as what
+// its pin queries read of the run's own directories: every view and policy
+// over one catalog shares one hub resolution, chain check included.
 func (c *catalog) scope() (*pinScope, error) {
-	s, err := openRunScope(c.b, c.root)
-	if err == nil {
-		s.self.cat = c
-	}
-	return s, err
+	return c.sc.get(func() (*pinScope, error) {
+		s, err := openRunScope(c.b, c.root)
+		if err == nil {
+			s.self.cat = c
+		}
+		return s, err
+	})
 }
 
 // peers returns every other run attached to the scope's hub (every run, for
@@ -337,12 +341,14 @@ type sweeper struct {
 	storage.SweepReport
 }
 
-// openStore opens the scope's store (the attachment is already resolved).
-func (s *pinScope) openStore() (*storage.BlobStore, error) { return storage.OpenCASAt(s.b, s.objects) }
+// store opens the scope's store once (the attachment is already resolved).
+func (s *pinScope) store() (*storage.BlobStore, error) {
+	return s.cas.get(func() (*storage.BlobStore, error) { return storage.OpenCASAt(s.b, s.objects) })
+}
 
 // sweeper opens the scope's store for sweeping under a policy's query.
 func (s *pinScope) sweeper(query pinQuery, dryRun bool) (*sweeper, error) {
-	store, err := s.openStore()
+	store, err := s.store()
 	if err != nil {
 		return nil, err
 	}

@@ -101,7 +101,7 @@ func TestCapabilitiesThroughWrappers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sp.Discard()
+		defer sp.Release()
 		return fmt.Sprintf("%T", sp)
 	}
 	bases := []struct {

@@ -375,10 +375,11 @@ func auditRefs(ix *storage.RefIndex, c *catalog) (*refAudit, error) {
 // against its manifests. A run root without an index (or without an objects
 // store at all) yields findings only for unrecorded dedup directories.
 func scanRefs(c *catalog) ([]RefStatus, error) {
-	ix, err := storage.OpenRefIndex(c.b, objectsPath(c.root))
+	scope, err := c.scope()
 	if err != nil {
 		return nil, err
 	}
+	ix := scope.self.ix
 	audit, err := auditRefs(ix, c)
 	if err != nil {
 		return nil, err

@@ -18,11 +18,11 @@ import (
 // mustRefIndex opens the run's (possibly hub-resolved) ref index.
 func mustRefIndex(t *testing.T, b storage.Backend, runRoot string) *storage.RefIndex {
 	t.Helper()
-	ix, err := storage.OpenRefIndex(b, objectsPath(runRoot))
+	scope, err := openRunScope(b, runRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ix
+	return scope.self.ix
 }
 
 // refEntries lists the run's journal entries.

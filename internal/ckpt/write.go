@@ -186,27 +186,16 @@ func (s *payloadSet) hashAll(ra readAhead) error {
 		}
 		return nil
 	})
-	var spool func(size int64) (storage.CaptureSpool, func(), error)
+	var pool *storage.BufferPool
 	if ra.workers > 0 {
-		pool, gate := storage.NewBufferPool(), parallel.NewByteGate(hashSpoolBytes)
-		spool = func(size int64) (storage.CaptureSpool, func(), error) {
-			if gate.TryAcquire(size) {
-				sp := pool.PooledSpool(size)
-				return sp, func() { sp.Release(); gate.Release(size) }, nil
-			}
-			sp, err := pool.FileSpool()
-			if err != nil {
-				return nil, nil, err
-			}
-			return sp, func() { sp.Release() }, nil
-		}
+		pool = storage.NewBufferPool(hashSpoolBytes)
 	}
 	var failed atomic.Bool
 	return parallel.ForEachFirst(max(1, ra.workers), len(jobs), func(i int) error {
 		if failed.Load() {
 			return nil
 		}
-		err := jobs[i].p.hash(jobs[i].slot, spool)
+		err := jobs[i].p.hash(jobs[i].slot, pool)
 		if err != nil {
 			failed.Store(true)
 		}
@@ -214,15 +203,15 @@ func (s *payloadSet) hashAll(ra readAhead) error {
 	})
 }
 
-// hash gives p its digest and CRC. With a spool, it spools the bytes as
-// they are hashed and replays the spool from then on.
-func (p *payload) hash(slot string, spool func(size int64) (storage.CaptureSpool, func(), error)) error {
+// hash gives p its digest and CRC. With a pool (an output's hash pass; nil
+// for a save), it spools the bytes as they are hashed and replays the spool
+// from then on.
+func (p *payload) hash(slot string, pool *storage.BufferPool) error {
 	write := p.write
-	var sp storage.CaptureSpool
-	var release func()
-	if spool != nil {
+	var sp storage.Spool
+	if pool != nil {
 		var err error
-		if sp, release, err = spool(p.size); err != nil {
+		if sp, err = pool.Spool(p.size); err != nil {
 			return fmt.Errorf("ckpt: hash %s: %w", slot, err)
 		}
 		write = func(w io.Writer) (int64, error) { return p.write(io.MultiWriter(w, sp)) }
@@ -235,20 +224,20 @@ func (p *payload) hash(slot string, spool func(size int64) (storage.CaptureSpool
 		err = p.crcMismatch("", slot, crc)
 	}
 	if err != nil {
-		if release != nil {
-			release()
+		if sp != nil {
+			sp.Release()
 		}
 		return err
 	}
 	if sp != nil {
 		p.consumed()
-		p.write, p.release = replay(sp.Open), release
+		p.write, p.release = replay(sp.Open), func() { sp.Release() }
 	}
 	p.digest, p.crc, p.hasCRC = digest, crc, true
 	return nil
 }
 
-// replay adapts a reopenable byte source (a capture spool, a committed
+// replay adapts a reopenable byte source (a spool, a committed
 // payload's extent) to a payload's write function.
 func replay(open func() (io.ReadCloser, error)) func(io.Writer) (int64, error) {
 	return withChunkBuf(func(w io.Writer, buf []byte) (int64, error) {
@@ -278,7 +267,7 @@ func openSaveStore(b storage.Backend, finalDir string) (*saveStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	cas, err := scope.openStore()
+	cas, err := scope.store()
 	if err != nil {
 		return nil, err
 	}

@@ -151,7 +151,7 @@ func Detach(b storage.Backend, runRoot string, force bool) error {
 		return err
 	}
 	// Drop the run's namespaced journal records directly: the hubref is
-	// gone, so OpenRefIndex on the run would now resolve locally.
+	// gone, so the run's scope would now resolve locally.
 	nsIx := storage.NewRefIndexNS(b, storage.HubObjectsRoot(ref.Hub), ref.Run)
 	entries, staging, _, err := nsIx.Entries()
 	if err != nil {

@@ -319,13 +319,11 @@ func (s *BlobStore) Meta(digest string) (BlobMeta, error) {
 }
 
 // BlobPutOptions requests an encoded put: the codec to try, the payload's
-// element width, the parent digest (CodecXORParent) and an optional gate
-// bounding the raw bytes the chunk coders hold in flight.
+// element width and the parent digest (CodecXORParent).
 type BlobPutOptions struct {
 	Codec  BlobCodec
 	Width  int
 	Parent string
-	Gate   *parallel.ByteGate
 }
 
 // PutResult reports how a put ended up stored. On a dedup hit the fields
@@ -445,7 +443,7 @@ func (s *BlobStore) encodeBlob(digest string, raw []byte, opts BlobPutOptions) (
 			r.Close()
 			if delta = delta[:len(raw)]; n == len(raw) && opts.Parent != digest {
 				tensor.XORBytes(delta, delta, raw)
-				if c, ok := EncodeContainer(delta, CodecXORParent, opts.Width, opts.Parent, opts.Gate); ok {
+				if c, ok := EncodeContainer(delta, CodecXORParent, opts.Width, opts.Parent, nil); ok {
 					return c, CodecXORParent
 				}
 			}
@@ -453,7 +451,7 @@ func (s *BlobStore) encodeBlob(digest string, raw []byte, opts BlobPutOptions) (
 		codec = CodecPlane
 	}
 	if codec == CodecPlane {
-		if c, ok := EncodeContainer(raw, CodecPlane, opts.Width, "", opts.Gate); ok {
+		if c, ok := EncodeContainer(raw, CodecPlane, opts.Width, "", nil); ok {
 			return c, CodecPlane
 		}
 	}
@@ -611,14 +609,14 @@ func (w *blobWriter) commit() (bool, error) {
 // mid-multipart is swept exactly like rename-mode staging residue.
 func (w *blobWriter) commitPut() (bool, error) {
 	digest := w.digest
-	defer w.spool.Discard()
+	defer w.spool.Release()
 	if got := hex.EncodeToString(w.sum.Sum(nil)); !w.container && got != digest {
 		return false, fmt.Errorf("storage: blob content hashes to %s, want %s", got, digest)
 	}
 	if w.s.Has(digest) {
 		return false, nil
 	}
-	r, err := w.spool.Reader()
+	r, err := w.spool.Open()
 	if err != nil {
 		return false, fmt.Errorf("storage: publish blob %s: %w", digest, err)
 	}
@@ -640,7 +638,7 @@ func (w *blobWriter) commitPut() (bool, error) {
 // abort drops the staging state of a writer that will not commit.
 func (w *blobWriter) abort() {
 	if w.spool != nil {
-		w.spool.Discard()
+		w.spool.Release()
 		return
 	}
 	w.w.Close()

@@ -1,41 +1,18 @@
-// Capture spools: reusable payload buffers for lazy checkpoint capture.
-//
-// A lazy save copies each layer's live bytes out of the optimizer into a
-// spool the moment the layer is quiescent, then publishes the spool from a
-// background writer. Two properties distinguish these spools from the
-// one-shot Spool in stream.go: they are *re-openable* (blob publication can
-// retry its encode, so the bytes must be replayable), and the memory-backed
-// kind is *pooled* (a training run captures the same layer sizes every
-// save, so buffers are recycled instead of churned through the allocator).
-// Payloads that do not fit under the caller's memory budget fall back to
-// unmetered temp files on the local filesystem — scratch space, like
-// stream.go's fileSpool, never part of the checkpoint backend.
+// Spool admission: the one memory-or-file rule for payloads parked under a
+// memory budget. A lazy save parks each changed layer between capture and its
+// background write; an output's hash pass parks each payload it hashes so the
+// put replays it. Both must never block for the budget (a blocked worker
+// would hold up the release that frees it), and both park the same few sizes
+// again and again: BufferPool.Spool hands out a pooled memory spool when the
+// budget admits the payload right now, a temp-file spool otherwise.
 
 package storage
 
 import (
-	"bytes"
-	"fmt"
-	"io"
-	"os"
 	"sync"
-)
 
-// CaptureSpool holds one captured payload's exact bytes between the moment
-// the live state is copied out and the moment a background write consumes
-// them. Unlike Spool (whose Reader is one-shot), Open may be called any
-// number of times; each call returns an independent reader over the full
-// spooled content. Release must not race an open reader.
-type CaptureSpool interface {
-	io.Writer
-	// Len returns the number of bytes written so far.
-	Len() int64
-	// Open returns a fresh reader over the spooled bytes.
-	Open() (io.ReadCloser, error)
-	// Release frees the spool's resources — the buffer returns to its pool,
-	// a temp file is removed. Idempotent; the spool is unusable afterwards.
-	Release() error
-}
+	"llmtailor/internal/parallel"
+)
 
 // BufferPoolStats counts what a pool handed out, for capture accounting.
 type BufferPoolStats struct {
@@ -49,24 +26,26 @@ type BufferPoolStats struct {
 	FileSpools int64
 }
 
-// BufferPool recycles capture buffers across saves. Released buffers join a
-// bounded free list; PooledSpool picks the smallest buffer that fits (best
-// fit keeps a run's few distinct layer sizes from all mapping onto the one
-// largest buffer). The pool does not bound memory itself — callers meter
-// admission with a parallel.ByteGate and use FileSpool when the gate is
-// full.
+// BufferPool admits spools under a memory budget and recycles their buffers.
+// Released buffers join a bounded free list; a pooled spool takes the
+// smallest free buffer that fits (best fit keeps a run's few distinct layer
+// sizes from all mapping onto the one largest buffer).
 type BufferPool struct {
-	mu    sync.Mutex
-	free  [][]byte
-	stats BufferPoolStats
+	budget *parallel.ByteGate
+	mu     sync.Mutex
+	free   [][]byte
+	stats  BufferPoolStats
 }
 
 // maxFreeBuffers bounds the free list; beyond it, released buffers are
 // dropped for the allocator to reclaim.
 const maxFreeBuffers = 64
 
-// NewBufferPool returns an empty pool.
-func NewBufferPool() *BufferPool { return &BufferPool{} }
+// NewBufferPool returns an empty pool whose memory spools hold at most
+// budget bytes at once (budget <= 0: unbounded).
+func NewBufferPool(budget int64) *BufferPool {
+	return &BufferPool{budget: parallel.NewByteGate(budget)}
+}
 
 // Stats returns a snapshot of the pool's counters.
 func (p *BufferPool) Stats() BufferPoolStats {
@@ -75,128 +54,52 @@ func (p *BufferPool) Stats() BufferPoolStats {
 	return p.stats
 }
 
-// PooledSpool returns a memory-backed spool with capacity for size bytes,
-// reusing a free buffer when one fits.
-func (p *BufferPool) PooledSpool(size int64) CaptureSpool {
-	if size < 0 {
-		size = 0
-	}
+// Peak returns the high-water mark of memory admitted under the budget.
+func (p *BufferPool) Peak() int64 { return p.budget.Peak() }
+
+// Spool returns scratch space for a payload of size bytes without ever
+// blocking: a memory spool with capacity for size bytes, reusing a free
+// buffer when one fits, if the budget admits size right now (a payload
+// larger than the whole budget is admitted alone); a temp-file spool
+// otherwise. Releasing a memory spool returns its buffer and its budget.
+func (p *BufferPool) Spool(size int64) (Spool, error) {
+	size = max(size, 0)
+	admitted := p.budget.TryAcquire(size)
 	p.mu.Lock()
+	p.stats.Spools++
+	if !admitted {
+		p.stats.FileSpools++
+		p.mu.Unlock()
+		return newFileSpool()
+	}
 	best := -1
 	for i, b := range p.free {
-		if int64(cap(b)) >= size && (best < 0 || cap(p.free[i]) < cap(p.free[best])) {
+		if int64(cap(b)) >= size && (best < 0 || cap(b) < cap(p.free[best])) {
 			best = i
 		}
 	}
 	var buf []byte
 	if best >= 0 {
-		buf = p.free[best][:0]
+		buf = p.free[best]
 		p.free = append(p.free[:best], p.free[best+1:]...)
 		p.stats.Reused++
 	} else {
 		p.stats.Allocated++
 	}
-	p.stats.Spools++
 	p.mu.Unlock()
 	if buf == nil {
 		buf = make([]byte, 0, size)
 	}
-	return &pooledSpool{pool: p, buf: buf}
+	return &memSpool{data: buf, pool: p, admitted: size}, nil
 }
 
-// FileSpool returns a temp-file-backed spool for payloads that must not
-// count against pooled memory. The file lives on the local filesystem (like
-// stream.go's large-merge spool), never on the checkpoint backend.
-func (p *BufferPool) FileSpool() (CaptureSpool, error) {
-	f, err := os.CreateTemp("", "llmtailor-capture-*")
-	if err != nil {
-		return nil, fmt.Errorf("storage: capture spool: %w", err)
-	}
+// put returns a released spool's buffer to the free list (or drops it when
+// the list is full) and its admitted bytes to the budget.
+func (p *BufferPool) put(buf []byte, admitted int64) {
 	p.mu.Lock()
-	p.stats.Spools++
-	p.stats.FileSpools++
-	p.mu.Unlock()
-	return &fileCaptureSpool{f: f, path: f.Name()}, nil
-}
-
-// put returns a buffer to the free list (or drops it when full).
-func (p *BufferPool) put(buf []byte) {
-	if buf == nil {
-		return
-	}
-	p.mu.Lock()
-	if len(p.free) < maxFreeBuffers {
+	if buf != nil && len(p.free) < maxFreeBuffers {
 		p.free = append(p.free, buf[:0])
 	}
 	p.mu.Unlock()
-}
-
-type pooledSpool struct {
-	pool     *BufferPool
-	buf      []byte
-	released bool
-}
-
-func (s *pooledSpool) Write(p []byte) (int, error) {
-	if s.released {
-		return 0, fmt.Errorf("storage: write to released capture spool")
-	}
-	s.buf = append(s.buf, p...)
-	return len(p), nil
-}
-
-func (s *pooledSpool) Len() int64 { return int64(len(s.buf)) }
-
-func (s *pooledSpool) Open() (io.ReadCloser, error) {
-	if s.released {
-		return nil, fmt.Errorf("storage: open released capture spool")
-	}
-	return io.NopCloser(bytes.NewReader(s.buf)), nil
-}
-
-func (s *pooledSpool) Release() error {
-	if s.released {
-		return nil
-	}
-	s.released = true
-	s.pool.put(s.buf)
-	s.buf = nil
-	return nil
-}
-
-type fileCaptureSpool struct {
-	f        *os.File
-	path     string
-	n        int64
-	released bool
-}
-
-func (s *fileCaptureSpool) Write(p []byte) (int, error) {
-	if s.released {
-		return 0, fmt.Errorf("storage: write to released capture spool")
-	}
-	n, err := s.f.Write(p)
-	s.n += int64(n)
-	return n, err
-}
-
-func (s *fileCaptureSpool) Len() int64 { return s.n }
-
-func (s *fileCaptureSpool) Open() (io.ReadCloser, error) {
-	if s.released {
-		return nil, fmt.Errorf("storage: open released capture spool")
-	}
-	return os.Open(s.path)
-}
-
-func (s *fileCaptureSpool) Release() error {
-	if s.released {
-		return nil
-	}
-	s.released = true
-	err := s.f.Close()
-	if rmErr := os.Remove(s.path); err == nil {
-		err = rmErr
-	}
-	return err
+	p.budget.Release(admitted)
 }

@@ -487,10 +487,6 @@ func (c *chainReader) Close() error {
 	return err
 }
 
-// EncodeStored wraps raw in a stored-codec container (the "LTBC"-prefix
-// escape).
-func EncodeStored(raw []byte) []byte { return append(storedHeader(), raw...) }
-
 // storedHeader returns just the 88-byte stored-codec header, for streaming
 // writers that prepend it before payload bytes of unknown length.
 func storedHeader() []byte { return containerHeader(CodecStored, 0, 0, 0, "") }

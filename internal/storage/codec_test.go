@@ -103,7 +103,7 @@ func TestEncodeContainerGateFallsBackOnNoise(t *testing.T) {
 
 func TestStoredEscape(t *testing.T) {
 	raw := append([]byte(blobMagic), []byte("payload that looks like a container")...)
-	enc := EncodeStored(raw)
+	enc := append(storedHeader(), raw...)
 	got, meta, err := DecodeContainer(enc, DecodeOpts{})
 	if err != nil {
 		t.Fatalf("decode stored: %v", err)

@@ -5,7 +5,7 @@
 // never race a read-modify-write over a shared document) and one `objects/`
 // blob store (flat or sharded, exactly as a run-local store would be). A
 // run root attaches by dropping a `hubref.json` redirect into its own
-// `objects/` directory; from then on OpenCAS and OpenRefIndex follow the
+// `objects/` directory; from then on OpenCAS and ResolveHub follow the
 // redirect, so every existing save, GC, scan and reshard path resolves the
 // shared store without knowing hubs exist. The run keeps its checkpoint
 // directories and latest pointer; only blobs and its ref journal move — the
@@ -90,11 +90,6 @@ func ValidHubRunID(id string) bool {
 		}
 	}
 	return true
-}
-
-// IsHub reports whether root carries a hub.json marker.
-func IsHub(b Backend, root string) bool {
-	return b.Exists(strings.TrimSuffix(root, "/") + "/" + HubConfigName)
 }
 
 // WriteHubConfig marks root as a hub (idempotent).

@@ -23,17 +23,14 @@ func attach(t *testing.T, b Backend, hubRoot, runRoot, id string) {
 // TestHubConfigRoundTrip: init is recognisable and versions are checked.
 func TestHubConfigRoundTrip(t *testing.T) {
 	b := NewMem()
-	if IsHub(b, "hub") {
-		t.Fatal("uninitialised root claims to be a hub")
+	if _, err := ReadHubConfig(b, "hub"); !IsNotExist(err) {
+		t.Fatalf("uninitialised root: %v, want not-exist", err)
 	}
 	if err := WriteHubConfig(b, "hub"); err != nil {
 		t.Fatal(err)
 	}
-	if !IsHub(b, "hub") {
-		t.Fatal("initialised hub not recognised")
-	}
 	if _, err := ReadHubConfig(b, "hub"); err != nil {
-		t.Fatal(err)
+		t.Fatalf("initialised hub not recognised: %v", err)
 	}
 	if err := b.WriteFile("hub/"+HubConfigName, []byte(`{"version":99}`)); err != nil {
 		t.Fatal(err)
@@ -151,61 +148,6 @@ func TestOpenCASCorruptHubRef(t *testing.T) {
 	}
 	if _, err := OpenCAS(b, "run/objects"); err == nil {
 		t.Fatal("corrupt hubref did not fail OpenCAS")
-	}
-}
-
-// TestOpenRefIndexNamespacing: an attached run journals under the hub's
-// refs/<run-id>/ namespace; an unattached run keeps the flat refs dir.
-func TestOpenRefIndexNamespacing(t *testing.T) {
-	b := NewMem()
-	ix, err := OpenRefIndex(b, "solo/objects")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Namespace() != "" || ix.Dir() != "solo/objects/refs" {
-		t.Fatalf("unattached: ns=%q dir=%s", ix.Namespace(), ix.Dir())
-	}
-
-	attach(t, b, "hub", "runs/a", "runa")
-	ix, err = OpenRefIndex(b, "runs/a/objects")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Namespace() != "runa" {
-		t.Fatalf("namespace = %q", ix.Namespace())
-	}
-	want := HubObjectsRoot("hub") + "/refs/runa"
-	if ix.Dir() != want {
-		t.Fatalf("dir = %s, want %s", ix.Dir(), want)
-	}
-	gen, err := ix.NextGeneration()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Append(&RefRecord{Generation: gen, Key: "checkpoint-10",
-		Digests: []string{strings.Repeat("ab", 32)}}); err != nil {
-		t.Fatal(err)
-	}
-	entries, _, _, err := ix.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Key != "checkpoint-10" {
-		t.Fatalf("entries = %+v", entries)
-	}
-
-	// A second run's namespace is disjoint: it sees none of runa's records.
-	attach(t, b, "hub", "runs/b", "runb")
-	other, err := OpenRefIndex(b, "runs/b/objects")
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, _, _, err = other.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("runb sees runa's records: %+v", entries)
 	}
 }
 

@@ -13,7 +13,6 @@ package storage
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"llmtailor/internal/parallel"
 )
@@ -197,19 +196,4 @@ func serialPut(b Backend, dst string, r io.Reader, size int64) error {
 		return fmt.Errorf("storage: put %s: wrote %d of %d bytes", dst, n, size)
 	}
 	return nil
-}
-
-// backoffJitter derives a deterministic exponential-backoff delay with
-// jitter for attempt k (1-based): base·2^(k-1) plus up to half of itself,
-// from the caller-supplied jitter source. Shared by Retry so tests can
-// reproduce schedules exactly.
-func backoffJitter(base time.Duration, attempt int, frac float64) time.Duration {
-	if base <= 0 {
-		base = 2 * time.Millisecond
-	}
-	d := base << uint(attempt-1)
-	if d > time.Second {
-		d = time.Second
-	}
-	return d + time.Duration(float64(d)/2*frac)
 }

@@ -100,26 +100,6 @@ func NewRefIndexNS(b Backend, objectsRoot, ns string) *RefIndex {
 	return ix
 }
 
-// OpenRefIndex resolves the index serving an objects root, following a hub
-// attachment the same way OpenCAS does: an attached run's journal lives
-// under the hub store's `refs/<run-id>/` namespace, an unattached root's
-// under its own `refs/`. This is the constructor the checkpoint layer
-// should use; NewRefIndex stays the direct, resolution-free form.
-func OpenRefIndex(b Backend, objectsRoot string) (*RefIndex, error) {
-	root := strings.TrimSuffix(objectsRoot, "/")
-	ref, err := ReadHubRef(b, root)
-	if err != nil {
-		return nil, err
-	}
-	if ref == nil {
-		return NewRefIndex(b, root), nil
-	}
-	return NewRefIndexNS(b, HubObjectsRoot(ref.Hub), ref.Run), nil
-}
-
-// Namespace returns the index's hub namespace ("" for a run-local index).
-func (ix *RefIndex) Namespace() string { return ix.ns }
-
 // Dir returns the index directory ("<objects>/refs", or the namespaced
 // "<objects>/refs/<ns>" for a hub-attached run).
 func (ix *RefIndex) Dir() string {

@@ -26,8 +26,8 @@ import (
 	"time"
 )
 
-// DefaultRetryAttempts bounds the attempts per operation (first try
-// included) when Retry.Attempts is unset.
+// DefaultRetryAttempts bounds the attempts per operation, first try
+// included.
 const DefaultRetryAttempts = 4
 
 // Retry wraps a Backend with bounded-attempt retries of transient errors.
@@ -36,12 +36,6 @@ type Retry struct {
 	// rename that failed mid-flight is not safely replayable — the source may
 	// already have moved.
 	Backend
-	// Attempts is the total tries per operation (default
-	// DefaultRetryAttempts). 1 disables retrying.
-	Attempts int
-	// Base is the first backoff delay; attempt k waits about Base·2^(k-1)
-	// plus jitter (default 2ms, capped at 1s).
-	Base time.Duration
 	// Sleep delivers backoff delays (default time.Sleep). Point it at
 	// Meter.AddSimTime to bill waits to the simulated clock.
 	Sleep func(time.Duration)
@@ -65,13 +59,6 @@ func (r *Retry) Retries() int64 {
 	return r.retries
 }
 
-func (r *Retry) attempts() int {
-	if r.Attempts <= 0 {
-		return DefaultRetryAttempts
-	}
-	return r.Attempts
-}
-
 func (r *Retry) sleep(d time.Duration) {
 	if r.Sleep != nil {
 		r.Sleep(d)
@@ -80,22 +67,33 @@ func (r *Retry) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// do runs op up to Attempts times, backing off between transient failures.
-// Only transient errors retry: an injected crash fault, a missing object or
-// a genuine bug must surface on the first attempt.
+// do runs op up to DefaultRetryAttempts times, backing off between
+// transient failures. Only transient errors retry: an injected crash fault,
+// a missing object or a genuine bug must surface on the first attempt.
 func (r *Retry) do(op func() error) error {
-	attempts := r.attempts()
 	for k := 1; ; k++ {
 		err := op()
-		if err == nil || !IsTransient(err) || k >= attempts {
+		if err == nil || !IsTransient(err) || k >= DefaultRetryAttempts {
 			return err
 		}
 		r.mu.Lock()
 		r.retries++
 		frac := r.rng.Float64()
 		r.mu.Unlock()
-		r.sleep(backoffJitter(r.Base, k, frac))
+		r.sleep(backoffJitter(k, frac))
 	}
+}
+
+// backoffJitter derives a deterministic exponential-backoff delay with
+// jitter for attempt k (1-based): 2ms·2^(k-1), capped at 1s, plus up to half
+// of itself, from the caller-supplied jitter source, so tests can reproduce
+// schedules exactly.
+func backoffJitter(attempt int, frac float64) time.Duration {
+	d := 2 * time.Millisecond << uint(attempt-1)
+	if d > time.Second {
+		d = time.Second
+	}
+	return d + time.Duration(float64(d)/2*frac)
 }
 
 // WriteFile implements Backend; a whole-object PUT is idempotent, so

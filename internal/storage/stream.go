@@ -1,7 +1,13 @@
+// Streaming primitives and the one kind of scratch space, Spool: unmetered
+// storage holding a payload until it is written out, in memory (memSpool) or
+// in a temp file (fileSpool, the one os.CreateTemp). NewSpool chooses between
+// the two by backend, BufferPool.Spool (bufpool.go) by memory budget.
+
 package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -52,21 +58,26 @@ func CopyFile(dst Backend, dstName string, src Backend, srcName string, chunkByt
 	return n, nil
 }
 
-// Spool is unmetered scratch space for staging a container payload whose
-// header (offsets, CRCs) is only known once the payload has been produced.
-// Write the payload, then call Reader exactly once to stream it back out;
-// Discard releases resources and is safe to call at any point (including
-// after Reader's Close).
+// Spool is unmetered scratch space holding a payload between the moment it
+// is produced and the moment it is written out: a container payload whose
+// header (offsets, CRCs) is only known once the payload is complete, a blob a
+// no-rename backend may PUT only once its digest is proven, a captured or
+// hashed payload waiting for the write stage. Write the bytes, then Open any
+// number of times: each reader is independent and covers every byte written.
+// Release frees the spool — a pooled buffer goes back to its pool, a temp
+// file is removed. It is idempotent and must not race an open reader; Write
+// and Open fail after it.
 type Spool interface {
 	io.Writer
 	// Len returns the number of bytes written so far.
 	Len() int64
-	// Reader finishes the write side and streams the spooled bytes back.
-	// Closing the reader releases the spool.
-	Reader() (io.ReadCloser, error)
-	// Discard drops the spool without reading it. Idempotent.
-	Discard() error
+	// Open returns a fresh reader over the spooled bytes.
+	Open() (io.ReadCloser, error)
+	// Release frees the spool's resources. Idempotent.
+	Release() error
 }
+
+var errSpoolReleased = errors.New("storage: spool used after Release")
 
 // Reserve reserves capacity for n further bytes when the writer — a spool,
 // or a stream from Create — holds what it is given in memory. Advisory:
@@ -83,9 +94,11 @@ func Reserve(w io.Writer, n int64) {
 // NewSpool returns scratch space appropriate for the backend: file-backed
 // where a backend on the wrapper chain provides it (OS spools to a temp file,
 // so assembling a container never holds the payload in memory), in-memory
-// otherwise. Spools are implementation scratch — never charged to a Meter,
-// never a fault point (a crash while spooling is indistinguishable from a
-// crash at the first durable write of the spooled payload).
+// otherwise. Payloads parked under a memory budget take their spool from
+// BufferPool.Spool instead. Spools are implementation scratch — never charged
+// to a Meter, never a fault point (a crash while spooling is
+// indistinguishable from a crash at the first durable write of the spooled
+// payload).
 func NewSpool(b Backend) (Spool, error) {
 	for ; b != nil; b = unwrap(b) {
 		if s, ok := b.(interface{ NewSpool() (Spool, error) }); ok {
@@ -95,15 +108,22 @@ func NewSpool(b Backend) (Spool, error) {
 	return &memSpool{}, nil
 }
 
-// memSpool buffers the payload in memory (the Mem backend would hold the
-// bytes in memory anyway). Plain append growth: the spare capacity of a
+// memSpool holds the payload in memory: a buffer of its own (the Mem backend
+// would hold the bytes in memory anyway) or one on loan from a BufferPool,
+// handed back on Release. Plain append growth: the spare capacity of a
 // pointer-free slice is never zeroed, so spooling a large container costs
 // one move per byte instead of bytes.Buffer's zero-then-copy doubling.
 type memSpool struct {
-	data []byte
+	data     []byte
+	pool     *BufferPool // lender of data; nil when the buffer is the spool's own
+	admitted int64       // bytes the pool's budget admitted for this spool
+	released bool
 }
 
 func (s *memSpool) Write(p []byte) (int, error) {
+	if s.released {
+		return 0, errSpoolReleased
+	}
 	s.data = append(s.data, p...)
 	return len(p), nil
 }
@@ -121,19 +141,33 @@ func grow(data []byte, n int64) []byte {
 	return data
 }
 
-func (s *memSpool) Len() int64     { return int64(len(s.data)) }
-func (s *memSpool) Discard() error { s.data = nil; return nil }
+func (s *memSpool) Len() int64 { return int64(len(s.data)) }
 
-func (s *memSpool) Reader() (io.ReadCloser, error) {
+func (s *memSpool) Open() (io.ReadCloser, error) {
+	if s.released {
+		return nil, errSpoolReleased
+	}
 	return io.NopCloser(bytes.NewReader(s.data)), nil
 }
 
-// fileSpool spools to an unlinked-on-close temp file outside the backend
-// root, so payload staging is bounded-memory and never visible to List.
+func (s *memSpool) Release() error {
+	if !s.released {
+		s.released = true
+		if s.pool != nil {
+			s.pool.put(s.data, s.admitted)
+		}
+		s.data = nil
+	}
+	return nil
+}
+
+// fileSpool spools to a temp file on the local filesystem, outside the
+// backend root: bounded memory, never visible to List, removed on Release.
+// Readers share the file through ReadAt, each at its own offset.
 type fileSpool struct {
-	f    *os.File
-	n    int64
-	done bool
+	f        *os.File
+	n        int64
+	released bool
 }
 
 func newFileSpool() (Spool, error) {
@@ -145,6 +179,9 @@ func newFileSpool() (Spool, error) {
 }
 
 func (s *fileSpool) Write(p []byte) (int, error) {
+	if s.released {
+		return 0, errSpoolReleased
+	}
 	n, err := s.f.Write(p)
 	s.n += int64(n)
 	return n, err
@@ -152,25 +189,21 @@ func (s *fileSpool) Write(p []byte) (int, error) {
 
 func (s *fileSpool) Len() int64 { return s.n }
 
-func (s *fileSpool) Reader() (io.ReadCloser, error) {
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("storage: rewind spool: %w", err)
+func (s *fileSpool) Open() (io.ReadCloser, error) {
+	if s.released {
+		return nil, errSpoolReleased
 	}
-	return spoolReader{s}, nil
+	return io.NopCloser(io.NewSectionReader(s.f, 0, s.n)), nil
 }
 
-func (s *fileSpool) Discard() error {
-	if s.done {
+func (s *fileSpool) Release() error {
+	if s.released {
 		return nil
 	}
-	s.done = true
-	name := s.f.Name()
-	s.f.Close()
-	return os.Remove(name)
+	s.released = true
+	err := s.f.Close()
+	if rmErr := os.Remove(s.f.Name()); err == nil {
+		err = rmErr
+	}
+	return err
 }
-
-// spoolReader reads the spooled bytes back and removes the file on Close.
-type spoolReader struct{ s *fileSpool }
-
-func (r spoolReader) Read(p []byte) (int, error) { return r.s.f.Read(p) }
-func (r spoolReader) Close() error               { return r.s.Discard() }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"io"
+	"os"
 	"testing"
 )
 
@@ -128,44 +129,100 @@ func TestMeterStreamChargesMatchWholeFile(t *testing.T) {
 }
 
 func TestSpoolRoundtrip(t *testing.T) {
+	payload := bytes.Repeat([]byte("spool"), 1000)
+	size := int64(len(payload))
 	for _, tc := range []struct {
-		name string
-		b    Backend
+		name  string
+		spool func(t *testing.T) Spool
+		file  bool
 	}{
-		{"mem", NewMem()},
-		{"os", newTestOSBackend(t)},
-		{"meter-over-os", NewMeter(newTestOSBackend(t), Lustre())},
+		{"mem", func(t *testing.T) Spool { return mustSpool(t)(NewSpool(NewMem())) }, false},
+		{"os", func(t *testing.T) Spool { return mustSpool(t)(NewSpool(newTestOSBackend(t))) }, true},
+		{"meter-over-os", func(t *testing.T) Spool {
+			return mustSpool(t)(NewSpool(NewMeter(newTestOSBackend(t), Lustre())))
+		}, true},
+		{"pooled", func(t *testing.T) Spool { return mustSpool(t)(NewBufferPool(size).Spool(size)) }, false},
+		{"budget-exhausted", func(t *testing.T) Spool {
+			pool := NewBufferPool(size)
+			held := mustSpool(t)(pool.Spool(size))
+			t.Cleanup(func() { held.Release() })
+			return mustSpool(t)(pool.Spool(size))
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewSpool(tc.b)
-			if err != nil {
-				t.Fatal(err)
+			s := tc.spool(t)
+			fs, isFile := s.(*fileSpool)
+			if isFile != tc.file {
+				t.Fatalf("spool is %T, want file-backed = %v", s, tc.file)
 			}
-			payload := bytes.Repeat([]byte("spool"), 1000)
 			if _, err := s.Write(payload); err != nil {
 				t.Fatal(err)
 			}
-			if s.Len() != int64(len(payload)) {
+			if s.Len() != size {
 				t.Fatalf("Len = %d", s.Len())
 			}
-			r, err := s.Reader()
+			r1, err := s.Open()
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := io.ReadAll(r)
+			r2, err := s.Open()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, payload) {
-				t.Fatal("spool roundtrip mismatch")
+			for i, r := range []io.ReadCloser{r1, r2} {
+				got, err := io.ReadAll(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, payload) {
+					t.Fatalf("reader %d: spool roundtrip mismatch", i+1)
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
+			for i := 0; i < 2; i++ { // idempotent
+				if err := s.Release(); err != nil {
+					t.Fatalf("Release #%d: %v", i+1, err)
+				}
 			}
-			if err := s.Discard(); err != nil { // idempotent after Close
-				t.Fatal(err)
+			if _, err := s.Write(payload); err == nil {
+				t.Fatal("Write after Release succeeded")
+			}
+			if _, err := s.Open(); err == nil {
+				t.Fatal("Open after Release succeeded")
+			}
+			if isFile {
+				if _, err := os.Stat(fs.f.Name()); !os.IsNotExist(err) {
+					t.Fatalf("temp file %s survived Release: %v", fs.f.Name(), err)
+				}
 			}
 		})
+	}
+}
+
+func mustSpool(t *testing.T) func(Spool, error) Spool {
+	return func(s Spool, err error) Spool {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+}
+
+func TestBufferPoolBestFit(t *testing.T) {
+	pool := NewBufferPool(0)
+	big, small := mustSpool(t)(pool.Spool(4096)), mustSpool(t)(pool.Spool(1024))
+	big.Release()
+	small.Release()
+	s := mustSpool(t)(pool.Spool(512))
+	defer s.Release()
+	if got := cap(s.(*memSpool).data); got != 1024 {
+		t.Fatalf("pool handed out a %d-byte buffer for 512 bytes, want the 1024-byte one", got)
+	}
+	if st := pool.Stats(); st.Reused != 1 || st.Allocated != 2 || st.Spools != 3 || st.FileSpools != 0 {
+		t.Fatalf("stats = %+v, want 1 reused of 3 spools, 2 allocated", st)
 	}
 }
 
@@ -176,7 +233,7 @@ func TestSpoolIsUncharged(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Write(make([]byte, 4096))
-	r, _ := s.Reader()
+	r, _ := s.Open()
 	io.ReadAll(r)
 	r.Close()
 	if st := m.Stats(); st.BytesWritten != 0 || st.BytesRead != 0 || st.FilesWritten != 0 {
