@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output one-decoder one-spool request-budget loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
+.PHONY: all build test race race-read race-maint vet fmt-check one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output one-decoder one-spool request-budget paper-golden loc ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-vet bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -265,6 +265,16 @@ race-read:
 race-maint:
 	$(GO) test -race -run 'Sweep|RetainKeepLast|RetainPinsInFlight|HubGCRacing|ShardedGCRacing|DryRunMatchesRealRun|ForEach' . ./internal/ckpt ./internal/storage ./internal/parallel
 
+# The paper's tables and figures at quick scale, byte for byte. Every
+# experiment runs through the live save, merge, reshard and restore paths on a
+# metered backend, so a change that moves a stored byte or a charged request
+# shows as a diff. Refresh the golden (the same command into
+# cmd/paperbench/testdata/quick.golden) only in a change meant to move them.
+paper-golden:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/paperbench -exp all -scale quick -out '' > "$$out" && \
+	diff -u cmd/paperbench/testdata/quick.golden "$$out" && echo "paper-golden: identical"
+
 # Non-test Go lines per package, bench/ excluded — the number ROADMAP's
 # simplicity gate is stated in.
 loc:
@@ -276,7 +286,7 @@ loc:
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output one-decoder one-spool request-budget build test race-read race-maint objstore
+ci-fast: fmt-check vet one-journal one-pins one-store one-reader one-publish one-catalog one-report one-saver one-output one-decoder one-spool request-budget paper-golden build test race-read race-maint objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-vet bench-check cover
 

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -217,7 +218,7 @@ func TestAsyncSaveCollectsErrors(t *testing.T) {
 	}
 }
 
-// slowBackend delays writes so the stall comparison below is measurable.
+// slowBackend delays writes so the stall benchmark below is measurable.
 type slowBackend struct {
 	storage.Backend
 	delay time.Duration
@@ -228,36 +229,130 @@ func (s slowBackend) WriteFile(name string, data []byte) error {
 	return s.Backend.WriteFile(name, data)
 }
 
-// The point of async checkpointing: the trainer's stall — Save plus
-// WaitCaptured — is far shorter than the write itself.
+// parkedBackend holds every mutating call — WriteFile, Create, Rename,
+// Remove — until release is closed, and counts the calls entered and
+// completed. A call that parks announces itself on parked (never blocking on
+// it).
+type parkedBackend struct {
+	storage.Backend
+	release       chan struct{}
+	parked        chan struct{}
+	entered, done atomic.Int64
+}
+
+func newParkedBackend(b storage.Backend) *parkedBackend {
+	return &parkedBackend{Backend: b, release: make(chan struct{}), parked: make(chan struct{}, 1)}
+}
+
+func (p *parkedBackend) Unwrap() storage.Backend { return p.Backend }
+
+// hold parks the caller until release, then runs the call and counts it.
+func (p *parkedBackend) hold(call func() error) error {
+	p.entered.Add(1)
+	select {
+	case <-p.release:
+	default:
+		select {
+		case p.parked <- struct{}{}:
+		default:
+		}
+		<-p.release
+	}
+	err := call()
+	p.done.Add(1)
+	return err
+}
+
+func (p *parkedBackend) WriteFile(name string, data []byte) error {
+	return p.hold(func() error { return p.Backend.WriteFile(name, data) })
+}
+
+func (p *parkedBackend) Create(name string) (io.WriteCloser, error) {
+	var w io.WriteCloser
+	err := p.hold(func() (err error) { w, err = p.Backend.Create(name); return err })
+	return w, err
+}
+
+func (p *parkedBackend) Rename(oldName, newName string) error {
+	return p.hold(func() error { return p.Backend.Rename(oldName, newName) })
+}
+
+func (p *parkedBackend) Remove(name string) error {
+	return p.hold(func() error { return p.Backend.Remove(name) })
+}
+
+// The point of async checkpointing: the trainer's stall under the lazy saver
+// excludes backend I/O, and the synchronous Save's includes all of it —
+// proven on a backend that holds every write, not timed (the timing is
+// BenchmarkAsyncVsSyncSaveStall's): lazy Save + WaitCaptured return while no write has
+// completed, and a sync Save is still inside the backend while one is held
+// and has completed every write it issued by the time it returns.
 func TestAsyncSaveReducesStall(t *testing.T) {
 	m, o := buildOptim(t, modelcfg.Tiny(), 55)
-	slow := slowBackend{storage.NewMem(), 3 * time.Millisecond}
-	spec := SaveSpec{Dir: "c", Model: m, Optim: o, WorldSize: 4,
-		State: TrainerState{Step: 1, Seed: 55}}
+	wantM := m.Clone()
+	wantO := o.Clone(wantM)
+	for _, dedup := range []bool{false, true} {
+		spec := SaveSpec{Dir: "run/checkpoint-1", Model: m, Optim: o, WorldSize: 4,
+			Dedup: dedup, State: TrainerState{Step: 1, Seed: 55}}
 
-	start := time.Now()
-	if err := Save(slow, spec); err != nil {
-		t.Fatal(err)
-	}
-	syncStall := time.Since(start)
+		// Lazy: the foreground returns with every write still held. A saver
+		// that wrote in the foreground would never return; the deadline only
+		// turns that hang into a failure.
+		parked := newParkedBackend(storage.NewMem())
+		s := NewLazyAsyncSaver(parked, 1, CaptureOptions{})
+		fg := make(chan error, 1)
+		go func() {
+			err := s.Save(spec)
+			if err == nil {
+				err = s.WaitCaptured()
+			}
+			fg <- err
+		}()
+		select {
+		case err := <-fg:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("dedup %v: lazy Save + WaitCaptured blocked on a held backend write", dedup)
+		}
+		if n := parked.done.Load(); n != 0 {
+			t.Fatalf("dedup %v: %d backend writes completed inside the lazy stall, want 0", dedup, n)
+		}
+		trash(m, o)
+		close(parked.release)
+		if err := s.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		restoreEquals(t, parked, spec.Dir, wantM, wantO)
+		m = wantM.Clone()
+		o = wantO.Clone(m)
+		spec.Model, spec.Optim = m, o
 
-	s := NewLazyAsyncSaver(slow, 1, CaptureOptions{})
-	start = time.Now()
-	if err := s.Save(spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitCaptured(); err != nil {
-		t.Fatal(err)
-	}
-	asyncStall := time.Since(start)
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// 9 files × 3ms ≈ 27ms sync; the async stall should be well under half
-	// of that (capture only spools the state in memory).
-	if asyncStall*2 >= syncStall {
-		t.Fatalf("async stall %v not clearly below sync %v", asyncStall, syncStall)
+		// Sync: still inside Save while a write is held; every write it
+		// issued done at return.
+		parked = newParkedBackend(storage.NewMem())
+		var entered, done int64
+		returned := make(chan struct{})
+		go func() {
+			defer close(returned)
+			if err := Save(parked, spec); err != nil {
+				t.Error(err)
+			}
+			entered, done = parked.entered.Load(), parked.done.Load()
+		}()
+		<-parked.parked
+		select {
+		case <-returned:
+			t.Fatalf("dedup %v: sync Save returned while its first write was held", dedup)
+		default:
+		}
+		close(parked.release)
+		<-returned
+		if done == 0 || done != entered {
+			t.Fatalf("dedup %v: sync Save returned with %d of its %d writes done", dedup, done, entered)
+		}
+		restoreEquals(t, parked, spec.Dir, wantM, wantO)
 	}
 }
 

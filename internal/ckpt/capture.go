@@ -40,7 +40,6 @@ import (
 
 	"llmtailor/internal/modelcfg"
 	"llmtailor/internal/storage"
-	"llmtailor/internal/zero"
 )
 
 // CaptureOptions tunes the capture workers.
@@ -289,28 +288,27 @@ func (s *AsyncSaver) captureUnit(u *captureUnit) error {
 		}
 	}
 
-	buf := make([]byte, storage.ChunkOrDefault(0))
+	// One pooled chunk serves the unit's encoders, which stream straight off
+	// the live state: the trainer is parked in WaitCaptured until it lands.
+	buf := chunkBufs.Get().(*[]byte)
+	defer chunkBufs.Put(buf)
 	for _, i := range u.weightIdx {
 		tns := plan.weights[i]
 		err := s.capturePayload(dedup, store, &t.set.weights[i].payload, func(w io.Writer) (int64, error) {
-			return tns.EncodeTo(w, buf)
+			return tns.EncodeTo(w, *buf)
 		})
 		if err != nil {
 			return fmt.Errorf("ckpt: capture tensor %q: %w", tns.Name, err)
 		}
 	}
 	for _, gi := range u.groupIdx {
-		m := plan.metas[gi]
-		shards, err := zero.ShardGroup(m.Index, plan.states[gi], plan.worldSize)
-		if err != nil {
-			return fmt.Errorf("ckpt: capture group %d: %w", m.Index, err)
-		}
-		for r, sh := range shards {
+		for r := range t.set.ranks {
+			encode := plan.encodeGroup(gi, r)
 			err := s.capturePayload(dedup, store, &t.set.ranks[r].groups[gi].payload, func(w io.Writer) (int64, error) {
-				return encodeGroupPayload(w, buf, sh)
+				return encode(w, *buf)
 			})
 			if err != nil {
-				return fmt.Errorf("ckpt: capture rank %d group %d: %w", r, m.Index, err)
+				return fmt.Errorf("ckpt: capture rank %d group %d: %w", r, plan.metas[gi].Index, err)
 			}
 		}
 	}

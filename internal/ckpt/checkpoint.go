@@ -132,12 +132,14 @@ type savePlan struct {
 	// weightLayers is parallel (each tensor's owning layer).
 	weights      []*tensor.Tensor
 	weightLayers []modelcfg.LayerRef
-	// metas and states are parallel: the included groups' LTOS metadata
-	// (offsets unset) and their live state, in layout order.
+	// metas, states and parts are parallel: the included groups' LTOS
+	// metadata (offsets unset), their live state and its partition over the
+	// world, in layout order. Each state's three vectors are its meta's Numel
+	// long (buildSavePlan checks), which is what lets a feeder encode rank
+	// shards straight off them (savePlan.encodeGroup).
 	metas  []ShardGroupMeta
 	states []*optim.GroupState
-	// shardBytes is parallel to metas: each group's per-rank payload size.
-	shardBytes []int64
+	parts  []zero.Partition
 	// groupLayers is parallel to metas; hasLayer[i] is false for two-group
 	// layouts.
 	groupLayers []modelcfg.LayerRef
@@ -152,8 +154,13 @@ type savePlan struct {
 
 // buildSavePlan validates a spec and enumerates what it saves. It reads
 // only metadata (names, shapes, counters) from the live model and
-// optimizer, never payload bytes.
+// optimizer, never payload bytes. The optimizer must be the model config's:
+// a layout over other tensors, or a group state of another length, is
+// refused here, before anything touches the backend.
 func buildSavePlan(spec *SaveSpec) (*savePlan, error) {
+	if spec.Model == nil || spec.Model.Config == nil || spec.Optim == nil || spec.Optim.Layout == nil {
+		return nil, fmt.Errorf("ckpt: save %s: spec needs a model with a config and an optimizer with a layout", spec.Dir)
+	}
 	cfg := spec.Model.Config
 	layers := spec.Layers
 	if layers == nil {
@@ -170,6 +177,9 @@ func buildSavePlan(spec *SaveSpec) (*savePlan, error) {
 		return nil, fmt.Errorf("ckpt: model %s ties embeddings; lm_head is not a separate layer", cfg.Name)
 	}
 	o := spec.Optim
+	if err := checkOptim(cfg, o); err != nil {
+		return nil, fmt.Errorf("ckpt: save %s: optimizer does not match model %s: %w", spec.Dir, cfg.Name, err)
+	}
 	p := &savePlan{
 		cfg: cfg, layers: layers, worldSize: spec.WorldSize,
 		stepCount: o.StepCount, layoutKind: o.Layout.Kind, hyper: o.Hyper,
@@ -183,11 +193,11 @@ func buildSavePlan(spec *SaveSpec) (*savePlan, error) {
 			return nil, fmt.Errorf("ckpt: partial save requires a layerwise optimizer layout (got %s)", o.Layout.Kind)
 		}
 		if include {
-			part, err := zero.NewPartition(o.States[gi].Numel(), spec.WorldSize)
+			part, err := zero.NewPartition(g.Numel, spec.WorldSize)
 			if err != nil {
 				return nil, err
 			}
-			p.shardBytes = append(p.shardBytes, part.ShardLen()*12)
+			p.parts = append(p.parts, part)
 			p.metas = append(p.metas, metaForGroup(g))
 			p.states = append(p.states, o.States[gi])
 			p.groupLayers = append(p.groupLayers, g.Layer)
@@ -203,6 +213,47 @@ func buildSavePlan(spec *SaveSpec) (*savePlan, error) {
 	return p, nil
 }
 
+// checkOptim checks that an optimizer's layout groups cfg's tensors and that
+// every group's state holds exactly the group's elements.
+func checkOptim(cfg *modelcfg.Config, o *optim.AdamW) error {
+	if err := o.Layout.Validate(cfg); err != nil {
+		return err
+	}
+	if len(o.States) != len(o.Layout.Groups) {
+		return fmt.Errorf("%d group states for %d layout groups", len(o.States), len(o.Layout.Groups))
+	}
+	numel := map[string]int64{}
+	for _, s := range cfg.Tensors() {
+		numel[s.Name] = s.NumElems()
+	}
+	for gi, g := range o.Layout.Groups {
+		var want int64
+		for _, name := range g.Names {
+			want += numel[name]
+		}
+		st := o.States[gi]
+		switch {
+		case g.Numel != want:
+			return fmt.Errorf("group %d: layout numel %d, tensors hold %d", g.Index, g.Numel, want)
+		case st == nil:
+			return fmt.Errorf("group %d: no state", g.Index)
+		case int64(len(st.Master)) != want || int64(len(st.ExpAvg)) != want || int64(len(st.ExpAvgSq)) != want:
+			return fmt.Errorf("group %d: state holds %d/%d/%d elements, want %d",
+				g.Index, len(st.Master), len(st.ExpAvg), len(st.ExpAvgSq), want)
+		}
+	}
+	return nil
+}
+
+// encodeGroup is the encoder of rank r's shard of the plan's gi-th group:
+// the rank's range of the live state, then its zero padding — the bytes of
+// zero.ShardGroup's shard, with no shard copied.
+func (p *savePlan) encodeGroup(gi, r int) func(w io.Writer, buf []byte) (int64, error) {
+	st := p.states[gi]
+	lo, hi := p.parts[gi].Range(r)
+	return func(w io.Writer, buf []byte) (int64, error) { return encodeGroupRange(w, buf, st, lo, hi) }
+}
+
 // Save writes a checkpoint directory: consolidated weights, per-rank
 // optimizer shards, config, trainer state and manifest. The write is
 // crash-consistent: every file is staged into `<dir>.tmp`, sealed with a
@@ -216,24 +267,20 @@ func Save(b storage.Backend, spec SaveSpec) error {
 	if err != nil {
 		return err
 	}
-	byRank, err := zero.ShardAll(plan.states, plan.worldSize)
-	if err != nil {
-		return err
-	}
-	// The synchronous feeder: every payload is an encoder over the live
-	// tensors and shards (only saved layers' tensors and groups). A plain
-	// save encodes each once, into the container writer; a dedup save hashes
-	// them all first, then the write stage re-encodes only the blobs the
-	// store lacks.
+	// The synchronous feeder: every payload is an encoder straight over the
+	// live state — a tensor's own bytes, a rank's range of a group's vectors
+	// (only saved layers' tensors and groups). A plain save encodes each once,
+	// into the container writer; a dedup save hashes them all first, as many
+	// at once as there are cores, then the write stage re-encodes only the
+	// blobs the store lacks. Nothing is copied out of the live state first:
+	// the caller does not mutate it until Save returns.
 	set := plan.newPayloadSet()
 	for i, t := range plan.weights {
 		set.weights[i].write = withChunkBuf(t.EncodeTo)
 	}
-	for r, shards := range byRank {
-		for gi, s := range shards {
-			set.ranks[r].groups[gi].write = withChunkBuf(func(w io.Writer, buf []byte) (int64, error) {
-				return encodeGroupPayload(w, buf, s)
-			})
+	for r := range set.ranks {
+		for gi := range set.ranks[r].groups {
+			set.ranks[r].groups[gi].write = withChunkBuf(plan.encodeGroup(gi, r))
 		}
 	}
 	return commitSave(b, &spec, plan, set, nil)

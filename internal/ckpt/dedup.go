@@ -32,7 +32,6 @@ import (
 	"strings"
 
 	"llmtailor/internal/storage"
-	"llmtailor/internal/zero"
 )
 
 // ObjectsDirName is the blob store's directory name under a run root.
@@ -79,21 +78,6 @@ func hashStream(size int64, encode func(io.Writer) (int64, error)) (digest strin
 		return "", 0, fmt.Errorf("ckpt: payload encoded %d bytes, expected %d", n, size)
 	}
 	return hex.EncodeToString(sum.Sum(nil)), c.Sum32(), nil
-}
-
-// encodeGroupPayload streams one group shard's payload (master + exp_avg +
-// exp_avg_sq, FP32 LE) — exactly the bytes shardFileWriter.writeGroup
-// spools.
-func encodeGroupPayload(w io.Writer, buf []byte, s *zero.GroupShard) (int64, error) {
-	var n int64
-	for _, sec := range [][]float32{s.Master, s.ExpAvg, s.ExpAvgSq} {
-		k, err := writeF32s(w, buf, sec)
-		n += k
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // verifyDedupRefs checks that every blob a dedup checkpoint references

@@ -1,13 +1,12 @@
 package ckpt
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
+	"llmtailor/internal/tensor"
 	"llmtailor/internal/zero"
 )
 
@@ -160,37 +159,34 @@ func (w *shardFileWriter) appendPayload(m ShardGroupMeta, size int64, hasCRC boo
 // Close writes the final container and releases the scratch space.
 func (w *shardFileWriter) Close() error { return w.finish(w.hdr) }
 
-// writeF32s streams a float32 slice little-endian through buf-sized chunks.
-func writeF32s(w io.Writer, buf []byte, src []float32) (int64, error) {
-	perChunk := len(buf) / 4
-	if perChunk < 1 {
-		buf = make([]byte, 4096)
-		perChunk = len(buf) / 4
-	}
-	var total int64
-	for base := 0; base < len(src); base += perChunk {
-		end := base + perChunk
-		if end > len(src) {
-			end = len(src)
-		}
-		chunk := buf[:(end-base)*4]
-		for i := base; i < end; i++ {
-			binary.LittleEndian.PutUint32(chunk[(i-base)*4:], math.Float32bits(src[i]))
-		}
-		n, err := w.Write(chunk)
-		total += int64(n)
+// encodeGroupPayload streams one group shard's payload — exactly the bytes
+// shardFileWriter.writeGroup spools: the whole shard as its own range.
+func encodeGroupPayload(w io.Writer, buf []byte, s *zero.GroupShard) (int64, error) {
+	st := optim.GroupState{Master: s.Master, ExpAvg: s.ExpAvg, ExpAvgSq: s.ExpAvgSq}
+	return encodeGroupRange(w, buf, &st, 0, s.Numel())
+}
+
+// encodeGroupRange streams elements [lo, hi) of a group's state — master,
+// exp_avg and exp_avg_sq, FP32 little-endian, each section zero-padded past
+// the state's end — straight off the state's own vectors: with lo and hi from
+// zero.Partition.Range, the bytes of that rank's zero.ShardGroup shard,
+// without the shard.
+func encodeGroupRange(w io.Writer, buf []byte, st *optim.GroupState, lo, hi int64) (int64, error) {
+	var n int64
+	for _, sec := range [][]float32{st.Master, st.ExpAvg, st.ExpAvgSq} {
+		a, b := min(lo, int64(len(sec))), min(hi, int64(len(sec)))
+		k, err := tensor.WriteLE(w, buf, sec[a:b], int(hi-lo-(b-a)))
+		n += k
 		if err != nil {
-			return total, err
+			return n, err
 		}
 	}
-	return total, nil
+	return n, nil
 }
 
 func decodeF32(src []byte, n int64) []float32 {
 	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:]))
-	}
+	tensor.DecodeLE(out, src)
 	return out
 }
 

@@ -29,6 +29,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sync/atomic"
 
 	"llmtailor/internal/optim"
@@ -169,11 +170,13 @@ func (s *payloadSet) releaseAll() {
 // by streaming write through the hashes — no storage I/O beyond what write
 // reads — so the full digest set is known before anything is published. A
 // CRC the feeder already holds (a container header's) is verified against
-// the bytes instead of replaced. A save (zero workers) hashes in order and
-// encodes again to put. An output hashes ra.workers payloads side by side
-// and spools each one as it is hashed, so the put replays the spool: every
-// computed payload is computed once and every referenced one read once.
-// Spools are pooled memory up to hashSpoolBytes, temp files past it.
+// the bytes instead of replaced. A save (zero workers) hashes
+// runtime.GOMAXPROCS payloads side by side straight off the live state, each
+// worker holding one pooled chunk, and encodes again to put. An output hashes
+// ra.workers payloads side by side and spools each one as it is hashed, so
+// the put replays the spool: every computed payload is computed once and
+// every referenced one read once. Spools are pooled memory up to
+// hashSpoolBytes, temp files past it.
 func (s *payloadSet) hashAll(ra readAhead) error {
 	type job struct {
 		p    *payload
@@ -186,12 +189,13 @@ func (s *payloadSet) hashAll(ra readAhead) error {
 		}
 		return nil
 	})
+	workers := runtime.GOMAXPROCS(0)
 	var pool *storage.BufferPool
 	if ra.workers > 0 {
-		pool = storage.NewBufferPool(hashSpoolBytes)
+		workers, pool = ra.workers, storage.NewBufferPool(hashSpoolBytes)
 	}
 	var failed atomic.Bool
-	return parallel.ForEachFirst(max(1, ra.workers), len(jobs), func(i int) error {
+	return parallel.ForEachFirst(workers, len(jobs), func(i int) error {
 		if failed.Load() {
 			return nil
 		}
@@ -716,7 +720,7 @@ func (p *savePlan) newPayloadSet() *payloadSet {
 	for r := range set.ranks {
 		groups := make([]groupPayload, len(p.metas))
 		for gi, m := range p.metas {
-			groups[gi] = groupPayload{payload: payload{size: p.shardBytes[gi]}, meta: m}
+			groups[gi] = groupPayload{payload: payload{size: p.parts[gi].ShardLen() * 12}, meta: m}
 		}
 		set.ranks[r] = rankPayloads{
 			rank: r, worldSize: p.worldSize, step: p.stepCount,

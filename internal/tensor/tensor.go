@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -215,50 +214,28 @@ func Equal(a, b *Tensor) bool {
 // dst and returns the extended slice.
 func (t *Tensor) Encode(dst []byte) []byte {
 	if t.DType == F32 {
-		for _, v := range t.f32 {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-		}
-		return dst
+		return appendLE(dst, t.f32)
 	}
-	for _, u := range t.u16 {
-		dst = binary.LittleEndian.AppendUint16(dst, u)
-	}
-	return dst
+	return appendLE(dst, t.u16)
 }
 
 // EncodeTo streams the little-endian serialisation of the tensor payload to
-// w in chunks of at most len(buf) bytes, so a tensor can be written without
-// materialising its full encoding. buf must hold at least one element; a nil
-// or undersized buf gets a small local buffer. Returns the bytes written.
+// w in chunks of at most len(buf) bytes (WriteLE), so a tensor can be written
+// without materialising its full encoding. buf must hold at least one
+// element; a nil or undersized buf gets a small local buffer. Returns the
+// bytes written.
 func (t *Tensor) EncodeTo(w io.Writer, buf []byte) (int64, error) {
-	elem := t.DType.Size()
-	if len(buf) < elem {
-		buf = make([]byte, 4096)
+	var n int64
+	var err error
+	if t.DType == F32 {
+		n, err = WriteLE(w, buf, t.f32, 0)
+	} else {
+		n, err = WriteLE(w, buf, t.u16, 0)
 	}
-	perChunk := len(buf) / elem
-	var total int64
-	for base := 0; base < t.Len(); base += perChunk {
-		end := base + perChunk
-		if end > t.Len() {
-			end = t.Len()
-		}
-		chunk := buf[:(end-base)*elem]
-		if t.DType == F32 {
-			for i := base; i < end; i++ {
-				binary.LittleEndian.PutUint32(chunk[(i-base)*4:], math.Float32bits(t.f32[i]))
-			}
-		} else {
-			for i := base; i < end; i++ {
-				binary.LittleEndian.PutUint16(chunk[(i-base)*2:], t.u16[i])
-			}
-		}
-		n, err := w.Write(chunk)
-		total += int64(n)
-		if err != nil {
-			return total, fmt.Errorf("tensor: encode %s: %w", t.Name, err)
-		}
+	if err != nil {
+		return n, fmt.Errorf("tensor: encode %s: %w", t.Name, err)
 	}
-	return total, nil
+	return n, nil
 }
 
 // Decode fills the tensor from a little-endian payload produced by Encode.
@@ -268,13 +245,9 @@ func (t *Tensor) Decode(src []byte) error {
 		return fmt.Errorf("tensor: decode %s: payload %d bytes, want %d", t.Name, len(src), t.Bytes())
 	}
 	if t.DType == F32 {
-		for i := range t.f32 {
-			t.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:]))
-		}
-		return nil
-	}
-	for i := range t.u16 {
-		t.u16[i] = binary.LittleEndian.Uint16(src[i*2:])
+		DecodeLE(t.f32, src)
+	} else {
+		DecodeLE(t.u16, src)
 	}
 	return nil
 }
