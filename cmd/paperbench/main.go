@@ -18,9 +18,6 @@ import (
 	"strings"
 
 	"llmtailor/internal/experiments"
-	"llmtailor/internal/modelcfg"
-	"llmtailor/internal/optim"
-	"llmtailor/internal/report"
 )
 
 func main() {
@@ -40,86 +37,22 @@ func main() {
 	all := selected["all"]
 	want := func(name string) bool { return all || selected[name] }
 
-	var outputs []namedOutput
-
-	// Use-case pipelines are shared between their loss and eval tables.
-	var uc1, uc2 *experiments.UseCase
-	if want("table1") || want("table2") {
-		fmt.Fprintln(os.Stderr, "running use case 1 (parity) ...")
-		uc1, err = experiments.RunUseCase1(scale)
-		if err != nil {
-			fail(err)
-		}
+	fmt.Fprintf(os.Stderr, "running experiments at scale %s ...\n", scale.Name)
+	outputs, err := experiments.Paper(scale, want, nil, nil)
+	if err != nil {
+		fail(err)
 	}
-	if want("table4") || want("table5") {
-		fmt.Fprintln(os.Stderr, "running use case 2 (filter) ...")
-		uc2, err = experiments.RunUseCase2(scale)
-		if err != nil {
-			fail(err)
-		}
-	}
-
-	if want("figure1") {
-		outputs = append(outputs, namedOutput{"figure1", figure1()})
-	}
-	if want("figure2") {
-		outputs = append(outputs, namedOutput{"figure2", figure2()})
-	}
-	if want("figure3") {
-		tb, before, after := experiments.Figure3()
-		outputs = append(outputs, namedOutput{"figure3",
-			tb.Render() + "\nBEFORE:\n" + before + "\nAFTER:\n" + after})
-	}
-	if want("table1") {
-		outputs = append(outputs, tableOutput("table1", experiments.Table1(uc1)))
-	}
-	if want("table2") {
-		outputs = append(outputs, tableOutput("table2", experiments.Table2(uc1)))
-	}
-	if want("table3") {
-		outputs = append(outputs, tableOutput("table3", experiments.Table3()))
-	}
-	if want("table4") {
-		outputs = append(outputs, tableOutput("table4", experiments.Table4(uc2)))
-	}
-	if want("table5") {
-		outputs = append(outputs, tableOutput("table5", experiments.Table5(uc2)))
-	}
-	if want("table6") {
-		outputs = append(outputs, tableOutput("table6", experiments.Table6()))
-	}
-	if want("table7") {
-		outputs = append(outputs, tableOutput("table7", experiments.Table7()))
-	}
-	if want("table7live") {
-		fmt.Fprintln(os.Stderr, "running live merge measurements ...")
-		for _, cfg := range []*modelcfg.Config{modelcfg.Llama32_1B(), modelcfg.Llama31_8B()} {
-			tb, err := experiments.Table7Live(cfg, scale.WorldSize)
-			if err != nil {
-				fail(err)
-			}
-			outputs = append(outputs, tableOutput("table7live-"+cfg.Name, tb))
-		}
-	}
-	if want("layerdrift") {
-		tb, err := experiments.LayerDrift(scale)
-		if err != nil {
-			fail(err)
-		}
-		outputs = append(outputs, tableOutput("layerdrift", tb))
-	}
-
 	if len(outputs) == 0 {
 		fail(fmt.Errorf("no experiments selected by %q", *expFlag))
 	}
 	for _, o := range outputs {
-		fmt.Println(o.content)
+		fmt.Println(o.Content)
 		if *outDir != "" {
-			path := filepath.Join(*outDir, o.name+".txt")
+			path := filepath.Join(*outDir, o.Name+".txt")
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				fail(err)
 			}
-			if err := os.WriteFile(path, []byte(o.content+"\n"), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(o.Content+"\n"), 0o644); err != nil {
 				fail(err)
 			}
 		}
@@ -127,46 +60,6 @@ func main() {
 	if *outDir != "" {
 		fmt.Fprintf(os.Stderr, "wrote %d result files under %s\n", len(outputs), *outDir)
 	}
-}
-
-type namedOutput struct {
-	name    string
-	content string
-}
-
-func tableOutput(name string, t *report.Table) namedOutput {
-	return namedOutput{name, t.Render()}
-}
-
-// figure1 renders the Llama-3.1-8B layer anatomy (the paper's Figure 1).
-func figure1() string {
-	cfg := modelcfg.Llama31_8B()
-	t := report.New("Figure 1: layer-wise structure of "+cfg.Name,
-		"Layer", "Tensors", "Params")
-	for _, ref := range cfg.AllLayers() {
-		var n int
-		for _, s := range cfg.Tensors() {
-			if s.Layer == ref {
-				n++
-			}
-		}
-		t.Add(ref.String(), report.Int(n), fmt.Sprintf("%d", cfg.LayerParamCount(ref)))
-	}
-	t.Note("total params: %d (%.2fB)", cfg.ParamCount(), float64(cfg.ParamCount())/1e9)
-	return t.Render()
-}
-
-// figure2 renders the AdamW optimizer anatomy (the paper's Figure 2).
-func figure2() string {
-	cfg := modelcfg.Llama31_8B()
-	layout := optim.NewTwoGroupLayout(cfg)
-	var b strings.Builder
-	b.WriteString("== Figure 2: AdamW optimizer layout (classic 2-group) ==\n")
-	b.WriteString(layout.Describe())
-	b.WriteString("\nper parameter group state (FP32, flattened):\n")
-	b.WriteString("  master weights + exp_avg + exp_avg_sq = 12 bytes/param\n")
-	b.WriteString("  + BF16 model weights 2 bytes/param => checkpoint ≈ 7x model size\n")
-	return b.String()
 }
 
 func fail(err error) {

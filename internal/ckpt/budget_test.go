@@ -578,6 +578,14 @@ func TestRetainRequestBudget(t *testing.T) {
 	if log.peak < 2 || log.peak > storage.RequestWidth {
 		t.Errorf("peak of %d GETs in flight, want between 2 and %d", log.peak, storage.RequestWidth)
 	}
+	// Each phase keeps its independent mutating requests side by side, never
+	// more than the request width: the directories, each trash move's copy
+	// and delete, the purge of the trashed copies, the records.
+	for _, c := range []string{"remove dir", "create trash", "remove blob", "remove trash", "remove record"} {
+		if p := log.busyPeak[c]; p < 2 || p > storage.RequestWidth {
+			t.Errorf("peak of %d %q requests in flight, want between 2 and %d", p, c, storage.RequestWidth)
+		}
+	}
 }
 
 // TestMaintenanceConfigReadBudget: a maintenance operation resolves the run's

@@ -28,7 +28,8 @@ import (
 // chunk writes are not operations of their own: a feeder replaying a spool
 // hands a payload over in fewer, wider writes than one encoding live state.)
 // It also counts read requests per "kind class" — which storage.Fault does
-// not see — for the request-budget test, and calls hook, when set, before a
+// not see — for the request-budget test, counts the GETs, removes and creates
+// waiting on the backend at once, and calls hook, when set, before a
 // mutating operation reaches the backend (readHook: before a read request).
 type opLog struct {
 	*storage.Fault
@@ -38,8 +39,10 @@ type opLog struct {
 	hook     func(kind, key string)
 	readHook func(kind, key string)
 	// getting is how many GETs are waiting on the backend right now, peak its
-	// high-water mark since the last reset.
-	getting, peak int
+	// high-water mark since the last reset; busy and busyPeak the same for
+	// removes and creates, by "verb area".
+	getting, peak  int
+	busy, busyPeak map[string]int
 }
 
 // blobStageName matches the process-global sequence in blob staging names,
@@ -59,8 +62,43 @@ func (l *opLog) note(kind, key string) {
 // reset forgets everything recorded so far.
 func (l *opLog) reset() {
 	l.mu.Lock()
-	l.ops, l.reads, l.peak = nil, nil, 0
+	l.ops, l.reads, l.peak, l.busyPeak = nil, nil, 0, nil
 	l.mu.Unlock()
+}
+
+// area names the part of a run a mutating request lands in — the unit one
+// maintenance phase fans out over: journal records, trashed blobs, blobs,
+// checkpoint directories.
+func area(key string) string {
+	switch {
+	case strings.Contains(key, "/objects/refs/"):
+		return "record"
+	case strings.Contains(key, "/.trash/"):
+		return "trash"
+	case strings.Contains(key, "/objects/"):
+		return "blob"
+	}
+	return "dir"
+}
+
+// inFlight counts one mutating request of class c as waiting on the backend
+// until the returned func is called.
+func (l *opLog) inFlight(c string) func() {
+	l.mu.Lock()
+	if l.busy == nil {
+		l.busy = map[string]int{}
+	}
+	if l.busyPeak == nil {
+		l.busyPeak = map[string]int{}
+	}
+	l.busy[c]++
+	l.busyPeak[c] = max(l.busyPeak[c], l.busy[c])
+	l.mu.Unlock()
+	return func() {
+		l.mu.Lock()
+		l.busy[c]--
+		l.mu.Unlock()
+	}
 }
 
 // keyClass sorts a key into what the request budget is stated over: the two
@@ -148,6 +186,7 @@ func (l *opLog) WriteFile(name string, data []byte) error {
 
 func (l *opLog) Create(name string) (io.WriteCloser, error) {
 	l.note("create", name)
+	defer l.inFlight("create " + area(name))()
 	return l.Fault.Create(name)
 }
 
@@ -158,6 +197,7 @@ func (l *opLog) Rename(oldName, newName string) error {
 
 func (l *opLog) Remove(name string) error {
 	l.note("remove", name)
+	defer l.inFlight("remove " + area(name))()
 	return l.Fault.Remove(name)
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -154,6 +155,24 @@ func TestTablesRender(t *testing.T) {
 	}
 }
 
+func TestFigure1Output(t *testing.T) {
+	out := Figure1()
+	for _, want := range []string{"embed_tokens", "layer.0", "layer.31", "lm_head", "8.03B"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("figure1 missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestFigure2Output(t *testing.T) {
+	out := Figure2()
+	for _, want := range []string{"2 parameter groups", "12 bytes/param", "7x model size"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("figure2 missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestFigure3Render(t *testing.T) {
 	tb, before, after := Figure3()
 	out := tb.Render()
@@ -209,5 +228,43 @@ func TestRunShapeCkpts(t *testing.T) {
 	}
 	if PaperShape().SFT.Ckpts() != 16 || PaperShape().CPT.Ckpts() != 16 {
 		t.Fatal("paper-shape ckpt counts")
+	}
+}
+
+// TestPaperGolden holds the paper's tables and figures at quick scale, byte
+// for byte, to testdata/quick.golden: the stdout of
+//
+//	go run ./cmd/paperbench -exp all -scale quick -out ''
+//
+// Every experiment runs through the live save, merge, reshard and restore
+// paths on a metered backend, so a change that moves a stored byte or a
+// charged request shows as a diff. Refresh the golden with that command
+// only in a change meant to move them.
+func TestPaperGolden(t *testing.T) {
+	skipInShort(t)
+	outs, err := Paper(Quick(), func(string) bool { return true }, useCase1(t), useCase2(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, o := range outs {
+		b.WriteString(o.Content + "\n")
+	}
+	want, err := os.ReadFile("testdata/quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("output differs from testdata/quick.golden at line %d:\n got: %q\nwant: %q", i+1, g, w)
+		}
 	}
 }
