@@ -259,6 +259,18 @@ var archRules = []archRule{
 		tests: true,
 	},
 	{
+		name: "one-repartition/decode",
+		why:  "optimizer shards cross a world-size change as byte extents (OutputRank.Group), never decoded: a non-test caller of zero.Reshard is a second repartition that loads and decodes every source rank's whole shard file; it stays only as the decode reference the splice is tested against",
+		find: []sym{calls("zero.Reshard")},
+	},
+	{
+		name:  "one-repartition/splice",
+		why:   "OutputRank.Group is the one repartition — carry, zero or splice — that reshard and a merge across world sizes share: a second call of the splice is a second per-shard path, free to skip the group's whole-payload check before its first stitched shard",
+		find:  []sym{calls("spliceShard")},
+		allow: []string{"internal/ckpt/write.go:OutputRank.Group"},
+		count: 1,
+	},
+	{
 		name:  "one-unsafe/imports",
 		why:   "FP32/BF16 encode and decode view a slice's memory in one place (tensor.WriteLE/DecodeLE); a second unsafe is a second set of aliasing and endianness assumptions to audit",
 		find:  []sym{imports("unsafe")},

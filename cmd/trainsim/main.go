@@ -55,14 +55,13 @@ func main() {
 	shards := flag.Int("shards", 0, "with -dedup: digest-shard the run's blob store across N prefix shards (0 = flat layout)")
 	hubRoot := flag.String("hub", "", "with -dedup: attach the run to this checkpoint hub before training — payloads dedup against every run sharing the hub, not just this run's history (the hub is created if absent; -shards lays out ITS store)")
 	codec := flag.String("codec", "", "with -dedup: blob compression codec — raw, plane (byte-plane split + RLE), or xor (delta changed layers against the previous checkpoint)")
-	codecRebase := flag.Int("codec-rebase", 0, "with -codec xor: re-base a slot to a full plane blob when its parent chain would exceed this depth (0 = default)")
 	reshardEvery := flag.Int("reshard-every", 0, "elastic-resume scenario: every N steps (a multiple of -interval), stop, reshard the latest committed checkpoint to the next world size from -reshard-worlds and resume from it (0 = off)")
 	reshardWorlds := flag.String("reshard-worlds", "", "with -reshard-every: comma-separated world-size schedule cycled through at each resize (e.g. \"3,2,4\")")
 	flag.Parse()
 
 	if err := run(*root, *runRoot, *modelName, *sim, *taskName, *steps, *warmup, *lr,
 		*interval, *strategyName, *worldSize, *seed, *failAt, *resume, *dedup, *keepLast, *lazy,
-		*objstore, *objLatency, *shards, *hubRoot, *codec, *codecRebase, *reshardEvery, *reshardWorlds); err != nil {
+		*objstore, *objLatency, *shards, *hubRoot, *codec, *reshardEvery, *reshardWorlds); err != nil {
 		fmt.Fprintln(os.Stderr, "trainsim:", err)
 		os.Exit(1)
 	}
@@ -72,7 +71,7 @@ func run(root, runRoot, modelName string, sim bool, taskName string,
 	steps, warmup int, lr float64, interval int, strategyName string,
 	worldSize int, seed uint64, failAt int, resume string, dedup bool, keepLast int,
 	lazy bool, objstore bool, objLatency time.Duration, shards int, hubRoot string,
-	codec string, codecRebase int, reshardEvery int, reshardWorlds string) error {
+	codec string, reshardEvery int, reshardWorlds string) error {
 
 	var b llmtailor.Backend
 	var retry *storage.Retry
@@ -139,7 +138,7 @@ func run(root, runRoot, modelName string, sim bool, taskName string,
 		CkptInterval: interval, Strategy: strat,
 		WorldSize: worldSize, RunRoot: runRoot, FailAt: failAt,
 		DedupCkpt: dedup, KeepLast: keepLast, LazyCapture: lazy,
-		CkptCodec: codec, CkptCodecRebase: codecRebase,
+		CkptCodec: codec,
 	}
 
 	var tr *train.Trainer

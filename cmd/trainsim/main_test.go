@@ -12,7 +12,7 @@ import (
 func TestRunEndToEnd(t *testing.T) {
 	root := t.TempDir()
 	err := run(root, "demo", "tiny", false, "sft",
-		30, 3, 2e-3, 10, "parity", 2, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, 0, "")
+		30, 3, 2e-3, 10, "parity", 2, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestRunEndToEnd(t *testing.T) {
 func TestRunFailureInjection(t *testing.T) {
 	root := t.TempDir()
 	if err := run(root, "demo", "tiny", false, "cpt",
-		30, 3, 2e-3, 10, "full", 1, 7, 15, "", false, 0, false, false, 0, 0, "", "", 0, 0, ""); err != nil {
+		30, 3, 2e-3, 10, "full", 1, 7, 15, "", false, 0, false, false, 0, 0, "", "", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Crash after step 15: only checkpoint-10 exists.
@@ -43,12 +43,12 @@ func TestRunFailureInjection(t *testing.T) {
 func TestRunResume(t *testing.T) {
 	root := t.TempDir()
 	if err := run(root, "demo", "tiny", false, "sft",
-		20, 2, 2e-3, 10, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, 0, ""); err != nil {
+		20, 2, 2e-3, 10, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Resume from the step-20 checkpoint and continue to 30.
 	if err := run(root, "demo", "tiny", false, "sft",
-		30, 2, 2e-3, 10, "full", 1, 7, 0, "demo/checkpoint-20", false, 0, false, false, 0, 0, "", "", 0, 0, ""); err != nil {
+		30, 2, 2e-3, 10, "full", 1, 7, 0, "demo/checkpoint-20", false, 0, false, false, 0, 0, "", "", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(root, "demo", "checkpoint-30")); err != nil {
@@ -57,17 +57,17 @@ func TestRunResume(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "demo", "tiny", false, "sft", 10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, 0, ""); err == nil {
+	if err := run("", "demo", "tiny", false, "sft", 10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, ""); err == nil {
 		t.Error("missing root accepted")
 	}
 	root := t.TempDir()
-	if err := run(root, "demo", "no-such-model", false, "sft", 10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, 0, ""); err == nil {
+	if err := run(root, "demo", "no-such-model", false, "sft", 10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, ""); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if err := run(root, "demo", "tiny", false, "rl", 10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, 0, ""); err == nil {
+	if err := run(root, "demo", "tiny", false, "rl", 10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, ""); err == nil {
 		t.Error("unknown task accepted")
 	}
-	if err := run(root, "demo", "tiny", false, "sft", 10, 1, 1e-3, 5, "sometimes", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, 0, ""); err == nil {
+	if err := run(root, "demo", "tiny", false, "sft", 10, 1, 1e-3, 5, "sometimes", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "", 0, ""); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunDedupKeepLast(t *testing.T) {
 	root := t.TempDir()
 	if err := run(root, "demo", "tiny", false, "sft",
-		50, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 2, false, false, 0, 0, "", "", 0, 0, ""); err != nil {
+		50, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 2, false, false, 0, 0, "", "", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range []int{10, 20, 30} {
@@ -93,7 +93,7 @@ func TestRunDedupKeepLast(t *testing.T) {
 	}
 	// The retained run still resumes and trains on.
 	if err := run(root, "demo", "tiny", false, "sft",
-		60, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-50", true, 2, false, false, 0, 0, "", "", 0, 0, ""); err != nil {
+		60, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-50", true, 2, false, false, 0, 0, "", "", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,7 +104,7 @@ func TestRunDedupKeepLast(t *testing.T) {
 func TestRunLazyCapture(t *testing.T) {
 	root := t.TempDir()
 	if err := run(root, "demo", "tiny", false, "sft",
-		30, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 0, true, false, 0, 0, "", "", 0, 0, ""); err != nil {
+		30, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 0, true, false, 0, 0, "", "", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range []int{10, 20, 30} {
@@ -113,7 +113,7 @@ func TestRunLazyCapture(t *testing.T) {
 		}
 	}
 	if err := run(root, "demo", "tiny", false, "sft",
-		40, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-30", true, 0, true, false, 0, 0, "", "", 0, 0, ""); err != nil {
+		40, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-30", true, 0, true, false, 0, 0, "", "", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,12 +123,12 @@ func TestRunLazyCapture(t *testing.T) {
 // digest-sharded across two prefix shards.
 func TestRunObjStore(t *testing.T) {
 	if err := run("", "demo", "tiny", false, "sft",
-		20, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 0, false, true, 0, 2, "", "", 0, 0, ""); err != nil {
+		20, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 0, false, true, 0, 2, "", "", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	// -shards without -dedup must refuse (it lays out the blob store).
 	if err := run("", "demo", "tiny", false, "sft",
-		10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, true, 0, 2, "", "", 0, 0, ""); err == nil {
+		10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, true, 0, 2, "", "", 0, ""); err == nil {
 		t.Error("-shards without -dedup accepted")
 	}
 }
@@ -139,16 +139,16 @@ func TestRunObjStore(t *testing.T) {
 func TestRunCodec(t *testing.T) {
 	root := t.TempDir()
 	if err := run(root, "demo", "tiny", false, "sft",
-		30, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 0, false, false, 0, 0, "", "xor", 0, 0, ""); err != nil {
+		30, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 0, false, false, 0, 0, "", "xor", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(root, "demo", "tiny", false, "sft",
-		40, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-30", true, 0, false, false, 0, 0, "", "xor", 0, 0, ""); err != nil {
+		40, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-30", true, 0, false, false, 0, 0, "", "xor", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	// -codec without -dedup must refuse (compression lives in the blob store).
 	if err := run(root, "demo2", "tiny", false, "sft",
-		10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "xor", 0, 0, ""); err == nil {
+		10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "", "xor", 0, ""); err == nil {
 		t.Error("-codec without -dedup accepted")
 	}
 }
@@ -160,7 +160,7 @@ func TestRunHub(t *testing.T) {
 	root := t.TempDir()
 	for _, r := range []string{"runs/a", "runs/b"} {
 		if err := run(root, r, "tiny", false, "sft",
-			20, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 0, false, false, 0, 4, "hub", "", 0, 0, ""); err != nil {
+			20, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 0, false, false, 0, 4, "hub", "", 0, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,12 +175,12 @@ func TestRunHub(t *testing.T) {
 	}
 	// Both runs resume from the shared store.
 	if err := run(root, "runs/b", "tiny", false, "sft",
-		30, 2, 2e-3, 10, "full", 2, 7, 0, "runs/b/checkpoint-20", true, 0, false, false, 0, 0, "hub", "", 0, 0, ""); err != nil {
+		30, 2, 2e-3, 10, "full", 2, 7, 0, "runs/b/checkpoint-20", true, 0, false, false, 0, 0, "hub", "", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	// -hub without -dedup must refuse.
 	if err := run(root, "runs/c", "tiny", false, "sft",
-		10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "hub", "", 0, 0, ""); err == nil {
+		10, 1, 1e-3, 5, "full", 1, 7, 0, "", false, 0, false, false, 0, 0, "hub", "", 0, ""); err == nil {
 		t.Error("-hub without -dedup accepted")
 	}
 }
@@ -192,11 +192,11 @@ func TestRunHub(t *testing.T) {
 func TestRunShardsRefusesPopulatedStore(t *testing.T) {
 	root := t.TempDir()
 	if err := run(root, "demo", "tiny", false, "sft",
-		20, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 0, false, false, 0, 0, "", "", 0, 0, ""); err != nil {
+		20, 2, 2e-3, 10, "full", 2, 7, 0, "", true, 0, false, false, 0, 0, "", "", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	err := run(root, "demo", "tiny", false, "sft",
-		30, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-20", true, 0, false, false, 0, 4, "", "", 0, 0, "")
+		30, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-20", true, 0, false, false, 0, 4, "", "", 0, "")
 	var populated *storage.PopulatedStoreError
 	if !errors.As(err, &populated) || populated.Root != "demo/objects" || populated.Blobs == 0 {
 		t.Fatalf("-shards over a populated flat store: %v", err)
@@ -205,7 +205,7 @@ func TestRunShardsRefusesPopulatedStore(t *testing.T) {
 		t.Fatal("refused -shards still declared a shard map")
 	}
 	if err := run(root, "demo", "tiny", false, "sft",
-		30, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-20", true, 0, false, false, 0, 0, "", "", 0, 0, ""); err != nil {
+		30, 2, 2e-3, 10, "full", 2, 7, 0, "demo/checkpoint-20", true, 0, false, false, 0, 0, "", "", 0, ""); err != nil {
 		t.Fatalf("flat run no longer resumes: %v", err)
 	}
 }

@@ -108,10 +108,6 @@ type SaveSpec struct {
 	// Whatever is requested, blobs that would not shrink are stored raw and
 	// manifests record the actual codec — restore is always byte-identical.
 	Codec string
-	// CodecRebase bounds xor-parent chain depth: a slot whose chain would
-	// exceed it is re-based to a self-contained plane blob. 0 means
-	// DefaultCodecRebase.
-	CodecRebase int
 	// LayerGens carries the optimizer's per-layer mutation counters
 	// (optim.AdamW.LayerGens) at save time. Lazy capture uses them to prove
 	// a layer unchanged since the previous save and skip hashing it
@@ -436,6 +432,11 @@ type Checkpoint struct {
 
 	src     *source
 	weights *Weights
+	ranks   rankCheck
+
+	layoutOnce sync.Once
+	layout     *optim.Layout
+	layoutErr  error
 }
 
 // Open validates and indexes a checkpoint directory, plain or dedup. The
@@ -485,16 +486,21 @@ func (c *Checkpoint) ContentAddressed() bool { return c.src.store != nil }
 func (c *Checkpoint) WorldSize() int { return c.State.WorldSize }
 
 // Layout rebuilds the optimizer layout the trainer state records from the
-// checkpoint's config.
+// checkpoint's config, once per handle: Restore, the rank check (checkRank)
+// and every other caller share the one layout, which none of them modifies.
 func (c *Checkpoint) Layout() (*optim.Layout, error) {
-	kind, err := optim.ParseLayoutKind(c.State.Layout)
-	if err != nil {
-		return nil, err
-	}
-	if kind == optim.Layerwise {
-		return optim.NewLayerwiseLayout(c.Config), nil
-	}
-	return optim.NewTwoGroupLayout(c.Config), nil
+	c.layoutOnce.Do(func() {
+		kind, err := optim.ParseLayoutKind(c.State.Layout)
+		switch {
+		case err != nil:
+			c.layoutErr = err
+		case kind == optim.Layerwise:
+			c.layout = optim.NewLayerwiseLayout(c.Config)
+		default:
+			c.layout = optim.NewTwoGroupLayout(c.Config)
+		}
+	})
+	return c.layout, c.layoutErr
 }
 
 // Latest resolves the run root's "latest" pointer to a checkpoint dir
@@ -568,27 +574,19 @@ func Restore(b storage.Backend, dir string, dtype tensor.DType) (*model.Model, *
 		return nil, nil, nil, err
 	}
 	// Every weight decodes straight into the model's own tensor, every rank
-	// into its shard file, all through the one load driver.
+	// into its shard file, all through the one load driver, and every rank
+	// is checked against the layout (checkRank): all the layout's groups,
+	// each where its index says, every rank at one optimizer step.
 	shards, err := c.ReadState(m.Tensor, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ws := len(shards)
-	byRank := make([][]*zero.GroupShard, ws)
-	var step int
+	byRank := make([][]*zero.GroupShard, len(shards))
 	for r, sf := range shards {
-		if sf.WorldSize != ws {
-			return nil, nil, nil, fmt.Errorf("ckpt: %s: rank %d world size %d != %d", dir, r, sf.WorldSize, ws)
+		byRank[r] = make([]*zero.GroupShard, layout.NumGroups())
+		for i, g := range sf.Meta {
+			byRank[r][g.Index] = sf.Shards[i]
 		}
-		ordered := make([]*zero.GroupShard, layout.NumGroups())
-		for i, m := range sf.Meta {
-			if m.Index < 0 || m.Index >= layout.NumGroups() {
-				return nil, nil, nil, fmt.Errorf("ckpt: %s: rank %d group index %d out of range", dir, r, m.Index)
-			}
-			ordered[m.Index] = sf.Shards[i]
-		}
-		byRank[r] = ordered
-		step = sf.Step
 	}
 	numels := make([]int64, layout.NumGroups())
 	for i, g := range layout.Groups {
@@ -604,7 +602,7 @@ func Restore(b storage.Backend, dir string, dtype tensor.DType) (*model.Model, *
 		return nil, nil, nil, err
 	}
 	o.States = states
-	o.StepCount = step
+	o.StepCount = shards[0].Step
 	// Re-establish model = rounded master invariant (master is the source
 	// of truth after restore, exactly as mixed-precision resume does).
 	if err := o.SyncModelFromMaster(); err != nil {

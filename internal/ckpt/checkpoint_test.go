@@ -128,6 +128,46 @@ func TestRestoreContinuationBitExact(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesRankStepDisagreement: a checkpoint whose rank shards
+// record different optimizer steps is refused — resuming it would run AdamW's
+// bias correction at whichever step one rank says — plain and
+// content-addressed alike. Rank 1's recorded step is edited in place, so only
+// the rank check (checkRank) can see it.
+func TestRestoreRefusesRankStepDisagreement(t *testing.T) {
+	cfg := modelcfg.Tiny()
+	m, o := buildOptim(t, cfg, 31) // three optimizer steps
+	for _, dedup := range []bool{false, true} {
+		b := storage.NewMem()
+		dir := "run/checkpoint-3"
+		if err := Save(b, SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: 2, Strategy: "full",
+			Dedup: dedup, State: TrainerState{Step: 3}}); err != nil {
+			t.Fatal(err)
+		}
+		name := dir + "/" + ShardFileName(1)
+		if dedup {
+			name = dir + "/" + ShardManifestName(1)
+		}
+		data, err := b.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(data), `"step":3`); n != 1 {
+			t.Fatalf("fixture: %s records \"step\":3 %d times", name, n)
+		}
+		data = []byte(strings.Replace(string(data), `"step":3`, `"step":9`, 1))
+		if err := b.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, ro, _, err := Restore(b, dir, tensor.BF16); err == nil || !strings.Contains(err.Error(), "optimizer step 9") {
+			step := -1
+			if ro != nil {
+				step = ro.StepCount
+			}
+			t.Errorf("dedup=%v: restore with rank steps 3 and 9: StepCount %d, err %v", dedup, step, err)
+		}
+	}
+}
+
 func TestPartialSaveOmitsLayers(t *testing.T) {
 	b := storage.NewMem()
 	m, o := buildOptim(t, modelcfg.Tiny(), 24)

@@ -44,9 +44,9 @@ func perturbLayer(t testing.TB, m *model.Model, o *optim.AdamW, cfg *modelcfg.Co
 	}
 }
 
-func codecSpec(dir string, step int, m *model.Model, o *optim.AdamW, codec string, rebase int) SaveSpec {
+func codecSpec(dir string, step int, m *model.Model, o *optim.AdamW, codec string) SaveSpec {
 	return SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: 2, Strategy: "full",
-		Dedup: true, Codec: codec, CodecRebase: rebase,
+		Dedup: true, Codec: codec,
 		State: TrainerState{Step: step, Seed: 170}}
 }
 
@@ -61,7 +61,7 @@ func TestCodecXorSaveRoundTrip(t *testing.T) {
 	plain := storage.NewMem()
 	saveBoth := func(dir string, step int) {
 		t.Helper()
-		if err := Save(b, codecSpec(dir, step, m, o, "xor", 0)); err != nil {
+		if err := Save(b, codecSpec(dir, step, m, o, "xor")); err != nil {
 			t.Fatal(err)
 		}
 		if err := Save(plain, SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: 2,
@@ -143,35 +143,35 @@ func TestCodecXorSaveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecRebaseBoundsChain: with CodecRebase=2 and the same layer
-// perturbed every save, chains must grow 1, 2, then re-base — never
+// TestCodecRebaseBoundsChain: with the same layer perturbed every save,
+// chains must grow 1, 2, … up to DefaultCodecRebase, then re-base — never
 // exceeding the bound — and every generation stays restorable.
 func TestCodecRebaseBoundsChain(t *testing.T) {
 	cfg := modelcfg.Tiny()
 	m, o := buildOptim(t, cfg, 171)
 	b := storage.NewMem()
-	const saves = 7
+	const bound, saves = DefaultCodecRebase, DefaultCodecRebase + 3
 	sawBound, sawRebase := false, false
 	for i := 1; i <= saves; i++ {
 		if i > 1 {
 			perturbLayer(t, m, o, cfg, 2, i)
 		}
 		dir := fmt.Sprintf("run/checkpoint-%d", i*100)
-		if err := Save(b, codecSpec(dir, i*100, m, o, "xor", 2)); err != nil {
+		if err := Save(b, codecSpec(dir, i*100, m, o, "xor")); err != nil {
 			t.Fatal(err)
 		}
 		cs, err := ReadCodecStats(b, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cs.DeepestChain > 2 {
-			t.Fatalf("save %d: chain depth %d exceeds rebase bound 2", i, cs.DeepestChain)
+		if cs.DeepestChain > bound {
+			t.Fatalf("save %d: chain depth %d exceeds rebase bound %d", i, cs.DeepestChain, bound)
 		}
 		if i > 1 {
-			if cs.DeepestChain == 2 {
+			if cs.DeepestChain == bound {
 				sawBound = true
 			}
-			if sawBound && cs.DeepestChain < 2 {
+			if sawBound && cs.DeepestChain < bound {
 				sawRebase = true
 			}
 		}

@@ -20,16 +20,15 @@ import (
 	"llmtailor/internal/storage"
 )
 
-// DefaultCodecRebase is the default xor-parent chain depth bound: a slot
-// whose chain would exceed it is re-based to a full plane blob.
+// DefaultCodecRebase is the xor-parent chain depth bound: a slot whose chain
+// would exceed it is re-based to a full plane blob.
 const DefaultCodecRebase = 8
 
 // codecPlan decides per-slot blob codecs for one dedup save. A nil plan
 // means raw (the pre-codec behavior).
 type codecPlan struct {
-	mode   storage.BlobCodec // CodecPlane or CodecXORParent
-	rebase int
-	prev   map[string]blobRef // the parent generation's blob per slot (xor mode)
+	mode storage.BlobCodec  // CodecPlane or CodecXORParent
+	prev map[string]blobRef // the parent generation's blob per slot (xor mode)
 }
 
 // lineage is one save's view of its parent checkpoint, read off the parent's
@@ -92,7 +91,7 @@ func groupSlotKey(rank, index int) string { return fmt.Sprintf("rank %d group %d
 // Planned puts carry no in-flight byte gate: the lazy saver's spooled
 // payloads already hold their bytes in the saver's spool gate, and an
 // encoder blocking on a second reservation could deadlock the write stage.
-func newCodecPlan(codec string, rebase int, view *lineage) (*codecPlan, error) {
+func newCodecPlan(codec string, view *lineage) (*codecPlan, error) {
 	mode, err := storage.ParseBlobCodec(codec)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: save codec: %w", err)
@@ -104,13 +103,7 @@ func newCodecPlan(codec string, rebase int, view *lineage) (*codecPlan, error) {
 	default:
 		return nil, fmt.Errorf("ckpt: save codec %q is not writable", codec)
 	}
-	if rebase <= 0 {
-		rebase = DefaultCodecRebase
-	}
-	if rebase > storage.MaxParentDepth {
-		rebase = storage.MaxParentDepth
-	}
-	p := &codecPlan{mode: mode, rebase: rebase}
+	p := &codecPlan{mode: mode}
 	if mode == storage.CodecXORParent {
 		p.prev = view.slots
 	}
@@ -160,7 +153,7 @@ func (p *codecPlan) optsFor(slot, digest string, width int) (storage.BlobPutOpti
 		return opts, nil
 	}
 	chain := append([]string{ps.Digest}, ps.Parents...)
-	if len(chain) > p.rebase {
+	if len(chain) > DefaultCodecRebase {
 		return opts, nil // re-base: chain depth stays O(K)
 	}
 	opts.Codec = storage.CodecXORParent

@@ -548,11 +548,11 @@ func TestDedupifyPinsXorLineage(t *testing.T) {
 			b := bk.mk()
 			cfg := modelcfg.Tiny()
 			m, o := buildOptim(t, cfg, 180)
-			if err := Save(b, codecSpec("run/checkpoint-100", 100, m, o, "xor", 0)); err != nil {
+			if err := Save(b, codecSpec("run/checkpoint-100", 100, m, o, "xor")); err != nil {
 				t.Fatal(err)
 			}
 			perturbLayer(t, m, o, cfg, 2, 1)
-			if err := Save(b, codecSpec("run/checkpoint-200", 200, m, o, "xor", 0)); err != nil {
+			if err := Save(b, codecSpec("run/checkpoint-200", 200, m, o, "xor")); err != nil {
 				t.Fatal(err)
 			}
 			// A plain save of the same state, published content-addressed:

@@ -326,11 +326,11 @@ func TestHubCrashPointExplorationRetainVsPeer(t *testing.T) {
 		attachHub(t, f, "hub", "runb", "runb")
 		m, o := buildOptim(t, modelcfg.Tiny(), 810)
 		for _, dir := range []string{"runa/checkpoint-10", "runb/checkpoint-10"} {
-			if err := Save(f, codecSpec(dir, 10, m, o, "xor", 0)); err != nil {
+			if err := Save(f, codecSpec(dir, 10, m, o, "xor")); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := Save(f, codecSpec("runb/checkpoint-20", 20, mX, oX, "xor", 0)); err != nil {
+		if err := Save(f, codecSpec("runb/checkpoint-20", 20, mX, oX, "xor")); err != nil {
 			t.Fatal(err)
 		}
 		// Run B drops its own copy of the parent generation, run A moves

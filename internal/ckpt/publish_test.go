@@ -31,14 +31,22 @@ func outputByReference(b storage.Backend, src, dst string, dedup bool) (Dedupify
 	if err != nil {
 		return DedupifyReport{}, err
 	}
-	for r := 0; r < c.WorldSize(); r++ {
-		groups, step, err := c.OptimExtents(r)
-		if err != nil {
+	world := c.WorldSize()
+	ranks := make([][]GroupExtent, world)
+	var step int
+	for r := range ranks {
+		if ranks[r], step, err = c.OptimExtents(r); err != nil {
 			return DedupifyReport{}, err
 		}
-		rank := out.Rank(r, c.WorldSize(), step, layout)
-		for _, g := range groups {
-			if err := rank.Group(g); err != nil {
+	}
+	for r := range ranks {
+		rank := out.Rank(r, world, step, layout)
+		for gi := range ranks[0] {
+			src := make([]GroupExtent, world)
+			for sr := range src {
+				src[sr] = ranks[sr][gi]
+			}
+			if _, _, err := rank.Group(src); err != nil {
 				return DedupifyReport{}, err
 			}
 		}

@@ -745,11 +745,12 @@ func (c *Checkpoint) loadSet() (*payloadSet, error) {
 
 // ReadState reads everything the checkpoint stores through the load driver:
 // every weight payload checked against its CRC and decoded into the tensor
-// dst names for it (nil: only checked), every rank's optimizer shard decoded,
-// returned by rank. With bad nil the first failure in payload order is the
-// error; otherwise each failing payload or rank is handed to bad (rank -1: a
-// weight), the read goes on while bad returns nil, and a failed rank comes
-// back nil.
+// dst names for it (nil: only checked), every rank's optimizer shard decoded
+// and checked against the layout (checkRank), returned by rank. With bad nil
+// the first failing payload in payload order is the error, or else every
+// problem the check finds; otherwise each failing payload and each problem
+// is handed to bad (rank -1: a weight), the read goes on while bad returns
+// nil, and a rank that failed comes back nil.
 func (c *Checkpoint) ReadState(dst func(name string) (*tensor.Tensor, error), bad func(rank int, err error) error) ([]*ShardFile, error) {
 	return c.readState(newLoadGate(), dst, bad)
 }
@@ -774,21 +775,52 @@ func (c *Checkpoint) readState(gate *parallel.ByteGate, dst func(name string) (*
 			return t, nil
 		}
 	}
-	return set.load(gate, into, bad)
-}
-
-// ReadOptimShard fully reads one rank's optimizer state: the LTOS shard
-// file of a plain checkpoint as one stream, or the rank's shard manifest
-// plus group blobs of a content-addressed one, fetched side by side.
-func (c *Checkpoint) ReadOptimShard(rank int) (*ShardFile, error) {
-	if c.src.store == nil {
-		return ReadShardFile(c.Backend, c.Dir+"/"+ShardFileName(rank))
-	}
-	rs, err := c.src.rank(rank)
+	shards, err := set.load(gate, into, bad)
 	if err != nil {
 		return nil, err
 	}
-	return rs.loadAlone()
+	var errs []error
+	for r, f := range shards {
+		if f == nil {
+			continue
+		}
+		for _, err := range c.checkRank(r, f) {
+			if bad == nil {
+				errs = append(errs, fmt.Errorf("rank %d: %w", r, err))
+			} else if err := bad(r, err); err != nil {
+				return nil, err
+			}
+			shards[r] = nil
+		}
+	}
+	if len(errs) > 0 {
+		return nil, fmt.Errorf("ckpt: %s: %w", c.Dir, errors.Join(errs...))
+	}
+	return shards, nil
+}
+
+// ReadOptimShard fully reads one rank's optimizer state, checked against the
+// layout (checkRank): the LTOS shard file of a plain checkpoint as one
+// stream, or the rank's shard manifest plus group blobs of a
+// content-addressed one, fetched side by side.
+func (c *Checkpoint) ReadOptimShard(rank int) (*ShardFile, error) {
+	var f *ShardFile
+	var err error
+	if c.src.store == nil {
+		f, err = ReadShardFile(c.Backend, c.Dir+"/"+ShardFileName(rank))
+	} else {
+		var rs *rankPayloads
+		if rs, err = c.src.rank(rank); err == nil {
+			f, err = rs.loadAlone()
+		}
+	}
+	if err == nil {
+		err = c.rankError(rank, c.checkRank(rank, f))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // loadAlone runs the load driver over this one rank.
@@ -802,40 +834,149 @@ func (rs *rankPayloads) loadAlone() (*ShardFile, error) {
 
 // GroupExtent is one rank's stored payload of one optimizer group: recorded
 // metadata plus ranged access to the (always uncompressed) payload bytes —
-// and what an Output takes by reference (OutputRank.Group).
+// what an Output takes by reference or splices (OutputRank.Group).
 type GroupExtent struct {
 	ShardGroupMeta
 	// OpenRange opens the n payload bytes starting at off. Nothing is
-	// verified; Replay checks the whole payload.
+	// verified; a splice checks the whole payload first (check).
 	OpenRange func(off, n int64) (io.ReadCloser, error)
 	p         *payload
-}
-
-// Replay writes the whole payload to w, checked against its digest, or its
-// CRC when it has none.
-func (e GroupExtent) Replay(w io.Writer) error {
-	p := *e.p
-	p.checked(fmt.Sprintf("group %d", e.Index))
-	_, err := p.write(w)
-	return err
+	// check reads the whole payload through its digest, or its CRC when it
+	// has none, once however often it is asked.
+	check func() error
 }
 
 // OptimExtents lists one rank's optimizer groups in stored order — each
 // exactly 12×ShardLen bytes — and its recorded optimizer step, reading no
-// payload byte: what a feeder taking groups by reference, or moving byte
-// ranges of them (elastic resharding), needs in place of a decoded ShardFile. A shard recorded for another rank or
-// world size than the trainer state's is an error.
+// payload byte: what a feeder taking groups by reference, or splicing byte
+// ranges of them across a world-size change, needs in place of a decoded
+// ShardFile. The rank is checked against the layout (checkRank).
 func (c *Checkpoint) OptimExtents(rank int) (groups []GroupExtent, step int, err error) {
 	rs, err := c.src.rank(rank)
 	if err != nil {
 		return nil, 0, err
 	}
-	if rs.rank != rank || rs.worldSize != c.State.WorldSize {
-		return nil, 0, fmt.Errorf("ckpt: %s: rank %d shard claims rank %d of %d", c.Dir, rank, rs.rank, rs.worldSize)
+	f := &ShardFile{}
+	f.init(rs)
+	if err := c.rankError(rank, c.checkRank(rank, f)); err != nil {
+		return nil, 0, err
 	}
 	groups = make([]GroupExtent, len(rs.groups))
 	for i, g := range rs.groups {
-		groups[i] = GroupExtent{g.meta, g.open, &rs.groups[i].payload}
+		p := &rs.groups[i].payload
+		groups[i] = GroupExtent{ShardGroupMeta: g.meta, OpenRange: g.open, p: p,
+			check: sync.OnceValue(func() error {
+				q := *p
+				q.checked(fmt.Sprintf("group %d", g.meta.Index))
+				_, err := q.write(io.Discard)
+				return err
+			})}
 	}
 	return groups, rs.step, nil
+}
+
+// rankCheck is what the one check of a checkpoint's optimizer ranks
+// (checkRank) keeps per handle: the groups every rank must store, and the
+// step of the first rank checked, which every other rank must match.
+type rankCheck struct {
+	once       sync.Once
+	want       []ShardGroupMeta // the layout's groups of the manifest's layers, in index order
+	at         map[int]int      // group index -> position in want
+	err        error            // the layout's, when it cannot be rebuilt
+	mu         sync.Mutex
+	checked    bool // a rank has been checked: step is its step
+	step, rank int
+}
+
+// checkRank is the one check of a rank's optimizer metadata against the
+// checkpoint — what Restore, Verify, reshard and merge read every rank
+// through (ReadState, ReadOptimShard, OptimExtents). The rank at position
+// rank must claim that rank of the trainer state's world size, record the
+// optimizer step every other rank read through this handle records, and
+// store exactly the layout's groups of the manifest's layers, none twice, in
+// index order, each with the layout's numel, no_decay and layer and the shard
+// length zero.Partition gives its numel over the world. It reads nothing, and
+// returns every problem.
+func (c *Checkpoint) checkRank(rank int, f *ShardFile) []error {
+	var errs []error
+	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	ws := c.State.WorldSize
+	if f.Rank != rank || f.WorldSize != ws {
+		bad("shard claims rank %d of world size %d, want rank %d of %d", f.Rank, f.WorldSize, rank, ws)
+	}
+	rc := &c.ranks
+	rc.mu.Lock()
+	if !rc.checked {
+		rc.checked, rc.step, rc.rank = true, f.Step, rank
+	} else if f.Step != rc.step {
+		bad("at optimizer step %d, rank %d at %d", f.Step, rc.rank, rc.step)
+	}
+	rc.mu.Unlock()
+	rc.once.Do(func() { rc.want, rc.at, rc.err = c.wantGroups() })
+	if rc.err != nil {
+		return append(errs, rc.err)
+	}
+	seen := make([]bool, len(rc.want))
+	prev := -1
+	for _, m := range f.Meta {
+		i, ok := rc.at[m.Index]
+		switch {
+		case !ok:
+			bad("unexpected group %d", m.Index)
+			continue
+		case seen[i]:
+			bad("duplicate group %d", m.Index)
+			continue
+		case m.Index < prev:
+			bad("group %d stored after group %d, out of index order", m.Index, prev)
+		}
+		seen[i], prev = true, m.Index
+		w := rc.want[i]
+		if m.Numel != w.Numel || m.NoDecay != w.NoDecay || m.Layer != w.Layer {
+			bad("group %d metadata (numel %d, no_decay %v, layer %q) disagrees with the layout (numel %d, no_decay %v, layer %q)",
+				m.Index, m.Numel, m.NoDecay, m.Layer, w.Numel, w.NoDecay, w.Layer)
+			continue
+		}
+		if p, err := zero.NewPartition(w.Numel, ws); err != nil {
+			bad("group %d: %v", m.Index, err)
+		} else if m.ShardLen != p.ShardLen() {
+			bad("group %d shard length %d, want %d (%d elements over %d ranks)", m.Index, m.ShardLen, p.ShardLen(), w.Numel, ws)
+		}
+	}
+	for i, w := range rc.want {
+		if !seen[i] {
+			bad("missing group %d (%s)", w.Index, w.Layer)
+		}
+	}
+	return errs
+}
+
+// wantGroups lists the groups every rank must store: the layout's groups of
+// the manifest's layers (every group without a layer), in index order.
+func (c *Checkpoint) wantGroups() ([]ShardGroupMeta, map[int]int, error) {
+	layout, err := c.Layout()
+	if err != nil {
+		return nil, nil, fmt.Errorf("trainer state: %w", err)
+	}
+	layers := map[string]bool{}
+	for _, l := range c.Manifest.Layers {
+		layers[l] = true
+	}
+	var want []ShardGroupMeta
+	at := map[int]int{}
+	for _, g := range layout.Groups {
+		if m := metaForGroup(g); !g.HasLayer || layers[m.Layer] {
+			at[g.Index] = len(want)
+			want = append(want, m)
+		}
+	}
+	return want, at, nil
+}
+
+// rankError is checkRank's problems as one error.
+func (c *Checkpoint) rankError(rank int, errs []error) error {
+	if len(errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("ckpt: %s: rank %d: %w", c.Dir, rank, errors.Join(errs...))
 }

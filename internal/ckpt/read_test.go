@@ -39,7 +39,7 @@ func saveLayouts(t testing.TB, b storage.Backend) {
 		lastGroup.ExpAvg[i], lastGroup.ExpAvgSq[i] = 0, 0
 	}
 	spec := func(layout string, step int) SaveSpec {
-		s := codecSpec(layout+"/"+DirName(step), step, m, o, layout, 0)
+		s := codecSpec(layout+"/"+DirName(step), step, m, o, layout)
 		s.WorldSize = 4
 		s.Dedup = layout != "plain"
 		if !s.Dedup {

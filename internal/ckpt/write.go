@@ -743,7 +743,7 @@ func commitSave(b storage.Backend, spec *SaveSpec, plan *savePlan, set *payloadS
 		// One read of the parent's manifests serves the codec plan and the
 		// publish loop alike.
 		ws.view = loadLineage(b, spec.Dir)
-		if ws.cplan, err = newCodecPlan(spec.Codec, spec.CodecRebase, ws.view); err != nil {
+		if ws.cplan, err = newCodecPlan(spec.Codec, ws.view); err != nil {
 			return err
 		}
 	}
@@ -833,16 +833,110 @@ func (r OutputRank) rs() *rankPayloads { return &r.o.set.ranks[r.i] }
 // once it has read the step off its sources.
 func (r OutputRank) SetStep(step int) { r.rs().step = step }
 
-// Group adds a source rank's stored group (Checkpoint.OptimExtents) by
-// reference, checked and moved like Tensor's.
-func (r OutputRank) Group(e GroupExtent) error {
-	if e.p == nil {
-		return fmt.Errorf("ckpt: group %d: not a stored extent", e.Index)
+// Group adds the rank's shard of one group out of the group's stored extents
+// on every source rank (Checkpoint.OptimExtents), in source rank order, with
+// no FP32 decoded: the unpadded vector [0, numel) is the invariant, and the
+// rank's range of it under the output's partition is made of byte ranges of
+// the source payloads — both partitions address the same FP32 grid — and
+// zeros for its own pad tail. It is one of three things:
+//   - where the two partitions coincide, the source rank's payload itself,
+//     by reference, checked and moved like Tensor's (carried);
+//   - past the data, all padding (zeroed);
+//   - otherwise stitched, section by section (master, exp_avg,
+//     exp_avg_sq), from the extents it overlaps, once every source payload
+//     of the group has been checked whole (spliced).
+//
+// It reports the source payload bytes the shard takes and the pad bytes it
+// synthesizes.
+func (r OutputRank) Group(src []GroupExtent) (raw, zeros int64, err error) {
+	if len(src) == 0 {
+		return 0, 0, fmt.Errorf("ckpt: rank %d: no source extents", r.rs().rank)
 	}
-	g := groupPayload{payload: *e.p, meta: e.ShardGroupMeta}
-	g.checked(groupSlotKey(r.rs().rank, e.Index))
-	r.rs().groups = append(r.rs().groups, g)
-	return nil
+	m := src[0].ShardGroupMeta
+	sN := m.ShardLen
+	for _, e := range src {
+		if e.p == nil || e.Index != m.Index || e.Numel != m.Numel || e.ShardLen != sN {
+			return 0, 0, fmt.Errorf("ckpt: group %d: not one stored group's extents", m.Index)
+		}
+	}
+	if int64(len(src))*sN < m.Numel {
+		return 0, 0, fmt.Errorf("ckpt: group %d: %d extents of %d elements hold less than its %d", m.Index, len(src), sN, m.Numel)
+	}
+	rank := r.rs().rank
+	pM, err := zero.NewPartition(m.Numel, r.rs().worldSize)
+	if err != nil {
+		return 0, 0, fmt.Errorf("ckpt: group %d: %w", m.Index, err)
+	}
+	sM := pM.ShardLen()
+	lo, hi := pM.Range(rank)
+	dataHi := min(hi, m.Numel)
+	meta := ShardGroupMeta{Index: m.Index, Numel: m.Numel, ShardLen: sM, NoDecay: m.NoDecay, Layer: m.Layer}
+	switch {
+	case sM == sN && rank < len(src):
+		g := groupPayload{payload: *src[rank].p, meta: src[rank].ShardGroupMeta}
+		g.checked(groupSlotKey(rank, m.Index))
+		r.rs().groups = append(r.rs().groups, g)
+		return sM * 12, 0, nil
+	case lo >= m.Numel:
+		r.ComputeGroup(meta, func(w io.Writer) (int64, error) { return writeZeros(w, sM*12) })
+		return 0, sM * 12, nil
+	}
+	r.ComputeGroup(meta, func(w io.Writer) (int64, error) {
+		for _, e := range src {
+			if err := e.check(); err != nil {
+				return 0, err
+			}
+		}
+		return spliceShard(w, src, lo, hi, dataHi)
+	})
+	return (dataHi - lo) * 12, (hi - dataHi) * 12, nil
+}
+
+// spliceShard writes one output shard's three sections — elements [lo, hi)
+// of the group, data up to dataHi — from byte extents of the source payloads,
+// with zeros for the pad tail. Each extent is the intersection of the range
+// with a source shard's. Source pad bytes are never read: padding moves with
+// the partition.
+func spliceShard(w io.Writer, src []GroupExtent, lo, hi, dataHi int64) (int64, error) {
+	sN := src[0].ShardLen
+	var n int64
+	for k := int64(0); k < 3; k++ {
+		for cur := lo; cur < dataHi; {
+			rn := cur / sN
+			segHi := min((rn+1)*sN, dataHi)
+			rc, err := src[rn].OpenRange(k*sN*4+(cur-rn*sN)*4, (segHi-cur)*4)
+			if err == nil {
+				var c int64
+				c, err = io.Copy(w, rc)
+				n += c
+				if cerr := rc.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
+				return n, fmt.Errorf("ckpt: group %d: read extent from source rank %d: %w", src[rn].Index, rn, err)
+			}
+			cur = segHi
+		}
+		c, err := writeZeros(w, (hi-dataHi)*4)
+		if n += c; err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+var zeroBuf [4096]byte
+
+func writeZeros(w io.Writer, n int64) (int64, error) {
+	var total int64
+	for total < n {
+		k, err := w.Write(zeroBuf[:min(n-total, int64(len(zeroBuf)))])
+		if total += int64(k); err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // ComputeGroup adds a group shard the feeder computes: meta names it (Index,

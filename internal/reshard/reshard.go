@@ -15,13 +15,15 @@
 // is a concatenation of byte ranges from source payloads plus synthesized
 // zeros for the target's own pad tail — no float ever needs decoding.
 //
-// Reshard is a feeder of ckpt's write stage (ckpt.Output): the weights and
-// every target shard whose partition coincides with its source's (s_N ==
-// s_M) go in by reference — the source payload, replayed through its check,
-// and not moved at all when a content-addressed output's store already holds
-// it — and the rest are computed: stitched from source extents (each source
-// group's payload checked once, in one streaming pass, before its first
-// target is stitched), or all padding. The write stage reads the weights
+// Reshard is a feeder of ckpt's write stage (ckpt.Output): the weights go in
+// by reference, and every target shard through ckpt.OutputRank.Group, the
+// one repartition a merge across world sizes runs too. A shard whose
+// partition coincides with its source's (s_N == s_M) is the source payload by
+// reference — replayed through its check, and not moved at all when a
+// content-addressed output's store already holds it — and the rest are
+// computed: stitched from source extents (each source payload of the group
+// checked once, whole, before its first target is stitched), or all padding.
+// The write stage reads the weights
 // ahead under the Options.MaxInFlight byte gate and writes Options.Workers
 // target ranks' shard files side by side, each streaming its shards
 // straight into its container, so the bytes in flight are a few weight
@@ -35,15 +37,12 @@ package reshard
 
 import (
 	"fmt"
-	"io"
 	"path"
-	"sync"
 	"time"
 
 	"llmtailor/internal/ckpt"
 	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
-	"llmtailor/internal/zero"
 )
 
 // Options tunes a reshard run.
@@ -124,25 +123,27 @@ func Reshard(b storage.Backend, srcDir, dstDir string, world int, opts Options) 
 	}
 	stats := &Stats{WorldFrom: worldFrom, WorldTo: world}
 
-	// Layout re-validation: rebuild the optimizer layout from the source's
-	// config and check every recorded group against it before trusting any
-	// recorded geometry.
+	// Every rank's groups, each rank checked against the layout rebuilt from
+	// config (ckpt's checkRank) before any recorded geometry is trusted.
 	layout, err := c.Layout()
 	if err != nil {
 		return nil, fmt.Errorf("reshard: %w", err)
 	}
-	srcs, optimStep, err := openGroupSources(c, layout)
-	if err != nil {
-		return nil, err
+	ranks := make([][]ckpt.GroupExtent, worldFrom)
+	var optimStep int
+	for r := range ranks {
+		if ranks[r], optimStep, err = c.OptimExtents(r); err != nil {
+			return nil, fmt.Errorf("reshard: %w", err)
+		}
 	}
-	stats.Groups = len(srcs)
+	stats.Groups = len(ranks[0])
 
 	// Weights are world-size independent: the source's payloads verbatim,
 	// in stored order (byte-identical to the source's, and to what a native
 	// save at the target world size writes).
 	out := ckpt.NewOutput(c.Weights().Model())
 	stats.WeightBytes = out.Weights(c.Weights())
-	if err := repartition(out, layout, srcs, optimStep, world, stats); err != nil {
+	if err := repartition(out, layout, ranks, optimStep, world, stats); err != nil {
 		return nil, err
 	}
 	// The trailer: config verbatim, the trainer state at the target world
@@ -167,198 +168,34 @@ func Reshard(b storage.Backend, srcDir, dstDir string, world int, opts Options) 
 	return stats, nil
 }
 
-// openGroupSources lists every rank's stored groups (ckpt.OptimExtents: an
-// extent of the rank's LTOS file or a group blob, the same to this package)
-// and validates them against each other and the layout: same step, same
-// group sequence, shard lengths exactly what zero.Partition dictates, and
-// per-group geometry matching the layout rebuilt from config. It returns
-// srcs[group][rank] in rank 0's (canonical) group order, and the recorded
-// optimizer step count (the LTOS header step, distinct from the trainer step
-// — it feeds AdamW's bias correction on restore, so it must survive the
-// reshard verbatim).
-func openGroupSources(c *ckpt.Checkpoint, layout *optim.Layout) ([][]ckpt.GroupExtent, int, error) {
-	worldFrom := c.State.WorldSize
-	perRank := make([][]ckpt.GroupExtent, worldFrom)
-	step := -1
-	for r := 0; r < worldFrom; r++ {
-		groups, rstep, err := c.OptimExtents(r)
-		if err != nil {
-			return nil, 0, fmt.Errorf("reshard: rank %d: %w", r, err)
-		}
-		if step < 0 {
-			step = rstep
-		} else if rstep != step {
-			return nil, 0, fmt.Errorf("reshard: rank %d at step %d, rank 0 at %d", r, rstep, step)
-		}
-		perRank[r] = groups
-	}
-
-	// Cross-rank and layout validation against rank 0's canonical order. A
-	// complete checkpoint stores exactly the layout's groups in index order.
-	canon := perRank[0]
-	if len(canon) != layout.NumGroups() {
-		return nil, 0, fmt.Errorf("reshard: source has %d groups, layout %d — partial shard files cannot reshard", len(canon), layout.NumGroups())
-	}
-	for gi, m := range canon {
-		if m.Index != gi {
-			return nil, 0, fmt.Errorf("reshard: group %d stored at position %d; complete checkpoints store groups in index order", m.Index, gi)
-		}
-		lg, err := layout.GroupByIndex(m.Index)
-		if err != nil {
-			return nil, 0, fmt.Errorf("reshard: %w", err)
-		}
-		wantLayer := ""
-		if lg.HasLayer {
-			wantLayer = lg.Layer.String()
-		}
-		if m.Numel != lg.Numel || m.NoDecay != lg.NoDecay || m.Layer != wantLayer {
-			return nil, 0, fmt.Errorf("reshard: group %d metadata (numel %d, no_decay %v, layer %q) disagrees with layout (numel %d, no_decay %v, layer %q)",
-				gi, m.Numel, m.NoDecay, m.Layer, lg.Numel, lg.NoDecay, wantLayer)
-		}
-		p, err := zero.NewPartition(m.Numel, worldFrom)
-		if err != nil {
-			return nil, 0, fmt.Errorf("reshard: group %d: %w", gi, err)
-		}
-		pShard := p.ShardLen()
-		for r := 0; r < worldFrom; r++ {
-			if gi >= len(perRank[r]) {
-				return nil, 0, fmt.Errorf("reshard: rank %d is missing group %d", r, gi)
-			}
-			rm := perRank[r][gi]
-			if rm.Index != m.Index || rm.Numel != m.Numel || rm.ShardLen != pShard {
-				return nil, 0, fmt.Errorf("reshard: rank %d group %d geometry (numel %d, shard %d) disagrees with rank 0 (numel %d, shard %d)",
-					r, gi, rm.Numel, rm.ShardLen, m.Numel, pShard)
-			}
-		}
-	}
-	for r := 1; r < worldFrom; r++ {
-		if len(perRank[r]) != len(canon) {
-			return nil, 0, fmt.Errorf("reshard: rank %d stores %d groups, rank 0 stores %d", r, len(perRank[r]), len(canon))
-		}
-	}
-
-	srcs := make([][]ckpt.GroupExtent, len(canon))
-	for gi := range canon {
-		srcs[gi] = make([]ckpt.GroupExtent, worldFrom)
-		for r := 0; r < worldFrom; r++ {
-			srcs[gi][r] = perRank[r][gi]
-		}
-	}
-	return srcs, step, nil
-}
-
-// repartition adds every target rank's shard of every group, rank by rank.
-// A shard whose partition coincides with its source's is the source payload,
-// by reference; one past the data is all padding; the rest are stitched
-// from source extents, each group's sources checked once, whole, before the
-// first is stitched.
-func repartition(out *ckpt.Output, layout *optim.Layout, srcs [][]ckpt.GroupExtent, optimStep, world int, stats *Stats) error {
-	type plan struct {
-		pN, pM zero.Partition
-		check  func() error
-	}
-	plans := make([]plan, len(srcs))
-	for gi, src := range srcs {
-		numel, worldFrom := src[0].Numel, len(src)
-		pN, err := zero.NewPartition(numel, worldFrom)
-		if err == nil {
-			plans[gi].pM, err = zero.NewPartition(numel, world)
-		}
-		if err != nil {
-			return fmt.Errorf("reshard: group %d: %w", gi, err)
-		}
-		plans[gi].pN = pN
-		plans[gi].check = sync.OnceValue(func() error {
-			for _, e := range src {
-				if err := e.Replay(io.Discard); err != nil {
-					return fmt.Errorf("reshard: group %d: %w", e.Index, err)
-				}
-			}
-			return nil
-		})
-	}
+// repartition adds every target rank's shard of every group, rank by rank,
+// each out of the group's extents on every source rank (OutputRank.Group):
+// carried, zeroed or spliced.
+func repartition(out *ckpt.Output, layout *optim.Layout, ranks [][]ckpt.GroupExtent, optimStep, world int, stats *Stats) error {
 	for rm := 0; rm < world; rm++ {
 		r := out.Rank(rm, world, optimStep, layout.Kind)
-		for gi, src := range srcs {
-			pl := plans[gi]
-			m := src[0].ShardGroupMeta
-			sN, sM := pl.pN.ShardLen(), pl.pM.ShardLen()
-			meta := ckpt.ShardGroupMeta{Index: m.Index, Numel: m.Numel, ShardLen: sM, NoDecay: m.NoDecay, Layer: m.Layer}
-			lo, hi := pl.pM.Range(rm)
-			dataHi := min(hi, m.Numel)
-			switch {
-			case sM == sN && rm < len(src):
-				// Identical extent: the shard is the source payload bit for bit.
-				if err := r.Group(src[rm]); err != nil {
-					return err
-				}
-				stats.ShardsCarried++
-				stats.BytesRawCopied += sM * 12
-			case lo >= m.Numel:
-				// Entirely past the data: an all-padding shard, synthesized.
-				r.ComputeGroup(meta, func(w io.Writer) (int64, error) { return writeZeros(w, sM*12) })
-				stats.ShardsZeroed++
-				stats.BytesZeroFilled += sM * 12
-			default:
-				r.ComputeGroup(meta, func(w io.Writer) (int64, error) {
-					if err := pl.check(); err != nil {
-						return 0, err
-					}
-					return spliceShard(w, src, sN, lo, hi, dataHi)
-				})
-				stats.ShardsSpliced++
-				stats.BytesRawCopied += (dataHi - lo) * 12
-				stats.BytesZeroFilled += (hi - dataHi) * 12
+		for gi := range ranks[0] {
+			src := make([]ckpt.GroupExtent, len(ranks))
+			for rn := range src {
+				src[rn] = ranks[rn][gi]
 			}
+			raw, zeros, err := r.Group(src)
+			if err != nil {
+				return err
+			}
+			switch {
+			case raw == 0:
+				stats.ShardsZeroed++
+			case raw+zeros == src[0].ShardLen*12:
+				// As long as the source shard: the partitions coincide, and
+				// the shard is the source payload.
+				stats.ShardsCarried++
+			default:
+				stats.ShardsSpliced++
+			}
+			stats.BytesRawCopied += raw
+			stats.BytesZeroFilled += zeros
 		}
 	}
 	return nil
-}
-
-// spliceShard is the zero-decode path: one target shard's three sections
-// (0 master, 1 exp_avg, 2 exp_avg_sq) — elements [lo, hi) of the group, data
-// up to dataHi — stitched from byte extents of the source payloads, with
-// zeros for the target's pad tail. Each extent is the intersection of the
-// target range with a source shard's, always element-aligned because both
-// partitions address the same FP32 grid. Source pad bytes are never read —
-// padding moves with the partition.
-func spliceShard(w io.Writer, srcs []ckpt.GroupExtent, sN, lo, hi, dataHi int64) (int64, error) {
-	var n int64
-	for k := int64(0); k < 3; k++ {
-		for cur := lo; cur < dataHi; {
-			rn := cur / sN
-			segHi := min((rn+1)*sN, dataHi)
-			rc, err := srcs[rn].OpenRange(k*sN*4+(cur-rn*sN)*4, (segHi-cur)*4)
-			if err == nil {
-				var c int64
-				c, err = io.Copy(w, rc)
-				n += c
-				if cerr := rc.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				return n, fmt.Errorf("reshard: group %d: read extent from source rank %d: %w", srcs[rn].Index, rn, err)
-			}
-			cur = segHi
-		}
-		c, err := writeZeros(w, (hi-dataHi)*4)
-		if n += c; err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-var zeros [4096]byte
-
-func writeZeros(w io.Writer, n int64) (int64, error) {
-	var total int64
-	for total < n {
-		k, err := w.Write(zeros[:min(n-total, int64(len(zeros)))])
-		if total += int64(k); err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

@@ -255,8 +255,9 @@ type loadCounter struct {
 }
 
 // mergeOptimizer adds one output rank per plan rank, each group in layout
-// order from the source its layer is assigned to. A group goes by reference
-// (byReference) — no load, no decode — or is computed from its source's
+// order from the source its layer is assigned to. A group goes in from its
+// source's stored extents (fromExtents) — by reference, or spliced across a
+// world-size change: no load, no decode — or is computed from its source's
 // shard files, which the rank loads whole (§5.4) once, per Options.LoadOrder,
 // when its first computed group is written, and drops after the last. The
 // output's containers fill rank by rank side by side, so the loads of the
@@ -272,30 +273,34 @@ func mergeOptimizer(out *ckpt.Output, plan *Plan, opts Options, stats *Stats, lo
 			owner[gi] = path
 		}
 	}
-	for rank := 0; rank < plan.WorldSize; rank++ {
-		r := out.Rank(rank, plan.WorldSize, 0, plan.Layout.Kind)
-		refs := map[string]map[int]ckpt.GroupExtent{}
-		refStep := 0
-		for _, path := range plan.Recipe.Checkpoints() {
-			if !byReference(plan, path) {
-				continue
-			}
-			groups, step, err := plan.Sources[path].OptimExtents(rank)
+	// extents[path][gi] holds group gi's extents on every rank of path.
+	extents := map[string]map[int][]ckpt.GroupExtent{}
+	refStep := 0
+	for _, path := range plan.Recipe.Checkpoints() {
+		if !fromExtents(plan, path) {
+			continue
+		}
+		c := plan.Sources[path]
+		byGroup := map[int][]ckpt.GroupExtent{}
+		for rank := 0; rank < c.WorldSize(); rank++ {
+			groups, step, err := c.OptimExtents(rank)
 			if err != nil {
 				return fmt.Errorf("tailor: %s: %w", path, err)
 			}
 			refStep = max(refStep, step)
-			refs[path] = map[int]ckpt.GroupExtent{}
 			for _, g := range groups {
-				refs[path][g.Index] = g
+				byGroup[g.Index] = append(byGroup[g.Index], g)
 			}
 		}
-		r.SetStep(refStep)
+		extents[path] = byGroup
+	}
+	for rank := 0; rank < plan.WorldSize; rank++ {
+		r := out.Rank(rank, plan.WorldSize, refStep, plan.Layout.Kind)
 		// The rank's decoded groups from the sources it loads whole, held
 		// from its first computed group to its last.
 		load := &parallel.Lease[[]*zero.GroupShard]{Load: func() ([]*zero.GroupShard, error) {
 			shards, step, n, readBytes, err := buildRankShards(plan, opts.LoadOrder, rank,
-				func(path string) bool { return refs[path] == nil })
+				func(path string) bool { return extents[path] == nil })
 			if err != nil {
 				return nil, err
 			}
@@ -305,22 +310,18 @@ func mergeOptimizer(out *ckpt.Output, plan *Plan, opts Options, stats *Stats, lo
 			return shards, nil
 		}}
 		for gi, g := range plan.Layout.Groups {
-			path := owner[gi]
+			if byGroup, ok := extents[owner[gi]]; ok {
+				raw, _, err := r.Group(byGroup[gi])
+				if err != nil {
+					return fmt.Errorf("tailor: %s group %d: %w", owner[gi], gi, err)
+				}
+				stats.BytesRead += raw
+				stats.BytesRawCopied += raw
+				continue
+			}
 			part, err := zero.NewPartition(g.Numel, plan.WorldSize)
 			if err != nil {
 				return fmt.Errorf("tailor: group %d: %w", gi, err)
-			}
-			if byIdx, ok := refs[path]; ok {
-				e, ok := byIdx[gi]
-				if !ok || e.Numel != g.Numel || e.ShardLen != part.ShardLen() {
-					return fmt.Errorf("tailor: %s rank %d holds no group %d of numel %d", path, rank, gi, g.Numel)
-				}
-				if err := r.Group(e); err != nil {
-					return err
-				}
-				stats.BytesRead += e.ShardLen * 12
-				stats.BytesRawCopied += e.ShardLen * 12
-				continue
 			}
 			load.Uses++
 			meta := ckpt.ShardGroupMeta{Index: g.Index, Numel: g.Numel, ShardLen: part.ShardLen(), NoDecay: g.NoDecay, Layer: g.Layer.String()}
@@ -337,13 +338,14 @@ func mergeOptimizer(out *ckpt.Output, plan *Plan, opts Options, stats *Stats, lo
 	return nil
 }
 
-// byReference reports whether the groups path contributes go into the output
-// by reference: from a content-addressed source always, from a plain one when
-// it is the whole passthrough's only source; never across a world-size
-// change.
-func byReference(plan *Plan, path string) bool {
+// fromExtents reports whether the groups path contributes go into the output
+// from their stored extents (OutputRank.Group) rather than out of its shard
+// files loaded whole: across a world-size change always (spliced), else from
+// a content-addressed source always, and from a plain one when it is the
+// whole passthrough's only source (by reference).
+func fromExtents(plan *Plan, path string) bool {
 	if _, resharded := plan.Resharded[path]; resharded {
-		return false
+		return true
 	}
 	if plan.Sources[path].ContentAddressed() {
 		return true
@@ -356,87 +358,10 @@ func byReference(plan *Plan, path string) bool {
 	return true
 }
 
-// shardSource adapts one source checkpoint to rank-level group extraction.
-// A source whose native world size matches the plan's holds the target
-// rank's file directly; a mismatched source holds every native rank's file
-// and repartitions each requested group through zero.Partition math on
-// demand — the on-the-fly counterpart of `llmtailor reshard`.
-type shardSource struct {
-	files []*ckpt.ShardFile // 1 file when native, all native ranks when resharding
-	world int               // plan (output) world size
-	rank  int               // target output rank
-	step  int
-	loads int64
-	bytes int64
-}
-
-// loadShardSource reads the shard file(s) a source contributes to one
-// output rank. A mismatched source costs a load per native rank: every
-// shard participates in the repartition, exactly the Table 7 whole-file
-// cost model.
-func loadShardSource(plan *Plan, path string, rank int) (*shardSource, error) {
-	c := plan.Sources[path]
-	s := &shardSource{world: plan.WorldSize, rank: rank}
-	native, mismatched := plan.Resharded[path]
-	if !mismatched {
-		native = 1
-	}
-	for r := 0; r < native; r++ {
-		srcRank := rank
-		if mismatched {
-			srcRank = r
-		}
-		f, err := c.ReadOptimShard(srcRank)
-		if err != nil {
-			return nil, err
-		}
-		if f.Rank != srcRank {
-			return nil, fmt.Errorf("tailor: %s: rank %d shard claims rank %d", path, srcRank, f.Rank)
-		}
-		s.files = append(s.files, f)
-		s.loads++
-		s.bytes += f.FileBytes
-		if f.Step > s.step {
-			s.step = f.Step
-		}
-	}
-	return s, nil
-}
-
-// group returns the target rank's shard of one layout group, resharding
-// across the source's native ranks when the world sizes differ. Metadata
-// geometry (ShardLen, Offsets, CRC32) is left for WriteGroup to recompute
-// against the output partition.
-func (s *shardSource) group(gi int) (*zero.GroupShard, ckpt.ShardGroupMeta, error) {
-	if len(s.files) == 1 {
-		return s.files[0].GroupByIndex(gi)
-	}
-	shards := make([]*zero.GroupShard, len(s.files))
-	var meta ckpt.ShardGroupMeta
-	for r, f := range s.files {
-		sh, m, err := f.GroupByIndex(gi)
-		if err != nil {
-			return nil, ckpt.ShardGroupMeta{}, err
-		}
-		if r == 0 {
-			meta = m
-		} else if m.Numel != meta.Numel {
-			return nil, ckpt.ShardGroupMeta{}, fmt.Errorf("tailor: group %d numel differs across source ranks (%d vs %d)", gi, m.Numel, meta.Numel)
-		}
-		shards[r] = sh
-	}
-	out, err := zero.Reshard(shards, meta.Numel, s.world)
-	if err != nil {
-		return nil, ckpt.ShardGroupMeta{}, fmt.Errorf("tailor: reshard group %d from world %d to %d: %w", gi, len(s.files), s.world, err)
-	}
-	return out[s.rank], ckpt.ShardGroupMeta{
-		Index: meta.Index, Numel: meta.Numel, NoDecay: meta.NoDecay, Layer: meta.Layer,
-	}, nil
-}
-
 // buildRankShards gathers rank's shard of every layout group the sources
-// loaded selects are assigned, honouring the requested load order. It
-// returns the shards by layout index (nil where another source provides
+// loaded selects are assigned, each source's rank file loaded whole and
+// checked (Checkpoint.ReadOptimShard), honouring the requested load order.
+// It returns the shards by layout index (nil where another source provides
 // the group), the maximum source step, the number of shard-file loads
 // performed and the bytes those loads read.
 func buildRankShards(plan *Plan, order LoadOrder, rank int, loaded func(path string) bool) (
@@ -446,23 +371,27 @@ func buildRankShards(plan *Plan, order LoadOrder, rank int, loaded func(path str
 	var loads, readBytes int64
 	maxStep := 0
 
-	extract := func(src *shardSource, ref modelcfg.LayerRef) error {
+	// load reads path's file of the rank; extract takes the groups of one
+	// layer out of it.
+	load := func(path string) (*ckpt.ShardFile, error) {
+		f, err := plan.Sources[path].ReadOptimShard(rank)
+		if err != nil {
+			return nil, fmt.Errorf("tailor: %s: %w", path, err)
+		}
+		loads++
+		readBytes += f.FileBytes
+		maxStep = max(maxStep, f.Step)
+		return f, nil
+	}
+	extract := func(f *ckpt.ShardFile, ref modelcfg.LayerRef) error {
 		groups, err := plan.Layout.GroupsOfLayer(ref)
 		if err != nil {
 			return err
 		}
 		for _, gi := range groups {
-			s, m, err := src.group(gi)
-			if err != nil {
+			if shards[gi], _, err = f.GroupByIndex(gi); err != nil {
 				return fmt.Errorf("tailor: layer %s: %w", ref, err)
 			}
-			if m.Numel != plan.Layout.Groups[gi].Numel {
-				return fmt.Errorf("tailor: layer %s group %d numel %d != layout %d", ref, gi, m.Numel, plan.Layout.Groups[gi].Numel)
-			}
-			shards[gi] = s
-		}
-		if src.step > maxStep {
-			maxStep = src.step
 		}
 		return nil
 	}
@@ -482,14 +411,12 @@ func buildRankShards(plan *Plan, order LoadOrder, rank int, loaded func(path str
 			if !ok {
 				continue
 			}
-			src, err := loadShardSource(plan, path, rank)
+			f, err := load(path)
 			if err != nil {
 				return nil, 0, 0, 0, err
 			}
-			loads += src.loads
-			readBytes += src.bytes
 			for _, ref := range refs {
-				if err := extract(src, ref); err != nil {
+				if err := extract(f, ref); err != nil {
 					return nil, 0, 0, 0, err
 				}
 			}
@@ -501,24 +428,16 @@ func buildRankShards(plan *Plan, order LoadOrder, rank int, loaded func(path str
 			if !loaded(plan.Assign[ref]) {
 				continue
 			}
-			src, err := loadShardSource(plan, plan.Assign[ref], rank)
-			if err != nil {
-				return nil, 0, 0, 0, err
+			f, err := load(plan.Assign[ref])
+			if err == nil {
+				err = extract(f, ref)
 			}
-			loads += src.loads
-			readBytes += src.bytes
-			if err := extract(src, ref); err != nil {
+			if err != nil {
 				return nil, 0, 0, 0, err
 			}
 		}
 	default:
 		return nil, 0, 0, 0, fmt.Errorf("tailor: unknown load order %d", order)
-	}
-
-	for gi := range shards {
-		if shards[gi] == nil && loaded(plan.Assign[plan.Layout.Groups[gi].Layer]) {
-			return nil, 0, 0, 0, fmt.Errorf("tailor: rank %d: group %d (%s) never filled", rank, gi, plan.Layout.Groups[gi].Layer)
-		}
 	}
 	return shards, maxStep, loads, readBytes, nil
 }

@@ -135,7 +135,7 @@ func TestRawShardCopyDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for src := range plan.Sources {
-		if byReference(plan, src) {
+		if fromExtents(plan, src) {
 			t.Fatalf("two-source parity plan takes %q's groups by reference", src)
 		}
 	}
@@ -144,7 +144,7 @@ func TestRawShardCopyDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !byReference(plan, "run/checkpoint-10") {
+	if !fromExtents(plan, "run/checkpoint-10") {
 		t.Fatal("single-source plan does not take groups by reference")
 	}
 }

@@ -14,7 +14,8 @@
 //     converted — into one consolidated output weights file.
 //  3. Optimizer: for every rank, each layer's groups by their fixed layout
 //     indices — by reference from a content-addressed source or a whole
-//     passthrough's one source, otherwise from source shard files loaded
+//     passthrough's one source, spliced from the stored extents of a source
+//     saved at another world size, otherwise from source shard files loaded
 //     whole (optimizer state cannot be lazily loaded). Ranks are written by
 //     a bounded worker pool (the Go analogue of the paper's
 //     ProcessPoolExecutor).
@@ -43,13 +44,14 @@ type Plan struct {
 	// Sources holds the opened checkpoints by path.
 	Sources map[string]*ckpt.Checkpoint
 	// WorldSize is the output rank count: the world size of the configs
-	// source. Sources saved at a different world size are admitted and
-	// resharded on the fly (see Resharded).
+	// source. Sources saved at a different world size are admitted (see
+	// Resharded).
 	WorldSize int
 	// Resharded maps each source whose native world size differs from
-	// WorldSize to that native size. The merge repartitions these sources'
-	// groups through zero.Partition math instead of erroring; a standalone
-	// transform is also available as `llmtailor reshard`.
+	// WorldSize to that native size. The merge splices these sources' groups
+	// across the world-size change from their stored extents
+	// (ckpt.OutputRank.Group, the repartition `llmtailor reshard` runs),
+	// loading none of their shard files.
 	Resharded map[string]int
 	// Layout is the layerwise group layout shared by all sources.
 	Layout *optim.Layout
@@ -101,9 +103,9 @@ func NewPlan(b storage.Backend, r *recipe.Recipe) (*Plan, error) {
 
 	if r.Optimizer {
 		// The output inherits the configs source's world size; any source
-		// saved at a different world size is recorded for on-the-fly
-		// resharding rather than rejected (`llmtailor reshard` performs the
-		// same repartition as a standalone transform).
+		// saved at a different world size is recorded for splicing rather
+		// than rejected (`llmtailor reshard` runs the same repartition as a
+		// standalone transform).
 		ws := base.WorldSize()
 		if ws <= 0 {
 			return nil, fmt.Errorf("tailor: configs source has invalid world size %d — reshard it first with `llmtailor reshard`", ws)

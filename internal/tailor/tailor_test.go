@@ -1,6 +1,8 @@
 package tailor
 
 import (
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -451,85 +453,153 @@ func TestMergeStatsTensorCount(t *testing.T) {
 
 // TestMergeReshardedSources merges two checkpoints saved at different world
 // sizes, as if the run had been elastically resized between them: the
-// mismatched source's groups are repartitioned on the fly instead of the
-// old "resharding is not supported" dead end. Both load orders must agree,
-// the output carries the configs source's world size, and every layer's
-// weights and optimizer state match its source snapshot bit for bit.
+// mismatched source — plain or content-addressed — has its groups spliced
+// across the world-size change (OutputRank.Group, reshard's repartition)
+// instead of the old "resharding is not supported" dead end, loading none of
+// its shard files. Both load orders must agree, the output carries the
+// configs source's world size, and every layer's weights and optimizer state
+// match its source snapshot bit for bit. A corrupt payload of a spliced group
+// fails the merge naming the group, and publishes nothing.
 func TestMergeReshardedSources(t *testing.T) {
-	b := storage.NewMem()
-	cfg := modelcfg.Tiny()
-	r := newRun(t, b, cfg, 3, []int{5, 10}, nil)
-	// Re-save the step-10 state at world size 5, simulating a resize.
-	err := ckpt.Save(b, ckpt.SaveSpec{
-		Dir: "wide/checkpoint-10", Model: r.models[10], Optim: r.optims[10],
-		WorldSize: 5, Strategy: "test",
-		State: ckpt.TrainerState{Step: 10, LR: 1e-3, Loss: 2, Task: "sft", Seed: 77},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rec := recipe.Parity("run/checkpoint-5", "wide/checkpoint-10", cfg, "merged/checkpoint-10")
-	plan, err := NewPlan(b, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Configs come from the wide checkpoint, so its world size (5) wins and
-	// the narrow source reshards 3→5.
-	if plan.WorldSize != 5 || plan.Resharded["run/checkpoint-5"] != 3 {
-		t.Fatalf("plan: world %d, resharded %v", plan.WorldSize, plan.Resharded)
-	}
-
-	stats, err := Merge(b, rec, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Straightforward: the native source costs 1 load per output rank, the
-	// mismatched one its full native world (3) per output rank: 5×(1+3) —
-	// no group crosses the world-size boundary by reference.
-	if stats.ShardFileLoads != 20 {
-		t.Fatalf("shard loads = %d, want 20", stats.ShardFileLoads)
-	}
-
-	m, o, c, err := ckpt.Restore(b, "merged/checkpoint-10", tensor.BF16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.State.WorldSize != 5 {
-		t.Fatalf("merged world size = %d, want 5", c.State.WorldSize)
-	}
-	for ref, path := range plan.Assign {
-		step := 10
-		if path == "run/checkpoint-5" {
-			step = 5
-		}
-		r.assertLayerMatches(t, m, o, ref, step)
-	}
-
-	// The interleaved order must produce the same merged state.
-	rec.Output = "merged-il/checkpoint-10"
-	if _, err := Merge(b, rec, Options{LoadOrder: Interleaved}); err != nil {
-		t.Fatal(err)
-	}
-	m2, o2, _, err := ckpt.Restore(b, "merged-il/checkpoint-10", tensor.BF16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !model.Equal(m, m2) {
-		t.Fatal("load orders disagree on merged weights")
-	}
-	for ref := range plan.Assign {
-		for _, ts := range m.LayerTensors(ref) {
-			am, ae, av, _ := o.TensorState(ts.Name)
-			bm, be, bv, err := o2.TensorState(ts.Name)
+	for _, tc := range []struct {
+		name  string
+		dedup bool
+	}{{"plain", false}, {"content-addressed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := storage.NewMem()
+			cfg := modelcfg.Tiny()
+			r := trainRun(t, b, cfg, 3, []int{5, 10}, nil, tc.dedup)
+			// Re-save the step-10 state at world size 5, simulating a resize.
+			err := ckpt.Save(b, ckpt.SaveSpec{
+				Dir: "wide/checkpoint-10", Model: r.models[10], Optim: r.optims[10],
+				WorldSize: 5, Strategy: "test",
+				State: ckpt.TrainerState{Step: 10, LR: 1e-3, Loss: 2, Task: "sft", Seed: 77},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range am {
-				if am[i] != bm[i] || ae[i] != be[i] || av[i] != bv[i] {
-					t.Fatalf("load orders disagree on optimizer state of %s", ts.Name)
+
+			rec := recipe.Parity("run/checkpoint-5", "wide/checkpoint-10", cfg, "merged/checkpoint-10")
+			plan, err := NewPlan(b, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Configs come from the wide checkpoint, so its world size (5)
+			// wins and the narrow source reshards 3→5.
+			if plan.WorldSize != 5 || plan.Resharded["run/checkpoint-5"] != 3 {
+				t.Fatalf("plan: world %d, resharded %v", plan.WorldSize, plan.Resharded)
+			}
+
+			stats, err := Merge(b, rec, Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Straightforward: the native source costs 1 load per output
+			// rank; the mismatched one is spliced from its extents and
+			// loads no file.
+			if stats.ShardFileLoads != 5 {
+				t.Fatalf("shard loads = %d, want 5", stats.ShardFileLoads)
+			}
+
+			m, o, c, err := ckpt.Restore(b, "merged/checkpoint-10", tensor.BF16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.State.WorldSize != 5 {
+				t.Fatalf("merged world size = %d, want 5", c.State.WorldSize)
+			}
+			for ref, path := range plan.Assign {
+				step := 10
+				if path == "run/checkpoint-5" {
+					step = 5
+				}
+				r.assertLayerMatches(t, m, o, ref, step)
+			}
+
+			// The interleaved order must produce the same merged state.
+			rec.Output = "merged-il/checkpoint-10"
+			if _, err := Merge(b, rec, Options{LoadOrder: Interleaved}); err != nil {
+				t.Fatal(err)
+			}
+			m2, o2, _, err := ckpt.Restore(b, "merged-il/checkpoint-10", tensor.BF16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !model.Equal(m, m2) {
+				t.Fatal("load orders disagree on merged weights")
+			}
+			for ref := range plan.Assign {
+				for _, ts := range m.LayerTensors(ref) {
+					am, ae, av, _ := o.TensorState(ts.Name)
+					bm, be, bv, err := o2.TensorState(ts.Name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range am {
+						if am[i] != bm[i] || ae[i] != be[i] || av[i] != bv[i] {
+							t.Fatalf("load orders disagree on optimizer state of %s", ts.Name)
+						}
+					}
 				}
 			}
+
+			// Corrupt the mismatched source's rank-1 payload of the last
+			// layout group (block 3's, an odd layer the merge splices).
+			last := plan.Layout.Groups[len(plan.Layout.Groups)-1]
+			if plan.Assign[last.Layer] != "run/checkpoint-5" {
+				t.Fatalf("fixture: group %d (%s) is not from the mismatched source", last.Index, last.Layer)
+			}
+			flipGroupByte(t, b, "run/checkpoint-5", 1, last.Index)
+			rec.Output = "merged-bad/checkpoint-10"
+			_, err = Merge(b, rec, Options{Workers: 2})
+			if want := fmt.Sprintf("group %d", last.Index); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("merge over a corrupt spliced group: %v, want an error naming %s", err, want)
+			}
+			if names, _ := b.List("merged-bad"); len(names) > 0 {
+				t.Fatalf("a failed merge left %v behind", names)
+			}
+		})
+	}
+}
+
+// flipGroupByte flips one payload byte of rank's stored group idx of the
+// checkpoint at dir: in its LTOS container, or in its blob.
+func flipGroupByte(t *testing.T, b storage.Backend, dir string, rank, idx int) {
+	t.Helper()
+	c, err := ckpt.Open(b, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, pos := dir+"/"+ckpt.ShardFileName(rank), int64(-1)
+	if c.ContentAddressed() {
+		sm, err := ckpt.ReadShardManifest(b, dir+"/"+ckpt.ShardManifestName(rank))
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, g := range sm.Groups {
+			if g.Index == idx {
+				name, pos = storage.NewBlobStore(b, ckpt.ObjectsRoot(dir)).Path(g.Digest), g.Size/2
+			}
+		}
+	} else {
+		groups, _, err := c.OptimExtents(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range groups {
+			if g.Index == idx {
+				data, _ := b.ReadFile(name)
+				// magic, little-endian header length, header, payload.
+				pos = 12 + int64(binary.LittleEndian.Uint64(data[4:12])) + (g.Offsets[0]+g.Offsets[1])/2
+			}
+		}
+	}
+	data, err := b.ReadFile(name)
+	if err != nil || pos < 0 {
+		t.Fatalf("fixture: no group %d on rank %d of %s (%v)", idx, rank, dir, err)
+	}
+	data[pos] ^= 0x20
+	if err := b.WriteFile(name, data); err != nil {
+		t.Fatal(err)
 	}
 }

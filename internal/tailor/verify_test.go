@@ -131,6 +131,31 @@ func TestVerifyDetectsShardCorruption(t *testing.T) {
 	}
 }
 
+// Verify reports a rank the read stage's rank check refuses — here rank 1
+// recording another optimizer step than rank 0 — and goes on: the weights and
+// the other rank are still verified.
+func TestVerifyReportsRankStepDisagreement(t *testing.T) {
+	b := storage.NewMem()
+	cfg := modelcfg.Tiny()
+	newRun(t, b, cfg, 2, []int{5}, nil)
+	name := "run/checkpoint-5/" + ckpt.ShardFileName(1)
+	raw, _ := b.ReadFile(name)
+	if strings.Count(string(raw), `"step":5`) != 1 {
+		t.Fatalf("fixture: %s does not record \"step\":5 once", name)
+	}
+	b.WriteFile(name, []byte(strings.Replace(string(raw), `"step":5`, `"step":7`, 1)))
+	rep, err := Verify(b, "run/checkpoint-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) != 1 || !strings.Contains(rep.Problems[0], "rank 1: at optimizer step 7, rank 0 at 5") {
+		t.Fatalf("problems: %v", rep.Problems)
+	}
+	if rep.ShardFiles != 1 || rep.WeightTensors != len(cfg.Tensors()) {
+		t.Fatalf("verified %d shard files, %d weight tensors; want 1 and %d", rep.ShardFiles, rep.WeightTensors, len(cfg.Tensors()))
+	}
+}
+
 func TestVerifyMissingDir(t *testing.T) {
 	if _, err := Verify(storage.NewMem(), "absent"); err == nil {
 		t.Fatal("expected error")

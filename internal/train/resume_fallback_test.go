@@ -1,6 +1,7 @@
 package train
 
 import (
+	"strings"
 	"testing"
 
 	"llmtailor/internal/ckpt"
@@ -40,6 +41,41 @@ func TestResumeLatestSkipsTornCheckpoint(t *testing.T) {
 	}
 	if res.FinalStep != cfg2.TotalSteps {
 		t.Fatalf("resumed run stopped at %d", res.FinalStep)
+	}
+}
+
+// A committed checkpoint whose rank shards disagree on the optimizer step is
+// unreadable like a torn one: ResumeLatest falls back to the one before it
+// rather than resuming with whichever step one rank recorded.
+func TestResumeLatestSkipsRankStepDisagreement(t *testing.T) {
+	b := storage.NewMem()
+	cfg := tinyConfig("run")
+	cfg.FailAt = 35 // checkpoints at 10, 20, 30
+	tr, err := New(cfg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	name := "run/checkpoint-30/" + ckpt.ShardFileName(1)
+	data, err := b.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), `"step":30`); n != 1 {
+		t.Fatalf("fixture: %s records \"step\":30 %d times", name, n)
+	}
+	if err := b.WriteFile(name, []byte(strings.Replace(string(data), `"step":30`, `"step":90`, 1))); err != nil {
+		t.Fatal(err)
+	}
+
+	tr2, err := ResumeLatest(tinyConfig("run"), b, "run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr2.Step() != 20 || tr2.Optim.StepCount != 20 {
+		t.Fatalf("resumed at step %d, optimizer step %d; want 20 and 20 (the checkpoint before)", tr2.Step(), tr2.Optim.StepCount)
 	}
 }
 

@@ -67,10 +67,6 @@ type Config struct {
 	// deltas changed layers against the previous checkpoint's blob for the
 	// same slot. Requires DedupCkpt; restores stay byte-identical.
 	CkptCodec string
-	// CkptCodecRebase bounds xor-parent chain depth: a slot whose chain
-	// would exceed it is re-based to a self-contained plane blob
-	// (0 = ckpt.DefaultCodecRebase).
-	CkptCodecRebase int
 }
 
 func (c *Config) validate() error {
@@ -393,7 +389,7 @@ func (t *Trainer) checkpoint(strat strategy.Strategy, loss float64) (CkptEvent, 
 		WorldSize: t.Cfg.WorldSize, Layers: layers,
 		Strategy: strat.Name(), State: state,
 		Dedup: t.Cfg.DedupCkpt,
-		Codec: t.Cfg.CkptCodec, CodecRebase: t.Cfg.CkptCodecRebase,
+		Codec: t.Cfg.CkptCodec,
 	}
 	var err error
 	if t.Cfg.LazyCapture {

@@ -139,9 +139,10 @@ func GatherGroup(shards []*GroupShard, numel int64) (*optim.GroupState, error) {
 }
 
 // Reshard repartitions one group's shards to a new world size by gathering
-// the full group and splitting it again — the decode reference the streaming
-// extent-splice transform (internal/reshard) must agree with bit for bit.
-// Shards must be complete and ordered by rank.
+// the full group and splitting it again — the decode reference the extent
+// splice (ckpt.OutputRank.Group, under reshard and cross-world merges) must
+// agree with bit for bit. No product code calls it. Shards must be complete
+// and ordered by rank.
 func Reshard(shards []*GroupShard, numel int64, newWorld int) ([]*GroupShard, error) {
 	st, err := GatherGroup(shards, numel)
 	if err != nil {
