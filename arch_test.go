@@ -19,7 +19,9 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,6 +40,7 @@ const (
 	kRange                 // a range over x.name, name(…) or x.name(…)
 	kReturn                // a func declaration with a result of that type
 	kImport                // an import path
+	kQual                  // a module package's name, qualified: "internal/x.Name"
 )
 
 // sym is one kind of use of some names. Names and args are globs in which
@@ -71,6 +74,9 @@ type archRule struct {
 	// "path:func" or "path:func:source", func in Go's (*T).m notation.
 	allow []string
 	count int // > 0: the exact number of uses, allowed ones included
+	// check replaces find/allow/count for a rule that reads the whole
+	// module at once.
+	check func(t *testing.T, files []*srcFile)
 }
 
 var archRules = []archRule{
@@ -107,9 +113,9 @@ var archRules = []archRule{
 	},
 	{
 		name:  "one-reader/shard-header",
-		why:   "ReadShardHeader is the read stage's own",
-		find:  []sym{refs("ReadShardHeader")},
-		allow: []string{"internal/ckpt/read.go", "internal/ckpt/ltos.go:ReadShardHeader"},
+		why:   "readShardHeader is the read stage's own",
+		find:  []sym{refs("ReadShardHeader", "readShardHeader")},
+		allow: []string{"internal/ckpt/read.go", "internal/ckpt/ltos.go:readShardHeader"},
 	},
 	{
 		name: "one-reader/weights-types",
@@ -137,13 +143,13 @@ var archRules = []archRule{
 	},
 	{
 		name:  "one-publish/rename-probes",
-		why:   "outside the backends, only the two platform forks (Txn.Begin, NewBlobStore) ask whether the backend renames: a test anywhere else is a hand-derived \"make these bytes visible all-or-nothing\", proven on one kind of backend only",
+		why:   "outside the backends, only the two platform forks (ckpt.begin, NewBlobStore) ask whether the backend renames: a test anywhere else is a hand-derived \"make these bytes visible all-or-nothing\", proven on one kind of backend only",
 		find:  []sym{refs("RenameSupported")},
-		allow: []string{"internal/storage/*", "internal/ckpt/commit.go:Begin"},
+		allow: []string{"internal/storage/*", "internal/ckpt/commit.go:begin"},
 	},
 	{
 		name: "one-publish/renames",
-		why:  "storage.PublishFile is the only code that replaces a small file by staging it and renaming it over the final name; renames of whole directories stay in commit.go (publish, roll-forward) and Adopt's quarantine, blob moves in blobstore.go",
+		why:  "storage.PublishFile is the only code that replaces a small file by staging it and renaming it over the final name; renames of whole directories stay in commit.go (publish, roll-forward) and AdoptAll's quarantine, blob moves in blobstore.go",
 		find: []sym{calls(".Rename")},
 		allow: []string{
 			"internal/storage/backend.go", "internal/storage/mem.go", "internal/storage/objstore.go",
@@ -165,23 +171,23 @@ var archRules = []archRule{
 	},
 	{
 		name: "one-publish/marker-writers",
-		why:  "the COMMITTED marker is written by Txn.Commit and Adopt's seal only",
+		why:  "the COMMITTED marker is written by txn.Commit and AdoptAll's seal only",
 		find: []sym{calls("writeJSON", "publishJSON", "PublishFile").withArgs("*CommitMarkerName*")},
 		allow: []string{
 			"internal/ckpt/adopt.go",
-			`internal/ckpt/commit.go:(*Txn).Commit:writeJSON(t.base, t.staging+"/"+CommitMarkerName*`,
+			`internal/ckpt/commit.go:(*txn).Commit:writeJSON(t.base, t.staging+"/"+CommitMarkerName*`,
 		},
 	},
 	{
 		name: "one-catalog/run-walkers",
-		why:  "the run catalog is the only code that lists a run root, parses a checkpoint-<step> name or sorts a directory into final / staging / quarantined: a second walker is a second definition of \"which directories are usable\", free to disagree with the first; Txn.Begin refuses a staging name as its target",
+		why:  "the run catalog is the only code that lists a run root, parses a checkpoint-<step> name or sorts a directory into final / staging / quarantined: a second walker is a second definition of \"which directories are usable\", free to disagree with the first; ckpt.begin refuses a staging name as its target",
 		find: []sym{
 			calls("*Sscanf").withArgs("*checkpoint-%d*"),
-			refs("*IsStagingPath", "*IsQuarantinePath"),
+			refs("*IsStagingPath", "*IsQuarantinePath", "isStagingPath", "isQuarantinePath"),
 			words("*runDirs", "*checkpointDirs", "*dirStep", "*stepOf", "*collectDirRefs"),
 			calls(".List").withArgs("runRoot", "r.root", "c.root"),
 		},
-		allow: []string{"internal/ckpt/catalog.go", "internal/ckpt/commit.go:Begin:IsStagingPath(dir)"},
+		allow: []string{"internal/ckpt/catalog.go", "internal/ckpt/commit.go:begin:isStagingPath(dir)"},
 	},
 	{
 		name:  "one-catalog/layout-tests",
@@ -277,12 +283,21 @@ var archRules = []archRule{
 		allow: []string{"internal/tensor/le.go"},
 		tests: true,
 	},
+	{
+		name:  "one-surface/exports",
+		why:   "an exported name nothing outside its package uses is surface to keep stable and read past for nothing: dead code behind a capital letter, or a helper wearing the package's API",
+		check: checkSurface,
+	},
 }
 
 func TestArchitecture(t *testing.T) {
 	files := loadModule(t)
 	for _, r := range archRules {
 		t.Run(r.name, func(t *testing.T) {
+			if r.check != nil {
+				r.check(t, files)
+				return
+			}
 			var uses, bad []string
 			for _, f := range files {
 				if !r.reads(f) {
@@ -304,6 +319,233 @@ func TestArchitecture(t *testing.T) {
 				t.Errorf("%s\nwant exactly %d, found %d:\n\t%s", r.why, r.count, len(uses), strings.Join(uses, "\n\t"))
 			}
 		})
+	}
+}
+
+// The surface rule. An exported top-level func, type, var or const of a
+// non-test file under internal/ is part of the product's surface only if
+// code outside its package names it: another package's code or tests,
+// cmd/, examples/, the root package, or bench/ (a nested module that
+// compiles against the product). Methods are exempt. A type that a used
+// name's signature or exported fields name is used, and the consts of one
+// const block of an exported type are used together.
+
+// verdict says why an export is used; "" is unused.
+type verdict string
+
+const (
+	vUsed    verdict = "used"    // another package's code names it
+	vTests   verdict = "tests"   // only other packages' tests name it
+	vBench   verdict = "bench"   // only bench/ names it
+	vReached verdict = "reached" // a used name's signature or fields name it
+	vBlock   verdict = "block"   // another const of its block is used
+)
+
+// surfaceAllow lists the exports that stay unused outside their package,
+// each with the reason. At most maxSurfaceAllow.
+var surfaceAllow = map[string]string{
+	"internal/storage.ErrTransient": "the Backend contract's retryable failure: a Backend written outside the package (a decorator, a test double) wraps it to let Retry replay the request",
+}
+
+const maxSurfaceAllow = 10
+
+func checkSurface(t *testing.T, files []*srcFile) {
+	files = append(files[:len(files):len(files)], loadBench(t)...)
+	verdicts, where := surface(files)
+	if len(surfaceAllow) > maxSurfaceAllow {
+		t.Errorf("%d allow entries, want at most %d", len(surfaceAllow), maxSurfaceAllow)
+	}
+	var bad []string
+	for name, v := range verdicts {
+		_, allowed := surfaceAllow[name]
+		switch {
+		case v == "" && !allowed:
+			bad = append(bad, where[name]+": "+name)
+		case v != "" && allowed:
+			t.Errorf("%s is allowed, but it is used (%s): drop its allow entry", name, v)
+		}
+	}
+	for name := range surfaceAllow {
+		if _, ok := verdicts[name]; !ok {
+			t.Errorf("%s is allowed, but no such export exists: drop its allow entry", name)
+		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		t.Errorf("exported, yet nothing outside its package names it: unexport it, delete it, or allow it with a reason:\n\t%s",
+			strings.Join(bad, "\n\t"))
+	}
+}
+
+// surface gives every export of files its verdict, and where it is
+// declared.
+func surface(files []*srcFile) (map[string]verdict, map[string]string) {
+	verdicts, where := map[string]verdict{}, map[string]string{}
+	reach, blocks := map[string][]string{}, map[string][]string{}
+	for _, f := range files {
+		pkg := path.Dir(f.path)
+		for _, e := range f.exports {
+			verdicts[e.name] = ""
+			where[e.name] = f.path + ":" + strconv.Itoa(e.line)
+			for _, r := range e.reach {
+				reach[e.name] = append(reach[e.name], pkg+"."+r)
+			}
+			if e.block != "" {
+				blocks[e.block] = append(blocks[e.block], e.name)
+			}
+		}
+		for recv, types := range f.methods {
+			for _, r := range types {
+				reach[pkg+"."+recv] = append(reach[pkg+"."+recv], pkg+"."+r)
+			}
+		}
+	}
+	rank := map[verdict]int{"": 0, vBench: 1, vTests: 2, vUsed: 3}
+	for _, f := range files {
+		v := vUsed
+		switch {
+		case strings.HasPrefix(f.path, "bench/"):
+			v = vBench
+		case f.test:
+			v = vTests
+		}
+		for _, s := range f.sites[kQual] {
+			name := s.names[0]
+			old, ok := verdicts[name]
+			if ok && path.Dir(f.path) != name[:strings.LastIndex(name, ".")] && rank[v] > rank[old] {
+				verdicts[name] = v
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		mark := func(name string, v verdict) {
+			if old, ok := verdicts[name]; ok && old == "" {
+				verdicts[name], changed = v, true
+			}
+		}
+		for name, v := range verdicts {
+			if v != "" {
+				for _, r := range reach[name] {
+					mark(r, vReached)
+				}
+			}
+		}
+		for _, names := range blocks {
+			for _, name := range names {
+				if verdicts[name] != "" {
+					for _, other := range names {
+						mark(other, vBlock)
+					}
+				}
+			}
+		}
+	}
+	return verdicts, where
+}
+
+// loadBench parses the nested bench/ module, whose code names the
+// product's exports like any other package.
+func loadBench(t *testing.T) []*srcFile {
+	t.Helper()
+	var out []*srcFile
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob("bench/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, scan(fset, filepath.ToSlash(p), src, f))
+	}
+	return out
+}
+
+// TestSurfaceVerdicts holds the surface rule to a small file set with one
+// export of each kind, so that a rule matching nothing cannot pass.
+func TestSurfaceVerdicts(t *testing.T) {
+	sources := map[string]string{
+		"internal/a/a.go": `package a
+
+func Unused()    {}
+func TestOnly()  {}
+func BenchOnly() {}
+func Used() *Reached { return nil }
+
+type Reached struct {
+	Field   Inner
+	private Private
+}
+
+type Inner int
+type Private int
+
+func (Reached) Method() {}
+
+type Kind int
+
+const (
+	KindA Kind = iota
+	KindB
+)
+`,
+		"internal/a/a_test.go": "package a\n\nfunc useOwn() { Unused() }\n",
+		"internal/b/b.go": `package b
+
+import "llmtailor/internal/a"
+
+var k = a.KindA
+`,
+		"internal/b/b_test.go": `package b
+
+import alias "llmtailor/internal/a"
+
+func useTest() { alias.TestOnly() }
+`,
+		"cmd/c/main.go": `package main
+
+import "llmtailor/internal/a"
+
+func main() { a.Used().Method() }
+`,
+		"bench/x.go": `package main
+
+import "llmtailor/internal/a"
+
+func x() { a.BenchOnly() }
+`,
+	}
+	fset := token.NewFileSet()
+	var files []*srcFile
+	for p, src := range sources {
+		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, scan(fset, p, []byte(src), f))
+	}
+	got, _ := surface(files)
+	want := map[string]verdict{
+		"internal/a.Unused":    "", // its own package's test is no use
+		"internal/a.TestOnly":  vTests,
+		"internal/a.BenchOnly": vBench,
+		"internal/a.Used":      vUsed,
+		"internal/a.Reached":   vReached, // Used's result; its method is no export
+		"internal/a.Inner":     vReached, // Reached's exported field
+		"internal/a.Private":   "",       // an unexported field only
+		"internal/a.Kind":      vReached, // the type of a used const
+		"internal/a.KindA":     vUsed,
+		"internal/a.KindB":     vBlock,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("verdicts:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -374,6 +616,19 @@ type srcFile struct {
 	test  bool
 	sites map[symKind][]site
 	funcs []string // top-level func names (Test*, Fuzz* among them)
+	// exports are the file's exported top-level funcs, types, vars and
+	// consts; methods holds, per receiver type, the types its exported
+	// methods' signatures name.
+	exports []export
+	methods map[string][]string
+}
+
+// export is one exported top-level name.
+type export struct {
+	name  string // "internal/x.Name"
+	line  int
+	reach []string // the exported types of its package that its signature or exported fields name
+	block string   // a const of an exported type: its const block, "path:line"
 }
 
 var (
@@ -457,9 +712,19 @@ func scan(fset *token.FileSet, p string, src []byte, f *ast.File) *srcFile {
 			addWords(c.Pos(), c.Text)
 		}
 	}
+	qualifiers := map[string]string{} // import name → "internal/x"
 	for _, im := range f.Imports {
-		add(kImport, im.Pos(), im.Path.Value, strings.Trim(im.Path.Value, `"`))
+		ip := strings.Trim(im.Path.Value, `"`)
+		add(kImport, im.Pos(), im.Path.Value, ip)
+		if rel, ok := strings.CutPrefix(ip, modulePath+"/"); ok {
+			name := path.Base(rel)
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			qualifiers[name] = rel
+		}
 	}
+	scanExports(out, fset, f)
 	called := map[*ast.Ident]string{} // a called name's call source
 	visit := func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -469,6 +734,11 @@ func scan(fset *token.FileSet, p string, src []byte, f *ast.File) *srcFile {
 				add(kCall, n.Pos(), text, names...).args = source(n.Lparen+1, n.Rparen)
 				id, _ := callee(n.Fun)
 				called[id] = text
+			}
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && qualifiers[x.Name] != "" {
+				q := qualifiers[x.Name] + "." + n.Sel.Name
+				add(kQual, n.Pos(), source(n.Pos(), n.End()), q)
 			}
 		case *ast.BasicLit:
 			if n.Kind == token.STRING {
@@ -527,6 +797,121 @@ func scan(fset *token.FileSet, p string, src []byte, f *ast.File) *srcFile {
 			}
 		}
 		ast.Inspect(d, visit)
+	}
+	return out
+}
+
+// modulePath is the module's import path, the prefix of a qualified use.
+const modulePath = "llmtailor"
+
+// scanExports lists f's exported top-level funcs, types, vars and consts,
+// and the types its exported methods name, into out. Test files and files
+// outside internal/ have no surface to check.
+func scanExports(out *srcFile, fset *token.FileSet, f *ast.File) {
+	if out.test || !strings.HasPrefix(out.path, "internal/") {
+		return
+	}
+	pkg := path.Dir(out.path)
+	add := func(id *ast.Ident, block string, types ...ast.Node) {
+		if id.IsExported() {
+			out.exports = append(out.exports, export{name: pkg + "." + id.Name,
+				line: fset.Position(id.Pos()).Line, reach: typeNames(types...), block: block})
+		}
+	}
+	out.methods = map[string][]string{}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add(d.Name, "", d.Type)
+			} else if d.Name.IsExported() {
+				recv := strings.TrimPrefix(funcName(d), "(*")
+				recv = recv[:strings.IndexAny(recv, ").")]
+				out.methods[recv] = append(out.methods[recv], typeNames(d.Type)...)
+			}
+		case *ast.GenDecl:
+			block := constBlock(out.path, fset, d)
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					add(spec.Name, "", exportedParts(spec.Type)...)
+				case *ast.ValueSpec:
+					types := []ast.Node{spec.Type}
+					for _, v := range spec.Values {
+						if lit, ok := v.(*ast.CompositeLit); ok {
+							types = append(types, lit.Type)
+						}
+					}
+					for _, id := range spec.Names {
+						add(id, block, types...)
+					}
+				}
+			}
+		}
+	}
+}
+
+// constBlock names d when it is a parenthesised const block of one
+// exported type of its own package, "" otherwise.
+func constBlock(p string, fset *token.FileSet, d *ast.GenDecl) string {
+	if d.Tok != token.CONST || !d.Lparen.IsValid() {
+		return ""
+	}
+	var typ string
+	for i, spec := range d.Specs {
+		vs := spec.(*ast.ValueSpec)
+		id, ok := vs.Type.(*ast.Ident)
+		switch {
+		case i == 0 && (!ok || !id.IsExported()):
+			return ""
+		case i == 0:
+			typ = id.Name
+		case vs.Type != nil && (!ok || id.Name != typ):
+			return ""
+		}
+	}
+	return p + ":" + strconv.Itoa(fset.Position(d.Pos()).Line)
+}
+
+// exportedParts returns what of a type declaration another package sees:
+// a struct's exported and embedded fields, an interface's methods, or
+// the whole type.
+func exportedParts(typ ast.Expr) []ast.Node {
+	st, ok := typ.(*ast.StructType)
+	if !ok {
+		return []ast.Node{typ}
+	}
+	var out []ast.Node
+	for _, fd := range st.Fields.List {
+		if len(fd.Names) == 0 || ast.IsExported(fd.Names[0].Name) {
+			out = append(out, fd.Type)
+		}
+	}
+	return out
+}
+
+// typeNames returns the exported unqualified names the nodes mention in
+// type position: the types of their own package they expose.
+func typeNames(nodes ...ast.Node) []string {
+	var out []string
+	for _, n := range nodes {
+		if n == nil {
+			continue
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				return false // another package's name, or a field
+			case *ast.Field:
+				out = append(out, typeNames(n.Type)...)
+				return false // its names are parameters or fields
+			case *ast.Ident:
+				if n.IsExported() {
+					out = append(out, n.Name)
+				}
+			}
+			return true
+		})
 	}
 	return out
 }

@@ -552,6 +552,9 @@ func runRetain(args []string, out io.Writer) error {
 	for _, d := range rep.Removed {
 		fmt.Fprintf(out, "  %s %s\n", verb, d)
 	}
+	for _, d := range rep.Holders {
+		fmt.Fprintf(out, "  kept %s: the newest holder of a layer\n", d)
+	}
 	for _, d := range rep.RemovedBlobs {
 		fmt.Fprintf(out, "  swept blob %s\n", d)
 	}

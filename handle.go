@@ -239,7 +239,7 @@ type (
 	HubInfo = hub.Info
 	// HubRunInfo summarises one attached run inside a HubInfo.
 	HubRunInfo = hub.RunInfo
-	// DedupifyReport accounts a content-addressed merge or reshard output
+	// BlobReport accounts a content-addressed merge or reshard output
 	// (blobs written versus reused, payload bytes deduplicated).
-	DedupifyReport = ckpt.DedupifyReport
+	BlobReport = ckpt.BlobReport
 )

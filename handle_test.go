@@ -14,6 +14,7 @@ import (
 	"llmtailor/internal/modelcfg"
 	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
+	"llmtailor/internal/strategy"
 	"llmtailor/internal/tensor"
 	"llmtailor/internal/train"
 )
@@ -204,7 +205,7 @@ func normalizeFields(v reflect.Value) (work int) {
 			l = append([]string(nil), l...)
 			sort.Strings(l)
 			f.Set(reflect.ValueOf(l))
-			if field.Name != "Retained" && field.Name != "Runs" {
+			if field.Name != "Retained" && field.Name != "Holders" && field.Name != "Runs" {
 				work += len(l)
 			}
 		}
@@ -286,6 +287,34 @@ func TestDryRunMatchesRealRun(t *testing.T) {
 			run, _, sc := runRoot(t, b)
 			sc.collect = func(dryRun bool) (any, error) {
 				return run.Retain(llmtailor.RetainOptions{KeepLast: 1, DryRun: dryRun})
+			}
+			return sc
+		},
+		// Retention over partial checkpoints holds back the newest holder
+		// of each layer in either mode.
+		"retain partial": func(t *testing.T, b llmtailor.Backend) *scenario {
+			cfg := trainerCfg(t, "run", 8)
+			cfg.Strategy = strategy.Parity{}
+			tr, err := llmtailor.NewTrainer(cfg, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.Run(); err != nil {
+				t.Fatal(err)
+			}
+			run := llmtailor.NewStore(b).Run("run")
+			dirs, err := run.List()
+			if err != nil || len(dirs) != 4 {
+				t.Fatalf("want 4 checkpoints, got %v (%v)", dirs, err)
+			}
+			live := firstWeightDigest(t, b, dirs[3])
+			sc := &scenario{live: live, store: plantStoreFindings(t, b, "run/objects", "run/objects", live)}
+			sc.collect = func(dryRun bool) (any, error) {
+				rep, err := run.Retain(llmtailor.RetainOptions{KeepLast: 1, DryRun: dryRun})
+				if err == nil && !reflect.DeepEqual(rep.Holders, dirs[2:3]) {
+					t.Fatalf("retention held back %v, want %v", rep.Holders, dirs[2:3])
+				}
+				return rep, err
 			}
 			return sc
 		},

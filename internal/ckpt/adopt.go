@@ -2,7 +2,7 @@
 //
 // Checkpoints written before the commit protocol landed carry no COMMITTED
 // marker, so Scan classifies them as torn and Repair would delete them —
-// even when every byte is intact. Adopt closes that migration gap: it
+// even when every byte is intact. AdoptAll closes that migration gap: it
 // verifies a marker-less checkpoint is fully readable (config parses,
 // every weight tensor and optimizer shard passes its CRC) and seals a
 // COMMITTED marker in place, after which the directory is a first-class
@@ -23,32 +23,13 @@ import (
 	"llmtailor/internal/storage"
 )
 
-// Adopt verifies a marker-less checkpoint directory end to end and seals a
-// COMMITTED marker in place. It is idempotent: a directory whose marker
-// already verifies returns nil untouched. A directory with a marker that
-// fails verification is rejected (that is crash damage, not a migration
-// artifact — Repair owns it), as is one that fails the readability pass.
-func Adopt(b storage.Backend, dir string) error {
-	e := entryAt(b, dir)
-	if _, err := e.marker(); !storage.IsNotExist(err) {
-		if err := e.verified(); err != nil {
-			return fmt.Errorf("ckpt: adopt %s: existing marker fails verification (torn, not pre-protocol): %w", dir, err)
-		}
-		return nil
-	}
-	if err := verifyReadable(b, dir); err != nil {
-		return fmt.Errorf("ckpt: adopt %s: %w", dir, err)
-	}
-	return sealMarker(e)
-}
-
 // sealMarker computes every file's integrity record and publishes the
 // COMMITTED marker atomically (storage.PublishFile): a crash leaves no marker
 // (rerun adopt) or a complete one, and the COMMITTED.tmp staging name keeps its
 // residue out of a retry's file walk. The readability pass has succeeded.
 func sealMarker(e *entry) error {
 	b, dir := e.c.b, e.Path
-	marker := CommitMarker{Version: FormatVersion, Step: e.step(), Files: map[string]FileSum{}}
+	marker := CommitMarker{Version: formatVersion, Step: e.step(), Files: map[string]FileSum{}}
 	files, err := walkFiles(b, dir, "")
 	if err != nil {
 		return fmt.Errorf("ckpt: adopt %s: %w", dir, err)

@@ -40,7 +40,7 @@ func TestAdoptAllTable(t *testing.T) {
 	// 4. Orphaned staging dir: adoption ignores it entirely.
 	b.WriteFile("run/checkpoint-40.tmp/model.ltsf", []byte("partial"))
 	// Aim the pointer at the torn pre-protocol dir so repair has work too.
-	WriteLatestPointer(b, "run/checkpoint-20")
+	writeLatestPointer(b, "run/checkpoint-20")
 
 	rep, err := AdoptAll(b, "run")
 	if err != nil {
@@ -66,6 +66,18 @@ func TestAdoptAllTable(t *testing.T) {
 	}
 	if _, _, _, err := Restore(b, "run/checkpoint-10", tensor.BF16); err != nil {
 		t.Fatal(err)
+	}
+	// The sealed marker covers the shard files in the zero/ subdirectory
+	// and records the checkpoint's step.
+	m, err := ReadCommitMarker(b, "run/checkpoint-10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Files[ShardFileName(1)]; !ok {
+		t.Fatalf("marker misses nested shard file: %v", m.Files)
+	}
+	if m.Step != 3 {
+		t.Fatalf("marker step = %d", m.Step)
 	}
 	statuses, err := Scan(b, "run")
 	if err != nil {
@@ -115,44 +127,6 @@ func TestAdoptAllTable(t *testing.T) {
 	}
 }
 
-// TestAdoptSingleDir covers Adopt's direct contract: idempotency on a
-// committed dir, rejection of marker-bearing torn dirs, and the sealed
-// marker covering every file with correct sums.
-func TestAdoptSingleDir(t *testing.T) {
-	b := storage.NewMem()
-	preProtocol(t, b, "run/checkpoint-50", 133, 2)
-	if err := Adopt(b, "run/checkpoint-50"); err != nil {
-		t.Fatal(err)
-	}
-	// The sealed marker must pass the full CRC verification and cover the
-	// shard files in the zero/ subdirectory.
-	if err := VerifyCommit(b, "run/checkpoint-50"); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ReadCommitMarker(b, "run/checkpoint-50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Files[ShardFileName(1)]; !ok {
-		t.Fatalf("marker misses nested shard file: %v", m.Files)
-	}
-	if m.Step != 3 {
-		t.Fatalf("marker step = %d", m.Step)
-	}
-	// Adopting an already-committed dir is a no-op.
-	if err := Adopt(b, "run/checkpoint-50"); err != nil {
-		t.Fatal(err)
-	}
-	// A dir whose marker fails verification is refused (Repair owns it).
-	corrupt(t, b, "run/checkpoint-50/config.json", func(d []byte) []byte {
-		d[0] ^= 1
-		return d
-	})
-	if err := Adopt(b, "run/checkpoint-50"); err == nil {
-		t.Fatal("adopt accepted a torn post-protocol dir")
-	}
-}
-
 // TestAdoptDedupDir: adoption's readability pass follows blob references,
 // so a marker-less dedup checkpoint adopts (or quarantines when a blob is
 // missing).
@@ -160,8 +134,12 @@ func TestAdoptDedupDir(t *testing.T) {
 	b := storage.NewMem()
 	saveDedup(t, b, "run/checkpoint-60", 134, 1)
 	b.Remove("run/checkpoint-60/" + CommitMarkerName)
-	if err := Adopt(b, "run/checkpoint-60"); err != nil {
+	rep, err := AdoptAll(b, "run")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rep.Adopted) != 1 || rep.Adopted[0] != "run/checkpoint-60" {
+		t.Fatalf("adopted = %v", rep.Adopted)
 	}
 	if err := VerifyCommit(b, "run/checkpoint-60"); err != nil {
 		t.Fatal(err)
@@ -178,7 +156,7 @@ func TestAdoptDedupDir(t *testing.T) {
 	if err := b.Remove(store.Path(wm.Tensors[0].Digest)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AdoptAll(b, "run2")
+	rep, err = AdoptAll(b, "run2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +206,13 @@ func TestAdoptCrashMidSeal(t *testing.T) {
 		f := storage.NewFault(base)
 		f.SetTorn(true)
 		f.FailAt(k) // 1 = staged marker write, 2 = the rename
-		err := Adopt(f, "run/checkpoint-70")
+		_, err := AdoptAll(f, "run")
 		if !storage.IsInjected(err) {
 			t.Fatalf("k=%d: err = %v, want injected", k, err)
 		}
 		// Whatever landed, a rerun on the durable state converges.
 		base.Remove("run/checkpoint-70/" + CommitMarkerName + stagingSuffix)
-		if err := Adopt(base, "run/checkpoint-70"); err != nil {
+		if _, err := AdoptAll(base, "run"); err != nil {
 			t.Fatalf("k=%d: adopt rerun: %v", k, err)
 		}
 		if err := VerifyCommit(base, "run/checkpoint-70"); err != nil {
@@ -260,8 +238,8 @@ func TestAdoptNoRename(t *testing.T) {
 	if len(rep.Adopted) != 1 || rep.Adopted[0] != "run/checkpoint-10" {
 		t.Fatalf("adopted = %v", rep.Adopted)
 	}
-	if err := Adopt(b, "solo/checkpoint-20"); err != nil {
-		t.Fatal(err)
+	if rep, err := AdoptAll(b, "solo"); err != nil || len(rep.Adopted) != 1 {
+		t.Fatalf("adopt solo: %+v, %v", rep, err)
 	}
 	for _, dir := range []string{"run/checkpoint-10", "solo/checkpoint-20"} {
 		if err := VerifyCommit(b, dir); err != nil {

@@ -556,8 +556,10 @@ func TestRetainRequestBudget(t *testing.T) {
 	}
 	want := map[string]int{
 		// The two store-configuration documents; the pointer, five commit
-		// markers, the five records and the two keepers' again in the recheck.
-		"get config": 2, "get other": 13,
+		// markers, the newest manifest.json (complete, so it holds every
+		// layer and the coverage walk stops there), the five records and
+		// the two keepers' again in the recheck.
+		"get config": 2, "get other": 14,
 		// The run root twice (the catalog, then the pin snapshot once the
 		// directories are gone) and the journal twice (classification,
 		// recheck). A candidate sweep lists nothing in the store.

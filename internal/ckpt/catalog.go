@@ -31,13 +31,13 @@ import (
 	"llmtailor/internal/storage"
 )
 
-// IsQuarantinePath reports whether a path names a quarantined directory.
-func IsQuarantinePath(name string) bool {
+// isQuarantinePath reports whether a path names a quarantined directory.
+func isQuarantinePath(name string) bool {
 	return strings.HasSuffix(strings.TrimSuffix(name, "/"), quarantineSuffix)
 }
 
-// IsStagingPath reports whether a path names a staging directory.
-func IsStagingPath(name string) bool {
+// isStagingPath reports whether a path names a staging directory.
+func isStagingPath(name string) bool {
 	return strings.HasSuffix(strings.TrimSuffix(name, "/"), stagingSuffix)
 }
 
@@ -166,11 +166,11 @@ type entry struct {
 }
 
 func (c *catalog) entryOf(name string) *entry {
-	e := &entry{c: c, Path: name, Key: name, Quarantined: IsQuarantinePath(name)}
+	e := &entry{c: c, Path: name, Key: name, Quarantined: isQuarantinePath(name)}
 	if c.root != "" {
 		e.Path = c.root + "/" + name
 	}
-	if !e.Quarantined && IsStagingPath(name) {
+	if !e.Quarantined && isStagingPath(name) {
 		e.Staging, e.Key = true, strings.TrimSuffix(name, stagingSuffix)
 	}
 	// The one parse of the conventional name. It is a prefix match, so a

@@ -349,11 +349,11 @@ func readLatestPointer(b storage.Backend, runRoot string) (string, error) {
 	return runRoot + "/" + name, nil
 }
 
-// WriteLatestPointer refreshes the run root's "latest" pointer to name the
+// writeLatestPointer refreshes the run root's "latest" pointer to name the
 // given checkpoint directory, so resume tooling finds it. The update is one
 // storage.PublishFile: a crash mid-update leaves the previous pointer
 // intact, never a truncated one.
-func WriteLatestPointer(b storage.Backend, dir string) error {
+func writeLatestPointer(b storage.Backend, dir string) error {
 	p := latestPointer(runRootOf(dir))
 	return storage.PublishFile(b, p+stagingSuffix, p, []byte(RefKey(dir)))
 }

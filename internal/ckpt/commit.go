@@ -24,17 +24,17 @@
 // and crcPass, which "verified" adds), the transaction, and Repair's actions.
 //
 // The one-file rule: a small file a reader may be looking at — the pointer, a
-// journal record, a marker being replaced (Adopt's seal) — is only ever
+// journal record, a marker being replaced (AdoptAll's seal) — is only ever
 // overwritten through storage.PublishFile, where the rename / no-rename
-// difference lives for single files; only Begin (a whole directory) and the
+// difference lives for single files; only begin (a whole directory) and the
 // blob store (a streamed payload) fork on it themselves.
 //
 // The immutability rule: once a directory is published its file set never
 // changes. Whatever form an output takes — content-addressed included — it
 // takes in staging, before the marker (the write stage, write.go); the marker
-// has two writers, Txn.Commit and Adopt's seal. The one exception is Repair removing
-// checkpoint-format files a verified marker does not list (what an older
-// binary's in-place conversion left when it crashed).
+// has two writers, txn.Commit and AdoptAll's seal. The one exception is
+// Repair removing checkpoint-format files a verified marker does not list
+// (what an older binary's in-place conversion left when it crashed).
 package ckpt
 
 import (
@@ -57,7 +57,7 @@ const stagingSuffix = ".tmp"
 
 // quarantineSuffix marks pre-protocol checkpoint directories that failed
 // the adopt readability pass: preserved for inspection, excluded from
-// resume resolution, never removed automatically (see Adopt).
+// resume resolution, never removed automatically (see AdoptAll).
 const quarantineSuffix = ".quarantined"
 
 // StagingDir returns the staging directory a checkpoint is built in.
@@ -169,11 +169,11 @@ func (w *sumWriter) Close() error {
 	return nil
 }
 
-// Txn is one checkpoint commit transaction: callers write every file of a
+// txn is one checkpoint commit transaction: callers write every file of a
 // checkpoint through Backend() under Dir(), then Commit publishes the
-// staged tree atomically. Abandoning a Txn (crash, error) leaves only an
+// staged tree atomically. Abandoning a txn (crash, error) leaves only an
 // orphaned staging directory that Scan/Repair identify and clean.
-type Txn struct {
+type txn struct {
 	base      storage.Backend
 	rec       *sumBackend
 	final     string
@@ -182,19 +182,19 @@ type Txn struct {
 	aborted   bool
 }
 
-// Begin opens a commit transaction targeting dir, clearing any stale
+// begin opens a commit transaction targeting dir, clearing any stale
 // staging directory a previous crash left behind. dir must be a clean
 // relative key: staging goes to dir+".tmp", which for "run/checkpoint-10/"
 // lies inside the directory Commit replaces, and an alias like
 // "./run/checkpoint-10" names the same directory under another key.
-func Begin(b storage.Backend, dir string) (*Txn, error) {
+func begin(b storage.Backend, dir string) (*txn, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("ckpt: empty checkpoint dir")
 	}
 	if clean := path.Clean("/" + dir)[1:]; clean != dir {
 		return nil, fmt.Errorf("ckpt: checkpoint dir %q is not a clean relative path (want %q)", dir, clean)
 	}
-	if IsStagingPath(dir) {
+	if isStagingPath(dir) {
 		return nil, fmt.Errorf("ckpt: %s: target must not use the staging suffix %q", dir, stagingSuffix)
 	}
 	if !storage.RenameSupported(b) {
@@ -212,7 +212,7 @@ func Begin(b storage.Backend, dir string) (*Txn, error) {
 				return nil, fmt.Errorf("ckpt: clear prior checkpoint %s: %w", dir, err)
 			}
 		}
-		return &Txn{base: b, rec: newSumBackend(b), final: dir, staging: dir}, nil
+		return &txn{base: b, rec: newSumBackend(b), final: dir, staging: dir}, nil
 	}
 	staging := StagingDir(dir)
 	if b.Exists(staging) {
@@ -220,28 +220,28 @@ func Begin(b storage.Backend, dir string) (*Txn, error) {
 			return nil, fmt.Errorf("ckpt: clear stale staging %s: %w", staging, err)
 		}
 	}
-	return &Txn{base: b, rec: newSumBackend(b), final: dir, staging: staging}, nil
+	return &txn{base: b, rec: newSumBackend(b), final: dir, staging: staging}, nil
 }
 
 // Backend returns the recording backend all staged writes must go through.
-func (t *Txn) Backend() storage.Backend { return t.rec }
+func (t *txn) Backend() storage.Backend { return t.rec }
 
 // Dir returns the staging directory to write the checkpoint files into.
-func (t *Txn) Dir() string { return t.staging }
+func (t *txn) Dir() string { return t.staging }
 
 // Commit writes the COMMITTED marker into the staging directory and
 // atomically renames it over the final path (replacing a previous
 // checkpoint of the same name); in no-rename mode the marker write itself
 // is the publication. After Commit returns nil the checkpoint is durable
 // and visible; on error the staging state remains for Repair.
-func (t *Txn) Commit(step int) error {
+func (t *txn) Commit(step int) error {
 	if t.committed {
 		return nil
 	}
 	if t.aborted {
 		return fmt.Errorf("ckpt: commit %s after abort", t.final)
 	}
-	marker := CommitMarker{Version: FormatVersion, Step: step, Files: t.rec.sumsUnder(t.staging)}
+	marker := CommitMarker{Version: formatVersion, Step: step, Files: t.rec.sumsUnder(t.staging)}
 	if len(marker.Files) == 0 {
 		return fmt.Errorf("ckpt: commit %s: no staged files", t.final)
 	}
@@ -267,7 +267,7 @@ func (t *Txn) Commit(step int) error {
 }
 
 // Abort drops the staging directory (best effort). No-op after Commit.
-func (t *Txn) Abort() {
+func (t *txn) Abort() {
 	if t.committed || t.aborted {
 		return
 	}
@@ -281,8 +281,8 @@ func ReadCommitMarker(b storage.Backend, dir string) (CommitMarker, error) {
 	if err := readJSON(b, dir+"/"+CommitMarkerName, &m); err != nil {
 		return CommitMarker{}, fmt.Errorf("ckpt: %s: not committed: %w", dir, err)
 	}
-	if m.Version != FormatVersion {
-		return CommitMarker{}, fmt.Errorf("ckpt: %s: commit marker version %d, want %d", dir, m.Version, FormatVersion)
+	if m.Version != formatVersion {
+		return CommitMarker{}, fmt.Errorf("ckpt: %s: commit marker version %d, want %d", dir, m.Version, formatVersion)
 	}
 	return m, nil
 }
@@ -666,7 +666,7 @@ func Repair(b storage.Backend, runRoot string) (*RepairReport, error) {
 			rep.LatestFixed = true
 		}
 	case current != newest.Path:
-		if err := WriteLatestPointer(b, newest.Path); err != nil {
+		if err := writeLatestPointer(b, newest.Path); err != nil {
 			return nil, err
 		}
 		rep.LatestFixed = true

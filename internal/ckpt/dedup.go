@@ -142,6 +142,9 @@ type GCReport struct {
 	// Retained lists the committed checkpoint paths a retention pass kept
 	// (newest last), Removed the directories it retired.
 	Retained, Removed []string
+	// Holders lists the retained checkpoints older than the newest keepLast
+	// that retention kept as the newest holder of some layer (newest last).
+	Holders []string
 	// Runs lists the attached run roots whose pins a hub GC honoured.
 	Runs []string
 }
@@ -295,9 +298,9 @@ func scanBlobs(c *catalog) ([]BlobStatus, error) {
 	return out, nil
 }
 
-// DedupifyReport records what a content-addressed merge, blend or reshard
+// BlobReport records what a content-addressed merge, blend or reshard
 // output (Output.Commit with Dedup) stored and reused.
-type DedupifyReport struct {
+type BlobReport struct {
 	// BlobsPut counts blobs written (new content).
 	BlobsPut int
 	// BlobsReused counts payloads whose blob already existed.

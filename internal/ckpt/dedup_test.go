@@ -567,7 +567,7 @@ func TestDedupifyPinsXorLineage(t *testing.T) {
 				t.Fatalf("dedup output of an already-stored state: %+v", rep)
 			}
 			// The output is the run's newest: latest names it, as a save's would.
-			if err := WriteLatestPointer(b, dir); err != nil {
+			if err := writeLatestPointer(b, dir); err != nil {
 				t.Fatal(err)
 			}
 			cs, err := ReadCodecStats(b, dir)

@@ -36,8 +36,8 @@ type LayerDeltaRow struct {
 	Changed bool
 }
 
-// Unlayered names the delta row of payloads with no layer binding.
-const Unlayered = "(unlayered)"
+// unlayered names the delta row of payloads with no layer binding.
+const unlayered = "(unlayered)"
 
 // LayerDelta breaks a dedup checkpoint down per layer: how many payload
 // bytes each layer moved versus reused against prevDir (the previous
@@ -76,7 +76,7 @@ func LayerDelta(b storage.Backend, dir, prevDir string) ([]LayerDeltaRow, error)
 	rows := map[string]*LayerDeltaRow{}
 	add := func(layer string, size, stored int64, digest string) {
 		if layer == "" {
-			layer = Unlayered
+			layer = unlayered
 		}
 		row := rows[layer]
 		if row == nil {

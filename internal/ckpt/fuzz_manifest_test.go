@@ -37,7 +37,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte("LTOM"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if wm, err := DecodeWeightManifest(data); err == nil {
+		if wm, err := decodeWeightManifest(data); err == nil {
 			// Accepted manifests must hold the invariants readers rely on:
 			// well-formed digests and coherent per-entry geometry.
 			seen := map[string]bool{}
@@ -54,7 +54,7 @@ func FuzzManifest(f *testing.F) {
 				}
 			}
 		}
-		if sm, err := DecodeShardManifest(data); err == nil {
+		if sm, err := decodeShardManifest(data); err == nil {
 			seen := map[int]bool{}
 			for _, g := range sm.Groups {
 				if g.Index < 0 || seen[g.Index] {

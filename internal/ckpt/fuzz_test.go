@@ -27,7 +27,7 @@ func goldenLTSF(tb testing.TB) []byte {
 		b.Set(i, float32(i)*0.25)
 	}
 	mem := storage.NewMem()
-	if err := WriteLTSF(mem, "m", "fuzz", []*tensor.Tensor{a, b}); err != nil {
+	if err := writeLTSF(mem, "m", "fuzz", []*tensor.Tensor{a, b}); err != nil {
 		tb.Fatal(err)
 	}
 	data, _ := mem.ReadFile("m")
@@ -48,7 +48,7 @@ func goldenLTOS(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	mem := storage.NewMem()
-	if err := WriteShardFile(mem, "s", 0, 2, 7, o.Layout.Kind, metas, byRank[0]); err != nil {
+	if err := writeShardFile(mem, "s", 0, 2, 7, o.Layout.Kind, metas, byRank[0]); err != nil {
 		tb.Fatal(err)
 	}
 	data, _ := mem.ReadFile("s")
@@ -80,7 +80,7 @@ func TestOpenLTSFRejectsAdversarialHeaders(t *testing.T) {
 		if err := b.WriteFile("m", container([]byte("LTSF"), hdr, []byte("payload"))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenLTSF(b, "m"); err == nil {
+		if _, err := openLTSF(b, "m"); err == nil {
 			t.Errorf("%s: adversarial header accepted", name)
 		}
 	}
@@ -145,7 +145,7 @@ func FuzzLTSFReader(f *testing.F) {
 		if err := b.WriteFile("m", data); err != nil {
 			t.Fatal(err)
 		}
-		r, err := OpenLTSF(b, "m")
+		r, err := openLTSF(b, "m")
 		if err != nil {
 			return
 		}
@@ -162,7 +162,7 @@ func FuzzLTSFReader(f *testing.F) {
 				}
 			}
 			// The raw surface must hold the same never-panic contract over
-			// whatever header survived OpenLTSF: the extent opens and
+			// whatever header survived openLTSF: the extent opens and
 			// delivers exactly its advertised size, and splicing it into a
 			// fresh container round-trips the metadata.
 			rt, rc, err := r.openRaw(name)

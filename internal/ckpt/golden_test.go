@@ -38,10 +38,10 @@ func seedWriteContainer(b storage.Backend, name string, magic [4]byte, hdr any, 
 	return b.WriteFile(name, buf)
 }
 
-// seedWriteLTSF is the seed's WriteLTSF: whole payload accumulated in
+// seedWriteLTSF is the seed's writeLTSF: whole payload accumulated in
 // memory before a single write.
 func seedWriteLTSF(b storage.Backend, name, modelName string, tensors []*tensor.Tensor) error {
-	hdr := ltsfHeader{Version: FormatVersion, Model: modelName, Tensors: make(map[string]ltsfTensorMeta, len(tensors))}
+	hdr := ltsfHeader{Version: formatVersion, Model: modelName, Tensors: make(map[string]ltsfTensorMeta, len(tensors))}
 	var payload []byte
 	var off int64
 	for _, t := range tensors {
@@ -58,11 +58,11 @@ func seedWriteLTSF(b storage.Backend, name, modelName string, tensors []*tensor.
 	return seedWriteContainer(b, name, ltsfMagic, hdr, payload)
 }
 
-// seedWriteShardFile is the seed's WriteShardFile.
+// seedWriteShardFile is the seed's writeShardFile.
 func seedWriteShardFile(b storage.Backend, name string, rank, worldSize, step int,
 	layout optim.LayoutKind, meta []ShardGroupMeta, shards []*zero.GroupShard) error {
 	hdr := ltosHeader{
-		Version: FormatVersion, Rank: rank, WorldSize: worldSize,
+		Version: formatVersion, Rank: rank, WorldSize: worldSize,
 		Step: step, Layout: layout.String(),
 		Groups: make([]ShardGroupMeta, len(meta)),
 	}
@@ -98,12 +98,12 @@ func TestStreamedLTSFMatchesSeedBytes(t *testing.T) {
 
 	// Via the convenience wrapper.
 	got1B := storage.NewMem()
-	if err := WriteLTSF(got1B, "m", "tiny", ts); err != nil {
+	if err := writeLTSF(got1B, "m", "tiny", ts); err != nil {
 		t.Fatal(err)
 	}
 	got1, _ := got1B.ReadFile("m")
 	if string(got1) != string(want) {
-		t.Fatal("WriteLTSF output differs from seed writer")
+		t.Fatal("writeLTSF output differs from seed writer")
 	}
 
 	// Via the streaming writer, one tensor at a time, with a tiny chunk so
@@ -144,7 +144,7 @@ func TestStreamedLTSFMatchesSeedOnOSBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteLTSF(osb, "m", "tiny", ts); err != nil {
+	if err := writeLTSF(osb, "m", "tiny", ts); err != nil {
 		t.Fatal(err)
 	}
 	got, err := osb.ReadFile("m")
@@ -184,12 +184,12 @@ func TestStreamedLTOSMatchesSeedBytes(t *testing.T) {
 	want, _ := seed.ReadFile("s")
 
 	got1B := storage.NewMem()
-	if err := WriteShardFile(got1B, "s", 0, 2, 9, layout.Kind, metas, shards); err != nil {
+	if err := writeShardFile(got1B, "s", 0, 2, 9, layout.Kind, metas, shards); err != nil {
 		t.Fatal(err)
 	}
 	got1, _ := got1B.ReadFile("s")
 	if string(got1) != string(want) {
-		t.Fatal("WriteShardFile output differs from seed writer")
+		t.Fatal("writeShardFile output differs from seed writer")
 	}
 
 	got2B := storage.NewMem()
@@ -224,14 +224,14 @@ func TestLTSFGoldenDigest(t *testing.T) {
 		bt.Set(i, -float32(i))
 	}
 	b := storage.NewMem()
-	if err := WriteLTSF(b, "m", "golden", []*tensor.Tensor{a, bt}); err != nil {
+	if err := writeLTSF(b, "m", "golden", []*tensor.Tensor{a, bt}); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := b.ReadFile("m")
 	sum := sha256.Sum256(data)
 	const want = "46774f6f0facc4328671bdb350d3911db792f9267c548b6afa906fd18812bf3a"
 	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Fatalf("LTSF golden digest changed:\n got %s\nwant %s\n(on-disk format change? bump FormatVersion and regenerate)", got, want)
+		t.Fatalf("LTSF golden digest changed:\n got %s\nwant %s\n(on-disk format change? bump formatVersion and regenerate)", got, want)
 	}
 }
 
@@ -239,7 +239,7 @@ func TestLTSFGoldenDigest(t *testing.T) {
 func TestStreamedShardReadRoundtrip(t *testing.T) {
 	metas, shards, layout := buildShardFixture(t)
 	b := storage.NewMem()
-	if err := WriteShardFile(b, "s", 0, 2, 9, layout.Kind, metas, shards); err != nil {
+	if err := writeShardFile(b, "s", 0, 2, 9, layout.Kind, metas, shards); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadShardFile(b, "s")
@@ -266,7 +266,7 @@ func TestStreamedShardReadRoundtrip(t *testing.T) {
 func TestStreamedShardReadDetectsCorruption(t *testing.T) {
 	metas, shards, layout := buildShardFixture(t)
 	b := storage.NewMem()
-	if err := WriteShardFile(b, "s", 0, 2, 9, layout.Kind, metas, shards); err != nil {
+	if err := writeShardFile(b, "s", 0, 2, 9, layout.Kind, metas, shards); err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := b.ReadFile("s")

@@ -71,31 +71,10 @@ func ShardFileName(rank int) string {
 	return fmt.Sprintf("zero/rank_%02d_optim_states.ltos", rank)
 }
 
-// WriteShardFile serialises one rank's shards of the given groups. meta and
-// shards must be parallel slices. It is a convenience loop over
-// shardFileWriter; streaming producers should feed groups one at a time.
-func WriteShardFile(b storage.Backend, name string, rank, worldSize, step int,
-	layout optim.LayoutKind, meta []ShardGroupMeta, shards []*zero.GroupShard) error {
-	if len(meta) != len(shards) {
-		return fmt.Errorf("ckpt: %d metas vs %d shards", len(meta), len(shards))
-	}
-	w, err := newShardFileWriter(b, name, rank, worldSize, step, layout, 0)
-	if err != nil {
-		return err
-	}
-	defer w.Abort()
-	for i, m := range meta {
-		if err := w.writeGroup(m, shards[i]); err != nil {
-			return err
-		}
-	}
-	return w.Close()
-}
-
 // shardFileWriter streams an LTOS shard file group by group, mirroring
 // ltsfWriter: groups are accepted one at a time through the shared
-// containerWriter lifecycle. Byte-identical to WriteShardFile given the
-// same groups in the same order.
+// containerWriter lifecycle. Byte-identical to writeShardFile's
+// (ltos_test.go) given the same groups in the same order.
 type shardFileWriter struct {
 	containerWriter
 	rank int
@@ -114,7 +93,7 @@ func newShardFileWriter(b storage.Backend, name string, rank, worldSize, step in
 		containerWriter: cw,
 		rank:            rank,
 		hdr: ltosHeader{
-			Version: FormatVersion, Rank: rank, WorldSize: worldSize,
+			Version: formatVersion, Rank: rank, WorldSize: worldSize,
 			Step: step, Layout: layout.String(),
 		},
 	}, nil
@@ -256,10 +235,10 @@ func (rs *rankPayloads) loadStream(f *ShardFile) error {
 	return nil
 }
 
-// ShardHeader is the decoded header of an LTOS file — everything needed to
+// shardHeader is the decoded header of an LTOS file — everything needed to
 // decide whether the file can be copied verbatim, without touching a single
 // payload byte.
-type ShardHeader struct {
+type shardHeader struct {
 	Rank      int
 	WorldSize int
 	Step      int
@@ -272,11 +251,11 @@ type ShardHeader struct {
 	PayloadBytes int64
 }
 
-// ReadShardHeader reads and validates only an LTOS file's header: magic,
+// readShardHeader reads and validates only an LTOS file's header: magic,
 // version, layout and per-group metadata bounds — the cheap metadata pass
 // the raw shard-copy fast path runs before deciding to stream the file
 // verbatim. Payload bytes are never read.
-func ReadShardHeader(b storage.Backend, name string) (*ShardHeader, error) {
+func readShardHeader(b storage.Backend, name string) (*shardHeader, error) {
 	var hdr ltosHeader
 	off, payloadLen, err := readContainerHeader(b, name, ltosMagic, &hdr)
 	if err != nil {
@@ -288,9 +267,9 @@ func ReadShardHeader(b storage.Backend, name string) (*ShardHeader, error) {
 // check validates a decoded LTOS header against the container's real sizes:
 // version, layout, every group's extent in range, in file order and exactly
 // 12×ShardLen long. Both the header-only and the whole-file reader use it.
-func (hdr *ltosHeader) check(name string, fileBytes, payloadLen int64) (*ShardHeader, error) {
-	if hdr.Version != FormatVersion {
-		return nil, fmt.Errorf("ckpt: %s: version %d, want %d", name, hdr.Version, FormatVersion)
+func (hdr *ltosHeader) check(name string, fileBytes, payloadLen int64) (*shardHeader, error) {
+	if hdr.Version != formatVersion {
+		return nil, fmt.Errorf("ckpt: %s: version %d, want %d", name, hdr.Version, formatVersion)
 	}
 	layout, err := optim.ParseLayoutKind(hdr.Layout)
 	if err != nil {
@@ -311,7 +290,7 @@ func (hdr *ltosHeader) check(name string, fileBytes, payloadLen int64) (*ShardHe
 			return nil, fmt.Errorf("ckpt: %s: group %d payload %d bytes, want 12×%d", name, m.Index, size, m.ShardLen)
 		}
 	}
-	return &ShardHeader{
+	return &shardHeader{
 		Rank: hdr.Rank, WorldSize: hdr.WorldSize, Step: hdr.Step,
 		Layout: layout, Groups: hdr.Groups,
 		FileBytes: fileBytes, PayloadBytes: payloadLen,
@@ -319,7 +298,7 @@ func (hdr *ltosHeader) check(name string, fileBytes, payloadLen int64) (*ShardHe
 }
 
 // payloads lists the file's groups, in file order, as extents of name.
-func (h *ShardHeader) payloads(b storage.Backend, name string) *rankPayloads {
+func (h *shardHeader) payloads(b storage.Backend, name string) *rankPayloads {
 	rs := &rankPayloads{name: name, rank: h.Rank, worldSize: h.WorldSize, step: h.Step, layout: h.Layout,
 		fileBytes: h.FileBytes, groups: make([]groupPayload, len(h.Groups))}
 	for i, m := range h.Groups {

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestShardFileRoundtrip(t *testing.T) {
 		metas[i] = metaForGroup(g)
 	}
 	for r := 0; r < ws; r++ {
-		if err := WriteShardFile(b, ShardFileName(r), r, ws, o.StepCount, o.Layout.Kind, metas, byRank[r]); err != nil {
+		if err := writeShardFile(b, ShardFileName(r), r, ws, o.StepCount, o.Layout.Kind, metas, byRank[r]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +92,7 @@ func TestShardFileGroupByIndex(t *testing.T) {
 	for i, g := range o.Layout.Groups {
 		metas[i] = metaForGroup(g)
 	}
-	WriteShardFile(b, "f", 0, 2, 1, optim.Layerwise, metas, byRank[0])
+	writeShardFile(b, "f", 0, 2, 1, optim.Layerwise, metas, byRank[0])
 	f, _ := ReadShardFile(b, "f")
 
 	s, m, err := f.GroupByIndex(3)
@@ -113,13 +114,13 @@ func TestShardFileWrongRankRejected(t *testing.T) {
 	}
 	b := storage.NewMem()
 	// Write rank-1 shards into a rank-0 file.
-	if err := WriteShardFile(b, "f", 0, 2, 1, optim.Layerwise, metas, byRank[1]); err == nil {
+	if err := writeShardFile(b, "f", 0, 2, 1, optim.Layerwise, metas, byRank[1]); err == nil {
 		t.Fatal("wrong-rank shards accepted")
 	}
 }
 
 func TestShardFileMetaShardMismatch(t *testing.T) {
-	if err := WriteShardFile(storage.NewMem(), "f", 0, 1, 1, optim.Layerwise,
+	if err := writeShardFile(storage.NewMem(), "f", 0, 1, 1, optim.Layerwise,
 		make([]ShardGroupMeta, 2), make([]*zero.GroupShard, 1)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
@@ -134,7 +135,7 @@ func TestShardFileCorruption(t *testing.T) {
 		metas[i] = metaForGroup(g)
 	}
 	b := storage.NewMem()
-	WriteShardFile(b, "f", 0, 1, 1, optim.Layerwise, metas, byRank[0])
+	writeShardFile(b, "f", 0, 1, 1, optim.Layerwise, metas, byRank[0])
 
 	raw, _ := b.ReadFile("f")
 	raw[len(raw)-3] ^= 0x55
@@ -163,4 +164,25 @@ func TestShardFileNameFormat(t *testing.T) {
 	if got := ShardFileName(3); got != "zero/rank_03_optim_states.ltos" {
 		t.Fatalf("name = %q", got)
 	}
+}
+
+// writeShardFile serialises one rank's shards of the given groups. meta and
+// shards must be parallel slices. It is a loop over shardFileWriter, the
+// fixture tests write shard files with.
+func writeShardFile(b storage.Backend, name string, rank, worldSize, step int,
+	layout optim.LayoutKind, meta []ShardGroupMeta, shards []*zero.GroupShard) error {
+	if len(meta) != len(shards) {
+		return fmt.Errorf("ckpt: %d metas vs %d shards", len(meta), len(shards))
+	}
+	w, err := newShardFileWriter(b, name, rank, worldSize, step, layout, 0)
+	if err != nil {
+		return err
+	}
+	defer w.Abort()
+	for i, m := range meta {
+		if err := w.writeGroup(m, shards[i]); err != nil {
+			return err
+		}
+	}
+	return w.Close()
 }

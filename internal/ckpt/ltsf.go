@@ -33,8 +33,8 @@ import (
 	"llmtailor/internal/tensor"
 )
 
-// FormatVersion is bumped on incompatible layout changes.
-const FormatVersion = 1
+// formatVersion is bumped on incompatible layout changes.
+const formatVersion = 1
 
 var (
 	ltsfMagic = [4]byte{'L', 'T', 'S', 'F'}
@@ -52,25 +52,6 @@ type ltsfHeader struct {
 	Version int                       `json:"version"`
 	Model   string                    `json:"model"`
 	Tensors map[string]ltsfTensorMeta `json:"tensors"`
-}
-
-// WriteLTSF serialises the given tensors into an LTSF container at name.
-// Tensor payload order follows the given slice order; the header indexes
-// them by name for lazy retrieval. It is a convenience loop over ltsfWriter
-// for callers that already hold every tensor; streaming producers should use
-// ltsfWriter directly and feed tensors one at a time.
-func WriteLTSF(b storage.Backend, name, modelName string, tensors []*tensor.Tensor) error {
-	w, err := newLTSFWriter(b, name, modelName, 0)
-	if err != nil {
-		return err
-	}
-	defer w.Abort()
-	for _, t := range tensors {
-		if err := w.WriteTensor(t); err != nil {
-			return err
-		}
-	}
-	return w.Close()
 }
 
 // containerWriter is the spool-then-assemble lifecycle shared by the
@@ -187,8 +168,8 @@ func (w *containerWriter) BytesWritten() int64 { return w.wrote }
 
 // ltsfWriter streams an LTSF container section by section: tensors are
 // accepted one at a time through the shared containerWriter lifecycle. The
-// bytes produced are identical to WriteLTSF given the same tensors in the
-// same order.
+// bytes produced are identical to writeLTSF's (ltsf_test.go) given the same
+// tensors in the same order.
 type ltsfWriter struct {
 	containerWriter
 	hdr ltsfHeader
@@ -203,7 +184,7 @@ func newLTSFWriter(b storage.Backend, name, modelName string, chunkBytes int) (*
 	}
 	return &ltsfWriter{
 		containerWriter: cw,
-		hdr:             ltsfHeader{Version: FormatVersion, Model: modelName, Tensors: map[string]ltsfTensorMeta{}},
+		hdr:             ltsfHeader{Version: formatVersion, Model: modelName, Tensors: map[string]ltsfTensorMeta{}},
 	}, nil
 }
 
@@ -220,7 +201,7 @@ func (w *ltsfWriter) WriteTensor(t *tensor.Tensor) error {
 // header entry — the single section writer under WriteTensor and the
 // checkpoint write stage. With hasCRC set, rt.CRC32 is carried forward
 // untouched; otherwise the checksum is computed inline as the bytes stream
-// through. The metadata is validated the same way OpenLTSF validates headers
+// through. The metadata is validated the same way openLTSF validates headers
 // — an inconsistent dtype/shape/size errors out (never panics) before any
 // byte is spooled — and write must deliver exactly rt.Size bytes. rt.Shape
 // is retained, not copied.
@@ -348,19 +329,19 @@ func parseContainerHeader(name string, size int64, magic [4]byte, hdr any, next 
 	return hlen, nil
 }
 
-// OpenLTSF reads and validates the header of an LTSF file and lists its
+// openLTSF reads and validates the header of an LTSF file and lists its
 // tensors as Weights — analogous to memory-mapping a safetensors file: no
 // payload byte is read. Every tensor entry is bounds-checked against the
 // payload here, so later ReadTensor allocations are capped by the real file
 // size no matter what a corrupt or adversarial header claims.
-func OpenLTSF(b storage.Backend, name string) (*Weights, error) {
+func openLTSF(b storage.Backend, name string) (*Weights, error) {
 	var hdr ltsfHeader
 	off, payloadLen, err := readContainerHeader(b, name, ltsfMagic, &hdr)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.Version != FormatVersion {
-		return nil, fmt.Errorf("ckpt: %s: version %d, want %d", name, hdr.Version, FormatVersion)
+	if hdr.Version != formatVersion {
+		return nil, fmt.Errorf("ckpt: %s: version %d, want %d", name, hdr.Version, formatVersion)
 	}
 	names := make([]string, 0, len(hdr.Tensors))
 	for tn, meta := range hdr.Tensors {

@@ -23,10 +23,10 @@ func randTensors(seed uint64) []*tensor.Tensor {
 func TestLTSFRoundtrip(t *testing.T) {
 	b := storage.NewMem()
 	ts := randTensors(1)
-	if err := WriteLTSF(b, "model.ltsf", "tiny", ts); err != nil {
+	if err := writeLTSF(b, "model.ltsf", "tiny", ts); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenLTSF(b, "model.ltsf")
+	r, err := openLTSF(b, "model.ltsf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestLTSFRoundtrip(t *testing.T) {
 func TestLTSFReadAll(t *testing.T) {
 	b := storage.NewMem()
 	ts := randTensors(2)
-	WriteLTSF(b, "m", "x", ts)
-	r, _ := OpenLTSF(b, "m")
+	writeLTSF(b, "m", "x", ts)
+	r, _ := openLTSF(b, "m")
 	all, err := r.ReadAll()
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +64,8 @@ func TestLTSFReadAll(t *testing.T) {
 
 func TestLTSFHas(t *testing.T) {
 	b := storage.NewMem()
-	WriteLTSF(b, "m", "x", randTensors(3))
-	r, _ := OpenLTSF(b, "m")
+	writeLTSF(b, "m", "x", randTensors(3))
+	r, _ := openLTSF(b, "m")
 	if !r.Has("model.norm.weight") || r.Has("nope") {
 		t.Fatal("Has wrong")
 	}
@@ -77,7 +77,7 @@ func TestLTSFHas(t *testing.T) {
 func TestLTSFDuplicateRejected(t *testing.T) {
 	b := storage.NewMem()
 	a := tensor.New("dup", tensor.F32, 2)
-	if err := WriteLTSF(b, "m", "x", []*tensor.Tensor{a, a}); err == nil {
+	if err := writeLTSF(b, "m", "x", []*tensor.Tensor{a, a}); err == nil {
 		t.Fatal("duplicate tensor accepted")
 	}
 }
@@ -86,10 +86,10 @@ func TestLTSFLazyReadIsPartial(t *testing.T) {
 	mem := storage.NewMem()
 	meter := storage.NewMeter(mem, storage.LocalNVMe())
 	ts := randTensors(4)
-	WriteLTSF(meter, "m", "x", ts)
+	writeLTSF(meter, "m", "x", ts)
 	meter.Reset()
 
-	r, err := OpenLTSF(meter, "m")
+	r, err := openLTSF(meter, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,22 +111,22 @@ func TestLTSFLazyReadIsPartial(t *testing.T) {
 
 func TestLTSFCorruptMagic(t *testing.T) {
 	b := storage.NewMem()
-	WriteLTSF(b, "m", "x", randTensors(5))
+	writeLTSF(b, "m", "x", randTensors(5))
 	raw, _ := b.ReadFile("m")
 	raw[0] = 'X'
 	b.WriteFile("m", raw)
-	if _, err := OpenLTSF(b, "m"); err == nil || !strings.Contains(err.Error(), "magic") {
+	if _, err := openLTSF(b, "m"); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestLTSFCorruptPayloadCRC(t *testing.T) {
 	b := storage.NewMem()
-	WriteLTSF(b, "m", "x", randTensors(6))
+	writeLTSF(b, "m", "x", randTensors(6))
 	raw, _ := b.ReadFile("m")
 	raw[len(raw)-1] ^= 0xFF
 	b.WriteFile("m", raw)
-	r, err := OpenLTSF(b, "m")
+	r, err := openLTSF(b, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,44 +144,62 @@ func TestLTSFCorruptPayloadCRC(t *testing.T) {
 
 func TestLTSFCorruptHeaderLength(t *testing.T) {
 	b := storage.NewMem()
-	WriteLTSF(b, "m", "x", randTensors(7))
+	writeLTSF(b, "m", "x", randTensors(7))
 	raw, _ := b.ReadFile("m")
 	binary.LittleEndian.PutUint64(raw[4:], uint64(len(raw)*2))
 	b.WriteFile("m", raw)
-	if _, err := OpenLTSF(b, "m"); err == nil {
+	if _, err := openLTSF(b, "m"); err == nil {
 		t.Fatal("corrupt header length accepted")
 	}
 }
 
 func TestLTSFWrongVersion(t *testing.T) {
 	b := storage.NewMem()
-	WriteLTSF(b, "m", "x", randTensors(8))
+	writeLTSF(b, "m", "x", randTensors(8))
 	raw, _ := b.ReadFile("m")
 	// Flip the version digit inside the JSON header.
 	s := string(raw)
 	s = strings.Replace(s, `"version":1`, `"version":9`, 1)
 	b.WriteFile("m", []byte(s))
-	if _, err := OpenLTSF(b, "m"); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := openLTSF(b, "m"); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestLTSFMissingFile(t *testing.T) {
-	if _, err := OpenLTSF(storage.NewMem(), "absent"); err == nil {
+	if _, err := openLTSF(storage.NewMem(), "absent"); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestLTSFEmptyTensorList(t *testing.T) {
 	b := storage.NewMem()
-	if err := WriteLTSF(b, "m", "x", nil); err != nil {
+	if err := writeLTSF(b, "m", "x", nil); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenLTSF(b, "m")
+	r, err := openLTSF(b, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Names()) != 0 {
 		t.Fatal("phantom tensors")
 	}
+}
+
+// writeLTSF serialises the given tensors into an LTSF container at name.
+// Tensor payload order follows the given slice order; the header indexes
+// them by name for lazy retrieval. It is the reference the
+// streaming ltsfWriter is held byte-identical to.
+func writeLTSF(b storage.Backend, name, modelName string, tensors []*tensor.Tensor) error {
+	w, err := newLTSFWriter(b, name, modelName, 0)
+	if err != nil {
+		return err
+	}
+	defer w.Abort()
+	for _, t := range tensors {
+		if err := w.WriteTensor(t); err != nil {
+			return err
+		}
+	}
+	return w.Close()
 }

@@ -239,18 +239,18 @@ func validateCodecRef(what, codec string, stored int64, parents []string, digest
 	return nil
 }
 
-// DecodeWeightManifest parses and validates a weight manifest container.
+// decodeWeightManifest parses and validates a weight manifest container.
 // Every entry must be internally consistent: parseable dtype, positive
 // dimensions whose product times the dtype size equals the blob size
 // (division-checked so it cannot wrap), a well-formed digest, and no
 // duplicate names.
-func DecodeWeightManifest(data []byte) (*WeightManifest, error) {
+func decodeWeightManifest(data []byte) (*WeightManifest, error) {
 	m := &WeightManifest{}
 	if err := decodeManifestHeader(data, ltmfMagic, m); err != nil {
 		return nil, err
 	}
-	if m.Version != FormatVersion {
-		return nil, fmt.Errorf("ckpt: weight manifest version %d, want %d", m.Version, FormatVersion)
+	if m.Version != formatVersion {
+		return nil, fmt.Errorf("ckpt: weight manifest version %d, want %d", m.Version, formatVersion)
 	}
 	seen := map[string]bool{}
 	for _, e := range m.Tensors {
@@ -264,7 +264,7 @@ func DecodeWeightManifest(data []byte) (*WeightManifest, error) {
 		if err := validateCodecRef("tensor "+e.Name, e.Codec, e.Stored, e.Parents, e.Digest); err != nil {
 			return nil, fmt.Errorf("ckpt: weight manifest: %w", err)
 		}
-		// The same dtype/shape/extent consistency pass OpenLTSF applies,
+		// The same dtype/shape/extent consistency pass openLTSF applies,
 		// against a virtual payload of exactly the blob size.
 		meta := ltsfTensorMeta{DType: e.DType, Shape: e.Shape, Offsets: [2]int64{0, e.Size}, CRC32: e.CRC32}
 		if err := validateTensorMeta(e.Name, meta, e.Size); err != nil {
@@ -274,17 +274,17 @@ func DecodeWeightManifest(data []byte) (*WeightManifest, error) {
 	return m, nil
 }
 
-// DecodeShardManifest parses and validates a shard manifest container.
+// decodeShardManifest parses and validates a shard manifest container.
 // Group entries must carry coherent geometry: a parseable layout, non-
 // negative shard lengths whose 12× payload equals the blob size
 // (overflow-checked), and well-formed digests.
-func DecodeShardManifest(data []byte) (*ShardManifest, error) {
+func decodeShardManifest(data []byte) (*ShardManifest, error) {
 	m := &ShardManifest{}
 	if err := decodeManifestHeader(data, ltomMagic, m); err != nil {
 		return nil, err
 	}
-	if m.Version != FormatVersion {
-		return nil, fmt.Errorf("ckpt: shard manifest version %d, want %d", m.Version, FormatVersion)
+	if m.Version != formatVersion {
+		return nil, fmt.Errorf("ckpt: shard manifest version %d, want %d", m.Version, formatVersion)
 	}
 	if _, err := optim.ParseLayoutKind(m.Layout); err != nil {
 		return nil, fmt.Errorf("ckpt: shard manifest: %w", err)
@@ -319,8 +319,8 @@ func DecodeShardManifest(data []byte) (*ShardManifest, error) {
 	return m, nil
 }
 
-// WriteWeightManifest encodes and writes a weight manifest file.
-func WriteWeightManifest(b storage.Backend, name string, m *WeightManifest) error {
+// writeWeightManifest encodes and writes a weight manifest file.
+func writeWeightManifest(b storage.Backend, name string, m *WeightManifest) error {
 	data, err := encodeManifest(ltmfMagic, m)
 	if err != nil {
 		return err
@@ -334,15 +334,15 @@ func ReadWeightManifest(b storage.Backend, name string) (*WeightManifest, error)
 	if err != nil {
 		return nil, err
 	}
-	m, err := DecodeWeightManifest(data)
+	m, err := decodeWeightManifest(data)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", name, err)
 	}
 	return m, nil
 }
 
-// WriteShardManifest encodes and writes a per-rank shard manifest file.
-func WriteShardManifest(b storage.Backend, name string, m *ShardManifest) error {
+// writeShardManifest encodes and writes a per-rank shard manifest file.
+func writeShardManifest(b storage.Backend, name string, m *ShardManifest) error {
 	data, err := encodeManifest(ltomMagic, m)
 	if err != nil {
 		return err
@@ -356,7 +356,7 @@ func ReadShardManifest(b storage.Backend, name string) (*ShardManifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := DecodeShardManifest(data)
+	m, err := decodeShardManifest(data)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", name, err)
 	}

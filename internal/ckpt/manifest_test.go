@@ -12,7 +12,7 @@ import (
 func goldenWeightManifest(tb testing.TB) []byte {
 	tb.Helper()
 	m := &WeightManifest{
-		Version: FormatVersion,
+		Version: formatVersion,
 		Model:   "tiny",
 		Tensors: []WeightEntry{
 			{Name: "embed_tokens.weight", DType: "bf16", Shape: []int{4, 8}, Size: 64,
@@ -33,7 +33,7 @@ func goldenWeightManifest(tb testing.TB) []byte {
 func goldenShardManifest(tb testing.TB) []byte {
 	tb.Helper()
 	m := &ShardManifest{
-		Version: FormatVersion, Rank: 1, WorldSize: 2, Step: 7, Layout: "layerwise",
+		Version: formatVersion, Rank: 1, WorldSize: 2, Step: 7, Layout: "layerwise",
 		Groups: []ShardGroupEntry{
 			{Index: 0, Numel: 12, ShardLen: 6, Size: 72, CRC32: 3, Layer: "embed_tokens",
 				Digest: strings.Repeat("ef", 32)},
@@ -50,10 +50,10 @@ func goldenShardManifest(tb testing.TB) []byte {
 
 func TestWeightManifestRoundtrip(t *testing.T) {
 	b := storage.NewMem()
-	m := &WeightManifest{Version: FormatVersion, Model: "tiny", Tensors: []WeightEntry{
+	m := &WeightManifest{Version: formatVersion, Model: "tiny", Tensors: []WeightEntry{
 		{Name: "t", DType: "bf16", Shape: []int{3, 5}, Size: 30, CRC32: 5, Digest: strings.Repeat("77", 32)},
 	}}
-	if err := WriteWeightManifest(b, "ckpt/model.ltmf", m); err != nil {
+	if err := writeWeightManifest(b, "ckpt/model.ltmf", m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadWeightManifest(b, "ckpt/model.ltmf")
@@ -115,7 +115,7 @@ func TestManifestDecodeRejectsCorruption(t *testing.T) {
 		"bad-version":      `{"version":9,"model":"m","tensors":[]}`,
 	}
 	for name, hdr := range weightCases {
-		if _, err := DecodeWeightManifest(manifestContainer(ltmfMagic, hdr)); err == nil {
+		if _, err := decodeWeightManifest(manifestContainer(ltmfMagic, hdr)); err == nil {
 			t.Errorf("weight manifest %s: accepted", name)
 		}
 	}
@@ -132,7 +132,7 @@ func TestManifestDecodeRejectsCorruption(t *testing.T) {
 		"bad-digest":     `{"version":1,"rank":0,"world_size":1,"layout":"layerwise","groups":[{"index":0,"numel":1,"shard_len":1,"size":12,"crc32":0,"digest":"nope"}]}`,
 	}
 	for name, hdr := range shardCases {
-		if _, err := DecodeShardManifest(manifestContainer(ltomMagic, hdr)); err == nil {
+		if _, err := decodeShardManifest(manifestContainer(ltomMagic, hdr)); err == nil {
 			t.Errorf("shard manifest %s: accepted", name)
 		}
 	}
@@ -156,19 +156,19 @@ func TestManifestDecodeRejectsCorruption(t *testing.T) {
 			return d
 		},
 	} {
-		if _, err := DecodeWeightManifest(mut(append([]byte(nil), wm...))); err == nil {
+		if _, err := decodeWeightManifest(mut(append([]byte(nil), wm...))); err == nil {
 			t.Errorf("weight manifest framing %s: accepted", name)
 		}
-		if _, err := DecodeShardManifest(mut(append([]byte(nil), sm...))); err == nil {
+		if _, err := decodeShardManifest(mut(append([]byte(nil), sm...))); err == nil {
 			t.Errorf("shard manifest framing %s: accepted", name)
 		}
 	}
 
 	// The golden containers themselves decode.
-	if _, err := DecodeWeightManifest(wm); err != nil {
+	if _, err := decodeWeightManifest(wm); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeShardManifest(sm); err != nil {
+	if _, err := decodeShardManifest(sm); err != nil {
 		t.Fatal(err)
 	}
 }

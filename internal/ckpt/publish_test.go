@@ -12,10 +12,10 @@ import (
 // outputByReference writes the committed checkpoint src again at dst through
 // an Output — every payload by reference, the trailer files as src holds
 // them — the way merge, blend and reshard build their outputs.
-func outputByReference(b storage.Backend, src, dst string, dedup bool) (DedupifyReport, error) {
+func outputByReference(b storage.Backend, src, dst string, dedup bool) (BlobReport, error) {
 	c, err := Open(b, src)
 	if err != nil {
-		return DedupifyReport{}, err
+		return BlobReport{}, err
 	}
 	out := NewOutput(c.Weights().Model())
 	for _, wp := range c.Weights().list {
@@ -24,19 +24,19 @@ func outputByReference(b storage.Backend, src, dst string, dedup bool) (Dedupify
 			_, err = out.Tensor(c.Weights(), wp.name, dt)
 		}
 		if err != nil {
-			return DedupifyReport{}, err
+			return BlobReport{}, err
 		}
 	}
 	layout, err := optim.ParseLayoutKind(c.State.Layout)
 	if err != nil {
-		return DedupifyReport{}, err
+		return BlobReport{}, err
 	}
 	world := c.WorldSize()
 	ranks := make([][]GroupExtent, world)
 	var step int
 	for r := range ranks {
 		if ranks[r], step, err = c.OptimExtents(r); err != nil {
-			return DedupifyReport{}, err
+			return BlobReport{}, err
 		}
 	}
 	for r := range ranks {
@@ -47,7 +47,7 @@ func outputByReference(b storage.Backend, src, dst string, dedup bool) (Dedupify
 				src[sr] = ranks[sr][gi]
 			}
 			if _, _, err := rank.Group(src); err != nil {
-				return DedupifyReport{}, err
+				return BlobReport{}, err
 			}
 		}
 	}
@@ -56,18 +56,18 @@ func outputByReference(b storage.Backend, src, dst string, dedup bool) (Dedupify
 		tr.State, err = b.ReadFile(src + "/trainer_state.json")
 	}
 	if err != nil {
-		return DedupifyReport{}, err
+		return BlobReport{}, err
 	}
 	rep, err := out.Commit(b, dst, tr, OutputOptions{Dedup: dedup})
 	if err != nil {
-		return DedupifyReport{}, err
+		return BlobReport{}, err
 	}
-	return rep.DedupifyReport, nil
+	return rep.BlobReport, nil
 }
 
 // publishDedup publishes the committed plain checkpoint src content-addressed
 // at dst, for fixtures: a by-reference dedup output (latest stays put).
-func publishDedup(t testing.TB, b storage.Backend, src, dst string) DedupifyReport {
+func publishDedup(t testing.TB, b storage.Backend, src, dst string) BlobReport {
 	t.Helper()
 	rep, err := outputByReference(b, src, dst, true)
 	if err != nil {
@@ -97,7 +97,7 @@ func TestCapabilitiesThroughWrappers(t *testing.T) {
 		{"fault", func(b storage.Backend) storage.Backend { return storage.NewFault(b) }},
 		{"retry", func(b storage.Backend) storage.Backend { return storage.NewRetry(b, 1) }},
 		{"txn", func(b storage.Backend) storage.Backend {
-			txn, err := Begin(b, "run/checkpoint-1")
+			txn, err := begin(b, "run/checkpoint-1")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -58,10 +58,10 @@ func rawTestTensors(tb testing.TB) []*tensor.Tensor {
 func TestAppendRawByteIdenticalToDecodePath(t *testing.T) {
 	b := storage.NewMem()
 	tensors := rawTestTensors(t)
-	if err := WriteLTSF(b, "src", "m", tensors); err != nil {
+	if err := writeLTSF(b, "src", "m", tensors); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenLTSF(b, "src")
+	r, err := openLTSF(b, "src")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestAppendRawByteIdenticalToDecodePath(t *testing.T) {
 	}
 
 	// The spliced container must decode and CRC-verify like the original.
-	rr, err := OpenLTSF(b, "via-raw")
+	rr, err := openLTSF(b, "via-raw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +134,10 @@ func TestAppendRawByteIdenticalToDecodePath(t *testing.T) {
 func TestRawTensorMetadata(t *testing.T) {
 	b := storage.NewMem()
 	tensors := rawTestTensors(t)
-	if err := WriteLTSF(b, "src", "m", tensors); err != nil {
+	if err := writeLTSF(b, "src", "m", tensors); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenLTSF(b, "src")
+	r, err := openLTSF(b, "src")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +263,11 @@ func TestReadShardHeaderMatchesFullRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteShardFile(b, "s", 0, 2, 42, o.Layout.Kind, metas, byRank[0]); err != nil {
+	if err := writeShardFile(b, "s", 0, 2, 42, o.Layout.Kind, metas, byRank[0]); err != nil {
 		t.Fatal(err)
 	}
 
-	h, err := ReadShardHeader(b, "s")
+	h, err := readShardHeader(b, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,12 +289,12 @@ func TestReadShardHeaderMatchesFullRead(t *testing.T) {
 	}
 
 	// Corrupt containers must error, not panic.
-	if _, err := ReadShardHeader(b, "missing"); err == nil {
+	if _, err := readShardHeader(b, "missing"); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	data, _ := b.ReadFile("s")
 	b.WriteFile("torn", data[:len(data)/3])
-	if _, err := ReadShardHeader(b, "torn"); err == nil {
+	if _, err := readShardHeader(b, "torn"); err == nil {
 		t.Log("truncated header accepted (payload truncation is invisible to a header read)")
 	}
 }

@@ -229,7 +229,7 @@ func (p *payload) checked(slot string) {
 // weights lists the checkpoint's tensors.
 func (s *source) weights() (*Weights, error) {
 	if s.store == nil {
-		return OpenLTSF(s.b, s.dir+"/model.ltsf")
+		return openLTSF(s.b, s.dir+"/model.ltsf")
 	}
 	name := s.dir + "/" + WeightManifestName
 	man, err := ReadWeightManifest(s.b, name)
@@ -248,7 +248,7 @@ func (s *source) weights() (*Weights, error) {
 func (s *source) rank(rank int) (*rankPayloads, error) {
 	if s.store == nil {
 		name := s.dir + "/" + ShardFileName(rank)
-		h, err := ReadShardHeader(s.b, name)
+		h, err := readShardHeader(s.b, name)
 		if err != nil {
 			return nil, err
 		}
@@ -363,9 +363,9 @@ func (f *manifestFiles) decode() (wm *WeightManifest, sms []*ShardManifest, err 
 		e := f.errs[i]
 		if e == nil {
 			if i == 0 {
-				wm, e = DecodeWeightManifest(f.data[0])
+				wm, e = decodeWeightManifest(f.data[0])
 			} else {
-				sms[i-1], e = DecodeShardManifest(f.data[i])
+				sms[i-1], e = decodeShardManifest(f.data[i])
 			}
 			if e != nil {
 				e = fmt.Errorf("ckpt: %s/%s: %w", f.dir, name, e)
@@ -384,7 +384,7 @@ func readManifests(b storage.Backend, dir string) (*WeightManifest, []*ShardMani
 }
 
 // Weights is the lazy per-tensor view of a checkpoint's weights — over a
-// plain model.ltsf (OpenLTSF) or a content-addressed manifest alike. Opening
+// plain model.ltsf (openLTSF) or a content-addressed manifest alike. Opening
 // reads only the header or manifest; payloads are fetched on demand.
 type Weights struct {
 	label string // the container or manifest, for errors
@@ -842,8 +842,9 @@ type GroupExtent struct {
 	OpenRange func(off, n int64) (io.ReadCloser, error)
 	p         *payload
 	// check reads the whole payload through its digest, or its CRC when it
-	// has none, once however often it is asked.
-	check func() error
+	// has none, once however often it is asked: the call that reads it
+	// reports the bytes read, every other call 0.
+	check func() (int64, error)
 }
 
 // OptimExtents lists one rank's optimizer groups in stored order — each
@@ -864,13 +865,17 @@ func (c *Checkpoint) OptimExtents(rank int) (groups []GroupExtent, step int, err
 	groups = make([]GroupExtent, len(rs.groups))
 	for i, g := range rs.groups {
 		p := &rs.groups[i].payload
+		var once sync.Once
+		var err error
 		groups[i] = GroupExtent{ShardGroupMeta: g.meta, OpenRange: g.open, p: p,
-			check: sync.OnceValue(func() error {
-				q := *p
-				q.checked(fmt.Sprintf("group %d", g.meta.Index))
-				_, err := q.write(io.Discard)
-				return err
-			})}
+			check: func() (n int64, _ error) {
+				once.Do(func() {
+					q := *p
+					q.checked(fmt.Sprintf("group %d", g.meta.Index))
+					n, err = q.write(io.Discard)
+				})
+				return n, err
+			}}
 	}
 	return groups, rs.step, nil
 }

@@ -248,7 +248,7 @@ func TestPlainReadOptimShardIsOneStream(t *testing.T) {
 	mem := storage.NewMem()
 	saveFull(t, mem, "run/checkpoint-5", 61, 2)
 	name := "run/checkpoint-5/" + ShardFileName(1)
-	h, err := ReadShardHeader(mem, name)
+	h, err := readShardHeader(mem, name)
 	if err != nil {
 		t.Fatal(err)
 	}

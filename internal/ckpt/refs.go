@@ -86,7 +86,7 @@ func appendRefRecord(ix *storage.RefIndex, finalDir string, step int, digests []
 	}
 	gen := maxGen + 1
 	rec := &storage.RefRecord{
-		Version: FormatVersion, Key: key, Step: step,
+		Version: formatVersion, Key: key, Step: step,
 		Generation: gen, Digests: want,
 	}
 	if err := ix.Append(rec); err != nil {
@@ -492,7 +492,7 @@ func writeRecordFrom(ix *storage.RefIndex, key string, gen int64, d *entry) erro
 	}
 	man, _ := d.manifest() // the step is bookkeeping: 0 when unreadable
 	return ix.Append(&storage.RefRecord{
-		Version: FormatVersion, Key: key, Step: man.Step,
+		Version: formatVersion, Key: key, Step: man.Step,
 		Generation: gen, Digests: d.Digests,
 	})
 }
@@ -575,12 +575,14 @@ func GCGenerational(b storage.Backend, runRoot string, dryRun bool) (*GCReport, 
 type RetainReport = GCReport
 
 // Retain is the retention policy: it drops all but the newest keepLast
-// committed checkpoints under the run root, retires the victims' own journal
-// records — those at or below the generation the victim's manifest.json
-// binds; a newer one is an in-flight replace's and pins — and its candidates
-// are the blobs whose youngest reference died with them: the retired
-// records' digests, or the victims' manifests when no record exists. The
-// latest pointer's target is never removed, whatever its age. Removal runs
+// committed checkpoints under the run root, save the newest holder of each
+// layer (GCReport.Holders: a run of partial checkpoints recovers every layer
+// from it, as recipe.FromManifests assigns them). It retires the victims'
+// own journal records — those at or below the generation the victim's
+// manifest.json binds; a newer one is an in-flight replace's and pins — and
+// its candidates are the blobs whose youngest reference died with them: the
+// retired records' digests, or the victims' manifests when no record exists.
+// The latest pointer's target is never removed, whatever its age. Removal runs
 // in the driver's order — directories, the pin snapshot, the sweep, then the
 // records — so an interruption at any point leaves only over-pinned garbage
 // (reclaimable by GC) and never an under-pinned referenced blob.
@@ -596,15 +598,26 @@ func retain(c *catalog, keepLast int, dryRun bool) (*GCReport, error) {
 	// An absent run root holds nothing yet (retention racing the first async
 	// save): no checkpoints, no victims.
 	committed, latest := c.committed(), c.latest()
+	var holders map[string]bool
+	if len(committed) > keepLast {
+		var err error
+		if holders, err = c.newestHolders(committed); err != nil {
+			return nil, err
+		}
+	}
 	var victims []string
 	victimKey := map[string]bool{}
 	for i, dir := range committed {
-		if i < len(committed)-keepLast && dir != latest {
+		switch {
+		case i >= len(committed)-keepLast || dir == latest:
+		case holders[dir]:
+			rep.Holders = append(rep.Holders, dir)
+		default:
 			victims = append(victims, dir)
 			victimKey[RefKey(dir)] = true
-		} else {
-			rep.Retained = append(rep.Retained, dir)
+			continue
 		}
+		rep.Retained = append(rep.Retained, dir)
 	}
 	if len(victims) == 0 {
 		return rep, nil
@@ -650,4 +663,40 @@ func retain(c *catalog, keepLast int, dryRun bool) (*GCReport, error) {
 	}
 	p.candidates = storage.NormalizeDigests(candidates)
 	return scope.collect(p, dryRun)
+}
+
+// newestHolders returns, of the committed checkpoints (oldest first), the
+// newest holder of each layer: every checkpoint whose manifest lists a layer
+// no newer one lists. Manifests are read newest first — the newest alone,
+// then RequestWidth at a time — and the walk stops at the first complete one,
+// which holds every layer: a run of full saves reads one manifest.
+func (c *catalog) newestHolders(committed []string) (map[string]bool, error) {
+	holders, covered := map[string]bool{}, map[string]bool{}
+	for hi, width := len(committed), 1; hi > 0; width = storage.RequestWidth {
+		lo := max(0, hi-width)
+		mans := make([]Manifest, hi-lo)
+		err := parallel.ForEach(storage.RequestWidth, hi-lo, func(i int) error {
+			m, err := c.byPath(committed[lo+i]).manifest()
+			if err != nil {
+				return fmt.Errorf("ckpt: retain: layers of %s: %w", committed[lo+i], err)
+			}
+			mans[i] = m
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i := len(mans) - 1; i >= 0; i-- {
+			for _, l := range mans[i].Layers {
+				if !covered[l] {
+					covered[l], holders[committed[lo+i]] = true, true
+				}
+			}
+			if mans[i].Complete {
+				return holders, nil
+			}
+		}
+		hi = lo
+	}
+	return holders, nil
 }

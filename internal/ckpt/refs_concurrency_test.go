@@ -391,7 +391,7 @@ func TestRetainPinsInFlightReplaceOfVictim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inflight := &storage.RefRecord{Version: FormatVersion, Key: "checkpoint-10", Step: 10,
+	inflight := &storage.RefRecord{Version: formatVersion, Key: "checkpoint-10", Step: 10,
 		Generation: gen, Digests: own.Digests}
 	if err := ix.Append(inflight); err != nil {
 		t.Fatal(err)

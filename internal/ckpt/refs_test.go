@@ -394,7 +394,7 @@ func TestRetainNeverRemovesLatestTarget(t *testing.T) {
 	saveDedup(t, b, "run/checkpoint-10", 230, 1)
 	saveDedup(t, b, "run/checkpoint-20", 231, 1)
 	saveDedup(t, b, "run/checkpoint-30", 232, 1)
-	if err := WriteLatestPointer(b, "run/checkpoint-10"); err != nil {
+	if err := writeLatestPointer(b, "run/checkpoint-10"); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Retain(b, "run", 1, false)

@@ -192,7 +192,7 @@ func TestRepairRemovesProblemsAndFixesPointer(t *testing.T) {
 	if err := b.Rename("run/checkpoint-40", "run/checkpoint-40.tmp"); err != nil {
 		t.Fatal(err)
 	}
-	WriteLatestPointer(b, "run/checkpoint-10")
+	writeLatestPointer(b, "run/checkpoint-10")
 
 	rep, err := Repair(b, "run")
 	if err != nil {
@@ -257,7 +257,7 @@ func TestWriteLatestPointerAtomic(t *testing.T) {
 	// either crash the durable pointer still names checkpoint-10.
 	for k := 1; k <= 2; k++ {
 		f.FailAt(k)
-		if err := WriteLatestPointer(f, "run/checkpoint-20"); !storage.IsInjected(err) {
+		if err := writeLatestPointer(f, "run/checkpoint-20"); !storage.IsInjected(err) {
 			t.Fatalf("k=%d: err = %v", k, err)
 		}
 		got, err := base.ReadFile("run/latest")
@@ -271,7 +271,7 @@ func TestWriteLatestPointerAtomic(t *testing.T) {
 	}
 	// Unarmed, the update lands.
 	f.Reset()
-	if err := WriteLatestPointer(f, "run/checkpoint-20"); err != nil {
+	if err := writeLatestPointer(f, "run/checkpoint-20"); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := base.ReadFile("run/latest"); string(got) != "checkpoint-20" {

@@ -6,8 +6,8 @@
 // differ only in where the bytes come from. The protocol that makes them
 // durable exists once:
 //
-//	plain:  Begin → LTSF/LTOS containers → trailer → Commit
-//	dedup:  Begin → journal the digest set → publish missing blobs →
+//	plain:  begin → LTSF/LTOS containers → trailer → Commit
+//	dedup:  begin → journal the digest set → publish missing blobs →
 //	        LTMF/LTOM manifests → trailer → Commit
 //
 // An Output's payloads come by reference — a source checkpoint's payload,
@@ -431,7 +431,7 @@ func (p *payload) land(store *storage.BlobStore, view *lineage) error {
 // stageManifests writes the LTMF and per-rank LTOM manifests referencing the
 // set's published blobs, entries in payload order, under dir.
 func (s *payloadSet) stageManifests(sb storage.Backend, dir string) error {
-	wm := &WeightManifest{Version: FormatVersion, Model: s.model}
+	wm := &WeightManifest{Version: formatVersion, Model: s.model}
 	for _, w := range s.weights {
 		wm.Tensors = append(wm.Tensors, WeightEntry{
 			Name: w.name, DType: w.dtype, Shape: w.shape,
@@ -439,12 +439,12 @@ func (s *payloadSet) stageManifests(sb storage.Backend, dir string) error {
 			Codec: w.codec, Stored: w.stored, Parents: w.parents,
 		})
 	}
-	if err := WriteWeightManifest(sb, dir+"/"+WeightManifestName, wm); err != nil {
+	if err := writeWeightManifest(sb, dir+"/"+WeightManifestName, wm); err != nil {
 		return err
 	}
 	for i, rs := range s.ranks {
 		sm := &ShardManifest{
-			Version: FormatVersion, Rank: rs.rank, WorldSize: rs.worldSize,
+			Version: formatVersion, Rank: rs.rank, WorldSize: rs.worldSize,
 			Step: rs.step, Layout: rs.layout.String(),
 		}
 		for _, g := range rs.groups {
@@ -455,7 +455,7 @@ func (s *payloadSet) stageManifests(sb storage.Backend, dir string) error {
 				Codec: g.codec, Stored: g.stored, Parents: g.parents,
 			})
 		}
-		if err := WriteShardManifest(sb, dir+"/"+ShardManifestName(i), sm); err != nil {
+		if err := writeShardManifest(sb, dir+"/"+ShardManifestName(i), sm); err != nil {
 			return err
 		}
 	}
@@ -664,7 +664,7 @@ type writeStage struct {
 }
 
 func (ws writeStage) run(set *payloadSet, tr *Trailer) (peak, written int64, err error) {
-	txn, err := Begin(ws.b, ws.dir)
+	txn, err := begin(ws.b, ws.dir)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -750,7 +750,7 @@ func commitSave(b storage.Backend, spec *SaveSpec, plan *savePlan, set *payloadS
 	if _, _, err := ws.run(set, tr); err != nil {
 		return err
 	}
-	return WriteLatestPointer(b, spec.Dir)
+	return writeLatestPointer(b, spec.Dir)
 }
 
 // Output is a checkpoint built out of other checkpoints' payloads: how
@@ -759,6 +759,9 @@ func commitSave(b storage.Backend, spec *SaveSpec, plan *savePlan, set *payloadS
 // output with its trailer through the write stage.
 type Output struct {
 	set payloadSet
+	// checked totals the source payload bytes read whole to check the
+	// sources of spliced groups, counted as each check runs.
+	checked atomic.Int64
 }
 
 // NewOutput starts an output checkpoint of the named model.
@@ -883,7 +886,8 @@ func (r OutputRank) Group(src []GroupExtent) (raw, zeros int64, err error) {
 	}
 	r.ComputeGroup(meta, func(w io.Writer) (int64, error) {
 		for _, e := range src {
-			if err := e.check(); err != nil {
+			n, err := e.check()
+			if r.o.checked.Add(n); err != nil {
 				return 0, err
 			}
 		}
@@ -969,14 +973,15 @@ type OutputOptions struct {
 }
 
 // OutputReport is what committing an Output did: the blob counters of a
-// content-addressed output, and a plain output's read-ahead high-water mark
-// and container bytes written.
+// content-addressed output, a plain output's read-ahead high-water mark and
+// container bytes written, and the source payload bytes its spliced groups
+// read whole to check their sources (each source payload once).
 type OutputReport struct {
-	DedupifyReport
-	PeakInFlightBytes, BytesWritten int64
+	BlobReport
+	PeakInFlightBytes, BytesWritten, BytesChecked int64
 }
 
-// Commit writes the output at dir with its trailer — Begin, containers or
+// Commit writes the output at dir with its trailer — begin, containers or
 // journal, blobs and manifests, trailer, Commit — and then, with
 // opts.Latest, moves the latest pointer. tr.Step is what the commit marker
 // and the journal record carry.
@@ -990,6 +995,7 @@ func (o *Output) Commit(b storage.Backend, dir string, tr *Trailer, opts OutputO
 	if rep.PeakInFlightBytes, rep.BytesWritten, err = ws.run(set, tr); err != nil {
 		return nil, err
 	}
+	rep.BytesChecked = o.checked.Load()
 	set.each(func(p *payload, _ string, _ int) error {
 		switch {
 		case !opts.Dedup:
@@ -1003,7 +1009,7 @@ func (o *Output) Commit(b storage.Backend, dir string, tr *Trailer, opts OutputO
 		return nil
 	})
 	if opts.Latest {
-		err = WriteLatestPointer(b, dir)
+		err = writeLatestPointer(b, dir)
 	}
 	return rep, err
 }

@@ -34,8 +34,8 @@ type Cluster struct {
 	MFU float64
 }
 
-// A100x8 returns the paper's 8×A100-80GB node at a typical fine-tuning MFU.
-func A100x8() Cluster {
+// a100x8 returns the paper's 8×A100-80GB node at a typical fine-tuning MFU.
+func a100x8() Cluster {
 	return Cluster{NumGPUs: 8, PeakFLOPs: 312e12, MFU: 0.45}
 }
 
@@ -61,7 +61,7 @@ func Paper() Testbed {
 	p := storage.Lustre()
 	p.WriteBandwidth = 4.2e9
 	return Testbed{
-		Cluster:           A100x8(),
+		Cluster:           a100x8(),
 		Storage:           p,
 		CPURate:           1.6e9,
 		MergeWorkers:      8,

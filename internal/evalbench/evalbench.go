@@ -18,15 +18,14 @@ package evalbench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"llmtailor/internal/model"
 	"llmtailor/internal/tensor"
 )
 
-// Benchmark describes one synthetic zero-shot benchmark.
-type Benchmark struct {
+// benchmark describes one synthetic zero-shot benchmark.
+type benchmark struct {
 	// Name matches the paper's tables: MMLU, MMLU_med, MedMCQA, MedQA,
 	// PubMedQA.
 	Name string
@@ -41,10 +40,10 @@ type Benchmark struct {
 	NoiseStd float64
 }
 
-// Benchmarks returns the paper's five-benchmark suite. Base scores are the
+// benchmarks returns the paper's five-benchmark suite. Base scores are the
 // paper's Table 2/5 "original model" rows.
-func Benchmarks() []Benchmark {
-	return []Benchmark{
+func benchmarks() []benchmark {
+	return []benchmark{
 		{
 			Name: "MMLU",
 			Base: map[string]float64{
@@ -83,9 +82,9 @@ func Benchmarks() []Benchmark {
 	}
 }
 
-// Family maps a (possibly "-sim"-suffixed) model name to its base-score
+// family maps a (possibly "-sim"-suffixed) model name to its base-score
 // family.
-func Family(modelName string) string {
+func family(modelName string) string {
 	return strings.TrimSuffix(modelName, "-sim")
 }
 
@@ -94,7 +93,7 @@ type Scorecard map[string]float64
 
 // Names returns the benchmark names in canonical (paper table) order.
 func Names() []string {
-	bs := Benchmarks()
+	bs := benchmarks()
 	out := make([]string, len(bs))
 	for i, b := range bs {
 		out[i] = b.Name
@@ -120,10 +119,10 @@ func Evaluate(m *model.Model, taskProgress float64) Scorecard {
 	if taskProgress > 1 {
 		taskProgress = 1
 	}
-	fam := Family(m.Config.Name)
+	fam := family(m.Config.Name)
 	seed := weightsHash(m)
 	card := Scorecard{}
-	for _, b := range Benchmarks() {
+	for _, b := range benchmarks() {
 		base, ok := b.Base[fam]
 		if !ok {
 			base = b.DefaultBase
@@ -150,32 +149,4 @@ func (s Scorecard) Describe() string {
 		}
 	}
 	return strings.Join(parts, " ")
-}
-
-// MaxAbsDelta returns the largest per-benchmark score difference between
-// two scorecards — the quantity the paper's quality argument bounds.
-func MaxAbsDelta(a, b Scorecard) float64 {
-	keys := map[string]bool{}
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	var max float64
-	for _, k := range sorted {
-		d := a[k] - b[k]
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }

@@ -2,6 +2,7 @@ package evalbench
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"llmtailor/internal/model"
@@ -40,7 +41,7 @@ func TestFullProgressScoresNearPaperBase(t *testing.T) {
 		"MMLU": 73.14, "MMLU_med": 89.00, "MedMCQA": 60.75,
 		"MedQA": 64.02, "PubMedQA": 75.20,
 	}
-	for _, b := range Benchmarks() {
+	for _, b := range benchmarks() {
 		got := card[b.Name]
 		if math.Abs(got-wants[b.Name]) > 4*b.NoiseStd {
 			t.Errorf("%s = %.2f, want ≈ %.2f", b.Name, got, wants[b.Name])
@@ -53,7 +54,7 @@ func TestLowerProgressScoresLower(t *testing.T) {
 	full := Evaluate(m, 1.0)
 	half := Evaluate(m, 0.5)
 	// Same weights → same noise draw, so the degrade term must dominate.
-	for _, b := range Benchmarks() {
+	for _, b := range benchmarks() {
 		if half[b.Name] >= full[b.Name] {
 			t.Errorf("%s: progress 0.5 score %.2f >= progress 1.0 score %.2f", b.Name, half[b.Name], full[b.Name])
 		}
@@ -64,7 +65,7 @@ func TestIdenticalWeightsScoreIdentically(t *testing.T) {
 	a := qwenSim(t, 3)
 	b := qwenSim(t, 3)
 	ca, cb := Evaluate(a, 0.9), Evaluate(b, 0.9)
-	if MaxAbsDelta(ca, cb) != 0 {
+	if !reflect.DeepEqual(ca, cb) {
 		t.Fatal("identical weights scored differently")
 	}
 }
@@ -73,7 +74,7 @@ func TestDifferentWeightsScoreDifferently(t *testing.T) {
 	a := qwenSim(t, 4)
 	b := qwenSim(t, 5)
 	ca, cb := Evaluate(a, 0.9), Evaluate(b, 0.9)
-	if MaxAbsDelta(ca, cb) == 0 {
+	if reflect.DeepEqual(ca, cb) {
 		t.Fatal("different weights drew identical noise")
 	}
 }
@@ -89,10 +90,10 @@ func TestScoresClamped(t *testing.T) {
 }
 
 func TestFamilyStripsSimSuffix(t *testing.T) {
-	if Family("qwen2.5-7b-sim") != "qwen2.5-7b" {
+	if family("qwen2.5-7b-sim") != "qwen2.5-7b" {
 		t.Fatal("family mapping")
 	}
-	if Family("llama3.1-8b") != "llama3.1-8b" {
+	if family("llama3.1-8b") != "llama3.1-8b" {
 		t.Fatal("family identity")
 	}
 }
@@ -100,7 +101,7 @@ func TestFamilyStripsSimSuffix(t *testing.T) {
 func TestUnknownFamilyUsesDefault(t *testing.T) {
 	m, _ := model.NewInitialized(modelcfg.Tiny(), tensor.BF16, 7)
 	card := Evaluate(m, 1.0)
-	for _, b := range Benchmarks() {
+	for _, b := range benchmarks() {
 		if math.Abs(card[b.Name]-b.DefaultBase) > 4*b.NoiseStd {
 			t.Errorf("%s = %.2f, want ≈ default %.2f", b.Name, card[b.Name], b.DefaultBase)
 		}
@@ -112,16 +113,5 @@ func TestDescribeOrder(t *testing.T) {
 	d := Evaluate(m, 1).Describe()
 	if d == "" || d[:5] != "MMLU=" {
 		t.Fatalf("describe = %q", d)
-	}
-}
-
-func TestMaxAbsDelta(t *testing.T) {
-	a := Scorecard{"MMLU": 70, "MedQA": 60}
-	b := Scorecard{"MMLU": 71.5, "MedQA": 59}
-	if got := MaxAbsDelta(a, b); got != 1.5 {
-		t.Fatalf("delta = %v", got)
-	}
-	if got := MaxAbsDelta(a, a); got != 0 {
-		t.Fatalf("self delta = %v", got)
 	}
 }

@@ -4,7 +4,7 @@
 // records paper-vs-measured values.
 //
 // Two scales are provided: Quick (default; paper run shapes divided ~8×,
-// same checkpoint counts) and PaperShape (the paper's step counts on the
+// same checkpoint counts) and paperShape (the paper's step counts on the
 // scaled model geometry). Checkpoint *sizes* always use the true model
 // geometries via the analytic cost model, so size columns match the paper
 // exactly regardless of scale.
@@ -52,10 +52,10 @@ func Quick() Scale {
 	}
 }
 
-// PaperShape replays the paper's exact step counts (SFT: 800 steps at
+// paperShape replays the paper's exact step counts (SFT: 800 steps at
 // interval 50, merge at 400; CPT: 1600 at 100, merge at 1000) on the scaled
 // model geometry with the paper's 8-rank sharding.
-func PaperShape() Scale {
+func paperShape() Scale {
 	return Scale{
 		Name:      "paper-shape",
 		SFT:       RunShape{Total: 800, Interval: 50, MergeAt: 400, FailAt: 420},
@@ -70,7 +70,7 @@ func ScaleByName(name string) (Scale, error) {
 	case "", "quick":
 		return Quick(), nil
 	case "paper-shape", "paper":
-		return PaperShape(), nil
+		return paperShape(), nil
 	default:
 		return Scale{}, fmt.Errorf("experiments: unknown scale %q", name)
 	}
@@ -211,14 +211,4 @@ func RunUseCase2(scale Scale) (*UseCase, error) {
 		return nil, fmt.Errorf("experiments: use case 2 llama: %w", err)
 	}
 	return &UseCase{Qwen: qwen, Llama: llama, StrategyName: "filter"}, nil
-}
-
-// RunDynamicUseCase executes the future-work extension: the DeltaTopK
-// update-magnitude strategy on the Qwen SFT arm.
-func RunDynamicUseCase(scale Scale) (*UseCase, error) {
-	qwen, err := runArm(scale, scale.SFT, train.SFT(), modelcfg.Qwen25_7B(), strategy.NewDeltaTopK(0.5, 4), 105)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: dynamic use case: %w", err)
-	}
-	return &UseCase{Qwen: qwen, StrategyName: "delta-topk"}, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"llmtailor/internal/modelcfg"
+	"llmtailor/internal/strategy"
+	"llmtailor/internal/train"
 )
 
 // The use-case pipelines are the most expensive fixtures in the suite; run
@@ -118,9 +121,20 @@ func TestUseCaseBenchmarksStayClose(t *testing.T) {
 	}
 }
 
+// runDynamicUseCase runs the paper's future-work extension through the
+// use-case pipeline: the DeltaTopK update-magnitude strategy on the Qwen
+// SFT arm. No table or figure reports it, so it lives beside its test.
+func runDynamicUseCase(scale Scale) (*UseCase, error) {
+	qwen, err := runArm(scale, scale.SFT, train.SFT(), modelcfg.Qwen25_7B(), strategy.NewDeltaTopK(0.5, 4), 105)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: dynamic use case: %w", err)
+	}
+	return &UseCase{Qwen: qwen, StrategyName: "delta-topk"}, nil
+}
+
 func TestDynamicUseCaseRuns(t *testing.T) {
 	skipInShort(t)
-	u, err := RunDynamicUseCase(Quick())
+	u, err := runDynamicUseCase(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,19 +149,19 @@ func TestDynamicUseCaseRuns(t *testing.T) {
 
 func TestTablesRender(t *testing.T) {
 	u := useCase1(t)
-	for _, tb := range []interface{ Render() string }{Table1(u), Table2(u)} {
+	for _, tb := range []interface{ Render() string }{table1(u), Table2(u)} {
 		out := tb.Render()
 		if !strings.Contains(out, "Qwen2.5-7B") || !strings.Contains(out, "Llama3.1-8B") {
 			t.Errorf("table missing models:\n%s", out)
 		}
 	}
-	if !strings.Contains(Table3().Render(), "Parity") {
+	if !strings.Contains(table3().Render(), "Parity") {
 		t.Error("table 3 missing parity row")
 	}
-	if !strings.Contains(Table6().Render(), "Filtered") {
+	if !strings.Contains(table6().Render(), "Filtered") {
 		t.Error("table 6 missing filtered row")
 	}
-	t7 := Table7().Render()
+	t7 := table7().Render()
 	for _, want := range []string{"Baseline: 1", "parity (2)", "35", "18"} {
 		if !strings.Contains(t7, want) {
 			t.Errorf("table 7 missing %q:\n%s", want, t7)
@@ -156,7 +170,7 @@ func TestTablesRender(t *testing.T) {
 }
 
 func TestFigure1Output(t *testing.T) {
-	out := Figure1()
+	out := figure1()
 	for _, want := range []string{"embed_tokens", "layer.0", "layer.31", "lm_head", "8.03B"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("figure1 missing %q:\n%s", want, out)
@@ -165,7 +179,7 @@ func TestFigure1Output(t *testing.T) {
 }
 
 func TestFigure2Output(t *testing.T) {
-	out := Figure2()
+	out := figure2()
 	for _, want := range []string{"2 parameter groups", "12 bytes/param", "7x model size"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("figure2 missing %q:\n%s", want, out)
@@ -174,7 +188,7 @@ func TestFigure2Output(t *testing.T) {
 }
 
 func TestFigure3Render(t *testing.T) {
-	tb, before, after := Figure3()
+	tb, before, after := figure3()
 	out := tb.Render()
 	if !strings.Contains(out, "35") || !strings.Contains(out, "2") {
 		t.Errorf("figure 3 table:\n%s", out)
@@ -199,7 +213,7 @@ func TestLayerDriftTable(t *testing.T) {
 }
 
 func TestTable7LiveShape(t *testing.T) {
-	tb, err := Table7Live(modelcfg.Llama32_1B(), 2)
+	tb, err := table7Live(modelcfg.Llama32_1B(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +240,7 @@ func TestRunShapeCkpts(t *testing.T) {
 	if Quick().SFT.Ckpts() != 16 || Quick().CPT.Ckpts() != 16 {
 		t.Fatalf("quick ckpt counts: %d/%d", Quick().SFT.Ckpts(), Quick().CPT.Ckpts())
 	}
-	if PaperShape().SFT.Ckpts() != 16 || PaperShape().CPT.Ckpts() != 16 {
+	if paperShape().SFT.Ckpts() != 16 || paperShape().CPT.Ckpts() != 16 {
 		t.Fatal("paper-shape ckpt counts")
 	}
 }

@@ -14,12 +14,12 @@ import (
 	"llmtailor/internal/tensor"
 )
 
-// Table7Live measures the *live* merge engine on the scaled substrate,
+// table7Live measures the *live* merge engine on the scaled substrate,
 // charging simulated storage time at true-geometry byte volumes (the meter's
 // ByteScale maps scaled bytes back to real checkpoint bytes). This validates
 // the cost-model table's shape with actual engine executions: real shard
 // files, real group copies, real load orders.
-func Table7Live(trueCfg *modelcfg.Config, worldSize int) (*report.Table, error) {
+func table7Live(trueCfg *modelcfg.Config, worldSize int) (*report.Table, error) {
 	simCfg := trueCfg.DefaultSimScale()
 	mem := storage.NewMem()
 	meter := storage.NewMeter(mem, costmodelProfile())

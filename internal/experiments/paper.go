@@ -36,39 +36,39 @@ func Paper(scale Scale, want func(name string) bool, uc1, uc2 *UseCase) ([]Outpu
 	var out []Output
 	table := func(name string, t *report.Table) { out = append(out, Output{name, t.Render()}) }
 	if want("figure1") {
-		out = append(out, Output{"figure1", Figure1()})
+		out = append(out, Output{"figure1", figure1()})
 	}
 	if want("figure2") {
-		out = append(out, Output{"figure2", Figure2()})
+		out = append(out, Output{"figure2", figure2()})
 	}
 	if want("figure3") {
-		tb, before, after := Figure3()
+		tb, before, after := figure3()
 		out = append(out, Output{"figure3", tb.Render() + "\nBEFORE:\n" + before + "\nAFTER:\n" + after})
 	}
 	if want("table1") {
-		table("table1", Table1(uc1))
+		table("table1", table1(uc1))
 	}
 	if want("table2") {
 		table("table2", Table2(uc1))
 	}
 	if want("table3") {
-		table("table3", Table3())
+		table("table3", table3())
 	}
 	if want("table4") {
-		table("table4", Table4(uc2))
+		table("table4", table4(uc2))
 	}
 	if want("table5") {
 		table("table5", Table5(uc2))
 	}
 	if want("table6") {
-		table("table6", Table6())
+		table("table6", table6())
 	}
 	if want("table7") {
-		table("table7", Table7())
+		table("table7", table7())
 	}
 	if want("table7live") {
 		for _, cfg := range []*modelcfg.Config{modelcfg.Llama32_1B(), modelcfg.Llama31_8B()} {
-			tb, err := Table7Live(cfg, scale.WorldSize)
+			tb, err := table7Live(cfg, scale.WorldSize)
 			if err != nil {
 				return nil, err
 			}
@@ -85,8 +85,8 @@ func Paper(scale Scale, want func(name string) bool, uc1, uc2 *UseCase) ([]Outpu
 	return out, nil
 }
 
-// Figure1 renders the Llama-3.1-8B layer anatomy (the paper's Figure 1).
-func Figure1() string {
+// figure1 renders the Llama-3.1-8B layer anatomy (the paper's Figure 1).
+func figure1() string {
 	cfg := modelcfg.Llama31_8B()
 	t := report.New("Figure 1: layer-wise structure of "+cfg.Name,
 		"Layer", "Tensors", "Params")
@@ -103,8 +103,8 @@ func Figure1() string {
 	return t.Render()
 }
 
-// Figure2 renders the AdamW optimizer anatomy (the paper's Figure 2).
-func Figure2() string {
+// figure2 renders the AdamW optimizer anatomy (the paper's Figure 2).
+func figure2() string {
 	cfg := modelcfg.Llama31_8B()
 	layout := optim.NewTwoGroupLayout(cfg)
 	var b strings.Builder

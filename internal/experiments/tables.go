@@ -33,16 +33,16 @@ func lossTable(title string, u *UseCase) *report.Table {
 	return t
 }
 
-// Table1 is §5.2's loss comparison (paper: both rows identical at 1.58/1.60
+// table1 is §5.2's loss comparison (paper: both rows identical at 1.58/1.60
 // SFT and 1.58/1.58 CPT).
-func Table1(u *UseCase) *report.Table {
+func table1(u *UseCase) *report.Table {
 	t := lossTable("Table 1: training loss, original vs parity-merged resume", u)
 	t.Note("paper: SFT 1.58/1.60 both rows; CPT 1.58/1.58 both rows")
 	return t
 }
 
-// Table4 is §5.3's loss comparison (paper: filtered rows 0.01-0.02 higher).
-func Table4(u *UseCase) *report.Table {
+// table4 is §5.3's loss comparison (paper: filtered rows 0.01-0.02 higher).
+func table4(u *UseCase) *report.Table {
 	t := lossTable("Table 4: training loss, original vs filter-merged resume", u)
 	t.Note("paper: SFT 1.58/1.60 -> 1.60/1.62; CPT 1.58/1.58 -> 1.59/1.59")
 	return t
@@ -118,23 +118,23 @@ func displayName(name string) string {
 	}
 }
 
-// Table3 compares full vs parity checkpoints (§5.2).
-func Table3() *report.Table {
+// table3 compares full vs parity checkpoints (§5.2).
+func table3() *report.Table {
 	return overheadTable("Table 3: complete vs parity partial checkpoints",
 		strategy.Parity{}, "Parity",
 		[]string{"paper: Llama 1799.52G/4.99% -> 899.76G/3.03%; Qwen 1811.52G/20.63% -> 905.76G/12.76%"})
 }
 
-// Table6 compares full vs filtered checkpoints (§5.3).
-func Table6() *report.Table {
+// table6 compares full vs filtered checkpoints (§5.3).
+func table6() *report.Table {
 	return overheadTable("Table 6: complete vs filtered partial checkpoints",
 		strategy.NewFilter(), "Filtered",
 		[]string{"paper: Llama 1799.52G/4.99% -> 420G/1.66%; Qwen 1811.52G/20.63% -> 434.56G/7.26%"})
 }
 
-// Table7 models checkpoint loading/merging time for different source
+// table7 models checkpoint loading/merging time for different source
 // checkpoint counts at true geometry (§5.4).
-func Table7() *report.Table {
+func table7() *report.Table {
 	tb := costmodel.Paper()
 	t := report.New("Table 7: loading time for different checkpoints (cost model)",
 		"Model Name", "Checkpoint Size (G)", "Total layers", "CKPTs included", "Time (s)")
@@ -161,9 +161,9 @@ func Table7() *report.Table {
 	return t
 }
 
-// Figure3 renders the optimizer regrouping transformation: a 16-layer model
+// figure3 renders the optimizer regrouping transformation: a 16-layer model
 // going from 2 to 35 parameter groups.
-func Figure3() (*report.Table, string, string) {
+func figure3() (*report.Table, string, string) {
 	cfg := modelcfg.Llama32_1B()
 	cfg.TieWordEmbeddings = false // the paper's figure shows a separate lm_head
 	before := optim.NewTwoGroupLayout(cfg)

@@ -14,27 +14,27 @@ package modelcfg
 // Llama-3.2-1B → 17.3 GB (paper: 17.29 G).
 
 const (
-	// WeightBytesPerParam is the BF16 weight width.
-	WeightBytesPerParam = 2
-	// OptimBytesPerParam covers FP32 master + exp_avg + exp_avg_sq.
-	OptimBytesPerParam = 12
-	// CkptBytesPerParam is the full per-parameter checkpoint footprint.
-	CkptBytesPerParam = WeightBytesPerParam + OptimBytesPerParam
+	// weightBytesPerParam is the BF16 weight width.
+	weightBytesPerParam = 2
+	// optimBytesPerParam covers FP32 master + exp_avg + exp_avg_sq.
+	optimBytesPerParam = 12
+	// ckptBytesPerParam is the full per-parameter checkpoint footprint.
+	ckptBytesPerParam = weightBytesPerParam + optimBytesPerParam
 )
 
 // WeightBytes returns the consolidated BF16 weights file size.
-func (c *Config) WeightBytes() int64 { return c.ParamCount() * WeightBytesPerParam }
+func (c *Config) WeightBytes() int64 { return c.ParamCount() * weightBytesPerParam }
 
 // OptimBytes returns the total optimizer state bytes across all shards.
-func (c *Config) OptimBytes() int64 { return c.ParamCount() * OptimBytesPerParam }
+func (c *Config) OptimBytes() int64 { return c.ParamCount() * optimBytesPerParam }
 
 // FullCkptBytes returns the size of one complete checkpoint.
-func (c *Config) FullCkptBytes() int64 { return c.ParamCount() * CkptBytesPerParam }
+func (c *Config) FullCkptBytes() int64 { return c.ParamCount() * ckptBytesPerParam }
 
 // LayerCkptBytes returns the checkpoint footprint of a single mergeable
 // layer (weights + optimizer state).
 func (c *Config) LayerCkptBytes(ref LayerRef) int64 {
-	return c.LayerParamCount(ref) * CkptBytesPerParam
+	return c.LayerParamCount(ref) * ckptBytesPerParam
 }
 
 // PartialCkptBytes returns the checkpoint footprint of a subset of layers.

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// ErrPipelineClosed is returned by Pipeline.Push after Close has begun.
-var ErrPipelineClosed = errors.New("parallel: pipeline closed")
+// errPipelineClosed is returned by Pipeline.Push after Close has begun.
+var errPipelineClosed = errors.New("parallel: pipeline closed")
 
 // Pipeline is an ordered producer → bounded workers → in-order consumer
 // primitive: jobs pushed in are processed by a bounded worker pool, and the
@@ -82,7 +82,7 @@ func NewPipeline[J, R any](workers, depth int, work func(J) (R, error), sink fun
 					// Drain without working; the sink is no longer
 					// consuming results for real.
 					var zero R
-					job.out <- pipeResult[R]{zero, ErrPipelineClosed, job.cleanup}
+					job.out <- pipeResult[R]{zero, errPipelineClosed, job.cleanup}
 					continue
 				}
 				v, err := p.work(job.j)
@@ -133,7 +133,7 @@ func (p *Pipeline[J, R]) Err() error {
 }
 
 // Push submits a job, blocking while the pipeline is at depth. It returns
-// ErrPipelineClosed after Close, and fails fast with the pipeline's first
+// errPipelineClosed after Close, and fails fast with the pipeline's first
 // error once a previous job or sink call has failed (the job is then not
 // submitted).
 func (p *Pipeline[J, R]) Push(j J) error { return p.PushWithCleanup(j, nil) }
@@ -152,7 +152,7 @@ func (p *Pipeline[J, R]) PushWithCleanup(j J, cleanup func()) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return ErrPipelineClosed
+		return errPipelineClosed
 	}
 	out := make(chan pipeResult[R], 1)
 	// Reserving the ordering slot first is what bounds in-flight work and

@@ -96,7 +96,7 @@ func TestPipelinePushAfterClose(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Push(1); !errors.Is(err, ErrPipelineClosed) {
+	if err := p.Push(1); !errors.Is(err, errPipelineClosed) {
 		t.Fatalf("Push after Close = %v", err)
 	}
 	// Close is idempotent.

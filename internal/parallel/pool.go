@@ -67,22 +67,3 @@ func ForEachFirst(workers, n int, fn func(i int) error) error {
 	}
 	return nil
 }
-
-// Map runs fn(i) for i in [0, n) with bounded parallelism and collects the
-// results in index order. The first error aborts the result (all tasks still
-// run to completion to keep resource handling simple).
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -68,27 +68,3 @@ func TestForEachSerialErrorOrder(t *testing.T) {
 		t.Errorf("errors out of order: %v", s)
 	}
 }
-
-func TestMapPreservesOrder(t *testing.T) {
-	got, err := Map(8, 100, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("got[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestMapError(t *testing.T) {
-	_, err := Map(4, 10, func(i int) (int, error) {
-		if i == 7 {
-			return 0, errors.New("seven")
-		}
-		return i, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "task 7") {
-		t.Fatalf("err = %v", err)
-	}
-}

@@ -51,7 +51,7 @@ type Options struct {
 	// target ranks' shard files are written side by side (default 1).
 	Workers int
 	// ChunkBytes is the streaming I/O chunk size for container writes
-	// (default storage.DefaultChunkBytes).
+	// (0: storage.ChunkOrDefault's 256 KiB).
 	ChunkBytes int
 	// MaxInFlight bounds the weight payload bytes read ahead and not yet
 	// written (target shards stream straight into their containers). 0
@@ -94,8 +94,8 @@ type Stats struct {
 	PeakInFlightBytes int64
 	// WallTime is the measured duration.
 	WallTime time.Duration
-	// DedupifyReport holds the dedup output's counters (Options.Dedup).
-	ckpt.DedupifyReport
+	// BlobReport holds the dedup output's counters (Options.Dedup).
+	ckpt.BlobReport
 }
 
 // Reshard transforms the committed checkpoint at srcDir into a committed
@@ -162,7 +162,7 @@ func Reshard(b storage.Backend, srcDir, dstDir string, world int, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	stats.DedupifyReport = rep.DedupifyReport
+	stats.BlobReport = rep.BlobReport
 	stats.PeakInFlightBytes = rep.PeakInFlightBytes
 	stats.WallTime = time.Since(start)
 	return stats, nil

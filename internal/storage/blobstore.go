@@ -40,13 +40,13 @@ import (
 	"llmtailor/internal/tensor"
 )
 
-// ErrStagingLost reports that a writer's staging file vanished before its
+// errStagingLost reports that a writer's staging file vanished before its
 // publishing rename: a sweep running concurrently mistook the in-flight
 // put for crash residue and removed it. The put is retryable — re-stream
 // the payload into a fresh staging name (PutStreamOpts does this) — and the
 // bounded retry is what makes sweeping staging residue safe to run beside
 // live writers.
-var ErrStagingLost = errors.New("storage: staging file lost to a concurrent sweep")
+var errStagingLost = errors.New("storage: staging file lost to a concurrent sweep")
 
 // blobStageDir is the staging subdirectory blobs are streamed into before
 // their publishing rename.
@@ -193,7 +193,7 @@ func (s *BlobStore) OpenRange(digest string, off, n int64) (io.ReadCloser, error
 		}
 		if err == nil {
 			var magic [len(blobMagic)]byte
-			if _, err := io.ReadFull(rc, magic[:]); err == nil && !IsContainer(magic[:]) {
+			if _, err := io.ReadFull(rc, magic[:]); err == nil && !isContainer(magic[:]) {
 				return &rangeReader{r: io.MultiReader(bytes.NewReader(magic[:]), rc), c: rc}, nil
 			}
 			rc.Close()
@@ -203,7 +203,7 @@ func (s *BlobStore) OpenRange(digest string, off, n int64) (io.ReadCloser, error
 	if err != nil {
 		return nil, err
 	}
-	if !IsContainer(hdr) {
+	if !isContainer(hdr) {
 		return s.b.OpenRange(path, off, n)
 	}
 	return s.OpenRangeCoded(digest, off, n)
@@ -308,10 +308,10 @@ func (s *BlobStore) Meta(digest string) (BlobMeta, error) {
 	if rerr != nil {
 		return BlobMeta{}, rerr
 	}
-	if !IsContainer(hdr) {
+	if !isContainer(hdr) {
 		return BlobMeta{Codec: CodecRaw, RawSize: size, StoredSize: size}, nil
 	}
-	meta, err := ParseContainerHeader(hdr, size)
+	meta, err := parseContainerHeader(hdr, size)
 	if err != nil {
 		return BlobMeta{}, fmt.Errorf("storage: blob %s: %w", digest, err)
 	}
@@ -339,7 +339,7 @@ type PutResult struct {
 // PutStreamOpts is the store's one put: it stores a payload under its digest
 // by replaying encode() into staging space, unless the blob already exists (a
 // dedup hit moves not a single payload byte). It owns the byte source, so a
-// staging file stolen by a concurrent sweep (ErrStagingLost) is survived by
+// staging file stolen by a concurrent sweep (errStagingLost) is survived by
 // re-streaming into a fresh staging name — bounded, then surfaced honestly.
 //
 // Zero options stream the payload raw. A codec in opts encodes it when that
@@ -421,7 +421,7 @@ func (s *BlobStore) PutStreamOpts(digest string, opts BlobPutOptions, encode fun
 		// err == nil here means another writer published the digest first:
 		// go round again and describe the blob that won; a staging file
 		// stolen by a concurrent sweep is re-streamed the same way.
-		if attempt >= maxAttempts || (err != nil && !errors.Is(err, ErrStagingLost)) {
+		if attempt >= maxAttempts || (err != nil && !errors.Is(err, errStagingLost)) {
 			if err == nil {
 				err = fmt.Errorf("storage: blob %s: lost the publish race %d times without finding the winner", digest, attempt)
 			}
@@ -473,7 +473,7 @@ func (s *BlobStore) writer(digest string) (*blobWriter, error) {
 		// No rename to publish with: spool the payload locally, verify the
 		// digest against the spooled bytes, then publish with one atomic
 		// PUT at commit. Nothing touches the backend until the content is
-		// proven, so ErrStagingLost cannot occur in this mode.
+		// proven, so errStagingLost cannot occur in this mode.
 		if w.spool, err = NewSpool(s.b); err != nil {
 			return nil, fmt.Errorf("storage: spool blob: %w", err)
 		}
@@ -531,7 +531,7 @@ func (w *blobWriter) Write(p []byte) (int, error) {
 // flushHead makes the escape decision and starts the underlying stream.
 func (w *blobWriter) flushHead() error {
 	w.started = true
-	if IsContainer(w.head) {
+	if isContainer(w.head) {
 		w.escaped = true
 		if _, err := w.writeOut(storedHeader()); err != nil {
 			return err
@@ -594,7 +594,7 @@ func (w *blobWriter) commit() (bool, error) {
 			return false, nil
 		}
 		if !w.s.b.Exists(w.stage) {
-			return false, fmt.Errorf("storage: publish blob %s: %w", digest, ErrStagingLost)
+			return false, fmt.Errorf("storage: publish blob %s: %w", digest, errStagingLost)
 		}
 		w.s.b.Remove(w.stage)
 		return false, fmt.Errorf("storage: publish blob %s: %w", digest, err)
@@ -623,8 +623,8 @@ func (w *blobWriter) commitPut() (bool, error) {
 	defer r.Close()
 	// w.stored, not w.n: an escape header makes the object longer than the
 	// payload the caller streamed.
-	opts := MultipartOptions{PartPrefix: w.stage + ".part-"}
-	if err := MultipartPut(w.s.b, w.s.Path(digest), r, w.stored, opts); err != nil {
+	opts := multipartOptions{PartPrefix: w.stage + ".part-"}
+	if err := multipartPut(w.s.b, w.s.Path(digest), r, w.stored, opts); err != nil {
 		if w.s.Has(digest) {
 			// Lost the publish race to another writer of the same digest;
 			// content addressing makes the copies identical.
@@ -667,7 +667,7 @@ func (s *BlobStore) List() (blobs []BlobInfo, staging, stray []string, err error
 			name := strings.TrimSuffix(e, "/")
 			dir := sub + "/" + name
 			switch {
-			case name == RefsDirName && strings.HasSuffix(e, "/"):
+			case name == refsDirName && strings.HasSuffix(e, "/"):
 				// The journaled ref index lives under the store root but is
 				// managed by RefIndex, not the blob sweeper.
 				continue
@@ -769,7 +769,7 @@ func (s *BlobStore) moveObject(from, to string) error {
 	if s.rename {
 		return s.b.Rename(from, to)
 	}
-	if _, err := CopyFile(s.b, to, s.b, from, 0); err != nil {
+	if _, err := copyFile(s.b, to, s.b, from, 0); err != nil {
 		return err
 	}
 	return s.b.Remove(from)

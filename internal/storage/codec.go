@@ -123,14 +123,14 @@ var (
 	errNotContainer    = fmt.Errorf("%w: not an LTBC container", ErrCorruptBlob)
 	errContainerShort  = fmt.Errorf("%w: truncated container", ErrCorruptBlob)
 	errContainerHeader = fmt.Errorf("%w: malformed container header", ErrCorruptBlob)
-	// ErrRawTooLarge reports a container whose declared payload exceeds the
+	// errRawTooLarge reports a container whose declared payload exceeds the
 	// decode cap.
-	ErrRawTooLarge = errors.New("blob codec: declared payload exceeds decode limit")
+	errRawTooLarge = errors.New("blob codec: declared payload exceeds decode limit")
 )
 
-// IsContainer reports whether a blob file beginning with prefix is an LTBC
+// isContainer reports whether a blob file beginning with prefix is an LTBC
 // container rather than raw payload bytes.
-func IsContainer(prefix []byte) bool {
+func isContainer(prefix []byte) bool {
 	return len(prefix) >= len(blobMagic) && string(prefix[:len(blobMagic)]) == blobMagic
 }
 
@@ -141,12 +141,12 @@ type DecodeOpts struct {
 	MaxRawSize int64
 }
 
-// ParseContainerHeader validates the fixed header of a container and returns
+// parseContainerHeader validates the fixed header of a container and returns
 // its metadata. storedSize is the full object size on the backend (used for
 // StoredSize and to size stored-codec payloads). hdr needs only the first
 // blobHeaderSize bytes.
-func ParseContainerHeader(hdr []byte, storedSize int64) (BlobMeta, error) {
-	if !IsContainer(hdr) {
+func parseContainerHeader(hdr []byte, storedSize int64) (BlobMeta, error) {
+	if !isContainer(hdr) {
 		return BlobMeta{}, errNotContainer
 	}
 	if len(hdr) < blobHeaderSize {
@@ -190,9 +190,9 @@ func ParseContainerHeader(hdr []byte, storedSize int64) (BlobMeta, error) {
 // parent-payload for CodecXORParent (the parent is not resolved). It is the
 // store's chunk decoder over a single level.
 func DecodeContainer(data []byte, opts DecodeOpts) ([]byte, BlobMeta, error) {
-	meta, err := ParseContainerHeader(data, int64(len(data)))
+	meta, err := parseContainerHeader(data, int64(len(data)))
 	if err == nil && opts.MaxRawSize > 0 && meta.RawSize > opts.MaxRawSize {
-		err = ErrRawTooLarge
+		err = errRawTooLarge
 	}
 	if err != nil {
 		return nil, BlobMeta{}, err
@@ -253,12 +253,12 @@ func openLevel(digest string, rc io.ReadCloser) (*level, error) {
 	n, err := io.ReadFull(rc, hdr[:len(blobMagic)])
 	switch {
 	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
-	case !IsContainer(hdr[:n]):
+	case !isContainer(hdr[:n]):
 		lv.r, err = io.MultiReader(bytes.NewReader(hdr[:n]), rc), nil
 	default: // a stream's size is unknown: a stored container's payload is the rest
 		lv.pos = int64(n)
 		if err = lv.read(lv.pos, hdr[n:]); err == nil {
-			lv.meta, err = ParseContainerHeader(hdr, blobHeaderSize)
+			lv.meta, err = parseContainerHeader(hdr, blobHeaderSize)
 		}
 		cs, w := int64(lv.meta.ChunkSize), int64(lv.meta.Width)
 		lv.offs = []int64{blobHeaderSize + 4*((lv.meta.RawSize+cs-1)/max(cs, 1))}

@@ -164,7 +164,7 @@ func resolveWhole(s *BlobStore, digest string, depth int) ([]byte, error) {
 		return nil, errors.New("xor-parent chain too deep")
 	}
 	data, err := s.b.ReadFile(s.Path(digest))
-	if err != nil || !IsContainer(data) {
+	if err != nil || !isContainer(data) {
 		return data, err
 	}
 	payload, meta, err := DecodeContainer(data, DecodeOpts{MaxRawSize: fuzzMaxRaw})

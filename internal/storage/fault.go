@@ -247,7 +247,7 @@ func (f *Fault) Remove(name string) error {
 // protocols pick the same platform fork with or without fault injection.
 func (f *Fault) Unwrap() Backend { return f.Backend }
 
-// Compose implements Composer; one fault point. A fired fault fails before
+// Compose implements composer; one fault point. A fired fault fails before
 // the backend mutates anything — Compose is atomic on the backend, so the
 // only crash outcomes are "nothing happened" and "dst fully published",
 // which is exactly the guarantee multipart recovery leans on.

@@ -27,14 +27,14 @@ import (
 )
 
 const (
-	// HubConfigName marks a directory as a hub root.
-	HubConfigName = "hub.json"
+	// hubConfigName marks a directory as a hub root.
+	hubConfigName = "hub.json"
 	// HubRefName is the redirect file inside an attached run's objects dir.
 	HubRefName = "hubref.json"
-	// HubRunsDirName holds the per-run registry files under a hub root.
-	HubRunsDirName = "runs"
-	// HubObjectsDirName is the shared store's directory under a hub root.
-	HubObjectsDirName = "objects"
+	// hubRunsDirName holds the per-run registry files under a hub root.
+	hubRunsDirName = "runs"
+	// hubObjectsDirName is the shared store's directory under a hub root.
+	hubObjectsDirName = "objects"
 )
 
 // HubConfig is the hub.json marker payload.
@@ -63,14 +63,14 @@ type HubRun struct {
 func HubObjectsRoot(hubRoot string) string {
 	hubRoot = strings.TrimSuffix(hubRoot, "/")
 	if hubRoot == "" {
-		return HubObjectsDirName
+		return hubObjectsDirName
 	}
-	return hubRoot + "/" + HubObjectsDirName
+	return hubRoot + "/" + hubObjectsDirName
 }
 
 // hubRunPath returns the registry file of one attached run.
 func hubRunPath(hubRoot, id string) string {
-	return strings.TrimSuffix(hubRoot, "/") + "/" + HubRunsDirName + "/" + id + ".json"
+	return strings.TrimSuffix(hubRoot, "/") + "/" + hubRunsDirName + "/" + id + ".json"
 }
 
 // ValidHubRunID reports whether an identity can name a run under a hub: it
@@ -98,12 +98,12 @@ func WriteHubConfig(b Backend, hubRoot string) error {
 	if err != nil {
 		return err
 	}
-	return b.WriteFile(strings.TrimSuffix(hubRoot, "/")+"/"+HubConfigName, data)
+	return b.WriteFile(strings.TrimSuffix(hubRoot, "/")+"/"+hubConfigName, data)
 }
 
 // ReadHubConfig reads and validates a hub marker.
 func ReadHubConfig(b Backend, hubRoot string) (*HubConfig, error) {
-	p := strings.TrimSuffix(hubRoot, "/") + "/" + HubConfigName
+	p := strings.TrimSuffix(hubRoot, "/") + "/" + hubConfigName
 	data, err := b.ReadFile(p)
 	if err != nil {
 		return nil, fmt.Errorf("storage: read %s: %w", p, err)
@@ -210,7 +210,7 @@ func RemoveHubRun(b Backend, hubRoot, id string) error {
 // attached run must not run at all — under-pinning is the one unforgivable
 // failure in a shared store.
 func ListHubRuns(b Backend, hubRoot string) ([]HubRun, error) {
-	dir := strings.TrimSuffix(hubRoot, "/") + "/" + HubRunsDirName
+	dir := strings.TrimSuffix(hubRoot, "/") + "/" + hubRunsDirName
 	if !b.Exists(dir) {
 		return nil, nil
 	}

@@ -32,7 +32,7 @@ func TestHubConfigRoundTrip(t *testing.T) {
 	if _, err := ReadHubConfig(b, "hub"); err != nil {
 		t.Fatalf("initialised hub not recognised: %v", err)
 	}
-	if err := b.WriteFile("hub/"+HubConfigName, []byte(`{"version":99}`)); err != nil {
+	if err := b.WriteFile("hub/"+hubConfigName, []byte(`{"version":99}`)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadHubConfig(b, "hub"); err == nil {

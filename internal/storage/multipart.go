@@ -4,7 +4,7 @@
 // every byte back to back. Multipart upload splits the payload into parts,
 // ships the parts concurrently (each on its own connection, so their
 // transfer time overlaps), and completes with one server-side Compose —
-// the standard S3 multipart shape. MultipartPut is the generic primitive;
+// the standard S3 multipart shape. multipartPut is the generic primitive;
 // BlobStore uses it automatically for large blobs on compose-capable
 // no-rename backends.
 
@@ -17,16 +17,16 @@ import (
 	"llmtailor/internal/parallel"
 )
 
-// Composer is the multipart-completion capability: Compose atomically
+// composer is the multipart-completion capability: Compose atomically
 // concatenates the named parts (in order) into dst and deletes them. A
 // failed compose must leave dst unchanged and the parts in place.
-type Composer interface {
+type composer interface {
 	Compose(dst string, parts ...string) error
 }
 
 // ComposeSupported reports whether a backend can complete multipart uploads:
 // a probe on the wrapper chain answers first, otherwise whether the backend
-// at the bottom of it is a Composer (a wrapper's Compose only forwards).
+// at the bottom of it is a composer (a wrapper's Compose only forwards).
 func ComposeSupported(b Backend) bool {
 	for inner := b; inner != nil; inner = unwrap(inner) {
 		if p, ok := inner.(interface{ ComposeSupported() bool }); ok {
@@ -34,29 +34,29 @@ func ComposeSupported(b Backend) bool {
 		}
 		b = inner
 	}
-	_, ok := b.(Composer)
+	_, ok := b.(composer)
 	return ok
 }
 
-// Compose invokes the Composer capability of the first backend on the
+// Compose invokes the composer capability of the first backend on the
 // wrapper chain that has one, or reports ErrNotSupported when none does.
 func Compose(b Backend, dst string, parts ...string) error {
 	for ; b != nil; b = unwrap(b) {
-		if c, ok := b.(Composer); ok {
+		if c, ok := b.(composer); ok {
 			return c.Compose(dst, parts...)
 		}
 	}
 	return fmt.Errorf("storage: compose %s: %w", dst, ErrNotSupported)
 }
 
-// DefaultPartBytes is the multipart part size when the caller does not
+// defaultPartBytes is the multipart part size when the caller does not
 // choose one: big enough to amortise per-request latency, small enough
 // that a handful of in-flight parts keeps memory bounded.
-const DefaultPartBytes = 4 * 1024 * 1024
+const defaultPartBytes = 4 * 1024 * 1024
 
-// MultipartOptions tunes MultipartPut.
-type MultipartOptions struct {
-	// PartBytes is the part size (default DefaultPartBytes).
+// multipartOptions tunes multipartPut.
+type multipartOptions struct {
+	// PartBytes is the part size (default defaultPartBytes).
 	PartBytes int
 	// Workers bounds concurrent part uploads (default RequestWidth).
 	Workers int
@@ -71,34 +71,34 @@ type MultipartOptions struct {
 	PartPrefix string
 }
 
-func (o MultipartOptions) partBytes() int {
+func (o multipartOptions) partBytes() int {
 	if o.PartBytes <= 0 {
-		return DefaultPartBytes
+		return defaultPartBytes
 	}
 	return o.PartBytes
 }
 
-func (o MultipartOptions) workers() int {
+func (o multipartOptions) workers() int {
 	if o.Workers <= 0 {
 		return RequestWidth
 	}
 	return o.Workers
 }
 
-func (o MultipartOptions) budget() int64 {
+func (o multipartOptions) budget() int64 {
 	if o.MaxInflightBytes > 0 {
 		return o.MaxInflightBytes
 	}
 	return int64(o.workers()) * int64(o.partBytes())
 }
 
-// MultipartPut streams size bytes from r into dst. On a compose-capable
+// multipartPut streams size bytes from r into dst. On a compose-capable
 // backend with more than one part's worth of payload, parts upload in
 // parallel under a bounded byte budget and a final Compose publishes dst
 // atomically; otherwise the payload streams serially through Create. On
 // error any uploaded parts are removed (best effort) and dst is untouched
 // — a crash mid-multipart leaves only part residue under PartPrefix.
-func MultipartPut(b Backend, dst string, r io.Reader, size int64, opts MultipartOptions) error {
+func multipartPut(b Backend, dst string, r io.Reader, size int64, opts multipartOptions) error {
 	partBytes := int64(opts.partBytes())
 	nparts := int((size + partBytes - 1) / partBytes)
 	if nparts <= 1 || !ComposeSupported(b) {

@@ -12,11 +12,11 @@
 //     and publish at Close);
 //   - there is no rename. Rename returns ErrNotSupported, and publication
 //     protocols must be re-derived around object visibility (see
-//     ckpt.Txn's write-objects-then-manifest mode);
+//     ckpt's commit transaction in its write-objects-then-manifest mode);
 //   - requests fail transiently (throttling, connection resets) and must
 //     be retried by the client (see Retry); and
 //   - every request crosses a high-latency link, so large objects want
-//     parallel multipart uploads (see MultipartPut and Compose).
+//     parallel multipart uploads (see multipartPut and Compose).
 //
 // The fake injects the last two dimensions directly: SetLatency adds real
 // per-request and per-byte delays (so parallel multipart streaming is
@@ -50,8 +50,8 @@ var ErrNotSupported = errors.New("storage: operation not supported by this backe
 // and replaying it (PUTs are idempotent whole-object writes) can succeed.
 var ErrTransient = errors.New("storage: transient backend error")
 
-// IsTransient reports whether an error chain contains a transient failure.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
+// isTransient reports whether an error chain contains a transient failure.
+func isTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // ObjStore is the in-process object-store Backend. Safe for concurrent use.
 type ObjStore struct {
@@ -334,7 +334,7 @@ func (s *ObjStore) Rename(oldName, newName string) error {
 // RenameSupported reports the capability gap Rename's error encodes.
 func (s *ObjStore) RenameSupported() bool { return false }
 
-// Compose implements Composer: one atomic server-side concatenation of the
+// Compose implements composer: one atomic server-side concatenation of the
 // parts (in argument order) into dst, deleting the parts — the multipart-
 // upload completion primitive. No payload bytes cross the link; only one
 // request round trip is charged. A missing part fails the whole compose

@@ -91,8 +91,8 @@ func TestObjStoreFlakeEvery(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		err := s.WriteFile(fmt.Sprintf("k%d", i), []byte("v"))
 		if err != nil {
-			if !IsTransient(err) {
-				t.Fatalf("flake error %v is not IsTransient", err)
+			if !isTransient(err) {
+				t.Fatalf("flake error %v is not transient", err)
 			}
 			if s.Exists(fmt.Sprintf("k%d", i)) {
 				t.Fatalf("flaked PUT %d mutated the store", i)
@@ -165,11 +165,11 @@ func TestMultipartPutRoundTrips(t *testing.T) {
 	s := NewObjStore()
 	payload := make([]byte, 1<<20+3379)
 	rand.New(rand.NewSource(7)).Read(payload)
-	opts := MultipartOptions{PartBytes: 64 << 10, Workers: 4, PartPrefix: "stage/mp-"}
+	opts := multipartOptions{PartBytes: 64 << 10, Workers: 4, PartPrefix: "stage/mp-"}
 	parts := (len(payload) + opts.PartBytes - 1) / opts.PartBytes
 	gate := &partGate{Backend: s, want: min(parts, opts.Workers), open: make(chan struct{})}
-	if err := MultipartPut(gate, "objects/big", bytes.NewReader(payload), int64(len(payload)), opts); err != nil {
-		t.Fatalf("MultipartPut: %v", err)
+	if err := multipartPut(gate, "objects/big", bytes.NewReader(payload), int64(len(payload)), opts); err != nil {
+		t.Fatalf("multipartPut: %v", err)
 	}
 	if gate.peak != gate.want {
 		t.Fatalf("%d of %d part PUTs in flight at once, want %d", gate.peak, parts, gate.want)
@@ -191,7 +191,7 @@ func TestMultipartPutSerialFallback(t *testing.T) {
 	// the serial path.
 	for _, b := range []Backend{NewObjStore(), NewMem()} {
 		payload := []byte("small payload")
-		if err := MultipartPut(b, "x/blob", bytes.NewReader(payload), int64(len(payload)), MultipartOptions{}); err != nil {
+		if err := multipartPut(b, "x/blob", bytes.NewReader(payload), int64(len(payload)), multipartOptions{}); err != nil {
 			t.Fatalf("serial fallback: %v", err)
 		}
 		got, err := b.ReadFile("x/blob")
@@ -205,12 +205,12 @@ func TestMultipartPutFailureCleansParts(t *testing.T) {
 	s := NewObjStore()
 	s.SetFlakeEvery(3) // some part PUTs will fail; no retry layer here
 	payload := make([]byte, 512<<10)
-	opts := MultipartOptions{PartBytes: 32 << 10, Workers: 4, PartPrefix: "stage/mp-"}
-	err := MultipartPut(s, "objects/big", bytes.NewReader(payload), int64(len(payload)), opts)
+	opts := multipartOptions{PartBytes: 32 << 10, Workers: 4, PartPrefix: "stage/mp-"}
+	err := multipartPut(s, "objects/big", bytes.NewReader(payload), int64(len(payload)), opts)
 	if err == nil {
-		t.Fatalf("MultipartPut succeeded despite flaking part uploads")
+		t.Fatalf("multipartPut succeeded despite flaking part uploads")
 	}
-	if !IsTransient(err) {
+	if !isTransient(err) {
 		t.Fatalf("error %v does not preserve the transient cause", err)
 	}
 	s.SetFlakeEvery(0)
@@ -231,9 +231,9 @@ func TestMultipartPutRetryComposable(t *testing.T) {
 	r.Sleep = func(time.Duration) {}
 	payload := make([]byte, 512<<10)
 	rand.New(rand.NewSource(11)).Read(payload)
-	opts := MultipartOptions{PartBytes: 32 << 10, Workers: 4, PartPrefix: "stage/mp-"}
-	if err := MultipartPut(r, "objects/big", bytes.NewReader(payload), int64(len(payload)), opts); err != nil {
-		t.Fatalf("MultipartPut over Retry: %v", err)
+	opts := multipartOptions{PartBytes: 32 << 10, Workers: 4, PartPrefix: "stage/mp-"}
+	if err := multipartPut(r, "objects/big", bytes.NewReader(payload), int64(len(payload)), opts); err != nil {
+		t.Fatalf("multipartPut over Retry: %v", err)
 	}
 	got, err := r.ReadFile("objects/big")
 	if err != nil || !bytes.Equal(got, payload) {

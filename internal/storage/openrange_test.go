@@ -185,7 +185,7 @@ func TestCopyFileStreamsVerbatim(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := NewMeter(NewMem(), LocalNVMe())
-	n, err := CopyFile(dst, "b/out", src, "a/in", 64<<10)
+	n, err := copyFile(dst, "b/out", src, "a/in", 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCopyFileStreamsVerbatim(t *testing.T) {
 	if s := dst.Stats(); s.FilesWritten != 1 || s.BytesWritten != int64(len(data)) {
 		t.Fatalf("dst meter %+v, want 1 file / %d bytes", s, len(data))
 	}
-	if _, err := CopyFile(dst, "b/out2", src, "a/missing", 0); err == nil {
+	if _, err := copyFile(dst, "b/out2", src, "a/missing", 0); err == nil {
 		t.Fatal("copying a missing file succeeded")
 	}
 }

@@ -20,8 +20,9 @@ func unwrap(b Backend) Backend {
 
 // RenameSupported reports whether a backend implements atomic Rename;
 // backends without the probe are rename-capable (every pre-object-store
-// Backend was). The platform forks branch on it: Txn's staging directory vs
-// in-place build, the blob writer's stream+rename vs spool+PUT, PublishFile.
+// Backend was). The platform forks branch on it: ckpt's commit transaction
+// (staging directory vs in-place build), the blob writer's stream+rename vs
+// spool+PUT, PublishFile.
 func RenameSupported(b Backend) bool {
 	for ; b != nil; b = unwrap(b) {
 		if p, ok := b.(interface{ RenameSupported() bool }); ok {

@@ -29,8 +29,8 @@ import (
 	"strings"
 )
 
-// RefsDirName is the ref index's directory name under a blob store root.
-const RefsDirName = "refs"
+// refsDirName is the ref index's directory name under a blob store root.
+const refsDirName = "refs"
 
 // refSuffix is the record file suffix; refStageSuffix marks in-flight
 // record writes (stage+rename residue after a crash).
@@ -104,18 +104,18 @@ func NewRefIndexNS(b Backend, objectsRoot, ns string) *RefIndex {
 // "<objects>/refs/<ns>" for a hub-attached run).
 func (ix *RefIndex) Dir() string {
 	if ix.ns != "" {
-		return ix.root + "/" + RefsDirName + "/" + ix.ns
+		return ix.root + "/" + refsDirName + "/" + ix.ns
 	}
-	return ix.root + "/" + RefsDirName
+	return ix.root + "/" + refsDirName
 }
 
 // Exists reports whether the index directory exists.
 func (ix *RefIndex) Exists() bool { return ix.b.Exists(ix.Dir()) }
 
-// ValidRefKey reports whether a key can name a record: non-empty, no path
+// validRefKey reports whether a key can name a record: non-empty, no path
 // separators, and none of the protocol suffixes that would collide with
 // staging or checkpoint-directory classification.
-func ValidRefKey(key string) bool {
+func validRefKey(key string) bool {
 	return key != "" && !strings.ContainsAny(key, "/\\") && !strings.HasSuffix(key, ".tmp")
 }
 
@@ -140,7 +140,7 @@ func parseRecordName(name string) (RefEntry, bool) {
 		return RefEntry{}, false
 	}
 	key := rest[i+1:]
-	if !ValidRefKey(key) {
+	if !validRefKey(key) {
 		return RefEntry{}, false
 	}
 	return RefEntry{Key: key, Generation: gen, Name: name}, true
@@ -204,7 +204,7 @@ func (ix *RefIndex) NextGeneration() (int64, error) {
 
 // validate rejects malformed records before they reach the journal.
 func (r *RefRecord) validate() error {
-	if !ValidRefKey(r.Key) {
+	if !validRefKey(r.Key) {
 		return fmt.Errorf("storage: ref record: invalid key %q", r.Key)
 	}
 	if r.Generation <= 0 {

@@ -4,7 +4,7 @@
 // expected to retry idempotent requests with exponential backoff. Retry
 // adds that layer over any Backend: operations whose replay is safe (whole
 // object PUT, GET, DELETE, Compose) are re-attempted a bounded number of
-// times when the underlying error is transient (IsTransient). Streams from
+// times when the underlying error is transient (isTransient). Streams from
 // Create buffer privately and replay as whole-object PUTs at Close, which
 // is what makes a retried upload idempotent — and which means a Meter
 // stacked UNDER the Retry charges open latency and per-chunk bandwidth on
@@ -26,9 +26,9 @@ import (
 	"time"
 )
 
-// DefaultRetryAttempts bounds the attempts per operation, first try
+// defaultRetryAttempts bounds the attempts per operation, first try
 // included.
-const DefaultRetryAttempts = 4
+const defaultRetryAttempts = 4
 
 // Retry wraps a Backend with bounded-attempt retries of transient errors.
 type Retry struct {
@@ -67,13 +67,13 @@ func (r *Retry) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// do runs op up to DefaultRetryAttempts times, backing off between
+// do runs op up to defaultRetryAttempts times, backing off between
 // transient failures. Only transient errors retry: an injected crash fault,
 // a missing object or a genuine bug must surface on the first attempt.
 func (r *Retry) do(op func() error) error {
 	for k := 1; ; k++ {
 		err := op()
-		if err == nil || !IsTransient(err) || k >= DefaultRetryAttempts {
+		if err == nil || !isTransient(err) || k >= defaultRetryAttempts {
 			return err
 		}
 		r.mu.Lock()
@@ -180,8 +180,8 @@ func (r *Retry) Remove(name string) error {
 // Unwrap exposes the wrapped backend to the capability walk (publish.go).
 func (r *Retry) Unwrap() Backend { return r.Backend }
 
-// Compose implements Composer with retries: a failed compose leaves dst and
-// the parts untouched (the Composer contract), so replaying is safe.
+// Compose implements composer with retries: a failed compose leaves dst and
+// the parts untouched (the composer contract), so replaying is safe.
 func (r *Retry) Compose(dst string, parts ...string) error {
 	return r.do(func() error { return Compose(r.Backend, dst, parts...) })
 }

@@ -103,11 +103,11 @@ func TestRetryBoundedAttempts(t *testing.T) {
 	if err == nil {
 		t.Fatalf("write through an always-flaky store succeeded")
 	}
-	if !IsTransient(err) {
+	if !isTransient(err) {
 		t.Fatalf("exhausted retries must surface the transient cause, got %v", err)
 	}
-	if got := r.Retries(); got != DefaultRetryAttempts-1 {
-		t.Fatalf("Retries = %d, want %d", got, DefaultRetryAttempts-1)
+	if got := r.Retries(); got != defaultRetryAttempts-1 {
+		t.Fatalf("Retries = %d, want %d", got, defaultRetryAttempts-1)
 	}
 }
 
@@ -150,16 +150,16 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 }
 
 func TestRetryErrorChainStaysInspectable(t *testing.T) {
-	// IsTransient answers through wrapped chains — a retry loop above a
+	// isTransient answers through wrapped chains — a retry loop above a
 	// Meter above an ObjStore still classifies correctly.
 	obj := NewObjStore()
 	obj.SetFlakeEvery(1)
 	m := NewMeter(obj, LocalNVMe())
 	err := m.WriteFile("k", []byte("v"))
-	if !IsTransient(err) {
+	if !isTransient(err) {
 		t.Fatalf("transient lost through Meter: %v", err)
 	}
-	if IsTransient(errors.New("other")) {
-		t.Fatalf("IsTransient(other) = true")
+	if isTransient(errors.New("other")) {
+		t.Fatalf("isTransient(other) = true")
 	}
 }

@@ -492,7 +492,7 @@ func (s *stageThief) Rename(oldName, newName string) error {
 
 // TestPutRestreamsLostStaging: PutStreamOpts owns its byte source, so a
 // staging file lost between stream and publish costs a re-stream, not the
-// put — up to 8 attempts, after which ErrStagingLost surfaces.
+// put — up to 8 attempts, after which errStagingLost surfaces.
 func TestPutRestreamsLostStaging(t *testing.T) {
 	for _, shards := range storeLayouts {
 		data := []byte("payload a sweep keeps stealing")
@@ -519,7 +519,7 @@ func TestPutRestreamsLostStaging(t *testing.T) {
 			t.Fatalf("re-stream left staging residue: %v", residue)
 		}
 		s, streams, _, err = put(-1)
-		if !errors.Is(err, ErrStagingLost) || streams != 8 || s.Has(digest) {
+		if !errors.Is(err, errStagingLost) || streams != 8 || s.Has(digest) {
 			t.Fatalf("shards=%d: endless theft: %d streams, err %v", shards, streams, err)
 		}
 	}

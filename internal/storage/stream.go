@@ -13,24 +13,24 @@ import (
 	"os"
 )
 
-// DefaultChunkBytes is the chunk size streaming callers use when they do not
+// defaultChunkBytes is the chunk size streaming callers use when they do not
 // specify one. 256 KiB keeps per-stream buffers negligible next to tensor
 // payloads while amortising per-call overhead.
-const DefaultChunkBytes = 256 * 1024
+const defaultChunkBytes = 256 * 1024
 
 // ChunkOrDefault normalises a chunk-size knob: non-positive means default.
 func ChunkOrDefault(n int) int {
 	if n <= 0 {
-		return DefaultChunkBytes
+		return defaultChunkBytes
 	}
 	return n
 }
 
-// CopyFile streams an entire file from one backend to another in chunkBytes
+// copyFile streams an entire file from one backend to another in chunkBytes
 // chunks without interpreting a single byte — the shard-file raw-copy
 // primitive. Both sides are charged by their own instrumentation exactly
 // like any other stream. Returns the number of bytes copied.
-func CopyFile(dst Backend, dstName string, src Backend, srcName string, chunkBytes int) (int64, error) {
+func copyFile(dst Backend, dstName string, src Backend, srcName string, chunkBytes int) (int64, error) {
 	size, err := src.Stat(srcName)
 	if err != nil {
 		return 0, err

@@ -198,8 +198,8 @@ func (d *DeltaTopK) Layers(ctx Context) []modelcfg.LayerRef {
 	return out
 }
 
-// Custom wraps a fixed schedule: Layers(saveIndex % len(Schedule)).
-type Custom struct {
+// custom wraps a fixed schedule: Layers(saveIndex % len(Schedule)).
+type custom struct {
 	// PolicyName labels the schedule.
 	PolicyName string
 	// Schedule cycles through explicit layer sets; nil entries mean full.
@@ -207,7 +207,7 @@ type Custom struct {
 }
 
 // Name implements Strategy.
-func (c *Custom) Name() string {
+func (c *custom) Name() string {
 	if c.PolicyName == "" {
 		return "custom"
 	}
@@ -215,7 +215,7 @@ func (c *Custom) Name() string {
 }
 
 // Layers implements Strategy.
-func (c *Custom) Layers(ctx Context) []modelcfg.LayerRef {
+func (c *custom) Layers(ctx Context) []modelcfg.LayerRef {
 	if len(c.Schedule) == 0 {
 		return nil
 	}

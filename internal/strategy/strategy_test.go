@@ -196,7 +196,7 @@ func TestDeltaTopKWithoutTelemetryIsFull(t *testing.T) {
 }
 
 func TestCustomSchedule(t *testing.T) {
-	c := &Custom{PolicyName: "alt", Schedule: [][]modelcfg.LayerRef{
+	c := &custom{PolicyName: "alt", Schedule: [][]modelcfg.LayerRef{
 		{modelcfg.Block(0)},
 		nil,
 	}}

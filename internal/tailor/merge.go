@@ -50,7 +50,7 @@ type Options struct {
 	// Straightforward).
 	LoadOrder LoadOrder
 	// ChunkBytes is the streaming I/O chunk size for container writes
-	// (default storage.DefaultChunkBytes).
+	// (0: storage.ChunkOrDefault's 256 KiB).
 	ChunkBytes int
 	// MaxInFlight bounds the tensor payload bytes read ahead and not yet
 	// written to the output container (groups stream straight into theirs).
@@ -76,8 +76,9 @@ type Stats struct {
 	// WallTime is the measured duration of the merge.
 	WallTime time.Duration
 	// BytesRead counts payload and container bytes taken from sources
-	// (weight tensor payloads, whole shard files, groups taken by reference,
-	// copied configs).
+	// (weight tensor payloads, whole shard files, groups taken by reference
+	// or spliced, the source payloads a splice checks whole, copied
+	// configs).
 	BytesRead int64
 	// BytesWritten counts bytes of output containers and configs.
 	BytesWritten int64
@@ -94,10 +95,10 @@ type Stats struct {
 	// counted in ShardFileLoads — that counter tracks full decode loads, the
 	// Table 7 cost.
 	BytesRawCopied int64
-	// DedupifyReport holds the dedup output's counters
+	// BlobReport holds the dedup output's counters
 	// (Options.DedupOutput): BlobsPut, BlobsReused, BlobBytesWritten and
 	// BytesDeduped.
-	ckpt.DedupifyReport
+	ckpt.BlobReport
 }
 
 // Merge executes a recipe end to end and returns merge statistics. Blend
@@ -181,7 +182,8 @@ func commit(b storage.Backend, out *ckpt.Output, cfg *modelcfg.Config, output, c
 	if err != nil {
 		return err
 	}
-	stats.DedupifyReport = rep.DedupifyReport
+	stats.BlobReport = rep.BlobReport
+	stats.BytesRead += rep.BytesChecked
 	stats.BytesWritten += rep.BytesWritten
 	stats.PeakInFlightBytes = rep.PeakInFlightBytes
 	return nil

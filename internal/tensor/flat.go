@@ -7,23 +7,6 @@ import "fmt"
 // matching the flattened layout of DeepSpeed optimizer files that makes
 // layer-level splitting hard — the core problem §4.1 of the paper solves.
 
-// Axpy computes y += a*x elementwise. Lengths must match.
-func Axpy(a float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
-}
-
-// Scale multiplies every element of x by a.
-func Scale(a float32, x []float32) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
 // Dot returns the float64 dot product of x and y.
 func Dot(x, y []float32) float64 {
 	if len(x) != len(y) {
@@ -43,37 +26,4 @@ func SumSq(x []float32) float64 {
 		s += float64(v) * float64(v)
 	}
 	return s
-}
-
-// Flatten concatenates the FP32 views of the given tensors into one flat
-// vector, in order. This is how parameter groups are laid out on disk.
-func Flatten(ts []*Tensor) []float32 {
-	n := 0
-	for _, t := range ts {
-		n += t.Len()
-	}
-	out := make([]float32, 0, n)
-	for _, t := range ts {
-		out = append(out, t.Float32s()...)
-	}
-	return out
-}
-
-// Unflatten scatters a flat vector back into the given tensors, in order,
-// rounding to each tensor's dtype. It returns an error if the total length
-// does not match.
-func Unflatten(flat []float32, ts []*Tensor) error {
-	off := 0
-	for _, t := range ts {
-		n := t.Len()
-		if off+n > len(flat) {
-			return fmt.Errorf("tensor: unflatten: flat vector too short at %s (have %d, need %d)", t.Name, len(flat), off+n)
-		}
-		t.CopyFromF32(flat[off : off+n])
-		off += n
-	}
-	if off != len(flat) {
-		return fmt.Errorf("tensor: unflatten: %d trailing elements", len(flat)-off)
-	}
-	return nil
 }

@@ -3,105 +3,14 @@ package tensor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
-func TestAxpyScaleDot(t *testing.T) {
+func TestDotSumSq(t *testing.T) {
 	x := []float32{1, 2, 3}
-	y := []float32{10, 20, 30}
-	Axpy(2, x, y)
-	want := []float32{12, 24, 36}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("Axpy[%d] = %v", i, y[i])
-		}
-	}
-	Scale(0.5, y)
-	for i := range want {
-		if y[i] != want[i]/2 {
-			t.Fatalf("Scale[%d] = %v", i, y[i])
-		}
-	}
 	if got := Dot(x, x); math.Abs(got-14) > 1e-9 {
 		t.Fatalf("Dot = %v", got)
 	}
 	if got := SumSq(x); math.Abs(got-14) > 1e-9 {
 		t.Fatalf("SumSq = %v", got)
-	}
-}
-
-func TestAxpyLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Axpy(1, []float32{1}, []float32{1, 2})
-}
-
-func TestFlattenUnflattenRoundtrip(t *testing.T) {
-	rng := NewRNG(11)
-	a := New("a", F32, 3, 2)
-	b := New("b", F32, 5)
-	a.FillRandN(rng, 1)
-	b.FillRandN(rng, 1)
-	flat := Flatten([]*Tensor{a, b})
-	if len(flat) != 11 {
-		t.Fatalf("flat len = %d", len(flat))
-	}
-
-	a2 := New("a", F32, 3, 2)
-	b2 := New("b", F32, 5)
-	if err := Unflatten(flat, []*Tensor{a2, b2}); err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(a, a2) || !Equal(b, b2) {
-		t.Fatal("roundtrip mismatch")
-	}
-}
-
-func TestUnflattenErrors(t *testing.T) {
-	a := New("a", F32, 4)
-	if err := Unflatten(make([]float32, 3), []*Tensor{a}); err == nil {
-		t.Fatal("expected short-vector error")
-	}
-	if err := Unflatten(make([]float32, 5), []*Tensor{a}); err == nil {
-		t.Fatal("expected trailing-elements error")
-	}
-}
-
-// Property: Flatten/Unflatten round-trips arbitrary splits of a vector.
-func TestFlattenQuick(t *testing.T) {
-	f := func(vals []float32, split uint8) bool {
-		if len(vals) < 2 {
-			return true
-		}
-		k := 1 + int(split)%(len(vals)-1)
-		a := New("a", F32, k)
-		b := New("b", F32, len(vals)-k)
-		copy(a.f32, vals[:k])
-		copy(b.f32, vals[k:])
-		flat := Flatten([]*Tensor{a, b})
-		a2 := New("a", F32, k)
-		b2 := New("b", F32, len(vals)-k)
-		if err := Unflatten(flat, []*Tensor{a2, b2}); err != nil {
-			return false
-		}
-		return Equal(a, a2) && Equal(b, b2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Unflatten into half tensors rounds to the dtype, which matters because the
-// trainer writes FP32 master weights back into BF16 model tensors.
-func TestUnflattenRoundsToHalf(t *testing.T) {
-	h := New("h", BF16, 1)
-	if err := Unflatten([]float32{1.0 / 3.0}, []*Tensor{h}); err != nil {
-		t.Fatal(err)
-	}
-	if h.At(0) != BF16ToF32(F32ToBF16(1.0/3.0)) {
-		t.Fatalf("got %v", h.At(0))
 	}
 }

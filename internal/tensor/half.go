@@ -23,8 +23,8 @@ func BF16ToF32(h uint16) float32 {
 	return math.Float32frombits(uint32(h) << 16)
 }
 
-// F32ToF16 converts a float32 to IEEE-754 binary16 with round-to-nearest-even.
-func F32ToF16(f float32) uint16 {
+// f32ToF16 converts a float32 to IEEE-754 binary16 with round-to-nearest-even.
+func f32ToF16(f float32) uint16 {
 	bits := math.Float32bits(f)
 	sign := uint16(bits>>16) & 0x8000
 	exp := int32(bits>>23&0xFF) - 127 + 15
@@ -60,8 +60,8 @@ func F32ToF16(f float32) uint16 {
 	}
 }
 
-// F16ToF32 converts an IEEE-754 binary16 to float32 (exact).
-func F16ToF32(h uint16) float32 {
+// f16ToF32 converts an IEEE-754 binary16 to float32 (exact).
+func f16ToF32(h uint16) float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h >> 10 & 0x1F)
 	mant := uint32(h & 0x3FF)
@@ -98,7 +98,7 @@ func b2u(b bool) uint32 {
 func EncodeF32(d DType, v float32) uint16 {
 	switch d {
 	case F16:
-		return F32ToF16(v)
+		return f32ToF16(v)
 	case BF16:
 		return F32ToBF16(v)
 	default:
@@ -106,14 +106,14 @@ func EncodeF32(d DType, v float32) uint16 {
 	}
 }
 
-// DecodeF32 converts a stored half-precision value back to float32.
-func DecodeF32(d DType, u uint16) float32 {
+// decodeF32 converts a stored half-precision value back to float32.
+func decodeF32(d DType, u uint16) float32 {
 	switch d {
 	case F16:
-		return F16ToF32(u)
+		return f16ToF32(u)
 	case BF16:
 		return BF16ToF32(u)
 	default:
-		panic("tensor: DecodeF32 on non-half dtype")
+		panic("tensor: decodeF32 on non-half dtype")
 	}
 }

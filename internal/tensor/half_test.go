@@ -46,37 +46,37 @@ func TestF16KnownValues(t *testing.T) {
 		{6.103515625e-05, 0x0400},       // min normal
 	}
 	for _, c := range cases {
-		got := F32ToF16(c.in)
+		got := f32ToF16(c.in)
 		if got != c.bits {
-			t.Errorf("F32ToF16(%v) = %#04x, want %#04x", c.in, got, c.bits)
+			t.Errorf("f32ToF16(%v) = %#04x, want %#04x", c.in, got, c.bits)
 		}
-		back := F16ToF32(c.bits)
+		back := f16ToF32(c.bits)
 		if back != c.in {
-			t.Errorf("F16ToF32(%#04x) = %v, want %v", c.bits, back, c.in)
+			t.Errorf("f16ToF32(%#04x) = %v, want %v", c.bits, back, c.in)
 		}
 	}
 }
 
 func TestF16Overflow(t *testing.T) {
-	if got := F32ToF16(1e9); got != 0x7C00 {
-		t.Errorf("F32ToF16(1e9) = %#04x, want +Inf", got)
+	if got := f32ToF16(1e9); got != 0x7C00 {
+		t.Errorf("f32ToF16(1e9) = %#04x, want +Inf", got)
 	}
-	if got := F32ToF16(-1e9); got != 0xFC00 {
-		t.Errorf("F32ToF16(-1e9) = %#04x, want -Inf", got)
+	if got := f32ToF16(-1e9); got != 0xFC00 {
+		t.Errorf("f32ToF16(-1e9) = %#04x, want -Inf", got)
 	}
-	if got := F32ToF16(1e-10); got != 0x0000 {
-		t.Errorf("F32ToF16(1e-10) = %#04x, want +0", got)
+	if got := f32ToF16(1e-10); got != 0x0000 {
+		t.Errorf("f32ToF16(1e-10) = %#04x, want +0", got)
 	}
 }
 
 func TestF16NaN(t *testing.T) {
-	n := F32ToF16(float32(math.NaN()))
+	n := f32ToF16(float32(math.NaN()))
 	if n&0x7C00 != 0x7C00 || n&0x03FF == 0 {
-		t.Errorf("F32ToF16(NaN) = %#04x is not a NaN", n)
+		t.Errorf("f32ToF16(NaN) = %#04x is not a NaN", n)
 	}
-	back := F16ToF32(n)
+	back := f16ToF32(n)
 	if !math.IsNaN(float64(back)) {
-		t.Errorf("F16ToF32(NaN bits) = %v, want NaN", back)
+		t.Errorf("f16ToF32(NaN bits) = %v, want NaN", back)
 	}
 }
 
@@ -106,11 +106,11 @@ func TestBF16ExactRoundtripAll(t *testing.T) {
 func TestF16ExactRoundtripAll(t *testing.T) {
 	for u := 0; u <= 0xFFFF; u++ {
 		h := uint16(u)
-		f := F16ToF32(h)
+		f := f16ToF32(h)
 		if math.IsNaN(float64(f)) {
 			continue
 		}
-		if got := F32ToF16(f); got != h {
+		if got := f32ToF16(f); got != h {
 			t.Fatalf("f16 %#04x -> %v -> %#04x", h, f, got)
 		}
 	}
@@ -145,9 +145,9 @@ func TestBF16RelativeErrorBound(t *testing.T) {
 // Property: f16 conversion is monotonic on a dense sample of the
 // representable range.
 func TestF16Monotonic(t *testing.T) {
-	prev := F16ToF32(0xFBFF) // most negative finite
+	prev := f16ToF32(0xFBFF) // most negative finite
 	for u := 0x0000; u <= 0x7BFF; u++ {
-		f := F16ToF32(uint16(u))
+		f := f16ToF32(uint16(u))
 		if u > 0 && f <= prev {
 			t.Fatalf("f16 not monotonic at %#04x: %v <= %v", u, f, prev)
 		}
@@ -163,10 +163,10 @@ func TestF16NearestRounding(t *testing.T) {
 		if math.IsNaN(float64(v)) || av > 65504 || (av != 0 && av < 6.0e-8) {
 			return true
 		}
-		h := F32ToF16(v)
-		got := F16ToF32(h)
+		h := f32ToF16(v)
+		got := f16ToF32(h)
 		// The error must be at most the gap to the next representable value.
-		up := F16ToF32(h + 1)
+		up := f16ToF32(h + 1)
 		gap := math.Abs(float64(up) - float64(got))
 		if gap == 0 || math.IsInf(float64(up), 0) {
 			return true
@@ -179,10 +179,10 @@ func TestF16NearestRounding(t *testing.T) {
 }
 
 func TestEncodeDecodeDispatch(t *testing.T) {
-	if got := DecodeF32(F16, EncodeF32(F16, 1.5)); got != 1.5 {
+	if got := decodeF32(F16, EncodeF32(F16, 1.5)); got != 1.5 {
 		t.Errorf("f16 dispatch roundtrip = %v", got)
 	}
-	if got := DecodeF32(BF16, EncodeF32(BF16, 1.5)); got != 1.5 {
+	if got := decodeF32(BF16, EncodeF32(BF16, 1.5)); got != 1.5 {
 		t.Errorf("bf16 dispatch roundtrip = %v", got)
 	}
 }
@@ -198,7 +198,7 @@ func BenchmarkF32ToBF16(b *testing.B) {
 func BenchmarkF32ToF16(b *testing.B) {
 	v := float32(1.2345)
 	for i := 0; i < b.N; i++ {
-		v = F16ToF32(F32ToF16(v))
+		v = f16ToF32(f32ToF16(v))
 	}
 	_ = v
 }

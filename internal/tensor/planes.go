@@ -51,25 +51,6 @@ func SplitPlanes(dst, src []byte, width int) {
 	}
 }
 
-// JoinPlanes is the inverse of SplitPlanes: src is plane-major, dst receives
-// the original element-interleaved bytes. dst must be exactly len(src) bytes.
-func JoinPlanes(dst, src []byte, width int) {
-	if len(dst) != len(src) {
-		panic("tensor: JoinPlanes length mismatch")
-	}
-	if width <= 1 {
-		copy(dst, src)
-		return
-	}
-	k := 0
-	for p := 0; p < width; p++ {
-		for i := p; i < len(dst); i += width {
-			dst[i] = src[k]
-			k++
-		}
-	}
-}
-
 // XORBytes writes a XOR b into dst. All three slices must be the same
 // length; dst may alias a or b.
 func XORBytes(dst, a, b []byte) {
@@ -134,18 +115,10 @@ func AppendRLE(dst, src []byte) []byte {
 	return dst
 }
 
-// DecodeRLE decodes src into dst, which must be exactly the expected output
-// length. Every malformed input — bad varint, zero-length op, runs past the
-// output, truncated literals or repeats, short streams — returns an error;
-// the decoder never panics and never writes outside dst.
-func DecodeRLE(dst, src []byte) error {
-	clear(dst)
-	return XORPlaneRLE(dst, src, 0, 1)
-}
-
 // XORPlane XORs src, the bytes of plane p, into the element-interleaved dst:
 // src[k] lands on dst[p+k*width]. len(src) must be PlaneLen(len(dst), width, p).
-// It is JoinPlanes for one plane, folded into what dst already holds.
+// It is the inverse of SplitPlanes for one plane, folded into what dst
+// already holds.
 func XORPlane(dst, src []byte, p, width int) {
 	if len(src) != PlaneLen(len(dst), width, p) {
 		panic("tensor: XORPlane length mismatch")
@@ -158,7 +131,7 @@ func XORPlane(dst, src []byte, p, width int) {
 // XORPlaneRLE decodes the RLE stream src as plane p of the element-interleaved
 // dst and XORs it in: decode, plane-join and XOR in one pass. A zero repeat
 // run — the bulk of an xor delta — costs nothing. Malformed input errors
-// exactly as DecodeRLE's does, never writing outside plane p of dst.
+// exactly as a decode into a zeroed dst would, never writing outside plane p of dst.
 func XORPlaneRLE(dst, src []byte, p, width int) error {
 	width = max(width, 1)
 	n := PlaneLen(len(dst), width, p)

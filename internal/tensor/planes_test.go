@@ -22,7 +22,7 @@ func TestPlaneRoundTrip(t *testing.T) {
 				t.Fatalf("width=%d n=%d: plane lengths sum to %d", width, n, sum)
 			}
 			join := make([]byte, n)
-			JoinPlanes(join, split, width)
+			joinPlanes(join, split, width)
 			if !bytes.Equal(join, src) {
 				t.Fatalf("width=%d n=%d: join(split(x)) != x", width, n)
 			}
@@ -84,7 +84,7 @@ func TestRLERoundTrip(t *testing.T) {
 	for i, src := range cases {
 		enc := AppendRLE(nil, src)
 		dst := make([]byte, len(src))
-		if err := DecodeRLE(dst, enc); err != nil {
+		if err := decodeRLE(dst, enc); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		if !bytes.Equal(dst, src) {
@@ -109,12 +109,12 @@ func TestRLEDecodeRejectsMalformed(t *testing.T) {
 	}
 	for name, src := range cases {
 		dst := make([]byte, 8)
-		if err := DecodeRLE(dst, src); err == nil {
+		if err := decodeRLE(dst, src); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)
 		}
 	}
 	// Exact fill must still succeed.
-	if err := DecodeRLE(make([]byte, 4), []byte{0x09, 0xaa}); err != nil {
+	if err := decodeRLE(make([]byte, 4), []byte{0x09, 0xaa}); err != nil {
 		t.Fatalf("valid repeat rejected: %v", err)
 	}
 }
@@ -156,4 +156,32 @@ func TestXORPlaneKernels(t *testing.T) {
 	if err := XORPlaneRLE(make([]byte, 8), []byte{0x0b, 0xaa}, 1, 2); err == nil {
 		t.Fatal("a run past the plane was accepted")
 	}
+}
+
+// joinPlanes is the inverse of SplitPlanes: src is plane-major, dst receives
+// the original element-interleaved bytes. dst must be exactly len(src) bytes.
+func joinPlanes(dst, src []byte, width int) {
+	if len(dst) != len(src) {
+		panic("tensor: joinPlanes length mismatch")
+	}
+	if width <= 1 {
+		copy(dst, src)
+		return
+	}
+	k := 0
+	for p := 0; p < width; p++ {
+		for i := p; i < len(dst); i += width {
+			dst[i] = src[k]
+			k++
+		}
+	}
+}
+
+// decodeRLE decodes src into dst, which must be exactly the expected output
+// length. Every malformed input — bad varint, zero-length op, runs past the
+// output, truncated literals or repeats, short streams — returns an error;
+// the decoder never panics and never writes outside dst.
+func decodeRLE(dst, src []byte) error {
+	clear(dst)
+	return XORPlaneRLE(dst, src, 0, 1)
 }

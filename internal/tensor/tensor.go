@@ -21,7 +21,7 @@ type Tensor struct {
 
 // New allocates a zero-filled tensor.
 func New(name string, dtype DType, shape ...int) *Tensor {
-	n := NumElems(shape)
+	n := numElems(shape)
 	t := &Tensor{Name: name, Shape: append([]int(nil), shape...), DType: dtype}
 	if dtype == F32 {
 		t.f32 = make([]float32, n)
@@ -31,9 +31,9 @@ func New(name string, dtype DType, shape ...int) *Tensor {
 	return t
 }
 
-// NumElems returns the element count of a shape. Empty shapes denote scalars
+// numElems returns the element count of a shape. Empty shapes denote scalars
 // and count as one element; any non-positive dimension panics.
-func NumElems(shape []int) int {
+func numElems(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
@@ -60,7 +60,7 @@ func (t *Tensor) At(i int) float32 {
 	if t.DType == F32 {
 		return t.f32[i]
 	}
-	return DecodeF32(t.DType, t.u16[i])
+	return decodeF32(t.DType, t.u16[i])
 }
 
 // Set stores v at element i, rounding to the tensor's dtype.
@@ -98,7 +98,7 @@ func (t *Tensor) Float32s() []float32 {
 		return out
 	}
 	for i, u := range t.u16 {
-		out[i] = DecodeF32(t.DType, u)
+		out[i] = decodeF32(t.DType, u)
 	}
 	return out
 }
@@ -157,20 +157,6 @@ func (t *Tensor) Fill(v float32) {
 	for i := 0; i < t.Len(); i++ {
 		t.Set(i, v)
 	}
-}
-
-// L2Dist returns the Euclidean distance between two tensors of equal length,
-// computed in float64.
-func L2Dist(a, b *Tensor) float64 {
-	if a.Len() != b.Len() {
-		panic(fmt.Sprintf("tensor: L2Dist length mismatch %d vs %d (%s, %s)", a.Len(), b.Len(), a.Name, b.Name))
-	}
-	var s float64
-	for i := 0; i < a.Len(); i++ {
-		d := float64(a.At(i)) - float64(b.At(i))
-		s += d * d
-	}
-	return math.Sqrt(s)
 }
 
 // L2Norm returns the Euclidean norm of the tensor in float64.

@@ -65,7 +65,7 @@ func newObjective(cfg *modelcfg.Config, task Task, seed uint64, initial *model.M
 			etgt[i] = tgt[i] + erng.NormFloat32()*0.004
 		}
 		o.evalTargets[spec.Name] = etgt
-		o.speeds[spec.Name] = LayerSpeed(spec.Layer, cfg.NumLayers)
+		o.speeds[spec.Name] = layerSpeed(spec.Layer, cfg.NumLayers)
 		o.totalElems += float64(n)
 	}
 

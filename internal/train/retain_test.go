@@ -5,11 +5,17 @@ package train
 // newest checkpoints resumable — sync and async save paths both.
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"llmtailor/internal/ckpt"
 	"llmtailor/internal/modelcfg"
+	"llmtailor/internal/recipe"
 	"llmtailor/internal/storage"
+	"llmtailor/internal/strategy"
+	"llmtailor/internal/tailor"
 )
 
 func retainConfig(keepLast int, async bool) Config {
@@ -145,5 +151,96 @@ func TestKeepLastBoundsStorageOverLongRun(t *testing.T) {
 	}
 	if len(blobs) == 0 {
 		t.Fatal("no blobs scanned")
+	}
+}
+
+// TestRetainKeepsNewestLayerHolders: keep-last retention over a run of
+// partial checkpoints keeps the newest holder of every layer, so the
+// recovery the partial checkpoints promise — recipe.FromManifests picks the
+// newest holder of each layer and the merge rebuilds the state — gives the
+// same recipe and the same bytes after retention as before it, for the
+// paper's Filter and Parity strategies, plain and content-addressed. The
+// trainer's KeepLast hook ends at the same recipe.
+func TestRetainKeepsNewestLayerHolders(t *testing.T) {
+	cases := []struct {
+		name     string
+		strategy func() strategy.Strategy
+		keepLast int
+	}{
+		{"filter", func() strategy.Strategy { return strategy.NewFilter() }, 2},
+		{"parity", func() strategy.Strategy { return strategy.Parity{} }, 1},
+	}
+	for _, tc := range cases {
+		for _, dedup := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/dedup=%v", tc.name, dedup), func(t *testing.T) {
+				cfg := Config{
+					Model: modelcfg.Tiny(), Seed: 52, Task: SFT(),
+					TotalSteps: 60, WarmupSteps: 2, BaseLR: 2e-3,
+					CkptInterval: 6, WorldSize: 2, RunRoot: "run",
+					DedupCkpt: dedup, Strategy: tc.strategy(),
+				}
+				b := storage.NewMem()
+				train := func(b storage.Backend, cfg Config) {
+					t.Helper()
+					tr, err := New(cfg, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := tr.Run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				train(b, cfg)
+				merge := func(output string) (*recipe.Recipe, map[string][]byte) {
+					t.Helper()
+					rec, err := recipe.FromManifests(b, "run", 0, cfg.Model, output)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := tailor.Merge(b, rec, tailor.Options{}); err != nil {
+						t.Fatal(err)
+					}
+					files := map[string][]byte{}
+					for _, name := range []string{"model.ltsf", ckpt.ShardFileName(0), ckpt.ShardFileName(1)} {
+						data, err := b.ReadFile(output + "/" + name)
+						if err != nil {
+							t.Fatal(err)
+						}
+						files[name] = data
+					}
+					rec.Output = ""
+					return rec, files
+				}
+				before, beforeFiles := merge("before/checkpoint-60")
+
+				rep, err := ckpt.Retain(b, "run", tc.keepLast, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rep.Removed) == 0 || len(rep.Holders) == 0 {
+					t.Fatalf("retention removed %v and held back %v: the run tests nothing", rep.Removed, rep.Holders)
+				}
+				after, afterFiles := merge("after/checkpoint-60")
+				if !reflect.DeepEqual(before, after) {
+					t.Fatalf("retention changed the recipe:\nbefore %+v\nafter  %+v", before, after)
+				}
+				for name, data := range beforeFiles {
+					if !bytes.Equal(data, afterFiles[name]) {
+						t.Errorf("%s differs after retention", name)
+					}
+				}
+
+				hooked := storage.NewMem()
+				cfg.Strategy, cfg.KeepLast = tc.strategy(), tc.keepLast
+				train(hooked, cfg)
+				rec, err := recipe.FromManifests(hooked, "run", 0, cfg.Model, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(rec, before) {
+					t.Fatalf("KeepLast run recovers another recipe:\nwant %+v\ngot  %+v", before, rec)
+				}
+			})
+		}
 	}
 }

@@ -82,10 +82,10 @@ func (t Task) TokensPerStep(worldSize int) int64 {
 	return int64(t.MicroBatch) * int64(t.GradAccum) * int64(t.SeqLen) * int64(worldSize)
 }
 
-// LayerSpeed returns the gradient signal strength of a layer: a U-shaped
+// layerSpeed returns the gradient signal strength of a layer: a U-shaped
 // profile over transformer depth (strong head/tail, weak middle) plus fixed
 // values for the auxiliary layers. Values are in (0, 1.5].
-func LayerSpeed(ref modelcfg.LayerRef, numLayers int) float64 {
+func layerSpeed(ref modelcfg.LayerRef, numLayers int) float64 {
 	switch ref.Kind {
 	case modelcfg.KindEmbed:
 		return 0.9
@@ -103,8 +103,8 @@ func LayerSpeed(ref modelcfg.LayerRef, numLayers int) float64 {
 	return 0.30 + 1.0*u            // [0.30, 1.30]
 }
 
-// LRSchedule is linear warmup followed by cosine decay to MinFactor×base.
-type LRSchedule struct {
+// lrSchedule is linear warmup followed by cosine decay to MinFactor×base.
+type lrSchedule struct {
 	BaseLR      float64
 	WarmupSteps int
 	TotalSteps  int
@@ -113,7 +113,7 @@ type LRSchedule struct {
 }
 
 // At returns the learning rate for (1-based) optimizer step.
-func (s LRSchedule) At(step int) float64 {
+func (s lrSchedule) At(step int) float64 {
 	if step < 1 {
 		step = 1
 	}

@@ -276,8 +276,8 @@ func (t *Trainer) TaskProgress() float64 {
 	return t.objective.TaskProgress(t.Model, initial)
 }
 
-func (t *Trainer) schedule() LRSchedule {
-	return LRSchedule{
+func (t *Trainer) schedule() lrSchedule {
+	return lrSchedule{
 		BaseLR: t.Cfg.BaseLR, WarmupSteps: t.Cfg.WarmupSteps,
 		TotalSteps: t.Cfg.TotalSteps, MinFactor: 0.05,
 	}

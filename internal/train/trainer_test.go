@@ -298,7 +298,7 @@ func TestResumeRejectsSeedMismatch(t *testing.T) {
 }
 
 func TestLRSchedule(t *testing.T) {
-	s := LRSchedule{BaseLR: 1e-3, WarmupSteps: 10, TotalSteps: 100, MinFactor: 0.1}
+	s := lrSchedule{BaseLR: 1e-3, WarmupSteps: 10, TotalSteps: 100, MinFactor: 0.1}
 	if got := s.At(5); math.Abs(got-5e-4) > 1e-12 {
 		t.Fatalf("warmup lr = %v", got)
 	}
@@ -344,16 +344,16 @@ func TestTokensPerStep(t *testing.T) {
 
 func TestLayerSpeedShape(t *testing.T) {
 	L := 32
-	first := LayerSpeed(modelcfg.Block(0), L)
-	mid := LayerSpeed(modelcfg.Block(L/2), L)
-	last := LayerSpeed(modelcfg.Block(L-1), L)
+	first := layerSpeed(modelcfg.Block(0), L)
+	mid := layerSpeed(modelcfg.Block(L/2), L)
+	last := layerSpeed(modelcfg.Block(L-1), L)
 	if first <= mid || last <= mid {
 		t.Fatalf("speed not U-shaped: %v %v %v", first, mid, last)
 	}
-	if s := LayerSpeed(modelcfg.Embed, L); s <= 0 {
+	if s := layerSpeed(modelcfg.Embed, L); s <= 0 {
 		t.Fatalf("embed speed %v", s)
 	}
-	if LayerSpeed(modelcfg.Block(0), 1) != 1.0 {
+	if layerSpeed(modelcfg.Block(0), 1) != 1.0 {
 		t.Fatal("single-layer speed")
 	}
 }

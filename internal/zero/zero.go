@@ -92,13 +92,13 @@ func ShardGroup(groupIndex int, st *optim.GroupState, worldSize int) ([]*GroupSh
 	return shards, nil
 }
 
-// GatherGroup reassembles a group's state from its shards, trimming padding
+// gatherGroup reassembles a group's state from its shards, trimming padding
 // back to numel. Shards must be complete and ordered by rank. Padding
 // elements — positions at or past numel in the concatenated vector — must
 // be zero in all three state sections: ShardGroup writes them as zeros, so
 // anything else is corruption, and silently trimming it would let damaged
 // bytes hide exactly where a reshard moves the pad region around.
-func GatherGroup(shards []*GroupShard, numel int64) (*optim.GroupState, error) {
+func gatherGroup(shards []*GroupShard, numel int64) (*optim.GroupState, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("zero: no shards")
 	}
@@ -144,7 +144,7 @@ func GatherGroup(shards []*GroupShard, numel int64) (*optim.GroupState, error) {
 // agree with bit for bit. No product code calls it. Shards must be complete
 // and ordered by rank.
 func Reshard(shards []*GroupShard, numel int64, newWorld int) ([]*GroupShard, error) {
-	st, err := GatherGroup(shards, numel)
+	st, err := gatherGroup(shards, numel)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func GatherAll(byRank [][]*GroupShard, numels []int64) ([]*optim.GroupState, err
 			}
 			shards[r] = byRank[r][gi]
 		}
-		st, err := GatherGroup(shards, numels[gi])
+		st, err := gatherGroup(shards, numels[gi])
 		if err != nil {
 			return nil, fmt.Errorf("zero: group %d: %w", gi, err)
 		}

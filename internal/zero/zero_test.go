@@ -53,7 +53,7 @@ func TestShardGatherRoundtrip(t *testing.T) {
 			if len(shards) != ws {
 				t.Fatalf("n=%d ws=%d: %d shards", n, ws, len(shards))
 			}
-			got, err := GatherGroup(shards, n)
+			got, err := gatherGroup(shards, n)
 			if err != nil {
 				t.Fatalf("n=%d ws=%d: %v", n, ws, err)
 			}
@@ -83,7 +83,7 @@ func TestGatherRejectsDisorder(t *testing.T) {
 	st := randState(8, 5)
 	shards, _ := ShardGroup(0, st, 2)
 	shards[0], shards[1] = shards[1], shards[0]
-	if _, err := GatherGroup(shards, 8); err == nil {
+	if _, err := gatherGroup(shards, 8); err == nil {
 		t.Fatal("disordered shards accepted")
 	}
 }
@@ -92,7 +92,7 @@ func TestGatherRejectsMissingShard(t *testing.T) {
 	st := randState(8, 5)
 	shards, _ := ShardGroup(0, st, 2)
 	shards[1] = nil
-	if _, err := GatherGroup(shards, 8); err == nil {
+	if _, err := gatherGroup(shards, 8); err == nil {
 		t.Fatal("missing shard accepted")
 	}
 }
@@ -101,7 +101,7 @@ func TestGatherRejectsLengthMismatch(t *testing.T) {
 	st := randState(8, 5)
 	shards, _ := ShardGroup(0, st, 2)
 	shards[1].Master = shards[1].Master[:2]
-	if _, err := GatherGroup(shards, 8); err == nil {
+	if _, err := gatherGroup(shards, 8); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -154,7 +154,7 @@ func TestShardGatherQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := GatherGroup(shards, n)
+		got, err := gatherGroup(shards, n)
 		if err != nil {
 			return false
 		}
@@ -201,14 +201,14 @@ func BenchmarkShardGather(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		shards, _ := ShardGroup(0, st, 8)
-		if _, err := GatherGroup(shards, st.Numel()); err != nil {
+		if _, err := gatherGroup(shards, st.Numel()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // TestGatherRejectsDirtyPadding is the regression test for the silent-
-// padding bug: GatherGroup used to trim the final shard's pad region
+// padding bug: gatherGroup used to trim the final shard's pad region
 // without looking at it, so garbage there — exactly where a reshard moves
 // padding around — passed through unnoticed. It must now be rejected in
 // any of the three state sections.
@@ -226,7 +226,7 @@ func TestGatherRejectsDirtyPadding(t *testing.T) {
 		}
 		last := shards[3]
 		poison(last, last.Numel()-1)
-		if _, err := GatherGroup(shards, st.Numel()); err == nil {
+		if _, err := gatherGroup(shards, st.Numel()); err == nil {
 			t.Fatalf("section %d: non-zero padding silently accepted", di)
 		}
 	}
@@ -235,7 +235,7 @@ func TestGatherRejectsDirtyPadding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GatherGroup(shards, st.Numel()); err != nil {
+	if _, err := gatherGroup(shards, st.Numel()); err != nil {
 		t.Fatalf("clean gather rejected: %v", err)
 	}
 }
@@ -273,7 +273,7 @@ func TestReshardProperty(t *testing.T) {
 				}
 			}
 		}
-		back, err := GatherGroup(resharded, numel)
+		back, err := gatherGroup(resharded, numel)
 		if err != nil {
 			return false
 		}
