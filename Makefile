@@ -99,6 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzBlobCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzXORResolver$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzChainFold$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/recipe -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 
 # Exercise the doctor exit-code contract end to end: 2 when torn/orphaned

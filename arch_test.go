@@ -239,9 +239,14 @@ var archRules = []archRule{
 		tests: true,
 	},
 	{
+		name: "one-decoder/strided-fold",
+		why:  "the deleted strided fold XORed every plane into the interleaved chunk a byte at a time, once per level: under its old names it is that fold back beside the plane-major one (its reference lives in codec_fuzz_test.go)",
+		find: []sym{words("XORPlane", "XORPlaneRLE", "xorStrided", "decodeChunk")},
+	},
+	{
 		name:  "one-decoder/decode-chunk-callers",
-		why:   "a second caller of decodeChunk is a second decoder, free to skip the first's size, depth and EOF checks",
-		find:  []sym{calls("decodeChunk")},
+		why:   "a second caller of decodePlanes, the per-level chunk decoder under the plane-major fold, is a second decoder, free to skip the first's size, depth and EOF checks",
+		find:  []sym{calls("decodePlanes")},
 		allow: []string{"internal/storage/codec.go"},
 		count: 1,
 	},

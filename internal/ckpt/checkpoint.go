@@ -573,36 +573,23 @@ func Restore(b storage.Backend, dir string, dtype tensor.DType) (*model.Model, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Every weight decodes straight into the model's own tensor, every rank
-	// into its shard file, all through the one load driver, and every rank
-	// is checked against the layout (checkRank): all the layout's groups,
-	// each where its index says, every rank at one optimizer step.
-	shards, err := c.ReadState(m.Tensor, nil)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	byRank := make([][]*zero.GroupShard, len(shards))
-	for r, sf := range shards {
-		byRank[r] = make([]*zero.GroupShard, layout.NumGroups())
-		for i, g := range sf.Meta {
-			byRank[r][g.Index] = sf.Shards[i]
-		}
-	}
-	numels := make([]int64, layout.NumGroups())
+	// Every weight decodes straight into the model's own tensor and every
+	// rank's groups into their slices of the one state each group gets, all
+	// through the one load driver; every rank is checked against the layout
+	// (checkRank) — all the layout's groups, each where its index says, before
+	// a byte of it is placed, and every rank at one optimizer step.
+	states := make([]*optim.GroupState, layout.NumGroups())
 	for i, g := range layout.Groups {
-		numels[i] = g.Numel
+		states[i] = optim.NewGroupState(g.Numel)
 	}
-	states, err := zero.GatherAll(byRank, numels)
+	step, err := c.loadState(m.Tensor, states)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-
-	o, err := optim.NewAdamW(m, layout, c.State.Hyper)
+	o, err := optim.ResumeAdamW(m, layout, c.State.Hyper, states, step)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	o.States = states
-	o.StepCount = shards[0].Step
 	// Re-establish model = rounded master invariant (master is the source
 	// of truth after restore, exactly as mixed-precision resume does).
 	if err := o.SyncModelFromMaster(); err != nil {

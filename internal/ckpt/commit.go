@@ -178,6 +178,7 @@ type txn struct {
 	rec       *sumBackend
 	final     string
 	staging   string
+	made      string // the outermost directory above final begin found missing
 	committed bool
 	aborted   bool
 }
@@ -197,6 +198,12 @@ func begin(b storage.Backend, dir string) (*txn, error) {
 	if isStagingPath(dir) {
 		return nil, fmt.Errorf("ckpt: %s: target must not use the staging suffix %q", dir, stagingSuffix)
 	}
+	// The directories above dir the transaction's writes will create (a new
+	// run root): an abort takes them back.
+	var made string
+	for d := path.Dir(dir); d != "." && !b.Exists(d); d = path.Dir(d) {
+		made = d
+	}
 	if !storage.RenameSupported(b) {
 		// No-rename mode: build under the final keys, publish via the
 		// marker object (staging == final is the mode discriminator). A
@@ -212,7 +219,7 @@ func begin(b storage.Backend, dir string) (*txn, error) {
 				return nil, fmt.Errorf("ckpt: clear prior checkpoint %s: %w", dir, err)
 			}
 		}
-		return &txn{base: b, rec: newSumBackend(b), final: dir, staging: dir}, nil
+		return &txn{base: b, rec: newSumBackend(b), final: dir, staging: dir, made: made}, nil
 	}
 	staging := StagingDir(dir)
 	if b.Exists(staging) {
@@ -220,7 +227,7 @@ func begin(b storage.Backend, dir string) (*txn, error) {
 			return nil, fmt.Errorf("ckpt: clear stale staging %s: %w", staging, err)
 		}
 	}
-	return &txn{base: b, rec: newSumBackend(b), final: dir, staging: staging}, nil
+	return &txn{base: b, rec: newSumBackend(b), final: dir, staging: staging, made: made}, nil
 }
 
 // Backend returns the recording backend all staged writes must go through.
@@ -266,13 +273,20 @@ func (t *txn) Commit(step int) error {
 	return nil
 }
 
-// Abort drops the staging directory (best effort). No-op after Commit.
+// Abort drops the staging directory, and each directory above it that begin
+// found missing while nothing else has landed in it (best effort). No-op
+// after Commit.
 func (t *txn) Abort() {
 	if t.committed || t.aborted {
 		return
 	}
 	t.aborted = true
 	t.base.Remove(t.staging)
+	for d := path.Dir(t.staging); t.made != "" && d != path.Dir(t.made); d = path.Dir(d) {
+		if names, err := t.base.List(d); err != nil || len(names) > 0 || t.base.Remove(d) != nil {
+			return
+		}
+	}
 }
 
 // ReadCommitMarker reads and decodes a checkpoint's COMMITTED marker.

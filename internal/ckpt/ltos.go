@@ -187,11 +187,12 @@ func streamedRank(b storage.Backend, name string) rankPayloads {
 	return rs
 }
 
-// loadStream is the load driver's job for a plain rank: one Open, the header
-// parsed off it, then group by group in file order — read, CRC, decode — so
-// the transient memory is one group's payload, not the encoded file beside
-// its decoded form. It fills in rs as it lists it.
-func (rs *rankPayloads) loadStream(f *ShardFile) error {
+// loadStream is the load driver's job for the plain rank at position pos: one
+// Open, the header parsed off it and the rank handed to into, then group by
+// group in file order — read, CRC, place — so the transient memory is one
+// group's payload, not the encoded file beside its decoded form. It fills in
+// rs as it lists it.
+func (rs *rankPayloads) loadStream(f *ShardFile, pos int, into placer) error {
 	b, name, size := rs.stream, rs.name, rs.fileBytes
 	r, err := b.Open(name)
 	if err != nil {
@@ -212,22 +213,23 @@ func (rs *rankPayloads) loadStream(f *ShardFile) error {
 	}
 	*rs = *h.payloads(b, name)
 	f.init(rs)
-	var pos int64 // current offset within the payload section
+	place, err := into(pos, f)
+	if err != nil {
+		return err
+	}
+	var at int64 // current offset within the payload section
 	for i := range rs.groups {
 		g := &rs.groups[i]
 		err := g.check(name, fmt.Sprintf("group %d", g.meta.Index), func(buf []byte) error {
-			if skip := g.meta.Offsets[0] - pos; skip > 0 {
+			if skip := g.meta.Offsets[0] - at; skip > 0 {
 				if _, err := io.CopyN(io.Discard, r, skip); err != nil {
 					return err
 				}
 			}
-			pos = g.meta.Offsets[1]
+			at = g.meta.Offsets[1]
 			_, err := io.ReadFull(r, buf)
 			return err
-		}, func(buf []byte) error {
-			f.Shards[i] = g.decode(rs.rank, buf)
-			return nil
-		})
+		}, func(buf []byte) error { return place(i, buf) })
 		if err != nil {
 			return err
 		}

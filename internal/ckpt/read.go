@@ -22,12 +22,14 @@ package ckpt
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -490,7 +492,7 @@ func (w *Weights) ReadAll() ([]*tensor.Tensor, error) {
 		t, err = wp.newTensor()
 		out[w.index[wp.name]] = t
 		return t, err
-	}, nil)
+	}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -591,12 +593,13 @@ func newLoadGate() *parallel.ByteGate { return parallel.NewByteGate(loadBytes) }
 
 // load is the whole-checkpoint load driver: every payload of the set —
 // weights, then rank-major groups, the order each defines — goes through one
-// pipeline of storage.RequestWidth workers, and a worker fetches its payload, checks
-// the CRC and decodes the bytes straight into their destination: the tensor
-// dst names for a weight (a nil dst, or a nil tensor, only checks the bytes),
-// the three FP32 sections of a zero.GroupShard for a group. The decoded shard files come back by position
-// in s.ranks. Request wait and decode overlap across payloads; the window is
-// the whole set, so a slow fetch never holds back the dispatch behind it.
+// pipeline of storage.RequestWidth workers, and a worker fetches its payload,
+// checks the CRC and decodes the bytes straight into their destination: the
+// tensor dst names for a weight (a nil dst, or a nil tensor, only checks the
+// bytes), wherever into places a rank's groups (nil: ownShards, a
+// zero.GroupShard each). The shard files come back by position in s.ranks.
+// Request wait and decode overlap across payloads; the window is the whole
+// set, so a slow fetch never holds back the dispatch behind it.
 //
 // A content-addressed rank is a job per group. A plain rank is ONE job — one
 // Open of its shard file, header parsed off the stream, groups in file order
@@ -612,7 +615,10 @@ func newLoadGate() *parallel.ByteGate { return parallel.NewByteGate(loadBytes) }
 // in s.ranks, -1 for a weight), the load goes on while it returns nil, and a
 // rank that failed comes back nil.
 func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*tensor.Tensor, error),
-	bad func(rank int, err error) error) ([]*ShardFile, error) {
+	into placer, bad func(rank int, err error) error) ([]*ShardFile, error) {
+	if into == nil {
+		into = ownShards
+	}
 	type job struct {
 		rank int
 		run  func() error
@@ -664,16 +670,17 @@ func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*
 			case rs.err != nil:
 				err = push(i, 0, func() error { return rs.err })
 			case rs.stream != nil:
-				err = push(i, rs.fileBytes, func() error { return rs.loadStream(f) })
+				err = push(i, rs.fileBytes, func() error { return rs.loadStream(f, i, into) })
 			default:
 				f.init(rs)
-				for j := 0; j < len(rs.groups) && err == nil; j++ {
+				place, perr := into(i, f)
+				if perr != nil {
+					err = push(i, 0, func() error { return perr })
+				}
+				for j := 0; j < len(rs.groups) && err == nil && perr == nil; j++ {
 					g := &rs.groups[j]
 					err = push(i, g.charge(), func() error {
-						return g.read(rs.name, fmt.Sprintf("group %d", g.meta.Index), func(buf []byte) error {
-							f.Shards[j] = g.decode(rs.rank, buf)
-							return nil
-						})
+						return g.read(rs.name, fmt.Sprintf("group %d", g.meta.Index), func(buf []byte) error { return place(j, buf) })
 					})
 				}
 			}
@@ -705,17 +712,21 @@ func (f *ShardFile) init(rs *rankPayloads) {
 	}
 }
 
-// decode turns a group payload's checked bytes into its three FP32 sections.
-// len(seg) is exactly 12×ShardLen: both codecs checked it by division.
-func (g *groupPayload) decode(rank int, seg []byte) *zero.GroupShard {
-	n := g.meta.ShardLen
-	return &zero.GroupShard{
-		GroupIndex: g.meta.Index,
-		Rank:       rank,
-		Master:     decodeF32(seg, n),
-		ExpAvg:     decodeF32(seg[n*4:], n),
-		ExpAvgSq:   decodeF32(seg[n*8:], n),
-	}
+// placer names where the load driver puts a listed rank's groups: given the
+// rank's position in the set and its listing (ShardFile.init), it returns what
+// takes group i's checked bytes — exactly 12×ShardLen of them, both codecs
+// checked that by division — or why none of the rank's bytes may be placed.
+type placer func(pos int, f *ShardFile) (place func(i int, buf []byte) error, err error)
+
+// ownShards decodes each group into a zero.GroupShard of the rank's own, its
+// three FP32 sections (ShardFile.Shards).
+func ownShards(_ int, f *ShardFile) (func(int, []byte) error, error) {
+	return func(i int, buf []byte) error {
+		n := f.Meta[i].ShardLen
+		f.Shards[i] = &zero.GroupShard{GroupIndex: f.Meta[i].Index, Rank: f.Rank,
+			Master: decodeF32(buf, n), ExpAvg: decodeF32(buf[n*4:], n), ExpAvgSq: decodeF32(buf[n*8:], n)}
+		return nil
+	}, nil
 }
 
 // loadSet lists the checkpoint for the load driver: the weights Open listed,
@@ -761,21 +772,7 @@ func (c *Checkpoint) readState(gate *parallel.ByteGate, dst func(name string) (*
 	if err != nil {
 		return nil, err
 	}
-	var into func(*weightPayload) (*tensor.Tensor, error)
-	if dst != nil {
-		into = func(w *weightPayload) (*tensor.Tensor, error) {
-			t, err := dst(w.name)
-			if err != nil || t == nil {
-				return nil, err
-			}
-			if dt, err := tensor.ParseDType(w.dtype); err != nil || dt != t.DType || !tensor.ShapeEqual(t.Shape, w.shape) {
-				return nil, fmt.Errorf("ckpt: %s: tensor %q is stored as %s %v, want %s %v",
-					c.weights.label, w.name, w.dtype, w.shape, t.DType, t.Shape)
-			}
-			return t, nil
-		}
-	}
-	shards, err := set.load(gate, into, bad)
+	shards, err := set.load(gate, c.weightDst(dst), nil, bad)
 	if err != nil {
 		return nil, err
 	}
@@ -797,6 +794,82 @@ func (c *Checkpoint) readState(gate *parallel.ByteGate, dst func(name string) (*
 		return nil, fmt.Errorf("ckpt: %s: %w", c.Dir, errors.Join(errs...))
 	}
 	return shards, nil
+}
+
+// weightDst has each weight decode into the tensor dst names for it, which
+// must be of the stored dtype and shape (nil dst, or a nil tensor: the bytes
+// are only checked).
+func (c *Checkpoint) weightDst(dst func(name string) (*tensor.Tensor, error)) func(*weightPayload) (*tensor.Tensor, error) {
+	if dst == nil {
+		return nil
+	}
+	return func(w *weightPayload) (*tensor.Tensor, error) {
+		t, err := dst(w.name)
+		if err != nil || t == nil {
+			return nil, err
+		}
+		if dt, err := tensor.ParseDType(w.dtype); err != nil || dt != t.DType || !tensor.ShapeEqual(t.Shape, w.shape) {
+			return nil, fmt.Errorf("ckpt: %s: tensor %q is stored as %s %v, want %s %v",
+				c.weights.label, w.name, w.dtype, w.shape, t.DType, t.Shape)
+		}
+		return t, nil
+	}
+}
+
+// loadState is Restore's read: every weight decoded into the tensor dst
+// names for it, as ReadState does, and every rank's groups decoded straight
+// into states — the layout's groups in index order, each allocated at its
+// numel — with no shard of their own. A rank is held to the layout
+// (checkLayout) before any of its bytes are placed, so no destination is
+// sized or indexed from a claim; a group's checked bytes land in their
+// [rank·ShardLen, …) slice of the three sections, and what lies past the
+// numel must be zero (placeShard). Once all is read, the ranks are held to
+// one optimizer step in rank order (checkStep), which is returned.
+func (c *Checkpoint) loadState(dst func(name string) (*tensor.Tensor, error), states []*optim.GroupState) (int, error) {
+	set, err := c.loadSet()
+	if err != nil {
+		return 0, err
+	}
+	shards, err := set.load(newLoadGate(), c.weightDst(dst), func(pos int, f *ShardFile) (func(int, []byte) error, error) {
+		if err := c.rankError(pos, c.checkLayout(pos, f)); err != nil {
+			return nil, err
+		}
+		return func(i int, buf []byte) error {
+			m := f.Meta[i]
+			if err := placeShard(states[m.Index], pos, m.ShardLen, buf); err != nil {
+				return fmt.Errorf("ckpt: %s: rank %d: group %d: %w", c.Dir, pos, m.Index, err)
+			}
+			return nil
+		}, nil
+	}, nil)
+	if err != nil {
+		return 0, err
+	}
+	for r, f := range shards {
+		if err := c.rankError(r, c.checkStep(r, f)); err != nil {
+			return 0, err
+		}
+	}
+	return shards[0].Step, nil
+}
+
+// placeShard decodes rank pos's shard of a group — master, exp_avg and
+// exp_avg_sq, shardLen FP32 words each — into [pos·shardLen, …) of the
+// group's state. The words past the state's numel are padding, written as
+// zeros: anything else is corruption, which trimming would hide.
+func placeShard(st *optim.GroupState, pos int, shardLen int64, buf []byte) error {
+	lo := int64(pos) * shardLen
+	a, b := min(lo, st.Numel()), min(lo+shardLen, st.Numel())
+	for k, sec := range [][]float32{st.Master, st.ExpAvg, st.ExpAvgSq} {
+		src := buf[int64(k)*shardLen*4 : int64(k+1)*shardLen*4]
+		tensor.DecodeLE(sec[a:b], src)
+		for j := b - a; j < shardLen; j++ {
+			if math.Float32frombits(binary.LittleEndian.Uint32(src[j*4:])) != 0 {
+				return fmt.Errorf("non-zero padding at element %d (numel %d)", lo+j, st.Numel())
+			}
+		}
+	}
+	return nil
 }
 
 // ReadOptimShard fully reads one rank's optimizer state, checked against the
@@ -825,7 +898,7 @@ func (c *Checkpoint) ReadOptimShard(rank int) (*ShardFile, error) {
 
 // loadAlone runs the load driver over this one rank.
 func (rs *rankPayloads) loadAlone() (*ShardFile, error) {
-	shards, err := (&payloadSet{ranks: []rankPayloads{*rs}}).load(newLoadGate(), nil, nil)
+	shards, err := (&payloadSet{ranks: []rankPayloads{*rs}}).load(newLoadGate(), nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -895,14 +968,34 @@ type rankCheck struct {
 
 // checkRank is the one check of a rank's optimizer metadata against the
 // checkpoint — what Restore, Verify, reshard and merge read every rank
-// through (ReadState, ReadOptimShard, OptimExtents). The rank at position
-// rank must claim that rank of the trainer state's world size, record the
-// optimizer step every other rank read through this handle records, and
-// store exactly the layout's groups of the manifest's layers, none twice, in
-// index order, each with the layout's numel, no_decay and layer and the shard
-// length zero.Partition gives its numel over the world. It reads nothing, and
-// returns every problem.
+// through (ReadState, ReadOptimShard, OptimExtents, and Restore's loadState
+// in its two halves). The rank at position rank must claim that rank of the
+// trainer state's world size, store exactly the layout's groups of the
+// manifest's layers, none twice, in index order, each with the layout's
+// numel, no_decay and layer and the shard length zero.Partition gives its
+// numel over the world (checkLayout), and record the optimizer step every
+// other rank read through this handle records (checkStep). It reads nothing,
+// and returns every problem.
 func (c *Checkpoint) checkRank(rank int, f *ShardFile) []error {
+	return append(c.checkLayout(rank, f), c.checkStep(rank, f)...)
+}
+
+// checkStep is checkRank's step half: the first rank checked through this
+// handle sets the step every other rank must record.
+func (c *Checkpoint) checkStep(rank int, f *ShardFile) []error {
+	rc := &c.ranks
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if !rc.checked {
+		rc.checked, rc.step, rc.rank = true, f.Step, rank
+	} else if f.Step != rc.step {
+		return []error{fmt.Errorf("at optimizer step %d, rank %d at %d", f.Step, rc.rank, rc.step)}
+	}
+	return nil
+}
+
+// checkLayout is checkRank's layout half: the rank's claim and its groups.
+func (c *Checkpoint) checkLayout(rank int, f *ShardFile) []error {
 	var errs []error
 	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
 	ws := c.State.WorldSize
@@ -910,13 +1003,6 @@ func (c *Checkpoint) checkRank(rank int, f *ShardFile) []error {
 		bad("shard claims rank %d of world size %d, want rank %d of %d", f.Rank, f.WorldSize, rank, ws)
 	}
 	rc := &c.ranks
-	rc.mu.Lock()
-	if !rc.checked {
-		rc.checked, rc.step, rc.rank = true, f.Step, rank
-	} else if f.Step != rc.step {
-		bad("at optimizer step %d, rank %d at %d", f.Step, rc.rank, rc.step)
-	}
-	rc.mu.Unlock()
 	rc.once.Do(func() { rc.want, rc.at, rc.err = c.wantGroups() })
 	if rc.err != nil {
 		return append(errs, rc.err)

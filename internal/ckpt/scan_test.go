@@ -379,6 +379,56 @@ func TestSaveRejectsNonCanonicalDir(t *testing.T) {
 	}
 }
 
+// TestFailedSaveLeavesNoRunRoot: a plain save that fails after its staging
+// began — here its trainer state write is refused — takes back the run root
+// it created, on a directory backend as on a rename one; a failed save into a
+// run root that already holds a checkpoint leaves the root and that
+// checkpoint as they were.
+func TestFailedSaveLeavesNoRunRoot(t *testing.T) {
+	osBack, err := storage.NewOS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, base := range map[string]storage.Backend{"mem": storage.NewMem(), "os": osBack} {
+		b := refuseWrites{Backend: base, suffix: "/trainer_state.json"}
+		m, o := buildOptim(t, modelcfg.Tiny(), 88)
+		spec := SaveSpec{Dir: "fresh/nested/checkpoint-10", Model: m, Optim: o, WorldSize: 2, Strategy: "full",
+			State: TrainerState{Step: 10, Seed: 88}}
+		if err := Save(b, spec); err == nil {
+			t.Fatalf("%s: a save whose trainer state write fails succeeded", name)
+		}
+		if base.Exists("fresh") {
+			names, _ := base.List("fresh")
+			t.Fatalf("%s: a failed save into a new run root left it behind (%v)", name, names)
+		}
+		saveFull(t, base, "run/checkpoint-5", 88, 2)
+		spec.Dir = "run/checkpoint-10"
+		if err := Save(b, spec); err == nil {
+			t.Fatalf("%s: a save whose trainer state write fails succeeded", name)
+		}
+		if latest, err := Latest(base, "run"); err != nil || latest != "run/checkpoint-5" {
+			t.Fatalf("%s: after a failed save latest = %q, %v", name, latest, err)
+		}
+		if names, _ := base.List("run"); len(names) != 2 { // latest, checkpoint-5/
+			t.Fatalf("%s: run root holds %v after a failed save", name, names)
+		}
+	}
+}
+
+// refuseWrites fails every WriteFile of a name ending in suffix, and nothing
+// else: a save that fails without the backend crashing.
+type refuseWrites struct {
+	storage.Backend
+	suffix string
+}
+
+func (r refuseWrites) WriteFile(name string, data []byte) error {
+	if strings.HasSuffix(name, r.suffix) {
+		return fmt.Errorf("refused write of %s", name)
+	}
+	return r.Backend.WriteFile(name, data)
+}
+
 // TestScanBlobsTrashedPathExists: the path doctor prints for a trashed blob
 // is where the object really is — under the owning shard's trash area on a
 // sharded store, not a root-level .trash that does not exist.

@@ -94,28 +94,45 @@ type AdamW struct {
 // NewAdamW builds an optimizer whose master weights are upcast from the
 // model's current tensors.
 func NewAdamW(m *model.Model, layout *Layout, h Hyper) (*AdamW, error) {
-	if err := layout.Validate(m.Config); err != nil {
+	states := make([]*GroupState, len(layout.Groups))
+	for gi, g := range layout.Groups {
+		states[gi] = NewGroupState(g.Numel)
+	}
+	o, err := ResumeAdamW(m, layout, h, states, 0)
+	if err != nil {
 		return nil, err
 	}
-	o := &AdamW{
-		Model: m, Layout: layout, Hyper: h,
-		States: make([]*GroupState, len(layout.Groups)),
-		Gens:   make([]int64, len(layout.Groups)),
-	}
 	for gi, g := range layout.Groups {
-		st := NewGroupState(g.Numel)
 		var off int64
 		for _, name := range g.Names {
 			t, err := m.Tensor(name)
 			if err != nil {
 				return nil, err
 			}
-			copy(st.Master[off:off+int64(t.Len())], t.Float32s())
+			copy(states[gi].Master[off:off+int64(t.Len())], t.Float32s())
 			off += int64(t.Len())
 		}
-		o.States[gi] = st
 	}
 	return o, nil
+}
+
+// ResumeAdamW builds an optimizer over states as they are — one per layout
+// group, each at the group's numel — after step completed steps: how a
+// restored checkpoint's state is adopted without a copy.
+func ResumeAdamW(m *model.Model, layout *Layout, h Hyper, states []*GroupState, step int) (*AdamW, error) {
+	if err := layout.Validate(m.Config); err != nil {
+		return nil, err
+	}
+	if len(states) != len(layout.Groups) {
+		return nil, fmt.Errorf("optim: %d group states for %d groups", len(states), len(layout.Groups))
+	}
+	for gi, g := range layout.Groups {
+		if st := states[gi]; st.Numel() != g.Numel || int64(len(st.ExpAvg)) != g.Numel || int64(len(st.ExpAvgSq)) != g.Numel {
+			return nil, fmt.Errorf("optim: group %d state holds %d elements, want %d", g.Index, st.Numel(), g.Numel)
+		}
+	}
+	return &AdamW{Model: m, Layout: layout, Hyper: h, StepCount: step, States: states,
+		Gens: make([]int64, len(layout.Groups))}, nil
 }
 
 // Step applies one AdamW update with the given learning rate. Tensors whose

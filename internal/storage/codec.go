@@ -216,15 +216,19 @@ func DecodeContainer(data []byte, opts DecodeOpts) ([]byte, BlobMeta, error) {
 
 // The chunk decoder. A coded read is a chain of levels — the blob, then each
 // xor ancestor — each one stream of its stored object, opened header and
-// chunk table first. The payload is delivered a chunk at a time, every level's
-// chunk XORed into zeroes straight in the caller's buffer, so a read holds a
-// chunk of scratch, never a payload per level. The levels of a chain share one
-// chunk size (the encoder writes one); a chain mixing them is corrupt.
+// chunk table first. The payload is delivered a chunk at a time, so a read
+// holds a few chunks of scratch, never a payload per level. Every coded level
+// of the chain's width (the blob's) decodes into one plane-major accumulator,
+// which one word-wide join interleaves straight into the caller's buffer;
+// raw and stored levels, and coded ones of another width, XOR in after that.
+// The levels of a chain share one chunk size (the encoder writes one); a
+// chain mixing them is corrupt.
 
 // DecodeScratch bounds the scratch one coded read holds beside the caller's
 // buffer, for chunks this package writes: an encoded chunk (its planes behind
-// their records), and a staged one when the caller's buffer cannot take it whole.
-const DecodeScratch = 2*defaultChunkSize + 255*(1+binary.MaxVarintLen64)
+// their records), the plane-major accumulator, and a staged chunk when the
+// caller's buffer cannot take it whole.
+const DecodeScratch = 3*defaultChunkSize + 255*(1+binary.MaxVarintLen64)
 
 // chunkBufs is the decoder's scratch pool.
 var chunkBufs = sync.Pool{New: func() any { return new([]byte) }}
@@ -288,7 +292,10 @@ func (lv *level) read(off int64, p []byte) error {
 	if off < lv.pos {
 		return fmt.Errorf("storage: stream read at %d after %d", off, lv.pos)
 	}
-	_, err := io.CopyN(io.Discard, lv.r, off-lv.pos)
+	var err error
+	if off > lv.pos { // a skip borrows a discard buffer from io's pool
+		_, err = io.CopyN(io.Discard, lv.r, off-lv.pos)
+	}
 	if err == nil {
 		lv.pos = off + int64(len(p))
 		_, err = io.ReadFull(lv.r, p)
@@ -307,69 +314,82 @@ func (lv *level) finish() error {
 	return nil
 }
 
-// xorInto XORs the level's payload bytes [s, s+len(dst)), one chunk, into dst.
+// xorInto XORs the raw or stored level's payload bytes [s, s+len(dst)), one
+// chunk, into dst.
 func (lv *level) xorInto(dst []byte, s int64, scratch *[]byte) error {
-	if lv.offs == nil {
-		buf := sized(scratch, len(dst))
-		err := lv.read(s, buf)
-		tensor.XORBytes(dst, dst, buf)
-		return err
-	}
-	k := s / int64(lv.meta.ChunkSize)
-	enc := sized(scratch, int(lv.offs[k+1]-lv.offs[k]))
-	if err := lv.read(lv.offs[k], enc); err != nil {
-		return err
-	}
-	return decodeChunk(dst, enc, lv.meta.Width)
+	buf := sized(scratch, len(dst))
+	err := lv.read(s, buf)
+	tensor.XORBytes(dst, dst, buf)
+	return err
 }
 
-// decodeChunk decodes one chunk stream and XORs the chunk into dst, its
-// element-interleaved bytes (length = the chunk's raw length).
-func decodeChunk(dst, stream []byte, width int) error {
-	si := 0
-	for p := 0; p < width; p++ {
-		planeLen := tensor.PlaneLen(len(dst), width, p)
+// decodePlanes reads the coded level's chunk at s, len(acc) raw bytes, into
+// scratch and decodes its stream plane by plane into acc, plane-major: written
+// over acc when first is set, XORed into it otherwise. With inPlace (the level
+// is the only one acc takes) a stored plane stays where it lies in scratch. It
+// returns each plane's bytes, in planes' room.
+func (lv *level) decodePlanes(acc []byte, s int64, first, inPlace bool, scratch *[]byte, planes [][]byte) ([][]byte, error) {
+	k := s / int64(lv.meta.ChunkSize)
+	stream := sized(scratch, int(lv.offs[k+1]-lv.offs[k]))
+	if err := lv.read(lv.offs[k], stream); err != nil {
+		return nil, err
+	}
+	w, si, off := lv.meta.Width, 0, 0
+	planes = planes[:0]
+	for p := 0; p < w; p++ {
+		plane := acc[off : off+tensor.PlaneLen(len(acc), w, p)]
+		off += len(plane)
 		if si >= len(stream) {
-			return errContainerShort
+			return nil, errContainerShort
 		}
 		tag := stream[si]
 		si++
 		encLen, n := binary.Uvarint(stream[si:])
 		if n <= 0 {
-			return errContainerHeader
+			return nil, errContainerHeader
 		}
 		si += n
 		if encLen > uint64(len(stream)-si) {
-			return errContainerShort
+			return nil, errContainerShort
 		}
 		enc := stream[si : si+int(encLen)]
 		si += int(encLen)
 		switch tag {
 		case planeTagStored:
-			if int(encLen) != planeLen {
-				return errContainerHeader
+			switch {
+			case len(enc) != len(plane):
+				return nil, errContainerHeader
+			case inPlace:
+				plane = enc
+			case first:
+				copy(plane, enc)
+			default:
+				tensor.XORBytes(plane, plane, enc)
 			}
-			tensor.XORPlane(dst, enc, p, width)
 		case planeTagRLE:
-			if err := tensor.XORPlaneRLE(dst, enc, p, width); err != nil {
-				return fmt.Errorf("%w: plane %d: %w", ErrCorruptBlob, p, err)
+			if err := tensor.DecodeRLE(plane, enc, !first); err != nil {
+				return nil, fmt.Errorf("%w: plane %d: %w", ErrCorruptBlob, p, err)
 			}
 		default:
-			return fmt.Errorf("%w: unknown plane tag %d", ErrCorruptBlob, tag)
+			return nil, fmt.Errorf("%w: unknown plane tag %d", ErrCorruptBlob, tag)
 		}
+		planes = append(planes, plane)
 	}
 	if si != len(stream) {
-		return errContainerHeader
+		return nil, errContainerHeader
 	}
-	return nil
+	return planes, nil
 }
 
 // chainReader delivers payload bytes [pos, end) of a coded blob.
 type chainReader struct {
-	levels         []*level
+	levels         []*level // the coded levels of the blob's width first (main of them)
+	main           int
 	size, pos, end int64
 	scratch, stage *[]byte // from chunkBufs
-	staged         []byte  // the staged chunk's undelivered bytes
+	acc            *[]byte // from chunkBufs: the accumulator of a staged chunk
+	planes         [][]byte
+	staged         []byte // the staged chunk's undelivered bytes
 	err            error
 }
 
@@ -379,7 +399,7 @@ type chainReader struct {
 // the end) before a payload byte is decoded.
 func openChain(top *level, open func(digest string) (io.ReadCloser, error), off, n int64) (*chainReader, error) {
 	c := &chainReader{levels: []*level{top}, size: top.meta.RawSize, pos: off, end: off + n,
-		scratch: chunkBufs.Get().(*[]byte), stage: chunkBufs.Get().(*[]byte)}
+		scratch: chunkBufs.Get().(*[]byte), stage: chunkBufs.Get().(*[]byte), acc: chunkBufs.Get().(*[]byte)}
 	if n < 0 {
 		c.end = c.size
 	}
@@ -416,6 +436,15 @@ func openChain(top *level, open func(digest string) (io.ReadCloser, error), off,
 		c.Close()
 		return nil, err
 	}
+	// XOR commutes: the levels the accumulator takes — coded, at the blob's
+	// width — move to the front, in chain order.
+	for i, lv := range c.levels {
+		if lv.offs != nil && lv.meta.Width == top.meta.Width {
+			copy(c.levels[c.main+1:i+1], c.levels[c.main:i])
+			c.levels[c.main] = lv
+			c.main++
+		}
+	}
 	return c, nil
 }
 
@@ -431,14 +460,15 @@ func (c *chainReader) Read(p []byte) (int, error) {
 	n := 0
 	for len(p) > 0 && c.err == nil && (len(c.staged) > 0 || c.pos < c.end) {
 		if len(c.staged) == 0 {
-			// The chunk at pos, folded straight into p when p takes it whole.
+			// The chunk at pos, folded straight into p when p takes it whole
+			// (the idle stage is then the accumulator).
 			cs := int64(c.levels[0].meta.ChunkSize)
 			s, e := c.pos/cs*cs, min(c.pos/cs*cs+cs, c.size)
-			dst, direct := p, s == c.pos && int64(len(p)) >= e-s
+			dst, acc, direct := p, c.stage, s == c.pos && int64(len(p)) >= e-s
 			if !direct {
-				dst = sized(c.stage, int(e-s))
+				dst, acc = sized(c.stage, int(e-s)), c.acc
 			}
-			if c.err = c.fold(dst[:e-s], s); c.err != nil {
+			if c.err = c.fold(dst[:e-s], s, sized(acc, int(e-s))); c.err != nil {
 				break
 			}
 			out := dst[c.pos-s : min(e, c.end)-s]
@@ -457,12 +487,29 @@ func (c *chainReader) Read(p []byte) (int, error) {
 	return 0, cmp.Or(c.err, io.EOF)
 }
 
-// fold writes the payload chunk at s into dst: every level XORed into zeroes,
-// and at the payload's end every stream checked to end there too.
-func (c *chainReader) fold(dst []byte, s int64) error {
-	clear(dst)
-	for _, lv := range c.levels {
-		err := lv.xorInto(dst, s, c.scratch)
+// fold writes the payload chunk at s into dst. The main levels decode into
+// the accumulator acc, len(dst) bytes — the blob's writes it, each ancestor
+// XORs into it — and the one join writes dst; every other level XORs into dst
+// after, a coded one through the accumulator and a join of its own. At the
+// payload's end every stream is checked to end there too.
+func (c *chainReader) fold(dst []byte, s int64, acc []byte) error {
+	for i, lv := range c.levels {
+		var err error
+		if lv.offs == nil {
+			err = lv.xorInto(dst, s, c.scratch)
+		} else {
+			main := i < c.main
+			c.planes, err = lv.decodePlanes(acc, s, i == 0 || !main, main && c.main == 1, c.scratch, c.planes)
+			switch {
+			case err != nil:
+			case !main:
+				buf := sized(c.scratch, len(dst))
+				tensor.JoinPlanes(buf, c.planes)
+				tensor.XORBytes(dst, dst, buf)
+			case i == c.main-1:
+				tensor.JoinPlanes(dst, c.planes)
+			}
+		}
 		if err == nil && s+int64(len(dst)) == c.size {
 			err = lv.finish()
 		}
@@ -482,6 +529,7 @@ func (c *chainReader) Close() error {
 	if c.scratch != nil {
 		chunkBufs.Put(c.scratch)
 		chunkBufs.Put(c.stage)
+		chunkBufs.Put(c.acc)
 	}
 	*c = chainReader{err: errors.New("storage: read of a closed blob")}
 	return err

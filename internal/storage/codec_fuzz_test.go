@@ -9,8 +9,11 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"llmtailor/internal/tensor"
@@ -180,4 +183,255 @@ func resolveWhole(s *BlobStore, digest string, depth int) ([]byte, error) {
 	}
 	tensor.XORBytes(payload, payload, parent)
 	return payload, nil
+}
+
+// FuzzChainFold builds an xor chain from the fuzzed bytes — one level per
+// byte of spec, top first: raw, stored, plane or xor-parent at a width of 1
+// to 8, every coded level at one chunk size that need not be a multiple of any
+// width, the chain ending at the first level that is not xor-parent — and
+// optionally flips one stored byte of one level. Open must deliver exactly
+// what the reference fold (refFold: every level XORed into zeroes a plane at
+// a time, at its stride) delivers, or both must fail with ErrCorruptBlob.
+// The regression corpus lives in testdata/fuzz/FuzzChainFold.
+func FuzzChainFold(f *testing.F) {
+	for _, seed := range []struct {
+		size, chunk uint16
+		spec        []byte
+		flip        uint32
+	}{
+		{3000, 700, []byte{2<<2 | 3, 2<<2 | 3, 2<<2 | 2}, 0}, // width 3 throughout
+		{4099, 1000, []byte{3<<2 | 3, 1<<2 | 3, 0}, 0},       // widths 4 and 2, a raw root
+		{1501, 333, []byte{1<<2 | 2}, 0},                     // one plane level, in place
+		{2000, 512, []byte{7<<2 | 3, 7<<2 | 3, 0<<2 | 1}, 0}, // width 8, a stored root
+		{2500, 601, []byte{1<<2 | 3, 3<<2 | 2}, 0},           // a mismatched plane root
+		{3000, 700, []byte{1<<2 | 3, 1<<2 | 2}, 1<<16 | 200}, // a corrupt root stream
+		{3000, 700, []byte{3<<2 | 3, 3<<2 | 2}, 0<<16 | 95},  // a corrupt top chunk table
+		{1000, 40, []byte{0<<2 | 3, 0<<2 | 2}, 0},            // width 1, small chunks
+		{2000, 512, []byte{7<<2 | 3, 7<<2 | 2}, 0},           // a stored plane at the root
+		{2001, 512, []byte{1<<2 | 3, 1<<2 | 3, 1<<2 | 2}, 0}, // dense deltas: stored xor planes
+	} {
+		f.Add(seed.size, seed.chunk, seed.spec, seed.flip, int64(seed.size))
+	}
+	f.Fuzz(func(t *testing.T, size, chunk uint16, spec []byte, flip uint32, seed int64) {
+		n, cs := int(size%6000), 1+int(chunk%1500)
+		if len(spec) == 0 || len(spec) > 8 {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		// The chain's payloads, bottom first: the root's slow bytes with
+		// every 8th noisy, so every width codes it, and each level above a
+		// sparse change of the one below.
+		levels := len(spec)
+		for i, b := range spec {
+			if b&3 != 3 {
+				levels = i + 1
+				break
+			}
+		}
+		payloads := make([][]byte, levels)
+		root := make([]byte, n)
+		for i := range root {
+			if i%8 == 0 {
+				root[i] = byte(rng.Intn(256))
+			} else {
+				root[i] = byte(i / 97)
+			}
+		}
+		payloads[levels-1] = root
+		for k := levels - 2; k >= 0; k-- {
+			p := append([]byte(nil), payloads[k+1]...)
+			for i := rng.Intn(7); i < n; i += 1 + rng.Intn(40) {
+				p[i] ^= byte(1 + rng.Intn(255))
+			}
+			for i := 0; seed%3 == 0 && i < n; i += 8 {
+				p[i] ^= byte(1 + rng.Intn(255)) // byte 0 of every 8 changes: a stored xor plane
+			}
+			payloads[k] = p
+		}
+		b := NewMem()
+		s := NewBlobStore(b, "objects")
+		stored := make([][]byte, levels)
+		for k := levels - 1; k >= 0; k-- {
+			codec, width := [4]BlobCodec{CodecRaw, CodecStored, CodecPlane, CodecXORParent}[spec[k]&3], 1+int(spec[k]>>2&7)
+			if k == levels-1 && codec == CodecXORParent {
+				codec = CodecPlane
+			}
+			if k == 0 && codec != CodecXORParent {
+				codec = CodecPlane // the chain reader's top is coded
+			}
+			data := payloads[k]
+			switch codec {
+			case CodecStored:
+				data = append(storedHeader(), data...)
+			case CodecPlane, CodecXORParent:
+				raw, parent := data, ""
+				if codec == CodecXORParent {
+					raw, parent = make([]byte, n), DigestBytes(payloads[k+1])
+					tensor.XORBytes(raw, data, payloads[k+1])
+				}
+				c, ok := encodeContainer(raw, codec, width, parent, cs, nil)
+				if !ok {
+					return // coding does not pay: the chain is not the one spec asks for
+				}
+				data = c
+			}
+			stored[k] = data
+		}
+		if flip != 0 {
+			k := int(flip>>16) % levels
+			stored[k][int(flip&0xffff)%len(stored[k])] ^= 0x41
+		}
+		for k := range stored {
+			b.WriteFile(s.Path(DigestBytes(payloads[k])), stored[k])
+		}
+		top := DigestBytes(payloads[0])
+		want, werr := refRead(s, top)
+		rc, err := s.Open(top)
+		var got []byte
+		if err == nil {
+			got, err = io.ReadAll(rc)
+			rc.Close()
+		}
+		switch {
+		case err == nil && werr == nil:
+			if !bytes.Equal(got, want) {
+				t.Fatalf("the fold delivered %d bytes the reference does not", len(got))
+			}
+		case !errors.Is(err, ErrCorruptBlob) || !errors.Is(werr, ErrCorruptBlob):
+			t.Fatalf("fold: %v; reference: %v; want the same bytes or ErrCorruptBlob from both", err, werr)
+		}
+	})
+}
+
+// refRead reads the whole payload of digest through the chain reader's levels
+// but the reference fold.
+func refRead(s *BlobStore, digest string) ([]byte, error) {
+	rc, err := s.b.Open(s.Path(digest))
+	if err != nil {
+		return nil, err
+	}
+	top, err := openLevel(digest, rc)
+	if err != nil {
+		return nil, err
+	}
+	if top.offs == nil {
+		defer rc.Close()
+		return io.ReadAll(top.r)
+	}
+	c, err := openChain(top, func(d string) (io.ReadCloser, error) { return s.b.Open(s.Path(d)) }, 0, -1)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	out := make([]byte, c.size)
+	for cs, at := int64(top.meta.ChunkSize), int64(0); at < c.size; at += cs {
+		if err := refFold(c, out[at:min(at+cs, c.size)], at); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// refFold is the chunk fold the plane-major one replaced, kept as its
+// reference: every level's chunk XORed into zeroes straight in dst, each
+// plane folded in at its stride (refDecodeChunk).
+func refFold(c *chainReader, dst []byte, s int64) error {
+	clear(dst)
+	for _, lv := range c.levels {
+		var err error
+		if lv.offs == nil {
+			err = lv.xorInto(dst, s, c.scratch)
+		} else {
+			k := s / int64(lv.meta.ChunkSize)
+			enc := sized(c.scratch, int(lv.offs[k+1]-lv.offs[k]))
+			if err = lv.read(lv.offs[k], enc); err == nil {
+				err = refDecodeChunk(dst, enc, lv.meta.Width)
+			}
+		}
+		if err == nil && s+int64(len(dst)) == c.size {
+			err = lv.finish()
+		}
+		if err != nil {
+			return lv.failed(err)
+		}
+	}
+	return nil
+}
+
+// refDecodeChunk decodes one chunk stream and XORs the chunk into dst, its
+// element-interleaved bytes.
+func refDecodeChunk(dst, stream []byte, width int) error {
+	si := 0
+	for p := 0; p < width; p++ {
+		planeLen := tensor.PlaneLen(len(dst), width, p)
+		if si >= len(stream) {
+			return errContainerShort
+		}
+		tag := stream[si]
+		si++
+		encLen, n := binary.Uvarint(stream[si:])
+		if n <= 0 {
+			return errContainerHeader
+		}
+		si += n
+		if encLen > uint64(len(stream)-si) {
+			return errContainerShort
+		}
+		enc := stream[si : si+int(encLen)]
+		si += int(encLen)
+		switch tag {
+		case planeTagStored:
+			if int(encLen) != planeLen {
+				return errContainerHeader
+			}
+			for k, b := range enc {
+				dst[p+k*width] ^= b
+			}
+		case planeTagRLE:
+			if err := refXORPlaneRLE(dst, enc, p, width); err != nil {
+				return fmt.Errorf("%w: plane %d: %w", ErrCorruptBlob, p, err)
+			}
+		default:
+			return fmt.Errorf("%w: unknown plane tag %d", ErrCorruptBlob, tag)
+		}
+	}
+	if si != len(stream) {
+		return errContainerHeader
+	}
+	return nil
+}
+
+// refXORPlaneRLE decodes the RLE stream src as plane p of the
+// element-interleaved dst and XORs it in, a byte at a time.
+func refXORPlaneRLE(dst, src []byte, p, width int) error {
+	n := tensor.PlaneLen(len(dst), width, p)
+	di, si := 0, 0
+	for si < len(src) {
+		v, k := binary.Uvarint(src[si:])
+		if k <= 0 || v>>1 == 0 || v>>1 > uint64(n-di) {
+			return errors.New("rle: malformed run")
+		}
+		si += k
+		cnt := int(v >> 1)
+		for j := 0; j < cnt; j++ {
+			var b byte
+			switch {
+			case v&1 == 1 && si < len(src):
+				b = src[si]
+			case v&1 == 0 && si+j < len(src):
+				b = src[si+j]
+			default:
+				return errors.New("rle: truncated stream")
+			}
+			dst[p+(di+j)*width] ^= b
+		}
+		if si += cnt; v&1 == 1 {
+			si += 1 - cnt
+		}
+		di += cnt
+	}
+	if di != n {
+		return errors.New("rle: stream ends before output is full")
+	}
+	return nil
 }

@@ -198,30 +198,6 @@ func (d *DeltaTopK) Layers(ctx Context) []modelcfg.LayerRef {
 	return out
 }
 
-// custom wraps a fixed schedule: Layers(saveIndex % len(Schedule)).
-type custom struct {
-	// PolicyName labels the schedule.
-	PolicyName string
-	// Schedule cycles through explicit layer sets; nil entries mean full.
-	Schedule [][]modelcfg.LayerRef
-}
-
-// Name implements Strategy.
-func (c *custom) Name() string {
-	if c.PolicyName == "" {
-		return "custom"
-	}
-	return c.PolicyName
-}
-
-// Layers implements Strategy.
-func (c *custom) Layers(ctx Context) []modelcfg.LayerRef {
-	if len(c.Schedule) == 0 {
-		return nil
-	}
-	return c.Schedule[ctx.SaveIndex%len(c.Schedule)]
-}
-
 // ByName constructs the named built-in strategy.
 func ByName(name string) (Strategy, error) {
 	switch name {

@@ -195,25 +195,6 @@ func TestDeltaTopKWithoutTelemetryIsFull(t *testing.T) {
 	}
 }
 
-func TestCustomSchedule(t *testing.T) {
-	c := &custom{PolicyName: "alt", Schedule: [][]modelcfg.LayerRef{
-		{modelcfg.Block(0)},
-		nil,
-	}}
-	if got := c.Layers(Context{SaveIndex: 0}); len(got) != 1 {
-		t.Fatalf("schedule[0] = %v", got)
-	}
-	if got := c.Layers(Context{SaveIndex: 1}); got != nil {
-		t.Fatalf("schedule[1] = %v", got)
-	}
-	if got := c.Layers(Context{SaveIndex: 2}); len(got) != 1 {
-		t.Fatalf("schedule wraps: %v", got)
-	}
-	if c.Name() != "alt" {
-		t.Fatal("name")
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range []string{"full", "parity", "filter", "delta-topk"} {
 		s, err := ByName(name)

@@ -555,8 +555,9 @@ func TestMergeReshardedSources(t *testing.T) {
 			if want := fmt.Sprintf("group %d", last.Index); err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("merge over a corrupt spliced group: %v, want an error naming %s", err, want)
 			}
-			if names, _ := b.List("merged-bad"); len(names) > 0 {
-				t.Fatalf("a failed merge left %v behind", names)
+			if b.Exists("merged-bad") {
+				names, _ := b.List("merged-bad")
+				t.Fatalf("a failed merge into a new run root left it behind (%v)", names)
 			}
 		})
 	}

@@ -115,26 +115,73 @@ func AppendRLE(dst, src []byte) []byte {
 	return dst
 }
 
-// XORPlane XORs src, the bytes of plane p, into the element-interleaved dst:
-// src[k] lands on dst[p+k*width]. len(src) must be PlaneLen(len(dst), width, p).
-// It is the inverse of SplitPlanes for one plane, folded into what dst
-// already holds.
-func XORPlane(dst, src []byte, p, width int) {
-	if len(src) != PlaneLen(len(dst), width, p) {
-		panic("tensor: XORPlane length mismatch")
+// JoinPlanes interleaves plane-major bytes into dst, the inverse of
+// SplitPlanes: planes[p] holds plane p of dst's width-len(planes) elements,
+// PlaneLen(len(dst), len(planes), p) bytes. Widths 2 and 4 — BF16 and FP32 —
+// transpose 8 elements a step in 8-byte lanes.
+func JoinPlanes(dst []byte, planes [][]byte) {
+	w := len(planes)
+	for p, src := range planes {
+		if len(src) != PlaneLen(len(dst), w, p) {
+			panic("tensor: JoinPlanes length mismatch")
+		}
 	}
-	if len(src) > 0 {
-		xorStrided(dst[p:], src, max(width, 1))
+	out := dst // what is left to join in lanes
+	switch w {
+	case 1:
+		copy(dst, planes[0])
+		return
+	case 2:
+		a, b := planes[0], planes[1]
+		for len(out) >= 16 && len(a) >= 8 && len(b) >= 8 {
+			x, y := swap(le.Uint64(a), le.Uint64(b), 8)
+			x, y = swap(x, y, 16)
+			x, y = swap(x, y, 32)
+			le.PutUint64(out, x)
+			le.PutUint64(out[8:], y)
+			a, b, out = a[8:], b[8:], out[16:]
+		}
+	case 4:
+		a, b, c, d := planes[0], planes[1], planes[2], planes[3]
+		for len(out) >= 32 && len(a) >= 8 && len(b) >= 8 && len(c) >= 8 && len(d) >= 8 {
+			x, y := swap(le.Uint64(a), le.Uint64(b), 8)
+			u, v := swap(le.Uint64(c), le.Uint64(d), 8)
+			x, u = swap(x, u, 16)
+			y, v = swap(y, v, 16)
+			x, y = swap(x, y, 32)
+			u, v = swap(u, v, 32)
+			le.PutUint64(out, x)
+			le.PutUint64(out[8:], u)
+			le.PutUint64(out[16:], y)
+			le.PutUint64(out[24:], v)
+			a, b, c, d, out = a[8:], b[8:], c[8:], d[8:], out[32:]
+		}
+	}
+	i := (len(dst) - len(out)) / w // elements joined in lanes
+	for p, src := range planes {
+		for j := i; j < len(src); j++ {
+			dst[p+j*w] = src[j]
+		}
 	}
 }
 
-// XORPlaneRLE decodes the RLE stream src as plane p of the element-interleaved
-// dst and XORs it in: decode, plane-join and XOR in one pass. A zero repeat
-// run — the bulk of an xor delta — costs nothing. Malformed input errors
-// exactly as a decode into a zeroed dst would, never writing outside plane p of dst.
-func XORPlaneRLE(dst, src []byte, p, width int) error {
-	width = max(width, 1)
-	n := PlaneLen(len(dst), width, p)
+var le = binary.LittleEndian
+
+// swap exchanges the odd s-bit units of x with the even ones of y: one step
+// of a transpose. Bytes x0..x7 and y0..y7 come out as x0 y0 x2 y2 … and
+// x1 y1 x3 y3 … at s = 8.
+func swap(x, y uint64, s uint) (uint64, uint64) {
+	m := ^uint64(0) / (1<<s + 1) // the even s-bit units
+	t := (x>>s ^ y) & m
+	return x ^ t<<s, y ^ t
+}
+
+// DecodeRLE decodes the RLE stream src, exactly len(dst) bytes, into dst:
+// written over what dst holds, or XORed into it when xor is set. Literal and
+// repeat runs move in 8-byte lanes, and a zero repeat run XORs nothing — the
+// bulk of an xor delta costs nothing. Malformed input errors, never writing
+// outside dst.
+func DecodeRLE(dst, src []byte, xor bool) error {
 	di, si := 0, 0
 	for si < len(src) {
 		v, k := binary.Uvarint(src[si:])
@@ -146,43 +193,54 @@ func XORPlaneRLE(dst, src []byte, p, width int) error {
 		if cnt64 == 0 {
 			return errRLEZeroRun
 		}
-		if cnt64 > uint64(n-di) {
+		if cnt64 > uint64(len(dst)-di) {
 			return errRLEOverflow
 		}
-		cnt := int(cnt64)
-		out := dst[p+di*width:]
+		out := dst[di : di+int(cnt64)]
 		if v&1 == 1 {
 			if si >= len(src) {
 				return errRLETruncated
 			}
-			if b := src[si]; b != 0 {
-				for i := 0; i < cnt*width; i += width {
-					out[i] ^= b
-				}
-			}
+			repeat(out, src[si], xor)
 			si++
 		} else {
-			if cnt > len(src)-si {
+			if len(out) > len(src)-si {
 				return errRLETruncated
 			}
-			xorStrided(out, src[si:si+cnt], width)
-			si += cnt
+			if lit := src[si : si+len(out)]; xor {
+				XORBytes(out, out, lit)
+			} else {
+				copy(out, lit)
+			}
+			si += len(out)
 		}
-		di += cnt
+		di += len(out)
 	}
-	if di != n {
+	if di != len(dst) {
 		return errRLEShort
 	}
 	return nil
 }
 
-// xorStrided XORs src[k] into dst[k*stride].
-func xorStrided(dst, src []byte, stride int) {
-	if stride == 1 {
-		XORBytes(dst[:len(src)], dst[:len(src)], src)
+// repeat writes b over every byte of out, or XORs it in when xor is set.
+func repeat(out []byte, b byte, xor bool) {
+	if xor && b == 0 {
 		return
 	}
-	for k, b := range src {
-		dst[k*stride] ^= b
+	lane := uint64(b) * 0x0101010101010101
+	i := 0
+	for ; i+8 <= len(out); i += 8 {
+		if xor {
+			le.PutUint64(out[i:], le.Uint64(out[i:])^lane)
+		} else {
+			le.PutUint64(out[i:], lane)
+		}
+	}
+	for ; i < len(out); i++ {
+		if xor {
+			out[i] ^= b
+		} else {
+			out[i] = b
+		}
 	}
 }

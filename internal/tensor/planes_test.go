@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -84,7 +85,7 @@ func TestRLERoundTrip(t *testing.T) {
 	for i, src := range cases {
 		enc := AppendRLE(nil, src)
 		dst := make([]byte, len(src))
-		if err := decodeRLE(dst, enc); err != nil {
+		if err := DecodeRLE(dst, enc, false); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		if !bytes.Equal(dst, src) {
@@ -109,23 +110,24 @@ func TestRLEDecodeRejectsMalformed(t *testing.T) {
 	}
 	for name, src := range cases {
 		dst := make([]byte, 8)
-		if err := decodeRLE(dst, src); err == nil {
+		if err := DecodeRLE(dst, src, false); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)
 		}
 	}
 	// Exact fill must still succeed.
-	if err := decodeRLE(make([]byte, 4), []byte{0x09, 0xaa}); err != nil {
+	if err := DecodeRLE(make([]byte, 4), []byte{0x09, 0xaa}, false); err != nil {
 		t.Fatalf("valid repeat rejected: %v", err)
 	}
 }
 
-// TestXORPlaneKernels: folding each plane of a split buffer into another
-// buffer — stored through XORPlane, RLE-coded through XORPlaneRLE — XORs the
-// joined bytes into it, and an RLE stream that overruns its plane errors.
-func TestXORPlaneKernels(t *testing.T) {
+// TestPlaneKernels: JoinPlanes interleaves what SplitPlanes split, for every
+// width and for lengths that are not a multiple of it, and DecodeRLE writes a
+// plane's bytes over a buffer or XORs them into it; an RLE stream that
+// overruns its plane errors.
+func TestPlaneKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, width := range []int{1, 2, 4, 12} {
-		for _, n := range []int{0, 1, 7, 64, 4097} {
+	for _, width := range []int{1, 2, 3, 4, 8, 12} {
+		for _, n := range []int{0, 1, 7, 31, 32, 33, 64, 4097} {
 			src, base := make([]byte, n), make([]byte, n)
 			for i := range src {
 				if rng.Intn(3) == 0 {
@@ -135,26 +137,54 @@ func TestXORPlaneKernels(t *testing.T) {
 			rng.Read(base)
 			split := make([]byte, n)
 			SplitPlanes(split, src, width)
-			viaPlane, viaRLE := append([]byte(nil), base...), append([]byte(nil), base...)
+			viaRLE, viaXOR := make([]byte, n), append([]byte(nil), split...)
+			var planes [][]byte
 			off := 0
 			for p := 0; p < width; p++ {
 				plane := split[off : off+PlaneLen(n, width, p)]
-				XORPlane(viaPlane, plane, p, width)
-				if err := XORPlaneRLE(viaRLE, AppendRLE(nil, plane), p, width); err != nil {
+				enc := AppendRLE(nil, plane)
+				if err := DecodeRLE(viaRLE[off:off+len(plane)], enc, false); err != nil {
 					t.Fatalf("width=%d n=%d plane %d: %v", width, n, p, err)
 				}
+				if err := DecodeRLE(viaXOR[off:off+len(plane)], enc, true); err != nil {
+					t.Fatalf("width=%d n=%d plane %d: %v", width, n, p, err)
+				}
+				planes = append(planes, viaRLE[off:off+len(plane)])
 				off += len(plane)
 			}
-			want := make([]byte, n)
-			XORBytes(want, src, base)
-			if !bytes.Equal(viaPlane, want) || !bytes.Equal(viaRLE, want) {
-				t.Fatalf("width=%d n=%d: folded planes differ from src XOR base", width, n)
+			joined := append([]byte(nil), base...)
+			JoinPlanes(joined, planes)
+			if !bytes.Equal(joined, src) || !bytes.Equal(viaRLE, split) {
+				t.Fatalf("width=%d n=%d: decoded and joined planes differ from src", width, n)
+			}
+			if !bytes.Equal(viaXOR, make([]byte, n)) {
+				t.Fatalf("width=%d n=%d: a plane XORed into itself is not zero", width, n)
 			}
 		}
 	}
 	// Plane 1 of 8 two-byte-wide bytes holds 4: a 5-byte repeat overruns it.
-	if err := XORPlaneRLE(make([]byte, 8), []byte{0x0b, 0xaa}, 1, 2); err == nil {
+	if err := DecodeRLE(make([]byte, 4), []byte{0x0b, 0xaa}, true); err == nil {
 		t.Fatal("a run past the plane was accepted")
+	}
+}
+
+// BenchmarkJoinPlanes times the join of one 256 KiB chunk at the codec's
+// widths.
+func BenchmarkJoinPlanes(b *testing.B) {
+	const n = 256 << 10
+	for _, width := range []int{2, 4} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			src, dst := make([]byte, n), make([]byte, n)
+			planes := make([][]byte, width)
+			for p, off := 0, 0; p < width; p++ {
+				planes[p] = src[off : off+PlaneLen(n, width, p)]
+				off += len(planes[p])
+			}
+			b.SetBytes(n)
+			for i := 0; i < b.N; i++ {
+				JoinPlanes(dst, planes)
+			}
+		})
 	}
 }
 
@@ -175,13 +205,4 @@ func joinPlanes(dst, src []byte, width int) {
 			k++
 		}
 	}
-}
-
-// decodeRLE decodes src into dst, which must be exactly the expected output
-// length. Every malformed input — bad varint, zero-length op, runs past the
-// output, truncated literals or repeats, short streams — returns an error;
-// the decoder never panics and never writes outside dst.
-func decodeRLE(dst, src []byte) error {
-	clear(dst)
-	return XORPlaneRLE(dst, src, 0, 1)
 }

@@ -159,8 +159,9 @@ func TestKeepLastBoundsStorageOverLongRun(t *testing.T) {
 // recovery the partial checkpoints promise — recipe.FromManifests picks the
 // newest holder of each layer and the merge rebuilds the state — gives the
 // same recipe and the same bytes after retention as before it, for the
-// paper's Filter and Parity strategies, plain and content-addressed. The
-// trainer's KeepLast hook ends at the same recipe.
+// paper's Filter and Parity strategies and the DeltaTopK policy its
+// conclusion anticipates, plain and content-addressed. The trainer's KeepLast
+// hook ends at the same recipe.
 func TestRetainKeepsNewestLayerHolders(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -169,6 +170,7 @@ func TestRetainKeepsNewestLayerHolders(t *testing.T) {
 	}{
 		{"filter", func() strategy.Strategy { return strategy.NewFilter() }, 2},
 		{"parity", func() strategy.Strategy { return strategy.Parity{} }, 1},
+		{"delta-topk", func() strategy.Strategy { return strategy.NewDeltaTopK(0.25, 6) }, 1},
 	}
 	for _, tc := range cases {
 		for _, dedup := range []bool{false, true} {
