@@ -60,6 +60,7 @@ func ifaces(names ...string) sym  { return sym{kind: kIface, names: names} }
 func ranges(names ...string) sym  { return sym{kind: kRange, names: names} }
 func returns(types ...string) sym { return sym{kind: kReturn, names: types} }
 func imports(paths ...string) sym { return sym{kind: kImport, names: paths} }
+func quals(names ...string) sym   { return sym{kind: kQual, names: names} }
 
 func (s sym) withArgs(globs ...string) sym { s.args = globs; return s }
 
@@ -131,9 +132,14 @@ var archRules = []archRule{
 	},
 	{
 		name:  "one-reader/optim-shard-reads",
-		why:   "whole checkpoints load through ReadState's load driver: ReadOptimShard is called by the read stage and by merge's per-source-rank load only",
+		why:   "ReadOptimShard is the load driver over one rank, keeping the checked bytes of the groups asked for: a whole checkpoint loads in one pass of the driver (Restore, ReadState), so only merge's per-source-rank load — the paper's whole shard-file load (§5.4) — calls it",
 		find:  []sym{refs("ReadOptimShard")},
-		allow: []string{"internal/ckpt/read.go", "internal/tailor/merge.go"},
+		allow: []string{"internal/ckpt/read.go", "internal/tailor/merge.go:buildRankShards"},
+	},
+	{
+		name: "one-reader/placement",
+		why:  "a rank's group bytes leave the read stage only through the load driver's placer, behind its layout and padding checks: a zero.GroupShard outside internal/zero is a decoded shard of a rank's own, a second placement free to skip them (the deleted ShardFile kept one per group, checked no padding, and merge re-encoded it), and the deleted names are that path back",
+		find: []sym{quals("internal/zero.GroupShard"), refs("ShardFile", "ReadShardFile", "ownShards", "EncodeGroup")},
 	},
 	{
 		name: "one-reader/names-walk",

@@ -53,14 +53,15 @@ func sealMarker(e *entry) error {
 
 // verifyReadable runs the full read pass adoption requires: the checkpoint
 // opens (config, state, manifest parse and validate), every weight payload
-// passes its CRC, and every rank's optimizer shard decodes — blob-backed
-// payloads included for dedup directories.
+// passes its CRC, and every rank's optimizer shard passes the checks Restore
+// holds it to (layout, padding, step, CRCs) — blob-backed payloads included
+// for dedup directories.
 func verifyReadable(b storage.Backend, dir string) error {
 	c, err := Open(b, dir)
 	if err != nil {
 		return err
 	}
-	if _, err := c.ReadState(nil, nil); err != nil {
+	if _, err := c.ReadState(nil); err != nil {
 		return fmt.Errorf("payloads unreadable: %w", err)
 	}
 	return nil

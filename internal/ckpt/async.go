@@ -39,7 +39,7 @@ type AsyncSaver struct {
 	closed bool
 
 	mu      sync.Mutex
-	cache   map[string]*layerCacheEntry
+	cache   map[cacheKey]*layerCacheEntry
 	pending []*captureTicket
 	stats   CaptureStats
 	errs    []error
@@ -56,7 +56,7 @@ func NewLazyAsyncSaver(b storage.Backend, depth int, opts CaptureOptions) *Async
 	s := &AsyncSaver{
 		base:  b,
 		pool:  storage.NewBufferPool(opts.spoolBytes),
-		cache: map[string]*layerCacheEntry{},
+		cache: map[cacheKey]*layerCacheEntry{},
 	}
 	// Units fan in unordered (each lands in its ticket slot), so the
 	// capture pipeline's ordered sink is a no-op; errors travel through

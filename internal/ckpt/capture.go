@@ -17,8 +17,8 @@
 //     unmetered temp file when the budget is exhausted, so a worker never
 //     blocks holding a layer).
 //     When the optimizer's per-layer mutation counters (SaveSpec.LayerGens)
-//     prove a layer untouched since the previous capture, even the hash is
-//     skipped and the cached digests are reused.
+//     prove a layer untouched since the same optimizer's previous capture,
+//     even the hash is skipped and the cached digests are reused.
 //   - The ordered write pipeline hands each ticket's payload set to the
 //     write stage (write.go) once every unit lands — the same stage the
 //     synchronous Save runs, so the output is byte-identical and crash
@@ -35,10 +35,12 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"strconv"
 	"sync"
+	"weak"
 
+	"llmtailor/internal/model"
 	"llmtailor/internal/modelcfg"
+	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
 )
 
@@ -192,10 +194,22 @@ func (u *captureUnit) slots(fn func(p *payload, key string) bool) bool {
 	return true
 }
 
-// cacheKey scopes gen-proof reuse to one blob store, world size and layer:
-// a different run root or resharding must never hit another run's entries.
-func cacheKey(spec *SaveSpec, layer modelcfg.LayerRef) string {
-	return ObjectsRoot(spec.Dir) + "|" + strconv.Itoa(spec.WorldSize) + "|" + layer.String()
+// cacheKey scopes gen-proof reuse to the live state whose mutations the
+// generations count — the optimizer and its model, each by a weak pointer, so
+// that another state allocated where a freed one lived never matches — and to
+// one blob store, world size and layer: another optimizer at the same
+// generation, another run root or a resharding must never hit these entries.
+type cacheKey struct {
+	optim   weak.Pointer[optim.AdamW]
+	model   weak.Pointer[model.Model]
+	objects string
+	world   int
+	layer   modelcfg.LayerRef
+}
+
+func keyFor(spec *SaveSpec, layer modelcfg.LayerRef) cacheKey {
+	return cacheKey{optim: weak.Make(spec.Optim), model: weak.Make(spec.Model),
+		objects: ObjectsRoot(spec.Dir), world: spec.WorldSize, layer: layer}
 }
 
 // newTicket validates a spec and carves it into per-layer capture units. It
@@ -325,7 +339,7 @@ func (s *AsyncSaver) captureUnit(u *captureUnit) error {
 // the content from live state.
 func (s *AsyncSaver) tryReuse(u *captureUnit, gen int64, store *storage.BlobStore) bool {
 	s.mu.Lock()
-	entry := s.cache[cacheKey(&u.t.spec, u.layer)]
+	entry := s.cache[keyFor(&u.t.spec, u.layer)]
 	s.mu.Unlock()
 	if entry == nil || entry.gen != gen {
 		return false
@@ -364,9 +378,17 @@ func (s *AsyncSaver) updateCache(u *captureUnit, gen int64) {
 		entry.ids[key] = payload{size: p.size, digest: p.digest, crc: p.crc, hasCRC: true}
 		return true
 	})
-	key := cacheKey(&u.t.spec, u.layer)
+	key := keyFor(&u.t.spec, u.layer)
 	s.mu.Lock()
-	if old := s.cache[key]; old == nil || old.gen <= gen {
+	old := s.cache[key]
+	if old == nil {
+		for k := range s.cache { // a new state's first entry: drop the freed states'
+			if k.optim.Value() == nil || k.model.Value() == nil {
+				delete(s.cache, k)
+			}
+		}
+	}
+	if old == nil || old.gen <= gen {
 		s.cache[key] = entry
 	}
 	s.mu.Unlock()

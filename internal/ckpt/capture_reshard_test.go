@@ -1,18 +1,19 @@
 package ckpt
 
-// Regression coverage for gen-proof digest-cache scoping across world
-// sizes: LayerGens counters carried through an elastic resume must never
-// let capture claim a layer "provably unchanged" against blobs sharded at
-// a different world size. cacheKey scopes entries by (objects root, world
-// size, layer); these tests pin that a save at M after saves at N through
-// the SAME saver re-captures everything at the new geometry, while a
-// same-world save still reuses.
+// Regression coverage for gen-proof digest-cache scoping: LayerGens counters
+// prove a layer unchanged only against the same live state's earlier capture
+// at the same geometry. cacheKey scopes entries by (optimizer, model, objects
+// root, world size, layer); these tests pin that a save at M after saves at N
+// through the SAME saver re-captures everything at the new geometry, while a
+// same-world save still reuses, and that another optimizer at the same
+// generations reuses nothing.
 
 import (
 	"testing"
 
 	"llmtailor/internal/model"
 	"llmtailor/internal/modelcfg"
+	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
 )
@@ -102,6 +103,54 @@ func TestCaptureCacheNotReusedAcrossWorldSizes(t *testing.T) {
 		}
 		if !model.Equal(rm, m) || !sameOptim(ro, o) {
 			t.Fatalf("%s does not restore to the live state", dir)
+		}
+	}
+}
+
+// TestCaptureCacheNotReusedAcrossOptimizers: two optimizers that both sit at
+// generation 3, saved through one saver into one run root, share no
+// generation proof — the second save hashes every layer of its own state and
+// restores to it, not to the first optimizer's.
+func TestCaptureCacheNotReusedAcrossOptimizers(t *testing.T) {
+	b := storage.NewMem()
+	s := NewLazyAsyncSaver(b, 2, CaptureOptions{})
+	type state struct {
+		m *model.Model
+		o *optim.AdamW
+	}
+	var states []state
+	for i, seed := range []uint64{1, 2} {
+		m, o := buildOptim(t, modelcfg.Tiny(), seed)
+		states = append(states, state{m, o})
+		dir := DirName(i + 1)
+		err := s.Save(SaveSpec{Dir: "run/" + dir, Model: m, Optim: o, WorldSize: 2, Strategy: "full",
+			Dedup: true, LayerGens: o.LayerGens(), State: TrainerState{Step: i + 1, Seed: seed}})
+		if err == nil {
+			err = s.WaitCaptured()
+		}
+		if err == nil {
+			err = s.Flush()
+		}
+		if err != nil {
+			s.Wait()
+			t.Fatalf("save %s: %v", dir, err)
+		}
+	}
+	stats := s.CaptureStats()
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if stats.LayersReused != 0 {
+		t.Fatalf("LayersReused = %d across two optimizers, want 0", stats.LayersReused)
+	}
+	for i, st := range states {
+		dir := "run/" + DirName(i+1)
+		_, ro, _, err := Restore(b, dir, tensor.BF16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameOptim(ro, st.o) {
+			t.Fatalf("%s does not restore to the optimizer saved there", dir)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"bytes"
-	"fmt"
 	"hash/crc32"
 	"slices"
 	"strings"
@@ -206,12 +205,12 @@ func TestPartialSaveOmitsLayers(t *testing.T) {
 	}
 	// Optimizer shards contain only the selected layers' groups: block 0,
 	// block 2 (2 groups each) + embed (1 group) = 5.
-	sf, err := c.ReadOptimShard(0)
+	sb, err := c.ReadOptimShard(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sf.Shards) != 5 {
-		t.Fatalf("partial shard groups = %d, want 5", len(sf.Shards))
+	if len(sb.Groups) != 5 {
+		t.Fatalf("partial shard groups = %d, want 5", len(sb.Groups))
 	}
 
 	// Partial checkpoints refuse whole-model restore.
@@ -383,78 +382,46 @@ func BenchmarkRestoreTiny(b *testing.B) {
 	}
 }
 
-// TestRestoreRefusesTamperedGroups: Restore decodes every rank's groups
-// straight into the optimizer state it returns, so a group whose metadata
-// disagrees with the layout must be refused before a byte of it is placed,
-// and padding past a group's numel must still be zero — plain and
-// content-addressed alike, each tampered group written back whole with a
-// matching CRC, so only the layout and padding checks can see it. Each case
-// fails with an error that names it, and nothing panics.
-func TestRestoreRefusesTamperedGroups(t *testing.T) {
-	const ws = 3
-	for _, tc := range []struct {
-		name, want string
-		tamper     func(m *ShardGroupMeta, s *zero.GroupShard)
-	}{
-		{"index outside the layout", "unexpected group 999", func(m *ShardGroupMeta, _ *zero.GroupShard) { m.Index = 999 }},
-		{"wrong shard length", "shard length", func(_ *ShardGroupMeta, s *zero.GroupShard) {
-			s.Master, s.ExpAvg, s.ExpAvgSq = append(s.Master, 0), append(s.ExpAvg, 0), append(s.ExpAvgSq, 0)
-		}},
-		{"non-zero padding", "non-zero padding", func(_ *ShardGroupMeta, s *zero.GroupShard) { s.ExpAvg[len(s.ExpAvg)-1] = 1 }},
-	} {
-		for _, dedup := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/dedup=%v", tc.name, dedup), func(t *testing.T) {
-				b := storage.NewMem()
-				dir := "run/checkpoint-3"
-				m, o := buildOptim(t, modelcfg.Tiny(), 32)
-				if err := Save(b, SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: ws, Strategy: "full",
-					Dedup: dedup, State: TrainerState{Step: 3}}); err != nil {
-					t.Fatal(err)
-				}
-				// The last group padded on the last rank: its padding is the
-				// shard's last word.
-				gi := -1
-				for i, g := range o.Layout.Groups {
-					if g.Numel%ws != 0 {
-						gi = i
-					}
-				}
-				if gi < 0 {
-					t.Fatal("fixture: no group is padded")
-				}
-				tamperGroup(t, b, dir, ws-1, gi, tc.tamper)
-				_, ro, _, err := Restore(b, dir, tensor.BF16)
-				if err == nil || !strings.Contains(err.Error(), tc.want) || ro != nil {
-					t.Fatalf("restore: %v, want an error naming %q and no optimizer", err, tc.want)
-				}
-			})
-		}
-	}
-}
-
 // tamperGroup rewrites group idx of rank's stored optimizer state — its LTOS
 // container, or its blob and shard manifest entry — as tamper leaves its
 // metadata and decoded shard, with a CRC that matches the new bytes.
-func tamperGroup(t *testing.T, b storage.Backend, dir string, rank, idx int, tamper func(*ShardGroupMeta, *zero.GroupShard)) {
+func tamperGroup(t testing.TB, b storage.Backend, dir string, rank, idx int, tamper func(*ShardGroupMeta, *zero.GroupShard)) {
 	t.Helper()
 	c, err := Open(b, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.ReadOptimShard(rank)
+	sb, err := c.ReadOptimShard(rank, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := slices.IndexFunc(f.Meta, func(m ShardGroupMeta) bool { return m.Index == idx })
-	tamper(&f.Meta[i], f.Shards[i])
 	if !c.ContentAddressed() {
-		if err := writeShardFile(b, dir+"/"+ShardFileName(rank), f.Rank, f.WorldSize, f.Step, f.Layout, f.Meta, f.Shards); err != nil {
+		name := dir + "/" + ShardFileName(rank)
+		h, err := readShardHeader(b, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := make([]*zero.GroupShard, len(h.Groups))
+		for i, m := range h.Groups {
+			shards[i] = decodeShard(m.Index, rank, sb.Groups[m.Index])
+		}
+		i := slices.IndexFunc(h.Groups, func(m ShardGroupMeta) bool { return m.Index == idx })
+		tamper(&h.Groups[i], shards[i])
+		if err := writeShardFile(b, name, h.Rank, h.WorldSize, h.Step, h.Layout, h.Groups, shards); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
+	name := dir + "/" + ShardManifestName(rank)
+	sm, err := ReadShardManifest(b, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(sm.Groups, func(g ShardGroupEntry) bool { return g.Index == idx })
+	m, s := sm.Groups[i].Meta(), decodeShard(idx, rank, sb.Groups[idx])
+	tamper(&m, s)
 	var payload bytes.Buffer
-	if _, err := encodeGroupPayload(&payload, nil, f.Shards[i]); err != nil {
+	if _, err := encodeGroupPayload(&payload, nil, s); err != nil {
 		t.Fatal(err)
 	}
 	store, err := storeFor(b, dir)
@@ -465,13 +432,8 @@ func tamperGroup(t *testing.T, b storage.Backend, dir string, rank, idx int, tam
 	if err := b.WriteFile(store.Path(digest), payload.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	name := dir + "/" + ShardManifestName(rank)
-	sm, err := ReadShardManifest(b, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm.Groups[i] = ShardGroupEntry{Index: f.Meta[i].Index, Numel: f.Meta[i].Numel, ShardLen: f.Shards[i].Numel(),
-		NoDecay: f.Meta[i].NoDecay, Layer: f.Meta[i].Layer, Size: int64(payload.Len()),
+	sm.Groups[i] = ShardGroupEntry{Index: m.Index, Numel: m.Numel, ShardLen: s.Numel(),
+		NoDecay: m.NoDecay, Layer: m.Layer, Size: int64(payload.Len()),
 		CRC32: crc32.ChecksumIEEE(payload.Bytes()), Digest: digest}
 	if err := writeShardManifest(b, name, sm); err != nil {
 		t.Fatal(err)

@@ -661,11 +661,11 @@ func TestDedupPartialSave(t *testing.T) {
 	if c.Manifest.Complete || len(c.Manifest.Layers) != 2 || !c.Manifest.Dedup {
 		t.Fatalf("manifest = %+v", c.Manifest)
 	}
-	sf, err := c.ReadOptimShard(1)
+	sb, err := c.ReadOptimShard(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sf.Shards) == 0 || sf.WorldSize != 2 || sf.Rank != 1 {
-		t.Fatalf("shard = %+v", sf)
+	if len(sb.Groups) == 0 || sb.Step != o.StepCount {
+		t.Fatalf("shard = %+v", sb)
 	}
 }

@@ -9,7 +9,7 @@ package ckpt
 import (
 	"testing"
 
-	"llmtailor/internal/modelcfg"
+	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
 	"llmtailor/internal/zero"
@@ -34,26 +34,21 @@ func goldenLTSF(tb testing.TB) []byte {
 	return data
 }
 
-// goldenLTOS builds a small deterministic optimizer shard container.
-func goldenLTOS(tb testing.TB) []byte {
+// ltosFixture saves the checkpoint FuzzReadShardFile reads its inputs in, as
+// the file of rank 0, and returns it with its layout and the golden LTOS
+// container: that rank's file as saved.
+func ltosFixture(tb testing.TB) (storage.Backend, *optim.Layout, []byte) {
 	tb.Helper()
-	m, o := buildOptim(tb, modelcfg.Tiny(), 99)
-	_ = m
-	var metas []ShardGroupMeta
-	for _, g := range o.Layout.Groups[:2] {
-		metas = append(metas, metaForGroup(g))
-	}
-	byRank, err := zero.ShardAll(o.States[:2], 2)
+	b := storage.NewMem()
+	_, o := saveFull(tb, b, ltosFixtureDir, 99, 2)
+	data, err := b.ReadFile(ltosFixtureDir + "/" + ShardFileName(0))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	mem := storage.NewMem()
-	if err := writeShardFile(mem, "s", 0, 2, 7, o.Layout.Kind, metas, byRank[0]); err != nil {
-		tb.Fatal(err)
-	}
-	data, _ := mem.ReadFile("s")
-	return data
+	return b, o.Layout, data
 }
+
+const ltosFixtureDir = "run/checkpoint-3"
 
 // container assembles magic + length-prefixed JSON header + payload, for
 // hand-crafting adversarial inputs.
@@ -105,21 +100,35 @@ func addMutations(f *testing.F, golden []byte) {
 	f.Add([]byte("LTOS"))
 }
 
+// FuzzReadShardFile: any bytes standing as a plain checkpoint's rank file
+// read through the one-rank load (Checkpoint.ReadOptimShard) as the layout's
+// groups, or as an error.
 func FuzzReadShardFile(f *testing.F) {
-	addMutations(f, goldenLTOS(f))
+	b, layout, golden := ltosFixture(f)
+	addMutations(f, golden)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b := storage.NewMem()
-		if err := b.WriteFile("s", data); err != nil {
+		if err := b.WriteFile(ltosFixtureDir+"/"+ShardFileName(0), data); err != nil {
 			t.Fatal(err)
 		}
-		sf, err := ReadShardFile(b, "s")
+		c, err := Open(b, ltosFixtureDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := c.ReadOptimShard(0, nil)
 		if err != nil {
 			return // corrupt input must error, and did
 		}
-		// A successful read must be internally consistent.
-		for i, m := range sf.Meta {
-			if sf.Shards[i].Numel() != m.ShardLen {
-				t.Fatalf("group %d: shard len %d != header %d", i, sf.Shards[i].Numel(), m.ShardLen)
+		// A successful read holds the layout's groups, each rank 0's shard.
+		if len(sb.Groups) != layout.NumGroups() {
+			t.Fatalf("%d groups read, the layout has %d", len(sb.Groups), layout.NumGroups())
+		}
+		for _, g := range layout.Groups {
+			p, err := zero.NewPartition(g.Numel, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := int64(len(sb.Groups[g.Index])); n != 12*p.ShardLen() {
+				t.Fatalf("group %d: %d bytes, want 12×%d", g.Index, n, p.ShardLen())
 			}
 		}
 	})

@@ -198,7 +198,7 @@ func TestStreamedLTOSMatchesSeedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range metas {
-		if err := w.writeGroup(m, shards[i]); err != nil {
+		if err := writeGroup(w, m, shards[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,26 +235,34 @@ func TestLTSFGoldenDigest(t *testing.T) {
 	}
 }
 
-// Streamed reads must agree with what the seed's whole-file decoder saw.
+// Streamed reads must agree with what the seed's whole-file decoder saw: a
+// rank file the seed's writer wrote reads back through the load driver as
+// the shards it was given.
 func TestStreamedShardReadRoundtrip(t *testing.T) {
-	metas, shards, layout := buildShardFixture(t)
 	b := storage.NewMem()
-	if err := writeShardFile(b, "s", 0, 2, 9, layout.Kind, metas, shards); err != nil {
+	_, o := saveFull(t, b, "run/checkpoint-3", 42, 2)
+	metas, shards, layout := buildShardFixture(t)
+	name := "run/checkpoint-3/" + ShardFileName(0)
+	if err := seedWriteShardFile(b, name, 0, 2, o.StepCount, layout.Kind, metas, shards); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadShardFile(b, "s")
+	c, err := Open(b, "run/checkpoint-3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	size, _ := b.Stat("s")
-	if f.FileBytes != size {
-		t.Fatalf("FileBytes = %d, want %d", f.FileBytes, size)
+	sb, err := c.ReadOptimShard(0, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(f.Shards) != len(shards) {
-		t.Fatalf("groups = %d, want %d", len(f.Shards), len(shards))
+	size, _ := b.Stat(name)
+	if sb.FileBytes != size {
+		t.Fatalf("FileBytes = %d, want %d", sb.FileBytes, size)
+	}
+	if len(sb.Groups) != len(shards) {
+		t.Fatalf("groups = %d, want %d", len(sb.Groups), len(shards))
 	}
 	for i, s := range shards {
-		g := f.Shards[i]
+		g := decodeShard(metas[i].Index, 0, sb.Groups[metas[i].Index])
 		for j := range s.Master {
 			if g.Master[j] != s.Master[j] || g.ExpAvg[j] != s.ExpAvg[j] || g.ExpAvgSq[j] != s.ExpAvgSq[j] {
 				t.Fatalf("group %d state differs at %d", i, j)
@@ -264,17 +272,19 @@ func TestStreamedShardReadRoundtrip(t *testing.T) {
 }
 
 func TestStreamedShardReadDetectsCorruption(t *testing.T) {
-	metas, shards, layout := buildShardFixture(t)
 	b := storage.NewMem()
-	if err := writeShardFile(b, "s", 0, 2, 9, layout.Kind, metas, shards); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := b.ReadFile("s")
+	saveFull(t, b, "run/checkpoint-3", 42, 2)
+	name := "run/checkpoint-3/" + ShardFileName(0)
+	raw, _ := b.ReadFile(name)
 	raw[len(raw)-1] ^= 0xff // flip a payload byte in the last group
-	if err := b.WriteFile("s", raw); err != nil {
+	if err := b.WriteFile(name, raw); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadShardFile(b, "s"); err == nil {
+	c, err := Open(b, "run/checkpoint-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadOptimShard(0, nil); err == nil {
 		t.Fatal("corrupted shard file read without error")
 	} else if !strings.Contains(err.Error(), "CRC mismatch") {
 		t.Fatalf("err = %v, want CRC mismatch", err)

@@ -7,7 +7,6 @@ import (
 	"llmtailor/internal/optim"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
-	"llmtailor/internal/zero"
 )
 
 // ShardGroupMeta describes one parameter group's shard inside an LTOS file.
@@ -39,32 +38,6 @@ type ltosHeader struct {
 	Groups    []ShardGroupMeta `json:"groups"`
 }
 
-// ShardFile is the fully decoded contents of one rank's optimizer file.
-type ShardFile struct {
-	Rank      int
-	WorldSize int
-	Step      int
-	Layout    optim.LayoutKind
-	// Groups holds the decoded shards in file order, alongside their
-	// metadata (same indices).
-	Meta   []ShardGroupMeta
-	Shards []*zero.GroupShard
-	// FileBytes is the on-disk container size, for I/O accounting.
-	FileBytes int64
-}
-
-// GroupByIndex returns the shard and metadata of the group with the given
-// global layout index, or an error if the file does not contain it (partial
-// checkpoints omit unsaved layers' groups).
-func (f *ShardFile) GroupByIndex(idx int) (*zero.GroupShard, ShardGroupMeta, error) {
-	for i, m := range f.Meta {
-		if m.Index == idx {
-			return f.Shards[i], m, nil
-		}
-	}
-	return nil, ShardGroupMeta{}, fmt.Errorf("ckpt: rank %d shard has no group %d", f.Rank, idx)
-}
-
 // ShardFileName returns the conventional per-rank optimizer file name,
 // mirroring DeepSpeed's bf16_zero_pp_rank_N_mp_rank_00_optim_states.pt.
 func ShardFileName(rank int) string {
@@ -73,12 +46,11 @@ func ShardFileName(rank int) string {
 
 // shardFileWriter streams an LTOS shard file group by group, mirroring
 // ltsfWriter: groups are accepted one at a time through the shared
-// containerWriter lifecycle. Byte-identical to writeShardFile's
+// containerWriter lifecycle. Byte-identical to the tests' writeShardFile
 // (ltos_test.go) given the same groups in the same order.
 type shardFileWriter struct {
 	containerWriter
-	rank int
-	hdr  ltosHeader
+	hdr ltosHeader
 }
 
 // newShardFileWriter opens a streaming writer for one rank's optimizer
@@ -91,7 +63,6 @@ func newShardFileWriter(b storage.Backend, name string, rank, worldSize, step in
 	}
 	return &shardFileWriter{
 		containerWriter: cw,
-		rank:            rank,
 		hdr: ltosHeader{
 			Version: formatVersion, Rank: rank, WorldSize: worldSize,
 			Step: step, Layout: layout.String(),
@@ -99,24 +70,12 @@ func newShardFileWriter(b storage.Backend, name string, rank, worldSize, step in
 	}, nil
 }
 
-// writeGroup appends one group's shard (master + exp_avg + exp_avg_sq) and
-// records its metadata. The shard may be released once writeGroup returns.
-func (w *shardFileWriter) writeGroup(m ShardGroupMeta, s *zero.GroupShard) error {
-	if s.Rank != w.rank {
-		return fmt.Errorf("ckpt: shard for rank %d written into rank %d file", s.Rank, w.rank)
-	}
-	m.ShardLen = s.Numel()
-	return w.appendPayload(m, s.Numel()*12, false, func(sink io.Writer) (int64, error) {
-		return encodeGroupPayload(sink, w.buf, s)
-	})
-}
-
 // appendPayload spools one group payload produced by write and records its
-// metadata — the single section writer under writeGroup and the checkpoint
-// write stage. With hasCRC set, m.CRC32 is carried forward;
-// otherwise it is computed inline. Offsets are assigned here (a full save's
-// payload is gap-free). The size is validated against the geometry before
-// any byte is spooled, and a short or long source errors out (never panics).
+// metadata — the write stage's one section writer for a rank. With hasCRC
+// set, m.CRC32 is carried forward; otherwise it is computed inline. Offsets
+// are assigned here (a full save's payload is gap-free). The size is
+// validated against the geometry before any byte is spooled, and a short or
+// long source errors out (never panics).
 func (w *shardFileWriter) appendPayload(m ShardGroupMeta, size int64, hasCRC bool, write func(io.Writer) (int64, error)) error {
 	if err := w.writable(); err != nil {
 		return err
@@ -138,13 +97,6 @@ func (w *shardFileWriter) appendPayload(m ShardGroupMeta, size int64, hasCRC boo
 // Close writes the final container and releases the scratch space.
 func (w *shardFileWriter) Close() error { return w.finish(w.hdr) }
 
-// encodeGroupPayload streams one group shard's payload — exactly the bytes
-// shardFileWriter.writeGroup spools: the whole shard as its own range.
-func encodeGroupPayload(w io.Writer, buf []byte, s *zero.GroupShard) (int64, error) {
-	st := optim.GroupState{Master: s.Master, ExpAvg: s.ExpAvg, ExpAvgSq: s.ExpAvgSq}
-	return encodeGroupRange(w, buf, &st, 0, s.Numel())
-}
-
 // encodeGroupRange streams elements [lo, hi) of a group's state — master,
 // exp_avg and exp_avg_sq, FP32 little-endian, each section zero-padded past
 // the state's end — straight off the state's own vectors: with lo and hi from
@@ -163,22 +115,6 @@ func encodeGroupRange(w io.Writer, buf []byte, st *optim.GroupState, lo, hi int6
 	return n, nil
 }
 
-func decodeF32(src []byte, n int64) []float32 {
-	out := make([]float32, n)
-	tensor.DecodeLE(out, src)
-	return out
-}
-
-// ReadShardFile reads and decodes an entire rank optimizer file. There is
-// deliberately no lazy variant: like DeepSpeed's pickled optimizer states,
-// a shard file must be fully loaded before any group can be used (§5.4), so
-// the load is ONE stream — the header parsed off the same Open the payload
-// drains from, which is what the paper's Table 7 charges per shard file.
-func ReadShardFile(b storage.Backend, name string) (*ShardFile, error) {
-	rs := streamedRank(b, name)
-	return rs.loadAlone()
-}
-
 // streamedRank is a plain shard file as the load driver first sees it: sized,
 // not listed — loadStream lists it off the stream it loads it from.
 func streamedRank(b storage.Backend, name string) rankPayloads {
@@ -187,13 +123,15 @@ func streamedRank(b storage.Backend, name string) rankPayloads {
 	return rs
 }
 
-// loadStream is the load driver's job for the plain rank at position pos: one
-// Open, the header parsed off it and the rank handed to into, then group by
-// group in file order — read, CRC, place — so the transient memory is one
-// group's payload, not the encoded file beside its decoded form. It fills in
-// rs as it lists it.
-func (rs *rankPayloads) loadStream(f *ShardFile, pos int, into placer) error {
-	b, name, size := rs.stream, rs.name, rs.fileBytes
+// loadStream is the load driver's job for a plain rank: one Open, the
+// header parsed off it and the rank listed and admitted (the driver's layout
+// check and placement), then group by group in file order — read, CRC, place
+// — so the transient memory is one group's payload, not the encoded file
+// beside its decoded form. Like DeepSpeed's pickled optimizer states, a shard
+// file is loaded whole before any group of it is used (§5.4): ONE stream is
+// what the paper's Table 7 charges per shard file.
+func (rs *rankPayloads) loadStream(admit func(*rankPayloads) (func(int, []byte) error, error)) error {
+	b, name, size, want := rs.stream, rs.name, rs.fileBytes, rs.want
 	r, err := b.Open(name)
 	if err != nil {
 		return err
@@ -212,8 +150,8 @@ func (rs *rankPayloads) loadStream(f *ShardFile, pos int, into placer) error {
 		return err
 	}
 	*rs = *h.payloads(b, name)
-	f.init(rs)
-	place, err := into(pos, f)
+	rs.want = want
+	place, err := admit(rs)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 package ckpt
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -41,12 +43,13 @@ func buildOptim(t testing.TB, cfg *modelcfg.Config, seed uint64) (*model.Model, 
 	return m, o
 }
 
+// TestShardFileRoundtrip: rank files written by the fixture writer read
+// back through the load driver, one stream each, as the bytes of the shards
+// written, for every rank of a world of four.
 func TestShardFileRoundtrip(t *testing.T) {
-	cfg := modelcfg.Tiny()
-	_, o := buildOptim(t, cfg, 10)
 	b := storage.NewMem()
-
-	ws := 4
+	const ws, dir = 4, "run/checkpoint-3"
+	_, o := saveFull(t, b, dir, 10, ws)
 	byRank, err := zero.ShardAll(o.States, ws)
 	if err != nil {
 		t.Fatal(err)
@@ -56,51 +59,54 @@ func TestShardFileRoundtrip(t *testing.T) {
 		metas[i] = metaForGroup(g)
 	}
 	for r := 0; r < ws; r++ {
-		if err := writeShardFile(b, ShardFileName(r), r, ws, o.StepCount, o.Layout.Kind, metas, byRank[r]); err != nil {
+		if err := writeShardFile(b, dir+"/"+ShardFileName(r), r, ws, o.StepCount, o.Layout.Kind, metas, byRank[r]); err != nil {
 			t.Fatal(err)
 		}
 	}
-
+	c, err := Open(b, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < ws; r++ {
-		f, err := ReadShardFile(b, ShardFileName(r))
+		sb, err := c.ReadOptimShard(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Rank != r || f.WorldSize != ws || f.Step != 3 || f.Layout != optim.Layerwise {
-			t.Fatalf("rank %d header: %+v", r, f)
+		if sb.Step != 3 || len(sb.Groups) != len(o.States) {
+			t.Fatalf("rank %d: step %d, %d groups", r, sb.Step, len(sb.Groups))
 		}
-		if len(f.Shards) != len(o.States) {
-			t.Fatalf("rank %d: %d groups", r, len(f.Shards))
-		}
-		for i, s := range f.Shards {
-			want := byRank[r][i]
-			for j := range want.Master {
-				if s.Master[j] != want.Master[j] || s.ExpAvg[j] != want.ExpAvg[j] || s.ExpAvgSq[j] != want.ExpAvgSq[j] {
-					t.Fatalf("rank %d group %d elem %d mismatch", r, i, j)
-				}
+		for i, s := range byRank[r] {
+			var want bytes.Buffer
+			if _, err := encodeGroupPayload(&want, nil, s); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sb.Groups[metas[i].Index], want.Bytes()) {
+				t.Fatalf("rank %d group %d: read bytes differ from the shard written", r, i)
 			}
 		}
 	}
 }
 
-func TestShardFileGroupByIndex(t *testing.T) {
-	cfg := modelcfg.Tiny()
-	_, o := buildOptim(t, cfg, 11)
+// TestReadOptimShardKeepsWantedGroups: a whole-rank load keeps only the
+// groups asked for, each as its stored bytes.
+func TestReadOptimShardKeepsWantedGroups(t *testing.T) {
 	b := storage.NewMem()
+	_, o := saveFull(t, b, "run/checkpoint-3", 11, 2)
 	byRank, _ := zero.ShardAll(o.States, 2)
-	metas := make([]ShardGroupMeta, len(o.Layout.Groups))
-	for i, g := range o.Layout.Groups {
-		metas[i] = metaForGroup(g)
+	c, err := Open(b, "run/checkpoint-3")
+	if err != nil {
+		t.Fatal(err)
 	}
-	writeShardFile(b, "f", 0, 2, 1, optim.Layerwise, metas, byRank[0])
-	f, _ := ReadShardFile(b, "f")
-
-	s, m, err := f.GroupByIndex(3)
-	if err != nil || s == nil || m.Index != 3 {
-		t.Fatalf("GroupByIndex: %v %v %v", s, m, err)
+	sb, err := c.ReadOptimShard(0, func(index int) bool { return index == 3 })
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := f.GroupByIndex(999); err == nil {
-		t.Fatal("expected missing group error")
+	var want bytes.Buffer
+	if _, err := encodeGroupPayload(&want, nil, byRank[0][3]); err != nil {
+		t.Fatal(err)
+	}
+	if len(sb.Groups) != 1 || !bytes.Equal(sb.Groups[3], want.Bytes()) {
+		t.Fatalf("kept groups %d, group 3 held %d bytes, want only group 3's %d", len(sb.Groups), len(sb.Groups[3]), want.Len())
 	}
 }
 
@@ -126,36 +132,45 @@ func TestShardFileMetaShardMismatch(t *testing.T) {
 	}
 }
 
-func TestShardFileCorruption(t *testing.T) {
-	cfg := modelcfg.Tiny()
-	_, o := buildOptim(t, cfg, 13)
-	byRank, _ := zero.ShardAll(o.States, 1)
-	metas := make([]ShardGroupMeta, len(o.Layout.Groups))
-	for i, g := range o.Layout.Groups {
-		metas[i] = metaForGroup(g)
-	}
+// readRankFile stands data as rank 0's file of a one-rank checkpoint and
+// reads it through the one-rank load.
+func readRankFile(t *testing.T, data []byte) error {
+	t.Helper()
 	b := storage.NewMem()
-	writeShardFile(b, "f", 0, 1, 1, optim.Layerwise, metas, byRank[0])
+	saveFull(t, b, "run/checkpoint-3", 13, 1)
+	if err := b.WriteFile("run/checkpoint-3/"+ShardFileName(0), data); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(b, "run/checkpoint-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.ReadOptimShard(0, nil)
+	return err
+}
 
-	raw, _ := b.ReadFile("f")
+func TestShardFileCorruption(t *testing.T) {
+	b := storage.NewMem()
+	saveFull(t, b, "run/checkpoint-3", 13, 1)
+	good, _ := b.ReadFile("run/checkpoint-3/" + ShardFileName(0))
+	read := func(data []byte) error { return readRankFile(t, data) }
+	if err := read(good); err != nil {
+		t.Fatalf("fixture: %v", err)
+	}
+	raw := bytes.Clone(good)
 	raw[len(raw)-3] ^= 0x55
-	b.WriteFile("f", raw)
-	if _, err := ReadShardFile(b, "f"); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if err := read(raw); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Fatalf("err = %v", err)
 	}
-
-	raw2, _ := b.ReadFile("f")
-	raw2[0] = 'X'
-	b.WriteFile("g", raw2)
-	if _, err := ReadShardFile(b, "g"); err == nil || !strings.Contains(err.Error(), "magic") {
+	raw = bytes.Clone(good)
+	raw[0] = 'X'
+	if err := read(raw); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestShardFileTruncated(t *testing.T) {
-	b := storage.NewMem()
-	b.WriteFile("f", []byte("LTOS"))
-	if _, err := ReadShardFile(b, "f"); err == nil {
+	if err := readRankFile(t, []byte("LTOS")); err == nil {
 		t.Fatal("truncated file accepted")
 	}
 }
@@ -180,9 +195,39 @@ func writeShardFile(b storage.Backend, name string, rank, worldSize, step int,
 	}
 	defer w.Abort()
 	for i, m := range meta {
-		if err := w.writeGroup(m, shards[i]); err != nil {
+		if err := writeGroup(w, m, shards[i]); err != nil {
 			return err
 		}
 	}
 	return w.Close()
+}
+
+// writeGroup appends one group's shard (master + exp_avg + exp_avg_sq) to w
+// and records its metadata.
+func writeGroup(w *shardFileWriter, m ShardGroupMeta, s *zero.GroupShard) error {
+	if s.Rank != w.hdr.Rank {
+		return fmt.Errorf("ckpt: shard for rank %d written into rank %d file", s.Rank, w.hdr.Rank)
+	}
+	m.ShardLen = s.Numel()
+	return w.appendPayload(m, s.Numel()*12, false, func(sink io.Writer) (int64, error) {
+		return encodeGroupPayload(sink, w.buf, s)
+	})
+}
+
+// encodeGroupPayload streams one group shard's payload — the whole shard as
+// its own range, the bytes a save writes for that rank of the group.
+func encodeGroupPayload(w io.Writer, buf []byte, s *zero.GroupShard) (int64, error) {
+	st := optim.GroupState{Master: s.Master, ExpAvg: s.ExpAvg, ExpAvgSq: s.ExpAvgSq}
+	return encodeGroupRange(w, buf, &st, 0, s.Numel())
+}
+
+// decodeShard is the shard a group payload holds.
+func decodeShard(index, rank int, buf []byte) *zero.GroupShard {
+	n := int64(len(buf)) / 12
+	s := &zero.GroupShard{GroupIndex: index, Rank: rank,
+		Master: make([]float32, n), ExpAvg: make([]float32, n), ExpAvgSq: make([]float32, n)}
+	for k, sec := range [][]float32{s.Master, s.ExpAvg, s.ExpAvgSq} {
+		tensor.DecodeLE(sec, buf[int64(k)*n*4:])
+	}
+	return s
 }

@@ -7,10 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"llmtailor/internal/modelcfg"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
-	"llmtailor/internal/zero"
 )
 
 // openRaw opens a streaming reader over the named tensor's payload, exactly
@@ -254,34 +252,28 @@ func TestAppendRawConsumesExactExtent(t *testing.T) {
 
 func TestReadShardHeaderMatchesFullRead(t *testing.T) {
 	b := storage.NewMem()
-	_, o := buildOptim(t, modelcfg.Tiny(), 7)
-	var metas []ShardGroupMeta
-	for _, g := range o.Layout.Groups {
-		metas = append(metas, metaForGroup(g))
-	}
-	byRank, err := zero.ShardAll(o.States, 2)
+	saveFull(t, b, "run/checkpoint-3", 7, 2)
+	h, err := readShardHeader(b, "run/checkpoint-3/"+ShardFileName(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeShardFile(b, "s", 0, 2, 42, o.Layout.Kind, metas, byRank[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	h, err := readShardHeader(b, "s")
+	// The whole-rank load lists the rank off the stream it loads.
+	c, err := Open(b, "run/checkpoint-3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := ReadShardFile(b, "s")
-	if err != nil {
+	set := &payloadSet{ranks: []rankPayloads{c.listRank(0)}}
+	if err := set.load(newLoadGate(), nil, c, checkOnly, nil); err != nil {
 		t.Fatal(err)
 	}
-	if h.Rank != full.Rank || h.WorldSize != full.WorldSize || h.Step != full.Step ||
-		h.Layout != full.Layout || len(h.Groups) != len(full.Meta) || h.FileBytes != full.FileBytes {
+	full := &set.ranks[0]
+	if h.Rank != full.rank || h.WorldSize != full.worldSize || h.Step != full.step ||
+		h.Layout != full.layout || len(h.Groups) != len(full.groups) || h.FileBytes != full.fileBytes {
 		t.Fatalf("header read %+v disagrees with full read", h)
 	}
 	for i := range h.Groups {
-		if h.Groups[i] != full.Meta[i] {
-			t.Fatalf("group %d meta differs: %+v vs %+v", i, h.Groups[i], full.Meta[i])
+		if h.Groups[i] != full.groups[i].meta {
+			t.Fatalf("group %d meta differs: %+v vs %+v", i, h.Groups[i], full.groups[i].meta)
 		}
 	}
 	if h.Groups[len(h.Groups)-1].Offsets[1] != h.PayloadBytes {

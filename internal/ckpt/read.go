@@ -22,14 +22,12 @@ package ckpt
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -198,11 +196,15 @@ func (p *payload) crcMismatch(file, what string, got uint32) error {
 // the chunk decoder's scratch when its blob is recorded coded — however deep
 // its xor chain, the store folds every ancestor into the destination.
 func (p *payload) charge() int64 {
-	if p.codec != "" && p.codec != storage.CodecRaw.String() {
+	if p.coded() {
 		return p.size + storage.DecodeScratch
 	}
 	return p.size
 }
+
+// coded reports whether the payload's blob is recorded stored in a codec
+// container.
+func (p *payload) coded() bool { return p.codec != "" && p.codec != storage.CodecRaw.String() }
 
 // checked makes every replay of the payload fail unless the bytes match what
 // was recorded for them — the digest, or the CRC when there is none — so a
@@ -488,11 +490,11 @@ func (w *Weights) ReadTensor(name string) (*tensor.Tensor, error) {
 // ReadAll reads every tensor, through the load driver, in name order.
 func (w *Weights) ReadAll() ([]*tensor.Tensor, error) {
 	out := make([]*tensor.Tensor, len(w.list))
-	_, err := w.set().load(newLoadGate(), func(wp *weightPayload) (t *tensor.Tensor, err error) {
+	err := w.set().load(newLoadGate(), func(wp *weightPayload) (t *tensor.Tensor, err error) {
 		t, err = wp.newTensor()
 		out[w.index[wp.name]] = t
 		return t, err
-	}, nil, nil)
+	}, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -596,10 +598,15 @@ func newLoadGate() *parallel.ByteGate { return parallel.NewByteGate(loadBytes) }
 // pipeline of storage.RequestWidth workers, and a worker fetches its payload,
 // checks the CRC and decodes the bytes straight into their destination: the
 // tensor dst names for a weight (a nil dst, or a nil tensor, only checks the
-// bytes), wherever into places a rank's groups (nil: ownShards, a
-// zero.GroupShard each). The shard files come back by position in s.ranks.
-// Request wait and decode overlap across payloads; the window is the whole
-// set, so a slow fetch never holds back the dispatch behind it.
+// bytes), wherever into places a rank's groups. Request wait and decode
+// overlap across payloads; the window is the whole set, so a slow fetch never
+// holds back the dispatch behind it.
+//
+// The driver owns the rank checks, so no byte reaches a placer unchecked: a
+// rank is held to c's layout as the rank it is listed as (checkLayout) before
+// into is asked where any of its bytes go, a group's padding must be zero
+// before it is placed (padding), and once everything is loaded the ranks are
+// held to one optimizer step, in rank order (checkStep).
 //
 // A content-addressed rank is a job per group. A plain rank is ONE job — one
 // Open of its shard file, header parsed off the stream, groups in file order
@@ -611,14 +618,12 @@ func newLoadGate() *parallel.ByteGate { return parallel.NewByteGate(loadBytes) }
 //
 // Errors: results are consumed in payload order, so the failure reported is
 // the first failing payload in that order, whatever order the workers finish
-// in. With bad set, each failure is handed to it instead (rank is the position
-// in s.ranks, -1 for a weight), the load goes on while it returns nil, and a
-// rank that failed comes back nil.
+// in. With bad set, each failure — a payload's, a rank's layout or step — is
+// handed to it instead (rank is the position in s.ranks, -1 for a weight),
+// the load goes on while it returns nil, and a rank that failed keeps its
+// first failure in its err.
 func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*tensor.Tensor, error),
-	into placer, bad func(rank int, err error) error) ([]*ShardFile, error) {
-	if into == nil {
-		into = ownShards
-	}
+	c *Checkpoint, into placer, bad func(rank int, err error) error) error {
 	type job struct {
 		rank int
 		run  func() error
@@ -631,15 +636,15 @@ func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*
 	for i := range s.ranks {
 		jobs += max(1, len(s.ranks[i].groups))
 	}
-	shards := make([]*ShardFile, len(s.ranks))
+	failed := make([]error, len(s.ranks)) // set by the consumer, read after Close
 	pipe := parallel.NewPipeline(storage.RequestWidth, jobs,
 		func(j job) (outcome, error) { return outcome{j.rank, j.run()}, nil },
 		func(o outcome) error {
 			if o.err == nil || bad == nil {
 				return o.err
 			}
-			if o.rank >= 0 {
-				shards[o.rank] = nil // set before the rank's first push, read after Close
+			if o.rank >= 0 && failed[o.rank] == nil {
+				failed[o.rank] = o.err
 			}
 			return bad(o.rank, o.err)
 		})
@@ -651,6 +656,7 @@ func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*
 		}
 		return nil
 	}
+	admit := func(rs *rankPayloads) (func(int, []byte) error, error) { return c.admit(rs, into) }
 	err := func() error {
 		for i := range s.weights {
 			w := &s.weights[i]
@@ -663,17 +669,15 @@ func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*
 			}
 		}
 		for i := range s.ranks {
-			rs, f := &s.ranks[i], &ShardFile{}
-			shards[i] = f
+			rs := &s.ranks[i]
 			var err error
 			switch {
 			case rs.err != nil:
 				err = push(i, 0, func() error { return rs.err })
 			case rs.stream != nil:
-				err = push(i, rs.fileBytes, func() error { return rs.loadStream(f, i, into) })
+				err = push(i, rs.fileBytes, func() error { return rs.loadStream(admit) })
 			default:
-				f.init(rs)
-				place, perr := into(i, f)
+				place, perr := admit(rs)
 				if perr != nil {
 					err = push(i, 0, func() error { return perr })
 				}
@@ -694,46 +698,108 @@ func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*
 		err = cerr // the first failure; a refused push only echoes it
 	}
 	if err != nil {
+		return err
+	}
+	for i := range s.ranks {
+		rs := &s.ranks[i]
+		if rs.err = failed[i]; rs.err != nil {
+			continue
+		}
+		if err := c.rankError(rs.want, c.checkStep(rs.want, rs.step)); err != nil {
+			if bad == nil {
+				return err
+			}
+			rs.err = err
+			if err := bad(i, err); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// placer names where the load driver puts a rank's groups: given the rank's
+// listing, held to the layout already, it returns what takes group i's
+// checked bytes — exactly 12×ShardLen of them, padding found zero — which
+// must not keep buf.
+type placer func(rs *rankPayloads) (place func(i int, buf []byte))
+
+// checkOnly places nothing: the rank's bytes are fetched and checked, and no
+// one keeps them (Verify, AdoptAll).
+func checkOnly(*rankPayloads) func(int, []byte) { return func(int, []byte) {} }
+
+// admit is the load driver's gate for one listed rank: held to the layout as
+// the rank it is listed as (checkLayout), it gets into's placement, behind
+// the padding check of every group.
+func (c *Checkpoint) admit(rs *rankPayloads, into placer) (func(i int, buf []byte) error, error) {
+	if err := c.rankError(rs.want, c.checkLayout(rs.want, rs)); err != nil {
 		return nil, err
 	}
-	return shards, nil
-}
-
-// init sizes the decoded form of a listed rank.
-func (f *ShardFile) init(rs *rankPayloads) {
-	*f = ShardFile{
-		Rank: rs.rank, WorldSize: rs.worldSize, Step: rs.step, Layout: rs.layout,
-		Meta:      make([]ShardGroupMeta, len(rs.groups)),
-		Shards:    make([]*zero.GroupShard, len(rs.groups)),
-		FileBytes: rs.fileBytes,
-	}
-	for i := range rs.groups {
-		f.Meta[i] = rs.groups[i].meta
-	}
-}
-
-// placer names where the load driver puts a listed rank's groups: given the
-// rank's position in the set and its listing (ShardFile.init), it returns what
-// takes group i's checked bytes — exactly 12×ShardLen of them, both codecs
-// checked that by division — or why none of the rank's bytes may be placed.
-type placer func(pos int, f *ShardFile) (place func(i int, buf []byte) error, err error)
-
-// ownShards decodes each group into a zero.GroupShard of the rank's own, its
-// three FP32 sections (ShardFile.Shards).
-func ownShards(_ int, f *ShardFile) (func(int, []byte) error, error) {
+	place := into(rs)
 	return func(i int, buf []byte) error {
-		n := f.Meta[i].ShardLen
-		f.Shards[i] = &zero.GroupShard{GroupIndex: f.Meta[i].Index, Rank: f.Rank,
-			Master: decodeF32(buf, n), ExpAvg: decodeF32(buf[n*4:], n), ExpAvgSq: decodeF32(buf[n*8:], n)}
+		if err := c.padding(rs.want, rs.groups[i].meta, 0, buf); err != nil {
+			return err
+		}
+		place(i, buf)
 		return nil
 	}, nil
 }
 
+// padding checks b, the bytes at offset off of rank's shard of group m, in
+// the words of each section past the group's numel: a shard is written
+// zero-padded, and anything but a float zero there is corruption, which
+// trimming would hide. m is held to the layout already.
+func (c *Checkpoint) padding(rank int, m ShardGroupMeta, off int64, b []byte) error {
+	lo := int64(rank) * m.ShardLen
+	data := min(max(m.Numel-lo, 0), m.ShardLen)
+	for k := int64(0); k < 3; k++ {
+		for p := max(off, (k*m.ShardLen+data)*4); p < min(off+int64(len(b)), (k+1)*m.ShardLen*4); p++ {
+			if v := b[p-off]; v != 0 && (p%4 != 3 || v != 0x80) { // -0 is 00 00 00 80
+				return fmt.Errorf("ckpt: %s: rank %d: group %d: non-zero padding at element %d (numel %d)",
+					c.Dir, rank, m.Index, lo+p/4-k*m.ShardLen, m.Numel)
+			}
+		}
+	}
+	return nil
+}
+
+// padWriter holds the bytes of a group payload streaming through it to the
+// padding check before they pass on.
+type padWriter struct {
+	w    io.Writer
+	c    *Checkpoint
+	rank int
+	m    ShardGroupMeta
+	off  int64
+}
+
+func (p *padWriter) Write(b []byte) (int, error) {
+	if err := p.c.padding(p.rank, p.m, p.off, b); err != nil {
+		return 0, err
+	}
+	p.off += int64(len(b))
+	return p.w.Write(b)
+}
+
+// listRank lists rank r for the load driver: a content-addressed rank from
+// its manifest, a plain one not at all — its header comes off the one stream
+// its load opens. A rank that cannot be listed fails in its place in payload
+// order.
+func (c *Checkpoint) listRank(r int) rankPayloads {
+	var rs rankPayloads
+	if c.src.store == nil {
+		rs = streamedRank(c.Backend, c.Dir+"/"+ShardFileName(r))
+	} else if l, err := c.src.rank(r); err != nil {
+		rs.err = err
+	} else {
+		rs = *l
+	}
+	rs.want = r
+	return rs
+}
+
 // loadSet lists the checkpoint for the load driver: the weights Open listed,
-// then ranks 0..R-1 of the trainer state's world size. Content-addressed
-// ranks are listed from their manifests side by side; a plain rank is not
-// listed at all — its header comes off the one stream its load opens. A rank
-// that cannot be listed fails in its place in payload order.
+// then ranks 0..R-1 of the trainer state's world size, listed side by side.
 func (c *Checkpoint) loadSet() (*payloadSet, error) {
 	ws := c.State.WorldSize
 	if ws <= 0 {
@@ -742,67 +808,44 @@ func (c *Checkpoint) loadSet() (*payloadSet, error) {
 	set := c.weights.set()
 	set.ranks = make([]rankPayloads, ws)
 	_ = parallel.ForEach(storage.RequestWidth, ws, func(r int) error {
-		if c.src.store == nil {
-			set.ranks[r] = streamedRank(c.Backend, c.Dir+"/"+ShardFileName(r))
-		} else if rs, err := c.src.rank(r); err != nil {
-			set.ranks[r] = rankPayloads{err: err}
-		} else {
-			set.ranks[r] = *rs
-		}
+		set.ranks[r] = c.listRank(r)
 		return nil
 	})
 	return set, nil
 }
 
-// ReadState reads everything the checkpoint stores through the load driver:
-// every weight payload checked against its CRC and decoded into the tensor
-// dst names for it (nil: only checked), every rank's optimizer shard decoded
-// and checked against the layout (checkRank), returned by rank. With bad nil
-// the first failing payload in payload order is the error, or else every
-// problem the check finds; otherwise each failing payload and each problem
-// is handed to bad (rank -1: a weight), the read goes on while bad returns
-// nil, and a rank that failed comes back nil.
-func (c *Checkpoint) ReadState(dst func(name string) (*tensor.Tensor, error), bad func(rank int, err error) error) ([]*ShardFile, error) {
-	return c.readState(newLoadGate(), dst, bad)
+// ReadState reads everything the checkpoint stores through the load driver,
+// keeping nothing: every weight payload checked against its CRC, every rank
+// held to the layout, its padding and the one optimizer step, every group
+// payload against its CRC. It returns how many groups each rank stores, by
+// rank, -1 for a rank that failed. With bad nil the first failure in payload
+// order is the error; otherwise each failure is handed to bad (rank -1: a
+// weight) and the read goes on while bad returns nil.
+func (c *Checkpoint) ReadState(bad func(rank int, err error) error) ([]int, error) {
+	return c.readState(newLoadGate(), bad)
 }
 
-func (c *Checkpoint) readState(gate *parallel.ByteGate, dst func(name string) (*tensor.Tensor, error),
-	bad func(rank int, err error) error) ([]*ShardFile, error) {
+func (c *Checkpoint) readState(gate *parallel.ByteGate, bad func(rank int, err error) error) ([]int, error) {
 	set, err := c.loadSet()
 	if err != nil {
 		return nil, err
 	}
-	shards, err := set.load(gate, c.weightDst(dst), nil, bad)
-	if err != nil {
+	if err := set.load(gate, nil, c, checkOnly, bad); err != nil {
 		return nil, err
 	}
-	var errs []error
-	for r, f := range shards {
-		if f == nil {
-			continue
-		}
-		for _, err := range c.checkRank(r, f) {
-			if bad == nil {
-				errs = append(errs, fmt.Errorf("rank %d: %w", r, err))
-			} else if err := bad(r, err); err != nil {
-				return nil, err
-			}
-			shards[r] = nil
+	groups := make([]int, len(set.ranks))
+	for r, rs := range set.ranks {
+		if groups[r] = len(rs.groups); rs.err != nil {
+			groups[r] = -1
 		}
 	}
-	if len(errs) > 0 {
-		return nil, fmt.Errorf("ckpt: %s: %w", c.Dir, errors.Join(errs...))
-	}
-	return shards, nil
+	return groups, nil
 }
 
 // weightDst has each weight decode into the tensor dst names for it, which
-// must be of the stored dtype and shape (nil dst, or a nil tensor: the bytes
-// are only checked).
+// must be of the stored dtype and shape (a nil tensor: the bytes are only
+// checked).
 func (c *Checkpoint) weightDst(dst func(name string) (*tensor.Tensor, error)) func(*weightPayload) (*tensor.Tensor, error) {
-	if dst == nil {
-		return nil
-	}
 	return func(w *weightPayload) (*tensor.Tensor, error) {
 		t, err := dst(w.name)
 		if err != nil || t == nil {
@@ -817,92 +860,77 @@ func (c *Checkpoint) weightDst(dst func(name string) (*tensor.Tensor, error)) fu
 }
 
 // loadState is Restore's read: every weight decoded into the tensor dst
-// names for it, as ReadState does, and every rank's groups decoded straight
-// into states — the layout's groups in index order, each allocated at its
-// numel — with no shard of their own. A rank is held to the layout
-// (checkLayout) before any of its bytes are placed, so no destination is
-// sized or indexed from a claim; a group's checked bytes land in their
-// [rank·ShardLen, …) slice of the three sections, and what lies past the
-// numel must be zero (placeShard). Once all is read, the ranks are held to
-// one optimizer step in rank order (checkStep), which is returned.
+// names for it, and every rank's groups decoded straight into states — the
+// layout's groups in index order, each allocated at its numel — with no shard
+// of their own: a group's checked bytes land in their [rank·ShardLen, …)
+// slice of the three sections (placeShard). The driver has held the rank to
+// the layout first, so no destination is sized or indexed from a claim. It
+// returns the one optimizer step of the ranks.
 func (c *Checkpoint) loadState(dst func(name string) (*tensor.Tensor, error), states []*optim.GroupState) (int, error) {
 	set, err := c.loadSet()
 	if err != nil {
 		return 0, err
 	}
-	shards, err := set.load(newLoadGate(), c.weightDst(dst), func(pos int, f *ShardFile) (func(int, []byte) error, error) {
-		if err := c.rankError(pos, c.checkLayout(pos, f)); err != nil {
-			return nil, err
+	err = set.load(newLoadGate(), c.weightDst(dst), c, func(rs *rankPayloads) func(int, []byte) {
+		return func(i int, buf []byte) {
+			m := rs.groups[i].meta
+			placeShard(states[m.Index], rs.want, m.ShardLen, buf)
 		}
-		return func(i int, buf []byte) error {
-			m := f.Meta[i]
-			if err := placeShard(states[m.Index], pos, m.ShardLen, buf); err != nil {
-				return fmt.Errorf("ckpt: %s: rank %d: group %d: %w", c.Dir, pos, m.Index, err)
-			}
-			return nil
-		}, nil
 	}, nil)
 	if err != nil {
 		return 0, err
 	}
-	for r, f := range shards {
-		if err := c.rankError(r, c.checkStep(r, f)); err != nil {
-			return 0, err
-		}
-	}
-	return shards[0].Step, nil
+	return set.ranks[0].step, nil
 }
 
 // placeShard decodes rank pos's shard of a group — master, exp_avg and
 // exp_avg_sq, shardLen FP32 words each — into [pos·shardLen, …) of the
-// group's state. The words past the state's numel are padding, written as
-// zeros: anything else is corruption, which trimming would hide.
-func placeShard(st *optim.GroupState, pos int, shardLen int64, buf []byte) error {
+// group's state. The words past the state's numel are padding, left behind.
+func placeShard(st *optim.GroupState, pos int, shardLen int64, buf []byte) {
 	lo := int64(pos) * shardLen
 	a, b := min(lo, st.Numel()), min(lo+shardLen, st.Numel())
 	for k, sec := range [][]float32{st.Master, st.ExpAvg, st.ExpAvgSq} {
-		src := buf[int64(k)*shardLen*4 : int64(k+1)*shardLen*4]
-		tensor.DecodeLE(sec[a:b], src)
-		for j := b - a; j < shardLen; j++ {
-			if math.Float32frombits(binary.LittleEndian.Uint32(src[j*4:])) != 0 {
-				return fmt.Errorf("non-zero padding at element %d (numel %d)", lo+j, st.Numel())
+		tensor.DecodeLE(sec[a:b], buf[int64(k)*shardLen*4:])
+	}
+}
+
+// ShardBytes is one rank's optimizer shard as a whole load of it leaves it:
+// the checked payload bytes of the groups asked for, by layout index —
+// master, exp_avg and exp_avg_sq, FP32 little-endian, 12×ShardLen bytes,
+// padding zero — its recorded step, and what the load moved off the backend.
+type ShardBytes struct {
+	Groups    map[int][]byte
+	Step      int
+	FileBytes int64
+}
+
+// ReadOptimShard fully reads one rank's optimizer state through the load
+// driver — the LTOS shard file of a plain checkpoint as one stream, or the
+// rank's shard manifest plus group blobs of a content-addressed one, fetched
+// side by side — and keeps the bytes of the groups want selects (nil: every
+// group).
+func (c *Checkpoint) ReadOptimShard(rank int, want func(index int) bool) (*ShardBytes, error) {
+	set := &payloadSet{ranks: []rankPayloads{c.listRank(rank)}}
+	var held [][]byte
+	err := set.load(newLoadGate(), nil, c, func(rs *rankPayloads) func(int, []byte) {
+		held = make([][]byte, len(rs.groups))
+		return func(i int, buf []byte) {
+			if want == nil || want(rs.groups[i].meta.Index) {
+				held[i] = append(make([]byte, 0, len(buf)), buf...)
 			}
 		}
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// ReadOptimShard fully reads one rank's optimizer state, checked against the
-// layout (checkRank): the LTOS shard file of a plain checkpoint as one
-// stream, or the rank's shard manifest plus group blobs of a
-// content-addressed one, fetched side by side.
-func (c *Checkpoint) ReadOptimShard(rank int) (*ShardFile, error) {
-	var f *ShardFile
-	var err error
-	if c.src.store == nil {
-		f, err = ReadShardFile(c.Backend, c.Dir+"/"+ShardFileName(rank))
-	} else {
-		var rs *rankPayloads
-		if rs, err = c.src.rank(rank); err == nil {
-			f, err = rs.loadAlone()
+	rs := &set.ranks[0]
+	sb := &ShardBytes{Groups: map[int][]byte{}, Step: rs.step, FileBytes: rs.fileBytes}
+	for i, g := range rs.groups {
+		if held[i] != nil {
+			sb.Groups[g.meta.Index] = held[i]
 		}
 	}
-	if err == nil {
-		err = c.rankError(rank, c.checkRank(rank, f))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// loadAlone runs the load driver over this one rank.
-func (rs *rankPayloads) loadAlone() (*ShardFile, error) {
-	shards, err := (&payloadSet{ranks: []rankPayloads{*rs}}).load(newLoadGate(), nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return shards[0], nil
+	return sb, nil
 }
 
 // GroupExtent is one rank's stored payload of one optimizer group: recorded
@@ -923,24 +951,31 @@ type GroupExtent struct {
 // OptimExtents lists one rank's optimizer groups in stored order — each
 // exactly 12×ShardLen bytes — and its recorded optimizer step, reading no
 // payload byte: what a feeder taking groups by reference, or splicing byte
-// ranges of them across a world-size change, needs in place of a decoded
-// ShardFile. The rank is checked against the layout (checkRank).
+// ranges of them across a world-size change, needs in place of a whole load.
+// The rank is checked against the layout (checkRank), and every replay of a
+// group, its check included, against the padding rule a whole load holds it
+// to. A blob's ranges are served in the form its first read learns
+// (storage.BlobStore.Ranges), the check's.
 func (c *Checkpoint) OptimExtents(rank int) (groups []GroupExtent, step int, err error) {
 	rs, err := c.src.rank(rank)
 	if err != nil {
 		return nil, 0, err
 	}
-	f := &ShardFile{}
-	f.init(rs)
-	if err := c.rankError(rank, c.checkRank(rank, f)); err != nil {
+	if err := c.rankError(rank, c.checkRank(rank, rs)); err != nil {
 		return nil, 0, err
 	}
 	groups = make([]GroupExtent, len(rs.groups))
 	for i, g := range rs.groups {
 		p := &rs.groups[i].payload
+		if p.store != nil {
+			open, size := p.store.Ranges(p.digest, p.coded()), p.size
+			p.open, p.write = open, replay(func() (io.ReadCloser, error) { return open(0, size) })
+		}
+		write := p.write
+		p.write = func(w io.Writer) (int64, error) { return write(&padWriter{w: w, c: c, rank: rank, m: g.meta}) }
 		var once sync.Once
 		var err error
-		groups[i] = GroupExtent{ShardGroupMeta: g.meta, OpenRange: g.open, p: p,
+		groups[i] = GroupExtent{ShardGroupMeta: g.meta, OpenRange: p.open, p: p,
 			check: func() (n int64, _ error) {
 				once.Do(func() {
 					q := *p
@@ -967,40 +1002,40 @@ type rankCheck struct {
 }
 
 // checkRank is the one check of a rank's optimizer metadata against the
-// checkpoint — what Restore, Verify, reshard and merge read every rank
-// through (ReadState, ReadOptimShard, OptimExtents, and Restore's loadState
-// in its two halves). The rank at position rank must claim that rank of the
+// checkpoint — what every reader of a rank's groups reads it through: the
+// load driver in its two halves (Restore, ReadState, ReadOptimShard), and
+// OptimExtents whole. The rank at position rank must claim that rank of the
 // trainer state's world size, store exactly the layout's groups of the
 // manifest's layers, none twice, in index order, each with the layout's
 // numel, no_decay and layer and the shard length zero.Partition gives its
 // numel over the world (checkLayout), and record the optimizer step every
 // other rank read through this handle records (checkStep). It reads nothing,
 // and returns every problem.
-func (c *Checkpoint) checkRank(rank int, f *ShardFile) []error {
-	return append(c.checkLayout(rank, f), c.checkStep(rank, f)...)
+func (c *Checkpoint) checkRank(rank int, rs *rankPayloads) []error {
+	return append(c.checkLayout(rank, rs), c.checkStep(rank, rs.step)...)
 }
 
 // checkStep is checkRank's step half: the first rank checked through this
 // handle sets the step every other rank must record.
-func (c *Checkpoint) checkStep(rank int, f *ShardFile) []error {
+func (c *Checkpoint) checkStep(rank, step int) []error {
 	rc := &c.ranks
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if !rc.checked {
-		rc.checked, rc.step, rc.rank = true, f.Step, rank
-	} else if f.Step != rc.step {
-		return []error{fmt.Errorf("at optimizer step %d, rank %d at %d", f.Step, rc.rank, rc.step)}
+		rc.checked, rc.step, rc.rank = true, step, rank
+	} else if step != rc.step {
+		return []error{fmt.Errorf("at optimizer step %d, rank %d at %d", step, rc.rank, rc.step)}
 	}
 	return nil
 }
 
 // checkLayout is checkRank's layout half: the rank's claim and its groups.
-func (c *Checkpoint) checkLayout(rank int, f *ShardFile) []error {
+func (c *Checkpoint) checkLayout(rank int, rs *rankPayloads) []error {
 	var errs []error
 	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
 	ws := c.State.WorldSize
-	if f.Rank != rank || f.WorldSize != ws {
-		bad("shard claims rank %d of world size %d, want rank %d of %d", f.Rank, f.WorldSize, rank, ws)
+	if rs.rank != rank || rs.worldSize != ws {
+		bad("shard claims rank %d of world size %d, want rank %d of %d", rs.rank, rs.worldSize, rank, ws)
 	}
 	rc := &c.ranks
 	rc.once.Do(func() { rc.want, rc.at, rc.err = c.wantGroups() })
@@ -1009,7 +1044,8 @@ func (c *Checkpoint) checkLayout(rank int, f *ShardFile) []error {
 	}
 	seen := make([]bool, len(rc.want))
 	prev := -1
-	for _, m := range f.Meta {
+	for _, g := range rs.groups {
+		m := g.meta
 		i, ok := rc.at[m.Index]
 		switch {
 		case !ok:

@@ -79,7 +79,7 @@ type readAnswers struct {
 	Eligible      map[string][2]bool
 	RawBytes      map[string][]byte
 	Tensors       map[string][]byte
-	Shards        []ShardFile
+	Shards        []ShardBytes
 	Weights       []byte
 	Ranks         [][]byte
 	SetSlots      []string
@@ -125,12 +125,12 @@ func readEverything(t *testing.T, b storage.Backend, dir string) readAnswers {
 		a.Tensors[name] = ts.Encode(nil)
 	}
 	for r := 0; r < c.WorldSize(); r++ {
-		sf, err := c.ReadOptimShard(r)
+		sb, err := c.ReadOptimShard(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sf.FileBytes = 0 // what a load moves legitimately differs by layout
-		a.Shards = append(a.Shards, *sf)
+		sb.FileBytes = 0 // what a load moves legitimately differs by layout
+		a.Shards = append(a.Shards, *sb)
 		dst := fmt.Sprintf("mat/%s/rank%d.ltos", dir, r)
 		if err := MaterializeShardFile(b, dir, r, dst, 0); err != nil {
 			t.Fatal(err)
@@ -261,7 +261,7 @@ func TestPlainReadOptimShardIsOneStream(t *testing.T) {
 	}
 	log.ops = nil
 	meter.Reset()
-	sf, err := c.ReadOptimShard(1)
+	sb, err := c.ReadOptimShard(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +276,8 @@ func TestPlainReadOptimShardIsOneStream(t *testing.T) {
 		sim += p.ReadChunkTime(g.Offsets[1] - g.Offsets[0])
 	}
 	st := meter.Stats()
-	if st.FilesRead != 1 || st.BytesRead != h.FileBytes || st.SimTime != sim || sf.FileBytes != h.FileBytes {
-		t.Fatalf("meter charged %+v (ShardFile.FileBytes %d), want 1 file, %d bytes, %v", st, sf.FileBytes, h.FileBytes, sim)
+	if st.FilesRead != 1 || st.BytesRead != h.FileBytes || st.SimTime != sim || sb.FileBytes != h.FileBytes {
+		t.Fatalf("meter charged %+v (ShardBytes.FileBytes %d), want 1 file, %d bytes, %v", st, sb.FileBytes, h.FileBytes, sim)
 	}
 }
 
@@ -404,7 +404,7 @@ func corruptionCase(t *testing.T, b storage.Backend, layout string, weight bool,
 		named("ReadTensor", err)
 		named("MaterializeWeights", MaterializeWeights(b, dir, "mat.ltsf", 0))
 	} else {
-		_, err = c.ReadOptimShard(1)
+		_, err = c.ReadOptimShard(1, nil)
 		named("ReadOptimShard", err)
 		named("MaterializeShardFile", MaterializeShardFile(b, dir, 1, "mat.ltos", 0))
 	}

@@ -106,13 +106,16 @@ type rankPayloads struct {
 	layout                optim.LayoutKind
 	groups                []groupPayload
 	// Read stage only. name is the shard file or manifest the rank is listed
-	// in, fileBytes what a whole load moves off the backend. stream, when set,
-	// is the backend of a plain shard file not listed yet (streamedRank); err
-	// a listing failure, which the load driver reports in the rank's place.
+	// in, fileBytes what a whole load moves off the backend, want the rank
+	// the set lists it as (which rank must match). stream, when set, is the
+	// backend of a plain shard file not listed yet (streamedRank); err a
+	// listing failure, which the load driver reports in the rank's place, or
+	// once a load that goes on past failures has run, the rank's first.
 	name      string
 	fileBytes int64
 	stream    storage.Backend
 	err       error
+	want      int
 }
 
 // payloadSet lists a checkpoint's payloads in write order — weights, then
@@ -948,12 +951,6 @@ func writeZeros(w io.Writer, n int64) (int64, error) {
 // 12×ShardLen payload bytes, once, when the output is written.
 func (r OutputRank) ComputeGroup(meta ShardGroupMeta, write func(io.Writer) (int64, error)) {
 	r.rs().groups = append(r.rs().groups, groupPayload{payload: payload{size: meta.ShardLen * 12, write: write}, meta: meta})
-}
-
-// EncodeGroup writes one group shard's payload — master, exp_avg and
-// exp_avg_sq, FP32 little-endian — as a computed group delivers it.
-func EncodeGroup(w io.Writer, s *zero.GroupShard) (int64, error) {
-	return withChunkBuf(func(w io.Writer, buf []byte) (int64, error) { return encodeGroupPayload(w, buf, s) })(w)
 }
 
 // OutputOptions shapes an Output's commit.

@@ -161,40 +161,54 @@ func TestReshardDecodeMatchesSplice(t *testing.T) {
 		}
 		src := readRanks(t, b, "run/checkpoint-10", tc.from)
 		dst := readRanks(t, b, "run/raw", tc.to)
-		for gi, meta := range src[0].Meta {
+		for _, g := range o.Layout.Groups {
 			shards := make([]*zero.GroupShard, tc.from)
 			for r, f := range src {
-				shards[r] = f.Shards[gi]
+				shards[r] = f[g.Index]
 			}
-			want, err := zero.Reshard(shards, meta.Numel, tc.to)
+			want, err := zero.Reshard(shards, g.Numel, tc.to)
 			if err != nil {
-				t.Fatalf("%d→%d group %d: decode reference: %v", tc.from, tc.to, meta.Index, err)
+				t.Fatalf("%d→%d group %d: decode reference: %v", tc.from, tc.to, g.Index, err)
 			}
 			for r, f := range dst {
-				if got := f.Shards[gi]; got.GroupIndex != meta.Index || !sameShard(got, want[r]) {
+				if got := f[g.Index]; got == nil || !sameShard(got, want[r]) {
 					t.Fatalf("%d→%d: rank %d group %d: spliced shard differs from the decoded repartition",
-						tc.from, tc.to, r, meta.Index)
+						tc.from, tc.to, r, g.Index)
 				}
 			}
 		}
 	}
 }
 
-// readRanks decodes every rank optimizer file of a checkpoint, in rank order.
-func readRanks(t testing.TB, b storage.Backend, dir string, world int) []*ckpt.ShardFile {
+// readRanks decodes every rank's shard of every group of a checkpoint, by
+// rank and group index, from the bytes its whole-rank loads place.
+func readRanks(t testing.TB, b storage.Backend, dir string, world int) []map[int]*zero.GroupShard {
 	t.Helper()
-	files := make([]*ckpt.ShardFile, world)
-	for r := range files {
-		f, err := ckpt.ReadShardFile(b, dir+"/"+ckpt.ShardFileName(r))
+	c, err := ckpt.Open(b, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.WorldSize() != world {
+		t.Fatalf("%s: world size %d, want %d", dir, c.WorldSize(), world)
+	}
+	ranks := make([]map[int]*zero.GroupShard, world)
+	for r := range ranks {
+		sb, err := c.ReadOptimShard(r, nil)
 		if err != nil {
 			t.Fatalf("%s rank %d: %v", dir, r, err)
 		}
-		if f.Rank != r || f.WorldSize != world {
-			t.Fatalf("%s: rank file %d says rank %d of %d", dir, r, f.Rank, f.WorldSize)
+		ranks[r] = map[int]*zero.GroupShard{}
+		for idx, buf := range sb.Groups {
+			n := int64(len(buf)) / 12
+			s := &zero.GroupShard{GroupIndex: idx, Rank: r,
+				Master: make([]float32, n), ExpAvg: make([]float32, n), ExpAvgSq: make([]float32, n)}
+			for k, sec := range [][]float32{s.Master, s.ExpAvg, s.ExpAvgSq} {
+				tensor.DecodeLE(sec, buf[int64(k)*n*4:])
+			}
+			ranks[r][idx] = s
 		}
-		files[r] = f
 	}
-	return files
+	return ranks
 }
 
 // sameShard compares two group shards bit for bit.

@@ -166,7 +166,8 @@ func (s *BlobStore) Open(digest string) (io.ReadCloser, error) {
 	if !ValidDigest(digest) {
 		return nil, fmt.Errorf("storage: invalid blob digest %q", digest)
 	}
-	return s.openPayload(digest, 0, -1)
+	rc, _, err := s.openPayload(digest, 0, -1)
+	return rc, err
 }
 
 // OpenRange opens a sectioned reader over the blob's payload bytes. Raw
@@ -182,31 +183,8 @@ func (s *BlobStore) Open(digest string) (io.ReadCloser, error) {
 // manifest claims more bytes than are stored) or a head that is the container
 // magic falls back to sniffing first.
 func (s *BlobStore) OpenRange(digest string, off, n int64) (io.ReadCloser, error) {
-	if err := checkBlobRange(digest, off, n); err != nil {
-		return nil, err
-	}
-	path := s.Path(digest)
-	if off == 0 && n >= int64(len(blobMagic)) {
-		rc, err := s.b.OpenRange(path, 0, n)
-		if IsNotExist(err) {
-			return nil, err
-		}
-		if err == nil {
-			var magic [len(blobMagic)]byte
-			if _, err := io.ReadFull(rc, magic[:]); err == nil && !isContainer(magic[:]) {
-				return &rangeReader{r: io.MultiReader(bytes.NewReader(magic[:]), rc), c: rc}, nil
-			}
-			rc.Close()
-		}
-	}
-	hdr, err := s.sniff(path)
-	if err != nil {
-		return nil, err
-	}
-	if !isContainer(hdr) {
-		return s.b.OpenRange(path, off, n)
-	}
-	return s.OpenRangeCoded(digest, off, n)
+	rc, _, err := s.openRange(digest, off, n, formUnknown)
+	return rc, err
 }
 
 // OpenRangeCoded is OpenRange for a blob a manifest records as stored in a
@@ -215,27 +193,95 @@ func (s *BlobStore) OpenRange(digest string, off, n int64) (io.ReadCloser, error
 // the shorter container. The record is a hint, never trusted — a blob that
 // turns out raw is served from the stream opened.
 func (s *BlobStore) OpenRangeCoded(digest string, off, n int64) (io.ReadCloser, error) {
+	rc, _, err := s.openRange(digest, off, n, formContainer)
+	return rc, err
+}
+
+// Ranges is an opener over the blob's payload ranges for one reader's short
+// use — a splice, over a blob its checkpoint pins. Each range it opens learns
+// how the blob is stored, as OpenRange (or, coded set, OpenRangeCoded) does
+// for its first; every later range is served in that form with no sniff, so a
+// blob read in many ranges at non-zero offsets is sniffed at most once.
+func (s *BlobStore) Ranges(digest string, coded bool) func(off, n int64) (io.ReadCloser, error) {
+	var known atomic.Int32
+	if coded {
+		known.Store(int32(formContainer))
+	}
+	return func(off, n int64) (io.ReadCloser, error) {
+		rc, f, err := s.openRange(digest, off, n, blobForm(known.Load()))
+		if err == nil {
+			known.Store(int32(f))
+		}
+		return rc, err
+	}
+}
+
+// blobForm is how a blob is stored, as far as a reader knows: its stored
+// object is the payload itself (raw), or a codec container, or unknown yet.
+type blobForm int32
+
+const (
+	formUnknown blobForm = iota
+	formRaw
+	formContainer
+)
+
+// openRange serves a payload range as the blob's known form says — unknown:
+// OpenRange's ranged attempt and sniff; a container: the stream from its head
+// — and returns the form the read found.
+func (s *BlobStore) openRange(digest string, off, n int64, known blobForm) (io.ReadCloser, blobForm, error) {
 	if err := checkBlobRange(digest, off, n); err != nil {
-		return nil, err
+		return nil, known, err
+	}
+	path := s.Path(digest)
+	switch known {
+	case formRaw:
+		rc, err := s.b.OpenRange(path, off, n)
+		return rc, formRaw, err
+	case formContainer:
+		return s.openPayload(digest, off, n)
+	}
+	if off == 0 && n >= int64(len(blobMagic)) {
+		rc, err := s.b.OpenRange(path, 0, n)
+		if IsNotExist(err) {
+			return nil, known, err
+		}
+		if err == nil {
+			var magic [len(blobMagic)]byte
+			if _, err := io.ReadFull(rc, magic[:]); err == nil && !isContainer(magic[:]) {
+				return &rangeReader{r: io.MultiReader(bytes.NewReader(magic[:]), rc), c: rc}, formRaw, nil
+			}
+			rc.Close()
+		}
+	}
+	hdr, err := s.sniff(path)
+	if err != nil {
+		return nil, known, err
+	}
+	if !isContainer(hdr) {
+		rc, err := s.b.OpenRange(path, off, n)
+		return rc, formRaw, err
 	}
 	return s.openPayload(digest, off, n)
 }
 
 // openPayload serves the payload range [off, off+n) of digest (n < 0: to
-// its end) off one stream of its stored object. A raw or stored object is the
-// payload itself, a range checked against its size first; a coded one opens
-// the chunk decoder over it and its xor ancestors, one stream each.
-func (s *BlobStore) openPayload(digest string, off, n int64) (io.ReadCloser, error) {
+// its end) off one stream of its stored object, and returns the form it
+// found. A raw or stored object is the payload itself, a range checked
+// against its size first; a coded one opens the chunk decoder over it and
+// its xor ancestors, one stream each.
+func (s *BlobStore) openPayload(digest string, off, n int64) (io.ReadCloser, blobForm, error) {
 	rc, err := s.b.Open(s.Path(digest))
 	if err != nil {
-		return nil, err
+		return nil, formContainer, err
 	}
 	top, err := openLevel(digest, rc)
 	if err != nil {
-		return nil, fmt.Errorf("storage: blob %s: %w", digest, err)
+		return nil, formContainer, fmt.Errorf("storage: blob %s: %w", digest, err)
 	}
 	if top.offs != nil {
-		return openChain(top, func(d string) (io.ReadCloser, error) { return s.b.Open(s.Path(d)) }, off, n)
+		rc, err := openChain(top, func(d string) (io.ReadCloser, error) { return s.b.Open(s.Path(d)) }, off, n)
+		return rc, formContainer, err
 	}
 	if n >= 0 {
 		size, err := s.b.Stat(s.Path(digest))
@@ -247,11 +293,14 @@ func (s *BlobStore) openPayload(digest string, off, n int64) (io.ReadCloser, err
 		}
 		if err != nil {
 			rc.Close()
-			return nil, err
+			return nil, formContainer, err
 		}
 		top.r = io.LimitReader(top.r, n)
 	}
-	return &rangeReader{r: top.r, c: rc}, nil
+	if top.meta.Codec == CodecRaw {
+		return &rangeReader{r: top.r, c: rc}, formRaw, nil
+	}
+	return &rangeReader{r: top.r, c: rc}, formContainer, nil
 }
 
 func checkBlobRange(digest string, off, n int64) error {

@@ -239,8 +239,9 @@ func (l *getLog) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
 // TestBlobOpenRangeRequests: a whole-payload read of a blob costs one request
 // per stored object it needs — the blob, plus its xor ancestors — whichever
 // way the blob is stored, when the caller's record of the codec is right; a
-// stale record costs requests, never bytes; and a range the stored object
-// cannot hold fails at open, before anything is sized to it.
+// stale record costs requests, never bytes; a Ranges opener sniffs at most
+// once; and a range the stored object cannot hold fails at open, before
+// anything is sized to it.
 func TestBlobOpenRangeRequests(t *testing.T) {
 	grand, parent := deltaPayload(200_000, 97, 21)
 	_, child := deltaPayload(200_000, 89, 21)
@@ -326,6 +327,20 @@ func TestBlobOpenRangeRequests(t *testing.T) {
 				read(right, 3, size-5)
 				read(stale, 3, size-5)
 				read(right, 0, 4)
+				// One Ranges opener: its first range learns the blob's form —
+				// off a whole read's head, or by one sniff — and every later
+				// range is served in it, c.objects requests and no sniff.
+				for _, first := range [][2]int64{{0, size}, {3, size - 5}} {
+					ranges := s.Ranges(digest, c.codec != CodecRaw)
+					opener := func(_ string, off, n int64) (io.ReadCloser, error) { return ranges(off, n) }
+					read(opener, first[0], first[1])
+					for _, off := range []int64{1, 5, size / 2} {
+						if gets, failed := read(opener, off, size-off-1); gets != c.objects || failed != 0 {
+							t.Errorf("%s/%s: ranged read after [%d,+%d): %d requests (%d failed), want %d",
+								bname, c.what, first[0], first[1], gets, failed, c.objects)
+						}
+					}
+				}
 			}
 			// A size a manifest merely claims fails at open, either way in.
 			for _, open := range []func(string, int64, int64) (io.ReadCloser, error){s.OpenRange, s.OpenRangeCoded} {

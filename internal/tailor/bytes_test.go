@@ -16,10 +16,10 @@ import (
 // weight and shard containers, blobs — and from the configs a merge copies,
 // as the streams deliver them. Container headers (ReadAt), manifests and a
 // blob's magic sniffed before a ranged read are metadata, not payload, and
-// are not counted.
+// are not counted; the sniffs are counted apart.
 type payloadReads struct {
 	storage.Backend
-	n atomic.Int64
+	n, sniffs atomic.Int64
 }
 
 func (p *payloadReads) payload(name string) bool {
@@ -59,7 +59,8 @@ func (p *payloadReads) Open(name string) (io.ReadCloser, error) {
 func (p *payloadReads) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
 	rc, err := p.Backend.OpenRange(name, off, n)
 	if off == 0 && n == 4 && strings.Contains(name, "/objects/") {
-		return rc, err // the blob store sniffing a blob's magic before a ranged read
+		p.sniffs.Add(1) // the blob store sniffing a blob's magic before a ranged read
+		return rc, err
 	}
 	return p.count(name, rc, err)
 }
@@ -76,7 +77,8 @@ func (p *payloadReads) ReadFile(name string) ([]byte, error) {
 // payload and config bytes its backend sees read, across a world-size change
 // too — a spliced group's source payloads are read whole once for their
 // check before their ranges are, and both reads count — from plain sources
-// and from content-addressed ones.
+// and from content-addressed ones. A spliced blob's ranges are served in the
+// form its check learned: no magic is sniffed before any of them.
 func TestMergeBytesReadMatchesBackend(t *testing.T) {
 	for _, dedup := range []bool{false, true} {
 		name := "plain"
@@ -109,6 +111,9 @@ func TestMergeBytesReadMatchesBackend(t *testing.T) {
 			}
 			if got := b.n.Load(); stats.BytesRead != got {
 				t.Fatalf("BytesRead = %d, the backend read %d payload and config bytes", stats.BytesRead, got)
+			}
+			if n := b.sniffs.Load(); n != 0 {
+				t.Fatalf("%d magic sniffs before ranged blob reads, want 0", n)
 			}
 		})
 	}

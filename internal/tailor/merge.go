@@ -3,6 +3,7 @@ package tailor
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -298,10 +299,10 @@ func mergeOptimizer(out *ckpt.Output, plan *Plan, opts Options, stats *Stats, lo
 	}
 	for rank := 0; rank < plan.WorldSize; rank++ {
 		r := out.Rank(rank, plan.WorldSize, refStep, plan.Layout.Kind)
-		// The rank's decoded groups from the sources it loads whole, held
-		// from its first computed group to its last.
-		load := &parallel.Lease[[]*zero.GroupShard]{Load: func() ([]*zero.GroupShard, error) {
-			shards, step, n, readBytes, err := buildRankShards(plan, opts.LoadOrder, rank,
+		// The rank's checked group bytes from the sources it loads whole,
+		// held from its first computed group to its last.
+		load := &parallel.Lease[[][]byte]{Load: func() ([][]byte, error) {
+			groups, step, n, readBytes, err := buildRankShards(plan, opts.LoadOrder, rank,
 				func(path string) bool { return extents[path] == nil })
 			if err != nil {
 				return nil, err
@@ -309,7 +310,7 @@ func mergeOptimizer(out *ckpt.Output, plan *Plan, opts Options, stats *Stats, lo
 			loads.files.Add(n)
 			loads.bytes.Add(readBytes)
 			r.SetStep(max(refStep, step))
-			return shards, nil
+			return groups, nil
 		}}
 		for gi, g := range plan.Layout.Groups {
 			if byGroup, ok := extents[owner[gi]]; ok {
@@ -328,12 +329,13 @@ func mergeOptimizer(out *ckpt.Output, plan *Plan, opts Options, stats *Stats, lo
 			load.Uses++
 			meta := ckpt.ShardGroupMeta{Index: g.Index, Numel: g.Numel, ShardLen: part.ShardLen(), NoDecay: g.NoDecay, Layer: g.Layer.String()}
 			r.ComputeGroup(meta, func(w io.Writer) (int64, error) {
-				shards, err := load.Get()
+				groups, err := load.Get()
 				if err != nil {
 					return 0, err
 				}
 				defer load.Done()
-				return ckpt.EncodeGroup(w, shards[gi])
+				n, err := w.Write(groups[gi])
+				return int64(n), err
 			})
 		}
 	}
@@ -361,38 +363,39 @@ func fromExtents(plan *Plan, path string) bool {
 }
 
 // buildRankShards gathers rank's shard of every layout group the sources
-// loaded selects are assigned, each source's rank file loaded whole and
-// checked (Checkpoint.ReadOptimShard), honouring the requested load order.
-// It returns the shards by layout index (nil where another source provides
-// the group), the maximum source step, the number of shard-file loads
-// performed and the bytes those loads read.
+// loaded selects are assigned — the checked payload bytes, as stored — each
+// source's rank file loaded whole and held to Restore's checks
+// (Checkpoint.ReadOptimShard), honouring the requested load order. It returns
+// the bytes by layout index (nil where another source provides the group),
+// the maximum source step, the number of shard-file loads performed and the
+// bytes those loads read.
 func buildRankShards(plan *Plan, order LoadOrder, rank int, loaded func(path string) bool) (
-	[]*zero.GroupShard, int, int64, int64, error) {
+	[][]byte, int, int64, int64, error) {
 
-	shards := make([]*zero.GroupShard, plan.Layout.NumGroups())
+	groups := make([][]byte, plan.Layout.NumGroups())
 	var loads, readBytes int64
 	maxStep := 0
 
-	// load reads path's file of the rank; extract takes the groups of one
-	// layer out of it.
-	load := func(path string) (*ckpt.ShardFile, error) {
-		f, err := plan.Sources[path].ReadOptimShard(rank)
+	// load reads path's file of the rank, keeping the groups of refs.
+	load := func(path string, refs ...modelcfg.LayerRef) error {
+		var want []int
+		for _, ref := range refs {
+			gis, err := plan.Layout.GroupsOfLayer(ref)
+			if err != nil {
+				return err
+			}
+			want = append(want, gis...)
+		}
+		sb, err := plan.Sources[path].ReadOptimShard(rank, func(gi int) bool { return slices.Contains(want, gi) })
 		if err != nil {
-			return nil, fmt.Errorf("tailor: %s: %w", path, err)
+			return fmt.Errorf("tailor: %s: %w", path, err)
 		}
 		loads++
-		readBytes += f.FileBytes
-		maxStep = max(maxStep, f.Step)
-		return f, nil
-	}
-	extract := func(f *ckpt.ShardFile, ref modelcfg.LayerRef) error {
-		groups, err := plan.Layout.GroupsOfLayer(ref)
-		if err != nil {
-			return err
-		}
-		for _, gi := range groups {
-			if shards[gi], _, err = f.GroupByIndex(gi); err != nil {
-				return fmt.Errorf("tailor: layer %s: %w", ref, err)
+		readBytes += sb.FileBytes
+		maxStep = max(maxStep, sb.Step)
+		for _, gi := range want {
+			if groups[gi] = sb.Groups[gi]; groups[gi] == nil {
+				return fmt.Errorf("tailor: %s: rank %d shard has no group %d", path, rank, gi)
 			}
 		}
 		return nil
@@ -400,7 +403,7 @@ func buildRankShards(plan *Plan, order LoadOrder, rank int, loaded func(path str
 
 	switch order {
 	case Straightforward:
-		// One load per (source, rank); extract all of that source's layers.
+		// One load per (source, rank), keeping all of that source's layers.
 		bySrc := map[string][]modelcfg.LayerRef{}
 		for ref, path := range plan.Assign {
 			if loaded(path) {
@@ -409,16 +412,8 @@ func buildRankShards(plan *Plan, order LoadOrder, rank int, loaded func(path str
 		}
 		// Deterministic source order.
 		for _, path := range plan.Recipe.Checkpoints() {
-			refs, ok := bySrc[path]
-			if !ok {
-				continue
-			}
-			f, err := load(path)
-			if err != nil {
-				return nil, 0, 0, 0, err
-			}
-			for _, ref := range refs {
-				if err := extract(f, ref); err != nil {
+			if refs, ok := bySrc[path]; ok {
+				if err := load(path, refs...); err != nil {
 					return nil, 0, 0, 0, err
 				}
 			}
@@ -430,16 +425,12 @@ func buildRankShards(plan *Plan, order LoadOrder, rank int, loaded func(path str
 			if !loaded(plan.Assign[ref]) {
 				continue
 			}
-			f, err := load(plan.Assign[ref])
-			if err == nil {
-				err = extract(f, ref)
-			}
-			if err != nil {
+			if err := load(plan.Assign[ref], ref); err != nil {
 				return nil, 0, 0, 0, err
 			}
 		}
 	default:
 		return nil, 0, 0, 0, fmt.Errorf("tailor: unknown load order %d", order)
 	}
-	return shards, maxStep, loads, readBytes, nil
+	return groups, maxStep, loads, readBytes, nil
 }

@@ -51,10 +51,11 @@ func (r *VerifyReport) Describe() string {
 //   - config parses and validates;
 //   - every expected weight tensor of the manifest's layers is present with
 //     the right shape, and its payload CRC verifies (a full read);
-//   - every rank's optimizer shard parses and passes the read stage's rank
-//     check: it claims its rank and the world size, all ranks record one
-//     optimizer step, and it stores exactly the layout's groups of the
-//     manifest's layers, in index order, with the layout's geometry.
+//   - every rank's optimizer shard parses and passes the checks Restore holds
+//     it to: it claims its rank and the world size, all ranks record one
+//     optimizer step, it stores exactly the layout's groups of the
+//     manifest's layers, in index order, with the layout's geometry, every
+//     group payload passes its CRC and its padding is zero.
 func Verify(b storage.Backend, dir string) (*VerifyReport, error) {
 	rep := &VerifyReport{Dir: dir}
 	c, err := ckpt.Open(b, dir)
@@ -108,10 +109,10 @@ func Verify(b storage.Backend, dir string) (*VerifyReport, error) {
 		return rep, nil
 	}
 
-	// 3. One read of every payload — weights CRC-checked, ranks decoded and
-	// checked against the layout — that reports each failure and goes on.
+	// 3. One read of every payload — weights CRC-checked, ranks held to the
+	// checks Restore holds them to — that reports each failure and goes on.
 	rep.WeightTensors = stored
-	shards, err := c.ReadState(nil, func(rank int, err error) error {
+	groups, err := c.ReadState(func(rank int, err error) error {
 		if rank >= 0 {
 			problem("rank %d: %v", rank, err)
 		} else {
@@ -123,13 +124,13 @@ func Verify(b storage.Backend, dir string) (*VerifyReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	for r, sf := range shards {
-		if sf == nil {
+	for r, n := range groups {
+		if n < 0 {
 			continue
 		}
 		rep.ShardFiles++
 		if r == 0 {
-			rep.Groups = len(sf.Meta)
+			rep.Groups = n
 		}
 	}
 	return rep, nil
