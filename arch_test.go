@@ -288,6 +288,20 @@ var archRules = []archRule{
 		count: 1,
 	},
 	{
+		name:  "one-carry/by-reference",
+		why:   "a digest enters a checkpoint without its bytes only through payload.carry, which proves the blob present at its size and its padding zero: a stored payload replays through its checks by construction (payload.replays), so a per-site arming — the deleted payload.checked — is a way to take a payload by reference that carry does not see, and the output's knownBlobs view and the saver's tryReuse were the two private rules carry replaced",
+		find:  []sym{calls(".checked"), refs("knownBlobs", "tryReuse")},
+		allow: []string{"internal/ckpt/*:*:*.checked()"},
+	},
+	{
+		name:  "one-carry/probes",
+		why:   "the write stage and its save feeders ask the store whether it holds a blob only inside carry: a second Has or Stat there is a digest admitted on presence alone, without the size and padding proofs",
+		find:  []sym{calls(".Has", ".Stat")},
+		in:    []string{"internal/ckpt/write.go", "internal/ckpt/capture.go", "internal/ckpt/checkpoint.go", "internal/ckpt/async.go"},
+		allow: []string{"internal/ckpt/write.go:(*payload).carry"},
+		count: 1,
+	},
+	{
 		name:  "one-unsafe/imports",
 		why:   "FP32/BF16 encode and decode view a slice's memory in one place (tensor.WriteLE/DecodeLE); a second unsafe is a second set of aliasing and endianness assumptions to audit",
 		find:  []sym{imports("unsafe")},

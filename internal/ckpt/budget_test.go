@@ -347,7 +347,8 @@ func TestRestoreRequestBudget(t *testing.T) {
 	}
 	// Requests that take a while, so the ones in flight together show.
 	store.SetLatency(500*time.Microsecond, 0)
-	log := &opLog{Fault: storage.NewFault(store)}
+	// The payload GETs are parked until four are in flight together.
+	log := &opLog{Fault: storage.NewFault(store), gates: map[string]int{"get blob": 4}}
 
 	t.Run("content-addressed", func(t *testing.T) {
 		log.reset()
@@ -371,8 +372,8 @@ func TestRestoreRequestBudget(t *testing.T) {
 		if gets > P+c {
 			t.Errorf("%d GETs for %d payloads, budget P + %d", gets, P, c)
 		}
-		if peak < 4 || peak > storage.RequestWidth {
-			t.Errorf("peak of %d GETs in flight, want between 4 and %d", peak, storage.RequestWidth)
+		if peak < 4 || peak > storage.RequestWidth || len(log.missed) != 0 {
+			t.Errorf("peak of %d GETs in flight, want between 4 and %d (no four together: %v)", peak, storage.RequestWidth, log.missed)
 		}
 		// The layout decision is two existence probes (weight manifest there,
 		// weight container not) and never a listing; each rank's manifest is
@@ -543,7 +544,12 @@ func TestRetainRequestBudget(t *testing.T) {
 	store := storage.NewObjStore()
 	buildRetainScenario(t, store)
 	store.SetLatency(500*time.Microsecond, 0)
-	log := &opLog{Fault: storage.NewFault(store)}
+	// Each phase's requests are parked until two are in flight together.
+	gates := map[string]int{"get blob": 2}
+	for _, c := range retainPhases {
+		gates[c] = 2
+	}
+	log := &opLog{Fault: storage.NewFault(store), gates: gates}
 	rep, err := Retain(log, "run", 2, false)
 	if err != nil {
 		t.Fatal(err)
@@ -586,14 +592,21 @@ func TestRetainRequestBudget(t *testing.T) {
 		t.Errorf("peak of %d GETs in flight, want between 2 and %d", log.peak, storage.RequestWidth)
 	}
 	// Each phase keeps its independent mutating requests side by side, never
-	// more than the request width: the directories, each trash move's copy
-	// and delete, the purge of the trashed copies, the records.
-	for _, c := range []string{"remove dir", "create trash", "remove blob", "remove trash", "remove record"} {
+	// more than the request width.
+	for _, c := range retainPhases {
 		if p := log.busyPeak[c]; p < 2 || p > storage.RequestWidth {
 			t.Errorf("peak of %d %q requests in flight, want between 2 and %d", p, c, storage.RequestWidth)
 		}
 	}
+	if len(log.missed) != 0 {
+		t.Errorf("never two in flight together: %v", log.missed)
+	}
 }
+
+// retainPhases are the mutating request classes of a retention pass's
+// phases: the directories, each trash move's copy and delete, the purge of
+// the trashed copies, the records.
+var retainPhases = []string{"remove dir", "create trash", "remove blob", "remove trash", "remove record"}
 
 // TestMaintenanceConfigReadBudget: a maintenance operation resolves the run's
 // hub attachment and opens its store once, however many views or phases it

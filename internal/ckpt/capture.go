@@ -288,15 +288,32 @@ func (s *AsyncSaver) captureUnit(u *captureUnit) error {
 	}
 
 	// Mutation-counter short-circuit: if the layer's counter matches the
-	// cached capture and every cached blob still exists, reuse the digests
-	// without touching a payload byte.
+	// cached capture, its digests are carried — every slot's blob still in
+	// the store at the slot's size — without touching a payload byte. A
+	// missing blob (retention swept it) falls back to the hash path, which
+	// re-creates the content from live state.
 	var gen int64
 	var haveGen bool
 	if dedup && u.hasLayer && t.spec.LayerGens != nil {
 		gen, haveGen = t.spec.LayerGens[u.layer]
-		if haveGen && s.tryReuse(u, gen, store) {
+		s.mu.Lock()
+		entry := s.cache[keyFor(&t.spec, u.layer)]
+		s.mu.Unlock()
+		// A slot filled before a later one fails is filled again by the
+		// hash path below, which sets every field a reuse does.
+		var reused, bytes int64
+		if haveGen && entry != nil && entry.gen == gen && u.slots(func(p *payload, key string) bool {
+			id := entry.ids[key]
+			if ok, err := id.carry(store, p.size, blobRef{}, false); !ok || err != nil {
+				return false
+			}
+			*p, reused, bytes = id, reused+1, bytes+id.size
+			return true
+		}) {
 			s.mu.Lock()
 			s.stats.LayersReused++
+			s.stats.PayloadsReferenced += reused
+			s.stats.BytesReferenced += bytes
 			s.mu.Unlock()
 			return nil
 		}
@@ -331,42 +348,6 @@ func (s *AsyncSaver) captureUnit(u *captureUnit) error {
 		s.updateCache(u, gen)
 	}
 	return nil
-}
-
-// tryReuse fills the unit's slots from the layer's cached capture when the
-// generation matches and every cached blob is still present. A missing
-// blob (retention swept it) falls back to the hash path, which re-creates
-// the content from live state.
-func (s *AsyncSaver) tryReuse(u *captureUnit, gen int64, store *storage.BlobStore) bool {
-	s.mu.Lock()
-	entry := s.cache[keyFor(&u.t.spec, u.layer)]
-	s.mu.Unlock()
-	if entry == nil || entry.gen != gen {
-		return false
-	}
-	var hits []payload
-	if !u.slots(func(p *payload, key string) bool {
-		id, ok := entry.ids[key]
-		if !ok || id.size != p.size || !store.Has(id.digest) {
-			return false
-		}
-		hits = append(hits, id)
-		return true
-	}) {
-		return false
-	}
-	// Commit the reuse only once every slot checked out.
-	s.mu.Lock()
-	s.stats.PayloadsReferenced += int64(len(hits))
-	for _, id := range hits {
-		s.stats.BytesReferenced += id.size
-	}
-	s.mu.Unlock()
-	u.slots(func(p *payload, _ string) bool {
-		*p, hits = hits[0], hits[1:]
-		return true
-	})
-	return true
 }
 
 // updateCache records the unit's landed identities under the layer's
@@ -408,7 +389,10 @@ func (s *AsyncSaver) capturePayload(dedup bool, store *storage.BlobStore, p *pay
 		if p.digest, p.crc, err = hashStream(p.size, encode); err != nil {
 			return err
 		}
-		hit := store.Has(p.digest)
+		hit, err := p.carry(store, p.size, blobRef{}, false)
+		if err != nil {
+			return err
+		}
 		s.mu.Lock()
 		s.stats.BytesHashed += p.size
 		if hit {

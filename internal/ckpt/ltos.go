@@ -243,7 +243,7 @@ func (h *shardHeader) payloads(b storage.Backend, name string) *rankPayloads {
 		fileBytes: h.FileBytes, groups: make([]groupPayload, len(h.Groups))}
 	for i, m := range h.Groups {
 		base := h.FileBytes - h.PayloadBytes + m.Offsets[0]
-		rs.groups[i] = groupPayload{meta: m, payload: storedPayload(m.Offsets[1]-m.Offsets[0], m.CRC32, "",
+		rs.groups[i] = groupPayload{meta: m, payload: storedPayload(m.Offsets[1]-m.Offsets[0], m.CRC32, "", groupSlotKey(h.Rank, m.Index),
 			func(o, n int64) (io.ReadCloser, error) { return b.OpenRange(name, base+o, n) })}
 	}
 	return rs

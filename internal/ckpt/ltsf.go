@@ -361,7 +361,7 @@ func openLTSF(b storage.Backend, name string) (*Weights, error) {
 		meta := hdr.Tensors[tn]
 		base := off + meta.Offsets[0]
 		list[i] = weightPayload{
-			payload: storedPayload(meta.Offsets[1]-meta.Offsets[0], meta.CRC32, "",
+			payload: storedPayload(meta.Offsets[1]-meta.Offsets[0], meta.CRC32, "", weightSlot(tn),
 				func(o, n int64) (io.ReadCloser, error) { return b.OpenRange(name, base+o, n) }),
 			name: tn, dtype: meta.DType, shape: meta.Shape,
 		}

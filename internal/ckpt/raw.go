@@ -4,12 +4,12 @@
 // that takes a tensor verbatim from one source does not need to decode,
 // dtype-check, re-encode and re-CRC it: the payload bytes are replayed from
 // the source extent into the output container — checked against the source
-// checksum on the way (payload.checked) — and the checksum carried forward.
+// checksum on the way (payload.replays) — and the checksum carried forward.
 // Weights.RawTensor (read.go) describes the read side, over either checkpoint
 // layout — a blob holds exactly the payload a container extent does;
 // ltsfWriter.appendPayload with a carried CRC is the write side. The bytes
-// produced are identical to the decode path's (WriteTensor of the decoded
-// tensor), which the merge golden tests pin.
+// produced are identical to the decode path's (the decoded tensor encoded
+// again), which the merge golden tests pin.
 
 package ckpt
 

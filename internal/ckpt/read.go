@@ -9,9 +9,10 @@
 //
 // An opener ranges over the UNCOMPRESSED payload bytes (the blob store decodes
 // codec containers) and verifies nothing. Whoever decodes a payload checks its
-// CRC (payload.read, under Weights.ReadTensor and the load driver); whoever
-// re-stages one — an Output taking it by reference, Materialize* — checks its
-// digest, or its CRC when it has none (payload.checked).
+// CRC (payload.read, under Weights.ReadTensor and the load driver); a replay —
+// an Output re-staging it by reference, Materialize*, a splice's check — is
+// held to its CRC, its digest and its padding rule by construction
+// (payload.replays).
 //
 // A whole checkpoint — or a whole rank, or all the weights — is read by the
 // one load driver, payloadSet.load: every payload through one pipeline of
@@ -25,7 +26,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"sort"
@@ -85,22 +85,20 @@ func openSource(b storage.Backend, dir string) (*source, error) {
 }
 
 // storedPayload describes bytes a committed checkpoint already holds: open
-// ranges over them, write replays them whole.
-func storedPayload(size int64, crc uint32, digest string, open func(off, n int64) (io.ReadCloser, error)) payload {
-	return payload{size: size, crc: crc, hasCRC: true, digest: digest, open: open,
-		write: replay(func() (io.ReadCloser, error) { return open(0, size) })}
+// ranges over them, write replays them whole through their checks (replays).
+// what names the payload in errors.
+func storedPayload(size int64, crc uint32, digest, what string, open func(off, n int64) (io.ReadCloser, error)) payload {
+	p := payload{size: size, crc: crc, hasCRC: true, digest: digest, open: open}
+	p.replays(what)
+	return p
 }
 
-// blobPayload describes a blob as its manifest entry records it. The recorded
-// codec only orders the store's two ways of opening it (a stale record costs
-// a request, never a wrong byte) and adds the decoder's scratch to what the
-// load driver charges at its gate.
-func (s *source) blobPayload(digest string, size int64, crc uint32, codec string, stored int64, parents []string) payload {
-	open := s.store.OpenRange
-	if codec != "" && codec != storage.CodecRaw.String() {
-		open = s.store.OpenRangeCoded
-	}
-	p := storedPayload(size, crc, digest, func(off, n int64) (io.ReadCloser, error) { return open(digest, off, n) })
+// blobPayload describes a blob as its manifest entry records it, opened
+// through one storage.BlobStore.Ranges opener. The recorded codec only seeds
+// the form that opener tries first (a stale record costs a request, never a
+// wrong byte) and adds the decoder's scratch to what the load driver charges.
+func (s *source) blobPayload(what, digest string, size int64, crc uint32, codec string, stored int64, parents []string) payload {
+	p := storedPayload(size, crc, digest, what, s.store.Ranges(digest, codec != "" && codec != storage.CodecRaw.String()))
 	p.codec, p.stored, p.parents, p.store = codec, stored, parents, s.store
 	return p
 }
@@ -206,25 +204,33 @@ func (p *payload) charge() int64 {
 // container.
 func (p *payload) coded() bool { return p.codec != "" && p.codec != storage.CodecRaw.String() }
 
-// checked makes every replay of the payload fail unless the bytes match what
-// was recorded for them — the digest, or the CRC when there is none — so a
-// re-stager that carries CRCs forward cannot copy a corrupt payload into a
-// clean-looking container. slot names the payload in the error.
-func (p *payload) checked(slot string) {
-	write, digest, want := p.write, p.digest, fmt.Sprintf("%08x", p.crc)
-	if digest != "" {
-		want = digest
-	}
+// replays makes write replay the payload's bytes through its opener, failing
+// unless they match what was recorded for them — the CRC, and the digest when
+// there is one — and meet its padding rule (pad), so a re-stager that carries
+// the record forward cannot copy a corrupt payload into a clean-looking
+// container. what names the payload in errors.
+func (p *payload) replays(what string) {
+	open, size, digest, crc, pad := p.open, p.size, p.digest, p.crc, p.pad
+	write := replay(func() (io.ReadCloser, error) { return open(0, size) })
 	p.write = func(w io.Writer) (int64, error) {
-		h := hash.Hash(crc32.NewIEEE())
-		if digest != "" {
-			h = sha256.New()
+		if pad != nil {
+			w = &padWriter{w: w, padRule: pad}
 		}
-		n, err := write(io.MultiWriter(w, h))
-		if got := hex.EncodeToString(h.Sum(nil)); err == nil && got != want {
-			err = &CorruptError{Digest: digest, Payload: slot, Want: want, Got: got}
-		} else if errors.Is(err, storage.ErrCorruptBlob) {
-			err = &CorruptError{Digest: digest, Payload: slot, Want: want, Err: err}
+		c, d := crc32.NewIEEE(), sha256.New()
+		sink := io.MultiWriter(w, c)
+		if digest != "" {
+			sink = io.MultiWriter(sink, d)
+		}
+		n, err := write(sink)
+		want, got := fmt.Sprintf("%08x", crc), fmt.Sprintf("%08x", c.Sum32())
+		if sum := hex.EncodeToString(d.Sum(nil)); digest != "" && sum != digest {
+			want, got = digest, sum
+		}
+		switch {
+		case errors.Is(err, storage.ErrCorruptBlob):
+			err = &CorruptError{Digest: digest, Payload: what, Want: want, Err: err}
+		case err == nil && got != want:
+			err = &CorruptError{Digest: digest, Payload: what, Want: want, Got: got}
 		}
 		return n, err
 	}
@@ -242,7 +248,7 @@ func (s *source) weights() (*Weights, error) {
 	}
 	list := make([]weightPayload, len(man.Tensors))
 	for i, e := range man.Tensors {
-		list[i] = weightPayload{payload: s.blobPayload(e.Digest, e.Size, e.CRC32, e.Codec, e.Stored, e.Parents),
+		list[i] = weightPayload{payload: s.blobPayload(weightSlot(e.Name), e.Digest, e.Size, e.CRC32, e.Codec, e.Stored, e.Parents),
 			name: e.Name, dtype: e.DType, shape: e.Shape}
 	}
 	return newWeights(name, man.Model, list), nil
@@ -278,29 +284,10 @@ func (s *source) rank(rank int) (*rankPayloads, error) {
 		meta := g.Meta()
 		meta.Offsets = [2]int64{off, off + g.Size}
 		off += g.Size
-		rs.groups[i] = groupPayload{payload: s.blobPayload(g.Digest, g.Size, g.CRC32, g.Codec, g.Stored, g.Parents), meta: meta}
+		rs.groups[i] = groupPayload{payload: s.blobPayload(groupSlotKey(rank, g.Index), g.Digest, g.Size, g.CRC32, g.Codec, g.Stored, g.Parents), meta: meta}
 		rs.fileBytes += g.Size
 	}
 	return rs, nil
-}
-
-// set lists the whole checkpoint: weights, then every rank it stores.
-func (s *source) set() (*payloadSet, error) {
-	w, err := s.weights()
-	if err != nil {
-		return nil, err
-	}
-	set := w.set()
-	for r := 0; ; r++ {
-		rs, err := s.rank(r)
-		if storage.IsNotExist(err) {
-			return set, nil // ranks are stored 0..R-1
-		}
-		if err != nil {
-			return nil, err
-		}
-		set.ranks = append(set.ranks, *rs)
-	}
 }
 
 // shardManifestRanks lists the ranks that have shard manifests in a
@@ -534,9 +521,9 @@ func (w *Weights) set() *payloadSet {
 
 // MaterializeWeights writes a checkpoint's weights as a full LTSF container
 // at dst, whichever layout dir is stored in, byte-identical to a plain
-// Save's. Every payload is checked on the way through — blobs against the
-// manifest's digests — so a corrupt one fails the materialization instead of
-// poisoning the container.
+// Save's. Every payload is replayed through its checks — a blob against the
+// manifest's digest and CRC — so a corrupt one fails the materialization
+// instead of poisoning the container.
 func MaterializeWeights(b storage.Backend, dir, dst string, chunkBytes int) error {
 	src, err := openSource(b, dir)
 	if err != nil {
@@ -549,7 +536,7 @@ func MaterializeWeights(b storage.Backend, dir, dst string, chunkBytes int) erro
 	lw, err := newLTSFWriter(b, dst, w.model, chunkBytes)
 	if err == nil {
 		defer lw.Abort()
-		_, _, err = w.set().checked().writeContainers(lw, nil, readAhead{})
+		_, _, err = w.set().writeContainers(lw, nil, readAhead{})
 	}
 	if err != nil {
 		return fmt.Errorf("ckpt: materialize %s: %w", dir, err)
@@ -573,21 +560,12 @@ func MaterializeShardFile(b storage.Backend, dir string, rank int, dst string, c
 	if err == nil {
 		defer w.Abort()
 		set := &payloadSet{ranks: []rankPayloads{*rs}}
-		_, _, err = set.checked().writeContainers(nil, []*shardFileWriter{w}, readAhead{})
+		_, _, err = set.writeContainers(nil, []*shardFileWriter{w}, readAhead{})
 	}
 	if err != nil {
 		return fmt.Errorf("ckpt: materialize %s rank %d: %w", dir, rank, err)
 	}
 	return nil
-}
-
-// checked makes every replay of the set's payloads checked (payload.checked).
-func (s *payloadSet) checked() *payloadSet {
-	s.each(func(p *payload, slot string, _ int) error {
-		p.checked(slot)
-		return nil
-	})
-	return s
 }
 
 // newLoadGate bounds the payload bytes one load holds in flight.
@@ -737,7 +715,7 @@ func (c *Checkpoint) admit(rs *rankPayloads, into placer) (func(i int, buf []byt
 	}
 	place := into(rs)
 	return func(i int, buf []byte) error {
-		if err := c.padding(rs.want, rs.groups[i].meta, 0, buf); err != nil {
+		if err := (&padRule{c, rs.want, rs.groups[i].meta}).check(0, buf); err != nil {
 			return err
 		}
 		place(i, buf)
@@ -745,18 +723,35 @@ func (c *Checkpoint) admit(rs *rankPayloads, into placer) (func(i int, buf []byt
 	}, nil
 }
 
-// padding checks b, the bytes at offset off of rank's shard of group m, in
-// the words of each section past the group's numel: a shard is written
-// zero-padded, and anything but a float zero there is corruption, which
-// trimming would hide. m is held to the layout already.
-func (c *Checkpoint) padding(rank int, m ShardGroupMeta, off int64, b []byte) error {
-	lo := int64(rank) * m.ShardLen
-	data := min(max(m.Numel-lo, 0), m.ShardLen)
-	for k := int64(0); k < 3; k++ {
-		for p := max(off, (k*m.ShardLen+data)*4); p < min(off+int64(len(b)), (k+1)*m.ShardLen*4); p++ {
+// padRule is where the padding of rank's shard of group m lies, m held to c's
+// layout (checkLayout): the words of each section past the group's numel. A
+// group payload carries one (payload.pad) while its padding is unproven.
+type padRule struct {
+	c    *Checkpoint
+	rank int
+	m    ShardGroupMeta
+}
+
+// tails are the byte ranges of the shard's padding, the end of each section,
+// n bytes each (0: the shard holds no padding).
+func (r *padRule) tails() (off [3]int64, n int64) {
+	data := min(max(r.m.Numel-int64(r.rank)*r.m.ShardLen, 0), r.m.ShardLen)
+	for k := range off {
+		off[k] = (int64(k)*r.m.ShardLen + data) * 4
+	}
+	return off, (r.m.ShardLen - data) * 4
+}
+
+// check checks b, the bytes at offset off of the shard, in its padding: a
+// shard is written zero-padded, and anything but a float zero there is
+// corruption, which trimming would hide.
+func (r *padRule) check(off int64, b []byte) error {
+	tails, n := r.tails()
+	for k, t := range tails {
+		for p := max(off, t); p < min(off+int64(len(b)), t+n); p++ {
 			if v := b[p-off]; v != 0 && (p%4 != 3 || v != 0x80) { // -0 is 00 00 00 80
 				return fmt.Errorf("ckpt: %s: rank %d: group %d: non-zero padding at element %d (numel %d)",
-					c.Dir, rank, m.Index, lo+p/4-k*m.ShardLen, m.Numel)
+					r.c.Dir, r.rank, r.m.Index, int64(r.rank-k)*r.m.ShardLen+p/4, r.m.Numel)
 			}
 		}
 	}
@@ -766,15 +761,13 @@ func (c *Checkpoint) padding(rank int, m ShardGroupMeta, off int64, b []byte) er
 // padWriter holds the bytes of a group payload streaming through it to the
 // padding check before they pass on.
 type padWriter struct {
-	w    io.Writer
-	c    *Checkpoint
-	rank int
-	m    ShardGroupMeta
-	off  int64
+	w io.Writer
+	*padRule
+	off int64
 }
 
 func (p *padWriter) Write(b []byte) (int, error) {
-	if err := p.c.padding(p.rank, p.m, p.off, b); err != nil {
+	if err := p.check(p.off, b); err != nil {
 		return 0, err
 	}
 	p.off += int64(len(b))
@@ -934,17 +927,15 @@ func (c *Checkpoint) ReadOptimShard(rank int, want func(index int) bool) (*Shard
 }
 
 // GroupExtent is one rank's stored payload of one optimizer group: recorded
-// metadata plus ranged access to the (always uncompressed) payload bytes —
-// what an Output takes by reference or splices (OutputRank.Group).
+// metadata plus ranged access to the (always uncompressed) payload bytes
+// (p.open, which verifies nothing: a splice checks the whole payload first)
+// — what an Output takes by reference or splices (OutputRank.Group).
 type GroupExtent struct {
 	ShardGroupMeta
-	// OpenRange opens the n payload bytes starting at off. Nothing is
-	// verified; a splice checks the whole payload first (check).
-	OpenRange func(off, n int64) (io.ReadCloser, error)
-	p         *payload
-	// check reads the whole payload through its digest, or its CRC when it
-	// has none, once however often it is asked: the call that reads it
-	// reports the bytes read, every other call 0.
+	p *payload
+	// check reads the whole payload through its checks (payload.replays),
+	// once however often it is asked: the call that reads it reports the
+	// bytes read, every other call 0.
 	check func() (int64, error)
 }
 
@@ -952,10 +943,10 @@ type GroupExtent struct {
 // exactly 12×ShardLen bytes — and its recorded optimizer step, reading no
 // payload byte: what a feeder taking groups by reference, or splicing byte
 // ranges of them across a world-size change, needs in place of a whole load.
-// The rank is checked against the layout (checkRank), and every replay of a
-// group, its check included, against the padding rule a whole load holds it
-// to. A blob's ranges are served in the form its first read learns
-// (storage.BlobStore.Ranges), the check's.
+// The rank is checked against the layout (checkRank), and a shard holding
+// padding carries its padding rule: every replay, a splice's check included,
+// meets it as the bytes stream, and a carry that moves no byte reads its tails
+// (payload.carry).
 func (c *Checkpoint) OptimExtents(rank int) (groups []GroupExtent, step int, err error) {
 	rs, err := c.src.rank(rank)
 	if err != nil {
@@ -967,21 +958,16 @@ func (c *Checkpoint) OptimExtents(rank int) (groups []GroupExtent, step int, err
 	groups = make([]GroupExtent, len(rs.groups))
 	for i, g := range rs.groups {
 		p := &rs.groups[i].payload
-		if p.store != nil {
-			open, size := p.store.Ranges(p.digest, p.coded()), p.size
-			p.open, p.write = open, replay(func() (io.ReadCloser, error) { return open(0, size) })
+		pad := &padRule{c: c, rank: rank, m: g.meta}
+		if _, n := pad.tails(); n > 0 {
+			p.pad = pad
 		}
-		write := p.write
-		p.write = func(w io.Writer) (int64, error) { return write(&padWriter{w: w, c: c, rank: rank, m: g.meta}) }
+		p.replays(groupSlotKey(rank, g.meta.Index))
 		var once sync.Once
 		var err error
-		groups[i] = GroupExtent{ShardGroupMeta: g.meta, OpenRange: p.open, p: p,
+		groups[i] = GroupExtent{ShardGroupMeta: g.meta, p: p,
 			check: func() (n int64, _ error) {
-				once.Do(func() {
-					q := *p
-					q.checked(fmt.Sprintf("group %d", g.meta.Index))
-					n, err = q.write(io.Discard)
-				})
+				once.Do(func() { n, err = p.write(io.Discard) })
 				return n, err
 			}}
 	}

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"llmtailor/internal/model"
 	"llmtailor/internal/modelcfg"
@@ -40,10 +41,20 @@ type opLog struct {
 	readHook func(kind, key string)
 	// getting is how many GETs are waiting on the backend right now, peak its
 	// high-water mark since the last reset; busy and busyPeak the same for
-	// removes and creates, by "verb area".
+	// removes and creates, by "verb area", and for GETs, by "get keyClass".
 	getting, peak  int
 	busy, busyPeak map[string]int
+	// gates parks each request of a busy class until that many of the class
+	// are in flight together — from then on the class runs free — or until
+	// gateWait passes, which missed records: a "several in flight" bound then
+	// holds whatever the scheduler does, and a serial phase fails it.
+	gates  map[string]int
+	opened map[string]chan struct{}
+	missed []string
 }
+
+// gateWait is how long a gated request waits for the rest of its class.
+const gateWait = 5 * time.Second
 
 // blobStageName matches the process-global sequence in blob staging names,
 // the one nondeterministic key component.
@@ -81,8 +92,8 @@ func area(key string) string {
 	return "dir"
 }
 
-// inFlight counts one mutating request of class c as waiting on the backend
-// until the returned func is called.
+// inFlight counts one request of class c as waiting on the backend until the
+// returned func is called, parking it first while its class is gated.
 func (l *opLog) inFlight(c string) func() {
 	l.mu.Lock()
 	if l.busy == nil {
@@ -93,7 +104,34 @@ func (l *opLog) inFlight(c string) func() {
 	}
 	l.busy[c]++
 	l.busyPeak[c] = max(l.busyPeak[c], l.busy[c])
+	var wait chan struct{}
+	if want := l.gates[c]; want > 0 {
+		if l.opened == nil {
+			l.opened = map[string]chan struct{}{}
+		}
+		if wait = l.opened[c]; wait == nil {
+			wait = make(chan struct{})
+			l.opened[c] = wait
+		}
+		if l.busy[c] >= want {
+			delete(l.gates, c)
+			close(wait)
+		}
+	}
 	l.mu.Unlock()
+	if wait != nil {
+		select {
+		case <-wait:
+		case <-time.After(gateWait):
+			l.mu.Lock()
+			if _, open := l.gates[c]; open {
+				delete(l.gates, c)
+				l.missed = append(l.missed, c)
+				close(wait)
+			}
+			l.mu.Unlock()
+		}
+	}
 	return func() {
 		l.mu.Lock()
 		l.busy[c]--
@@ -143,24 +181,28 @@ func (l *opLog) got() {
 func (l *opLog) ReadFile(name string) ([]byte, error) {
 	l.read("get", name)
 	defer l.got()
+	defer l.inFlight("get " + keyClass(name))()
 	return l.Fault.ReadFile(name)
 }
 
 func (l *opLog) Open(name string) (io.ReadCloser, error) {
 	l.read("get", name)
 	defer l.got()
+	defer l.inFlight("get " + keyClass(name))()
 	return l.Fault.Open(name)
 }
 
 func (l *opLog) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
 	l.read("get", name)
 	defer l.got()
+	defer l.inFlight("get " + keyClass(name))()
 	return l.Fault.OpenRange(name, off, n)
 }
 
 func (l *opLog) ReadAt(name string, off int64, p []byte) error {
 	l.read("get", name)
 	defer l.got()
+	defer l.inFlight("get " + keyClass(name))()
 	return l.Fault.ReadAt(name, off, p)
 }
 

@@ -11,11 +11,13 @@
 //	        LTMF/LTOM manifests → trailer → Commit
 //
 // An Output's payloads come by reference — a source checkpoint's payload,
-// replayed through its check, with the digest, codec and lineage a
+// replayed through its checks, with the digest, codec and lineage a
 // content-addressed source recorded — or computed by the feeder (a converted
 // or blended tensor, a repartitioned group). The dedup row hashes only what
-// has no digest, so a referenced blob already in the output's store moves no
-// bytes. Nothing converts a published directory.
+// has no digest, and a digest enters a manifest without its bytes only
+// through carry: a referenced blob already in the output's store moves no
+// bytes, and meets the checks a copied payload meets. Nothing converts a
+// published directory.
 //
 // The dedup order is load-bearing: the full digest set, xor-parent ancestors
 // included, is journaled before the first blob is published, so a sweep
@@ -27,6 +29,7 @@ package ckpt
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
@@ -59,8 +62,12 @@ type payload struct {
 	open func(off, n int64) (io.ReadCloser, error)
 	// store is the blob store a content-addressed source's payload is in
 	// (read stage only): an output publishing into the same store takes the
-	// blob's recorded codec, size and lineage as the store's answer.
+	// blob's recorded codec, size and lineage as the store's answer
+	// (recorded).
 	store *storage.BlobStore
+	// pad is the padding rule of a group shard holding padding that no check
+	// has read yet (OptimExtents): a replay meets it, carry reads its tails.
+	pad *padRule
 	// cost is what producing a weight payload holds in flight in an
 	// output's read-ahead (0: its size).
 	cost int64
@@ -171,9 +178,8 @@ func (s *payloadSet) releaseAll() {
 
 // hashAll gives every payload without a digest its content digest and CRC
 // by streaming write through the hashes — no storage I/O beyond what write
-// reads — so the full digest set is known before anything is published. A
-// CRC the feeder already holds (a container header's) is verified against
-// the bytes instead of replaced. A save (zero workers) hashes
+// reads, a stored payload's replay checking its CRC — so the full digest set
+// is known before anything is published. A save (zero workers) hashes
 // runtime.GOMAXPROCS payloads side by side straight off the live state, each
 // worker holding one pooled chunk, and encodes again to put. An output hashes
 // ra.workers payloads side by side and spools each one as it is hashed, so
@@ -224,13 +230,8 @@ func (p *payload) hash(slot string, pool *storage.BufferPool) error {
 		write = func(w io.Writer) (int64, error) { return p.write(io.MultiWriter(w, sp)) }
 	}
 	digest, crc, err := hashStream(p.size, write)
-	switch {
-	case err != nil:
-		err = fmt.Errorf("ckpt: hash %s: %w", slot, err)
-	case p.hasCRC && crc != p.crc:
-		err = p.crcMismatch("", slot, crc)
-	}
 	if err != nil {
+		err = fmt.Errorf("ckpt: hash %s: %w", slot, err)
 		if sp != nil {
 			sp.Release()
 		}
@@ -240,7 +241,8 @@ func (p *payload) hash(slot string, pool *storage.BufferPool) error {
 		p.consumed()
 		p.write, p.release = replay(sp.Open), func() { sp.Release() }
 	}
-	p.digest, p.crc, p.hasCRC = digest, crc, true
+	// The bytes just hashed met the padding rule as they streamed.
+	p.digest, p.crc, p.hasCRC, p.pad = digest, crc, true, nil
 	return nil
 }
 
@@ -318,7 +320,7 @@ func (s *payloadSet) publishBlobs(store *saveStore, view *lineage, finalDir stri
 		// those actual ancestors too, or retiring the blob's original
 		// record could orphan them under our feet. The parent's manifests
 		// name them; container headers are read only for a blob they do not.
-		if ref, ok := view.blob(p.digest); ok {
+		if ref, ok := p.recorded(view, store.BlobStore); ok {
 			digests = append(digests, ref.Parents...)
 		} else if chain, err := blobChain(store.BlobStore, p.digest); err == nil {
 			digests = append(digests, chain...)
@@ -349,17 +351,18 @@ func (s *payloadSet) publishBlobs(store *saveStore, view *lineage, finalDir stri
 	}, nil)
 	// A digest is landed once: payloads repeating one (identical tensors,
 	// all-zero shards) take the first one's outcome as the dedup hits they
-	// are, instead of racing it to publish the same blob.
+	// are, instead of racing it to publish the same blob — unless a repeat's
+	// padding is unproven, which its own carry reads.
 	first := map[string]*payload{}
 	var repeats []*payload
 	err = s.each(func(p *payload, slot string, _ int) error {
-		if _, dup := first[p.digest]; dup {
+		if _, dup := first[p.digest]; dup && p.pad == nil {
 			repeats = append(repeats, p)
 			return nil
 		}
 		first[p.digest] = p
 		var cost int64
-		if _, known := view.blob(p.digest); p.write != nil && !known {
+		if _, known := p.recorded(view, store.BlobStore); p.write != nil && !known {
 			cost = p.size
 		}
 		gate.Acquire(cost)
@@ -383,27 +386,35 @@ func (s *payloadSet) publishBlobs(store *saveStore, view *lineage, finalDir stri
 	return gen, nil
 }
 
+// recorded is how a record says p's blob is stored in store: by the
+// checkpoint p was taken from, in the same store, or the save's parent.
+func (p *payload) recorded(view *lineage, store *storage.BlobStore) (blobRef, bool) {
+	if p.store != nil && p.store.Root() == store.Root() {
+		return blobRef{Digest: p.digest, Codec: p.codec, Size: p.size, Stored: p.stored, Parents: p.parents}, true
+	}
+	return view.blob(p.digest)
+}
+
 // land moves one payload's bytes into the store — or, with nothing to move,
-// finds the blob already there — and records how the blob is stored: a dedup
-// hit may resolve to a container another save stored. It runs after the
-// journal append, and its first request is the reuse check the sweep proof
-// rests on (storage.BlobStore.Sweep).
+// carries its digest — and records how the blob is stored: a dedup hit may
+// resolve to a container another save stored. It runs after the journal
+// append, and its first request is the reuse check the sweep proof rests on
+// (storage.BlobStore.Sweep).
 func (p *payload) land(store *storage.BlobStore, view *lineage) error {
-	if ref, ok := view.blob(p.digest); ok {
-		// The parent's manifest already says how this blob is stored; one
-		// Stat proves it is still there, and still in that form.
-		size, err := store.Stat(p.digest)
-		switch {
-		case err == nil && size == ref.storedSize():
+	ref, known := p.recorded(view, store)
+	if known || p.pad != nil {
+		ok, err := p.carry(store, p.size, ref, known)
+		if err != nil {
+			return err
+		}
+		if ok && known {
 			p.consumed()
 			p.codec, p.stored, p.parents = ref.Codec, ref.Stored, ref.Parents
 			return nil
-		case err != nil && p.write == nil:
-			return fmt.Errorf("reused blob missing from store: %w", err)
 		}
-		// Gone with the bytes in hand: re-publish. There at another size: it
-		// was collected and re-stored in another form since the parent was
-		// written, so the store describes it.
+		// Gone with the bytes in hand: re-publish. There in a form nothing
+		// records (collected and re-stored since it was recorded): the store
+		// describes it.
 	}
 	var res storage.PutResult
 	var err error
@@ -429,6 +440,33 @@ func (p *payload) land(store *storage.BlobStore, view *lineage) error {
 	p.written = res.Written
 	p.codec, p.stored, p.parents, err = codecEntryMeta(store, res, p.planned)
 	return err
+}
+
+// carry is the one way a digest enters a checkpoint without its bytes passing
+// the read stage's checks (DESIGN.md "The carry rule"). It proves, in order:
+// the rank passed checkLayout (only OptimExtents, after checkRank, gives a
+// shard a padding rule; a save's slots are its plan's); the store holds the
+// blob (one Stat); its size is the claim, and the stored object's what ref
+// records (known); a shard holding padding holds zeros there — by provenance
+// for bytes this writer hashed, which keep no rule, and by reading the tails
+// of its three sections for a digest another checkpoint recorded. It reports
+// false when a step short of the padding fails: the caller moves the bytes,
+// through every check, or has the store describe the blob.
+func (p *payload) carry(store *storage.BlobStore, claim int64, ref blobRef, known bool) (bool, error) {
+	stored, err := store.Stat(p.digest)
+	if err != nil || p.size != claim {
+		return false, nil
+	}
+	if p.pad != nil {
+		tails, n := p.pad.tails()
+		for _, off := range tails {
+			if c, err := copyRange(&padWriter{w: io.Discard, padRule: p.pad, off: off}, p.open, off, n); err != nil || c != n {
+				return false, cmp.Or(err, io.ErrUnexpectedEOF)
+			}
+		}
+		p.pad = nil
+	}
+	return !known || stored == ref.storedSize(), nil
 }
 
 // stageManifests writes the LTMF and per-rank LTOM manifests referencing the
@@ -615,20 +653,6 @@ func (ra readAhead) weights(lw *ltsfWriter, list []weightPayload) (int64, error)
 	return gate.Peak(), err
 }
 
-// knownBlobs is what the set's content-addressed sources recorded about the
-// blobs they hold in store: the lineage an output publishing there reuses, so
-// a referenced blob costs one Stat, not a header read and a put.
-func (s *payloadSet) knownBlobs(store *storage.BlobStore) *lineage {
-	v := &lineage{blobs: map[string]blobRef{}}
-	s.each(func(p *payload, _ string, _ int) error {
-		if p.store != nil && p.store.Root() == store.Root() {
-			v.blobs[p.digest] = blobRef{Digest: p.digest, Codec: p.codec, Size: p.size, Stored: p.stored, Parents: p.parents}
-		}
-		return nil
-	})
-	return v
-}
-
 // Trailer is the small files a checkpoint ends with — config.json and
 // trainer_state.json as given, manifest.json — and the step its commit
 // marker records. The write stage sets the manifest's Dedup and RefGen.
@@ -683,12 +707,8 @@ func (ws writeStage) run(set *payloadSet, tr *Trailer) (peak, written int64, err
 				return 0, 0, err
 			}
 		}
-		view := ws.view
-		if view == nil {
-			view = set.knownBlobs(store.BlobStore)
-		}
 		if err = set.hashAll(ws.ra); err == nil {
-			tr.Manifest.RefGen, err = set.publishBlobs(store, view, ws.dir, ws.step, ws.cplan)
+			tr.Manifest.RefGen, err = set.publishBlobs(store, ws.view, ws.dir, ws.step, ws.cplan)
 		}
 		if err == nil {
 			err = set.stageManifests(sb, staging)
@@ -762,8 +782,9 @@ func commitSave(b storage.Backend, spec *SaveSpec, plan *savePlan, set *payloadS
 // output with its trailer through the write stage.
 type Output struct {
 	set payloadSet
-	// checked totals the source payload bytes read whole to check the
-	// sources of spliced groups, counted as each check runs.
+	// checked totals the source payload bytes read to check sources that are
+	// not copied: the whole payloads of spliced groups, and the padding tails
+	// of carried ones, counted as each check runs.
 	checked atomic.Int64
 }
 
@@ -772,28 +793,25 @@ func NewOutput(model string) *Output { return &Output{set: payloadSet{model: mod
 
 // Tensor adds the named tensor of w by reference when it is stored as dt,
 // and reports false (adding nothing) when it is not. Its bytes are replayed
-// through the source's check — the digest, or the CRC when there is none —
-// and not moved at all when its blob is already in the output's store.
+// through the source's checks — the CRC, and the digest when there is one —
+// or, when its blob is already in the output's store, not moved at all: the
+// digest is carried (payload.carry).
 func (o *Output) Tensor(w *Weights, name string, dt tensor.DType) (bool, error) {
 	p, err := w.lookup(name)
 	if err != nil || !w.rawEligible(name, dt) {
 		return false, err
 	}
-	wp := *p
-	wp.checked(weightSlot(name))
-	o.set.weights = append(o.set.weights, wp)
+	o.set.weights = append(o.set.weights, *p)
 	return true, nil
 }
 
 // Weights adds every tensor of w by reference, in stored order, and returns
 // their payload bytes.
 func (o *Output) Weights(w *Weights) int64 {
+	o.set.weights = append(o.set.weights, w.list...)
 	var total int64
 	for i := range w.list {
-		wp := w.list[i]
-		wp.checked(weightSlot(wp.name))
-		o.set.weights = append(o.set.weights, wp)
-		total += wp.size
+		total += w.list[i].size
 	}
 	return total
 }
@@ -846,7 +864,8 @@ func (r OutputRank) SetStep(step int) { r.rs().step = step }
 // the source payloads — both partitions address the same FP32 grid — and
 // zeros for its own pad tail. It is one of three things:
 //   - where the two partitions coincide, the source rank's payload itself,
-//     by reference, checked and moved like Tensor's (carried);
+//     by reference, replayed through its checks or carried like Tensor's
+//     (carried);
 //   - past the data, all padding (zeroed);
 //   - otherwise stitched, section by section (master, exp_avg,
 //     exp_avg_sq), from the extents it overlaps, once every source payload
@@ -880,7 +899,14 @@ func (r OutputRank) Group(src []GroupExtent) (raw, zeros int64, err error) {
 	switch {
 	case sM == sN && rank < len(src):
 		g := groupPayload{payload: *src[rank].p, meta: src[rank].ShardGroupMeta}
-		g.checked(groupSlotKey(rank, m.Index))
+		if open := g.open; g.pad != nil {
+			// The padding tails a carry reads are checked bytes, as a
+			// splice's whole reads are.
+			g.open = func(off, n int64) (io.ReadCloser, error) {
+				r.o.checked.Add(n)
+				return open(off, n)
+			}
+		}
 		r.rs().groups = append(r.rs().groups, g)
 		return sM * 12, 0, nil
 	case lo >= m.Numel:
@@ -911,16 +937,8 @@ func spliceShard(w io.Writer, src []GroupExtent, lo, hi, dataHi int64) (int64, e
 		for cur := lo; cur < dataHi; {
 			rn := cur / sN
 			segHi := min((rn+1)*sN, dataHi)
-			rc, err := src[rn].OpenRange(k*sN*4+(cur-rn*sN)*4, (segHi-cur)*4)
-			if err == nil {
-				var c int64
-				c, err = io.Copy(w, rc)
-				n += c
-				if cerr := rc.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
+			c, err := copyRange(w, src[rn].p.open, k*sN*4+(cur-rn*sN)*4, (segHi-cur)*4)
+			if n += c; err != nil {
 				return n, fmt.Errorf("ckpt: group %d: read extent from source rank %d: %w", src[rn].Index, rn, err)
 			}
 			cur = segHi
@@ -931,6 +949,16 @@ func spliceShard(w io.Writer, src []GroupExtent, lo, hi, dataHi int64) (int64, e
 		}
 	}
 	return n, nil
+}
+
+// copyRange copies the n payload bytes at off, opened through open, to w.
+func copyRange(w io.Writer, open func(off, n int64) (io.ReadCloser, error), off, n int64) (int64, error) {
+	rc, err := open(off, n)
+	if err != nil {
+		return 0, err
+	}
+	c, err := io.Copy(w, rc)
+	return c, cmp.Or(err, rc.Close())
 }
 
 var zeroBuf [4096]byte
@@ -971,8 +999,9 @@ type OutputOptions struct {
 
 // OutputReport is what committing an Output did: the blob counters of a
 // content-addressed output, a plain output's read-ahead high-water mark and
-// container bytes written, and the source payload bytes its spliced groups
-// read whole to check their sources (each source payload once).
+// container bytes written, and the source payload bytes read to check
+// sources that were not copied: each spliced group's source payloads whole,
+// once, and each carried group's padding tails.
 type OutputReport struct {
 	BlobReport
 	PeakInFlightBytes, BytesWritten, BytesChecked int64

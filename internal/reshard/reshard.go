@@ -19,10 +19,13 @@
 // by reference, and every target shard through ckpt.OutputRank.Group, the
 // one repartition a merge across world sizes runs too. A shard whose
 // partition coincides with its source's (s_N == s_M) is the source payload by
-// reference — replayed through its check, and not moved at all when a
-// content-addressed output's store already holds it — and the rest are
-// computed: stitched from source extents (each source payload of the group
-// checked once, whole, before its first target is stitched), or all padding.
+// reference — replayed through its checks, or, when a content-addressed
+// output's store already holds its blob, carried without a byte moving:
+// ckpt's carry rule proves the blob there at its size and, for a shard
+// holding padding, reads the padding at the tail of each section — and the
+// rest are computed: stitched from source extents (each source payload of the
+// group checked once, whole, before its first target is stitched), or all
+// padding.
 // The write stage reads the weights
 // ahead under the Options.MaxInFlight byte gate and writes Options.Workers
 // target ranks' shard files side by side, each streaming its shards
@@ -76,7 +79,8 @@ type Stats struct {
 	Groups int
 	// ShardsCarried counts target shards bit-identical to a source shard
 	// (s_N == s_M): the source payload taken by reference — replayed through
-	// its check, its CRC (and digest) carried forward.
+	// its checks, or carried into a store that holds its blob, its padding
+	// tails read — its CRC (and digest) carried forward.
 	ShardsCarried int
 	// ShardsSpliced counts target shards stitched from two or more source
 	// extents (or one partial extent) with the CRC computed during the

@@ -2,13 +2,15 @@ package tailor
 
 // Tailoring by reference: a merge over content-addressed sources hands the
 // write stage the sources' payload identities, so a dedup output into the
-// same store moves no payload bytes, and every payload it does replay is
+// same store moves no payload bytes — it carries them, reading only the
+// padding of a shard that holds some — and every payload it does replay is
 // checked on the way through.
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,16 +23,18 @@ import (
 	"llmtailor/internal/recipe"
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
+	"llmtailor/internal/zero"
 )
 
-// countingBackend tallies GETs and payload bytes read by key class, and the
-// writes under a blob store.
+// countingBackend tallies GETs and payload bytes read by key class, the
+// ranged reads of blobs, and the writes under a blob store.
 type countingBackend struct {
 	storage.Backend
 	mu        sync.Mutex
 	gets      map[string]int
 	blobBytes int64
 	blobPuts  int
+	ranges    [][2]int64 // offset and length of each ranged blob read
 }
 
 func keyClass(key string) string {
@@ -87,6 +91,11 @@ func (c *countingBackend) Open(name string) (io.ReadCloser, error) {
 
 func (c *countingBackend) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
 	c.get(name, n)
+	if keyClass(name) == "blob" {
+		c.mu.Lock()
+		c.ranges = append(c.ranges, [2]int64{off, n})
+		c.mu.Unlock()
+	}
 	return c.Backend.OpenRange(name, off, n)
 }
 
@@ -103,9 +112,15 @@ func (c *countingBackend) Create(name string) (io.WriteCloser, error) {
 func (c *countingBackend) Unwrap() storage.Backend { return c.Backend }
 
 // TestTailorByReferenceRequestBudget: a parity merge of two content-addressed
-// checkpoints into a content-addressed output in their own run root reads no
-// payload byte and puts no blob; it reads each source's manifests once (1 + R
-// a source), plus the small JSON documents.
+// checkpoints into a content-addressed output in their own run root puts no
+// blob, and reads each source's manifests once (1 + R a source), plus the
+// small JSON documents. Every group is carried (payload.carry): at world 2 no
+// Tiny group holds padding, so no payload byte is read at all; at world 3,
+// where groups 0–6 are padded on rank 2, each of those costs exactly three
+// ranged reads — the tails of its three sections, 4 bytes a padding word —
+// and the one 4-byte head read by which its opener learns the blob is stored
+// raw (the manifest's codec is a hint, never trusted). Nothing else is read,
+// and the merge's BytesRead counts the tails.
 func TestTailorByReferenceRequestBudget(t *testing.T) {
 	backends := []struct {
 		name string
@@ -118,49 +133,93 @@ func TestTailorByReferenceRequestBudget(t *testing.T) {
 			return s
 		}},
 	}
-	const ranks = 2
 	cfg := modelcfg.Tiny()
 	for _, bk := range backends {
 		t.Run(bk.name, func(t *testing.T) {
-			base := bk.mk()
-			r := newDedupRun(t, base, cfg, ranks, []int{5, 10})
-			c := &countingBackend{Backend: base}
-			rec := recipe.Parity("run/checkpoint-5", "run/checkpoint-10", cfg, "run/merged")
-			stats, err := Merge(c, rec, Options{Workers: 2, DedupOutput: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sources := len(rec.Checkpoints())
-			budget := []struct {
-				what      string
-				got, most int64
-			}{
-				{"payload bytes read", c.blobBytes, 0},
-				{"blob puts", int64(c.blobPuts), 0},
-				{"manifest GETs", int64(c.gets["manifest"]), int64(sources * (1 + ranks))},
-				// Each source's three trailer documents at Open, the configs
-				// source's config and trainer state again for the output.
-				{"document GETs", int64(c.gets["document"]), int64(3*sources + 2)},
-			}
-			for _, b := range budget {
-				if b.got > b.most {
-					t.Errorf("%s: %d, budget %d (gets %v)", b.what, b.got, b.most, c.gets)
-				}
-			}
-			if stats.BlobsPut != 0 || stats.BlobsReused == 0 || stats.ShardFileLoads != 0 {
-				t.Fatalf("stats = %+v", stats)
-			}
-			m, o, _, err := ckpt.Restore(base, "run/merged", tensor.BF16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assign, err := rec.Assignments(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			steps := map[string]int{"run/checkpoint-5": 5, "run/checkpoint-10": 10}
-			for ref, path := range assign {
-				r.assertLayerMatches(t, m, o, ref, steps[path])
+			for _, ranks := range []int{2, 3} {
+				t.Run(fmt.Sprintf("world=%d", ranks), func(t *testing.T) {
+					base := bk.mk()
+					r := newDedupRun(t, base, cfg, ranks, []int{5, 10})
+					c := &countingBackend{Backend: base}
+					rec := recipe.Parity("run/checkpoint-5", "run/checkpoint-10", cfg, "run/merged")
+					stats, err := Merge(c, rec, Options{Workers: 2, DedupOutput: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sources := len(rec.Checkpoints())
+					// The padded shards' tails, and their openers' head reads.
+					var tails []int64
+					layout := optim.NewLayerwiseLayout(cfg)
+					for _, g := range layout.Groups {
+						part, err := zero.NewPartition(g.Numel, ranks)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if pad := part.ShardLen()*int64(ranks) - g.Numel; pad > 0 {
+							tails = append(tails, 4*pad, 4*pad, 4*pad)
+						}
+					}
+					var gotTails, heads []int64
+					var tailBytes int64
+					for _, r := range c.ranges {
+						if r[0] > 0 {
+							gotTails = append(gotTails, r[1])
+							tailBytes += r[1]
+						} else {
+							heads = append(heads, r[1])
+						}
+					}
+					slices.Sort(tails)
+					slices.Sort(gotTails)
+					if ranks == 2 && len(tails) != 0 || ranks == 3 && len(tails) != 3*7 {
+						t.Fatalf("fixture: %d padded shards at world %d", len(tails)/3, ranks)
+					}
+					if !slices.Equal(gotTails, tails) || len(heads) != len(tails)/3 || slices.ContainsFunc(heads, func(n int64) bool { return n != 4 }) {
+						t.Errorf("ranged blob reads: tails %v and heads %v, want tails %v and one 4-byte head a padded shard", gotTails, heads, tails)
+					}
+					configs := int64(0)
+					for _, f := range []string{"config.json", "trainer_state.json"} {
+						data, err := base.ReadFile(rec.ConfigsSource() + "/" + f)
+						if err != nil {
+							t.Fatal(err)
+						}
+						configs += int64(len(data))
+					}
+					if checked := stats.BytesRead - stats.BytesRawCopied - configs; checked != tailBytes {
+						t.Errorf("BytesRead counts %d bytes checked, the tails are %d", checked, tailBytes)
+					}
+					budget := []struct {
+						what      string
+						got, most int64
+					}{
+						{"payload bytes read", c.blobBytes, tailBytes + 4*int64(len(heads))},
+						{"blob puts", int64(c.blobPuts), 0},
+						{"manifest GETs", int64(c.gets["manifest"]), int64(sources * (1 + ranks))},
+						// Each source's three trailer documents at Open, the configs
+						// source's config and trainer state again for the output.
+						{"document GETs", int64(c.gets["document"]), int64(3*sources + 2)},
+					}
+					for _, b := range budget {
+						if b.got > b.most {
+							t.Errorf("%s: %d, budget %d (gets %v)", b.what, b.got, b.most, c.gets)
+						}
+					}
+					if stats.BlobsPut != 0 || stats.BlobsReused == 0 || stats.ShardFileLoads != 0 {
+						t.Fatalf("stats = %+v", stats)
+					}
+					m, o, _, err := ckpt.Restore(base, "run/merged", tensor.BF16)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assign, err := rec.Assignments(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					steps := map[string]int{"run/checkpoint-5": 5, "run/checkpoint-10": 10}
+					for ref, path := range assign {
+						r.assertLayerMatches(t, m, o, ref, steps[path])
+					}
+				})
 			}
 		})
 	}
