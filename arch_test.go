@@ -233,6 +233,12 @@ var archRules = []archRule{
 		allow: []string{"internal/ckpt/*"},
 	},
 	{
+		name:  "one-container/header-first",
+		why:   "a plain container is written header first, once: every section has its CRC before Backend.Create (a save's from the CRC pass, a stored payload's from its source), and only a section that has none, an output's computed payload, passes through the container's scratch spool; under these names is the deleted writer that spooled every payload and then copied the spool into the file, writing each byte twice",
+		find:  []sym{words("spoolSection", "writeContainerStream")},
+		tests: true,
+	},
+	{
 		name: "one-decoder/read-all",
 		why:  "a coded blob is read through the one chunk-streaming decoder, a chunk at a time: an io.ReadAll in the blob store or the codec is a whole-blob read back in",
 		find: []sym{calls("io.ReadAll")},

@@ -386,7 +386,7 @@ func (s *AsyncSaver) capturePayload(dedup bool, store *storage.BlobStore, p *pay
 	p.hasCRC = true
 	if dedup {
 		var err error
-		if p.digest, p.crc, err = hashStream(p.size, encode); err != nil {
+		if p.digest, p.crc, err = hashStream(p.size, true, encode); err != nil {
 			return err
 		}
 		hit, err := p.carry(store, p.size, blobRef{}, false)

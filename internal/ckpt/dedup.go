@@ -27,7 +27,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
+	"hash"
 	"io"
 	"strings"
 
@@ -65,19 +65,27 @@ func storeFor(b storage.Backend, dir string) (*storage.BlobStore, error) {
 	return storage.OpenCAS(b, ObjectsRoot(dir))
 }
 
-// hashStream computes one payload's content digest and CRC by streaming
-// encode() through the hashes only — no storage I/O.
-func hashStream(size int64, encode func(io.Writer) (int64, error)) (digest string, crc uint32, err error) {
-	c := crc32.NewIEEE()
-	sum := sha256.New()
-	n, err := encode(io.MultiWriter(c, sum))
+// hashStream computes one payload's CRC, and its content digest when
+// digest is set, by streaming encode() through the hashes only — no storage
+// I/O.
+func hashStream(size int64, digest bool, encode func(io.Writer) (int64, error)) (string, uint32, error) {
+	c := &crcWriter{w: io.Discard}
+	var sum hash.Hash
+	if digest {
+		sum = sha256.New()
+		c.w = sum
+	}
+	n, err := encode(c)
 	if err != nil {
 		return "", 0, err
 	}
 	if n != size {
 		return "", 0, fmt.Errorf("ckpt: payload encoded %d bytes, expected %d", n, size)
 	}
-	return hex.EncodeToString(sum.Sum(nil)), c.Sum32(), nil
+	if !digest {
+		return "", c.crc, nil
+	}
+	return hex.EncodeToString(sum.Sum(nil)), c.crc, nil
 }
 
 // verifyDedupRefs checks that every blob a dedup checkpoint references

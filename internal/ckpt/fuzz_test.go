@@ -158,10 +158,7 @@ func FuzzLTSFReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		w, err := newLTSFWriter(storage.NewMem(), "spliced", "m", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := newLTSFWriter(storage.NewMem(), "spliced", "m", readAhead{})
 		defer w.Abort()
 		for _, name := range r.Names() {
 			ts, err := r.ReadTensor(name)
@@ -178,9 +175,9 @@ func FuzzLTSFReader(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			// A splice rejection (e.g. short or inconsistent extent) fails
-			// the writer and later sections error out — the documented
-			// sticky-error contract; only panics are bugs here.
+			// A splice rejection (e.g. short or inconsistent extent) lists
+			// nothing, and a section whose bytes miss the CRC its header
+			// carried fails Close; only panics are bugs here.
 			w.appendRaw(rt, rc)
 			rc.Close()
 		}

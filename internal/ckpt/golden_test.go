@@ -109,10 +109,7 @@ func TestStreamedLTSFMatchesSeedBytes(t *testing.T) {
 	// Via the streaming writer, one tensor at a time, with a tiny chunk so
 	// every code path that splits payloads is exercised.
 	got2B := storage.NewMem()
-	w, err := newLTSFWriter(got2B, "m", "tiny", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newLTSFWriter(got2B, "m", "tiny", readAhead{chunk: 7})
 	for _, ts := range ts {
 		if err := w.WriteTensor(ts); err != nil {
 			t.Fatal(err)
@@ -125,8 +122,8 @@ func TestStreamedLTSFMatchesSeedBytes(t *testing.T) {
 	if string(got2) != string(want) {
 		t.Fatal("ltsfWriter output differs from seed writer")
 	}
-	if w.BytesWritten() != int64(len(want)) {
-		t.Fatalf("BytesWritten = %d, file = %d", w.BytesWritten(), len(want))
+	if w.wrote != int64(len(want)) {
+		t.Fatalf("bytes written = %d, file = %d", w.wrote, len(want))
 	}
 }
 
@@ -193,10 +190,7 @@ func TestStreamedLTOSMatchesSeedBytes(t *testing.T) {
 	}
 
 	got2B := storage.NewMem()
-	w, err := newShardFileWriter(got2B, "s", 0, 2, 9, layout.Kind, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newShardFileWriter(got2B, "s", 0, 2, 9, layout.Kind, 16)
 	for i, m := range metas {
 		if err := writeGroup(w, m, shards[i]); err != nil {
 			t.Fatal(err)

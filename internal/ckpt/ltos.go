@@ -44,58 +44,56 @@ func ShardFileName(rank int) string {
 	return fmt.Sprintf("zero/rank_%02d_optim_states.ltos", rank)
 }
 
-// shardFileWriter streams an LTOS shard file group by group, mirroring
-// ltsfWriter: groups are accepted one at a time through the shared
-// containerWriter lifecycle. Byte-identical to the tests' writeShardFile
-// (ltos_test.go) given the same groups in the same order.
+// shardFileWriter writes an LTOS shard file through the shared
+// containerWriter lifecycle, groups appended one at a time, mirroring
+// ltsfWriter. Byte-identical to the tests' writeShardFile (ltos_test.go)
+// given the same groups in the same order.
 type shardFileWriter struct {
 	containerWriter
 	hdr ltosHeader
 }
 
-// newShardFileWriter opens a streaming writer for one rank's optimizer
-// shard file. chunkBytes <= 0 selects the default chunk size.
+// newShardFileWriter starts a writer for one rank's optimizer shard file;
+// its groups stream in order (chunkBytes <= 0: the default chunk size).
 func newShardFileWriter(b storage.Backend, name string, rank, worldSize, step int,
-	layout optim.LayoutKind, chunkBytes int) (*shardFileWriter, error) {
-	cw, err := newContainerWriter(b, name, ltosMagic, chunkBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &shardFileWriter{
-		containerWriter: cw,
+	layout optim.LayoutKind, chunkBytes int) *shardFileWriter {
+	w := &shardFileWriter{
+		containerWriter: containerWriter{b: b, name: name, magic: ltosMagic, ra: readAhead{chunk: chunkBytes}},
 		hdr: ltosHeader{
 			Version: formatVersion, Rank: rank, WorldSize: worldSize,
 			Step: step, Layout: layout.String(),
 		},
-	}, nil
+	}
+	w.label = func(i int) string { return fmt.Sprintf("group %d", w.hdr.Groups[i].Index) }
+	return w
 }
 
-// appendPayload spools one group payload produced by write and records its
-// metadata — the write stage's one section writer for a rank. With hasCRC
-// set, m.CRC32 is carried forward; otherwise it is computed inline. Offsets
-// are assigned here (a full save's payload is gap-free). The size is
-// validated against the geometry before any byte is spooled, and a short or
-// long source errors out (never panics).
-func (w *shardFileWriter) appendPayload(m ShardGroupMeta, size int64, hasCRC bool, write func(io.Writer) (int64, error)) error {
-	if err := w.writable(); err != nil {
+// appendPayload lists one group payload and its metadata — the write stage's
+// one section writer for a rank. ShardLen and offsets are derived here (a
+// full save's payload is gap-free); a size no 12×ShardLen matches errors out
+// before anything is listed.
+func (w *shardFileWriter) appendPayload(g *groupPayload) error {
+	m := g.meta
+	if g.size < 0 || g.size%12 != 0 {
+		return fmt.Errorf("ckpt: %s: group %d payload %d bytes, not 12×ShardLen", w.name, m.Index, g.size)
+	}
+	m.ShardLen, m.Offsets = g.size/12, [2]int64{w.off, w.off + g.size}
+	if err := w.add(&g.payload); err != nil {
 		return err
-	}
-	// Division-checked geometry: size is a caller claim, so 12×ShardLen
-	// must never be formed directly (int64 wrap).
-	if m.ShardLen < 0 || size < 0 || size%12 != 0 || m.ShardLen != size/12 {
-		return fmt.Errorf("ckpt: %s: group %d payload %d bytes, want 12×%d", w.name, m.Index, size, m.ShardLen)
-	}
-	m.Offsets = [2]int64{w.off, w.off + size}
-	var err error
-	if m.CRC32, err = w.spoolSection(size, m.CRC32, hasCRC, write); err != nil {
-		return w.fail(fmt.Errorf("ckpt: %s: spool group %d: %w", w.name, m.Index, err))
 	}
 	w.hdr.Groups = append(w.hdr.Groups, m)
 	return nil
 }
 
-// Close writes the final container and releases the scratch space.
-func (w *shardFileWriter) Close() error { return w.finish(w.hdr) }
+// Close writes the shard file.
+func (w *shardFileWriter) Close() error {
+	return w.finish(func() any {
+		for i := range w.hdr.Groups {
+			w.hdr.Groups[i].CRC32 = w.secs[i].crc
+		}
+		return w.hdr
+	})
+}
 
 // encodeGroupRange streams elements [lo, hi) of a group's state — master,
 // exp_avg and exp_avg_sq, FP32 little-endian, each section zero-padded past

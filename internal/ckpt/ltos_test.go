@@ -189,10 +189,7 @@ func writeShardFile(b storage.Backend, name string, rank, worldSize, step int,
 	if len(meta) != len(shards) {
 		return fmt.Errorf("ckpt: %d metas vs %d shards", len(meta), len(shards))
 	}
-	w, err := newShardFileWriter(b, name, rank, worldSize, step, layout, 0)
-	if err != nil {
-		return err
-	}
+	w := newShardFileWriter(b, name, rank, worldSize, step, layout, 0)
 	defer w.Abort()
 	for i, m := range meta {
 		if err := writeGroup(w, m, shards[i]); err != nil {
@@ -208,10 +205,9 @@ func writeGroup(w *shardFileWriter, m ShardGroupMeta, s *zero.GroupShard) error 
 	if s.Rank != w.hdr.Rank {
 		return fmt.Errorf("ckpt: shard for rank %d written into rank %d file", s.Rank, w.hdr.Rank)
 	}
-	m.ShardLen = s.Numel()
-	return w.appendPayload(m, s.Numel()*12, false, func(sink io.Writer) (int64, error) {
-		return encodeGroupPayload(sink, w.buf, s)
-	})
+	buf := make([]byte, storage.ChunkOrDefault(w.ra.chunk))
+	return w.appendPayload(&groupPayload{meta: m, payload: payload{size: s.Numel() * 12,
+		write: func(sink io.Writer) (int64, error) { return encodeGroupPayload(sink, buf, s) }}})
 }
 
 // encodeGroupPayload streams one group shard's payload — the whole shard as

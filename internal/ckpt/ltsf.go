@@ -21,13 +21,14 @@
 package ckpt
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"sort"
+	"sync"
 
 	"llmtailor/internal/storage"
 	"llmtailor/internal/tensor"
@@ -54,104 +55,179 @@ type ltsfHeader struct {
 	Tensors map[string]ltsfTensorMeta `json:"tensors"`
 }
 
-// containerWriter is the spool-then-assemble lifecycle shared by the
-// streaming LTSF and LTOS writers: payload sections are encoded in bounded
-// chunks into backend scratch space (a temp file for OS-rooted backends),
-// and finish assembles magic + header + payload through the backend's
-// streaming writer. Peak memory is one chunk plus accumulated metadata —
-// never the payload.
+// containerWriter is the header-first lifecycle shared by the LTSF and LTOS
+// writers: sections are listed as they are appended, and Close builds the
+// header from their sizes and CRCs, opens the file through Backend.Create and
+// streams each section straight in, CRCing the bytes as they go, so a section
+// whose bytes differ from its header CRC fails the container before anything
+// commits. A section appended without a CRC (an output's computed payload) is
+// first encoded into one scratch spool for the container, created at the
+// first such section, and replayed from it; every other section's bytes are
+// produced once, into the file. Peak memory is one chunk plus metadata and
+// an output's weight read-ahead, never the payload.
 type containerWriter struct {
 	b     storage.Backend
 	name  string
 	magic [4]byte
-	spool storage.Spool
-	buf   []byte
+	ra    readAhead
+	// label names the i-th section in errors.
+	label func(i int) string
+	secs  []section
 	off   int64
+	spool storage.Spool
+	peak  int64
 	wrote int64
-	err   error
 	done  bool
 }
 
-func newContainerWriter(b storage.Backend, name string, magic [4]byte, chunkBytes int) (containerWriter, error) {
-	spool, err := storage.NewSpool(b)
-	if err != nil {
-		return containerWriter{}, err
-	}
-	return containerWriter{
-		b:     b,
-		name:  name,
-		magic: magic,
-		spool: spool,
-		buf:   make([]byte, storage.ChunkOrDefault(chunkBytes)),
-	}, nil
+// section is the i-th payload section of a container.
+type section struct {
+	*payload
+	i int
 }
 
-// writable gates a section write, reporting any sticky or lifecycle error.
-func (w *containerWriter) writable() error {
-	if w.err != nil {
-		return w.err
-	}
+// add lists one payload section at the current payload offset.
+func (w *containerWriter) add(p *payload) error {
 	if w.done {
 		return fmt.Errorf("ckpt: write to %s after Close", w.name)
 	}
+	w.secs = append(w.secs, section{p, len(w.secs)})
+	w.off += p.size
 	return nil
 }
 
-// spoolSection streams one payload section produced by write into the
-// spool and advances the payload offset. The section's CRC is crc carried
-// forward when hasCRC is set, computed inline otherwise. write must deliver
-// exactly size bytes.
-func (w *containerWriter) spoolSection(size int64, crc uint32, hasCRC bool,
-	write func(io.Writer) (int64, error)) (uint32, error) {
-	var sink io.Writer = w.spool
-	var inline hash.Hash32
-	if !hasCRC {
-		inline = crc32.NewIEEE()
-		sink = io.MultiWriter(sink, inline)
-	}
-	n, err := write(sink)
-	if err == nil && n != size {
-		err = fmt.Errorf("source delivered %d of %d bytes", n, size)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if inline != nil {
-		crc = inline.Sum32()
-	}
-	w.off += size
-	return crc, nil
+// crcWriter passes bytes on to w, CRCing them.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
 }
 
-// fail makes err sticky: the writer refuses further sections.
-func (w *containerWriter) fail(err error) error {
-	w.err = err
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+	return n, err
+}
+
+// settle gives every listed section without a CRC its CRC by encoding it,
+// through the read-ahead, into the container's spool, which the section
+// replays from then on. Sections that have one are untouched, so settle is
+// idempotent.
+func (w *containerWriter) settle() error {
+	var todo []section
+	var total int64
+	for _, s := range w.secs {
+		if !s.hasCRC {
+			todo, total = append(todo, s), total+s.size
+		}
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	if w.spool == nil {
+		sp, err := storage.NewSpool(w.b)
+		if err != nil {
+			return err
+		}
+		w.spool = sp
+		storage.Reserve(sp, total)
+	}
+	sp, c := w.spool, &crcWriter{w: w.spool}
+	peak, err := w.ra.stream(todo, func(s section, write func(io.Writer) (int64, error)) error {
+		off := sp.Len()
+		c.crc = 0
+		if err := s.copyTo(c, write); err != nil {
+			return fmt.Errorf("ckpt: %s: spool %s: %w", w.name, w.label(s.i), err)
+		}
+		s.crc, s.hasCRC = c.crc, true
+		s.write = replay(func() (io.ReadCloser, error) { return sp.OpenRange(off, s.size) })
+		return nil
+	})
+	w.peak = max(w.peak, peak)
 	return err
 }
 
-// finish writes the final container with the given header and releases the
-// scratch space. Idempotent; returns the sticky error if the writer failed.
-func (w *containerWriter) finish(hdr any) error {
-	if w.err != nil {
-		w.Abort()
-		return w.err
+// copyTo writes the section's bytes, as write delivers them, to dst: exactly
+// its size, its payload released once they are out.
+func (s section) copyTo(dst io.Writer, write func(io.Writer) (int64, error)) error {
+	n, err := write(dst)
+	if err == nil && n != s.size {
+		err = fmt.Errorf("source delivered %d of %d bytes", n, s.size)
 	}
+	if err == nil {
+		s.consumed()
+	}
+	return err
+}
+
+// fileBufs recycles the default-size buffers containers are written through:
+// a save writes several containers at once, and every checkpoint writes W+1.
+var fileBufs = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, storage.ChunkOrDefault(0)) }}
+
+// finish writes the container, once: every section settled, the header hdr
+// returns, then the payload sections in order, each held to its header CRC.
+// Magic and length, and the header, are one write each; the payload goes
+// through one chunk-sized buffer. The writer is spent afterwards, whatever
+// the outcome.
+func (w *containerWriter) finish(hdr func() any) error {
 	if w.done {
 		return nil
 	}
-	w.done = true
-	n, err := writeContainerStream(w.b, w.name, w.magic, hdr, w.spool, w.buf)
-	w.wrote = n
-	w.spool = nil
-	return err
-}
-
-// reserve sizes the scratch space for a payload of n bytes the caller knows
-// upfront. Advisory: file-backed spools ignore it.
-func (w *containerWriter) reserve(n int64) {
-	if w.spool != nil {
-		storage.Reserve(w.spool, n)
+	defer w.Abort()
+	if err := w.settle(); err != nil {
+		return err
 	}
+	hj, err := json.Marshal(hdr())
+	if err != nil {
+		return fmt.Errorf("ckpt: marshal header: %w", err)
+	}
+	out, err := w.b.Create(w.name)
+	if err != nil {
+		return err
+	}
+	size := 12 + int64(len(hj)) + w.off
+	storage.Reserve(out, size)
+	prefix := binary.LittleEndian.AppendUint64(append([]byte(nil), w.magic[:]...), uint64(len(hj)))
+	for _, seg := range [][]byte{prefix, hj} {
+		if _, err = out.Write(seg); err != nil {
+			break
+		}
+	}
+	var bw *bufio.Writer
+	if w.ra.chunk <= 0 {
+		bw = fileBufs.Get().(*bufio.Writer)
+		defer fileBufs.Put(bw)
+		bw.Reset(out)
+	} else {
+		bw = bufio.NewWriterSize(out, w.ra.chunk)
+	}
+	if err == nil {
+		var peak int64
+		c := &crcWriter{w: bw}
+		peak, err = w.ra.stream(w.secs, func(s section, write func(io.Writer) (int64, error)) error {
+			c.crc = 0
+			err := s.copyTo(c, write)
+			if err == nil && c.crc != s.crc {
+				err = fmt.Errorf("streamed CRC %08x, header %08x", c.crc, s.crc)
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %w", w.label(s.i), err)
+			}
+			return nil
+		})
+		w.peak = max(w.peak, peak)
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
+		out.Close()
+		return fmt.Errorf("ckpt: write %s: %w", w.name, err)
+	}
+	if err := out.Close(); err != nil {
+		return fmt.Errorf("ckpt: close %s: %w", w.name, err)
+	}
+	w.wrote = size
+	return nil
 }
 
 // Abort discards the writer without producing the file (safe after Close).
@@ -163,119 +239,61 @@ func (w *containerWriter) Abort() {
 	}
 }
 
-// BytesWritten returns the total container size once Close has succeeded.
-func (w *containerWriter) BytesWritten() int64 { return w.wrote }
-
-// ltsfWriter streams an LTSF container section by section: tensors are
-// accepted one at a time through the shared containerWriter lifecycle. The
-// bytes produced are identical to writeLTSF's (ltsf_test.go) given the same
-// tensors in the same order.
+// ltsfWriter writes an LTSF container through the shared containerWriter
+// lifecycle, tensors appended one at a time. The bytes produced are
+// identical to writeLTSF's (ltsf_test.go) given the same tensors in the same
+// order.
 type ltsfWriter struct {
 	containerWriter
-	hdr ltsfHeader
+	hdr   ltsfHeader
+	names []string
 }
 
-// newLTSFWriter opens a streaming writer targeting name. chunkBytes <= 0
-// selects the default chunk size.
-func newLTSFWriter(b storage.Backend, name, modelName string, chunkBytes int) (*ltsfWriter, error) {
-	cw, err := newContainerWriter(b, name, ltsfMagic, chunkBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &ltsfWriter{
-		containerWriter: cw,
+// newLTSFWriter starts a writer targeting name; ra shapes how its sections
+// are produced (ra.chunk <= 0: the default chunk size).
+func newLTSFWriter(b storage.Backend, name, modelName string, ra readAhead) *ltsfWriter {
+	w := &ltsfWriter{
+		containerWriter: containerWriter{b: b, name: name, magic: ltsfMagic, ra: ra},
 		hdr:             ltsfHeader{Version: formatVersion, Model: modelName, Tensors: map[string]ltsfTensorMeta{}},
-	}, nil
+	}
+	w.label = func(i int) string { return fmt.Sprintf("tensor %q", w.names[i]) }
+	return w
 }
 
-// WriteTensor appends one tensor's payload and records its metadata. The
-// tensor may be released by the caller as soon as WriteTensor returns.
-func (w *ltsfWriter) WriteTensor(t *tensor.Tensor) error {
-	rt := RawTensor{Name: t.Name, DType: t.DType.String(), Shape: append([]int(nil), t.Shape...), Size: int64(t.Bytes())}
-	return w.appendPayload(rt, false, func(sink io.Writer) (int64, error) {
-		return t.EncodeTo(sink, w.buf)
-	})
-}
-
-// appendPayload spools one tensor payload produced by write and records its
-// header entry — the single section writer under WriteTensor and the
-// checkpoint write stage. With hasCRC set, rt.CRC32 is carried forward
-// untouched; otherwise the checksum is computed inline as the bytes stream
-// through. The metadata is validated the same way openLTSF validates headers
-// — an inconsistent dtype/shape/size errors out (never panics) before any
-// byte is spooled — and write must deliver exactly rt.Size bytes. rt.Shape
-// is retained, not copied.
-func (w *ltsfWriter) appendPayload(rt RawTensor, hasCRC bool, write func(io.Writer) (int64, error)) error {
-	if err := w.writable(); err != nil {
-		return err
+// appendPayload lists one tensor payload and its header entry — the write
+// stage's one section writer for weights. The metadata is validated the same
+// way openLTSF validates headers: an inconsistent dtype/shape/size errors out
+// (never panics) before anything is listed. wp.shape is retained, not copied.
+func (w *ltsfWriter) appendPayload(wp *weightPayload) error {
+	if _, dup := w.hdr.Tensors[wp.name]; dup {
+		return fmt.Errorf("ckpt: duplicate tensor %q in LTSF write", wp.name)
 	}
-	if _, dup := w.hdr.Tensors[rt.Name]; dup {
-		return fmt.Errorf("ckpt: duplicate tensor %q in LTSF write", rt.Name)
+	if wp.size < 0 {
+		return fmt.Errorf("ckpt: %s: tensor %q: negative size %d", w.name, wp.name, wp.size)
 	}
-	meta := ltsfTensorMeta{
-		DType:   rt.DType,
-		Shape:   rt.Shape,
-		Offsets: [2]int64{w.off, w.off + rt.Size},
-		CRC32:   rt.CRC32,
-	}
-	if rt.Size < 0 {
-		return fmt.Errorf("ckpt: %s: tensor %q: negative size %d", w.name, rt.Name, rt.Size)
-	}
+	meta := ltsfTensorMeta{DType: wp.dtype, Shape: wp.shape, Offsets: [2]int64{w.off, w.off + wp.size}}
 	// Validate against an unbounded virtual payload ending at the extent.
-	if err := validateTensorMeta(rt.Name, meta, meta.Offsets[1]); err != nil {
+	if err := validateTensorMeta(wp.name, meta, meta.Offsets[1]); err != nil {
 		return fmt.Errorf("ckpt: %s: %w", w.name, err)
 	}
-	var err error
-	if meta.CRC32, err = w.spoolSection(rt.Size, rt.CRC32, hasCRC, write); err != nil {
-		return w.fail(fmt.Errorf("ckpt: %s: spool tensor %q: %w", w.name, rt.Name, err))
+	if err := w.add(&wp.payload); err != nil {
+		return err
 	}
-	w.hdr.Tensors[rt.Name] = meta
+	w.hdr.Tensors[wp.name] = meta
+	w.names = append(w.names, wp.name)
 	return nil
 }
 
-// Close writes the final container and releases the scratch space.
-func (w *ltsfWriter) Close() error { return w.finish(w.hdr) }
-
-// writeContainerStream streams magic + header length + JSON header + the
-// spooled payload to the backend, returning the container's total size.
-func writeContainerStream(b storage.Backend, name string, magic [4]byte, hdr any, spool storage.Spool, buf []byte) (int64, error) {
-	defer spool.Release()
-	hj, err := json.Marshal(hdr)
-	if err != nil {
-		return 0, fmt.Errorf("ckpt: marshal header: %w", err)
-	}
-	pr, err := spool.Open()
-	if err != nil {
-		return 0, fmt.Errorf("ckpt: %s: read spool: %w", name, err)
-	}
-	defer pr.Close()
-	out, err := b.Create(name)
-	if err != nil {
-		return 0, err
-	}
-	storage.Reserve(out, 12+int64(len(hj))+spool.Len())
-	prefix := make([]byte, 0, 12)
-	prefix = append(prefix, magic[:]...)
-	prefix = binary.LittleEndian.AppendUint64(prefix, uint64(len(hj)))
-	var total int64
-	for _, seg := range [][]byte{prefix, hj} {
-		n, err := out.Write(seg)
-		total += int64(n)
-		if err != nil {
-			out.Close()
-			return total, fmt.Errorf("ckpt: write %s: %w", name, err)
+// Close writes the container.
+func (w *ltsfWriter) Close() error {
+	return w.finish(func() any {
+		for i, name := range w.names {
+			meta := w.hdr.Tensors[name]
+			meta.CRC32 = w.secs[i].crc
+			w.hdr.Tensors[name] = meta
 		}
-	}
-	n, err := io.CopyBuffer(out, pr, buf)
-	total += n
-	if err != nil {
-		out.Close()
-		return total, fmt.Errorf("ckpt: write %s payload: %w", name, err)
-	}
-	if err := out.Close(); err != nil {
-		return total, fmt.Errorf("ckpt: close %s: %w", name, err)
-	}
-	return total, nil
+		return w.hdr
+	})
 }
 
 // readContainerHeader is parseContainerHeader for a lazy reader: one Stat and

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
 
@@ -191,10 +192,7 @@ func TestLTSFEmptyTensorList(t *testing.T) {
 // them by name for lazy retrieval. It is the reference the
 // streaming ltsfWriter is held byte-identical to.
 func writeLTSF(b storage.Backend, name, modelName string, tensors []*tensor.Tensor) error {
-	w, err := newLTSFWriter(b, name, modelName, 0)
-	if err != nil {
-		return err
-	}
+	w := newLTSFWriter(b, name, modelName, readAhead{})
 	defer w.Abort()
 	for _, t := range tensors {
 		if err := w.WriteTensor(t); err != nil {
@@ -202,4 +200,14 @@ func writeLTSF(b storage.Backend, name, modelName string, tensors []*tensor.Tens
 		}
 	}
 	return w.Close()
+}
+
+// WriteTensor appends one tensor's payload, encoded in the writer's chunk
+// size, and records its metadata. The tensor must stay unchanged until Close.
+func (w *ltsfWriter) WriteTensor(t *tensor.Tensor) error {
+	buf := make([]byte, storage.ChunkOrDefault(w.ra.chunk))
+	return w.appendPayload(&weightPayload{
+		payload: payload{size: int64(t.Bytes()), write: func(sink io.Writer) (int64, error) { return t.EncodeTo(sink, buf) }},
+		name:    t.Name, dtype: t.DType.String(), shape: append([]int(nil), t.Shape...),
+	})
 }

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"strings"
 	"testing"
@@ -27,12 +28,23 @@ func (w *Weights) openRaw(name string) (RawTensor, io.ReadCloser, error) {
 
 // appendRaw splices a pre-encoded tensor payload into the container with
 // the source CRC carried forward — appendPayload with a carried CRC, reading
-// exactly rt.Size bytes of src.
+// exactly rt.Size bytes of src now, which Close then holds to that CRC.
 func (w *ltsfWriter) appendRaw(rt RawTensor, src io.Reader) error {
-	rt.Shape = append([]int(nil), rt.Shape...)
-	return w.appendPayload(rt, true, func(sink io.Writer) (int64, error) {
-		return io.CopyBuffer(sink, io.LimitReader(src, rt.Size), w.buf)
-	})
+	data, err := io.ReadAll(io.LimitReader(src, rt.Size))
+	if err != nil {
+		return err
+	}
+	wp := &weightPayload{
+		payload: payload{size: rt.Size, crc: rt.CRC32, hasCRC: true, write: func(sink io.Writer) (int64, error) {
+			n, err := sink.Write(data)
+			return int64(n), err
+		}},
+		name: rt.Name, dtype: rt.DType, shape: append([]int(nil), rt.Shape...),
+	}
+	if int64(len(data)) != rt.Size && rt.Size >= 0 {
+		return fmt.Errorf("ckpt: tensor %q: source delivered %d of %d bytes", rt.Name, len(data), rt.Size)
+	}
+	return w.appendPayload(wp)
 }
 
 // rawTestTensors builds a deterministic mixed-dtype tensor set.
@@ -65,10 +77,7 @@ func TestAppendRawByteIdenticalToDecodePath(t *testing.T) {
 	}
 
 	// Decode path.
-	wd, err := newLTSFWriter(b, "via-decode", "m", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wd := newLTSFWriter(b, "via-decode", "m", readAhead{})
 	for _, ts := range tensors {
 		got, err := r.ReadTensor(ts.Name)
 		if err != nil {
@@ -83,10 +92,7 @@ func TestAppendRawByteIdenticalToDecodePath(t *testing.T) {
 	}
 
 	// Raw path, same order.
-	wr, err := newLTSFWriter(b, "via-raw", "m", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wr := newLTSFWriter(b, "via-raw", "m", readAhead{})
 	for _, ts := range tensors {
 		rt, rc, err := r.openRaw(ts.Name)
 		if err != nil {
@@ -164,11 +170,7 @@ func TestRawTensorMetadata(t *testing.T) {
 // (never panics), leaving the writer failed rather than half-spliced.
 func TestAppendRawRejectsCorruptExtents(t *testing.T) {
 	mk := func() *ltsfWriter {
-		w, err := newLTSFWriter(storage.NewMem(), "out", "m", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
+		return newLTSFWriter(storage.NewMem(), "out", "m", readAhead{})
 	}
 	payload := make([]byte, 64)
 
@@ -216,30 +218,40 @@ func TestAppendRawRejectsCorruptExtents(t *testing.T) {
 	}
 	w.Abort()
 
-	// A failed splice is sticky: the writer refuses further sections.
+	// A failed splice lists nothing: nothing is written before Close, so
+	// the writer goes on, and the name stays free.
 	w = mk()
 	if err := w.appendRaw(RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64},
 		bytes.NewReader(payload[:1])); err == nil {
 		t.Fatal("short extent accepted")
 	}
-	if err := w.appendRaw(RawTensor{Name: "u", DType: "f32", Shape: []int{16}, Size: 64},
-		bytes.NewReader(payload)); err == nil {
-		t.Fatal("writer accepted a section after a failed splice")
+	if err := w.appendRaw(rt, bytes.NewReader(payload)); err != nil {
+		t.Fatalf("writer refused a section after a rejected splice: %v", err)
 	}
 	w.Abort()
+
+	// A carried CRC the bytes do not match fails Close, naming the container
+	// and the tensor, and leaves no file.
+	b := storage.NewMem()
+	w = newLTSFWriter(b, "out", "m", readAhead{})
+	if err := w.appendRaw(RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64, CRC32: 1},
+		bytes.NewReader(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), `out: tensor "t": streamed CRC`) {
+		t.Fatalf("mismatched CRC: err = %v", err)
+	}
 }
 
 // An extent longer than advertised must not drag trailing bytes into the
 // container: appendRaw consumes exactly rt.Size bytes.
 func TestAppendRawConsumesExactExtent(t *testing.T) {
 	b := storage.NewMem()
-	w, err := newLTSFWriter(b, "out", "m", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newLTSFWriter(b, "out", "m", readAhead{})
 	payload := make([]byte, 64+17) // 17 trailing bytes must stay unread
 	src := bytes.NewReader(payload)
-	if err := w.appendRaw(RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64}, src); err != nil {
+	rt := RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64, CRC32: crc32.ChecksumIEEE(payload[:64])}
+	if err := w.appendRaw(rt, src); err != nil {
 		t.Fatal(err)
 	}
 	if src.Len() != 17 {

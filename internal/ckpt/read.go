@@ -533,12 +533,7 @@ func MaterializeWeights(b storage.Backend, dir, dst string, chunkBytes int) erro
 	if err != nil {
 		return err
 	}
-	lw, err := newLTSFWriter(b, dst, w.model, chunkBytes)
-	if err == nil {
-		defer lw.Abort()
-		_, _, err = w.set().writeContainers(lw, nil, readAhead{})
-	}
-	if err != nil {
+	if _, _, err = w.set().writeContainers(b, dst, nil, readAhead{chunk: chunkBytes}); err != nil {
 		return fmt.Errorf("ckpt: materialize %s: %w", dir, err)
 	}
 	return nil
@@ -556,13 +551,8 @@ func MaterializeShardFile(b storage.Backend, dir string, rank int, dst string, c
 	if err != nil {
 		return err
 	}
-	w, err := newShardFileWriter(b, dst, rs.rank, rs.worldSize, rs.step, rs.layout, chunkBytes)
-	if err == nil {
-		defer w.Abort()
-		set := &payloadSet{ranks: []rankPayloads{*rs}}
-		_, _, err = set.writeContainers(nil, []*shardFileWriter{w}, readAhead{})
-	}
-	if err != nil {
+	set := &payloadSet{ranks: []rankPayloads{*rs}}
+	if _, _, err = set.writeContainers(b, "", []string{dst}, readAhead{chunk: chunkBytes}); err != nil {
 		return fmt.Errorf("ckpt: materialize %s rank %d: %w", dir, rank, err)
 	}
 	return nil

@@ -5,9 +5,10 @@ package ckpt
 // mode and backend kind they must publish byte-identical run roots and
 // drive the backend through the identical sequence of mutating operations:
 // the property that lets each crash exploration stand for both savers.
-// The publish loop overlaps its blob puts, so that one phase is compared as
-// a multiset; everything before it (the journal append) and after it
-// (manifests, trailer, marker, pointer) is compared in exact order.
+// The publish loop overlaps its blob puts, and a plain save writes its
+// containers side by side, so each of those phases is compared as a
+// multiset; everything else (the journal append before the puts; manifests,
+// trailer, marker, pointer after either phase) is compared in exact order.
 
 import (
 	"fmt"
@@ -254,33 +255,48 @@ func blobOp(op string) bool {
 	return strings.Contains(op, " run/objects/") && !strings.Contains(op, " run/objects/refs/")
 }
 
-// canonicalOps sorts the one contiguous blob-put phase of a save's op log,
-// leaving the rest in recorded order. Blob ops anywhere else — before the
-// journal append above all — are a protocol violation.
+// containerOp reports whether a recorded op creates a plain container.
+func containerOp(op string) bool {
+	return strings.HasPrefix(op, "create ") && (strings.HasSuffix(op, ".ltsf") || strings.HasSuffix(op, ".ltos"))
+}
+
+// canonicalOps sorts the two concurrent phases of a save's op log — the blob
+// puts of a dedup save, the container creates of a plain one — leaving the
+// rest in recorded order. Each phase must be contiguous: blob ops anywhere
+// else (before the journal append above all) are a protocol violation, and
+// so is a container created after the first trailer write.
 func canonicalOps(t *testing.T, who string, ops []string) []string {
 	t.Helper()
-	first, last := -1, -1
-	for i, op := range ops {
-		if blobOp(op) {
-			if first < 0 {
-				first = i
-			}
-			last = i
-		}
-	}
-	if first < 0 {
-		return ops
-	}
-	for i := first; i <= last; i++ {
-		if !blobOp(ops[i]) {
-			t.Fatalf("%s: %q interrupts the blob-put phase (ops %d..%d)", who, ops[i], first, last)
-		}
-	}
-	if first == 0 || !strings.Contains(ops[first-1], " run/objects/refs/") {
-		t.Fatalf("%s: blob-put phase starts at op %d without the journal append right before it", who, first)
-	}
 	out := append([]string(nil), ops...)
-	sort.Strings(out[first : last+1])
+	for _, phase := range []struct {
+		name string
+		in   func(string) bool
+	}{{"blob-put", blobOp}, {"container", containerOp}} {
+		first, last := -1, -1
+		for i, op := range ops {
+			if phase.in(op) {
+				if first < 0 {
+					first = i
+				}
+				last = i
+			}
+		}
+		if first < 0 {
+			continue
+		}
+		for i := first; i <= last; i++ {
+			if !phase.in(ops[i]) {
+				t.Fatalf("%s: %q interrupts the %s phase (ops %d..%d)", who, ops[i], phase.name, first, last)
+			}
+		}
+		switch {
+		case phase.name == "blob-put" && (first == 0 || !strings.Contains(ops[first-1], " run/objects/refs/")):
+			t.Fatalf("%s: blob-put phase starts at op %d without the journal append right before it", who, first)
+		case phase.name == "container" && (last+1 == len(ops) || !strings.HasSuffix(ops[last+1], "/config.json")):
+			t.Fatalf("%s: container phase (ops %d..%d) does not end right before the first trailer write", who, first, last)
+		}
+		sort.Strings(out[first : last+1])
+	}
 	return out
 }
 

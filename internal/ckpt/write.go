@@ -6,9 +6,16 @@
 // differ only in where the bytes come from. The protocol that makes them
 // durable exists once:
 //
-//	plain:  begin → LTSF/LTOS containers → trailer → Commit
+//	plain:  begin → CRC pass → LTSF/LTOS containers, header first and
+//	        side by side → trailer → Commit
 //	dedup:  begin → journal the digest set → publish missing blobs →
 //	        LTMF/LTOM manifests → trailer → Commit
+//
+// Both rows settle every payload's identity before the first write: the
+// dedup row its digest (hashAll), the plain row its CRC, so each container
+// is written once, its header first — a save's CRCs from the CRC pass, a
+// stored payload's from its source, an output's computed payload's from the
+// one spool its container keeps for them.
 //
 // An Output's payloads come by reference — a source checkpoint's payload,
 // replayed through its checks, with the digest, codec and lineage a
@@ -48,8 +55,9 @@ type payload struct {
 	size int64
 	// digest is the content digest (dedup only; plain saves never hash).
 	digest string
-	// crc is the payload's CRC32 when hasCRC is set; otherwise the plain
-	// container writers compute it inline as the bytes stream through.
+	// crc is the payload's CRC32 when hasCRC is set; otherwise a save's CRC
+	// pass or, for an output's computed payload, its container's spool
+	// gives it one before the container's header is written.
 	crc    uint32
 	hasCRC bool
 	// write replays the payload's exact bytes. nil means the blob is already
@@ -176,24 +184,26 @@ func (s *payloadSet) releaseAll() {
 	}
 }
 
-// hashAll gives every payload without a digest its content digest and CRC
-// by streaming write through the hashes — no storage I/O beyond what write
-// reads, a stored payload's replay checking its CRC — so the full digest set
-// is known before anything is published. A save (zero workers) hashes
-// runtime.GOMAXPROCS payloads side by side straight off the live state, each
-// worker holding one pooled chunk, and encodes again to put. An output hashes
-// ra.workers payloads side by side and spools each one as it is hashed, so
-// the put replays the spool: every computed payload is computed once and
-// every referenced one read once. Spools are pooled memory up to
-// hashSpoolBytes, temp files past it.
-func (s *payloadSet) hashAll(ra readAhead) error {
+// hashAll gives payloads their identity before anything is written, by
+// streaming write through the hashes — no storage I/O beyond what write
+// reads, a stored payload's replay checking its CRC. The dedup row (digests
+// set) gives every payload without a digest its digest and CRC, so the full
+// digest set is known before anything is published; a plain save gives every
+// payload without a CRC its CRC, so each container is written header first,
+// once. A save (zero workers) hashes runtime.GOMAXPROCS payloads side by side
+// straight off the live state, each worker holding one pooled chunk, and
+// encodes again to write. An output hashes ra.workers payloads side by side
+// and spools each one as it is hashed, so the put replays the spool: every
+// computed payload is computed once and every referenced one read once.
+// Spools are pooled memory up to hashSpoolBytes, temp files past it.
+func (s *payloadSet) hashAll(ra readAhead, digests bool) error {
 	type job struct {
 		p    *payload
 		slot string
 	}
 	var jobs []job
 	s.each(func(p *payload, slot string, _ int) error {
-		if p.digest == "" {
+		if digests && p.digest == "" || !digests && !p.hasCRC {
 			jobs = append(jobs, job{p, slot})
 		}
 		return nil
@@ -208,7 +218,7 @@ func (s *payloadSet) hashAll(ra readAhead) error {
 		if failed.Load() {
 			return nil
 		}
-		err := jobs[i].p.hash(jobs[i].slot, pool)
+		err := jobs[i].p.hash(jobs[i].slot, pool, digests)
 		if err != nil {
 			failed.Store(true)
 		}
@@ -216,10 +226,10 @@ func (s *payloadSet) hashAll(ra readAhead) error {
 	})
 }
 
-// hash gives p its digest and CRC. With a pool (an output's hash pass; nil
-// for a save), it spools the bytes as they are hashed and replays the spool
-// from then on.
-func (p *payload) hash(slot string, pool *storage.BufferPool) error {
+// hash gives p its CRC, and its digest when asked. With a pool (an output's
+// hash pass; nil for a save), it spools the bytes as they are hashed and
+// replays the spool from then on.
+func (p *payload) hash(slot string, pool *storage.BufferPool, digests bool) error {
 	write := p.write
 	var sp storage.Spool
 	if pool != nil {
@@ -229,7 +239,7 @@ func (p *payload) hash(slot string, pool *storage.BufferPool) error {
 		}
 		write = func(w io.Writer) (int64, error) { return p.write(io.MultiWriter(w, sp)) }
 	}
-	digest, crc, err := hashStream(p.size, write)
+	digest, crc, err := hashStream(p.size, digests, write)
 	if err != nil {
 		err = fmt.Errorf("ckpt: hash %s: %w", slot, err)
 		if sp != nil {
@@ -503,86 +513,68 @@ func (s *payloadSet) stageManifests(sb storage.Backend, dir string) error {
 	return nil
 }
 
-// stageContainers writes the set as plain LTSF/LTOS containers into a
-// staging directory, returning the read-ahead's peak bytes in flight and the
-// container bytes written.
-func (s *payloadSet) stageContainers(sb storage.Backend, dir string, ra readAhead) (peak, written int64, err error) {
-	lw, err := newLTSFWriter(sb, dir+"/model.ltsf", s.model, ra.chunk)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer lw.Abort()
-	rws := make([]*shardFileWriter, len(s.ranks))
-	for i := range s.ranks {
-		rs := &s.ranks[i]
-		w, err := newShardFileWriter(sb, dir+"/"+ShardFileName(i), rs.rank, rs.worldSize, rs.step, rs.layout, ra.chunk)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer w.Abort()
-		rws[i] = w
-	}
-	return s.writeContainers(lw, rws, ra)
-}
-
-// readAhead is how an output's containers are filled: workers weight
-// payloads are produced side by side — each replayed or computed into a
+// readAhead is how a container's sections are produced (readAhead.stream):
+// an output's weights workers at a time — each replayed or computed into a
 // pooled buffer — and appended in order, admitted under a gate of inFlight
-// bytes (0: unbounded), and workers ranks' shard files are written side by
-// side, each streaming its groups in order. Zero workers is a save's: every
-// payload streams from its encoder straight into its container, one
-// container at a time.
+// bytes (0: unbounded); with zero workers, a save's, and every shard file's,
+// each straight from its write function into the container. The set's
+// containers are written side by side (payloadSet.writeContainers): an
+// output's workers at a time, a save's runtime.GOMAXPROCS.
 type readAhead struct {
 	workers  int
 	inFlight int64
 	chunk    int
 }
 
-// writeContainers fills the given containers — lw takes the weights (nil:
-// the set has none), rws[i] the groups of s.ranks[i] — each in set order,
-// and closes them.
-func (s *payloadSet) writeContainers(lw *ltsfWriter, rws []*shardFileWriter, ra readAhead) (peak, written int64, err error) {
-	// Every payload's size is known upfront: in-memory spools allocate once
-	// instead of growing payload by payload.
-	if lw != nil {
-		var total int64
+// writeContainers writes the set as plain LTSF/LTOS containers side by side
+// — the weights at model (none when ""), the groups of s.ranks[i] at
+// ranks[i] — returning the weights' peak read-ahead bytes in flight and the
+// container bytes written.
+func (s *payloadSet) writeContainers(b storage.Backend, model string, ranks []string, ra readAhead) (peak, written int64, err error) {
+	var ws []*containerWriter
+	defer func() {
+		for _, w := range ws {
+			w.Abort()
+		}
+	}()
+	var closes []func() error
+	if model != "" {
+		lw := newLTSFWriter(b, model, s.model, ra)
 		for i := range s.weights {
-			total += s.weights[i].size
+			if err := lw.appendPayload(&s.weights[i]); err != nil {
+				return 0, 0, err
+			}
 		}
-		lw.reserve(total)
-		if peak, err = ra.weights(lw, s.weights); err == nil {
-			err = lw.Close()
+		ws, closes = append(ws, &lw.containerWriter), append(closes, lw.Close)
+	}
+	for i := range s.ranks {
+		rs := &s.ranks[i]
+		w := newShardFileWriter(b, ranks[i], rs.rank, rs.worldSize, rs.step, rs.layout, ra.chunk)
+		for j := range rs.groups {
+			if err := w.appendPayload(&rs.groups[j]); err != nil {
+				return 0, 0, err
+			}
 		}
-		if err != nil {
-			return 0, 0, err
-		}
-		written = lw.BytesWritten()
+		ws = append(ws, &w.containerWriter)
+		closes = append(closes, func() error {
+			// A feeder may learn a rank's step from the payloads it computes.
+			if err := w.settle(); err != nil {
+				return err
+			}
+			w.hdr.Step = rs.step
+			return w.Close()
+		})
+	}
+	workers := ra.workers
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	var failed atomic.Bool
-	err = parallel.ForEachFirst(max(1, ra.workers), len(rws), func(i int) error {
+	err = parallel.ForEachFirst(workers, len(closes), func(i int) error {
 		if failed.Load() {
 			return nil
 		}
-		rs, w := &s.ranks[i], rws[i]
-		err := func() error {
-			var total int64
-			for j := range rs.groups {
-				total += rs.groups[j].size
-			}
-			w.reserve(total)
-			for j := range rs.groups {
-				g := &rs.groups[j]
-				m := g.meta
-				m.ShardLen, m.CRC32 = g.size/12, g.crc
-				if err := w.appendPayload(m, g.size, g.hasCRC, g.write); err != nil {
-					return err
-				}
-				g.consumed()
-			}
-			// A feeder may learn a rank's step from the payloads it produced.
-			w.hdr.Step = rs.step
-			return w.Close()
-		}()
+		err := closes[i]()
 		if err != nil {
 			failed.Store(true)
 		}
@@ -591,60 +583,52 @@ func (s *payloadSet) writeContainers(lw *ltsfWriter, rws []*shardFileWriter, ra 
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, w := range rws {
-		written += w.BytesWritten()
+	for _, w := range ws {
+		peak, written = max(peak, w.peak), written+w.wrote
 	}
 	return peak, written, nil
 }
 
-// weights appends the weight payloads to lw in order through the one
-// ordered fan-out of the write stage, returning its peak bytes in flight.
-func (ra readAhead) weights(lw *ltsfWriter, list []weightPayload) (int64, error) {
-	put := func(wp *weightPayload, write func(io.Writer) (int64, error)) error {
-		rt := RawTensor{Name: wp.name, DType: wp.dtype, Shape: wp.shape, Size: wp.size, CRC32: wp.crc}
-		if err := lw.appendPayload(rt, wp.hasCRC, write); err != nil {
-			return err
-		}
-		wp.consumed()
-		return nil
-	}
+// stream hands the sections to put in order, each with a write function
+// delivering its bytes, through the one ordered fan-out of the write stage,
+// and returns its peak bytes in flight.
+func (ra readAhead) stream(list []section, put func(s section, write func(io.Writer) (int64, error)) error) (int64, error) {
 	if ra.workers < 1 {
-		for i := range list {
-			if err := put(&list[i], list[i].write); err != nil {
+		for _, s := range list {
+			if err := put(s, s.write); err != nil {
 				return 0, err
 			}
 		}
 		return 0, nil
 	}
 	type filled struct {
-		wp  *weightPayload
+		s   section
 		buf *[]byte
 	}
 	gate := parallel.NewByteGate(ra.inFlight)
-	pipe := parallel.NewPipeline(ra.workers, ra.workers, func(wp *weightPayload) (filled, error) {
+	pipe := parallel.NewPipeline(ra.workers, ra.workers, func(s section) (filled, error) {
 		bp := loadBufs.Get().(*[]byte)
-		if int64(cap(*bp)) < wp.size {
-			*bp = make([]byte, 0, wp.size)
+		if int64(cap(*bp)) < s.size {
+			*bp = make([]byte, 0, s.size)
 		}
 		bb := bytes.NewBuffer((*bp)[:0])
-		_, err := wp.write(bb)
+		_, err := s.write(bb)
 		*bp = bb.Bytes()
-		return filled{wp, bp}, err
+		return filled{s, bp}, err
 	}, func(f filled) error {
 		defer loadBufs.Put(f.buf)
-		return put(f.wp, func(w io.Writer) (int64, error) {
+		return put(f.s, func(w io.Writer) (int64, error) {
 			n, err := w.Write(*f.buf)
 			return int64(n), err
 		})
 	})
-	for i := range list {
-		wp := &list[i]
-		cost := wp.cost
+	for _, s := range list {
+		cost := s.cost
 		if cost == 0 {
-			cost = wp.size
+			cost = s.size
 		}
 		gate.Acquire(cost)
-		if err := pipe.PushWithCleanup(wp, func() { gate.Release(cost) }); err != nil {
+		if err := pipe.PushWithCleanup(s, func() { gate.Release(cost) }); err != nil {
 			gate.Release(cost)
 			break
 		}
@@ -707,14 +691,25 @@ func (ws writeStage) run(set *payloadSet, tr *Trailer) (peak, written int64, err
 				return 0, 0, err
 			}
 		}
-		if err = set.hashAll(ws.ra); err == nil {
+		if err = set.hashAll(ws.ra, true); err == nil {
 			tr.Manifest.RefGen, err = set.publishBlobs(store, ws.view, ws.dir, ws.step, ws.cplan)
 		}
 		if err == nil {
 			err = set.stageManifests(sb, staging)
 		}
 	} else {
-		peak, written, err = set.stageContainers(sb, staging, ws.ra)
+		// A save's payloads get their CRCs before the first container
+		// opens (an output's computed ones, in their container's spool).
+		if ws.ra.workers < 1 {
+			err = set.hashAll(ws.ra, false)
+		}
+		ranks := make([]string, len(set.ranks))
+		for i := range ranks {
+			ranks[i] = staging + "/" + ShardFileName(i)
+		}
+		if err == nil {
+			peak, written, err = set.writeContainers(sb, staging+"/model.ltsf", ranks, ws.ra)
+		}
 	}
 	if err == nil {
 		err = tr.stage(sb, staging)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"llmtailor/internal/ckpt"
@@ -379,5 +380,34 @@ func TestReshardObjStore(t *testing.T) {
 	}
 	if !model.Equal(rm, m) || !sameOptim(ro, o) {
 		t.Fatal("objstore reshard does not restore to the source state")
+	}
+}
+
+// spoolCounter counts the scratch spools asked of the backend under it.
+type spoolCounter struct {
+	storage.Backend
+	spools atomic.Int64
+}
+
+func (c *spoolCounter) NewSpool() (storage.Spool, error) {
+	c.spools.Add(1)
+	return storage.NewSpool(c.Backend)
+}
+
+func (c *spoolCounter) Unwrap() storage.Backend { return c.Backend }
+
+// A reshard 4→3 computes its spliced shards, which a container can only
+// write once their CRCs are known: each shard file spools them, into at most
+// one spool of its own, and the weights, taken by reference, need none.
+func TestReshardSpoolsOncePerContainer(t *testing.T) {
+	m, o := buildOptim(t, 46)
+	base := storage.NewMem()
+	saveAt(t, base, "run/checkpoint-10", m, o, 4, 10, false)
+	b := &spoolCounter{Backend: base}
+	if _, err := Reshard(b, "run/checkpoint-10", "run/rs", 3, Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if n := b.spools.Load(); n < 1 || n > 3 {
+		t.Fatalf("reshard 4→3 asked for %d spools, want 1..3 (one per shard file at most)", n)
 	}
 }

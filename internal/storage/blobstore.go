@@ -170,38 +170,25 @@ func (s *BlobStore) Open(digest string) (io.ReadCloser, error) {
 	return rc, err
 }
 
-// OpenRange opens a sectioned reader over the blob's payload bytes. Raw
-// blobs serve the range straight off the backend; containers are decoded
-// chunk by chunk, only the chunks covering the range (range reads address
-// the *payload*, which has no fixed layout inside a container).
-//
-// A range from the payload's first byte — a whole raw payload, the common
-// read — is ONE request: the backend is asked for the range itself (it
-// checks the range against the stored size before anything is allocated) and
-// the magic is sniffed off the head of the stream received, as Open does. A
-// range that does not fit (a container is shorter than its payload, or a
-// manifest claims more bytes than are stored) or a head that is the container
-// magic falls back to sniffing first.
-func (s *BlobStore) OpenRange(digest string, off, n int64) (io.ReadCloser, error) {
-	rc, _, err := s.openRange(digest, off, n, formUnknown)
-	return rc, err
-}
-
-// OpenRangeCoded is OpenRange for a blob a manifest records as stored in a
-// container: one request per stored object of its chain — the blob's own
-// stream, read from its head, where OpenRange's ranged attempt would not fit
-// the shorter container. The record is a hint, never trusted — a blob that
-// turns out raw is served from the stream opened.
-func (s *BlobStore) OpenRangeCoded(digest string, off, n int64) (io.ReadCloser, error) {
-	rc, _, err := s.openRange(digest, off, n, formContainer)
-	return rc, err
-}
-
 // Ranges is an opener over the blob's payload ranges for one reader's short
-// use — a splice, over a blob its checkpoint pins. Each range it opens learns
-// how the blob is stored, as OpenRange (or, coded set, OpenRangeCoded) does
-// for its first; every later range is served in that form with no sniff, so a
-// blob read in many ranges at non-zero offsets is sniffed at most once.
+// use — a splice, a payload replay, over a blob its checkpoint pins. Raw
+// blobs serve a range straight off the backend; containers are decoded chunk
+// by chunk, only the chunks covering the range (ranges address the
+// *payload*, which has no fixed layout inside a container).
+//
+// The first range learns how the blob is stored. With coded unset, a range
+// from the payload's first byte — a whole raw payload, the common read — is
+// ONE request: the backend is asked for the range itself (it checks the range
+// against the stored size before anything is allocated) and the magic is
+// sniffed off the head of the stream received, as Open does; a range that
+// does not fit (a container is shorter than its payload, or a manifest claims
+// more bytes than are stored) or a head that is the container magic falls
+// back to sniffing first. With coded set — a manifest records the blob as
+// stored in a container — it is one request per stored object of its chain,
+// the blob's own stream read from its head. The record is a hint, never
+// trusted: a blob that turns out raw is served from the stream opened. Every
+// later range is served in the form learned, with no sniff, so a blob read in
+// many ranges at non-zero offsets is sniffed at most once.
 func (s *BlobStore) Ranges(digest string, coded bool) func(off, n int64) (io.ReadCloser, error) {
 	var known atomic.Int32
 	if coded {
@@ -227,7 +214,7 @@ const (
 )
 
 // openRange serves a payload range as the blob's known form says — unknown:
-// OpenRange's ranged attempt and sniff; a container: the stream from its head
+// the ranged attempt and sniff; a container: the stream from its head
 // — and returns the form the read found.
 func (s *BlobStore) openRange(digest string, off, n int64, known blobForm) (io.ReadCloser, blobForm, error) {
 	if err := checkBlobRange(digest, off, n); err != nil {

@@ -209,7 +209,7 @@ func TestBlobStoreOnOSBackend(t *testing.T) {
 	if err != nil || !written {
 		t.Fatalf("put = %v, %v", written, err)
 	}
-	rc, err := s.OpenRange(digest, 3, 6)
+	rc, err := s.Ranges(digest, false)(3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // LTBC container wrapping an encoded form of them. The digest that names the
 // blob is ALWAYS the SHA-256 of the uncompressed payload — the container is
 // a storage detail invisible to readers, which receive decoded bytes from
-// Open/OpenRange.
+// Open/Ranges.
 //
 // Container layout (all integers little-endian):
 //

@@ -241,7 +241,7 @@ func putCoded(t *testing.T, s *BlobStore, raw []byte, opts BlobPutOptions, want 
 
 // TestCodedReadAllocBound: reading a coded blob whole into the caller's
 // buffer allocates O(chunk) beside that buffer — for a plane blob and for the
-// end of a depth-8 xor chain alike, through Open and OpenRangeCoded — where a
+// end of a depth-8 xor chain alike, through Open and a coded Ranges opener — where a
 // whole-blob decode allocates the payload once per chain level.
 func TestCodedReadAllocBound(t *testing.T) {
 	const size = 4 << 20
@@ -268,8 +268,8 @@ func TestCodedReadAllocBound(t *testing.T) {
 	for what, want := range blobs {
 		digest := digests[what]
 		for how, open := range map[string]func() (io.ReadCloser, error){
-			"Open":           func() (io.ReadCloser, error) { return s.Open(digest) },
-			"OpenRangeCoded": func() (io.ReadCloser, error) { return s.OpenRangeCoded(digest, 0, size) },
+			"Open":          func() (io.ReadCloser, error) { return s.Open(digest) },
+			"Ranges(coded)": func() (io.ReadCloser, error) { return s.Ranges(digest, true)(0, size) },
 		} {
 			clear(buf)
 			var before, after runtime.MemStats
@@ -326,7 +326,7 @@ func TestChainReadChunkSizes(t *testing.T) {
 			continue
 		}
 		for _, ext := range [][2]int64{{0, 50_000}, {1, 49_998}, {2999, 3002}, {12_000, 100}, {49_999, 1}, {0, 0}} {
-			rc, err := s.OpenRangeCoded(c, ext[0], ext[1])
+			rc, err := s.Ranges(c, true)(ext[0], ext[1])
 			if err != nil {
 				t.Fatalf("range %v: %v", ext, err)
 			}
@@ -382,8 +382,8 @@ func TestChainReadStructuralCorruption(t *testing.T) {
 			b.WriteFile(s.Path(c), mutate(data))
 		}
 		for how, open := range map[string]func() (io.ReadCloser, error){
-			"Open":           func() (io.ReadCloser, error) { return s.Open(c) },
-			"OpenRangeCoded": func() (io.ReadCloser, error) { return s.OpenRangeCoded(c, 0, int64(len(child))) },
+			"Open":          func() (io.ReadCloser, error) { return s.Open(c) },
+			"Ranges(coded)": func() (io.ReadCloser, error) { return s.Ranges(c, true)(0, int64(len(child))) },
 		} {
 			rc, err := open()
 			if err == nil {

@@ -236,6 +236,12 @@ func (l *getLog) OpenRange(name string, off, n int64) (io.ReadCloser, error) {
 	return rc, err
 }
 
+// fresh opens each range through a new Ranges opener: the first range of
+// one, which learns the blob's form from the record (coded) or the read.
+func fresh(s *BlobStore, coded bool) func(string, int64, int64) (io.ReadCloser, error) {
+	return func(digest string, off, n int64) (io.ReadCloser, error) { return s.Ranges(digest, coded)(off, n) }
+}
+
 // TestBlobOpenRangeRequests: a whole-payload read of a blob costs one request
 // per stored object it needs — the blob, plus its xor ancestors — whichever
 // way the blob is stored, when the caller's record of the codec is right; a
@@ -303,7 +309,7 @@ func TestBlobOpenRangeRequests(t *testing.T) {
 				}
 				return log.gets, log.failed
 			}
-			right, stale := s.OpenRange, s.OpenRangeCoded
+			right, stale := fresh(s, false), fresh(s, true)
 			if c.codec != CodecRaw {
 				right, stale = stale, right
 			}
@@ -343,7 +349,7 @@ func TestBlobOpenRangeRequests(t *testing.T) {
 				}
 			}
 			// A size a manifest merely claims fails at open, either way in.
-			for _, open := range []func(string, int64, int64) (io.ReadCloser, error){s.OpenRange, s.OpenRangeCoded} {
+			for _, open := range []func(string, int64, int64) (io.ReadCloser, error){fresh(s, false), fresh(s, true)} {
 				for _, ext := range [][2]int64{{0, size + 1}, {1, size}, {0, 1 << 50}, {size + 1, 0}} {
 					if rc, err := open(digest, ext[0], ext[1]); err == nil {
 						rc.Close()
@@ -352,7 +358,7 @@ func TestBlobOpenRangeRequests(t *testing.T) {
 				}
 			}
 		}
-		if _, err := s.OpenRange(DigestBytes([]byte("absent")), 0, 16); !IsNotExist(err) {
+		if _, err := s.Ranges(DigestBytes([]byte("absent")), false)(0, 16); !IsNotExist(err) {
 			t.Errorf("%s: missing blob: %v, want not-exist", bname, err)
 		}
 	}

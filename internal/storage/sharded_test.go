@@ -128,9 +128,9 @@ func TestStoreLifecycleMatrix(t *testing.T) {
 					if got := readBlob(t, rc, err); !bytes.Equal(got, want) {
 						t.Fatalf("Open = %q", got)
 					}
-					rc, err = s.OpenRange(d, 3, 5)
+					rc, err = s.Ranges(d, false)(3, 5)
 					if got := readBlob(t, rc, err); !bytes.Equal(got, want[3:8]) {
-						t.Fatalf("OpenRange = %q", got)
+						t.Fatalf("Ranges = %q", got)
 					}
 				}
 
@@ -390,7 +390,7 @@ func TestXORParentAcrossShards(t *testing.T) {
 			if got := readBlob(t, rc, err); !bytes.Equal(got, child) {
 				t.Fatal("cross-shard xor child does not decode bit-exact")
 			}
-			rc, err = s.OpenRange(DigestBytes(child), 1000, 4096)
+			rc, err = s.Ranges(DigestBytes(child), false)(1000, 4096)
 			if got := readBlob(t, rc, err); !bytes.Equal(got, child[1000:1000+4096]) {
 				t.Fatal("ranged read of the cross-shard xor child differs")
 			}

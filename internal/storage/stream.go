@@ -59,20 +59,23 @@ func copyFile(dst Backend, dstName string, src Backend, srcName string, chunkByt
 }
 
 // Spool is unmetered scratch space holding a payload between the moment it
-// is produced and the moment it is written out: a container payload whose
-// header (offsets, CRCs) is only known once the payload is complete, a blob a
-// no-rename backend may PUT only once its digest is proven, a captured or
-// hashed payload waiting for the write stage. Write the bytes, then Open any
-// number of times: each reader is independent and covers every byte written.
-// Release frees the spool — a pooled buffer goes back to its pool, a temp
-// file is removed. It is idempotent and must not race an open reader; Write
-// and Open fail after it.
+// is produced and the moment it is written out: a computed container section
+// whose CRC its container's header needs before the section is written, a
+// blob a no-rename backend may PUT only once its digest is proven, a captured
+// or hashed payload waiting for the write stage. Write the bytes, then Open
+// any number of times, or OpenRange a part: each reader is independent and
+// covers every byte written, or the range asked for. Release frees the
+// spool — a pooled buffer goes back to its pool, a temp file is removed. It
+// is idempotent and must not race an open reader; Write and Open fail after
+// it.
 type Spool interface {
 	io.Writer
 	// Len returns the number of bytes written so far.
 	Len() int64
 	// Open returns a fresh reader over the spooled bytes.
 	Open() (io.ReadCloser, error)
+	// OpenRange returns a fresh reader over the n spooled bytes at off.
+	OpenRange(off, n int64) (io.ReadCloser, error)
 	// Release frees the spool's resources. Idempotent.
 	Release() error
 }
@@ -143,11 +146,24 @@ func grow(data []byte, n int64) []byte {
 
 func (s *memSpool) Len() int64 { return int64(len(s.data)) }
 
-func (s *memSpool) Open() (io.ReadCloser, error) {
-	if s.released {
-		return nil, errSpoolReleased
+func (s *memSpool) Open() (io.ReadCloser, error) { return s.OpenRange(0, s.Len()) }
+
+func (s *memSpool) OpenRange(off, n int64) (io.ReadCloser, error) {
+	if err := checkSpoolRange(s.released, off, n, s.Len()); err != nil {
+		return nil, err
 	}
-	return io.NopCloser(bytes.NewReader(s.data)), nil
+	return io.NopCloser(bytes.NewReader(s.data[off : off+n])), nil
+}
+
+// checkSpoolRange refuses a read of a released spool or past its bytes.
+func checkSpoolRange(released bool, off, n, size int64) error {
+	if released {
+		return errSpoolReleased
+	}
+	if off < 0 || n < 0 || off > size-n {
+		return fmt.Errorf("storage: spool range [%d, +%d) outside %d bytes", off, n, size)
+	}
+	return nil
 }
 
 func (s *memSpool) Release() error {
@@ -189,11 +205,13 @@ func (s *fileSpool) Write(p []byte) (int, error) {
 
 func (s *fileSpool) Len() int64 { return s.n }
 
-func (s *fileSpool) Open() (io.ReadCloser, error) {
-	if s.released {
-		return nil, errSpoolReleased
+func (s *fileSpool) Open() (io.ReadCloser, error) { return s.OpenRange(0, s.n) }
+
+func (s *fileSpool) OpenRange(off, n int64) (io.ReadCloser, error) {
+	if err := checkSpoolRange(s.released, off, n, s.n); err != nil {
+		return nil, err
 	}
-	return io.NopCloser(io.NewSectionReader(s.f, 0, s.n)), nil
+	return io.NopCloser(io.NewSectionReader(s.f, off, n)), nil
 }
 
 func (s *fileSpool) Release() error {

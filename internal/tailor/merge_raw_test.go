@@ -3,6 +3,7 @@ package tailor
 import (
 	"encoding/binary"
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 
 	"llmtailor/internal/ckpt"
@@ -293,5 +294,43 @@ func TestRawMergeUnderShortReads(t *testing.T) {
 	}
 	if got := mergeTreeDigest(t, b, "merged"); got != want {
 		t.Fatal("short reads changed raw merge output")
+	}
+}
+
+// spoolCounter counts the scratch spools asked of the backend under it.
+type spoolCounter struct {
+	storage.Backend
+	spools atomic.Int64
+}
+
+func (c *spoolCounter) NewSpool() (storage.Spool, error) {
+	c.spools.Add(1)
+	return storage.NewSpool(c.Backend)
+}
+
+func (c *spoolCounter) Unwrap() storage.Backend { return c.Backend }
+
+// A whole passthrough takes every payload by reference with the CRC its
+// source recorded, so each output container is written header first,
+// straight from the source: no scratch spool, on Mem or OS.
+func TestPassthroughMergeNeedsNoSpool(t *testing.T) {
+	for _, name := range []string{"mem", "os"} {
+		t.Run(name, func(t *testing.T) {
+			var base storage.Backend = storage.NewMem()
+			if name == "os" {
+				var err error
+				if base, err = storage.NewOS(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			newRun(t, base, modelcfg.Tiny(), 2, []int{5, 10}, nil)
+			b := &spoolCounter{Backend: base}
+			if _, err := Merge(b, singleSourceRecipe("run/checkpoint-10", "merged"), Options{Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if n := b.spools.Load(); n != 0 {
+				t.Fatalf("passthrough merge asked for %d spools", n)
+			}
+		})
 	}
 }
