@@ -613,7 +613,7 @@ func runReshard(args []string, out io.Writer) error {
 	src := fs.String("src", "", "source checkpoint directory (committed)")
 	dst := fs.String("out", "", "output checkpoint directory")
 	world := fs.Int("world", 0, "target world size M")
-	workers := fs.Int("workers", 4, "target ranks written side by side (and weights read ahead)")
+	workers := fs.Int("workers", 4, "output containers written side by side (and weights read ahead)")
 	maxInFlight := fs.Int64("max-inflight", 0, "bound on weight payload bytes read ahead (0 = unbounded)")
 	chunkBytes := fs.Int("chunk-bytes", 0, "streaming I/O chunk size in bytes (0 = default)")
 	dedup := fs.Bool("dedup", false, "store the resharded checkpoint content-addressed in the run root's objects/ store")

@@ -158,7 +158,8 @@ func FuzzLTSFReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		w := newLTSFWriter(storage.NewMem(), "spliced", "m", readAhead{})
+		dst := storage.NewMem()
+		w := newLTSFWriter(dst, "spliced", "m", readAhead{})
 		defer w.Abort()
 		for _, name := range r.Names() {
 			ts, err := r.ReadTensor(name)
@@ -175,11 +176,18 @@ func FuzzLTSFReader(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			// A splice rejection (e.g. short or inconsistent extent) lists
-			// nothing, and a section whose bytes miss the CRC its header
-			// carried fails Close; only panics are bugs here.
+			// A splice rejection (an inconsistent extent) lists nothing;
+			// only panics are bugs here.
 			w.appendRaw(rt, rc)
 			rc.Close()
+		}
+		// Close streams every spliced section, holding it to its size and
+		// to the CRC its header carried: a mismatch fails Close, and a
+		// container Close accepts must open again.
+		if err := w.Close(); err == nil {
+			if _, err := openLTSF(dst, "spliced"); err != nil {
+				t.Fatalf("spliced container does not reopen: %v", err)
+			}
 		}
 	})
 }

@@ -6,6 +6,8 @@ package ckpt
 // bytes that change between the CRC pass and the write fail the save.
 
 import (
+	"bytes"
+	"hash/crc32"
 	"io"
 	"strings"
 	"sync"
@@ -132,5 +134,60 @@ func TestSaveFailsWhenReplayDiffers(t *testing.T) {
 	}
 	if latest, err := readLatestPointer(b, "run"); err != nil || latest != "run/checkpoint-1" {
 		t.Fatalf("latest = %q, %v; want run/checkpoint-1", latest, err)
+	}
+}
+
+// writeSizes records the size of every write to the streams it creates.
+type writeSizes struct {
+	storage.Backend
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (b *writeSizes) Create(name string) (io.WriteCloser, error) {
+	w, err := b.Backend.Create(name)
+	return &sizedWriter{w, b}, err
+}
+
+type sizedWriter struct {
+	io.WriteCloser
+	b *writeSizes
+}
+
+func (w *sizedWriter) Write(p []byte) (int, error) {
+	w.b.mu.Lock()
+	w.b.sizes = append(w.b.sizes, len(p))
+	w.b.mu.Unlock()
+	return w.WriteCloser.Write(p)
+}
+
+// A container's payload reaches the backend in writes of at most a chunk,
+// even when the read-ahead hands over a whole tensor in one write.
+func TestContainerPayloadWritesAreChunked(t *testing.T) {
+	b := &writeSizes{Backend: storage.NewMem()}
+	w := newLTSFWriter(b, "out", "m", readAhead{workers: 2, chunk: 64})
+	data := make([]byte, 1000)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	for _, name := range []string{"a", "b"} {
+		if err := w.appendRaw(RawTensor{Name: name, DType: "f32", Shape: []int{250}, Size: 1000,
+			CRC32: crc32.ChecksumIEEE(data)}, bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Magic and length, then the header, are one write each.
+	payload, total := b.sizes[2:], 0
+	for i, n := range payload {
+		if n > 64 {
+			t.Fatalf("payload write %d is %d bytes, chunk 64", i, n)
+		}
+		total += n
+	}
+	if total != 2000 {
+		t.Fatalf("payload writes carry %d bytes, want 2000", total)
 	}
 }

@@ -108,6 +108,25 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// chunkWriter hands w writes of at most n bytes (a buffered writer passes a
+// write larger than its free space straight on).
+type chunkWriter struct {
+	w io.Writer
+	n int
+}
+
+func (c chunkWriter) Write(p []byte) (n int, err error) {
+	for n < len(p) && err == nil {
+		k := min(len(p)-n, c.n)
+		var m int
+		if m, err = c.w.Write(p[n : n+k]); m < k && err == nil {
+			err = io.ErrShortWrite
+		}
+		n += m
+	}
+	return n, err
+}
+
 // settle gives every listed section without a CRC its CRC by encoding it,
 // through the read-ahead, into the container's spool, which the section
 // replays from then on. Sections that have one are untouched, so settle is
@@ -164,10 +183,11 @@ func (s section) copyTo(dst io.Writer, write func(io.Writer) (int64, error)) err
 var fileBufs = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, storage.ChunkOrDefault(0)) }}
 
 // finish writes the container, once: every section settled, the header hdr
-// returns, then the payload sections in order, each held to its header CRC.
-// Magic and length, and the header, are one write each; the payload goes
-// through one chunk-sized buffer. The writer is spent afterwards, whatever
-// the outcome.
+// returns, then the payload sections in order, each held to its size and its
+// header CRC. Magic and length, and the header, are one write each; the
+// payload goes through one chunk-sized buffer, in writes of at most a chunk.
+// A container that fails mid-stream is removed. The writer is spent
+// afterwards, whatever the outcome.
 func (w *containerWriter) finish(hdr func() any) error {
 	if w.done {
 		return nil
@@ -193,12 +213,13 @@ func (w *containerWriter) finish(hdr func() any) error {
 		}
 	}
 	var bw *bufio.Writer
+	chunk := chunkWriter{out, storage.ChunkOrDefault(w.ra.chunk)}
 	if w.ra.chunk <= 0 {
 		bw = fileBufs.Get().(*bufio.Writer)
 		defer fileBufs.Put(bw)
-		bw.Reset(out)
+		bw.Reset(chunk)
 	} else {
-		bw = bufio.NewWriterSize(out, w.ra.chunk)
+		bw = bufio.NewWriterSize(chunk, w.ra.chunk)
 	}
 	if err == nil {
 		var peak int64
@@ -220,7 +241,9 @@ func (w *containerWriter) finish(hdr func() any) error {
 		err = bw.Flush()
 	}
 	if err != nil {
+		// What was streamed is no container: leave no file behind.
 		out.Close()
+		w.b.Remove(w.name)
 		return fmt.Errorf("ckpt: write %s: %w", w.name, err)
 	}
 	if err := out.Close(); err != nil {

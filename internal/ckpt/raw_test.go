@@ -28,23 +28,20 @@ func (w *Weights) openRaw(name string) (RawTensor, io.ReadCloser, error) {
 
 // appendRaw splices a pre-encoded tensor payload into the container with
 // the source CRC carried forward — appendPayload with a carried CRC, reading
-// exactly rt.Size bytes of src now, which Close then holds to that CRC.
+// at most rt.Size bytes of src now. Close holds what was read to rt.Size and
+// to that CRC.
 func (w *ltsfWriter) appendRaw(rt RawTensor, src io.Reader) error {
 	data, err := io.ReadAll(io.LimitReader(src, rt.Size))
 	if err != nil {
 		return err
 	}
-	wp := &weightPayload{
+	return w.appendPayload(&weightPayload{
 		payload: payload{size: rt.Size, crc: rt.CRC32, hasCRC: true, write: func(sink io.Writer) (int64, error) {
 			n, err := sink.Write(data)
 			return int64(n), err
 		}},
 		name: rt.Name, dtype: rt.DType, shape: append([]int(nil), rt.Shape...),
-	}
-	if int64(len(data)) != rt.Size && rt.Size >= 0 {
-		return fmt.Errorf("ckpt: tensor %q: source delivered %d of %d bytes", rt.Name, len(data), rt.Size)
-	}
-	return w.appendPayload(wp)
+	})
 }
 
 // rawTestTensors builds a deterministic mixed-dtype tensor set.
@@ -166,8 +163,9 @@ func TestRawTensorMetadata(t *testing.T) {
 	}
 }
 
-// appendRaw must reject inconsistent metadata and short extents with errors
-// (never panics), leaving the writer failed rather than half-spliced.
+// appendRaw must reject inconsistent metadata with errors (never panics),
+// listing nothing; a short extent or a CRC the bytes miss fails Close and
+// leaves no file.
 func TestAppendRawRejectsCorruptExtents(t *testing.T) {
 	mk := func() *ltsfWriter {
 		return newLTSFWriter(storage.NewMem(), "out", "m", readAhead{})
@@ -192,8 +190,6 @@ func TestAppendRawRejectsCorruptExtents(t *testing.T) {
 			bytes.NewReader(payload), "size"},
 		{"overflow shape", RawTensor{Name: "t", DType: "f32", Shape: []int{1 << 62, 1 << 62}, Size: 64},
 			bytes.NewReader(payload), "overflows"},
-		{"short extent", RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64},
-			bytes.NewReader(payload[:10]), "delivered"},
 	}
 	for _, tc := range cases {
 		w := mk()
@@ -218,28 +214,41 @@ func TestAppendRawRejectsCorruptExtents(t *testing.T) {
 	}
 	w.Abort()
 
-	// A failed splice lists nothing: nothing is written before Close, so
-	// the writer goes on, and the name stays free.
+	// A rejected splice lists nothing: the writer goes on, and the name
+	// stays free.
 	w = mk()
-	if err := w.appendRaw(RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64},
-		bytes.NewReader(payload[:1])); err == nil {
-		t.Fatal("short extent accepted")
+	if err := w.appendRaw(RawTensor{Name: "t", DType: "q4", Shape: []int{16}, Size: 64},
+		bytes.NewReader(payload)); err == nil {
+		t.Fatal("bad dtype accepted")
 	}
 	if err := w.appendRaw(rt, bytes.NewReader(payload)); err != nil {
 		t.Fatalf("writer refused a section after a rejected splice: %v", err)
 	}
 	w.Abort()
 
-	// A carried CRC the bytes do not match fails Close, naming the container
-	// and the tensor, and leaves no file.
-	b := storage.NewMem()
-	w = newLTSFWriter(b, "out", "m", readAhead{})
-	if err := w.appendRaw(RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64, CRC32: 1},
-		bytes.NewReader(payload)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err == nil || !strings.Contains(err.Error(), `out: tensor "t": streamed CRC`) {
-		t.Fatalf("mismatched CRC: err = %v", err)
+	// A short extent, or a carried CRC the bytes do not match, fails Close
+	// naming the container and the tensor, and leaves no file.
+	for _, tc := range []struct {
+		name string
+		src  []byte
+		crc  uint32
+		want string
+	}{
+		{"short extent", payload[:10], crc32.ChecksumIEEE(payload), `out: tensor "t": source delivered 10 of 64 bytes`},
+		{"bad CRC", payload, 1, `out: tensor "t": streamed CRC`},
+	} {
+		b := storage.NewMem()
+		w := newLTSFWriter(b, "out", "m", readAhead{})
+		if err := w.appendRaw(RawTensor{Name: "t", DType: "f32", Shape: []int{16}, Size: 64, CRC32: tc.crc},
+			bytes.NewReader(tc.src)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := w.Close(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := b.Stat("out"); err == nil {
+			t.Fatalf("%s: failed Close left a file", tc.name)
+		}
 	}
 }
 

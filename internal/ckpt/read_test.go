@@ -394,6 +394,12 @@ func corruptionCase(t *testing.T, b storage.Backend, layout string, weight bool,
 		named("ReadOptimShard", err)
 		named("MaterializeShardFile", MaterializeShardFile(b, dir, 1, "mat.ltos", 0))
 	}
+	// A container that fails mid-stream is removed, not left torn at dst.
+	for _, dst := range []string{"mat.ltsf", "mat.ltos"} {
+		if b.Exists(dst) {
+			t.Fatalf("a failed materialization left %s", dst)
+		}
+	}
 	if layout == "plain" {
 		// Taken by reference into a content-addressed output under another
 		// name: the hash pass holds every byte to its header CRC.

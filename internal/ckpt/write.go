@@ -983,9 +983,10 @@ type OutputOptions struct {
 	Dedup bool
 	// Latest moves the run root's latest pointer to the output.
 	Latest bool
-	// A plain output reads Workers tensors ahead (at least 1), at most
-	// MaxInFlight bytes of them at once (0: unbounded), writes Workers
-	// ranks' shard files side by side, and streams in ChunkBytes chunks (0:
+	// A plain output writes Workers of its containers (model.ltsf and the
+	// ranks' shard files; at least 1) side by side; inside model.ltsf's,
+	// Workers tensors are read ahead, at most MaxInFlight bytes of them at
+	// once (0: unbounded). Containers stream in ChunkBytes chunks (0:
 	// default).
 	Workers     int
 	MaxInFlight int64

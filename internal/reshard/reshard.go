@@ -26,10 +26,10 @@
 // rest are computed: stitched from source extents (each source payload of the
 // group checked once, whole, before its first target is stitched), or all
 // padding.
-// The write stage reads the weights
-// ahead under the Options.MaxInFlight byte gate and writes Options.Workers
-// target ranks' shard files side by side, each streaming its shards
-// straight into its container, so the bytes in flight are a few weight
+// The write stage writes Options.Workers of the output's containers side by
+// side: the weights' reads its tensors ahead under the Options.MaxInFlight
+// byte gate, a shard file stitches its shards into its container's spool
+// and streams them from there, so the bytes in flight are a few weight
 // payloads, never the full flat state. The source is read through ckpt's
 // read stage (Checkpoint.OptimExtents), so plain containers and
 // content-addressed blobs under any codec are the same input here, and the
@@ -51,13 +51,14 @@ import (
 // Options tunes a reshard run.
 type Options struct {
 	// Workers bounds how many weight payloads are read ahead, and how many
-	// target ranks' shard files are written side by side (default 1).
+	// of the output's containers (the weights' and the target ranks' shard
+	// files) are written side by side (default 1).
 	Workers int
 	// ChunkBytes is the streaming I/O chunk size for container writes
 	// (0: storage.ChunkOrDefault's 256 KiB).
 	ChunkBytes int
 	// MaxInFlight bounds the weight payload bytes read ahead and not yet
-	// written (target shards stream straight into their containers). 0
+	// written (target shards go through their container's spool). 0
 	// means unbounded; Stats.PeakInFlightBytes reports the high-water mark
 	// either way.
 	MaxInFlight int64

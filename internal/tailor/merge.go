@@ -43,9 +43,9 @@ func (o LoadOrder) String() string {
 // Options tunes a merge run.
 type Options struct {
 	// Workers bounds how many tensors are read (or converted) ahead of the
-	// output's weights container, and how many output ranks are written —
-	// their shard files loaded — side by side (default 1; the paper's
-	// multiprocessing corresponds to >1).
+	// output's weights container, and how many of the output's containers
+	// are written — a rank's shard files loaded — side by side (default 1;
+	// the paper's multiprocessing corresponds to >1).
 	Workers int
 	// LoadOrder selects shard-file loading behaviour (default
 	// Straightforward).
@@ -263,8 +263,8 @@ type loadCounter struct {
 // world-size change: no load, no decode — or is computed from its source's
 // shard files, which the rank loads whole (§5.4) once, per Options.LoadOrder,
 // when its first computed group is written, and drops after the last. The
-// output's containers fill rank by rank side by side, so the loads of the
-// first Options.Workers ranks overlap.
+// output writes Options.Workers of its containers side by side, the
+// weights' among them, so the loads of up to Options.Workers ranks overlap.
 func mergeOptimizer(out *ckpt.Output, plan *Plan, opts Options, stats *Stats, loads *loadCounter) error {
 	owner := make([]string, plan.Layout.NumGroups())
 	for ref, path := range plan.Assign {
