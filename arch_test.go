@@ -142,6 +142,12 @@ var archRules = []archRule{
 		find: []sym{quals("internal/zero.GroupShard"), refs("ShardFile", "ReadShardFile", "ownShards", "EncodeGroup")},
 	},
 	{
+		name:  "one-restore/no-rewrite",
+		why:   "Restore returns the weights it decoded and CRC-checked: every writer stores each weight as its master's rounding (TestWritersKeepModelRounded) and Verify checks that it does, so a model rewrite from the master outside the optimizer is a second source of the weights, and on the resume path a serial pass over every model byte",
+		find:  []sym{calls(".SyncModelFromMaster")},
+		allow: []string{"internal/optim/*"},
+	},
+	{
 		name: "one-reader/names-walk",
 		why:  "the whole-checkpoint walk lives in the load driver (payloadSet.load): a file that loops over Names() and calls ReadTensor holds a serial walk of its own",
 		find: []sym{ranges("*Names")},

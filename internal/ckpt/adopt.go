@@ -55,7 +55,8 @@ func sealMarker(e *entry) error {
 // opens (config, state, manifest parse and validate), every weight payload
 // passes its CRC, and every rank's optimizer shard passes the checks Restore
 // holds it to (layout, padding, step, CRCs) — blob-backed payloads included
-// for dedup directories.
+// for dedup directories — and every weight is its master's rounding
+// (ReadState).
 func verifyReadable(b storage.Backend, dir string) error {
 	c, err := Open(b, dir)
 	if err != nil {

@@ -21,9 +21,9 @@ import (
 // mutateLayer advances one layer's state the way a training step does: the
 // master floats move first, then the layer's model tensors are rewritten as
 // their rounded image, and the group generations advance. Mutating weights
-// directly would break the model == round(master) invariant that Restore
-// re-establishes via SyncModelFromMaster, making round-trip comparisons
-// fail for reasons that have nothing to do with the save path.
+// directly would break the model == round(master) invariant every writer
+// keeps and Verify checks (Restore returns the stored weights as they are),
+// so the saved state would not be one training produces.
 func mutateLayer(t *testing.T, m *model.Model, o *optim.AdamW, target modelcfg.LayerRef, delta float32) {
 	t.Helper()
 	for gi, g := range o.Layout.Groups {

@@ -556,7 +556,8 @@ func ResumeOrder(b storage.Backend, runRoot string) ([]string, error) {
 
 // Restore rebuilds a model and optimizer from a *complete* checkpoint. The
 // checkpoint must contain every layer (merged "Frankenstein" checkpoints
-// qualify; raw partial checkpoints do not).
+// qualify; raw partial checkpoints do not). The model is the weights as
+// stored: every writer stores each as its master's rounding, Verify checks it.
 func Restore(b storage.Backend, dir string, dtype tensor.DType) (*model.Model, *optim.AdamW, *Checkpoint, error) {
 	c, err := Open(b, dir)
 	if err != nil {
@@ -588,11 +589,6 @@ func Restore(b storage.Backend, dir string, dtype tensor.DType) (*model.Model, *
 	}
 	o, err := optim.ResumeAdamW(m, layout, c.State.Hyper, states, step)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Re-establish model = rounded master invariant (master is the source
-	// of truth after restore, exactly as mixed-precision resume does).
-	if err := o.SyncModelFromMaster(); err != nil {
 		return nil, nil, nil, err
 	}
 	return m, o, c, nil

@@ -24,8 +24,7 @@ import (
 // perturbLayer nudges every 97th master element of one mergeable layer's
 // optimizer state and re-derives the model from the masters — a tiny
 // training step: almost all bytes identical to the previous save, and the
-// model = rounded-master invariant restore re-establishes holds by
-// construction.
+// model = rounded-master invariant every writer keeps holds by construction.
 func perturbLayer(t testing.TB, m *model.Model, o *optim.AdamW, cfg *modelcfg.Config, layerIdx, step int) {
 	t.Helper()
 	ref := cfg.AllLayers()[layerIdx%len(cfg.AllLayers())]

@@ -234,3 +234,63 @@ func TestDedupResaveCopiesNoState(t *testing.T) {
 	}
 	restoreEquals(t, b, "run/checkpoint-2", m, o)
 }
+
+// A warm Restore allocates the state it returns and little more: the load
+// driver decodes each payload out of a pooled buffer straight into the model
+// and the optimizer, so a per-rank or gathered copy of the state coming back
+// breaks the bound. Two state sizes, plain and xor-coded; no t.Parallel, so
+// nothing else allocates while the second Restore is measured.
+func TestRestoreAllocatesItsState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers, so scratch allocations count")
+	}
+	const slack = 4 << 20
+	for _, tc := range []struct {
+		name  string
+		cfg   *modelcfg.Config
+		codec string
+	}{
+		{"tiny/plain", modelcfg.Tiny(), ""},
+		{"tiny/xor", modelcfg.Tiny(), "xor"},
+		{"sim/plain", modelcfg.Llama32_1B().DefaultSimScale(), ""},
+		{"sim/xor", modelcfg.Llama32_1B().DefaultSimScale(), "xor"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, o := buildOptim(t, tc.cfg, 91)
+			b := storage.NewMem()
+			spec := SaveSpec{Dir: "run/checkpoint-1", Model: m, Optim: o, WorldSize: 3,
+				Dedup: tc.codec != "", Codec: tc.codec, State: TrainerState{Step: 1}}
+			if err := Save(b, spec); err != nil {
+				t.Fatal(err)
+			}
+			if tc.codec != "" {
+				perturbLayer(t, m, o, tc.cfg, 1, 2)
+				spec.Dir = "run/checkpoint-2"
+				if err := Save(b, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			restoreEquals(t, b, spec.Dir, m, o) // fills the pools
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			rm, ro, _, err := Restore(b, spec.Dir, tensor.BF16)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var state int64
+			for _, ts := range rm.Tensors() {
+				state += ts.Bytes()
+			}
+			for _, st := range ro.States {
+				state += st.Numel() * 12
+			}
+			alloc := int64(after.TotalAlloc - before.TotalAlloc)
+			t.Logf("restore allocated %d bytes for a %d-byte state (+%d)", alloc, state, alloc-state)
+			if alloc > state+slack {
+				t.Fatalf("restore allocated %d bytes for a %d-byte state, more than %d over", alloc, state, slack)
+			}
+		})
+	}
+}

@@ -311,3 +311,7 @@ func TestReadShardHeaderMatchesFullRead(t *testing.T) {
 		t.Log("truncated header accepted (payload truncation is invisible to a header read)")
 	}
 }
+
+// checkOnly places nothing: the rank's bytes are fetched and checked, and no
+// one keeps them.
+func checkOnly(*rankPayloads) func(int, []byte) { return func(int, []byte) {} }

@@ -22,10 +22,12 @@
 package ckpt
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"sort"
@@ -216,15 +218,18 @@ func (p *payload) replays(what string) {
 		if pad != nil {
 			w = &padWriter{w: w, padRule: pad}
 		}
-		c, d := crc32.NewIEEE(), sha256.New()
-		sink := io.MultiWriter(w, c)
+		c := &crcWriter{w: w}
+		var d hash.Hash
 		if digest != "" {
-			sink = io.MultiWriter(sink, d)
+			d = sha256.New()
+			c.w = io.MultiWriter(w, d)
 		}
-		n, err := write(sink)
-		want, got := fmt.Sprintf("%08x", crc), fmt.Sprintf("%08x", c.Sum32())
-		if sum := hex.EncodeToString(d.Sum(nil)); digest != "" && sum != digest {
-			want, got = digest, sum
+		n, err := write(c)
+		want, got := fmt.Sprintf("%08x", crc), fmt.Sprintf("%08x", c.crc)
+		if d != nil {
+			if sum := hex.EncodeToString(d.Sum(nil)); sum != digest {
+				want, got = digest, sum
+			}
 		}
 		switch {
 		case errors.Is(err, storage.ErrCorruptBlob):
@@ -692,10 +697,6 @@ func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*
 // must not keep buf.
 type placer func(rs *rankPayloads) (place func(i int, buf []byte))
 
-// checkOnly places nothing: the rank's bytes are fetched and checked, and no
-// one keeps them (Verify, AdoptAll).
-func checkOnly(*rankPayloads) func(int, []byte) { return func(int, []byte) {} }
-
 // admit is the load driver's gate for one listed rank: held to the layout as
 // the rank it is listed as (checkLayout), it gets into's placement, behind
 // the padding check of every group.
@@ -797,13 +798,14 @@ func (c *Checkpoint) loadSet() (*payloadSet, error) {
 	return set, nil
 }
 
-// ReadState reads everything the checkpoint stores through the load driver,
-// keeping nothing: every weight payload checked against its CRC, every rank
-// held to the layout, its padding and the one optimizer step, every group
-// payload against its CRC. It returns how many groups each rank stores, by
-// rank, -1 for a rank that failed. With bad nil the first failure in payload
-// order is the error; otherwise each failure is handed to bad (rank -1: a
-// weight) and the read goes on while bad returns nil.
+// ReadState reads everything the checkpoint stores through the load driver:
+// every weight payload checked against its CRC, every rank held to the
+// layout, its padding and the one optimizer step, every group payload against
+// its CRC, and, once all of that reads clean, every weight to its master
+// (rounded). It returns how many groups each rank stores, by rank, -1 for a
+// rank that failed. With bad nil the first failure is the error; otherwise
+// each failure is handed to bad (rank -1: a weight) and the read goes on while
+// bad returns nil.
 func (c *Checkpoint) ReadState(bad func(rank int, err error) error) ([]int, error) {
 	return c.readState(newLoadGate(), bad)
 }
@@ -813,7 +815,30 @@ func (c *Checkpoint) readState(gate *parallel.ByteGate, bad func(rank int, err e
 	if err != nil {
 		return nil, err
 	}
-	if err := set.load(gate, nil, c, checkOnly, bad); err != nil {
+	var mu sync.Mutex
+	weights, masters := map[string]*tensor.Tensor{}, map[int][]float32{}
+	want, _, _ := c.wantGroups() // a layout that cannot be rebuilt fails every rank
+	for _, m := range want {
+		masters[m.Index] = make([]float32, m.Numel)
+	}
+	clean, report := true, bad
+	if bad != nil {
+		report = func(rank int, err error) error { clean = false; return bad(rank, err) }
+	}
+	err = set.load(gate, func(w *weightPayload) (*tensor.Tensor, error) {
+		t, err := w.newTensor()
+		mu.Lock()
+		weights[w.name] = t
+		mu.Unlock()
+		return t, err
+	}, c, func(rs *rankPayloads) func(int, []byte) {
+		return func(i int, buf []byte) { // ranks fill disjoint ranges of a master
+			m := rs.groups[i].meta
+			lo := int64(rs.want) * m.ShardLen
+			tensor.DecodeLE(masters[m.Index][min(lo, m.Numel):min(lo+m.ShardLen, m.Numel)], buf)
+		}
+	}, report)
+	if err != nil {
 		return nil, err
 	}
 	groups := make([]int, len(set.ranks))
@@ -822,7 +847,32 @@ func (c *Checkpoint) readState(gate *parallel.ByteGate, bad func(rank int, err e
 			groups[r] = -1
 		}
 	}
-	return groups, nil
+	layout, lerr := c.Layout()
+	for i := 0; clean && lerr == nil && err == nil && i < len(set.weights); i++ {
+		t := weights[set.weights[i].name]
+		seg, serr := layout.SegmentOf(t.Name)
+		if serr == nil && masters[seg.Group] != nil && seg.Len == int64(t.Len()) {
+			if err = c.rounded(t, masters[seg.Group][seg.Offset:seg.Offset+seg.Len]); err != nil && bad != nil {
+				err = bad(-1, err)
+			}
+		}
+	}
+	return groups, err
+}
+
+// rounded checks that t's bits are master's rounding to t's dtype, as Restore
+// returns it and optim writes it back, naming the first element that is not.
+func (c *Checkpoint) rounded(t *tensor.Tensor, master []float32) error {
+	want := tensor.New(t.Name, t.DType, t.Shape...)
+	want.CopyFromF32(master)
+	g, w, sz := t.Encode(nil), want.Encode(nil), t.DType.Size()
+	for i := 0; i < len(g); i += sz {
+		if !bytes.Equal(g[i:i+sz], w[i:i+sz]) {
+			return fmt.Errorf("ckpt: %s: tensor %q element %d: stored bits %x are not its master %g's rounding %x",
+				c.weights.label, t.Name, i/sz, g[i:i+sz], master[i/sz], w[i:i+sz])
+		}
+	}
+	return nil
 }
 
 // weightDst has each weight decode into the tensor dst names for it, which

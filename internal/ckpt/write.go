@@ -909,41 +909,87 @@ func (r OutputRank) Group(src []GroupExtent) (raw, zeros int64, err error) {
 		return 0, sM * 12, nil
 	}
 	r.ComputeGroup(meta, func(w io.Writer) (int64, error) {
-		for _, e := range src {
-			n, err := e.check()
-			if r.o.checked.Add(n); err != nil {
-				return 0, err
-			}
+		if err := r.o.checkExtents(src); err != nil {
+			return 0, err
 		}
 		return spliceShard(w, src, lo, hi, dataHi)
 	})
 	return (dataHi - lo) * 12, (hi - dataHi) * 12, nil
 }
 
-// spliceShard writes one output shard's three sections — elements [lo, hi)
-// of the group, data up to dataHi — from byte extents of the source payloads,
-// with zeros for the pad tail. Each extent is the intersection of the range
-// with a source shard's. Source pad bytes are never read: padding moves with
-// the partition.
-func spliceShard(w io.Writer, src []GroupExtent, lo, hi, dataHi int64) (int64, error) {
-	sN := src[0].ShardLen
-	var n int64
-	for k := int64(0); k < 3; k++ {
-		for cur := lo; cur < dataHi; {
-			rn := cur / sN
-			segHi := min((rn+1)*sN, dataHi)
-			c, err := copyRange(w, src[rn].p.open, k*sN*4+(cur-rn*sN)*4, (segHi-cur)*4)
-			if n += c; err != nil {
-				return n, fmt.Errorf("ckpt: group %d: read extent from source rank %d: %w", src[rn].Index, rn, err)
-			}
-			cur = segHi
-		}
-		c, err := writeZeros(w, (hi-dataHi)*4)
-		if n += c; err != nil {
-			return n, err
+// checkExtents reads each source payload of a group whole through its
+// checks (once, however often asked) before any range of it is read.
+func (o *Output) checkExtents(src []GroupExtent) error {
+	for _, e := range src {
+		n, err := e.check()
+		if o.checked.Add(n); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// spliceShard writes one output shard's three sections — elements [lo, hi)
+// of the group, data up to dataHi — from byte extents of the source payloads,
+// with zeros for the pad tail. Source pad bytes are never read: padding moves
+// with the partition.
+func spliceShard(w io.Writer, src []GroupExtent, lo, hi, dataHi int64) (n int64, err error) {
+	for k := int64(0); k < 3 && err == nil; k++ {
+		var c, z int64
+		c, err = spliceSection(w, src, k, lo, dataHi)
+		if err == nil {
+			z, err = writeZeros(w, (hi-dataHi)*4)
+		}
+		n += c + z
+	}
+	return n, err
+}
+
+// spliceSection writes elements [lo, hi) of section k of a group (master,
+// exp_avg, exp_avg_sq) from the intersections of the range with each source
+// shard's.
+func spliceSection(w io.Writer, src []GroupExtent, k, lo, hi int64) (int64, error) {
+	sN := src[0].ShardLen
+	var n int64
+	for cur := lo; cur < hi; {
+		rn := cur / sN
+		segHi := min((rn+1)*sN, hi)
+		c, err := copyRange(w, src[rn].p.open, k*sN*4+(cur-rn*sN)*4, (segHi-cur)*4)
+		if n += c; err != nil {
+			return n, fmt.Errorf("ckpt: group %d: read extent from source rank %d: %w", src[rn].Index, rn, err)
+		}
+		cur = segHi
+	}
 	return n, nil
+}
+
+// MasterTensor adds the named tensor as its master weights rounded to dt, as
+// optim writes them back: elements [off, off+numel) of the master section of
+// the group whose extents on every source rank src lists, read by range once
+// checked whole — how an output that keeps the optimizer converts a weight.
+// It reports the master bytes read.
+func (o *Output) MasterTensor(name string, dt tensor.DType, shape []int, src []GroupExtent, off int64) (int64, error) {
+	n := int64(1)
+	for _, d := range shape {
+		n *= int64(d)
+	}
+	if len(src) == 0 || off < 0 || off+n > src[0].Numel || int64(len(src))*src[0].ShardLen < src[0].Numel {
+		return 0, fmt.Errorf("ckpt: tensor %q: elements [%d, %d) not in %d extents of a group", name, off, off+n, len(src))
+	}
+	o.ComputeTensor(name, dt, shape, n*int64(4+dt.Size()), func() (*tensor.Tensor, error) {
+		var buf bytes.Buffer
+		if err := o.checkExtents(src); err != nil {
+			return nil, err
+		}
+		if _, err := spliceSection(&buf, src, 0, off, off+n); err != nil {
+			return nil, err
+		}
+		master, t := make([]float32, n), tensor.New(name, dt, shape...)
+		tensor.DecodeLE(master, buf.Bytes())
+		t.CopyFromF32(master)
+		return t, nil
+	})
+	return n * 4, nil
 }
 
 // copyRange copies the n payload bytes at off, opened through open, to w.

@@ -6,7 +6,6 @@ import (
 
 	"llmtailor/internal/model"
 	"llmtailor/internal/modelcfg"
-	"llmtailor/internal/tensor"
 )
 
 // Hyper holds AdamW hyperparameters. WeightDecay applies only to decay
@@ -85,9 +84,10 @@ type AdamW struct {
 	// bumps a group's counter when any of its tensors received a gradient,
 	// and SyncModelFromMaster bumps every group (model tensors are
 	// rewritten). Lazy checkpoint capture compares these counters against
-	// the ones recorded at the previous save to prove a layer's bytes
-	// unchanged without hashing them. Nil on hand-built optimizers; bumping
-	// allocates lazily.
+	// the ones recorded at this optimizer's previous save to prove a layer's
+	// bytes unchanged without hashing them; the record is keyed by instance,
+	// so a resumed optimizer (counters at 0) proves nothing until saved. Nil
+	// on hand-built optimizers; bumping allocates lazily.
 	Gens []int64
 }
 
@@ -168,7 +168,7 @@ func (o *AdamW) Step(lr float64, grads Gradients) error {
 			}
 			o.updateSegment(st, off, grad, lr, wd, bc1, bc2)
 			// Write the rounded master back into the model tensor.
-			writeBack(mt, st.Master[off:off+n])
+			mt.CopyFromF32(st.Master[off : off+n])
 			off += n
 			touched = true
 		}
@@ -208,20 +208,9 @@ func (o *AdamW) updateSegment(st *GroupState, off int64, grad []float32, lr, wd,
 	}
 }
 
-func writeBack(dst *tensor.Tensor, master []float32) {
-	if dst.DType == tensor.F32 {
-		copy(dst.F32Data(), master)
-		return
-	}
-	u := dst.U16Data()
-	for i, v := range master {
-		u[i] = tensor.EncodeF32(dst.DType, v)
-	}
-}
-
 // SyncModelFromMaster overwrites every model tensor with its rounded master
-// weights. Checkpoint restore uses this to re-establish the invariant that
-// model tensors are the rounded image of the master state.
+// weights, for code that edits master weights directly (test fixtures).
+// Restore does not call it: every checkpoint stores its weights so already.
 func (o *AdamW) SyncModelFromMaster() error {
 	for gi, g := range o.Layout.Groups {
 		st := o.States[gi]
@@ -232,7 +221,7 @@ func (o *AdamW) SyncModelFromMaster() error {
 				return err
 			}
 			n := int64(mt.Len())
-			writeBack(mt, st.Master[off:off+n])
+			mt.CopyFromF32(st.Master[off : off+n])
 			off += n
 		}
 		// The model tensors were rewritten, so any gen-based unchanged

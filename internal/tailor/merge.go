@@ -201,27 +201,45 @@ func outputDType(name string) (tensor.DType, error) {
 // mergeWeights adds every output tensor, in model order, from its assigned
 // source: by reference when its stored dtype already matches the output
 // dtype (the source payload replayed through its check, never decoded),
-// decoded and converted otherwise.
+// converted otherwise: from its master weights when the optimizer is kept, so
+// it stays its master's rounding, else decoded from the stored weight.
 func mergeWeights(out *ckpt.Output, plan *Plan, stats *Stats) error {
 	outDType, err := outputDType(plan.Recipe.DType)
 	if err != nil {
 		return err
 	}
+	// extents[path][gi] holds group gi's extents on every rank of path.
+	extents := map[string]map[int][]ckpt.GroupExtent{}
 	for _, spec := range plan.Config.Tensors() {
 		path := plan.Assign[spec.Layer]
 		src := plan.Sources[path].Weights()
 		size, _ := src.PayloadSize(spec.Name)
 		stats.TensorsRead++
-		stats.BytesRead += size
 		raw, err := out.Tensor(src, spec.Name, outDType)
 		if err != nil {
 			return fmt.Errorf("tailor: raw read %s from %s: %w", spec.Name, path, err)
 		}
 		if raw {
+			stats.BytesRead += size
 			stats.TensorsRawCopied++
 			stats.BytesRawCopied += size
 			continue
 		}
+		if plan.Recipe.Optimizer {
+			seg, err := plan.Layout.SegmentOf(spec.Name)
+			if err == nil && extents[path] == nil {
+				extents[path], _, err = groupExtents(plan.Sources[path])
+			}
+			if err == nil {
+				size, err = out.MasterTensor(spec.Name, outDType, spec.Shape, extents[path][seg.Group], seg.Offset)
+			}
+			if err != nil {
+				return fmt.Errorf("tailor: %s from %s: %w", spec.Name, path, err)
+			}
+			stats.BytesRead += size
+			continue
+		}
+		stats.BytesRead += size
 		out.ComputeTensor(spec.Name, outDType, spec.Shape, weightCost(src, spec, outDType), func() (*tensor.Tensor, error) {
 			t, err := src.ReadTensor(spec.Name)
 			if err != nil {
@@ -283,18 +301,11 @@ func mergeOptimizer(out *ckpt.Output, plan *Plan, opts Options, stats *Stats, lo
 		if !fromExtents(plan, path) {
 			continue
 		}
-		c := plan.Sources[path]
-		byGroup := map[int][]ckpt.GroupExtent{}
-		for rank := 0; rank < c.WorldSize(); rank++ {
-			groups, step, err := c.OptimExtents(rank)
-			if err != nil {
-				return fmt.Errorf("tailor: %s: %w", path, err)
-			}
-			refStep = max(refStep, step)
-			for _, g := range groups {
-				byGroup[g.Index] = append(byGroup[g.Index], g)
-			}
+		byGroup, step, err := groupExtents(plan.Sources[path])
+		if err != nil {
+			return fmt.Errorf("tailor: %s: %w", path, err)
 		}
+		refStep = max(refStep, step)
 		extents[path] = byGroup
 	}
 	for rank := 0; rank < plan.WorldSize; rank++ {
@@ -340,6 +351,24 @@ func mergeOptimizer(out *ckpt.Output, plan *Plan, opts Options, stats *Stats, lo
 		}
 	}
 	return nil
+}
+
+// groupExtents lists each of c's groups' stored extents on every rank, by
+// group index, and the highest optimizer step a rank records.
+func groupExtents(c *ckpt.Checkpoint) (map[int][]ckpt.GroupExtent, int, error) {
+	byGroup := map[int][]ckpt.GroupExtent{}
+	refStep := 0
+	for rank := 0; rank < c.WorldSize(); rank++ {
+		groups, step, err := c.OptimExtents(rank)
+		if err != nil {
+			return nil, 0, err
+		}
+		refStep = max(refStep, step)
+		for _, g := range groups {
+			byGroup[g.Index] = append(byGroup[g.Index], g)
+		}
+	}
+	return byGroup, refStep, nil
 }
 
 // fromExtents reports whether the groups path contributes go into the output

@@ -55,7 +55,9 @@ func (r *VerifyReport) Describe() string {
 //     it to: it claims its rank and the world size, all ranks record one
 //     optimizer step, it stores exactly the layout's groups of the
 //     manifest's layers, in index order, with the layout's geometry, every
-//     group payload passes its CRC and its padding is zero.
+//     group payload passes its CRC and its padding is zero;
+//   - when all of that reads clean, every weight is its master's rounding in
+//     the stored dtype, element for element, as Restore returns it.
 func Verify(b storage.Backend, dir string) (*VerifyReport, error) {
 	rep := &VerifyReport{Dir: dir}
 	c, err := ckpt.Open(b, dir)

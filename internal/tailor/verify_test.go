@@ -1,6 +1,7 @@
 package tailor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"llmtailor/internal/modelcfg"
 	"llmtailor/internal/recipe"
 	"llmtailor/internal/storage"
+	"llmtailor/internal/tensor"
 )
 
 func TestVerifyCleanCheckpoint(t *testing.T) {
@@ -153,6 +155,66 @@ func TestVerifyReportsRankStepDisagreement(t *testing.T) {
 	}
 	if rep.ShardFiles != 1 || rep.WeightTensors != len(cfg.Tensors()) {
 		t.Fatalf("verified %d shard files, %d weight tensors; want 1 and %d", rep.ShardFiles, rep.WeightTensors, len(cfg.Tensors()))
+	}
+}
+
+// A weight element whose bits are not its master's rounding, stored under a
+// CRC that covers it, is a problem naming the tensor and the element: in a
+// full checkpoint, plain or content-addressed, and in a partial one holding
+// its layer. A partial checkpoint without that layer verifies. Restore hands
+// the stored weight back as it is, so Verify is what catches it.
+func TestVerifyChecksWeightsAgainstMasters(t *testing.T) {
+	cfg := modelcfg.Tiny()
+	const name, elem = "model.layers.1.mlp.up_proj.weight", 5
+	for _, tc := range []struct {
+		name    string
+		dedup   bool
+		layers  []modelcfg.LayerRef
+		problem bool
+	}{
+		{"full", false, nil, true},
+		{"content-addressed", true, nil, true},
+		{"partial holding it", false, []modelcfg.LayerRef{modelcfg.Block(1)}, true},
+		{"partial without it", false, []modelcfg.LayerRef{modelcfg.Block(0), modelcfg.Embed}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := storage.NewMem()
+			r := newRun(t, b, cfg, 2, []int{3}, nil)
+			m, o := r.models[3], r.optims[3]
+			mt, err := m.Tensor(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mt.U16Data()[elem] ^= 1
+			dir := "flip/checkpoint-3"
+			if err := ckpt.Save(b, ckpt.SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: 2, Layers: tc.layers,
+				Strategy: "test", Dedup: tc.dedup, State: ckpt.TrainerState{Step: 3}}); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Verify(b, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.problem {
+				if !rep.OK() {
+					t.Fatalf("problems: %v", rep.Problems)
+				}
+				return
+			}
+			if len(rep.Problems) != 1 || !strings.Contains(rep.Problems[0], fmt.Sprintf("tensor %q element %d", name, elem)) {
+				t.Fatalf("problems: %v", rep.Problems)
+			}
+			if tc.layers != nil {
+				return
+			}
+			rm, _, _, err := ckpt.Restore(b, dir, tensor.BF16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := rm.Tensor(name); !tensor.Equal(got, mt) {
+				t.Fatal("restore did not return the stored weight")
+			}
+		})
 	}
 }
 

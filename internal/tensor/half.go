@@ -93,16 +93,16 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// EncodeF32 converts v to the in-memory representation of dtype d. For F32
+// encodeF32 converts v to the in-memory representation of dtype d. For F32
 // the value round-trips exactly; for half types it is rounded.
-func EncodeF32(d DType, v float32) uint16 {
+func encodeF32(d DType, v float32) uint16 {
 	switch d {
 	case F16:
 		return f32ToF16(v)
 	case BF16:
 		return F32ToBF16(v)
 	default:
-		panic("tensor: EncodeF32 on non-half dtype")
+		panic("tensor: encodeF32 on non-half dtype")
 	}
 }
 

@@ -179,10 +179,10 @@ func TestF16NearestRounding(t *testing.T) {
 }
 
 func TestEncodeDecodeDispatch(t *testing.T) {
-	if got := decodeF32(F16, EncodeF32(F16, 1.5)); got != 1.5 {
+	if got := decodeF32(F16, encodeF32(F16, 1.5)); got != 1.5 {
 		t.Errorf("f16 dispatch roundtrip = %v", got)
 	}
-	if got := decodeF32(BF16, EncodeF32(BF16, 1.5)); got != 1.5 {
+	if got := decodeF32(BF16, encodeF32(BF16, 1.5)); got != 1.5 {
 		t.Errorf("bf16 dispatch roundtrip = %v", got)
 	}
 }

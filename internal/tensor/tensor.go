@@ -69,7 +69,7 @@ func (t *Tensor) Set(i int, v float32) {
 		t.f32[i] = v
 		return
 	}
-	t.u16[i] = EncodeF32(t.DType, v)
+	t.u16[i] = encodeF32(t.DType, v)
 }
 
 // F32Data returns the FP32 backing slice. It panics for half tensors; use
@@ -114,7 +114,7 @@ func (t *Tensor) CopyFromF32(src []float32) {
 		return
 	}
 	for i, v := range src {
-		t.u16[i] = EncodeF32(t.DType, v)
+		t.u16[i] = encodeF32(t.DType, v)
 	}
 }
 
