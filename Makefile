@@ -36,14 +36,15 @@ fmt-check:
 # changed, not of the payloads that exist: the counting-backend test that
 # holds config reads, parent-manifest reads, blob probes and blob GETs to
 # the table in DESIGN.md "The write stage". The read side: a restore's GETs
-# are its payloads plus a constant, several in flight and never more than the
-# load driver's width, a plain rank one stream, and the bytes the driver
-# admits at once stay under its gate. Maintenance: one retention pass on a
+# are its payloads plus a constant, many in flight and never more than the
+# load driver's read depth, at most its width decoded at once, a plain rank
+# one stream, the metadata before the first payload GET two waves of
+# requests, and the bytes the driver admits at once stay under its gate. Maintenance: one retention pass on a
 # latency-shaped object store issues a fixed count of requests per kind, and
 # each of its phases keeps several removes in flight, never more than
 # storage.RequestWidth.
 request-budget:
-	$(GO) test ./internal/ckpt -run '^(TestDedupSaveRequestBudget|TestRestoreRequestBudget|TestLoadGateBoundsBytesInFlight|TestRetainRequestBudget|TestMaintenanceConfigReadBudget)$$'
+	$(GO) test ./internal/ckpt -run '^(TestDedupSaveRequestBudget|TestRestoreRequestBudget|TestRestoreDecodeWidth|TestRestoreOpenWaves|TestLoadGateBoundsBytesInFlight|TestRetainRequestBudget|TestMaintenanceConfigReadBudget)$$'
 	$(GO) test ./internal/tailor -run '^TestTailorByReferenceRequestBudget$$'
 
 # The read stage is concurrent: its tests, and the resume paths above it, run

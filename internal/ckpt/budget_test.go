@@ -328,9 +328,9 @@ func TestPublishLandsRepeatedDigestOnce(t *testing.T) {
 
 // TestRestoreRequestBudget: the requests of a whole-checkpoint restore. A
 // content-addressed one issues a GET per payload and a constant more, keeps
-// several of them waiting on the store at once — never more than the load
-// driver's width — and writes nothing; a plain one opens each rank's shard
-// file exactly once (§5.4).
+// more of them waiting on the store at once than it decodes at once — never
+// more than the load driver's read depth — and writes nothing; a plain one
+// opens each rank's shard file exactly once (§5.4).
 func TestRestoreRequestBudget(t *testing.T) {
 	const ranks = 4
 	m, o := buildOptim(t, modelcfg.Tiny(), 350)
@@ -347,8 +347,10 @@ func TestRestoreRequestBudget(t *testing.T) {
 	}
 	// Requests that take a while, so the ones in flight together show.
 	store.SetLatency(500*time.Microsecond, 0)
-	// The payload GETs are parked until four are in flight together.
-	log := &opLog{Fault: storage.NewFault(store), gates: map[string]int{"get blob": 4}}
+	// The payload GETs are parked until twice the decode width are in flight
+	// together.
+	const deep = 2 * storage.RequestWidth
+	log := &opLog{Fault: storage.NewFault(store), gates: map[string]int{"get blob": deep}}
 
 	t.Run("content-addressed", func(t *testing.T) {
 		log.reset()
@@ -372,8 +374,8 @@ func TestRestoreRequestBudget(t *testing.T) {
 		if gets > P+c {
 			t.Errorf("%d GETs for %d payloads, budget P + %d", gets, P, c)
 		}
-		if peak < 4 || peak > storage.RequestWidth || len(log.missed) != 0 {
-			t.Errorf("peak of %d GETs in flight, want between 4 and %d (no four together: %v)", peak, storage.RequestWidth, log.missed)
+		if peak < deep || peak > storage.ReadDepth || len(log.missed) != 0 {
+			t.Errorf("peak of %d GETs in flight, want between %d and %d (no %d together: %v)", peak, deep, storage.ReadDepth, deep, log.missed)
 		}
 		// The layout decision is two existence probes (weight manifest there,
 		// weight container not) and never a listing; each rank's manifest is

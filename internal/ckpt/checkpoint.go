@@ -440,17 +440,23 @@ type Checkpoint struct {
 }
 
 // Open validates and indexes a checkpoint directory, plain or dedup. The
-// three JSON documents are fetched side by side — one round trip's wait on a
-// remote store — and judged in their fixed order.
+// three JSON documents are fetched side by side with the weights' listing
+// (openSource) — one round trip's wait on a remote store — and judged in
+// their fixed order. A content-addressed checkpoint's store reads its shard
+// map on first use: a load fetches it beside the rank manifests (loadSet).
 func Open(b storage.Backend, dir string) (*Checkpoint, error) {
 	c := &Checkpoint{Backend: b, Dir: dir, Config: &modelcfg.Config{}}
 	docs := []struct {
 		name string
 		into any
 	}{{"config.json", c.Config}, {"trainer_state.json", &c.State}, {"manifest.json", &c.Manifest}}
-	data, errs := make([][]byte, len(docs)), make([]error, len(docs))
-	_ = parallel.ForEach(storage.RequestWidth, len(docs), func(i int) error {
-		data[i], errs[i] = b.ReadFile(dir + "/" + docs[i].name)
+	data, errs := make([][]byte, len(docs)), make([]error, len(docs)+1)
+	_ = parallel.ForEach(storage.RequestWidth, len(docs)+1, func(i int) error {
+		if i == len(docs) {
+			c.src, c.weights, errs[i] = openSource(b, dir, true)
+		} else {
+			data[i], errs[i] = b.ReadFile(dir + "/" + docs[i].name)
+		}
 		return nil
 	})
 	for i, d := range docs {
@@ -465,11 +471,7 @@ func Open(b storage.Backend, dir string) (*Checkpoint, error) {
 			return nil, fmt.Errorf("ckpt: open %s: %w", dir, err)
 		}
 	}
-	var err error
-	if c.src, err = openSource(b, dir); err == nil {
-		c.weights, err = c.src.weights()
-	}
-	if err != nil {
+	if err := errs[len(docs)]; err != nil {
 		return nil, fmt.Errorf("ckpt: open %s: %w", dir, err)
 	}
 	return c, nil
@@ -480,7 +482,7 @@ func (c *Checkpoint) Weights() *Weights { return c.weights }
 
 // ContentAddressed reports whether the checkpoint's payloads are blobs
 // (read.go decideLayout), not container extents.
-func (c *Checkpoint) ContentAddressed() bool { return c.src.store != nil }
+func (c *Checkpoint) ContentAddressed() bool { return c.src.blobs }
 
 // WorldSize returns the rank count recorded at save time.
 func (c *Checkpoint) WorldSize() int { return c.State.WorldSize }

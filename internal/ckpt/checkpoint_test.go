@@ -424,7 +424,7 @@ func tamperGroup(t testing.TB, b storage.Backend, dir string, rank, idx int, tam
 	if _, err := encodeGroupPayload(&payload, nil, s); err != nil {
 		t.Fatal(err)
 	}
-	store, err := storeFor(b, dir)
+	store, err := storage.OpenCAS(b, ObjectsRoot(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

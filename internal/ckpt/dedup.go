@@ -59,12 +59,6 @@ func runRootOf(dir string) string {
 	return ""
 }
 
-// storeFor opens the content-addressed store serving a checkpoint directory
-// (storage.OpenCAS: the hub attachment followed, the shard map honoured).
-func storeFor(b storage.Backend, dir string) (*storage.BlobStore, error) {
-	return storage.OpenCAS(b, ObjectsRoot(dir))
-}
-
 // hashStream computes one payload's CRC, and its content digest when
 // digest is set, by streaming encode() through the hashes only — no storage
 // I/O.

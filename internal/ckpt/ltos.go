@@ -121,19 +121,21 @@ func streamedRank(b storage.Backend, name string) rankPayloads {
 	return rs
 }
 
-// loadStream is the load driver's job for a plain rank: one Open, the
-// header parsed off it and the rank listed and admitted (the driver's layout
-// check and placement), then group by group in file order — read, CRC, place
-// — so the transient memory is one group's payload, not the encoded file
-// beside its decoded form. Like DeepSpeed's pickled optimizer states, a shard
-// file is loaded whole before any group of it is used (§5.4): ONE stream is
-// what the paper's Table 7 charges per shard file.
-func (rs *rankPayloads) loadStream(admit func(*rankPayloads) (func(int, []byte) error, error)) error {
+// loadStream is the load driver's job for a plain rank: one Open — the
+// rank's request — then, in a slot of d, the header parsed off it and the
+// rank listed and admitted (the driver's layout check and placement), then
+// group by group in file order — read, CRC, place — so the transient memory
+// is one group's payload, not the encoded file beside its decoded form. Like
+// DeepSpeed's pickled optimizer states, a shard file is loaded whole before
+// any group of it is used (§5.4): ONE stream is what the paper's Table 7
+// charges per shard file.
+func (rs *rankPayloads) loadStream(admit func(*rankPayloads) (func(int, []byte) error, error), d decoding) error {
 	b, name, size, want := rs.stream, rs.name, rs.fileBytes, rs.want
 	r, err := b.Open(name)
 	if err != nil {
 		return err
 	}
+	defer d.take()()
 	defer r.Close()
 	var hdr ltosHeader
 	hlen, err := parseContainerHeader(name, size, ltosMagic, &hdr, func(p []byte) error {

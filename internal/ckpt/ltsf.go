@@ -96,7 +96,8 @@ func (w *containerWriter) add(p *payload) error {
 	return nil
 }
 
-// crcWriter passes bytes on to w, CRCing them.
+// crcWriter passes bytes on to w, CRCing them. A checked replay or a
+// read-ahead handed one supplies the sum, so each byte is CRC'd once.
 type crcWriter struct {
 	w   io.Writer
 	crc uint32

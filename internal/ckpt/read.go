@@ -15,14 +15,15 @@
 // (payload.replays).
 //
 // A whole checkpoint — or a whole rank, or all the weights — is read by the
-// one load driver, payloadSet.load: every payload through one pipeline of
-// storage.RequestWidth workers under a byte gate, each fetched, checked and decoded
-// straight into its destination.
+// one load driver, payloadSet.load: every payload under a byte gate, up to
+// storage.ReadDepth fetched and storage.RequestWidth decoded at once, each
+// checked and decoded straight into its destination.
 
 package ckpt
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -67,23 +68,35 @@ func decideLayout(b storage.Backend, dir string) layout {
 // (weight manifest present, no weight container).
 func IsDedup(b storage.Backend, dir string) bool { return decideLayout(b, dir).blobs }
 
-// source is a checkpoint directory with its layout decided: store is the
-// blob store its manifests reference, nil for plain containers.
+// source is a checkpoint directory with its layout decided. A
+// content-addressed one (blobs) reads its payloads from the blob store at
+// root — its objects root, or the hub it is attached to — which store opens
+// on first use, reading root's shard map.
 type source struct {
 	b     storage.Backend
 	dir   string
-	store *storage.BlobStore
+	blobs bool
+	root  string
+	store func() (*storage.BlobStore, error)
 }
 
-func openSource(b storage.Backend, dir string) (*source, error) {
-	s := &source{b: b, dir: dir}
-	if IsDedup(b, dir) {
-		var err error
-		if s.store, err = storeFor(b, dir); err != nil {
-			return nil, err
+// openSource decides dir's layout and, with weights set, lists its weights:
+// a content-addressed directory's weight manifest is read beside hubref.json,
+// where its store lives, in one wave of requests.
+func openSource(b storage.Backend, dir string, weights bool) (s *source, w *Weights, err error) {
+	s = &source{b: b, dir: dir, blobs: IsDedup(b, dir)}
+	errs := make([]error, 2)
+	_ = parallel.ForEach(2, 2, func(i int) error {
+		switch {
+		case i == 0 && s.blobs:
+			s.root, _, errs[0] = storage.ResolveHub(b, ObjectsRoot(dir))
+			s.store = sync.OnceValues(func() (*storage.BlobStore, error) { return storage.OpenCASAt(b, s.root) })
+		case i == 1 && weights:
+			w, errs[1] = s.weights()
 		}
-	}
-	return s, nil
+		return nil
+	})
+	return s, w, cmp.Or(errs...)
 }
 
 // storedPayload describes bytes a committed checkpoint already holds: open
@@ -100,8 +113,21 @@ func storedPayload(size int64, crc uint32, digest, what string, open func(off, n
 // the form that opener tries first (a stale record costs a request, never a
 // wrong byte) and adds the decoder's scratch to what the load driver charges.
 func (s *source) blobPayload(what, digest string, size int64, crc uint32, codec string, stored int64, parents []string) payload {
-	p := storedPayload(size, crc, digest, what, s.store.Ranges(digest, codec != "" && codec != storage.CodecRaw.String()))
-	p.codec, p.stored, p.parents, p.store = codec, stored, parents, s.store
+	ranges := sync.OnceValues(func() (func(off, n int64) (io.ReadCloser, error), error) {
+		st, err := s.store()
+		if err != nil {
+			return nil, err
+		}
+		return st.Ranges(digest, codec != "" && codec != storage.CodecRaw.String()), nil
+	})
+	p := storedPayload(size, crc, digest, what, func(off, n int64) (io.ReadCloser, error) {
+		open, err := ranges()
+		if err != nil {
+			return nil, err
+		}
+		return open(off, n)
+	})
+	p.codec, p.stored, p.parents, p.src = codec, stored, parents, s
 	return p
 }
 
@@ -141,15 +167,28 @@ func (e *CorruptError) Unwrap() error { return e.Err }
 // from its open to the end of its decode.
 var loadBufs = sync.Pool{New: func() any { return new([]byte) }}
 
+// decoding is a load's decode stage: a payload takes one of its slots once
+// its request is answered and holds it through fill, CRC and place, so the
+// requests still waiting on the backend hold none. Each load has its own, so
+// a nested or concurrent load never waits on another's.
+type decoding chan struct{}
+
+// take waits for a slot and returns what gives it back.
+func (d decoding) take() (give func()) {
+	d <- struct{}{}
+	return func() { <-d }
+}
+
 // read is the one whole-payload read: the payload's bytes, fetched through
-// its opener and checked, are handed to place. Ranges are validated at open,
-// so a size a manifest merely claims fails there, before a buffer is sized to
-// it. file and what name the payload in errors.
-func (p *payload) read(file, what string, place func(buf []byte) error) error {
+// its opener and checked in a slot of d, are handed to place. Ranges are
+// validated at open, so a size a manifest merely claims fails there, before a
+// buffer is sized to it. file and what name the payload in errors.
+func (p *payload) read(file, what string, d decoding, place func(buf []byte) error) error {
 	rc, err := p.open(0, p.size)
 	if err != nil {
 		return p.failed(file, what, err)
 	}
+	defer d.take()()
 	return p.check(file, what, func(buf []byte) error {
 		_, err := io.ReadFull(rc, buf)
 		if cerr := rc.Close(); err == nil {
@@ -210,21 +249,28 @@ func (p *payload) coded() bool { return p.codec != "" && p.codec != storage.Code
 // unless they match what was recorded for them — the CRC, and the digest when
 // there is one — and meet its padding rule (pad), so a re-stager that carries
 // the record forward cannot copy a corrupt payload into a clean-looking
-// container. what names the payload in errors.
+// container. A destination that CRCs what it is handed (a container's
+// in-stream check) lends its sum, so each byte is CRC'd once. what names the
+// payload in errors.
 func (p *payload) replays(what string) {
 	open, size, digest, crc, pad := p.open, p.size, p.digest, p.crc, p.pad
 	write := replay(func() (io.ReadCloser, error) { return open(0, size) })
 	p.write = func(w io.Writer) (int64, error) {
-		if pad != nil {
-			w = &padWriter{w: w, padRule: pad}
+		c, ok := w.(*crcWriter)
+		if !ok {
+			c = &crcWriter{w: w}
 		}
-		c := &crcWriter{w: w}
+		c.crc = 0
+		var dst io.Writer = c
 		var d hash.Hash
 		if digest != "" {
 			d = sha256.New()
-			c.w = io.MultiWriter(w, d)
+			dst = io.MultiWriter(c, d)
 		}
-		n, err := write(c)
+		if pad != nil {
+			dst = &padWriter{w: dst, padRule: pad}
+		}
+		n, err := write(dst)
 		want, got := fmt.Sprintf("%08x", crc), fmt.Sprintf("%08x", c.crc)
 		if d != nil {
 			if sum := hex.EncodeToString(d.Sum(nil)); sum != digest {
@@ -243,7 +289,7 @@ func (p *payload) replays(what string) {
 
 // weights lists the checkpoint's tensors.
 func (s *source) weights() (*Weights, error) {
-	if s.store == nil {
+	if !s.blobs {
 		return openLTSF(s.b, s.dir+"/model.ltsf")
 	}
 	name := s.dir + "/" + WeightManifestName
@@ -261,7 +307,7 @@ func (s *source) weights() (*Weights, error) {
 
 // rank lists one rank's optimizer groups without reading a payload byte.
 func (s *source) rank(rank int) (*rankPayloads, error) {
-	if s.store == nil {
+	if !s.blobs {
 		name := s.dir + "/" + ShardFileName(rank)
 		h, err := readShardHeader(s.b, name)
 		if err != nil {
@@ -446,8 +492,8 @@ func (w *weightPayload) newTensor() (*tensor.Tensor, error) {
 // decode reads the payload straight into the tensor dst names for it (a nil
 // dst, or a nil tensor: the bytes are only checked). dst runs once the bytes
 // have passed their CRC, so no destination is ever sized from a claim.
-func (w *weightPayload) decode(file string, dst func() (*tensor.Tensor, error)) error {
-	return w.read(file, fmt.Sprintf("tensor %q", w.name), func(buf []byte) error {
+func (w *weightPayload) decode(file string, d decoding, dst func() (*tensor.Tensor, error)) error {
+	return w.read(file, fmt.Sprintf("tensor %q", w.name), d, func(buf []byte) error {
 		if dst == nil {
 			return nil
 		}
@@ -468,7 +514,7 @@ func (w *Weights) ReadTensor(name string) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	var t *tensor.Tensor
-	err = p.decode(w.label, func() (*tensor.Tensor, error) {
+	err = p.decode(w.label, make(decoding, 1), func() (*tensor.Tensor, error) {
 		var err error
 		t, err = p.newTensor()
 		return t, err
@@ -530,11 +576,7 @@ func (w *Weights) set() *payloadSet {
 // manifest's digest and CRC — so a corrupt one fails the materialization
 // instead of poisoning the container.
 func MaterializeWeights(b storage.Backend, dir, dst string, chunkBytes int) error {
-	src, err := openSource(b, dir)
-	if err != nil {
-		return err
-	}
-	w, err := src.weights()
+	_, w, err := openSource(b, dir, true)
 	if err != nil {
 		return err
 	}
@@ -548,7 +590,7 @@ func MaterializeWeights(b storage.Backend, dir, dst string, chunkBytes int) erro
 // byte-identical to the plain save's, verifying each group payload as it
 // streams through.
 func MaterializeShardFile(b storage.Backend, dir string, rank int, dst string, chunkBytes int) error {
-	src, err := openSource(b, dir)
+	src, _, err := openSource(b, dir, false)
 	if err != nil {
 		return err
 	}
@@ -568,12 +610,12 @@ func newLoadGate() *parallel.ByteGate { return parallel.NewByteGate(loadBytes) }
 
 // load is the whole-checkpoint load driver: every payload of the set —
 // weights, then rank-major groups, the order each defines — goes through one
-// pipeline of storage.RequestWidth workers, and a worker fetches its payload,
-// checks the CRC and decodes the bytes straight into their destination: the
-// tensor dst names for a weight (a nil dst, or a nil tensor, only checks the
-// bytes), wherever into places a rank's groups. Request wait and decode
-// overlap across payloads; the window is the whole set, so a slow fetch never
-// holds back the dispatch behind it.
+// pipeline of two stages. Up to storage.ReadDepth requests wait inside their
+// openers, and at most storage.RequestWidth payloads are read, CRC'd and
+// decoded at once (decoding), each straight into its destination: the tensor
+// dst names for a weight (a nil dst, or a nil tensor, only checks the bytes),
+// wherever into places a rank's groups. The window is the whole set, so a
+// slow fetch never holds back the dispatch behind it.
 //
 // The driver owns the rank checks, so no byte reaches a placer unchecked: a
 // rank is held to c's layout as the rank it is listed as (checkLayout) before
@@ -582,8 +624,9 @@ func newLoadGate() *parallel.ByteGate { return parallel.NewByteGate(loadBytes) }
 // held to one optimizer step, in rank order (checkStep).
 //
 // A content-addressed rank is a job per group. A plain rank is ONE job — one
-// Open of its shard file, header parsed off the stream, groups in file order
-// (§5.4) — so plain ranks run side by side and nothing more.
+// Open of its shard file, its request, then the header parsed off the stream
+// and the groups in file order in one slot (§5.4) — so plain ranks run side
+// by side and nothing more.
 //
 // Memory: a payload is admitted under gate at its charge (its size, plus the
 // chunk decoder's scratch for a coded blob; a plain rank at its file size),
@@ -610,7 +653,8 @@ func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*
 		jobs += max(1, len(s.ranks[i].groups))
 	}
 	failed := make([]error, len(s.ranks)) // set by the consumer, read after Close
-	pipe := parallel.NewPipeline(storage.RequestWidth, jobs,
+	dec := make(decoding, storage.RequestWidth)
+	pipe := parallel.NewPipeline(storage.ReadDepth, jobs,
 		func(j job) (outcome, error) { return outcome{j.rank, j.run()}, nil },
 		func(o outcome) error {
 			if o.err == nil || bad == nil {
@@ -637,7 +681,7 @@ func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*
 			if dst != nil {
 				into = func() (*tensor.Tensor, error) { return dst(w) }
 			}
-			if err := push(-1, w.charge(), func() error { return w.decode(s.label, into) }); err != nil {
+			if err := push(-1, w.charge(), func() error { return w.decode(s.label, dec, into) }); err != nil {
 				return err
 			}
 		}
@@ -648,7 +692,7 @@ func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*
 			case rs.err != nil:
 				err = push(i, 0, func() error { return rs.err })
 			case rs.stream != nil:
-				err = push(i, rs.fileBytes, func() error { return rs.loadStream(admit) })
+				err = push(i, rs.fileBytes, func() error { return rs.loadStream(admit, dec) })
 			default:
 				place, perr := admit(rs)
 				if perr != nil {
@@ -657,7 +701,7 @@ func (s *payloadSet) load(gate *parallel.ByteGate, dst func(w *weightPayload) (*
 				for j := 0; j < len(rs.groups) && err == nil && perr == nil; j++ {
 					g := &rs.groups[j]
 					err = push(i, g.charge(), func() error {
-						return g.read(rs.name, fmt.Sprintf("group %d", g.meta.Index), func(buf []byte) error { return place(j, buf) })
+						return g.read(rs.name, fmt.Sprintf("group %d", g.meta.Index), dec, func(buf []byte) error { return place(j, buf) })
 					})
 				}
 			}
@@ -771,7 +815,7 @@ func (p *padWriter) Write(b []byte) (int, error) {
 // order.
 func (c *Checkpoint) listRank(r int) rankPayloads {
 	var rs rankPayloads
-	if c.src.store == nil {
+	if !c.src.blobs {
 		rs = streamedRank(c.Backend, c.Dir+"/"+ShardFileName(r))
 	} else if l, err := c.src.rank(r); err != nil {
 		rs.err = err
@@ -783,7 +827,8 @@ func (c *Checkpoint) listRank(r int) rankPayloads {
 }
 
 // loadSet lists the checkpoint for the load driver: the weights Open listed,
-// then ranks 0..R-1 of the trainer state's world size, listed side by side.
+// then ranks 0..R-1 of the trainer state's world size, listed side by side
+// with a content-addressed checkpoint's store opening — one wave of requests.
 func (c *Checkpoint) loadSet() (*payloadSet, error) {
 	ws := c.State.WorldSize
 	if ws <= 0 {
@@ -791,10 +836,18 @@ func (c *Checkpoint) loadSet() (*payloadSet, error) {
 	}
 	set := c.weights.set()
 	set.ranks = make([]rankPayloads, ws)
-	_ = parallel.ForEach(storage.RequestWidth, ws, func(r int) error {
-		set.ranks[r] = c.listRank(r)
+	var err error
+	_ = parallel.ForEach(storage.RequestWidth, ws+1, func(i int) error {
+		if i > 0 {
+			set.ranks[i-1] = c.listRank(i - 1)
+		} else if c.src.blobs {
+			_, err = c.src.store()
+		}
 		return nil
 	})
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %s: %w", c.Dir, err)
+	}
 	return set, nil
 }
 

@@ -441,7 +441,7 @@ func TestScanBlobsTrashedPathExists(t *testing.T) {
 			}
 		}
 		saveDedup(t, b, "run/checkpoint-10", 77, 2)
-		store, err := storeFor(b, "run/checkpoint-10")
+		store, err := storage.OpenCAS(b, ObjectsRoot("run/checkpoint-10"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,11 +68,10 @@ type payload struct {
 	release func()
 	// open ranges over the stored, uncompressed bytes (read stage only).
 	open func(off, n int64) (io.ReadCloser, error)
-	// store is the blob store a content-addressed source's payload is in
-	// (read stage only): an output publishing into the same store takes the
-	// blob's recorded codec, size and lineage as the store's answer
-	// (recorded).
-	store *storage.BlobStore
+	// src is the content-addressed source the payload is read from (read
+	// stage only): an output publishing into the same store takes the blob's
+	// recorded codec, size and lineage as the store's answer (recorded).
+	src *source
 	// pad is the padding rule of a group shard holding padding that no check
 	// has read yet (OptimExtents): a replay meets it, carry reads its tails.
 	pad *padRule
@@ -399,7 +398,7 @@ func (s *payloadSet) publishBlobs(store *saveStore, view *lineage, finalDir stri
 // recorded is how a record says p's blob is stored in store: by the
 // checkpoint p was taken from, in the same store, or the save's parent.
 func (p *payload) recorded(view *lineage, store *storage.BlobStore) (blobRef, bool) {
-	if p.store != nil && p.store.Root() == store.Root() {
+	if p.src != nil && p.src.root == store.Root() {
 		return blobRef{Digest: p.digest, Codec: p.codec, Size: p.size, Stored: p.stored, Parents: p.parents}, true
 	}
 	return view.blob(p.digest)
@@ -604,6 +603,7 @@ func (ra readAhead) stream(list []section, put func(s section, write func(io.Wri
 	type filled struct {
 		s   section
 		buf *[]byte
+		crc uint32
 	}
 	gate := parallel.NewByteGate(ra.inFlight)
 	pipe := parallel.NewPipeline(ra.workers, ra.workers, func(s section) (filled, error) {
@@ -612,12 +612,16 @@ func (ra readAhead) stream(list []section, put func(s section, write func(io.Wri
 			*bp = make([]byte, 0, s.size)
 		}
 		bb := bytes.NewBuffer((*bp)[:0])
-		_, err := s.write(bb)
+		c := &crcWriter{w: bb}
+		_, err := s.write(c)
 		*bp = bb.Bytes()
-		return filled{s, bp}, err
+		return filled{s, bp, c.crc}, err
 	}, func(f filled) error {
 		defer loadBufs.Put(f.buf)
 		return put(f.s, func(w io.Writer) (int64, error) {
+			if c, ok := w.(*crcWriter); ok { // summed as they were read ahead
+				c.crc, w = f.crc, c.w
+			}
 			n, err := w.Write(*f.buf)
 			return int64(n), err
 		})

@@ -59,10 +59,17 @@ const blobStageDir = ".stage"
 const blobTrashDir = ".trash"
 
 // RequestWidth is how many independent backend requests one operation keeps
-// in flight: a save's probes and puts, a restore's payload GETs, each phase of
-// a sweep and the reads of a pin query. On a remote store a request costs its
-// wait, so independent requests overlap at this width wherever they occur.
+// in flight: a save's probes and puts, each phase of a sweep and the reads of
+// a pin query. On a remote store a request costs its wait, so independent
+// requests overlap at this width wherever they occur. A load is the
+// exception: it keeps ReadDepth payload requests waiting, and RequestWidth of
+// its payloads being read, checked and placed.
 const RequestWidth = 8
+
+// ReadDepth is how many payload requests one load keeps waiting on the
+// backend: a request's wait is latency and transfer, not CPU, so it runs
+// deeper than the RequestWidth payloads the load decodes at once.
+const ReadDepth = 32
 
 // blobSeq makes concurrent staging names unique within the process (two
 // async savers putting the same digest must not interleave writes into one
