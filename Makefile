@@ -35,7 +35,9 @@ fmt-check:
 # A dedup save's backend requests are a function of the payloads that
 # changed, not of the payloads that exist: the counting-backend test that
 # holds config reads, parent-manifest reads, blob probes and blob GETs to
-# the table in DESIGN.md "The write stage". The read side: a restore's GETs
+# the table in DESIGN.md "The write stage"; a save writes the files it stages
+# before the marker side by side, and the marker after all of them, and a
+# VerifyCommit reads the files its marker lists side by side. The read side: a restore's GETs
 # are its payloads plus a constant, many in flight and never more than the
 # load driver's read depth, at most its width decoded at once, a plain rank
 # one stream, the metadata before the first payload GET two waves of
@@ -44,7 +46,7 @@ fmt-check:
 # each of its phases keeps several removes in flight, never more than
 # storage.RequestWidth.
 request-budget:
-	$(GO) test ./internal/ckpt -run '^(TestDedupSaveRequestBudget|TestRestoreRequestBudget|TestRestoreDecodeWidth|TestRestoreOpenWaves|TestLoadGateBoundsBytesInFlight|TestRetainRequestBudget|TestMaintenanceConfigReadBudget)$$'
+	$(GO) test ./internal/ckpt -run '^(TestDedupSaveRequestBudget|TestSaveCommitWaves|TestVerifyCommitReadsSideBySide|TestRestoreRequestBudget|TestRestoreDecodeWidth|TestRestoreOpenWaves|TestLoadGateBoundsBytesInFlight|TestRetainRequestBudget|TestMaintenanceConfigReadBudget)$$'
 	$(GO) test ./internal/tailor -run '^TestTailorByReferenceRequestBudget$$'
 
 # The read stage is concurrent: its tests, and the resume paths above it, run

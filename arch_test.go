@@ -233,6 +233,14 @@ var archRules = []archRule{
 		in:   []string{"internal/ckpt/*"},
 	},
 	{
+		name:  "one-stage/staged-wave",
+		why:   "the write stage writes every file it stages before the marker — manifests and trailer — in one wave side by side (writeStaged): a Trailer.stage, or a WriteFile of write.go outside the wave, is the deleted serial path, one request round trip per file",
+		find:  []sym{decls("(*Trailer).stage", "Trailer.stage"), calls("*WriteFile", "writeJSON", "*writeWeightManifest", "*writeShardManifest")},
+		in:    []string{"internal/ckpt/write.go"},
+		allow: []string{"internal/ckpt/write.go:writeStaged"},
+		count: 1,
+	},
+	{
 		name:  "one-output/second-writers",
 		why:   "merge, blend and reshard fill a ckpt.Output and commit it through the write stage: a commit transaction, container writer, Publish or content-addressing pass of their own is a second checkpoint writer, free to drift (a CRC carried forward unchecked, a stored blob re-read and re-hashed)",
 		find:  []sym{calls("ckpt.Begin", "*NewLTSFWriter", "*NewShardFileWriter", ".Publish"), refs("*contentAddress*")},

@@ -650,3 +650,117 @@ func TestMaintenanceConfigReadBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestSaveCommitWaves: a save writes the files it stages before the marker —
+// a content-addressed save's manifests and trailer, once every blob put has
+// returned; a plain save's trailer, once its containers are closed — side by
+// side, and writes the marker only after every one of them has returned. Each
+// staged write is parked until all of them are in flight together, so a
+// serial wave fails whatever the scheduler does.
+func TestSaveCommitWaves(t *testing.T) {
+	m, o := buildOptim(t, modelcfg.Tiny(), 353)
+	for _, tc := range []struct {
+		name   string
+		dedup  bool
+		staged int
+	}{
+		// model.ltmf, two rank manifests, config.json, trainer_state.json,
+		// manifest.json.
+		{"dedup", true, 6},
+		// config.json, trainer_state.json, manifest.json.
+		{"plain", false, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := storage.NewObjStore()
+			store.SetLatency(200*time.Microsecond, 0)
+			log := &opLog{Fault: storage.NewFault(store), gates: map[string]int{"write dir": tc.staged}}
+			var early []int
+			log.hook = func(kind, key string) {
+				if kind != "write" || !strings.HasSuffix(key, "/"+CommitMarkerName) {
+					return
+				}
+				log.mu.Lock()
+				defer log.mu.Unlock()
+				if n := log.busy["write dir"]; n != 0 {
+					early = append(early, n)
+				}
+			}
+			spec := SaveSpec{Dir: "run/checkpoint-100", Model: m, Optim: o, WorldSize: 2, Strategy: "full",
+				Dedup: tc.dedup, State: TrainerState{Step: 100, Seed: 7}}
+			if err := Save(log, spec); err != nil {
+				t.Fatal(err)
+			}
+			// The staged phase is contiguous, follows the blob puts or the
+			// containers and precedes the marker.
+			staged := 0
+			for _, op := range canonicalOps(t, tc.name, log.ops) {
+				if stagedOp(op) {
+					staged++
+				}
+			}
+			log.mu.Lock()
+			defer log.mu.Unlock()
+			if staged != tc.staged {
+				t.Errorf("%d staged writes, want %d", staged, tc.staged)
+			}
+			if p := log.busyPeak["write dir"]; p != tc.staged || len(log.missed) != 0 {
+				t.Errorf("peak of %d staged writes in flight, want %d (never all together: %v)", p, tc.staged, log.missed)
+			}
+			if len(early) != 0 {
+				t.Errorf("the marker write started with %v staged writes still in flight", early)
+			}
+		})
+	}
+}
+
+// TestVerifyCommitReadsSideBySide: the CRC pass of one VerifyCommit reads the
+// files its marker lists storage.RequestWidth at a time. The weight manifest
+// and the four rank manifests are parked until all five are in flight.
+func TestVerifyCommitReadsSideBySide(t *testing.T) {
+	m, o := buildOptim(t, modelcfg.Tiny(), 354)
+	store := storage.NewObjStore()
+	spec := SaveSpec{Dir: "run/checkpoint-100", Model: m, Optim: o, WorldSize: 4, Strategy: "full",
+		Dedup: true, State: TrainerState{Step: 100, Seed: 7}}
+	if err := Save(store, spec); err != nil {
+		t.Fatal(err)
+	}
+	store.SetLatency(200*time.Microsecond, 0)
+	log := &opLog{Fault: storage.NewFault(store), gates: map[string]int{"get manifest": 5}}
+	if err := VerifyCommit(log, spec.Dir); err != nil {
+		t.Fatal(err)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if p := log.busyPeak["get manifest"]; p != 5 || len(log.missed) != 0 {
+		t.Errorf("peak of %d manifest GETs in flight, want 5 (never all together: %v)", p, log.missed)
+	}
+	if log.peak > storage.RequestWidth {
+		t.Errorf("peak of %d GETs in flight, want at most %d", log.peak, storage.RequestWidth)
+	}
+}
+
+// TestVerifyCommitNamesFirstMismatch: with two files corrupted, VerifyCommit
+// names the first in name order, however the reads finish — here the later
+// name's mismatch is found first, since the earlier one's read is held back.
+func TestVerifyCommitNamesFirstMismatch(t *testing.T) {
+	b := storage.NewMem()
+	dir := "run/checkpoint-5"
+	saveFull(t, b, dir, 85, 2)
+	flip := func(d []byte) []byte {
+		d[len(d)-1] ^= 1
+		return d
+	}
+	corrupt(t, b, dir+"/model.ltsf", flip)
+	corrupt(t, b, dir+"/"+ShardFileName(1), flip)
+	log := &opLog{Fault: storage.NewFault(b), readHook: func(kind, key string) {
+		if kind == "get" && strings.HasSuffix(key, "/model.ltsf") {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}}
+	for range 5 {
+		err := VerifyCommit(log, dir)
+		if err == nil || !strings.Contains(err.Error(), "file model.ltsf CRC") {
+			t.Fatalf("err = %v, want the model.ltsf mismatch", err)
+		}
+	}
+}

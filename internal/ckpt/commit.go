@@ -46,6 +46,7 @@ import (
 	"strings"
 	"sync"
 
+	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 )
 
@@ -356,9 +357,13 @@ func (m *CommitMarker) check(b storage.Backend, dir string) error {
 // crcPass is what "verified" adds to "checked" (VerifyCommit,
 // entry.verified): every listed file's bytes match the recorded CRC32. held,
 // when non-nil, supplies files the caller already has in memory (nil for the
-// rest), which are then not read again.
+// rest), which are then not read again. The files are read
+// storage.RequestWidth at a time; the error is the first mismatch in name
+// order, so a failing pass names the same file every time.
 func (m *CommitMarker) crcPass(b storage.Backend, dir string, held func(rel string) []byte) error {
-	for _, name := range m.sortedFiles() {
+	names := m.sortedFiles()
+	return parallel.ForEachFirst(storage.RequestWidth, len(names), func(i int) error {
+		name := names[i]
 		var data []byte
 		if held != nil {
 			data = held(name)
@@ -374,8 +379,8 @@ func (m *CommitMarker) crcPass(b storage.Backend, dir string, held func(rel stri
 		if want := m.Files[name].CRC32; got != want {
 			return fmt.Errorf("ckpt: %s: file %s CRC %08x, marker says %08x", dir, name, got, want)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // DirState classifies a checkpoint directory during recovery.

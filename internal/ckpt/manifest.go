@@ -319,15 +319,6 @@ func decodeShardManifest(data []byte) (*ShardManifest, error) {
 	return m, nil
 }
 
-// writeWeightManifest encodes and writes a weight manifest file.
-func writeWeightManifest(b storage.Backend, name string, m *WeightManifest) error {
-	data, err := encodeManifest(ltmfMagic, m)
-	if err != nil {
-		return err
-	}
-	return b.WriteFile(name, data)
-}
-
 // ReadWeightManifest reads and validates a weight manifest file.
 func ReadWeightManifest(b storage.Backend, name string) (*WeightManifest, error) {
 	data, err := b.ReadFile(name)
@@ -339,15 +330,6 @@ func ReadWeightManifest(b storage.Backend, name string) (*WeightManifest, error)
 		return nil, fmt.Errorf("ckpt: %s: %w", name, err)
 	}
 	return m, nil
-}
-
-// writeShardManifest encodes and writes a per-rank shard manifest file.
-func writeShardManifest(b storage.Backend, name string, m *ShardManifest) error {
-	data, err := encodeManifest(ltomMagic, m)
-	if err != nil {
-		return err
-	}
-	return b.WriteFile(name, data)
 }
 
 // ReadShardManifest reads and validates a per-rank shard manifest file.

@@ -7,6 +7,25 @@ import (
 	"llmtailor/internal/storage"
 )
 
+// writeWeightManifest encodes and writes a weight manifest file, as the
+// write stage stages one.
+func writeWeightManifest(b storage.Backend, name string, m *WeightManifest) error {
+	data, err := encodeManifest(ltmfMagic, m)
+	if err != nil {
+		return err
+	}
+	return b.WriteFile(name, data)
+}
+
+// writeShardManifest encodes and writes a per-rank shard manifest file.
+func writeShardManifest(b storage.Backend, name string, m *ShardManifest) error {
+	data, err := encodeManifest(ltomMagic, m)
+	if err != nil {
+		return err
+	}
+	return b.WriteFile(name, data)
+}
+
 // goldenWeightManifest builds a small valid weight manifest's container
 // bytes (also the fuzz seed).
 func goldenWeightManifest(tb testing.TB) []byte {

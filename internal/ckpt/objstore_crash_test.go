@@ -9,6 +9,8 @@ package ckpt
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -156,6 +158,96 @@ func TestCrashPointExplorationObjStoreSave(t *testing.T) {
 			}
 			if d := treeDigest(t, base, "run/checkpoint-200"); d != nextDigest {
 				t.Fatalf("k=%d torn=%v: post-repair save differs from fault-free save", k, torn)
+			}
+		}
+	}
+}
+
+// TestCrashPointExplorationObjStoreStagedWave: a no-rename dedup save writes
+// its manifests and trailer files side by side before the marker. It fails at
+// each write of that wave, clean and torn, 20 times each, so which writes are
+// still in flight when the fault fires varies from run to run. Whatever
+// landed, the run resolves to the previous checkpoint or the new one, never a
+// hybrid, and Repair leaves a root that scans clean.
+func TestCrashPointExplorationObjStoreStagedWave(t *testing.T) {
+	mPrev, oPrev := buildOptim(t, modelcfg.Tiny(), 152)
+	mNext, oNext := buildOptim(t, modelcfg.Tiny(), 153)
+	prev := SaveSpec{Dir: "run/checkpoint-100", Model: mPrev, Optim: oPrev, WorldSize: 2, Strategy: "full",
+		Dedup: true, State: TrainerState{Step: 100, Seed: 152}}
+	next := prev
+	next.Dir, next.Model, next.Optim, next.State.Step = "run/checkpoint-200", mNext, oNext, 200
+
+	// Locate the wave among the second save's fault points: from its first
+	// staged write on, every op is a whole-object write — one fault point.
+	log := &opLog{Fault: storage.NewFault(storage.NewObjStore())}
+	if err := Save(log, prev); err != nil {
+		t.Fatal(err)
+	}
+	log.reset()
+	log.Fault.FailAt(0)
+	if err := Save(log, next); err != nil {
+		t.Fatal(err)
+	}
+	ops := canonicalOps(t, "save", log.ops)
+	first, wave := slices.IndexFunc(ops, stagedOp), 0
+	for _, op := range ops[first:] {
+		if !strings.HasPrefix(op, "write ") {
+			t.Fatalf("%q after the staged wave is not a whole-object write", op)
+		}
+		if stagedOp(op) {
+			wave++
+		}
+	}
+	if wave != 6 {
+		t.Fatalf("%d staged writes, want 6 (model.ltmf, two rank manifests, three trailer files)", wave)
+	}
+	lo := int(log.Fault.Ops()) - (len(ops) - first) + 1
+
+	for _, torn := range []bool{false, true} {
+		for k := lo; k < lo+wave; k++ {
+			for rep := range 20 {
+				base := storage.NewObjStore()
+				f := storage.NewFault(base)
+				f.SetTorn(torn)
+				if err := Save(f, prev); err != nil {
+					t.Fatal(err)
+				}
+				f.FailAt(k)
+				err := Save(f, next)
+				if !storage.IsInjected(err) || !strings.Contains(err.Error(), "write "+next.Dir+"/") {
+					t.Fatalf("k=%d torn=%v rep=%d: err = %v, want an injected staged write", k, torn, rep, err)
+				}
+				if base.Exists(next.Dir + "/" + CommitMarkerName) {
+					t.Fatalf("k=%d torn=%v rep=%d: the marker was written after a failed staged write", k, torn, rep)
+				}
+				latest, err := Latest(base, "run")
+				if err != nil {
+					t.Fatalf("k=%d torn=%v rep=%d: no resolvable checkpoint: %v", k, torn, rep, err)
+				}
+				rm, ro, c, err := Restore(base, latest, tensor.BF16)
+				if err != nil {
+					t.Fatalf("k=%d torn=%v rep=%d: restore %s: %v", k, torn, rep, latest, err)
+				}
+				if c.State.Step == 100 && (!model.Equal(rm, mPrev) || !sameOptim(ro, oPrev)) ||
+					c.State.Step == 200 && (!model.Equal(rm, mNext) || !sameOptim(ro, oNext)) ||
+					c.State.Step != 100 && c.State.Step != 200 {
+					t.Fatalf("k=%d torn=%v rep=%d: step-%d restore is neither the previous state nor the new one", k, torn, rep, c.State.Step)
+				}
+				if _, err := Repair(base, "run"); err != nil {
+					t.Fatalf("k=%d torn=%v rep=%d: repair: %v", k, torn, rep, err)
+				}
+				statuses, err := Scan(base, "run")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, st := range statuses {
+					if st.State != StateCommitted {
+						t.Fatalf("k=%d torn=%v rep=%d: %s still %v after repair", k, torn, rep, st.Path, st.State)
+					}
+				}
+				if problems := refProblems(t, base, "run"); len(problems) != 0 {
+					t.Fatalf("k=%d torn=%v rep=%d: ref-index problems after repair: %+v", k, torn, rep, problems)
+				}
 			}
 		}
 	}

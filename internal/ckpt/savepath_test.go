@@ -5,10 +5,13 @@ package ckpt
 // mode and backend kind they must publish byte-identical run roots and
 // drive the backend through the identical sequence of mutating operations:
 // the property that lets each crash exploration stand for both savers.
-// The publish loop overlaps its blob puts, and a plain save writes its
-// containers side by side, so each of those phases is compared as a
-// multiset; everything else (the journal append before the puts; manifests,
-// trailer, marker, pointer after either phase) is compared in exact order.
+// The publish loop overlaps its blob puts, a plain save writes its
+// containers side by side, and either writes its manifests and trailer files
+// side by side once those are done, so each of those three phases is
+// compared as a multiset — a partial order: the staged phase follows the
+// blob puts or the containers and precedes the marker. Everything else (the
+// journal append before the puts; marker, pointer after the staged files) is
+// compared in exact order, and the run roots byte for byte.
 
 import (
 	"fmt"
@@ -30,9 +33,10 @@ import (
 // chunk writes are not operations of their own: a feeder replaying a spool
 // hands a payload over in fewer, wider writes than one encoding live state.)
 // It also counts read requests per "kind class" — which storage.Fault does
-// not see — for the request-budget test, counts the GETs, removes and creates
-// waiting on the backend at once, and calls hook, when set, before a
-// mutating operation reaches the backend (readHook: before a read request).
+// not see — for the request-budget test, counts the GETs, removes, creates and
+// whole-object writes waiting on the backend at once, and calls hook, when
+// set, before a mutating operation reaches the backend (readHook: before a
+// read request).
 type opLog struct {
 	*storage.Fault
 	mu       sync.Mutex
@@ -42,7 +46,8 @@ type opLog struct {
 	readHook func(kind, key string)
 	// getting is how many GETs are waiting on the backend right now, peak its
 	// high-water mark since the last reset; busy and busyPeak the same for
-	// removes and creates, by "verb area", and for GETs, by "get keyClass".
+	// removes, creates and writes, by "verb area", and for GETs, by "get
+	// keyClass".
 	getting, peak  int
 	busy, busyPeak map[string]int
 	// gates parks each request of a busy class until that many of the class
@@ -224,6 +229,7 @@ func (l *opLog) List(dir string) ([]string, error) {
 
 func (l *opLog) WriteFile(name string, data []byte) error {
 	l.note("write", name)
+	defer l.inFlight("write " + area(name))()
 	return l.Fault.WriteFile(name, data)
 }
 
@@ -260,18 +266,34 @@ func containerOp(op string) bool {
 	return strings.HasPrefix(op, "create ") && (strings.HasSuffix(op, ".ltsf") || strings.HasSuffix(op, ".ltos"))
 }
 
-// canonicalOps sorts the two concurrent phases of a save's op log — the blob
-// puts of a dedup save, the container creates of a plain one — leaving the
-// rest in recorded order. Each phase must be contiguous: blob ops anywhere
-// else (before the journal append above all) are a protocol violation, and
-// so is a container created after the first trailer write.
+// stagedOp reports whether a recorded op writes a file staged before the
+// marker: a manifest or a trailer file.
+func stagedOp(op string) bool {
+	if !strings.HasPrefix(op, "write ") {
+		return false
+	}
+	for _, name := range []string{".ltmf", ".ltom", "/config.json", "/trainer_state.json", "/manifest.json"} {
+		if strings.HasSuffix(op, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// canonicalOps sorts the three concurrent phases of a save's op log — the
+// blob puts of a dedup save, the container creates of a plain one, then the
+// staged manifests and trailer files of either — leaving the rest in recorded
+// order. Each phase must be contiguous: blob ops anywhere else (before the
+// journal append above all) are a protocol violation, and so is a container
+// created after the first staged write, or a staged write that does not
+// follow the blob puts or the containers and precede the marker.
 func canonicalOps(t *testing.T, who string, ops []string) []string {
 	t.Helper()
 	out := append([]string(nil), ops...)
 	for _, phase := range []struct {
 		name string
 		in   func(string) bool
-	}{{"blob-put", blobOp}, {"container", containerOp}} {
+	}{{"blob-put", blobOp}, {"container", containerOp}, {"staged", stagedOp}} {
 		first, last := -1, -1
 		for i, op := range ops {
 			if phase.in(op) {
@@ -292,8 +314,12 @@ func canonicalOps(t *testing.T, who string, ops []string) []string {
 		switch {
 		case phase.name == "blob-put" && (first == 0 || !strings.Contains(ops[first-1], " run/objects/refs/")):
 			t.Fatalf("%s: blob-put phase starts at op %d without the journal append right before it", who, first)
-		case phase.name == "container" && (last+1 == len(ops) || !strings.HasSuffix(ops[last+1], "/config.json")):
-			t.Fatalf("%s: container phase (ops %d..%d) does not end right before the first trailer write", who, first, last)
+		case phase.name == "container" && (last+1 == len(ops) || !stagedOp(ops[last+1])):
+			t.Fatalf("%s: container phase (ops %d..%d) does not end right before the staged writes", who, first, last)
+		case phase.name == "staged" && (first == 0 || !blobOp(ops[first-1]) && !containerOp(ops[first-1])):
+			t.Fatalf("%s: staged phase starts at op %d without the blob puts or containers right before it", who, first)
+		case phase.name == "staged" && (last+1 == len(ops) || !strings.HasSuffix(ops[last+1], "/"+CommitMarkerName)):
+			t.Fatalf("%s: staged phase (ops %d..%d) does not end right before the marker write", who, first, last)
 		}
 		sort.Strings(out[first : last+1])
 	}

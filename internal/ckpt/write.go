@@ -7,9 +7,14 @@
 // durable exists once:
 //
 //	plain:  begin → CRC pass → LTSF/LTOS containers, header first and
-//	        side by side → trailer → Commit
+//	        side by side → trailer wave → Commit
 //	dedup:  begin → journal the digest set → publish missing blobs →
-//	        LTMF/LTOM manifests → trailer → Commit
+//	        LTMF/LTOM manifests and trailer in one wave → Commit
+//
+// The files a checkpoint stages before its marker — manifests and trailer —
+// go in one wave, side by side (writeStaged): none depends on another, and
+// only the marker, written once the whole wave has returned, makes any of
+// them visible.
 //
 // Both rows settle every payload's identity before the first write: the
 // dedup row its digest (hashAll), the plain row its CRC, so each container
@@ -29,8 +34,8 @@
 // The dedup order is load-bearing: the full digest set, xor-parent ancestors
 // included, is journaled before the first blob is published, so a sweep
 // always finds a record pinning a blob (and its decode ancestry) before the
-// blob exists, and blobs are published before the commit seals the manifests
-// that reference them.
+// blob exists, and every blob put has returned before the manifests, which
+// record how each blob landed, are staged and the commit seals them.
 
 package ckpt
 
@@ -478,9 +483,9 @@ func (p *payload) carry(store *storage.BlobStore, claim int64, ref blobRef, know
 	return !known || stored == ref.storedSize(), nil
 }
 
-// stageManifests writes the LTMF and per-rank LTOM manifests referencing the
-// set's published blobs, entries in payload order, under dir.
-func (s *payloadSet) stageManifests(sb storage.Backend, dir string) error {
+// stageManifests encodes the LTMF and per-rank LTOM manifests referencing the
+// set's published blobs, entries in payload order, as files under dir.
+func (s *payloadSet) stageManifests(dir string) ([]stagedFile, error) {
 	wm := &WeightManifest{Version: formatVersion, Model: s.model}
 	for _, w := range s.weights {
 		wm.Tensors = append(wm.Tensors, WeightEntry{
@@ -489,9 +494,11 @@ func (s *payloadSet) stageManifests(sb storage.Backend, dir string) error {
 			Codec: w.codec, Stored: w.stored, Parents: w.parents,
 		})
 	}
-	if err := writeWeightManifest(sb, dir+"/"+WeightManifestName, wm); err != nil {
-		return err
+	data, err := encodeManifest(ltmfMagic, wm)
+	if err != nil {
+		return nil, err
 	}
+	files := []stagedFile{{dir + "/" + WeightManifestName, data}}
 	for i, rs := range s.ranks {
 		sm := &ShardManifest{
 			Version: formatVersion, Rank: rs.rank, WorldSize: rs.worldSize,
@@ -505,11 +512,12 @@ func (s *payloadSet) stageManifests(sb storage.Backend, dir string) error {
 				Codec: g.codec, Stored: g.stored, Parents: g.parents,
 			})
 		}
-		if err := writeShardManifest(sb, dir+"/"+ShardManifestName(i), sm); err != nil {
-			return err
+		if data, err = encodeManifest(ltomMagic, sm); err != nil {
+			return nil, err
 		}
+		files = append(files, stagedFile{dir + "/" + ShardManifestName(i), data})
 	}
-	return nil
+	return files, nil
 }
 
 // readAhead is how a container's sections are produced (readAhead.stream):
@@ -650,14 +658,33 @@ type Trailer struct {
 	Step          int
 }
 
-func (tr *Trailer) stage(sb storage.Backend, dir string) error {
-	if err := sb.WriteFile(dir+"/config.json", tr.Config); err != nil {
-		return err
+// files encodes the trailer as files under dir.
+func (tr *Trailer) files(dir string) ([]stagedFile, error) {
+	manifest, err := marshalJSON(dir+"/manifest.json", &tr.Manifest)
+	if err != nil {
+		return nil, err
 	}
-	if err := sb.WriteFile(dir+"/trainer_state.json", tr.State); err != nil {
-		return err
-	}
-	return writeJSON(sb, dir+"/manifest.json", &tr.Manifest)
+	return []stagedFile{
+		{dir + "/config.json", tr.Config},
+		{dir + "/trainer_state.json", tr.State},
+		{dir + "/manifest.json", manifest},
+	}, nil
+}
+
+// stagedFile is one small file the write stage writes before the marker: a
+// manifest or a trailer file.
+type stagedFile struct {
+	name string
+	data []byte
+}
+
+// writeStaged writes the files staged before the marker side by side,
+// storage.RequestWidth at a time. The error is the first failure in file
+// order.
+func writeStaged(sb storage.Backend, files []stagedFile) error {
+	return parallel.ForEachFirst(storage.RequestWidth, len(files), func(i int) error {
+		return sb.WriteFile(files[i].name, files[i].data)
+	})
 }
 
 // writeStage is the one publish-and-commit stage: it turns a filled
@@ -686,6 +713,7 @@ func (ws writeStage) run(set *payloadSet, tr *Trailer) (peak, written int64, err
 	defer txn.Abort()
 	sb, staging := txn.Backend(), txn.Dir()
 	tr.Manifest.Dedup, tr.Manifest.RefGen = ws.dedup, 0
+	var files []stagedFile
 	if ws.dedup {
 		// Blobs go to the store on the base backend, addressed from the
 		// checkpoint's final path; only the manifests are staged.
@@ -699,7 +727,9 @@ func (ws writeStage) run(set *payloadSet, tr *Trailer) (peak, written int64, err
 			tr.Manifest.RefGen, err = set.publishBlobs(store, ws.view, ws.dir, ws.step, ws.cplan)
 		}
 		if err == nil {
-			err = set.stageManifests(sb, staging)
+			// After every put returned: the manifests record each blob's
+			// landed codec and stored size.
+			files, err = set.stageManifests(staging)
 		}
 	} else {
 		// A save's payloads get their CRCs before the first container
@@ -715,8 +745,12 @@ func (ws writeStage) run(set *payloadSet, tr *Trailer) (peak, written int64, err
 			peak, written, err = set.writeContainers(sb, staging+"/model.ltsf", ranks, ws.ra)
 		}
 	}
+	var trailer []stagedFile
 	if err == nil {
-		err = tr.stage(sb, staging)
+		trailer, err = tr.files(staging)
+	}
+	if err == nil {
+		err = writeStaged(sb, append(files, trailer...))
 	}
 	if err != nil {
 		return 0, 0, err
